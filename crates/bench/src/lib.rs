@@ -1,40 +1,5 @@
-//! Shared helpers for the pmcast benchmark harness.
-//!
-//! Every bench target regenerates the data of one evaluation figure (using
-//! the quick profile by default so `cargo bench` terminates in minutes;
-//! set `PMCAST_BENCH_PROFILE=paper` to run at the paper's scale) and then
-//! measures a representative kernel with Criterion.
-
-use pmcast_sim::experiments::Profile;
-use pmcast_sim::report::{to_ascii_table, write_csv, FigureRow};
-
-/// The profile benches run with, controlled by `PMCAST_BENCH_PROFILE`.
-pub fn bench_profile() -> Profile {
-    match std::env::var("PMCAST_BENCH_PROFILE").as_deref() {
-        Ok("paper") => Profile::Paper,
-        _ => Profile::Quick,
-    }
-}
-
-/// Prints the rows of a figure and writes them under `target/figures/`.
-pub fn publish_rows<R: FigureRow>(name: &str, title: &str, rows: &[R]) {
-    println!("{}", to_ascii_table(title, rows));
-    let dir = pmcast_sim::report::default_output_dir();
-    match write_csv(&dir, name, rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("could not write {name}.csv: {error}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_profile_is_quick() {
-        // The environment variable is not set in tests.
-        if std::env::var("PMCAST_BENCH_PROFILE").is_err() {
-            assert_eq!(bench_profile(), Profile::Quick);
-        }
-    }
-}
+//! The pmcast micro-benchmark package: its one criterion target,
+//! `benches/micro.rs`, guards the hot paths
+//! (`cargo bench -p pmcast-bench --bench micro`).  Figures are regenerated
+//! by `pmcast-sim`'s `figures` binary and end-to-end numbers come from
+//! `pmbench/` (see `BENCHMARK.json`); this library is intentionally empty.

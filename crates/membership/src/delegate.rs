@@ -819,6 +819,32 @@ mod tests {
     }
 
     #[test]
+    fn fully_populated_views_seat_equation_2_entries_per_process() {
+        // Equation 2 against the tables the engines run: with R = 3 slots,
+        // every process of a full regular tree seats R·a·(d−1) delegates
+        // plus its a leaf-subgroup members — itself included, although a
+        // process never stores itself in its own table.  The shapes are
+        // the quick `views` figure rows of pmcast-sim.
+        let slots = 3;
+        let config = DelegateViewConfig::default().with_slots(slots);
+        for (arity, depth) in [(4u32, 2usize), (4, 3), (6, 3), (8, 3)] {
+            let a = arity as usize;
+            let view = DelegateView::bootstrap(arity, depth, config, 1);
+            for process in 0..a.pow(depth as u32) {
+                let seated: usize = (1..=depth)
+                    .flat_map(|l| (0..a).map(move |g| (l, g)))
+                    .map(|(l, g)| view.live_delegates_of(process, l, g).len())
+                    .sum();
+                assert_eq!(
+                    seated + 1,
+                    slots * a * (depth - 1) + a,
+                    "a = {arity}, d = {depth}, process {process}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn knows_at_depth_defaults_to_flat_knows_for_other_providers() {
         use crate::provider::{GlobalOracleView, PartialView, PartialViewConfig};
         let global = GlobalOracleView::new(8);

@@ -17,29 +17,24 @@
 //!   fly — what the paper's analysis assumes) and [`GroupTree`] (an explicit
 //!   membership with arbitrary populated addresses and per-process
 //!   subscriptions).
-//! * [`ViewTable`] / [`DepthView`] / [`ViewEntry`] — the per-depth membership
-//!   tables of Figure 2, including regrouped interests and process counts.
-//! * [`DelegatePolicy`] — deterministic delegate election (smallest
-//!   addresses by default, as in the paper).
 //! * [`InterestOracle`] — the interface used by the protocol to decide
 //!   whether a process / subtree is interested in an event, with an exact
 //!   subscription-based implementation and an assignment-based one used by
 //!   the evaluation workloads.
-//! * [`MembershipManager`] + [`ViewExchange`] — loosely coordinated
-//!   membership maintenance: gossip-pull anti-entropy on timestamped view
-//!   lines, joins, leaves and failure detection (Section 2.3).
 //! * [`MembershipView`] — the *provider* boundary the dissemination layer
 //!   draws fanout candidates from, with three implementations: a global one
 //!   ([`GlobalOracleView`], everyone knows everyone — the evaluation
 //!   model), an lpbcast-style flat bounded gossip one ([`PartialView`]),
 //!   and the paper's own hierarchical view-table maintenance
-//!   ([`DelegateView`]: per-depth delegate slots structured by the tree
-//!   coordinates, gossip-piggybacked delegate tables, smallest-address
-//!   re-election under churn).  See the [`provider`] module docs for the
-//!   sampling-determinism and eviction contract and the [`delegate`]
-//!   module docs for the hierarchical design.  Both gossip providers also
-//!   bootstrap over **sparse** populations (`bootstrap_sparse`), seating
-//!   delegates gap-aware over partially occupied subgroups.
+//!   ([`DelegateView`]: the per-depth view tables of Figure 2 as delegate
+//!   slots structured by the tree coordinates, with the Section 2.3
+//!   maintenance — gossip-piggybacked delegate tables, joins, leaves, the
+//!   monitored-delegate crash sweep and smallest-address re-election).
+//!   See the [`provider`] module docs for the sampling-determinism and
+//!   eviction contract and the [`delegate`] module docs for the
+//!   hierarchical design.  Both gossip providers also bootstrap over
+//!   **sparse** populations (`bootstrap_sparse`), seating delegates
+//!   gap-aware over partially occupied subgroups.
 //! * [`Population`] — a sparse, time-varying population over the regular
 //!   address space: initial occupancy plus a deterministic join/leave
 //!   schedule, with [`GroupTree`] snapshots per round (see the
@@ -73,10 +68,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod antientropy;
-mod churn;
 pub mod delegate;
-mod election;
 mod error;
 mod lazy;
 mod oracle;
@@ -86,12 +78,8 @@ mod summaries;
 mod topic;
 mod topology;
 mod tree;
-mod view;
 
-pub use antientropy::{LineKey, ViewDigest, ViewExchange};
-pub use churn::{FailureDetector, MembershipEvent, MembershipManager};
 pub use delegate::{DelegateView, DelegateViewConfig};
-pub use election::{CapacityWeightedPolicy, DelegatePolicy, SmallestAddressPolicy};
 pub use error::MembershipError;
 pub use lazy::LazyDelegateView;
 pub use oracle::{AssignmentOracle, InterestOracle, SubscriptionOracle, UniformOracle};
@@ -101,7 +89,6 @@ pub use population::{LifecycleEvent, LifecycleEventKind, Population, PopulationS
 pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewConfig};
 pub use topology::{ImplicitRegularTree, TreeTopology};
 pub use tree::GroupTree;
-pub use view::{DepthView, ViewEntry, ViewTable};
 
 /// Default redundancy factor `R` suggested by the paper (`R > 1`, the
 /// evaluation uses `R = 3` or `R = 4`).

@@ -3,19 +3,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use pmcast_addr::{Address, AddressSpace, Component, Prefix};
 use pmcast_interest::{Event, Filter, Interest, InterestSummary};
 
-use crate::{
-    DelegatePolicy, MembershipError, SmallestAddressPolicy, TreeTopology, ViewTable,
-};
+use crate::{MembershipError, TreeTopology};
 
 /// An explicit group membership: the set of populated addresses together
 /// with each process's subscription.
 ///
 /// `GroupTree` is the reference (oracle-side) implementation of the tree of
 /// Section 2: it supports arbitrary populated subsets of the address space,
-/// joins and leaves, per-subtree process counts, regrouped interest
-/// summaries and per-process view-table construction (Figure 2).  It is the
-/// structure a simulation or a bootstrap service would hold; individual
-/// processes hold only their [`ViewTable`].
+/// joins and leaves, per-subtree process counts and regrouped interest
+/// summaries.  It is the structure a simulation or a bootstrap service
+/// would hold; individual processes hold only their bounded view (see
+/// [`DelegateView`](crate::DelegateView)).
 ///
 /// # Example
 ///
@@ -46,7 +44,6 @@ pub struct GroupTree {
     subtree_counts: BTreeMap<Prefix, usize>,
     /// Populated child components of every populated internal prefix.
     children: BTreeMap<Prefix, BTreeSet<Component>>,
-    policy: Box<dyn DelegatePolicy + Send + Sync>,
 }
 
 impl std::fmt::Debug for GroupTree {
@@ -59,23 +56,13 @@ impl std::fmt::Debug for GroupTree {
 }
 
 impl GroupTree {
-    /// Creates an empty group over the given address space, using the
-    /// paper's smallest-address delegate election.
+    /// Creates an empty group over the given address space.
     pub fn new(space: AddressSpace) -> Self {
-        Self::with_policy(space, SmallestAddressPolicy)
-    }
-
-    /// Creates an empty group with a custom delegate-election policy.
-    pub fn with_policy<P>(space: AddressSpace, policy: P) -> Self
-    where
-        P: DelegatePolicy + Send + Sync + 'static,
-    {
         Self {
             space,
             members: BTreeMap::new(),
             subtree_counts: BTreeMap::new(),
             children: BTreeMap::new(),
-            policy: Box::new(policy),
         }
     }
 
@@ -203,23 +190,6 @@ impl GroupTree {
             .collect()
     }
 
-    /// Builds the per-depth view table of a member process (Figure 2),
-    /// including delegate lists, regrouped interests and process counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address is not a member.
-    pub fn view_table_for(
-        &self,
-        address: &Address,
-        r: usize,
-    ) -> Result<ViewTable, MembershipError> {
-        if !self.members.contains_key(address) {
-            return Err(MembershipError::NotAMember(address.clone()));
-        }
-        Ok(ViewTable::build(self, address, r))
-    }
-
     /// Iterates over the members below a prefix without allocating.
     fn members_range(&self, prefix: &Prefix) -> impl Iterator<Item = (&Address, &Filter)> {
         // Addresses sharing a prefix are contiguous in the ordered map; a
@@ -231,11 +201,6 @@ impl GroupTree {
                 start: lower_bound_address(&prefix, &self.space),
             })
             .take_while(move |(address, _)| address.has_prefix(&prefix))
-    }
-
-    /// Returns the delegate-election policy in use.
-    pub fn policy(&self) -> &(dyn DelegatePolicy + Send + Sync) {
-        self.policy.as_ref()
     }
 }
 
@@ -279,11 +244,12 @@ impl TreeTopology for GroupTree {
     }
 
     fn delegates(&self, prefix: &Prefix, r: usize) -> Vec<Address> {
-        let candidates: Vec<Address> = self
-            .members_range(prefix)
+        // Smallest addresses first: every process must reach the same
+        // answer without an agreement protocol (Section 2.3).
+        self.members_range(prefix)
+            .take(r)
             .map(|(address, _)| address.clone())
-            .collect();
-        self.policy.elect(&candidates, r)
+            .collect()
     }
 
     fn members_under(&self, prefix: &Prefix) -> Vec<Address> {
@@ -448,32 +414,6 @@ mod tests {
         assert!(tree
             .resubscribe(&"0.0.0".parse().unwrap(), Filter::match_all())
             .is_err());
-    }
-
-    #[test]
-    fn view_table_for_requires_membership() {
-        let tree = populated_tree();
-        assert!(tree.view_table_for(&"0.0.0".parse().unwrap(), 3).is_ok());
-        let mut partial = GroupTree::new(space());
-        partial
-            .join("0.0.0".parse().unwrap(), Filter::match_all())
-            .unwrap();
-        assert!(partial.view_table_for(&"1.1.1".parse().unwrap(), 3).is_err());
-    }
-
-    #[test]
-    fn custom_policy_is_used() {
-        // Prefer the *largest* addresses by scoring them by their index.
-        let policy = crate::CapacityWeightedPolicy::new(|a: &Address| {
-            a.components().iter().map(|&c| c as u64).sum()
-        });
-        let mut tree = GroupTree::with_policy(space(), policy);
-        for raw in ["0.0.0", "0.0.1", "0.3.3"] {
-            tree.join(raw.parse().unwrap(), Filter::match_all()).unwrap();
-        }
-        let delegates = tree.delegates(&Prefix::from_components(vec![0]), 1);
-        assert_eq!(delegates[0].to_string(), "0.3.3");
-        assert!(!format!("{tree:?}").is_empty());
     }
 
     #[test]

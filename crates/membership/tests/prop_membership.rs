@@ -7,14 +7,11 @@
 //!   group is fully populated;
 //! * join/leave bookkeeping (subtree counts, populated children) always
 //!   matches a from-scratch recomputation;
-//! * view tables follow Equation 2 for fully populated regular trees;
-//! * gossip-pull anti-entropy never regresses a line to older content.
+//! * view sizes follow Equation 2 for fully populated regular trees.
 
 use pmcast_addr::{Address, AddressSpace, Prefix};
-use pmcast_interest::{Filter, InterestSummary, Predicate};
-use pmcast_membership::{
-    GroupTree, ImplicitRegularTree, TreeTopology, ViewDigest, ViewExchange,
-};
+use pmcast_interest::{Filter, Predicate};
+use pmcast_membership::{GroupTree, ImplicitRegularTree, TreeTopology};
 use proptest::prelude::*;
 
 /// A small address-space shape plus a subset of its addresses.
@@ -107,7 +104,7 @@ proptest! {
     }
 
     /// For a fully populated regular tree, the explicit and implicit
-    /// topologies agree on everything the protocol uses, and view tables
+    /// topologies agree on everything the protocol uses, and view sizes
     /// follow Equation 2.
     #[test]
     fn explicit_matches_implicit(arity in 2u32..5, depth in 2usize..4, r in 1usize..4) {
@@ -131,9 +128,6 @@ proptest! {
             let expected_knowledge = r * arity as usize * (depth - 1) + arity as usize;
             prop_assert_eq!(implicit.knowledge_size(&member, r), expected_knowledge);
             prop_assert_eq!(explicit.knowledge_size(&member, r), expected_knowledge);
-            // The concrete view table agrees as well.
-            let table = explicit.view_table_for(&member, r).expect("member");
-            prop_assert_eq!(table.knowledge_size(), expected_knowledge);
         }
     }
 
@@ -153,55 +147,6 @@ proptest! {
             }
             // Everybody participates at the leaf depth.
             prop_assert!(tree.participates_at(member, space.depth(), r));
-        }
-    }
-
-    /// Anti-entropy reconciliation is convergent and idempotent: after one
-    /// bidirectional exchange both tables hold, per line, the newest
-    /// timestamp seen anywhere; a second exchange changes nothing.
-    #[test]
-    fn antientropy_reaches_a_fixed_point(
-        arity in 2u32..5,
-        bump_a in 0u32..4,
-        bump_b in 0u32..4,
-        ts_a in 1u64..100,
-        ts_b in 1u64..100,
-    ) {
-        let space = AddressSpace::regular(2, arity).expect("valid shape");
-        let tree = GroupTree::fully_populated(space, Filter::match_all());
-        let owner_a: Address = Address::new(vec![0, 0]);
-        let owner_b: Address = Address::new(vec![0, 1]);
-        let mut table_a = tree.view_table_for(&owner_a, 2).expect("member");
-        let mut table_b = tree.view_table_for(&owner_b, 2).expect("member");
-        let bump_a = bump_a % arity;
-        let bump_b = bump_b % arity;
-        table_a
-            .view_mut(1)
-            .entries_mut()
-            .iter_mut()
-            .find(|e| e.infix() == bump_a)
-            .unwrap()
-            .update(vec![], InterestSummary::empty(), 100, ts_a);
-        table_b
-            .view_mut(1)
-            .entries_mut()
-            .iter_mut()
-            .find(|e| e.infix() == bump_b)
-            .unwrap()
-            .update(vec![], InterestSummary::empty(), 200, ts_b);
-
-        let exchange = ViewExchange::new();
-        exchange.reconcile(&mut table_a, &mut table_b);
-        // Fixed point: a second exchange is a no-op.
-        prop_assert_eq!(exchange.reconcile(&mut table_a, &mut table_b), (0, 0));
-        // Every line now carries the same timestamp on both replicas.
-        let digest_a = ViewDigest::of(&table_a);
-        let digest_b = ViewDigest::of(&table_b);
-        for view in table_a.iter() {
-            for entry in view.entries() {
-                let key = pmcast_membership::LineKey { depth: view.depth(), infix: entry.infix() };
-                prop_assert_eq!(digest_a.timestamp(&key), digest_b.timestamp(&key));
-            }
         }
     }
 }

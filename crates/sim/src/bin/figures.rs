@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Every selected experiment prints an ASCII table to stdout and writes a
-//! CSV file to the output directory; `EXPERIMENTS.md` documents how the
-//! resulting curves compare with the paper's.
+//! CSV file to the output directory; the module docs of
+//! [`pmcast_sim::experiments`] say which claim of the paper each table
+//! checks.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

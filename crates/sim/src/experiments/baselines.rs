@@ -5,9 +5,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, Protocol};
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// One protocol's aggregate behaviour at one matching rate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,17 +63,13 @@ pub fn run(profile: Profile) -> Vec<BaselineRow> {
     let base = profile.reliability_base();
     let mut rows = Vec::new();
     for &matching_rate in &[0.2, 0.5] {
+        let point = base.clone().matching_rate(matching_rate).build();
         for (id, kind) in [
             (PROTOCOL_PMCAST, Protocol::Pmcast),
             (PROTOCOL_FLOODING, Protocol::FloodBroadcast),
             (PROTOCOL_GENUINE, Protocol::GenuineMulticast),
         ] {
-            let outcome = run_experiment_parallel(
-                &base
-                    .clone()
-                    .with_matching_rate(matching_rate)
-                    .with_protocol_kind(kind),
-            );
+            let outcome = run_point(&point, kind);
             rows.push(BaselineRow {
                 protocol: id,
                 matching_rate,

@@ -11,9 +11,10 @@ use serde::{Deserialize, Serialize};
 use pmcast_analysis::{tree::TreeModel, GroupParams};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, ExperimentConfig};
+use crate::runner::Protocol;
+use crate::scenario::Scenario;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// One data point of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,7 +52,7 @@ impl FigureRow for ReliabilityRow {
     }
 }
 
-fn analytical_model(config: &ExperimentConfig) -> TreeModel {
+fn analytical_model(config: &Scenario) -> TreeModel {
     TreeModel::new(
         GroupParams {
             arity: config.arity,
@@ -66,13 +67,13 @@ fn analytical_model(config: &ExperimentConfig) -> TreeModel {
 /// Runs the Figure 4 sweep for the given profile.
 pub fn run(profile: Profile) -> Vec<ReliabilityRow> {
     let base = profile.reliability_base();
-    let model = analytical_model(&base);
+    let model = analytical_model(&base.clone().build());
     profile
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let config = base.clone().with_matching_rate(matching_rate);
-            let outcome = run_experiment_parallel(&config);
+            let config = base.clone().matching_rate(matching_rate).build();
+            let outcome = run_point(&config, Protocol::Pmcast);
             let analytical = model.reliability(matching_rate);
             ReliabilityRow {
                 matching_rate,

@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 use pmcast_analysis::{pittel, tree::TreeModel, GroupParams};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// One data point of the round-count validation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,8 @@ impl FigureRow for RoundsRow {
 
 /// Runs the round-count validation for the given profile.
 pub fn run(profile: Profile) -> Vec<RoundsRow> {
-    let base = profile.reliability_base();
+    let builder = profile.reliability_base();
+    let base = builder.clone().build();
     let model = TreeModel::new(
         GroupParams {
             arity: base.arity,
@@ -64,7 +65,8 @@ pub fn run(profile: Profile) -> Vec<RoundsRow> {
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let outcome = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
+            let point = builder.clone().matching_rate(matching_rate).build();
+            let outcome = run_point(&point, Protocol::Pmcast);
             let n = base.group_size() as f64;
             let flat = pittel::rounds_estimate_faulty(
                 n * matching_rate,

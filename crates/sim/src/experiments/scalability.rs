@@ -8,9 +8,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// One data point of Figure 6 (one subgroup size, both matching rates).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,13 +46,13 @@ pub fn run(profile: Profile) -> Vec<ScalabilityRow> {
         .into_iter()
         .map(|arity| {
             let base = profile.scalability_base(arity);
-            let at_half = run_experiment_parallel(&base.clone().with_matching_rate(0.5));
-            let at_fifth = run_experiment_parallel(&base.clone().with_matching_rate(0.2));
+            let at_half = base.clone().matching_rate(0.5).build();
+            let at_fifth = base.matching_rate(0.2).build();
             ScalabilityRow {
                 arity: arity as f64,
-                group_size: base.group_size() as f64,
-                delivery_rate_05: at_half.delivery_mean,
-                delivery_rate_02: at_fifth.delivery_mean,
+                group_size: at_half.group_size() as f64,
+                delivery_rate_05: run_point(&at_half, Protocol::Pmcast).delivery_mean,
+                delivery_rate_02: run_point(&at_fifth, Protocol::Pmcast).delivery_mean,
             }
         })
         .collect()

@@ -10,9 +10,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::{run_experiment_parallel, Protocol};
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// One data point of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,13 +43,9 @@ pub fn run(profile: Profile) -> Vec<SpuriousRow> {
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let pmcast = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
-            let flooding = run_experiment_parallel(
-                &base
-                    .clone()
-                    .with_matching_rate(matching_rate)
-                    .with_protocol_kind(Protocol::FloodBroadcast),
-            );
+            let point = base.clone().matching_rate(matching_rate).build();
+            let pmcast = run_point(&point, Protocol::Pmcast);
+            let flooding = run_point(&point, Protocol::FloodBroadcast);
             SpuriousRow {
                 matching_rate,
                 spurious_pmcast: pmcast.spurious_mean,

@@ -9,9 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::report::FigureRow;
-use crate::runner::run_experiment_parallel;
+use crate::runner::Protocol;
 
-use super::Profile;
+use super::{run_point, Profile};
 
 /// The tuning threshold `h` used by the tuned runs.
 pub const DEFAULT_THRESHOLD: usize = 12;
@@ -60,12 +60,13 @@ pub fn run_with_threshold(profile: Profile, threshold: usize) -> Vec<TuningRow> 
         .matching_rates()
         .into_iter()
         .map(|matching_rate| {
-            let original = run_experiment_parallel(&base.clone().with_matching_rate(matching_rate));
-            let tuned_config = base
-                .clone()
-                .with_matching_rate(matching_rate)
-                .with_protocol(base.protocol.clone().with_tuning(threshold));
-            let tuned = run_experiment_parallel(&tuned_config);
+            let point = base.clone().matching_rate(matching_rate);
+            let untuned = point.clone().build();
+            let tuned = point
+                .protocol(untuned.protocol.clone().with_tuning(threshold))
+                .build();
+            let original = run_point(&untuned, Protocol::Pmcast);
+            let tuned = run_point(&tuned, Protocol::Pmcast);
             TuningRow {
                 matching_rate,
                 delivery_original: original.delivery_mean,

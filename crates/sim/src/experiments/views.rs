@@ -1,12 +1,11 @@
 //! **Membership scalability** (Equations 2 and 12) — the per-process view
 //! size of pmcast compared with flat membership, both analytically and
-//! measured on concrete [`pmcast_membership::ViewTable`]s.
+//! measured as the seated entries of a bootstrapped
+//! [`pmcast_membership::DelegateView`], the tables the engines run.
 
 use serde::{Deserialize, Serialize};
 
-use pmcast_addr::AddressSpace;
-use pmcast_interest::Filter;
-use pmcast_membership::{GroupTree, TreeTopology};
+use pmcast_membership::{DelegateView, DelegateViewConfig};
 
 use crate::report::FigureRow;
 
@@ -23,8 +22,8 @@ pub struct ViewSizeRow {
     pub group_size: f64,
     /// Analytical per-process view size (Equation 2 / 12).
     pub analytical_view_size: f64,
-    /// View size measured on a concrete view table (0 when the group is too
-    /// large to materialise in the quick profile).
+    /// View size measured on a bootstrapped delegate table (0 when the
+    /// group is too large to materialise).
     pub measured_view_size: f64,
     /// `n / analytical_view_size`.
     pub reduction_factor: f64,
@@ -68,12 +67,15 @@ pub fn run(profile: Profile) -> Vec<ViewSizeRow> {
         .map(|(arity, depth)| {
             let report = pmcast_analysis::views::view_size_report(arity, depth, redundancy);
             let measured = if report.group_size <= MEASURE_LIMIT {
-                let space = AddressSpace::regular(depth, arity).expect("valid shape");
-                let tree = GroupTree::fully_populated(space, Filter::match_all());
-                let owner = tree.members()[0].clone();
-                tree.view_table_for(&owner, redundancy)
-                    .expect("owner is a member")
-                    .knowledge_size() as f64
+                let config = DelegateViewConfig::default().with_slots(redundancy);
+                let view = DelegateView::bootstrap(arity, depth, config, 0);
+                // Process 0's seated delegates and leaf neighbours over all
+                // depths, plus itself (a table never stores its owner).
+                let seated: usize = (1..=depth)
+                    .flat_map(|l| (0..arity as usize).map(move |g| (l, g)))
+                    .map(|(l, g)| view.live_delegates_of(0, l, g).len())
+                    .sum();
+                (seated + 1) as f64
             } else {
                 0.0
             };

@@ -10,9 +10,13 @@
 //!   multiple publishers, multiple events, per-round publish schedules,
 //!   crash/churn schedules, loss, and the [`scenario::MembershipSpec`]
 //!   membership axis (global knowledge, flat lpbcast-style partial views,
-//!   or the paper's hierarchical delegate tables).
-//! * [`runner`] — run one or many multicast trials for a given scenario or
-//!   experiment point, optionally in parallel.  One generic simulation
+//!   or the paper's hierarchical delegate tables), plus the
+//!   [`quick`](scenario::Scenario::quick) /
+//!   [`paper_reliability`](scenario::Scenario::paper_reliability) /
+//!   [`paper_scalability`](scenario::Scenario::paper_scalability) presets
+//!   the figure sweeps start from.
+//! * [`runner`] — run one or many multicast trials for a given scenario,
+//!   optionally in parallel.  One generic simulation
 //!   loop serves every protocol through
 //!   [`pmcast_core::MulticastProtocol`] / [`pmcast_core::ProtocolFactory`];
 //!   the [`runner::Protocol`] enum is a thin factory dispatch.
@@ -33,10 +37,10 @@
 //! ## Performance architecture
 //!
 //! All experiment sweeps run their Monte-Carlo trials through
-//! [`runner::run_trials_parallel`], which fans independent trials out over
+//! [`runner::run_scenario_parallel`], which fans independent trials out over
 //! every available core. Trial `t` derives its entire randomness stream from
 //! `seed + t`, so the parallel runner is **bit-identical** to the sequential
-//! [`runner::run_trials`] — same `AggregateOutcome`, any thread count, any
+//! [`runner::run_scenario`] — same `AggregateOutcome`, any thread count, any
 //! scheduling — which the test suite asserts. When adding experiments, keep
 //! all randomness derived from the per-trial seed (never from state shared
 //! between trials) and parallelism remains free and deterministic.
@@ -44,12 +48,11 @@
 //! ## Example
 //!
 //! ```rust
-//! use pmcast_sim::runner::{ExperimentConfig, run_experiment};
+//! use pmcast_sim::runner::{AggregateOutcome, Protocol};
+//! use pmcast_sim::scenario::Scenario;
 //!
-//! let config = ExperimentConfig::quick()
-//!     .with_matching_rate(0.5)
-//!     .with_trials(3);
-//! let outcome = run_experiment(&config);
+//! let scenario = Scenario::quick().matching_rate(0.5).trials(3).build();
+//! let outcome = AggregateOutcome::from_trials(&scenario.run(Protocol::Pmcast));
 //! assert!(outcome.delivery_mean > 0.5);
 //! assert_eq!(outcome.trials, 3);
 //! ```

@@ -40,9 +40,7 @@ use pmcast_membership::{
 use pmcast_simnet::{FaultPlan, LinkDelay, PartitionWindow, Straggler};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{
-    run_scenario, run_scenario_parallel, ExperimentConfig, Protocol, TrialOutcome,
-};
+use crate::runner::{run_scenario, run_scenario_parallel, Protocol, TrialOutcome};
 
 /// Which membership provider the processes of a trial draw their fanout
 /// candidates from — the scenario axis that turns "a group of `n` known
@@ -338,9 +336,9 @@ impl TopicWorkload {
 /// An empty `publications` list means the **default workload**: one event
 /// (`id = 1000 + trial`, one `b` attribute) published at round 0 by a
 /// random interested process — the paper's one-event-one-sender trial
-/// shape, kept as the default so [`ExperimentConfig`] sweeps reproduce
-/// their historical random streams exactly (see the seed-derivation
-/// contract in [`crate::runner`]).
+/// shape, kept as the default so the figure sweeps reproduce their
+/// historical random streams exactly (see the seed-derivation contract in
+/// [`crate::runner`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Subgroups per level (`a`).
@@ -457,32 +455,31 @@ impl Scenario {
         }
     }
 
-    /// The scenario equivalent of an [`ExperimentConfig`] point: same
-    /// shape, workload and fault model, with the default publish schedule.
-    /// `config.protocol_kind` is *not* part of the scenario — the protocol
-    /// is chosen when running it.
-    pub fn from_experiment(config: &ExperimentConfig) -> Self {
-        Self {
-            arity: config.arity,
-            depth: config.depth,
-            protocol: config.protocol.clone(),
-            matching_rate: config.matching_rate,
-            loss_probability: config.loss_probability,
-            crash_fraction: config.crash_fraction,
-            crash_schedule: Vec::new(),
-            join_schedule: Vec::new(),
-            leave_schedule: Vec::new(),
-            link_delay: None,
-            partition_schedule: Vec::new(),
-            subtree_loss: Vec::new(),
-            straggler_schedule: Vec::new(),
-            publications: Vec::new(),
-            topics: None,
-            membership: MembershipSpec::Global,
-            trials: config.trials,
-            seed: config.seed,
-            max_rounds: config.max_rounds,
-        }
+    /// The quick evaluation profile: a small, fast group (`a = 6`, `d = 3`,
+    /// 216 processes) on the paper's faulty network (`ε = 0.01`,
+    /// `τ = 0.001`), 5 trials — what tests, the quick figure sweeps and the
+    /// smoke runs start from.  Returns the builder, so the point can be
+    /// varied before [`build`](ScenarioBuilder::build) validates it.
+    pub fn quick() -> ScenarioBuilder {
+        Self::builder().loss(0.01).crash_fraction(0.001).trials(5)
+    }
+
+    /// The paper-scale profile of Figures 4, 5 and 7: `a = 22`, `d = 3`
+    /// (n = 10 648), `R = 3`, `F = 2`, same network and trial count as
+    /// [`quick`](Self::quick).
+    pub fn paper_reliability() -> ScenarioBuilder {
+        Self::quick()
+            .group(22, 3)
+            .protocol(PmcastConfig::paper_reliability())
+            .max_rounds(600)
+    }
+
+    /// The paper-scale profile of Figure 6: `d = 3`, `R = 4`, `F = 3`, with
+    /// the arity varied by the experiment.
+    pub fn paper_scalability(arity: u32) -> ScenarioBuilder {
+        Self::paper_reliability()
+            .group(arity, 3)
+            .protocol(PmcastConfig::paper_scalability())
     }
 
     /// The number of addresses of the scenario's tree, `a^d` — the upper
@@ -559,7 +556,7 @@ impl Scenario {
     }
 
     /// Runs all trials on all available cores; bit-identical to
-    /// [`run`](Self::run) (see [`crate::runner::run_trials_parallel`]).
+    /// [`run`](Self::run) (see [`crate::runner::run_scenario_parallel`]).
     pub fn run_parallel(&self, protocol: Protocol) -> Vec<TrialOutcome> {
         run_scenario_parallel(self, protocol)
     }
@@ -1107,17 +1104,6 @@ mod tests {
         assert_eq!(scenario.group_size(), scenario.capacity());
         let sizes = scenario.population_sizes();
         assert_eq!((sizes.initial, sizes.peak, sizes.end), (16, 16, 16));
-    }
-
-    #[test]
-    fn from_experiment_mirrors_the_point() {
-        let config = ExperimentConfig::quick().with_matching_rate(0.3).with_seed(9);
-        let scenario = Scenario::from_experiment(&config);
-        assert_eq!(scenario.arity, config.arity);
-        assert_eq!(scenario.depth, config.depth);
-        assert_eq!(scenario.matching_rate, 0.3);
-        assert_eq!(scenario.seed, 9);
-        assert!(scenario.publications.is_empty(), "default workload");
     }
 
     #[test]

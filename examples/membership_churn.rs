@@ -1,9 +1,7 @@
-//! Membership maintenance under churn: joins, graceful leaves, crash
-//! suspicion and gossip-pull anti-entropy (Section 2.3 of the paper).
-//!
-//! The example keeps a small group of processes, each holding its own view
-//! table, and shows how local membership events propagate to every replica
-//! through pairwise view exchanges.
+//! Membership maintenance under churn (Section 2.3 of the paper), shown on
+//! the provider the engines run: a [`DelegateView`] is driven by hand
+//! through a join, a graceful leave, a crash and a rejoin, with one
+//! `round_elapsed` per membership gossip round.
 //!
 //! ```text
 //! cargo run --example membership_churn
@@ -11,101 +9,97 @@
 
 use std::error::Error;
 
-use pmcast::membership::{MembershipManager, ViewExchange};
-use pmcast::{Address, AddressSpace, Filter, GroupTree, Predicate, TreeTopology};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use pmcast::{AddressSpace, DelegateView, DelegateViewConfig, MembershipView};
+
+/// The live processes whose depth-1 slot group for root subgroup `g` seats
+/// `process`.
+fn seated_by(view: &DelegateView, members: usize, g: usize, process: usize) -> usize {
+    (0..members)
+        .filter(|&q| q != process && view.is_live(q))
+        .filter(|&q| view.live_delegates_of(q, 1, g).contains(&process))
+        .count()
+}
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    // A 4-ary tree of depth 2: 16 addresses, the first 12 occupied at
+    // bootstrap (root subgroup 3 starts empty), R = 2 delegates per
+    // subgroup.
     let space = AddressSpace::regular(2, 4)?;
-
-    // 1. Bootstrap: 12 of the 16 possible addresses are initially populated.
-    let mut bootstrap = GroupTree::new(space.clone());
-    for address in space.iter().take(12) {
-        bootstrap.join(address, Filter::new().with("b", Predicate::gt(0.0)))?;
-    }
-    println!("bootstrap group has {} members", bootstrap.member_count());
-
-    // 2. Every member builds its local view table and wraps it in a
-    //    membership manager (R = 2, failure timeout of 3 gossip periods).
-    let redundancy = 2;
-    let mut managers: Vec<MembershipManager> = bootstrap
-        .members()
-        .iter()
-        .map(|address| {
-            let table = bootstrap.view_table_for(address, redundancy).expect("member");
-            MembershipManager::new(table, redundancy, 3)
-        })
-        .collect();
-    println!(
-        "each member knows {} processes (flat membership would need {})\n",
-        managers[0].table().knowledge_size(),
-        bootstrap.member_count()
-    );
-
-    // 3. A new process joins through a contact: the contact applies the join
-    //    locally, then anti-entropy spreads it.
-    let joiner: Address = "3.2".parse()?;
-    println!("process {joiner} joins via contact {}", managers[0].table().owner());
-    managers[0].apply_join(joiner.clone(), Filter::new().with("b", Predicate::lt(0.0)));
-
-    // 4. A member leaves gracefully, informing one close neighbour.
-    let leaver: Address = "0.1".parse()?;
-    println!("process {leaver} leaves, informing {}", managers[1].table().owner());
-    managers[1].apply_leave(&leaver);
-
-    // 5. Gossip-pull anti-entropy: random pairwise exchanges until no view
-    //    changes any more.
-    let exchange = ViewExchange::new();
-    let mut sweep = 0;
-    loop {
-        sweep += 1;
-        let mut changed = 0;
-        let mut order: Vec<usize> = (0..managers.len()).collect();
-        order.shuffle(&mut rng);
-        for pair in order.chunks(2) {
-            if let [a, b] = *pair {
-                let (low, high) = if a < b { (a, b) } else { (b, a) };
-                let (left, right) = managers.split_at_mut(high);
-                let (da, db) = exchange.reconcile(left[low].table_mut(), right[0].table_mut());
-                changed += da + db;
+    let n = space.capacity() as usize;
+    let name = |process: usize| space.address_of_index(process as u128);
+    let names = |processes: Vec<usize>| {
+        let rendered: Vec<String> = processes.into_iter().map(|p| name(p).to_string()).collect();
+        format!("[{}]", rendered.join(", "))
+    };
+    let occupied: Vec<bool> = (0..n).map(|process| process < 12).collect();
+    let config = DelegateViewConfig::default().with_slots(2);
+    let view = DelegateView::bootstrap_sparse(4, 2, config, 5, &occupied);
+    // Gossip until every other live process seats `process` as a delegate
+    // of root subgroup `g`.
+    let gossip_until_seated = |g: usize, process: usize| {
+        for round in 1..=20 {
+            view.round_elapsed();
+            let others = view.estimated_size() - 1;
+            let seated = seated_by(&view, n, g, process);
+            println!("  round {round}: {seated}/{others} processes seat it");
+            if seated == others {
+                break;
             }
         }
-        println!("anti-entropy sweep {sweep}: {changed} view lines updated");
-        if changed == 0 || sweep > 20 {
-            break;
-        }
-    }
+    };
+    println!("bootstrap group has {} members", view.estimated_size());
+    println!(
+        "process {} knows {} processes (flat membership would need {})\n",
+        name(4),
+        view.peer_count(4),
+        view.estimated_size() - 1
+    );
 
-    // 6. Check convergence: every replica that tracks the root view agrees
-    //    on the join being visible and shows updated process counts.
-    let knows_joiner = managers
-        .iter()
-        .filter(|m| {
-            m.table()
-                .view(1)
-                .entry(joiner.components()[0])
-                .map(|entry| entry.delegates().contains(&joiner) || entry.process_count() > 0)
-                .unwrap_or(false)
-        })
-        .count();
-    println!("\n{knows_joiner}/{} replicas see the new subgroup of {joiner}", managers.len());
+    // 1. A join into the empty subgroup 3: the joiner subscribes through
+    //    its ring successor, and gossip seats it as subgroup 3's delegate
+    //    at every process.
+    let joiner = 14;
+    view.observe_join(joiner);
+    println!("process {} joins", name(joiner));
+    gossip_until_seated(3, joiner);
 
-    // 7. Failure detection: silence a neighbour and watch it get suspected.
-    println!("\nsimulating silence of 0.2 towards 0.0 …");
-    let observer = &mut managers[0];
-    let mut suspected = Vec::new();
-    for _ in 0..6 {
-        // Everybody except 0.2 keeps talking to the observer.
-        for neighbour in ["0.1", "0.3"] {
-            observer.record_contact(&neighbour.parse()?);
-        }
-        suspected.extend(observer.tick());
+    // 2. A graceful leave is announced: the leaver is evicted everywhere
+    //    at once, and each table re-elects the smallest live member of
+    //    subgroup 0 it has heard of — immediately if it knows one, else as
+    //    soon as gossip delivers a candidate.
+    let leaver = 1;
+    let delegates = |view: &DelegateView| names(view.live_delegates_of(4, 1, 0));
+    println!("\nsubgroup 0 delegates at {}: {}", name(4), delegates(&view));
+    view.observe_leave(leaver);
+    println!("process {} leaves", name(leaver));
+    println!("  at once:        {}", delegates(&view));
+    for _ in 0..3 {
+        view.round_elapsed();
     }
-    for event in &suspected {
-        println!("membership event at {}: {:?}", observer.table().owner(), event);
-    }
+    println!("  3 rounds later: {}", delegates(&view));
+
+    // 3. A crash is silent: the victim stays in the tables until the next
+    //    round's monitored-delegate sweep evicts it and re-elects.
+    let victim = 0;
+    view.observe_crash(victim);
+    println!("\nprocess {} crashes", name(victim));
+    println!(
+        "  before the sweep {} processes still list it",
+        (0..n).filter(|&q| view.is_live(q) && view.knows(q, victim)).count()
+    );
+    view.round_elapsed();
+    println!(
+        "  after one round {} do; subgroup 0 delegates at {}: {}",
+        (0..n).filter(|&q| view.is_live(q) && view.knows(q, victim)).count(),
+        name(4),
+        delegates(&view)
+    );
+
+    // 4. The crashed process recovers and rejoins: as the smallest address
+    //    of its subgroup it displaces a larger delegate again.
+    view.observe_join(victim);
+    println!("\nprocess {} rejoins", name(victim));
+    gossip_until_seated(0, victim);
+    println!("\nfinal group has {} members", view.estimated_size());
     Ok(())
 }

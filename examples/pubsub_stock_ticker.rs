@@ -107,13 +107,12 @@ fn run_simulated_burst() -> Result<(), Box<dyn Error>> {
     let tree = build_feed(&mut rng)?;
     println!("{} brokers joined the feed", tree.member_count());
 
-    // A look at one broker's view table (the Figure 2 structure).
+    // A look at one broker's view sizes (the Figure 2 structure).
     let sample_broker: pmcast::Address = "2.3.1".parse()?;
-    let table = tree.view_table_for(&sample_broker, 3)?;
     println!(
         "broker {sample_broker} knows {} processes across {} depths (flat membership would need {})\n",
-        table.knowledge_size(),
-        table.depth(),
+        tree.knowledge_size(&sample_broker, 3),
+        tree.depth(),
         tree.member_count()
     );
 

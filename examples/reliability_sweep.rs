@@ -18,7 +18,7 @@ use std::error::Error;
 
 use pmcast::analysis::tree::TreeModel;
 use pmcast::sim::experiments::{reliability, Profile};
-use pmcast::{parse_check_model, predict, EnvParams, GroupParams, Scenario};
+use pmcast::{parse_check_model, predict, EnvParams, GroupParams};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,8 +45,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // The same experiment point, as the scenario the prediction module
         // maps onto the model — `delivery_analytical` is the legacy
         // tree-model column, `predicted` the scenario-level loop.
-        let scenario =
-            Scenario::from_experiment(&base.clone().with_matching_rate(row.matching_rate));
+        let scenario = base.clone().matching_rate(row.matching_rate).build();
         let prediction = predict(&scenario);
         if let Some(gate) = gate.as_mut() {
             gate.record(

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`addr`] | `pmcast-addr` | hierarchical addresses, prefixes, distances |
 //! | [`interest`] | `pmcast-interest` | events, predicates, filters, interest regrouping |
-//! | [`membership`] | `pmcast-membership` | group tree, delegates, views, anti-entropy, churn |
+//! | [`membership`] | `pmcast-membership` | group tree, interest oracles, populations, membership-view providers |
 //! | [`simnet`] | `pmcast-simnet` | deterministic round-based network simulation |
 //! | [`core`] | `pmcast-core` | the pmcast protocol and the baseline protocols |
 //! | [`analysis`] | `pmcast-analysis` | Pittel asymptote, infection Markov chains, reliability model |
@@ -153,7 +153,7 @@ pub use pmcast_core::{
     PmcastProcess, ProtocolFactory, ProtocolGroup, TuningConfig,
 };
 pub use pmcast_sim::prediction::{parse_check_model, predict, DriftGate, ModelPrediction};
-pub use pmcast_sim::runner::{DeliveryLatency, ExperimentConfig, Protocol, TrialOutcome};
+pub use pmcast_sim::runner::{DeliveryLatency, Protocol, TrialOutcome};
 pub use pmcast_sim::scenario::{
     MembershipSpec, Publication, Publisher, Scenario, ScenarioBuilder, SubtreeLoss, TopicWorkload,
 };
@@ -164,9 +164,9 @@ pub use pmcast_interest::{
 pub use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
     ImplicitRegularTree, InterestOracle, LazyDelegateView, LifecycleEvent, LifecycleEventKind,
-    MembershipManager, MembershipView, PartialView, PartialViewConfig, Population,
-    PopulationSizes, SubscriptionOracle, SubtreeSummaries, TopicOracle, TreeTopology,
-    UniformOracle, ViewTable, TOPIC_ATTRIBUTE,
+    MembershipView, PartialView, PartialViewConfig, Population, PopulationSizes,
+    SubscriptionOracle, SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle,
+    TOPIC_ATTRIBUTE,
 };
 pub use pmcast_net::{NetConfig, NetGroup, NetGroupHandle, NetTrialOutcome, Seen};
 pub use pmcast_simnet::{

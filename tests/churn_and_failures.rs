@@ -1,15 +1,12 @@
-//! Integration tests for membership maintenance under churn and for the
-//! protocol's behaviour under failure injection (crashed delegates, heavy
-//! message loss, crashed publishers).
+//! Integration tests for the protocol's behaviour under failure injection
+//! (crashed delegates, heavy message loss, crashed publishers).
 
 use std::sync::Arc;
 
-use pmcast::membership::{MembershipEvent, MembershipManager, ViewExchange};
 use pmcast::{
-    Address, AddressSpace, AssignmentOracle, Event, Filter, GlobalOracleView, GroupTree,
-    ImplicitRegularTree, InterestOracle, MembershipView, MulticastReport, NetworkConfig,
-    PmcastConfig, PmcastFactory, Predicate, ProcessId, ProtocolFactory, Simulation,
-    TreeTopology, UniformOracle,
+    Address, AddressSpace, AssignmentOracle, Event, GlobalOracleView, ImplicitRegularTree,
+    InterestOracle, MembershipView, MulticastReport, NetworkConfig, PmcastConfig, PmcastFactory,
+    ProcessId, ProtocolFactory, Simulation, TreeTopology, UniformOracle,
 };
 
 fn global_view(n: usize) -> Arc<dyn MembershipView> {
@@ -17,89 +14,6 @@ fn global_view(n: usize) -> Arc<dyn MembershipView> {
 }
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-#[test]
-fn joins_and_leaves_propagate_through_anti_entropy() {
-    let space = AddressSpace::regular(2, 5).expect("valid shape");
-    let mut bootstrap = GroupTree::new(space.clone());
-    for address in space.iter().take(15) {
-        bootstrap
-            .join(address, Filter::new().with("b", Predicate::gt(0.0)))
-            .expect("fresh address");
-    }
-    let redundancy = 2;
-    let mut managers: Vec<MembershipManager> = bootstrap
-        .members()
-        .iter()
-        .map(|address| {
-            MembershipManager::new(
-                bootstrap.view_table_for(address, redundancy).expect("member"),
-                redundancy,
-                4,
-            )
-        })
-        .collect();
-
-    // One contact learns about a join, another about a leave.
-    let joiner: Address = "4.4".parse().unwrap();
-    managers[0].apply_join(joiner.clone(), Filter::match_all());
-    let leaver: Address = "1.2".parse().unwrap();
-    managers[3].apply_leave(&leaver);
-
-    // Deterministic ring of pairwise exchanges until convergence.
-    let exchange = ViewExchange::new();
-    for _ in 0..6 {
-        let mut changed = 0;
-        for i in 0..managers.len() {
-            let j = (i + 1) % managers.len();
-            let (low, high) = if i < j { (i, j) } else { (j, i) };
-            let (left, right) = managers.split_at_mut(high);
-            let (a, b) = exchange.reconcile(left[low].table_mut(), right[0].table_mut());
-            changed += a + b;
-        }
-        if changed == 0 {
-            break;
-        }
-    }
-
-    // Every replica now sees the new depth-1 subgroup of the joiner and the
-    // reduced process count of the leaver's subgroup.
-    for manager in &managers {
-        let root_view = manager.table().view(1);
-        let joined_line = root_view.entry(4).expect("subgroup 4 is known everywhere");
-        assert!(joined_line.process_count() >= 1);
-        let left_line = root_view.entry(1).expect("subgroup 1 still exists");
-        assert_eq!(left_line.process_count(), 4, "owner {}", manager.table().owner());
-        assert!(!left_line.delegates().contains(&leaver));
-    }
-}
-
-#[test]
-fn silent_neighbours_get_suspected_and_excluded() {
-    let space = AddressSpace::regular(2, 4).expect("valid shape");
-    let tree = GroupTree::fully_populated(space, Filter::match_all());
-    let owner: Address = "2.0".parse().unwrap();
-    let mut manager = MembershipManager::new(tree.view_table_for(&owner, 2).expect("member"), 2, 3);
-
-    // Neighbours 2.1 and 2.3 keep talking; 2.2 goes silent.
-    let mut suspected = Vec::new();
-    for _ in 0..8 {
-        manager.record_contact(&"2.1".parse().unwrap());
-        manager.record_contact(&"2.3".parse().unwrap());
-        suspected.extend(manager.tick());
-    }
-    let silent: Address = "2.2".parse().unwrap();
-    assert!(suspected.contains(&MembershipEvent::Suspected(silent.clone())));
-
-    // Excluding the suspect removes it from the leaf view.
-    manager.apply_leave(&silent);
-    assert!(manager
-        .table()
-        .view(2)
-        .entries()
-        .iter()
-        .all(|entry| !entry.delegates().contains(&silent)));
-}
 
 #[test]
 fn crashed_root_delegates_do_not_prevent_delivery() {
