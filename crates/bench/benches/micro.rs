@@ -135,10 +135,12 @@ fn bench(c: &mut Criterion) {
     // `DelegateView` (the PR 4 membership provider): rebuild one depth's
     // candidate list through `knows_at_depth` — an O(slots) slot-group
     // lookup, no flat-view scan — then draw F distinct targets by partial
-    // Fisher–Yates over the reused buffer, exactly the `gossip_depth` hot
-    // path.  Both vectors are allocated once outside the iteration, so the
-    // per-draw cost must stay allocation-free and within a few nanoseconds
-    // of the flat `fanout_draw_through_view` boundary.
+    // Fisher–Yates over the reused buffer — the `gossip_depth` hot path as
+    // it was before the batched probe (`delegate_draw_batched` below), and
+    // still what a provider without an override pays.  Both vectors are
+    // allocated once outside the iteration, so the per-draw cost must stay
+    // allocation-free and within a few nanoseconds of the flat
+    // `fanout_draw_through_view` boundary.
     let delegate_view: Arc<dyn MembershipView> = Arc::new(DelegateView::bootstrap(
         8,
         3,
@@ -167,6 +169,33 @@ fn bench(c: &mut Criterion) {
                 let swap = draw_rng.gen_range(slot..delegate_candidates.len());
                 delegate_candidates.swap(slot, swap);
                 acc += delegate_candidates[slot];
+            }
+            acc
+        })
+    });
+
+    // The same candidate list through the batched probe `gossip_depth`
+    // makes: one `fill_known_at_depth` call for the whole view — one lock
+    // acquisition and one division per entry instead of a lock plus the
+    // digit arithmetic per entry.  The gap to `delegate_draw` is what the
+    // per-entry probes cost.
+    c.bench_function("delegate_draw_batched", |b| {
+        b.iter(|| {
+            let own = 37usize;
+            delegate_candidates.clear();
+            delegate_view.fill_known_at_depth(
+                own,
+                2,
+                &mut view_targets.iter().copied(),
+                &mut delegate_candidates,
+            );
+            let mut acc = 0usize;
+            let picks = 4.min(delegate_candidates.len());
+            for slot in 0..picks {
+                // `fill_known_at_depth` yields view positions.
+                let swap = draw_rng.gen_range(slot..delegate_candidates.len());
+                delegate_candidates.swap(slot, swap);
+                acc += view_targets[delegate_candidates[slot]];
             }
             acc
         })
@@ -259,6 +288,39 @@ fn bench(c: &mut Criterion) {
             storm_view.estimated_size()
         })
     });
+
+    // A membership round of the paper-scale `delegate(3)` tables (n = 22³)
+    // at the fixed point: every table holds the converged answer, so the
+    // round files nothing and only moves the membership stream past the
+    // 159 720 picks it would have drawn.  This is what `paper_delegate`
+    // pays per simulated round; it must stay independent of n.
+    let paper_delegate = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 17);
+    c.bench_function("delegate_round_fixed_point_n10648", |b| {
+        b.iter(|| paper_delegate.round_elapsed())
+    });
+    // The other end: a depth-1 delegate crashes, so every table in the
+    // group loses a seat that only gossip can refill.  One iteration is the
+    // crash, the first round after it (sweep, re-certification of all
+    // 10 647 tables, a full gossip round) and every round until the group
+    // is settled again — about a thousand, each cheaper than the last as
+    // tables settle.  Successive iterations crash successive delegates of
+    // subtree 0, so each starts from a settled group.
+    let mut group = c.benchmark_group("membership");
+    group.sample_size(10);
+    let mut next_delegate = 0usize;
+    group.bench_function("delegate_round_after_crash_n10648", |b| {
+        b.iter(|| {
+            paper_delegate.observe_crash(next_delegate);
+            next_delegate += 1;
+            let mut rounds = 0u32;
+            while paper_delegate.unsettled() > 0 {
+                paper_delegate.round_elapsed();
+                rounds += 1;
+            }
+            rounds
+        })
+    });
+    group.finish();
 
     // The per-frame unit cost of the async runtime's publish path:
     // transport enqueue (channel push + in-flight accounting) → mailbox

@@ -42,8 +42,8 @@
 //! [`DelegateView`](pmcast_membership::DelegateView) maintains the paper's
 //! hierarchical per-depth delegate tables — candidates a process does not
 //! currently know are simply not contacted.  pmcast asks the view
-//! per depth
-//! ([`MembershipView::knows_at_depth`](pmcast_membership::MembershipView::knows_at_depth)),
+//! per depth, once per round for its whole view
+//! ([`MembershipView::fill_known_at_depth`](pmcast_membership::MembershipView::fill_known_at_depth)),
 //! so under the hierarchical provider its tree delegates come from the
 //! maintained hierarchy itself.  Interest evaluation (the oracle) is
 //! orthogonal and unaffected.

@@ -345,22 +345,25 @@ impl PmcastProcess {
         // Candidate destinations: everyone in the view but ourselves that
         // the membership provider currently knows *at this depth*.  Under a
         // global view that is the whole view (asked once via `is_global`
-        // instead of per entry); under a flat partial view it is the
-        // discovered subset (`knows_at_depth` falls back to `knows`); under
-        // the hierarchical `DelegateView` the answer comes straight from the
-        // depth-`depth` delegate slots, so pmcast's tree delegates are
-        // exactly the processes the maintained hierarchy seats.  Computed
-        // once per depth and re-shuffled per entry.
+        // instead of per entry); otherwise the provider fills the list for
+        // the whole view in one call: a flat partial view answers with the
+        // discovered subset (`knows_at_depth` falls back to `knows`), the
+        // hierarchical `DelegateView` straight from the depth-`depth`
+        // delegate slots, so pmcast's tree delegates are exactly the
+        // processes the maintained hierarchy seats.  Computed once per
+        // depth and re-shuffled per entry.
         scratch.candidates.clear();
         if self.membership.is_global() {
             scratch
                 .candidates
                 .extend((0..view.len()).filter(|&i| view[i].id != own_id));
         } else {
-            scratch.candidates.extend((0..view.len()).filter(|&i| {
-                view[i].id != own_id
-                    && self.membership.knows_at_depth(own_id.0, depth, view[i].id.0)
-            }));
+            self.membership.fill_known_at_depth(
+                own_id.0,
+                depth,
+                &mut view.iter().map(|target| target.id.0),
+                &mut scratch.candidates,
+            );
         }
 
         let routing = self.config.interest_routing;

@@ -65,14 +65,48 @@
 //! admission and eviction are fully deterministic (smallest-address order)
 //! and consume no randomness at all.
 //!
+//! ## Rounds cost what changed: the fixed-point certificate
+//!
+//! The tables are *maintained*: once a slot group holds the smallest live
+//! members of its subgroup, nothing gossip can bring displaces them.
+//! The provider therefore keeps, per process, a **certificate** that its
+//! whole table equals that converged answer — the first `capacity` live
+//! members of each subgroup other than the process itself, i.e. exactly
+//! what [`LazyDelegateView`](crate::LazyDelegateView) computes instead of
+//! storing.  Filing a live candidate into a certified (*settled*) table is
+//! provably a no-op (a seated candidate is found; any other is larger than
+//! a full group's last entry), so a round skips it.
+//!
+//! * A table change withdraws the certificate; so does a join, leave or
+//!   crash of `x`, for `x` and for every process whose converged table
+//!   seats `x` — nobody else's answer moves.  Withdrawal is `O(1)` at the
+//!   observation; the next round (or inspection hook) works out who seats
+//!   `x` and re-compares each withdrawn table once, so after a churn burst
+//!   the group returns to all-settled as gossip refills the seats, instead
+//!   of paying the full round forever.
+//! * The picks are still drawn while anybody is unsettled — whom a sender
+//!   targets decides which unsettled table learns what.  When every live
+//!   process is settled the draws are the round's only effect: `live ·
+//!   gossip_fanout · (1 + digest_size)` integer `gen_range`s of one
+//!   `next_u64` each, so the stream is **seeked** past them
+//!   (`get_word_pos`/`set_word_pos`) and the round is `O(1)`.  The stream
+//!   position after the round — and with it every later churn outcome — is
+//!   bit-identical to drawing them.
+//!
+//! `crates/membership/tests/prop_membership.rs` steps the provider beside
+//! the full round loop it replaced and asserts tables, flat views,
+//! contacts and stream position equal after every step.
+//!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
 //! [`peer_at`](MembershipView::peer_at) enumeration (used by the flooding
 //! and genuine baselines) walks the deduplicated union of all slot entries
 //! plus the pinned contact, while
-//! [`knows_at_depth`](MembershipView::knows_at_depth) — the query the
+//! [`knows_at_depth`](MembershipView::knows_at_depth) — the question the
 //! pmcast fanout draw asks — resolves in `O(slots)` straight from the slot
-//! group of the queried depth.
+//! group of the queried depth, and
+//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
+//! for a whole view under one lock.
 
 use std::sync::RwLock;
 
@@ -212,19 +246,58 @@ impl TreeShape {
     /// First dense index of the depth-`l` sibling subgroup `g` of process
     /// `q` (the subgroup `q.prefix(l−1) · g`).
     pub(crate) fn subgroup_base(&self, q: usize, l: usize, g: usize) -> usize {
-        let span = self.pows[self.depth - l + 1];
-        (q / span) * span + g * self.pows[self.depth - l]
+        self.view_block(q, l).0 + g * self.pows[self.depth - l]
     }
 
     /// Number of processes in any depth-`l` subgroup.
     pub(crate) fn subgroup_size(&self, l: usize) -> usize {
         self.pows[self.depth - l]
     }
+
+    /// Capacity of one depth-`l` slot group (inner groups hold `slots`
+    /// delegates, the leaf level one sibling per component).
+    pub(crate) fn group_capacity(&self, l: usize) -> usize {
+        if l == self.depth {
+            1
+        } else {
+            self.slots
+        }
+    }
+
+    /// First dense index and size of the block of processes sharing `q`'s
+    /// depth-`(l−1)` prefix: the processes whose depth-`l` view covers the
+    /// same `arity` sibling subgroups as `q`'s.
+    pub(crate) fn view_block(&self, q: usize, l: usize) -> (usize, usize) {
+        let span = self.pows[self.depth - l + 1];
+        ((q / span) * span, span)
+    }
+}
+
+/// What the provider knows about one process's table relative to the
+/// converged answer: the first `capacity` live members of each slot group's
+/// subgroup other than the process itself, which is what
+/// [`LazyDelegateView`](crate::LazyDelegateView) computes instead of
+/// storing (the module docs' *fixed-point certificate*).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Certificate {
+    /// The table equals the converged answer, so admitting any live peer
+    /// into it changes nothing.  Only live processes are settled.
+    Settled,
+    /// Compared unequal (or the process is dead), and neither the table nor
+    /// its converged answer has changed since.
+    Open,
+    /// The table changed since the last comparison; queued in
+    /// [`DelegateState::uncertified`] for the next one.
+    Stale,
+    /// The process joined, left or crashed since the last comparison, which
+    /// changes the converged answer of everybody seating it; queued like
+    /// [`Stale`](Self::Stale).
+    Flipped,
 }
 
 /// Mutable provider state behind one lock: the per-process slot tables, the
-/// flat (deduplicated) peer enumerations, pinned contacts, liveness and the
-/// provider-private PRNG stream.
+/// flat (deduplicated) peer enumerations, pinned contacts, liveness, the
+/// fixed-point certificates and the provider-private PRNG stream.
 #[derive(Debug)]
 struct DelegateState {
     shape: TreeShape,
@@ -234,7 +307,8 @@ struct DelegateState {
     tables: Vec<Vec<u32>>,
     /// `flat[q]` is the dense peer enumeration backing `peer_count` /
     /// `peer_at`: the deduplicated union of `q`'s slot entries plus its
-    /// pinned contact.
+    /// pinned contact.  After the crash sweep it names live processes only
+    /// (a leave is evicted eagerly, a crash by the sweep).
     flat: Vec<Vec<u32>>,
     /// `contact[q]` is `q`'s pinned live ring successor (monitored, never
     /// evicted) — the connectivity fallback.
@@ -244,10 +318,105 @@ struct DelegateState {
     /// Crashes observed since the last membership round, awaiting the
     /// monitored-delegate sweep.
     pending_dead: Vec<u32>,
+    certificates: Vec<Certificate>,
+    /// Number of [`Certificate::Settled`] processes.
+    settled: usize,
+    /// The [`Certificate::Stale`] and [`Certificate::Flipped`] processes,
+    /// each once.
+    uncertified: Vec<u32>,
     rng: ChaCha8Rng,
 }
 
 impl DelegateState {
+    /// Withdraws `q`'s certificate until the next
+    /// [`certify`](Self::certify): its table just changed (`Stale`) or its
+    /// liveness did (`Flipped`).
+    fn uncertify(&mut self, q: usize, why: Certificate) {
+        debug_assert!(matches!(why, Certificate::Stale | Certificate::Flipped));
+        match self.certificates[q] {
+            Certificate::Settled => {
+                self.settled -= 1;
+                self.uncertified.push(q as u32);
+            }
+            Certificate::Open => self.uncertified.push(q as u32),
+            Certificate::Flipped => return,
+            Certificate::Stale => {}
+        }
+        self.certificates[q] = why;
+    }
+
+    /// Withdraws the certificate of every live process whose converged
+    /// table seats `x`, given the current liveness — with `x` itself,
+    /// exactly the processes whose converged answer can have changed when
+    /// `x` joined, left or crashed.  Everybody else's first-`capacity`
+    /// members are the same with and without `x`, so a settled table
+    /// elsewhere stays settled.
+    fn uncertify_seats_of(&mut self, x: usize) {
+        for l in 1..=self.shape.depth {
+            let capacity = self.shape.group_capacity(l);
+            let base = self.shape.subgroup_base(x, l, self.shape.digit(x, l - 1));
+            // `q` seats `x` iff fewer than `capacity` live members of the
+            // subgroup other than `q` precede `x`.
+            let preceding = (base..x).filter(|&m| self.alive[m]).take(capacity + 1).count();
+            let (start, end) = match preceding.cmp(&capacity) {
+                // Everybody whose depth-`l` view covers the subgroup.
+                std::cmp::Ordering::Less => {
+                    let (block, span) = self.shape.view_block(x, l);
+                    (block, block + span)
+                }
+                // Only the preceding members themselves, who do not count
+                // in their own view.
+                std::cmp::Ordering::Equal => (base, x),
+                std::cmp::Ordering::Greater => continue,
+            };
+            for q in start..end {
+                if self.alive[q] {
+                    self.uncertify(q, Certificate::Stale);
+                }
+            }
+        }
+    }
+
+    /// Whether every slot group of `q` holds exactly the converged answer.
+    fn is_converged(&self, q: usize) -> bool {
+        (1..=self.shape.depth).all(|l| {
+            let size = self.shape.subgroup_size(l);
+            (0..self.shape.arity).all(|g| {
+                let base = self.shape.subgroup_base(q, l, g);
+                let mut seats = (base..base + size).filter(|&m| m != q && self.alive[m]);
+                self.tables[q][self.shape.group_range(l, g)]
+                    .iter()
+                    .all(|&seated| seated == seats.next().map_or(EMPTY, |m| m as u32))
+            })
+        })
+    }
+
+    /// Brings every certificate up to date: the liveness changes since the
+    /// last call reach the tables that seat the changed, then every queued
+    /// table is compared against the converged answer.  Consumes no
+    /// randomness and decides nothing a round could observe — a settled
+    /// table's pushes are no-ops whether or not they are skipped — so
+    /// *when* this runs is immaterial.
+    fn certify(&mut self) {
+        // Uncertifying the observers appends them behind the cursor.
+        let mut cursor = 0;
+        while let Some(&x) = self.uncertified.get(cursor) {
+            if self.certificates[x as usize] == Certificate::Flipped {
+                self.uncertify_seats_of(x as usize);
+            }
+            cursor += 1;
+        }
+        while let Some(q) = self.uncertified.pop() {
+            let q = q as usize;
+            self.certificates[q] = if self.alive[q] && self.is_converged(q) {
+                self.settled += 1;
+                Certificate::Settled
+            } else {
+                Certificate::Open
+            };
+        }
+    }
+
     /// The next live index strictly after `of`, cyclically.
     fn next_live(&self, of: usize) -> Option<usize> {
         let n = self.alive.len();
@@ -297,6 +466,7 @@ impl DelegateState {
         let pos = group.partition_point(|&e| e < peer);
         group[pos..].rotate_right(1);
         group[pos] = peer;
+        self.uncertify(q, Certificate::Stale);
         if evicted != EMPTY {
             self.maybe_drop_from_flat(q, evicted as usize);
         }
@@ -337,6 +507,7 @@ impl DelegateState {
             group[pos..].rotate_left(1);
             let last = group.len() - 1;
             group[last] = EMPTY;
+            self.uncertify(q, Certificate::Stale);
             if l == self.shape.depth {
                 continue; // leaf slots name one fixed process; nothing to re-elect
             }
@@ -537,6 +708,13 @@ impl DelegateView {
                 alive: occupied.to_vec(),
                 live,
                 pending_dead: Vec::new(),
+                // The handoff seats exactly the converged answer.
+                certificates: occupied
+                    .iter()
+                    .map(|&o| if o { Certificate::Settled } else { Certificate::Open })
+                    .collect(),
+                settled: live,
+                uncertified: Vec::new(),
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
             interest: RwLock::new(None),
@@ -564,6 +742,44 @@ impl DelegateView {
             .filter(|&&e| e != EMPTY && state.alive[e as usize])
             .map(|&e| e as usize)
             .collect()
+    }
+
+    /// The pinned ring contact of `process` — an inspection hook like
+    /// [`live_delegates_of`](Self::live_delegates_of).
+    pub fn contact_of(&self, process: usize) -> usize {
+        self.state.read().expect("delegate view lock poisoned").contact[process] as usize
+    }
+
+    /// Returns `true` if `process` is live and holds the fixed-point
+    /// certificate: its table equals the converged answer (what
+    /// [`LazyDelegateView`](crate::LazyDelegateView) computes for it), so a
+    /// membership round skips it.  An inspection hook; like the round, it
+    /// first brings the certificates up to date with the lifecycle
+    /// observations made since.
+    pub fn is_settled(&self, process: usize) -> bool {
+        let state = &mut *self.state.write().expect("delegate view lock poisoned");
+        state.certify();
+        state.certificates[process] == Certificate::Settled
+    }
+
+    /// Number of live processes without the certificate — what the next
+    /// membership round still has to gossip for; at zero the round only
+    /// moves the stream.  An inspection hook like
+    /// [`is_settled`](Self::is_settled).
+    pub fn unsettled(&self) -> usize {
+        let state = &mut *self.state.write().expect("delegate view lock poisoned");
+        state.certify();
+        state.live - state.settled
+    }
+
+    /// Position of the provider's membership stream in 32-bit words since
+    /// the seed, for tests that pin stream neutrality.
+    pub fn stream_word_pos(&self) -> u128 {
+        self.state
+            .read()
+            .expect("delegate view lock poisoned")
+            .rng
+            .get_word_pos()
     }
 }
 
@@ -598,6 +814,34 @@ impl MembershipView for DelegateView {
         }
         let g = state.shape.digit(peer, depth - 1);
         state.tables[of][state.shape.group_range(depth, g)].contains(&(peer as u32))
+    }
+
+    /// The whole depth under one lock, one division per peer: the peer's
+    /// sibling component picks the slot group, the group is scanned.
+    fn fill_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) {
+        let state = self.state.read().expect("delegate view lock poisoned");
+        let shape = &state.shape;
+        if depth > shape.depth || depth == 0 {
+            return;
+        }
+        let table = &state.tables[of];
+        let size = shape.subgroup_size(depth);
+        let (block, span) = shape.view_block(of, depth);
+        for (position, peer) in peers.enumerate() {
+            if peer == of || peer.wrapping_sub(block) >= span {
+                continue; // itself, or not under the shared prefix of this view depth
+            }
+            let g = (peer - block) / size;
+            if table[shape.group_range(depth, g)].contains(&(peer as u32)) {
+                out.push(position);
+            }
+        }
     }
 
     /// Attaches the aggregated-interest tables the slot groups carry:
@@ -639,6 +883,11 @@ impl MembershipView for DelegateView {
     /// immediate re-election from known candidates), then every live
     /// process pushes its subscription plus a random view digest to
     /// `gossip_fanout` known peers.
+    ///
+    /// A push into a settled table changes nothing (the module docs'
+    /// fixed-point certificate), so it is not made; when every live table
+    /// is settled the pushes' only effect is the stream words their picks
+    /// draw, and the stream is moved past them instead.
     fn round_elapsed(&self) {
         let mut swept: Vec<u32> = Vec::new();
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
@@ -648,33 +897,46 @@ impl MembershipView for DelegateView {
             state.evict_everywhere(x as usize);
             swept.push(x);
         }
-        let n = state.alive.len();
-        for sender in 0..n {
-            if !state.alive[sender] {
-                continue;
-            }
-            for _ in 0..self.config.gossip_fanout {
-                if state.flat[sender].is_empty() {
-                    break;
-                }
-                let pick = state.rng.gen_range(0..state.flat[sender].len());
-                let target = state.flat[sender][pick] as usize;
-                if !state.alive[target] {
-                    // Stale entry (e.g. a crash observed mid-round): evict
-                    // on contact, like any failure detector would.
-                    state.flat[sender].swap_remove(pick);
-                    state.evict_from_table(sender, target);
+        state.certify();
+        if state.settled == state.live {
+            // Every live sender makes `gossip_fanout` target picks, each
+            // followed by `digest_size` candidate picks (a lone process has
+            // nobody to pick from); an integer `gen_range` is one
+            // `next_u64`, two stream words.
+            let senders = if state.live > 1 { state.live } else { 0 };
+            let picks = senders * self.config.gossip_fanout * (1 + self.config.digest_size);
+            let position = state.rng.get_word_pos();
+            state.rng.set_word_pos(position + 2 * picks as u128);
+        } else {
+            for sender in 0..state.alive.len() {
+                if !state.alive[sender] {
                     continue;
                 }
-                // Piggyback the sender's subscription plus a view digest;
-                // the receiver files every candidate into the slot groups
-                // of each depth it qualifies for.
-                state.admit_peer(target, sender);
-                for _ in 0..self.config.digest_size {
-                    let len = state.flat[sender].len();
-                    let candidate = state.flat[sender][state.rng.gen_range(0..len)] as usize;
-                    if candidate != target && state.alive[candidate] {
-                        state.admit_peer(target, candidate);
+                // Leaves are evicted eagerly and the sweep above just
+                // evicted the crashed, so no pick can land on a dead peer.
+                debug_assert!(
+                    state.flat[sender].iter().all(|&e| state.alive[e as usize]),
+                    "flat view of {sender} names a dead peer"
+                );
+                for _ in 0..self.config.gossip_fanout {
+                    if state.flat[sender].is_empty() {
+                        break;
+                    }
+                    let pick = state.rng.gen_range(0..state.flat[sender].len());
+                    let target = state.flat[sender][pick] as usize;
+                    let settled = state.certificates[target] == Certificate::Settled;
+                    // Piggyback the sender's subscription plus a view digest;
+                    // the receiver files every candidate into the slot groups
+                    // of each depth it qualifies for.
+                    if !settled {
+                        state.admit_peer(target, sender);
+                    }
+                    for _ in 0..self.config.digest_size {
+                        let len = state.flat[sender].len();
+                        let candidate = state.flat[sender][state.rng.gen_range(0..len)] as usize;
+                        if !settled && candidate != target {
+                            state.admit_peer(target, candidate);
+                        }
                     }
                 }
             }
@@ -703,6 +965,7 @@ impl MembershipView for DelegateView {
         }
         state.alive[process] = true;
         state.live += 1;
+        state.uncertify(process, Certificate::Flipped);
         // Re-announce the rejoiner's subscription to the summary tables.
         if let Some(annex) = self
             .interest
@@ -735,6 +998,7 @@ impl MembershipView for DelegateView {
         }
         state.alive[process] = false;
         state.live -= 1;
+        state.uncertify(process, Certificate::Flipped);
         // An unsub propagates eagerly: evict the leaver everywhere (with
         // re-election) and drop the leaver's own knowledge.
         state.evict_everywhere(process);
@@ -760,6 +1024,7 @@ impl MembershipView for DelegateView {
         }
         state.alive[process] = false;
         state.live -= 1;
+        state.uncertify(process, Certificate::Flipped);
         // Swept by the monitored-delegate pass of the next membership round.
         state.pending_dead.push(process as u32);
     }
@@ -886,6 +1151,57 @@ mod tests {
         let bound = DelegateViewConfig::default().table_entries(4, 3) + 1;
         for p in 0..64 {
             assert!(view.peer_count(p) <= bound, "flat view stays bounded");
+        }
+    }
+
+    #[test]
+    fn a_settled_round_only_moves_the_stream() {
+        let config = DelegateViewConfig::default();
+        let view = DelegateView::bootstrap(3, 3, config, 4);
+        let flat = |view: &DelegateView| -> Vec<Vec<usize>> {
+            (0..27)
+                .map(|p| (0..view.peer_count(p)).map(|k| view.peer_at(p, k)).collect())
+                .collect()
+        };
+        let before = flat(&view);
+        assert_eq!(view.unsettled(), 0, "the handoff seats the converged answer");
+        assert_eq!(view.stream_word_pos(), 0);
+        view.round_elapsed();
+        // 27 senders × 3 targets × (1 + 4 digest entries) picks, two words each.
+        assert_eq!(view.stream_word_pos(), 27 * 3 * 5 * 2);
+        assert_eq!(flat(&view), before);
+        assert_eq!(view.unsettled(), 0);
+    }
+
+    #[test]
+    fn a_crash_unsettles_exactly_the_tables_seating_it_until_gossip_refills_them() {
+        // n = 16, a = 4, d = 2, 2 slots.  Process 7 is the largest of
+        // subgroup 1: nobody's depth-1 view seats it, only its three leaf
+        // neighbours do.
+        let config = DelegateViewConfig::default().with_slots(2);
+        let view = DelegateView::bootstrap(4, 2, config, 6);
+        view.observe_crash(7);
+        for p in 0..16 {
+            assert_eq!(view.is_settled(p), !(4..8).contains(&p), "process {p}");
+        }
+        // The sweep empties its leaf slots, which is the converged answer.
+        view.round_elapsed();
+        assert_eq!(view.unsettled(), 0);
+        // Process 0 is seated by everybody; after the sweep every table
+        // outside subgroup 0 misses the delegate that should succeed it
+        // until gossip delivers it.
+        view.observe_crash(0);
+        assert_eq!(view.unsettled(), 14);
+        view.round_elapsed();
+        assert!(view.unsettled() > 0, "re-election only promotes known candidates");
+        let mut rounds = 1;
+        while view.unsettled() > 0 {
+            view.round_elapsed();
+            rounds += 1;
+            assert!(rounds < 500, "gossip must refill the seat");
+        }
+        for p in (4..16).filter(|&p| p != 7) {
+            assert_eq!(view.live_delegates_of(p, 1, 0), vec![1, 2]);
         }
     }
 

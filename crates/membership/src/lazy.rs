@@ -39,26 +39,47 @@ struct LazyState {
 impl LazyState {
     /// Number of alive processes in `[base, end)`, excluding `of`.
     fn alive_before(&self, base: usize, end: usize, of: usize) -> usize {
-        let lo = self.sorted.partition_point(|&x| (x as usize) < base);
-        let hi = self.sorted.partition_point(|&x| (x as usize) < end);
-        let mut count = hi - lo;
+        let mut count = self.rank(end) - self.rank(base);
         if base <= of && of < end && self.alive[of] {
             count -= 1;
         }
         count
     }
 
+    /// Number of alive processes below `index`: where the members at or
+    /// after `index` start in the sorted alive list.
+    fn rank(&self, index: usize) -> usize {
+        self.sorted.partition_point(|&x| (x as usize) < index)
+    }
+
     /// The first `capacity` alive members of `[base, base + size)` excluding
     /// `of`, ascending — the seated delegates of one slot group.
-    fn seats(&self, base: usize, size: usize, of: usize, capacity: usize) -> Vec<u32> {
-        let lo = self.sorted.partition_point(|&x| (x as usize) < base);
-        let hi = self.sorted.partition_point(|&x| (x as usize) < base + size);
-        self.sorted[lo..hi]
+    fn seats(
+        &self,
+        base: usize,
+        size: usize,
+        of: usize,
+        capacity: usize,
+    ) -> impl Iterator<Item = u32> + '_ {
+        self.seats_from(self.rank(base), base + size, of, capacity)
+    }
+
+    /// [`seats`](Self::seats) of the subgroup ending before `end` whose
+    /// members start at position `start` (its base's [`rank`](Self::rank))
+    /// of the sorted alive list — no search at all.
+    fn seats_from(
+        &self,
+        start: usize,
+        end: usize,
+        of: usize,
+        capacity: usize,
+    ) -> impl Iterator<Item = u32> + '_ {
+        self.sorted[start..]
             .iter()
-            .filter(|&&m| m as usize != of)
-            .take(capacity)
             .copied()
-            .collect()
+            .take_while(move |&m| (m as usize) < end)
+            .filter(move |&m| m as usize != of)
+            .take(capacity)
     }
 
     /// The next alive index strictly after `of`, cyclically (the pinned ring
@@ -122,22 +143,12 @@ impl LazyDelegateView {
         }
     }
 
-    /// Capacity of one depth-`l` slot group (inner groups hold `slots`
-    /// delegates, the leaf level one sibling per component).
-    fn group_capacity(&self, l: usize) -> usize {
-        if l == self.shape.depth {
-            1
-        } else {
-            self.shape.slots
-        }
-    }
-
     /// Enumerates `of`'s flat peer set in the dense provider's discovery
     /// order: every seated delegate (levels ascending, sibling components
     /// ascending, members ascending), deduplicated, then the ring contact.
     /// `O(a·d·slots)` per call — intended for small-group inspection, not
-    /// the hot path (the protocol queries [`MembershipView::knows_at_depth`]
-    /// instead).
+    /// the hot path (the protocol queries
+    /// [`MembershipView::fill_known_at_depth`] instead).
     fn flat_of(&self, of: usize) -> Vec<u32> {
         let state = self.state.read().expect("lazy delegate lock poisoned");
         if !state.alive[of] {
@@ -145,7 +156,7 @@ impl LazyDelegateView {
         }
         let mut known: Vec<u32> = Vec::new();
         for l in 1..=self.shape.depth {
-            let capacity = self.group_capacity(l);
+            let capacity = self.shape.group_capacity(l);
             for g in 0..self.shape.arity {
                 let base = self.shape.subgroup_base(of, l, g);
                 let size = self.shape.subgroup_size(l);
@@ -211,7 +222,47 @@ impl MembershipView for LazyDelegateView {
         }
         let g = self.shape.digit(peer, depth - 1);
         let base = self.shape.subgroup_base(of, depth, g);
-        state.alive_before(base, peer, of) < self.group_capacity(depth)
+        state.alive_before(base, peer, of) < self.shape.group_capacity(depth)
+    }
+
+    /// The whole depth under one lock and one binary search per
+    /// *subgroup*: a pmcast view lists a subgroup's delegates
+    /// consecutively, so where the previous peer's subgroup starts in the
+    /// sorted alive list answers the next peer too.
+    fn fill_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) {
+        if depth == 0 || depth > self.shape.depth {
+            return;
+        }
+        let state = self.state.read().expect("lazy delegate lock poisoned");
+        if !state.alive[of] {
+            return;
+        }
+        let size = self.shape.subgroup_size(depth);
+        let (block, span) = self.shape.view_block(of, depth);
+        let capacity = self.shape.group_capacity(depth);
+        // The previous peer's subgroup and its rank.
+        let mut memo = (usize::MAX, 0);
+        for (position, peer) in peers.enumerate() {
+            if peer == of || peer.wrapping_sub(block) >= span {
+                continue; // itself, or not under the shared prefix of this view depth
+            }
+            let base = peer - (peer - block) % size;
+            if base != memo.0 {
+                memo = (base, state.rank(base));
+            }
+            if state
+                .seats_from(memo.1, base + size, of, capacity)
+                .any(|member| member as usize == peer)
+            {
+                out.push(position);
+            }
+        }
     }
 
     /// No gossip dynamics to advance: the view is always converged.

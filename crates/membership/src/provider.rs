@@ -96,15 +96,41 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// Returns `true` if `of` currently knows `peer` as a gossip candidate
     /// **at tree depth `depth`** (1-based, the paper's per-depth views).
     ///
-    /// This is the query the pmcast fanout draw asks: "may I contact this
-    /// depth-`depth` view entry?".  Flat providers ([`GlobalOracleView`],
-    /// [`PartialView`]) have no per-depth structure and fall back to
-    /// [`knows`](Self::knows); the hierarchical
+    /// This is the question the pmcast fanout draw asks of every view entry
+    /// — "may I contact this depth-`depth` view entry?" — through
+    /// [`fill_known_at_depth`](Self::fill_known_at_depth).  Flat providers
+    /// ([`GlobalOracleView`], [`PartialView`]) have no per-depth structure
+    /// and fall back to [`knows`](Self::knows); the hierarchical
     /// [`DelegateView`](crate::DelegateView) answers straight from the slot
     /// group of that depth in `O(slots)` — the `delegate_draw` micro-bench
     /// guards that the depth-structured draw stays allocation-free.
     fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
         self.knows(of, peer)
+    }
+
+    /// The batched form of [`knows_at_depth`](Self::knows_at_depth), and the
+    /// probe the pmcast fanout draw makes once per depth per round: appends
+    /// to `out`, ascending, the position within `peers` of every peer other
+    /// than `of` itself that `of` knows as a depth-`depth` gossip candidate.
+    ///
+    /// The default asks `knows_at_depth` per peer.  Providers that answer
+    /// from shared state override it to take their lock once and reuse
+    /// what consecutive peers have in common (one slot-table row, one
+    /// subgroup's seats); an override must produce exactly the default's
+    /// output.
+    fn fill_known_at_depth(
+        &self,
+        of: usize,
+        depth: usize,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) {
+        out.extend(
+            peers
+                .enumerate()
+                .filter(|&(_, peer)| peer != of && self.knows_at_depth(of, depth, peer))
+                .map(|(position, _)| position),
+        );
     }
 
     /// Returns `true` if every process knows the whole group.  Protocols

@@ -7,12 +7,24 @@
 //!   group is fully populated;
 //! * join/leave bookkeeping (subtree counts, populated children) always
 //!   matches a from-scratch recomputation;
-//! * view sizes follow Equation 2 for fully populated regular trees.
+//! * view sizes follow Equation 2 for fully populated regular trees;
+//! * [`DelegateView`] under any interleaving of lifecycle observations and
+//!   rounds is, step for step, the state machine in [`reference`] — tables,
+//!   flat views, contacts and stream position — although its rounds skip
+//!   settled tables; its certificate only ever covers tables equal to the
+//!   arithmetic of [`LazyDelegateView`], and comes back for everybody once
+//!   the churn stops.
+
+mod reference;
 
 use pmcast_addr::{Address, AddressSpace, Prefix};
 use pmcast_interest::{Filter, Predicate};
-use pmcast_membership::{GroupTree, ImplicitRegularTree, TreeTopology};
+use pmcast_membership::{
+    DelegateView, DelegateViewConfig, GroupTree, ImplicitRegularTree, LazyDelegateView,
+    MembershipView, TreeTopology,
+};
 use proptest::prelude::*;
+use reference::ReferenceDelegateView;
 
 /// A small address-space shape plus a subset of its addresses.
 fn arb_population() -> impl Strategy<Value = (AddressSpace, Vec<Address>)> {
@@ -40,7 +52,221 @@ fn build_tree(space: &AddressSpace, members: &[Address]) -> GroupTree {
     tree
 }
 
+/// One step of a membership history.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Join(usize),
+    Leave(usize),
+    Crash(usize),
+    Round,
+}
+
+/// A tree shape with an initial occupancy, a provider configuration and a
+/// history: 3³ and 4² start full, 2⁴ starts sparse.
+#[derive(Debug, Clone)]
+struct History {
+    arity: u32,
+    depth: usize,
+    config: DelegateViewConfig,
+    seed: u64,
+    occupied: Vec<bool>,
+    steps: Vec<Step>,
+}
+
+fn arb_history() -> impl Strategy<Value = History> {
+    (0usize..3, 1usize..4, 1usize..4, 1usize..5, 0u64..1_000).prop_flat_map(
+        |(shape, slots, gossip_fanout, digest_size, seed)| {
+            let (arity, depth, sparse) = [(3u32, 3usize, false), (4, 2, false), (2, 4, true)][shape];
+            let n = (arity as usize).pow(depth as u32);
+            let config = DelegateViewConfig {
+                slots,
+                gossip_fanout,
+                digest_size,
+            };
+            // Half of the steps are rounds, the rest lifecycle observations
+            // of any process — including ones that are no-ops (joining the
+            // living, crashing the dead).
+            let step = (0u8..6, 0..n).prop_map(|(kind, process)| match kind {
+                0 => Step::Join(process),
+                1 => Step::Leave(process),
+                2 => Step::Crash(process),
+                _ => Step::Round,
+            });
+            (
+                prop::collection::vec(0u8..4, n),
+                prop::collection::vec(step, 0..60),
+            )
+                .prop_map(move |(occupancy, steps)| History {
+                    arity,
+                    depth,
+                    config,
+                    seed,
+                    occupied: occupancy.iter().map(|&o| !sparse || o == 0).collect(),
+                    steps,
+                })
+        },
+    )
+}
+
+/// The provider, the reference state machine and the arithmetic answer,
+/// stepped together.
+struct Lockstep {
+    n: usize,
+    depth: usize,
+    view: DelegateView,
+    reference: ReferenceDelegateView,
+    lazy: LazyDelegateView,
+}
+
+impl Lockstep {
+    fn new(history: &History) -> Self {
+        let History {
+            arity,
+            depth,
+            config,
+            seed,
+            ref occupied,
+            ..
+        } = *history;
+        Self {
+            n: occupied.len(),
+            depth,
+            view: DelegateView::bootstrap_sparse(arity, depth, config, seed, occupied),
+            reference: ReferenceDelegateView::bootstrap_sparse(
+                arity,
+                depth,
+                config.slots,
+                config.gossip_fanout,
+                config.digest_size,
+                seed,
+                occupied,
+            ),
+            lazy: LazyDelegateView::new(arity, depth, config.slots, Some(occupied)),
+        }
+    }
+
+    fn apply(&mut self, step: Step) {
+        match step {
+            Step::Join(process) => {
+                self.view.observe_join(process);
+                self.reference.observe_join(process);
+                self.lazy.observe_join(process);
+            }
+            Step::Leave(process) => {
+                self.view.observe_leave(process);
+                self.reference.observe_leave(process);
+                self.lazy.observe_leave(process);
+            }
+            Step::Crash(process) => {
+                self.view.observe_crash(process);
+                self.reference.observe_crash(process);
+                self.lazy.observe_crash(process);
+            }
+            Step::Round => {
+                self.view.round_elapsed();
+                self.reference.round_elapsed();
+            }
+        }
+    }
+
+    /// Everything observable agrees with the reference, and the certificate
+    /// is sound.
+    fn check(&self, after: &str) {
+        prop_assert_eq!(
+            self.view.stream_word_pos(),
+            self.reference.stream_word_pos(),
+            "stream position after {}", after
+        );
+        prop_assert_eq!(self.view.estimated_size(), self.reference.estimated_size());
+        let everybody: Vec<usize> = (0..self.n).collect();
+        let mut unsettled = 0;
+        for of in 0..self.n {
+            prop_assert_eq!(self.view.is_live(of), self.reference.is_live(of));
+            let peers: Vec<usize> =
+                (0..self.view.peer_count(of)).map(|k| self.view.peer_at(of, k)).collect();
+            prop_assert_eq!(peers, self.reference.peers(of), "flat view of {} after {}", of, after);
+            prop_assert_eq!(
+                self.view.contact_of(of),
+                self.reference.contact_of(of),
+                "contact of {} after {}", of, after
+            );
+            let settled = self.view.is_settled(of);
+            prop_assert!(!settled || self.view.is_live(of), "{} is settled but dead", of);
+            unsettled += usize::from(self.view.is_live(of) && !settled);
+            for depth in 0..=self.depth + 1 {
+                let mut batched = Vec::new();
+                self.view
+                    .fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
+                let mut lazily = Vec::new();
+                self.lazy
+                    .fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut lazily);
+                let mut seated = Vec::new();
+                let mut converged = Vec::new();
+                for peer in 0..self.n {
+                    let knows = self.view.knows_at_depth(of, depth, peer);
+                    prop_assert_eq!(
+                        knows,
+                        self.reference.knows_at_depth(of, depth, peer),
+                        "table of {} at depth {} about {} after {}", of, depth, peer, after
+                    );
+                    seated.extend(knows.then_some(peer));
+                    converged.extend(self.lazy.knows_at_depth(of, depth, peer).then_some(peer));
+                }
+                prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
+                prop_assert_eq!(&lazily, &converged, "lazy batched probe of {} at depth {}", of, depth);
+                if settled {
+                    prop_assert_eq!(
+                        &seated, &converged,
+                        "{} is settled after {} but its depth-{} groups are not the converged ones",
+                        of, after, depth
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(self.view.unsettled(), unsettled);
+    }
+}
+
+/// Rounds within which every history below is settled again once its last
+/// lifecycle observation is in.  Convergence is gossip's, so the bound is
+/// empirical: the slowest of 20 000 histories took 356.
+const RECOVERY_ROUNDS: usize = 2_000;
+
 proptest! {
+    /// The provider is the reference state machine after every step; the
+    /// certificate is sound after every step; the evict-on-contact branch
+    /// the provider's round no longer has never runs in the reference; and
+    /// after the last lifecycle observation every live process is settled
+    /// again within [`RECOVERY_ROUNDS`] rounds — from where a round moves
+    /// the stream exactly as the reference's draws do.
+    #[test]
+    fn delegate_rounds_match_the_full_round_loop(history in arb_history()) {
+        let mut lockstep = Lockstep::new(&history);
+        lockstep.check("bootstrap");
+        prop_assert_eq!(lockstep.view.unsettled(), 0, "the handoff seats the converged answer");
+        for (index, &step) in history.steps.iter().enumerate() {
+            lockstep.apply(step);
+            lockstep.check(&format!("step {index} ({step:?})"));
+        }
+        let mut rounds = 0;
+        while lockstep.view.unsettled() > 0 {
+            prop_assert!(
+                rounds < RECOVERY_ROUNDS,
+                "{} processes still unsettled {} rounds after the churn: {:?}",
+                lockstep.view.unsettled(), rounds, history
+            );
+            lockstep.apply(Step::Round);
+            rounds += 1;
+        }
+        lockstep.check("recovery");
+        for _ in 0..3 {
+            lockstep.apply(Step::Round);
+        }
+        lockstep.check("three settled rounds");
+        prop_assert_eq!(lockstep.view.unsettled(), 0, "a settled group stays settled");
+        prop_assert_eq!(lockstep.reference.stale_contacts, 0);
+    }
+
     /// Subtree sizes and populated children always match a brute-force
     /// recomputation from the member list.
     #[test]

@@ -1005,6 +1005,60 @@ mod tests {
     }
 
     #[test]
+    fn delegate_view_outcomes_under_churn_are_bit_identical_to_the_full_round_loop() {
+        // Golden outcomes captured at the commit before `DelegateView`
+        // learned to skip settled processes and seek its stream: leaves,
+        // scheduled crashes (two depth-1 delegates in one round among
+        // them), a rejoin and a ten-process flash crowd, with publications
+        // before, during and after the churn.  Every later draw of the
+        // membership stream decides who is seated where, so a round that
+        // skipped work it should have done — or left the stream one word
+        // off — shows here.
+        let mut builder = Scenario::builder()
+            .group(5, 3)
+            .membership(crate::scenario::MembershipSpec::delegate(3))
+            .matching_rate(0.6)
+            .loss(0.02)
+            .crash_at(2, 0)
+            .crash_at(2, 25)
+            .crash_at(6, 1)
+            .crash_at(9, 77)
+            .leave_at(1, 50)
+            .leave_at(3, 26)
+            .leave_at(3, 101)
+            .leave_at(7, 2)
+            .join_at(8, 50)
+            .publish(Publisher::Interested, Event::builder(1).int("b", 1).build())
+            .publish_at(4, Publisher::Uniform, Event::builder(2).int("b", 2).build())
+            .publish_at(10, Publisher::Process(60), Event::builder(3).int("b", 3).build())
+            .publish_at(16, Publisher::Process(124), Event::builder(4).int("b", 4).build())
+            .trials(3)
+            .seed(29);
+        for joiner in 110..120 {
+            builder = builder.join_at(5, joiner);
+        }
+        let scenario = builder.build();
+        type ChurnGolden = (Protocol, [(u64, u64, u64, u64); 3]);
+        let golden: [ChurnGolden; 3] = [
+            // (delivered, spurious, messages, rounds)
+            (Protocol::Pmcast, [(208, 120, 2834, 31), (267, 88, 3348, 31), (252, 98, 3184, 31)]),
+            (Protocol::FloodBroadcast, [(233, 235, 7450, 45), (294, 168, 7336, 39), (281, 187, 7408, 43)]),
+            (Protocol::GenuineMulticast, [(214, 2, 2985, 37), (284, 0, 4510, 40), (274, 0, 4314, 38)]),
+        ];
+        for (protocol, expected) in golden {
+            for (trial, outcome) in scenario.run(protocol).iter().enumerate() {
+                let got = (
+                    outcome.report.delivered_interested as u64,
+                    outcome.report.received_uninterested as u64,
+                    outcome.messages_sent,
+                    outcome.rounds,
+                );
+                assert_eq!(got, expected[trial], "{protocol:?} trial {trial}");
+            }
+        }
+    }
+
+    #[test]
     fn flood_baseline_reaches_more_uninterested_processes_than_pmcast() {
         let base = Scenario::quick().trials(2).matching_rate(0.3).build();
         let pmcast = AggregateOutcome::from_trials(&run_scenario(&base, Protocol::Pmcast));
