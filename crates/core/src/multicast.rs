@@ -120,8 +120,10 @@ pub trait MulticastProtocol: RoundProcess<Message = Gossip> + DeliveryOutcome {
     fn retire_below(&mut self, _floor: EventId) {}
 
     /// Number of event identifiers currently held in dedup state — the
-    /// quantity [`retire_below`](Self::retire_below) bounds.  Diagnostic;
-    /// defaults to zero for protocols without explicit dedup storage.
+    /// quantity [`retire_below`](Self::retire_below) bounds: the received
+    /// (seen) set plus the delivered set, each stored identifier counted
+    /// once.  Diagnostic; defaults to zero for protocols without explicit
+    /// dedup storage.
     fn dedup_len(&self) -> usize {
         0
     }

@@ -92,10 +92,10 @@ pub struct PmcastProcess {
     membership: Arc<dyn MembershipView>,
     buffers: GossipBuffers,
     delivered: Vec<Arc<Event>>,
-    // Sorted-vector sets (not hash sets): three words each while empty, so
-    // a million never-contacted processes hold no dedup heap at all.
+    // A sorted-vector set (not a hash set): three words while empty, so a
+    // million never-contacted processes hold no dedup heap at all.  The
+    // received set is `buffers`' seen-set: every received id is filed there.
     delivered_ids: EventIdSet,
-    received_ids: EventIdSet,
     rounds_active: u64,
     scratch: GossipScratch,
 }
@@ -142,7 +142,6 @@ impl PmcastProcess {
             buffers: GossipBuffers::new(depth),
             delivered: Vec::new(),
             delivered_ids: EventIdSet::new(),
-            received_ids: EventIdSet::new(),
             rounds_active: 0,
             scratch: GossipScratch::default(),
         }
@@ -174,7 +173,7 @@ impl PmcastProcess {
     /// all (delivered or merely buffered/forwarded); the paper's Figure 5
     /// measures exactly this for uninterested processes.
     pub fn has_received(&self, event: EventId) -> bool {
-        self.received_ids.contains(event)
+        self.buffers.has_seen(event)
     }
 
     /// Number of rounds during which this process had something buffered.
@@ -206,7 +205,7 @@ impl PmcastProcess {
     /// which only the multicaster's own subtree is interested.  Publishing
     /// an event this process has already seen is ignored.
     pub fn publish(&mut self, event: Arc<Event>) {
-        if !self.received_ids.insert(event.id()) {
+        if self.buffers.has_seen(event.id()) {
             return;
         }
         let depth = self.initial_depth(&event);
@@ -466,7 +465,6 @@ impl RoundProcess for PmcastProcess {
     }
 
     fn on_message(&mut self, _from: ProcessId, gossip: Gossip, _ctx: &mut RoundContext<'_, Gossip>) {
-        self.received_ids.insert(gossip.event.id());
         if self.buffers.has_seen(gossip.event.id()) {
             return;
         }
@@ -523,13 +521,12 @@ impl crate::MulticastProtocol for PmcastProcess {
         };
         self.buffers.retire_seen_below(floor);
         self.delivered_ids.compact_below(floor);
-        self.received_ids.compact_below(floor);
         // The delivered payload log is the other unbounded per-process
         // store; retired events release their share of the payload Arcs.
         self.delivered.retain(|event| event.id() >= floor);
     }
     fn dedup_len(&self) -> usize {
-        self.buffers.seen_count() + self.delivered_ids.len() + self.received_ids.len()
+        self.buffers.seen_count() + self.delivered_ids.len()
     }
 }
 

@@ -23,14 +23,22 @@
 //! * [`workload`] — interest-assignment generators: i.i.d. Bernoulli
 //!   (the paper's analysis model), exact-count, subtree-clustered, and a
 //!   content-based stock-ticker workload exercising real filters.
-//! * [`experiments`] — one module per figure/claim: Figure 4 (delivery
-//!   reliability), Figure 5 (spurious reception), Figure 6 (scalability),
-//!   Figure 7 (tuning), view sizes (Eq. 2/12), baseline comparison and
-//!   round-count validation.
-//! * [`report`] — ASCII tables and CSV output under `target/figures/`.
+//! * [`sweep`] — the one way to run and report a sweep: the shared
+//!   `--quick` / `--paper` / `--json` / `--check-model` / `--out` flags
+//!   (anything else is a usage error), point evaluation into the model
+//!   gate, and one table of typed cells written as text, JSON lines or CSV.
+//! * [`experiments`] — the sweep declarations, one module each, in one
+//!   name table: Figure 4 (delivery reliability, also `reliability_sweep`),
+//!   Figure 5 (spurious reception), Figure 6 (scalability), Figure 7
+//!   (tuning), view sizes (Eq. 2/12), baseline comparison, round-count
+//!   validation, and the partial-view, churn, adversarial, scale and topic
+//!   sweeps behind `examples/*_sweep.rs`.
+//! * [`prediction`] — the analysis↔simulation closed loop: any scenario's
+//!   model prediction and the drift gate.
 //!
 //! The `figures` binary (`cargo run -p pmcast-sim --bin figures -- all`)
-//! regenerates everything; `--paper` switches from the quick profile (small
+//! regenerates every figure as a text table plus a CSV file under
+//! `target/figures/`; `--paper` switches from the quick profile (small
 //! group, few trials — used in tests and CI) to the full paper-scale profile
 //! (`a = 22`, `d = 3`, `n = 10 648`).
 //!
@@ -63,7 +71,7 @@
 
 pub mod experiments;
 pub mod prediction;
-pub mod report;
 pub mod runner;
 pub mod scenario;
+pub mod sweep;
 pub mod workload;

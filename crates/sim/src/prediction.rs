@@ -152,31 +152,10 @@ pub fn predict(scenario: &Scenario) -> ModelPrediction {
     }
 }
 
-impl ModelPrediction {
-    /// The prediction's contribution to a sweep's `--json` row: the
-    /// `predicted`, `predicted_rounds` and `model_in_domain` fields, ready
-    /// to splice after a comma.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"predicted\":{:.6},\"predicted_rounds\":{},\"model_in_domain\":{}",
-            self.reliability, self.rounds, self.in_domain
-        )
-    }
-
-    /// Compact human-readable rendering for sweep tables: the predicted
-    /// reliability, or `-` for out-of-domain rows.
-    pub fn display(&self) -> String {
-        if self.in_domain {
-            format!("{:.3}", self.reliability)
-        } else {
-            "-".to_string()
-        }
-    }
-}
-
 /// Collects predicted-vs-simulated pairs and turns them into a pass/fail
-/// verdict at a given absolute reliability tolerance — the library half of
-/// every sweep's `--check-model <tolerance>` flag.
+/// verdict at a given absolute reliability tolerance — what
+/// [`crate::sweep::Sweep`] records every pmcast point into under
+/// `--check-model <tolerance>`.
 #[derive(Debug, Clone)]
 pub struct DriftGate {
     tolerance: f64,
@@ -226,10 +205,17 @@ impl DriftGate {
         self.skipped
     }
 
-    /// `Ok` when every in-domain row was within budget, otherwise an error
-    /// message listing each drifting row.
+    /// `Ok` when at least one in-domain row was gated and all were within
+    /// budget; otherwise an error message listing each drifting row, or
+    /// saying that nothing was checked — a prediction bug that declares
+    /// every row out of domain must not turn the gate green.
     pub fn verdict(&self) -> Result<(), String> {
-        if self.failures.is_empty() {
+        if self.checked == 0 {
+            Err(format!(
+                "model check gated no in-domain row ({} skipped): nothing was verified",
+                self.skipped
+            ))
+        } else if self.failures.is_empty() {
             Ok(())
         } else {
             Err(format!(
@@ -251,32 +237,6 @@ impl DriftGate {
     }
 }
 
-/// Parses a `--check-model <tolerance>` argument pair out of a raw
-/// argument list, returning the gate (if requested) and the remaining
-/// arguments.  Shared by the sweep examples so the flag behaves identically
-/// everywhere.
-pub fn parse_check_model(args: &[String]) -> (Option<DriftGate>, Vec<String>) {
-    let mut gate = None;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--check-model" {
-            let tolerance = iter
-                .next()
-                .and_then(|raw| raw.parse::<f64>().ok())
-                .filter(|tolerance| *tolerance > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("--check-model requires a positive tolerance, e.g. --check-model 0.05");
-                    std::process::exit(2);
-                });
-            gate = Some(DriftGate::new(tolerance));
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    (gate, rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,11 +249,7 @@ mod tests {
         assert!(prediction.in_domain);
         assert_eq!(prediction.tolerance_scale, 1.0);
         let outcomes = scenario.run(Protocol::Pmcast);
-        let simulated = outcomes
-            .iter()
-            .map(|outcome| outcome.report.delivery_ratio())
-            .sum::<f64>()
-            / outcomes.len() as f64;
+        let simulated = crate::runner::AggregateOutcome::from_trials(&outcomes).delivery_mean;
         assert!(
             (prediction.reliability - simulated).abs() < 0.08,
             "predicted {} vs simulated {simulated}",
@@ -390,13 +346,17 @@ mod tests {
     }
 
     #[test]
-    fn out_of_domain_rows_never_fail_the_gate() {
+    fn out_of_domain_rows_never_fail_the_gate_but_cannot_pass_it_alone() {
         let faulted = Scenario::builder().group(4, 2).partition(2, 4, 2).build();
-        let prediction = predict(&faulted);
         let mut gate = DriftGate::new(1e-9);
-        gate.record("faulted", &prediction, 0.0);
+        gate.record("faulted", &predict(&faulted), 0.0);
         assert_eq!(gate.checked(), 0);
         assert_eq!(gate.skipped(), 1);
+        // A gate that gated nothing has verified nothing: it must not pass.
+        assert!(gate.verdict().unwrap_err().contains("no in-domain row"));
+        // Next to an in-domain row that holds, the skipped row is harmless.
+        let prediction = predict(&Scenario::builder().group(4, 2).build());
+        gate.record("exact", &prediction, prediction.reliability);
         assert!(gate.verdict().is_ok());
     }
 
@@ -415,35 +375,5 @@ mod tests {
         let mut tight = DriftGate::new(0.03);
         tight.record("flat", &prediction, prediction.reliability + 0.08);
         assert!(tight.verdict().is_err());
-    }
-
-    #[test]
-    fn json_fields_are_stable() {
-        let prediction = ModelPrediction {
-            reliability: 0.987654321,
-            rounds: 16,
-            view_entries: 42,
-            in_domain: true,
-            tolerance_scale: 1.0,
-        };
-        assert_eq!(
-            prediction.json_fields(),
-            "\"predicted\":0.987654,\"predicted_rounds\":16,\"model_in_domain\":true"
-        );
-        assert_eq!(prediction.display(), "0.988");
-    }
-
-    #[test]
-    fn check_model_flag_parses_out_of_argument_lists() {
-        let args: Vec<String> = ["--paper", "--check-model", "0.05", "--json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (gate, rest) = parse_check_model(&args);
-        assert!(gate.is_some());
-        assert_eq!(rest, vec!["--paper".to_string(), "--json".to_string()]);
-        let (none, rest) = parse_check_model(&rest);
-        assert!(none.is_none());
-        assert_eq!(rest.len(), 2);
     }
 }

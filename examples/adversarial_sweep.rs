@@ -24,7 +24,10 @@
 //! tables, same-size flat views): the mean delivery ratio, the mean
 //! delivery latency in rounds, and the 99th-percentile latency — the
 //! latency histograms come from the trial loop's per-event
-//! [`pmcast::DeliveryLatency`] tracking.
+//! [`pmcast::DeliveryLatency`] tracking (the `--json` rows carry them whole).
+//!
+//! Declaration: `pmcast::sim::experiments::sweeps::adversarial`; flags, emitters
+//! (`--out DIR` adds a CSV) and model gate: `pmcast::sim::sweep`.
 //!
 //! ```text
 //! cargo run --release --example adversarial_sweep              # quick, n = 216
@@ -42,180 +45,6 @@
 //! `partition-heal` row is the PR 6 acceptance bar (delegate-view post-heal
 //! reliability within 0.05 of the global oracle at n = 10 648).
 
-use pmcast::{
-    parse_check_model, predict, DelegateViewConfig, DeliveryLatency, Event, MembershipSpec,
-    ModelPrediction, Protocol, Publisher, Scenario, ScenarioBuilder,
-};
-
-/// One fault-family row: label, publish round, builder shape.
-type RowSpec<'a> = (&'static str, u64, &'a dyn Fn(ScenarioBuilder) -> ScenarioBuilder);
-
-/// Per-provider measurements of one fault-family row.
-struct Curve {
-    name: &'static str,
-    delivery: f64,
-    latency: DeliveryLatency,
-    prediction: ModelPrediction,
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut gate, args) = parse_check_model(&args);
-    let paper = args.iter().any(|arg| arg == "--paper");
-    let json = args.iter().any(|arg| arg == "--json");
-    let (arity, depth, trials): (u32, usize, usize) = if paper { (22, 3, 3) } else { (6, 3, 3) };
-    let n = (arity as usize).pow(depth as u32);
-    let delegate_entries = DelegateViewConfig::default()
-        .with_slots(3)
-        .table_entries(arity, depth);
-    let providers: [(&'static str, MembershipSpec); 3] = [
-        ("global", MembershipSpec::Global),
-        ("delegate", MembershipSpec::delegate(3)),
-        ("flat", MembershipSpec::partial(delegate_entries)),
-    ];
-
-    // ~1% of the group straggles, spread evenly over the index space, each
-    // flushing its outbox only every 3rd round.  Deterministic — fault
-    // schedules never consume randomness.
-    let stragglers: Vec<usize> = {
-        let count = (n / 100).max(1);
-        (0..count).map(|i| (i * n) / count).collect()
-    };
-
-    // Every family publishes one event; `publish_round` 0 is the paper's
-    // shape, the partition-heal row publishes after the outage instead.
-    let row_specs: [RowSpec; 7] = [
-        ("baseline", 0, &|b| b),
-        ("delay", 0, &|b| b.link_delay(0, 2)),
-        ("partition", 0, &|b| b.partition(0, 6, 2)),
-        ("partition-heal", 8, &|b| b.partition(0, 6, 2)),
-        ("subtree-loss", 0, &|b| b.subtree_loss(&[0], 0.25)),
-        ("straggler", 0, &|b| {
-            let mut b = b;
-            for &process in &stragglers {
-                b = b.straggler(process, 3);
-            }
-            b
-        }),
-        ("combined", 8, &|b| {
-            let mut b = b.link_delay(0, 1).partition(0, 6, 2);
-            for &process in &stragglers {
-                b = b.straggler(process, 3);
-            }
-            b
-        }),
-    ];
-
-    if !json {
-        println!(
-            "pmcast degradation under adversarial faults — n = {n}, matching rate 0.5, 1% loss, \
-             0.1% crashes, {trials} trials (delegate/flat bounded to {delegate_entries} entries)"
-        );
-        println!("{:>16} {:>34} {:>34} {:>34}", "fault", "global", "delegate", "flat");
-        println!(
-            "{:>16} {:>34} {:>34} {:>34}",
-            "", "deliv/pred / lat / p99", "deliv/pred / lat / p99", "deliv/pred / lat / p99"
-        );
-    }
-
-    for (label, publish_round, shape) in row_specs {
-        let mut curves: Vec<Curve> = Vec::new();
-        for (name, membership) in providers {
-            let builder = Scenario::builder()
-                .group(arity, depth)
-                .matching_rate(0.5)
-                .loss(0.01)
-                .crash_fraction(0.001)
-                .membership(membership)
-                .publish_at(
-                    publish_round,
-                    Publisher::Interested,
-                    Event::builder(1).int("b", 1).build(),
-                )
-                .trials(trials)
-                .seed(42);
-            let scenario = shape(builder).build();
-            let prediction = predict(&scenario);
-            let outcomes = scenario.run_parallel(Protocol::Pmcast);
-            let delivery = outcomes.iter().map(|o| o.report.delivery_ratio()).sum::<f64>()
-                / outcomes.len() as f64;
-            // Fault-axis rows are out of the model's domain and only
-            // reported; the baseline rows are gated.
-            if let Some(gate) = gate.as_mut() {
-                gate.record(&format!("adversarial_sweep {label} {name}"), &prediction, delivery);
-            }
-            // Merge the per-trial histograms into one distribution per
-            // provider (same event shape across trials).
-            let mut latency = outcomes[0].latency[0].clone();
-            for outcome in &outcomes[1..] {
-                latency.merge(&outcome.latency[0]);
-            }
-            curves.push(Curve {
-                name,
-                delivery,
-                latency,
-                prediction,
-            });
-        }
-        if json {
-            let fields: Vec<String> = curves
-                .iter()
-                .map(|c| {
-                    let counts: Vec<String> =
-                        c.latency.counts.iter().map(|v| v.to_string()).collect();
-                    format!(
-                        "\"{}\":{:.4},\"{}_predicted\":{:.4},\"{}_in_domain\":{},\
-                         \"{}_lat_mean\":{:.3},\"{}_lat_p99\":{},\"{}_latency\":[{}]",
-                        c.name,
-                        c.delivery,
-                        c.name,
-                        c.prediction.reliability,
-                        c.name,
-                        c.prediction.in_domain,
-                        c.name,
-                        c.latency.mean(),
-                        c.name,
-                        c.latency.quantile(0.99),
-                        c.name,
-                        counts.join(",")
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"workload\":\"{label}\",\"n\":{n},\"publish_round\":{publish_round},\
-                 \"entries\":{delegate_entries},{}}}",
-                fields.join(",")
-            );
-        } else {
-            print!("{label:>16}");
-            for c in &curves {
-                let cell = format!(
-                    "{:.3}/{} / {:.2} / {}",
-                    c.delivery,
-                    c.prediction.display(),
-                    c.latency.mean(),
-                    c.latency.quantile(0.99)
-                );
-                print!(" {cell:>34}");
-            }
-            println!();
-        }
-    }
-
-    if !json {
-        println!(
-            "\n(deliv = mean delivery ratio to interested processes; lat = mean rounds from \
-             publish to delivery; p99 = 99th-percentile latency.  partition rows split the group \
-             in two cells for rounds 0-6; partition-heal and combined publish at round 8, after \
-             the heal, so they measure provider *recovery* from the outage.  delegate = \
-             maintained Section 2 view tables; flat = same-size lpbcast views.)"
-        );
-    }
-    if let Some(gate) = gate {
-        eprintln!("{}", gate.summary());
-        if let Err(drift) = gate.verdict() {
-            eprintln!("{drift}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> std::process::ExitCode {
+    pmcast::sim::sweep::main(Some("adversarial_sweep"))
 }

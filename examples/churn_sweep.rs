@@ -27,6 +27,9 @@
 //! beyond the tolerance (flat rows are gated only at paper scale — see
 //! `ARCHITECTURE.md` invariant 9).
 //!
+//! Declaration: `pmcast::sim::experiments::sweeps::churn`; flags, emitters
+//! (`--out DIR` adds a CSV) and model gate: `pmcast::sim::sweep`.
+//!
 //! ```text
 //! cargo run --release --example churn_sweep            # quick, n = 216
 //! cargo run --release --example churn_sweep -- --paper # n = 10 648
@@ -34,143 +37,6 @@
 //! cargo run --release --example churn_sweep -- --check-model 0.08
 //! ```
 
-use pmcast::{
-    parse_check_model, predict, DelegateViewConfig, Event, MembershipSpec, Protocol, Publisher,
-    Scenario,
-};
-
-const CHURN_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut gate, args) = parse_check_model(&args);
-    let paper = args.iter().any(|arg| arg == "--paper");
-    let json = args.iter().any(|arg| arg == "--json");
-    let (arity, depth, trials): (u32, usize, usize) = if paper { (22, 3, 3) } else { (6, 3, 3) };
-    let n = (arity as usize).pow(depth as u32);
-    let delegate_entries = DelegateViewConfig::default()
-        .with_slots(3)
-        .table_entries(arity, depth);
-    let providers: [(&str, MembershipSpec); 3] = [
-        ("global", MembershipSpec::Global),
-        ("delegate", MembershipSpec::delegate(3)),
-        ("flat", MembershipSpec::partial(delegate_entries)),
-    ];
-
-    if !json {
-        println!(
-            "reliability vs. graceful-leave churn — n = {n}, matching rate 0.5, 1% loss, \
-             {trials} trials (delegate/flat bounded to {delegate_entries} entries; \
-             sim/pred = simulated vs. model-predicted, '-' = out of model domain)"
-        );
-        println!(
-            "{:>12} {:>8} {:>15} {:>15} {:>15}",
-            "workload", "churn", "global sim/pred", "delegate s/p", "flat s/p"
-        );
-    }
-
-    // Deterministic leave schedule: `count` distinct leavers spread evenly
-    // over the index space, unsubscribing at rounds 2..=6.  No randomness —
-    // the seed contract guarantees lifecycle events never shift a stream.
-    let leavers = |rate: f64| -> Vec<(u64, usize)> {
-        let count = (rate * n as f64).round() as usize;
-        (0..count)
-            .map(|i| (2 + (i % 5) as u64, (i * n) / count.max(1)))
-            .collect()
-    };
-
-    let delivery = |scenario: &Scenario| -> f64 {
-        let outcomes = scenario.run_parallel(Protocol::Pmcast);
-        outcomes.iter().map(|o| o.report.delivery_ratio()).sum::<f64>() / outcomes.len() as f64
-    };
-
-    // `build` produces the scenario for one membership provider, so every
-    // variant goes through the builder's validation.
-    let mut report = |label: &str, churn: f64, build: &dyn Fn(MembershipSpec) -> Scenario| {
-        let mut row = Vec::new();
-        for (name, membership) in providers {
-            let scenario = build(membership);
-            let prediction = predict(&scenario);
-            let simulated = delivery(&scenario);
-            if let Some(gate) = gate.as_mut() {
-                gate.record(&format!("churn_sweep {label} {churn} {name}"), &prediction, simulated);
-            }
-            row.push((name, simulated, prediction));
-        }
-        if json {
-            let curves: Vec<String> = row
-                .iter()
-                .map(|(name, d, p)| {
-                    format!(
-                        "\"{name}\":{d:.4},\"{name}_predicted\":{:.4},\"{name}_in_domain\":{}",
-                        p.reliability, p.in_domain
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"workload\":\"{label}\",\"n\":{n},\"churn\":{churn},\"entries\":{delegate_entries},{}}}",
-                curves.join(",")
-            );
-        } else {
-            print!("{label:>12} {churn:>8.2}");
-            for (_, d, p) in &row {
-                print!(" {:>15}", format!("{d:.3}/{}", p.display()));
-            }
-            println!();
-        }
-    };
-
-    // Shrinking population: graceful leaves at increasing churn rates.
-    for rate in CHURN_RATES {
-        report("leave", rate, &|membership| {
-            let mut builder = Scenario::builder()
-                .group(arity, depth)
-                .matching_rate(0.5)
-                .loss(0.01)
-                .membership(membership)
-                .publish(Publisher::Interested, Event::builder(1).int("b", 1).build())
-                .trials(trials)
-                .seed(42);
-            for (round, process) in leavers(rate) {
-                builder = builder.leave_at(round, process);
-            }
-            builder.build()
-        });
-    }
-
-    // Growing population (flash crowd): 10% start absent, join at rounds
-    // 2..=6, and the event is published at round 8 — after the crowd is in.
-    report("flash-crowd", 0.10, &|membership| {
-        let mut builder = Scenario::builder()
-            .group(arity, depth)
-            .matching_rate(0.5)
-            .loss(0.01)
-            .membership(membership)
-            .publish_at(8, Publisher::Interested, Event::builder(1).int("b", 1).build())
-            .trials(trials)
-            .seed(42);
-        for (round, process) in leavers(0.10) {
-            builder = builder.join_at(round, process);
-        }
-        let flash = builder.build();
-        assert!(flash.group_size() < flash.capacity());
-        flash
-    });
-
-    if !json {
-        println!(
-            "\n(leave rows: the listed fraction unsubscribes gracefully at rounds 2-6, after the \
-             round-0 publish — departed processes count as undelivered, so every curve sinks with \
-             churn; the research point is the *gap* to the global column.  flash-crowd row: 10% \
-             start absent and join at rounds 2-6, publish at round 8.  delegate = maintained \
-             Section 2 view tables; flat = same-size lpbcast views.)"
-        );
-    }
-    if let Some(gate) = gate {
-        eprintln!("{}", gate.summary());
-        if let Err(drift) = gate.verdict() {
-            eprintln!("{drift}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> std::process::ExitCode {
+    pmcast::sim::sweep::main(Some("churn_sweep"))
 }

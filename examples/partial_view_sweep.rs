@@ -22,6 +22,9 @@
 //! (flat rows are gated only at paper scale, at twice the base tolerance —
 //! see `ARCHITECTURE.md` invariant 9).
 //!
+//! Declaration: `pmcast::sim::experiments::sweeps::partial_views`; flags, emitters
+//! (`--out DIR` adds a CSV) and model gate: `pmcast::sim::sweep`.
+//!
 //! ```text
 //! cargo run --release --example partial_view_sweep            # quick, n = 216
 //! cargo run --release --example partial_view_sweep -- --paper # n = 10 648
@@ -29,126 +32,6 @@
 //! cargo run --release --example partial_view_sweep -- --check-model 0.08
 //! ```
 
-use pmcast::{
-    parse_check_model, predict, DelegateViewConfig, Event, MembershipSpec, Protocol, Publisher,
-    Scenario,
-};
-
-const PROTOCOLS: [Protocol; 3] = [
-    Protocol::Pmcast,
-    Protocol::FloodBroadcast,
-    Protocol::GenuineMulticast,
-];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut gate, args) = parse_check_model(&args);
-    let paper = args.iter().any(|arg| arg == "--paper");
-    let json = args.iter().any(|arg| arg == "--json");
-    // Quick profile: the default 6^3 tree; paper profile: the 22^3 group of
-    // Figures 4-7.
-    let (arity, depth, trials, view_sizes, slot_counts): (u32, usize, usize, &[usize], &[usize]) =
-        if paper {
-            (22, 3, 3, &[16, 32, 64, 128, 256, 512], &[1, 2, 3])
-        } else {
-            (6, 3, 3, &[8, 16, 32, 64, 128], &[1, 2, 3])
-        };
-    let n = (arity as usize).pow(depth as u32);
-    if !json {
-        println!(
-            "reliability vs. membership knowledge — n = {n}, matching rate 0.5, 1% loss, \
-             {trials} trials (pmcast column: simulated/model-predicted, '-' = out of model domain)"
-        );
-    }
-
-    let scenario_for = |membership: MembershipSpec| {
-        Scenario::builder()
-            .group(arity, depth)
-            .matching_rate(0.5)
-            .loss(0.01)
-            .membership(membership)
-            .publish(Publisher::Interested, Event::builder(1).int("b", 1).build())
-            .trials(trials)
-            .seed(42)
-            .build()
-    };
-    let delivery = |scenario: &Scenario, protocol: Protocol| -> f64 {
-        let outcomes = scenario.run_parallel(protocol);
-        outcomes.iter().map(|o| o.report.delivery_ratio()).sum::<f64>() / outcomes.len() as f64
-    };
-    let mut emit_row = |label: &str, entries: usize, scenario: &Scenario| {
-        let prediction = predict(scenario);
-        let deliveries: Vec<f64> = PROTOCOLS
-            .iter()
-            .map(|&protocol| delivery(scenario, protocol))
-            .collect();
-        // The analytical model predicts pmcast, not the baselines: only the
-        // pmcast column is gated.
-        if let Some(gate) = gate.as_mut() {
-            gate.record(&format!("partial_view_sweep {label}"), &prediction, deliveries[0]);
-        }
-        if json {
-            println!(
-                "{{\"membership\":\"{label}\",\"n\":{n},\"entries\":{entries},\
-                 \"pmcast\":{:.4},\"flood\":{:.4},\"genuine\":{:.4},{}}}",
-                deliveries[0],
-                deliveries[1],
-                deliveries[2],
-                prediction.json_fields()
-            );
-        } else {
-            print!("{:>16} {:>7} {:>6.3} ", label, entries, entries as f64 / n as f64);
-            print!(
-                " {:>17}",
-                format!("{:.3}/{}", deliveries[0], prediction.display())
-            );
-            for d in &deliveries[1..] {
-                print!(" {d:>17.3}");
-            }
-            println!();
-        }
-    };
-
-    if !json {
-        println!(
-            "{:>16} {:>7} {:>6}  {:>18} {:>18} {:>18}",
-            "membership", "entries", "ℓ/n", "pmcast sim/pred", "flood broadcast", "genuine multicast"
-        );
-    }
-
-    // Flat lpbcast-style views: bounded uniform random samples.
-    for &view_size in view_sizes {
-        let scenario = scenario_for(MembershipSpec::partial(view_size));
-        emit_row(&format!("flat ℓ={view_size}"), view_size, &scenario);
-    }
-
-    // Hierarchical delegate views: comparable bounds, tree-structured.
-    for &slots in slot_counts {
-        let entries = DelegateViewConfig::default()
-            .with_slots(slots)
-            .table_entries(arity, depth);
-        let scenario = scenario_for(MembershipSpec::delegate(slots));
-        emit_row(&format!("delegate R={slots}"), entries, &scenario);
-    }
-
-    // The global-knowledge baseline every curve converges towards.
-    let global = scenario_for(MembershipSpec::Global);
-    emit_row("global", n - 1, &global);
-
-    if !json {
-        println!(
-            "\n(flat = lpbcast-style bounded random views (MembershipSpec::partial); delegate = the \
-             paper's Section 2 per-depth delegate tables (MembershipSpec::delegate), whose bounded \
-             views contain pmcast's tree delegates by construction — see crates/membership's \
-             provider and delegate module docs.  Membership gossip runs one exchange per simulation \
-             round in both.)"
-        );
-    }
-    if let Some(gate) = gate {
-        eprintln!("{}", gate.summary());
-        if let Err(drift) = gate.verdict() {
-            eprintln!("{drift}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> std::process::ExitCode {
+    pmcast::sim::sweep::main(Some("partial_view_sweep"))
 }

@@ -27,141 +27,16 @@
 //! counters: registering the whole event stream builds one audience
 //! allocation per **distinct** audience, not per event.
 //!
+//! Declared in `pmcast::sim::experiments::sweeps::topics`, run through
+//! `pmcast::sim::sweep`.  Multi-topic traffic is outside the single-audience
+//! model: there is no model column, and `--check-model` is a usage error.
+//!
 //! ```text
-//! cargo run --release --example topic_sweep             # 50 topics, 10k events
-//! cargo run --release --example topic_sweep -- --quick  # 12 topics, 300 events (CI smoke)
-//! cargo run --release --example topic_sweep -- --json   # machine-readable (BENCH_PR10.json)
+//! cargo run --release --example topic_sweep             # quick: 12 topics, 300 events (CI smoke)
+//! cargo run --release --example topic_sweep -- --paper  # 50 topics, 10k events (BENCH_PR10.json)
+//! cargo run --release --example topic_sweep -- --json   # machine-readable
 //! ```
 
-use std::time::Instant;
-
-use pmcast::sim::runner::run_scenario_trial_states;
-use pmcast::{
-    GenuineFactory, InterestRouting, MembershipSpec, PmcastConfig, Protocol, Scenario,
-    TopicWorkload,
-};
-
-struct Row {
-    routing: &'static str,
-    events_per_sec: f64,
-    reliability: f64,
-    spurious_ratio: f64,
-    messages: u64,
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|arg| arg == "--quick");
-    let json = args.iter().any(|arg| arg == "--json");
-
-    // 4^3 = 64 processes; every process subscribes to 3 topics.  The full
-    // run is the acceptance workload (10k events over 50 overlapping
-    // topics); --quick keeps the same shape at smoke-test volume.
-    let (arity, depth) = (4u32, 3usize);
-    let n = (arity as usize).pow(depth as u32);
-    let (topics, events, publish_rounds) = if quick { (12, 300, 30) } else { (50, 10_000, 250) };
-    let workload = TopicWorkload::new(topics, 3, events).with_publish_rounds(publish_rounds);
-
-    let scenario_with = |routing: InterestRouting, membership: MembershipSpec| {
-        Scenario::builder()
-            .group(arity, depth)
-            .topics(workload.clone())
-            .membership(membership)
-            .protocol(PmcastConfig::default().with_interest_routing(routing))
-            .trials(1)
-            .seed(42)
-            .build()
-    };
-
-    if !json {
-        println!(
-            "pmcast multi-topic throughput — n = {n}, {topics} topics, {events} events \
-             over {publish_rounds} rounds, 3 subscriptions/process, Zipf 1.0, loss-free"
-        );
-        println!(
-            "{:>8} {:>12} {:>12} {:>10} {:>12}",
-            "routing", "events/s", "delivered", "spurious", "messages"
-        );
-    }
-
-    let arms = [
-        ("oracle", InterestRouting::Oracle),
-        ("summary", InterestRouting::Summary),
-        ("blind", InterestRouting::Blind),
-    ];
-    let mut rows = Vec::new();
-    for (name, routing) in arms {
-        // The delegate hierarchy carries the subtree summaries the summary
-        // arm consults; the other arms run on the same provider so the
-        // only variable is the routing mode.
-        let scenario = scenario_with(routing, MembershipSpec::delegate(4));
-        let started = Instant::now();
-        let outcome = &scenario.run(Protocol::Pmcast)[0];
-        let seconds = started.elapsed().as_secs_f64();
-        let row = Row {
-            routing: name,
-            events_per_sec: events as f64 / seconds,
-            reliability: outcome.report.delivery_ratio(),
-            spurious_ratio: outcome.report.spurious_ratio(),
-            messages: outcome.messages_sent,
-        };
-        if !json {
-            println!(
-                "{:>8} {:>12.0} {:>12.4} {:>10.4} {:>12}",
-                row.routing, row.events_per_sec, row.reliability, row.spurious_ratio, row.messages
-            );
-        }
-        rows.push(row);
-    }
-
-    // Hashcons effectiveness: the genuine baseline registers every event's
-    // audience in its shared directory; with the topic index as the
-    // hashcons key, the whole stream builds one audience per *distinct*
-    // audience.  (Global membership: the sharp-contract reference arm.)
-    let genuine = scenario_with(InterestRouting::Oracle, MembershipSpec::Global);
-    let (_, states) = run_scenario_trial_states::<GenuineFactory>(&genuine, 0);
-    let stats = states[0].directory_stats();
-    let requested = stats.hits + stats.misses;
-    let reduction = if stats.misses == 0 {
-        requested as f64
-    } else {
-        requested as f64 / stats.misses as f64
-    };
-
-    if json {
-        let rows_json: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"routing\":\"{}\",\"events_per_sec\":{:.0},\"reliability\":{:.4},\
-                     \"spurious_ratio\":{:.4},\"messages\":{}}}",
-                    row.routing, row.events_per_sec, row.reliability, row.spurious_ratio,
-                    row.messages
-                )
-            })
-            .collect();
-        println!(
-            "{{\"n\":{n},\"topics\":{topics},\"subscriptions_per_process\":3,\
-             \"events\":{events},\"publish_rounds\":{publish_rounds},\"zipf_exponent\":1.0,\
-             \"hashcons\":{{\"requested\":{requested},\"built\":{},\"hit_rate\":{:.4},\
-             \"alloc_reduction\":{reduction:.1}}},\"rows\":[{}]}}",
-            stats.misses,
-            stats.hit_rate(),
-            rows_json.join(",")
-        );
-    } else {
-        println!(
-            "\naudience hashcons (genuine directory over the same {events}-event stream): \
-             {requested} audience requests -> {} built ({:.1}% hits, {reduction:.0}x fewer \
-             allocations)",
-            stats.misses,
-            stats.hit_rate() * 100.0
-        );
-        println!(
-            "(summary = aggregated interest routing through the delegate hierarchy's subtree \
-             summaries, skipping provably-uninterested subtrees before the fanout draw; blind = \
-             aggregation off.  Equal reliability with fewer spurious receptions and messages is \
-             the acceptance bar.)"
-        );
-    }
+fn main() -> std::process::ExitCode {
+    pmcast::sim::sweep::main(Some("topic_sweep"))
 }

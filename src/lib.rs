@@ -152,7 +152,7 @@ pub use pmcast_core::{
     InterestRouting, MulticastProtocol, MulticastReport, PmcastConfig, PmcastFactory, PmcastGroup,
     PmcastProcess, ProtocolFactory, ProtocolGroup, TuningConfig,
 };
-pub use pmcast_sim::prediction::{parse_check_model, predict, DriftGate, ModelPrediction};
+pub use pmcast_sim::prediction::{predict, DriftGate, ModelPrediction};
 pub use pmcast_sim::runner::{DeliveryLatency, Protocol, TrialOutcome};
 pub use pmcast_sim::scenario::{
     MembershipSpec, Publication, Publisher, Scenario, ScenarioBuilder, SubtreeLoss, TopicWorkload,

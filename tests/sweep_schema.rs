@@ -1,28 +1,61 @@
 //! Schema regression for the sweep examples' `--json` output, against the
-//! committed `BENCH_PR9.json` snapshot.
+//! committed `BENCH_PR9.json` / `BENCH_PR10.json` snapshots **and** against
+//! the emitter itself.
 //!
-//! The five sweep examples emit one JSON object per row; downstream
-//! consumers (the BENCH snapshots, plotting scripts, the CI drift gate)
-//! key on the field names.  This test pins the shape: every row of the
-//! snapshot must carry exactly the fields the current emitters produce —
+//! The six sweep examples emit one JSON object per row (`topic_sweep`: one
+//! object in all); downstream consumers (the BENCH snapshots, plotting
+//! scripts, the CI drift gate) key on the field names.  Every test here
+//! holds one expected key list against both sides: the rows of the
+//! committed snapshot, and the rows the registered sweep writes right now
+//! through `pmcast::sim::sweep` in JSON mode (quick profile, in-process) —
 //! renaming or dropping a column fails here instead of silently breaking
 //! the snapshot lineage.
 //!
 //! The prediction fields themselves (`predicted`, `predicted_rounds`,
-//! `model_in_domain`, and the per-provider `*_predicted` / `*_in_domain`
-//! variants) are additionally checked straight from
-//! [`pmcast::ModelPrediction::json_fields`], so the emitter and the
-//! snapshot cannot drift apart.
+//! `model_in_domain`) are additionally checked straight from a
+//! [`pmcast::sim::sweep::Cell::Predicted`] cell.
 
 use serde::Value;
 
+use pmcast::sim::sweep;
 use pmcast::{predict, Scenario};
 
-/// Parses the committed snapshot.
+/// Parses a committed snapshot.
+fn bench(file: &str) -> Value {
+    let raw = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|_| panic!("{file} is committed at the workspace root"));
+    serde_json::from_str(&raw).unwrap_or_else(|_| panic!("{file} is valid JSON"))
+}
+
+/// Parses the committed paper-scale gate snapshot.
 fn bench_pr9() -> Value {
-    let raw = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR9.json"))
-        .expect("BENCH_PR9.json is committed at the workspace root");
-    serde_json::from_str(&raw).expect("BENCH_PR9.json is valid JSON")
+    bench("BENCH_PR9.json")
+}
+
+/// Runs a registered sweep at the quick profile in JSON mode, in-process,
+/// and parses every line the emitter wrote.
+fn emitted(name: &str) -> Vec<Value> {
+    let options = sweep::parse(&["--json".to_string()], Some(name)).expect("a registered sweep");
+    let mut out = Vec::new();
+    sweep::run(&options, &mut out, &mut std::io::sink()).expect("writing to memory cannot fail");
+    let lines = String::from_utf8(out).expect("the emitter writes UTF-8");
+    assert!(!lines.is_empty(), "{name} emitted nothing");
+    lines
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap_or_else(|_| panic!("{name}: {line}")))
+        .collect()
+}
+
+/// Holds one expected key list against the snapshot's rows and against the
+/// rows the sweep emits now.
+fn assert_schema(name: &str, expected: &[&str]) {
+    let bench = bench_pr9();
+    for (i, row) in rows(&bench, name).iter().enumerate() {
+        assert_exact_keys(row, expected, &format!("{name}[{i}]"));
+    }
+    for (i, row) in emitted(name).iter().enumerate() {
+        assert_exact_keys(row, expected, &format!("emitted {name}[{i}]"));
+    }
 }
 
 /// A required field of a snapshot row.
@@ -74,17 +107,21 @@ fn assert_exact_keys(row: &Value, expected: &[&str], context: &str) {
 /// The scenario-level prediction fields every gated row carries.
 const PREDICTION_FIELDS: [&str; 3] = ["predicted", "predicted_rounds", "model_in_domain"];
 
-/// `ModelPrediction::json_fields` emits exactly the three fields the
-/// snapshots key on, as a valid JSON fragment.
+/// A row's `predicted` cell emits exactly the three fields the snapshots
+/// key on.
 #[test]
 fn prediction_json_fields_match_the_documented_names() {
-    let prediction = predict(&Scenario::builder().group(6, 3).matching_rate(0.5).build());
-    let wrapped: Value = serde_json::from_str(&format!("{{{}}}", prediction.json_fields()))
-        .expect("json_fields is a valid JSON object body");
-    assert_exact_keys(&wrapped, &PREDICTION_FIELDS, "json_fields");
-    assert!(float(&wrapped, "predicted", "json_fields").is_finite());
-    assert!(field(&wrapped, "predicted_rounds", "json_fields").as_u64().is_some());
-    boolean(&wrapped, "model_in_domain", "json_fields");
+    let scenario = Scenario::builder().group(6, 3).matching_rate(0.5).build();
+    let mut table = sweep::Sweep::new("schema", pmcast::sim::experiments::Profile::Quick, None);
+    table.row(vec![sweep::col("predicted", "", sweep::Cell::Predicted(0.98, predict(&scenario)))]);
+    let mut out = Vec::new();
+    table.write(&mut out, sweep::Format::Json).expect("writing to memory cannot fail");
+    let line = String::from_utf8(out).expect("the emitter writes UTF-8");
+    let wrapped: Value = serde_json::from_str(&line).expect("a row is a valid JSON object");
+    assert_exact_keys(&wrapped, &PREDICTION_FIELDS, "predicted cell");
+    assert!(float(&wrapped, "predicted", "predicted cell").is_finite());
+    assert!(field(&wrapped, "predicted_rounds", "predicted cell").as_u64().is_some());
+    boolean(&wrapped, "model_in_domain", "predicted cell");
 }
 
 #[test]
@@ -105,46 +142,36 @@ fn bench_pr9_snapshot_has_all_five_sweeps() {
 
 #[test]
 fn reliability_sweep_rows_keep_their_schema() {
-    let bench = bench_pr9();
     let expected: Vec<&str> = ["matching_rate", "delivery_simulated", "delivery_std",
         "delivery_analytical", "rounds"]
     .into_iter()
     .chain(PREDICTION_FIELDS)
     .collect();
-    for (i, row) in rows(&bench, "reliability_sweep").iter().enumerate() {
-        assert_exact_keys(row, &expected, &format!("reliability_sweep[{i}]"));
-    }
+    assert_schema("reliability_sweep", &expected);
 }
 
 #[test]
 fn partial_view_sweep_rows_keep_their_schema() {
-    let bench = bench_pr9();
     let expected: Vec<&str> = ["membership", "n", "entries", "pmcast", "flood", "genuine"]
         .into_iter()
         .chain(PREDICTION_FIELDS)
         .collect();
-    for (i, row) in rows(&bench, "partial_view_sweep").iter().enumerate() {
-        assert_exact_keys(row, &expected, &format!("partial_view_sweep[{i}]"));
-    }
+    assert_schema("partial_view_sweep", &expected);
 }
 
 #[test]
 fn churn_sweep_rows_keep_their_schema() {
-    let bench = bench_pr9();
     let expected = [
         "workload", "n", "churn", "entries",
         "global", "global_predicted", "global_in_domain",
         "delegate", "delegate_predicted", "delegate_in_domain",
         "flat", "flat_predicted", "flat_in_domain",
     ];
-    for (i, row) in rows(&bench, "churn_sweep").iter().enumerate() {
-        assert_exact_keys(row, &expected, &format!("churn_sweep[{i}]"));
-    }
+    assert_schema("churn_sweep", &expected);
 }
 
 #[test]
 fn adversarial_sweep_rows_keep_their_schema() {
-    let bench = bench_pr9();
     let per_provider: Vec<String> = ["global", "delegate", "flat"]
         .iter()
         .flat_map(|name| {
@@ -155,21 +182,42 @@ fn adversarial_sweep_rows_keep_their_schema() {
         .collect();
     let mut expected = vec!["workload", "n", "publish_round", "entries"];
     expected.extend(per_provider.iter().map(String::as_str));
-    for (i, row) in rows(&bench, "adversarial_sweep").iter().enumerate() {
-        assert_exact_keys(row, &expected, &format!("adversarial_sweep[{i}]"));
-    }
+    assert_schema("adversarial_sweep", &expected);
 }
 
 #[test]
 fn scale_sweep_rows_keep_their_schema() {
-    let bench = bench_pr9();
     let expected: Vec<&str> = ["n", "arity", "depth", "provider", "seconds_per_trial",
         "delivery_ratio", "rounds", "peak_rss_mb", "trials"]
     .into_iter()
     .chain(PREDICTION_FIELDS)
     .collect();
-    for (i, row) in rows(&bench, "scale_sweep").iter().enumerate() {
-        assert_exact_keys(row, &expected, &format!("scale_sweep[{i}]"));
+    assert_schema("scale_sweep", &expected);
+}
+
+#[test]
+fn topic_sweep_object_keeps_its_schema() {
+    // One object in all: sweep-level fields, the hashcons counters and one
+    // row per routing arm, pinned by `BENCH_PR10.json`'s `topic_sweep`.
+    let snapshot = bench("BENCH_PR10.json");
+    let emitted = emitted("topic_sweep");
+    assert_eq!(emitted.len(), 1, "topic_sweep emits a single object");
+    for (context, object) in [
+        ("BENCH_PR10.topic_sweep", field(&snapshot, "topic_sweep", "snapshot")),
+        ("emitted topic_sweep", &emitted[0]),
+    ] {
+        let expected = ["n", "topics", "subscriptions_per_process", "events", "publish_rounds",
+            "zipf_exponent", "hashcons", "rows"];
+        assert_exact_keys(object, &expected, context);
+        let hashcons = ["requested", "built", "hit_rate", "alloc_reduction"];
+        let counters = field(object, "hashcons", context);
+        assert_exact_keys(counters, &hashcons, &format!("{context}.hashcons"));
+        let arms = field(object, "rows", context).as_array().expect("`rows` is an array");
+        assert_eq!(arms.len(), 3, "{context}: oracle, summary, blind");
+        for (i, row) in arms.iter().enumerate() {
+            let arm = ["routing", "events_per_sec", "reliability", "spurious_ratio", "messages"];
+            assert_exact_keys(row, &arm, &format!("{context}.rows[{i}]"));
+        }
     }
 }
 
