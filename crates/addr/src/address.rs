@@ -3,6 +3,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::components::Components;
 use crate::{AddrError, Component, Depth, Prefix};
 
 /// A complete process address `x(1).x(2).⋯.x(d)`.
@@ -13,6 +14,10 @@ use crate::{AddrError, Component, Depth, Prefix};
 /// They are totally ordered lexicographically, which is what makes the
 /// *smallest-addresses-first* delegate election deterministic across
 /// processes without any agreement protocol.
+///
+/// The components are stored inline for trees up to seven levels deep (and
+/// on the heap beyond), so building, cloning and dropping an address
+/// allocates nothing at any depth this workspace simulates.
 ///
 /// # Example
 ///
@@ -30,7 +35,7 @@ use crate::{AddrError, Component, Depth, Prefix};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Address {
-    components: Vec<Component>,
+    components: Components,
 }
 
 impl Address {
@@ -45,8 +50,18 @@ impl Address {
     /// Panics if `components` is empty; an address always has at least one
     /// component.
     pub fn new(components: Vec<Component>) -> Self {
+        Self::from_parts(Components::from_vec(components))
+    }
+
+    /// Builds an address of `depth` components in place: `fill` receives
+    /// the zeroed component slice.
+    pub(crate) fn build(depth: Depth, fill: impl FnOnce(&mut [Component])) -> Self {
+        Self::from_parts(Components::build(depth, fill))
+    }
+
+    pub(crate) fn from_parts(components: Components) -> Self {
         assert!(
-            !components.is_empty(),
+            components.len() > 0,
             "an address must have at least one component"
         );
         Self { components }
@@ -64,12 +79,17 @@ impl Address {
         if level == 0 {
             return None;
         }
-        self.components.get(level - 1).copied()
+        self.components().get(level - 1).copied()
     }
 
     /// Returns all components as a slice.
+    #[inline]
     pub fn components(&self) -> &[Component] {
-        &self.components
+        self.components.as_slice()
+    }
+
+    pub(crate) fn components_mut(&mut self) -> &mut [Component] {
+        self.components.as_mut_slice()
     }
 
     /// Returns the prefix of the given *depth* (1-based, as in the paper):
@@ -88,23 +108,23 @@ impl Address {
             "depth {depth} out of range 1..={}",
             self.depth()
         );
-        Prefix::from_components(self.components[..depth - 1].to_vec())
+        Prefix::from_slice(&self.components()[..depth - 1])
     }
 
     /// Returns the full address viewed as a prefix (all `d` components).
     pub fn as_prefix(&self) -> Prefix {
-        Prefix::from_components(self.components.clone())
+        Prefix::from_parts(self.components.clone())
     }
 
     /// Returns the longest common prefix of `self` and `other`.
     pub fn common_prefix(&self, other: &Address) -> Prefix {
         let shared = self
-            .components
+            .components()
             .iter()
-            .zip(other.components.iter())
+            .zip(other.components())
             .take_while(|(a, b)| a == b)
             .count();
-        Prefix::from_components(self.components[..shared].to_vec())
+        Prefix::from_slice(&self.components()[..shared])
     }
 
     /// Returns the distance between two processes as defined in Section 2.2:
@@ -133,14 +153,14 @@ impl Address {
             && prefix
                 .components()
                 .iter()
-                .zip(self.components.iter())
+                .zip(self.components())
                 .all(|(p, c)| p == c)
     }
 
     /// Returns the last component of the address.
     pub fn last_component(&self) -> Component {
         *self
-            .components
+            .components()
             .last()
             .expect("an address always has at least one component")
     }
@@ -148,15 +168,7 @@ impl Address {
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for c in &self.components {
-            if !first {
-                write!(f, ".")?;
-            }
-            write!(f, "{c}")?;
-            first = false;
-        }
-        Ok(())
+        self.components.fmt(f)
     }
 }
 
@@ -196,13 +208,13 @@ impl From<Vec<Component>> for Address {
 
 impl<const N: usize> From<[Component; N]> for Address {
     fn from(components: [Component; N]) -> Self {
-        Address::new(components.to_vec())
+        Self::from_parts(Components::from_slice(&components))
     }
 }
 
 impl AsRef<[Component]> for Address {
     fn as_ref(&self) -> &[Component] {
-        &self.components
+        self.components()
     }
 }
 
@@ -304,6 +316,30 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: Address = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn serde_shape_is_an_object_with_a_components_array() {
+        let json = serde_json::to_string(&addr("128.178.73.3")).unwrap();
+        assert_eq!(json, r#"{"components":[128,178,73,3]}"#);
+        let prefix = serde_json::to_string(&addr("1.2.3").prefix_of_depth(3)).unwrap();
+        assert_eq!(prefix, r#"{"components":[1,2]}"#);
+    }
+
+    #[test]
+    fn addresses_deeper_than_the_inline_capacity_behave_alike() {
+        let deep = addr("1.2.3.4.5.6.7.8.9.10");
+        assert_eq!(deep.depth(), 10);
+        assert_eq!(deep.to_string(), "1.2.3.4.5.6.7.8.9.10");
+        assert_eq!(deep.prefix_of_depth(10).len(), 9);
+        assert_eq!(deep.prefix_of_depth(10).child(10), deep.as_prefix());
+        assert_eq!(deep.as_prefix().parent(), Some(deep.prefix_of_depth(10)));
+        assert_eq!(deep.prefix_of_depth(3).to_address(&deep.components()[2..]), deep);
+        assert!(deep.has_prefix(&deep.prefix_of_depth(9)));
+        assert!(addr("1.2.3.4.5.6.7.8.9.9") < deep && deep < addr("1.2.3.4.5.6.7.9"));
+        let json = serde_json::to_string(&deep).unwrap();
+        assert_eq!(serde_json::from_str::<Address>(&json).unwrap(), deep);
+        assert_eq!(deep.clone(), Address::new(deep.components().to_vec()));
     }
 
     #[test]

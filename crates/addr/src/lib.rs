@@ -41,6 +41,7 @@
 #![warn(missing_debug_implementations)]
 
 mod address;
+mod components;
 mod error;
 mod prefix;
 mod space;

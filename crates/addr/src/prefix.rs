@@ -3,6 +3,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::components::Components;
 use crate::{AddrError, Address, Component, Depth};
 
 /// A partial address `x(1).⋯.x(i−1)` denoting a subgroup of the tree.
@@ -12,6 +13,10 @@ use crate::{AddrError, Address, Component, Depth};
 /// single component (depth 2) denotes a depth-2 subgroup, and so on.  A full
 /// address of a tree of depth `d` corresponds to a prefix with `d`
 /// components.
+///
+/// Like an [`Address`], a prefix keeps up to seven components inline and
+/// spills to the heap beyond, so deriving a child, a parent or an address's
+/// prefix allocates nothing at the depths this workspace simulates.
 ///
 /// # Example
 ///
@@ -24,9 +29,15 @@ use crate::{AddrError, Address, Component, Depth};
 /// assert!(host.has_prefix(&subnet));
 /// assert_eq!(subnet.child(73), Prefix::from_components(vec![128, 178, 73]));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Prefix {
-    components: Vec<Component>,
+    components: Components,
+}
+
+impl Default for Prefix {
+    fn default() -> Self {
+        Self::root()
+    }
 }
 
 impl Prefix {
@@ -34,12 +45,24 @@ impl Prefix {
     /// every process in the group.
     pub fn root() -> Self {
         Self {
-            components: Vec::new(),
+            components: Components::EMPTY,
         }
     }
 
     /// Creates a prefix from its components.
     pub fn from_components(components: Vec<Component>) -> Self {
+        Self {
+            components: Components::from_vec(components),
+        }
+    }
+
+    pub(crate) fn from_slice(components: &[Component]) -> Self {
+        Self {
+            components: Components::from_slice(components),
+        }
+    }
+
+    pub(crate) fn from_parts(components: Components) -> Self {
         Self { components }
     }
 
@@ -50,7 +73,7 @@ impl Prefix {
 
     /// Returns `true` if this is the empty root prefix.
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.components.len() == 0
     }
 
     /// Returns the prefix depth as used in the paper: `len() + 1`.
@@ -59,43 +82,34 @@ impl Prefix {
     }
 
     /// Returns the components of the prefix.
+    #[inline]
     pub fn components(&self) -> &[Component] {
-        &self.components
+        self.components.as_slice()
     }
 
     /// Returns the prefix extended by one more component, denoting one of
     /// this subgroup's child subgroups.
     pub fn child(&self, component: Component) -> Prefix {
-        let mut components = self.components.clone();
-        components.push(component);
-        Prefix { components }
+        Prefix {
+            components: self.components.extended(&[component]),
+        }
     }
 
     /// Returns the parent prefix (one component shorter), or `None` for the
     /// root prefix.
     pub fn parent(&self) -> Option<Prefix> {
-        if self.components.is_empty() {
-            None
-        } else {
-            Some(Prefix {
-                components: self.components[..self.components.len() - 1].to_vec(),
-            })
-        }
+        let (_, parent) = self.components().split_last()?;
+        Some(Prefix::from_slice(parent))
     }
 
     /// Returns the last component, or `None` for the root prefix.
     pub fn last_component(&self) -> Option<Component> {
-        self.components.last().copied()
+        self.components().last().copied()
     }
 
     /// Returns `true` if `self` is a prefix of (or equal to) `other`.
     pub fn is_prefix_of(&self, other: &Prefix) -> bool {
-        self.components.len() <= other.components.len()
-            && self
-                .components
-                .iter()
-                .zip(other.components.iter())
-                .all(|(a, b)| a == b)
+        other.components().starts_with(self.components())
     }
 
     /// Returns `true` if the given address belongs to the subgroup denoted by
@@ -112,27 +126,17 @@ impl Prefix {
     /// Panics if both the prefix and the suffix are empty (an address must
     /// have at least one component).
     pub fn to_address(&self, suffix: &[Component]) -> Address {
-        let mut components = self.components.clone();
-        components.extend_from_slice(suffix);
-        Address::new(components)
+        Address::from_parts(self.components.extended(suffix))
     }
 }
 
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.components.is_empty() {
+        if self.is_empty() {
             // The Debug/Display representation must never be empty.
             return write!(f, "∅");
         }
-        let mut first = true;
-        for c in &self.components {
-            if !first {
-                write!(f, ".")?;
-            }
-            write!(f, "{c}")?;
-            first = false;
-        }
-        Ok(())
+        self.components.fmt(f)
     }
 }
 
@@ -144,7 +148,7 @@ impl FromStr for Prefix {
             return Ok(Prefix::root());
         }
         let address: Address = s.parse()?;
-        Ok(Prefix::from_components(address.components().to_vec()))
+        Ok(address.as_prefix())
     }
 }
 

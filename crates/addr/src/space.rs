@@ -201,14 +201,14 @@ impl AddressSpace {
             "index {index} out of range for capacity {}",
             self.capacity()
         );
-        let mut components = vec![0 as Component; self.depth()];
-        let mut remainder = index;
-        for level in (0..self.depth()).rev() {
-            let arity = self.arities[level] as u128;
-            components[level] = (remainder % arity) as Component;
-            remainder /= arity;
-        }
-        Address::new(components)
+        Address::build(self.depth(), |components| {
+            let mut remainder = index;
+            for (component, &arity) in components.iter_mut().zip(&self.arities).rev() {
+                let arity = arity as u128;
+                *component = (remainder % arity) as Component;
+                remainder /= arity;
+            }
+        })
     }
 
     /// Returns the dense index range `[start, end)` of the addresses
@@ -219,12 +219,20 @@ impl AddressSpace {
     ///
     /// Returns an error if the prefix is not valid for this space.
     pub fn index_range_under(&self, prefix: &Prefix) -> Result<(u128, u128), AddrError> {
-        self.validate_prefix(prefix)?;
-        let mut base: u128 = 0;
-        for (level, &component) in prefix.components().iter().enumerate() {
-            base = base * self.arities[level] as u128 + component as u128;
+        // One pass over one borrow of the components: this sits under every
+        // subtree interest probe of the gossip loop.
+        let components = prefix.components();
+        if components.len() > self.depth() {
+            return Err(AddrError::PrefixTooDeep {
+                found: components.len(),
+                max: self.depth(),
+            });
         }
-        let below = self.capacity_under(prefix);
+        let base = self.checked_index(components)?;
+        let below: u128 = self.arities[components.len()..]
+            .iter()
+            .map(|&a| a as u128)
+            .product();
         let start = base * below;
         Ok((start, start + below))
     }
@@ -235,10 +243,29 @@ impl AddressSpace {
     ///
     /// Returns an error if the address is not valid for this space.
     pub fn index_of_address(&self, address: &Address) -> Result<u128, AddrError> {
-        self.validate(address)?;
+        let components = address.components();
+        if components.len() != self.depth() {
+            return Err(AddrError::DepthMismatch {
+                found: components.len(),
+                expected: self.depth(),
+            });
+        }
+        self.checked_index(components)
+    }
+
+    /// The mixed-radix value of a component sequence no longer than the
+    /// depth, checking every component against its level's arity on the way.
+    fn checked_index(&self, components: &[Component]) -> Result<u128, AddrError> {
         let mut index: u128 = 0;
-        for (level, &component) in address.components().iter().enumerate() {
-            index = index * self.arities[level] as u128 + component as u128;
+        for (level, (&component, &arity)) in components.iter().zip(&self.arities).enumerate() {
+            if component >= arity {
+                return Err(AddrError::ComponentOutOfRange {
+                    level: level + 1,
+                    component,
+                    arity,
+                });
+            }
+            index = index * arity as u128 + component as u128;
         }
         Ok(index)
     }
@@ -249,8 +276,8 @@ impl AddressSpace {
     pub fn iter(&self) -> AddressSpaceIter<'_> {
         AddressSpaceIter {
             space: self,
-            next: 0,
-            total: self.capacity(),
+            upcoming: Address::build(self.depth(), |_| {}),
+            remaining: self.capacity(),
         }
     }
 
@@ -275,24 +302,40 @@ impl AddressSpace {
 #[derive(Debug)]
 pub struct AddressSpaceIter<'a> {
     space: &'a AddressSpace,
-    next: u128,
-    total: u128,
+    /// The address the next call returns (all zeros to start with).
+    upcoming: Address,
+    remaining: u128,
 }
 
 impl Iterator for AddressSpaceIter<'_> {
     type Item = Address;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.total {
+        if self.remaining == 0 {
             return None;
         }
-        let address = self.space.address_of_index(self.next);
-        self.next += 1;
+        self.remaining -= 1;
+        let address = self.upcoming.clone();
+        // Advance like an odometer: enumerating a space costs an increment
+        // per address, not a division per level.
+        for (component, &arity) in self
+            .upcoming
+            .components_mut()
+            .iter_mut()
+            .zip(&self.space.arities)
+            .rev()
+        {
+            *component += 1;
+            if *component < arity {
+                break;
+            }
+            *component = 0;
+        }
         Some(address)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.total - self.next).min(usize::MAX as u128) as usize;
+        let remaining = self.remaining.min(usize::MAX as u128) as usize;
         (remaining, Some(remaining))
     }
 }
@@ -392,6 +435,21 @@ mod tests {
             vec!["0.0", "0.1", "0.2", "1.0", "1.1", "1.2", "2.0", "2.1", "2.2"]
         );
         assert_eq!(space.iter().len(), 9);
+    }
+
+    #[test]
+    fn iteration_matches_the_index_arithmetic_on_irregular_and_deep_spaces() {
+        // Nine levels: past the inline capacity of an address.
+        for arities in [vec![4, 1, 3, 2], vec![2; 9]] {
+            let space = AddressSpace::new(arities).unwrap();
+            let mut iter = space.iter();
+            for index in 0..space.capacity() {
+                assert_eq!(iter.len() as u128, space.capacity() - index);
+                assert_eq!(iter.next(), Some(space.address_of_index(index)));
+            }
+            assert_eq!(iter.next(), None);
+            assert_eq!(iter.next(), None);
+        }
     }
 
     #[test]

@@ -44,6 +44,50 @@ fn bench(c: &mut Criterion) {
     group.bench_function("shared_views_build_n10648", |b| {
         b.iter(|| SharedViews::build(&big, 3))
     });
+    // What every Monte-Carlo trial pays before its first round and after
+    // its last: factory build (views plus one process per member) and drop
+    // of a paper-scale group nobody published in.  Per process this must
+    // stay a handle and a few zeroed words — no heap, see
+    // `tests/alloc_budget.rs`.
+    let big_oracle = Arc::new(AssignmentOracle::sample(
+        &big,
+        0.5,
+        &mut ChaCha8Rng::seed_from_u64(5),
+    ));
+    let big_view: Arc<dyn MembershipView> = Arc::new(GlobalOracleView::new(big.member_count()));
+    group.bench_function("pmcast_group_build_drop_n10648", |b| {
+        b.iter(|| {
+            PmcastFactory::build(&big, big_oracle.clone(), big_view.clone(), &PmcastConfig::default())
+                .processes
+                .len()
+        })
+    });
+    // The cold per-process path `gossip_rounds_n512` cannot see: a fresh
+    // paper-scale group, one publication, and rounds until 1 000 processes
+    // have received it — each of them touched for the first time (first
+    // buffer insert, first dedup entry, first delivery).  Includes the
+    // build and drop measured by the case above.
+    group.bench_function("first_contact_round_n10648", |b| {
+        b.iter(|| {
+            let built = PmcastFactory::build(
+                &big,
+                big_oracle.clone(),
+                big_view.clone(),
+                &PmcastConfig::default(),
+            );
+            let mut sim = Simulation::new(built.processes, NetworkConfig::reliable(1));
+            sim.process_mut(ProcessId(0)).pmcast(Event::builder(4).build());
+            let mut reached = vec![false; sim.process_count()];
+            let mut received = 0;
+            while received < 1_000 {
+                sim.step();
+                for &index in sim.last_step_receivers() {
+                    received += usize::from(!std::mem::replace(&mut reached[index], true));
+                }
+            }
+            received
+        })
+    });
     group.finish();
 
     // Matching-rate computation against an assignment oracle.

@@ -56,8 +56,6 @@ pub struct FloodBroadcastProcess {
     buffered: FxHashMap<EventId, FlatEntry>,
     delivered: EventIdSet,
     received: EventIdSet,
-    /// Reusable buffer for the fanout draw (indices into the target pool).
-    picks: Vec<usize>,
 }
 
 impl std::fmt::Debug for FloodBroadcastProcess {
@@ -92,7 +90,6 @@ impl FloodBroadcastProcess {
             buffered: FxHashMap::default(),
             delivered: EventIdSet::new(),
             received: EventIdSet::new(),
-            picks: Vec::new(),
         }
     }
 
@@ -166,14 +163,16 @@ impl RoundProcess for FloodBroadcastProcess {
         // The view cannot change mid-round: query the pool once per round,
         // not per buffered entry.
         let pool = membership.peer_count(own);
-        let mut picks = std::mem::take(&mut self.picks);
+        // The picks live in the round driver's buffer, moved out so the
+        // sends below can borrow `ctx`.
+        let mut scratch = std::mem::take(ctx.scratch());
         self.buffered.retain(|_, entry| {
             if entry.round >= entry.budget {
                 return false;
             }
             entry.round += 1;
-            ctx.choose_indices_into(pool, fanout, &mut picks);
-            for &pick in &picks {
+            ctx.choose_indices_into(pool, fanout, &mut scratch.candidates);
+            for &pick in &scratch.candidates {
                 let target = membership.peer_at(own, pick);
                 let gossip = Gossip::new(Arc::clone(&entry.event), 1, 1.0, entry.round);
                 let size = gossip.wire_size();
@@ -181,7 +180,7 @@ impl RoundProcess for FloodBroadcastProcess {
             }
             true
         });
-        self.picks = picks;
+        *ctx.scratch() = scratch;
     }
 
     fn on_message(&mut self, _from: ProcessId, gossip: Gossip, _ctx: &mut RoundContext<'_, Gossip>) {
@@ -465,8 +464,6 @@ pub struct GenuineMulticastProcess {
     buffered: FxHashMap<EventId, GenuineEntry>,
     delivered: EventIdSet,
     received: EventIdSet,
-    /// Reusable buffer for the fanout draw.
-    picks: Vec<usize>,
 }
 
 impl std::fmt::Debug for GenuineMulticastProcess {
@@ -584,7 +581,7 @@ impl RoundProcess for GenuineMulticastProcess {
 
     fn on_round(&mut self, ctx: &mut RoundContext<'_, Gossip>) {
         let fanout = self.fanout;
-        let mut picks = std::mem::take(&mut self.picks);
+        let mut scratch = std::mem::take(ctx.scratch());
         self.buffered.retain(|_, entry| {
             if entry.round >= entry.budget {
                 return false;
@@ -595,15 +592,15 @@ impl RoundProcess for GenuineMulticastProcess {
             if !entry.candidates.forwardable() {
                 return false;
             }
-            ctx.choose_indices_into(entry.candidates.len(), fanout, &mut picks);
-            for &pick in &picks {
+            ctx.choose_indices_into(entry.candidates.len(), fanout, &mut scratch.candidates);
+            for &pick in &scratch.candidates {
                 let gossip = Gossip::new(Arc::clone(&entry.event), 1, 1.0, entry.round);
                 let size = gossip.wire_size();
                 ctx.send_sized(entry.candidates.get(pick), gossip, size);
             }
             true
         });
-        self.picks = picks;
+        *ctx.scratch() = scratch;
     }
 
     fn on_message(&mut self, _from: ProcessId, gossip: Gossip, _ctx: &mut RoundContext<'_, Gossip>) {
@@ -691,7 +688,6 @@ pub(crate) fn build_genuine_group_internal<T: TreeTopology>(
             buffered: FxHashMap::default(),
             delivered: EventIdSet::new(),
             received: EventIdSet::new(),
-            picks: Vec::new(),
         })
         .collect();
     ProtocolGroup {

@@ -32,15 +32,20 @@ pub struct BufferedGossip {
 /// garbage-collected event; it is an [`EventIdSet`] — a sorted vector that
 /// costs no heap allocation while empty — because a million-process group
 /// holds one of these per process and a trial only disseminates a handful
-/// of events through each.
+/// of events through each.  For the same reason the per-depth vectors only
+/// appear with the first insert: the buffers of a process no event ever
+/// reached own no heap memory, and asking whether they are empty reads none.
 #[derive(Debug, Clone)]
 pub struct GossipBuffers {
+    depth: Depth,
+    /// Empty until the first insert, one vector per depth from then on.
     by_depth: Vec<Vec<BufferedGossip>>,
     seen: EventIdSet,
 }
 
 impl GossipBuffers {
-    /// Creates empty buffers for a tree of the given depth.
+    /// Creates empty buffers for a tree of the given depth.  Allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -48,14 +53,15 @@ impl GossipBuffers {
     pub fn new(depth: Depth) -> Self {
         assert!(depth >= 1, "a tree has at least one depth");
         Self {
-            by_depth: vec![Vec::new(); depth],
+            depth,
+            by_depth: Vec::new(),
             seen: EventIdSet::new(),
         }
     }
 
     /// The tree depth these buffers cover.
     pub fn depth(&self) -> Depth {
-        self.by_depth.len()
+        self.depth
     }
 
     /// Returns `true` if the event was ever inserted at any depth.
@@ -79,17 +85,21 @@ impl GossipBuffers {
     ///
     /// Panics if the depth is out of range.
     pub fn at_depth(&self, depth: Depth) -> &[BufferedGossip] {
-        assert!(depth >= 1 && depth <= self.by_depth.len());
-        &self.by_depth[depth - 1]
+        assert!(depth >= 1 && depth <= self.depth);
+        self.by_depth.get(depth - 1).map_or(&[], Vec::as_slice)
     }
 
-    /// Mutable access to one depth's entries.
+    /// Mutable access to one depth's entries (creating the per-depth
+    /// vectors if nothing was ever inserted).
     ///
     /// # Panics
     ///
     /// Panics if the depth is out of range.
     pub fn at_depth_mut(&mut self, depth: Depth) -> &mut Vec<BufferedGossip> {
-        assert!(depth >= 1 && depth <= self.by_depth.len());
+        assert!(depth >= 1 && depth <= self.depth);
+        if self.by_depth.is_empty() {
+            self.by_depth.resize_with(self.depth, Vec::new);
+        }
         &mut self.by_depth[depth - 1]
     }
 
@@ -178,11 +188,19 @@ mod tests {
 
     #[test]
     fn emptiness_and_depth() {
-        let buffers = GossipBuffers::new(4);
+        let mut buffers = GossipBuffers::new(4);
         assert!(buffers.is_empty());
         assert_eq!(buffers.len(), 0);
         assert_eq!(buffers.depth(), 4);
         assert!(buffers.at_depth(4).is_empty());
+        assert_eq!(buffers.min_buffered_id(), None);
+        // Nothing was inserted yet: no per-depth vector exists.
+        assert_eq!(buffers.by_depth.capacity(), 0);
+        assert!(buffers.insert(4, gossip(3)));
+        assert_eq!(buffers.by_depth.len(), 4);
+        assert_eq!(buffers.depth(), 4);
+        assert!(buffers.at_depth(1).is_empty());
+        assert_eq!(buffers.at_depth(4).len(), 1);
     }
 
     #[test]

@@ -2,17 +2,16 @@ use std::sync::Arc;
 
 use pmcast_addr::{Address, Component, Depth, Prefix};
 use pmcast_simnet::ProcessId;
-use rustc_hash::FxHashMap;
 
 use pmcast_membership::TreeTopology;
 
-/// One gossip destination in a per-depth view: the process, its dense
-/// simulation identifier, and the subgroup it represents at that depth (its
-/// own address at the leaf depth).
+/// One gossip destination in a per-depth view: the process's dense
+/// simulation identifier and the subgroup it represents at that depth (its
+/// own address at the leaf depth).  The destination's address is
+/// [`SharedViews::address_of`] its identifier; no path of the protocol
+/// reads it, so a target does not carry a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipTarget {
-    /// The destination process address.
-    pub address: Address,
     /// The destination's simulation identifier.
     pub id: ProcessId,
     /// The subgroup the destination represents at this depth.
@@ -20,33 +19,38 @@ pub struct GossipTarget {
 }
 
 /// One shared per-depth view: the gossip targets every process under the
-/// corresponding prefix iterates at that depth.
-pub type DepthView = Arc<Vec<GossipTarget>>;
+/// corresponding prefix iterates at that depth, distinct processes in
+/// strictly ascending [`ProcessId`] order.
+pub type DepthView = Arc<[GossipTarget]>;
 
 /// A process's whole view stack — its [`DepthView`]s of depths `1..=d`,
 /// one allocation shared by every process of the same leaf subgroup.
-pub type ViewStack = Arc<Vec<DepthView>>;
+pub type ViewStack = Arc<[DepthView]>;
 
 /// Precomputed, shareable per-depth views for a whole group.
 ///
 /// A process's view at depth `i` only depends on its own prefix of depth `i`
 /// (Section 2.2), so instead of materialising `n` view tables the simulation
 /// shares one table per `(depth, prefix)` pair — a few hundred entries even
-/// for the 10 000-process evaluation group.  Every target also carries the
+/// for the 10 000-process evaluation group.  Every target carries the
 /// dense [`ProcessId`] so protocol code never needs to search for addresses
 /// at gossip time.
+///
+/// Building allocates per *prefix*, never per process: one slice per view,
+/// one stack per leaf subgroup, one vector per tree level.
 #[derive(Debug, Clone)]
 pub struct SharedViews {
     depth: Depth,
     redundancy: usize,
-    // Keyed by the raw component vector of the prefix so lookups hash a
-    // borrowed `&[Component]` slice — no per-call `Prefix` allocation and
-    // no SipHash on the gossip hot path.
-    views: FxHashMap<Vec<Component>, DepthView>,
-    // One view *stack* per leaf subgroup: the views of depths `1..=d` of
-    // every process in that subgroup (siblings hold identical views at every
-    // depth, so one shared allocation serves the whole leaf group).
-    stacks: FxHashMap<Vec<Component>, ViewStack>,
+    // `levels[i]` holds the depth `i + 1` views with the prefix (of `i`
+    // components) they belong to, in prefix order, so a lookup is a binary
+    // search over borrowed component slices.
+    levels: Vec<Vec<(Prefix, DepthView)>>,
+    // One view *stack* per leaf subgroup, parallel to the last level: the
+    // views of depths `1..=d` of every process in that subgroup (siblings
+    // hold identical views at every depth, so one shared allocation serves
+    // the whole leaf group).
+    stacks: Vec<ViewStack>,
     addresses: Arc<Vec<Address>>,
 }
 
@@ -69,69 +73,80 @@ impl SharedViews {
             )
         };
 
-        let mut views: FxHashMap<Vec<Component>, DepthView> = FxHashMap::default();
-        let mut stacks: FxHashMap<Vec<Component>, ViewStack> = FxHashMap::default();
+        let mut levels: Vec<Vec<(Prefix, DepthView)>> = Vec::with_capacity(depth);
         // Enumerate populated prefixes breadth-first from the root.  Each
         // frontier is in lexicographic order, so at the leaf level a single
         // cursor over `addresses` yields every subgroup's members (and their
         // dense identifiers) without re-materializing them per prefix.
         let mut frontier = vec![Prefix::root()];
         let mut cursor = 0usize;
-        for level in 0..depth {
+        let mut targets = Vec::new();
+        for view_depth in 1..=depth {
+            let mut level = Vec::with_capacity(frontier.len());
             let mut next_frontier = Vec::new();
-            for prefix in &frontier {
-                let view_depth = level + 1;
-                let mut targets = Vec::new();
-                if view_depth == depth {
+            for prefix in frontier {
+                let view: DepthView = if view_depth == depth {
                     // Leaf views: one target per neighbour process.
-                    while cursor < addresses.len() && addresses[cursor].has_prefix(prefix) {
-                        let address = addresses[cursor].clone();
-                        targets.push(GossipTarget {
-                            subgroup: address.as_prefix(),
-                            address,
-                            id: ProcessId(cursor),
-                        });
+                    let start = cursor;
+                    while cursor < addresses.len() && addresses[cursor].has_prefix(&prefix) {
                         cursor += 1;
                     }
+                    (start..cursor)
+                        .map(|index| GossipTarget {
+                            id: ProcessId(index),
+                            subgroup: addresses[index].as_prefix(),
+                        })
+                        .collect()
                 } else {
                     // Inner views: R delegates per populated child subgroup.
-                    for component in topology.populated_children(prefix) {
+                    targets.clear();
+                    for component in topology.populated_children(&prefix) {
                         let child = prefix.child(component);
                         for address in topology.delegates(&child, redundancy) {
-                            let id = id_of(&address);
                             targets.push(GossipTarget {
+                                id: id_of(&address),
                                 subgroup: child.clone(),
-                                address,
-                                id,
                             });
                         }
                         next_frontier.push(child);
                     }
-                }
-                views.insert(prefix.components().to_vec(), Arc::new(targets));
+                    targets.as_slice().into()
+                };
+                // The global fanout fill splits a view around the process's
+                // own position with one binary search.
+                debug_assert!(
+                    view.windows(2).all(|pair| pair[0].id < pair[1].id),
+                    "view targets must be in strictly ascending ProcessId order"
+                );
+                level.push((prefix, view));
             }
-            if level + 1 == depth {
-                // `frontier` currently holds the leaf prefixes: share one
-                // view stack per leaf subgroup.
-                for prefix in &frontier {
-                    let stack: Vec<DepthView> = (1..=depth)
-                        .map(|view_depth| {
-                            Arc::clone(&views[&prefix.components()[..view_depth - 1]])
-                        })
-                        .collect();
-                    stacks.insert(prefix.components().to_vec(), Arc::new(stack));
-                }
-            }
+            levels.push(level);
             frontier = next_frontier;
         }
 
-        Self {
+        let mut views = Self {
             depth,
             redundancy,
-            views,
-            stacks,
+            levels,
+            stacks: Vec::new(),
             addresses: Arc::new(addresses),
-        }
+        };
+        // Share one view stack per leaf subgroup: the views along its
+        // prefix path.
+        views.stacks = views.levels[depth - 1]
+            .iter()
+            .map(|(leaf, _)| {
+                (1..=depth)
+                    .map(|view_depth| {
+                        let view = views
+                            .view_at(&leaf.components()[..view_depth - 1])
+                            .expect("every ancestor of a populated prefix is populated");
+                        Arc::clone(view)
+                    })
+                    .collect()
+            })
+            .collect();
+        views
     }
 
     /// The tree depth `d`.
@@ -165,6 +180,18 @@ impl SharedViews {
         &self.addresses[id.0]
     }
 
+    /// Position of the given prefix's view within its level.
+    fn position(&self, prefix: &[Component]) -> Option<usize> {
+        self.levels[prefix.len()]
+            .binary_search_by(|(candidate, _)| candidate.components().cmp(prefix))
+            .ok()
+    }
+
+    fn view_at(&self, prefix: &[Component]) -> Option<&DepthView> {
+        self.position(prefix)
+            .map(|position| &self.levels[prefix.len()][position].1)
+    }
+
     /// The view a process with the given address holds at the given depth:
     /// the gossip targets below its own prefix of that depth.
     ///
@@ -173,10 +200,10 @@ impl SharedViews {
     /// Panics if the depth is out of range.
     pub fn view_for(&self, address: &Address, depth: Depth) -> DepthView {
         assert!(depth >= 1 && depth <= self.depth, "depth {depth} out of range");
-        self.views
-            .get(&address.components()[..depth - 1])
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()))
+        match self.view_at(&address.components()[..depth - 1]) {
+            Some(view) => Arc::clone(view),
+            None => Arc::new([]),
+        }
     }
 
     /// The whole view stack of a process — its views of depths `1..=d`,
@@ -186,15 +213,15 @@ impl SharedViews {
     /// process.  Returns an empty stack for an address whose leaf subgroup
     /// is not populated.
     pub fn view_stack(&self, address: &Address) -> ViewStack {
-        self.stacks
-            .get(&address.components()[..self.depth - 1])
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()))
+        match self.position(&address.components()[..self.depth - 1]) {
+            Some(position) => Arc::clone(&self.stacks[position]),
+            None => Arc::new([]),
+        }
     }
 
     /// Number of distinct `(depth, prefix)` views materialised.
     pub fn view_count(&self) -> usize {
-        self.views.len()
+        self.levels.iter().map(Vec::len).sum()
     }
 }
 
@@ -230,7 +257,7 @@ mod tests {
         // Delegates are the smallest addresses of their subgroup.
         assert!(root_view
             .iter()
-            .any(|t| t.address.to_string() == "0.0.0" && t.subgroup.components() == [0]));
+            .any(|t| v.address_of(t.id).to_string() == "0.0.0" && t.subgroup.components() == [0]));
         let depth2 = v.view_for(&address, 2);
         assert_eq!(depth2.len(), 3 * 2);
         assert!(depth2.iter().all(|t| t.subgroup.components()[0] == 1));
@@ -243,7 +270,58 @@ mod tests {
         let leaf = v.view_for(&address, 3);
         assert_eq!(leaf.len(), 3);
         assert!(leaf.iter().all(|t| t.subgroup.len() == 3));
-        assert!(leaf.iter().any(|t| t.address == address));
+        assert!(leaf.iter().any(|t| *v.address_of(t.id) == address));
+    }
+
+    /// Every view of every depth lists distinct processes in strictly
+    /// ascending `ProcessId` order — what the global fanout fill's binary
+    /// search for the process's own position relies on.
+    fn assert_views_ascend<T: TreeTopology>(topology: &T, redundancy: usize) {
+        let v = SharedViews::build(topology, redundancy);
+        assert!(v.member_count() > 0);
+        for address in v.addresses().iter() {
+            let stack = v.view_stack(address);
+            assert_eq!(stack.len(), v.depth());
+            for (index, view) in stack.iter().enumerate() {
+                assert!(Arc::ptr_eq(view, &v.view_for(address, index + 1)));
+                assert!(
+                    view.windows(2).all(|pair| pair[0].id < pair[1].id),
+                    "depth {} view of {address} is not strictly ascending",
+                    index + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn view_targets_ascend_on_regular_sparse_and_subscribed_trees() {
+        use pmcast_interest::{Filter, Predicate};
+        use pmcast_membership::{GroupTree, Population};
+
+        assert_views_ascend(
+            &ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap()),
+            3,
+        );
+
+        // A sparse population: one depth-1 subgroup empty, holes elsewhere
+        // (including a subgroup's smallest addresses, so its delegates are
+        // not the regular tree's).
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let absent: Vec<(u64, usize)> = (16..32)
+            .chain([0, 1, 5, 33, 34, 35, 36, 50, 63])
+            .map(|process| (9, process))
+            .collect();
+        let sparse = Population::new(64, &absent, &[]).group_tree_at(&space, 0, &Filter::match_all());
+        assert_eq!(sparse.member_count(), 64 - absent.len());
+        assert_views_ascend(&sparse, 2);
+
+        // A group tree joined out of address order with real subscriptions.
+        let mut tree = GroupTree::new(space.clone());
+        for index in (0..64u128).rev().filter(|index| index % 5 != 2) {
+            let filter = Filter::new().with("price", Predicate::gt(index as f64));
+            tree.join(space.address_of_index(index), filter).unwrap();
+        }
+        assert_views_ascend(&tree, 3);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::time::Duration;
 use pmcast_core::MulticastProtocol;
 use pmcast_interest::Event;
 use pmcast_membership::MembershipView;
+use pmcast_simnet::FanoutScratch;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use smol::channel::Sender;
@@ -319,6 +320,7 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
                 seen: Seen::new(config.seen_capacity),
                 retire_quiescent: config.retire_quiescent,
                 outbox: Vec::new(),
+                scratch: FanoutScratch::default(),
                 round: 0,
                 quiescent: Arc::clone(&quiescent[index]),
                 crash_flag: Arc::clone(&crash_flags[index]),

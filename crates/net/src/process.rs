@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pmcast_core::{Gossip, MulticastProtocol};
-use pmcast_simnet::{ProcessId, RoundContext};
+use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext};
 use rand_chacha::ChaCha8Rng;
 use smol::channel::Receiver;
 
@@ -63,6 +63,8 @@ pub(crate) struct NetProcess<P> {
     pub(crate) seen: Seen,
     pub(crate) retire_quiescent: bool,
     pub(crate) outbox: Vec<(ProcessId, Gossip, usize)>,
+    /// The fanout buffers lent to the protocol on every tick and frame.
+    pub(crate) scratch: FanoutScratch,
     pub(crate) round: u64,
     pub(crate) quiescent: Arc<AtomicBool>,
     pub(crate) crash_flag: Arc<AtomicBool>,
@@ -109,6 +111,7 @@ impl<P: MulticastProtocol> NetProcess<P> {
             self.round,
             &mut self.outbox,
             &mut self.rng,
+            &mut self.scratch,
         );
         self.protocol.on_round(&mut ctx);
         self.round += 1;
@@ -137,6 +140,7 @@ impl<P: MulticastProtocol> NetProcess<P> {
             self.round,
             &mut self.outbox,
             &mut self.rng,
+            &mut self.scratch,
         );
         self.protocol.on_message(from, gossip, &mut ctx);
         self.stats.frames_handled += 1;

@@ -1,6 +1,5 @@
 use std::collections::VecDeque;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -75,14 +74,33 @@ pub enum Activity {
     SkipWhenQuiescent,
 }
 
+/// Reusable index buffers for a protocol's fanout draw, owned by whoever
+/// owns the outbox (the [`Simulation`], or an external driver) and lent to
+/// the process being driven through [`RoundContext::scratch`].
+///
+/// A draw's candidate pool lives for one `on_round` call, so it is state of
+/// the round, not of the process: one warm pair of buffers serves every
+/// process a driver steps, where a buffer per process would be grown — and
+/// found cold — once per infected process.  The contents are unspecified
+/// between callbacks; a protocol clears what it uses.
+#[derive(Debug, Default)]
+pub struct FanoutScratch {
+    /// Candidate positions for the round's draws (pmcast: one depth's view
+    /// minus the process itself; the baselines: the picked indices).
+    pub candidates: Vec<usize>,
+    /// A per-event narrowing of `candidates` (pmcast's summary routing).
+    pub event_candidates: Vec<usize>,
+}
+
 /// The per-process, per-round execution context handed to [`RoundProcess`]
 /// callbacks: the process's identity, the current round, a deterministic
-/// PRNG and the outgoing-message queue.
+/// PRNG, the outgoing-message queue and the driver's [`FanoutScratch`].
 pub struct RoundContext<'a, M> {
     process: ProcessId,
     round: u64,
     outbox: &'a mut Vec<(ProcessId, M, usize)>,
     rng: &'a mut ChaCha8Rng,
+    scratch: &'a mut FanoutScratch,
 }
 
 impl<M> std::fmt::Debug for RoundContext<'_, M> {
@@ -98,21 +116,25 @@ impl<'a, M> RoundContext<'a, M> {
     /// A context for driving a [`RoundProcess`] **outside** a
     /// [`Simulation`] — the seam the asynchronous runtime (`pmcast-net`)
     /// uses to fire gossip rounds off timers instead of lock-step rounds.
-    /// The caller owns the outbox and the RNG: sends accumulate in
-    /// `outbox` for the caller to flush through its own transport, and
-    /// `rng` is whatever stream the external driver's determinism story
-    /// prescribes (the simulator's own seed contract is untouched).
+    /// The caller owns the outbox, the RNG and the fanout scratch: sends
+    /// accumulate in `outbox` for the caller to flush through its own
+    /// transport, `rng` is whatever stream the external driver's
+    /// determinism story prescribes (the simulator's own seed contract is
+    /// untouched), and `scratch` is kept next to the outbox and handed back
+    /// on every call so its buffers stay warm.
     pub fn external(
         process: ProcessId,
         round: u64,
         outbox: &'a mut Vec<(ProcessId, M, usize)>,
         rng: &'a mut ChaCha8Rng,
+        scratch: &'a mut FanoutScratch,
     ) -> Self {
         RoundContext {
             process,
             round,
             outbox,
             rng,
+            scratch,
         }
     }
 }
@@ -143,20 +165,34 @@ impl<M> RoundContext<'_, M> {
         self.rng
     }
 
-    /// Picks up to `count` distinct random elements of `candidates`
-    /// (convenience for fanout-style gossip target selection).
+    /// The driver's reusable fanout buffers.  A protocol that needs them
+    /// while it also sends or draws moves them out for the duration of the
+    /// callback and puts them back before returning, so the warm capacity
+    /// reaches the next process:
     ///
-    /// Allocates the returned vector; hot paths should prefer
-    /// [`choose_indices_into`](Self::choose_indices_into) with a reused
-    /// buffer.
-    pub fn choose_targets<'c, T>(&mut self, candidates: &'c [T], count: usize) -> Vec<&'c T> {
-        candidates.choose_multiple(self.rng, count.min(candidates.len())).collect()
+    /// ```rust
+    /// # use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext};
+    /// # use rand::SeedableRng;
+    /// # let mut outbox = Vec::new();
+    /// # let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+    /// # let mut lent = FanoutScratch::default();
+    /// # let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut lent);
+    /// let mut scratch = std::mem::take(ctx.scratch());
+    /// ctx.choose_indices_into(10, 3, &mut scratch.candidates);
+    /// for &pick in &scratch.candidates {
+    ///     ctx.send(ProcessId(pick), "gossip");
+    /// }
+    /// *ctx.scratch() = scratch;
+    /// # assert_eq!(outbox.len(), 3);
+    /// ```
+    pub fn scratch(&mut self) -> &mut FanoutScratch {
+        self.scratch
     }
 
     /// Allocation-free target selection: clears `out` and fills it with up
-    /// to `count` distinct indices into `0..pool`, drawn uniformly.  With a
-    /// caller-reused buffer the steady-state cost is O(count) time and zero
-    /// allocation.
+    /// to `count` distinct indices into `0..pool`, drawn uniformly.  With
+    /// the [`scratch`](Self::scratch) buffers as `out` the steady-state
+    /// cost is O(count) time and zero allocation.
     pub fn choose_indices_into(&mut self, pool: usize, count: usize, out: &mut Vec<usize>) {
         out.clear();
         let count = count.min(pool);
@@ -287,6 +323,9 @@ pub struct Simulation<P: RoundProcess> {
     inbox: Vec<Envelope<P::Message>>,
     /// Reused across rounds: messages emitted by the process being driven.
     outbox: Vec<(ProcessId, P::Message, usize)>,
+    /// Reused across processes and rounds: the fanout buffers lent to the
+    /// process being driven.
+    scratch: FanoutScratch,
     /// Invoked exactly once per lifecycle transition, at the moment it
     /// happens (initial [`CrashPlan`] fraction, scheduled joins/leaves/
     /// crashes and manual [`crash`](Self::crash) calls alike).  Lets layers
@@ -453,6 +492,7 @@ impl<P: RoundProcess> Simulation<P> {
             receiver_stamp: vec![0; count],
             inbox: Vec::new(),
             outbox: Vec::new(),
+            scratch: FanoutScratch::default(),
             lifecycle_observer,
         }
     }
@@ -674,6 +714,7 @@ impl<P: RoundProcess> Simulation<P> {
 
         let mut inbox = std::mem::take(&mut self.inbox);
         let mut outbox = std::mem::take(&mut self.outbox);
+        let mut scratch = std::mem::take(&mut self.scratch);
         self.network.deliver_round_into(&mut inbox);
         // Stragglers whose flush round has arrived send their backlog
         // before the round's fresh traffic (a no-op without stragglers).
@@ -696,6 +737,7 @@ impl<P: RoundProcess> Simulation<P> {
                 round: self.round,
                 outbox: &mut outbox,
                 rng: &mut self.protocol_rng,
+                scratch: &mut scratch,
             };
             let process = &mut self.processes[envelope.to.0];
             let from = envelope.from;
@@ -715,6 +757,7 @@ impl<P: RoundProcess> Simulation<P> {
                     round: self.round,
                     outbox: &mut outbox,
                     rng: &mut self.protocol_rng,
+                    scratch: &mut scratch,
                 };
                 self.processes[index].on_round(&mut ctx);
                 self.dispatch_outbox(id, &mut outbox);
@@ -741,6 +784,7 @@ impl<P: RoundProcess> Simulation<P> {
                     round: self.round,
                     outbox: &mut outbox,
                     rng: &mut self.protocol_rng,
+                    scratch: &mut scratch,
                 };
                 self.processes[index].on_round(&mut ctx);
                 self.dispatch_outbox(id, &mut outbox);
@@ -757,6 +801,7 @@ impl<P: RoundProcess> Simulation<P> {
         }
         self.inbox = inbox;
         self.outbox = outbox;
+        self.scratch = scratch;
         self.round += 1;
     }
 
@@ -1154,20 +1199,23 @@ mod tests {
     }
 
     #[test]
-    fn choose_targets_respects_bounds() {
+    fn choose_indices_into_respects_bounds_and_fills_the_lent_scratch() {
         let mut outbox: Vec<(ProcessId, u64, usize)> = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut ctx = RoundContext {
-            process: ProcessId(0),
-            round: 0,
-            outbox: &mut outbox,
-            rng: &mut rng,
-        };
-        let candidates = vec![1, 2, 3, 4, 5];
-        assert_eq!(ctx.choose_targets(&candidates, 3).len(), 3);
-        assert_eq!(ctx.choose_targets(&candidates, 10).len(), 5);
-        assert!(ctx.choose_targets::<i32>(&[], 3).is_empty());
+        let mut scratch = FanoutScratch::default();
+        let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
+        let mut picks = std::mem::take(ctx.scratch());
+        ctx.choose_indices_into(5, 3, &mut picks.candidates);
+        assert_eq!(picks.candidates.len(), 3);
+        ctx.choose_indices_into(5, 10, &mut picks.candidates);
+        picks.candidates.sort_unstable();
+        assert_eq!(picks.candidates, vec![0, 1, 2, 3, 4]);
+        ctx.choose_indices_into(0, 3, &mut picks.candidates);
+        assert!(picks.candidates.is_empty());
+        *ctx.scratch() = picks;
         assert!(!format!("{ctx:?}").is_empty());
+        // The driver gets its buffers back warm.
+        assert!(scratch.candidates.capacity() >= 5);
     }
 
     #[test]
@@ -1249,7 +1297,6 @@ mod tests {
         has_rumor: bool,
         budget: u32,
         deliveries: u32,
-        picks: Vec<usize>,
     }
 
     impl Rumor {
@@ -1259,7 +1306,6 @@ mod tests {
                 has_rumor: seeded,
                 budget: if seeded { 3 } else { 0 },
                 deliveries: 0,
-                picks: Vec::new(),
             }
         }
 
@@ -1277,11 +1323,13 @@ mod tests {
             }
             self.budget -= 1;
             let own = ctx.process().0;
-            ctx.choose_indices_into(self.count - 1, 2, &mut self.picks);
-            for &pick in &self.picks {
+            let mut scratch = std::mem::take(ctx.scratch());
+            ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
+            for &pick in &scratch.candidates {
                 let target = if pick >= own { pick + 1 } else { pick };
                 ctx.send_sized(ProcessId(target), 7, 1);
             }
+            *ctx.scratch() = scratch;
         }
 
         fn on_message(&mut self, _from: ProcessId, message: u8, _ctx: &mut RoundContext<'_, u8>) {

@@ -31,11 +31,14 @@
 //! Performance: the round loop is allocation-free at steady state.
 //! [`Simulation::step`] reuses simulation-owned inbox/outbox buffers,
 //! [`RoundNetwork::deliver_round_into`] recycles the in-flight queue's
-//! capacity, scheduled crashes drain through a `VecDeque` cursor, and
-//! [`RoundContext::choose_indices_into`] offers allocation-free fanout
-//! target selection for protocols (messages themselves should carry their
-//! payloads in `Arc`s, as `pmcast-core` does, so per-target clones are
-//! refcount bumps).
+//! capacity, scheduled crashes drain through a `VecDeque` cursor, and the
+//! fanout draw's index buffers ([`FanoutScratch`]) are owned by the
+//! simulation next to the outbox and lent to the process being driven
+//! through [`RoundContext::scratch`], which
+//! [`RoundContext::choose_indices_into`] fills without allocating — a
+//! process keeps no draw buffer of its own (messages themselves should
+//! carry their payloads in `Arc`s, as `pmcast-core` does, so per-target
+//! clones are refcount bumps).
 //!
 //! ## Example
 //!
@@ -78,8 +81,8 @@ mod stats;
 
 pub use config::{CrashPlan, NetworkConfig};
 pub use engine::{
-    Activity, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext, RoundProcess,
-    Simulation,
+    Activity, FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext,
+    RoundProcess, Simulation,
 };
 pub use fault::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, Straggler};
 pub use network::{Envelope, ProcessId, RoundNetwork};

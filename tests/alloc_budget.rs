@@ -1,0 +1,152 @@
+//! The allocation budget of a trial, as a test.
+//!
+//! Invariant 8 of `ARCHITECTURE.md` says per-process state is empty-cheap:
+//! a process no event reached owns no heap memory, so building and dropping
+//! a group costs allocations per *prefix* and a trial costs allocations per
+//! *infected* process.  This file counts them.  It is an integration-test
+//! crate of its own so the counting `#[global_allocator]` (and the `unsafe`
+//! it needs) stays outside the `#![forbid(unsafe_code)]` libraries, and it
+//! holds exactly one `#[test]`, counted per thread, so nothing else in the
+//! process shows up in the figures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use pmcast::sim::runner::{run_scenario_trial_with, trial_workload};
+use pmcast::{MembershipSpec, PmcastFactory, Protocol, ProtocolFactory, Scenario, TreeTopology};
+
+/// Allocator calls of one thread.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// `alloc` and `alloc_zeroed` calls: blocks that came to exist.
+    fresh: u64,
+    /// `realloc` calls: a block that grew (or shrank) in place or moved.
+    regrown: u64,
+    /// `dealloc` calls: blocks that ceased to exist.
+    freed: u64,
+}
+
+impl Counts {
+    /// Every call that may have had to find memory.
+    fn allocations(&self) -> u64 {
+        self.fresh + self.regrown
+    }
+}
+
+thread_local! {
+    static COUNTS: Cell<Counts> = const { Cell::new(Counts { fresh: 0, regrown: 0, freed: 0 }) };
+}
+
+fn count(update: impl FnOnce(&mut Counts)) {
+    // `try_with`: the allocator outlives the thread-local during thread
+    // teardown.
+    let _ = COUNTS.try_with(|cell| {
+        let mut counts = cell.get();
+        update(&mut counts);
+        cell.set(counts);
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(|counts| counts.fresh += 1);
+        // SAFETY: the caller's obligations are passed on verbatim.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(|counts| counts.fresh += 1);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(|counts| counts.regrown += 1);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(|counts| counts.freed += 1);
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work` and returns its result with the allocator calls it made on
+/// this thread.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, Counts) {
+    let before = COUNTS.with(Cell::get);
+    let result = work();
+    let after = COUNTS.with(Cell::get);
+    let during = Counts {
+        fresh: after.fresh - before.fresh,
+        regrown: after.regrown - before.regrown,
+        freed: after.freed - before.freed,
+    };
+    (result, during)
+}
+
+#[test]
+fn a_trial_allocates_per_infected_process_not_per_process() {
+    // The `paper_global` traffic shape of `pmbench` at 8^3.
+    let scenario = Scenario::builder()
+        .group(8, 3)
+        .matching_rate(0.5)
+        .loss(0.01)
+        .membership(MembershipSpec::Global)
+        .seed(42)
+        .build();
+    let workload = trial_workload(&scenario, 0);
+    let membership = workload.membership(&scenario);
+    let n = workload.topology.member_count() as u64;
+    assert_eq!(n, 512);
+
+    // (a) Building a group costs allocations per prefix (73 of them here),
+    // not per process.  Achieved: 240 (232 fresh blocks + 8 regrowths, 0.47
+    // per process); at the parent of the PR that added this test: 3 734
+    // (3 574 + 160, 7.3 per process).
+    let (group, build) = counted(|| {
+        PmcastFactory::build(
+            &workload.topology,
+            Arc::clone(&workload.oracle),
+            Arc::clone(&membership),
+            &scenario.protocol,
+        )
+    });
+    assert!(
+        build.allocations() < n / 2,
+        "PmcastFactory::build allocated {} times for {n} processes",
+        build.allocations()
+    );
+
+    // (b) A group in which nobody published owns exactly what its
+    // construction left behind: no process grew any heap of its own.
+    let ((), dropped) = counted(|| drop(group));
+    assert_eq!(dropped.allocations(), 0);
+    assert_eq!(
+        dropped.freed,
+        build.fresh - build.freed,
+        "dropping an idle group must free exactly the blocks building it left behind"
+    );
+
+    // (c) A whole trial — workload, membership, group, simulation, report,
+    // teardown — stays within five allocations per process.  Achieved:
+    // 2 122 (2 084 fresh + 38 regrowths, 4.1 per process; 353 of the 512
+    // processes receive the event, and each of those still allocates its
+    // buffers, its two id sets and its delivery log); at the parent: 7 050
+    // (6 127 + 923, 13.8 per process — 12.0 counting fresh blocks only).
+    let (outcome, trial) = counted(|| run_scenario_trial_with(&scenario, Protocol::Pmcast, 0));
+    assert!(outcome.report.delivered_interested > 0);
+    assert!(
+        trial.allocations() <= 5 * n,
+        "a trial allocated {} times for {n} processes",
+        trial.allocations()
+    );
+}
