@@ -125,16 +125,6 @@ impl TreeModel {
             .sum()
     }
 
-    /// Expected number of infected entities among the interested entities of
-    /// a depth-`i` view after gossiping there (Equation 14), from a single
-    /// initially infected entity.
-    pub fn expected_infected_at_depth(&self, matching_rate: f64, depth: usize) -> f64 {
-        let p_i = self.interest_probability(matching_rate, depth);
-        let entities = self.view_size(depth) as f64 * p_i;
-        let rounds = self.rounds_at_depth(matching_rate, depth);
-        entities * infected_fraction(entities, self.group.fanout as f64, &self.env, rounds, 1.0)
-    }
-
     /// Probability that an interested child node of depth `i` is infected
     /// after gossiping at that depth (Equation 15): one minus the
     /// probability that none of its `R` delegates (1 process at the leaf

@@ -125,8 +125,8 @@ fn bench(c: &mut Criterion) {
     // below (they run the identical dedup-hit path: the event is already
     // seen, so per-iteration state does not grow).  Any gap between them
     // would mean the trait boundary put dynamic dispatch or copies on the
-    // hot path, endangering the ~13.5 ns/target number tracked in
-    // BENCH_PR1.json.
+    // hot path, endangering the per-target cost `gossip_clone_zero_copy`
+    // above measures.
     fn publish_generic<P: MulticastProtocol>(process: &mut P, event: Arc<pmcast_interest::Event>) {
         process.publish(event);
     }

@@ -87,6 +87,6 @@ pub use message::Gossip;
 pub use multicast::{
     FloodFactory, GenuineFactory, MulticastProtocol, PmcastFactory, ProtocolFactory, ProtocolGroup,
 };
-pub use protocol::{PmcastGroup, PmcastProcess};
+pub use protocol::PmcastProcess;
 pub use report::{DeliveryOutcome, MulticastReport};
 pub use views::{DepthView, GossipTarget, SharedViews, ViewStack};

@@ -16,20 +16,10 @@
 //! [`MulticastProtocol::publish`] takes an [`Arc<Event>`]: the event payload
 //! is allocated once by the caller and then shared — zero-copy — through
 //! buffering, gossiping and delivery, preserving the shared-payload
-//! invariant of the gossip hot path.  The concrete types keep their
-//! paper-verb conveniences (`pmcast`, `broadcast`, `multicast`) which wrap a
-//! plain [`Event`] and delegate here.
-//!
-//! ## Event pre-registration
-//!
-//! The genuine-multicast baseline needs global interest knowledge (who is
-//! interested in which event) before it can forward anything.  Instead of a
-//! special constructor taking the event list up front, that knowledge now
-//! flows through [`MulticastProtocol::register_event`]: a no-op hook for
-//! protocols that resolve interest on the fly (pmcast, flooding), and a
-//! shared-directory registration for the genuine baseline.  Publishing
-//! always registers the published event first, so generic code never has to
-//! special-case a protocol.
+//! invariant of the gossip hot path.  A bare `publish` is always sufficient
+//! to start dissemination: whatever a protocol needs to know about an event
+//! (the genuine baseline's audience, say) it resolves when a process first
+//! accepts it.
 //!
 //! ## Membership providers
 //!
@@ -65,35 +55,22 @@ use pmcast_interest::{Event, EventId};
 use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::RoundProcess;
 
-use crate::{DeliveryOutcome, Gossip, PmcastConfig};
+use crate::{Gossip, PmcastConfig};
 
 /// The common interface of all dissemination protocols in this crate.
 ///
 /// A `MulticastProtocol` is a [`RoundProcess`] gossiping [`Gossip`]
 /// messages, plus the application-facing operations every protocol offers:
-/// publishing an event and querying delivery/reception state.  It also
-/// extends [`DeliveryOutcome`], so [`crate::MulticastReport`] can classify
-/// any protocol's processes.
-pub trait MulticastProtocol: RoundProcess<Message = Gossip> + DeliveryOutcome {
+/// publishing an event and querying delivery/reception state — which is
+/// also all [`crate::MulticastReport`] needs to classify any protocol's
+/// processes (every implementor is a [`crate::DeliveryOutcome`]).
+pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     /// Publishes an event into the dissemination from this process.
     ///
     /// The event is shared, never copied: every buffer entry, forwarded
     /// gossip and delivery handle holds a clone of this [`Arc`].  Publishing
     /// the same event id twice is idempotent (the duplicate is ignored).
-    ///
-    /// Implementations pre-register the event (see
-    /// [`register_event`](Self::register_event)) before accepting it, so a
-    /// bare `publish` is always sufficient to start dissemination.
     fn publish(&mut self, event: Arc<Event>);
-
-    /// Makes the event known to the protocol ahead of publication.
-    ///
-    /// Most protocols resolve interest on the fly and do nothing here (the
-    /// default).  The genuine-multicast baseline resolves the event's
-    /// audience into its shared directory — the "global interest knowledge"
-    /// the paper deems unrealistic, which is exactly what the baseline
-    /// models.  Registration is idempotent.
-    fn register_event(&mut self, _event: &Event) {}
 
     /// Returns `true` if the event was delivered to the application here.
     fn has_delivered(&self, event: EventId) -> bool;
@@ -115,8 +92,10 @@ pub trait MulticastProtocol: RoundProcess<Message = Gossip> + DeliveryOutcome {
     /// call, any identifier below the floor *counts as already seen* —
     /// re-deliveries stay impossible, only the per-id storage is gone.
     /// Implementations clamp the floor so identifiers still buffered
-    /// in-flight are never retired.  The default does nothing (a fresh
-    /// process has nothing worth retiring).
+    /// in-flight are never retired, and the watermark is this process's
+    /// alone: state shared with other processes may only be dropped if a
+    /// process that meets the event later can rebuild it.  The default does
+    /// nothing (a fresh process has nothing worth retiring).
     fn retire_below(&mut self, _floor: EventId) {}
 
     /// Number of event identifiers currently held in dedup state — the
@@ -225,11 +204,7 @@ impl ProtocolFactory for PmcastFactory {
         membership: Arc<dyn MembershipView>,
         config: &PmcastConfig,
     ) -> ProtocolGroup<Self::Process> {
-        let group = crate::protocol::build_pmcast_group(topology, oracle, membership, config);
-        ProtocolGroup {
-            processes: group.processes,
-            addresses: group.addresses,
-        }
+        crate::protocol::build_pmcast_group(topology, oracle, membership, config)
     }
 }
 
@@ -247,7 +222,7 @@ impl ProtocolFactory for FloodFactory {
         membership: Arc<dyn MembershipView>,
         config: &PmcastConfig,
     ) -> ProtocolGroup<Self::Process> {
-        crate::baseline::build_flood_group_internal(topology, oracle, membership, config)
+        crate::baseline::build_flat_group(topology, oracle, membership, config)
     }
 }
 
@@ -265,7 +240,7 @@ impl ProtocolFactory for GenuineFactory {
         membership: Arc<dyn MembershipView>,
         config: &PmcastConfig,
     ) -> ProtocolGroup<Self::Process> {
-        crate::baseline::build_genuine_group_internal(topology, oracle, membership, config)
+        crate::baseline::build_flat_group(topology, oracle, membership, config)
     }
 }
 
@@ -324,15 +299,5 @@ mod tests {
             assert_eq!(MulticastProtocol::address(process), address);
         }
         assert!(format!("{group:?}").contains("ProtocolGroup"));
-    }
-
-    #[test]
-    fn register_event_is_a_no_op_for_interest_oblivious_protocols() {
-        let topology = topology();
-        let oracle = Arc::new(UniformOracle::new(16));
-        let mut group = FloodFactory::build(&topology, oracle, global_view(), &PmcastConfig::default());
-        let event = Event::builder(77).build();
-        group.processes[0].register_event(&event);
-        assert!(!MulticastProtocol::has_received(&group.processes[0], event.id()));
     }
 }

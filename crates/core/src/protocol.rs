@@ -9,28 +9,8 @@ use rand::Rng;
 
 use crate::{
     BufferedGossip, Gossip, GossipBuffers, GossipTarget, InterestRouting, PmcastConfig,
-    SharedViews,
+    ProtocolGroup, SharedViews,
 };
-
-/// A whole pmcast group ready to be handed to a
-/// [`pmcast_simnet::Simulation`]: one protocol state machine per process
-/// plus the shared views they gossip over.
-pub struct PmcastGroup {
-    /// One protocol instance per process, indexed by [`ProcessId`].
-    pub processes: Vec<PmcastProcess>,
-    /// The shared per-depth views.
-    pub views: Arc<SharedViews>,
-    /// Member addresses in dense-identifier order.
-    pub addresses: Arc<Vec<Address>>,
-}
-
-impl std::fmt::Debug for PmcastGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PmcastGroup")
-            .field("processes", &self.processes.len())
-            .finish_non_exhaustive()
-    }
-}
 
 /// Crate-internal group construction backing [`crate::PmcastFactory`].
 pub(crate) fn build_pmcast_group<T: TreeTopology>(
@@ -38,13 +18,13 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
     config: &PmcastConfig,
-) -> PmcastGroup {
+) -> ProtocolGroup<PmcastProcess> {
     config.validate();
-    let views = Arc::new(SharedViews::build(topology, config.redundancy));
+    let views = SharedViews::build(topology, config.redundancy);
     let addresses = Arc::clone(views.addresses());
     let group = Arc::new(GroupContext {
         config: config.clone(),
-        views: Arc::clone(&views),
+        views,
         oracle,
         membership,
     });
@@ -55,9 +35,8 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
             PmcastProcess::in_group(address.clone(), ProcessId(index), Arc::clone(&group))
         })
         .collect();
-    PmcastGroup {
+    ProtocolGroup {
         processes,
-        views,
         addresses,
     }
 }
@@ -68,7 +47,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
 /// state.
 struct GroupContext {
     config: PmcastConfig,
-    views: Arc<SharedViews>,
+    views: SharedViews,
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
 }
@@ -196,38 +175,9 @@ impl std::fmt::Debug for PmcastProcess {
 }
 
 impl PmcastProcess {
-    /// Creates a process; normally done through [`crate::PmcastFactory`],
-    /// which shares one group context among all processes instead of
-    /// wrapping the arguments once per process as this does.
-    pub fn new(
-        address: Address,
-        id: ProcessId,
-        config: PmcastConfig,
-        views: Arc<SharedViews>,
-        oracle: Arc<dyn InterestOracle + Send + Sync>,
-        membership: Arc<dyn MembershipView>,
-    ) -> Self {
-        let group = Arc::new(GroupContext {
-            config,
-            views,
-            oracle,
-            membership,
-        });
-        Self::in_group(address, id, group)
-    }
-
     fn in_group(address: Address, id: ProcessId, group: Arc<GroupContext>) -> Self {
-        let views = &group.views;
-        let depth = views.depth();
-        let depth_views = views.view_stack(&address);
-        // An address outside the populated leaf subgroups (possible for
-        // hand-built processes) gets the per-depth fallback views instead of
-        // a shared stack.
-        let depth_views = if depth_views.len() == depth {
-            depth_views
-        } else {
-            (1..=depth).map(|d| views.view_for(&address, d)).collect()
-        };
+        let depth = group.views.depth();
+        let depth_views = group.views.view_stack(&address);
         Self {
             address,
             id,
@@ -820,7 +770,7 @@ mod tests {
         let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle::new(16));
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let text = format!("{:?}", group);
-        assert!(text.contains("PmcastGroup"));
+        assert!(text.contains("ProtocolGroup"));
         let process_text = format!("{:?}", group.processes[0]);
         assert!(process_text.contains("PmcastProcess"));
         assert!(process_text.contains("address"));

@@ -4,9 +4,11 @@ use pmcast_addr::Address;
 use pmcast_interest::{Event, EventId};
 use pmcast_membership::InterestOracle;
 
-/// Read-only view of a protocol instance's delivery state, implemented by
-/// [`crate::PmcastProcess`] and by the baseline protocols so that the same
-/// reporting code covers all of them.
+use crate::MulticastProtocol;
+
+/// Read-only view of a protocol instance's delivery state — what
+/// [`MulticastReport`] classifies.  Every [`MulticastProtocol`] is one
+/// through the blanket impl below; an implementor writes nothing.
 pub trait DeliveryOutcome {
     /// The process's address.
     fn outcome_address(&self) -> &Address;
@@ -17,7 +19,7 @@ pub trait DeliveryOutcome {
     fn outcome_received(&self, event: EventId) -> bool;
 }
 
-impl DeliveryOutcome for crate::PmcastProcess {
+impl<P: MulticastProtocol> DeliveryOutcome for P {
     fn outcome_address(&self) -> &Address {
         self.address()
     }

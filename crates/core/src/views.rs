@@ -192,20 +192,6 @@ impl SharedViews {
             .map(|position| &self.levels[prefix.len()][position].1)
     }
 
-    /// The view a process with the given address holds at the given depth:
-    /// the gossip targets below its own prefix of that depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the depth is out of range.
-    pub fn view_for(&self, address: &Address, depth: Depth) -> DepthView {
-        assert!(depth >= 1 && depth <= self.depth, "depth {depth} out of range");
-        match self.view_at(&address.components()[..depth - 1]) {
-            Some(view) => Arc::clone(view),
-            None => Arc::new([]),
-        }
-    }
-
     /// The whole view stack of a process — its views of depths `1..=d`,
     /// `stack[i]` being the depth `i + 1` view.  The stack allocation is
     /// shared by all processes of the same leaf subgroup, so a
@@ -236,6 +222,11 @@ mod tests {
         SharedViews::build(&topology, 2)
     }
 
+    /// The view a process holds at one depth, out of its shared stack.
+    fn view_for(views: &SharedViews, address: &str, depth: Depth) -> DepthView {
+        Arc::clone(&views.view_stack(&address.parse().unwrap())[depth - 1])
+    }
+
     #[test]
     fn build_covers_all_prefixes() {
         let v = views();
@@ -249,8 +240,7 @@ mod tests {
     #[test]
     fn inner_views_have_r_delegates_per_subgroup() {
         let v = views();
-        let address: Address = "1.2.0".parse().unwrap();
-        let root_view = v.view_for(&address, 1);
+        let root_view = view_for(&v, "1.2.0", 1);
         assert_eq!(root_view.len(), 3 * 2);
         // Every target's subgroup is a depth-2 prefix.
         assert!(root_view.iter().all(|t| t.subgroup.len() == 1));
@@ -258,7 +248,7 @@ mod tests {
         assert!(root_view
             .iter()
             .any(|t| v.address_of(t.id).to_string() == "0.0.0" && t.subgroup.components() == [0]));
-        let depth2 = v.view_for(&address, 2);
+        let depth2 = view_for(&v, "1.2.0", 2);
         assert_eq!(depth2.len(), 3 * 2);
         assert!(depth2.iter().all(|t| t.subgroup.components()[0] == 1));
     }
@@ -267,7 +257,7 @@ mod tests {
     fn leaf_views_list_neighbours() {
         let v = views();
         let address: Address = "2.1.2".parse().unwrap();
-        let leaf = v.view_for(&address, 3);
+        let leaf = view_for(&v, "2.1.2", 3);
         assert_eq!(leaf.len(), 3);
         assert!(leaf.iter().all(|t| t.subgroup.len() == 3));
         assert!(leaf.iter().any(|t| *v.address_of(t.id) == address));
@@ -283,7 +273,8 @@ mod tests {
             let stack = v.view_stack(address);
             assert_eq!(stack.len(), v.depth());
             for (index, view) in stack.iter().enumerate() {
-                assert!(Arc::ptr_eq(view, &v.view_for(address, index + 1)));
+                let prefix = &address.components()[..index];
+                assert!(Arc::ptr_eq(view, v.view_at(prefix).unwrap()));
                 assert!(
                     view.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "depth {} view of {address} is not strictly ascending",
@@ -327,8 +318,8 @@ mod tests {
     #[test]
     fn views_are_shared_between_siblings() {
         let v = views();
-        let a = v.view_for(&"0.1.2".parse().unwrap(), 2);
-        let b = v.view_for(&"0.2.0".parse().unwrap(), 2);
+        let a = view_for(&v, "0.1.2", 2);
+        let b = view_for(&v, "0.2.0", 2);
         assert!(Arc::ptr_eq(&a, &b), "siblings share the same view allocation");
     }
 
@@ -341,12 +332,5 @@ mod tests {
             assert_eq!(v.id_of(&address), Some(id));
         }
         assert_eq!(v.id_of(&"9.9.9".parse().unwrap()), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_depth_panics() {
-        let v = views();
-        let _ = v.view_for(&"0.0.0".parse().unwrap(), 4);
     }
 }

@@ -33,7 +33,6 @@
 use std::sync::Arc;
 
 use pmcast_core::{MulticastReport, ProtocolFactory};
-use pmcast_interest::{Event, EventId};
 use pmcast_sim::runner::trial_workload;
 use pmcast_sim::scenario::Scenario;
 use smol::{LocalExecutor, Timer};
@@ -122,11 +121,9 @@ where
         .with_seed(workload.seed);
     let period = config.gossip_period;
 
-    // Injection order mirrors the simulator: schedule order within a
-    // round, rounds ascending (stable sort on the round key).
+    // Injection order mirrors the simulator's.
     let schedule = &workload.schedule;
-    let mut injection_order: Vec<usize> = (0..schedule.len()).collect();
-    injection_order.sort_by_key(|&index| schedule[index].0);
+    let injection_order = workload.injection_order();
     let mut crash_schedule = scenario.crash_schedule.clone();
     crash_schedule.sort_by_key(|&(round, _)| round);
 
@@ -187,24 +184,7 @@ where
         max_rounds
     );
 
-    // Per *distinct* event, like the simulator's reports.
-    let mut seen_ids: Vec<EventId> = Vec::with_capacity(schedule.len());
-    let mut unique_events: Vec<&Event> = Vec::with_capacity(schedule.len());
-    for (_, _, event) in schedule {
-        if !seen_ids.contains(&event.id()) {
-            seen_ids.push(event.id());
-            unique_events.push(event.as_ref());
-        }
-    }
-    let per_event = MulticastReport::collect_per_event(
-        unique_events,
-        reports.iter().map(|r| &r.state),
-        workload.oracle.as_ref(),
-    );
-    let mut report = MulticastReport::default();
-    for event_report in &per_event {
-        report.merge(event_report);
-    }
+    let (report, per_event) = workload.report(reports.iter().map(|r| &r.state));
     NetTrialOutcome {
         report,
         per_event,

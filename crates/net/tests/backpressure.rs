@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pmcast_addr::AddressSpace;
 use pmcast_core::{
-    FloodFactory, PmcastConfig, ProtocolFactory, ProtocolGroup,
+    FloodFactory, MulticastProtocol, PmcastConfig, ProtocolFactory, ProtocolGroup,
 };
 use pmcast_interest::Event;
 use pmcast_membership::{

@@ -21,8 +21,8 @@
 //!   [`pmcast_core::MulticastProtocol`] / [`pmcast_core::ProtocolFactory`];
 //!   the [`runner::Protocol`] enum is a thin factory dispatch.
 //! * [`workload`] — interest-assignment generators: i.i.d. Bernoulli
-//!   (the paper's analysis model), exact-count, subtree-clustered, and a
-//!   content-based stock-ticker workload exercising real filters.
+//!   (the paper's analysis model) and a content-based stock-ticker
+//!   workload exercising real filters.
 //! * [`sweep`] — the one way to run and report a sweep: the shared
 //!   `--quick` / `--paper` / `--json` / `--check-model` / `--out` flags
 //!   (anything else is a usage error), point evaluation into the model

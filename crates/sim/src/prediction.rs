@@ -110,10 +110,10 @@ pub fn predict(scenario: &Scenario) -> ModelPrediction {
     };
     let provider = match scenario.membership {
         MembershipSpec::Global => ProviderShape::Global,
-        MembershipSpec::Partial { view_size, .. } => ProviderShape::Partial { view_size },
+        MembershipSpec::Partial { view_size } => ProviderShape::Partial { view_size },
         // The lazy provider answers like converged delegate tables, so it
         // maps onto the same model shape.
-        MembershipSpec::Delegate { slots, .. } | MembershipSpec::DelegateLazy { slots } => {
+        MembershipSpec::Delegate { slots } | MembershipSpec::DelegateLazy { slots } => {
             ProviderShape::Delegate { slots }
         }
     };

@@ -115,8 +115,8 @@ use std::sync::Arc;
 
 use pmcast_addr::AddressSpace;
 use pmcast_core::{
-    FloodFactory, GenuineFactory, MulticastProtocol, MulticastReport, PmcastFactory,
-    ProtocolFactory,
+    DeliveryOutcome, FloodFactory, GenuineFactory, MulticastProtocol, MulticastReport,
+    PmcastFactory, ProtocolFactory,
 };
 use pmcast_interest::{Event, EventId};
 use pmcast_membership::{
@@ -443,6 +443,43 @@ impl TrialWorkload {
         }
         view
     }
+
+    /// The order publications are injected in, as indices into
+    /// [`schedule`](Self::schedule): rounds ascending, schedule order
+    /// within a round (a stable sort on the round key) — the same for both
+    /// execution engines.
+    pub fn injection_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.schedule.len()).collect();
+        order.sort_by_key(|&index| self.schedule[index].0);
+        order
+    }
+
+    /// Classifies the final protocol states against the trial's interest
+    /// oracle: the merged report and one report per *distinct* event id in
+    /// first-publication schedule order.  The same event id published from
+    /// several processes (a redundant-publisher workload) is one
+    /// dissemination, not several — counting it once keeps the merged
+    /// totals honest.
+    pub fn report<'a, P: DeliveryOutcome + 'a>(
+        &self,
+        processes: impl IntoIterator<Item = &'a P>,
+    ) -> (MulticastReport, Vec<MulticastReport>) {
+        let mut seen_ids: Vec<EventId> = Vec::with_capacity(self.schedule.len());
+        let mut unique_events: Vec<&Event> = Vec::with_capacity(self.schedule.len());
+        for (_, _, event) in &self.schedule {
+            if !seen_ids.contains(&event.id()) {
+                seen_ids.push(event.id());
+                unique_events.push(event.as_ref());
+            }
+        }
+        let per_event =
+            MulticastReport::collect_per_event(unique_events, processes, self.oracle.as_ref());
+        let mut report = MulticastReport::default();
+        for event_report in &per_event {
+            report.merge(event_report);
+        }
+        (report, per_event)
+    }
 }
 
 /// Resolves trial `t` of a scenario into a [`TrialWorkload`], consuming
@@ -627,23 +664,14 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
     // randomness at all.  Topic workloads attach their aggregated
     // interest summaries here (see [`TrialWorkload::membership`]).
     let membership = workload.membership(scenario);
-    let TrialWorkload {
-        seed,
-        topology,
-        oracle,
-        topic_oracle: _,
-        schedule,
-        population,
-        occupied_at_start: _,
-    } = workload;
+    let schedule = &workload.schedule;
     let network = NetworkConfig {
         loss_probability: scenario.loss_probability,
         crash_plan: crash_plan(scenario),
         fault_plan: scenario.fault_plan(),
-        seed,
+        seed: workload.seed,
     };
-    let mut injection_order: Vec<usize> = (0..schedule.len()).collect();
-    injection_order.sort_by_key(|&index| schedule[index].0);
+    let injection_order = workload.injection_order();
 
     // One latency tracker per distinct event id, in first-publication
     // schedule order (matching `per_event`); a redundant publisher of the
@@ -654,9 +682,9 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
         recorded: Vec<bool>,
         counts: Vec<u64>,
     }
-    let process_count = topology.member_count();
+    let process_count = workload.topology.member_count();
     let mut trackers: Vec<LatencyTracker> = Vec::with_capacity(schedule.len());
-    for (round, _, event) in &schedule {
+    for (round, _, event) in schedule {
         match trackers.iter_mut().find(|t| t.event == event.id()) {
             Some(tracker) => tracker.publish_round = tracker.publish_round.min(*round),
             None => trackers.push(LatencyTracker {
@@ -668,9 +696,14 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
         }
     }
 
-    let group = F::build(&topology, oracle.clone(), Arc::clone(&membership), &scenario.protocol);
+    let group = F::build(
+        &workload.topology,
+        workload.oracle.clone(),
+        Arc::clone(&membership),
+        &scenario.protocol,
+    );
     let lifecycle = LifecyclePlan {
-        initially_absent: population.initially_absent().to_vec(),
+        initially_absent: workload.population.initially_absent().to_vec(),
         joins: scenario.join_schedule.clone(),
         leaves: scenario.leave_schedule.clone(),
     };
@@ -752,26 +785,10 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
         scenario.max_rounds
     );
 
-    // Report per *distinct* event: the same event id published from
-    // several processes (a redundant-publisher workload) is one
-    // dissemination, not several — counting it once keeps the merged
-    // totals honest.
-    let mut seen_ids: Vec<EventId> = Vec::with_capacity(schedule.len());
-    let mut unique_events: Vec<&Event> = Vec::with_capacity(schedule.len());
-    for (_, _, event) in &schedule {
-        if !seen_ids.contains(&event.id()) {
-            seen_ids.push(event.id());
-            unique_events.push(event.as_ref());
-        }
-    }
-    let per_event =
-        MulticastReport::collect_per_event(unique_events, sim.processes(), oracle.as_ref());
-    let mut report = MulticastReport::default();
-    for event_report in &per_event {
-        report.merge(event_report);
-    }
+    let (report, per_event) = workload.report(sim.processes());
     // Trackers were created in the same first-publication schedule order
-    // as `seen_ids`, so `latency` lines up with `per_event` index-wise.
+    // as the per-event reports, so `latency` lines up with `per_event`
+    // index-wise.
     let latency: Vec<DeliveryLatency> = trackers
         .into_iter()
         .map(|tracker| DeliveryLatency {

@@ -84,10 +84,6 @@ pub enum MembershipSpec {
     Partial {
         /// Maximum peers per process view.
         view_size: usize,
-        /// Membership-gossip contacts per round.
-        gossip_fanout: usize,
-        /// View entries piggybacked per contact.
-        digest_size: usize,
     },
     /// The paper's **hierarchical** Section 2 view-table maintenance
     /// ([`DelegateView`]): per-depth delegate slots structured by the
@@ -100,10 +96,6 @@ pub enum MembershipSpec {
     Delegate {
         /// Delegate slots per subgroup per depth (keep `slots ≥ R`).
         slots: usize,
-        /// Membership-gossip contacts per round.
-        gossip_fanout: usize,
-        /// View entries piggybacked per contact.
-        digest_size: usize,
     },
     /// The **lazy** delegate provider ([`LazyDelegateView`]): the same
     /// per-depth delegate answers as [`Delegate`](Self::Delegate) in its
@@ -124,24 +116,14 @@ impl MembershipSpec {
     /// The default partial-view spec with a given view size (the knob the
     /// paper-style reliability-vs-view-size sweeps vary).
     pub fn partial(view_size: usize) -> Self {
-        let defaults = PartialViewConfig::default().with_view_size(view_size);
-        Self::Partial {
-            view_size: defaults.view_size,
-            gossip_fanout: defaults.gossip_fanout,
-            digest_size: defaults.digest_size,
-        }
+        Self::Partial { view_size }
     }
 
     /// The default delegate-view spec with a given per-subgroup slot count
     /// (the hierarchical counterpart of [`partial`](Self::partial)'s view
     /// size).
     pub fn delegate(slots: usize) -> Self {
-        let defaults = DelegateViewConfig::default().with_slots(slots);
-        Self::Delegate {
-            slots: defaults.slots,
-            gossip_fanout: defaults.gossip_fanout,
-            digest_size: defaults.digest_size,
-        }
+        Self::Delegate { slots }
     }
 
     /// The lazy delegate-view spec with a given per-subgroup slot count —
@@ -176,16 +158,10 @@ impl MembershipSpec {
         let n = (arity as usize).pow(depth as u32);
         match *self {
             MembershipSpec::Global => Arc::new(GlobalOracleView::new(n)),
-            MembershipSpec::Partial {
-                view_size,
-                gossip_fanout,
-                digest_size,
-            } => {
-                let config = PartialViewConfig {
-                    view_size,
-                    gossip_fanout,
-                    digest_size,
-                };
+            // The membership-gossip fanout and digest size are not
+            // scenario axes: the providers' defaults apply.
+            MembershipSpec::Partial { view_size } => {
+                let config = PartialViewConfig::default().with_view_size(view_size);
                 Arc::new(match occupied {
                     Some(occupied) => {
                         PartialView::bootstrap_sparse(occupied, config, membership_seed)
@@ -193,16 +169,8 @@ impl MembershipSpec {
                     None => PartialView::bootstrap(n, config, membership_seed),
                 })
             }
-            MembershipSpec::Delegate {
-                slots,
-                gossip_fanout,
-                digest_size,
-            } => {
-                let config = DelegateViewConfig {
-                    slots,
-                    gossip_fanout,
-                    digest_size,
-                };
+            MembershipSpec::Delegate { slots } => {
+                let config = DelegateViewConfig::default().with_slots(slots);
                 Arc::new(match occupied {
                     Some(occupied) => DelegateView::bootstrap_sparse(
                         arity,
@@ -851,23 +819,10 @@ impl ScenarioBuilder {
         }
         match self.scenario.membership {
             MembershipSpec::Global => {}
-            MembershipSpec::Partial {
-                view_size,
-                gossip_fanout,
-                ..
-            } => {
+            MembershipSpec::Partial { view_size } => {
                 assert!(view_size > 0, "partial-view size must be positive");
-                assert!(gossip_fanout > 0, "membership gossip fanout must be positive");
             }
-            MembershipSpec::Delegate {
-                slots,
-                gossip_fanout,
-                ..
-            } => {
-                assert!(slots > 0, "delegate slots must be positive");
-                assert!(gossip_fanout > 0, "membership gossip fanout must be positive");
-            }
-            MembershipSpec::DelegateLazy { slots } => {
+            MembershipSpec::Delegate { slots } | MembershipSpec::DelegateLazy { slots } => {
                 assert!(slots > 0, "delegate slots must be positive");
             }
         }

@@ -3,12 +3,10 @@
 //! The paper's analysis and figures use the simplest possible workload —
 //! every process is interested in a given event independently with
 //! probability `p_d` (Section 4.1) — but the motivation is content-based
-//! publish/subscribe, so this module also provides structured workloads:
-//! subtree-clustered interest (events of regional relevance) and a
-//! stock-ticker workload with real attribute filters in the style of the
-//! paper's Figure 2.
+//! publish/subscribe, so this module also provides a structured workload:
+//! a stock ticker with real attribute filters in the style of the paper's
+//! Figure 2.
 
-use pmcast_addr::{Address, Prefix};
 use pmcast_interest::{Event, Filter, Predicate};
 use pmcast_membership::{AssignmentOracle, TreeTopology};
 use rand::seq::SliceRandom;
@@ -21,35 +19,6 @@ pub fn bernoulli_assignment<T: TreeTopology, R: Rng>(
     rng: &mut R,
 ) -> AssignmentOracle {
     AssignmentOracle::sample(topology, matching_rate, rng)
-}
-
-/// Samples an assignment where interest is clustered inside a few depth-1
-/// subtrees: `subtree_count` subtrees are picked uniformly and within them
-/// every process is interested with probability `inner_rate`.  Everybody
-/// else is uninterested.  This models events of "local" relevance and
-/// exercises the local-interest shortcut of Section 3.2.
-pub fn clustered_assignment<T: TreeTopology, R: Rng>(
-    topology: &T,
-    subtree_count: usize,
-    inner_rate: f64,
-    rng: &mut R,
-) -> AssignmentOracle {
-    let mut roots = topology.populated_children(&Prefix::root());
-    roots.shuffle(rng);
-    roots.truncate(subtree_count.max(1));
-    let chosen: Vec<Prefix> = roots
-        .into_iter()
-        .map(|component| Prefix::root().child(component))
-        .collect();
-    let interested: Vec<Address> = topology
-        .members()
-        .into_iter()
-        .filter(|address| {
-            chosen.iter().any(|prefix| address.has_prefix(prefix))
-                && rng.gen_bool(inner_rate.clamp(0.0, 1.0))
-        })
-        .collect();
-    AssignmentOracle::new(interested)
 }
 
 /// The symbols of the stock-ticker workload.
@@ -92,7 +61,7 @@ mod tests {
     use super::*;
     use pmcast_addr::AddressSpace;
     use pmcast_interest::Interest;
-    use pmcast_membership::{ImplicitRegularTree, InterestOracle};
+    use pmcast_membership::ImplicitRegularTree;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -113,28 +82,6 @@ mod tests {
             "sampled {} expected ≈ {expected}",
             oracle.len()
         );
-    }
-
-    #[test]
-    fn clustered_assignment_stays_in_chosen_subtrees() {
-        let topology = topology();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let oracle = clustered_assignment(&topology, 2, 0.8, &mut rng);
-        assert!(!oracle.is_empty());
-        // All interested processes fall into at most two depth-1 subtrees.
-        let mut roots: Vec<u32> = oracle.iter().map(|a| a.components()[0]).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        assert!(roots.len() <= 2, "interest leaked into {} subtrees", roots.len());
-        // Uninterested subtrees are reported as such by the oracle.
-        let event = Event::new(1);
-        let untouched = (0..6u32)
-            .filter(|c| !roots.contains(c))
-            .map(|c| Prefix::root().child(c))
-            .collect::<Vec<_>>();
-        for prefix in untouched {
-            assert!(!oracle.subtree_interested(&prefix, &event));
-        }
     }
 
     #[test]

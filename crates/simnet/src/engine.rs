@@ -350,41 +350,17 @@ impl<P: RoundProcess> Simulation<P> {
         Self::build(processes, config, LifecyclePlan::default(), None)
     }
 
-    /// Like [`new`](Self::new), but with a crash observer: `observer` is
-    /// invoked exactly once per crashed process, at crash time — including
-    /// the crashes the initial [`CrashPlan`] fraction applies during this
-    /// very call.  The observer must not touch the simulation (it runs
-    /// while the engine holds it mutably); it is meant for notifying
-    /// co-simulated layers such as a gossip membership provider.
-    ///
-    /// This is the crash-only convenience over
-    /// [`with_lifecycle_observer`](Self::with_lifecycle_observer), which
-    /// additionally schedules joins and graceful leaves.
-    pub fn with_crash_observer(
-        processes: Vec<P>,
-        config: NetworkConfig,
-        mut observer: impl FnMut(ProcessId) + 'static,
-    ) -> Self {
-        Self::build(
-            processes,
-            config,
-            LifecyclePlan::default(),
-            Some(Box::new(move |transition: LifecycleTransition| {
-                if transition.kind == LifecycleKind::Crash {
-                    observer(transition.process);
-                }
-            })),
-        )
-    }
-
     /// Creates a simulation with a full membership lifecycle: the plan's
     /// `initially_absent` processes start off the network (silently — no
     /// transition happened yet), its joins activate them mid-run, its
     /// leaves deactivate members gracefully, and the [`CrashPlan`] injects
     /// failures as before.  `observer` is invoked exactly once per
-    /// transition — join, leave or crash — at the moment it happens, so a
-    /// co-simulated membership layer can mirror the population without
-    /// re-deriving any schedule.  Same-round transitions apply in
+    /// transition — join, leave or crash — at the moment it happens
+    /// (including the crashes the initial [`CrashPlan`] fraction applies
+    /// during this very call), so a co-simulated membership layer can
+    /// mirror the population without re-deriving any schedule.  The
+    /// observer must not touch the simulation: it runs while the engine
+    /// holds it mutably.  Same-round transitions apply in
     /// join-then-leave-then-crash order (see [`LifecycleKind`]).
     pub fn with_lifecycle_observer(
         processes: Vec<P>,
@@ -1070,9 +1046,15 @@ mod tests {
         let processes: Vec<Flood> = (0..50)
             .map(|i| Flood::new(everyone.clone(), i == 0))
             .collect();
-        let mut sim = Simulation::with_crash_observer(processes, config, move |id| {
-            sink.borrow_mut().push(id)
-        });
+        let mut sim = Simulation::with_lifecycle_observer(
+            processes,
+            config,
+            LifecyclePlan::default(),
+            move |transition| {
+                assert_eq!(transition.kind, LifecycleKind::Crash);
+                sink.borrow_mut().push(transition.process)
+            },
+        );
         // The initial fraction is observed during construction.
         assert_eq!(seen.borrow().len(), sim.crashed_count());
         sim.step();

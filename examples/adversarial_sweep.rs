@@ -41,9 +41,9 @@
 //! (`pmcast_sim::prediction`); fault-axis rows are outside the model's
 //! domain ('-') and only the baseline rows are gated by `--check-model`.
 //!
-//! `BENCH_PR6.json` snapshots the `--paper --json` output; its
-//! `partition-heal` row is the PR 6 acceptance bar (delegate-view post-heal
-//! reliability within 0.05 of the global oracle at n = 10 648).
+//! In the `--paper --json` output the `partition-heal` row is the PR 6
+//! acceptance bar (delegate-view post-heal reliability within 0.05 of the
+//! global oracle at n = 10 648).
 
 fn main() -> std::process::ExitCode {
     pmcast::sim::sweep::main(Some("adversarial_sweep"))

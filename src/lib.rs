@@ -149,7 +149,7 @@ pub use pmcast_addr::{AddrError, Address, AddressSpace, Prefix};
 pub use pmcast_analysis::{EnvParams, GroupParams};
 pub use pmcast_core::{
     FloodBroadcastProcess, FloodFactory, GenuineFactory, GenuineMulticastProcess, Gossip,
-    InterestRouting, MulticastProtocol, MulticastReport, PmcastConfig, PmcastFactory, PmcastGroup,
+    InterestRouting, MulticastProtocol, MulticastReport, PmcastConfig, PmcastFactory,
     PmcastProcess, ProtocolFactory, ProtocolGroup, TuningConfig,
 };
 pub use pmcast_sim::prediction::{predict, DriftGate, ModelPrediction};

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use pmcast::{
     AddressSpace, AssignmentOracle, Event, Filter, FloodFactory, GlobalOracleView, GroupTree,
-    ImplicitRegularTree, Interest, InterestOracle, MembershipView, MulticastReport,
+    ImplicitRegularTree, Interest, InterestOracle, MembershipView, MulticastProtocol,
+    MulticastReport,
     NetworkConfig, PmcastConfig, PmcastFactory, Predicate, ProcessId, ProtocolFactory,
     Simulation, TreeTopology, UniformOracle,
 };
@@ -170,7 +171,9 @@ fn pmcast_uses_fewer_messages_than_flooding_when_interest_is_sparse() {
     // Flooding baseline run.
     let flood = FloodFactory::build(&topology, oracle.clone(), global_view(topology.member_count()), &PmcastConfig::default());
     let mut flood_sim = Simulation::new(flood.processes, NetworkConfig::reliable(12));
-    flood_sim.process_mut(ProcessId(sender)).broadcast(event.clone());
+    flood_sim
+        .process_mut(ProcessId(sender))
+        .publish(Arc::new(event.clone()));
     flood_sim.run_until_quiescent(300);
 
     assert!(

@@ -38,15 +38,18 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use pmcast::simnet::{FanoutScratch, RoundContext, RoundProcess};
 use pmcast::{
-    Address, AddressSpace, AssignmentOracle, DelegateView, DelegateViewConfig, Event,
-    FloodFactory, GenuineFactory, GlobalOracleView, ImplicitRegularTree, InterestOracle,
+    Address, AddressSpace, AssignmentOracle, DelegateView, DelegateViewConfig, Event, EventId,
+    FloodFactory, GenuineFactory, GlobalOracleView, Gossip, ImplicitRegularTree, InterestOracle,
     InterestRouting, MembershipSpec, MembershipView, MulticastProtocol, NetworkConfig,
     PartialView, PartialViewConfig, PmcastConfig, PmcastFactory, Prefix, ProcessId, Protocol,
     ProtocolFactory, Publisher, Scenario, Simulation, TopicOracle, TopicWorkload, TreeTopology,
     TOPIC_ATTRIBUTE,
 };
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 const GROUP: usize = 16;
 
@@ -235,31 +238,80 @@ fn genuine_multicast_satisfies_the_multicast_contract() {
 }
 
 #[test]
-fn registration_hook_is_idempotent_and_sufficient() {
-    // Pre-registering on one process, then publishing from another, works
-    // for every protocol (it is how the genuine directory is shared).
-    fn check<F: ProtocolFactory>(name: &str, provider: Provider) {
-        let topology = topology();
-        let oracle = half_interested_oracle();
-        let group = F::build(
-            &topology,
-            oracle.clone(),
+fn retirement_at_one_process_is_invisible_to_every_other() {
+    // `retire_below(floor)` on process A has no observable effect on any
+    // process B: a first receipt at B of an event below the floor is
+    // delivered iff B is interested and forwarded exactly as without the
+    // retirement (invariant 10: retirement may suppress duplicates, never
+    // dissemination).  The processes are driven by hand so that A can go
+    // quiescent — and retire — before anybody else has seen the event.
+    type Sends = Vec<(ProcessId, Gossip, usize)>;
+
+    /// Runs one callback of process `id` outside a simulation and returns
+    /// what it sent.
+    fn drive(id: usize, seed: u64, call: impl FnOnce(&mut RoundContext<'_, Gossip>)) -> Sends {
+        let mut outbox = Vec::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut scratch = FanoutScratch::default();
+        call(&mut RoundContext::external(ProcessId(id), 0, &mut outbox, &mut rng, &mut scratch));
+        outbox
+    }
+
+    /// What the receivers of A's gossip deliver and send in their own first
+    /// round, with A having retired the event in between or not.
+    fn first_receipts<F: ProtocolFactory>(provider: Provider, retire: bool) -> Vec<(usize, bool, Sends)> {
+        let mut processes = F::build(
+            &topology(),
+            half_interested_oracle(),
             provider.view(GROUP),
             &PmcastConfig::default(),
-        );
-        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(5));
+        )
+        .processes;
         let event = Event::builder(41).int("b", 3).build();
-        sim.process_mut(ProcessId(3)).register_event(&event);
-        sim.process_mut(ProcessId(3)).register_event(&event);
-        sim.process_mut(ProcessId(0)).publish(Arc::new(event.clone()));
-        sim.run_until_quiescent(300);
-        for process in sim.processes() {
+        processes[0].publish(Arc::new(event.clone()));
+        // A runs out its budgets alone; everything it sends stays in
+        // flight until it has gone quiescent (and retired).
+        let mut in_flight = Sends::new();
+        while !processes[0].is_quiescent() {
+            let seed = 5 + in_flight.len() as u64;
+            in_flight.extend(drive(0, seed, |ctx| processes[0].on_round(ctx)));
+        }
+        if retire {
+            let before = processes[0].dedup_len();
+            processes[0].retire_below(EventId(event.id().0 + 1));
+            assert!(processes[0].dedup_len() < before, "the retirement must be real");
+        }
+        let mut receivers = Vec::new();
+        for (ProcessId(b), gossip, _) in in_flight {
+            drive(b, 7, |ctx| processes[b].on_message(ProcessId(0), gossip, ctx));
+            if !receivers.contains(&b) {
+                receivers.push(b);
+            }
+        }
+        assert!(!receivers.is_empty(), "A's gossip reaches somebody");
+        receivers
+            .into_iter()
+            .map(|b| {
+                let delivered = processes[b].has_delivered(event.id());
+                (b, delivered, drive(b, 8, |ctx| processes[b].on_round(ctx)))
+            })
+            .collect()
+    }
+
+    fn check<F: ProtocolFactory>(name: &str, provider: Provider) {
+        let oracle = half_interested_oracle();
+        let event = Event::builder(41).int("b", 3).build();
+        let undisturbed = first_receipts::<F>(provider, false);
+        let retired = first_receipts::<F>(provider, true);
+        assert_eq!(undisturbed, retired, "{name}/{provider:?}");
+        for (b, delivered, sends) in &retired {
+            let address = &topology().members()[*b];
             assert_eq!(
-                process.has_delivered(event.id()),
-                oracle.is_interested(process.address(), &event),
-                "{name}/{provider:?}: {}",
-                process.address()
+                *delivered,
+                oracle.is_interested(address, &event),
+                "{name}/{provider:?}: {address}"
             );
+            assert!(!sends.is_empty(), "{name}/{provider:?}: {address} must forward");
         }
     }
     for provider in PROVIDERS {
