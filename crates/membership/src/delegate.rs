@@ -71,9 +71,8 @@
 //! members of its subgroup, nothing gossip can bring displaces them.
 //! The provider therefore keeps, per process, a **certificate** that its
 //! whole table equals that converged answer — the first `capacity` live
-//! members of each subgroup other than the process itself, i.e. exactly
-//! what [`LazyDelegateView`](crate::LazyDelegateView) computes instead of
-//! storing.  Filing a live candidate into a certified (*settled*) table is
+//! members of each subgroup other than the process itself (the *seat
+//! rule*).  Filing a live candidate into a certified (*settled*) table is
 //! provably a no-op (a seated candidate is found; any other is larger than
 //! a full group's last entry), so a round skips it.
 //!
@@ -93,9 +92,30 @@
 //!   position after the round — and with it every later churn outcome — is
 //!   bit-identical to drawing them.
 //!
-//! `crates/membership/tests/prop_membership.rs` steps the provider beside
-//! the full round loop it replaced and asserts tables, flat views,
-//! contacts and stream position equal after every step.
+//! ## Rows are built on first need
+//!
+//! Until somebody joins, leaves or crashes, every table *is* the seat rule
+//! over the bootstrap occupancy, which is immutable — so nothing is stored
+//! but the liveness flags and a prefix count of them, and the seat test
+//! behind [`knows_at_depth`](MembershipView::knows_at_depth) /
+//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) is `O(1)`:
+//! `peer` is seated iff it is alive and fewer than `capacity` alive members
+//! of its subgroup other than the asking process precede it.  A static
+//! trial therefore costs `O(n)` bytes, not `O(n·a·d·slots)`, and its rounds
+//! are the all-settled seek.  The first call that needs a stored row — a
+//! lifecycle observation that actually flips somebody, or the flat
+//! enumeration ([`peer_count`](MembershipView::peer_count) /
+//! [`peer_at`](MembershipView::peer_at) / [`knows`](MembershipView::knows),
+//! the contact and delegate inspection hooks) — builds **all** tables from
+//! the still-unflipped flags (the first unsettled round indexes every live
+//! sender's flat view, so there is nothing to gain from building fewer),
+//! and from then on the provider is the stored state machine described
+//! above.  [`DelegateView::has_tables`] tells the two apart.
+//!
+//! `crates/membership/tests/prop_membership.rs` steps a table-backed and a
+//! table-less instance beside the full round loop the certificate replaced
+//! and asserts tables, flat views, contacts and stream position equal
+//! after every step.
 //!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
@@ -104,11 +124,12 @@
 //! plus the pinned contact, while
 //! [`knows_at_depth`](MembershipView::knows_at_depth) — the question the
 //! pmcast fanout draw asks — resolves in `O(slots)` straight from the slot
-//! group of the queried depth, and
+//! group of the queried depth (`O(1)` from the seat rule while no row is
+//! stored), and
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
 //! for a whole view under one lock.
 
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use pmcast_addr::Prefix;
 use pmcast_interest::Event;
@@ -180,20 +201,18 @@ impl DelegateViewConfig {
 /// Dense identifiers enumerate addresses in lexicographic order, so index
 /// `i`'s address components are simply its base-`arity` digits, most
 /// significant first — every tree coordinate a view table needs is computed,
-/// never stored.  Shared with the lazy provider (`crate::lazy`), which
-/// computes seat answers from exactly this arithmetic instead of storing
-/// tables.
+/// never stored.
 #[derive(Debug, Clone)]
-pub(crate) struct TreeShape {
-    pub(crate) arity: usize,
-    pub(crate) depth: usize,
+struct TreeShape {
+    arity: usize,
+    depth: usize,
     /// `pows[k] = arity^k`, `k ∈ 0..=depth`.
     pows: Vec<usize>,
-    pub(crate) slots: usize,
+    slots: usize,
 }
 
 impl TreeShape {
-    pub(crate) fn new(arity: usize, depth: usize, slots: usize) -> Self {
+    fn new(arity: usize, depth: usize, slots: usize) -> Self {
         let mut pows = Vec::with_capacity(depth + 1);
         let mut p = 1usize;
         for _ in 0..=depth {
@@ -208,18 +227,18 @@ impl TreeShape {
         }
     }
 
-    pub(crate) fn member_count(&self) -> usize {
+    fn member_count(&self) -> usize {
         self.pows[self.depth]
     }
 
     /// The `k`-th address component (0-based, most significant first) of
     /// dense index `i`.
-    pub(crate) fn digit(&self, i: usize, k: usize) -> usize {
+    fn digit(&self, i: usize, k: usize) -> usize {
         (i / self.pows[self.depth - 1 - k]) % self.arity
     }
 
     /// Number of leading address components `p` and `q` share.
-    pub(crate) fn common_prefix(&self, p: usize, q: usize) -> usize {
+    fn common_prefix(&self, p: usize, q: usize) -> usize {
         (0..self.depth)
             .take_while(|&k| self.digit(p, k) == self.digit(q, k))
             .count()
@@ -245,18 +264,18 @@ impl TreeShape {
 
     /// First dense index of the depth-`l` sibling subgroup `g` of process
     /// `q` (the subgroup `q.prefix(l−1) · g`).
-    pub(crate) fn subgroup_base(&self, q: usize, l: usize, g: usize) -> usize {
+    fn subgroup_base(&self, q: usize, l: usize, g: usize) -> usize {
         self.view_block(q, l).0 + g * self.pows[self.depth - l]
     }
 
     /// Number of processes in any depth-`l` subgroup.
-    pub(crate) fn subgroup_size(&self, l: usize) -> usize {
+    fn subgroup_size(&self, l: usize) -> usize {
         self.pows[self.depth - l]
     }
 
     /// Capacity of one depth-`l` slot group (inner groups hold `slots`
     /// delegates, the leaf level one sibling per component).
-    pub(crate) fn group_capacity(&self, l: usize) -> usize {
+    fn group_capacity(&self, l: usize) -> usize {
         if l == self.depth {
             1
         } else {
@@ -267,7 +286,7 @@ impl TreeShape {
     /// First dense index and size of the block of processes sharing `q`'s
     /// depth-`(l−1)` prefix: the processes whose depth-`l` view covers the
     /// same `arity` sibling subgroups as `q`'s.
-    pub(crate) fn view_block(&self, q: usize, l: usize) -> (usize, usize) {
+    fn view_block(&self, q: usize, l: usize) -> (usize, usize) {
         let span = self.pows[self.depth - l + 1];
         ((q / span) * span, span)
     }
@@ -275,9 +294,8 @@ impl TreeShape {
 
 /// What the provider knows about one process's table relative to the
 /// converged answer: the first `capacity` live members of each slot group's
-/// subgroup other than the process itself, which is what
-/// [`LazyDelegateView`](crate::LazyDelegateView) computes instead of
-/// storing (the module docs' *fixed-point certificate*).
+/// subgroup other than the process itself (the module docs' *fixed-point
+/// certificate*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Certificate {
     /// The table equals the converged answer, so admitting any live peer
@@ -297,10 +315,18 @@ enum Certificate {
 
 /// Mutable provider state behind one lock: the per-process slot tables, the
 /// flat (deduplicated) peer enumerations, pinned contacts, liveness, the
-/// fixed-point certificates and the provider-private PRNG stream.
+/// fixed-point certificates and the provider-private PRNG stream.  The
+/// three per-process rows (`tables`, `flat`, `contact`) are empty until
+/// [`build_rows`](Self::build_rows) (the module docs' *rows are built on
+/// first need*); `below` stands in for them until then.
 #[derive(Debug)]
 struct DelegateState {
     shape: TreeShape,
+    /// While no row is stored: `below[i]` is the number of alive members
+    /// with an index below `i` (`n + 1` entries).  Nobody has flipped yet,
+    /// so it never needs updating; [`build_rows`](Self::build_rows) drops
+    /// it.
+    below: Vec<u32>,
     /// `tables[q]` is the fixed-layout slot table of `q` (see
     /// [`TreeShape::group_range`]); inner groups are sorted ascending with
     /// [`EMPTY`] sentinels at the end.
@@ -328,6 +354,81 @@ struct DelegateState {
 }
 
 impl DelegateState {
+    /// Whether the per-process rows are stored (see
+    /// [`build_rows`](Self::build_rows)).
+    fn has_rows(&self) -> bool {
+        !self.tables.is_empty()
+    }
+
+    /// The seat rule while no row is stored: whether live `of` seats `peer`
+    /// in its depth-`l` slot group for the subgroup starting at `base` —
+    /// `peer` is alive and fewer than the group's capacity of alive
+    /// subgroup members other than `of` precede it.
+    fn seats(&self, of: usize, l: usize, base: usize, peer: usize) -> bool {
+        let preceding = (self.below[peer] - self.below[base]) as usize;
+        self.alive[peer]
+            && preceding - usize::from(base <= of && of < peer) < self.shape.group_capacity(l)
+    }
+
+    /// Stores every process's rows, once: the join handoff over the
+    /// still-unflipped liveness flags, so each slot group starts out
+    /// holding exactly what [`seats`](Self::seats) answered for it.
+    /// Consumes no randomness.
+    fn build_rows(&mut self) {
+        if self.has_rows() {
+            return;
+        }
+        let (shape, occupied) = (&self.shape, &self.alive);
+        let n = occupied.len();
+        let next_occupied = |q: usize| crate::population::next_occupied_after(occupied, q);
+        let mut tables = Vec::with_capacity(n);
+        let mut flat = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        for q in 0..n {
+            let mut table = vec![EMPTY; shape.table_len()];
+            let mut known: Vec<u32> = Vec::new();
+            if occupied[q] {
+                for l in 1..=shape.depth {
+                    for g in 0..shape.arity {
+                        let base = shape.subgroup_base(q, l, g);
+                        let size = shape.subgroup_size(l);
+                        let range = shape.group_range(l, g);
+                        let mut slot = range.start;
+                        for (member, discovered) in
+                            seen.iter_mut().enumerate().skip(base).take(size)
+                        {
+                            if member == q || !occupied[member] {
+                                continue;
+                            }
+                            if slot == range.end {
+                                break;
+                            }
+                            table[slot] = member as u32;
+                            slot += 1;
+                            if !*discovered {
+                                *discovered = true;
+                                known.push(member as u32);
+                            }
+                        }
+                    }
+                }
+                let contact = next_occupied(q);
+                if self.live > 1 && !seen[contact as usize] {
+                    known.push(contact);
+                }
+                for &member in &known {
+                    seen[member as usize] = false;
+                }
+            }
+            tables.push(table);
+            flat.push(known);
+        }
+        self.contact = (0..n).map(next_occupied).collect();
+        self.tables = tables;
+        self.flat = flat;
+        self.below = Vec::new();
+    }
+
     /// Withdraws `q`'s certificate until the next
     /// [`certify`](Self::certify): its table just changed (`Stale`) or its
     /// liveness did (`Flipped`).
@@ -634,7 +735,9 @@ impl DelegateView {
     /// With every address occupied this is exactly
     /// [`bootstrap`](Self::bootstrap) — same tables, same untouched RNG
     /// stream — so static scenarios are unaffected.  Sparse bootstrap
-    /// itself consumes **no** randomness.
+    /// itself consumes **no** randomness — and stores no table: the rows
+    /// described here are built on first need (see the [module docs](self)),
+    /// the seat rule answering for them until then.
     ///
     /// # Panics
     ///
@@ -654,57 +757,21 @@ impl DelegateView {
         let shape = TreeShape::new(arity as usize, depth, config.slots);
         let n = shape.member_count();
         assert_eq!(occupied.len(), n, "occupancy flags must cover all {n} addresses");
-        let live = occupied.iter().filter(|&&o| o).count();
-        let next_occupied = |q: usize| crate::population::next_occupied_after(occupied, q);
-        let mut tables = Vec::with_capacity(n);
-        let mut flat = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for q in 0..n {
-            let mut table = vec![EMPTY; shape.table_len()];
-            let mut known: Vec<u32> = Vec::new();
-            if occupied[q] {
-                for l in 1..=depth {
-                    for g in 0..shape.arity {
-                        let base = shape.subgroup_base(q, l, g);
-                        let size = shape.subgroup_size(l);
-                        let range = shape.group_range(l, g);
-                        let mut slot = range.start;
-                        for (member, discovered) in
-                            seen.iter_mut().enumerate().skip(base).take(size)
-                        {
-                            if member == q || !occupied[member] {
-                                continue;
-                            }
-                            if slot == range.end {
-                                break;
-                            }
-                            table[slot] = member as u32;
-                            slot += 1;
-                            if !*discovered {
-                                *discovered = true;
-                                known.push(member as u32);
-                            }
-                        }
-                    }
-                }
-                let contact = next_occupied(q);
-                if live > 1 && !seen[contact as usize] {
-                    known.push(contact);
-                }
-                for &member in &known {
-                    seen[member as usize] = false;
-                }
-            }
-            tables.push(table);
-            flat.push(known);
+        let mut below = Vec::with_capacity(n + 1);
+        let mut live = 0;
+        for &member in occupied {
+            below.push(live as u32);
+            live += usize::from(member);
         }
+        below.push(live as u32);
         Self {
             config,
             state: RwLock::new(DelegateState {
                 shape,
-                tables,
-                flat,
-                contact: (0..n).map(next_occupied).collect(),
+                below,
+                tables: Vec::new(),
+                flat: Vec::new(),
+                contact: Vec::new(),
                 alive: occupied.to_vec(),
                 live,
                 pending_dead: Vec::new(),
@@ -719,6 +786,29 @@ impl DelegateView {
             }),
             interest: RwLock::new(None),
         }
+    }
+
+    // Kept only because `pmbench/src/kernels.rs` calls
+    // `LazyDelegateView::new`; goes with ROADMAP item 1(b).
+    #[doc(hidden)]
+    pub fn new(arity: u32, depth: usize, slots: usize, occupied: Option<&[bool]>) -> Self {
+        let config = DelegateViewConfig::default().with_slots(slots);
+        match occupied {
+            Some(occupied) => Self::bootstrap_sparse(arity, depth, config, 0, occupied),
+            None => Self::bootstrap(arity, depth, config, 0),
+        }
+    }
+
+    /// Read access for the calls that need the stored rows, which the first
+    /// of them builds.
+    fn rows(&self) -> RwLockReadGuard<'_, DelegateState> {
+        let state = self.state.read().expect("delegate view lock poisoned");
+        if state.has_rows() {
+            return state;
+        }
+        drop(state);
+        self.state.write().expect("delegate view lock poisoned").build_rows();
+        self.state.read().expect("delegate view lock poisoned")
     }
 
     /// The provider's configuration.
@@ -736,7 +826,7 @@ impl DelegateView {
     /// diagnostics (the re-election invariant is asserted over exactly this
     /// set).
     pub fn live_delegates_of(&self, of: usize, depth: usize, g: usize) -> Vec<usize> {
-        let state = self.state.read().expect("delegate view lock poisoned");
+        let state = self.rows();
         state.tables[of][state.shape.group_range(depth, g)]
             .iter()
             .filter(|&&e| e != EMPTY && state.alive[e as usize])
@@ -747,15 +837,14 @@ impl DelegateView {
     /// The pinned ring contact of `process` — an inspection hook like
     /// [`live_delegates_of`](Self::live_delegates_of).
     pub fn contact_of(&self, process: usize) -> usize {
-        self.state.read().expect("delegate view lock poisoned").contact[process] as usize
+        self.rows().contact[process] as usize
     }
 
     /// Returns `true` if `process` is live and holds the fixed-point
-    /// certificate: its table equals the converged answer (what
-    /// [`LazyDelegateView`](crate::LazyDelegateView) computes for it), so a
-    /// membership round skips it.  An inspection hook; like the round, it
-    /// first brings the certificates up to date with the lifecycle
-    /// observations made since.
+    /// certificate: its table equals the converged answer (the seat rule
+    /// over the current liveness), so a membership round skips it.  An
+    /// inspection hook; like the round, it first brings the certificates up
+    /// to date with the lifecycle observations made since.
     pub fn is_settled(&self, process: usize) -> bool {
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
         state.certify();
@@ -770,6 +859,15 @@ impl DelegateView {
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
         state.certify();
         state.live - state.settled
+    }
+
+    /// Returns `true` once the per-process rows are stored — after the
+    /// first lifecycle observation that flipped somebody or the first flat
+    /// enumeration (the module docs' *rows are built on first need*).  An
+    /// inspection hook like [`is_settled`](Self::is_settled); it builds
+    /// nothing.
+    pub fn has_tables(&self) -> bool {
+        self.state.read().expect("delegate view lock poisoned").has_rows()
     }
 
     /// Position of the provider's membership stream in 32-bit words since
@@ -789,16 +887,15 @@ impl MembershipView for DelegateView {
     }
 
     fn peer_count(&self, of: usize) -> usize {
-        self.state.read().expect("delegate view lock poisoned").flat[of].len()
+        self.rows().flat[of].len()
     }
 
     fn peer_at(&self, of: usize, k: usize) -> usize {
-        self.state.read().expect("delegate view lock poisoned").flat[of][k] as usize
+        self.rows().flat[of][k] as usize
     }
 
     fn knows(&self, of: usize, peer: usize) -> bool {
-        self.state.read().expect("delegate view lock poisoned").flat[of]
-            .contains(&(peer as u32))
+        self.rows().flat[of].contains(&(peer as u32))
     }
 
     fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
@@ -813,11 +910,18 @@ impl MembershipView for DelegateView {
             return false; // not under the shared prefix of this view depth
         }
         let g = state.shape.digit(peer, depth - 1);
-        state.tables[of][state.shape.group_range(depth, g)].contains(&(peer as u32))
+        match state.tables.get(of) {
+            Some(table) => table[state.shape.group_range(depth, g)].contains(&(peer as u32)),
+            None => {
+                state.alive[of]
+                    && state.seats(of, depth, state.shape.subgroup_base(of, depth, g), peer)
+            }
+        }
     }
 
     /// The whole depth under one lock, one division per peer: the peer's
-    /// sibling component picks the slot group, the group is scanned.
+    /// sibling component picks the slot group, the group is scanned — or,
+    /// while no row is stored, the seat rule answers from the prefix count.
     fn fill_known_at_depth(
         &self,
         of: usize,
@@ -830,7 +934,10 @@ impl MembershipView for DelegateView {
         if depth > shape.depth || depth == 0 {
             return;
         }
-        let table = &state.tables[of];
+        let table = state.tables.get(of);
+        if table.is_none() && !state.alive[of] {
+            return; // an absent process seats nobody
+        }
         let size = shape.subgroup_size(depth);
         let (block, span) = shape.view_block(of, depth);
         for (position, peer) in peers.enumerate() {
@@ -838,7 +945,11 @@ impl MembershipView for DelegateView {
                 continue; // itself, or not under the shared prefix of this view depth
             }
             let g = (peer - block) / size;
-            if table[shape.group_range(depth, g)].contains(&(peer as u32)) {
+            let known = match table {
+                Some(table) => table[shape.group_range(depth, g)].contains(&(peer as u32)),
+                None => state.seats(of, depth, block + g * size, peer),
+            };
+            if known {
                 out.push(position);
             }
         }
@@ -963,6 +1074,7 @@ impl MembershipView for DelegateView {
         if state.alive[process] {
             return;
         }
+        state.build_rows();
         state.alive[process] = true;
         state.live += 1;
         state.uncertify(process, Certificate::Flipped);
@@ -996,6 +1108,7 @@ impl MembershipView for DelegateView {
         if !state.alive[process] {
             return;
         }
+        state.build_rows();
         state.alive[process] = false;
         state.live -= 1;
         state.uncertify(process, Certificate::Flipped);
@@ -1022,6 +1135,7 @@ impl MembershipView for DelegateView {
         if !state.alive[process] {
             return;
         }
+        state.build_rows();
         state.alive[process] = false;
         state.live -= 1;
         state.uncertify(process, Certificate::Flipped);
@@ -1392,6 +1506,73 @@ mod tests {
         for p in 0..27 {
             assert_eq!(full.peer_count(p), sparse.peer_count(p));
         }
+    }
+
+    /// Every `(of, depth, peer)` answer of the single and the batched probe.
+    fn seat_answers(view: &DelegateView, n: usize, depth: usize) -> Vec<bool> {
+        let mut answers = Vec::new();
+        for of in 0..n {
+            for l in 0..=depth + 1 {
+                let mut batched = Vec::new();
+                view.fill_known_at_depth(of, l, &mut (0..n), &mut batched);
+                for peer in 0..n {
+                    let knows = view.knows_at_depth(of, l, peer);
+                    assert_eq!(knows, batched.contains(&peer), "probes of ({of}, {l}, {peer})");
+                    answers.push(knows);
+                }
+            }
+        }
+        answers
+    }
+
+    fn assert_seat_rule_matches_the_built_tables(
+        arity: u32,
+        depth: usize,
+        slots: usize,
+        occupied: &[bool],
+    ) {
+        let config = DelegateViewConfig::default().with_slots(slots);
+        let view = DelegateView::bootstrap_sparse(arity, depth, config, 42, occupied);
+        let table_less = seat_answers(&view, occupied.len(), depth);
+        assert!(!view.has_tables(), "per-depth probes store nothing");
+        view.peer_count(0);
+        assert!(view.has_tables(), "the flat enumeration needs the rows");
+        assert_eq!(table_less, seat_answers(&view, occupied.len(), depth));
+    }
+
+    #[test]
+    fn seat_rule_matches_the_built_tables_on_a_full_tree() {
+        assert_seat_rule_matches_the_built_tables(3, 3, 2, &[true; 27]);
+    }
+
+    #[test]
+    fn seat_rule_matches_the_built_tables_on_sparse_occupancy() {
+        // Every third address occupied, plus a hole-free run at the end.
+        let occupied: Vec<bool> = (0..16).map(|i| i % 3 == 0 || i >= 12).collect();
+        assert_seat_rule_matches_the_built_tables(2, 4, 2, &occupied);
+        // A lone process and an empty tree are degenerate but must not panic.
+        let mut lone = vec![false; 8];
+        lone[5] = true;
+        assert_seat_rule_matches_the_built_tables(2, 3, 1, &lone);
+        assert_seat_rule_matches_the_built_tables(2, 3, 1, &[false; 8]);
+    }
+
+    #[test]
+    fn bootstrap_cost_is_independent_of_slot_tables() {
+        // A tree whose tables would take 1.3 GB: a static group only keeps
+        // the liveness flags and their prefix count.
+        let view = DelegateView::bootstrap(32, 4, DelegateViewConfig::default(), 3);
+        let n = 32usize.pow(4);
+        assert_eq!(view.estimated_size(), n);
+        // Spot-check the seat rule at scale: the three smallest members of
+        // the first depth-1 subtree are global delegates for everyone
+        // outside it.
+        assert!(view.knows_at_depth(n - 1, 1, 0));
+        assert!(view.knows_at_depth(n - 1, 1, 1));
+        assert!(view.knows_at_depth(n - 1, 1, 2));
+        assert!(!view.knows_at_depth(n - 1, 1, 3));
+        view.round_elapsed();
+        assert!(!view.has_tables());
     }
 
     #[test]

@@ -70,7 +70,6 @@
 
 pub mod delegate;
 mod error;
-mod lazy;
 mod oracle;
 pub mod population;
 pub mod provider;
@@ -81,7 +80,6 @@ mod tree;
 
 pub use delegate::{DelegateView, DelegateViewConfig};
 pub use error::MembershipError;
-pub use lazy::LazyDelegateView;
 pub use oracle::{AssignmentOracle, InterestOracle, SubscriptionOracle, UniformOracle};
 pub use summaries::SubtreeSummaries;
 pub use topic::{TopicOracle, TOPIC_ATTRIBUTE};
@@ -89,6 +87,11 @@ pub use population::{LifecycleEvent, LifecycleEventKind, Population, PopulationS
 pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewConfig};
 pub use topology::{ImplicitRegularTree, TreeTopology};
 pub use tree::GroupTree;
+
+// Kept only because `pmbench/src/kernels.rs` names it; goes with ROADMAP
+// item 1(b).
+#[doc(hidden)]
+pub type LazyDelegateView = DelegateView;
 
 /// Default redundancy factor `R` suggested by the paper (`R > 1`, the
 /// evaluation uses `R = 3` or `R = 4`).

@@ -11,17 +11,18 @@
 //! * [`DelegateView`] under any interleaving of lifecycle observations and
 //!   rounds is, step for step, the state machine in [`reference`] — tables,
 //!   flat views, contacts and stream position — although its rounds skip
-//!   settled tables; its certificate only ever covers tables equal to the
-//!   arithmetic of [`LazyDelegateView`], and comes back for everybody once
-//!   the churn stops.
+//!   settled tables and it stores no table until somebody flips or a flat
+//!   view is asked for; its certificate only ever covers tables equal to
+//!   the seat rule (the first `capacity` live members of each subgroup),
+//!   and comes back for everybody once the churn stops.
 
 mod reference;
 
 use pmcast_addr::{Address, AddressSpace, Prefix};
 use pmcast_interest::{Filter, Predicate};
 use pmcast_membership::{
-    DelegateView, DelegateViewConfig, GroupTree, ImplicitRegularTree, LazyDelegateView,
-    MembershipView, TreeTopology,
+    DelegateView, DelegateViewConfig, GroupTree, ImplicitRegularTree, MembershipView,
+    TreeTopology,
 };
 use proptest::prelude::*;
 use reference::ReferenceDelegateView;
@@ -85,7 +86,8 @@ fn arb_history() -> impl Strategy<Value = History> {
             };
             // Half of the steps are rounds, the rest lifecycle observations
             // of any process — including ones that are no-ops (joining the
-            // living, crashing the dead).
+            // living, crashing the dead).  Up to five leading rounds run
+            // before anybody can have flipped: the table-less seek.
             let step = (0u8..6, 0..n).prop_map(|(kind, process)| match kind {
                 0 => Step::Join(process),
                 1 => Step::Leave(process),
@@ -94,28 +96,35 @@ fn arb_history() -> impl Strategy<Value = History> {
             });
             (
                 prop::collection::vec(0u8..4, n),
+                0usize..6,
                 prop::collection::vec(step, 0..60),
             )
-                .prop_map(move |(occupancy, steps)| History {
+                .prop_map(move |(occupancy, quiet_rounds, steps)| History {
                     arity,
                     depth,
                     config,
                     seed,
                     occupied: occupancy.iter().map(|&o| !sparse || o == 0).collect(),
-                    steps,
+                    steps: std::iter::repeat_n(Step::Round, quiet_rounds).chain(steps).collect(),
                 })
         },
     )
 }
 
-/// The provider, the reference state machine and the arithmetic answer,
-/// stepped together.
+/// The provider twice and the reference state machine, stepped together:
+/// `view` is asked everything (so its flat enumeration stores its tables at
+/// the first check), `probed` only the per-depth and certificate questions
+/// (so it stores none until somebody flips).
 struct Lockstep {
     n: usize,
+    arity: usize,
     depth: usize,
+    slots: usize,
     view: DelegateView,
+    probed: DelegateView,
     reference: ReferenceDelegateView,
-    lazy: LazyDelegateView,
+    /// Whether a lifecycle observation has changed anybody's liveness yet.
+    flipped: bool,
 }
 
 impl Lockstep {
@@ -130,8 +139,11 @@ impl Lockstep {
         } = *history;
         Self {
             n: occupied.len(),
+            arity: arity as usize,
             depth,
+            slots: config.slots,
             view: DelegateView::bootstrap_sparse(arity, depth, config, seed, occupied),
+            probed: DelegateView::bootstrap_sparse(arity, depth, config, seed, occupied),
             reference: ReferenceDelegateView::bootstrap_sparse(
                 arity,
                 depth,
@@ -141,47 +153,112 @@ impl Lockstep {
                 seed,
                 occupied,
             ),
-            lazy: LazyDelegateView::new(arity, depth, config.slots, Some(occupied)),
+            flipped: false,
         }
     }
 
     fn apply(&mut self, step: Step) {
         match step {
             Step::Join(process) => {
+                self.flipped |= !self.reference.is_live(process);
                 self.view.observe_join(process);
+                self.probed.observe_join(process);
                 self.reference.observe_join(process);
-                self.lazy.observe_join(process);
             }
             Step::Leave(process) => {
+                self.flipped |= self.reference.is_live(process);
                 self.view.observe_leave(process);
+                self.probed.observe_leave(process);
                 self.reference.observe_leave(process);
-                self.lazy.observe_leave(process);
             }
             Step::Crash(process) => {
+                self.flipped |= self.reference.is_live(process);
                 self.view.observe_crash(process);
+                self.probed.observe_crash(process);
                 self.reference.observe_crash(process);
-                self.lazy.observe_crash(process);
             }
             Step::Round => {
                 self.view.round_elapsed();
+                self.probed.round_elapsed();
                 self.reference.round_elapsed();
             }
         }
     }
 
-    /// Everything observable agrees with the reference, and the certificate
-    /// is sound.
+    /// The converged answer for `of`'s depth-`depth` view, by brute force:
+    /// the first `capacity` live members of each sibling subgroup other
+    /// than `of`.
+    fn converged(&self, of: usize, depth: usize) -> Vec<usize> {
+        if depth == 0 || depth > self.depth {
+            return Vec::new();
+        }
+        let size = self.arity.pow((self.depth - depth) as u32);
+        let block = of / (size * self.arity) * (size * self.arity);
+        let capacity = if depth == self.depth { 1 } else { self.slots };
+        (0..self.arity)
+            .flat_map(|g| {
+                let base = block + g * size;
+                (base..base + size)
+                    .filter(|&member| member != of && self.reference.is_live(member))
+                    .take(capacity)
+            })
+            .collect()
+    }
+
+    /// Everything observable agrees with the reference — for both
+    /// instances, whichever representation they are in — and the
+    /// certificate is sound.
     fn check(&self, after: &str) {
         prop_assert_eq!(
-            self.view.stream_word_pos(),
-            self.reference.stream_word_pos(),
-            "stream position after {}", after
+            self.probed.has_tables(),
+            self.flipped,
+            "tables appear exactly with the first flip; after {}", after
         );
-        prop_assert_eq!(self.view.estimated_size(), self.reference.estimated_size());
+        for view in [&self.view, &self.probed] {
+            prop_assert_eq!(
+                view.stream_word_pos(),
+                self.reference.stream_word_pos(),
+                "stream position after {}", after
+            );
+            prop_assert_eq!(view.estimated_size(), self.reference.estimated_size());
+        }
         let everybody: Vec<usize> = (0..self.n).collect();
         let mut unsettled = 0;
         for of in 0..self.n {
             prop_assert_eq!(self.view.is_live(of), self.reference.is_live(of));
+            prop_assert_eq!(self.probed.is_live(of), self.reference.is_live(of));
+            let settled = self.view.is_settled(of);
+            prop_assert_eq!(self.probed.is_settled(of), settled, "certificate of {} after {}", of, after);
+            prop_assert!(!settled || self.view.is_live(of), "{} is settled but dead", of);
+            unsettled += usize::from(self.view.is_live(of) && !settled);
+            for depth in 0..=self.depth + 1 {
+                let seated: Vec<usize> = (0..self.n)
+                    .filter(|&peer| self.reference.knows_at_depth(of, depth, peer))
+                    .collect();
+                for view in [&self.view, &self.probed] {
+                    let mut batched = Vec::new();
+                    view.fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
+                    prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
+                    for peer in 0..self.n {
+                        prop_assert_eq!(
+                            view.knows_at_depth(of, depth, peer),
+                            self.reference.knows_at_depth(of, depth, peer),
+                            "table of {} at depth {} about {} after {}", of, depth, peer, after
+                        );
+                    }
+                }
+                if settled {
+                    prop_assert_eq!(
+                        &seated, &self.converged(of, depth),
+                        "{} is settled after {} but its depth-{} groups are not the converged ones",
+                        of, after, depth
+                    );
+                }
+            }
+        }
+        // The flat enumeration comes last: at bootstrap it is what stores
+        // `view`'s tables, so the probes above ran table-less on both.
+        for of in 0..self.n {
             let peers: Vec<usize> =
                 (0..self.view.peer_count(of)).map(|k| self.view.peer_at(of, k)).collect();
             prop_assert_eq!(peers, self.reference.peers(of), "flat view of {} after {}", of, after);
@@ -190,40 +267,9 @@ impl Lockstep {
                 self.reference.contact_of(of),
                 "contact of {} after {}", of, after
             );
-            let settled = self.view.is_settled(of);
-            prop_assert!(!settled || self.view.is_live(of), "{} is settled but dead", of);
-            unsettled += usize::from(self.view.is_live(of) && !settled);
-            for depth in 0..=self.depth + 1 {
-                let mut batched = Vec::new();
-                self.view
-                    .fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
-                let mut lazily = Vec::new();
-                self.lazy
-                    .fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut lazily);
-                let mut seated = Vec::new();
-                let mut converged = Vec::new();
-                for peer in 0..self.n {
-                    let knows = self.view.knows_at_depth(of, depth, peer);
-                    prop_assert_eq!(
-                        knows,
-                        self.reference.knows_at_depth(of, depth, peer),
-                        "table of {} at depth {} about {} after {}", of, depth, peer, after
-                    );
-                    seated.extend(knows.then_some(peer));
-                    converged.extend(self.lazy.knows_at_depth(of, depth, peer).then_some(peer));
-                }
-                prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
-                prop_assert_eq!(&lazily, &converged, "lazy batched probe of {} at depth {}", of, depth);
-                if settled {
-                    prop_assert_eq!(
-                        &seated, &converged,
-                        "{} is settled after {} but its depth-{} groups are not the converged ones",
-                        of, after, depth
-                    );
-                }
-            }
         }
         prop_assert_eq!(self.view.unsettled(), unsettled);
+        prop_assert_eq!(self.probed.unsettled(), unsettled);
     }
 }
 

@@ -230,14 +230,9 @@ pub fn scale(sweep: &mut Sweep) {
         .to_string();
     for &(arity, depth, trials) in sizes {
         let n = (arity as usize).pow(depth as u32);
-        // The eager bootstrap materializes O(n·a·d) table entries; the lazy
-        // provider stores nothing and answers every probe by rank arithmetic
-        // over the alive set, so it carries the column past 100k processes.
-        let delegate = match n > 100_000 {
-            true => ("delegate-lazy", MembershipSpec::delegate_lazy(3)),
-            false => ("delegate", MembershipSpec::delegate(3)),
-        };
-        for (provider, membership) in [("global", MembershipSpec::Global), delegate] {
+        for (provider, membership) in
+            [("global", MembershipSpec::Global), ("delegate", MembershipSpec::delegate(3))]
+        {
             let point = provider_point(arity, membership, 0).group(arity, depth).trials(trials);
             let scenario = point.build();
             let started = Instant::now();
@@ -260,8 +255,7 @@ pub fn scale(sweep: &mut Sweep) {
         }
     }
     sweep.footer =
-        "(s/trial includes group construction and the full dissemination to quiescence; past \
-         100k processes the delegate column is the lazy provider, which stores no table)"
+        "(s/trial includes group construction and the full dissemination to quiescence)"
             .to_string();
 }
 

@@ -111,11 +111,7 @@ pub fn predict(scenario: &Scenario) -> ModelPrediction {
     let provider = match scenario.membership {
         MembershipSpec::Global => ProviderShape::Global,
         MembershipSpec::Partial { view_size } => ProviderShape::Partial { view_size },
-        // The lazy provider answers like converged delegate tables, so it
-        // maps onto the same model shape.
-        MembershipSpec::Delegate { slots } | MembershipSpec::DelegateLazy { slots } => {
-            ProviderShape::Delegate { slots }
-        }
+        MembershipSpec::Delegate { slots } => ProviderShape::Delegate { slots },
     };
     let mut model = DecentralizedModel::new(group, env, provider)
         .with_churn(churn_profile(scenario));
@@ -266,18 +262,10 @@ mod tests {
         assert!(!predict(&base.clone().subtree_loss(&[1], 0.2).build()).in_domain);
         assert!(!predict(&base.clone().straggler(3, 2).build()).in_domain);
         assert!(!predict(&base.clone().join_at(3, 7).build()).in_domain);
-        // Multi-topic traffic is out of the single-audience model's domain,
-        // and the lazy delegate provider predicts like the dense one.
+        // Multi-topic traffic is out of the single-audience model's domain.
         use crate::scenario::TopicWorkload;
         let topical = base.clone().topics(TopicWorkload::new(4, 1, 10)).build();
         assert!(!predict(&topical).in_domain);
-        let dense = base.clone().membership(MembershipSpec::delegate(3)).build();
-        let lazy = base
-            .clone()
-            .membership(MembershipSpec::delegate_lazy(3))
-            .build();
-        assert_eq!(predict(&dense).reliability, predict(&lazy).reliability);
-        assert!(predict(&lazy).in_domain);
     }
 
     #[test]

@@ -655,8 +655,8 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
     let workload = trial_workload(scenario, trial);
     // The membership provider: global knowledge (bit-identical to the
     // historical construction), a per-trial gossip-bootstrapped flat
-    // partial view, the hierarchical delegate tables, or their lazy
-    // twin — bootstrapped sparse when the population starts with gaps,
+    // partial view or the hierarchical delegate tables — bootstrapped
+    // sparse when the population starts with gaps,
     // fed every lifecycle transition (join/leave/crash) through the
     // engine's lifecycle observer, and advanced once per simulation
     // round.  Gossip providers draw from the membership stream (rule 3 of
@@ -664,6 +664,16 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
     // randomness at all.  Topic workloads attach their aggregated
     // interest summaries here (see [`TrialWorkload::membership`]).
     let membership = workload.membership(scenario);
+    run_workload::<F>(scenario, &workload, membership)
+}
+
+/// The trial loop of [`run_scenario_trial_states`] over an already
+/// instantiated provider.
+fn run_workload<F: ProtocolFactory>(
+    scenario: &Scenario,
+    workload: &TrialWorkload,
+    membership: Arc<dyn MembershipView>,
+) -> (TrialOutcome, Vec<F::Process>) {
     let schedule = &workload.schedule;
     let network = NetworkConfig {
         loss_probability: scenario.loss_probability,
@@ -1604,6 +1614,50 @@ mod tests {
             assert_eq!(sequential, scenario.run(protocol), "{protocol:?}");
             assert_eq!(sequential, scenario.run_parallel(protocol), "{protocol:?}");
         }
+    }
+
+    #[test]
+    fn summary_routing_works_whether_or_not_the_delegate_tables_exist() {
+        // `pmbench`'s `topics_summary` shape at smoke size.  A static trial
+        // never stores the delegate tables, and the interest summaries must
+        // be consulted all the same: the table-less arithmetic used to be a
+        // provider of its own that silently ignored them.
+        use crate::scenario::{MembershipSpec, TopicWorkload};
+        use pmcast_core::{InterestRouting, PmcastConfig};
+        use pmcast_membership::{DelegateView, DelegateViewConfig};
+        let scenario_with = |routing: InterestRouting| {
+            Scenario::builder()
+                .group(4, 3)
+                .topics(TopicWorkload::new(12, 3, 300).with_publish_rounds(30))
+                .membership(MembershipSpec::delegate(4))
+                .protocol(PmcastConfig::default().with_interest_routing(routing))
+                .seed(42)
+                .build()
+        };
+        let run = |scenario: &Scenario, tables_up_front: bool| {
+            let workload = trial_workload(scenario, 0);
+            let config = DelegateViewConfig::default().with_slots(4);
+            let view = Arc::new(DelegateView::bootstrap(4, 3, config, workload.seed));
+            let topics = workload.topic_oracle.as_ref().expect("a topic workload");
+            view.attach_interest_summaries(topics.subtree_summaries());
+            if tables_up_front {
+                view.peer_count(0);
+            }
+            let (outcome, _) = run_workload::<PmcastFactory>(scenario, &workload, view.clone());
+            (outcome, view.has_tables())
+        };
+        let summary = scenario_with(InterestRouting::Summary);
+        let (table_less, has_tables) = run(&summary, false);
+        assert!(!has_tables, "a static trial stores no delegate tables");
+        assert_eq!(table_less, run(&summary, true).0);
+        assert_eq!(table_less, run_scenario_trial::<PmcastFactory>(&summary, 0));
+        let (blind, _) = run(&scenario_with(InterestRouting::Blind), false);
+        assert!(
+            table_less.messages_sent < blind.messages_sent,
+            "the summary veto must save messages: {} vs {} blind",
+            table_less.messages_sent,
+            blind.messages_sent
+        );
     }
 
     #[test]

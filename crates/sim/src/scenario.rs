@@ -34,8 +34,8 @@ use std::sync::Arc;
 use pmcast_core::PmcastConfig;
 use pmcast_interest::Event;
 use pmcast_membership::{
-    DelegateView, DelegateViewConfig, GlobalOracleView, LazyDelegateView, MembershipView,
-    PartialView, PartialViewConfig, Population, PopulationSizes,
+    DelegateView, DelegateViewConfig, GlobalOracleView, MembershipView, PartialView,
+    PartialViewConfig, Population, PopulationSizes,
 };
 use pmcast_simnet::{FaultPlan, LinkDelay, PartitionWindow, Straggler};
 use serde::{Deserialize, Serialize};
@@ -97,19 +97,6 @@ pub enum MembershipSpec {
         /// Delegate slots per subgroup per depth (keep `slots ≥ R`).
         slots: usize,
     },
-    /// The **lazy** delegate provider ([`LazyDelegateView`]): the same
-    /// per-depth delegate answers as [`Delegate`](Self::Delegate) in its
-    /// churn-converged steady state, but computed on demand from an `O(n)`
-    /// occupancy set instead of materialized slot tables — so a
-    /// million-process delegate trial bootstraps instantly instead of
-    /// building `n · a · d · slots` table entries.  Consumes **no**
-    /// randomness (stream-neutral by construction) and models instant
-    /// re-election under churn; use [`Delegate`](Self::Delegate) when the
-    /// gossip convergence of the tables is itself under study.
-    DelegateLazy {
-        /// Delegate slots per subgroup per depth (keep `slots ≥ R`).
-        slots: usize,
-    },
 }
 
 impl MembershipSpec {
@@ -126,11 +113,11 @@ impl MembershipSpec {
         Self::Delegate { slots }
     }
 
-    /// The lazy delegate-view spec with a given per-subgroup slot count —
-    /// [`delegate`](Self::delegate)'s instant-bootstrap counterpart for
-    /// trials whose group is too large to materialize slot tables for.
+    // Kept only because `pmbench/src/workloads.rs` calls it; goes with
+    // ROADMAP item 1(b).
+    #[doc(hidden)]
     pub fn delegate_lazy(slots: usize) -> Self {
-        Self::DelegateLazy { slots }
+        Self::delegate(slots)
     }
 
     /// Instantiates the provider for one trial over a regular
@@ -181,12 +168,6 @@ impl MembershipSpec {
                     ),
                     None => DelegateView::bootstrap(arity, depth, config, membership_seed),
                 })
-            }
-            // The lazy provider derives every answer from occupancy alone:
-            // no tables, no randomness, `membership_seed` deliberately
-            // unused (the stream stays untouched, rule 3 is vacuous here).
-            MembershipSpec::DelegateLazy { slots } => {
-                Arc::new(LazyDelegateView::new(arity, depth, slots, occupied))
             }
         }
     }
@@ -822,7 +803,7 @@ impl ScenarioBuilder {
             MembershipSpec::Partial { view_size } => {
                 assert!(view_size > 0, "partial-view size must be positive");
             }
-            MembershipSpec::Delegate { slots } | MembershipSpec::DelegateLazy { slots } => {
+            MembershipSpec::Delegate { slots } => {
                 assert!(slots > 0, "delegate slots must be positive");
             }
         }
@@ -1114,25 +1095,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_delegate_spec_instantiates_without_consuming_the_seed() {
-        let spec = MembershipSpec::delegate_lazy(2);
-        assert_eq!(spec, MembershipSpec::DelegateLazy { slots: 2 });
-        // Same provider whatever the membership seed: the lazy view is
-        // deterministic in occupancy alone.
-        let a = spec.instantiate(3, 2, 1, None);
-        let b = spec.instantiate(3, 2, 999, None);
-        for process in 0..9 {
-            for peer in 0..9 {
-                assert_eq!(a.knows(process, peer), b.knows(process, peer));
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "delegate slots must be positive")]
-    fn zero_lazy_slots_are_rejected() {
+    fn zero_delegate_slots_are_rejected() {
         let _ = Scenario::builder()
-            .membership(MembershipSpec::DelegateLazy { slots: 0 })
+            .membership(MembershipSpec::delegate(0))
             .build();
     }
 

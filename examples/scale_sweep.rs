@@ -16,11 +16,10 @@
 //! core: a round costs O(gossiping processes), not O(n), and quiescence
 //! detection is O(1), so the dissemination cost tracks the message count
 //! the analysis predicts instead of the group size.  The delegate column
-//! reaches that row too: the eager provider's bootstrap materializes
-//! per-process view tables (O(n·a·d) entries), so above 100k processes
-//! the sweep switches to the lazy provider, which stores no table and
-//! answers every probe by rank arithmetic over the sorted alive set
-//! (`crates/membership/src/lazy.rs`): no bootstrap, no per-process memory.
+//! reaches that row too: a static group stores no per-process view table
+//! (O(n·a·d) entries, were they built) — every probe is the O(1) seat rule
+//! over a prefix count of the occupancy (`crates/membership/src/delegate.rs`,
+//! "Rows are built on first need").
 //!
 //! Declaration: `pmcast::sim::experiments::sweeps::scale`; flags, emitters
 //! (`--out DIR` adds a CSV) and model gate: `pmcast::sim::sweep`.

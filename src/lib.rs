@@ -163,7 +163,7 @@ pub use pmcast_interest::{
 };
 pub use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
-    ImplicitRegularTree, InterestOracle, LazyDelegateView, LifecycleEvent, LifecycleEventKind,
+    ImplicitRegularTree, InterestOracle, LifecycleEvent, LifecycleEventKind,
     MembershipView, PartialView, PartialViewConfig, Population, PopulationSizes,
     SubscriptionOracle, SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle,
     TOPIC_ATTRIBUTE,

@@ -193,6 +193,11 @@ fn scale_sweep_rows_keep_their_schema() {
     .chain(PREDICTION_FIELDS)
     .collect();
     assert_schema("scale_sweep", &expected);
+    // One delegate provider, whatever the group size.
+    for row in emitted("scale_sweep") {
+        let provider = field(&row, "provider", "emitted scale_sweep").as_str();
+        assert!(matches!(provider, Some("global" | "delegate")), "provider {provider:?}");
+    }
 }
 
 #[test]
