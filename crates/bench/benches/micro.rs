@@ -7,15 +7,17 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_core::{
-    GenuineFactory, Gossip, MulticastProtocol, PmcastConfig, PmcastFactory, ProtocolFactory,
-    SharedViews,
+    GenuineFactory, Gossip, InterestRouting, MulticastProtocol, PmcastConfig, PmcastFactory,
+    ProtocolFactory, SharedViews,
 };
 use pmcast_interest::{Event, Filter, Interest, InterestSummary, Interner, Predicate};
 use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
-    InterestOracle, MembershipView, TopicOracle, TreeTopology, TOPIC_ATTRIBUTE,
+    InterestOracle, MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
 };
 use pmcast_net::{ChannelTransport, Frame, Seen, Transport};
+use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
+use pmcast_sim::scenario::{MembershipSpec, Scenario, TopicWorkload};
 use pmcast_simnet::{FaultPlan, NetworkConfig, ProcessId, Simulation};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -276,54 +278,66 @@ fn bench(c: &mut Criterion) {
     });
 
     // Aggregated interest routing's addition to the fanout draw: before
-    // drawing, each distinct subgroup's subtree summary is consulted once
-    // (consecutive slot positions share a memoized verdict) and vetoed
-    // subtrees never consume a pick.  Same view, RNG and Fisher–Yates as
-    // `delegate_draw` above, so the gap between the two cases is the whole
-    // cost of the veto sweep: it must stay O(subgroups) summary probes per
-    // entry-round, not O(candidates)·O(disjuncts).  Interest is clustered
-    // one topic per depth-2 subgroup — the sparse-interest regime the skip
-    // is built for, where 7 of 8 subtrees are provably uninterested.
+    // drawing, one `fill_summary_allowed` call narrows the depth's
+    // candidates to the subgroups whose subtree summary admits the event,
+    // and vetoed subtrees never consume a pick.  Same view, RNG and
+    // Fisher–Yates as `delegate_draw_batched` above, so the gap between the
+    // two is the whole cost of the veto.  `summary_skip_draw` asks about one
+    // event again and again — the memo-hit path every entry-round after an
+    // event content's first takes: one lock, one row lookup, a byte read
+    // per distinct subgroup — so its gap to `delegate_draw_batched` must
+    // stay what a second pass over the candidates costs, about as much as
+    // the first (`fill_known_at_depth`) and no function of the summaries'
+    // size.  `summary_skip_draw_miss` rotates through more distinct
+    // contents than the memo holds, so every call starts a fresh row and
+    // judges each subgroup against its summary's disjuncts — what the first
+    // entry-round of a content costs, and what every one of them cost
+    // before the memo.  Interest is clustered one topic per depth-2
+    // subgroup — the sparse-interest regime the skip is built for, where 7
+    // of 8 subtrees are provably uninterested.
     let clustered: Vec<Vec<u32>> = (0..512).map(|i| vec![(i / 8) % 12]).collect();
     let clustered_topics = TopicOracle::new(audience_space, clustered, 12);
     delegate_view.attach_interest_summaries(clustered_topics.subtree_summaries());
-    let summary_targets: Vec<(usize, Prefix)> = (0..8u32)
-        .flat_map(|g| {
-            let prefix = Prefix::from_components(vec![0, g]);
-            (0..3usize).map(move |r| (g as usize * 8 + r, prefix.clone()))
-        })
+    let summary_prefixes: Vec<Prefix> =
+        (0..8u32).map(|g| Prefix::from_components(vec![0, g])).collect();
+    // Topic 4 first — subgroup 0.4's — then one content more than the memo
+    // holds, so a rotation through all of them never finds a row.
+    let topic_events: Vec<Event> = (4..=4 + SUMMARY_MEMO_ROWS as i64)
+        .map(|topic| Event::builder(901).int(TOPIC_ATTRIBUTE, topic).build())
         .collect();
-    let topic_event = Event::builder(901).int(TOPIC_ATTRIBUTE, 4).build();
-    let mut summary_candidates: Vec<usize> = Vec::with_capacity(summary_targets.len());
-    c.bench_function("summary_skip_draw", |b| {
-        b.iter(|| {
-            let own = 37usize;
-            summary_candidates.clear();
-            let mut last: Option<(&Prefix, bool)> = None;
-            summary_candidates.extend(summary_targets.iter().filter_map(|(p, subgroup)| {
-                if *p == own || !delegate_view.knows_at_depth(own, 2, *p) {
-                    return None;
+    let mut summary_candidates: Vec<usize> = Vec::with_capacity(view_targets.len());
+    let mut asked = 0usize;
+    for (name, rotation) in [("summary_skip_draw", 1), ("summary_skip_draw_miss", topic_events.len())] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let own = 37usize;
+                delegate_candidates.clear();
+                delegate_view.fill_known_at_depth(
+                    own,
+                    2,
+                    &mut view_targets.iter().copied(),
+                    &mut delegate_candidates,
+                );
+                asked += 1;
+                summary_candidates.clear();
+                delegate_view.fill_summary_allowed(
+                    &topic_events[asked % rotation],
+                    &mut delegate_candidates
+                        .iter()
+                        .map(|&position| (position, &summary_prefixes[position / 3])),
+                    &mut summary_candidates,
+                );
+                let mut acc = 0usize;
+                let picks = 4.min(summary_candidates.len());
+                for slot in 0..picks {
+                    let swap = draw_rng.gen_range(slot..summary_candidates.len());
+                    summary_candidates.swap(slot, swap);
+                    acc += view_targets[summary_candidates[slot]];
                 }
-                let allowed = match last {
-                    Some((prefix, verdict)) if prefix == subgroup => verdict,
-                    _ => {
-                        let verdict = delegate_view.summary_allows(subgroup, &topic_event);
-                        last = Some((subgroup, verdict));
-                        verdict
-                    }
-                };
-                allowed.then_some(*p)
-            }));
-            let mut acc = 0usize;
-            let picks = 4.min(summary_candidates.len());
-            for slot in 0..picks {
-                let swap = draw_rng.gen_range(slot..summary_candidates.len());
-                summary_candidates.swap(slot, swap);
-                acc += summary_candidates[slot];
-            }
-            acc
-        })
-    });
+                acc
+            })
+        });
+    }
 
     // A membership join storm against the hierarchical provider: each
     // iteration is one crash + re-join transition pair of the same process
@@ -458,6 +472,27 @@ fn bench(c: &mut Criterion) {
             sim.run_rounds(5);
             sim.stats().messages_sent
         })
+    });
+    group.finish();
+
+    // The end-to-end guard for heavy traffic: one whole trial of the
+    // `topics_summary` smoke shape (4³, 12 topics, 300 events, summary
+    // routing over `delegate(4)`) through the entry point users call —
+    // workload, group, every round's veto and delivery recording, report.
+    // The veto memo and the push-driven recording have no hook of their own
+    // to time; a trial that starts costing per (event, receiver, round)
+    // again shows here.
+    let topic_trial = Scenario::builder()
+        .group(4, 3)
+        .topics(TopicWorkload::new(12, 3, 300).with_publish_rounds(30))
+        .membership(MembershipSpec::delegate(4))
+        .protocol(PmcastConfig::default().with_interest_routing(InterestRouting::Summary))
+        .seed(42)
+        .build();
+    let mut group = c.benchmark_group("trial");
+    group.sample_size(10);
+    group.bench_function("topic_trial_summary_300_events", |b| {
+        b.iter(|| run_scenario_trial_with(&topic_trial, Protocol::Pmcast, 0).messages_sent)
     });
     group.finish();
 

@@ -372,9 +372,12 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
         *ctx.scratch() = scratch;
     }
 
-    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, _ctx: &mut RoundContext<'_, Gossip>) {
+    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
         // A received event is handled exactly like one published here.
-        crate::MulticastProtocol::publish(self, gossip.event);
+        let id = gossip.event.id();
+        if accept(self, gossip.event) {
+            ctx.report_delivery(id.0);
+        }
     }
 
     fn is_quiescent(&self) -> bool {
@@ -389,26 +392,34 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 }
 
+/// Takes an event in at `process`, published there or received: drop a
+/// duplicate, deliver if interested, buffer for forwarding.  Returns whether
+/// the event was delivered there for the first time.
+fn accept<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) -> bool {
+    let id = event.id();
+    // `received` doubles as the seen-set: once an event has been buffered
+    // (and possibly garbage collected), later copies are ignored so
+    // gossiping terminates.
+    if !process.received.insert(id) {
+        return false;
+    }
+    let group = &process.group;
+    let delivered = group.oracle.is_interested(&group.addresses[process.id.0], &event)
+        && process.delivered.insert(id);
+    let (budget, pool) = P::admit(group, process.id, &event);
+    let gossip = BufferedGossip {
+        event,
+        rate: 1.0,
+        round: 0,
+        budget,
+    };
+    process.buffered.insert(id, FlatEntry { gossip, pool });
+    delivered
+}
+
 impl<P: FlatPolicy> crate::MulticastProtocol for FlatGossipProcess<P> {
     fn publish(&mut self, event: Arc<Event>) {
-        let id = event.id();
-        // `received` doubles as the seen-set: once an event has been
-        // buffered (and possibly garbage collected), later copies are
-        // ignored so gossiping terminates.
-        if !self.received.insert(id) {
-            return;
-        }
-        if self.group.oracle.is_interested(self.address(), &event) {
-            self.delivered.insert(id);
-        }
-        let (budget, pool) = P::admit(&self.group, self.id, &event);
-        let gossip = BufferedGossip {
-            event,
-            rate: 1.0,
-            round: 0,
-            budget,
-        };
-        self.buffered.insert(id, FlatEntry { gossip, pool });
+        accept(self, event);
     }
     fn has_delivered(&self, event: EventId) -> bool {
         self.delivered.contains(event)

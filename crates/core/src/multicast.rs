@@ -64,6 +64,17 @@ use crate::{Gossip, PmcastConfig};
 /// publishing an event and querying delivery/reception state — which is
 /// also all [`crate::MulticastReport`] needs to classify any protocol's
 /// processes (every implementor is a [`crate::DeliveryOutcome`]).
+///
+/// Deliveries are receipt-driven — a process first delivers an event while
+/// a publication is injected into it or while it handles a message, never
+/// inside `on_round` — and **reported**: an implementor whose `on_message`
+/// delivers an event for the first time says so through
+/// [`RoundContext::report_delivery`](pmcast_simnet::RoundContext::report_delivery)
+/// with the event id's integer as the tag, once per (process, event).  That
+/// is what lets a trial record delivery latencies in O(deliveries) instead
+/// of polling [`has_delivered`](Self::has_delivered); a delivery made by
+/// [`publish`](Self::publish) is the caller's to observe (it has no driver
+/// context), by asking `has_delivered` around the call.
 pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     /// Publishes an event into the dissemination from this process.
     ///

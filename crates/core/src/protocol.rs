@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use pmcast_addr::{Address, Depth, Prefix};
+use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
 use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
@@ -286,10 +286,14 @@ impl PmcastProcess {
         self.group.matching_rate(&self.depth_views[depth - 1], event)
     }
 
-    fn deliver(&mut self, event: &Arc<Event>) {
-        if self.delivered_ids.insert(event.id()) {
+    /// `HPDELIVER`, once per event; returns whether this was the first
+    /// time.
+    fn deliver(&mut self, event: &Arc<Event>) -> bool {
+        let first = self.delivered_ids.insert(event.id());
+        if first {
             self.delivered.push(Arc::clone(event));
         }
+        first
     }
 
     /// One iteration of the `GOSSIP` task of Figure 3 for a single depth.
@@ -355,25 +359,16 @@ impl PmcastProcess {
                 // is the shared per-depth candidate list, so the draw
                 // sequence there is bit-identical to the historical one.
                 let pool = if routing == InterestRouting::Summary {
-                    // Candidates arrive in view order, so the positions of
-                    // one subgroup's delegate slots are consecutive: memoize
-                    // the last verdict and each distinct subtree is judged
-                    // once per entry-round, not once per slot.
-                    let mut last: Option<(&Prefix, bool)> = None;
+                    // One call per entry-round: the provider judges the
+                    // candidates' subgroups for this event under one lock.
                     scratch.event_candidates.clear();
-                    scratch.event_candidates.extend(
-                        scratch.candidates.iter().copied().filter(|&position| {
-                            let subgroup = &view[position].subgroup;
-                            match last {
-                                Some((prefix, verdict)) if prefix == subgroup => verdict,
-                                _ => {
-                                    let verdict =
-                                        group.membership.summary_allows(subgroup, &entry.event);
-                                    last = Some((subgroup, verdict));
-                                    verdict
-                                }
-                            }
-                        }),
+                    group.membership.fill_summary_allowed(
+                        &entry.event,
+                        &mut scratch
+                            .candidates
+                            .iter()
+                            .map(|&position| (position, &view[position].subgroup)),
+                        &mut scratch.event_candidates,
                     );
                     &mut scratch.event_candidates
                 } else {
@@ -429,7 +424,7 @@ impl RoundProcess for PmcastProcess {
         *ctx.scratch() = scratch;
     }
 
-    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, _ctx: &mut RoundContext<'_, Gossip>) {
+    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
         if self.buffers.has_seen(gossip.event.id()) {
             return;
         }
@@ -438,8 +433,10 @@ impl RoundProcess for PmcastProcess {
         let budget = self
             .group
             .round_budget(self.depth_views[gossip.depth - 1].len(), gossip.rate);
-        if self.group.oracle.is_interested(&self.address, &gossip.event) {
-            self.deliver(&gossip.event);
+        if self.group.oracle.is_interested(&self.address, &gossip.event)
+            && self.deliver(&gossip.event)
+        {
+            ctx.report_delivery(gossip.event.id().0);
         }
         self.buffers.insert(
             gossip.depth,

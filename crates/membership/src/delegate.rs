@@ -129,7 +129,7 @@
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
 //! for a whole view under one lock.
 
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use pmcast_addr::Prefix;
 use pmcast_interest::Event;
@@ -699,8 +699,9 @@ pub struct DelegateView {
     /// subtree carries the over-approximating summary of the interests
     /// below it, maintained through the same (collapsed) gossip that
     /// carries view digests — a leave retracts the departed filter along
-    /// its root path, a rejoin re-announces it.
-    interest: RwLock<Option<InterestAnnex>>,
+    /// its root path, a rejoin re-announces it.  A mutex, not a
+    /// reader-writer lock: a veto query fills the annex's verdict memo.
+    interest: Mutex<Option<InterestAnnex>>,
 }
 
 impl DelegateView {
@@ -784,7 +785,7 @@ impl DelegateView {
                 uncertified: Vec::new(),
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
-            interest: RwLock::new(None),
+            interest: Mutex::new(None),
         }
     }
 
@@ -797,6 +798,10 @@ impl DelegateView {
             Some(occupied) => Self::bootstrap_sparse(arity, depth, config, 0, occupied),
             None => Self::bootstrap(arity, depth, config, 0),
         }
+    }
+
+    fn interest(&self) -> MutexGuard<'_, Option<InterestAnnex>> {
+        self.interest.lock().expect("interest annex lock poisoned")
     }
 
     /// Read access for the calls that need the stored rows, which the first
@@ -974,18 +979,28 @@ impl MembershipView for DelegateView {
             members as u128,
             "summary table must cover the delegate group's member capacity"
         );
-        *self.interest.write().expect("interest annex lock poisoned") = Some(annex);
+        *self.interest() = Some(annex);
     }
 
     fn summary_allows(&self, subgroup: &Prefix, event: &Event) -> bool {
-        match self
-            .interest
-            .read()
-            .expect("interest annex lock poisoned")
-            .as_ref()
-        {
+        match self.interest().as_mut() {
             Some(annex) => annex.allows(subgroup, event),
             None => true,
+        }
+    }
+
+    /// The whole entry-round under one lock and one lookup of the event's
+    /// memo row; each verdict the attached table has already given for the
+    /// event's content is then a byte read.
+    fn fill_summary_allowed(
+        &self,
+        event: &Event,
+        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
+        out: &mut Vec<usize>,
+    ) {
+        match self.interest().as_mut() {
+            Some(annex) => annex.fill_allowed(event, subgroups, out),
+            None => out.extend(subgroups.map(|(position, _)| position)),
         }
     }
 
@@ -1056,12 +1071,7 @@ impl MembershipView for DelegateView {
         // summary tables (the digest that evicts a delegate also carries
         // the shrunk subtree summary).
         if !swept.is_empty() {
-            if let Some(annex) = self
-                .interest
-                .write()
-                .expect("interest annex lock poisoned")
-                .as_mut()
-            {
+            if let Some(annex) = self.interest().as_mut() {
                 for x in swept {
                     annex.on_departure(x as usize);
                 }
@@ -1079,12 +1089,7 @@ impl MembershipView for DelegateView {
         state.live += 1;
         state.uncertify(process, Certificate::Flipped);
         // Re-announce the rejoiner's subscription to the summary tables.
-        if let Some(annex) = self
-            .interest
-            .write()
-            .expect("interest annex lock poisoned")
-            .as_mut()
-        {
+        if let Some(annex) = self.interest().as_mut() {
             annex.on_join(process);
         }
         // A crash-then-rejoin must not leave the process queued for the
@@ -1120,12 +1125,7 @@ impl MembershipView for DelegateView {
         }
         state.flat[process].clear();
         // The eager unsub also retracts the leaver's interests.
-        if let Some(annex) = self
-            .interest
-            .write()
-            .expect("interest annex lock poisoned")
-            .as_mut()
-        {
+        if let Some(annex) = self.interest().as_mut() {
             annex.on_departure(process);
         }
     }

@@ -64,6 +64,19 @@
 //! * [`estimated_size`](MembershipView::estimated_size) is the provider's
 //!   belief about the number of live processes, used for round-budget
 //!   estimation (Pittel's bound needs `n`, or an estimate of it).
+//! * **Batched probes.**  pmcast asks its two per-candidate questions for a
+//!   whole candidate list at a time:
+//!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth) once per
+//!   depth per round, and — under summary routing —
+//!   [`fill_summary_allowed`](MembershipView::fill_summary_allowed) once per
+//!   buffered event per round.  Both default to asking the single probe
+//!   ([`knows_at_depth`](MembershipView::knows_at_depth),
+//!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
+//!   correct without overriding either; an override exists to take a lock
+//!   or find shared state once, and must answer exactly as the default.
+//!   Whatever an override remembers between calls is derived state: it may
+//!   be dropped at any time and must be dropped when what it was computed
+//!   from changes.
 
 use std::sync::RwLock;
 
@@ -179,6 +192,30 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// routing decisions stay outside the three per-trial random streams.
     fn summary_allows(&self, _subgroup: &Prefix, _event: &Event) -> bool {
         true
+    }
+
+    /// The batched form of [`summary_allows`](Self::summary_allows), and
+    /// the probe the pmcast fanout draw makes once per entry-round under
+    /// summary routing: appends to `out`, in order, the position of every
+    /// `(position, subgroup)` pair whose subgroup `summary_allows` for the
+    /// event.
+    ///
+    /// The default judges each run of equal consecutive subgroups once (a
+    /// view lists one subgroup's delegates side by side).  Providers that
+    /// answer from shared state override it to take their lock and find
+    /// what they know of the event once
+    /// ([`DelegateView`](crate::DelegateView) memoises verdicts per event
+    /// content, [`SUMMARY_MEMO_ROWS`](crate::SUMMARY_MEMO_ROWS) of them);
+    /// an override must produce exactly the default's output.
+    fn fill_summary_allowed(
+        &self,
+        event: &Event,
+        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
+        out: &mut Vec<usize>,
+    ) {
+        crate::summaries::fill_allowed_runs(subgroups, out, |subgroup| {
+            self.summary_allows(subgroup, event)
+        });
     }
 }
 
@@ -567,6 +604,45 @@ mod tests {
         view.observe_leave(3);
         view.round_elapsed();
         assert_eq!(view.peer_count(2), 4);
+    }
+
+    #[test]
+    fn default_batched_veto_judges_each_run_of_subgroups_once() {
+        /// Vetoes subtree 1 and counts how often it is asked.
+        #[derive(Debug)]
+        struct Counting(GlobalOracleView, std::sync::atomic::AtomicUsize);
+        impl MembershipView for Counting {
+            fn estimated_size(&self) -> usize {
+                self.0.estimated_size()
+            }
+            fn peer_count(&self, of: usize) -> usize {
+                self.0.peer_count(of)
+            }
+            fn peer_at(&self, of: usize, k: usize) -> usize {
+                self.0.peer_at(of, k)
+            }
+            fn knows(&self, of: usize, peer: usize) -> bool {
+                self.0.knows(of, peer)
+            }
+            fn summary_allows(&self, subgroup: &Prefix, _event: &Event) -> bool {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                subgroup.components() != [1]
+            }
+        }
+        let view = Counting(GlobalOracleView::new(9), Default::default());
+        let event = Event::builder(1).build();
+        let subgroups: Vec<Prefix> = [0, 0, 1, 1, 1, 2, 0]
+            .iter()
+            .map(|&component| Prefix::from_components(vec![component]))
+            .collect();
+        let mut out = vec![99];
+        view.fill_summary_allowed(&event, &mut subgroups.iter().enumerate(), &mut out);
+        assert_eq!(out, vec![99, 0, 1, 5, 6], "appended, in order, minus the vetoed run");
+        assert_eq!(view.1.into_inner(), 4, "one probe per run");
+        // A provider without summaries admits everything.
+        let mut all = Vec::new();
+        view.0.fill_summary_allowed(&event, &mut subgroups.iter().enumerate(), &mut all);
+        assert_eq!(all, (0..7).collect::<Vec<_>>());
     }
 
     #[test]

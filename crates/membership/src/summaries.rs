@@ -15,8 +15,10 @@
 //! gossip).  Property tests in `tests/protocol_contract.rs` check the
 //! end-to-end version of this invariant.
 
+use std::collections::BTreeSet;
+
 use pmcast_addr::{AddressSpace, Prefix};
-use pmcast_interest::{Event, Filter, Interest, InterestSummary};
+use pmcast_interest::{AttributeValue, Event, Filter, Interest, InterestSummary};
 
 /// Interest summaries for every prefix of an address space, maintained
 /// bottom-up from per-process subscription filters.
@@ -94,15 +96,27 @@ impl SubtreeSummaries {
     /// The summary of the subtree below `prefix`, if the prefix is valid
     /// for the space.
     pub fn summary_at(&self, prefix: &Prefix) -> Option<&InterestSummary> {
-        let level = prefix.len();
-        if level > self.space.depth() || self.space.validate_prefix(prefix).is_err() {
+        let (level, index) = self.position(prefix)?;
+        Some(&self.levels[level][index])
+    }
+
+    /// Where the summary of `prefix` sits in `levels` — its length and its
+    /// lexicographic rank among the prefixes of that length — if the prefix
+    /// is valid for the space.
+    fn position(&self, prefix: &Prefix) -> Option<(usize, usize)> {
+        let components = prefix.components();
+        let arities = self.space.arities();
+        if components.len() > arities.len() {
             return None;
         }
         let mut index: usize = 0;
-        for (depth, &component) in prefix.components().iter().enumerate() {
-            index = index * self.space.arity(depth + 1) as usize + component as usize;
+        for (&component, &arity) in components.iter().zip(arities) {
+            if component >= arity {
+                return None;
+            }
+            index = index * arity as usize + component as usize;
         }
-        self.levels[level].get(index)
+        Some((components.len(), index))
     }
 
     /// The whole-group summary (the root cell).
@@ -150,35 +164,225 @@ impl SubtreeSummaries {
     }
 }
 
+/// How many distinct event contents the veto memo of an attached summary
+/// table remembers (see [`MembershipView::fill_summary_allowed`]); one more
+/// and it forgets everything and starts over.  A memo may forget at any
+/// time, so this only bounds memory — one byte per prefix of the space per
+/// remembered content, a sliver of the table it annotates — and is not a
+/// tuning knob: a topic workload has one content per topic.
+///
+/// [`MembershipView::fill_summary_allowed`]: crate::MembershipView::fill_summary_allowed
+pub const SUMMARY_MEMO_ROWS: usize = 64;
+
+/// A memo cell: the subtree's verdict on a content, once judged.
+const UNJUDGED: u8 = 0;
+const VETOED: u8 = 1;
+const ALLOWED: u8 = 2;
+
+/// Verdicts already judged against the attached table, by what a verdict
+/// reads: the event's values on the attributes the table's filters mention
+/// (its *content*; everything else about the event — its id included — is
+/// invisible to a filter) and the subtree.  Derived state: any entry may be
+/// dropped at any time, and every filter change drops them all.
+#[derive(Debug)]
+struct VetoMemo {
+    /// Every attribute some filter constrained when the table was attached,
+    /// ascending.  The table never comes to mention another: a leave clears
+    /// a filter, a rejoin restores it, and merging or widening filters only
+    /// drops attributes.
+    attributes: Vec<String>,
+    /// `level_base[l]` is the cell of the first prefix of length `l` within
+    /// a row; the last entry is the row length (one cell per prefix).
+    level_base: Vec<usize>,
+    /// Row `r` is `contents[r·k..][..k]` (`k = attributes.len()`, the value
+    /// per attribute) and `verdicts[r·cells..][..cells]`, found through
+    /// `fingerprints[r]`.  Flat, so clearing keeps the allocations.
+    fingerprints: Vec<u64>,
+    contents: Vec<Option<AttributeValue>>,
+    verdicts: Vec<u8>,
+}
+
+impl VetoMemo {
+    fn new(summaries: &SubtreeSummaries) -> Self {
+        let attributes: BTreeSet<&str> = summaries
+            .filters
+            .iter()
+            .flatten()
+            .flat_map(Filter::attributes)
+            .collect();
+        let mut level_base = vec![0];
+        for level in &summaries.levels {
+            level_base.push(level_base[level_base.len() - 1] + level.len());
+        }
+        Self {
+            attributes: attributes.into_iter().map(str::to_owned).collect(),
+            level_base,
+            fingerprints: Vec::new(),
+            contents: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.fingerprints.clear();
+        self.contents.clear();
+        self.verdicts.clear();
+    }
+
+    /// The row of the event's content, started unjudged if the memo does
+    /// not hold it.  A fingerprint only finds the candidate: a hit is a row
+    /// whose stored content equals the event's.
+    fn row_of(&mut self, event: &Event) -> usize {
+        let fingerprint = self
+            .attributes
+            .iter()
+            .fold(0, |hash, name| fingerprint_step(hash, event.get(name)));
+        let k = self.attributes.len();
+        let hit = (0..self.fingerprints.len()).find(|&row| {
+            self.fingerprints[row] == fingerprint
+                && self
+                    .attributes
+                    .iter()
+                    .zip(&self.contents[row * k..][..k])
+                    .all(|(name, stored)| event.get(name) == stored.as_ref())
+        });
+        if let Some(row) = hit {
+            return row;
+        }
+        if self.fingerprints.len() == SUMMARY_MEMO_ROWS {
+            self.clear();
+        }
+        self.fingerprints.push(fingerprint);
+        self.contents
+            .extend(self.attributes.iter().map(|name| event.get(name).cloned()));
+        self.verdicts.resize(self.verdicts.len() + self.cells(), UNJUDGED);
+        self.fingerprints.len() - 1
+    }
+
+    /// Cells in a row: one per prefix of the space.
+    fn cells(&self) -> usize {
+        self.level_base[self.level_base.len() - 1]
+    }
+
+    /// The cell of row `row` for the prefix at `(level, index)`.
+    fn cell(&mut self, row: usize, (level, index): (usize, usize)) -> &mut u8 {
+        let cell = row * self.cells() + self.level_base[level] + index;
+        &mut self.verdicts[cell]
+    }
+}
+
+/// Folds one attribute value into a content fingerprint.  Equal values
+/// fold equally; that is all [`VetoMemo::row_of`] needs of it.
+fn fingerprint_step(hash: u64, value: Option<&AttributeValue>) -> u64 {
+    let mix = |hash: u64, word: u64| {
+        (hash ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    };
+    match value {
+        None => mix(hash, 0),
+        Some(AttributeValue::Int(v)) => mix(mix(hash, 1), *v as u64),
+        Some(AttributeValue::Float(v)) => mix(mix(hash, 2), v.to_bits()),
+        Some(AttributeValue::Bool(v)) => mix(mix(hash, 3), u64::from(*v)),
+        Some(AttributeValue::Str(v)) => v
+            .bytes()
+            .fold(mix(hash, 4), |hash, byte| mix(hash, u64::from(byte))),
+    }
+}
+
+/// Appends to `out` the position of every `(position, subgroup)` pair whose
+/// subgroup `judge` admits.  A view lists one subgroup's delegates side by
+/// side, so a run of equal consecutive subgroups is judged once.
+pub(crate) fn fill_allowed_runs(
+    subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
+    out: &mut Vec<usize>,
+    mut judge: impl FnMut(&Prefix) -> bool,
+) {
+    let mut last: Option<(&Prefix, bool)> = None;
+    for (position, subgroup) in subgroups {
+        let allowed = match last {
+            Some((judged, verdict)) if judged == subgroup => verdict,
+            _ => judge(subgroup),
+        };
+        last = Some((subgroup, allowed));
+        if allowed {
+            out.push(position);
+        }
+    }
+}
+
 /// The interest side of a membership provider: the attached summary table
 /// plus the pristine per-process filters, so a leave can clear a process's
 /// contribution and a rejoin can restore it (the collapsed equivalent of
-/// re-gossiping the subscription up the delegate tree).
+/// re-gossiping the subscription up the delegate tree) — and the memo of
+/// the verdicts the table has already given, dropped whenever it changes.
 #[derive(Debug)]
 pub(crate) struct InterestAnnex {
     summaries: SubtreeSummaries,
     original: Vec<Option<Filter>>,
+    memo: VetoMemo,
 }
 
 impl InterestAnnex {
     pub(crate) fn new(summaries: SubtreeSummaries) -> Self {
         let original = summaries.filters().to_vec();
-        Self { summaries, original }
+        let memo = VetoMemo::new(&summaries);
+        Self {
+            summaries,
+            original,
+            memo,
+        }
     }
 
-    pub(crate) fn allows(&self, prefix: &Prefix, event: &Event) -> bool {
-        self.summaries.allows(prefix, event)
+    /// [`SubtreeSummaries::allows`], judged once per (content, subtree).
+    pub(crate) fn allows(&mut self, prefix: &Prefix, event: &Event) -> bool {
+        let row = self.memo.row_of(event);
+        self.verdict(row, prefix, event)
+    }
+
+    /// Appends the position of every subgroup [`allows`](Self::allows)
+    /// admits for the event, whose row is looked up once.
+    pub(crate) fn fill_allowed(
+        &mut self,
+        event: &Event,
+        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
+        out: &mut Vec<usize>,
+    ) {
+        let row = self.memo.row_of(event);
+        fill_allowed_runs(subgroups, out, |subgroup| self.verdict(row, subgroup, event));
+    }
+
+    /// The verdict on `prefix` of the content in memo row `row`, which is
+    /// `event`'s.
+    fn verdict(&mut self, row: usize, prefix: &Prefix, event: &Event) -> bool {
+        // Never skip on uncertainty, as in `SubtreeSummaries::allows`.
+        let Some((level, index)) = self.summaries.position(prefix) else {
+            return true;
+        };
+        let cell = self.memo.cell(row, (level, index));
+        if *cell == UNJUDGED {
+            let allowed = self.summaries.levels[level][index].matches(event);
+            *cell = if allowed { ALLOWED } else { VETOED };
+        }
+        *cell == ALLOWED
     }
 
     /// A leave (or swept crash) retracts the process's interests along its
     /// root path.
     pub(crate) fn on_departure(&mut self, index: usize) {
-        self.summaries.set_filter(index, None);
+        self.set_filter(index, None);
     }
 
     /// A rejoin re-announces the process's original subscription.
     pub(crate) fn on_join(&mut self, index: usize) {
-        self.summaries.set_filter(index, self.original[index].clone());
+        self.set_filter(index, self.original[index].clone());
+    }
+
+    /// The one way the table changes, and with it what every memoised
+    /// verdict along the root path was judged against.
+    fn set_filter(&mut self, index: usize, filter: Option<Filter>) {
+        self.summaries.set_filter(index, filter);
+        self.memo.clear();
     }
 
     pub(crate) fn member_capacity(&self) -> u128 {
@@ -254,6 +458,34 @@ mod tests {
         assert!(!table.allows(&Prefix::root(), &topic_event(5)));
         // The untouched sibling path is unaffected.
         assert!(table.allows(&Prefix::from_components(vec![0]), &topic_event(0)));
+    }
+
+    #[test]
+    fn the_veto_memo_is_bounded_and_dropped_by_every_filter_change() {
+        let filters = vec![Some(topic_filter(&[0])), None, Some(topic_filter(&[3])), None];
+        let mut annex = InterestAnnex::new(table_2x2(filters));
+        let subtree = Prefix::from_components(vec![1]);
+        // One row per distinct content, however many ids carry it.
+        for id in 0..10 {
+            let event = Event::builder(id).int("topic", 3).build();
+            assert!(annex.allows(&subtree, &event));
+        }
+        assert_eq!(annex.memo.fingerprints.len(), 1);
+        // More contents than rows: the memo starts over instead of growing.
+        for topic in 0..3 * SUMMARY_MEMO_ROWS as i64 {
+            assert_eq!(annex.allows(&subtree, &topic_event(topic)), topic == 3);
+            assert!(annex.memo.fingerprints.len() <= SUMMARY_MEMO_ROWS);
+        }
+        assert_eq!(annex.memo.verdicts.len(), annex.memo.fingerprints.len() * 7);
+        assert!(annex.memo.verdicts.capacity() <= 2 * SUMMARY_MEMO_ROWS * 7);
+        // The subscriber leaves and returns: neither verdict outlives the
+        // table it was judged against.
+        annex.on_departure(2);
+        assert!(annex.memo.fingerprints.is_empty());
+        assert!(!annex.allows(&subtree, &topic_event(3)));
+        annex.on_join(2);
+        assert!(annex.memo.fingerprints.is_empty());
+        assert!(annex.allows(&subtree, &topic_event(3)));
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub(crate) struct NetProcess<P> {
     pub(crate) seen: Seen,
     pub(crate) retire_quiescent: bool,
     pub(crate) outbox: Vec<(ProcessId, Gossip, usize)>,
-    /// The fanout buffers lent to the protocol on every tick and frame.
+    /// The fanout buffers and delivery-report buffer lent to the protocol
+    /// on every tick and frame.
     pub(crate) scratch: FanoutScratch,
     pub(crate) round: u64,
     pub(crate) quiescent: Arc<AtomicBool>,
@@ -152,6 +153,10 @@ impl<P: MulticastProtocol> NetProcess<P> {
         for (to, gossip, payload_size) in self.outbox.drain(..) {
             self.transport.send_gossip(own, to, gossip, payload_size);
         }
+        // The lent bundle also collects the protocol's delivery reports,
+        // which only a round-synchronous observer reads; a daemon empties
+        // them with the outbox so the buffer never outgrows one frame's.
+        self.scratch.delivered.clear();
     }
 
     fn report(self, crashed: bool) -> NetProcessReport<P> {

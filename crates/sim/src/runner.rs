@@ -110,6 +110,21 @@
 //! Because nothing is drawn from state shared between trials, the parallel
 //! runner [`run_scenario_parallel`] is bit-identical to the sequential
 //! [`run_scenario`] (asserted by the test suite).
+//!
+//! ## Delivery recording
+//!
+//! A trial's [`DeliveryLatency`] histograms are kept push-driven, the same
+//! way for every protocol: a delivery is recorded in the round the engine
+//! reports it ([`Simulation::last_step_deliveries`], fed by the protocols'
+//! [`report_delivery`](pmcast_simnet::RoundContext::report_delivery) calls)
+//! or the runner causes it (a publisher delivering its own publication,
+//! seen by asking `has_delivered` before and after the `publish` call).
+//! Each `(process, event)` pair arrives exactly once — the protocols'
+//! delivered-id sets dedup, so a second publisher of a seen id reports
+//! nothing — which is why no per-event "already recorded" state exists and
+//! a round's bookkeeping costs O(deliveries), one lookup each in the
+//! trial's `EventId → index` table.  Reads only: recording consumes no
+//! randomness and touches no protocol state.
 
 use std::sync::Arc;
 
@@ -156,11 +171,9 @@ pub enum Protocol {
 /// publish round); a process that never delivers appears in no bucket, so
 /// [`delivered`](Self::delivered) matches the event's
 /// `delivered_interested` count.  Recorded by the generic trial loop for
-/// every protocol via [`MulticastProtocol::has_delivered`], delta-driven:
-/// deliveries are receipt-driven (a process first delivers an event while
-/// handling a message or a locally injected publication, never inside
-/// `on_round`), so only each round's receivers and publishers are checked.
-/// The checks are reads only — tracking changes no random stream.
+/// every protocol from the deliveries the engine reports each round (see
+/// *Delivery recording* in the [module docs](self)) — tracking changes no
+/// random stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeliveryLatency {
     /// The event this histogram describes.
@@ -173,6 +186,15 @@ pub struct DeliveryLatency {
 }
 
 impl DeliveryLatency {
+    /// Counts one first delivery made in `round`.
+    fn record(&mut self, round: u64) {
+        let latency = (round - self.publish_round) as usize;
+        if self.counts.len() <= latency {
+            self.counts.resize(latency + 1, 0);
+        }
+        self.counts[latency] += 1;
+    }
+
     /// Total processes that delivered the event.
     pub fn delivered(&self) -> u64 {
         self.counts.iter().sum()
@@ -464,21 +486,74 @@ impl TrialWorkload {
         &self,
         processes: impl IntoIterator<Item = &'a P>,
     ) -> (MulticastReport, Vec<MulticastReport>) {
-        let mut seen_ids: Vec<EventId> = Vec::with_capacity(self.schedule.len());
-        let mut unique_events: Vec<&Event> = Vec::with_capacity(self.schedule.len());
-        for (_, _, event) in &self.schedule {
-            if !seen_ids.contains(&event.id()) {
-                seen_ids.push(event.id());
-                unique_events.push(event.as_ref());
-            }
-        }
+        self.report_distinct(&EventIndex::of(&self.schedule), processes)
+    }
+
+    /// [`report`](Self::report) over the schedule's already built index.
+    fn report_distinct<'a, P: DeliveryOutcome + 'a>(
+        &self,
+        events: &EventIndex,
+        processes: impl IntoIterator<Item = &'a P>,
+    ) -> (MulticastReport, Vec<MulticastReport>) {
+        let distinct = events
+            .first
+            .iter()
+            .map(|&position| self.schedule[position as usize].2.as_ref());
         let per_event =
-            MulticastReport::collect_per_event(unique_events, processes, self.oracle.as_ref());
+            MulticastReport::collect_per_event(distinct, processes, self.oracle.as_ref());
         let mut report = MulticastReport::default();
         for event_report in &per_event {
             report.merge(event_report);
         }
         (report, per_event)
+    }
+}
+
+/// The distinct event ids of a publish schedule, ranked in
+/// first-publication schedule order — the order of
+/// [`TrialOutcome::per_event`] and [`TrialOutcome::latency`].  Built once
+/// per trial in O(E log E); everything that has to tell a schedule's events
+/// apart (the latency histograms' construction, each reported delivery's
+/// lookup, the per-event reports) reads this one table.
+struct EventIndex {
+    /// `(id, rank)`, ascending by id.
+    by_id: Vec<(EventId, u32)>,
+    /// `first[rank]` is the schedule position of the event's first
+    /// publication.
+    first: Vec<u32>,
+}
+
+impl EventIndex {
+    fn of(schedule: &PublishSchedule) -> Self {
+        let mut by_id: Vec<(EventId, u32)> = schedule
+            .iter()
+            .enumerate()
+            .map(|(position, (_, _, event))| (event.id(), position as u32))
+            .collect();
+        // Ascending by (id, position), so the survivor of each id's run is
+        // its first publication.
+        by_id.sort_unstable();
+        by_id.dedup_by_key(|&mut (id, _)| id);
+        let mut first: Vec<u32> = by_id.iter().map(|&(_, position)| position).collect();
+        first.sort_unstable();
+        for (_, position) in &mut by_id {
+            *position = first.binary_search(position).expect("one of these positions") as u32;
+        }
+        Self { by_id, first }
+    }
+
+    /// The rank of an event id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule holds no such id: every event in circulation
+    /// was injected from it.
+    fn rank(&self, id: EventId) -> usize {
+        let found = self
+            .by_id
+            .binary_search_by_key(&id, |&(id, _)| id)
+            .expect("only scheduled events circulate");
+        self.by_id[found].1 as usize
     }
 }
 
@@ -683,27 +758,25 @@ fn run_workload<F: ProtocolFactory>(
     };
     let injection_order = workload.injection_order();
 
-    // One latency tracker per distinct event id, in first-publication
+    // One latency histogram per distinct event id, in first-publication
     // schedule order (matching `per_event`); a redundant publisher of the
     // same id keeps the earliest publish round as the latency origin.
-    struct LatencyTracker {
-        event: EventId,
-        publish_round: u64,
-        recorded: Vec<bool>,
-        counts: Vec<u64>,
-    }
-    let process_count = workload.topology.member_count();
-    let mut trackers: Vec<LatencyTracker> = Vec::with_capacity(schedule.len());
-    for (round, _, event) in schedule {
-        match trackers.iter_mut().find(|t| t.event == event.id()) {
-            Some(tracker) => tracker.publish_round = tracker.publish_round.min(*round),
-            None => trackers.push(LatencyTracker {
+    let events = EventIndex::of(schedule);
+    let mut latency: Vec<DeliveryLatency> = events
+        .first
+        .iter()
+        .map(|&position| {
+            let (round, _, event) = &schedule[position as usize];
+            DeliveryLatency {
                 event: event.id(),
                 publish_round: *round,
-                recorded: vec![false; process_count],
                 counts: Vec::new(),
-            }),
-        }
+            }
+        })
+        .collect();
+    for (round, _, event) in schedule {
+        let origin = &mut latency[events.rank(event.id())].publish_round;
+        *origin = (*origin).min(*round);
     }
 
     let group = F::build(
@@ -728,51 +801,37 @@ fn run_workload<F: ProtocolFactory>(
         });
     let mut injected = 0;
     let mut rounds = 0;
-    // The per-round delivery-candidate buffer of the delta-driven latency
-    // tracker (reused across rounds): publishers injected this iteration
-    // plus every process handed a message by the step.
-    let mut delivery_candidates: Vec<usize> = Vec::new();
     while rounds < scenario.max_rounds {
-        delivery_candidates.clear();
         while injected < injection_order.len() {
             let (round, sender, event) = &schedule[injection_order[injected]];
             if *round > sim.round() {
                 break;
             }
-            sim.process_mut(ProcessId(*sender)).publish(Arc::clone(event));
-            delivery_candidates.push(*sender);
+            // A publisher delivers its own publication outside any step, so
+            // no engine report covers it: the runner notes the flip itself.
+            // (A redundant publisher that already delivered the id flips
+            // nothing and is not counted twice.)
+            let publisher = sim.process_mut(ProcessId(*sender));
+            let delivered_before = publisher.has_delivered(event.id());
+            publisher.publish(Arc::clone(event));
+            if !delivered_before && publisher.has_delivered(event.id()) {
+                latency[events.rank(event.id())].record(rounds);
+            }
             injected += 1;
         }
         membership.round_elapsed();
         sim.step();
-        rounds += 1;
-        // Record first deliveries of the round just executed (`rounds - 1`)
-        // delta-driven: `has_delivered` can only flip while a process
-        // handles a delivered message or has a publication injected into
-        // it, so this round's receivers (the engine's delivery delta) plus
-        // this iteration's publishers are the only processes whose
-        // delivery state can have changed — no O(n) re-scan per round.
-        // Reads only, so the recording is invisible to every random stream
-        // of the seed contract and bit-identical to the historical scan.
-        let executed = rounds - 1;
-        delivery_candidates.extend_from_slice(sim.last_step_receivers());
-        for tracker in &mut trackers {
-            if tracker.publish_round > executed {
-                continue;
-            }
-            let latency = (executed - tracker.publish_round) as usize;
-            for &index in &delivery_candidates {
-                if !tracker.recorded[index]
-                    && sim.process(ProcessId(index)).has_delivered(tracker.event)
-                {
-                    tracker.recorded[index] = true;
-                    if tracker.counts.len() <= latency {
-                        tracker.counts.resize(latency + 1, 0);
-                    }
-                    tracker.counts[latency] += 1;
-                }
-            }
+        // Every other first delivery happened while a process handled a
+        // message of the step just executed (round `rounds`), and the
+        // process reported it then — once per (process, event), because its
+        // delivered-id set dedups.  Recording is therefore one table lookup
+        // per delivery: O(deliveries) a round, whatever the number of
+        // events in flight or of receivers.  Reads only, so it is invisible
+        // to every random stream of the seed contract.
+        for &(_, id) in sim.last_step_deliveries() {
+            latency[events.rank(EventId(id))].record(rounds);
         }
+        rounds += 1;
         // Stop once nothing can change any more: every publication is in,
         // the declared lifecycle schedule has fully applied (a trial must
         // never end with a validated join/leave/crash silently pending —
@@ -795,18 +854,9 @@ fn run_workload<F: ProtocolFactory>(
         scenario.max_rounds
     );
 
-    let (report, per_event) = workload.report(sim.processes());
-    // Trackers were created in the same first-publication schedule order
-    // as the per-event reports, so `latency` lines up with `per_event`
-    // index-wise.
-    let latency: Vec<DeliveryLatency> = trackers
-        .into_iter()
-        .map(|tracker| DeliveryLatency {
-            event: tracker.event,
-            publish_round: tracker.publish_round,
-            counts: tracker.counts,
-        })
-        .collect();
+    // The histograms and the per-event reports follow the same index, so
+    // `latency` lines up with `per_event` position by position.
+    let (report, per_event) = workload.report_distinct(&events, sim.processes());
     debug_assert_eq!(latency.len(), per_event.len());
     let outcome = TrialOutcome {
         report,
@@ -1386,6 +1436,214 @@ mod tests {
             event: Event::builder(2).build(),
         });
         let _ = run_scenario_trial_with(&scenario, Protocol::Pmcast, 0);
+    }
+
+    /// The delivery recording `run_workload` had before the engine reported
+    /// deliveries, kept verbatim as the reference the push-driven recording
+    /// is held against: after every step, every event's tracker polls
+    /// `has_delivered` on the step's receivers and the round's publishers,
+    /// with one `recorded` bitmap per event against double counting.
+    fn polled_latency<F: ProtocolFactory>(scenario: &Scenario, trial: usize) -> Vec<DeliveryLatency> {
+        let workload = trial_workload(scenario, trial);
+        let membership = workload.membership(scenario);
+        let schedule = &workload.schedule;
+        let network = NetworkConfig {
+            loss_probability: scenario.loss_probability,
+            crash_plan: crash_plan(scenario),
+            fault_plan: scenario.fault_plan(),
+            seed: workload.seed,
+        };
+        let injection_order = workload.injection_order();
+
+        struct LatencyTracker {
+            event: EventId,
+            publish_round: u64,
+            recorded: Vec<bool>,
+            counts: Vec<u64>,
+        }
+        let process_count = workload.topology.member_count();
+        let mut trackers: Vec<LatencyTracker> = Vec::with_capacity(schedule.len());
+        for (round, _, event) in schedule {
+            match trackers.iter_mut().find(|t| t.event == event.id()) {
+                Some(tracker) => tracker.publish_round = tracker.publish_round.min(*round),
+                None => trackers.push(LatencyTracker {
+                    event: event.id(),
+                    publish_round: *round,
+                    recorded: vec![false; process_count],
+                    counts: Vec::new(),
+                }),
+            }
+        }
+
+        let group = F::build(
+            &workload.topology,
+            workload.oracle.clone(),
+            Arc::clone(&membership),
+            &scenario.protocol,
+        );
+        let lifecycle = LifecyclePlan {
+            initially_absent: workload.population.initially_absent().to_vec(),
+            joins: scenario.join_schedule.clone(),
+            leaves: scenario.leave_schedule.clone(),
+        };
+        let observer_view = Arc::clone(&membership);
+        let mut sim =
+            Simulation::with_lifecycle_observer(group.processes, network, lifecycle, move |t| {
+                match t.kind {
+                    LifecycleKind::Join => observer_view.observe_join(t.process.0),
+                    LifecycleKind::Leave => observer_view.observe_leave(t.process.0),
+                    LifecycleKind::Crash => observer_view.observe_crash(t.process.0),
+                }
+            });
+        let mut injected = 0;
+        let mut rounds = 0;
+        let mut delivery_candidates: Vec<usize> = Vec::new();
+        while rounds < scenario.max_rounds {
+            delivery_candidates.clear();
+            while injected < injection_order.len() {
+                let (round, sender, event) = &schedule[injection_order[injected]];
+                if *round > sim.round() {
+                    break;
+                }
+                sim.process_mut(ProcessId(*sender)).publish(Arc::clone(event));
+                delivery_candidates.push(*sender);
+                injected += 1;
+            }
+            membership.round_elapsed();
+            sim.step();
+            rounds += 1;
+            let executed = rounds - 1;
+            delivery_candidates.extend_from_slice(sim.last_step_receivers());
+            for tracker in &mut trackers {
+                if tracker.publish_round > executed {
+                    continue;
+                }
+                let latency = (executed - tracker.publish_round) as usize;
+                for &index in &delivery_candidates {
+                    if !tracker.recorded[index]
+                        && sim.process(ProcessId(index)).has_delivered(tracker.event)
+                    {
+                        tracker.recorded[index] = true;
+                        if tracker.counts.len() <= latency {
+                            tracker.counts.resize(latency + 1, 0);
+                        }
+                        tracker.counts[latency] += 1;
+                    }
+                }
+            }
+            if injected == injection_order.len()
+                && sim.pending_lifecycle() == 0
+                && sim.is_quiescent()
+            {
+                break;
+            }
+        }
+        trackers
+            .into_iter()
+            .map(|tracker| DeliveryLatency {
+                event: tracker.event,
+                publish_round: tracker.publish_round,
+                counts: tracker.counts,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reported_deliveries_record_what_polling_every_tracker_recorded() {
+        use crate::scenario::{MembershipSpec, TopicWorkload};
+        use pmcast_core::{InterestRouting, PmcastConfig};
+        let event = |id: u64| Event::builder(id).int("b", id as i64).build();
+        let base = || Scenario::builder().group(4, 3).matching_rate(0.6).loss(0.02).seed(11);
+        let smoke = |routing: InterestRouting| {
+            Scenario::builder()
+                .group(4, 3)
+                .topics(TopicWorkload::new(12, 3, 300).with_publish_rounds(30))
+                .protocol(PmcastConfig::default().with_interest_routing(routing))
+                .seed(42)
+        };
+        let schedules = [
+            (
+                "several publishers, several events",
+                base()
+                    .publish(Publisher::Interested, event(1))
+                    .publish_at(2, Publisher::Uniform, event(2))
+                    .publish_at(2, Publisher::Process(7), event(3))
+                    .publish_at(5, Publisher::Process(7), event(4)),
+            ),
+            (
+                // The later schedule entry is the earlier publication, one
+                // publisher republishes what it already delivered, and one
+                // round sees the same id injected at two processes.
+                "redundant publishers",
+                base()
+                    .matching_rate(1.0)
+                    .publish_at(3, Publisher::Process(9), event(21))
+                    .publish(Publisher::Process(0), event(21))
+                    .publish_at(6, Publisher::Process(0), event(21))
+                    .publish_at(1, Publisher::Process(40), event(22))
+                    .publish_at(1, Publisher::Process(41), event(22)),
+            ),
+            (
+                "joins, leaves and crashes",
+                base()
+                    .join_at(3, 63)
+                    .join_at(3, 62)
+                    .leave_at(2, 5)
+                    .leave_at(4, 20)
+                    .join_at(9, 5)
+                    .crash_at(1, 16)
+                    .crash_at(6, 1)
+                    .crash_fraction(0.05)
+                    .publish(Publisher::Interested, event(1))
+                    .publish_at(4, Publisher::Process(62), event(2))
+                    .publish_at(7, Publisher::Process(16), event(3))
+                    .publish_at(10, Publisher::Uniform, event(4)),
+            ),
+            (
+                "link delay and stragglers",
+                base()
+                    .link_delay(0, 3)
+                    .straggler(0, 3)
+                    .straggler(17, 2)
+                    .publish(Publisher::Process(0), event(1))
+                    .publish_at(1, Publisher::Process(17), event(2))
+                    .publish_at(3, Publisher::Interested, event(3)),
+            ),
+            ("300 topical events, summary routing", smoke(InterestRouting::Summary)),
+            ("300 topical events, blind routing", smoke(InterestRouting::Blind)),
+        ];
+        let providers = [
+            MembershipSpec::Global,
+            MembershipSpec::partial(12),
+            MembershipSpec::delegate(4),
+        ];
+        for (name, builder) in schedules {
+            for provider in providers {
+                let scenario = builder.clone().membership(provider).build();
+                let pairs = [
+                    (
+                        run_scenario_trial::<PmcastFactory>(&scenario, 0),
+                        polled_latency::<PmcastFactory>(&scenario, 0),
+                    ),
+                    (
+                        run_scenario_trial::<FloodFactory>(&scenario, 0),
+                        polled_latency::<FloodFactory>(&scenario, 0),
+                    ),
+                    (
+                        run_scenario_trial::<GenuineFactory>(&scenario, 0),
+                        polled_latency::<GenuineFactory>(&scenario, 0),
+                    ),
+                ];
+                for (protocol, (outcome, polled)) in pairs.into_iter().enumerate() {
+                    assert_eq!(outcome.latency, polled, "{name}, {provider:?}, protocol {protocol}");
+                    let recorded: u64 = outcome.latency.iter().map(DeliveryLatency::delivered).sum();
+                    assert_eq!(
+                        recorded, outcome.report.delivered_interested as u64,
+                        "{name}, {provider:?}, protocol {protocol}: every delivery in one bucket"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,15 +74,17 @@ pub enum Activity {
     SkipWhenQuiescent,
 }
 
-/// Reusable index buffers for a protocol's fanout draw, owned by whoever
-/// owns the outbox (the [`Simulation`], or an external driver) and lent to
-/// the process being driven through [`RoundContext::scratch`].
+/// What a round driver lends the process it drives besides the outbox:
+/// reusable index buffers for the protocol's fanout draw and the buffer its
+/// delivery reports land in.  Owned by whoever owns the outbox (the
+/// [`Simulation`], or an external driver) and reached through
+/// [`RoundContext::scratch`] and [`RoundContext::report_delivery`].
 ///
 /// A draw's candidate pool lives for one `on_round` call, so it is state of
 /// the round, not of the process: one warm pair of buffers serves every
 /// process a driver steps, where a buffer per process would be grown — and
-/// found cold — once per infected process.  The contents are unspecified
-/// between callbacks; a protocol clears what it uses.
+/// found cold — once per infected process.  The pools' contents are
+/// unspecified between callbacks; a protocol clears what it uses.
 #[derive(Debug, Default)]
 pub struct FanoutScratch {
     /// Candidate positions for the round's draws (pmcast: one depth's view
@@ -90,6 +92,12 @@ pub struct FanoutScratch {
     pub candidates: Vec<usize>,
     /// A per-event narrowing of `candidates` (pmcast's summary routing).
     pub event_candidates: Vec<usize>,
+    /// The `(process, tag)` pairs reported through
+    /// [`RoundContext::report_delivery`] since the driver last emptied the
+    /// buffer.  It is the driver's to read and to empty — a driver that
+    /// never does lets it grow with every delivery — and a protocol only
+    /// ever appends to it.
+    pub delivered: Vec<(ProcessId, u64)>,
 }
 
 /// The per-process, per-round execution context handed to [`RoundProcess`]
@@ -187,6 +195,19 @@ impl<M> RoundContext<'_, M> {
     /// ```
     pub fn scratch(&mut self) -> &mut FanoutScratch {
         self.scratch
+    }
+
+    /// Tells the round driver that this process just delivered, for the
+    /// first time, the application-level item `tag` identifies (a protocol's
+    /// event id): the pair lands in [`FanoutScratch::delivered`].  What a
+    /// driver does with the reports is its own business — [`Simulation`]
+    /// keeps a step's worth for
+    /// [`last_step_deliveries`](Simulation::last_step_deliveries) — so a
+    /// protocol reports every first delivery it makes inside a callback and
+    /// nothing else, each pair exactly once.  Not for use between moving the
+    /// [`scratch`](Self::scratch) out and putting it back.
+    pub fn report_delivery(&mut self, tag: u64) {
+        self.scratch.delivered.push((self.process, tag));
     }
 
     /// Allocation-free target selection: clears `out` and fills it with up
@@ -315,7 +336,7 @@ pub struct Simulation<P: RoundProcess> {
     active_scratch: Vec<usize>,
     /// Dense indices handed at least one message during the most recent
     /// [`step`](Self::step), deduplicated via `receiver_stamp` — the
-    /// delivery delta observers use instead of re-scanning all n processes.
+    /// receipt delta observers use instead of re-scanning all n processes.
     receivers: Vec<usize>,
     /// Per-process stamp (`round + 1`) deduplicating `receivers`.
     receiver_stamp: Vec<u64>,
@@ -630,13 +651,35 @@ impl<P: RoundProcess> Simulation<P> {
     /// process receiving several messages appears once), in delivery
     /// order.  Empty before the first step.
     ///
-    /// This is the per-round delivery delta: state observers (such as a
-    /// delivery-latency tracker) can inspect just these processes instead
-    /// of re-scanning the whole group after every round, because a
-    /// receipt-driven protocol only changes delivery state while handling
-    /// a message or while the caller mutates it directly.
+    /// This is the per-round *receipt* delta: a receipt-driven protocol
+    /// only changes state while handling a message or while the caller
+    /// mutates it directly, so a state observer can inspect just these
+    /// processes instead of re-scanning the whole group after every round.
+    /// An observer of *deliveries* does not have to poll even these —
+    /// [`last_step_deliveries`](Self::last_step_deliveries) names the pairs
+    /// — which is what the trial runner reads; this accessor stays for
+    /// observers of receipt (the `first_contact_round_n10648` bench) and
+    /// for `pmbench`'s composed trial loop, which still polls the receivers
+    /// and is held equal to the runner's outcome trial by trial.
     pub fn last_step_receivers(&self) -> &[usize] {
         &self.receivers
+    }
+
+    /// The `(process, tag)` pairs the processes reported through
+    /// [`RoundContext::report_delivery`] during the most recent
+    /// [`step`](Self::step), in delivery order.  Empty before the first
+    /// step.
+    ///
+    /// This is the per-round delivery delta by *item*: a protocol that
+    /// reports each first delivery once (the `MulticastProtocol`s of
+    /// `pmcast-core` do, with the event id as the tag) lets an observer keep
+    /// its books in O(deliveries) per round, where polling
+    /// [`last_step_receivers`](Self::last_step_receivers) costs a probe per
+    /// receiver per item of interest.  A delivery a caller causes directly
+    /// through [`process_mut`](Self::process_mut) happens outside any step
+    /// and is the caller's to note.
+    pub fn last_step_deliveries(&self) -> &[(ProcessId, u64)] {
+        &self.scratch.delivered
     }
 
     /// The network traffic statistics.
@@ -697,11 +740,12 @@ impl<P: RoundProcess> Simulation<P> {
         self.flush_stragglers();
 
         self.receivers.clear();
+        scratch.delivered.clear();
         for envelope in inbox.drain(..) {
             if self.network.is_crashed(envelope.to) {
                 continue;
             }
-            // Record the delivery delta (deduplicated) and schedule the
+            // Record the receipt delta (deduplicated) and schedule the
             // receiver: a message may have woken it.
             if self.receiver_stamp[envelope.to.0] != self.round + 1 {
                 self.receiver_stamp[envelope.to.0] = self.round + 1;
@@ -883,9 +927,12 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, _from: ProcessId, message: u64, _ctx: &mut RoundContext<'_, u64>) {
+        fn on_message(&mut self, _from: ProcessId, message: u64, ctx: &mut RoundContext<'_, u64>) {
             assert_eq!(message, 99);
             self.deliveries += 1;
+            if !self.has_token {
+                ctx.report_delivery(message);
+            }
             self.has_token = true;
         }
 
@@ -1421,6 +1468,31 @@ mod tests {
         assert_eq!(sim.last_step_receivers().len(), 5, "deduplicated per process");
         sim.run_until_quiescent(20);
         assert!(sim.last_step_receivers().is_empty(), "quiet rounds deliver nothing");
+    }
+
+    #[test]
+    fn last_step_deliveries_holds_one_step_of_reports() {
+        let mut sim = flood_simulation(5, NetworkConfig::reliable(3));
+        assert!(sim.last_step_deliveries().is_empty(), "nothing reported before stepping");
+        sim.step(); // round 0: the seed floods; nothing delivered yet
+        assert!(sim.last_step_deliveries().is_empty());
+        sim.step(); // round 1: everyone else takes the token for the first time
+        let mut reported = sim.last_step_deliveries().to_vec();
+        reported.sort_unstable();
+        assert_eq!(reported, (1..5).map(|index| (ProcessId(index), 99)).collect::<Vec<_>>());
+        sim.step(); // round 2: twenty echoes land, none of them a first
+        assert_eq!(sim.last_step_receivers().len(), 5);
+        assert!(sim.last_step_deliveries().is_empty(), "a step starts from an empty buffer");
+
+        // An external driver finds the reports in the scratch it lent.
+        let mut outbox: Vec<(ProcessId, u64, usize)> = Vec::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut scratch = FanoutScratch::default();
+        let mut ctx = RoundContext::external(ProcessId(3), 0, &mut outbox, &mut rng, &mut scratch);
+        let mut late = Flood::new(Vec::new(), false);
+        late.on_message(ProcessId(0), 99, &mut ctx);
+        late.on_message(ProcessId(1), 99, &mut ctx);
+        assert_eq!(scratch.delivered, vec![(ProcessId(3), 99)]);
     }
 
     #[test]

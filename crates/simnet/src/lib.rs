@@ -38,7 +38,10 @@
 //! [`RoundContext::choose_indices_into`] fills without allocating — a
 //! process keeps no draw buffer of its own (messages themselves should
 //! carry their payloads in `Arc`s, as `pmcast-core` does, so per-target
-//! clones are refcount bumps).
+//! clones are refcount bumps).  The same lent bundle carries the buffer
+//! [`RoundContext::report_delivery`] appends to, so what a step delivered
+//! is read off [`Simulation::last_step_deliveries`] in O(deliveries)
+//! instead of polled out of the processes.
 //!
 //! ## Example
 //!
