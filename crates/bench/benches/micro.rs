@@ -10,7 +10,9 @@ use pmcast_core::{
     GenuineFactory, Gossip, InterestRouting, MulticastProtocol, PmcastConfig, PmcastFactory,
     ProtocolFactory, SharedViews,
 };
-use pmcast_interest::{Event, Filter, Interest, InterestSummary, Interner, Predicate};
+use pmcast_interest::{
+    Event, EventId, EventIdSet, Filter, Interest, InterestSummary, Interner, Predicate,
+};
 use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
     InterestOracle, MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
@@ -278,23 +280,25 @@ fn bench(c: &mut Criterion) {
     });
 
     // Aggregated interest routing's addition to the fanout draw: before
-    // drawing, one `fill_summary_allowed` call narrows the depth's
-    // candidates to the subgroups whose subtree summary admits the event,
-    // and vetoed subtrees never consume a pick.  Same view, RNG and
-    // Fisher–Yates as `delegate_draw_batched` above, so the gap between the
-    // two is the whole cost of the veto.  `summary_skip_draw` asks about one
-    // event again and again — the memo-hit path every entry-round after an
-    // event content's first takes: one lock, one row lookup, a byte read
-    // per distinct subgroup — so its gap to `delegate_draw_batched` must
-    // stay what a second pass over the candidates costs, about as much as
-    // the first (`fill_known_at_depth`) and no function of the summaries'
-    // size.  `summary_skip_draw_miss` rotates through more distinct
-    // contents than the memo holds, so every call starts a fresh row and
-    // judges each subgroup against its summary's disjuncts — what the first
-    // entry-round of a content costs, and what every one of them cost
-    // before the memo.  Interest is clustered one topic per depth-2
-    // subgroup — the sparse-interest regime the skip is built for, where 7
-    // of 8 subtrees are provably uninterested.
+    // drawing, the depth's candidates are narrowed to the subgroups whose
+    // subtree summary admits the event, and vetoed subtrees never consume a
+    // pick.  Same view, RNG and Fisher–Yates as `delegate_draw_batched`
+    // above, so the gap to it is the whole cost of the veto.  pmcast asks
+    // the provider once per buffered entry (per summary epoch) and records
+    // the verdict in the entry, so the three benches are the three things
+    // an entry-round can cost.  `summary_skip_draw` times the
+    // **once-per-entry judgement** on a memo hit — the first round of an
+    // entry whose event *content* the provider has judged before: one
+    // `fill_summary_allowed` call, i.e. one lock, one row lookup, a byte
+    // read per distinct subgroup, a second dyn-iterator pass.
+    // `summary_skip_draw_miss` rotates through more distinct contents than
+    // the memo holds, so every call starts a fresh row and judges each
+    // subgroup against its summary's disjuncts — the first entry of a
+    // content.  `summary_entry_round` (below) is every *later* round of an
+    // entry: the candidates filtered through the recorded verdict, no call
+    // into the membership layer.  Interest is clustered one topic per
+    // depth-2 subgroup — the sparse-interest regime the skip is built for,
+    // where 7 of 8 subtrees are provably uninterested.
     let clustered: Vec<Vec<u32>> = (0..512).map(|i| vec![(i / 8) % 12]).collect();
     let clustered_topics = TopicOracle::new(audience_space, clustered, 12);
     delegate_view.attach_interest_summaries(clustered_topics.subtree_summaries());
@@ -338,6 +342,80 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // An entry-round on a recorded verdict, as `GroupContext::
+    // fill_summary_pool` makes it: read the provider's summary epoch (once
+    // per depth in the protocol; once per draw here, which only makes the
+    // guard stricter), find it unchanged, and keep the candidates whose bit
+    // the verdict has.  This is the bench that must land within noise of
+    // `delegate_draw_batched` — the veto's steady-state cost is a filtered
+    // copy of at most a view's worth of indices.
+    let recorded_epoch = delegate_view.summary_epoch();
+    summary_candidates.clear();
+    delegate_view.fill_summary_allowed(
+        &topic_events[0],
+        &mut summary_prefixes
+            .iter()
+            .flat_map(|subgroup| [subgroup; 3])
+            .enumerate(),
+        &mut summary_candidates,
+    );
+    let recorded_verdict = summary_candidates
+        .iter()
+        .fold(0u128, |allowed, &position| allowed | 1 << position);
+    c.bench_function("summary_entry_round", |b| {
+        b.iter(|| {
+            let own = 37usize;
+            delegate_candidates.clear();
+            delegate_view.fill_known_at_depth(
+                own,
+                2,
+                &mut view_targets.iter().copied(),
+                &mut delegate_candidates,
+            );
+            assert_eq!(delegate_view.summary_epoch(), recorded_epoch);
+            summary_candidates.clear();
+            summary_candidates.extend(
+                delegate_candidates
+                    .iter()
+                    .filter(|&&position| recorded_verdict >> position & 1 == 1),
+            );
+            let mut acc = 0usize;
+            let picks = 4.min(summary_candidates.len());
+            for slot in 0..picks {
+                let swap = draw_rng.gen_range(slot..summary_candidates.len());
+                summary_candidates.swap(slot, swap);
+                acc += view_targets[summary_candidates[slot]];
+            }
+            acc
+        })
+    });
+
+    // The per-receipt dedup probe.  `idset_contains_dense_2000`: a process's
+    // seen-set late in a `topics_*` trial — 2 000 sequential identifiers,
+    // one bitmap window — probed with hits and misses alike: a subtraction,
+    // a shift and a mask, where the sorted vector it replaced made eleven
+    // comparisons.  `idset_insert_spread`: 256 identifiers 2^40 apart, which
+    // no window can span, inserted with local disorder into the sorted
+    // vector that remains the set's fallback — the one path whose cost is
+    // still O(len) per insert, guarded so it never gets worse than it was.
+    let dense_ids: EventIdSet = (10_000..12_000).map(EventId).collect();
+    let mut probe = 0u64;
+    c.bench_function("idset_contains_dense_2000", |b| {
+        b.iter(|| {
+            probe = (probe + 7) % 2_100;
+            dense_ids.contains(EventId(9_950 + probe))
+        })
+    });
+    c.bench_function("idset_insert_spread", |b| {
+        b.iter(|| {
+            let mut set = EventIdSet::new();
+            for index in 0..256u64 {
+                set.insert(EventId((index ^ 0x7) << 40));
+            }
+            set.len()
+        })
+    });
 
     // A membership join storm against the hierarchical provider: each
     // iteration is one crash + re-join transition pair of the same process

@@ -407,12 +407,7 @@ fn accept<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) 
     let delivered = group.oracle.is_interested(&group.addresses[process.id.0], &event)
         && process.delivered.insert(id);
     let (budget, pool) = P::admit(group, process.id, &event);
-    let gossip = BufferedGossip {
-        event,
-        rate: 1.0,
-        round: 0,
-        budget,
-    };
+    let gossip = BufferedGossip::new(event, 1.0, 0, budget);
     process.buffered.insert(id, FlatEntry { gossip, pool });
     delivered
 }

@@ -6,7 +6,8 @@ use pmcast_interest::{Event, EventId, EventIdSet};
 /// One buffered event at one depth: the `(event, rate, round)` tuples of the
 /// `gossips[depth]` sets in Figure 3, extended with the precomputed round
 /// budget so the Pittel estimate is evaluated once per depth rather than
-/// once per round.
+/// once per round — and, under summary routing, with the provider's verdict
+/// on the event, asked once per entry instead of once per round.
 ///
 /// The event is held through an [`Arc`]: buffering, promoting and forwarding
 /// an event never copies its payload.
@@ -20,6 +21,46 @@ pub struct BufferedGossip {
     pub round: u32,
     /// Round budget at this depth (`T(|view| · R · rate, F · rate)`).
     pub budget: u32,
+    /// The recorded summary verdict: bit `p` is set when the membership
+    /// provider's summaries allow the depth view's position `p` for this
+    /// event.  Derived state, valid only under the epoch below, and private
+    /// so that only an answer of the provider ever gets here.
+    allowed: u128,
+    /// The provider's summary epoch the verdict was asked under, plus one;
+    /// zero while nobody has asked.
+    asked_under: u64,
+}
+
+impl BufferedGossip {
+    /// How many view positions a recorded verdict covers.  A fixed inline
+    /// width, not a knob: the entry stays three words fatter whatever the
+    /// view, and a depth view wider than this under summary routing has its
+    /// verdict asked per entry-round instead, the one way to serve it.
+    pub(crate) const VERDICT_WIDTH: usize = u128::BITS as usize;
+
+    /// An entry with no verdict recorded.
+    pub fn new(event: Arc<Event>, rate: f64, round: u32, budget: u32) -> Self {
+        Self {
+            event,
+            rate,
+            round,
+            budget,
+            allowed: 0,
+            asked_under: 0,
+        }
+    }
+
+    /// The verdict recorded for this entry, if one was and the provider's
+    /// summary epoch is still the one it was asked under.
+    pub(crate) fn verdict_under(&self, epoch: u64) -> Option<u128> {
+        (self.asked_under == epoch.wrapping_add(1)).then_some(self.allowed)
+    }
+
+    /// Records the provider's verdict, asked under `epoch`.
+    pub(crate) fn record_verdict(&mut self, epoch: u64, allowed: u128) {
+        self.allowed = allowed;
+        self.asked_under = epoch.wrapping_add(1);
+    }
 }
 
 /// The per-process gossip buffers: one set of buffered events per depth,
@@ -29,12 +70,13 @@ pub struct BufferedGossip {
 /// an event lives in a depth's buffer for at most its round budget, after
 /// which it is either promoted to the next depth or dropped for good.  The
 /// `seen` set prevents a late gossip from resurrecting an already
-/// garbage-collected event; it is an [`EventIdSet`] — a sorted vector that
-/// costs no heap allocation while empty — because a million-process group
-/// holds one of these per process and a trial only disseminates a handful
-/// of events through each.  For the same reason the per-depth vectors only
-/// appear with the first insert: the buffers of a process no event ever
-/// reached own no heap memory, and asking whether they are empty reads none.
+/// garbage-collected event; it is an [`EventIdSet`] — a bitmap window that
+/// costs no heap allocation while its identifiers fit 64 in a row — because
+/// a million-process group holds one of these per process and a trial only
+/// disseminates a handful of events through each.  For the same reason the
+/// per-depth vectors only appear with the first insert: the buffers of a
+/// process no event ever reached own no heap memory, and asking whether
+/// they are empty reads none.
 #[derive(Debug, Clone)]
 pub struct GossipBuffers {
     depth: Depth,
@@ -110,7 +152,7 @@ impl GossipBuffers {
         if !self.seen.insert(gossip.event.id()) {
             return false;
         }
-        self.at_depth_mut(depth).push(gossip);
+        self.file(depth, gossip);
         true
     }
 
@@ -118,7 +160,17 @@ impl GossipBuffers {
     /// when a process promotes an event from depth `i` to `i + 1`
     /// (Figure 3, lines 17–18).
     pub fn promote(&mut self, depth: Depth, gossip: BufferedGossip) {
-        self.at_depth_mut(depth).push(gossip);
+        self.file(depth, gossip);
+    }
+
+    fn file(&mut self, depth: Depth, gossip: BufferedGossip) {
+        let entries = self.at_depth_mut(depth);
+        if entries.capacity() == 0 {
+            // A single-event trial files one entry per depth per infected
+            // process; `Vec`'s first growth would reserve four.
+            entries.reserve_exact(1);
+        }
+        entries.push(gossip);
     }
 
     /// Number of distinct events ever seen.
@@ -149,12 +201,7 @@ mod tests {
     use super::*;
 
     fn gossip(id: u64) -> BufferedGossip {
-        BufferedGossip {
-            event: Arc::new(Event::builder(id).int("b", 1).build()),
-            rate: 0.5,
-            round: 0,
-            budget: 5,
-        }
+        BufferedGossip::new(Arc::new(Event::builder(id).int("b", 1).build()), 0.5, 0, 5)
     }
 
     #[test]
@@ -201,6 +248,30 @@ mod tests {
         assert_eq!(buffers.depth(), 4);
         assert!(buffers.at_depth(1).is_empty());
         assert_eq!(buffers.at_depth(4).len(), 1);
+    }
+
+    #[test]
+    fn a_depth_starts_at_one_entry_and_a_verdict_lives_under_its_epoch() {
+        let mut buffers = GossipBuffers::new(2);
+        buffers.insert(1, gossip(1));
+        assert_eq!(buffers.by_depth[0].capacity(), 1);
+        assert_eq!(buffers.by_depth[1].capacity(), 0);
+        buffers.insert(1, gossip(2));
+        assert!(buffers.by_depth[0].capacity() >= 2);
+        // Entries are three words fatter than the four fields a caller sets.
+        assert_eq!(std::mem::size_of::<BufferedGossip>(), 48);
+
+        let mut entry = gossip(3);
+        assert_eq!(entry.verdict_under(0), None);
+        entry.record_verdict(0, 0b101);
+        assert_eq!(entry.verdict_under(0), Some(0b101));
+        assert_eq!(entry.verdict_under(1), None, "the filters changed since");
+        entry.record_verdict(1, 0);
+        assert_eq!(
+            entry.verdict_under(1),
+            Some(0),
+            "everything vetoed is a verdict too"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
-use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
+use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::{Activity, FanoutScratch, ProcessId, RoundContext, RoundProcess};
 use rand::Rng;
 
@@ -59,10 +59,11 @@ impl GroupContext {
         if view.is_empty() {
             return 0.0;
         }
-        let hits = view
-            .iter()
-            .filter(|target| self.oracle.subtree_interested(&target.subgroup, event))
-            .count();
+        // One oracle probe per distinct subgroup, one hit per target.
+        let hits = allowed_runs(view.iter().map(|target| ((), &target.subgroup)), |subgroup| {
+            self.oracle.subtree_interested(subgroup, event)
+        })
+        .count();
         hits as f64 / view.len() as f64
     }
 
@@ -115,12 +116,66 @@ impl GroupContext {
     /// A freshly filed entry for `event` at the depth whose view is `view`.
     fn fresh_entry(&self, view: &[GossipTarget], event: Arc<Event>) -> BufferedGossip {
         let rate = self.effective_rate(view, &event);
-        BufferedGossip {
-            budget: self.round_budget(view.len(), rate),
-            event,
-            rate,
-            round: 0,
+        BufferedGossip::new(event, rate, 0, self.round_budget(view.len(), rate))
+    }
+
+    /// The pool of one entry-round under [`InterestRouting::Summary`]: the
+    /// round's `scratch.candidates` whose subgroup the membership provider's
+    /// summaries allow for the entry's event, in candidate order, left in
+    /// `scratch.event_candidates`.
+    ///
+    /// Whether a subgroup is allowed does not depend on who is a candidate
+    /// this round, so the provider is asked about the whole view once — the
+    /// first round the entry is gossiped — and its answer is recorded in the
+    /// entry with the `epoch` (the provider's
+    /// [`summary_epoch`](MembershipView::summary_epoch), read once per
+    /// depth per round) it was given under.  Every later entry-round is
+    /// `candidates ∩ verdict` with no call into the membership layer, until
+    /// the epoch moves — a filter changed — and the verdict is asked again:
+    /// it is derived state, never a source of truth.  A view wider than
+    /// [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and is asked
+    /// about per entry-round, candidates only.
+    fn fill_summary_pool(
+        &self,
+        view: &[GossipTarget],
+        entry: &mut BufferedGossip,
+        epoch: u64,
+        scratch: &mut FanoutScratch,
+    ) {
+        scratch.event_candidates.clear();
+        if view.len() > BufferedGossip::VERDICT_WIDTH {
+            self.membership.fill_summary_allowed(
+                &entry.event,
+                &mut scratch
+                    .candidates
+                    .iter()
+                    .map(|&position| (position, &view[position].subgroup)),
+                &mut scratch.event_candidates,
+            );
+            return;
         }
+        let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
+            self.membership.fill_summary_allowed(
+                &entry.event,
+                &mut view
+                    .iter()
+                    .enumerate()
+                    .map(|(position, target)| (position, &target.subgroup)),
+                &mut scratch.event_candidates,
+            );
+            let allowed = scratch
+                .event_candidates
+                .drain(..)
+                .fold(0u128, |allowed, position| allowed | 1 << position);
+            entry.record_verdict(epoch, allowed);
+            allowed
+        });
+        scratch.event_candidates.extend(
+            scratch
+                .candidates
+                .iter()
+                .filter(|&&position| allowed >> position & 1 == 1),
+        );
     }
 }
 
@@ -156,9 +211,10 @@ pub struct PmcastProcess {
     depth_views: crate::ViewStack,
     buffers: GossipBuffers,
     delivered: Vec<Arc<Event>>,
-    // A sorted-vector set (not a hash set): three words while empty, so a
-    // million never-contacted processes hold no dedup heap at all.  The
-    // received set is `buffers`' seen-set: every received id is filed there.
+    // A windowed bitmap (not a hash set): four words with 64 identifiers
+    // inline, so neither a million never-contacted processes nor the ones a
+    // single event infects hold any dedup heap.  The received set is
+    // `buffers`' seen-set: every received id is filed there.
     delivered_ids: EventIdSet,
     rounds_active: u64,
 }
@@ -345,6 +401,10 @@ impl PmcastProcess {
         }
 
         let routing = group.config.interest_routing;
+        let summary_epoch = match routing {
+            InterestRouting::Summary => group.membership.summary_epoch(),
+            InterestRouting::Oracle | InterestRouting::Blind => 0,
+        };
         entries.retain_mut(|entry| {
             if entry.round < entry.budget {
                 entry.round += 1;
@@ -359,17 +419,9 @@ impl PmcastProcess {
                 // is the shared per-depth candidate list, so the draw
                 // sequence there is bit-identical to the historical one.
                 let pool = if routing == InterestRouting::Summary {
-                    // One call per entry-round: the provider judges the
-                    // candidates' subgroups for this event under one lock.
-                    scratch.event_candidates.clear();
-                    group.membership.fill_summary_allowed(
-                        &entry.event,
-                        &mut scratch
-                            .candidates
-                            .iter()
-                            .map(|&position| (position, &view[position].subgroup)),
-                        &mut scratch.event_candidates,
-                    );
+                    group.fill_summary_pool(view, entry, summary_epoch, scratch);
+                    #[cfg(test)]
+                    tests::check_summary_pool(group, view, entry, scratch);
                     &mut scratch.event_candidates
                 } else {
                     &mut scratch.candidates
@@ -440,12 +492,7 @@ impl RoundProcess for PmcastProcess {
         }
         self.buffers.insert(
             gossip.depth,
-            BufferedGossip {
-                event: gossip.event,
-                rate: gossip.rate,
-                round: gossip.round,
-                budget,
-            },
+            BufferedGossip::new(gossip.event, gossip.rate, gossip.round, budget),
         );
     }
 
@@ -497,17 +544,77 @@ impl crate::MulticastProtocol for PmcastProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcast_addr::AddressSpace;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use pmcast_addr::{AddressSpace, Prefix};
     use pmcast_interest::{Filter, Predicate};
     use pmcast_membership::{
-        AssignmentOracle, GlobalOracleView, GroupTree, ImplicitRegularTree, UniformOracle,
+        AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
+        ImplicitRegularTree, TopicOracle, UniformOracle, TOPIC_ATTRIBUTE,
     };
-    use pmcast_simnet::{NetworkConfig, Simulation};
+    use pmcast_simnet::{CrashPlan, LifecycleKind, LifecyclePlan, NetworkConfig, Simulation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn small_topology() -> ImplicitRegularTree {
         ImplicitRegularTree::new(AddressSpace::regular(2, 4).unwrap())
+    }
+
+    thread_local! {
+        /// `(event id, pool size)` of every summary-routed entry-round this
+        /// thread has held against the reference, in order.
+        static POOLS_CHECKED: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The pool of a summary-routed entry-round as every one of them was
+    /// built before entries recorded verdicts: ask the provider about this
+    /// round's candidates.  Kept verbatim as the reference
+    /// [`GroupContext::fill_summary_pool`] is held equal to.
+    fn reference_summary_pool(
+        group: &GroupContext,
+        view: &[GossipTarget],
+        entry: &BufferedGossip,
+        candidates: &[usize],
+    ) -> Vec<usize> {
+        let mut pool = Vec::new();
+        group.membership.fill_summary_allowed(
+            &entry.event,
+            &mut candidates
+                .iter()
+                .map(|&position| (position, &view[position].subgroup)),
+            &mut pool,
+        );
+        pool
+    }
+
+    /// Called by `gossip_depth` in test builds on every summary-routed
+    /// entry-round, right after the pool is built and before it is drawn
+    /// from: whatever test drives the protocol, a recorded verdict that has
+    /// gone stale — or was never the provider's — fails here.
+    pub(super) fn check_summary_pool(
+        group: &GroupContext,
+        view: &[GossipTarget],
+        entry: &BufferedGossip,
+        scratch: &FanoutScratch,
+    ) {
+        assert_eq!(
+            scratch.event_candidates,
+            reference_summary_pool(group, view, entry, &scratch.candidates),
+            "pool of {} in round {} of its budget",
+            entry.event.id(),
+            entry.round
+        );
+        POOLS_CHECKED.with(|checked| {
+            checked
+                .borrow_mut()
+                .push((entry.event.id().0, scratch.event_candidates.len()))
+        });
+    }
+
+    /// Empties this thread's log of checked pools and returns it.
+    fn pools_checked() -> Vec<(u64, usize)> {
+        POOLS_CHECKED.with(|checked| std::mem::take(&mut *checked.borrow_mut()))
     }
 
     fn global_view() -> Arc<dyn MembershipView> {
@@ -803,6 +910,236 @@ mod tests {
                 false, false, true, // 2.2.2
             ]
         );
+    }
+
+    /// A provider that knows everybody and allows exactly one depth-1
+    /// subgroup's subtree, both the test's to flip.
+    #[derive(Debug)]
+    struct FlippingView {
+        allowed: AtomicU64,
+        epoch: AtomicU64,
+    }
+
+    impl MembershipView for FlippingView {
+        fn estimated_size(&self) -> usize {
+            16
+        }
+        fn peer_count(&self, _of: usize) -> usize {
+            15
+        }
+        fn peer_at(&self, of: usize, k: usize) -> usize {
+            k + usize::from(k >= of)
+        }
+        fn knows(&self, of: usize, peer: usize) -> bool {
+            of != peer
+        }
+        fn summary_allows(&self, subgroup: &Prefix, _event: &Event) -> bool {
+            u64::from(subgroup.components()[0]) == self.allowed.load(Ordering::SeqCst)
+        }
+        fn summary_epoch(&self) -> u64 {
+            self.epoch.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn a_verdict_recorded_mid_budget_is_asked_again_once_the_epoch_moves() {
+        let provider = Arc::new(FlippingView {
+            allowed: AtomicU64::new(1),
+            epoch: AtomicU64::new(7),
+        });
+        // F = R = 3: a pool of one subgroup's three delegates is drawn whole.
+        let config = PmcastConfig::default()
+            .with_fanout(3)
+            .with_interest_routing(InterestRouting::Summary);
+        let group = build_pmcast_group(
+            &small_topology(),
+            Arc::new(UniformOracle::new(16)),
+            provider.clone(),
+            &config,
+        );
+        let mut process = group.processes.into_iter().next().unwrap();
+        process.pmcast(Event::builder(1).build());
+        assert!(process.buffers.at_depth(1)[0].budget >= 4, "mid-budget needs a budget");
+
+        let mut outbox = Vec::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut scratch = FanoutScratch::default();
+        let mut round = |process: &mut PmcastProcess| -> Vec<usize> {
+            let mut ctx =
+                RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
+            process.on_round(&mut ctx);
+            let mut targets: Vec<usize> = outbox.drain(..).map(|(to, ..)| to.0).collect();
+            targets.sort_unstable();
+            targets
+        };
+        pools_checked();
+        // Subtree 1 is allowed: its delegates 1.0, 1.1, 1.2 get the gossip,
+        // this round and — from the recorded verdict — the next.
+        assert_eq!(round(&mut process), vec![4, 5, 6]);
+        assert_eq!(round(&mut process), vec![4, 5, 6]);
+        assert_eq!(process.buffers.at_depth(1)[0].verdict_under(7), Some(0b111 << 3));
+        // The filters change under the entry: the next round draws from the
+        // new pool, because the provider moved its epoch.
+        provider.allowed.store(2, Ordering::SeqCst);
+        provider.epoch.store(8, Ordering::SeqCst);
+        assert_eq!(round(&mut process), vec![8, 9, 10]);
+        assert_eq!(process.buffers.at_depth(1)[0].verdict_under(8), Some(0b111 << 6));
+        assert_eq!(pools_checked(), vec![(1, 3); 3]);
+    }
+
+    /// A 4^3 group under summary routing over `delegate(4)` tables with the
+    /// topic workload's summaries attached: process `i` subscribes to topic
+    /// `(i / 4) % 5`, and process 21 alone to topic 5 on top.
+    fn summary_routed_topic_group() -> (ProtocolGroup<PmcastProcess>, Arc<DelegateView>) {
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let subscriptions = (0..64u32)
+            .map(|i| if i == 21 { vec![i / 4 % 5, 5] } else { vec![i / 4 % 5] })
+            .collect();
+        let topics = Arc::new(TopicOracle::new(space.clone(), subscriptions, 6));
+        let membership = Arc::new(DelegateView::bootstrap(
+            4,
+            3,
+            DelegateViewConfig::default().with_slots(4),
+            11,
+        ));
+        membership.attach_interest_summaries(topics.subtree_summaries());
+        let config = PmcastConfig::default().with_interest_routing(InterestRouting::Summary);
+        let group = build_pmcast_group(
+            &ImplicitRegularTree::new(space),
+            topics,
+            membership.clone(),
+            &config,
+        );
+        (group, membership)
+    }
+
+    /// Steps [`summary_routed_topic_group`] through a churn schedule the way
+    /// the trial runner does — lifecycle transitions observed by the
+    /// provider, a membership round before every step — publishing event
+    /// `100 + r` on topic `publications[r]` in round `r`, until everything
+    /// is published and quiet.  `check_summary_pool` holds the pool of
+    /// every entry-round on the way equal to the per-round ask.
+    fn run_topic_churn(
+        crashes: Vec<(u64, usize)>,
+        lifecycle: LifecyclePlan,
+        publications: &[i64],
+    ) -> (Simulation<PmcastProcess>, Arc<DelegateView>) {
+        let (group, membership) = summary_routed_topic_group();
+        let network = NetworkConfig::reliable(5).with_crash_plan(CrashPlan::Scheduled(crashes));
+        let observer = membership.clone();
+        let mut sim =
+            Simulation::with_lifecycle_observer(group.processes, network, lifecycle, move |t| {
+                match t.kind {
+                    LifecycleKind::Join => observer.observe_join(t.process.0),
+                    LifecycleKind::Leave => observer.observe_leave(t.process.0),
+                    LifecycleKind::Crash => observer.observe_crash(t.process.0),
+                }
+            });
+        for round in 0..200 {
+            if let Some(&topic) = publications.get(round) {
+                let event = Event::builder(100 + round as u64).int(TOPIC_ATTRIBUTE, topic).build();
+                sim.process_mut(ProcessId(round * 3 % 64)).pmcast(event);
+            }
+            membership.round_elapsed();
+            sim.step();
+            if round >= publications.len() && sim.pending_lifecycle() == 0 && sim.is_quiescent() {
+                return (sim, membership);
+            }
+        }
+        panic!("the dissemination never went quiet");
+    }
+
+    #[test]
+    fn recorded_verdicts_equal_the_per_round_ask_through_leave_rejoin_and_crash() {
+        // The only subscriber of topic 5 leaves at round 4 and is back at
+        // round 8; another subscriber crashes at round 11 and is swept by
+        // the membership round after.  An event is published every round,
+        // every other one on topic 5 (by publishers 0, 3, …, 57: never one
+        // of the churned), so entries are mid-budget across each filter
+        // change.
+        pools_checked();
+        let publications: Vec<i64> =
+            (0..20).map(|round| if round % 2 == 1 { 5 } else { round / 2 % 5 }).collect();
+        let lifecycle = LifecyclePlan {
+            leaves: vec![(4, 21)],
+            joins: vec![(8, 21)],
+            ..LifecyclePlan::default()
+        };
+        let (sim, membership) = run_topic_churn(vec![(11, 42)], lifecycle, &publications);
+        // Attached, then leave, rejoin and swept crash.
+        assert_eq!(membership.summary_epoch(), 4);
+        let checked = pools_checked();
+        assert!(checked.len() > 1_000, "only {} entry-rounds were routed", checked.len());
+        // The event of round 7 was published while nobody subscribed to its
+        // topic, a round before the subscriber came back: its entries saw
+        // the veto lifted mid-budget.
+        let sizes: Vec<usize> =
+            checked.iter().filter(|&&(id, _)| id == 107).map(|&(_, size)| size).collect();
+        let lifted = sizes.iter().position(|&size| size > 0).expect("the rejoin lifts the veto");
+        assert!(lifted > 0 && sizes[..lifted].iter().all(|&size| size == 0), "{sizes:?}");
+        assert!(sim.process(ProcessId(21)).has_delivered(EventId(107)));
+    }
+
+    proptest::proptest! {
+        /// The same equality over random schedules: any mix of leaves,
+        /// rejoins and crashes of any processes (the engine ignores a
+        /// transition that changes nothing), under random topic traffic.
+        #[test]
+        fn recorded_verdicts_equal_the_per_round_ask_over_random_churn(
+            churn in proptest::collection::vec((0u8..3, 0usize..64, 1u64..24), 0..10),
+            publications in proptest::collection::vec(0i64..7, 1..14),
+        ) {
+            let scheduled = |kind: u8| -> Vec<(u64, usize)> {
+                churn
+                    .iter()
+                    .filter(|&&(of, ..)| of == kind)
+                    .map(|&(_, process, round)| (round, process))
+                    .collect()
+            };
+            let lifecycle = LifecyclePlan {
+                leaves: scheduled(0),
+                joins: scheduled(1),
+                ..LifecyclePlan::default()
+            };
+            let (sim, _) = run_topic_churn(scheduled(2), lifecycle, &publications);
+            proptest::prop_assert!(sim.is_quiescent());
+        }
+    }
+
+    #[test]
+    fn a_view_wider_than_a_recorded_verdict_is_asked_about_every_entry_round() {
+        // 50^2 with R = 3: the root view lists 150 delegates, more positions
+        // than a verdict records, so its entries keep the per-round ask —
+        // and the leaf views of 50 record theirs.  Both equal the reference.
+        let space = AddressSpace::regular(2, 50).unwrap();
+        let subscriptions = (0..2_500u32).map(|i| vec![i / 50 % 7]).collect();
+        let topics = Arc::new(TopicOracle::new(space.clone(), subscriptions, 7));
+        let membership = Arc::new(DelegateView::bootstrap(50, 2, DelegateViewConfig::default(), 3));
+        membership.attach_interest_summaries(topics.subtree_summaries());
+        let config = PmcastConfig::default().with_interest_routing(InterestRouting::Summary);
+        let group =
+            build_pmcast_group(&ImplicitRegularTree::new(space), topics, membership, &config);
+        assert_eq!(group.processes[0].depth_views[0].len(), 150);
+        assert!(group.processes[0].depth_views[0].len() > BufferedGossip::VERDICT_WIDTH);
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(9));
+        for (id, publisher) in [(1u64, 0usize), (2, 1_234), (3, 2_499)] {
+            let event = Event::builder(id).int(TOPIC_ATTRIBUTE, id as i64).build();
+            sim.process_mut(ProcessId(publisher)).pmcast(event);
+        }
+        pools_checked();
+        sim.run_until_quiescent(300);
+        assert!(sim.is_quiescent());
+        // Subscribers of topic 1 sit in subgroups 1, 8, …, 43: seven of
+        // fifty, and the veto kept the event out of the other forty-three.
+        let received = sim.processes().filter(|p| p.has_received(EventId(1))).count();
+        let delivered = sim.processes().filter(|p| p.has_delivered(EventId(1))).count();
+        assert_eq!(delivered, 7 * 50);
+        assert!(received < 8 * 50, "{received} processes received a topic of 350");
+        // Every entry-round on the way — the root's, asked per round, and
+        // the leaves', drawn from a recorded verdict — went through
+        // `check_summary_pool`.
+        let routed = pools_checked().len();
+        assert!(routed > 500, "only {routed} entry-rounds were routed");
     }
 
     #[test]

@@ -1,43 +1,125 @@
+//! [`EventIdSet`]: a process's dedup history as a window, not a list.
+//!
+//! The publishing layers hand out identifiers sequentially, so the ids one
+//! process has seen are an interval with holes (lpbcast's observation about
+//! per-source event histories), and a receipt's "have I seen this?" should
+//! cost one probe into that interval.  The set therefore has exactly three
+//! shapes, picked by what the identifiers look like, never by a knob:
+//!
+//! 1. **Inline window.**  One 64-bit word covering the 64 identifiers from
+//!    `base` (a multiple of 64) on.  No heap at all: a process a
+//!    single-event trial infects keeps its seen-set and its delivered-set
+//!    inside its own struct, and a probe reads no second cache line.
+//! 2. **Spilled window.**  The same bitmap continued in a boxed word
+//!    vector, while it stays *dense*: the whole window may span at most
+//!    [`WORDS_PER_ID`] words per stored identifier (and at least
+//!    [`MIN_WINDOW_WORDS`], so a handful of ids a few hundred apart do not
+//!    count as sparse).  A probe is a subtraction, a shift and a mask.  The
+//!    window re-bases downward when an identifier below it arrives and
+//!    slides upward when [`EventIdSet::compact_below`] retires its front.
+//! 3. **Sorted vector.**  Identifiers too spread out for a dense window —
+//!    two clusters 2⁴⁰ apart, `{0, u64::MAX}` — live in the sorted vector
+//!    this type used to be, binary-searched.  It is the only shape that can
+//!    serve them: the bitmap's size follows the *span* of the ids, the
+//!    vector's their *count*, so the heap owned is O(len) words whatever an
+//!    identifier's magnitude.  The vector takes the spill's place (one boxed
+//!    spill, two forms), and a set stays sorted until compaction empties it.
+//!
+//! Which shape a set is in depends on its history; what it *contains* does
+//! not, and equality and iteration are by content.
+
 use crate::EventId;
 
-/// A compact set of [`EventId`]s: a sorted vector with binary-search
-/// membership and insertion-point insert.
+/// Identifiers per window word.
+const WORD_BITS: u64 = u64::BITS as u64;
+
+/// The density rule, first half: a window may span at most this many words
+/// per identifier it stores.  A sorted vector costs one word per id, so a
+/// bitmap within this bound is never more than twice the vector it replaces
+/// (and at one id per bit it is a sixty-fourth of it).  A constant of the
+/// representation, not a tuning knob: it bounds memory, and any value keeps
+/// the set correct.
+const WORDS_PER_ID: u64 = 2;
+
+/// The density rule, second half: a window may always span this many words
+/// (256 identifiers), however few it stores — two ids a hundred apart are a
+/// window, not a spread.
+const MIN_WINDOW_WORDS: u64 = 4;
+
+/// A compact set of [`EventId`]s with a retirement floor: a bitmap window
+/// over the identifiers in use — 64 of them inline, more in a boxed spill
+/// while the window stays dense (at most two words per stored identifier,
+/// never fewer than four) — and a sorted vector for identifiers too spread
+/// out for a window.  Which shape a set is in follows from its identifiers,
+/// never from a knob; equality and iteration are by content.
 ///
-/// Every simulated process keeps three event-identifier sets (seen,
-/// received, delivered), so at a million processes the per-set constant
-/// factors dominate the whole group's memory footprint.  A hash set costs
-/// ~48 bytes of struct plus a table allocation sized for growth; this set is
-/// three words while empty — **no heap allocation at all** until the first
-/// insert — and `8 × len` bytes after, with the identifiers stored inline
-/// and scanned by cache-friendly binary search.
-///
-/// The trade-off is `O(len)` shifting per insert, which is the *right*
-/// trade for this workload: a trial disseminates a handful of events, so
-/// `len` stays tiny (usually 1) and the shift is cheaper than hashing.  For
-/// stress tests pushing thousands of events through one process the set
-/// degrades gracefully to `O(len)` inserts — correct, just not the target
-/// regime.
+/// Every simulated process keeps two of these (seen, delivered), so at a
+/// million processes the per-set constant factors dominate the whole
+/// group's memory footprint, and every receipt probes one, so under heavy
+/// traffic the probe is a measurable share of a round.  The set is four
+/// words; it owns **no heap at all** until an identifier falls outside the
+/// 64 it can hold inline, a dense set of `n` identifiers then costs about
+/// `n / 64` words and a probe is a subtraction, a shift and a mask; the
+/// heap owned is O(len) words whatever an identifier's magnitude.
 ///
 /// ## Long-run compaction
 ///
-/// Under sustained publishing (the daemon workloads) even `8 × len` grows
+/// Under sustained publishing (the daemon workloads) even a bitmap grows
 /// without bound.  [`EventIdSet::compact_below`] installs a **low
-/// watermark**: identifiers below the floor are dropped from the vector and
+/// watermark**: identifiers below the floor are dropped from storage and
 /// from then on treated as already present (`contains` → `true`, `insert` →
 /// `false`).  With the monotonically increasing identifiers the publishing
 /// layers hand out, retiring quiescent events this way bounds the dedup
 /// state to the in-flight window while never re-admitting (and hence never
 /// re-delivering) a retired event.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct EventIdSet {
-    sorted: Vec<EventId>,
     /// Identifiers strictly below this are retired: assumed seen, not stored.
     floor: EventId,
+    /// The identifier of bit 0 of `head`, a multiple of [`WORD_BITS`].
+    /// Unused (zero) while the set is empty or sorted.
+    base: u64,
+    /// The window's first word: bit `i` is identifier `base + i`.  Zero
+    /// while the set is sorted.
+    head: u64,
+    /// What does not fit in `head`; `None` until something does not.
+    spill: Option<Box<Spill>>,
+}
+
+#[derive(Debug, Clone)]
+enum Spill {
+    /// The window's words after `head`: bit `j` of `tail[i]` is identifier
+    /// `base + 64 · (i + 1) + j`, and `ones` of those bits are set.
+    Window { tail: Vec<u64>, ones: usize },
+    /// Every identifier of a set too spread out for a window, ascending.
+    Sorted(Vec<EventId>),
+}
+
+/// The word an identifier falls in, counted from identifier zero.
+fn word_of(id: u64) -> u64 {
+    id / WORD_BITS
+}
+
+/// The identifier's bit within its word.
+fn bit_of(id: u64) -> u64 {
+    1 << (id % WORD_BITS)
+}
+
+/// The positions of a word's set bits, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let bit = u64::from(word.trailing_zeros());
+        word &= word - 1;
+        Some(bit)
+    })
 }
 
 impl EventIdSet {
-    /// Creates an empty set.  Allocation-free: the backing vector stays
-    /// unallocated until the first insert.
+    /// Creates an empty set.  Allocation-free, and it stays so while its
+    /// identifiers fit one 64-identifier window.
     pub fn new() -> Self {
         Self::default()
     }
@@ -45,7 +127,28 @@ impl EventIdSet {
     /// Returns `true` if the identifier is in the set.  Identifiers retired
     /// by [`EventIdSet::compact_below`] count as present.
     pub fn contains(&self, id: EventId) -> bool {
-        id < self.floor || self.sorted.binary_search(&id).is_ok()
+        if id < self.floor {
+            return true;
+        }
+        if let Some(Spill::Sorted(ids)) = self.spill.as_deref() {
+            return ids.binary_search(&id).is_ok();
+        }
+        // An identifier below the window wraps to an index past any tail.
+        let index = word_of(id.0).wrapping_sub(word_of(self.base));
+        self.window_word(index) & bit_of(id.0) != 0
+    }
+
+    /// The window's word `index` words after `head` (`head` itself at
+    /// zero); all zeroes outside the window.
+    fn window_word(&self, index: u64) -> u64 {
+        match (index, self.spill.as_deref()) {
+            (0, _) => self.head,
+            (_, Some(Spill::Window { tail, .. })) => usize::try_from(index - 1)
+                .ok()
+                .and_then(|index| tail.get(index))
+                .map_or(0, |&word| word),
+            _ => 0,
+        }
     }
 
     /// Inserts the identifier; returns `true` if it was not already present
@@ -55,12 +158,116 @@ impl EventIdSet {
         if id < self.floor {
             return false;
         }
-        match self.sorted.binary_search(&id) {
-            Ok(_) => false,
-            Err(position) => {
-                self.sorted.insert(position, id);
-                true
+        if let Some(Spill::Sorted(ids)) = self.spill.as_deref_mut() {
+            return match ids.binary_search(&id) {
+                Ok(_) => false,
+                Err(position) => {
+                    ids.insert(position, id);
+                    true
+                }
+            };
+        }
+        if self.head == 0 && self.spill.is_none() {
+            // Empty: the window starts at the identifier's own word.
+            self.base = id.0 - id.0 % WORD_BITS;
+        }
+        let (word, base_word) = (word_of(id.0), word_of(self.base));
+        let tail_len = match self.spill.as_deref() {
+            Some(Spill::Window { tail, .. }) => tail.len() as u64,
+            _ => 0,
+        };
+        // The window this insert needs, in words, and where the identifier's
+        // word sits in it once it is that wide.
+        let (needed, prepend) = if word >= base_word {
+            ((word - base_word + 1).max(tail_len + 1), 0)
+        } else {
+            (base_word - word + tail_len + 1, base_word - word)
+        };
+        if needed > tail_len + 1 {
+            let allowed = MIN_WINDOW_WORDS.max(WORDS_PER_ID.saturating_mul(self.len() as u64 + 1));
+            if needed > allowed {
+                self.spread_with(id);
+                return true;
             }
+            self.widen(needed, prepend);
+        }
+        let bit = bit_of(id.0);
+        match word - word_of(self.base) {
+            0 => {
+                let fresh = self.head & bit == 0;
+                self.head |= bit;
+                fresh
+            }
+            index => {
+                let Some(Spill::Window { tail, ones }) = self.spill.as_deref_mut() else {
+                    unreachable!("the window was widened to hold the identifier's word")
+                };
+                let slot = &mut tail[(index - 1) as usize];
+                let fresh = *slot & bit == 0;
+                *slot |= bit;
+                *ones += usize::from(fresh);
+                fresh
+            }
+        }
+    }
+
+    /// Widens the window to `needed` words, `prepend` of them in front of
+    /// `head` (the downward re-base: `base` moves down, every stored bit
+    /// keeps its identifier).
+    fn widen(&mut self, needed: u64, prepend: u64) {
+        let spill = self.spill.get_or_insert_with(|| {
+            Box::new(Spill::Window {
+                tail: Vec::new(),
+                ones: 0,
+            })
+        });
+        let Spill::Window { tail, ones } = &mut **spill else {
+            unreachable!("a sorted set has no window to widen")
+        };
+        if prepend > 0 {
+            // The old head becomes the last of the prepended words; the new
+            // head and the words between are empty.
+            let front = (0..prepend - 1).map(|_| 0).chain([self.head]);
+            tail.splice(0..0, front);
+            *ones += self.head.count_ones() as usize;
+            self.head = 0;
+            self.base -= prepend * WORD_BITS;
+        }
+        tail.resize((needed - 1) as usize, 0);
+    }
+
+    /// Leaves the window for the sorted vector, taking `id` (which the
+    /// window could not admit densely, so it is new) along.
+    fn spread_with(&mut self, id: EventId) {
+        let mut ids = Vec::with_capacity(self.len() + 1);
+        ids.extend(self.iter());
+        let position = ids.partition_point(|&stored| stored < id);
+        ids.insert(position, id);
+        self.head = 0;
+        self.base = 0;
+        self.spill = Some(Box::new(Spill::Sorted(ids)));
+    }
+
+    /// Drops the window's first `count` words (the upward slide): `base`
+    /// moves up, every bit still stored keeps its identifier.  A count past
+    /// the window's end empties it.
+    fn drop_front(&mut self, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.spill.as_deref_mut() {
+            Some(Spill::Window { tail, ones }) if count <= tail.len() as u64 => {
+                self.head = tail[(count - 1) as usize];
+                tail.drain(..count as usize);
+                *ones = tail.iter().map(|word| word.count_ones() as usize).sum();
+                self.base += count * WORD_BITS;
+            }
+            Some(Spill::Window { tail, ones }) => {
+                self.head = 0;
+                tail.clear();
+                *ones = 0;
+            }
+            _ => self.head = 0,
         }
     }
 
@@ -73,9 +280,32 @@ impl EventIdSet {
             return 0;
         }
         self.floor = floor;
-        let cut = self.sorted.partition_point(|&id| id < floor);
-        self.sorted.drain(..cut);
-        cut
+        let before = self.len();
+        if let Some(Spill::Sorted(ids)) = self.spill.as_deref_mut() {
+            let cut = ids.partition_point(|&id| id < floor);
+            ids.drain(..cut);
+        } else if floor.0 > self.base {
+            // Whole words below the floor's go, the floor's own word loses
+            // its low bits, and the window slides up to the first word that
+            // still stores something.
+            self.drop_front(word_of(floor.0) - word_of(self.base));
+            self.head &= !(bit_of(floor.0) - 1);
+            let leading = match (self.head, self.spill.as_deref()) {
+                (0, Some(Spill::Window { tail, .. })) => {
+                    1 + tail.iter().take_while(|&&word| word == 0).count() as u64
+                }
+                _ => 0,
+            };
+            self.drop_front(leading);
+        }
+        if self.is_empty() {
+            // Nothing stored: back to the inline, heap-free shape.
+            *self = Self {
+                floor,
+                ..Self::default()
+            };
+        }
+        before - self.len()
     }
 
     /// The current retirement floor: identifiers below it are assumed seen.
@@ -86,35 +316,68 @@ impl EventIdSet {
 
     /// Number of identifiers in the set.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.head.count_ones() as usize
+            + match self.spill.as_deref() {
+                None => 0,
+                Some(Spill::Window { ones, .. }) => *ones,
+                Some(Spill::Sorted(ids)) => ids.len(),
+            }
     }
 
     /// Returns `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over the identifiers in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
-        self.sorted.iter().copied()
+        // One of the two sources is always empty: a sorted set has no
+        // window bits, a window no sorted ids.
+        let (tail, sorted): (&[u64], &[EventId]) = match self.spill.as_deref() {
+            None => (&[], &[]),
+            Some(Spill::Window { tail, .. }) => (tail, &[]),
+            Some(Spill::Sorted(ids)) => (&[], ids),
+        };
+        let base = self.base;
+        std::iter::once(self.head)
+            .chain(tail.iter().copied())
+            .zip((0u64..).map(move |index| base + index * WORD_BITS))
+            .flat_map(|(word, first)| bits(word).map(move |bit| EventId(first + bit)))
+            .chain(sorted.iter().copied())
     }
 }
 
+/// By content: two sets are equal when they retire and store the same
+/// identifiers, whichever shape their histories left them in.
+impl PartialEq for EventIdSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.floor == other.floor && self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for EventIdSet {}
+
 impl FromIterator<EventId> for EventIdSet {
     fn from_iter<I: IntoIterator<Item = EventId>>(iter: I) -> Self {
-        let mut sorted: Vec<EventId> = iter.into_iter().collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Self {
-            sorted,
-            floor: EventId(0),
+        let mut set = Self::new();
+        for id in iter {
+            set.insert(id);
         }
+        set
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set_of(ids: &[u64]) -> EventIdSet {
+        ids.iter().map(|&id| EventId(id)).collect()
+    }
+
+    fn ids_of(set: &EventIdSet) -> Vec<u64> {
+        set.iter().map(|id| id.0).collect()
+    }
 
     #[test]
     fn insert_and_contains() {
@@ -169,7 +432,102 @@ mod tests {
     #[test]
     fn empty_set_allocates_nothing() {
         let set = EventIdSet::new();
-        assert_eq!(set.sorted.capacity(), 0);
+        assert!(set.spill.is_none());
         assert!(!set.contains(EventId(0)));
+    }
+
+    #[test]
+    fn the_set_is_four_words_and_one_window_of_ids_owns_no_heap() {
+        assert_eq!(std::mem::size_of::<EventIdSet>(), 32);
+        // Wherever the 64 identifiers sit, and in whatever order they come.
+        for first in [0u64, 64, 10_048, u64::MAX - 63] {
+            let mut set = EventIdSet::new();
+            for offset in (0..64).rev() {
+                assert!(set.insert(EventId(first + offset)));
+            }
+            assert!(set.spill.is_none(), "window at {first} spilled");
+            assert_eq!(set.len(), 64);
+            assert!(!set.contains(EventId(first.wrapping_sub(1))) || first == 0);
+            assert_eq!(ids_of(&set), (first..=first + 63).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn the_window_grows_both_ways_while_dense() {
+        let mut set = set_of(&[1_000]);
+        // Up: four words are always allowed, then two per stored id.
+        assert!(set.insert(EventId(1_200)));
+        // Down: the window re-bases, nothing stored moves.
+        assert!(set.insert(EventId(990)));
+        assert!(set.insert(EventId(900)));
+        assert!(matches!(set.spill.as_deref(), Some(Spill::Window { .. })));
+        assert_eq!(ids_of(&set), vec![900, 990, 1_000, 1_200]);
+        assert!(!set.insert(EventId(990)));
+        assert!(!set.contains(EventId(899)) && !set.contains(EventId(1_201)));
+        assert!(!set.contains(EventId(0)) && !set.contains(EventId(u64::MAX)));
+        assert_eq!(set.len(), 4);
+        assert_eq!(set.base, 896);
+    }
+
+    #[test]
+    fn spread_out_identifiers_fall_back_to_the_sorted_vector() {
+        let mut set = set_of(&[0, 3]);
+        assert!(set.insert(EventId(u64::MAX)));
+        let Some(Spill::Sorted(ids)) = set.spill.as_deref() else {
+            panic!("a 2^64 span is no window");
+        };
+        assert_eq!(ids.len(), 3);
+        assert_eq!((set.head, set.base), (0, 0));
+        // Everything keeps working on the vector, small ids included.
+        assert!(set.contains(EventId(3)) && set.contains(EventId(u64::MAX)));
+        assert!(!set.contains(EventId(1)));
+        assert!(set.insert(EventId(1)) && !set.insert(EventId(1)));
+        assert_eq!(ids_of(&set), vec![0, 1, 3, u64::MAX]);
+        assert_eq!(set, set_of(&[u64::MAX, 3, 1, 0]));
+        // Retiring down to nothing returns the set to its heap-free shape.
+        assert_eq!(set.compact_below(EventId(u64::MAX)), 3);
+        assert_eq!(set.compact_below(EventId(u64::MAX)), 0);
+        assert_eq!(ids_of(&set), vec![u64::MAX]);
+        let mut drained = set_of(&[0, u64::MAX - 1]);
+        assert_eq!(drained.compact_below(EventId(u64::MAX)), 2);
+        assert!(drained.spill.is_none() && drained.is_empty());
+        assert!(drained.insert(EventId(u64::MAX)));
+        assert!(drained.spill.is_none());
+    }
+
+    #[test]
+    fn compaction_slides_the_window_past_the_floor() {
+        let mut set: EventIdSet = (0..1_000u64).map(EventId).collect();
+        assert_eq!(set.len(), 1_000);
+        // Inside a word, on a word boundary, and past the end.
+        assert_eq!(set.compact_below(EventId(70)), 70);
+        assert_eq!(set.base, 64);
+        assert_eq!(set.compact_below(EventId(128)), 58);
+        assert_eq!(set.base, 128);
+        assert!(set.contains(EventId(127)) && !set.insert(EventId(100)));
+        assert_eq!(ids_of(&set), (128..1_000).collect::<Vec<_>>());
+        // Empty words in front of the first survivor go too.
+        let mut gap = set_of(&[5, 200]);
+        assert_eq!(gap.compact_below(EventId(6)), 1);
+        assert_eq!((gap.base, gap.len()), (192, 1));
+        assert_eq!(set.compact_below(EventId(5_000)), 872);
+        assert!(set.is_empty() && set.spill.is_none());
+        assert!(set.contains(EventId(4_999)) && !set.contains(EventId(5_000)));
+        assert!(set.insert(EventId(5_000)));
+    }
+
+    #[test]
+    fn equality_is_by_content_not_by_shape() {
+        // A sorted set compacted down to a dense remainder equals the
+        // window that only ever saw the remainder.
+        let mut sorted = set_of(&[1 << 40, (1 << 40) + 1, 0]);
+        assert!(matches!(sorted.spill.as_deref(), Some(Spill::Sorted(_))));
+        sorted.compact_below(EventId(1));
+        let mut window = set_of(&[(1 << 40) + 1, 1 << 40]);
+        assert!(window.spill.is_none());
+        assert_ne!(sorted, window, "the floors differ");
+        window.compact_below(EventId(1));
+        assert_eq!(sorted, window);
+        assert_ne!(sorted, set_of(&[1 << 40]));
     }
 }

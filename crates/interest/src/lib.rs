@@ -19,7 +19,7 @@
 //!   it may accept extra events (costing only spurious gossip) but never
 //!   rejects an event that one of the represented processes wants,
 //! * [`Interest`] — the trait the dissemination layer uses to match events,
-//! * [`EventIdSet`] — a compact sorted-vector set of event identifiers for
+//! * [`EventIdSet`] — a compact windowed-bitmap set of event identifiers for
 //!   the per-process dedup state (seen / received / delivered), sized for
 //!   million-process groups where hash-set constant factors dominate, with
 //!   a low-watermark retire path for long-running daemons,

@@ -129,6 +129,7 @@
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
 //! for a whole view under one lock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use pmcast_addr::Prefix;
@@ -702,6 +703,12 @@ pub struct DelegateView {
     /// its root path, a rejoin re-announces it.  A mutex, not a
     /// reader-writer lock: a veto query fills the annex's verdict memo.
     interest: Mutex<Option<InterestAnnex>>,
+    /// [`MembershipView::summary_epoch`]: moved, under the `interest` lock
+    /// and after the change, by everything that attaches a table or changes
+    /// a filter in it — the same places that drop the annex's verdict memo.
+    /// `SeqCst` both ways: a reader that sees the new value also finds the
+    /// changed table behind the lock.
+    summary_epoch: AtomicU64,
 }
 
 impl DelegateView {
@@ -786,6 +793,7 @@ impl DelegateView {
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
             interest: Mutex::new(None),
+            summary_epoch: AtomicU64::new(0),
         }
     }
 
@@ -802,6 +810,16 @@ impl DelegateView {
 
     fn interest(&self) -> MutexGuard<'_, Option<InterestAnnex>> {
         self.interest.lock().expect("interest annex lock poisoned")
+    }
+
+    /// Applies a filter change to the attached summary table, if there is
+    /// one, and moves the summary epoch: every verdict a caller recorded
+    /// was judged against the table as it was.
+    fn change_interest(&self, change: impl FnOnce(&mut InterestAnnex)) {
+        if let Some(annex) = self.interest().as_mut() {
+            change(annex);
+            self.summary_epoch.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Read access for the calls that need the stored rows, which the first
@@ -979,7 +997,9 @@ impl MembershipView for DelegateView {
             members as u128,
             "summary table must cover the delegate group's member capacity"
         );
-        *self.interest() = Some(annex);
+        let mut interest = self.interest();
+        *interest = Some(annex);
+        self.summary_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     fn summary_allows(&self, subgroup: &Prefix, event: &Event) -> bool {
@@ -989,8 +1009,12 @@ impl MembershipView for DelegateView {
         }
     }
 
-    /// The whole entry-round under one lock and one lookup of the event's
-    /// memo row; each verdict the attached table has already given for the
+    fn summary_epoch(&self) -> u64 {
+        self.summary_epoch.load(Ordering::SeqCst)
+    }
+
+    /// The whole view under one lock and one lookup of the event's memo
+    /// row; each verdict the attached table has already given for the
     /// event's content is then a byte read.
     fn fill_summary_allowed(
         &self,
@@ -1071,11 +1095,11 @@ impl MembershipView for DelegateView {
         // summary tables (the digest that evicts a delegate also carries
         // the shrunk subtree summary).
         if !swept.is_empty() {
-            if let Some(annex) = self.interest().as_mut() {
+            self.change_interest(|annex| {
                 for x in swept {
                     annex.on_departure(x as usize);
                 }
-            }
+            });
         }
     }
 
@@ -1089,9 +1113,7 @@ impl MembershipView for DelegateView {
         state.live += 1;
         state.uncertify(process, Certificate::Flipped);
         // Re-announce the rejoiner's subscription to the summary tables.
-        if let Some(annex) = self.interest().as_mut() {
-            annex.on_join(process);
-        }
+        self.change_interest(|annex| annex.on_join(process));
         // A crash-then-rejoin must not leave the process queued for the
         // monitored sweep: it is live again, so nothing to evict.
         state.pending_dead.retain(|&x| x as usize != process);
@@ -1125,9 +1147,7 @@ impl MembershipView for DelegateView {
         }
         state.flat[process].clear();
         // The eager unsub also retracts the leaver's interests.
-        if let Some(annex) = self.interest().as_mut() {
-            annex.on_departure(process);
-        }
+        self.change_interest(|annex| annex.on_departure(process));
     }
 
     fn observe_crash(&self, process: usize) {
@@ -1587,23 +1607,38 @@ mod tests {
         let subtree_1 = Prefix::from_components(vec![1]);
         // Without summaries every subgroup over-approximates to "maybe".
         assert!(view.summary_allows(&subtree_1, &event));
+        // Every change of a verdict below moves the summary epoch (what a
+        // caller recorded under an older one is stale); nothing else does.
+        let mut epoch = view.summary_epoch();
+        let mut epoch_moved = || {
+            let before = std::mem::replace(&mut epoch, view.summary_epoch());
+            epoch != before
+        };
         // Only process 1.0 (dense index 2) subscribes to topic 7.
         let mut filters = vec![None; 4];
         filters[2] = Some(Filter::new().with("topic", Predicate::one_of([7i64])));
         view.attach_interest_summaries(SubtreeSummaries::build(space, filters));
+        assert!(epoch_moved());
         assert!(view.summary_allows(&subtree_1, &event));
         assert!(!view.summary_allows(&Prefix::from_components(vec![0]), &event));
+        assert!(!epoch_moved(), "asking changes no verdict");
         // The subscriber leaves: its interest is retracted along the path...
         view.observe_leave(2);
+        assert!(epoch_moved());
         assert!(!view.summary_allows(&subtree_1, &event));
         // ...and a rejoin re-announces the original subscription.
         view.observe_join(2);
+        assert!(epoch_moved());
         assert!(view.summary_allows(&subtree_1, &event));
         // A crash retracts too, but only once the monitored sweep runs.
         view.observe_crash(2);
+        assert!(!epoch_moved());
         assert!(view.summary_allows(&subtree_1, &event));
         view.round_elapsed();
+        assert!(epoch_moved());
         assert!(!view.summary_allows(&subtree_1, &event));
+        view.round_elapsed();
+        assert!(!epoch_moved(), "a round that sweeps nobody changes no filter");
     }
 
     #[test]

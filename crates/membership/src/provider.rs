@@ -69,7 +69,8 @@
 //!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth) once per
 //!   depth per round, and — under summary routing —
 //!   [`fill_summary_allowed`](MembershipView::fill_summary_allowed) once per
-//!   buffered event per round.  Both default to asking the single probe
+//!   buffered event per [`summary_epoch`](MembershipView::summary_epoch).
+//!   Both default to asking the single probe
 //!   ([`knows_at_depth`](MembershipView::knows_at_depth),
 //!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
 //!   correct without overriding either; an override exists to take a lock
@@ -194,11 +195,27 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         true
     }
 
+    /// A counter that has moved whenever an answer of
+    /// [`summary_allows`](Self::summary_allows) may have changed: two reads
+    /// returning the same value bracket a span in which every `(subgroup,
+    /// event)` pair kept its verdict.  pmcast records, per buffered event,
+    /// which view positions the summaries allow together with the epoch it
+    /// asked under, and asks again only once the epoch has moved — so a
+    /// provider whose verdicts can change **must** move the epoch with
+    /// every such change (after making it), and the default, a constant, is
+    /// right exactly for a provider whose verdicts never do (the default
+    /// `summary_allows` among them).
+    fn summary_epoch(&self) -> u64 {
+        0
+    }
+
     /// The batched form of [`summary_allows`](Self::summary_allows), and
-    /// the probe the pmcast fanout draw makes once per entry-round under
-    /// summary routing: appends to `out`, in order, the position of every
-    /// `(position, subgroup)` pair whose subgroup `summary_allows` for the
-    /// event.
+    /// the probe the pmcast fanout draw makes under summary routing — once
+    /// per buffered event per [`summary_epoch`](Self::summary_epoch) over
+    /// the whole depth view (once per entry-round only for a view too wide
+    /// for the recorded verdict): appends to `out`, in order, the position
+    /// of every `(position, subgroup)` pair whose subgroup `summary_allows`
+    /// for the event.
     ///
     /// The default judges each run of equal consecutive subgroups once (a
     /// view lists one subgroup's delegates side by side).  Providers that
@@ -213,9 +230,9 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
         out: &mut Vec<usize>,
     ) {
-        crate::summaries::fill_allowed_runs(subgroups, out, |subgroup| {
+        out.extend(crate::allowed_runs(subgroups, |subgroup| {
             self.summary_allows(subgroup, event)
-        });
+        }));
     }
 }
 

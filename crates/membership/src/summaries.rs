@@ -290,25 +290,29 @@ fn fingerprint_step(hash: u64, value: Option<&AttributeValue>) -> u64 {
     }
 }
 
-/// Appends to `out` the position of every `(position, subgroup)` pair whose
-/// subgroup `judge` admits.  A view lists one subgroup's delegates side by
-/// side, so a run of equal consecutive subgroups is judged once.
-pub(crate) fn fill_allowed_runs(
-    subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
-    out: &mut Vec<usize>,
-    mut judge: impl FnMut(&Prefix) -> bool,
-) {
-    let mut last: Option<(&Prefix, bool)> = None;
-    for (position, subgroup) in subgroups {
+/// The items of `(item, subgroup)` pairs whose subgroup `judge` admits, in
+/// order.  A view lists one subgroup's delegates side by side, so a run of
+/// equal consecutive subgroups is judged once and the verdict counted for
+/// every item of the run — whatever the question: the summary veto's
+/// batched probe and pmcast's `GETRATE` (the interest oracle's
+/// `subtree_interested`) both ask it per view entry.
+pub fn allowed_runs<'a, T, I, J>(
+    subgroups: I,
+    mut judge: J,
+) -> impl Iterator<Item = T> + use<'a, T, I, J>
+where
+    I: Iterator<Item = (T, &'a Prefix)>,
+    J: FnMut(&Prefix) -> bool,
+{
+    let mut last: Option<(&'a Prefix, bool)> = None;
+    subgroups.filter_map(move |(item, subgroup)| {
         let allowed = match last {
             Some((judged, verdict)) if judged == subgroup => verdict,
             _ => judge(subgroup),
         };
         last = Some((subgroup, allowed));
-        if allowed {
-            out.push(position);
-        }
-    }
+        allowed.then_some(item)
+    })
 }
 
 /// The interest side of a membership provider: the attached summary table
@@ -349,7 +353,7 @@ impl InterestAnnex {
         out: &mut Vec<usize>,
     ) {
         let row = self.memo.row_of(event);
-        fill_allowed_runs(subgroups, out, |subgroup| self.verdict(row, subgroup, event));
+        out.extend(allowed_runs(subgroups, |subgroup| self.verdict(row, subgroup, event)));
     }
 
     /// The verdict on `prefix` of the content in memo row `row`, which is

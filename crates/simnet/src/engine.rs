@@ -102,13 +102,28 @@ pub struct FanoutScratch {
 
 /// The per-process, per-round execution context handed to [`RoundProcess`]
 /// callbacks: the process's identity, the current round, a deterministic
-/// PRNG, the outgoing-message queue and the driver's [`FanoutScratch`].
+/// PRNG, where its sends go and the driver's [`FanoutScratch`].
 pub struct RoundContext<'a, M> {
     process: ProcessId,
     round: u64,
-    outbox: &'a mut Vec<(ProcessId, M, usize)>,
+    sink: Sink<'a, M>,
     rng: &'a mut ChaCha8Rng,
     scratch: &'a mut FanoutScratch,
+}
+
+/// Where a context's sends go.  A message is written once between the
+/// protocol's pick and the receiver's `on_message`: a [`Simulation`] hands
+/// the context its network, so a send *is* [`RoundNetwork::send`] — the
+/// loss draw, the traffic accounting and the envelope's one write into the
+/// in-flight buffer (or the delay wheel) happen there and then.  An outbox
+/// remains for the two drivers that must look at a send before it is one:
+/// an external driver with a transport of its own
+/// ([`RoundContext::external`]), and the simulation itself while it drives a
+/// process the [`crate::FaultPlan`] declares a straggler, whose sends wait
+/// for its flush round.
+enum Sink<'a, M> {
+    Network(&'a mut RoundNetwork<M>),
+    Outbox(&'a mut Vec<(ProcessId, M, usize)>),
 }
 
 impl<M> std::fmt::Debug for RoundContext<'_, M> {
@@ -140,7 +155,7 @@ impl<'a, M> RoundContext<'a, M> {
         RoundContext {
             process,
             round,
-            outbox,
+            sink: Sink::Outbox(outbox),
             rng,
             scratch,
         }
@@ -160,12 +175,15 @@ impl<M> RoundContext<'_, M> {
 
     /// Sends a message with no payload-size accounting.
     pub fn send(&mut self, to: ProcessId, message: M) {
-        self.outbox.push((to, message, 0));
+        self.send_sized(to, message, 0);
     }
 
     /// Sends a message, recording its payload size for traffic accounting.
     pub fn send_sized(&mut self, to: ProcessId, message: M, payload_size: usize) {
-        self.outbox.push((to, message, payload_size));
+        match &mut self.sink {
+            Sink::Network(network) => network.send(self.process, to, message, payload_size),
+            Sink::Outbox(outbox) => outbox.push((to, message, payload_size)),
+        }
     }
 
     /// Deterministic per-run PRNG (shared across processes).
@@ -299,10 +317,11 @@ fn is_flush_round(round: u64, period: u64) -> bool {
 
 /// Drives a set of [`RoundProcess`] state machines over a [`RoundNetwork`].
 ///
-/// The round loop is allocation-free after warm-up: the inbox and outbox
-/// buffers are owned by the simulation and reused every round, and the crash
-/// schedule drains through a [`VecDeque`] cursor instead of repeatedly
-/// shifting a vector.
+/// The round loop is allocation-free after warm-up: the inbox is the buffer
+/// the network filled during the previous round, handed over whole and
+/// handed back empty at the next boundary, a process's sends go straight
+/// into the network's buffer, and the crash schedule drains through a
+/// [`VecDeque`] cursor instead of repeatedly shifting a vector.
 pub struct Simulation<P: RoundProcess> {
     processes: Vec<P>,
     network: RoundNetwork<P::Message>,
@@ -342,7 +361,8 @@ pub struct Simulation<P: RoundProcess> {
     receiver_stamp: Vec<u64>,
     /// Reused across rounds: messages delivered at the current boundary.
     inbox: Vec<Envelope<P::Message>>,
-    /// Reused across rounds: messages emitted by the process being driven.
+    /// Reused across rounds: messages emitted by a straggler being driven
+    /// (everybody else sends into the network directly).
     outbox: Vec<(ProcessId, P::Message, usize)>,
     /// Reused across processes and rounds: the fanout buffers lent to the
     /// process being driven.
@@ -534,25 +554,40 @@ impl<P: RoundProcess> Simulation<P> {
         }
     }
 
-    /// Routes a drained outbox to the network — or into the sender's
-    /// holdback buffer when the sender is a straggler off its flush round.
-    fn dispatch_outbox(
+    /// Runs one callback of process `id` inside a context whose sends go
+    /// where its driver kind requires: straight into the network — or, for
+    /// a straggler, through the outbox into its holdback buffer (or, on its
+    /// flush round, on to the network in emission order).
+    fn drive<R>(
         &mut self,
-        from: ProcessId,
+        id: ProcessId,
         outbox: &mut Vec<(ProcessId, P::Message, usize)>,
-    ) {
-        if !self.stragglers.is_empty() {
-            let round = self.round;
-            if let Some(state) = self.stragglers.iter_mut().find(|s| s.process == from.0) {
-                if !is_flush_round(round, state.period) {
-                    state.holdback.append(outbox);
-                    return;
+        scratch: &mut FanoutScratch,
+        callback: impl FnOnce(&mut P, &mut RoundContext<'_, P::Message>) -> R,
+    ) -> R {
+        let straggler = self.stragglers.iter().position(|s| s.process == id.0);
+        let mut ctx = RoundContext {
+            process: id,
+            round: self.round,
+            sink: match straggler {
+                None => Sink::Network(&mut self.network),
+                Some(_) => Sink::Outbox(outbox),
+            },
+            rng: &mut self.protocol_rng,
+            scratch,
+        };
+        let result = callback(&mut self.processes[id.0], &mut ctx);
+        if let Some(straggler) = straggler {
+            let state = &mut self.stragglers[straggler];
+            if is_flush_round(self.round, state.period) {
+                for (to, message, size) in outbox.drain(..) {
+                    self.network.send(id, to, message, size);
                 }
+            } else {
+                state.holdback.append(outbox);
             }
         }
-        for (to, message, size) in outbox.drain(..) {
-            self.network.send(from, to, message, size);
-        }
+        result
     }
 
     /// Sends every straggler's held-back messages whose flush round has
@@ -713,8 +748,8 @@ impl<P: RoundProcess> Simulation<P> {
     }
 
     /// Executes one synchronous round: deliver last round's messages, then
-    /// let every live process act.  Reuses the simulation-owned inbox and
-    /// outbox buffers, so steady-state rounds allocate nothing.
+    /// let every live process act.  The buffers involved are reused from
+    /// round to round, so steady-state rounds allocate nothing.
     pub fn step(&mut self) {
         // Apply this round's lifecycle transitions (joins, then leaves,
         // then crashes — the schedule's sort order; O(1) per transition
@@ -741,29 +776,24 @@ impl<P: RoundProcess> Simulation<P> {
 
         self.receivers.clear();
         scratch.delivered.clear();
-        for envelope in inbox.drain(..) {
-            if self.network.is_crashed(envelope.to) {
-                continue;
-            }
+        for Envelope { from, to, message } in inbox.drain(..) {
+            // Nothing can crash between the handover and this loop, and the
+            // handover already dropped what was addressed to a down process.
+            debug_assert!(
+                !self.network.is_crashed(to),
+                "the network handed over a message for {to}, which is down"
+            );
             // Record the receipt delta (deduplicated) and schedule the
             // receiver: a message may have woken it.
-            if self.receiver_stamp[envelope.to.0] != self.round + 1 {
-                self.receiver_stamp[envelope.to.0] = self.round + 1;
-                self.receivers.push(envelope.to.0);
+            if self.receiver_stamp[to.0] != self.round + 1 {
+                self.receiver_stamp[to.0] = self.round + 1;
+                self.receivers.push(to.0);
             }
-            self.mark_active(envelope.to.0);
-            let mut ctx = RoundContext {
-                process: envelope.to,
-                round: self.round,
-                outbox: &mut outbox,
-                rng: &mut self.protocol_rng,
-                scratch: &mut scratch,
-            };
-            let process = &mut self.processes[envelope.to.0];
-            let from = envelope.from;
-            process.on_message(from, envelope.message, &mut ctx);
+            self.mark_active(to.0);
             // Messages emitted while handling are sent from the receiver.
-            self.dispatch_outbox(envelope.to, &mut outbox);
+            self.drive(to, &mut outbox, &mut scratch, |process, ctx| {
+                process.on_message(from, message, ctx)
+            });
         }
 
         if self.dense {
@@ -772,15 +802,7 @@ impl<P: RoundProcess> Simulation<P> {
                 if self.network.is_crashed(id) {
                     continue;
                 }
-                let mut ctx = RoundContext {
-                    process: id,
-                    round: self.round,
-                    outbox: &mut outbox,
-                    rng: &mut self.protocol_rng,
-                    scratch: &mut scratch,
-                };
-                self.processes[index].on_round(&mut ctx);
-                self.dispatch_outbox(id, &mut outbox);
+                self.drive(id, &mut outbox, &mut scratch, P::on_round);
             }
         } else {
             // The active-set sweep: visit exactly the scheduled processes,
@@ -799,15 +821,7 @@ impl<P: RoundProcess> Simulation<P> {
                 if self.network.is_crashed(id) {
                     continue;
                 }
-                let mut ctx = RoundContext {
-                    process: id,
-                    round: self.round,
-                    outbox: &mut outbox,
-                    rng: &mut self.protocol_rng,
-                    scratch: &mut scratch,
-                };
-                self.processes[index].on_round(&mut ctx);
-                self.dispatch_outbox(id, &mut outbox);
+                self.drive(id, &mut outbox, &mut scratch, P::on_round);
                 // Still busy?  Reschedule for the next round (stamp
                 // encoding `scheduled_round + 1` = `(round + 1) + 1`).
                 if !self.processes[index].is_quiescent()
@@ -1301,6 +1315,48 @@ mod tests {
         assert!(rounds < 30, "dropped holdback must not wedge quiescence");
         assert_eq!(sim.stats().messages_sent, 0);
         assert_eq!(sim.processes().filter(|p| p.has_token).count(), 1);
+    }
+
+    #[test]
+    fn a_receiver_going_down_in_flight_is_dropped_at_the_handover_and_counted_once() {
+        // Process 0 sends one message to each of the other four in its
+        // first round; nobody echoes.  Process 1 crashes and process 2
+        // leaves at the start of the round whose boundary delivers them —
+        // over the plain network, the delay wheel, and a straggling sender
+        // (whose sends take the outbox and its holdback first).
+        for (faults, arrival) in [
+            (FaultPlan::default(), 1),
+            (FaultPlan::default().with_link_delay(2, 2), 3),
+            (FaultPlan::default().with_straggler(0, 2), 3),
+        ] {
+            let processes: Vec<Flood> = (0..5)
+                .map(|i| match i {
+                    0 => Flood::new((0..5).map(ProcessId).collect(), true),
+                    _ => Flood::new(Vec::new(), false),
+                })
+                .collect();
+            let config = NetworkConfig::reliable(3)
+                .with_fault_plan(faults.clone())
+                .with_crash_plan(CrashPlan::Scheduled(vec![(arrival, 1)]));
+            let lifecycle = LifecyclePlan {
+                leaves: vec![(arrival, 2)],
+                ..LifecyclePlan::default()
+            };
+            let mut sim = Simulation::with_lifecycle_observer(processes, config, lifecycle, |_| {});
+            sim.run_rounds(arrival);
+            assert_eq!(sim.stats().messages_sent, 4, "{faults:?}");
+            assert_eq!(sim.stats().messages_to_crashed, 0, "all four were up at the send");
+            assert_eq!(sim.stats().messages_delivered, 0);
+            sim.step();
+            assert_eq!(sim.stats().messages_to_crashed, 2, "{faults:?}");
+            assert_eq!(sim.stats().messages_delivered, 2, "{faults:?}");
+            assert_eq!(sim.last_step_receivers(), &[3, 4]);
+            let received: Vec<u32> = sim.processes().map(|p| p.deliveries).collect();
+            assert_eq!(received, vec![0, 0, 0, 1, 1], "{faults:?}");
+            sim.run_until_quiescent(10);
+            assert_eq!(sim.stats().messages_to_crashed, 2, "counted exactly once");
+            assert_eq!(sim.stats().messages_sent, 4);
+        }
     }
 
     #[test]

@@ -314,41 +314,45 @@ impl<M> RoundNetwork<M> {
     /// advances the round counter.  Messages to processes that crashed
     /// *after* the send are still filtered out here.
     pub fn deliver_round(&mut self) -> Vec<Envelope<M>> {
-        let mut delivered = Vec::with_capacity(self.in_flight.len());
+        let mut delivered = Vec::new();
         self.deliver_round_into(&mut delivered);
         delivered
     }
 
     /// Allocation-free variant of [`deliver_round`](Self::deliver_round):
-    /// clears `delivered` and moves this round's messages into it, so a
-    /// caller-held buffer (and the internal in-flight buffer) keep their
-    /// capacity across rounds.
+    /// clears `delivered` and **hands it this round's buffer** — the two
+    /// vectors trade places, so no envelope is copied, the emptied buffer
+    /// the caller brought collects the next round's sends, and both keep
+    /// their capacity across rounds.  What was addressed to a process that
+    /// went down after the send is dropped from the buffer in place, a pass
+    /// made only while somebody is down.
     pub fn deliver_round_into(&mut self, delivered: &mut Vec<Envelope<M>>) {
         self.round += 1;
         delivered.clear();
-        for envelope in self.in_flight.drain(..) {
-            if self.crashed.get(envelope.to.0).copied().unwrap_or(true) {
-                self.stats.messages_to_crashed += 1;
-                continue;
-            }
-            self.stats.messages_delivered += 1;
-            delivered.push(envelope);
-        }
+        std::mem::swap(&mut self.in_flight, delivered);
+        self.book_arrivals(delivered);
         // Delayed messages whose extra latency has elapsed arrive at the
         // same boundary, after the undelayed traffic; the wheel rotates one
         // slot per boundary and emptied slots go back to the spare pool.
         if let Some(mut due) = self.delayed.pop_front() {
             self.delayed_count -= due.len();
-            for envelope in due.drain(..) {
-                if self.crashed.get(envelope.to.0).copied().unwrap_or(true) {
-                    self.stats.messages_to_crashed += 1;
-                    continue;
-                }
-                self.stats.messages_delivered += 1;
-                delivered.push(envelope);
-            }
+            self.book_arrivals(&mut due);
+            delivered.append(&mut due);
             self.spare_slots.push(due);
         }
+    }
+
+    /// Books `arriving` — messages reaching this boundary — as delivered,
+    /// after removing (and booking as such) those whose receiver went down
+    /// while they were in flight.  [`send`](Self::send) admits only
+    /// receivers in range, so the flag lookup cannot miss.
+    fn book_arrivals(&mut self, arriving: &mut Vec<Envelope<M>>) {
+        if self.crashed_count > 0 {
+            let before = arriving.len();
+            arriving.retain(|envelope| !self.crashed[envelope.to.0]);
+            self.stats.messages_to_crashed += (before - arriving.len()) as u64;
+        }
+        self.stats.messages_delivered += arriving.len() as u64;
     }
 
     /// Returns `true` if no messages are currently in flight (including
@@ -441,6 +445,38 @@ mod tests {
         let delivered = net.deliver_round();
         assert!(delivered.is_empty());
         assert_eq!(net.stats().messages_to_crashed, 1);
+    }
+
+    #[test]
+    fn deliver_round_into_hands_the_buffer_over_and_clears_a_stale_one() {
+        let mut net = network(3, 0.0);
+        // What the caller left in its buffer is not traffic.
+        let mut buffer = vec![Envelope {
+            from: ProcessId(2),
+            to: ProcessId(2),
+            message: 99,
+        }];
+        net.send(ProcessId(0), ProcessId(1), 7, 0);
+        net.deliver_round_into(&mut buffer);
+        assert_eq!(
+            buffer,
+            vec![Envelope {
+                from: ProcessId(0),
+                to: ProcessId(1),
+                message: 7,
+            }]
+        );
+        assert!(net.is_idle(), "the stale envelope must not be in flight");
+        // The buffer handed back in collects the next round's sends.
+        net.send(ProcessId(1), ProcessId(0), 8, 0);
+        assert!(!net.is_idle());
+        net.deliver_round_into(&mut buffer);
+        assert_eq!(buffer.len(), 1);
+        assert_eq!(buffer[0].message, 8);
+        net.deliver_round_into(&mut buffer);
+        assert!(buffer.is_empty());
+        assert_eq!(net.stats().messages_delivered, 2);
+        assert_eq!(net.stats().messages_to_crashed, 0);
     }
 
     #[test]
