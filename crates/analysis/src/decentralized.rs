@@ -32,8 +32,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::churn::{delivery_cdf, ChurnProfile};
-use crate::tree::{conditional_seeds, infected_fraction, node_probability, TreeModel};
-use crate::{pittel, views, EnvParams, GroupParams};
+use crate::tree::{infected_fraction, DepthPhase, TreeModel};
+use crate::{views, EnvParams, GroupParams};
 
 /// Which membership provider backs the views the protocol gossips over.
 ///
@@ -184,50 +184,28 @@ impl DecentralizedModel {
         env: &EnvParams,
         view_size: usize,
     ) -> (f64, Vec<u32>) {
-        let group = self.group;
-        let model = TreeModel::new(group, *env);
-        let n = group.group_size() as f64;
-        let interested = n * matching_rate;
+        let model = TreeModel::new(self.group, *env);
+        let n = self.group.group_size() as f64;
         let connectivity = (view_size as f64 / (n - 1.0).max(1.0)).min(1.0);
-        let fanout = group.fanout as f64;
-        let mut rounds_per_depth = Vec::with_capacity(group.depth);
-        let mut expected_infected_entities = 1.0;
-        let mut seeds = 1.0;
-        for depth in 1..=group.depth {
-            let p_i = model.interest_probability(matching_rate, depth);
-            let m_i = model.view_size(depth) as f64;
-            let gossip_p = match self.tuning {
-                Some(threshold) => p_i.max((threshold as f64 / m_i).min(1.0)),
-                None => p_i,
-            };
-            let rounds = pittel::round_budget(m_i * gossip_p, fanout * gossip_p, env);
-            rounds_per_depth.push(rounds);
-            let entities = m_i * p_i;
+        let fanout = self.group.fanout as f64;
+        let report = model.walk_depths(matching_rate, |at| {
+            let (_, rounds) = model.gossip_budget(at, self.tuning);
+            let entities = at.view * at.interest;
             let fraction = if entities < 1.0 {
                 entities.clamp(0.0, 1.0)
             } else {
-                let known_peers = (m_i - 1.0) * connectivity * p_i;
+                let known_peers = (at.view - 1.0) * connectivity * at.interest;
                 let lambda = known_peers.min(fanout * rounds as f64) * env.survival_factor();
-                let sigma = (seeds / entities).clamp(0.0, 1.0);
+                let sigma = (at.seeds / entities).clamp(0.0, 1.0);
                 let mut reached = sigma;
                 for _ in 0..rounds {
                     reached = 1.0 - (1.0 - sigma) * (-lambda * reached).exp();
                 }
                 reached.clamp(0.0, 1.0)
             };
-            let redundancy_exponent = m_i / group.arity as f64;
-            let r_i = node_probability(entities, fraction, redundancy_exponent);
-            let children_per_node = (group.arity as f64 * p_i).min(group.arity as f64);
-            expected_infected_entities *= (r_i * children_per_node).max(0.0);
-            seeds = conditional_seeds(fraction, redundancy_exponent);
-        }
-        let expected = expected_infected_entities.min(interested.max(0.0));
-        let degree = if interested > 0.0 {
-            (expected / interested).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        (degree, rounds_per_depth)
+            DepthPhase { entities, rounds, fraction }
+        });
+        (report.reliability_degree, report.rounds_per_depth)
     }
 
     /// Phase-structured delivery timeline: `cdf[t]` is the estimated
@@ -338,27 +316,16 @@ impl DecentralizedModel {
         match self.provider {
             ProviderShape::Global | ProviderShape::Delegate { .. } => {
                 let group = self.effective_group();
-                let model = TreeModel::new(group, *degraded);
-                let interested = group.group_size() as f64 * matching_rate;
                 let fanout = group.fanout as f64;
-                let mut expected = 1.0f64;
-                let mut seeds = 1.0f64;
-                for depth in 1..=group.depth {
-                    let p_i = model.interest_probability(matching_rate, depth);
-                    let entities = model.view_size(depth) as f64 * p_i;
-                    let rounds = rounds_per_depth.get(depth - 1).copied().unwrap_or(0);
-                    let fraction = infected_fraction(entities, fanout, degraded, rounds, seeds);
-                    let exponent = model.view_size(depth) as f64 / group.arity as f64;
-                    let r_i = node_probability(entities, fraction, exponent);
-                    let children = (group.arity as f64 * p_i).min(group.arity as f64);
-                    expected *= (r_i * children).max(0.0);
-                    seeds = conditional_seeds(fraction, exponent);
-                }
-                if interested > 0.0 {
-                    (expected.min(interested) / interested).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
+                TreeModel::new(group, *degraded)
+                    .walk_depths(matching_rate, |at| {
+                        let entities = at.view * at.interest;
+                        let rounds = rounds_per_depth.get(at.depth - 1).copied().unwrap_or(0);
+                        let fraction =
+                            infected_fraction(entities, fanout, degraded, rounds, at.seeds);
+                        DepthPhase { entities, rounds, fraction }
+                    })
+                    .reliability_degree
             }
             ProviderShape::Partial { view_size } => {
                 self.partial_run(matching_rate, degraded, view_size).0

@@ -125,27 +125,6 @@ impl TreeModel {
             .sum()
     }
 
-    /// Probability that an interested child node of depth `i` is infected
-    /// after gossiping at that depth (Equation 15): one minus the
-    /// probability that none of its `R` delegates (1 process at the leaf
-    /// depth) got infected, from a single initially infected entity.
-    pub fn node_infection_probability(&self, matching_rate: f64, depth: usize) -> f64 {
-        let p_i = self.interest_probability(matching_rate, depth);
-        let entities = self.view_size(depth) as f64 * p_i;
-        let fraction = self.depth_fraction(matching_rate, depth, 1.0);
-        let redundancy_exponent = self.view_size(depth) as f64 / self.group.arity as f64;
-        node_probability(entities, fraction, redundancy_exponent)
-    }
-
-    /// Infected fraction of the interested depth-`i` audience after its
-    /// round budget, starting from `seeds` infected entities.
-    fn depth_fraction(&self, matching_rate: f64, depth: usize, seeds: f64) -> f64 {
-        let p_i = self.interest_probability(matching_rate, depth);
-        let entities = self.view_size(depth) as f64 * p_i;
-        let rounds = self.rounds_at_depth(matching_rate, depth);
-        infected_fraction(entities, self.group.fanout as f64, &self.env, rounds, seeds)
-    }
-
     /// Full reliability computation for one matching rate (Equation 18 and
     /// the derived reliability degree).
     pub fn reliability(&self, matching_rate: f64) -> ReliabilityReport {
@@ -162,54 +141,66 @@ impl TreeModel {
         self.reliability_with_floor(matching_rate, Some(threshold))
     }
 
-    /// Gossip-audience interest probability at a depth: the genuine
-    /// Equation 7 value, floored at `h / m_i` when audience inflation is
-    /// active.
-    fn gossip_interest(&self, matching_rate: f64, depth: usize, tuning: Option<usize>) -> f64 {
-        let raw = self.interest_probability(matching_rate, depth);
-        match tuning {
-            Some(threshold) => {
-                let floor = threshold as f64 / self.view_size(depth) as f64;
-                raw.max(floor.min(1.0))
-            }
-            None => raw,
-        }
-    }
-
-    /// The shared per-depth engine behind [`TreeModel::reliability`] and
-    /// [`TreeModel::reliability_tuned`]: walk the depths, run the seeded
-    /// infection chain inside each view, and refine the expected number of
-    /// infected entities multiplicatively
-    /// (`E[g_i] = r_i · a · p_i · E[g_{i-1}]`, `g_0 = 1`).
+    /// [`TreeModel::reliability`] and [`TreeModel::reliability_tuned`]: every
+    /// depth spends its Pittel budget over the (possibly inflated) gossip
+    /// audience and runs the seeded infection chain inside it.
     fn reliability_with_floor(
         &self,
         matching_rate: f64,
         tuning: Option<usize>,
     ) -> ReliabilityReport {
-        let matching_rate = matching_rate.clamp(0.0, 1.0);
-        let n = self.group.group_size() as f64;
-        let interested = n * matching_rate;
         let fanout = self.group.fanout as f64;
+        self.walk_depths(matching_rate, |at| {
+            let (entities, rounds) = self.gossip_budget(at, tuning);
+            let fraction = infected_fraction(entities, fanout, &self.env, rounds, at.seeds);
+            DepthPhase { entities, rounds, fraction }
+        })
+    }
+
+    /// The gossip audience of a depth — its interest probability floored at
+    /// `h / m_i` when audience inflation is active — and the Pittel round
+    /// budget the protocol spends on it.
+    pub(crate) fn gossip_budget(&self, at: &DepthStart, tuning: Option<usize>) -> (f64, u32) {
+        let gossip_p = match tuning {
+            Some(threshold) => at.interest.max((threshold as f64 / at.view).min(1.0)),
+            None => at.interest,
+        };
+        let entities = at.view * gossip_p;
+        let effective_fanout = self.group.fanout as f64 * gossip_p;
+        (entities, pittel::round_budget(entities, effective_fanout, &self.env))
+    }
+
+    /// The one walk of the depths behind every reliability figure of the
+    /// crate: ask `phase` how long a depth gossips and which fraction of its
+    /// audience that infects, and refine the expected number of infected
+    /// entities multiplicatively (`E[g_i] = r_i · a · p_i · E[g_{i-1}]`,
+    /// `g_0 = 1`).  The models differ only in `phase` — where a depth's
+    /// rounds and infected fraction come from.
+    pub(crate) fn walk_depths(
+        &self,
+        matching_rate: f64,
+        mut phase: impl FnMut(&DepthStart) -> DepthPhase,
+    ) -> ReliabilityReport {
+        let matching_rate = matching_rate.clamp(0.0, 1.0);
+        let arity = self.group.arity as f64;
+        let interested = self.group.group_size() as f64 * matching_rate;
         let mut rounds_per_depth = Vec::with_capacity(self.group.depth);
         let mut node_probabilities = Vec::with_capacity(self.group.depth);
         let mut expected_infected_entities = 1.0;
         // The multicaster is the only seed when depth 1 starts.
         let mut seeds = 1.0;
         for depth in 1..=self.group.depth {
-            let gossip_p = self.gossip_interest(matching_rate, depth, tuning);
-            let entities = self.view_size(depth) as f64 * gossip_p;
-            let effective_size = entities;
-            let effective_fanout = fanout * gossip_p;
-            let rounds = pittel::round_budget(effective_size, effective_fanout, &self.env);
+            let interest = self.interest_probability(matching_rate, depth);
+            let view = self.view_size(depth) as f64;
+            let DepthPhase { entities, rounds, fraction } =
+                phase(&DepthStart { depth, interest, view, seeds });
             rounds_per_depth.push(rounds);
-            let fraction = infected_fraction(entities, fanout, &self.env, rounds, seeds);
-            let redundancy_exponent = self.view_size(depth) as f64 / self.group.arity as f64;
+            let redundancy_exponent = view / arity;
             let r_i = node_probability(entities, fraction, redundancy_exponent);
             node_probabilities.push(r_i);
             // The audience may be inflated for gossiping, but only genuinely
             // interested children count towards delivery.
-            let p_i = self.interest_probability(matching_rate, depth);
-            let children_per_node = (self.group.arity as f64 * p_i).min(self.group.arity as f64);
+            let children_per_node = (arity * interest).min(arity);
             expected_infected_entities *= (r_i * children_per_node).max(0.0);
             seeds = conditional_seeds(fraction, redundancy_exponent);
         }
@@ -230,6 +221,29 @@ impl TreeModel {
             reliability_degree,
         }
     }
+}
+
+/// What a depth's gossip phase starts from, as [`TreeModel::walk_depths`]
+/// hands it to its phase model.
+pub(crate) struct DepthStart {
+    /// The depth `i`, counted from 1.
+    pub depth: usize,
+    /// `p_i`: the genuine interest probability of a view entry (Equation 7).
+    pub interest: f64,
+    /// `m_i`: the entries of the depth's view (Equation 12).
+    pub view: f64,
+    /// Expected number of already infected entities.
+    pub seeds: f64,
+}
+
+/// A phase model's answer for one depth.
+pub(crate) struct DepthPhase {
+    /// The (fractional) audience Equation 15 is evaluated over.
+    pub entities: f64,
+    /// Rounds the depth gossips for.
+    pub rounds: u32,
+    /// Infected fraction of the audience after those rounds.
+    pub fraction: f64,
 }
 
 /// Infected fraction of a flat audience of (fractional) `entities` after

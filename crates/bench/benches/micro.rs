@@ -11,11 +11,11 @@ use pmcast_core::{
     ProtocolFactory, SharedViews,
 };
 use pmcast_interest::{
-    Event, EventId, EventIdSet, Filter, Interest, InterestSummary, Interner, Predicate,
+    Event, EventId, EventIdSet, Filter, Interest, InterestSummary, Predicate,
 };
 use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
-    InterestOracle, MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
+    MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
 };
 use pmcast_net::{ChannelTransport, Frame, Seen, Transport};
 use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
@@ -104,9 +104,6 @@ fn bench(c: &mut Criterion) {
     let probe = Event::builder(9).build();
     c.bench_function("matching_rate_depth1_n512", |b| {
         b.iter(|| process.matching_rate(1, &probe))
-    });
-    c.bench_function("oracle_subtree_count_n512", |b| {
-        b.iter(|| oracle.interested_count_under(&pmcast_addr::Prefix::from_components(vec![3]), &probe))
     });
 
     // The zero-copy gossip hot path: forwarding a buffered event to one
@@ -261,24 +258,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The audience hashcons hit path: interning an audience the table
-    // already holds is a hash + set probe + refcount bump — no allocation
-    // and no group scan.  This is the per-distinct-audience unit behind the
-    // multi-topic workloads: a 10k-event stream over 50 topics pays ~50
-    // audience constructions, and every other registration lands here.
-    let audience_space = AddressSpace::regular(3, 8).expect("valid");
-    let audience_members = (0..512u128)
-        .step_by(8)
-        .map(|i| audience_space.address_of_index(i))
-        .collect::<Vec<_>>();
-    let audience_interner: Interner<AssignmentOracle> = Interner::new();
-    let probe_audience =
-        AssignmentOracle::with_space(audience_members, audience_space.clone());
-    audience_interner.intern(&probe_audience);
-    c.bench_function("audience_hashcons_hit", |b| {
-        b.iter(|| audience_interner.intern(&probe_audience))
-    });
-
     // Aggregated interest routing's addition to the fanout draw: before
     // drawing, the depth's candidates are narrowed to the subgroups whose
     // subtree summary admits the event, and vetoed subtrees never consume a
@@ -300,7 +279,8 @@ fn bench(c: &mut Criterion) {
     // depth-2 subgroup — the sparse-interest regime the skip is built for,
     // where 7 of 8 subtrees are provably uninterested.
     let clustered: Vec<Vec<u32>> = (0..512).map(|i| vec![(i / 8) % 12]).collect();
-    let clustered_topics = TopicOracle::new(audience_space, clustered, 12);
+    let clustered_topics =
+        TopicOracle::new(AddressSpace::regular(3, 8).expect("valid"), clustered, 12);
     delegate_view.attach_interest_summaries(clustered_topics.subtree_summaries());
     let summary_prefixes: Vec<Prefix> =
         (0..8u32).map(|g| Prefix::from_components(vec![0, g])).collect();

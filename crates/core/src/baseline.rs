@@ -36,7 +36,7 @@ use pmcast_addr::Address;
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet, InternStats};
 use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
-use pmcast_simnet::{Activity, ProcessId, RoundContext, RoundProcess};
+use pmcast_simnet::{ProcessId, RoundContext, RoundProcess};
 use rustc_hash::FxHashMap;
 
 use crate::{BufferedGossip, Gossip, PmcastConfig, ProtocolGroup};
@@ -342,7 +342,7 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     fn on_round(&mut self, ctx: &mut RoundContext<'_, Gossip>) {
         // Nothing buffered → nothing to forward; return before even a
         // membership query so a quiescent round is a pure no-op (the
-        // guarantee behind this process's `Activity::SkipWhenQuiescent`).
+        // guarantee `RoundProcess::is_quiescent` asks for).
         if self.buffered.is_empty() {
             return;
         }
@@ -381,14 +381,10 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 
     fn is_quiescent(&self) -> bool {
+        // `on_round` early-returns on an empty buffer — this very
+        // condition — without drawing randomness, so the engine skipping
+        // quiescent rounds is stream-neutral.
         self.buffered.is_empty()
-    }
-
-    fn activity(&self) -> Activity {
-        // `on_round` early-returns on an empty buffer — the quiescence
-        // condition — without drawing randomness, so skipping quiescent
-        // rounds is stream-neutral.
-        Activity::SkipWhenQuiescent
     }
 }
 
@@ -492,7 +488,7 @@ mod tests {
         let interested: Vec<Address> = (0..2u32)
             .flat_map(|hi| (0..4u32).map(move |lo| Address::from(vec![hi, lo])))
             .collect();
-        Arc::new(AssignmentOracle::new(interested))
+        Arc::new(AssignmentOracle::new(topology().space().clone(), interested))
     }
 
     fn flood_group(
@@ -593,7 +589,7 @@ mod tests {
 
     #[test]
     fn broadcast_case_delivers_to_everyone() {
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let group = flood_group(oracle, &PmcastConfig::default().with_fanout(3));
         let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(12));
         sim.process_mut(ProcessId(5)).publish(Arc::new(event_with_id(4)));
@@ -607,7 +603,7 @@ mod tests {
 
     #[test]
     fn duplicate_events_are_accepted_once() {
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let mut group = flood_group(oracle, &PmcastConfig::default());
         let event = Arc::new(Event::builder(5).build());
         group.processes[0].publish(Arc::clone(&event));

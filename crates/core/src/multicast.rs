@@ -170,7 +170,7 @@ impl<P> std::fmt::Debug for ProtocolGroup<P> {
 ///     let topology = pmcast_membership::ImplicitRegularTree::new(
 ///         AddressSpace::regular(2, 4).expect("valid shape"),
 ///     );
-///     let oracle = Arc::new(UniformOracle::new(16));
+///     let oracle = Arc::new(UniformOracle);
 ///     let membership = Arc::new(GlobalOracleView::new(16));
 ///     let group = F::build(&topology, oracle, membership, &PmcastConfig::default());
 ///     let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(1));
@@ -276,7 +276,7 @@ mod tests {
     /// Exercises the whole trait surface generically for one protocol.
     fn publish_and_run<F: ProtocolFactory>() -> Vec<F::Process> {
         let topology = topology();
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let group = F::build(&topology, oracle, global_view(), &PmcastConfig::default());
         assert_eq!(group.processes.len(), 16);
         assert_eq!(group.addresses.len(), 16);
@@ -303,6 +303,7 @@ mod tests {
     fn trait_addresses_match_group_order() {
         let topology = topology();
         let oracle = Arc::new(AssignmentOracle::new(
+            topology.space().clone(),
             vec!["0.0".parse().unwrap(), "1.2".parse().unwrap()],
         ));
         let group = GenuineFactory::build(&topology, oracle, global_view(), &PmcastConfig::default());

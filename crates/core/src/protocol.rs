@@ -4,7 +4,7 @@ use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
 use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopology};
-use pmcast_simnet::{Activity, FanoutScratch, ProcessId, RoundContext, RoundProcess};
+use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess};
 use rand::Rng;
 
 use crate::{
@@ -210,13 +210,11 @@ pub struct PmcastProcess {
     /// shared with every leaf-subgroup sibling.
     depth_views: crate::ViewStack,
     buffers: GossipBuffers,
-    delivered: Vec<Arc<Event>>,
     // A windowed bitmap (not a hash set): four words with 64 identifiers
     // inline, so neither a million never-contacted processes nor the ones a
     // single event infects hold any dedup heap.  The received set is
     // `buffers`' seen-set: every received id is filed there.
     delivered_ids: EventIdSet,
-    rounds_active: u64,
 }
 
 impl std::fmt::Debug for PmcastProcess {
@@ -225,7 +223,7 @@ impl std::fmt::Debug for PmcastProcess {
             .field("address", &self.address)
             .field("id", &self.id)
             .field("buffered", &self.buffers.len())
-            .field("delivered", &self.delivered.len())
+            .field("delivered", &self.delivered_ids.len())
             .finish_non_exhaustive()
     }
 }
@@ -240,9 +238,7 @@ impl PmcastProcess {
             group,
             depth_views,
             buffers: GossipBuffers::new(depth),
-            delivered: Vec::new(),
             delivered_ids: EventIdSet::new(),
-            rounds_active: 0,
         }
     }
 
@@ -256,14 +252,8 @@ impl PmcastProcess {
         self.id
     }
 
-    /// Events delivered to the application (`HPDELIVER` in Figure 3), in
-    /// delivery order.  The handles share the payload with the gossip layer;
-    /// delivery never copies an event.
-    pub fn delivered(&self) -> &[Arc<Event>] {
-        &self.delivered
-    }
-
-    /// Returns `true` if the given event was delivered to the application.
+    /// Returns `true` if the given event was delivered to the application
+    /// (`HPDELIVER` in Figure 3).
     pub fn has_delivered(&self, event: EventId) -> bool {
         self.delivered_ids.contains(event)
     }
@@ -273,11 +263,6 @@ impl PmcastProcess {
     /// measures exactly this for uninterested processes.
     pub fn has_received(&self, event: EventId) -> bool {
         self.buffers.has_seen(event)
-    }
-
-    /// Number of rounds during which this process had something buffered.
-    pub fn rounds_active(&self) -> u64 {
-        self.rounds_active
     }
 
     /// Current number of buffered gossip entries.
@@ -309,7 +294,8 @@ impl PmcastProcess {
         }
         let depth = self.initial_depth(&event);
         if self.group.oracle.is_interested(&self.address, &event) {
-            self.deliver(&event);
+            // `HPDELIVER`: delivery is the identifier entering this set.
+            self.delivered_ids.insert(event.id());
         }
         let entry = self.group.fresh_entry(&self.depth_views[depth - 1], event);
         self.buffers.insert(depth, entry);
@@ -340,16 +326,6 @@ impl PmcastProcess {
     /// neighbours) whose subtree is interested in the event.
     pub fn matching_rate(&self, depth: Depth, event: &Event) -> f64 {
         self.group.matching_rate(&self.depth_views[depth - 1], event)
-    }
-
-    /// `HPDELIVER`, once per event; returns whether this was the first
-    /// time.
-    fn deliver(&mut self, event: &Arc<Event>) -> bool {
-        let first = self.delivered_ids.insert(event.id());
-        if first {
-            self.delivered.push(Arc::clone(event));
-        }
-        first
     }
 
     /// One iteration of the `GOSSIP` task of Figure 3 for a single depth.
@@ -466,7 +442,6 @@ impl RoundProcess for PmcastProcess {
         if self.buffers.is_empty() {
             return;
         }
-        self.rounds_active += 1;
         // The candidate pools live in the round driver's buffers, moved out
         // for the duration of the call so the draws can borrow `ctx`.
         let mut scratch = std::mem::take(ctx.scratch());
@@ -481,12 +456,12 @@ impl RoundProcess for PmcastProcess {
             return;
         }
         // File the event into the buffer of the depth it is travelling at
-        // (Figure 3, lines 19–23); buffering and delivery share the payload.
+        // (Figure 3, lines 19–23).
         let budget = self
             .group
             .round_budget(self.depth_views[gossip.depth - 1].len(), gossip.rate);
         if self.group.oracle.is_interested(&self.address, &gossip.event)
-            && self.deliver(&gossip.event)
+            && self.delivered_ids.insert(gossip.event.id())
         {
             ctx.report_delivery(gossip.event.id().0);
         }
@@ -497,16 +472,12 @@ impl RoundProcess for PmcastProcess {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.buffers.is_empty()
-    }
-
-    fn activity(&self) -> Activity {
-        // `on_round` early-returns on empty buffers — exactly the
-        // quiescence condition — before touching the RNG, so a quiescent
-        // round is a pure no-op and the engine may skip it.  This is what
-        // makes million-process groups simulable: a round costs O(gossiping
+        // `on_round` early-returns on empty buffers — exactly this
+        // condition — before touching the RNG, so a quiescent round is a
+        // pure no-op and the engine may skip it.  This is what makes
+        // million-process groups simulable: a round costs O(gossiping
         // processes), not O(n).
-        Activity::SkipWhenQuiescent
+        self.buffers.is_empty()
     }
 }
 
@@ -532,9 +503,6 @@ impl crate::MulticastProtocol for PmcastProcess {
         };
         self.buffers.retire_seen_below(floor);
         self.delivered_ids.compact_below(floor);
-        // The delivered payload log is the other unbounded per-process
-        // store; retired events release their share of the payload Arcs.
-        self.delivered.retain(|event| event.id() >= floor);
     }
     fn dedup_len(&self) -> usize {
         self.buffers.seen_count() + self.delivered_ids.len()
@@ -642,7 +610,7 @@ mod tests {
         // With everyone interested and a reliable network, pmcast degenerates
         // to a reliable broadcast.
         let event = Event::builder(1).int("b", 1).build();
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let (processes, stats) = run_multicast(
             oracle,
             PmcastConfig::default(),
@@ -663,7 +631,7 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let oracle = Arc::new(AssignmentOracle::new(interested));
+        let oracle = Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested));
         let event = Event::builder(2).int("b", 1).build();
         let (processes, _) = run_multicast(
             oracle.clone(),
@@ -691,7 +659,7 @@ mod tests {
 
     #[test]
     fn delivery_requires_interest() {
-        let oracle = Arc::new(AssignmentOracle::new(vec!["1.1".parse::<Address>().unwrap()]));
+        let oracle = Arc::new(AssignmentOracle::new(small_topology().space().clone(), vec!["1.1".parse::<Address>().unwrap()]));
         let event = Event::builder(3).int("b", 1).build();
         let (processes, _) = run_multicast(
             oracle,
@@ -716,7 +684,7 @@ mod tests {
             .map(|s| s.parse().unwrap())
             .collect();
         let oracle: Arc<dyn InterestOracle + Send + Sync> =
-            Arc::new(AssignmentOracle::new(interested));
+            Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested));
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let process = &group.processes[0];
         let event = Event::builder(1).build();
@@ -730,7 +698,7 @@ mod tests {
     fn tuning_inflates_the_effective_audience() {
         let topology = small_topology();
         let oracle: Arc<dyn InterestOracle + Send + Sync> =
-            Arc::new(AssignmentOracle::new(vec!["0.0".parse::<Address>().unwrap()]));
+            Arc::new(AssignmentOracle::new(small_topology().space().clone(), vec!["0.0".parse::<Address>().unwrap()]));
         let tuned_config = PmcastConfig::default().with_tuning(6);
         let group = build_pmcast_group(&topology, oracle.clone(), global_view(), &tuned_config);
         let process = &group.processes[0];
@@ -758,7 +726,7 @@ mod tests {
             .map(|s| s.parse().unwrap())
             .collect();
         let oracle: Arc<dyn InterestOracle + Send + Sync> =
-            Arc::new(AssignmentOracle::new(interested));
+            Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested));
         let config = PmcastConfig::default().with_local_interest_shortcut(true);
         let group = build_pmcast_group(&topology, oracle.clone(), global_view(), &config);
         let sender_index = group
@@ -785,7 +753,7 @@ mod tests {
 
     #[test]
     fn message_loss_degrades_but_rarely_destroys_delivery() {
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let event = Event::builder(4).build();
         let (processes, stats) = run_multicast(
             oracle,
@@ -834,7 +802,7 @@ mod tests {
     #[test]
     fn multiple_concurrent_events_are_kept_apart() {
         let topology = small_topology();
-        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle::new(16));
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(23));
         let event_a = Event::builder(100).int("b", 1).build();
@@ -845,15 +813,16 @@ mod tests {
         for p in sim.processes() {
             assert!(p.has_delivered(event_a.id()));
             assert!(p.has_delivered(event_b.id()));
-            // Delivered list contains each event exactly once.
-            assert_eq!(p.delivered().len(), 2);
+            // The delivered set holds each event exactly once.
+            assert_eq!(p.delivered_ids.len(), 2);
         }
     }
 
     #[test]
     fn quiescence_is_reached_and_buffers_drain() {
-        let oracle = Arc::new(UniformOracle::new(16));
+        let oracle = Arc::new(UniformOracle);
         let event = Event::builder(5).build();
+        let id = event.id();
         let (processes, _) = run_multicast(
             oracle,
             PmcastConfig::default(),
@@ -864,14 +833,14 @@ mod tests {
         for p in &processes {
             assert!(p.is_quiescent());
             assert_eq!(p.buffered(), 0);
-            assert!(p.rounds_active() > 0 || p.delivered().is_empty());
+            assert!(p.has_delivered(id));
         }
     }
 
     #[test]
     fn debug_output_is_informative() {
         let topology = small_topology();
-        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle::new(16));
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let text = format!("{:?}", group);
         assert!(text.contains("ProtocolGroup"));
@@ -953,7 +922,7 @@ mod tests {
             .with_interest_routing(InterestRouting::Summary);
         let group = build_pmcast_group(
             &small_topology(),
-            Arc::new(UniformOracle::new(16)),
+            Arc::new(UniformOracle),
             provider.clone(),
             &config,
         );
@@ -1147,16 +1116,16 @@ mod tests {
         // Was ≈ 340 bytes with a config clone, four `Arc`s, a `Vec<u32>`
         // address and a scratch per process.
         assert!(
-            std::mem::size_of::<PmcastProcess>() <= 192,
+            std::mem::size_of::<PmcastProcess>() <= 160,
             "PmcastProcess grew to {} bytes",
             std::mem::size_of::<PmcastProcess>()
         );
         let topology = small_topology();
-        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle::new(16));
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let idle = &group.processes[5];
         assert!(idle.is_quiescent());
-        assert_eq!(idle.delivered.capacity(), 0);
+        assert!(idle.delivered_ids.is_empty());
         assert!(idle.buffers.at_depth(1).is_empty());
         // Every process of the group shares the one context.
         assert_eq!(Arc::strong_count(&idle.group), 16);
@@ -1165,15 +1134,17 @@ mod tests {
     #[test]
     fn duplicate_publish_is_ignored() {
         let topology = small_topology();
-        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle::new(16));
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let mut process = group.processes.into_iter().next().unwrap();
         let event = Arc::new(Event::builder(12).int("b", 3).build());
+        let event_id = event.id();
         process.publish(Arc::clone(&event));
         let buffered = process.buffered();
         process.publish(event);
         assert_eq!(process.buffered(), buffered);
-        assert_eq!(process.delivered().len(), 1);
+        assert!(process.has_delivered(event_id));
+        assert_eq!(process.delivered_ids.len(), 1);
     }
 
     #[test]
@@ -1207,7 +1178,7 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let oracle = Arc::new(AssignmentOracle::new(interested.clone()));
+        let oracle = Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested.clone()));
         let event = Event::builder(55).int("b", 9).str("e", "Bob").build();
         let (processes, _) = run_multicast(
             oracle.clone(),
@@ -1228,11 +1199,9 @@ mod tests {
                 oracle.is_interested(p.address(), &event)
             );
         }
-        // … and the delivered handles all point at shared payloads equal to
-        // the original event (the Arc plumbing never mutated or re-built it).
+        // … and a delivering process recorded exactly this one delivery.
         for p in processes.iter().filter(|p| p.has_delivered(event.id())) {
-            assert_eq!(p.delivered().len(), 1);
-            assert_eq!(*p.delivered()[0], event);
+            assert_eq!(p.delivered_ids.len(), 1);
         }
         // Spurious reception stays bounded to delegates of interested
         // subtrees, exactly as the pre-Arc protocol behaved.

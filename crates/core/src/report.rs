@@ -160,12 +160,8 @@ mod tests {
             // Processes with first component 0 are interested.
             address.components()[0] == 0
         }
-        fn interested_count_under(
-            &self,
-            _prefix: &pmcast_addr::Prefix,
-            _event: &Event,
-        ) -> usize {
-            0
+        fn subtree_interested(&self, prefix: &pmcast_addr::Prefix, _event: &Event) -> bool {
+            prefix.components().first().is_none_or(|&first| first == 0)
         }
     }
 

@@ -1,27 +1,22 @@
-use std::borrow::Borrow;
-use std::collections::HashSet;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex};
-
-/// Running counters of an [`Interner`]: how often lookups were served by an
-/// existing entry, how many distinct values were ever built, and how many
-/// entries the reclaim pass has dropped.
+/// Counters of an audience-sharing table: how many lookups an existing
+/// entry served and how many distinct values were built.  Reported by the
+/// topic oracle (coinciding topic audiences share one allocation) and by
+/// the genuine-multicast baseline's per-key audience directory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
-    /// Lookups answered by an already-interned value (no allocation).
+    /// Lookups answered by an already-built value (no allocation).
     pub hits: u64,
-    /// Lookups that had to allocate and intern a new value.
+    /// Lookups that had to build a new value.
     pub misses: u64,
-    /// Entries currently held by the interner table.
+    /// Entries the table currently holds.
     pub live: usize,
-    /// Entries dropped by [`Interner::reclaim`] because no handle outside
-    /// the table was left.
+    /// Entries the table has dropped again.
     pub reclaimed: u64,
 }
 
 impl InternStats {
     /// Fraction of lookups served without allocating, in `[0, 1]`.
-    /// Returns 1.0 for an untouched interner (vacuously all hits).
+    /// Returns 1.0 for an untouched table (vacuously all hits).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -32,228 +27,14 @@ impl InternStats {
     }
 }
 
-/// The table key: an interned handle hashed and compared through the value
-/// it points at, so lookups can borrow a bare `&T` without cloning first.
-#[derive(Debug)]
-struct ArcKey<T>(Arc<T>);
-
-impl<T: Hash> Hash for ArcKey<T> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (*self.0).hash(state);
-    }
-}
-
-impl<T: PartialEq> PartialEq for ArcKey<T> {
-    fn eq(&self, other: &Self) -> bool {
-        *self.0 == *other.0
-    }
-}
-
-impl<T: Eq> Eq for ArcKey<T> {}
-
-impl<T> Borrow<T> for ArcKey<T> {
-    fn borrow(&self) -> &T {
-        &self.0
-    }
-}
-
-/// A hashcons table: deduplicates structurally equal values behind
-/// refcounted handles.
-///
-/// Publishing thousands of events over a few dozen overlapping topics
-/// builds the *same* audience sets over and over; interning them means one
-/// allocation per **distinct** audience instead of one per event (the
-/// resolver-store trick from netidx).  [`Interner::intern`] takes a borrowed
-/// candidate and only clones it into a fresh [`Arc`] on a miss — a hit is a
-/// hash lookup plus an `Arc` refcount bump, no allocation.
-///
-/// Entries are reclaimed by **generation** rather than by weak references:
-/// callers invoke [`Interner::reclaim`] at a natural quiescence point (an
-/// event retiring, a churn epoch closing) and every entry whose only
-/// remaining handle is the table itself is dropped.  This keeps the hit path
-/// free of weak-upgrade branches while still bounding the table under
-/// churned audiences.
-///
-/// The table is internally synchronized; `intern` takes `&self` and the
-/// interner can be shared behind an `Arc` by concurrent protocol instances.
-///
-/// # Example
-///
-/// ```rust
-/// use pmcast_interest::Interner;
-///
-/// let interner: Interner<Vec<u32>> = Interner::new();
-/// let a = interner.intern(&vec![1, 2, 3]);
-/// let b = interner.intern(&vec![1, 2, 3]);
-/// assert!(std::sync::Arc::ptr_eq(&a, &b));
-/// assert_eq!(interner.stats().misses, 1);
-/// assert_eq!(interner.stats().hits, 1);
-///
-/// drop((a, b));
-/// assert_eq!(interner.reclaim(), 1); // nobody holds the audience any more
-/// ```
-#[derive(Debug)]
-pub struct Interner<T> {
-    inner: Mutex<InternerState<T>>,
-}
-
-#[derive(Debug)]
-struct InternerState<T> {
-    table: HashSet<ArcKey<T>>,
-    hits: u64,
-    misses: u64,
-    reclaimed: u64,
-}
-
-impl<T> Default for Interner<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Interner<T> {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(InternerState {
-                table: HashSet::new(),
-                hits: 0,
-                misses: 0,
-                reclaimed: 0,
-            }),
-        }
-    }
-}
-
-impl<T: Hash + Eq + Clone> Interner<T> {
-    /// Returns the canonical handle for `value`, interning a clone of it on
-    /// first sight.  Structurally equal inputs return pointer-equal handles.
-    pub fn intern(&self, value: &T) -> Arc<T> {
-        let mut state = self.inner.lock().expect("interner poisoned");
-        if let Some(found) = state.table.get(value) {
-            let handle = Arc::clone(&found.0);
-            state.hits += 1;
-            return handle;
-        }
-        state.misses += 1;
-        let handle = Arc::new(value.clone());
-        state.table.insert(ArcKey(Arc::clone(&handle)));
-        handle
-    }
-
-    /// Like [`Interner::intern`] but builds the value lazily: on a hit the
-    /// closure is never called (and nothing is allocated).
-    pub fn intern_with(&self, key: &T, build: impl FnOnce() -> T) -> Arc<T> {
-        let mut state = self.inner.lock().expect("interner poisoned");
-        if let Some(found) = state.table.get(key) {
-            let handle = Arc::clone(&found.0);
-            state.hits += 1;
-            return handle;
-        }
-        state.misses += 1;
-        let handle = Arc::new(build());
-        state.table.insert(ArcKey(Arc::clone(&handle)));
-        handle
-    }
-
-    /// Drops every entry no longer referenced outside the table (the
-    /// generation sweep).  Returns the number of entries reclaimed.
-    pub fn reclaim(&self) -> usize {
-        let mut state = self.inner.lock().expect("interner poisoned");
-        let before = state.table.len();
-        state.table.retain(|entry| Arc::strong_count(&entry.0) > 1);
-        let dropped = before - state.table.len();
-        state.reclaimed += dropped as u64;
-        dropped
-    }
-
-    /// Snapshot of the hit/miss/live counters.
-    pub fn stats(&self) -> InternStats {
-        let state = self.inner.lock().expect("interner poisoned");
-        InternStats {
-            hits: state.hits,
-            misses: state.misses,
-            live: state.table.len(),
-            reclaimed: state.reclaimed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn hits_share_one_allocation() {
-        let interner: Interner<Vec<u32>> = Interner::new();
-        let audience = vec![3u32, 1, 4, 1, 5];
-        let first = interner.intern(&audience);
-        let again = interner.intern(&audience);
-        assert!(Arc::ptr_eq(&first, &again));
-        let stats = interner.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.live, 1);
-        assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
-    }
-
-    #[test]
-    fn distinct_values_get_distinct_handles() {
-        let interner: Interner<Vec<u32>> = Interner::new();
-        let a = interner.intern(&vec![1]);
-        let b = interner.intern(&vec![2]);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(interner.stats().misses, 2);
-    }
-
-    #[test]
-    fn intern_with_skips_build_on_hit() {
-        let interner: Interner<Vec<u32>> = Interner::new();
-        let key = vec![7u32];
-        let _seeded = interner.intern(&key);
-        let handle = interner.intern_with(&key, || panic!("hit must not rebuild"));
-        assert_eq!(*handle, key);
-    }
-
-    #[test]
-    fn reclaim_drops_only_unreferenced_entries() {
-        let interner: Interner<Vec<u32>> = Interner::new();
-        let kept = interner.intern(&vec![1]);
-        let dropped = interner.intern(&vec![2]);
-        drop(dropped);
-        assert_eq!(interner.reclaim(), 1);
-        let stats = interner.stats();
-        assert_eq!(stats.live, 1);
-        assert_eq!(stats.reclaimed, 1);
-        // The kept handle still resolves to the same entry.
-        let again = interner.intern(&vec![1]);
-        assert!(Arc::ptr_eq(&kept, &again));
-        // A churned audience can be re-interned after reclaim (new generation).
-        let reborn = interner.intern(&vec![2]);
-        assert_eq!(*reborn, vec![2]);
-        assert_eq!(interner.stats().misses, 3);
-    }
-
-    #[test]
-    fn empty_interner_reports_vacuous_hit_rate() {
-        let interner: Interner<u64> = Interner::new();
-        assert_eq!(interner.stats().hit_rate(), 1.0);
-        assert_eq!(interner.reclaim(), 0);
-    }
-
-    #[test]
-    fn shared_across_threads() {
-        let interner: Arc<Interner<Vec<u32>>> = Arc::new(Interner::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let interner = Arc::clone(&interner);
-                std::thread::spawn(move || interner.intern(&vec![9, 9, 9]))
-            })
-            .collect();
-        let interned: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for pair in interned.windows(2) {
-            assert!(Arc::ptr_eq(&pair[0], &pair[1]));
-        }
-        assert_eq!(interner.stats().misses, 1);
+    fn hit_rate_is_hits_over_lookups() {
+        assert_eq!(InternStats::default().hit_rate(), 1.0);
+        let stats = InternStats { hits: 3, misses: 1, live: 1, reclaimed: 0 };
+        assert_eq!(stats.hit_rate(), 0.75);
     }
 }

@@ -23,10 +23,9 @@
 //!   the per-process dedup state (seen / received / delivered), sized for
 //!   million-process groups where hash-set constant factors dominate, with
 //!   a low-watermark retire path for long-running daemons,
-//! * [`Interner`] — a hashcons table deduplicating structurally equal
-//!   values (audience sets, interest bitmaps) behind refcounted handles,
-//!   so heavy multi-topic traffic costs one allocation per *distinct*
-//!   audience instead of one per event.
+//! * [`InternStats`] — the hit/miss counters the audience-sharing tables
+//!   downstream report (the topic oracle's coinciding audiences, the
+//!   genuine baseline's per-key directory).
 //!
 //! ## Example
 //!
@@ -70,7 +69,7 @@ mod summary;
 mod value;
 
 pub use event::{Event, EventBuilder, EventId};
-pub use hashcons::{InternStats, Interner};
+pub use hashcons::InternStats;
 pub use idset::EventIdSet;
 pub use filter::Filter;
 pub use predicate::Predicate;

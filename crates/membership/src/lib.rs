@@ -17,10 +17,11 @@
 //!   fly — what the paper's analysis assumes) and [`GroupTree`] (an explicit
 //!   membership with arbitrary populated addresses and per-process
 //!   subscriptions).
-//! * [`InterestOracle`] — the interface used by the protocol to decide
-//!   whether a process / subtree is interested in an event, with an exact
-//!   subscription-based implementation and an assignment-based one used by
-//!   the evaluation workloads.
+//! * [`InterestOracle`] — the two questions the protocol asks: is this
+//!   process interested in an event, is anybody below this subtree?
+//!   Answered exactly from subscriptions ([`GroupTree`]) or from one interest
+//!   bitmap over the address space ([`AssignmentOracle`], one per topic in
+//!   [`TopicOracle`]) — what the evaluation workloads use.
 //! * [`MembershipView`] — the *provider* boundary the dissemination layer
 //!   draws fanout candidates from, with three implementations: a global one
 //!   ([`GlobalOracleView`], everyone knows everyone — the evaluation
@@ -80,7 +81,7 @@ mod tree;
 
 pub use delegate::{DelegateView, DelegateViewConfig};
 pub use error::MembershipError;
-pub use oracle::{AssignmentOracle, InterestOracle, SubscriptionOracle, UniformOracle};
+pub use oracle::{AssignmentOracle, InterestOracle, UniformOracle};
 pub use summaries::{allowed_runs, SubtreeSummaries, SUMMARY_MEMO_ROWS};
 pub use topic::{TopicOracle, TOPIC_ATTRIBUTE};
 pub use population::{LifecycleEvent, LifecycleEventKind, Population, PopulationSizes};

@@ -1,5 +1,3 @@
-use std::collections::BTreeSet;
-
 use pmcast_addr::{Address, AddressSpace, Prefix};
 use pmcast_interest::{Event, Interest};
 use rand::Rng;
@@ -17,31 +15,22 @@ use crate::{GroupTree, TreeTopology};
 ///
 /// Implementations:
 ///
-/// * [`SubscriptionOracle`] — exact answers from per-process subscriptions
-///   held in a [`GroupTree`]; this is the content-based pub/sub path.
+/// * [`GroupTree`] — exact answers from the per-process subscriptions it
+///   holds; this is the content-based pub/sub path.
 /// * [`AssignmentOracle`] — an explicit set of interested processes, e.g.
 ///   drawn i.i.d. with probability `p_d` per process, which is the workload
 ///   model of the paper's analysis and evaluation (Section 4.1).
+/// * [`crate::TopicOracle`] — one such set per topic of a multi-topic
+///   workload.
 /// * [`UniformOracle`] — everybody is interested (the broadcast special
 ///   case, useful for baselines and sanity checks).
 pub trait InterestOracle {
     /// Returns `true` if the given process is interested in the event.
     fn is_interested(&self, address: &Address, event: &Event) -> bool;
 
-    /// Number of interested processes below the given prefix.
-    fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize;
-
     /// Returns `true` if at least one process below the prefix is
-    /// interested.  The default delegates to the count; implementations may
-    /// shortcut.
-    fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
-        self.interested_count_under(prefix, event) > 0
-    }
-
-    /// Total number of interested processes in the whole group.
-    fn interested_total(&self, event: &Event) -> usize {
-        self.interested_count_under(&Prefix::root(), event)
-    }
+    /// interested.
+    fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool;
 
     /// A cheap equivalence key over audiences: two events mapped to the same
     /// key are guaranteed to have **identical** audiences under this oracle,
@@ -61,49 +50,16 @@ impl<T: InterestOracle + ?Sized> InterestOracle for &T {
     fn is_interested(&self, address: &Address, event: &Event) -> bool {
         (**self).is_interested(address, event)
     }
-    fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize {
-        (**self).interested_count_under(prefix, event)
-    }
     fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
         (**self).subtree_interested(prefix, event)
-    }
-    fn interested_total(&self, event: &Event) -> usize {
-        (**self).interested_total(event)
     }
     fn audience_key(&self, event: &Event) -> Option<u64> {
         (**self).audience_key(event)
     }
 }
 
-/// Exact interest answers derived from the subscriptions stored in a
+/// Exact interest answers derived from the subscriptions stored in the
 /// [`GroupTree`].
-#[derive(Debug)]
-pub struct SubscriptionOracle<'a> {
-    tree: &'a GroupTree,
-}
-
-impl<'a> SubscriptionOracle<'a> {
-    /// Creates an oracle over the given group.
-    pub fn new(tree: &'a GroupTree) -> Self {
-        Self { tree }
-    }
-}
-
-impl InterestOracle for SubscriptionOracle<'_> {
-    fn is_interested(&self, address: &Address, event: &Event) -> bool {
-        self.tree
-            .subscription(address)
-            .map(|filter| filter.matches(event))
-            .unwrap_or(false)
-    }
-
-    fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize {
-        self.tree.interested_count_under(prefix, event)
-    }
-}
-
-/// A [`GroupTree`] can itself serve as an oracle (owned variant of
-/// [`SubscriptionOracle`], convenient behind an `Arc`).
 impl InterestOracle for GroupTree {
     fn is_interested(&self, address: &Address, event: &Event) -> bool {
         self.subscription(address)
@@ -111,8 +67,12 @@ impl InterestOracle for GroupTree {
             .unwrap_or(false)
     }
 
-    fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize {
-        GroupTree::interested_count_under(self, prefix, event)
+    /// Counts the whole subtree where the first match would do — left that
+    /// way on purpose: the daemon benchmark's `ticker_overload` metrics rise
+    /// with daemon speed, so the fix waits for a benchmark-only PR
+    /// (ROADMAP item 5).
+    fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
+        self.interested_count_under(prefix, event) > 0
     }
 }
 
@@ -121,284 +81,181 @@ impl InterestOracle for GroupTree {
 ///
 /// This models the analysis workload of Section 4.1, where every process is
 /// interested in a given event with probability `p_d`, independently of all
-/// others.  Queries are answered by binary search over the sorted interested
-/// addresses, so subtree counts cost `O(log n)`.
-#[derive(Debug, Clone)]
+/// others.  The assignment is one bit per address of its space, in dense
+/// (lexicographic) index order: a point query reads one bit, a subtree
+/// query scans the words of the subtree's contiguous index range and stops
+/// at the first non-zero one — a 32⁴-process space is a 128 KiB bitmap.
+/// Million-process trials spend a large share of their time in these two
+/// queries (one `is_interested` per received gossip, one
+/// `subtree_interested` per fanout pick).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssignmentOracle {
-    interested: Vec<Address>,
-    /// Dense-index acceleration, present when the oracle was sampled from a
-    /// topology: the address space plus the sorted dense indices of the
-    /// interested addresses (the same order as `interested`, since the
-    /// lexicographic address order *is* the index order).  Queries then run
-    /// over a flat integer array — address-to-index is pure arithmetic and
-    /// every binary-search probe touches one cache line instead of chasing a
-    /// heap-allocated component vector.  Million-process trials spend a
-    /// large share of their time in these queries (one `is_interested` per
-    /// received gossip, one `subtree_interested` per fanout pick).
-    space: Option<AddressSpace>,
-    indices: Vec<u128>,
-    /// Direct-indexed interest bits (one per address of the space), present
-    /// alongside `indices` when the space is small enough
-    /// ([`BITMAP_CAPACITY_LIMIT`]): point and leaf-subtree queries then read
-    /// a word or two of a compact, cache-resident array instead of binary
-    /// searching — a 32⁴-process space is a 128 KiB bitmap.
+    space: AddressSpace,
+    /// Number of set bits.
+    len: usize,
     bitmap: Vec<u64>,
 }
 
-/// Largest space capacity for which [`AssignmentOracle`] keeps the
-/// direct-indexed bitmap (8 MiB of bits); beyond it queries fall back to
-/// binary search over the sorted dense indices.
+/// Largest space an [`AssignmentOracle`] covers: 2²⁶ addresses, an 8 MiB
+/// bitmap — 64 times the largest group the repository simulates.
 const BITMAP_CAPACITY_LIMIT: u128 = 1 << 26;
 
-/// Two assignments are equal iff they mark the same processes interested;
-/// whether an oracle carries the dense-index acceleration is invisible.
-impl PartialEq for AssignmentOracle {
-    fn eq(&self, other: &Self) -> bool {
-        self.interested == other.interested
-    }
-}
-
-impl Eq for AssignmentOracle {}
-
-/// Hashes the same projection `PartialEq` compares (the interested
-/// addresses), so assignments can be hashconsed through
-/// [`pmcast_interest::Interner`]: overlapping topics whose subscriber sets
-/// coincide share one oracle — and one interest bitmap — allocation.
-impl std::hash::Hash for AssignmentOracle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.interested.hash(state);
-    }
-}
-
 impl AssignmentOracle {
-    /// Creates an oracle from an explicit set of interested processes.
-    pub fn new<I: IntoIterator<Item = Address>>(interested: I) -> Self {
-        let set: BTreeSet<Address> = interested.into_iter().collect();
+    /// The assignment over `space` in which nobody is interested.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space holds more than 2²⁶ addresses.
+    pub(crate) fn empty(space: AddressSpace) -> Self {
+        let capacity = space.capacity();
+        assert!(
+            capacity <= BITMAP_CAPACITY_LIMIT,
+            "an interest assignment is one bit per address: {capacity} addresses exceed \
+             the limit of {BITMAP_CAPACITY_LIMIT}"
+        );
         Self {
-            interested: set.into_iter().collect(),
-            space: None,
-            indices: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: vec![0; (capacity as usize).div_ceil(64)],
+            len: 0,
+            space,
         }
     }
 
-    /// Creates an oracle from an explicit set of interested processes, all
-    /// valid addresses of the given space, enabling the dense-index fast
-    /// path for every query.
-    pub fn with_space<I: IntoIterator<Item = Address>>(interested: I, space: AddressSpace) -> Self {
-        let mut oracle = Self::new(interested);
-        oracle.indices = oracle
-            .interested
-            .iter()
-            .map(|address| {
-                space
-                    .index_of_address(address)
-                    .expect("interested addresses are valid for the space")
-            })
-            .collect();
-        if space.capacity() <= BITMAP_CAPACITY_LIMIT {
-            oracle.bitmap = vec![0u64; (space.capacity() as usize).div_ceil(64)];
-            for &index in &oracle.indices {
-                oracle.bitmap[index as usize / 64] |= 1u64 << (index as usize % 64);
-            }
+    /// Marks the process at a dense index below the capacity interested.
+    pub(crate) fn insert(&mut self, index: usize) {
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
+        self.len += usize::from(self.bitmap[word] & bit == 0);
+        self.bitmap[word] |= bit;
+    }
+
+    /// Creates an oracle from an explicit set of interested processes of
+    /// the given space (duplicates count once).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space holds more than 2²⁶ addresses or an address is
+    /// not valid for it.
+    pub fn new<I: IntoIterator<Item = Address>>(space: AddressSpace, interested: I) -> Self {
+        let mut oracle = Self::empty(space);
+        for address in interested {
+            oracle.insert_address(&address);
         }
-        oracle.space = Some(space);
         oracle
     }
 
     /// Samples an assignment over the members of a topology: every process
     /// is interested independently with probability `matching_rate`
-    /// (`p_d` in the paper).
+    /// (`p_d` in the paper) — one `gen_bool` per member, in address order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology's space holds more than 2²⁶ addresses.
     pub fn sample<T: TreeTopology, R: Rng>(
         topology: &T,
         matching_rate: f64,
         rng: &mut R,
     ) -> Self {
-        let interested = topology
-            .members()
-            .into_iter()
-            .filter(|_| rng.gen_bool(matching_rate.clamp(0.0, 1.0)))
-            .collect::<Vec<_>>();
-        Self::with_space(interested, topology.space().clone())
+        let mut oracle = Self::empty(topology.space().clone());
+        let rate = matching_rate.clamp(0.0, 1.0);
+        for address in topology.members() {
+            if rng.gen_bool(rate) {
+                oracle.insert_address(&address);
+            }
+        }
+        oracle
     }
 
-    /// Samples an assignment with an exact number of interested processes,
-    /// drawn uniformly without replacement.  Useful to pin `n·p_d` exactly in
-    /// experiments with very small rates.
-    pub fn sample_exact<T: TreeTopology, R: Rng>(
-        topology: &T,
-        interested_count: usize,
-        rng: &mut R,
-    ) -> Self {
-        use rand::seq::SliceRandom;
-        let mut members = topology.members();
-        members.shuffle(rng);
-        members.truncate(interested_count);
-        Self::with_space(members, topology.space().clone())
+    fn insert_address(&mut self, address: &Address) {
+        let index = self.space.index_of_address(address);
+        self.insert(index.expect("interested addresses are valid for the space") as usize);
     }
 
     /// Number of interested processes in the assignment.
     pub fn len(&self) -> usize {
-        self.interested.len()
+        self.len
     }
 
     /// Returns `true` if nobody is interested.
     pub fn is_empty(&self) -> bool {
-        self.interested.is_empty()
+        self.len == 0
     }
 
     /// Iterates over the interested processes in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &Address> {
-        self.interested.iter()
+    pub fn iter(&self) -> impl Iterator<Item = Address> + '_ {
+        self.bitmap.iter().enumerate().flat_map(move |(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let index = at * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    self.space.address_of_index(index as u128)
+                })
+            })
+        })
     }
 
-    /// Bitmap probe: is the dense index interested?  Only called when the
-    /// bitmap is present, i.e. the index is within the space capacity.
-    fn bit(&self, index: u128) -> bool {
-        let index = index as usize;
-        self.bitmap[index / 64] >> (index % 64) & 1 == 1
-    }
-
-    /// Bitmap range probe: is any index of `[low, high)` interested?
-    /// Leaf subtrees span a word or two; the masked scan exits on the first
-    /// non-zero word.
-    fn any_bit_in(&self, low: u128, high: u128) -> bool {
-        let (low, high) = (low as usize, high as usize);
-        if low >= high {
-            return false;
+    /// The dense index of the `k`-th interested process in address order
+    /// (`k` counts from 0); `None` if fewer than `k + 1` are interested.
+    pub fn nth_index(&self, k: usize) -> Option<usize> {
+        let mut before = 0;
+        for (at, &word) in self.bitmap.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < before + ones {
+                let mut rest = word;
+                for _ in before..k {
+                    rest &= rest - 1;
+                }
+                return Some(at * 64 + rest.trailing_zeros() as usize);
+            }
+            before += ones;
         }
+        None
+    }
+
+    /// Is any index of the non-empty range `[low, high)` interested?  Leaf
+    /// subtrees span a word or two; the masked scan exits on the first
+    /// non-zero word.
+    fn any_bit_in(&self, low: usize, high: usize) -> bool {
         let (first, last) = (low / 64, (high - 1) / 64);
         let head_mask = !0u64 << (low % 64);
         let tail_mask = !0u64 >> (63 - (high - 1) % 64);
         if first == last {
             return self.bitmap[first] & head_mask & tail_mask != 0;
         }
-        if self.bitmap[first] & head_mask != 0 {
-            return true;
-        }
-        if self.bitmap[first + 1..last].iter().any(|&word| word != 0) {
-            return true;
-        }
-        self.bitmap[last] & tail_mask != 0
-    }
-
-    /// Index of the first interested address that is `>=` every address
-    /// strictly below the prefix (binary search helper).
-    ///
-    /// The probes compare raw component slices: slice ordering is the same
-    /// lexicographic order as `Prefix`/`Address` ordering, without the
-    /// per-probe `Prefix` allocation (`subtree_interested` sits on the
-    /// per-gossip-target hot path).
-    fn range_for(&self, prefix: &Prefix) -> (usize, usize) {
-        let start = self
-            .interested
-            .partition_point(|address| address.components() < prefix.components());
-        let end = start
-            + self.interested[start..]
-                .iter()
-                .take_while(|address| address.has_prefix(prefix))
-                .count();
-        (start, end)
+        self.bitmap[first] & head_mask != 0
+            || self.bitmap[first + 1..last].iter().any(|&word| word != 0)
+            || self.bitmap[last] & tail_mask != 0
     }
 }
 
 impl InterestOracle for AssignmentOracle {
+    /// An address outside the space is never interested.
     fn is_interested(&self, address: &Address, _event: &Event) -> bool {
-        if let Some(space) = &self.space {
-            return match space.index_of_address(address) {
-                Ok(index) if !self.bitmap.is_empty() => self.bit(index),
-                Ok(index) => self.indices.binary_search(&index).is_ok(),
-                // An address outside the space is never interested.
-                Err(_) => false,
-            };
-        }
-        self.interested.binary_search(address).is_ok()
+        self.space.index_of_address(address).is_ok_and(|index| {
+            let index = index as usize;
+            self.bitmap[index / 64] >> (index % 64) & 1 == 1
+        })
     }
 
-    fn interested_count_under(&self, prefix: &Prefix, _event: &Event) -> usize {
-        if prefix.is_empty() {
-            return self.interested.len();
-        }
-        if let Some(space) = &self.space {
-            return match space.index_range_under(prefix) {
-                Ok((low, high)) => {
-                    let start = self.indices.partition_point(|&index| index < low);
-                    let end = self.indices.partition_point(|&index| index < high);
-                    end - start
-                }
-                // A prefix outside the space has no interested processes.
-                Err(_) => 0,
-            };
-        }
-        let (start, end) = self.range_for(prefix);
-        end - start
+    /// Nobody is interested below a prefix outside the space.
+    fn subtree_interested(&self, prefix: &Prefix, _event: &Event) -> bool {
+        self.space
+            .index_range_under(prefix)
+            .is_ok_and(|(low, high)| self.any_bit_in(low as usize, high as usize))
     }
 
     /// The assignment ignores the event, so every event shares one audience.
     fn audience_key(&self, _event: &Event) -> Option<u64> {
         Some(0)
     }
-
-    fn subtree_interested(&self, prefix: &Prefix, _event: &Event) -> bool {
-        if prefix.is_empty() {
-            return !self.interested.is_empty();
-        }
-        if let Some(space) = &self.space {
-            return match space.index_range_under(prefix) {
-                Ok((low, high)) if !self.bitmap.is_empty() => self.any_bit_in(low, high),
-                Ok((low, high)) => {
-                    let start = self.indices.partition_point(|&index| index < low);
-                    self.indices
-                        .get(start)
-                        .map(|&index| index < high)
-                        .unwrap_or(false)
-                }
-                Err(_) => false,
-            };
-        }
-        let start = self
-            .interested
-            .partition_point(|address| address.components() < prefix.components());
-        self.interested
-            .get(start)
-            .map(|address| address.has_prefix(prefix))
-            .unwrap_or(false)
-    }
-}
-
-impl FromIterator<Address> for AssignmentOracle {
-    fn from_iter<I: IntoIterator<Item = Address>>(iter: I) -> Self {
-        AssignmentOracle::new(iter)
-    }
 }
 
 /// Every process is interested in every event: the broadcast special case.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UniformOracle {
-    member_count: usize,
-}
-
-impl UniformOracle {
-    /// Creates a broadcast oracle for a group of the given size.
-    pub fn new(member_count: usize) -> Self {
-        Self { member_count }
-    }
-}
+pub struct UniformOracle;
 
 impl InterestOracle for UniformOracle {
     fn is_interested(&self, _address: &Address, _event: &Event) -> bool {
         true
-    }
-
-    fn interested_count_under(&self, prefix: &Prefix, _event: &Event) -> usize {
-        if prefix.is_empty() {
-            self.member_count
-        } else {
-            // Without a topology the exact per-subtree count is unknown; the
-            // conservative answer "at least one" is what matters for gossip
-            // target selection.
-            1
-        }
     }
 
     fn subtree_interested(&self, _prefix: &Prefix, _event: &Event) -> bool {
@@ -409,7 +266,6 @@ impl InterestOracle for UniformOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcast_addr::AddressSpace;
     use pmcast_interest::{Filter, Predicate};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -430,58 +286,70 @@ mod tests {
             .unwrap();
         tree.join("2.2".parse().unwrap(), Filter::new().with("b", Predicate::gt(5.0)))
             .unwrap();
-        let oracle = SubscriptionOracle::new(&tree);
         let e = event();
-        assert!(oracle.is_interested(&"0.0".parse().unwrap(), &e));
-        assert!(!oracle.is_interested(&"0.1".parse().unwrap(), &e));
-        assert!(!oracle.is_interested(&"1.1".parse().unwrap(), &e));
-        assert_eq!(oracle.interested_count_under(&Prefix::root(), &e), 2);
+        assert!(tree.is_interested(&"0.0".parse().unwrap(), &e));
+        assert!(!tree.is_interested(&"0.1".parse().unwrap(), &e));
+        assert!(!tree.is_interested(&"1.1".parse().unwrap(), &e));
+        assert_eq!(tree.interested_count_under(&Prefix::root(), &e), 2);
         assert_eq!(
-            oracle.interested_count_under(&Prefix::from_components(vec![0]), &e),
+            tree.interested_count_under(&Prefix::from_components(vec![0]), &e),
             1
         );
-        assert!(oracle.subtree_interested(&Prefix::from_components(vec![2]), &e));
-        assert!(!oracle.subtree_interested(&Prefix::from_components(vec![1]), &e));
-        assert_eq!(oracle.interested_total(&e), 2);
+        assert!(tree.subtree_interested(&Prefix::root(), &e));
+        assert!(tree.subtree_interested(&Prefix::from_components(vec![2]), &e));
+        assert!(!tree.subtree_interested(&Prefix::from_components(vec![1]), &e));
+    }
+
+    /// What `subtree_interested` must answer, by scanning the assignment.
+    fn any_under(oracle: &AssignmentOracle, prefix: &Prefix) -> bool {
+        oracle.iter().any(|address| address.has_prefix(prefix))
     }
 
     #[test]
-    fn assignment_oracle_counts_by_prefix() {
+    fn assignment_oracle_answers_by_prefix() {
         let interested: Vec<Address> = ["0.0.1", "0.2.2", "1.0.0", "1.0.1"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let oracle = AssignmentOracle::new(interested);
+        let oracle =
+            AssignmentOracle::new(AddressSpace::regular(3, 3).unwrap(), interested.clone());
         let e = event();
         assert_eq!(oracle.len(), 4);
         assert!(!oracle.is_empty());
+        assert_eq!(oracle.iter().collect::<Vec<_>>(), interested);
         assert!(oracle.is_interested(&"0.0.1".parse().unwrap(), &e));
         assert!(!oracle.is_interested(&"0.0.0".parse().unwrap(), &e));
-        assert_eq!(oracle.interested_count_under(&Prefix::root(), &e), 4);
-        assert_eq!(
-            oracle.interested_count_under(&Prefix::from_components(vec![0]), &e),
-            2
-        );
-        assert_eq!(
-            oracle.interested_count_under(&Prefix::from_components(vec![1, 0]), &e),
-            2
-        );
-        assert_eq!(
-            oracle.interested_count_under(&Prefix::from_components(vec![2]), &e),
-            0
-        );
-        assert!(oracle.subtree_interested(&Prefix::from_components(vec![0, 2]), &e));
-        assert!(!oracle.subtree_interested(&Prefix::from_components(vec![0, 1]), &e));
+        for (components, expected) in [
+            (vec![], true),
+            (vec![0], true),
+            (vec![1, 0], true),
+            (vec![2], false),
+            (vec![0, 2], true),
+            (vec![0, 1], false),
+        ] {
+            let prefix = Prefix::from_components(components);
+            assert_eq!(oracle.subtree_interested(&prefix, &e), expected);
+            assert_eq!(any_under(&oracle, &prefix), expected);
+        }
+        // Outside the space nobody is interested.
+        assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &e));
+        assert!(!oracle.subtree_interested(&Prefix::from_components(vec![3]), &e));
     }
 
     #[test]
     fn assignment_oracle_deduplicates() {
         let a: Address = "0.0".parse().unwrap();
-        let oracle = AssignmentOracle::new(vec![a.clone(), a.clone(), a]);
+        let space = AddressSpace::regular(2, 2).unwrap();
+        let oracle = AssignmentOracle::new(space, vec![a.clone(), a.clone(), a]);
         assert_eq!(oracle.len(), 1);
-        let collected: AssignmentOracle =
-            vec!["1.1".parse::<Address>().unwrap()].into_iter().collect();
-        assert_eq!(collected.len(), 1);
+        assert_eq!(oracle.nth_index(0), Some(0));
+        assert_eq!(oracle.nth_index(1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit")]
+    fn a_space_past_the_bitmap_limit_is_refused() {
+        AssignmentOracle::new(AddressSpace::regular(4, 256).unwrap(), Vec::new());
     }
 
     #[test]
@@ -492,11 +360,6 @@ mod tests {
         let n = topology.member_count() as f64;
         // A Bernoulli(0.5) sample over 512 processes stays well within 4 σ.
         assert!((oracle.len() as f64 - 0.5 * n).abs() < 4.0 * (0.25f64 * n).sqrt());
-
-        let exact = AssignmentOracle::sample_exact(&topology, 37, &mut rng);
-        assert_eq!(exact.len(), 37);
-        // Counts under the root match the total.
-        assert_eq!(exact.interested_count_under(&Prefix::root(), &event()), 37);
     }
 
     #[test]
@@ -509,24 +372,21 @@ mod tests {
 
     #[test]
     fn uniform_oracle_is_always_interested() {
-        let oracle = UniformOracle::new(100);
         let e = event();
-        assert!(oracle.is_interested(&"1.2".parse().unwrap(), &e));
-        assert!(oracle.subtree_interested(&Prefix::from_components(vec![5]), &e));
-        assert_eq!(oracle.interested_total(&e), 100);
-        assert_eq!(UniformOracle::default().interested_total(&e), 0);
+        assert!(UniformOracle.is_interested(&"1.2".parse().unwrap(), &e));
+        assert!(UniformOracle.subtree_interested(&Prefix::from_components(vec![5]), &e));
     }
 
     #[test]
     fn oracle_references_delegate() {
-        let oracle = UniformOracle::new(10);
-        let by_ref: &dyn InterestOracle = &oracle;
+        let by_ref: &dyn InterestOracle = &UniformOracle;
         assert!(by_ref.is_interested(&"0.0".parse().unwrap(), &event()));
-        assert_eq!(oracle.interested_total(&event()), 10);
+        assert!((&by_ref).subtree_interested(&Prefix::root(), &event()));
+        assert_eq!((&by_ref).audience_key(&event()), None);
     }
 
     #[test]
-    fn assignment_counts_agree_with_linear_scan() {
+    fn assignment_subtrees_agree_with_linear_scan() {
         let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let oracle = AssignmentOracle::sample(&topology, 0.35, &mut rng);
@@ -538,12 +398,10 @@ mod tests {
             Prefix::from_components(vec![1, 2]),
             Prefix::from_components(vec![2, 3]),
         ] {
-            let expected = oracle
-                .iter()
-                .filter(|address| address.has_prefix(&prefix))
-                .count();
-            assert_eq!(oracle.interested_count_under(&prefix, &e), expected);
-            assert_eq!(oracle.subtree_interested(&prefix, &e), expected > 0);
+            assert_eq!(
+                oracle.subtree_interested(&prefix, &e),
+                any_under(&oracle, &prefix)
+            );
         }
     }
 }

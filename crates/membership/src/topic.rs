@@ -1,5 +1,5 @@
-//! Topic-based interest workloads: many overlapping audiences, one
-//! hashconsed [`AssignmentOracle`] per **distinct** audience.
+//! Topic-based interest workloads: many overlapping audiences, one shared
+//! [`AssignmentOracle`] per **distinct** audience.
 //!
 //! The evaluation workloads of PR 3–9 exercise one matching rate per trial
 //! — a single audience.  Production-style pub/sub traffic instead publishes
@@ -7,16 +7,15 @@
 //! story (per-depth interest filtering keeps spurious deliveries low) only
 //! gets interesting there.  [`TopicOracle`] models this axis: each process
 //! subscribes to a set of topics, each event carries a topic attribute, and
-//! interest queries route to the per-topic audience.  Audiences are interned
-//! through [`Interner`], so topics with coinciding subscriber sets share one
-//! oracle (and one interest bitmap) allocation, and
+//! interest queries route to the per-topic audience.  Topics with coinciding
+//! subscriber sets share one oracle (and one interest bitmap) allocation, and
 //! [`InterestOracle::audience_key`] exposes the topic index so downstream
 //! audience caches never rescan the group for a repeated topic.
 
 use std::sync::Arc;
 
 use pmcast_addr::{Address, AddressSpace, Prefix};
-use pmcast_interest::{AttributeValue, Event, Filter, InternStats, Interner, Predicate};
+use pmcast_interest::{AttributeValue, Event, Filter, InternStats, Predicate};
 
 use crate::{AssignmentOracle, InterestOracle, SubtreeSummaries};
 
@@ -25,7 +24,7 @@ use crate::{AssignmentOracle, InterestOracle, SubtreeSummaries};
 pub const TOPIC_ATTRIBUTE: &str = "topic";
 
 /// Interest oracle for a multi-topic workload over a fully populated
-/// regular tree: per-process topic subscriptions, per-topic interned
+/// regular tree: per-process topic subscriptions, per-topic shared
 /// audiences.
 #[derive(Debug)]
 pub struct TopicOracle {
@@ -33,12 +32,11 @@ pub struct TopicOracle {
     topic_count: usize,
     /// Process (dense index) → sorted subscribed topic indices.
     subscriptions: Vec<Vec<u32>>,
-    /// Topic → hashconsed audience; overlapping topics with identical
-    /// subscriber sets share one entry.
+    /// Topic → audience; topics with identical subscriber sets share one
+    /// allocation.
     audiences: Vec<Arc<AssignmentOracle>>,
-    /// The hashcons table the audiences went through, kept for its hit/miss
-    /// counters and the generation reclaim.
-    interner: Interner<AssignmentOracle>,
+    /// Number of distinct audiences among them.
+    distinct: usize,
 }
 
 impl TopicOracle {
@@ -71,29 +69,28 @@ impl TopicOracle {
             }
         }
         // Collect each topic's subscribers in one pass over the processes.
-        let mut members: Vec<Vec<Address>> = vec![Vec::new(); topic_count];
+        let mut built = vec![AssignmentOracle::empty(space.clone()); topic_count];
         for (index, set) in subscriptions.iter().enumerate() {
-            if set.is_empty() {
-                continue;
-            }
-            let address = space.address_of_index(index as u128);
             for &topic in set {
-                members[topic as usize].push(address.clone());
+                built[topic as usize].insert(index);
             }
         }
-        let interner = Interner::new();
-        let audiences = members
-            .into_iter()
-            .map(|addresses| {
-                interner.intern(&AssignmentOracle::with_space(addresses, space.clone()))
-            })
-            .collect();
+        // An audience equal to an earlier topic's shares that topic's handle.
+        let mut audiences: Vec<Arc<AssignmentOracle>> = Vec::with_capacity(topic_count);
+        let mut distinct = 0;
+        for audience in built {
+            let coinciding = audiences.iter().find(|earlier| ***earlier == audience).cloned();
+            audiences.push(coinciding.unwrap_or_else(|| {
+                distinct += 1;
+                Arc::new(audience)
+            }));
+        }
         Self {
             space,
             topic_count,
             subscriptions,
             audiences,
-            interner,
+            distinct,
         }
     }
 
@@ -117,7 +114,7 @@ impl TopicOracle {
         }
     }
 
-    /// The (interned) audience of a topic.
+    /// The (shared) audience of a topic.
     ///
     /// # Panics
     ///
@@ -160,11 +157,16 @@ impl TopicOracle {
         SubtreeSummaries::build(self.space.clone(), self.filters())
     }
 
-    /// Hashcons counters of the audience table: `misses` is the number of
-    /// **distinct** audiences ever built, `hits` the lookups served without
-    /// an allocation.
+    /// Sharing counters of the audience table: `misses` is the number of
+    /// **distinct** audiences built, `hits` the topics whose audience
+    /// coincided with an earlier topic's and shares its allocation.
     pub fn intern_stats(&self) -> InternStats {
-        self.interner.stats()
+        InternStats {
+            hits: (self.topic_count - self.distinct) as u64,
+            misses: self.distinct as u64,
+            live: self.distinct,
+            reclaimed: 0,
+        }
     }
 }
 
@@ -173,13 +175,6 @@ impl InterestOracle for TopicOracle {
         match self.topic_of(event) {
             Some(topic) => self.audiences[topic].is_interested(address, event),
             None => false,
-        }
-    }
-
-    fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize {
-        match self.topic_of(event) {
-            Some(topic) => self.audiences[topic].interested_count_under(prefix, event),
-            None => 0,
         }
     }
 
@@ -221,8 +216,8 @@ mod tests {
         assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &e1));
         assert!(oracle.is_interested(&"1.0".parse().unwrap(), &e1));
         assert!(!oracle.is_interested(&"1.1".parse().unwrap(), &e0));
-        assert_eq!(oracle.interested_total(&e0), 2);
-        assert_eq!(oracle.interested_total(&e1), 2);
+        assert_eq!(oracle.audience(0).len(), 2);
+        assert_eq!(oracle.audience(1).len(), 2);
         assert!(oracle.subtree_interested(&Prefix::from_components(vec![0]), &e0));
         assert!(!oracle.subtree_interested(&Prefix::from_components(vec![1]), &e0));
         assert_eq!(oracle.audience_key(&e0), Some(0));
@@ -234,7 +229,7 @@ mod tests {
         let oracle = oracle_2x2([&[0], &[0], &[0], &[0]], 1);
         let untopical = Event::builder(9).int("b", 1).build();
         assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &untopical));
-        assert_eq!(oracle.interested_total(&untopical), 0);
+        assert!(!oracle.subtree_interested(&Prefix::root(), &untopical));
         assert_eq!(oracle.audience_key(&untopical), None);
         // Out-of-range topics too.
         assert_eq!(oracle.audience_key(&topic_event(7)), None);

@@ -73,7 +73,7 @@
 //! use smol::{LocalExecutor, Timer};
 //!
 //! let topology = ImplicitRegularTree::new(AddressSpace::regular(1, 8).unwrap());
-//! let oracle = Arc::new(AssignmentOracle::new(topology.members().to_vec()));
+//! let oracle = Arc::new(AssignmentOracle::new(topology.space().clone(), topology.members()));
 //! let membership = Arc::new(GlobalOracleView::new(8));
 //! let group = FloodFactory::build(&topology, oracle, membership.clone(), &PmcastConfig::default());
 //!

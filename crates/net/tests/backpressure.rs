@@ -27,7 +27,7 @@ fn flood_group() -> (
     Arc<dyn MembershipView>,
 ) {
     let topology = ImplicitRegularTree::new(AddressSpace::regular(1, GROUP as u32).unwrap());
-    let oracle = Arc::new(AssignmentOracle::new(topology.members().to_vec()));
+    let oracle = Arc::new(AssignmentOracle::new(topology.space().clone(), topology.members()));
     let membership: Arc<dyn MembershipView> = Arc::new(GlobalOracleView::new(GROUP));
     let group = FloodFactory::build(
         &topology,

@@ -284,7 +284,8 @@ pub fn topics(sweep: &mut Sweep) {
     };
     sweep.title = format!(
         "pmcast multi-topic throughput — n = 64, {topics} topics, {events} events \
-         over {publish_rounds} rounds, 3 subscriptions/process, Zipf 1.0, loss-free"
+         over {publish_rounds} rounds, {} subscriptions/process, Zipf {:.1}, loss-free",
+        workload.subscriptions_per_process, workload.zipf_exponent
     );
     let arms = [
         ("oracle", InterestRouting::Oracle),
@@ -327,10 +328,14 @@ pub fn topics(sweep: &mut Sweep) {
     sweep.envelope = vec![
         col("n", "", Cell::Int(64)),
         col("topics", "", Cell::Int(topics as u64)),
-        col("subscriptions_per_process", "", Cell::Int(3)),
+        col(
+            "subscriptions_per_process",
+            "",
+            Cell::Int(workload.subscriptions_per_process as u64),
+        ),
         col("events", "", Cell::Int(events as u64)),
         col("publish_rounds", "", Cell::Int(publish_rounds)),
-        col("zipf_exponent", "", Cell::Float(1.0, 1, 1)),
+        col("zipf_exponent", "", Cell::Float(workload.zipf_exponent, 1, 1)),
         col("hashcons", "", Cell::Record(hashcons)),
     ];
     sweep.footer = format!(

@@ -330,9 +330,6 @@ fn std_dev(values: &[f64], mean: f64) -> f64 {
 /// Resolves a [`Publisher`] spec to a process index, consuming the
 /// workload stream exactly as documented in the module-level seed contract.
 ///
-/// The interested pick walks the oracle's iterator to the k-th interested
-/// address instead of materializing the whole assignment — the draw is
-/// allocation-free.
 fn resolve_publisher(
     publisher: &Publisher,
     topology: &ImplicitRegularTree,
@@ -357,14 +354,7 @@ fn resolve_publisher(
                 workload_rng.gen_range(0..topology.member_count())
             } else {
                 let pick = workload_rng.gen_range(0..oracle.len());
-                let address = oracle
-                    .iter()
-                    .nth(pick)
-                    .expect("pick is within the assignment");
-                topology
-                    .space()
-                    .index_of_address(address)
-                    .expect("interested address is valid") as usize
+                oracle.nth_index(pick).expect("pick is within the assignment")
             }
         }
     }
@@ -689,14 +679,7 @@ fn topic_trial_workload(
                 workload_rng.gen_range(0..n)
             } else {
                 let pick = workload_rng.gen_range(0..audience.len());
-                let address = audience
-                    .iter()
-                    .nth(pick)
-                    .expect("pick is within the audience");
-                topology
-                    .space()
-                    .index_of_address(address)
-                    .expect("subscriber address is valid") as usize
+                audience.nth_index(pick).expect("pick is within the audience")
             };
             // Deterministic spread over the publish window: no randomness,
             // rounds non-decreasing in event order.

@@ -225,9 +225,9 @@ pub struct SubtreeLoss {
 /// stream, see the seed contract in [`crate::runner`]), each event carries
 /// a `topic` attribute drawn from the truncated Zipf mix, and its publisher
 /// is a uniform draw among the topic's subscribers.  Interest is answered
-/// by a [`pmcast_membership::TopicOracle`], whose per-topic audiences are
-/// hashconsed — thousands of events over a few dozen topics build a few
-/// dozen audience sets, not thousands.
+/// by a [`pmcast_membership::TopicOracle`]: one interest bitmap per topic,
+/// shared by topics whose subscribers coincide — thousands of events over a
+/// few dozen topics build a few dozen audience sets, not thousands.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopicWorkload {
     /// Number of topics (audiences) the group publishes over.

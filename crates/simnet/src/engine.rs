@@ -32,46 +32,22 @@ pub trait RoundProcess {
 
     /// Returns `true` if the process has nothing left to do; a simulation
     /// may stop early once every process is quiescent and no messages are in
-    /// flight.  Defaults to `false` (never quiescent).
+    /// flight.  Defaults to `false`: never quiescent, stepped every round.
+    ///
+    /// Answering `true` carries a proof obligation, because the engine
+    /// sweeps the active set, not the group: while this returns `true`,
+    /// [`on_round`](RoundProcess::on_round) must be a pure no-op — it sends
+    /// nothing, draws nothing from the shared RNG and changes no observable
+    /// state.  Skipping the call is then stream-neutral (the shared
+    /// protocol RNG advances exactly as it would under a dense 0..n sweep),
+    /// so the engine schedules a quiescent process only when something
+    /// could have woken it: a delivered message, a lifecycle join, or
+    /// direct mutation through [`Simulation::process_mut`].  That is what
+    /// makes million-process groups simulable — a round costs O(active)
+    /// instead of O(n), and a fully quiescent round costs O(1).
     fn is_quiescent(&self) -> bool {
         false
     }
-
-    /// How the engine may schedule this process's [`on_round`]
-    /// (`RoundProcess::on_round`) calls.  The default is the conservative
-    /// [`Activity::EveryRound`], which preserves the dense sweep for
-    /// third-party implementations; protocols whose quiescent `on_round` is
-    /// a pure no-op should return [`Activity::SkipWhenQuiescent`] to opt
-    /// into active-set scheduling (see [`Activity`] for the exact contract).
-    ///
-    /// [`on_round`]: RoundProcess::on_round
-    fn activity(&self) -> Activity {
-        Activity::EveryRound
-    }
-}
-
-/// A [`RoundProcess`]'s scheduling hint: whether the engine must drive its
-/// [`on_round`](RoundProcess::on_round) every round, or may skip rounds in
-/// which the process is quiescent.
-///
-/// Active-set scheduling is what makes million-process groups simulable:
-/// with every process opted in, a round costs O(active) instead of O(n),
-/// and a fully-quiescent round costs O(1).  The opt-in carries a proof
-/// obligation, spelled out on [`SkipWhenQuiescent`](Self::SkipWhenQuiescent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Activity {
-    /// `on_round` must be called every round, quiescent or not — the
-    /// conservative default, bit-identical to the historical dense sweep.
-    EveryRound,
-    /// While [`is_quiescent`](RoundProcess::is_quiescent) returns `true`,
-    /// `on_round` is guaranteed to be a pure no-op: it sends nothing, draws
-    /// nothing from the shared RNG and changes no observable state.  Under
-    /// that guarantee skipping the call is stream-neutral — the shared
-    /// protocol RNG advances exactly as it would under the dense sweep —
-    /// so the engine schedules the process only when something could have
-    /// woken it (a delivered message, a lifecycle join, or direct mutation
-    /// through [`Simulation::process_mut`]).
-    SkipWhenQuiescent,
 }
 
 /// What a round driver lends the process it drives besides the outbox:
@@ -337,11 +313,9 @@ pub struct Simulation<P: RoundProcess> {
     /// `(round, kind, process)` and drained through a deque cursor.
     scheduled_lifecycle: VecDeque<(u64, LifecycleKind, usize)>,
     round: u64,
-    /// `true` when at least one process declared [`Activity::EveryRound`]
-    /// (or [`force_dense_stepping`](Self::force_dense_stepping) was called):
-    /// the engine then keeps the historical dense 0..n sweep.  When every
-    /// process opted into [`Activity::SkipWhenQuiescent`], rounds run over
-    /// the active set instead.
+    /// `true` once [`force_dense_stepping`](Self::force_dense_stepping) was
+    /// called: the engine then runs the reference dense 0..n sweep instead
+    /// of sweeping the active set.
     dense: bool,
     /// Dense indices scheduled for the next `on_round` phase, unsorted;
     /// deduplicated through `active_stamp` and sorted ascending right
@@ -482,12 +456,6 @@ impl<P: RoundProcess> Simulation<P> {
         for &absent in &lifecycle.initially_absent {
             network.crash(ProcessId(absent));
         }
-        // Active-set scheduling is all-or-nothing: one conservative
-        // process forces the dense sweep for everyone, because a partial
-        // skip would still reorder nothing but would complicate the
-        // stream-neutrality argument for no gain (mixed-protocol groups
-        // share one process type in this engine anyway).
-        let dense = processes.iter().any(|p| p.activity() == Activity::EveryRound);
         let count = processes.len();
         Self {
             processes,
@@ -496,7 +464,7 @@ impl<P: RoundProcess> Simulation<P> {
             stragglers,
             scheduled_lifecycle: schedule.into(),
             round: 0,
-            dense,
+            dense: false,
             // Round 0 schedules everybody: initial state (buffered
             // publications, seeded tokens) predates the simulation, so no
             // delivery could have marked it.  Crashed processes are
@@ -532,11 +500,11 @@ impl<P: RoundProcess> Simulation<P> {
         }
     }
 
-    /// Forces the historical dense 0..n sweep even when every process
-    /// opted into [`Activity::SkipWhenQuiescent`] — a validation hook for
-    /// asserting that active-set and dense stepping produce bit-identical
-    /// outcomes (dense stepping is always correct; active-set stepping is
-    /// the optimisation under test).
+    /// Forces the dense 0..n sweep — a validation hook for asserting that
+    /// active-set and dense stepping produce bit-identical outcomes (dense
+    /// stepping is always correct; active-set stepping relies on the
+    /// contract of [`RoundProcess::is_quiescent`] and is the optimisation
+    /// under test).
     pub fn force_dense_stepping(&mut self) {
         self.dense = true;
         self.active_pending.clear();
@@ -807,9 +775,9 @@ impl<P: RoundProcess> Simulation<P> {
         } else {
             // The active-set sweep: visit exactly the scheduled processes,
             // in ascending index order — the same order the dense sweep
-            // visits them in.  Every process skipped here is quiescent and
-            // declared `SkipWhenQuiescent`, so its `on_round` would have
-            // been a no-op drawing nothing from the shared RNG: the RNG
+            // visits them in.  Every process skipped here is quiescent, so
+            // by `RoundProcess::is_quiescent`'s contract its `on_round` would
+            // have been a no-op drawing nothing from the shared RNG: the RNG
             // stream, the traffic and every process state are bit-identical
             // to the dense sweep's.
             let mut current = std::mem::take(&mut self.active_scratch);
@@ -951,14 +919,10 @@ mod tests {
         }
 
         fn is_quiescent(&self) -> bool {
-            !self.has_token || self.announced
-        }
-
-        fn activity(&self) -> Activity {
             // `on_round` acts exactly when `has_token && !announced`, i.e.
             // when not quiescent, and never draws from the RNG — so a
             // quiescent `on_round` is a pure no-op and skipping is safe.
-            Activity::SkipWhenQuiescent
+            !self.has_token || self.announced
         }
     }
 
@@ -1428,10 +1392,6 @@ mod tests {
 
         fn is_quiescent(&self) -> bool {
             !self.has_rumor || self.budget == 0
-        }
-
-        fn activity(&self) -> Activity {
-            Activity::SkipWhenQuiescent
         }
     }
 

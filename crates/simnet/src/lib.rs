@@ -84,8 +84,8 @@ mod stats;
 
 pub use config::{CrashPlan, NetworkConfig};
 pub use engine::{
-    Activity, FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext,
-    RoundProcess, Simulation,
+    FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext, RoundProcess,
+    Simulation,
 };
 pub use fault::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, Straggler};
 pub use network::{Envelope, ProcessId, RoundNetwork};

@@ -158,15 +158,13 @@ pub use pmcast_sim::scenario::{
     MembershipSpec, Publication, Publisher, Scenario, ScenarioBuilder, SubtreeLoss, TopicWorkload,
 };
 pub use pmcast_interest::{
-    AttributeValue, Event, EventId, Filter, Interest, InterestSummary, InternStats, Interner,
-    Predicate,
+    AttributeValue, Event, EventId, Filter, Interest, InterestSummary, InternStats, Predicate,
 };
 pub use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
     ImplicitRegularTree, InterestOracle, LifecycleEvent, LifecycleEventKind,
     MembershipView, PartialView, PartialViewConfig, Population, PopulationSizes,
-    SubscriptionOracle, SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle,
-    TOPIC_ATTRIBUTE,
+    SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle, TOPIC_ATTRIBUTE,
 };
 pub use pmcast_net::{NetConfig, NetGroup, NetGroupHandle, NetTrialOutcome, Seen};
 pub use pmcast_simnet::{

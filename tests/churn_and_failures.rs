@@ -22,7 +22,7 @@ fn crashed_root_delegates_do_not_prevent_delivery() {
     // keeps delivery going.
     let topology = ImplicitRegularTree::new(AddressSpace::regular(2, 6).expect("valid shape"));
     let oracle: Arc<dyn InterestOracle + Send + Sync> =
-        Arc::new(UniformOracle::new(topology.member_count()));
+        Arc::new(UniformOracle);
     let config = PmcastConfig::default().with_fanout(3);
     let group = PmcastFactory::build(&topology, oracle, global_view(topology.member_count()), &config);
     let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(77));
@@ -59,7 +59,7 @@ fn crashed_root_delegates_do_not_prevent_delivery() {
 fn publisher_crash_after_injection_still_spreads_the_event() {
     let topology = ImplicitRegularTree::new(AddressSpace::regular(2, 5).expect("valid shape"));
     let oracle: Arc<dyn InterestOracle + Send + Sync> =
-        Arc::new(UniformOracle::new(topology.member_count()));
+        Arc::new(UniformOracle);
     let group = PmcastFactory::build(
         &topology,
         oracle,
@@ -105,11 +105,7 @@ fn heavy_loss_with_higher_fanout_still_delivers_to_interested_processes() {
         group.processes,
         NetworkConfig::faulty(0.25, 0.01, 21),
     );
-    let sender = oracle
-        .iter()
-        .next()
-        .and_then(|a| topology.index_of(a))
-        .unwrap_or(0);
+    let sender = oracle.nth_index(0).unwrap_or(0);
     sim.process_mut(ProcessId(sender)).pmcast(Event::builder(2).build());
     sim.run_until_quiescent(400);
 

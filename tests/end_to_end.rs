@@ -32,11 +32,7 @@ fn multicast_reaches_interested_processes_across_subtrees() {
     let group = PmcastFactory::build(&topology, oracle.clone(), global_view(topology.member_count()), &PmcastConfig::default());
     let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(100));
     // Publish from an interested process if possible.
-    let sender = oracle
-        .iter()
-        .next()
-        .and_then(|a| topology.index_of(a))
-        .unwrap_or(0);
+    let sender = oracle.nth_index(0).unwrap_or(0);
     sim.process_mut(ProcessId(sender)).pmcast(event.clone());
     sim.run_until_quiescent(300);
 
@@ -59,7 +55,7 @@ fn multicast_reaches_interested_processes_across_subtrees() {
 fn broadcast_special_case_delivers_everywhere_even_with_losses() {
     let topology = small_tree();
     let oracle: Arc<dyn InterestOracle + Send + Sync> =
-        Arc::new(UniformOracle::new(topology.member_count()));
+        Arc::new(UniformOracle);
     let event = Event::builder(2).build();
 
     let config = PmcastConfig::default().with_fanout(4);
@@ -126,7 +122,7 @@ fn content_based_group_delivers_exactly_to_matching_subscribers() {
 fn crashes_of_a_minority_do_not_break_delivery_for_the_rest() {
     let topology = small_tree();
     let oracle: Arc<dyn InterestOracle + Send + Sync> =
-        Arc::new(UniformOracle::new(topology.member_count()));
+        Arc::new(UniformOracle);
     let event = Event::builder(5).build();
 
     let group = PmcastFactory::build(&topology, oracle, global_view(topology.member_count()), &PmcastConfig::default().with_fanout(3));
@@ -156,11 +152,7 @@ fn pmcast_uses_fewer_messages_than_flooding_when_interest_is_sparse() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let oracle = Arc::new(AssignmentOracle::sample(&topology, 0.15, &mut rng));
     let event = Event::builder(6).build();
-    let sender = oracle
-        .iter()
-        .next()
-        .and_then(|a| topology.index_of(a))
-        .unwrap_or(0);
+    let sender = oracle.nth_index(0).unwrap_or(0);
 
     // pmcast run.
     let group = PmcastFactory::build(&topology, oracle.clone(), global_view(topology.member_count()), &PmcastConfig::default());
@@ -193,7 +185,7 @@ fn pmcast_uses_fewer_messages_than_flooding_when_interest_is_sparse() {
 fn several_publishers_can_multicast_concurrently() {
     let topology = small_tree();
     let oracle: Arc<dyn InterestOracle + Send + Sync> =
-        Arc::new(UniformOracle::new(topology.member_count()));
+        Arc::new(UniformOracle);
     let group = PmcastFactory::build(&topology, oracle, global_view(topology.member_count()), &PmcastConfig::default());
     let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(33));
 

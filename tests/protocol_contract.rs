@@ -102,7 +102,7 @@ fn half_interested_oracle() -> Arc<AssignmentOracle> {
     let interested: Vec<Address> = (0..2u32)
         .flat_map(|hi| (0..4u32).map(move |lo| Address::from(vec![hi, lo])))
         .collect();
-    Arc::new(AssignmentOracle::new(interested))
+    Arc::new(AssignmentOracle::new(topology().space().clone(), interested))
 }
 
 /// Builds a group, publishes `copies` clones of one shared event from
