@@ -156,14 +156,6 @@ impl Address {
                 .zip(self.components())
                 .all(|(p, c)| p == c)
     }
-
-    /// Returns the last component of the address.
-    pub fn last_component(&self) -> Component {
-        *self
-            .components()
-            .last()
-            .expect("an address always has at least one component")
-    }
 }
 
 impl fmt::Display for Address {
@@ -248,7 +240,6 @@ mod tests {
         assert_eq!(a.component(3), Some(5));
         assert_eq!(a.component(4), None);
         assert_eq!(a.component(0), None);
-        assert_eq!(a.last_component(), 5);
         assert_eq!(a.components(), &[3, 17, 5]);
     }
 
@@ -334,7 +325,6 @@ mod tests {
         assert_eq!(deep.prefix_of_depth(10).len(), 9);
         assert_eq!(deep.prefix_of_depth(10).child(10), deep.as_prefix());
         assert_eq!(deep.as_prefix().parent(), Some(deep.prefix_of_depth(10)));
-        assert_eq!(deep.prefix_of_depth(3).to_address(&deep.components()[2..]), deep);
         assert!(deep.has_prefix(&deep.prefix_of_depth(9)));
         assert!(addr("1.2.3.4.5.6.7.8.9.9") < deep && deep < addr("1.2.3.4.5.6.7.9"));
         let json = serde_json::to_string(&deep).unwrap();

@@ -102,31 +102,10 @@ impl Prefix {
         Some(Prefix::from_slice(parent))
     }
 
-    /// Returns the last component, or `None` for the root prefix.
-    pub fn last_component(&self) -> Option<Component> {
-        self.components().last().copied()
-    }
-
-    /// Returns `true` if `self` is a prefix of (or equal to) `other`.
-    pub fn is_prefix_of(&self, other: &Prefix) -> bool {
-        other.components().starts_with(self.components())
-    }
-
     /// Returns `true` if the given address belongs to the subgroup denoted by
     /// this prefix.
     pub fn contains(&self, address: &Address) -> bool {
         address.has_prefix(self)
-    }
-
-    /// Completes the prefix into a full [`Address`] by appending the given
-    /// suffix components.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both the prefix and the suffix are empty (an address must
-    /// have at least one component).
-    pub fn to_address(&self, suffix: &[Component]) -> Address {
-        Address::from_parts(self.components.extended(suffix))
     }
 }
 
@@ -175,7 +154,6 @@ mod tests {
         assert_eq!(root.len(), 0);
         assert_eq!(root.depth(), 1);
         assert_eq!(root.parent(), None);
-        assert_eq!(root.last_component(), None);
         assert_eq!(root.to_string(), "∅");
         assert_eq!(Prefix::default(), root);
     }
@@ -186,9 +164,7 @@ mod tests {
         let c = p.child(73);
         assert_eq!(c.len(), 3);
         assert_eq!(c.parent(), Some(p.clone()));
-        assert_eq!(c.last_component(), Some(73));
-        assert!(p.is_prefix_of(&c));
-        assert!(!c.is_prefix_of(&p));
+        assert_eq!(c.components().last(), Some(&73));
     }
 
     #[test]
@@ -207,13 +183,6 @@ mod tests {
         assert!(p.contains(&inside));
         assert!(!p.contains(&outside));
         assert!(Prefix::root().contains(&inside));
-    }
-
-    #[test]
-    fn to_address_appends_suffix() {
-        let p = Prefix::from_components(vec![128, 178]);
-        assert_eq!(p.to_address(&[73, 3]).to_string(), "128.178.73.3");
-        assert_eq!(Prefix::root().to_address(&[7]).to_string(), "7");
     }
 
     #[test]

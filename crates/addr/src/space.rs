@@ -96,11 +96,6 @@ impl AddressSpace {
         &self.arities
     }
 
-    /// Returns `true` if all levels share the same arity.
-    pub fn is_regular(&self) -> bool {
-        self.arities.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Returns the maximum number of distinct addresses, `∏ aᵢ`.
     pub fn capacity(&self) -> u128 {
         self.arities.iter().map(|&a| a as u128).product()
@@ -139,37 +134,6 @@ impl AddressSpace {
             });
         }
         for (idx, (&component, &arity)) in address
-            .components()
-            .iter()
-            .zip(self.arities.iter())
-            .enumerate()
-        {
-            if component >= arity {
-                return Err(AddrError::ComponentOutOfRange {
-                    level: idx + 1,
-                    component,
-                    arity,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates a prefix: it must not be deeper than the space and its
-    /// components must respect the corresponding arities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AddrError::PrefixTooDeep`] or
-    /// [`AddrError::ComponentOutOfRange`] accordingly.
-    pub fn validate_prefix(&self, prefix: &Prefix) -> Result<(), AddrError> {
-        if prefix.len() > self.depth() {
-            return Err(AddrError::PrefixTooDeep {
-                found: prefix.len(),
-                max: self.depth(),
-            });
-        }
-        for (idx, (&component, &arity)) in prefix
             .components()
             .iter()
             .zip(self.arities.iter())
@@ -350,7 +314,6 @@ mod tests {
     fn regular_space_shape() {
         let space = AddressSpace::regular(3, 22).unwrap();
         assert_eq!(space.depth(), 3);
-        assert!(space.is_regular());
         assert_eq!(space.capacity(), 22u128.pow(3));
         assert_eq!(space.arity(1), 22);
         assert_eq!(space.arity(3), 22);
@@ -359,7 +322,6 @@ mod tests {
     #[test]
     fn irregular_space_shape() {
         let space = AddressSpace::new(vec![4, 8, 2]).unwrap();
-        assert!(!space.is_regular());
         assert_eq!(space.capacity(), 64);
         assert_eq!(space.arities(), &[4, 8, 2]);
     }
@@ -399,21 +361,6 @@ mod tests {
                 arity: 2
             })
         );
-    }
-
-    #[test]
-    fn validate_prefixes() {
-        let space = AddressSpace::new(vec![4, 8, 2]).unwrap();
-        assert!(space.validate_prefix(&Prefix::root()).is_ok());
-        assert!(space
-            .validate_prefix(&Prefix::from_components(vec![3, 7]))
-            .is_ok());
-        assert!(space
-            .validate_prefix(&Prefix::from_components(vec![3, 8]))
-            .is_err());
-        assert!(space
-            .validate_prefix(&Prefix::from_components(vec![1, 1, 1, 1]))
-            .is_err());
     }
 
     #[test]

@@ -97,7 +97,7 @@ proptest! {
         for depth in 1..=address.depth() {
             let prefix = address.prefix_of_depth(depth);
             prop_assert!(prefix.contains(&address));
-            prop_assert!(previous.is_prefix_of(&prefix));
+            prop_assert!(prefix.components().starts_with(previous.components()));
             prop_assert_eq!(prefix.depth(), depth);
             previous = prefix;
         }

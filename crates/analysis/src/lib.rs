@@ -101,16 +101,6 @@ impl Default for EnvParams {
 }
 
 impl EnvParams {
-    /// A perfectly reliable environment (no losses, no crashes), useful to
-    /// compare against Pittel's original model.
-    pub fn lossless() -> Self {
-        Self {
-            loss_probability: 0.0,
-            crash_probability: 0.0,
-            pittel_constant: 1.0,
-        }
-    }
-
     /// The combined survival factor `(1 − ε)(1 − τ)` scaling effective group
     /// size and fanout in Equation 11.
     pub fn survival_factor(&self) -> f64 {
@@ -148,7 +138,12 @@ mod tests {
             pittel_constant: 0.0,
         };
         assert!((env.survival_factor() - 0.95 * 0.99).abs() < 1e-12);
-        assert_eq!(EnvParams::lossless().survival_factor(), 1.0);
+        let lossless = EnvParams {
+            loss_probability: 0.0,
+            crash_probability: 0.0,
+            ..env
+        };
+        assert_eq!(lossless.survival_factor(), 1.0);
         let default = EnvParams::default();
         assert!(default.survival_factor() < 1.0);
         assert!(default.pittel_constant > 0.0);

@@ -160,11 +160,6 @@ impl InfectionChain {
             .sum()
     }
 
-    /// Probability that every process of the group is infected.
-    pub fn probability_all_infected(&self) -> f64 {
-        *self.distribution.last().unwrap_or(&1.0)
-    }
-
     /// Probability that a *given* process is infected (by symmetry,
     /// `E[s_t] / n`).
     pub fn probability_process_infected(&self) -> f64 {
@@ -175,26 +170,22 @@ impl InfectionChain {
     }
 }
 
-/// Convenience: expected number of infected processes in a flat group of
-/// `group_size` processes after `rounds` rounds of gossip with the given
-/// fanout (Equation 14 uses this per depth).
-pub fn expected_infected_after(
-    group_size: usize,
-    fanout: f64,
-    rounds: u32,
-    env: &EnvParams,
-) -> f64 {
-    let mut chain = InfectionChain::new(group_size, fanout, env);
-    chain.run(rounds);
-    chain.expected_infected()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lossless() -> EnvParams {
-        EnvParams::lossless()
+        EnvParams {
+            loss_probability: 0.0,
+            crash_probability: 0.0,
+            pittel_constant: 1.0,
+        }
+    }
+
+    fn expected_infected_after(n: usize, fanout: f64, rounds: u32, env: &EnvParams) -> f64 {
+        let mut chain = InfectionChain::new(n, fanout, env);
+        chain.run(rounds);
+        chain.expected_infected()
     }
 
     #[test]
@@ -240,7 +231,7 @@ mod tests {
     fn everyone_gets_infected_eventually_without_losses() {
         let mut chain = InfectionChain::new(30, 3.0, &lossless());
         chain.run(25);
-        assert!(chain.probability_all_infected() > 0.999);
+        assert!(*chain.distribution().last().unwrap() > 0.999);
         assert!((chain.expected_infected() - 30.0).abs() < 0.01);
         assert!(chain.probability_process_infected() > 0.999);
     }
@@ -330,6 +321,6 @@ mod tests {
         let mut single = InfectionChain::new(1, 2.0, &lossless());
         single.run(3);
         assert!((single.expected_infected() - 1.0).abs() < 1e-12);
-        assert!((single.probability_all_infected() - 1.0).abs() < 1e-12);
+        assert!((single.distribution().last().unwrap() - 1.0).abs() < 1e-12);
     }
 }

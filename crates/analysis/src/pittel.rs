@@ -57,6 +57,13 @@ pub fn round_budget(group_size: f64, fanout: f64, env: &EnvParams) -> u32 {
 mod tests {
     use super::*;
 
+    /// No losses, no crashes: Pittel's original model.
+    const LOSSLESS: EnvParams = EnvParams {
+        loss_probability: 0.0,
+        crash_probability: 0.0,
+        pittel_constant: 1.0,
+    };
+
     #[test]
     fn matches_the_closed_form() {
         // T(n, F) = ln n (1/F + 1/ln(F+1)) + c
@@ -100,20 +107,19 @@ mod tests {
 
     #[test]
     fn faulty_environment_needs_more_rounds() {
-        let env_ok = EnvParams::lossless();
         let env_bad = EnvParams {
             loss_probability: 0.2,
             crash_probability: 0.05,
-            pittel_constant: 1.0,
+            ..LOSSLESS
         };
-        let clean = rounds_estimate_faulty(10_000.0, 3.0, &env_ok);
+        let clean = rounds_estimate_faulty(10_000.0, 3.0, &LOSSLESS);
         let faulty = rounds_estimate_faulty(10_000.0, 3.0, &env_bad);
         assert!(faulty > clean);
     }
 
     #[test]
     fn round_budget_is_a_positive_integer_ceiling() {
-        let env = EnvParams::lossless();
+        let env = LOSSLESS;
         let budget = round_budget(10_000.0, 2.0, &env);
         let estimate = rounds_estimate_faulty(10_000.0, 2.0, &env);
         assert_eq!(budget, estimate.ceil() as u32);

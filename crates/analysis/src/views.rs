@@ -55,24 +55,6 @@ pub fn view_size_report(arity: u32, depth: usize, redundancy: usize) -> ViewSize
     }
 }
 
-/// The depth minimising the per-process view size for a group of `n`
-/// processes with redundancy `R`, assuming the arity is chosen as
-/// `a = n^(1/d)` (the paper notes the minimum lies at `d = log n` but is not
-/// reached in practice while `R ≥ 3`).
-pub fn optimal_depth(group_size: usize, redundancy: usize, max_depth: usize) -> usize {
-    let mut best_depth = 1;
-    let mut best_size = f64::INFINITY;
-    for depth in 1..=max_depth.max(1) {
-        let arity = (group_size as f64).powf(1.0 / depth as f64);
-        let size = redundancy as f64 * arity * (depth as f64 - 1.0) + arity;
-        if size < best_size {
-            best_size = size;
-            best_depth = depth;
-        }
-    }
-    best_depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +90,6 @@ mod tests {
         assert_eq!(deep.group_size, 10_000);
         assert!(shallow.tree_view_size < flat.tree_view_size);
         assert!(deep.tree_view_size < shallow.tree_view_size);
-    }
-
-    #[test]
-    fn optimal_depth_is_interior_for_large_groups() {
-        let depth = optimal_depth(10_000, 3, 10);
-        assert!((3..=10).contains(&depth), "depth {depth}");
-        // Small groups prefer flat membership.
-        assert_eq!(optimal_depth(4, 3, 6), 1);
-        assert!(optimal_depth(0, 3, 6) >= 1);
     }
 
     #[test]

@@ -17,10 +17,10 @@ use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
     MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
 };
-use pmcast_net::{ChannelTransport, Frame, Seen, Transport};
+use pmcast_net::{ChannelTransport, Frame, Seen};
 use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 use pmcast_sim::scenario::{MembershipSpec, Scenario, TopicWorkload};
-use pmcast_simnet::{FaultPlan, NetworkConfig, ProcessId, Simulation};
+use pmcast_simnet::{FaultPlan, LinkDelay, NetworkConfig, ProcessId, Simulation};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -494,7 +494,9 @@ fn bench(c: &mut Criterion) {
                 PmcastFactory::build(&topology, oracle.clone(), global_view(), &PmcastConfig::default());
             let mut sim = Simulation::new(built.processes, NetworkConfig::reliable(1));
             sim.process_mut(ProcessId(0)).pmcast(Event::builder(4).build());
-            sim.run_rounds(5);
+            for _ in 0..5 {
+                sim.step();
+            }
             sim.stats().messages_sent
         })
     });
@@ -509,11 +511,18 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let built =
                 PmcastFactory::build(&topology, oracle.clone(), global_view(), &PmcastConfig::default());
-            let config = NetworkConfig::reliable(1)
-                .with_fault_plan(FaultPlan::default().with_link_delay(0, 2));
+            let config = NetworkConfig {
+                fault_plan: FaultPlan {
+                    link_delay: Some(LinkDelay { min_extra: 0, max_extra: 2 }),
+                    ..FaultPlan::default()
+                },
+                ..NetworkConfig::reliable(1)
+            };
             let mut sim = Simulation::new(built.processes, config);
             sim.process_mut(ProcessId(0)).pmcast(Event::builder(4).build());
-            sim.run_rounds(5);
+            for _ in 0..5 {
+                sim.step();
+            }
             sim.stats().messages_sent
         })
     });
@@ -527,7 +536,9 @@ fn bench(c: &mut Criterion) {
                 GenuineFactory::build(&topology, oracle.clone(), global_view(), &PmcastConfig::default());
             let mut sim = Simulation::new(built.processes, NetworkConfig::reliable(1));
             sim.process_mut(ProcessId(0)).publish(Arc::new(Event::builder(4).build()));
-            sim.run_rounds(5);
+            for _ in 0..5 {
+                sim.step();
+            }
             sim.stats().messages_sent
         })
     });
@@ -595,7 +606,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
     group.sample_size(10);
     group.bench_function("sparse_group_build_n1m", |b| {
-        b.iter(|| SharedViews::build(&million_tree, 3).view_count())
+        b.iter(|| SharedViews::build(&million_tree, 3).member_count())
     });
     group.finish();
 }

@@ -91,12 +91,6 @@ impl Default for PmcastConfig {
 }
 
 impl PmcastConfig {
-    /// The configuration used throughout the paper's reliability figures:
-    /// `R = 3`, `F = 2`.
-    pub fn paper_reliability() -> Self {
-        Self::default()
-    }
-
     /// The configuration of the paper's scalability figure (Figure 6):
     /// `R = 4`, `F = 3`.
     pub fn paper_scalability() -> Self {
@@ -107,33 +101,15 @@ impl PmcastConfig {
         }
     }
 
-    /// Sets the redundancy factor, returning the config for chaining.
-    pub fn with_redundancy(mut self, redundancy: usize) -> Self {
-        self.redundancy = redundancy;
-        self
-    }
-
     /// Sets the fanout, returning the config for chaining.
     pub fn with_fanout(mut self, fanout: usize) -> Self {
         self.fanout = fanout;
         self
     }
 
-    /// Sets the environmental estimates, returning the config for chaining.
-    pub fn with_env(mut self, env: EnvParams) -> Self {
-        self.env = env;
-        self
-    }
-
     /// Enables the Section 5.3 tuning with the given threshold.
     pub fn with_tuning(mut self, threshold: usize) -> Self {
         self.tuning = Some(TuningConfig { threshold });
-        self
-    }
-
-    /// Enables the local-interest shortcut of Section 3.2.
-    pub fn with_local_interest_shortcut(mut self, enabled: bool) -> Self {
-        self.local_interest_shortcut = enabled;
         self
     }
 
@@ -175,7 +151,6 @@ mod tests {
         assert!(config.tuning.is_none());
         assert!(!config.local_interest_shortcut);
         config.validate();
-        assert_eq!(PmcastConfig::paper_reliability(), config);
     }
 
     #[test]
@@ -188,15 +163,22 @@ mod tests {
 
     #[test]
     fn builder_methods_chain() {
-        let config = PmcastConfig::default()
-            .with_redundancy(5)
-            .with_fanout(4)
-            .with_env(EnvParams::lossless())
-            .with_tuning(12)
-            .with_local_interest_shortcut(true);
+        let lossless = EnvParams {
+            loss_probability: 0.0,
+            crash_probability: 0.0,
+            pittel_constant: 1.0,
+        };
+        let config = PmcastConfig {
+            redundancy: 5,
+            env: lossless,
+            local_interest_shortcut: true,
+            ..PmcastConfig::default()
+        }
+        .with_fanout(4)
+        .with_tuning(12);
         assert_eq!(config.redundancy, 5);
         assert_eq!(config.fanout, 4);
-        assert_eq!(config.env, EnvParams::lossless());
+        assert_eq!(config.env, lossless);
         assert_eq!(config.tuning, Some(TuningConfig { threshold: 12 }));
         assert!(config.local_interest_shortcut);
         config.validate();
@@ -212,7 +194,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "redundancy R must be at least 1")]
     fn zero_redundancy_is_rejected() {
-        PmcastConfig::default().with_redundancy(0).validate();
+        PmcastConfig {
+            redundancy: 0,
+            ..PmcastConfig::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -727,7 +727,10 @@ mod tests {
             .collect();
         let oracle: Arc<dyn InterestOracle + Send + Sync> =
             Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested));
-        let config = PmcastConfig::default().with_local_interest_shortcut(true);
+        let config = PmcastConfig {
+            local_interest_shortcut: true,
+            ..PmcastConfig::default()
+        };
         let group = build_pmcast_group(&topology, oracle.clone(), global_view(), &config);
         let sender_index = group
             .addresses
@@ -774,9 +777,9 @@ mod tests {
         let mut tree = GroupTree::new(space.clone());
         for (index, address) in space.iter().enumerate() {
             let filter = if index % 3 == 0 {
-                Filter::new().with("kind", Predicate::eq_str("alert"))
+                Filter::new().with("kind", Predicate::Eq("alert".into()))
             } else {
-                Filter::new().with("kind", Predicate::eq_str("heartbeat"))
+                Filter::new().with("kind", Predicate::Eq("heartbeat".into()))
             };
             tree.join(address, filter).unwrap();
         }
@@ -860,7 +863,7 @@ mod tests {
         let mut own_view_memberships = Vec::new();
         for index in [0, 2, 13, 26] {
             let own = ProcessId(index);
-            let stack = views.view_stack(views.address_of(own));
+            let stack = views.view_stack(&views.addresses()[own.0]);
             for view in stack.iter() {
                 let filtered: Vec<usize> =
                     (0..view.len()).filter(|&i| view[i].id != own).collect();
@@ -994,7 +997,10 @@ mod tests {
         publications: &[i64],
     ) -> (Simulation<PmcastProcess>, Arc<DelegateView>) {
         let (group, membership) = summary_routed_topic_group();
-        let network = NetworkConfig::reliable(5).with_crash_plan(CrashPlan::Scheduled(crashes));
+        let network = NetworkConfig {
+            crash_plan: CrashPlan::Scheduled(crashes),
+            ..NetworkConfig::reliable(5)
+        };
         let observer = membership.clone();
         let mut sim =
             Simulation::with_lifecycle_observer(group.processes, network, lifecycle, move |t| {

@@ -8,7 +8,7 @@ use pmcast_membership::TreeTopology;
 /// One gossip destination in a per-depth view: the process's dense
 /// simulation identifier and the subgroup it represents at that depth (its
 /// own address at the leaf depth).  The destination's address is
-/// [`SharedViews::address_of`] its identifier; no path of the protocol
+/// [`SharedViews::addresses`] at its identifier; no path of the protocol
 /// reads it, so a target does not carry a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipTarget {
@@ -169,17 +169,6 @@ impl SharedViews {
         self.addresses.len()
     }
 
-    /// The dense identifier of an address (`O(log n)` over the sorted
-    /// member list).
-    pub fn id_of(&self, address: &Address) -> Option<ProcessId> {
-        self.addresses.binary_search(address).ok().map(ProcessId)
-    }
-
-    /// The address of a dense identifier.
-    pub fn address_of(&self, id: ProcessId) -> &Address {
-        &self.addresses[id.0]
-    }
-
     /// Position of the given prefix's view within its level.
     fn position(&self, prefix: &[Component]) -> Option<usize> {
         self.levels[prefix.len()]
@@ -203,11 +192,6 @@ impl SharedViews {
             Some(position) => Arc::clone(&self.stacks[position]),
             None => Arc::new([]),
         }
-    }
-
-    /// Number of distinct `(depth, prefix)` views materialised.
-    pub fn view_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
     }
 }
 
@@ -234,7 +218,7 @@ mod tests {
         assert_eq!(v.redundancy(), 2);
         assert_eq!(v.member_count(), 27);
         // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views.
-        assert_eq!(v.view_count(), 13);
+        assert_eq!(v.levels.iter().map(Vec::len).sum::<usize>(), 13);
     }
 
     #[test]
@@ -247,7 +231,7 @@ mod tests {
         // Delegates are the smallest addresses of their subgroup.
         assert!(root_view
             .iter()
-            .any(|t| v.address_of(t.id).to_string() == "0.0.0" && t.subgroup.components() == [0]));
+            .any(|t| v.addresses()[t.id.0].to_string() == "0.0.0" && t.subgroup.components() == [0]));
         let depth2 = view_for(&v, "1.2.0", 2);
         assert_eq!(depth2.len(), 3 * 2);
         assert!(depth2.iter().all(|t| t.subgroup.components()[0] == 1));
@@ -260,7 +244,7 @@ mod tests {
         let leaf = view_for(&v, "2.1.2", 3);
         assert_eq!(leaf.len(), 3);
         assert!(leaf.iter().all(|t| t.subgroup.len() == 3));
-        assert!(leaf.iter().any(|t| *v.address_of(t.id) == address));
+        assert!(leaf.iter().any(|t| v.addresses()[t.id.0] == address));
     }
 
     /// Every view of every depth lists distinct processes in strictly
@@ -287,7 +271,7 @@ mod tests {
     #[test]
     fn view_targets_ascend_on_regular_sparse_and_subscribed_trees() {
         use pmcast_interest::{Filter, Predicate};
-        use pmcast_membership::{GroupTree, Population};
+        use pmcast_membership::GroupTree;
 
         assert_views_ascend(
             &ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap()),
@@ -298,11 +282,11 @@ mod tests {
         // (including a subgroup's smallest addresses, so its delegates are
         // not the regular tree's).
         let space = AddressSpace::regular(3, 4).unwrap();
-        let absent: Vec<(u64, usize)> = (16..32)
-            .chain([0, 1, 5, 33, 34, 35, 36, 50, 63])
-            .map(|process| (9, process))
-            .collect();
-        let sparse = Population::new(64, &absent, &[]).group_tree_at(&space, 0, &Filter::match_all());
+        let absent: Vec<u128> = (16..32).chain([0, 1, 5, 33, 34, 35, 36, 50, 63]).collect();
+        let mut sparse = GroupTree::new(space.clone());
+        for index in (0..64).filter(|index| !absent.contains(index)) {
+            sparse.join(space.address_of_index(index), Filter::match_all()).unwrap();
+        }
         assert_eq!(sparse.member_count(), 64 - absent.len());
         assert_views_ascend(&sparse, 2);
 
@@ -321,16 +305,5 @@ mod tests {
         let a = view_for(&v, "0.1.2", 2);
         let b = view_for(&v, "0.2.0", 2);
         assert!(Arc::ptr_eq(&a, &b), "siblings share the same view allocation");
-    }
-
-    #[test]
-    fn id_and_address_round_trip() {
-        let v = views();
-        for index in 0..v.member_count() {
-            let id = ProcessId(index);
-            let address = v.address_of(id).clone();
-            assert_eq!(v.id_of(&address), Some(id));
-        }
-        assert_eq!(v.id_of(&"9.9.9".parse().unwrap()), None);
     }
 }

@@ -47,7 +47,7 @@ impl From<u64> for EventId {
 ///     .build();
 /// assert_eq!(event.id().0, 42);
 /// assert_eq!(event.get("c"), Some(&AttributeValue::Float(55.5)));
-/// assert_eq!(event.attribute_count(), 4);
+/// assert_eq!(event.iter().count(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
@@ -79,16 +79,6 @@ impl Event {
     /// Returns the value of the named attribute, if present.
     pub fn get(&self, name: &str) -> Option<&AttributeValue> {
         self.attributes.get(name)
-    }
-
-    /// Returns `true` if the named attribute is present.
-    pub fn has_attribute(&self, name: &str) -> bool {
-        self.attributes.contains_key(name)
-    }
-
-    /// Returns the number of attributes.
-    pub fn attribute_count(&self) -> usize {
-        self.attributes.len()
     }
 
     /// Iterates over `(name, value)` pairs in lexicographic attribute order.
@@ -194,13 +184,13 @@ mod tests {
             .bool("urgent", true)
             .build();
         assert_eq!(event.id(), EventId(1));
-        assert_eq!(event.attribute_count(), 4);
+        assert_eq!(event.iter().count(), 4);
         assert_eq!(event.get("b"), Some(&AttributeValue::Int(2)));
         assert_eq!(event.get("e"), Some(&AttributeValue::Str("Bob".into())));
         assert_eq!(event.get("urgent"), Some(&AttributeValue::Bool(true)));
         assert_eq!(event.get("missing"), None);
-        assert!(event.has_attribute("c"));
-        assert!(!event.has_attribute("d"));
+        assert!(event.get("c").is_some());
+        assert!(event.get("d").is_none());
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Filter {
         self.criteria.insert(attribute.into(), predicate);
     }
 
-    /// Returns the criterion for an attribute, if any.
-    pub fn criterion(&self, attribute: &str) -> Option<&Predicate> {
-        self.criteria.get(attribute)
-    }
-
     /// Returns the number of constrained attributes.
     pub fn len(&self) -> usize {
         self.criteria.len()
@@ -216,8 +211,6 @@ mod tests {
     fn accessors_and_iteration() {
         let filter = figure2_filter();
         assert_eq!(filter.len(), 3);
-        assert!(filter.criterion("b").is_some());
-        assert!(filter.criterion("missing").is_none());
         let attributes: Vec<&str> = filter.attributes().collect();
         assert_eq!(attributes, vec!["b", "c", "z"]);
         assert_eq!(filter.iter().count(), 3);
@@ -244,7 +237,7 @@ mod tests {
             .with("z", Predicate::le(50_000.0));
         let merged = a.widen_union(&b);
         // z is only constrained by b, so it disappears from the merge.
-        assert!(merged.criterion("z").is_none());
+        assert!(merged.attributes().all(|attribute| attribute != "z"));
 
         let events = vec![
             Event::builder(1).int("b", 5).float("c", 60.0).int("z", 0).build(),

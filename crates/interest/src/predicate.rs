@@ -15,16 +15,6 @@ pub struct NumericRange {
 }
 
 impl NumericRange {
-    /// An interval covering all numbers.
-    pub fn unbounded() -> Self {
-        Self {
-            min: None,
-            min_inclusive: false,
-            max: None,
-            max_inclusive: false,
-        }
-    }
-
     /// The degenerate interval containing exactly `value`.
     pub fn point(value: f64) -> Self {
         Self {
@@ -48,26 +38,6 @@ impl NumericRange {
             max,
             max_inclusive,
         }
-    }
-
-    /// Lower bound, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Whether the lower bound is inclusive.
-    pub fn min_inclusive(&self) -> bool {
-        self.min_inclusive
-    }
-
-    /// Upper bound, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-
-    /// Whether the upper bound is inclusive.
-    pub fn max_inclusive(&self) -> bool {
-        self.max_inclusive
     }
 
     /// Returns `true` if the value lies inside the interval.
@@ -238,16 +208,6 @@ impl Predicate {
         Predicate::Eq(AttributeValue::Int(value))
     }
 
-    /// `attribute = value` for a float value.
-    pub fn eq_float(value: f64) -> Self {
-        Predicate::Eq(AttributeValue::Float(value))
-    }
-
-    /// `attribute = value` for a string value.
-    pub fn eq_str(value: impl Into<String>) -> Self {
-        Predicate::Eq(AttributeValue::Str(value.into()))
-    }
-
     /// `attribute ∈ {values…}`
     pub fn one_of<V, I>(values: I) -> Self
     where
@@ -395,8 +355,8 @@ mod tests {
         assert!(Predicate::eq_int(2).evaluate(&int(2)));
         assert!(Predicate::eq_int(2).evaluate(&float(2.0)));
         assert!(!Predicate::eq_int(2).evaluate(&int(3)));
-        assert!(Predicate::eq_str("Bob").evaluate(&string("Bob")));
-        assert!(!Predicate::eq_str("Bob").evaluate(&string("Tom")));
+        assert!(Predicate::Eq("Bob".into()).evaluate(&string("Bob")));
+        assert!(!Predicate::Eq("Bob".into()).evaluate(&string("Tom")));
         assert!(Predicate::Ne(int(2)).evaluate(&int(3)));
         assert!(!Predicate::Ne(int(2)).evaluate(&int(2)));
     }
@@ -424,13 +384,13 @@ mod tests {
         let a = NumericRange::new(Some(1.0), false, Some(5.0), true);
         let b = NumericRange::new(Some(3.0), true, Some(10.0), false);
         let hull = a.hull(&b);
-        assert_eq!(hull.min(), Some(1.0));
-        assert!(!hull.min_inclusive());
-        assert_eq!(hull.max(), Some(10.0));
-        assert!(!hull.max_inclusive());
+        assert_eq!(hull.min, Some(1.0));
+        assert!(!hull.min_inclusive);
+        assert_eq!(hull.max, Some(10.0));
+        assert!(!hull.max_inclusive);
         // Unbounded sides win.
         let c = NumericRange::new(None, false, Some(2.0), true);
-        assert_eq!(a.hull(&c).min(), None);
+        assert_eq!(a.hull(&c).min, None);
     }
 
     #[test]
@@ -439,7 +399,7 @@ mod tests {
         assert!(NumericRange::new(Some(3.0), false, Some(3.0), true).is_empty());
         assert!(!NumericRange::point(3.0).is_empty());
         assert!(NumericRange::point(3.0).contains(3.0));
-        assert!(NumericRange::unbounded().contains(f64::MAX));
+        assert!(NumericRange::new(None, false, None, false).contains(f64::MAX));
         // Hull with an empty interval is the other interval.
         let empty = NumericRange::new(Some(5.0), true, Some(3.0), true);
         let other = NumericRange::point(7.0);
@@ -454,8 +414,8 @@ mod tests {
         let predicates = vec![
             Predicate::Any,
             Predicate::eq_int(2),
-            Predicate::eq_float(2.5),
-            Predicate::eq_str("Bob"),
+            Predicate::Eq(2.5.into()),
+            Predicate::Eq("Bob".into()),
             Predicate::Ne(int(7)),
             Predicate::one_of(["Bob", "Tom"]),
             Predicate::one_of([1i64, 5i64]),
@@ -502,10 +462,10 @@ mod tests {
         let u = Predicate::eq_int(2).union(&Predicate::eq_int(8));
         assert!(u.evaluate(&int(5)));
         // Two string equalities become OneOf.
-        let u = Predicate::eq_str("Bob").union(&Predicate::eq_str("Tom"));
+        let u = Predicate::Eq("Bob".into()).union(&Predicate::Eq("Tom".into()));
         assert_eq!(u, Predicate::one_of(["Bob", "Tom"]));
         // Mixing a numeric range with a string equality widens to Any.
-        let u = Predicate::gt(5.0).union(&Predicate::eq_str("Bob"));
+        let u = Predicate::gt(5.0).union(&Predicate::Eq("Bob".into()));
         assert_eq!(u, Predicate::Any);
         // OneOf absorbs duplicates.
         let u = Predicate::one_of(["Bob"]).union(&Predicate::one_of(["Bob", "Tom"]));

@@ -38,7 +38,7 @@ const DEFAULT_MAX_DISJUNCTS: usize = 8;
 /// summary.absorb_filter(Filter::new().with("b", Predicate::eq_int(5)));
 /// summary.absorb_filter(Filter::new().with("b", Predicate::eq_int(9)));
 /// // Only two disjuncts are kept, but every original subscriber is covered.
-/// assert!(summary.disjunct_count() <= 2);
+/// assert!(summary.iter().count() <= 2);
 /// for b in [2, 5, 9] {
 ///     assert!(summary.matches(&Event::builder(1).int("b", b).build()));
 /// }
@@ -103,11 +103,6 @@ impl InterestSummary {
         Self::from_filter(Filter::match_all())
     }
 
-    /// Returns the number of disjuncts currently kept.
-    pub fn disjunct_count(&self) -> usize {
-        self.disjuncts.len()
-    }
-
     /// Returns `true` if the summary represents no interests at all.
     pub fn is_empty(&self) -> bool {
         self.disjuncts.is_empty()
@@ -151,13 +146,6 @@ impl InterestSummary {
         }
     }
 
-    /// Returns the merge of two summaries without mutating either.
-    pub fn merged_with(&self, other: &InterestSummary) -> InterestSummary {
-        let mut result = self.clone();
-        result.merge(other);
-        result
-    }
-
     /// Reduces the number of disjuncts below the bound by repeatedly merging
     /// the closest pair.
     fn compact(&mut self) {
@@ -192,15 +180,6 @@ impl InterestSummary {
             }
         }
         best
-    }
-
-    /// Rough size in bytes of the summary when serialized, used by the view
-    /// table memory accounting.
-    pub fn footprint(&self) -> usize {
-        self.disjuncts
-            .iter()
-            .map(|f| f.iter().map(|(name, _)| name.len() + 16).sum::<usize>() + 8)
-            .sum()
     }
 }
 
@@ -250,6 +229,13 @@ mod tests {
         Event::builder(1).int("b", b).build()
     }
 
+    /// The union of two summaries, neither mutated.
+    fn union_of(a: &InterestSummary, b: &InterestSummary) -> InterestSummary {
+        let mut union = a.clone();
+        union.merge(b);
+        union
+    }
+
     #[test]
     fn empty_summary_matches_nothing() {
         let summary = InterestSummary::empty();
@@ -275,25 +261,25 @@ mod tests {
         assert!(summary.matches(&event_b(2)));
         assert!(summary.matches(&event_b(5)));
         assert!(!summary.matches(&event_b(3)));
-        assert_eq!(summary.disjunct_count(), 2);
+        assert_eq!(summary.disjuncts.len(), 2);
     }
 
     #[test]
     fn duplicate_filters_are_not_kept_twice() {
         let f = Filter::new().with("b", Predicate::eq_int(2));
         let summary = InterestSummary::from_filters(vec![f.clone(), f.clone(), f]);
-        assert_eq!(summary.disjunct_count(), 1);
+        assert_eq!(summary.disjuncts.len(), 1);
     }
 
     #[test]
     fn match_all_filter_subsumes_everything() {
         let mut summary = InterestSummary::from_filter(Filter::new().with("b", Predicate::eq_int(2)));
         summary.absorb_filter(Filter::match_all());
-        assert_eq!(summary.disjunct_count(), 1);
+        assert_eq!(summary.disjuncts.len(), 1);
         assert!(summary.matches(&event_b(99)));
         // Further filters are absorbed without growing.
         summary.absorb_filter(Filter::new().with("c", Predicate::gt(0.0)));
-        assert_eq!(summary.disjunct_count(), 1);
+        assert_eq!(summary.disjuncts.len(), 1);
     }
 
     #[test]
@@ -305,7 +291,7 @@ mod tests {
         for f in &filters {
             summary.absorb_filter(f.clone());
         }
-        assert!(summary.disjunct_count() <= 3);
+        assert!(summary.disjuncts.len() <= 3);
         // Every original subscriber's event is still covered.
         for i in 0..10 {
             assert!(summary.matches(&event_b(i * 10)));
@@ -316,13 +302,12 @@ mod tests {
     fn merge_summaries_covers_both() {
         let a = InterestSummary::from_filter(Filter::new().with("b", Predicate::lt(0.0)));
         let b = InterestSummary::from_filter(Filter::new().with("b", Predicate::gt(10.0)));
-        let merged = a.merged_with(&b);
+        let merged = union_of(&a, &b);
         assert!(merged.matches(&event_b(-5)));
         assert!(merged.matches(&event_b(15)));
         assert!(!merged.matches(&event_b(5)));
         // merge with the empty summary is the identity.
-        let merged_with_empty = a.merged_with(&InterestSummary::empty());
-        assert_eq!(merged_with_empty, a);
+        assert_eq!(union_of(&a, &InterestSummary::empty()), a);
     }
 
     #[test]
@@ -333,12 +318,11 @@ mod tests {
         ];
         let filters_b = vec![
             Filter::new().with("b", Predicate::open_range(10.0, 20.0)),
-            Filter::new().with("e", Predicate::eq_str("Bob")),
+            Filter::new().with("e", Predicate::Eq("Bob".into())),
         ];
-        let ab = InterestSummary::from_filters(filters_a.clone())
-            .merged_with(&InterestSummary::from_filters(filters_b.clone()));
-        let ba = InterestSummary::from_filters(filters_b)
-            .merged_with(&InterestSummary::from_filters(filters_a));
+        let a = InterestSummary::from_filters(filters_a);
+        let b = InterestSummary::from_filters(filters_b);
+        let (ab, ba) = (union_of(&a, &b), union_of(&b, &a));
         let samples = vec![
             event_b(1),
             event_b(15),
@@ -352,22 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn footprint_grows_with_disjuncts() {
-        let small = InterestSummary::from_filter(Filter::new().with("b", Predicate::eq_int(1)));
-        let large = InterestSummary::from_filters(vec![
-            Filter::new().with("b", Predicate::eq_int(1)),
-            Filter::new().with("attribute_with_long_name", Predicate::eq_int(2)),
-        ]);
-        assert!(large.footprint() > small.footprint());
-    }
-
-    #[test]
     fn collect_and_extend() {
         let mut summary: InterestSummary = vec![Filter::new().with("b", Predicate::eq_int(1))]
             .into_iter()
             .collect();
         summary.extend(vec![Filter::new().with("b", Predicate::eq_int(2))]);
-        assert_eq!(summary.disjunct_count(), 2);
+        assert_eq!(summary.disjuncts.len(), 2);
     }
 
     #[test]

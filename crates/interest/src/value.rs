@@ -47,11 +47,6 @@ impl AttributeValue {
         }
     }
 
-    /// Returns `true` if the value is numeric (`Int` or `Float`).
-    pub fn is_numeric(&self) -> bool {
-        self.as_numeric().is_some()
-    }
-
     /// Equality with numeric coercion: `Int(2)` equals `Float(2.0)`, strings
     /// and booleans are compared structurally, and values of incompatible
     /// kinds never compare equal.
@@ -120,8 +115,6 @@ mod tests {
         assert_eq!(AttributeValue::Float(2.5).as_numeric(), Some(2.5));
         assert_eq!(AttributeValue::Str("x".into()).as_numeric(), None);
         assert_eq!(AttributeValue::Bool(true).as_numeric(), None);
-        assert!(AttributeValue::Int(3).is_numeric());
-        assert!(!AttributeValue::Bool(true).is_numeric());
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //!   gap-aware over partially occupied subgroups.
 //! * [`Population`] — a sparse, time-varying population over the regular
 //!   address space: initial occupancy plus a deterministic join/leave
-//!   schedule, with [`GroupTree`] snapshots per round (see the
-//!   [`population`] module docs).
+//!   schedule (see the [`population`] module docs).
 //!
 //! ## Example
 //!
@@ -94,6 +93,3 @@ pub use tree::GroupTree;
 #[doc(hidden)]
 pub type LazyDelegateView = DelegateView;
 
-/// Default redundancy factor `R` suggested by the paper (`R > 1`, the
-/// evaluation uses `R = 3` or `R = 4`).
-pub const DEFAULT_REDUNDANCY: usize = 3;

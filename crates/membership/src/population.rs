@@ -10,23 +10,13 @@
 //! [`LifecycleEvent`]s (joins and graceful leaves — crashes are a *fault*
 //! model and stay on the network layer's crash plan).
 //!
-//! `Population` is the scheduling abstraction **over [`GroupTree`]**: it
-//! answers occupancy queries arithmetically (initial/peak/final sizes,
-//! occupancy at any round) and can materialise the explicit sparse
-//! [`GroupTree`] snapshot of any round via
-//! [`group_tree_at`](Population::group_tree_at), which is what ties the
-//! dense-index world of the simulation to the address/filter world of the
-//! membership tree.
+//! `Population` answers occupancy queries arithmetically (initial/peak/final
+//! sizes, occupancy at any round) over the dense indices of the simulation.
 //!
 //! Determinism: a population is pure data.  Building one, querying it and
 //! snapshotting it consume no randomness, which is what lets scenario
 //! lifecycle schedules preserve the simulator's seed contract (see the
 //! `pmcast-sim` runner docs).
-
-use pmcast_addr::AddressSpace;
-use pmcast_interest::Filter;
-
-use crate::GroupTree;
 
 /// The kind of a scheduled membership lifecycle event.
 ///
@@ -249,29 +239,6 @@ impl Population {
         }
     }
 
-    /// Materialises the explicit sparse [`GroupTree`] snapshot of the given
-    /// round: every occupied address joins with a clone of `filter`.  This
-    /// is the bridge from the dense-index scheduling world to the
-    /// address/subscription world of Section 2 — the structure a bootstrap
-    /// service would hold for handing view tables to joiners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space capacity does not match the population capacity.
-    pub fn group_tree_at(&self, space: &AddressSpace, round: u64, filter: &Filter) -> GroupTree {
-        assert_eq!(
-            space.capacity() as usize,
-            self.capacity,
-            "address space capacity must match the population capacity"
-        );
-        let occupied = self.occupancy_at(round);
-        let mut tree = GroupTree::new(space.clone());
-        for (index, _) in occupied.iter().enumerate().filter(|(_, &o)| o) {
-            tree.join(space.address_of_index(index as u128), filter.clone())
-                .expect("occupied addresses are valid and unique");
-        }
-        tree
-    }
 }
 
 /// The nearest occupied index strictly after `q`, cyclically; falls back to
@@ -289,8 +256,6 @@ pub(crate) fn next_occupied_after(occupied: &[bool], q: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcast_addr::Prefix;
-    use crate::TreeTopology;
 
     #[test]
     fn static_population_has_no_schedule() {
@@ -380,31 +345,5 @@ mod tests {
         // Nothing else occupied: fall back to the plain ring successor.
         assert_eq!(next_occupied_after(&[false, false], 0), 1);
         assert_eq!(next_occupied_after(&[true], 0), 0, "lone process wraps to itself");
-    }
-
-    #[test]
-    fn group_tree_snapshots_follow_the_schedule() {
-        let space = AddressSpace::regular(2, 4).unwrap();
-        // Subgroup 3 (indices 12..16) starts empty and fills at round 5 —
-        // the join-into-an-empty-subgroup case.
-        let joins: Vec<(u64, usize)> = (12..16).map(|p| (5, p)).collect();
-        let population = Population::new(16, &joins, &[]);
-        let filter = Filter::match_all();
-        let before = population.group_tree_at(&space, 0, &filter);
-        assert_eq!(before.member_count(), 12);
-        assert_eq!(
-            before.populated_children(&Prefix::root()),
-            vec![0, 1, 2],
-            "subgroup 3 starts empty"
-        );
-        assert!(before.delegates(&Prefix::from_components(vec![3]), 3).is_empty());
-        let after = population.group_tree_at(&space, 5, &filter);
-        assert_eq!(after.member_count(), 16);
-        assert_eq!(after.populated_children(&Prefix::root()), vec![0, 1, 2, 3]);
-        assert_eq!(
-            after.delegates(&Prefix::from_components(vec![3]), 2).len(),
-            2,
-            "delegates electable once the subgroup fills"
-        );
     }
 }

@@ -123,12 +123,6 @@ impl TopicOracle {
         &self.audiences[topic]
     }
 
-    /// The sorted topic subscriptions of the process at the given dense
-    /// index.
-    pub fn subscriptions_of(&self, index: usize) -> &[u32] {
-        &self.subscriptions[index]
-    }
-
     /// The subscription of each process as a content filter over the topic
     /// attribute (`None` for processes subscribed to nothing) — the input
     /// [`SubtreeSummaries::build`] wants.
@@ -271,7 +265,7 @@ mod tests {
         let oracle = TopicOracle::new(space.clone(), subs, 5);
         let summaries = oracle.subtree_summaries();
         for (index, address) in space.iter().enumerate() {
-            for &topic in oracle.subscriptions_of(index) {
+            for &topic in &oracle.subscriptions[index] {
                 let event = topic_event(topic as i64);
                 for level in 0..=space.depth() {
                     let prefix =

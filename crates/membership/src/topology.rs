@@ -46,13 +46,6 @@ pub trait TreeTopology {
         self.space().depth()
     }
 
-    /// All members of the *leaf* subgroup of the given process: the
-    /// processes sharing its depth-`d` prefix (its immediate neighbours).
-    fn leaf_neighbours(&self, address: &Address) -> Vec<Address> {
-        let prefix = address.prefix_of_depth(self.depth());
-        self.members_under(&prefix)
-    }
-
     /// All members below a prefix, in address order.
     fn members_under(&self, prefix: &Prefix) -> Vec<Address> {
         self.members()
@@ -73,17 +66,6 @@ pub trait TreeTopology {
         }
         let own_subgroup = address.prefix_of_depth(depth + 1);
         self.delegates(&own_subgroup, r).contains(address)
-    }
-
-    /// The upmost (smallest) depth at which the process appears
-    /// (Section 3.2: it then also appears at every larger depth).
-    fn topmost_depth(&self, address: &Address, r: usize) -> Depth {
-        for depth in 1..self.depth() {
-            if self.participates_at(address, depth, r) {
-                return depth;
-            }
-        }
-        self.depth()
     }
 
     /// The membership view of a process at the given depth: one entry per
@@ -172,11 +154,6 @@ impl ImplicitRegularTree {
             "address space too large to enumerate"
         );
         Self { space }
-    }
-
-    /// Returns the dense index of an address (delegating to the space).
-    pub fn index_of(&self, address: &Address) -> Option<usize> {
-        self.space.index_of_address(address).ok().map(|i| i as usize)
     }
 
     /// Returns the address at the given dense index.
@@ -313,8 +290,9 @@ mod tests {
         assert!(t.participates_at(&"0.0.0".parse().unwrap(), 1, r));
         assert!(t.participates_at(&"0.0.1".parse().unwrap(), 1, r));
         assert!(!t.participates_at(&"0.0.2".parse().unwrap(), 1, r));
-        assert_eq!(t.topmost_depth(&"0.0.0".parse().unwrap(), r), 1);
-        assert_eq!(t.topmost_depth(&"3.3.3".parse().unwrap(), r), 3);
+        // The largest address only appears at the leaf depth.
+        assert!(!t.participates_at(&"3.3.3".parse().unwrap(), 2, r));
+        assert!(t.participates_at(&"3.3.3".parse().unwrap(), 3, r));
     }
 
     #[test]
@@ -346,17 +324,6 @@ mod tests {
         // The view only depends on the process's prefix.
         let sibling: Address = "2.1.0".parse().unwrap();
         assert_eq!(t.view_of(&sibling, 1, 3), depth1);
-    }
-
-    #[test]
-    fn leaf_neighbours_share_the_leaf_prefix() {
-        let t = tree(3, 4);
-        let address: Address = "1.2.3".parse().unwrap();
-        let neighbours = t.leaf_neighbours(&address);
-        assert_eq!(neighbours.len(), 4);
-        assert!(neighbours
-            .iter()
-            .all(|n| n.prefix_of_depth(3) == address.prefix_of_depth(3)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pmcast_addr::{Address, AddressSpace, Component, Prefix};
-use pmcast_interest::{Event, Filter, Interest, InterestSummary};
+use pmcast_interest::{Event, Filter, Interest};
 
 use crate::{MembershipError, TreeTopology};
 
@@ -10,8 +10,7 @@ use crate::{MembershipError, TreeTopology};
 ///
 /// `GroupTree` is the reference (oracle-side) implementation of the tree of
 /// Section 2: it supports arbitrary populated subsets of the address space,
-/// joins and leaves, per-subtree process counts and regrouped interest
-/// summaries.  It is the structure a simulation or a bootstrap service
+/// joins and leaves and per-subtree process counts.  It is the structure a simulation or a bootstrap service
 /// would hold; individual processes hold only their bounded view (see
 /// [`DelegateView`](crate::DelegateView)).
 ///
@@ -140,22 +139,6 @@ impl GroupTree {
         Ok(filter)
     }
 
-    /// Replaces a member's subscription, returning the previous one.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address is not a member.
-    pub fn resubscribe(
-        &mut self,
-        address: &Address,
-        filter: Filter,
-    ) -> Result<Filter, MembershipError> {
-        match self.members.get_mut(address) {
-            Some(existing) => Ok(std::mem::replace(existing, filter)),
-            None => Err(MembershipError::NotAMember(address.clone())),
-        }
-    }
-
     /// Returns a member's subscription.
     pub fn subscription(&self, address: &Address) -> Option<&Filter> {
         self.members.get(address)
@@ -166,28 +149,12 @@ impl GroupTree {
         self.members.iter()
     }
 
-    /// The regrouped interests of the whole subtree below the prefix
-    /// (Section 2.3: interest regrouping).
-    pub fn subtree_summary(&self, prefix: &Prefix) -> InterestSummary {
-        InterestSummary::from_filters(
-            self.members_range(prefix).map(|(_, filter)| filter.clone()),
-        )
-    }
-
     /// Number of processes below the prefix interested in the given event,
     /// evaluated exactly against the individual subscriptions.
     pub fn interested_count_under(&self, prefix: &Prefix, event: &Event) -> usize {
         self.members_range(prefix)
             .filter(|(_, filter)| filter.matches(event))
             .count()
-    }
-
-    /// The processes below the prefix interested in the given event.
-    pub fn interested_under(&self, prefix: &Prefix, event: &Event) -> Vec<Address> {
-        self.members_range(prefix)
-            .filter(|(_, filter)| filter.matches(event))
-            .map(|(address, _)| address.clone())
-            .collect()
     }
 
     /// Iterates over the members below a prefix without allocating.
@@ -373,7 +340,7 @@ mod tests {
         .unwrap();
         tree.join(
             "3.0.0".parse().unwrap(),
-            Filter::new().with("e", Predicate::eq_str("Bob")),
+            Filter::new().with("e", Predicate::Eq("Bob".into())),
         )
         .unwrap();
 
@@ -386,34 +353,7 @@ mod tests {
         assert_eq!(tree.interested_count_under(&zero_subtree, &cold), 1);
         assert_eq!(tree.interested_count_under(&zero_subtree, &bob), 0);
         assert_eq!(tree.interested_count_under(&Prefix::root(), &bob), 1);
-        assert_eq!(
-            tree.interested_under(&Prefix::root(), &hot),
-            vec!["0.0.0".parse::<Address>().unwrap()]
-        );
-
-        // The regrouped summary of subtree 0 accepts both hot and cold.
-        let summary = tree.subtree_summary(&zero_subtree);
-        assert!(summary.matches(&hot));
-        assert!(summary.matches(&cold));
-        assert!(!summary.matches(&bob));
-    }
-
-    #[test]
-    fn resubscribe_changes_matching() {
-        let mut tree = GroupTree::new(space());
-        let address: Address = "1.2.3".parse().unwrap();
-        tree.join(address.clone(), Filter::new().with("b", Predicate::gt(0.0)))
-            .unwrap();
-        let event = Event::builder(1).int("b", -1).build();
-        assert_eq!(tree.interested_count_under(&Prefix::root(), &event), 0);
-        let previous = tree
-            .resubscribe(&address, Filter::new().with("b", Predicate::lt(0.0)))
-            .unwrap();
-        assert_eq!(previous, Filter::new().with("b", Predicate::gt(0.0)));
-        assert_eq!(tree.interested_count_under(&Prefix::root(), &event), 1);
-        assert!(tree
-            .resubscribe(&"0.0.0".parse().unwrap(), Filter::match_all())
-            .is_err());
+        assert_eq!(tree.interested_count_under(&Prefix::root(), &hot), 1);
     }
 
     #[test]

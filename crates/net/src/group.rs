@@ -18,7 +18,7 @@ use smol::{LocalExecutor, Task, Timer};
 
 use crate::process::{NetProcess, NetProcessReport};
 use crate::seen::Seen;
-use crate::transport::{ChannelTransport, Frame, Transport, TransportStats};
+use crate::transport::{ChannelTransport, Frame, TransportStats};
 
 /// Multiplies a period by a tick count without the `Duration * u32` cap.
 pub(crate) fn period_mul(period: Duration, ticks: u64) -> Duration {

@@ -16,8 +16,7 @@
 //! - [`ChannelTransport`] is the in-process backend: bounded per-process
 //!   mailboxes, **backpressure for publishers** (they await capacity) and
 //!   **drop-with-counter for gossip frames** (best-effort, like the
-//!   network).  A UDP backend behind the same [`Transport`] trait is a
-//!   documented follow-up (see ROADMAP.md).
+//!   network).  A UDP backend is a documented follow-up (see ROADMAP.md).
 //! - [`NetGroupHandle`] is the control plane: publish, crash a process
 //!   mid-stream, probe quiescence, then [`NetGroup::shutdown`] for the
 //!   final states.
@@ -105,4 +104,4 @@ pub use conformance::{assert_supported, run_net_scenario_trial, NetTrialOutcome}
 pub use group::{NetConfig, NetGroup, NetGroupHandle, PublishError};
 pub use process::{NetProcessReport, NetProcessStats};
 pub use seen::Seen;
-pub use transport::{ChannelTransport, Frame, Transport, TransportStats};
+pub use transport::{ChannelTransport, Frame, TransportStats};

@@ -7,7 +7,7 @@
 //! fire per-process rather than group-synchronously.  On a tick the
 //! protocol's `on_round` runs inside an external
 //! [`RoundContext`](pmcast_simnet::RoundContext) whose outbox is flushed
-//! through the [`Transport`]; on an inbound gossip frame the bounded
+//! through the [`ChannelTransport`]; on an inbound gossip frame the bounded
 //! [`Seen`] ring shields the protocol from duplicate event ids, then
 //! `on_message` runs the same way.  Fanout candidates keep coming from the
 //! protocol's [`MembershipView`](pmcast_membership::MembershipView)
@@ -23,7 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use smol::channel::Receiver;
 
 use crate::seen::Seen;
-use crate::transport::{ChannelTransport, Frame, Transport};
+use crate::transport::{ChannelTransport, Frame};
 
 /// Counters one `NetProcess` accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! The [`Transport`] abstraction and its in-process channel backend.
+//! The in-process channel transport.
 //!
 //! A transport moves [`Frame`]s between process mailboxes.  Gossip frames
 //! use **fire-and-forget** semantics with drop-with-counter backpressure:
@@ -6,14 +6,13 @@
 //! counter, exactly like a UDP socket buffer would.  Publish commands, by
 //! contrast, travel through the same mailboxes with *waiting* semantics
 //! (the publisher awaits free capacity) — that path lives on
-//! [`crate::NetGroupHandle::publish`], not on the trait, because only the
-//! local control plane may block.
+//! [`crate::NetGroupHandle::publish`], not on the transport, because only
+//! the local control plane may block.
 //!
-//! [`ChannelTransport`] is the first backend: bounded in-process channels,
+//! [`ChannelTransport`] is the one backend: bounded in-process channels,
 //! optional seeded message loss (so lossy scenarios are reproducible), and
 //! in-flight accounting for quiescence detection.  A UDP backend is a
-//! documented follow-up (see ROADMAP.md) — it plugs in behind the same
-//! trait.
+//! documented follow-up (see ROADMAP.md).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,25 +63,6 @@ pub struct TransportStats {
     pub peak_in_flight: u64,
     /// Frames currently enqueued but not yet processed.
     pub in_flight: u64,
-}
-
-/// Moves gossip frames between processes.
-///
-/// Implementations must be non-blocking: a send that cannot complete
-/// immediately is *dropped and counted*, never awaited (see the module
-/// docs for why the publish path is different).
-pub trait Transport: std::fmt::Debug {
-    /// Sends a gossip frame from `from` to `to`; returns whether the frame
-    /// was enqueued (`false` = dropped, lost or destination crashed).
-    fn send_gossip(&self, from: ProcessId, to: ProcessId, gossip: Gossip, payload_size: usize)
-        -> bool;
-
-    /// A snapshot of the transport's counters.
-    fn stats(&self) -> TransportStats;
-
-    /// Frames currently enqueued but not yet processed — zero is the
-    /// transport's contribution to group quiescence.
-    fn in_flight(&self) -> u64;
 }
 
 /// Seeded Bernoulli loss applied before enqueue.
@@ -191,7 +171,7 @@ impl ChannelTransport {
     /// Records that `process` finished handling one in-flight frame.
     /// Receivers must call this once per [`Frame::Gossip`] /
     /// [`Frame::Publish`] they process, *after* handling it, so
-    /// [`in_flight`](Transport::in_flight) conservatively covers frames
+    /// [`in_flight`](Self::in_flight) conservatively covers frames
     /// that are dequeued but still being worked on.
     pub fn mark_processed(&self, process: usize) {
         self.shared.pending[process].fetch_sub(1, Ordering::Relaxed);
@@ -227,10 +207,13 @@ impl ChannelTransport {
     pub fn is_crashed(&self, process: usize) -> bool {
         self.shared.crashed[process].load(Ordering::Relaxed)
     }
-}
 
-impl Transport for ChannelTransport {
-    fn send_gossip(
+    /// Sends a gossip frame from `from` to `to`; returns whether the frame
+    /// was enqueued (`false` = dropped, lost or destination crashed).
+    /// Never blocks: a send that cannot complete immediately is *dropped
+    /// and counted*, never awaited (see the module docs for why the publish
+    /// path is different).
+    pub fn send_gossip(
         &self,
         from: ProcessId,
         to: ProcessId,
@@ -273,7 +256,8 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn stats(&self) -> TransportStats {
+    /// A snapshot of the transport's counters.
+    pub fn stats(&self) -> TransportStats {
         let shared = &self.shared;
         TransportStats {
             frames_sent: shared.frames_sent.load(Ordering::Relaxed),
@@ -286,7 +270,9 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn in_flight(&self) -> u64 {
+    /// Frames currently enqueued but not yet processed — zero is the
+    /// transport's contribution to group quiescence.
+    pub fn in_flight(&self) -> u64 {
         self.shared.total_pending.load(Ordering::Relaxed)
     }
 }

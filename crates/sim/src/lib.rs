@@ -45,10 +45,10 @@
 //! ## Performance architecture
 //!
 //! All experiment sweeps run their Monte-Carlo trials through
-//! [`runner::run_scenario_parallel`], which fans independent trials out over
+//! [`scenario::Scenario::run_parallel`], which fans independent trials out over
 //! every available core. Trial `t` derives its entire randomness stream from
 //! `seed + t`, so the parallel runner is **bit-identical** to the sequential
-//! [`runner::run_scenario`] — same `AggregateOutcome`, any thread count, any
+//! [`scenario::Scenario::run`] — same `AggregateOutcome`, any thread count, any
 //! scheduling — which the test suite asserts. When adding experiments, keep
 //! all randomness derived from the per-trial seed (never from state shared
 //! between trials) and parallelism remains free and deterministic.

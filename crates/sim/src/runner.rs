@@ -108,8 +108,8 @@
 //! **bit-identical** to one declaring none — the golden tests assert this.
 //!
 //! Because nothing is drawn from state shared between trials, the parallel
-//! runner [`run_scenario_parallel`] is bit-identical to the sequential
-//! [`run_scenario`] (asserted by the test suite).
+//! runner [`Scenario::run_parallel`] is bit-identical to the sequential
+//! [`Scenario::run`] (asserted by the test suite).
 //!
 //! ## Delivery recording
 //!
@@ -865,29 +865,6 @@ pub fn run_scenario_trial_with(
     }
 }
 
-/// Runs all trials of a scenario sequentially.
-pub fn run_scenario(scenario: &Scenario, protocol: Protocol) -> Vec<TrialOutcome> {
-    (0..scenario.trials.max(1))
-        .map(|trial| run_scenario_trial_with(scenario, protocol, trial))
-        .collect()
-}
-
-/// Runs all trials of a scenario on all available cores.
-///
-/// Trial `t` derives every random choice from `scenario.seed + t` (see the
-/// module-level seed contract), so trials are independent of scheduling:
-/// this returns outcomes in trial order and is **bit-identical** to
-/// [`run_scenario`] for the same scenario, no matter how many worker
-/// threads execute it (a property the test suite asserts).
-pub fn run_scenario_parallel(scenario: &Scenario, protocol: Protocol) -> Vec<TrialOutcome> {
-    use rayon::prelude::*;
-    let trials: Vec<usize> = (0..scenario.trials.max(1)).collect();
-    trials
-        .par_iter()
-        .map(|&trial| run_scenario_trial_with(scenario, protocol, trial))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,17 +945,17 @@ mod tests {
     #[test]
     fn experiments_are_deterministic_per_seed() {
         let config = Scenario::quick().trials(2).seed(77).build();
-        let a = AggregateOutcome::from_trials(&run_scenario(&config, Protocol::Pmcast));
-        let b = AggregateOutcome::from_trials(&run_scenario(&config, Protocol::Pmcast));
+        let a = AggregateOutcome::from_trials(&config.run(Protocol::Pmcast));
+        let b = AggregateOutcome::from_trials(&config.run(Protocol::Pmcast));
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_and_serial_agree() {
         let config = Scenario::quick().trials(4).seed(5).build();
-        let serial = AggregateOutcome::from_trials(&run_scenario(&config, Protocol::Pmcast));
+        let serial = AggregateOutcome::from_trials(&config.run(Protocol::Pmcast));
         let parallel =
-            AggregateOutcome::from_trials(&run_scenario_parallel(&config, Protocol::Pmcast));
+            AggregateOutcome::from_trials(&config.run_parallel(Protocol::Pmcast));
         assert_eq!(serial, parallel);
     }
 
@@ -993,15 +970,15 @@ mod tests {
         // own order-preservation test, so the composition holds without
         // mutating the process-global RAYON_NUM_THREADS here.)
         let config = Scenario::quick().build();
-        let sequential = run_scenario(&config, Protocol::Pmcast);
-        let parallel = run_scenario_parallel(&config, Protocol::Pmcast);
+        let sequential = config.run(Protocol::Pmcast);
+        let parallel = config.run_parallel(Protocol::Pmcast);
         assert_eq!(sequential, parallel);
         assert_eq!(
             AggregateOutcome::from_trials(&sequential),
             AggregateOutcome::from_trials(&parallel)
         );
         // And repeated parallel runs are stable despite thread scheduling.
-        assert_eq!(parallel, run_scenario_parallel(&config, Protocol::Pmcast));
+        assert_eq!(parallel, config.run_parallel(Protocol::Pmcast));
     }
 
     #[test]
@@ -1019,7 +996,7 @@ mod tests {
         ];
         for (protocol, expected) in golden_quick {
             let config = Scenario::quick().trials(3).build();
-            for (trial, outcome) in run_scenario(&config, protocol).iter().enumerate() {
+            for (trial, outcome) in config.run(protocol).iter().enumerate() {
                 let got = (
                     outcome.report.interested as u64,
                     outcome.report.delivered_interested as u64,
@@ -1121,8 +1098,8 @@ mod tests {
     #[test]
     fn flood_baseline_reaches_more_uninterested_processes_than_pmcast() {
         let base = Scenario::quick().trials(2).matching_rate(0.3).build();
-        let pmcast = AggregateOutcome::from_trials(&run_scenario(&base, Protocol::Pmcast));
-        let flood = AggregateOutcome::from_trials(&run_scenario(&base, Protocol::FloodBroadcast));
+        let pmcast = AggregateOutcome::from_trials(&base.run(Protocol::Pmcast));
+        let flood = AggregateOutcome::from_trials(&base.run(Protocol::FloodBroadcast));
         assert!(
             flood.spurious_mean > pmcast.spurious_mean,
             "flooding ({}) should touch more uninterested processes than pmcast ({})",
@@ -1135,7 +1112,7 @@ mod tests {
     fn genuine_baseline_never_touches_uninterested_processes() {
         let config = Scenario::quick().trials(2).matching_rate(0.3).build();
         let outcome =
-            AggregateOutcome::from_trials(&run_scenario(&config, Protocol::GenuineMulticast));
+            AggregateOutcome::from_trials(&config.run(Protocol::GenuineMulticast));
         assert_eq!(outcome.spurious_mean, 0.0);
         assert!(outcome.delivery_mean > 0.7);
     }
@@ -1818,7 +1795,7 @@ mod tests {
             // has subscribers here: 16 processes × 2 picks over 6 topics).
             let topic = oracle.topic_of(event).expect("topical event");
             assert!(
-                oracle.subscriptions_of(*sender).contains(&(topic as u32)),
+                oracle.is_interested(&oracle.space().address_of_index(*sender as u128), event),
                 "publisher {sender} does not subscribe to topic {topic}"
             );
         }

@@ -5,7 +5,7 @@
 //! interest workload, the fault model and a **publish schedule** of any
 //! number of events from any number of publishers at any rounds.  The
 //! [`ScenarioBuilder`] makes composing one a few fluent lines; the runner
-//! ([`crate::runner::run_scenario`] and friends) executes it with one
+//! ([`Scenario::run`] and friends) executes it with one
 //! generic simulation loop for every protocol implementing
 //! [`pmcast_core::MulticastProtocol`], so a new workload is a new builder
 //! chain — never a fork of the trial loop.
@@ -37,10 +37,10 @@ use pmcast_membership::{
     DelegateView, DelegateViewConfig, GlobalOracleView, MembershipView, PartialView,
     PartialViewConfig, Population, PopulationSizes,
 };
-use pmcast_simnet::{FaultPlan, LinkDelay, PartitionWindow, Straggler};
+use pmcast_simnet::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, Straggler};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run_scenario, run_scenario_parallel, Protocol, TrialOutcome};
+use crate::runner::{run_scenario_trial_with, Protocol, TrialOutcome};
 
 /// Which membership provider the processes of a trial draw their fanout
 /// candidates from — the scenario axis that turns "a group of `n` known
@@ -264,13 +264,6 @@ impl TopicWorkload {
         self.publish_rounds = publish_rounds;
         self
     }
-
-    /// Sets the Zipf skew of the topic mix, returning the workload for
-    /// chaining.
-    pub fn with_zipf_exponent(mut self, zipf_exponent: f64) -> Self {
-        self.zipf_exponent = zipf_exponent;
-        self
-    }
 }
 
 /// Everything that happens in one Monte-Carlo trial, independent of the
@@ -278,9 +271,8 @@ impl TopicWorkload {
 /// workload, fault model and publish schedule.
 ///
 /// Build one with [`Scenario::builder`]; run it with [`Scenario::run`] /
-/// [`Scenario::run_parallel`] (or the `run_scenario*` functions of
-/// [`crate::runner`], including the generic
-/// [`crate::runner::run_scenario_trial`] for custom protocols).
+/// [`Scenario::run_parallel`] (or, for custom protocols, the generic
+/// [`crate::runner::run_scenario_trial`]).
 ///
 /// An empty `publications` list means the **default workload**: one event
 /// (`id = 1000 + trial`, one `b` attribute) published at round 0 by a
@@ -417,10 +409,7 @@ impl Scenario {
     /// (n = 10 648), `R = 3`, `F = 2`, same network and trial count as
     /// [`quick`](Self::quick).
     pub fn paper_reliability() -> ScenarioBuilder {
-        Self::quick()
-            .group(22, 3)
-            .protocol(PmcastConfig::paper_reliability())
-            .max_rounds(600)
+        Self::quick().group(22, 3).max_rounds(600)
     }
 
     /// The paper-scale profile of Figure 6: `d = 3`, `R = 4`, `F = 3`, with
@@ -494,20 +483,36 @@ impl Scenario {
         };
         for subtree in &self.subtree_loss {
             let (start, end) = self.subtree_range(&subtree.prefix);
-            plan = plan.with_loss_override(start, end, subtree.loss_probability);
+            plan.loss_overrides.push(LossOverride {
+                start,
+                end,
+                loss_probability: subtree.loss_probability,
+            });
         }
         plan
     }
 
     /// Runs all trials sequentially with the given protocol.
     pub fn run(&self, protocol: Protocol) -> Vec<TrialOutcome> {
-        run_scenario(self, protocol)
+        (0..self.trials.max(1))
+            .map(|trial| run_scenario_trial_with(self, protocol, trial))
+            .collect()
     }
 
-    /// Runs all trials on all available cores; bit-identical to
-    /// [`run`](Self::run) (see [`crate::runner::run_scenario_parallel`]).
+    /// Runs all trials on all available cores.
+    ///
+    /// Trial `t` derives every random choice from `seed + t` (see the
+    /// runner's seed contract), so trials are independent of scheduling:
+    /// this returns outcomes in trial order and is **bit-identical** to
+    /// [`run`](Self::run) for the same scenario, no matter how many worker
+    /// threads execute it (a property the test suite asserts).
     pub fn run_parallel(&self, protocol: Protocol) -> Vec<TrialOutcome> {
-        run_scenario_parallel(self, protocol)
+        use rayon::prelude::*;
+        let trials: Vec<usize> = (0..self.trials.max(1)).collect();
+        trials
+            .par_iter()
+            .map(|&trial| run_scenario_trial_with(self, protocol, trial))
+            .collect()
     }
 }
 
@@ -1046,11 +1051,10 @@ mod tests {
     fn topic_workload_chains_and_validates() {
         let scenario = Scenario::builder()
             .group(4, 2)
-            .topics(
-                TopicWorkload::new(8, 2, 40)
-                    .with_publish_rounds(5)
-                    .with_zipf_exponent(0.8),
-            )
+            .topics(TopicWorkload {
+                zipf_exponent: 0.8,
+                ..TopicWorkload::new(8, 2, 40).with_publish_rounds(5)
+            })
             .build();
         let workload = scenario.topics.as_ref().unwrap();
         assert_eq!((workload.topics, workload.subscriptions_per_process), (8, 2));

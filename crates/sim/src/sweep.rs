@@ -361,7 +361,10 @@ pub fn parse(args: &[String], example: Option<&str>) -> Result<Options, String> 
             "--json" => format = Format::Json,
             "--check-model" => {
                 let tolerance = iter.next().and_then(|raw| raw.parse::<f64>().ok());
-                check_model = Some(tolerance.filter(|t| *t > 0.0).ok_or_else(|| {
+                // `"inf"` parses as an `f64`, and an infinite tolerance
+                // would pass every row: a gate has to be able to fail.
+                let gating = tolerance.filter(|t| t.is_finite() && *t > 0.0);
+                check_model = Some(gating.ok_or_else(|| {
                     format!("--check-model requires a positive tolerance, e.g. 0.05\n{usage}")
                 })?);
             }
@@ -484,6 +487,9 @@ mod tests {
         rejected("--check-model", churn, "positive tolerance");
         rejected("--check-model 0", churn, "positive tolerance");
         rejected("--check-model -0.05", churn, "positive tolerance");
+        rejected("--check-model inf", churn, "positive tolerance");
+        rejected("--check-model infinity", churn, "positive tolerance");
+        rejected("--check-model NaN", churn, "positive tolerance");
         rejected("--out", churn, "--out requires a directory");
         rejected("fig9", None, "unknown sweep \"fig9\"");
         // A sweep that declares no model column cannot be gated.

@@ -57,42 +57,15 @@ impl NetworkConfig {
         }
     }
 
-    /// The lossy, crash-prone environment of the paper's analysis:
-    /// message-loss probability `ε` and an initial crashed fraction `τ`.
-    pub fn faulty(loss_probability: f64, crash_fraction: f64, seed: u64) -> Self {
-        Self {
-            loss_probability,
-            crash_plan: if crash_fraction > 0.0 {
-                CrashPlan::InitialFraction(crash_fraction)
-            } else {
-                CrashPlan::None
-            },
-            fault_plan: FaultPlan::default(),
-            seed,
-        }
-    }
-
     /// Sets the loss probability, returning the config for chaining.
     pub fn with_loss(mut self, loss_probability: f64) -> Self {
         self.loss_probability = loss_probability;
         self
     }
 
-    /// Sets the crash plan, returning the config for chaining.
-    pub fn with_crash_plan(mut self, crash_plan: CrashPlan) -> Self {
-        self.crash_plan = crash_plan;
-        self
-    }
-
     /// Sets the seed, returning the config for chaining.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the structured fault plan, returning the config for chaining.
-    pub fn with_fault_plan(mut self, fault_plan: FaultPlan) -> Self {
-        self.fault_plan = fault_plan;
         self
     }
 
@@ -130,6 +103,23 @@ impl Default for NetworkConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::tests::lossy_range;
+
+    /// The paper's environment: loss `ε` and an initial crashed fraction `τ`.
+    fn faulty(loss_probability: f64, crash_fraction: f64, seed: u64) -> NetworkConfig {
+        NetworkConfig {
+            loss_probability,
+            crash_plan: CrashPlan::InitialFraction(crash_fraction),
+            ..NetworkConfig::reliable(seed)
+        }
+    }
+
+    fn crashing(crash_plan: CrashPlan) -> NetworkConfig {
+        NetworkConfig {
+            crash_plan,
+            ..NetworkConfig::default()
+        }
+    }
 
     #[test]
     fn constructors_and_builders() {
@@ -138,26 +128,16 @@ mod tests {
         assert_eq!(reliable.crash_plan, CrashPlan::None);
         assert_eq!(reliable.seed, 7);
 
-        let faulty = NetworkConfig::faulty(0.05, 0.01, 3);
-        assert_eq!(faulty.loss_probability, 0.05);
-        assert_eq!(faulty.crash_plan, CrashPlan::InitialFraction(0.01));
-
-        let no_crashes = NetworkConfig::faulty(0.05, 0.0, 3);
-        assert_eq!(no_crashes.crash_plan, CrashPlan::None);
-
-        let chained = NetworkConfig::default()
-            .with_loss(0.2)
-            .with_seed(9)
-            .with_crash_plan(CrashPlan::Scheduled(vec![(3, 1)]));
+        let chained = NetworkConfig::default().with_loss(0.2).with_seed(9);
         assert_eq!(chained.loss_probability, 0.2);
         assert_eq!(chained.seed, 9);
-        assert_eq!(chained.crash_plan, CrashPlan::Scheduled(vec![(3, 1)]));
+        assert_eq!(chained.crash_plan, CrashPlan::None);
         assert_eq!(CrashPlan::default(), CrashPlan::None);
     }
 
     #[test]
     fn serde_round_trip() {
-        let config = NetworkConfig::faulty(0.1, 0.02, 11);
+        let config = faulty(0.1, 0.02, 11);
         let json = serde_json::to_string(&config).unwrap();
         let back: NetworkConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(config, back);
@@ -165,14 +145,13 @@ mod tests {
 
     #[test]
     fn validate_accepts_boundary_probabilities() {
-        NetworkConfig::faulty(0.0, 0.0, 1).validate();
-        NetworkConfig::faulty(1.0, 1.0, 1).validate();
-        NetworkConfig::default()
-            .with_crash_plan(CrashPlan::Mixed {
-                fraction: 0.5,
-                schedule: vec![(2, 0)],
-            })
-            .validate();
+        faulty(0.0, 0.0, 1).validate();
+        faulty(1.0, 1.0, 1).validate();
+        crashing(CrashPlan::Mixed {
+            fraction: 0.5,
+            schedule: vec![(2, 0)],
+        })
+        .validate();
     }
 
     #[test]
@@ -190,27 +169,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "crash fraction must lie in [0, 1]")]
     fn validate_rejects_crash_fraction_above_one() {
-        NetworkConfig::default()
-            .with_crash_plan(CrashPlan::InitialFraction(1.01))
-            .validate();
+        crashing(CrashPlan::InitialFraction(1.01)).validate();
     }
 
     #[test]
     #[should_panic(expected = "crash fraction must lie in [0, 1]")]
     fn validate_rejects_negative_mixed_crash_fraction() {
-        NetworkConfig::default()
-            .with_crash_plan(CrashPlan::Mixed {
-                fraction: -0.2,
-                schedule: Vec::new(),
-            })
-            .validate();
+        crashing(CrashPlan::Mixed {
+            fraction: -0.2,
+            schedule: Vec::new(),
+        })
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "loss-override probability")]
     fn validate_checks_the_fault_plan_too() {
-        NetworkConfig::default()
-            .with_fault_plan(FaultPlan::default().with_loss_override(0, 4, 1.5))
-            .validate();
+        NetworkConfig {
+            fault_plan: lossy_range(0, 4, 1.5),
+            ..NetworkConfig::default()
+        }
+        .validate();
     }
 }

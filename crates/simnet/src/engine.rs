@@ -807,13 +807,6 @@ impl<P: RoundProcess> Simulation<P> {
         self.round += 1;
     }
 
-    /// Runs the given number of rounds.
-    pub fn run_rounds(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
     /// Returns `true` if every live process is quiescent and no messages
     /// are in flight — the stopping condition of
     /// [`run_until_quiescent`](Self::run_until_quiescent), exposed so
@@ -874,6 +867,7 @@ impl<P: RoundProcess> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::tests::{delayed, straggling};
     use crate::FaultPlan;
 
     /// A process that floods a token to everybody once it has seen it.
@@ -934,6 +928,12 @@ mod tests {
         Simulation::new(processes, config)
     }
 
+    fn step_rounds<P: RoundProcess>(sim: &mut Simulation<P>, rounds: u64) {
+        for _ in 0..rounds {
+            sim.step();
+        }
+    }
+
     #[test]
     fn reliable_flood_reaches_everyone() {
         let mut sim = flood_simulation(10, NetworkConfig::reliable(3));
@@ -950,7 +950,7 @@ mod tests {
     #[test]
     fn lossy_flood_misses_some_processes() {
         let mut sim = flood_simulation(30, NetworkConfig::default().with_loss(0.9).with_seed(5));
-        sim.run_rounds(3);
+        step_rounds(&mut sim, 3);
         let reached = sim.processes().filter(|p| p.has_token).count();
         assert!(reached < 30, "with 90% loss not everybody is reached in 3 rounds");
         assert!(sim.stats().messages_lost > 0);
@@ -958,7 +958,10 @@ mod tests {
 
     #[test]
     fn initial_crash_fraction_disables_processes() {
-        let config = NetworkConfig::faulty(0.0, 0.5, 11);
+        let config = NetworkConfig {
+            crash_plan: CrashPlan::InitialFraction(0.5),
+            ..NetworkConfig::reliable(11)
+        };
         let mut sim = flood_simulation(100, config);
         let crashed = sim.crashed_count();
         assert!(crashed > 20 && crashed < 80, "crashed {crashed}");
@@ -981,13 +984,19 @@ mod tests {
             fraction: 0.5,
             schedule: vec![(2, 0)],
         };
-        let config = NetworkConfig::reliable(11).with_crash_plan(plan);
+        let config = NetworkConfig { crash_plan: plan, ..NetworkConfig::reliable(11) };
         let mut sim = flood_simulation(100, config);
         let initially_crashed = sim.crashed_count();
         assert!(initially_crashed > 20 && initially_crashed < 80, "{initially_crashed}");
         // The initial fraction draws from the same stream as
         // `InitialFraction`, so the crash set matches it exactly.
-        let fraction_only = flood_simulation(100, NetworkConfig::faulty(0.0, 0.5, 11));
+        let fraction_only = flood_simulation(
+            100,
+            NetworkConfig {
+                crash_plan: CrashPlan::InitialFraction(0.5),
+                ..NetworkConfig::reliable(11)
+            },
+        );
         for index in 0..100 {
             assert_eq!(
                 sim.is_crashed(ProcessId(index)),
@@ -1012,7 +1021,7 @@ mod tests {
     #[test]
     fn scheduled_crashes_happen_at_the_right_round() {
         let schedule = CrashPlan::Scheduled(vec![(2, 1)]);
-        let config = NetworkConfig::reliable(1).with_crash_plan(schedule);
+        let config = NetworkConfig { crash_plan: schedule, ..NetworkConfig::reliable(1) };
         let mut sim = flood_simulation(3, config);
         assert!(!sim.is_crashed(ProcessId(1)));
         sim.step(); // round 0
@@ -1026,7 +1035,7 @@ mod tests {
     fn runs_are_reproducible_for_equal_seeds() {
         let run = |seed| {
             let mut sim = flood_simulation(40, NetworkConfig::default().with_loss(0.4).with_seed(seed));
-            sim.run_rounds(4);
+            step_rounds(&mut sim, 4);
             let reached = sim.processes().filter(|p| p.has_token).count();
             (reached, sim.stats().messages_lost)
         };
@@ -1040,7 +1049,7 @@ mod tests {
         assert_eq!(sim.round(), 0);
         assert!(sim.process(ProcessId(0)).has_token);
         sim.process_mut(ProcessId(2)).has_token = true;
-        sim.run_rounds(2);
+        step_rounds(&mut sim, 2);
         assert_eq!(sim.round(), 2);
         let states = sim.into_processes();
         assert_eq!(states.len(), 4);
@@ -1066,7 +1075,7 @@ mod tests {
             fraction: 0.3,
             schedule: vec![(1, 2)],
         };
-        let config = NetworkConfig::reliable(11).with_crash_plan(plan);
+        let config = NetworkConfig { crash_plan: plan, ..NetworkConfig::reliable(11) };
         let everyone: Vec<ProcessId> = (0..50).map(ProcessId).collect();
         let processes: Vec<Flood> = (0..50)
             .map(|i| Flood::new(everyone.clone(), i == 0))
@@ -1146,8 +1155,10 @@ mod tests {
         let processes: Vec<Flood> = (0..4)
             .map(|i| Flood::new(everyone.clone(), i == 0))
             .collect();
-        let config = NetworkConfig::reliable(7)
-            .with_crash_plan(CrashPlan::Scheduled(vec![(1, 2)]));
+        let config = NetworkConfig {
+            crash_plan: CrashPlan::Scheduled(vec![(1, 2)]),
+            ..NetworkConfig::reliable(7)
+        };
         let plan = LifecyclePlan {
             initially_absent: vec![3],
             joins: vec![(1, 3)],
@@ -1230,23 +1241,23 @@ mod tests {
         // Process 0 (the seed) flushes only every 3rd round: its announce
         // in round 0 is held until round 3, so nobody has the token after
         // two full rounds.
-        let plan = FaultPlan::default().with_straggler(0, 3);
-        let config = NetworkConfig::reliable(3).with_fault_plan(plan);
+        let plan = straggling(0, 3);
+        let config = NetworkConfig { fault_plan: plan, ..NetworkConfig::reliable(3) };
         let mut sim = flood_simulation(10, config);
-        sim.run_rounds(3);
+        step_rounds(&mut sim, 3);
         let reached = sim.processes().filter(|p| p.has_token).count();
         assert_eq!(reached, 1, "held-back announce must not be delivered yet");
         assert_eq!(sim.stats().messages_sent, 0, "holdback precedes the network");
         // Round 3 flushes the holdback; the boundary of round 4 delivers it.
-        sim.run_rounds(2);
+        step_rounds(&mut sim, 2);
         let reached = sim.processes().filter(|p| p.has_token).count();
         assert_eq!(reached, 10);
     }
 
     #[test]
     fn straggler_delays_but_does_not_change_outcomes() {
-        let plan = FaultPlan::default().with_straggler(0, 4);
-        let mut slow = flood_simulation(10, NetworkConfig::reliable(3).with_fault_plan(plan));
+        let plan = straggling(0, 4);
+        let mut slow = flood_simulation(10, NetworkConfig { fault_plan: plan, ..NetworkConfig::reliable(3) });
         let mut fast = flood_simulation(10, NetworkConfig::reliable(3));
         let slow_rounds = slow.run_until_quiescent(50);
         let fast_rounds = fast.run_until_quiescent(50);
@@ -1257,10 +1268,10 @@ mod tests {
 
     #[test]
     fn quiescence_waits_for_straggler_holdbacks() {
-        let plan = FaultPlan::default().with_straggler(0, 5);
-        let config = NetworkConfig::reliable(3).with_fault_plan(plan);
+        let plan = straggling(0, 5);
+        let config = NetworkConfig { fault_plan: plan, ..NetworkConfig::reliable(3) };
         let mut sim = flood_simulation(4, config);
-        sim.run_rounds(2);
+        step_rounds(&mut sim, 2);
         // The seed announced (protocol-quiescent, network idle) but its
         // messages still sit in the holdback queue.
         assert!(!sim.is_quiescent(), "holdback must block quiescence");
@@ -1270,10 +1281,12 @@ mod tests {
 
     #[test]
     fn crashing_a_straggler_drops_its_holdback() {
-        let plan = FaultPlan::default().with_straggler(0, 10);
-        let config = NetworkConfig::reliable(3)
-            .with_fault_plan(plan)
-            .with_crash_plan(CrashPlan::Scheduled(vec![(2, 0)]));
+        let plan = straggling(0, 10);
+        let config = NetworkConfig {
+            fault_plan: plan,
+            crash_plan: CrashPlan::Scheduled(vec![(2, 0)]),
+            ..NetworkConfig::reliable(3)
+        };
         let mut sim = flood_simulation(4, config);
         let rounds = sim.run_until_quiescent(30);
         assert!(rounds < 30, "dropped holdback must not wedge quiescence");
@@ -1290,8 +1303,8 @@ mod tests {
         // (whose sends take the outbox and its holdback first).
         for (faults, arrival) in [
             (FaultPlan::default(), 1),
-            (FaultPlan::default().with_link_delay(2, 2), 3),
-            (FaultPlan::default().with_straggler(0, 2), 3),
+            (delayed(2, 2), 3),
+            (straggling(0, 2), 3),
         ] {
             let processes: Vec<Flood> = (0..5)
                 .map(|i| match i {
@@ -1299,15 +1312,17 @@ mod tests {
                     _ => Flood::new(Vec::new(), false),
                 })
                 .collect();
-            let config = NetworkConfig::reliable(3)
-                .with_fault_plan(faults.clone())
-                .with_crash_plan(CrashPlan::Scheduled(vec![(arrival, 1)]));
+            let config = NetworkConfig {
+                fault_plan: faults.clone(),
+                crash_plan: CrashPlan::Scheduled(vec![(arrival, 1)]),
+                ..NetworkConfig::reliable(3)
+            };
             let lifecycle = LifecyclePlan {
                 leaves: vec![(arrival, 2)],
                 ..LifecyclePlan::default()
             };
             let mut sim = Simulation::with_lifecycle_observer(processes, config, lifecycle, |_| {});
-            sim.run_rounds(arrival);
+            step_rounds(&mut sim, arrival);
             assert_eq!(sim.stats().messages_sent, 4, "{faults:?}");
             assert_eq!(sim.stats().messages_to_crashed, 0, "all four were up at the send");
             assert_eq!(sim.stats().messages_delivered, 0);
@@ -1325,8 +1340,8 @@ mod tests {
 
     #[test]
     fn neutral_stragglers_are_ignored() {
-        let plan = FaultPlan::default().with_straggler(0, 1);
-        let mut with_plan = flood_simulation(10, NetworkConfig::reliable(3).with_fault_plan(plan));
+        let plan = straggling(0, 1);
+        let mut with_plan = flood_simulation(10, NetworkConfig { fault_plan: plan, ..NetworkConfig::reliable(3) });
         let mut without = flood_simulation(10, NetworkConfig::reliable(3));
         assert_eq!(
             with_plan.run_until_quiescent(50),
@@ -1414,11 +1429,12 @@ mod tests {
                 fraction: 0.1,
                 schedule: vec![(4, 2)],
             };
-            let config = NetworkConfig::default()
-                .with_loss(0.15)
-                .with_seed(13)
-                .with_crash_plan(plan)
-                .with_fault_plan(FaultPlan::default().with_straggler(3, 2));
+            let config = NetworkConfig {
+                loss_probability: 0.15,
+                crash_plan: plan,
+                fault_plan: straggling(3, 2),
+                seed: 13,
+            };
             let lifecycle = LifecyclePlan {
                 initially_absent: vec![5],
                 joins: vec![(2, 5)],
@@ -1529,8 +1545,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn build_rejects_fault_plans_referencing_missing_processes() {
-        let plan = FaultPlan::default().with_straggler(10, 2);
-        flood_simulation(4, NetworkConfig::reliable(3).with_fault_plan(plan));
+        let plan = straggling(10, 2);
+        flood_simulation(4, NetworkConfig { fault_plan: plan, ..NetworkConfig::reliable(3) });
     }
 
     #[test]
@@ -1560,10 +1576,11 @@ mod tests {
                 churn_target in 1usize..6,
             ) {
                 let build = || {
-                    let config = NetworkConfig::default()
-                        .with_loss(f64::from(loss) / 100.0)
-                        .with_seed(seed)
-                        .with_crash_plan(CrashPlan::Scheduled(vec![(crash_round, churn_target)]));
+                    let config = NetworkConfig {
+                        loss_probability: f64::from(loss) / 100.0,
+                        crash_plan: CrashPlan::Scheduled(vec![(crash_round, churn_target)]),
+                        ..NetworkConfig::reliable(seed)
+                    };
                     // The crashed process rejoins two rounds later — the
                     // join must reschedule it even though no message
                     // pointed at it while it was down.

@@ -258,30 +258,6 @@ impl FaultPlan {
             );
         }
     }
-
-    /// Sets the per-link delay span, returning the plan for chaining.
-    pub fn with_link_delay(mut self, min_extra: u64, max_extra: u64) -> Self {
-        self.link_delay = Some(LinkDelay { min_extra, max_extra });
-        self
-    }
-
-    /// Adds a healing partition window, returning the plan for chaining.
-    pub fn with_partition(mut self, from_round: u64, until_round: u64, cells: usize) -> Self {
-        self.partitions.push(PartitionWindow { from_round, until_round, cells });
-        self
-    }
-
-    /// Adds a correlated loss override, returning the plan for chaining.
-    pub fn with_loss_override(mut self, start: usize, end: usize, loss_probability: f64) -> Self {
-        self.loss_overrides.push(LossOverride { start, end, loss_probability });
-        self
-    }
-
-    /// Adds a straggler, returning the plan for chaining.
-    pub fn with_straggler(mut self, process: usize, period: u64) -> Self {
-        self.stragglers.push(Straggler { process, period });
-        self
-    }
 }
 
 /// The splitmix64 finalizer — the deterministic per-link hash behind
@@ -296,8 +272,37 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    // One-axis plans, as this crate's tests declare them.
+    pub(crate) fn delayed(min_extra: u64, max_extra: u64) -> FaultPlan {
+        FaultPlan {
+            link_delay: Some(LinkDelay { min_extra, max_extra }),
+            ..FaultPlan::default()
+        }
+    }
+
+    pub(crate) fn partitioned(from_round: u64, until_round: u64, cells: usize) -> FaultPlan {
+        FaultPlan {
+            partitions: vec![PartitionWindow { from_round, until_round, cells }],
+            ..FaultPlan::default()
+        }
+    }
+
+    pub(crate) fn lossy_range(start: usize, end: usize, loss_probability: f64) -> FaultPlan {
+        FaultPlan {
+            loss_overrides: vec![LossOverride { start, end, loss_probability }],
+            ..FaultPlan::default()
+        }
+    }
+
+    pub(crate) fn straggling(process: usize, period: u64) -> FaultPlan {
+        FaultPlan {
+            stragglers: vec![Straggler { process, period }],
+            ..FaultPlan::default()
+        }
+    }
 
     #[test]
     fn default_plan_is_neutral() {
@@ -308,22 +313,25 @@ mod tests {
 
     #[test]
     fn declared_but_inactive_axes_are_neutral() {
-        let plan = FaultPlan::default()
-            .with_link_delay(0, 0)
-            .with_partition(2, 2, 4) // empty window
-            .with_partition(0, 10, 1) // single cell
-            .with_loss_override(0, 5, 0.0)
-            .with_straggler(3, 1);
+        let plan = FaultPlan {
+            link_delay: Some(LinkDelay { min_extra: 0, max_extra: 0 }),
+            partitions: vec![
+                PartitionWindow { from_round: 2, until_round: 2, cells: 4 }, // empty window
+                PartitionWindow { from_round: 0, until_round: 10, cells: 1 }, // single cell
+            ],
+            loss_overrides: vec![LossOverride { start: 0, end: 5, loss_probability: 0.0 }],
+            stragglers: vec![Straggler { process: 3, period: 1 }],
+        };
         assert!(plan.is_neutral());
         plan.validate_for(10);
     }
 
     #[test]
     fn active_axes_are_not_neutral() {
-        assert!(!FaultPlan::default().with_link_delay(0, 2).is_neutral());
-        assert!(!FaultPlan::default().with_partition(0, 5, 2).is_neutral());
-        assert!(!FaultPlan::default().with_loss_override(0, 5, 0.5).is_neutral());
-        assert!(!FaultPlan::default().with_straggler(3, 4).is_neutral());
+        assert!(!delayed(0, 2).is_neutral());
+        assert!(!partitioned(0, 5, 2).is_neutral());
+        assert!(!lossy_range(0, 5, 0.5).is_neutral());
+        assert!(!straggling(3, 4).is_neutral());
     }
 
     #[test]
@@ -351,49 +359,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "inverted")]
     fn inverted_delay_span_is_rejected() {
-        FaultPlan::default().with_link_delay(3, 1).validate();
+        delayed(3, 1).validate();
     }
 
     #[test]
     #[should_panic(expected = "heal at or after")]
     fn inverted_partition_window_is_rejected() {
-        FaultPlan::default().with_partition(5, 2, 2).validate();
+        partitioned(5, 2, 2).validate();
     }
 
     #[test]
     #[should_panic(expected = "zero cells")]
     fn zero_cell_partition_is_rejected() {
-        FaultPlan::default().with_partition(0, 5, 0).validate();
+        partitioned(0, 5, 0).validate();
     }
 
     #[test]
     #[should_panic(expected = "must lie in [0, 1]")]
     fn out_of_range_override_probability_is_rejected() {
-        FaultPlan::default().with_loss_override(0, 5, 1.5).validate();
+        lossy_range(0, 5, 1.5).validate();
     }
 
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_straggler_period_is_rejected() {
-        FaultPlan::default().with_straggler(0, 0).validate();
+        straggling(0, 0).validate();
     }
 
     #[test]
     #[should_panic(expected = "declared a straggler twice")]
     fn duplicate_stragglers_are_rejected() {
-        FaultPlan::default().with_straggler(2, 3).with_straggler(2, 5).validate();
+        let mut plan = straggling(2, 3);
+        plan.stragglers.push(Straggler { process: 2, period: 5 });
+        plan.validate();
     }
 
     #[test]
     #[should_panic(expected = "out of range for a group of 8")]
     fn out_of_range_straggler_is_rejected() {
-        FaultPlan::default().with_straggler(8, 3).validate_for(8);
+        straggling(8, 3).validate_for(8);
     }
 
     #[test]
     #[should_panic(expected = "out of range for a group of 8")]
     fn out_of_range_override_is_rejected() {
-        FaultPlan::default().with_loss_override(4, 9, 0.1).validate_for(8);
+        lossy_range(4, 9, 0.1).validate_for(8);
     }
 
     #[test]
@@ -409,11 +419,12 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let plan = FaultPlan::default()
-            .with_link_delay(1, 3)
-            .with_partition(2, 6, 4)
-            .with_loss_override(0, 16, 0.25)
-            .with_straggler(7, 4);
+        let plan = FaultPlan {
+            link_delay: Some(LinkDelay { min_extra: 1, max_extra: 3 }),
+            partitions: vec![PartitionWindow { from_round: 2, until_round: 6, cells: 4 }],
+            loss_overrides: vec![LossOverride { start: 0, end: 16, loss_probability: 0.25 }],
+            stragglers: vec![Straggler { process: 7, period: 4 }],
+        };
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);

@@ -68,7 +68,9 @@
 //!     .map(|i| Relay { next: ProcessId((i + 1) % 4), has_token: i == 0 })
 //!     .collect();
 //! let mut sim = Simulation::new(processes, NetworkConfig::reliable(1));
-//! sim.run_rounds(4);
+//! for _ in 0..4 {
+//!     sim.step();
+//! }
 //! assert_eq!(sim.stats().messages_sent, 4);
 //! ```
 

@@ -310,22 +310,13 @@ impl<M> RoundNetwork<M> {
         self.delayed_count += 1;
     }
 
-    /// Closes the current round: returns every message sent during it and
-    /// advances the round counter.  Messages to processes that crashed
-    /// *after* the send are still filtered out here.
-    pub fn deliver_round(&mut self) -> Vec<Envelope<M>> {
-        let mut delivered = Vec::new();
-        self.deliver_round_into(&mut delivered);
-        delivered
-    }
-
-    /// Allocation-free variant of [`deliver_round`](Self::deliver_round):
-    /// clears `delivered` and **hands it this round's buffer** — the two
-    /// vectors trade places, so no envelope is copied, the emptied buffer
-    /// the caller brought collects the next round's sends, and both keep
-    /// their capacity across rounds.  What was addressed to a process that
-    /// went down after the send is dropped from the buffer in place, a pass
-    /// made only while somebody is down.
+    /// Closes the current round and advances the round counter: clears
+    /// `delivered` and **hands it this round's buffer** — the two vectors
+    /// trade places, so no envelope is copied, the emptied buffer the
+    /// caller brought collects the next round's sends, and both keep their
+    /// capacity across rounds.  What was addressed to a process that went
+    /// down after the send is dropped from the buffer in place, a pass made
+    /// only while somebody is down.
     pub fn deliver_round_into(&mut self, delivered: &mut Vec<Envelope<M>>) {
         self.round += 1;
         delivered.clear();
@@ -372,10 +363,19 @@ impl<M> RoundNetwork<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::tests::{delayed, lossy_range, partitioned, straggling};
+    use crate::Straggler;
     use rand::SeedableRng;
 
     fn network(count: usize, loss: f64) -> RoundNetwork<u32> {
         RoundNetwork::new(count, loss, ChaCha8Rng::seed_from_u64(1))
+    }
+
+    /// Closes the round into a fresh vector.
+    fn deliver_round(net: &mut RoundNetwork<u32>) -> Vec<Envelope<u32>> {
+        let mut delivered = Vec::new();
+        net.deliver_round_into(&mut delivered);
+        delivered
     }
 
     #[test]
@@ -384,7 +384,7 @@ mod tests {
         net.send(ProcessId(0), ProcessId(1), 42, 8);
         assert!(!net.is_idle());
         assert_eq!(net.round(), 0);
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert_eq!(net.round(), 1);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].from, ProcessId(0));
@@ -402,7 +402,7 @@ mod tests {
         for _ in 0..20 {
             net.send(ProcessId(0), ProcessId(1), 1, 0);
         }
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert!(delivered.is_empty());
         assert_eq!(net.stats().messages_lost, 20);
         assert_eq!(net.stats().delivery_ratio(), 0.0);
@@ -414,7 +414,7 @@ mod tests {
         for _ in 0..2_000 {
             net.send(ProcessId(0), ProcessId(1), 1, 0);
         }
-        let delivered = net.deliver_round().len() as f64;
+        let delivered = deliver_round(&mut net).len() as f64;
         // 70% expected, allow generous tolerance.
         assert!(delivered > 1_200.0 && delivered < 1_600.0, "delivered {delivered}");
     }
@@ -430,7 +430,7 @@ mod tests {
         net.send(ProcessId(2), ProcessId(0), 1, 0); // from crashed
         net.send(ProcessId(0), ProcessId(2), 2, 0); // to crashed
         net.send(ProcessId(0), ProcessId(1), 3, 0); // fine
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].message, 3);
         assert_eq!(net.stats().messages_from_crashed, 1);
@@ -442,7 +442,7 @@ mod tests {
         let mut net = network(2, 0.0);
         net.send(ProcessId(0), ProcessId(1), 9, 0);
         net.crash(ProcessId(1));
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert!(delivered.is_empty());
         assert_eq!(net.stats().messages_to_crashed, 1);
     }
@@ -485,12 +485,12 @@ mod tests {
         net.crash(ProcessId(1));
         // Traffic addressed to the down process is dropped …
         net.send(ProcessId(0), ProcessId(1), 1, 0);
-        assert!(net.deliver_round().is_empty());
+        assert!(deliver_round(&mut net).is_empty());
         net.activate(ProcessId(1));
         assert!(!net.is_crashed(ProcessId(1)));
         // … and only messages sent after activation arrive.
         net.send(ProcessId(0), ProcessId(1), 2, 0);
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].message, 2);
         // Out-of-range activation is a no-op.
@@ -503,7 +503,7 @@ mod tests {
         let mut net = network(1, 0.0);
         assert!(net.is_crashed(ProcessId(5)));
         net.send(ProcessId(0), ProcessId(5), 1, 0);
-        assert_eq!(net.deliver_round().len(), 0);
+        assert_eq!(deliver_round(&mut net).len(), 0);
     }
 
     #[test]
@@ -513,7 +513,7 @@ mod tests {
             for _ in 0..100 {
                 net.send(ProcessId(0), ProcessId(1), 1u32, 0);
             }
-            net.deliver_round().len()
+            deliver_round(&mut net).len()
         };
         assert_eq!(run(7), run(7));
         // Different seeds are very likely to differ for 100 coin flips.
@@ -539,13 +539,13 @@ mod tests {
 
     #[test]
     fn constant_link_delay_postpones_delivery() {
-        let plan = FaultPlan::default().with_link_delay(2, 2);
+        let plan = delayed(2, 2);
         let mut net = faulty_network(2, 0.0, &plan);
         net.send(ProcessId(0), ProcessId(1), 7, 0);
         assert!(!net.is_idle(), "the delayed message is still in flight");
-        assert!(net.deliver_round().is_empty(), "boundary 1: not yet");
-        assert!(net.deliver_round().is_empty(), "boundary 2: not yet");
-        let delivered = net.deliver_round();
+        assert!(deliver_round(&mut net).is_empty(), "boundary 1: not yet");
+        assert!(deliver_round(&mut net).is_empty(), "boundary 2: not yet");
+        let delivered = deliver_round(&mut net);
         assert_eq!(delivered.len(), 1, "boundary 3 = 1 normal + 2 extra rounds");
         assert_eq!(delivered[0].message, 7);
         assert!(net.is_idle());
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn jittered_link_delay_is_stable_per_link_and_within_span() {
-        let plan = FaultPlan::default().with_link_delay(0, 3);
+        let plan = delayed(0, 3);
         let mut net = faulty_network(8, 0.0, &plan);
         // Send one message on every ordered link, then collect arrival
         // boundaries; each link's latency must fall in 1..=4 rounds.
@@ -568,7 +568,7 @@ mod tests {
         }
         let mut arrivals = vec![0u64; 64];
         for boundary in 1..=4 {
-            for envelope in net.deliver_round() {
+            for envelope in deliver_round(&mut net) {
                 arrivals[envelope.message as usize] = boundary;
             }
         }
@@ -593,7 +593,7 @@ mod tests {
         }
         let mut rerun_arrivals = vec![0u64; 64];
         for boundary in 1..=4 {
-            for envelope in rerun.deliver_round() {
+            for envelope in deliver_round(&mut rerun) {
                 rerun_arrivals[envelope.message as usize] = boundary;
             }
         }
@@ -605,13 +605,13 @@ mod tests {
 
     #[test]
     fn delayed_messages_to_crashed_processes_are_dropped_at_delivery() {
-        let plan = FaultPlan::default().with_link_delay(2, 2);
+        let plan = delayed(2, 2);
         let mut net = faulty_network(2, 0.0, &plan);
         net.send(ProcessId(0), ProcessId(1), 7, 0);
-        net.deliver_round();
+        deliver_round(&mut net);
         net.crash(ProcessId(1));
-        net.deliver_round();
-        assert!(net.deliver_round().is_empty());
+        deliver_round(&mut net);
+        assert!(deliver_round(&mut net).is_empty());
         assert!(net.is_idle());
         assert_eq!(net.stats().messages_to_crashed, 1);
     }
@@ -619,20 +619,20 @@ mod tests {
     #[test]
     fn partition_drops_cross_cell_sends_while_active() {
         // 2 cells over 4 processes: {0,1} and {2,3}; active rounds 0..2.
-        let plan = FaultPlan::default().with_partition(0, 2, 2);
+        let plan = partitioned(0, 2, 2);
         let mut net = faulty_network(4, 0.0, &plan);
         net.send(ProcessId(0), ProcessId(1), 1, 0); // intra-cell: flows
         net.send(ProcessId(0), ProcessId(2), 2, 0); // cross-cell: dropped
-        let delivered = net.deliver_round(); // boundary → round 1, still active
+        let delivered = deliver_round(&mut net); // boundary → round 1, still active
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].message, 1);
         assert_eq!(net.stats().messages_partitioned, 1);
         net.send(ProcessId(0), ProcessId(2), 3, 0); // round 1: still active
-        assert!(net.deliver_round().is_empty());
+        assert!(deliver_round(&mut net).is_empty());
         assert_eq!(net.stats().messages_partitioned, 2);
         // Round 2: healed — cross-cell traffic flows again.
         net.send(ProcessId(0), ProcessId(2), 4, 0);
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].message, 4);
         assert_eq!(net.stats().messages_partitioned, 2);
@@ -652,30 +652,29 @@ mod tests {
             );
             // Round 0: one intra-cell send (same loss draw either way).
             net.send(ProcessId(0), ProcessId(1), 1, 0);
-            net.deliver_round();
+            deliver_round(&mut net);
             // Round 1 (healed for the partition plan): probe the stream.
             let mut survived = Vec::new();
             for i in 0..50 {
                 net.send(ProcessId(0), ProcessId(1), i, 0);
             }
-            for envelope in net.deliver_round() {
+            for envelope in deliver_round(&mut net) {
                 survived.push(envelope.message);
             }
             survived
         };
-        let partitioned = FaultPlan::default().with_partition(0, 1, 2);
-        assert_eq!(run(&FaultPlan::default()), run(&partitioned));
+        assert_eq!(run(&FaultPlan::default()), run(&partitioned(0, 1, 2)));
     }
 
     #[test]
     fn loss_override_composes_with_global_loss() {
         // Total override loss on the {0,1} range: nothing covered survives.
-        let plan = FaultPlan::default().with_loss_override(0, 2, 1.0);
+        let plan = lossy_range(0, 2, 1.0);
         let mut net = faulty_network(4, 0.0, &plan);
         net.send(ProcessId(0), ProcessId(3), 1, 0); // sender covered
         net.send(ProcessId(3), ProcessId(1), 2, 0); // receiver covered
         net.send(ProcessId(2), ProcessId(3), 3, 0); // untouched
-        let delivered = net.deliver_round();
+        let delivered = deliver_round(&mut net);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].message, 3);
         assert_eq!(net.stats().messages_lost, 2);
@@ -684,12 +683,12 @@ mod tests {
     #[test]
     fn loss_override_rates_are_roughly_multiplicative() {
         // Global 0.2 composed with an 0.5 override: survival 0.8·0.5 = 0.4.
-        let plan = FaultPlan::default().with_loss_override(0, 1, 0.5);
+        let plan = lossy_range(0, 1, 0.5);
         let mut net = faulty_network(2, 0.2, &plan);
         for _ in 0..2_000 {
             net.send(ProcessId(0), ProcessId(1), 1, 0);
         }
-        let delivered = net.deliver_round().len() as f64;
+        let delivered = deliver_round(&mut net).len() as f64;
         assert!((600.0..1_000.0).contains(&delivered), "delivered {delivered}");
     }
 
@@ -706,26 +705,29 @@ mod tests {
                 for from in 0..6 {
                     net.send(ProcessId(from), ProcessId((from + 1) % 6), round as u32, 0);
                 }
-                for envelope in net.deliver_round() {
+                for envelope in deliver_round(&mut net) {
                     log.push((envelope.from, envelope.to, envelope.message));
                 }
             }
             (log, *net.stats())
         };
         // Every axis declared, all in their inactive forms.
-        let neutral = FaultPlan::default()
-            .with_link_delay(0, 0)
-            .with_partition(2, 2, 4)
-            .with_partition(0, 6, 1)
-            .with_loss_override(0, 6, 0.0)
-            .with_straggler(1, 1);
+        let neutral = FaultPlan {
+            link_delay: Some(LinkDelay { min_extra: 0, max_extra: 0 }),
+            partitions: vec![
+                PartitionWindow { from_round: 2, until_round: 2, cells: 4 },
+                PartitionWindow { from_round: 0, until_round: 6, cells: 1 },
+            ],
+            loss_overrides: vec![LossOverride { start: 0, end: 6, loss_probability: 0.0 }],
+            stragglers: vec![Straggler { process: 1, period: 1 }],
+        };
         assert_eq!(run(None), run(Some(&neutral)));
     }
 
     #[test]
     #[should_panic(expected = "out of range for a group of 2")]
     fn network_rejects_out_of_range_fault_plan() {
-        let plan = FaultPlan::default().with_straggler(5, 3);
+        let plan = straggling(5, 3);
         let _ = faulty_network(2, 0.0, &plan);
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! ```text
 //! cargo run --release --example topic_sweep             # quick: 12 topics, 300 events (CI smoke)
-//! cargo run --release --example topic_sweep -- --paper  # 50 topics, 10k events (CI too; BENCH_PR10.json)
+//! cargo run --release --example topic_sweep -- --paper  # 50 topics, 10k events (CI too)
 //! cargo run --release --example topic_sweep -- --json   # machine-readable
 //! ```
 

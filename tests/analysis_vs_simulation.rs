@@ -15,6 +15,13 @@ use pmcast::{
     ScenarioBuilder,
 };
 
+/// A perfectly reliable environment: Pittel's original model.
+const LOSSLESS: EnvParams = EnvParams {
+    loss_probability: 0.0,
+    crash_probability: 0.0,
+    pittel_constant: 1.0,
+};
+
 /// Builds the point, runs its trials under pmcast and aggregates them.
 fn simulate(point: ScenarioBuilder) -> AggregateOutcome {
     AggregateOutcome::from_trials(&point.build().run(Protocol::Pmcast))
@@ -87,7 +94,7 @@ fn pittel_budget_matches_the_exact_markov_chain() {
     // Pittel's asymptote (used by the protocol) and the exact chain (used by
     // the analysis) must agree that the budgeted number of rounds infects
     // nearly the whole group, across a range of sizes and fanouts.
-    let env = EnvParams::lossless();
+    let env = LOSSLESS;
     for &(n, fanout) in &[(30usize, 2.0f64), (100, 2.0), (100, 4.0), (400, 3.0)] {
         let budget = pittel::round_budget(n as f64, fanout, &env);
         let mut chain = InfectionChain::new(n, fanout, &env);
@@ -102,7 +109,7 @@ fn pittel_budget_matches_the_exact_markov_chain() {
 
 #[test]
 fn losses_shift_both_the_budget_and_the_chain_consistently() {
-    let clean = EnvParams::lossless();
+    let clean = LOSSLESS;
     let lossy = EnvParams {
         loss_probability: 0.3,
         crash_probability: 0.02,

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use pmcast::simnet::CrashPlan;
 use pmcast::{
     Address, AddressSpace, AssignmentOracle, Event, GlobalOracleView, ImplicitRegularTree,
     InterestOracle, MembershipView, MulticastReport, NetworkConfig, PmcastConfig, PmcastFactory,
@@ -32,7 +33,7 @@ fn crashed_root_delegates_do_not_prevent_delivery() {
     for k in 1..6u32 {
         for low in 0..2u32 {
             let address = Address::new(vec![k, low]);
-            let id = topology.index_of(&address).expect("member");
+            let id = topology.space().index_of_address(&address).expect("member") as usize;
             sim.crash(ProcessId(id));
         }
     }
@@ -66,10 +67,12 @@ fn publisher_crash_after_injection_still_spreads_the_event() {
         global_view(topology.member_count()),
         &PmcastConfig::default().with_fanout(3),
     );
-    let schedule = pmcast::simnet::CrashPlan::Scheduled(vec![(3, 0)]);
     let mut sim = Simulation::new(
         group.processes,
-        NetworkConfig::reliable(5).with_crash_plan(schedule),
+        NetworkConfig {
+            crash_plan: CrashPlan::Scheduled(vec![(3, 0)]),
+            ..NetworkConfig::reliable(5)
+        },
     );
     let event = Event::builder(9).build();
     sim.process_mut(ProcessId(0)).pmcast(event.clone());
@@ -99,11 +102,18 @@ fn heavy_loss_with_higher_fanout_still_delivers_to_interested_processes() {
         crash_probability: 0.01,
         pittel_constant: 2.0,
     };
-    let config = PmcastConfig::default().with_fanout(4).with_env(env);
+    let config = PmcastConfig {
+        env,
+        ..PmcastConfig::default().with_fanout(4)
+    };
     let group = PmcastFactory::build(&topology, oracle.clone(), global_view(topology.member_count()), &config);
     let mut sim = Simulation::new(
         group.processes,
-        NetworkConfig::faulty(0.25, 0.01, 21),
+        NetworkConfig {
+            loss_probability: 0.25,
+            crash_plan: CrashPlan::InitialFraction(0.01),
+            ..NetworkConfig::reliable(21)
+        },
     );
     let sender = oracle.nth_index(0).unwrap_or(0);
     sim.process_mut(ProcessId(sender)).pmcast(Event::builder(2).build());

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use pmcast::simnet::CrashPlan;
 use pmcast::{
     AddressSpace, AssignmentOracle, Event, Filter, FloodFactory, GlobalOracleView, GroupTree,
     ImplicitRegularTree, Interest, InterestOracle, MembershipView, MulticastProtocol,
@@ -88,7 +89,7 @@ fn content_based_group_delivers_exactly_to_matching_subscribers() {
             1 => "markets",
             _ => "weather",
         };
-        tree.join(address, Filter::new().with("topic", Predicate::eq_str(topic)))
+        tree.join(address, Filter::new().with("topic", Predicate::Eq(topic.into())))
             .expect("fresh address");
     }
     let tree = Arc::new(tree);
@@ -128,7 +129,12 @@ fn crashes_of_a_minority_do_not_break_delivery_for_the_rest() {
     let group = PmcastFactory::build(&topology, oracle, global_view(topology.member_count()), &PmcastConfig::default().with_fanout(3));
     let mut sim = Simulation::new(
         group.processes,
-        NetworkConfig::faulty(0.02, 0.05, 9), // 2% loss, ~5% of processes crashed
+        // 2% loss, ~5% of processes crashed
+        NetworkConfig {
+            loss_probability: 0.02,
+            crash_plan: CrashPlan::InitialFraction(0.05),
+            ..NetworkConfig::reliable(9)
+        },
     );
     sim.process_mut(ProcessId(0)).pmcast(event.clone());
     sim.run_until_quiescent(300);

@@ -1,15 +1,12 @@
 //! Schema regression for the sweep examples' `--json` output, against the
-//! committed `BENCH_PR9.json` / `BENCH_PR10.json` snapshots **and** against
-//! the emitter itself.
+//! emitter itself.
 //!
 //! The six sweep examples emit one JSON object per row (`topic_sweep`: one
-//! object in all); downstream consumers (the BENCH snapshots, plotting
-//! scripts, the CI drift gate) key on the field names.  Every test here
-//! holds one expected key list against both sides: the rows of the
-//! committed snapshot, and the rows the registered sweep writes right now
-//! through `pmcast::sim::sweep` in JSON mode (quick profile, in-process) —
-//! renaming or dropping a column fails here instead of silently breaking
-//! the snapshot lineage.
+//! object in all); downstream consumers (plotting scripts, the CI drift
+//! gate) key on the field names.  Every test here holds one expected key
+//! list against the rows the registered sweep writes right now through
+//! `pmcast::sim::sweep` in JSON mode (quick profile, in-process) — renaming
+//! or dropping a column fails here instead of silently breaking them.
 //!
 //! The prediction fields themselves (`predicted`, `predicted_rounds`,
 //! `model_in_domain`) are additionally checked straight from a
@@ -19,18 +16,6 @@ use serde::Value;
 
 use pmcast::sim::sweep;
 use pmcast::{predict, Scenario, TopicWorkload};
-
-/// Parses a committed snapshot.
-fn bench(file: &str) -> Value {
-    let raw = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
-        .unwrap_or_else(|_| panic!("{file} is committed at the workspace root"));
-    serde_json::from_str(&raw).unwrap_or_else(|_| panic!("{file} is valid JSON"))
-}
-
-/// Parses the committed paper-scale gate snapshot.
-fn bench_pr9() -> Value {
-    bench("BENCH_PR9.json")
-}
 
 /// Runs a registered sweep at the quick profile in JSON mode, in-process,
 /// and parses every line the emitter wrote.
@@ -46,19 +31,14 @@ fn emitted(name: &str) -> Vec<Value> {
         .collect()
 }
 
-/// Holds one expected key list against the snapshot's rows and against the
-/// rows the sweep emits now.
+/// Holds one expected key list against the rows the sweep emits now.
 fn assert_schema(name: &str, expected: &[&str]) {
-    let bench = bench_pr9();
-    for (i, row) in rows(&bench, name).iter().enumerate() {
-        assert_exact_keys(row, expected, &format!("{name}[{i}]"));
-    }
     for (i, row) in emitted(name).iter().enumerate() {
         assert_exact_keys(row, expected, &format!("emitted {name}[{i}]"));
     }
 }
 
-/// A required field of a snapshot row.
+/// A required field of a row.
 fn field<'a>(row: &'a Value, key: &str, context: &str) -> &'a Value {
     row.get(key).unwrap_or_else(|| panic!("{context}: missing field `{key}`"))
 }
@@ -77,15 +57,6 @@ fn boolean(row: &Value, key: &str, context: &str) -> bool {
         .unwrap_or_else(|| panic!("{context}: `{key}` is not a boolean"))
 }
 
-/// The rows of one sweep section of the snapshot.
-fn rows<'a>(bench: &'a Value, sweep: &str) -> &'a [Value] {
-    bench
-        .get("sweeps")
-        .and_then(|sweeps| sweeps.get(sweep))
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("snapshot has a `sweeps.{sweep}` array"))
-}
-
 /// Asserts a row is an object carrying exactly `expected` keys.
 fn assert_exact_keys(row: &Value, expected: &[&str], context: &str) {
     let object = row.as_object().unwrap_or_else(|| panic!("{context}: row is not an object"));
@@ -98,8 +69,7 @@ fn assert_exact_keys(row: &Value, expected: &[&str], context: &str) {
     for (key, _) in object {
         assert!(
             expected.contains(&key.as_str()),
-            "{context}: unexpected field `{key}` (schema change? update this test \
-             and regenerate BENCH_PR9.json together)"
+            "{context}: unexpected field `{key}` (schema change? update this test)"
         );
     }
 }
@@ -107,8 +77,8 @@ fn assert_exact_keys(row: &Value, expected: &[&str], context: &str) {
 /// The scenario-level prediction fields every gated row carries.
 const PREDICTION_FIELDS: [&str; 3] = ["predicted", "predicted_rounds", "model_in_domain"];
 
-/// A row's `predicted` cell emits exactly the three fields the snapshots
-/// key on.
+/// A row's `predicted` cell emits exactly the three fields consumers key
+/// on.
 #[test]
 fn prediction_json_fields_match_the_documented_names() {
     let scenario = Scenario::builder().group(6, 3).matching_rate(0.5).build();
@@ -122,22 +92,6 @@ fn prediction_json_fields_match_the_documented_names() {
     assert!(float(&wrapped, "predicted", "predicted cell").is_finite());
     assert!(field(&wrapped, "predicted_rounds", "predicted cell").as_u64().is_some());
     boolean(&wrapped, "model_in_domain", "predicted cell");
-}
-
-#[test]
-fn bench_pr9_snapshot_has_all_five_sweeps() {
-    let bench = bench_pr9();
-    assert_eq!(field(&bench, "pr", "snapshot").as_u64(), Some(9));
-    assert!(float(&bench, "tolerance", "snapshot") > 0.0);
-    for sweep in [
-        "reliability_sweep",
-        "partial_view_sweep",
-        "churn_sweep",
-        "adversarial_sweep",
-        "scale_sweep",
-    ] {
-        assert!(!rows(&bench, sweep).is_empty(), "sweeps.{sweep} has rows");
-    }
 }
 
 #[test]
@@ -203,95 +157,27 @@ fn scale_sweep_rows_keep_their_schema() {
 #[test]
 fn topic_sweep_object_keeps_its_schema() {
     // One object in all: sweep-level fields, the hashcons counters and one
-    // row per routing arm, pinned by `BENCH_PR10.json`'s `topic_sweep`.
-    let snapshot = bench("BENCH_PR10.json");
+    // row per routing arm.
     let emitted = emitted("topic_sweep");
     assert_eq!(emitted.len(), 1, "topic_sweep emits a single object");
-    for (context, object) in [
-        ("BENCH_PR10.topic_sweep", field(&snapshot, "topic_sweep", "snapshot")),
-        ("emitted topic_sweep", &emitted[0]),
-    ] {
-        let expected = ["n", "topics", "subscriptions_per_process", "events", "publish_rounds",
-            "zipf_exponent", "hashcons", "rows"];
-        assert_exact_keys(object, &expected, context);
-        let hashcons = ["requested", "built", "hit_rate", "alloc_reduction"];
-        let counters = field(object, "hashcons", context);
-        assert_exact_keys(counters, &hashcons, &format!("{context}.hashcons"));
-        let arms = field(object, "rows", context).as_array().expect("`rows` is an array");
-        assert_eq!(arms.len(), 3, "{context}: oracle, summary, blind");
-        for (i, row) in arms.iter().enumerate() {
-            let arm = ["routing", "events_per_sec", "reliability", "spurious_ratio", "messages"];
-            assert_exact_keys(row, &arm, &format!("{context}.rows[{i}]"));
-        }
+    let (context, object) = ("emitted topic_sweep", &emitted[0]);
+    let expected = ["n", "topics", "subscriptions_per_process", "events", "publish_rounds",
+        "zipf_exponent", "hashcons", "rows"];
+    assert_exact_keys(object, &expected, context);
+    let hashcons = ["requested", "built", "hit_rate", "alloc_reduction"];
+    let counters = field(object, "hashcons", context);
+    assert_exact_keys(counters, &hashcons, &format!("{context}.hashcons"));
+    let arms = field(object, "rows", context).as_array().expect("`rows` is an array");
+    assert_eq!(arms.len(), 3, "{context}: oracle, summary, blind");
+    for (i, row) in arms.iter().enumerate() {
+        let arm = ["routing", "events_per_sec", "reliability", "spurious_ratio", "messages"];
+        assert_exact_keys(row, &arm, &format!("{context}.rows[{i}]"));
     }
     // The envelope reports the workload that ran, not literals: the sweep
     // builds `TopicWorkload::new(topics, 3, events)` and leaves the skew at
     // the constructor's default.
-    let context = "emitted topic_sweep";
     let count = |key: &str| float(&emitted[0], key, context) as usize;
     let workload = TopicWorkload::new(count("topics"), 3, count("events"));
     assert_eq!(count("subscriptions_per_process"), workload.subscriptions_per_process);
     assert_eq!(float(&emitted[0], "zipf_exponent", context), workload.zipf_exponent);
-}
-
-#[test]
-fn snapshot_rows_respect_the_paper_tolerance() {
-    // The snapshot is the paper-scale gate made durable: every in-domain
-    // prediction in it must sit within the recorded tolerance of its
-    // simulated value (flat rows at twice the base — invariant 9).
-    let bench = bench_pr9();
-    let tolerance = float(&bench, "tolerance", "snapshot");
-    let mut gated = 0usize;
-
-    let mut check = |label: String, simulated: f64, predicted: f64, scale: f64| {
-        let budget = tolerance * scale;
-        assert!(
-            (simulated - predicted).abs() <= budget,
-            "{label}: simulated {simulated} vs predicted {predicted} \
-             exceeds tolerance {budget}"
-        );
-        gated += 1;
-    };
-
-    for (i, row) in rows(&bench, "reliability_sweep").iter().enumerate() {
-        let context = format!("reliability_sweep[{i}]");
-        if boolean(row, "model_in_domain", &context) {
-            let simulated = float(row, "delivery_simulated", &context);
-            let predicted = float(row, "predicted", &context);
-            check(context, simulated, predicted, 1.0);
-        }
-    }
-    for (i, row) in rows(&bench, "partial_view_sweep").iter().enumerate() {
-        let context = format!("partial_view_sweep[{i}]");
-        if boolean(row, "model_in_domain", &context) {
-            let flat = field(row, "membership", &context)
-                .as_str()
-                .is_some_and(|m| m.starts_with("flat"));
-            let simulated = float(row, "pmcast", &context);
-            let predicted = float(row, "predicted", &context);
-            check(context, simulated, predicted, if flat { 2.0 } else { 1.0 });
-        }
-    }
-    for sweep in ["churn_sweep", "adversarial_sweep"] {
-        for (i, row) in rows(&bench, sweep).iter().enumerate() {
-            for provider in ["global", "delegate", "flat"] {
-                let context = format!("{sweep}[{i}].{provider}");
-                if boolean(row, &format!("{provider}_in_domain"), &context) {
-                    let simulated = float(row, provider, &context);
-                    let predicted = float(row, &format!("{provider}_predicted"), &context);
-                    let scale = if provider == "flat" { 2.0 } else { 1.0 };
-                    check(context, simulated, predicted, scale);
-                }
-            }
-        }
-    }
-    for (i, row) in rows(&bench, "scale_sweep").iter().enumerate() {
-        let context = format!("scale_sweep[{i}]");
-        if boolean(row, "model_in_domain", &context) {
-            let simulated = float(row, "delivery_ratio", &context);
-            let predicted = float(row, "predicted", &context);
-            check(context, simulated, predicted, 1.0);
-        }
-    }
-    assert!(gated >= 10, "the paper snapshot gates a real row population, got {gated}");
 }
