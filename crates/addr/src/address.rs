@@ -28,7 +28,7 @@ use crate::{AddrError, Component, Depth, Prefix};
 ///
 /// let addr: Address = "128.178.73".parse()?;
 /// assert_eq!(addr.depth(), 3);
-/// assert_eq!(addr.component(2), Some(178));
+/// assert_eq!(addr.components()[1], 178);
 /// assert_eq!(addr.to_string(), "128.178.73");
 /// # Ok(())
 /// # }
@@ -73,15 +73,6 @@ impl Address {
         self.components.len()
     }
 
-    /// Returns the component at the given 1-based level, or `None` if the
-    /// level exceeds the depth.
-    pub fn component(&self, level: Depth) -> Option<Component> {
-        if level == 0 {
-            return None;
-        }
-        self.components().get(level - 1).copied()
-    }
-
     /// Returns all components as a slice.
     #[inline]
     pub fn components(&self) -> &[Component] {
@@ -114,36 +105,6 @@ impl Address {
     /// Returns the full address viewed as a prefix (all `d` components).
     pub fn as_prefix(&self) -> Prefix {
         Prefix::from_parts(self.components.clone())
-    }
-
-    /// Returns the longest common prefix of `self` and `other`.
-    pub fn common_prefix(&self, other: &Address) -> Prefix {
-        let shared = self
-            .components()
-            .iter()
-            .zip(other.components())
-            .take_while(|(a, b)| a == b)
-            .count();
-        Prefix::from_slice(&self.components()[..shared])
-    }
-
-    /// Returns the distance between two processes as defined in Section 2.2:
-    /// if the longest shared prefix has `L` components (i.e. is of depth
-    /// `L + 1`), the distance is `d − L`.  Two identical addresses have
-    /// distance 0; two addresses differing already in their first component
-    /// have distance `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two addresses have different depths, which would make
-    /// the distance meaningless.
-    pub fn distance(&self, other: &Address) -> usize {
-        assert_eq!(
-            self.depth(),
-            other.depth(),
-            "distance is only defined between addresses of equal depth"
-        );
-        self.depth() - self.common_prefix(other).len()
     }
 
     /// Returns `true` if this address starts with the given prefix, i.e. the
@@ -236,10 +197,6 @@ mod tests {
     fn depth_and_components() {
         let a = addr("3.17.5");
         assert_eq!(a.depth(), 3);
-        assert_eq!(a.component(1), Some(3));
-        assert_eq!(a.component(3), Some(5));
-        assert_eq!(a.component(4), None);
-        assert_eq!(a.component(0), None);
         assert_eq!(a.components(), &[3, 17, 5]);
     }
 
@@ -259,20 +216,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn prefix_of_depth_zero_panics() {
         addr("1.2.3").prefix_of_depth(0);
-    }
-
-    #[test]
-    fn common_prefix_and_distance() {
-        let a = addr("128.178.73.3");
-        let b = addr("128.178.41.21");
-        let c = addr("18.12.2.183");
-        assert_eq!(a.common_prefix(&b).len(), 2);
-        assert_eq!(a.distance(&b), 2);
-        assert_eq!(a.common_prefix(&c), Prefix::root());
-        assert_eq!(a.distance(&c), 4);
-        assert_eq!(a.distance(&a), 0);
-        // Distance is symmetric.
-        assert_eq!(a.distance(&b), b.distance(&a));
     }
 
     #[test]
@@ -324,7 +267,6 @@ mod tests {
         assert_eq!(deep.to_string(), "1.2.3.4.5.6.7.8.9.10");
         assert_eq!(deep.prefix_of_depth(10).len(), 9);
         assert_eq!(deep.prefix_of_depth(10).child(10), deep.as_prefix());
-        assert_eq!(deep.as_prefix().parent(), Some(deep.prefix_of_depth(10)));
         assert!(deep.has_prefix(&deep.prefix_of_depth(9)));
         assert!(addr("1.2.3.4.5.6.7.8.9.9") < deep && deep < addr("1.2.3.4.5.6.7.9"));
         let json = serde_json::to_string(&deep).unwrap();
@@ -336,11 +278,5 @@ mod tests {
     #[should_panic(expected = "at least one component")]
     fn empty_address_panics() {
         let _ = Address::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal depth")]
-    fn distance_requires_equal_depth() {
-        let _ = addr("1.2").distance(&addr("1.2.3"));
     }
 }

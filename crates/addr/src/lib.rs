@@ -1,4 +1,4 @@
-//! # pmcast-addr — hierarchical addresses, prefixes and distances
+//! # pmcast-addr — hierarchical addresses, prefixes and address spaces
 //!
 //! This crate implements the membership *address model* of
 //! *Probabilistic Multicast* (Eugster & Guerraoui, DSN 2002), Section 2.2.
@@ -29,9 +29,9 @@
 //! space.validate(&a)?;
 //! space.validate(&b)?;
 //!
-//! // a and b share the depth-2 prefix "3", so their distance is d - 1 = 2.
-//! assert_eq!(a.distance(&b), 2);
-//! assert_eq!(a.common_prefix(&b), Prefix::from_components(vec![3]));
+//! // a and b share the depth-2 prefix "3".
+//! assert_eq!(a.prefix_of_depth(2), Prefix::from_components(vec![3]));
+//! assert!(b.has_prefix(&a.prefix_of_depth(2)));
 //! # Ok(())
 //! # }
 //! ```

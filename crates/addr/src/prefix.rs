@@ -4,7 +4,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use crate::components::Components;
-use crate::{AddrError, Address, Component, Depth};
+use crate::{AddrError, Address, Component};
 
 /// A partial address `x(1).⋯.x(i−1)` denoting a subgroup of the tree.
 ///
@@ -15,8 +15,8 @@ use crate::{AddrError, Address, Component, Depth};
 /// components.
 ///
 /// Like an [`Address`], a prefix keeps up to seven components inline and
-/// spills to the heap beyond, so deriving a child, a parent or an address's
-/// prefix allocates nothing at the depths this workspace simulates.
+/// spills to the heap beyond, so deriving a child or an address's prefix
+/// allocates nothing at the depths this workspace simulates.
 ///
 /// # Example
 ///
@@ -24,7 +24,7 @@ use crate::{AddrError, Address, Component, Depth};
 /// use pmcast_addr::{Address, Prefix};
 ///
 /// let subnet = Prefix::from_components(vec![128, 178]);
-/// assert_eq!(subnet.depth(), 3);
+/// assert_eq!(subnet.len(), 2);
 /// let host: Address = "128.178.73.3".parse().unwrap();
 /// assert!(host.has_prefix(&subnet));
 /// assert_eq!(subnet.child(73), Prefix::from_components(vec![128, 178, 73]));
@@ -76,11 +76,6 @@ impl Prefix {
         self.components.len() == 0
     }
 
-    /// Returns the prefix depth as used in the paper: `len() + 1`.
-    pub fn depth(&self) -> Depth {
-        self.components.len() + 1
-    }
-
     /// Returns the components of the prefix.
     #[inline]
     pub fn components(&self) -> &[Component] {
@@ -95,18 +90,6 @@ impl Prefix {
         }
     }
 
-    /// Returns the parent prefix (one component shorter), or `None` for the
-    /// root prefix.
-    pub fn parent(&self) -> Option<Prefix> {
-        let (_, parent) = self.components().split_last()?;
-        Some(Prefix::from_slice(parent))
-    }
-
-    /// Returns `true` if the given address belongs to the subgroup denoted by
-    /// this prefix.
-    pub fn contains(&self, address: &Address) -> bool {
-        address.has_prefix(self)
-    }
 }
 
 impl fmt::Display for Prefix {
@@ -152,37 +135,17 @@ mod tests {
         let root = Prefix::root();
         assert!(root.is_empty());
         assert_eq!(root.len(), 0);
-        assert_eq!(root.depth(), 1);
-        assert_eq!(root.parent(), None);
         assert_eq!(root.to_string(), "∅");
         assert_eq!(Prefix::default(), root);
     }
 
     #[test]
-    fn child_and_parent_are_inverse() {
+    fn child_extends_by_one_component() {
         let p = Prefix::from_components(vec![128, 178]);
         let c = p.child(73);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.parent(), Some(p.clone()));
+        assert!(c.components().starts_with(p.components()));
         assert_eq!(c.components().last(), Some(&73));
-    }
-
-    #[test]
-    fn depth_convention_matches_paper() {
-        // A prefix of depth i has i - 1 components (Section 2.2).
-        assert_eq!(Prefix::root().depth(), 1);
-        assert_eq!(Prefix::from_components(vec![128]).depth(), 2);
-        assert_eq!(Prefix::from_components(vec![128, 178, 73]).depth(), 4);
-    }
-
-    #[test]
-    fn contains_addresses() {
-        let p = Prefix::from_components(vec![128, 178]);
-        let inside: Address = "128.178.73.3".parse().unwrap();
-        let outside: Address = "128.179.73.3".parse().unwrap();
-        assert!(p.contains(&inside));
-        assert!(!p.contains(&outside));
-        assert!(Prefix::root().contains(&inside));
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct InfectionChain {
     /// except for the empty-group corner case).
     distribution: Vec<f64>,
     lnf: LnFactorial,
-    rounds_elapsed: u32,
 }
 
 impl InfectionChain {
@@ -90,23 +89,7 @@ impl InfectionChain {
             q: 1.0 - p,
             distribution,
             lnf: LnFactorial::new(),
-            rounds_elapsed: 0,
         }
-    }
-
-    /// Number of processes in the group.
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Number of rounds simulated so far.
-    pub fn rounds_elapsed(&self) -> u32 {
-        self.rounds_elapsed
-    }
-
-    /// The current distribution `P[s_t = k]` for `k = 0..=n`.
-    pub fn distribution(&self) -> &[f64] {
-        &self.distribution
     }
 
     /// Transition probability `P[s_{t+1} = k | s_t = j]` (Equation 9).
@@ -141,7 +124,6 @@ impl InfectionChain {
             }
         }
         self.distribution = next;
-        self.rounds_elapsed += 1;
     }
 
     /// Advances the chain by the given number of rounds.
@@ -158,15 +140,6 @@ impl InfectionChain {
             .enumerate()
             .map(|(k, &p)| k as f64 * p)
             .sum()
-    }
-
-    /// Probability that a *given* process is infected (by symmetry,
-    /// `E[s_t] / n`).
-    pub fn probability_process_infected(&self) -> f64 {
-        if self.group_size == 0 {
-            return 0.0;
-        }
-        self.expected_infected() / self.group_size as f64
     }
 }
 
@@ -208,10 +181,10 @@ mod tests {
     #[test]
     fn distribution_stays_normalised() {
         let mut chain = InfectionChain::new(40, 2.0, &EnvParams::default());
-        for _ in 0..15 {
+        for round in 1..=15 {
             chain.step();
-            let total: f64 = chain.distribution().iter().sum();
-            assert!((total - 1.0).abs() < 1e-7, "round {} total {total}", chain.rounds_elapsed());
+            let total: f64 = chain.distribution.iter().sum();
+            assert!((total - 1.0).abs() < 1e-7, "round {round} total {total}");
         }
     }
 
@@ -231,9 +204,8 @@ mod tests {
     fn everyone_gets_infected_eventually_without_losses() {
         let mut chain = InfectionChain::new(30, 3.0, &lossless());
         chain.run(25);
-        assert!(*chain.distribution().last().unwrap() > 0.999);
+        assert!(*chain.distribution.last().unwrap() > 0.999);
         assert!((chain.expected_infected() - 30.0).abs() < 0.01);
-        assert!(chain.probability_process_infected() > 0.999);
     }
 
     #[test]
@@ -282,11 +254,11 @@ mod tests {
         let env = lossless();
         let chain = InfectionChain::with_initial_infected(20, 2.0, &env, 2.5);
         assert!((chain.expected_infected() - 2.5).abs() < 1e-12);
-        assert!((chain.distribution()[2] - 0.5).abs() < 1e-12);
-        assert!((chain.distribution()[3] - 0.5).abs() < 1e-12);
+        assert!((chain.distribution[2] - 0.5).abs() < 1e-12);
+        assert!((chain.distribution[3] - 0.5).abs() < 1e-12);
         // Integer seeds collapse to a single state; 1.0 is `new`.
         let unit = InfectionChain::with_initial_infected(20, 2.0, &env, 1.0);
-        assert_eq!(unit.distribution(), InfectionChain::new(20, 2.0, &env).distribution());
+        assert_eq!(unit.distribution, InfectionChain::new(20, 2.0, &env).distribution);
         // Out-of-range seeds clamp to the group.
         let all = InfectionChain::with_initial_infected(5, 2.0, &env, 99.0);
         assert!((all.expected_infected() - 5.0).abs() < 1e-12);
@@ -305,10 +277,9 @@ mod tests {
     #[test]
     fn initial_state_is_one_infected_process() {
         let chain = InfectionChain::new(10, 2.0, &lossless());
-        assert_eq!(chain.group_size(), 10);
-        assert_eq!(chain.rounds_elapsed(), 0);
+        assert_eq!(chain.group_size, 10);
         assert!((chain.expected_infected() - 1.0).abs() < 1e-12);
-        assert_eq!(chain.distribution()[1], 1.0);
+        assert_eq!(chain.distribution[1], 1.0);
     }
 
     #[test]
@@ -316,11 +287,10 @@ mod tests {
         let mut empty = InfectionChain::new(0, 2.0, &lossless());
         empty.step();
         assert_eq!(empty.expected_infected(), 0.0);
-        assert_eq!(empty.probability_process_infected(), 0.0);
 
         let mut single = InfectionChain::new(1, 2.0, &lossless());
         single.run(3);
         assert!((single.expected_infected() - 1.0).abs() < 1e-12);
-        assert!((single.distribution().last().unwrap() - 1.0).abs() < 1e-12);
+        assert!((single.distribution.last().unwrap() - 1.0).abs() < 1e-12);
     }
 }

@@ -74,16 +74,6 @@ impl TreeModel {
         Self { group, env }
     }
 
-    /// The group shape being modelled.
-    pub fn group(&self) -> GroupParams {
-        self.group
-    }
-
-    /// The environment being modelled.
-    pub fn env(&self) -> EnvParams {
-        self.env
-    }
-
     /// Number of processes represented by one delegate of the given depth:
     /// `a^(d − i)` (Equation 4 in a regular tree).
     pub fn represented_processes(&self, depth: usize) -> f64 {
@@ -252,9 +242,9 @@ pub(crate) struct DepthPhase {
 ///
 /// Fractional audiences interpolate linearly between the two neighbouring
 /// integer chains so the model has no rounding cliffs; audiences below one
-/// entity degenerate to the audience size itself (the historical pessimistic
-/// reading: with less than one interested entity in expectation the
-/// multicast fizzles).
+/// entity degenerate to the audience size itself (the pessimistic reading:
+/// with less than one interested entity in expectation the multicast
+/// fizzles).
 pub(crate) fn infected_fraction(
     entities: f64,
     fanout: f64,
@@ -427,9 +417,9 @@ mod tests {
         let fast = TreeModel::new(
             GroupParams {
                 fanout: 5,
-                ..base.group()
+                ..base.group
             },
-            base.env(),
+            base.env,
         );
         assert!(fast.total_rounds(0.5) <= base.total_rounds(0.5));
     }

@@ -2,7 +2,10 @@
 //! interest regrouping, delegate election / view construction, matching-rate
 //! computation and one gossip round of a mid-sized group.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmcast_addr::{AddressSpace, Prefix};
@@ -81,7 +84,7 @@ fn bench(c: &mut Criterion) {
             );
             let mut sim = Simulation::new(built.processes, NetworkConfig::reliable(1));
             sim.process_mut(ProcessId(0)).pmcast(Event::builder(4).build());
-            let mut reached = vec![false; sim.process_count()];
+            let mut reached = vec![false; big.member_count()];
             let mut received = 0;
             while received < 1_000 {
                 sim.step();
@@ -460,7 +463,7 @@ fn bench(c: &mut Criterion) {
     // capacity).  This is the pmcast-net analogue of
     // `gossip_clone_zero_copy`: the per-message floor of the daemon's
     // sustained publish loop.
-    let (net_transport, net_mailboxes) = ChannelTransport::new(64, 2);
+    let (net_transport, net_mailboxes) = ChannelTransport::with_loss(64, 2, 0.0, 0);
     let net_gossip = Gossip::new(
         Event::builder(501).int("b", 1).str("symbol", "NESN").build(),
         1,
@@ -474,8 +477,10 @@ fn bench(c: &mut Criterion) {
             let sent =
                 net_transport.send_gossip(ProcessId(0), ProcessId(1), net_gossip.clone(), 64);
             debug_assert!(sent);
-            match net_mailboxes[1].try_recv().expect("frame queued") {
-                Frame::Gossip { gossip, .. } => {
+            // One poll of the mailbox future: the frame is already queued.
+            let mut cx = Context::from_waker(Waker::noop());
+            match Pin::new(&mut net_mailboxes[1].recv()).poll(&mut cx) {
+                Poll::Ready(Ok(Frame::Gossip { gossip, .. })) => {
                     let fresh = net_seen.push(gossip.event.id());
                     net_transport.mark_processed(1);
                     fresh
@@ -606,7 +611,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
     group.sample_size(10);
     group.bench_function("sparse_group_build_n1m", |b| {
-        b.iter(|| SharedViews::build(&million_tree, 3).member_count())
+        b.iter(|| SharedViews::build(&million_tree, 3).addresses().len())
     });
     group.finish();
 }

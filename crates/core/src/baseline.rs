@@ -39,6 +39,7 @@ use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::{ProcessId, RoundContext, RoundProcess};
 use rustc_hash::FxHashMap;
 
+use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::{BufferedGossip, Gossip, PmcastConfig, ProtocolGroup};
 
 /// Gossip **broadcast** with filtering on delivery: every process forwards
@@ -74,7 +75,7 @@ pub(crate) trait FlatPolicy: Sized {
 /// The Pittel round budget for gossiping among `size` processes.
 fn round_budget(config: &PmcastConfig, size: usize) -> u32 {
     pittel::round_budget(size as f64, config.fanout as f64, &config.env)
-        .min(config.max_rounds_per_depth)
+        .min(MAX_ROUNDS_PER_DEPTH)
 }
 
 /// What every process of one group shares, stored once behind one [`Arc`].
@@ -247,9 +248,8 @@ impl EventDirectory {
 }
 
 /// The fanout-candidate pool of a buffered entry, resolved **once** when
-/// the entry is accepted — the per-round O(audience) candidate rebuild this
-/// replaces was a ROADMAP open item (guarded by the `genuine_rounds_n512`
-/// micro-bench case).
+/// the entry is accepted, so a gossip round never rebuilds an O(audience)
+/// candidate list (guarded by the `genuine_rounds_n512` micro-bench case).
 #[derive(Debug, Clone)]
 pub(crate) enum Pool {
     /// Flooding: the membership view's peer enumeration (the whole group

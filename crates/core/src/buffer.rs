@@ -101,11 +101,6 @@ impl GossipBuffers {
         }
     }
 
-    /// The tree depth these buffers cover.
-    pub fn depth(&self) -> Depth {
-        self.depth
-    }
-
     /// Returns `true` if the event was ever inserted at any depth.
     pub fn has_seen(&self, event: EventId) -> bool {
         self.seen.contains(event)
@@ -238,14 +233,14 @@ mod tests {
         let mut buffers = GossipBuffers::new(4);
         assert!(buffers.is_empty());
         assert_eq!(buffers.len(), 0);
-        assert_eq!(buffers.depth(), 4);
+        assert_eq!(buffers.depth, 4);
         assert!(buffers.at_depth(4).is_empty());
         assert_eq!(buffers.min_buffered_id(), None);
         // Nothing was inserted yet: no per-depth vector exists.
         assert_eq!(buffers.by_depth.capacity(), 0);
         assert!(buffers.insert(4, gossip(3)));
         assert_eq!(buffers.by_depth.len(), 4);
-        assert_eq!(buffers.depth(), 4);
+        assert_eq!(buffers.depth, 4);
         assert!(buffers.at_depth(1).is_empty());
         assert_eq!(buffers.at_depth(4).len(), 1);
     }

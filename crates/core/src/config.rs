@@ -22,6 +22,11 @@ impl Default for TuningConfig {
     }
 }
 
+/// Hard cap on the per-depth round budget, protecting against degenerate
+/// estimates: an effective fanout near zero sends Pittel's estimate to
+/// infinity.
+pub(crate) const MAX_ROUNDS_PER_DEPTH: u32 = 64;
+
 /// Configuration of the pmcast protocol (the parameters of Figure 3 plus
 /// the environmental estimates of Section 3.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,14 +40,8 @@ pub struct PmcastConfig {
     pub env: EnvParams,
     /// Optional audience-inflation tuning for small matching rates.
     pub tuning: Option<TuningConfig>,
-    /// Skip root depths in which only the multicaster's own subtree is
-    /// interested (Section 3.2, last paragraph).
-    pub local_interest_shortcut: bool,
-    /// Hard cap on the per-depth round budget, protecting against degenerate
-    /// estimates.
-    pub max_rounds_per_depth: u32,
     /// How the fanout draw decides which subtrees are worth gossiping into
-    /// (defaults to [`InterestRouting::Oracle`], the historical behaviour).
+    /// (defaults to [`InterestRouting::Oracle`], the paper's model).
     #[serde(default)]
     pub interest_routing: InterestRouting,
 }
@@ -56,8 +55,8 @@ pub struct PmcastConfig {
 /// comparison isolates the routing decision itself.
 ///
 /// Stream-neutrality: routing decisions are pure functions of the view and
-/// the event — none of them consume randomness — so scenarios that do not
-/// opt in stay bit-identical to the historical goldens.
+/// the event — none of them consume randomness — so the three arms of one
+/// scenario draw the same fanout targets from the same stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InterestRouting {
     /// Consult the global interest oracle per target (the paper's model:
@@ -83,8 +82,6 @@ impl Default for PmcastConfig {
             fanout: 2,
             env: EnvParams::default(),
             tuning: None,
-            local_interest_shortcut: false,
-            max_rounds_per_depth: 64,
             interest_routing: InterestRouting::default(),
         }
     }
@@ -149,7 +146,6 @@ mod tests {
         assert_eq!(config.redundancy, 3);
         assert_eq!(config.fanout, 2);
         assert!(config.tuning.is_none());
-        assert!(!config.local_interest_shortcut);
         config.validate();
     }
 
@@ -171,7 +167,6 @@ mod tests {
         let config = PmcastConfig {
             redundancy: 5,
             env: lossless,
-            local_interest_shortcut: true,
             ..PmcastConfig::default()
         }
         .with_fanout(4)
@@ -180,7 +175,6 @@ mod tests {
         assert_eq!(config.fanout, 4);
         assert_eq!(config.env, lossless);
         assert_eq!(config.tuning, Some(TuningConfig { threshold: 12 }));
-        assert!(config.local_interest_shortcut);
         config.validate();
         assert_eq!(TuningConfig::default().threshold, 10);
     }
@@ -220,8 +214,7 @@ mod tests {
         let json = r#"{
             "redundancy": 3, "fanout": 2,
             "env": {"loss_probability": 0.0, "crash_probability": 0.0, "pittel_constant": 2.0},
-            "tuning": null, "local_interest_shortcut": false,
-            "max_rounds_per_depth": 64
+            "tuning": null
         }"#;
         let back: PmcastConfig = serde_json::from_str(json).unwrap();
         assert_eq!(back.interest_routing, InterestRouting::Oracle);

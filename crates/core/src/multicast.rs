@@ -26,8 +26,8 @@
 //! Protocols draw their fanout candidates from a [`MembershipView`], never
 //! from the group definition directly: under
 //! [`GlobalOracleView`](pmcast_membership::GlobalOracleView) every process
-//! knows the whole group (the historical construction, bit-identical to
-//! it), [`PartialView`](pmcast_membership::PartialView) bounds each
+//! knows the whole group (stateless and stream-neutral: the construction
+//! the goldens pin), [`PartialView`](pmcast_membership::PartialView) bounds each
 //! process to a flat gossip-maintained partial view, and
 //! [`DelegateView`](pmcast_membership::DelegateView) maintains the paper's
 //! hierarchical per-depth delegate tables — candidates a process does not

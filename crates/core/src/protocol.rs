@@ -7,6 +7,7 @@ use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopolo
 use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess};
 use rand::Rng;
 
+use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::{
     BufferedGossip, Gossip, GossipBuffers, GossipTarget, InterestRouting, PmcastConfig,
     ProtocolGroup, SharedViews,
@@ -86,12 +87,12 @@ impl GroupContext {
         let effective_size = view_len as f64 * rate;
         let effective_fanout = self.config.fanout as f64 * rate;
         pittel::round_budget(effective_size, effective_fanout, &self.config.env)
-            .min(self.config.max_rounds_per_depth)
+            .min(MAX_ROUNDS_PER_DEPTH)
     }
 
     /// Whether a drawn gossip destination should be sent the event.
     ///
-    /// Under [`InterestRouting::Oracle`] (the historical behaviour) the
+    /// Under [`InterestRouting::Oracle`] (the default) the
     /// target's subtree must be interested per the oracle, or audience
     /// inflation designates it (it is among the first `h` entries of the
     /// view).  Under [`InterestRouting::Summary`] the candidate pool was
@@ -247,11 +248,6 @@ impl PmcastProcess {
         &self.address
     }
 
-    /// The process's dense simulation identifier.
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
-
     /// Returns `true` if the given event was delivered to the application
     /// (`HPDELIVER` in Figure 3).
     pub fn has_delivered(&self, event: EventId) -> bool {
@@ -263,11 +259,6 @@ impl PmcastProcess {
     /// measures exactly this for uninterested processes.
     pub fn has_received(&self, event: EventId) -> bool {
         self.buffers.has_seen(event)
-    }
-
-    /// Current number of buffered gossip entries.
-    pub fn buffered(&self) -> usize {
-        self.buffers.len()
     }
 
     /// Multicasts an event (`PMCAST` in Figure 3).
@@ -285,41 +276,18 @@ impl PmcastProcess {
     /// entry point).
     ///
     /// Following the prose of Section 3 the event is injected at the root
-    /// depth; with the local-interest shortcut enabled it skips depths in
-    /// which only the multicaster's own subtree is interested.  Publishing
-    /// an event this process has already seen is ignored.
+    /// depth.  Publishing an event this process has already seen is
+    /// ignored.
     pub fn publish(&mut self, event: Arc<Event>) {
         if self.buffers.has_seen(event.id()) {
             return;
         }
-        let depth = self.initial_depth(&event);
         if self.group.oracle.is_interested(&self.address, &event) {
             // `HPDELIVER`: delivery is the identifier entering this set.
             self.delivered_ids.insert(event.id());
         }
-        let entry = self.group.fresh_entry(&self.depth_views[depth - 1], event);
-        self.buffers.insert(depth, entry);
-    }
-
-    /// The depth at which a locally published event starts gossiping.
-    fn initial_depth(&self, event: &Event) -> Depth {
-        let d = self.depth_views.len();
-        if !self.group.config.local_interest_shortcut {
-            return 1;
-        }
-        let mut depth = 1;
-        while depth < d {
-            let own_subtree = &self.address.components()[..depth];
-            let foreign_interest = self.depth_views[depth - 1].iter().any(|target| {
-                target.subgroup.components() != own_subtree
-                    && self.group.oracle.subtree_interested(&target.subgroup, event)
-            });
-            if foreign_interest {
-                break;
-            }
-            depth += 1;
-        }
-        depth
+        let entry = self.group.fresh_entry(&self.depth_views[0], event);
+        self.buffers.insert(1, entry);
     }
 
     /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
@@ -393,7 +361,7 @@ impl PmcastProcess {
                 // test is a pure function of the membership state — no
                 // randomness is touched — and in the other modes the pool
                 // is the shared per-depth candidate list, so the draw
-                // sequence there is bit-identical to the historical one.
+                // sequence there is the one the goldens pin.
                 let pool = if routing == InterestRouting::Summary {
                     group.fill_summary_pool(view, entry, summary_epoch, scratch);
                     #[cfg(test)]
@@ -718,43 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn local_interest_shortcut_skips_the_root() {
-        let topology = small_topology();
-        // Only the sender's own subtree (prefix 2) is interested.
-        let interested: Vec<Address> = ["2.0", "2.1", "2.2"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let oracle: Arc<dyn InterestOracle + Send + Sync> =
-            Arc::new(AssignmentOracle::new(small_topology().space().clone(), interested));
-        let config = PmcastConfig {
-            local_interest_shortcut: true,
-            ..PmcastConfig::default()
-        };
-        let group = build_pmcast_group(&topology, oracle.clone(), global_view(), &config);
-        let sender_index = group
-            .addresses
-            .iter()
-            .position(|a| a.to_string() == "2.0")
-            .unwrap();
-        let mut sender = group
-            .processes
-            .into_iter()
-            .nth(sender_index)
-            .unwrap();
-        let event = Event::builder(7).build();
-        assert_eq!(sender.initial_depth(&event), 2);
-        sender.pmcast(event.clone());
-        // The event was filed directly at the leaf depth.
-        assert_eq!(sender.buffers.at_depth(1).len(), 0);
-        assert_eq!(sender.buffers.at_depth(2).len(), 1);
-
-        // Without the shortcut the event starts at the root.
-        let group2 = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
-        assert_eq!(group2.processes[sender_index].initial_depth(&event), 1);
-    }
-
-    #[test]
     fn message_loss_degrades_but_rarely_destroys_delivery() {
         let oracle = Arc::new(UniformOracle);
         let event = Event::builder(4).build();
@@ -835,7 +766,7 @@ mod tests {
         );
         for p in &processes {
             assert!(p.is_quiescent());
-            assert_eq!(p.buffered(), 0);
+            assert_eq!(p.buffers.len(), 0);
             assert!(p.has_delivered(id));
         }
     }
@@ -1146,9 +1077,9 @@ mod tests {
         let event = Arc::new(Event::builder(12).int("b", 3).build());
         let event_id = event.id();
         process.publish(Arc::clone(&event));
-        let buffered = process.buffered();
+        let buffered = process.buffers.len();
         process.publish(event);
-        assert_eq!(process.buffered(), buffered);
+        assert_eq!(process.buffers.len(), buffered);
         assert!(process.has_delivered(event_id));
         assert_eq!(process.delivered_ids.len(), 1);
     }

@@ -41,7 +41,6 @@ pub type ViewStack = Arc<[DepthView]>;
 #[derive(Debug, Clone)]
 pub struct SharedViews {
     depth: Depth,
-    redundancy: usize,
     // `levels[i]` holds the depth `i + 1` views with the prefix (of `i`
     // components) they belong to, in prefix order, so a lookup is a binary
     // search over borrowed component slices.
@@ -126,7 +125,6 @@ impl SharedViews {
 
         let mut views = Self {
             depth,
-            redundancy,
             levels,
             stacks: Vec::new(),
             addresses: Arc::new(addresses),
@@ -154,19 +152,9 @@ impl SharedViews {
         self.depth
     }
 
-    /// The redundancy factor the views were built with.
-    pub fn redundancy(&self) -> usize {
-        self.redundancy
-    }
-
     /// All member addresses in dense-identifier order.
     pub fn addresses(&self) -> &Arc<Vec<Address>> {
         &self.addresses
-    }
-
-    /// Number of member processes.
-    pub fn member_count(&self) -> usize {
-        self.addresses.len()
     }
 
     /// Position of the given prefix's view within its level.
@@ -215,8 +203,7 @@ mod tests {
     fn build_covers_all_prefixes() {
         let v = views();
         assert_eq!(v.depth(), 3);
-        assert_eq!(v.redundancy(), 2);
-        assert_eq!(v.member_count(), 27);
+        assert_eq!(v.addresses.len(), 27);
         // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views.
         assert_eq!(v.levels.iter().map(Vec::len).sum::<usize>(), 13);
     }
@@ -252,7 +239,7 @@ mod tests {
     /// search for the process's own position relies on.
     fn assert_views_ascend<T: TreeTopology>(topology: &T, redundancy: usize) {
         let v = SharedViews::build(topology, redundancy);
-        assert!(v.member_count() > 0);
+        assert!(!v.addresses.is_empty());
         for address in v.addresses().iter() {
             let stack = v.view_stack(address);
             assert_eq!(stack.len(), v.depth());

@@ -47,7 +47,7 @@ impl From<u64> for EventId {
 ///     .build();
 /// assert_eq!(event.id().0, 42);
 /// assert_eq!(event.get("c"), Some(&AttributeValue::Float(55.5)));
-/// assert_eq!(event.iter().count(), 4);
+/// assert_eq!(event.get("missing"), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
@@ -79,11 +79,6 @@ impl Event {
     /// Returns the value of the named attribute, if present.
     pub fn get(&self, name: &str) -> Option<&AttributeValue> {
         self.attributes.get(name)
-    }
-
-    /// Iterates over `(name, value)` pairs in lexicographic attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &AttributeValue)> {
-        self.attributes.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Inserts (or replaces) an attribute, returning the previous value if
@@ -160,11 +155,6 @@ impl EventBuilder {
         self.attribute(name, AttributeValue::Str(value.into()))
     }
 
-    /// Adds a boolean attribute.
-    pub fn bool(self, name: impl Into<String>, value: bool) -> Self {
-        self.attribute(name, AttributeValue::Bool(value))
-    }
-
     /// Finishes building the event.
     pub fn build(self) -> Event {
         self.event
@@ -181,10 +171,10 @@ mod tests {
             .int("b", 2)
             .float("c", 55.5)
             .str("e", "Bob")
-            .bool("urgent", true)
+            .attribute("urgent", true)
             .build();
         assert_eq!(event.id(), EventId(1));
-        assert_eq!(event.iter().count(), 4);
+        assert_eq!(event.attributes.len(), 4);
         assert_eq!(event.get("b"), Some(&AttributeValue::Int(2)));
         assert_eq!(event.get("e"), Some(&AttributeValue::Str("Bob".into())));
         assert_eq!(event.get("urgent"), Some(&AttributeValue::Bool(true)));
@@ -204,7 +194,7 @@ mod tests {
     #[test]
     fn iteration_is_sorted_by_name() {
         let event = Event::builder(1).int("z", 1).int("a", 2).int("m", 3).build();
-        let names: Vec<&str> = event.iter().map(|(n, _)| n).collect();
+        let names: Vec<&str> = event.attributes.keys().map(String::as_str).collect();
         assert_eq!(names, vec!["a", "m", "z"]);
     }
 

@@ -60,20 +60,10 @@ impl Filter {
         self.criteria.insert(attribute.into(), predicate);
     }
 
-    /// Returns the number of constrained attributes.
-    pub fn len(&self) -> usize {
-        self.criteria.len()
-    }
-
     /// Returns `true` if the filter has no criteria (and therefore matches
     /// every event).
     pub fn is_empty(&self) -> bool {
         self.criteria.is_empty()
-    }
-
-    /// Iterates over `(attribute, predicate)` pairs in attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Predicate)> {
-        self.criteria.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Returns the attribute names constrained by this filter.
@@ -210,10 +200,8 @@ mod tests {
     #[test]
     fn accessors_and_iteration() {
         let filter = figure2_filter();
-        assert_eq!(filter.len(), 3);
         let attributes: Vec<&str> = filter.attributes().collect();
         assert_eq!(attributes, vec!["b", "c", "z"]);
-        assert_eq!(filter.iter().count(), 3);
     }
 
     #[test]
@@ -275,14 +263,14 @@ mod tests {
             .into_iter()
             .collect();
         filter.extend(vec![("c".to_string(), Predicate::gt(0.0))]);
-        assert_eq!(filter.len(), 2);
+        assert_eq!(filter.attributes().count(), 2);
     }
 
     #[test]
     fn bool_attributes_work_in_filters() {
         let filter = Filter::new().with("urgent", Predicate::Eq(AttributeValue::Bool(true)));
-        assert!(filter.matches(&Event::builder(1).bool("urgent", true).build()));
-        assert!(!filter.matches(&Event::builder(2).bool("urgent", false).build()));
+        assert!(filter.matches(&Event::builder(1).attribute("urgent", true).build()));
+        assert!(!filter.matches(&Event::builder(2).attribute("urgent", false).build()));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    window re-bases downward when an identifier below it arrives and
 //!    slides upward when [`EventIdSet::compact_below`] retires its front.
 //! 3. **Sorted vector.**  Identifiers too spread out for a dense window —
-//!    two clusters 2⁴⁰ apart, `{0, u64::MAX}` — live in the sorted vector
-//!    this type used to be, binary-searched.  It is the only shape that can
+//!    two clusters 2⁴⁰ apart, `{0, u64::MAX}` — live in a sorted vector,
+//!    binary-searched.  It is the only shape that can
 //!    serve them: the bitmap's size follows the *span* of the ids, the
 //!    vector's their *count*, so the heap owned is O(len) words whatever an
 //!    identifier's magnitude.  The vector takes the spill's place (one boxed

@@ -96,23 +96,6 @@ impl InterestSummary {
         summary
     }
 
-    /// Returns a summary that matches **every** event (a single empty
-    /// filter).  Useful for wildcard subscribers and for modelling the
-    /// broadcast baseline.
-    pub fn match_all() -> Self {
-        Self::from_filter(Filter::match_all())
-    }
-
-    /// Returns `true` if the summary represents no interests at all.
-    pub fn is_empty(&self) -> bool {
-        self.disjuncts.is_empty()
-    }
-
-    /// Returns the configured bound on the number of disjuncts.
-    pub fn max_disjuncts(&self) -> usize {
-        self.max_disjuncts
-    }
-
     /// Iterates over the disjuncts.
     pub fn iter(&self) -> impl Iterator<Item = &Filter> {
         self.disjuncts.iter()
@@ -239,7 +222,7 @@ mod tests {
     #[test]
     fn empty_summary_matches_nothing() {
         let summary = InterestSummary::empty();
-        assert!(summary.is_empty());
+        assert!(summary.disjuncts.is_empty());
         assert!(!summary.matches(&event_b(1)));
         assert_eq!(summary.to_string(), "⊥");
         assert_eq!(InterestSummary::default(), summary);
@@ -247,7 +230,7 @@ mod tests {
 
     #[test]
     fn match_all_matches_everything() {
-        let summary = InterestSummary::match_all();
+        let summary = InterestSummary::from_filter(Filter::match_all());
         assert!(summary.matches(&event_b(0)));
         assert!(summary.matches(&Event::new(9)));
     }

@@ -31,14 +31,6 @@ impl AttributeValue {
         }
     }
 
-    /// Returns the value as a string slice if it is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            AttributeValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a boolean if it is a `Bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -128,8 +120,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(AttributeValue::Str("Tom".into()).as_str(), Some("Tom"));
-        assert_eq!(AttributeValue::Int(1).as_str(), None);
         assert_eq!(AttributeValue::Bool(false).as_bool(), Some(false));
         assert_eq!(AttributeValue::Int(1).as_bool(), None);
     }

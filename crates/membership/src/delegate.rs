@@ -834,11 +834,6 @@ impl DelegateView {
         self.state.read().expect("delegate view lock poisoned")
     }
 
-    /// The provider's configuration.
-    pub fn config(&self) -> &DelegateViewConfig {
-        &self.config
-    }
-
     /// Returns `true` if the process is currently believed alive.
     pub fn is_live(&self, process: usize) -> bool {
         self.state.read().expect("delegate view lock poisoned").alive[process]

@@ -12,11 +12,6 @@ pub enum MembershipError {
     AlreadyMember(Address),
     /// The address is not a member of the group.
     NotAMember(Address),
-    /// A join was attempted through a contact process that is itself not a
-    /// member.
-    UnknownContact(Address),
-    /// The group has no members, so the requested operation is meaningless.
-    EmptyGroup,
 }
 
 impl fmt::Display for MembershipError {
@@ -25,10 +20,6 @@ impl fmt::Display for MembershipError {
             MembershipError::InvalidAddress(e) => write!(f, "invalid address: {e}"),
             MembershipError::AlreadyMember(a) => write!(f, "process {a} is already a member"),
             MembershipError::NotAMember(a) => write!(f, "process {a} is not a member"),
-            MembershipError::UnknownContact(a) => {
-                write!(f, "contact process {a} is not a member of the group")
-            }
-            MembershipError::EmptyGroup => write!(f, "the group has no members"),
         }
     }
 }
@@ -66,9 +57,7 @@ mod tests {
         let addr: Address = "1.2.3".parse().unwrap();
         for e in [
             MembershipError::AlreadyMember(addr.clone()),
-            MembershipError::NotAMember(addr.clone()),
-            MembershipError::UnknownContact(addr),
-            MembershipError::EmptyGroup,
+            MembershipError::NotAMember(addr),
         ] {
             assert!(!e.to_string().is_empty());
             assert!(e.source().is_none());

@@ -83,7 +83,7 @@ pub use error::MembershipError;
 pub use oracle::{AssignmentOracle, InterestOracle, UniformOracle};
 pub use summaries::{allowed_runs, SubtreeSummaries, SUMMARY_MEMO_ROWS};
 pub use topic::{TopicOracle, TOPIC_ATTRIBUTE};
-pub use population::{LifecycleEvent, LifecycleEventKind, Population, PopulationSizes};
+pub use population::{Population, PopulationSizes};
 pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewConfig};
 pub use topology::{ImplicitRegularTree, TreeTopology};
 pub use tree::GroupTree;

@@ -67,10 +67,8 @@ impl InterestOracle for GroupTree {
             .unwrap_or(false)
     }
 
-    /// Counts the whole subtree where the first match would do — left that
-    /// way on purpose: the daemon benchmark's `ticker_overload` metrics rise
-    /// with daemon speed, so the fix waits for a benchmark-only PR
-    /// (ROADMAP item 5).
+    /// Counts the whole subtree where the first match would do: a probe
+    /// costs O(subscribers below the prefix) (ROADMAP item 5).
     fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
         self.interested_count_under(prefix, event) > 0
     }

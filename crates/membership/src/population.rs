@@ -7,8 +7,8 @@
 //! population before it can drive those transitions deterministically.
 //! [`Population`] is that description: a capacity (`a^d` addresses), the
 //! set of dense indices occupied at round zero, and a sorted schedule of
-//! [`LifecycleEvent`]s (joins and graceful leaves — crashes are a *fault*
-//! model and stay on the network layer's crash plan).
+//! joins and graceful leaves (crashes are a *fault* model and stay on the
+//! network layer's crash plan).
 //!
 //! `Population` answers occupancy queries arithmetically (initial/peak/final
 //! sizes, occupancy at any round) over the dense indices of the simulation.
@@ -24,7 +24,7 @@
 /// apply joins first, then leaves (the sort order of the schedule), so
 /// mixed schedules stay deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LifecycleEventKind {
+enum LifecycleEventKind {
     /// The process joins (subscribes) — an initial join or a re-join.
     Join,
     /// The process leaves gracefully (unsubscribes).
@@ -33,13 +33,13 @@ pub enum LifecycleEventKind {
 
 /// One scheduled membership transition of a [`Population`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LifecycleEvent {
+struct LifecycleEvent {
     /// The simulation round at which the transition applies.
-    pub round: u64,
+    round: u64,
     /// Join or leave.
-    pub kind: LifecycleEventKind,
+    kind: LifecycleEventKind,
     /// The dense index of the process making the transition.
-    pub process: usize,
+    process: usize,
 }
 
 /// The population sizes a lifecycle schedule produces over a trial.
@@ -58,11 +58,10 @@ pub struct PopulationSizes {
 /// # Examples
 ///
 /// ```rust
-/// use pmcast_membership::{LifecycleEventKind, Population};
+/// use pmcast_membership::Population;
 ///
 /// // 16 addresses; process 15 joins at round 3, process 0 leaves at round 5.
 /// let population = Population::new(16, &[(3, 15)], &[(5, 0)]);
-/// assert!(!population.is_static());
 /// assert_eq!(population.initially_absent(), &[15]);
 /// let sizes = population.sizes();
 /// assert_eq!((sizes.initial, sizes.peak, sizes.end), (15, 16, 15));
@@ -137,7 +136,7 @@ impl Population {
     /// evidently a member at round zero (the schedule describes a
     /// crash-then-rejoin, not a late newcomer), so it is removed from the
     /// initially-absent set.  Crashes still do not appear in the lifecycle
-    /// [`events`](Self::events) — they are a fault model, not membership —
+    /// schedule — they are a fault model, not membership —
     /// and same-round ties resolve in the engine's join < leave < crash
     /// order, so a crash at the join's own round does not keep the process
     /// present.
@@ -169,26 +168,9 @@ impl Population {
         self
     }
 
-    /// The number of addresses of the underlying space (`a^d`).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Returns `true` if the population never changes (no scheduled events
-    /// and nobody absent) — the fully populated regular tree of the paper's
-    /// analysis.
-    pub fn is_static(&self) -> bool {
-        self.events.is_empty() && self.initially_absent.is_empty()
-    }
-
     /// The sorted dense indices absent at round zero.
     pub fn initially_absent(&self) -> &[usize] {
         &self.initially_absent
-    }
-
-    /// The sorted lifecycle schedule.
-    pub fn events(&self) -> &[LifecycleEvent] {
-        &self.events
     }
 
     /// Occupancy flags at round zero (`true` = member).
@@ -260,8 +242,8 @@ mod tests {
     #[test]
     fn static_population_has_no_schedule() {
         let population = Population::new(27, &[], &[]);
-        assert!(population.is_static());
-        assert_eq!(population.capacity(), 27);
+        assert_eq!(population.capacity, 27);
+        assert!(population.initially_absent().is_empty());
         let sizes = population.sizes();
         assert_eq!((sizes.initial, sizes.peak, sizes.end), (27, 27, 27));
         assert!(population.occupied_at_start().iter().all(|&o| o));

@@ -8,10 +8,10 @@
 //!
 //! * [`GlobalOracleView`] — every process knows every other process.  This
 //!   is the omniscient-membership model the evaluation workloads of the
-//!   paper assume, and the provider every pre-existing scenario uses.  It is
-//!   stateless, consumes no randomness and ignores churn notifications, so
-//!   scenarios built on it are **bit-identical** to the historical
-//!   oracle-based construction (the parallel-trial determinism invariant).
+//!   paper assume, and the default provider.  It is stateless, consumes no
+//!   randomness and ignores churn notifications, so a scenario built on it
+//!   draws exactly the workload and network streams (the parallel-trial
+//!   determinism invariant).
 //! * [`PartialView`] — an lpbcast-style gossip membership layer: each
 //!   process maintains a **bounded** partial view of the group
 //!   ([`PartialViewConfig::view_size`] entries), membership knowledge
@@ -238,12 +238,10 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
 
 /// Global membership knowledge: every process knows every other process.
 ///
-/// This wraps the historical "oracle" construction — the group is a closed
-/// set of `n` processes known to everyone — behind the [`MembershipView`]
-/// trait.  It holds no state, consumes no randomness and ignores churn
-/// notifications, so protocols built on it behave **bit-identically** to
-/// the pre-trait construction (crashed processes keep their view entries;
-/// the network layer drops messages to them, as before).
+/// The group is a closed set of `n` processes known to everyone.  The view
+/// holds no state, consumes no randomness and ignores churn notifications:
+/// crashed processes keep their view entries and the network layer drops
+/// messages to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalOracleView {
     member_count: usize,
@@ -444,11 +442,6 @@ impl PartialView {
                 digest: Vec::new(),
             }),
         }
-    }
-
-    /// The provider's configuration.
-    pub fn config(&self) -> &PartialViewConfig {
-        &self.config
     }
 
     /// Returns `true` if the process is currently believed alive.

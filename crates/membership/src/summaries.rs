@@ -119,11 +119,6 @@ impl SubtreeSummaries {
         Some((components.len(), index))
     }
 
-    /// The whole-group summary (the root cell).
-    pub fn root(&self) -> &InterestSummary {
-        &self.levels[0][0]
-    }
-
     /// Replaces (or clears, with `None`) the subscription of the process at
     /// the given dense index and rebuilds the summaries along its root path
     /// — the same incremental maintenance the delegate gossip performs when

@@ -1,8 +1,8 @@
 //! Topic-based interest workloads: many overlapping audiences, one shared
 //! [`AssignmentOracle`] per **distinct** audience.
 //!
-//! The evaluation workloads of PR 3–9 exercise one matching rate per trial
-//! — a single audience.  Production-style pub/sub traffic instead publishes
+//! The paper's evaluation workloads exercise one matching rate per trial —
+//! a single audience.  Production-style pub/sub traffic instead publishes
 //! thousands of events over a few dozen topics, and the paper's Fig. 5
 //! story (per-depth interest filtering keeps spurious deliveries low) only
 //! gets interesting there.  [`TopicOracle`] models this axis: each process
@@ -92,16 +92,6 @@ impl TopicOracle {
             audiences,
             distinct,
         }
-    }
-
-    /// Number of topics.
-    pub fn topic_count(&self) -> usize {
-        self.topic_count
-    }
-
-    /// The address space the oracle covers.
-    pub fn space(&self) -> &AddressSpace {
-        &self.space
     }
 
     /// The topic carried by an event, if it is one of ours.

@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use pmcast_addr::{Address, AddressSpace, Component, Prefix};
 use pmcast_interest::{Event, Filter, Interest};
@@ -10,8 +10,11 @@ use crate::{MembershipError, TreeTopology};
 ///
 /// `GroupTree` is the reference (oracle-side) implementation of the tree of
 /// Section 2: it supports arbitrary populated subsets of the address space,
-/// joins and leaves and per-subtree process counts.  It is the structure a simulation or a bootstrap service
-/// would hold; individual processes hold only their bounded view (see
+/// joins and leaves and per-subtree process counts.  The sorted member map
+/// *is* the hierarchy — a subtree is a contiguous key range — so every
+/// topology question is a range scan and a join or leave touches one entry.
+/// It is the structure a simulation or a bootstrap service would hold;
+/// individual processes hold only their bounded view (see
 /// [`DelegateView`](crate::DelegateView)).
 ///
 /// # Example
@@ -38,11 +41,6 @@ use crate::{MembershipError, TreeTopology};
 pub struct GroupTree {
     space: AddressSpace,
     members: BTreeMap<Address, Filter>,
-    /// Number of processes below every populated prefix (including the root
-    /// and full addresses).
-    subtree_counts: BTreeMap<Prefix, usize>,
-    /// Populated child components of every populated internal prefix.
-    children: BTreeMap<Prefix, BTreeSet<Component>>,
 }
 
 impl std::fmt::Debug for GroupTree {
@@ -60,8 +58,6 @@ impl GroupTree {
         Self {
             space,
             members: BTreeMap::new(),
-            subtree_counts: BTreeMap::new(),
-            children: BTreeMap::new(),
         }
     }
 
@@ -87,18 +83,6 @@ impl GroupTree {
         if self.members.contains_key(&address) {
             return Err(MembershipError::AlreadyMember(address));
         }
-        // Count the process under every one of its prefixes (from the root
-        // down to its full address) and record the populated child links.
-        for len in 0..=self.space.depth() {
-            let prefix = Prefix::from_components(address.components()[..len].to_vec());
-            *self.subtree_counts.entry(prefix.clone()).or_insert(0) += 1;
-            if len < self.space.depth() {
-                self.children
-                    .entry(prefix)
-                    .or_default()
-                    .insert(address.components()[len]);
-            }
-        }
         self.members.insert(address, filter);
         Ok(())
     }
@@ -109,44 +93,14 @@ impl GroupTree {
     ///
     /// Returns an error if the address is not a member.
     pub fn leave(&mut self, address: &Address) -> Result<Filter, MembershipError> {
-        let filter = self
-            .members
+        self.members
             .remove(address)
-            .ok_or_else(|| MembershipError::NotAMember(address.clone()))?;
-        // Decrement the process count of every prefix of the address.
-        for len in 0..=self.space.depth() {
-            let prefix = Prefix::from_components(address.components()[..len].to_vec());
-            if let Some(count) = self.subtree_counts.get_mut(&prefix) {
-                *count -= 1;
-                if *count == 0 {
-                    self.subtree_counts.remove(&prefix);
-                }
-            }
-        }
-        // Remove child links whose subtree emptied out.
-        for len in 0..self.space.depth() {
-            let parent = Prefix::from_components(address.components()[..len].to_vec());
-            let child = parent.child(address.components()[len]);
-            if !self.subtree_counts.contains_key(&child) {
-                if let Some(set) = self.children.get_mut(&parent) {
-                    set.remove(&address.components()[len]);
-                    if set.is_empty() {
-                        self.children.remove(&parent);
-                    }
-                }
-            }
-        }
-        Ok(filter)
+            .ok_or_else(|| MembershipError::NotAMember(address.clone()))
     }
 
     /// Returns a member's subscription.
     pub fn subscription(&self, address: &Address) -> Option<&Filter> {
         self.members.get(address)
-    }
-
-    /// Iterates over `(address, subscription)` pairs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Address, &Filter)> {
-        self.members.iter()
     }
 
     /// Number of processes below the prefix interested in the given event,
@@ -197,17 +151,20 @@ impl TreeTopology for GroupTree {
     }
 
     fn populated_children(&self, prefix: &Prefix) -> Vec<Component> {
-        self.children
-            .get(prefix)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
+        if prefix.len() >= self.space.depth() {
+            return Vec::new();
+        }
+        // Members under a prefix are sorted by their next component.
+        let mut children: Vec<Component> = self
+            .members_range(prefix)
+            .map(|(address, _)| address.components()[prefix.len()])
+            .collect();
+        children.dedup();
+        children
     }
 
     fn subtree_size(&self, prefix: &Prefix) -> usize {
-        if prefix.is_empty() {
-            return self.members.len();
-        }
-        self.subtree_counts.get(prefix).copied().unwrap_or(0)
+        self.members_range(prefix).count()
     }
 
     fn delegates(&self, prefix: &Prefix, r: usize) -> Vec<Address> {
@@ -297,23 +254,31 @@ mod tests {
         assert_eq!(rendered, vec!["1.0.0", "1.0.1", "1.0.2"]);
     }
 
+    /// Every topology answer of `left` equals `right`'s, over every prefix
+    /// of the space from the root down to full addresses.
+    fn assert_same_topology(left: &dyn TreeTopology, right: &dyn TreeTopology) {
+        assert_eq!(left.member_count(), right.member_count());
+        let space = space();
+        let prefixes = space.iter().flat_map(|a| {
+            [a.prefix_of_depth(1), a.prefix_of_depth(2), a.prefix_of_depth(3), a.as_prefix()]
+        });
+        for prefix in prefixes {
+            assert_eq!(left.subtree_size(&prefix), right.subtree_size(&prefix), "{prefix}");
+            assert_eq!(
+                left.populated_children(&prefix),
+                right.populated_children(&prefix),
+                "{prefix}"
+            );
+            assert_eq!(left.delegates(&prefix, 3), right.delegates(&prefix, 3), "{prefix}");
+            assert_eq!(left.members_under(&prefix), right.members_under(&prefix), "{prefix}");
+        }
+    }
+
     #[test]
     fn explicit_and_implicit_trees_agree_when_fully_populated() {
-        let explicit = populated_tree();
+        let mut explicit = populated_tree();
         let implicit = crate::ImplicitRegularTree::new(space());
-        assert_eq!(explicit.member_count(), implicit.member_count());
-        for prefix in [
-            Prefix::root(),
-            Prefix::from_components(vec![2]),
-            Prefix::from_components(vec![3, 1]),
-        ] {
-            assert_eq!(explicit.subtree_size(&prefix), implicit.subtree_size(&prefix));
-            assert_eq!(
-                explicit.populated_children(&prefix),
-                implicit.populated_children(&prefix)
-            );
-            assert_eq!(explicit.delegates(&prefix, 3), implicit.delegates(&prefix, 3));
-        }
+        assert_same_topology(&explicit, &implicit);
         let address: Address = "2.3.1".parse().unwrap();
         assert_eq!(
             explicit.view_of(&address, 2, 3),
@@ -323,6 +288,34 @@ mod tests {
             explicit.knowledge_size(&address, 3),
             implicit.knowledge_size(&address, 3)
         );
+
+        // Empty a whole leaf subgroup and a whole inner subtree, then bring
+        // half of the subtree back: the answers are those of a tree that
+        // only ever saw the survivors.
+        let leaf_subgroup = Prefix::from_components(vec![3, 1]);
+        let inner_subtree = Prefix::from_components(vec![2]);
+        for prefix in [&leaf_subgroup, &inner_subtree] {
+            for gone in explicit.members_under(prefix) {
+                explicit.leave(&gone).unwrap();
+            }
+            assert_eq!(explicit.subtree_size(prefix), 0);
+            assert!(explicit.populated_children(prefix).is_empty());
+            assert!(explicit.delegates(prefix, 3).is_empty());
+        }
+        assert_eq!(explicit.populated_children(&Prefix::root()), vec![0, 1, 3]);
+        assert_eq!(
+            explicit.populated_children(&Prefix::from_components(vec![3])),
+            vec![0, 2, 3]
+        );
+        for back in implicit.members_under(&inner_subtree).into_iter().step_by(2) {
+            explicit.join(back, Filter::match_all()).unwrap();
+        }
+        assert_eq!(explicit.subtree_size(&inner_subtree), 8);
+        let mut fresh = GroupTree::new(space());
+        for (survivor, filter) in &explicit.members {
+            fresh.join(survivor.clone(), filter.clone()).unwrap();
+        }
+        assert_same_topology(&explicit, &fresh);
     }
 
     #[test]
@@ -363,6 +356,6 @@ mod tests {
         let mut sorted = members.clone();
         sorted.sort();
         assert_eq!(members, sorted);
-        assert_eq!(tree.iter().count(), 64);
+        assert_eq!(tree.members.len(), 64);
     }
 }

@@ -118,8 +118,8 @@ fn probe_events() -> Vec<Event> {
         .collect();
     events.push(Event::builder(1).build());
     events.push(Event::builder(1).int("b", 3).build());
-    events.push(Event::builder(1).bool("urgent", true).build());
-    events.push(Event::builder(1).bool("urgent", false).int(TOPIC_ATTRIBUTE, 2).build());
+    events.push(Event::builder(1).attribute("urgent", true).build());
+    events.push(Event::builder(1).attribute("urgent", false).int(TOPIC_ATTRIBUTE, 2).build());
     events.push(Event::builder(1).int(TOPIC_ATTRIBUTE, 2).int("b", 3).build());
     events.push(Event::builder(1).int(TOPIC_ATTRIBUTE, 2).float("b", 0.5).build());
     // Other types under the topic's name: `2.0` matches what `2` matches,

@@ -65,11 +65,13 @@ pub struct NetTrialOutcome<P> {
 /// Panics unless the scenario stays inside what the runtime implements
 /// today.
 ///
-/// The adversarial fault axes (link delay, partitions, subtree loss,
-/// stragglers) and the dynamic-lifecycle axes (join/leave schedules,
-/// `crash_fraction`) are simulator-only for now — documented follow-ups,
-/// not silent approximations.  `crash_schedule` *is* supported: the
-/// runtime crashes the process's task mid-stream.
+/// Three axes are refused — documented follow-ups, not silent
+/// approximations: the adversarial fault plan (link delay, partitions,
+/// subtree loss, stragglers), join/leave schedules, and `crash_fraction`.
+/// `crash_schedule` and topic workloads *are* supported: the runtime
+/// crashes the process's task mid-stream, and a topic trial's oracle,
+/// schedule and summaries come from the same [`trial_workload`] the
+/// simulator uses.
 pub fn assert_supported(scenario: &Scenario) {
     assert!(
         scenario.fault_plan().is_neutral(),
@@ -83,11 +85,6 @@ pub fn assert_supported(scenario: &Scenario) {
     assert!(
         scenario.crash_fraction == 0.0,
         "the async runtime does not implement crash_fraction yet (use crash_schedule)"
-    );
-    assert!(
-        scenario.topics.is_none(),
-        "the async runtime does not implement the multi-topic workload axis yet \
-         (topic scenarios are simulator-only)"
     );
 }
 

@@ -151,11 +151,6 @@ pub struct NetGroupHandle {
 }
 
 impl NetGroupHandle {
-    /// Number of processes in the group.
-    pub fn process_count(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Publishes `event` at `process`, **waiting** while the mailbox is
     /// full — publishers get backpressure, gossip frames get dropped (see
     /// `transport` module docs).

@@ -47,7 +47,7 @@ impl Seen {
 
     /// Admits an id: returns `true` if it was fresh (now remembered,
     /// evicting the oldest id when full) and `false` for a duplicate
-    /// (counted in [`deduped`](Self::deduped)).
+    /// (counted in `deduped`).
     pub fn push(&mut self, id: EventId) -> bool {
         if self.index.contains(&id) {
             self.deduped += 1;
@@ -63,26 +63,6 @@ impl Seen {
         true
     }
 
-    /// Whether `id` is currently remembered.
-    pub fn contains(&self, id: EventId) -> bool {
-        self.index.contains(&id)
-    }
-
-    /// Number of ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The bound the ring never grows past.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether the ring has reached its capacity (every further fresh id
     /// evicts the oldest).
     pub fn is_full(&self) -> bool {
@@ -96,11 +76,6 @@ impl Seen {
     /// to its in-flight floor).
     pub fn min_id(&self) -> Option<EventId> {
         self.ring.iter().copied().min()
-    }
-
-    /// How many duplicate pushes have been rejected.
-    pub fn deduped(&self) -> u64 {
-        self.deduped
     }
 }
 
@@ -119,8 +94,8 @@ mod tests {
         assert!(seen.push(id(1)));
         assert!(!seen.push(id(1)));
         assert!(!seen.push(id(1)));
-        assert_eq!(seen.deduped(), 2);
-        assert_eq!(seen.len(), 1);
+        assert_eq!(seen.deduped, 2);
+        assert_eq!(seen.ring.len(), 1);
     }
 
     #[test]
@@ -130,9 +105,9 @@ mod tests {
             assert!(seen.push(id(n)));
         }
         assert!(seen.push(id(4)), "fresh id admitted at capacity");
-        assert_eq!(seen.len(), 3, "capacity is a hard bound");
-        assert!(!seen.contains(id(1)), "oldest id evicted");
-        assert!(seen.contains(id(4)));
+        assert_eq!(seen.ring.len(), 3, "capacity is a hard bound");
+        assert!(!seen.index.contains(&id(1)), "oldest id evicted");
+        assert!(seen.index.contains(&id(4)));
         assert!(seen.push(id(1)), "an evicted id reads as fresh again");
     }
 

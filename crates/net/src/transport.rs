@@ -101,12 +101,7 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Creates mailboxes for `processes` processes, each holding at most
-    /// `mailbox_capacity` frames, with no loss.
-    pub fn new(mailbox_capacity: usize, processes: usize) -> (Self, Vec<Receiver<Frame>>) {
-        Self::build(mailbox_capacity, processes, None)
-    }
-
-    /// Like [`new`](Self::new), with seeded Bernoulli loss: each gossip
+    /// `mailbox_capacity` frames, with seeded Bernoulli loss: each gossip
     /// frame is dropped with probability `loss_probability`, drawn from a
     /// ChaCha8 stream seeded with `loss_seed` — same seed, same losses.
     pub fn with_loss(
@@ -123,14 +118,6 @@ impl ChannelTransport {
             probability: loss_probability,
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(loss_seed)),
         });
-        Self::build(mailbox_capacity, processes, loss)
-    }
-
-    fn build(
-        mailbox_capacity: usize,
-        processes: usize,
-        loss: Option<LossModel>,
-    ) -> (Self, Vec<Receiver<Frame>>) {
         assert!(processes > 0, "a transport needs at least one process");
         let mut mailboxes = Vec::with_capacity(processes);
         let mut receivers = Vec::with_capacity(processes);
@@ -155,11 +142,6 @@ impl ChannelTransport {
             }),
         };
         (transport, receivers)
-    }
-
-    /// Number of mailboxes.
-    pub fn process_count(&self) -> usize {
-        self.shared.mailboxes.len()
     }
 
     /// A cloneable sender for `process`'s mailbox — the group handle uses
@@ -201,11 +183,6 @@ impl ChannelTransport {
         self.shared
             .total_pending
             .fetch_sub(orphaned, Ordering::Relaxed);
-    }
-
-    /// Whether `process` has been marked crashed.
-    pub fn is_crashed(&self, process: usize) -> bool {
-        self.shared.crashed[process].load(Ordering::Relaxed)
     }
 
     /// Sends a gossip frame from `from` to `to`; returns whether the frame
@@ -286,7 +263,7 @@ mod tests {
 
     #[test]
     fn full_mailbox_drops_with_counter() {
-        let (transport, _receivers) = ChannelTransport::new(2, 2);
+        let (transport, _receivers) = ChannelTransport::with_loss(2, 2, 0.0, 0);
         assert!(transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 10));
         assert!(transport.send_gossip(ProcessId(0), ProcessId(1), gossip(2), 10));
         assert!(!transport.send_gossip(ProcessId(0), ProcessId(1), gossip(3), 10));
@@ -298,10 +275,12 @@ mod tests {
 
     #[test]
     fn processing_acknowledges_in_flight() {
-        let (transport, receivers) = ChannelTransport::new(4, 2);
+        let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
         transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 0);
         assert_eq!(transport.in_flight(), 1);
-        receivers[1].try_recv().expect("frame queued");
+        smol::LocalExecutor::deterministic(1)
+            .run(receivers[1].recv())
+            .expect("frame queued");
         transport.mark_processed(1);
         assert_eq!(transport.in_flight(), 0);
         assert_eq!(transport.stats().peak_in_flight, 1);
@@ -309,7 +288,7 @@ mod tests {
 
     #[test]
     fn crashed_destination_is_written_off() {
-        let (transport, receivers) = ChannelTransport::new(4, 2);
+        let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
         transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 0);
         transport.mark_crashed(1);
         assert_eq!(transport.in_flight(), 0, "orphaned frames written off");

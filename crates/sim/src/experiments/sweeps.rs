@@ -285,7 +285,8 @@ pub fn topics(sweep: &mut Sweep) {
     sweep.title = format!(
         "pmcast multi-topic throughput — n = 64, {topics} topics, {events} events \
          over {publish_rounds} rounds, {} subscriptions/process, Zipf {:.1}, loss-free",
-        workload.subscriptions_per_process, workload.zipf_exponent
+        workload.subscriptions_per_process,
+        TopicWorkload::ZIPF_EXPONENT
     );
     let arms = [
         ("oracle", InterestRouting::Oracle),
@@ -335,7 +336,7 @@ pub fn topics(sweep: &mut Sweep) {
         ),
         col("events", "", Cell::Int(events as u64)),
         col("publish_rounds", "", Cell::Int(publish_rounds)),
-        col("zipf_exponent", "", Cell::Float(workload.zipf_exponent, 1, 1)),
+        col("zipf_exponent", "", Cell::Float(TopicWorkload::ZIPF_EXPONENT, 1, 1)),
         col("hashcons", "", Cell::Record(hashcons)),
     ];
     sweep.footer = format!(

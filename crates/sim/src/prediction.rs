@@ -191,16 +191,6 @@ impl DriftGate {
         }
     }
 
-    /// Number of in-domain rows gated so far.
-    pub fn checked(&self) -> usize {
-        self.checked
-    }
-
-    /// Number of out-of-domain rows skipped so far.
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
     /// `Ok` when at least one in-domain row was gated and all were within
     /// budget; otherwise an error message listing each drifting row, or
     /// saying that nothing was checked — a prediction bug that declares
@@ -322,7 +312,7 @@ mod tests {
         let prediction = predict(&scenario);
         let mut gate = DriftGate::new(0.05);
         gate.record("close", &prediction, prediction.reliability + 0.01);
-        assert_eq!(gate.checked(), 1);
+        assert_eq!(gate.checked, 1);
         assert!(gate.verdict().is_ok());
         // A gate with an absurdly tight tolerance must actually fail: this
         // is the test that the `--check-model` machinery can say "no".
@@ -338,8 +328,8 @@ mod tests {
         let faulted = Scenario::builder().group(4, 2).partition(2, 4, 2).build();
         let mut gate = DriftGate::new(1e-9);
         gate.record("faulted", &predict(&faulted), 0.0);
-        assert_eq!(gate.checked(), 0);
-        assert_eq!(gate.skipped(), 1);
+        assert_eq!(gate.checked, 0);
+        assert_eq!(gate.skipped, 1);
         // A gate that gated nothing has verified nothing: it must not pass.
         assert!(gate.verdict().unwrap_err().contains("no in-domain row"));
         // Next to an in-domain row that holds, the skipped row is harmless.

@@ -46,14 +46,13 @@
 //!    consumes no randomness at all, so the stream only feeds gossip
 //!    target and digest picks).  The default
 //!    [`crate::scenario::MembershipSpec::Global`] provider consumes
-//!    **no** randomness and observes churn as a no-op, so global-membership
-//!    scenarios reproduce the historical (pre-provider) streams bit for
-//!    bit.
+//!    **no** randomness and observes churn as a no-op, so a
+//!    global-membership scenario never touches this stream.
 //!
 //!    The default workload (empty publish schedule) is one event with id
 //!    `1000 + t` and a single `int("b", 1)` attribute, published at round 0
-//!    by an [`Publisher::Interested`] draw — reproducing the historical
-//!    one-event-one-sender trial stream bit for bit.
+//!    by an [`Publisher::Interested`] draw — the one-event-one-sender
+//!    trial the figure goldens pin.
 //!
 //!    **Topic workloads** ([`crate::scenario::TopicWorkload`]) replace rule
 //!    1's consumption of the workload stream wholesale (there is no
@@ -77,8 +76,8 @@
 //! interest is the same bits a static trial would have drawn for it),
 //! publisher draws are unchanged, and the gossip membership providers
 //! bootstrap sparse populations (`bootstrap_sparse`) without any extra
-//! draws from the membership stream.  Scenarios without lifecycle
-//! schedules therefore reproduce the historical streams bit for bit, and
+//! draws from the membership stream.  A scenario without lifecycle
+//! schedules therefore draws exactly what its static goldens pin, and
 //! lifecycle scenarios stay bit-identical under the parallel runner.
 //!
 //! **Fault axes are stream-neutral when inactive.**  The adversarial fault
@@ -389,15 +388,14 @@ pub type PublishSchedule = Vec<(u64, usize, Arc<Event>)>;
 /// `pmcast-net` runtime — resolve the *identical* workload for a given
 /// `(scenario, trial)` pair: same trial seed, same interest bits, same
 /// publishers, same membership bootstrap.  Consumes the workload stream
-/// (rule 1 of the module-level seed contract) exactly as the historical
-/// inline code did, so all goldens are preserved bit for bit.
+/// exactly as rule 1 of the module-level seed contract says.
 pub struct TrialWorkload {
     /// The trial seed `seed_t = scenario.seed + trial` every stream
     /// derives from.
     pub seed: u64,
     /// The regular tree the group lives in.
     pub topology: ImplicitRegularTree,
-    /// The sampled interest assignment: the historical matching-rate
+    /// The sampled interest assignment: the matching-rate
     /// [`AssignmentOracle`] for plain scenarios, a [`TopicOracle`] when the
     /// scenario declares a topic workload.
     pub oracle: Arc<dyn InterestOracle + Send + Sync>,
@@ -658,9 +656,9 @@ fn topic_trial_workload(
         topics,
     ));
     // Truncated Zipf over the topic ranks: topic k has weight
-    // (k + 1)^-zipf_exponent; one uniform f64 walks the unnormalized CDF.
+    // (k + 1)^-ZIPF_EXPONENT; one uniform f64 walks the unnormalized CDF.
     let weights: Vec<f64> = (1..=topics)
-        .map(|rank| (rank as f64).powf(-workload.zipf_exponent))
+        .map(|rank| (rank as f64).powf(-crate::scenario::TopicWorkload::ZIPF_EXPONENT))
         .collect();
     let total_weight: f64 = weights.iter().sum();
     let schedule = (0..workload.events)
@@ -711,11 +709,10 @@ pub fn run_scenario_trial_states<F: ProtocolFactory>(
     trial: usize,
 ) -> (TrialOutcome, Vec<F::Process>) {
     let workload = trial_workload(scenario, trial);
-    // The membership provider: global knowledge (bit-identical to the
-    // historical construction), a per-trial gossip-bootstrapped flat
-    // partial view or the hierarchical delegate tables — bootstrapped
-    // sparse when the population starts with gaps,
-    // fed every lifecycle transition (join/leave/crash) through the
+    // The membership provider: global knowledge (stateless, stream-neutral),
+    // a per-trial gossip-bootstrapped flat partial view or the hierarchical
+    // delegate tables — bootstrapped sparse when the population starts with
+    // gaps, fed every lifecycle transition (join/leave/crash) through the
     // engine's lifecycle observer, and advanced once per simulation
     // round.  Gossip providers draw from the membership stream (rule 3 of
     // the module-level seed contract); lifecycle events consume no
@@ -1786,7 +1783,6 @@ mod tests {
             .build();
         let workload = trial_workload(&scenario, 0);
         let oracle = workload.topic_oracle.as_ref().expect("topic oracle");
-        assert_eq!(oracle.topic_count(), 6);
         assert_eq!(workload.schedule.len(), 20);
         for (index, (round, sender, event)) in workload.schedule.iter().enumerate() {
             assert_eq!(event.id().0, 10_000 + index as u64);
@@ -1795,7 +1791,7 @@ mod tests {
             // has subscribers here: 16 processes × 2 picks over 6 topics).
             let topic = oracle.topic_of(event).expect("topical event");
             assert!(
-                oracle.is_interested(&oracle.space().address_of_index(*sender as u128), event),
+                oracle.is_interested(&workload.topology.address_of(*sender), event),
                 "publisher {sender} does not subscribe to topic {topic}"
             );
         }
@@ -1838,8 +1834,7 @@ mod tests {
     fn summary_routing_works_whether_or_not_the_delegate_tables_exist() {
         // `pmbench`'s `topics_summary` shape at smoke size.  A static trial
         // never stores the delegate tables, and the interest summaries must
-        // be consulted all the same: the table-less arithmetic used to be a
-        // provider of its own that silently ignored them.
+        // be consulted all the same.
         use crate::scenario::{MembershipSpec, TopicWorkload};
         use pmcast_core::{InterestRouting, PmcastConfig};
         use pmcast_membership::{DelegateView, DelegateViewConfig};

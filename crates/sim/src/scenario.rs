@@ -73,8 +73,7 @@ use crate::runner::{run_scenario_trial_with, Protocol, TrialOutcome};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum MembershipSpec {
     /// Every process knows the whole group
-    /// ([`GlobalOracleView`]) — the historical construction, bit-identical
-    /// to pre-provider scenarios.
+    /// ([`GlobalOracleView`]) — stateless and stream-neutral.
     #[default]
     Global,
     /// lpbcast-style **flat** bounded partial views maintained by gossip
@@ -129,7 +128,7 @@ impl MembershipSpec {
     ///
     /// `occupied` carries the trial's initial population (see
     /// [`Population::occupied_at_start`]): `None` for the fully populated
-    /// static tree (the historical path, bit-identical streams), `Some`
+    /// static tree, `Some`
     /// for a sparse start — the gossip providers then bootstrap gap-aware
     /// (`bootstrap_sparse`, which consumes no randomness beyond the same
     /// seed), while [`Global`](Self::Global) stays the omniscient static
@@ -239,22 +238,21 @@ pub struct TopicWorkload {
     /// The rounds the schedule is spread over: event `e` is published at
     /// round `e · publish_rounds / events` (deterministic, no randomness).
     pub publish_rounds: u64,
-    /// Skew of the topic mix: topic `k` (0-based) is drawn with weight
-    /// `(k + 1)^-zipf_exponent`.  `0.0` is a uniform mix; the classic
-    /// Zipf-like skew is `1.0`.
-    pub zipf_exponent: f64,
 }
 
 impl TopicWorkload {
+    /// Skew of the topic mix: topic `k` (0-based) is drawn with weight
+    /// `(k + 1)^-ZIPF_EXPONENT` — the classic Zipf skew.
+    pub const ZIPF_EXPONENT: f64 = 1.0;
+
     /// A topic workload with the given shape, published in a single round
-    /// burst with the classic `1.0` Zipf skew.
+    /// burst.
     pub fn new(topics: usize, subscriptions_per_process: usize, events: usize) -> Self {
         Self {
             topics,
             subscriptions_per_process,
             events,
             publish_rounds: 1,
-            zipf_exponent: 1.0,
         }
     }
 
@@ -277,9 +275,8 @@ impl TopicWorkload {
 /// An empty `publications` list means the **default workload**: one event
 /// (`id = 1000 + trial`, one `b` attribute) published at round 0 by a
 /// random interested process — the paper's one-event-one-sender trial
-/// shape, kept as the default so the figure sweeps reproduce their
-/// historical random streams exactly (see the seed-derivation contract in
-/// [`crate::runner`]).
+/// shape, the default the figure sweeps' goldens pin (see the
+/// seed-derivation contract in [`crate::runner`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Subgroups per level (`a`).
@@ -323,15 +320,15 @@ pub struct Scenario {
     /// The publish schedule; empty means the default workload (see type
     /// docs).
     pub publications: Vec<Publication>,
-    /// The multi-topic traffic axis; `None` (the default, and what every
-    /// scenario serialized before the axis existed deserializes to) keeps
-    /// the historical matching-rate workload.  Mutually exclusive with an
+    /// The multi-topic traffic axis; `None` (the default, and what a
+    /// serialized scenario without the field deserializes to) keeps the
+    /// matching-rate workload.  Mutually exclusive with an
     /// explicit publish schedule — the axis *generates* the schedule.
     #[serde(default)]
     pub topics: Option<TopicWorkload>,
     /// The membership provider processes draw fanout candidates from
-    /// ([`MembershipSpec::Global`] by default, which reproduces the
-    /// historical scenarios bit for bit).
+    /// ([`MembershipSpec::Global`] by default, which consumes no
+    /// randomness).
     pub membership: MembershipSpec,
     /// Independent trials to run.
     pub trials: usize,
@@ -798,10 +795,6 @@ impl ScenarioBuilder {
                 topics.publish_rounds,
                 self.scenario.max_rounds
             );
-            assert!(
-                topics.zipf_exponent.is_finite() && topics.zipf_exponent >= 0.0,
-                "the Zipf exponent must be a finite non-negative number"
-            );
         }
         match self.scenario.membership {
             MembershipSpec::Global => {}
@@ -1041,7 +1034,7 @@ mod tests {
     #[test]
     fn static_scenarios_report_the_full_tree() {
         let scenario = Scenario::builder().group(4, 2).build();
-        assert!(scenario.population().is_static());
+        assert!(scenario.population().initially_absent().is_empty());
         assert_eq!(scenario.group_size(), scenario.capacity());
         let sizes = scenario.population_sizes();
         assert_eq!((sizes.initial, sizes.peak, sizes.end), (16, 16, 16));
@@ -1051,15 +1044,11 @@ mod tests {
     fn topic_workload_chains_and_validates() {
         let scenario = Scenario::builder()
             .group(4, 2)
-            .topics(TopicWorkload {
-                zipf_exponent: 0.8,
-                ..TopicWorkload::new(8, 2, 40).with_publish_rounds(5)
-            })
+            .topics(TopicWorkload::new(8, 2, 40).with_publish_rounds(5))
             .build();
         let workload = scenario.topics.as_ref().unwrap();
         assert_eq!((workload.topics, workload.subscriptions_per_process), (8, 2));
         assert_eq!((workload.events, workload.publish_rounds), (40, 5));
-        assert!((workload.zipf_exponent - 0.8).abs() < 1e-12);
     }
 
     #[test]

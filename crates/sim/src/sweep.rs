@@ -236,7 +236,8 @@ impl Sweep {
     }
 
     /// The cell of `row` named `key`; panics when either does not exist.
-    pub fn cell(&self, row: usize, key: &str) -> &Cell {
+    #[cfg(test)]
+    pub(crate) fn cell(&self, row: usize, key: &str) -> &Cell {
         let column = self.rows[row].iter().find(|column| column.key == key);
         &column.unwrap_or_else(|| panic!("no column `{key}`")).cell
     }

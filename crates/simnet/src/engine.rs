@@ -139,21 +139,6 @@ impl<'a, M> RoundContext<'a, M> {
 }
 
 impl<M> RoundContext<'_, M> {
-    /// The process this context belongs to.
-    pub fn process(&self) -> ProcessId {
-        self.process
-    }
-
-    /// The current round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Sends a message with no payload-size accounting.
-    pub fn send(&mut self, to: ProcessId, message: M) {
-        self.send_sized(to, message, 0);
-    }
-
     /// Sends a message, recording its payload size for traffic accounting.
     pub fn send_sized(&mut self, to: ProcessId, message: M, payload_size: usize) {
         match &mut self.sink {
@@ -182,7 +167,7 @@ impl<M> RoundContext<'_, M> {
     /// let mut scratch = std::mem::take(ctx.scratch());
     /// ctx.choose_indices_into(10, 3, &mut scratch.candidates);
     /// for &pick in &scratch.candidates {
-    ///     ctx.send(ProcessId(pick), "gossip");
+    ///     ctx.send_sized(ProcessId(pick), "gossip", 0);
     /// }
     /// *ctx.scratch() = scratch;
     /// # assert_eq!(outbox.len(), 3);
@@ -266,13 +251,6 @@ pub struct LifecyclePlan {
     pub joins: Vec<(u64, usize)>,
     /// `(round, process)` pairs leaving gracefully during the run.
     pub leaves: Vec<(u64, usize)>,
-}
-
-impl LifecyclePlan {
-    /// Returns `true` if the plan contains no lifecycle activity at all.
-    pub fn is_empty(&self) -> bool {
-        self.initially_absent.is_empty() && self.joins.is_empty() && self.leaves.is_empty()
-    }
 }
 
 /// Holdback state of one straggling process (the engine-level half of the
@@ -405,7 +383,7 @@ impl<P: RoundProcess> Simulation<P> {
         );
         // The engine-level fault axis: only non-neutral stragglers become
         // state, so a declared-but-inactive straggler (period <= 1) leaves
-        // the round loop on its historical path.
+        // the round loop on its straggler-free path.
         let stragglers: Vec<StragglerState<P::Message>> = config
             .fault_plan
             .stragglers
@@ -617,11 +595,6 @@ impl<P: RoundProcess> Simulation<P> {
         self.notify(id, LifecycleKind::Join);
     }
 
-    /// Number of simulated processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
     /// The current round number.
     pub fn round(&self) -> u64 {
         self.round
@@ -699,11 +672,6 @@ impl<P: RoundProcess> Simulation<P> {
     /// Crashes a process immediately.
     pub fn crash(&mut self, id: ProcessId) {
         self.crash_and_notify(id);
-    }
-
-    /// Number of down processes (crashed, departed or not yet joined).
-    pub fn crashed_count(&self) -> usize {
-        self.network.crashed_count()
     }
 
     /// Number of scheduled lifecycle transitions (joins, leaves, scheduled
@@ -870,6 +838,11 @@ mod tests {
     use crate::fault::tests::{delayed, straggling};
     use crate::FaultPlan;
 
+    /// Number of down processes (crashed, departed or not yet joined).
+    fn crashed_count<P: RoundProcess>(sim: &Simulation<P>) -> usize {
+        (0..sim.processes.len()).filter(|&index| sim.is_crashed(ProcessId(index))).count()
+    }
+
     /// A process that floods a token to everybody once it has seen it.
     struct Flood {
         everyone: Vec<ProcessId>,
@@ -895,7 +868,7 @@ mod tests {
         fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
             if self.has_token && !self.announced {
                 for &peer in &self.everyone {
-                    if peer != ctx.process() {
+                    if peer != ctx.process {
                         ctx.send_sized(peer, 99, 8);
                     }
                 }
@@ -963,7 +936,7 @@ mod tests {
             ..NetworkConfig::reliable(11)
         };
         let mut sim = flood_simulation(100, config);
-        let crashed = sim.crashed_count();
+        let crashed = crashed_count(&sim);
         assert!(crashed > 20 && crashed < 80, "crashed {crashed}");
         sim.run_until_quiescent(10);
         let reached = sim
@@ -986,7 +959,7 @@ mod tests {
         };
         let config = NetworkConfig { crash_plan: plan, ..NetworkConfig::reliable(11) };
         let mut sim = flood_simulation(100, config);
-        let initially_crashed = sim.crashed_count();
+        let initially_crashed = crashed_count(&sim);
         assert!(initially_crashed > 20 && initially_crashed < 80, "{initially_crashed}");
         // The initial fraction draws from the same stream as
         // `InitialFraction`, so the crash set matches it exactly.
@@ -1007,7 +980,7 @@ mod tests {
         sim.step();
         sim.step(); // round 2 → scheduled crash of process 0 applies
         assert!(sim.is_crashed(ProcessId(0)));
-        assert!(sim.crashed_count() >= initially_crashed);
+        assert!(crashed_count(&sim) >= initially_crashed);
     }
 
     #[test]
@@ -1045,7 +1018,7 @@ mod tests {
     #[test]
     fn accessors_work() {
         let mut sim = flood_simulation(4, NetworkConfig::reliable(0));
-        assert_eq!(sim.process_count(), 4);
+        assert_eq!(sim.processes.len(), 4);
         assert_eq!(sim.round(), 0);
         assert!(sim.process(ProcessId(0)).has_token);
         sim.process_mut(ProcessId(2)).has_token = true;
@@ -1090,7 +1063,7 @@ mod tests {
             },
         );
         // The initial fraction is observed during construction.
-        assert_eq!(seen.borrow().len(), sim.crashed_count());
+        assert_eq!(seen.borrow().len(), crashed_count(&sim));
         sim.step();
         sim.step(); // round 1 → the scheduled crash of process 2 applies
         assert!(sim.is_crashed(ProcessId(2)));
@@ -1098,11 +1071,11 @@ mod tests {
         sim.crash(ProcessId(7));
         sim.crash(ProcessId(7));
         sim.crash(ProcessId(2));
-        assert_eq!(seen.borrow().len(), sim.crashed_count());
+        assert_eq!(seen.borrow().len(), crashed_count(&sim));
         let mut unique = seen.borrow().clone();
         unique.sort();
         unique.dedup();
-        assert_eq!(unique.len(), sim.crashed_count(), "no duplicate notifications");
+        assert_eq!(unique.len(), crashed_count(&sim), "no duplicate notifications");
     }
 
     #[test]
@@ -1120,8 +1093,6 @@ mod tests {
             joins: vec![(2, 5)],
             leaves: vec![(3, 1)],
         };
-        assert!(!plan.is_empty());
-        assert!(LifecyclePlan::default().is_empty());
         let mut sim = Simulation::with_lifecycle_observer(
             processes,
             NetworkConfig::reliable(4),
@@ -1386,7 +1357,7 @@ mod tests {
                 return;
             }
             self.budget -= 1;
-            let own = ctx.process().0;
+            let own = ctx.process.0;
             let mut scratch = std::mem::take(ctx.scratch());
             ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
             for &pick in &scratch.candidates {
@@ -1450,7 +1421,7 @@ mod tests {
         assert_eq!(sparse_rounds, dense_rounds);
         assert_eq!(sparse.stats(), dense.stats());
         assert_eq!(sparse.round(), dense.round());
-        assert_eq!(sparse.crashed_count(), dense.crashed_count());
+        assert_eq!(crashed_count(&sparse), crashed_count(&dense));
         let sparse_states: Vec<_> = sparse.processes().map(Rumor::fingerprint).collect();
         let dense_states: Vec<_> = dense.processes().map(Rumor::fingerprint).collect();
         assert_eq!(sparse_states, dense_states);

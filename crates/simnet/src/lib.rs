@@ -55,7 +55,7 @@
 //!     type Message = ();
 //!     fn on_round(&mut self, ctx: &mut RoundContext<'_, ()>) {
 //!         if self.has_token {
-//!             ctx.send(self.next, ());
+//!             ctx.send_sized(self.next, (), 0);
 //!             self.has_token = false;
 //!         }
 //!     }

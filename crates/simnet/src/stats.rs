@@ -35,76 +35,11 @@ impl TrafficStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Fraction of sent messages that reached a live destination.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.messages_sent == 0 {
-            return 1.0;
-        }
-        self.messages_delivered as f64 / self.messages_sent as f64
-    }
-
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.messages_sent += other.messages_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.messages_lost += other.messages_lost;
-        self.messages_to_crashed += other.messages_to_crashed;
-        self.messages_from_crashed += other.messages_from_crashed;
-        self.messages_partitioned += other.messages_partitioned;
-        self.messages_delayed += other.messages_delayed;
-        self.payload_bytes += other.payload_bytes;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delivery_ratio_handles_zero_sends() {
-        assert_eq!(TrafficStats::new().delivery_ratio(), 1.0);
-        let stats = TrafficStats {
-            messages_sent: 10,
-            messages_delivered: 7,
-            messages_lost: 3,
-            ..TrafficStats::default()
-        };
-        assert!((stats.delivery_ratio() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = TrafficStats {
-            messages_sent: 5,
-            messages_delivered: 4,
-            messages_lost: 1,
-            messages_to_crashed: 0,
-            messages_from_crashed: 0,
-            messages_partitioned: 0,
-            messages_delayed: 1,
-            payload_bytes: 100,
-        };
-        let b = TrafficStats {
-            messages_sent: 3,
-            messages_delivered: 1,
-            messages_lost: 1,
-            messages_to_crashed: 1,
-            messages_from_crashed: 2,
-            messages_partitioned: 3,
-            messages_delayed: 2,
-            payload_bytes: 50,
-        };
-        a.merge(&b);
-        assert_eq!(a.messages_sent, 8);
-        assert_eq!(a.messages_delivered, 5);
-        assert_eq!(a.messages_lost, 2);
-        assert_eq!(a.messages_to_crashed, 1);
-        assert_eq!(a.messages_from_crashed, 2);
-        assert_eq!(a.messages_partitioned, 3);
-        assert_eq!(a.messages_delayed, 3);
-        assert_eq!(a.payload_bytes, 150);
-    }
 
     #[test]
     fn serde_round_trip() {

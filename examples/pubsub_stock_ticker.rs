@@ -18,15 +18,18 @@
 //! the group through bounded mailboxes (publishers wait under
 //! backpressure; gossip overflow drops with a counter), until `--trades N`
 //! (default 2000) have been served or Ctrl-C asks for a graceful
-//! shutdown.  It ends with an events/sec summary line.
+//! shutdown.  It ends with an events/sec summary line.  A flag value that
+//! is missing or not a number exits 2 with the usage line, like an unknown
+//! flag.
 
 use std::error::Error;
 use std::sync::Arc;
 
 use pmcast::sim::workload::{ticker_event, ticker_subscription};
 use pmcast::{
-    AddressSpace, Event, GlobalOracleView, GroupTree, Interest, MulticastReport, NetworkConfig,
-    PmcastConfig, PmcastFactory, ProcessId, ProtocolFactory, Simulation, TreeTopology,
+    AddressSpace, Event, GlobalOracleView, GroupTree, Interest, MulticastProtocol,
+    MulticastReport, NetworkConfig, PmcastConfig, PmcastFactory, ProcessId, ProtocolFactory,
+    Simulation, TreeTopology,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -61,26 +64,43 @@ mod ctrl_c {
     pub fn install() {}
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
-    let mut daemon = false;
-    let mut trades: u64 = 2000;
-    let mut period_us: u64 = 200;
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: [--daemon] [--trades N] [--period-us N]";
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    daemon: bool,
+    trades: u64,
+    period_us: u64,
+}
+
+/// Parses the flags; an unknown flag, a missing value or a value that is
+/// not a number is an error, never a silent default.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+    let mut options = Options { daemon: false, trades: 2000, period_us: 200 };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--daemon" => daemon = true,
-            "--trades" => trades = args.next().and_then(|v| v.parse().ok()).unwrap_or(trades),
-            "--period-us" => {
-                period_us = args.next().and_then(|v| v.parse().ok()).unwrap_or(period_us)
+        let target = match arg.as_str() {
+            "--daemon" => {
+                options.daemon = true;
+                continue;
             }
-            other => {
-                eprintln!("unknown argument {other}; usage: [--daemon] [--trades N] [--period-us N]");
-                std::process::exit(2);
-            }
-        }
+            "--trades" => &mut options.trades,
+            "--period-us" => &mut options.period_us,
+            other => return Err(format!("unknown argument {other}")),
+        };
+        let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        *target = value.parse().map_err(|_| format!("{arg} {value}: not a number"))?;
     }
-    if daemon {
-        run_daemon(trades, period_us)
+    Ok(options)
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    let options = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| {
+        eprintln!("{problem}; {USAGE}");
+        std::process::exit(2);
+    });
+    if options.daemon {
+        run_daemon(options.trades, options.period_us)
     } else {
         run_simulated_burst()
     }
@@ -180,6 +200,10 @@ fn run_daemon(max_trades: u64, period_us: u64) -> Result<(), Box<dyn Error>> {
         .with_gossip_period(Duration::from_millis(2))
         .with_mailbox_capacity(256)
         .with_seen_capacity(4096)
+        // A daemon runs for as long as it is left running and reads no
+        // delivery history after shutdown: dedup state is retired behind
+        // the full `Seen` ring, so its memory follows the ring, not uptime.
+        .with_retire_quiescent(true)
         .with_seed(11);
 
     // Wall clock on purpose: the daemon reports a real publish rate.
@@ -221,6 +245,7 @@ fn run_daemon(max_trades: u64, period_us: u64) -> Result<(), Box<dyn Error>> {
                 deduped + report.stats.frames_deduped,
             )
         });
+    let dedup_ids = reports.iter().map(|report| report.state.dedup_len()).max().unwrap_or(0);
     let transport = observer.stats();
     let events_per_sec = published as f64 / elapsed.as_secs_f64();
     println!(
@@ -232,5 +257,28 @@ fn run_daemon(max_trades: u64, period_us: u64) -> Result<(), Box<dyn Error>> {
         "transport: {} frames sent, {} dropped at full mailboxes, peak {} in flight",
         transport.frames_sent, transport.frames_dropped, transport.peak_in_flight
     );
+    println!("dedup: at most {dedup_ids} ids held by a broker at shutdown (retirement bounds it once the Seen ring fills)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_and_bad_values_are_errors() {
+        assert_eq!(parse(&[]), Ok(Options { daemon: false, trades: 2000, period_us: 200 }));
+        assert_eq!(
+            parse(&["--daemon", "--trades", "500", "--period-us", "50"]),
+            Ok(Options { daemon: true, trades: 500, period_us: 50 })
+        );
+        assert!(parse(&["--trades", "abc"]).unwrap_err().contains("not a number"));
+        assert!(parse(&["--period-us", "x"]).unwrap_err().contains("not a number"));
+        assert!(parse(&["--trades"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown argument"));
+    }
 }

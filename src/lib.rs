@@ -41,15 +41,11 @@
 //! ([`sim::runner`]), so comparing protocols or adding workloads never
 //! duplicates simulation code.
 //!
-//! Two lifecycle vocabularies coexist at this root, one per layer:
-//! [`LifecycleEvent`] / [`LifecycleEventKind`] (from `pmcast-membership`)
-//! describe a [`Population`]'s *scheduled membership events* — joins and
-//! graceful leaves only, since crashes are a fault model, not membership —
-//! while [`LifecycleTransition`] / [`LifecycleKind`] (from
-//! `pmcast-simnet`) are the *applied engine transitions* the
-//! [`Simulation`] reports to its lifecycle observer, which do include
-//! `Crash`.  Schedules are written in the former; observers receive the
-//! latter.
+//! A [`Population`]'s schedule holds joins and graceful leaves only —
+//! crashes are a fault model, not membership — while
+//! [`LifecycleTransition`] / [`LifecycleKind`] (from `pmcast-simnet`) are
+//! the *applied engine transitions* the [`Simulation`] reports to its
+//! lifecycle observer, which do include `Crash`.
 //!
 //! ## Quick start
 //!
@@ -162,8 +158,8 @@ pub use pmcast_interest::{
 };
 pub use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
-    ImplicitRegularTree, InterestOracle, LifecycleEvent, LifecycleEventKind,
-    MembershipView, PartialView, PartialViewConfig, Population, PopulationSizes,
+    ImplicitRegularTree, InterestOracle, MembershipView, PartialView, PartialViewConfig,
+    Population, PopulationSizes,
     SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle, TOPIC_ATTRIBUTE,
 };
 pub use pmcast_net::{NetConfig, NetGroup, NetGroupHandle, NetTrialOutcome, Seen};

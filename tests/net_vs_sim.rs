@@ -5,7 +5,8 @@
 //!
 //! The matrix is all three protocols × all three membership providers on
 //! the 4-ary depth-2 conformance group (n = 16, as in
-//! `tests/protocol_contract.rs`).  Three agreement levels:
+//! `tests/protocol_contract.rs`), plus a multi-topic row (n = 64, delegate
+//! tables) over pmcast's three routing arms.  Three agreement levels:
 //!
 //! 1. **Loss-free**: per-process delivered event *sets* are bit-identical
 //!    between the engines.  The runtime's gossip paths differ (private RNG
@@ -21,8 +22,9 @@
 use pmcast::net::run_net_scenario_trial;
 use pmcast::sim::runner::run_scenario_trial_states;
 use pmcast::{
-    Event, FloodFactory, GenuineFactory, MembershipSpec, MulticastProtocol, PmcastFactory,
-    ProtocolFactory, Publisher, Scenario, ScenarioBuilder,
+    Event, FloodFactory, GenuineFactory, InterestRouting, MembershipSpec, MulticastProtocol,
+    PmcastConfig, PmcastFactory, ProtocolFactory, Publisher, Scenario, ScenarioBuilder,
+    TopicWorkload,
 };
 
 /// Mean-delivery-rate tolerance between the engines under loss.
@@ -149,6 +151,33 @@ fn net_runtime_is_deterministic_per_trial_seed() {
     for (a, b) in first.reports.iter().zip(second.reports.iter()) {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.crashed, b.crashed);
+    }
+}
+
+#[test]
+fn topic_workloads_agree_across_engines_on_every_routing_arm() {
+    // 4³ processes, 40 events over 6 topics and 8 rounds, delegate tables:
+    // the runtime runs the simulator's own topic oracle, schedule and
+    // summaries, so loss-free it reaches the simulator's share of the
+    // audience without a mailbox overflowing — and does so reproducibly.
+    for routing in [InterestRouting::Oracle, InterestRouting::Summary, InterestRouting::Blind] {
+        let scenario = Scenario::builder()
+            .group(4, 3)
+            .membership(MembershipSpec::delegate(4))
+            .topics(TopicWorkload::new(6, 2, 40).with_publish_rounds(8))
+            .protocol(PmcastConfig::default().with_interest_routing(routing))
+            .seed(9)
+            .build();
+        let (sim, _) = run_scenario_trial_states::<PmcastFactory>(&scenario, 0);
+        let net = run_net_scenario_trial::<PmcastFactory>(&scenario, 0);
+        assert_eq!(net.per_event.len(), sim.per_event.len(), "{routing:?}");
+        assert_eq!(net.report.delivery_ratio(), sim.report.delivery_ratio(), "{routing:?}");
+        assert_eq!(net.transport.frames_dropped, 0, "{routing:?}");
+        let again = run_net_scenario_trial::<PmcastFactory>(&scenario, 0);
+        assert_eq!(net.report, again.report, "{routing:?}");
+        assert_eq!(net.per_event, again.per_event, "{routing:?}");
+        assert_eq!(net.rounds, again.rounds, "{routing:?}");
+        assert_eq!(net.transport.frames_sent, again.transport.frames_sent, "{routing:?}");
     }
 }
 

@@ -174,10 +174,9 @@ fn topic_sweep_object_keeps_its_schema() {
         assert_exact_keys(row, &arm, &format!("{context}.rows[{i}]"));
     }
     // The envelope reports the workload that ran, not literals: the sweep
-    // builds `TopicWorkload::new(topics, 3, events)` and leaves the skew at
-    // the constructor's default.
+    // builds `TopicWorkload::new(topics, 3, events)`.
     let count = |key: &str| float(&emitted[0], key, context) as usize;
     let workload = TopicWorkload::new(count("topics"), 3, count("events"));
     assert_eq!(count("subscriptions_per_process"), workload.subscriptions_per_process);
-    assert_eq!(float(&emitted[0], "zipf_exponent", context), workload.zipf_exponent);
+    assert_eq!(float(&emitted[0], "zipf_exponent", context), TopicWorkload::ZIPF_EXPONENT);
 }

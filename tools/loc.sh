@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The yardstick for "less code": per first-party crate and in total, the
-# lines before the first `#[cfg(test)]` of every tracked Rust source file
-# under crates/*/src and src (pass file paths to count just those), then
+# lines before the first unindented `#[cfg(test)]` (an indented one guards a
+# statement, not the test module) of every tracked Rust source file under
+# crates/*/src and src (pass file paths to count just those), then
 # vendor/smol/src on a line of its own, outside the total: the daemon's
 # executor is first-party code on its hot path, not a shim.
 # Run from anywhere inside the repository; counts what git tracks.
@@ -9,7 +10,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 non_test_lines() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
 if [ "$#" -gt 0 ]; then
