@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_core::{
     GenuineFactory, Gossip, InterestRouting, MulticastProtocol, PmcastConfig, PmcastFactory,
-    ProtocolFactory, SharedViews,
+    ProtocolFactory, SharedViews, JUDGEMENT_TABLE_ROWS,
 };
 use pmcast_interest::{
     Event, EventId, EventIdSet, Filter, Interest, InterestSummary, Predicate,
@@ -268,11 +268,12 @@ fn bench(c: &mut Criterion) {
     // above, so the gap to it is the whole cost of the veto.  pmcast asks
     // the provider once per buffered entry (per summary epoch) and records
     // the verdict in the entry, so the three benches are the three things
-    // an entry-round can cost.  `summary_skip_draw` times the
-    // **once-per-entry judgement** on a memo hit — the first round of an
-    // entry whose event *content* the provider has judged before: one
-    // `fill_summary_allowed` call, i.e. one lock, one row lookup, a byte
-    // read per distinct subgroup, a second dyn-iterator pass.
+    // an entry-round can cost.  `summary_skip_draw` times the **per-subgroup
+    // judgement** on a memo hit — what the first entry of a (content, view)
+    // pair folds into the provider's mask for every later entry of the pair
+    // (`summary_verdict`), and what a view wider than a verdict pays per
+    // entry-round: one `fill_summary_allowed` call, i.e. one lock, one row
+    // lookup, a byte read per distinct subgroup, a second dyn-iterator pass.
     // `summary_skip_draw_miss` rotates through more distinct contents than
     // the memo holds, so every call starts a fresh row and judges each
     // subgroup against its summary's disjuncts — the first entry of a
@@ -373,6 +374,60 @@ fn bench(c: &mut Criterion) {
             acc
         })
     });
+
+    // One fresh entry — a publication here, a promotion costs the same — in
+    // a 4^3 group under a topic oracle: what `GroupContext::fresh_entry`
+    // pays per entry now that `GETRATE` and the Pittel budget are kept per
+    // (audience key, view).  `judgement_row_hit` publishes one topic over
+    // and over: the oracle's key (one attribute lookup), a lock and a probe
+    // that finds the row.  `judgement_row_miss` rotates through one topic
+    // more than the table has rows, so every probe fails and the entry is
+    // judged on the spot — four subtree tests and two logarithms — and
+    // stored, the table forgetting everything once a rotation: what every
+    // fresh entry paid before, plus the failed probe and the insert.  The
+    // gap between the two is what a row saves; the hit is the lock and
+    // lookup it costs.  A process ignores an id it has seen, so the events
+    // are published once at each of a few processes and the group is
+    // rebuilt every 65 536 publications (under 1 ns a publication, in both
+    // benches alike).
+    let judged_space = AddressSpace::regular(3, 4).expect("valid");
+    let judged_tree = ImplicitRegularTree::new(judged_space.clone());
+    let judged_topics = Arc::new(TopicOracle::new(
+        judged_space,
+        (0..64).map(|i| vec![i % 12]).collect(),
+        JUDGEMENT_TABLE_ROWS + 1,
+    ));
+    let judged_view: Arc<dyn MembershipView> = Arc::new(GlobalOracleView::new(64));
+    let judged_group = || {
+        PmcastFactory::build(
+            &judged_tree,
+            judged_topics.clone(),
+            judged_view.clone(),
+            &PmcastConfig::default(),
+        )
+        .processes
+    };
+    for (name, topics) in [("judgement_row_hit", 1), ("judgement_row_miss", JUDGEMENT_TABLE_ROWS + 1)] {
+        let events: Vec<Arc<Event>> = (0..topics.max(4_096))
+            .map(|id| {
+                let topic = (4 + id % topics) % (JUDGEMENT_TABLE_ROWS + 1);
+                Arc::new(Event::builder(id as u64).int(TOPIC_ATTRIBUTE, topic as i64).build())
+            })
+            .collect();
+        let mut processes = judged_group();
+        let mut published = 0usize;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                if published == 65_536 {
+                    processes = judged_group();
+                    published = 0;
+                }
+                processes[published / events.len()]
+                    .publish(Arc::clone(&events[published % events.len()]));
+                published += 1;
+            })
+        });
+    }
 
     // The per-receipt dedup probe.  `idset_contains_dense_2000`: a process's
     // seen-set late in a `topics_*` trial — 2 000 sequential identifiers,

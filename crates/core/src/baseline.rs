@@ -356,7 +356,7 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
         // sends below can borrow `ctx`.
         let mut scratch = std::mem::take(ctx.scratch());
         self.buffered.retain(|_, FlatEntry { gossip, pool }| {
-            if gossip.round >= gossip.budget {
+            if !gossip.has_budget() {
                 return false;
             }
             gossip.round += 1;

@@ -19,15 +19,20 @@ pub struct BufferedGossip {
     pub rate: f64,
     /// Rounds this event has already been gossiped at this depth.
     pub round: u32,
-    /// Round budget at this depth (`T(|view| · R · rate, F · rate)`).
-    pub budget: u32,
+    /// Round budget at this depth (`T(|view| · R · rate, F · rate)`), never
+    /// above the protocol's per-depth cap of 64 rounds — which is what
+    /// leaves room for the flag below without growing the entry.
+    pub budget: u16,
+    /// Whether a verdict was ever recorded.  Every `u64` is an epoch a
+    /// provider may report, so "not asked" is a field of its own and not one
+    /// of `asked_under`'s values.
+    asked: bool,
     /// The recorded summary verdict: bit `p` is set when the membership
     /// provider's summaries allow the depth view's position `p` for this
     /// event.  Derived state, valid only under the epoch below, and private
     /// so that only an answer of the provider ever gets here.
     allowed: u128,
-    /// The provider's summary epoch the verdict was asked under, plus one;
-    /// zero while nobody has asked.
+    /// The provider's summary epoch the verdict was asked under.
     asked_under: u64,
 }
 
@@ -39,27 +44,38 @@ impl BufferedGossip {
     pub(crate) const VERDICT_WIDTH: usize = u128::BITS as usize;
 
     /// An entry with no verdict recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget` exceeds `u16::MAX`; the protocols cap theirs at 64.
     pub fn new(event: Arc<Event>, rate: f64, round: u32, budget: u32) -> Self {
         Self {
             event,
             rate,
             round,
-            budget,
+            budget: u16::try_from(budget).expect("round budgets are capped per depth"),
+            asked: false,
             allowed: 0,
             asked_under: 0,
         }
     }
 
+    /// Returns `true` while the entry has rounds of its budget left.
+    pub fn has_budget(&self) -> bool {
+        self.round < u32::from(self.budget)
+    }
+
     /// The verdict recorded for this entry, if one was and the provider's
     /// summary epoch is still the one it was asked under.
     pub(crate) fn verdict_under(&self, epoch: u64) -> Option<u128> {
-        (self.asked_under == epoch.wrapping_add(1)).then_some(self.allowed)
+        (self.asked && self.asked_under == epoch).then_some(self.allowed)
     }
 
     /// Records the provider's verdict, asked under `epoch`.
     pub(crate) fn record_verdict(&mut self, epoch: u64, allowed: u128) {
+        self.asked = true;
         self.allowed = allowed;
-        self.asked_under = epoch.wrapping_add(1);
+        self.asked_under = epoch;
     }
 }
 
@@ -257,6 +273,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<BufferedGossip>(), 48);
 
         let mut entry = gossip(3);
+        // No epoch a provider can report reads as a verdict before one is
+        // recorded — `u64::MAX` did while "not asked" was `epoch + 1 == 0`.
+        for epoch in [0, 1, u64::MAX] {
+            assert_eq!(entry.verdict_under(epoch), None);
+        }
+        entry.record_verdict(u64::MAX, 0b11);
+        assert_eq!(entry.verdict_under(u64::MAX), Some(0b11));
         assert_eq!(entry.verdict_under(0), None);
         entry.record_verdict(0, 0b101);
         assert_eq!(entry.verdict_under(0), Some(0b101));

@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
@@ -6,12 +6,22 @@ use pmcast_interest::{Event, EventId, EventIdSet};
 use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess};
 use rand::Rng;
+use rustc_hash::FxHashMap;
 
 use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::{
-    BufferedGossip, Gossip, GossipBuffers, GossipTarget, InterestRouting, PmcastConfig,
-    ProtocolGroup, SharedViews,
+    BufferedGossip, DepthView, Gossip, GossipBuffers, GossipTarget, InterestRouting,
+    PmcastConfig, ProtocolGroup, SharedViews,
 };
+
+/// How many judgements a pmcast group remembers — the `(rate, budget)` a
+/// fresh entry starts with, one row per ([`InterestOracle::audience_key`],
+/// [`DepthView::id`]) pair; one more and the group forgets them all and
+/// starts over.  The table may forget at any time, so this only bounds its
+/// memory — a custom oracle's keys or a long-lived daemon must not grow it —
+/// and is not a tuning knob: 50 topics over the 21 views of a 4³ group are
+/// 1 050 rows, one audience over the 4 369 views of a 16⁴ group 4 369.
+pub const JUDGEMENT_TABLE_ROWS: usize = 1 << 14;
 
 /// Crate-internal group construction backing [`crate::PmcastFactory`].
 pub(crate) fn build_pmcast_group<T: TreeTopology>(
@@ -28,6 +38,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
         views,
         oracle,
         membership,
+        judgements: Mutex::default(),
     });
     let processes = addresses
         .iter()
@@ -51,6 +62,10 @@ struct GroupContext {
     views: SharedViews,
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
+    /// `(audience key, view id)` to the `(rate, budget)` a fresh entry of
+    /// that audience starts with in that view — derived state in front of
+    /// [`judge`](Self::judge), at most [`JUDGEMENT_TABLE_ROWS`] rows.
+    judgements: Mutex<FxHashMap<(u64, u32), (f64, u32)>>,
 }
 
 impl GroupContext {
@@ -114,10 +129,52 @@ impl GroupContext {
         }
     }
 
-    /// A freshly filed entry for `event` at the depth whose view is `view`.
-    fn fresh_entry(&self, view: &[GossipTarget], event: Arc<Event>) -> BufferedGossip {
-        let rate = self.effective_rate(view, &event);
-        BufferedGossip::new(event, rate, 0, self.round_budget(view.len(), rate))
+    /// What a fresh entry for `event` starts with in `view`: the effective
+    /// matching rate there and the round budget that follows from it.
+    fn judge(&self, view: &[GossipTarget], event: &Event) -> (f64, u32) {
+        let rate = self.effective_rate(view, event);
+        (rate, self.round_budget(view.len(), rate))
+    }
+
+    /// A freshly filed entry for `event` at the depth whose view is `view`
+    /// (a publication, or a promotion out of the depth above).
+    ///
+    /// [`judge`](Self::judge) reads the event only through the oracle's two
+    /// `⊲` tests, so under an oracle that names the event's audience
+    /// ([`InterestOracle::audience_key`]: same key, same answers, for the
+    /// life of the group) it is a function of *(key, view)* — the same for
+    /// every process holding the view and every event of the audience — and
+    /// is [looked up](Self::judgement): one lock and one probe per fresh
+    /// entry, never per entry-round or per message.  An oracle without a
+    /// key (exact subscriptions, the broadcast case) is judged on the spot.
+    fn fresh_entry(&self, view: &DepthView, event: Arc<Event>) -> BufferedGossip {
+        let (rate, budget) = match self.oracle.audience_key(&event) {
+            Some(key) => self.judgement(key, view, &event),
+            None => self.judge(view, &event),
+        };
+        BufferedGossip::new(event, rate, 0, budget)
+    }
+
+    /// [`judge`](Self::judge) for an event of the audience `key`, computed
+    /// once per `(key, view)` and served — the very `(f64, u32)` — from
+    /// [`GroupContext::judgements`] until the table forgets it.
+    fn judgement(&self, key: u64, view: &DepthView, event: &Event) -> (f64, u32) {
+        let row = (key, view.id());
+        let mut judgements = self.judgements.lock().expect("judgement table lock poisoned");
+        let judged = match judgements.get(&row) {
+            Some(&judged) => judged,
+            None => {
+                if judgements.len() == JUDGEMENT_TABLE_ROWS {
+                    judgements.clear();
+                }
+                let judged = self.judge(view, event);
+                judgements.insert(row, judged);
+                judged
+            }
+        };
+        #[cfg(test)]
+        tests::check_judgement(self, view, event, judged);
+        judged
     }
 
     /// The pool of one entry-round under [`InterestRouting::Summary`]: the
@@ -126,19 +183,21 @@ impl GroupContext {
     /// `scratch.event_candidates`.
     ///
     /// Whether a subgroup is allowed does not depend on who is a candidate
-    /// this round, so the provider is asked about the whole view once — the
-    /// first round the entry is gossiped — and its answer is recorded in the
-    /// entry with the `epoch` (the provider's
+    /// this round, so the provider is asked for its verdict on the whole
+    /// view once — the first round the entry is gossiped — and its answer
+    /// is recorded in the entry with the `epoch` (the provider's
     /// [`summary_epoch`](MembershipView::summary_epoch), read once per
     /// depth per round) it was given under.  Every later entry-round is
     /// `candidates ∩ verdict` with no call into the membership layer, until
     /// the epoch moves — a filter changed — and the verdict is asked again:
-    /// it is derived state, never a source of truth.  A view wider than
-    /// [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and is asked
-    /// about per entry-round, candidates only.
+    /// it is derived state, never a source of truth.  The ask names the
+    /// view by its id, so a provider that has judged the event's content in
+    /// this view for another process answers without walking it.  A view
+    /// wider than [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and
+    /// is asked about per entry-round, candidates only.
     fn fill_summary_pool(
         &self,
-        view: &[GossipTarget],
+        view: &DepthView,
         entry: &mut BufferedGossip,
         epoch: u64,
         scratch: &mut FanoutScratch,
@@ -156,18 +215,11 @@ impl GroupContext {
             return;
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
-            self.membership.fill_summary_allowed(
+            let allowed = self.membership.summary_verdict(
                 &entry.event,
-                &mut view
-                    .iter()
-                    .enumerate()
-                    .map(|(position, target)| (position, &target.subgroup)),
-                &mut scratch.event_candidates,
+                view.id(),
+                &mut view.iter().map(|target| &target.subgroup),
             );
-            let allowed = scratch
-                .event_candidates
-                .drain(..)
-                .fold(0u128, |allowed, position| allowed | 1 << position);
             entry.record_verdict(epoch, allowed);
             allowed
         });
@@ -318,7 +370,7 @@ impl PmcastProcess {
         let mut entries = std::mem::take(self.buffers.at_depth_mut(depth));
         let buffers = &mut self.buffers;
         let group = &*self.group;
-        let view = &*self.depth_views[depth - 1];
+        let view = &self.depth_views[depth - 1];
         let next_view = self.depth_views.get(depth);
         let fanout = group.config.fanout;
 
@@ -350,7 +402,7 @@ impl PmcastProcess {
             InterestRouting::Oracle | InterestRouting::Blind => 0,
         };
         entries.retain_mut(|entry| {
-            if entry.round < entry.budget {
+            if entry.has_budget() {
                 entry.round += 1;
                 // Every gossip of this entry has the same wire size; compute
                 // it once per entry-round instead of per target.
@@ -480,18 +532,20 @@ impl crate::MulticastProtocol for PmcastProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use pmcast_addr::{AddressSpace, Prefix};
     use pmcast_interest::{Filter, Predicate};
     use pmcast_membership::{
         AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
-        ImplicitRegularTree, TopicOracle, UniformOracle, TOPIC_ATTRIBUTE,
+        ImplicitRegularTree, SubtreeSummaries, TopicOracle, UniformOracle, TOPIC_ATTRIBUTE,
     };
     use pmcast_simnet::{CrashPlan, LifecycleKind, LifecyclePlan, NetworkConfig, Simulation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    use crate::MulticastReport;
 
     fn small_topology() -> ImplicitRegularTree {
         ImplicitRegularTree::new(AddressSpace::regular(2, 4).unwrap())
@@ -551,6 +605,39 @@ mod tests {
     /// Empties this thread's log of checked pools and returns it.
     fn pools_checked() -> Vec<(u64, usize)> {
         POOLS_CHECKED.with(|checked| std::mem::take(&mut *checked.borrow_mut()))
+    }
+
+    thread_local! {
+        /// How many table-served judgements this thread has held against
+        /// the computation.
+        static JUDGEMENTS_CHECKED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called by `GroupContext::judgement` in test builds on every `(rate,
+    /// budget)` it returns, found in the table or just stored:
+    /// whatever test drives the protocol, a row that is not bit for bit what
+    /// [`GroupContext::judge`] computes on the spot fails here.
+    pub(super) fn check_judgement(
+        group: &GroupContext,
+        view: &DepthView,
+        event: &Event,
+        served: (f64, u32),
+    ) {
+        let (rate, budget) = group.judge(view, event);
+        assert_eq!(
+            (served.0.to_bits(), served.1),
+            (rate.to_bits(), budget),
+            "judgement of {} in view {}: served {served:?}, computed {:?}",
+            event.id(),
+            view.id(),
+            (rate, budget)
+        );
+        JUDGEMENTS_CHECKED.with(|checked| checked.set(checked.get() + 1));
+    }
+
+    /// Resets this thread's count of checked judgements and returns it.
+    fn judgements_checked() -> usize {
+        JUDGEMENTS_CHECKED.with(|checked| checked.replace(0))
     }
 
     fn global_view() -> Arc<dyn MembershipView> {
@@ -846,48 +933,65 @@ mod tests {
 
     #[test]
     fn a_verdict_recorded_mid_budget_is_asked_again_once_the_epoch_moves() {
-        let provider = Arc::new(FlippingView {
-            allowed: AtomicU64::new(1),
-            epoch: AtomicU64::new(7),
-        });
-        // F = R = 3: a pool of one subgroup's three delegates is drawn whole.
-        let config = PmcastConfig::default()
-            .with_fanout(3)
-            .with_interest_routing(InterestRouting::Summary);
-        let group = build_pmcast_group(
-            &small_topology(),
-            Arc::new(UniformOracle),
-            provider.clone(),
-            &config,
-        );
-        let mut process = group.processes.into_iter().next().unwrap();
-        process.pmcast(Event::builder(1).build());
-        assert!(process.buffers.at_depth(1)[0].budget >= 4, "mid-budget needs a budget");
+        // Any `u64` is an epoch: the last one must not read as "recorded"
+        // on an entry nobody asked about (it did while that was spelled
+        // `epoch + 1 == 0` — everything vetoed, nothing sent), and the
+        // epoch after it is 0.
+        for first_epoch in [7, u64::MAX] {
+            let provider = Arc::new(FlippingView {
+                allowed: AtomicU64::new(1),
+                epoch: AtomicU64::new(first_epoch),
+            });
+            // F = R = 3: a pool of one subgroup's three delegates is drawn
+            // whole.
+            let config = PmcastConfig::default()
+                .with_fanout(3)
+                .with_interest_routing(InterestRouting::Summary);
+            let group = build_pmcast_group(
+                &small_topology(),
+                Arc::new(UniformOracle),
+                provider.clone(),
+                &config,
+            );
+            let mut process = group.processes.into_iter().next().unwrap();
+            process.pmcast(Event::builder(1).build());
+            assert!(process.buffers.at_depth(1)[0].budget >= 4, "mid-budget needs a budget");
 
-        let mut outbox = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut scratch = FanoutScratch::default();
-        let mut round = |process: &mut PmcastProcess| -> Vec<usize> {
-            let mut ctx =
-                RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
-            process.on_round(&mut ctx);
-            let mut targets: Vec<usize> = outbox.drain(..).map(|(to, ..)| to.0).collect();
-            targets.sort_unstable();
-            targets
-        };
-        pools_checked();
-        // Subtree 1 is allowed: its delegates 1.0, 1.1, 1.2 get the gossip,
-        // this round and — from the recorded verdict — the next.
-        assert_eq!(round(&mut process), vec![4, 5, 6]);
-        assert_eq!(round(&mut process), vec![4, 5, 6]);
-        assert_eq!(process.buffers.at_depth(1)[0].verdict_under(7), Some(0b111 << 3));
-        // The filters change under the entry: the next round draws from the
-        // new pool, because the provider moved its epoch.
-        provider.allowed.store(2, Ordering::SeqCst);
-        provider.epoch.store(8, Ordering::SeqCst);
-        assert_eq!(round(&mut process), vec![8, 9, 10]);
-        assert_eq!(process.buffers.at_depth(1)[0].verdict_under(8), Some(0b111 << 6));
-        assert_eq!(pools_checked(), vec![(1, 3); 3]);
+            let mut outbox = Vec::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let mut scratch = FanoutScratch::default();
+            let mut round = |process: &mut PmcastProcess| -> Vec<usize> {
+                let mut ctx =
+                    RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
+                process.on_round(&mut ctx);
+                let mut targets: Vec<usize> = outbox.drain(..).map(|(to, ..)| to.0).collect();
+                targets.sort_unstable();
+                targets
+            };
+            pools_checked();
+            // Subtree 1 is allowed: its delegates 1.0, 1.1, 1.2 get the
+            // gossip, this round and — from the recorded verdict — the next.
+            assert_eq!(round(&mut process), vec![4, 5, 6]);
+            assert_eq!(round(&mut process), vec![4, 5, 6]);
+            let recorded = |process: &PmcastProcess, epoch| {
+                process.buffers.at_depth(1)[0].verdict_under(epoch)
+            };
+            assert_eq!(recorded(&process, first_epoch), Some(0b111 << 3));
+            // The filters change under the entry: the next round draws from
+            // the new pool, because the provider moved its epoch.
+            let second_epoch = first_epoch.wrapping_add(1);
+            provider.allowed.store(2, Ordering::SeqCst);
+            provider.epoch.store(second_epoch, Ordering::SeqCst);
+            assert_eq!(round(&mut process), vec![8, 9, 10]);
+            assert_eq!(recorded(&process, second_epoch), Some(0b111 << 6));
+            assert_eq!(recorded(&process, first_epoch), None);
+            assert_eq!(pools_checked(), vec![(1, 3); 3]);
+        }
+    }
+
+    /// `delegate(4)` tables for a 4^3 group.
+    fn delegate_4_tables() -> Arc<DelegateView> {
+        Arc::new(DelegateView::bootstrap(4, 3, DelegateViewConfig::default().with_slots(4), 11))
     }
 
     /// A 4^3 group under summary routing over `delegate(4)` tables with the
@@ -899,12 +1003,7 @@ mod tests {
             .map(|i| if i == 21 { vec![i / 4 % 5, 5] } else { vec![i / 4 % 5] })
             .collect();
         let topics = Arc::new(TopicOracle::new(space.clone(), subscriptions, 6));
-        let membership = Arc::new(DelegateView::bootstrap(
-            4,
-            3,
-            DelegateViewConfig::default().with_slots(4),
-            11,
-        ));
+        let membership = delegate_4_tables();
         membership.attach_interest_summaries(topics.subtree_summaries());
         let config = PmcastConfig::default().with_interest_routing(InterestRouting::Summary);
         let group = build_pmcast_group(
@@ -916,18 +1015,19 @@ mod tests {
         (group, membership)
     }
 
-    /// Steps [`summary_routed_topic_group`] through a churn schedule the way
-    /// the trial runner does — lifecycle transitions observed by the
-    /// provider, a membership round before every step — publishing event
-    /// `100 + r` on topic `publications[r]` in round `r`, until everything
-    /// is published and quiet.  `check_summary_pool` holds the pool of
-    /// every entry-round on the way equal to the per-round ask.
-    fn run_topic_churn(
+    /// Steps a 64-process group through a churn schedule the way the trial
+    /// runner does — lifecycle transitions observed by the provider, a
+    /// membership round before every step — publishing `events[r]` in round
+    /// `r`, until everything is published and quiet.  The hooks hold every
+    /// summary-routed pool and every table-served judgement on the way
+    /// equal to what they stand for.
+    fn run_churn(
+        group: ProtocolGroup<PmcastProcess>,
+        membership: Arc<DelegateView>,
         crashes: Vec<(u64, usize)>,
         lifecycle: LifecyclePlan,
-        publications: &[i64],
-    ) -> (Simulation<PmcastProcess>, Arc<DelegateView>) {
-        let (group, membership) = summary_routed_topic_group();
+        events: Vec<Event>,
+    ) -> Simulation<PmcastProcess> {
         let network = NetworkConfig {
             crash_plan: CrashPlan::Scheduled(crashes),
             ..NetworkConfig::reliable(5)
@@ -941,18 +1041,44 @@ mod tests {
                     LifecycleKind::Crash => observer.observe_crash(t.process.0),
                 }
             });
+        let mut events = events.into_iter();
         for round in 0..200 {
-            if let Some(&topic) = publications.get(round) {
-                let event = Event::builder(100 + round as u64).int(TOPIC_ATTRIBUTE, topic).build();
+            let published = events.next();
+            let publishing = published.is_some();
+            if let Some(event) = published {
                 sim.process_mut(ProcessId(round * 3 % 64)).pmcast(event);
             }
             membership.round_elapsed();
             sim.step();
-            if round >= publications.len() && sim.pending_lifecycle() == 0 && sim.is_quiescent() {
-                return (sim, membership);
+            if !publishing && sim.pending_lifecycle() == 0 && sim.is_quiescent() {
+                return sim;
             }
         }
         panic!("the dissemination never went quiet");
+    }
+
+    /// [`run_churn`] over [`summary_routed_topic_group`], publishing event
+    /// `100 + r` on topic `publications[r]` in round `r`.
+    fn run_topic_churn(
+        crashes: Vec<(u64, usize)>,
+        lifecycle: LifecyclePlan,
+        publications: &[i64],
+    ) -> (Simulation<PmcastProcess>, Arc<DelegateView>) {
+        let (group, membership) = summary_routed_topic_group();
+        let events = topic_events(publications);
+        let sim = run_churn(group, membership.clone(), crashes, lifecycle, events);
+        (sim, membership)
+    }
+
+    /// Event `100 + r` on topic `topics[r]`, for every `r`.
+    fn topic_events(topics: &[i64]) -> Vec<Event> {
+        topics
+            .iter()
+            .enumerate()
+            .map(|(round, &topic)| {
+                Event::builder(100 + round as u64).int(TOPIC_ATTRIBUTE, topic).build()
+            })
+            .collect()
     }
 
     #[test]
@@ -1009,6 +1135,282 @@ mod tests {
             };
             let (sim, _) = run_topic_churn(scheduled(2), lifecycle, &publications);
             proptest::prop_assert!(sim.is_quiescent());
+        }
+    }
+
+    /// An oracle's two `⊲` tests without its audience keys.
+    struct Unkeyed<'a>(&'a dyn InterestOracle);
+
+    impl InterestOracle for Unkeyed<'_> {
+        fn is_interested(&self, address: &Address, event: &Event) -> bool {
+            self.0.is_interested(address, event)
+        }
+        fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
+            self.0.subtree_interested(prefix, event)
+        }
+    }
+
+    #[test]
+    fn a_report_per_audience_equals_the_report_per_event() {
+        // Fourteen publications over the six topics and one the oracle does
+        // not know (no audience key: classified process by process), topics
+        // repeating so that most events read an earlier one's audience; the
+        // eighth re-publishes the third's id from another process, as a
+        // redundant-publisher workload does.
+        let (group, membership) = summary_routed_topic_group();
+        let oracle = Arc::clone(&group.processes[0].group.oracle);
+        let mut events = topic_events(&[0, 1, 5, 2, 6, 0, 3, 5, 1, 4, 6, 0, 5, 2]);
+        events[7] = events[2].clone();
+        assert_eq!(oracle.audience_key(&events[4]), None);
+        let sim = run_churn(
+            group,
+            membership,
+            vec![(6, 42)],
+            LifecyclePlan::default(),
+            events.clone(),
+        );
+        events.remove(7);
+
+        let per_audience =
+            MulticastReport::collect_per_event(&events, sim.processes(), oracle.as_ref());
+        let per_event =
+            MulticastReport::collect_per_event(&events, sim.processes(), &Unkeyed(oracle.as_ref()));
+        assert_eq!(per_audience, per_event);
+        assert_eq!(per_audience.len(), 13);
+        // Topic 5 has its one subscriber, the unknown topic none, and the
+        // rest reached theirs (a crashed one apart).
+        assert_eq!(per_audience[2].interested, 1);
+        assert_eq!((per_audience[4].interested, per_audience[4].uninterested), (0, 64));
+        assert!(per_audience.iter().all(|report| report.received_total > 0));
+        let merged = per_audience.iter().fold(MulticastReport::default(), |mut all, report| {
+            all.merge(report);
+            all
+        });
+        assert!(merged.delivered_interested > 100 && merged.received_uninterested > 0);
+    }
+
+    /// A fully subscribed 4^3 space: process `i` wants the topics
+    /// `subscriptions[i]`.
+    fn topic_filters(subscriptions: &[(u32, u32)]) -> Vec<Option<Filter>> {
+        subscriptions
+            .iter()
+            .map(|&(first, second)| {
+                let topics = Predicate::one_of([i64::from(first), i64::from(second)]);
+                Some(Filter::new().with(TOPIC_ATTRIBUTE, topics))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_audience_key_is_not_one_summary_verdict() {
+        // An explicit assignment gives every event the audience key 0; the
+        // summaries attached to the provider still tell contents apart —
+        // process `i` subscribes to the topic numbered like its depth-1
+        // subtree.  Two events of the one key must each get the pool of
+        // their own content (`check_summary_pool` holds both equal to the
+        // per-round ask): a verdict kept per audience key would serve the
+        // first event's to the second.
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let everybody = AssignmentOracle::new(space.clone(), space.iter());
+        let subscriptions: Vec<(u32, u32)> = (0..64).map(|i| (i / 16, i / 16)).collect();
+        let membership = delegate_4_tables();
+        membership.attach_interest_summaries(SubtreeSummaries::build(
+            space.clone(),
+            topic_filters(&subscriptions),
+        ));
+        let config = PmcastConfig::default()
+            .with_fanout(3)
+            .with_interest_routing(InterestRouting::Summary);
+        let events: Vec<Event> = [1, 2]
+            .iter()
+            .map(|&topic| Event::builder(topic as u64).int(TOPIC_ATTRIBUTE, topic).build())
+            .collect();
+        assert_eq!(everybody.audience_key(&events[0]), Some(0));
+        assert_eq!(everybody.audience_key(&events[1]), Some(0));
+        let group = build_pmcast_group(
+            &ImplicitRegularTree::new(space),
+            Arc::new(everybody),
+            membership,
+            &config,
+        );
+        let mut processes = group.processes.into_iter();
+        let (mut publisher, mut sibling) = (processes.next().unwrap(), processes.next().unwrap());
+
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut scratch = FanoutScratch::default();
+        // The subtrees (of 16 processes) each event's root-depth gossips of
+        // one round went to.
+        let mut round = |process: &mut PmcastProcess| -> Vec<(u64, usize)> {
+            let mut outbox = Vec::new();
+            let mut ctx =
+                RoundContext::external(process.id, 0, &mut outbox, &mut rng, &mut scratch);
+            process.on_round(&mut ctx);
+            let mut sent: Vec<(u64, usize)> = outbox
+                .iter()
+                .filter(|(_, gossip, _)| gossip.depth == 1)
+                .map(|(to, gossip, _)| (gossip.event.id().0, to.0 / 16))
+                .collect();
+            sent.sort_unstable();
+            sent
+        };
+        pools_checked();
+        for event in &events {
+            publisher.pmcast(event.clone());
+        }
+        // F = R = 3: each event's pool is drawn whole.
+        let own_subtrees = vec![(1, 1), (1, 1), (1, 1), (2, 2), (2, 2), (2, 2)];
+        assert_eq!(round(&mut publisher), own_subtrees);
+        let verdicts: Vec<u128> = publisher
+            .buffers
+            .at_depth(1)
+            .iter()
+            .map(|entry| entry.verdict_under(1).expect("recorded under the attach epoch"))
+            .collect();
+        assert_eq!(verdicts, [0b111 << 3, 0b111 << 6]);
+        // A sibling holds the same root view: its asks are answered from
+        // the masks the provider kept per (content, view), in the other
+        // order.
+        for event in events.iter().rev() {
+            sibling.pmcast(event.clone());
+        }
+        assert_eq!(round(&mut sibling), own_subtrees);
+        assert_eq!(pools_checked(), [(1, 3), (2, 3), (2, 3), (1, 3)]);
+    }
+
+    /// The topics of [`judged_group`]'s topic oracle: with the 21 views of
+    /// a 4^3 group, more `(key, view)` pairs than the judgement table holds.
+    const SWEPT_TOPICS: usize = JUDGEMENT_TABLE_ROWS / 21 + 2;
+
+    /// A 4^3 group over `delegate(4)` tables carrying the subscriptions'
+    /// summaries, its interest oracle of one of three kinds: the
+    /// subscriptions as a topic oracle (an audience key per topic), an
+    /// explicit assignment of those whose two topics coincide (one key for
+    /// every event), or the subscriptions as content filters in a group tree
+    /// (no key: nothing may go through the table).
+    fn judged_group(
+        oracle_kind: u8,
+        subscriptions: &[(u32, u32)],
+        config: &PmcastConfig,
+    ) -> (ProtocolGroup<PmcastProcess>, Arc<DelegateView>) {
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let filters = topic_filters(subscriptions);
+        let membership = delegate_4_tables();
+        membership
+            .attach_interest_summaries(SubtreeSummaries::build(space.clone(), filters.clone()));
+        let regular = ImplicitRegularTree::new(space.clone());
+        let group = match oracle_kind {
+            0 => {
+                let sets = subscriptions.iter().map(|&(a, b)| vec![a, b]).collect();
+                let topics = Arc::new(TopicOracle::new(space, sets, SWEPT_TOPICS));
+                build_pmcast_group(&regular, topics, membership.clone(), config)
+            }
+            1 => {
+                let chosen = space.iter().zip(subscriptions).filter(|(_, (a, b))| a == b);
+                let assignment = AssignmentOracle::new(space.clone(), chosen.map(|(at, _)| at));
+                build_pmcast_group(&regular, Arc::new(assignment), membership.clone(), config)
+            }
+            _ => {
+                let mut tree = GroupTree::new(space.clone());
+                for (address, filter) in space.iter().zip(filters) {
+                    tree.join(address, filter.expect("everybody subscribes")).unwrap();
+                }
+                let tree = Arc::new(tree);
+                build_pmcast_group(tree.as_ref(), tree.clone(), membership.clone(), config)
+            }
+        };
+        (group, membership)
+    }
+
+    proptest::proptest! {
+        /// Every `(rate, budget)` the judgement table serves is bit for bit
+        /// what `GroupContext::judge` computes on the spot
+        /// (`check_judgement`, on every fresh entry), whatever the oracle,
+        /// the tuning, the routing arm and the churn — and across an
+        /// overflow, which only forgets: before the traffic the table is
+        /// filled to `headroom` rows below its bound with pairs the traffic
+        /// does not use, so the traffic's own rows push it over while
+        /// entries are in flight, and the rest of the sweep after it makes
+        /// it more pairs than the bound in any case.
+        #[test]
+        fn table_served_judgements_equal_the_computation_on_the_spot(
+            oracle_kind in 0u8..3,
+            tuning in 0usize..3,
+            routing in 0u8..3,
+            subscriptions in proptest::collection::vec((0u32..6, 0u32..6), 64),
+            churn in proptest::collection::vec((0u8..3, 0usize..64, 1u64..24), 0..8),
+            publications in proptest::collection::vec(0i64..8, 1..10),
+            headroom in 0usize..40,
+        ) {
+            let routing = [InterestRouting::Oracle, InterestRouting::Summary, InterestRouting::Blind]
+                [routing as usize];
+            let mut config = PmcastConfig::default().with_interest_routing(routing);
+            if tuning > 0 {
+                config = config.with_tuning(4 * tuning);
+            }
+            let (group, membership) = judged_group(oracle_kind, &subscriptions, &config);
+            let context = Arc::clone(&group.processes[0].group);
+            // The 21 views, by id.
+            let mut views: Vec<DepthView> = group
+                .processes
+                .iter()
+                .flat_map(|process| process.depth_views.iter().cloned())
+                .collect();
+            views.sort_unstable_by_key(DepthView::id);
+            views.dedup_by_key(|view| view.id());
+            proptest::prop_assert_eq!(views.len(), 21);
+            // Topics from the top down: the traffic's (0..8) come last.
+            let swept: Vec<(i64, &DepthView)> = (0..SWEPT_TOPICS as i64)
+                .rev()
+                .flat_map(|topic| views.iter().map(move |view| (topic, view)))
+                .collect();
+            let sweep = |pairs: &[(i64, &DepthView)]| {
+                for &(topic, view) in pairs {
+                    let event = Event::builder(9).int(TOPIC_ATTRIBUTE, topic).build();
+                    context.fresh_entry(view, Arc::new(event));
+                }
+            };
+            let rows = || context.judgements.lock().unwrap().len();
+
+            judgements_checked();
+            let (before, after) = swept.split_at(JUDGEMENT_TABLE_ROWS - headroom);
+            sweep(before);
+            let scheduled = |kind: u8| -> Vec<(u64, usize)> {
+                churn
+                    .iter()
+                    .filter(|&&(of, ..)| of == kind)
+                    .map(|&(_, process, round)| (round, process))
+                    .collect()
+            };
+            let lifecycle = LifecyclePlan {
+                leaves: scheduled(0),
+                joins: scheduled(1),
+                ..LifecyclePlan::default()
+            };
+            let events = topic_events(&publications);
+            let sim = run_churn(group, membership, scheduled(2), lifecycle, events);
+            proptest::prop_assert!(sim.is_quiescent());
+            sweep(after);
+
+            let checked = judgements_checked();
+            match oracle_kind {
+                // A key per topic: the sweep alone is more pairs than rows,
+                // every one of them went through the table, and the table
+                // forgot instead of growing — what it holds was stored
+                // after the overflow, by the traffic or the sweep's tail,
+                // both within the traffic's eight topics.
+                0 => {
+                    proptest::prop_assert!(swept.len() > JUDGEMENT_TABLE_ROWS);
+                    proptest::prop_assert!(checked > swept.len());
+                    proptest::prop_assert!(rows() <= 8 * 21);
+                }
+                // One key: a row per view at most.
+                1 => {
+                    proptest::prop_assert!(checked > swept.len());
+                    proptest::prop_assert!(rows() <= 21);
+                }
+                // No key: the table is never touched.
+                _ => proptest::prop_assert_eq!((checked, rows()), (0, 0)),
+            }
         }
     }
 
@@ -1124,8 +1526,7 @@ mod tests {
             event.clone(),
             0,
         );
-        let report =
-            crate::MulticastReport::collect(&event, &processes, oracle.as_ref());
+        let report = MulticastReport::collect(&event, &processes, oracle.as_ref());
         // Every interested process delivers on a reliable network …
         assert_eq!(report.interested, 4);
         assert_eq!(report.delivered_interested, 4);

@@ -20,8 +20,32 @@ pub struct GossipTarget {
 
 /// One shared per-depth view: the gossip targets every process under the
 /// corresponding prefix iterates at that depth, distinct processes in
-/// strictly ascending [`ProcessId`] order.
-pub type DepthView = Arc<[GossipTarget]>;
+/// strictly ascending [`ProcessId`] order — it dereferences to that slice —
+/// and the view's dense [`id`](Self::id).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DepthView {
+    id: u32,
+    targets: Arc<[GossipTarget]>,
+}
+
+impl DepthView {
+    /// The view's dense identifier: its rank among the views of one
+    /// [`SharedViews`], counted breadth-first in prefix order (the root view
+    /// is 0).  Within a group an id names one list of targets, which is what
+    /// lets anything that is a function of *(event, view)* be kept per id
+    /// instead of per process holding the view.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+}
+
+impl std::ops::Deref for DepthView {
+    type Target = [GossipTarget];
+
+    fn deref(&self) -> &[GossipTarget] {
+        &self.targets
+    }
+}
 
 /// A process's whole view stack — its [`DepthView`]s of depths `1..=d`,
 /// one allocation shared by every process of the same leaf subgroup.
@@ -34,7 +58,10 @@ pub type ViewStack = Arc<[DepthView]>;
 /// shares one table per `(depth, prefix)` pair — a few hundred entries even
 /// for the 10 000-process evaluation group.  Every target carries the
 /// dense [`ProcessId`] so protocol code never needs to search for addresses
-/// at gossip time.
+/// at gossip time, and every view carries a dense [`DepthView::id`]: what
+/// the protocol computes from *(event, view)* — `GETRATE`, the round budget,
+/// the summary verdict — is the same for every process holding the view, and
+/// is kept per id (`1 + a + … + a^(d−1)` of them, 21 in a 4³ group).
 ///
 /// Building allocates per *prefix*, never per process: one slice per view,
 /// one stack per leaf subgroup, one vector per tree level.
@@ -80,11 +107,12 @@ impl SharedViews {
         let mut frontier = vec![Prefix::root()];
         let mut cursor = 0usize;
         let mut targets = Vec::new();
+        let mut next_id = 0u32;
         for view_depth in 1..=depth {
             let mut level = Vec::with_capacity(frontier.len());
             let mut next_frontier = Vec::new();
             for prefix in frontier {
-                let view: DepthView = if view_depth == depth {
+                let listed: Arc<[GossipTarget]> = if view_depth == depth {
                     // Leaf views: one target per neighbour process.
                     let start = cursor;
                     while cursor < addresses.len() && addresses[cursor].has_prefix(&prefix) {
@@ -114,10 +142,11 @@ impl SharedViews {
                 // The global fanout fill splits a view around the process's
                 // own position with one binary search.
                 debug_assert!(
-                    view.windows(2).all(|pair| pair[0].id < pair[1].id),
+                    listed.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "view targets must be in strictly ascending ProcessId order"
                 );
-                level.push((prefix, view));
+                level.push((prefix, DepthView { id: next_id, targets: listed }));
+                next_id += 1;
             }
             levels.push(level);
             frontier = next_frontier;
@@ -139,7 +168,7 @@ impl SharedViews {
                         let view = views
                             .view_at(&leaf.components()[..view_depth - 1])
                             .expect("every ancestor of a populated prefix is populated");
-                        Arc::clone(view)
+                        view.clone()
                     })
                     .collect()
             })
@@ -196,7 +225,7 @@ mod tests {
 
     /// The view a process holds at one depth, out of its shared stack.
     fn view_for(views: &SharedViews, address: &str, depth: Depth) -> DepthView {
-        Arc::clone(&views.view_stack(&address.parse().unwrap())[depth - 1])
+        views.view_stack(&address.parse().unwrap())[depth - 1].clone()
     }
 
     #[test]
@@ -204,8 +233,11 @@ mod tests {
         let v = views();
         assert_eq!(v.depth(), 3);
         assert_eq!(v.addresses.len(), 27);
-        // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views.
+        // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views, numbered
+        // breadth-first.
         assert_eq!(v.levels.iter().map(Vec::len).sum::<usize>(), 13);
+        let ids: Vec<u32> = v.levels.iter().flatten().map(|(_, view)| view.id()).collect();
+        assert_eq!(ids, (0..13).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -245,7 +277,8 @@ mod tests {
             assert_eq!(stack.len(), v.depth());
             for (index, view) in stack.iter().enumerate() {
                 let prefix = &address.components()[..index];
-                assert!(Arc::ptr_eq(view, v.view_at(prefix).unwrap()));
+                assert_eq!(view.id(), v.view_at(prefix).unwrap().id());
+                assert!(Arc::ptr_eq(&view.targets, &v.view_at(prefix).unwrap().targets));
                 assert!(
                     view.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "depth {} view of {address} is not strictly ascending",
@@ -291,6 +324,7 @@ mod tests {
         let v = views();
         let a = view_for(&v, "0.1.2", 2);
         let b = view_for(&v, "0.2.0", 2);
-        assert!(Arc::ptr_eq(&a, &b), "siblings share the same view allocation");
+        assert!(Arc::ptr_eq(&a.targets, &b.targets), "siblings share the same view allocation");
+        assert_eq!(a.id(), b.id());
     }
 }

@@ -138,7 +138,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::provider::MembershipView;
-use crate::summaries::InterestAnnex;
+use crate::summaries::{allowed_mask, InterestAnnex};
 use crate::SubtreeSummaries;
 
 /// Sentinel marking an unoccupied delegate slot.  `u32::MAX` sorts after
@@ -1020,6 +1020,21 @@ impl MembershipView for DelegateView {
         match self.interest().as_mut() {
             Some(annex) => annex.fill_allowed(event, subgroups, out),
             None => out.extend(subgroups.map(|(position, _)| position)),
+        }
+    }
+
+    /// One lock, the event's memo row and the mask kept for `(row, view)`;
+    /// the fold over the subgroups runs the first time a content meets a
+    /// view after the table last changed.
+    fn summary_verdict(
+        &self,
+        event: &Event,
+        view: u32,
+        subgroups: &mut dyn Iterator<Item = &Prefix>,
+    ) -> u128 {
+        match self.interest().as_mut() {
+            Some(annex) => annex.view_verdict(event, view, subgroups),
+            None => allowed_mask(subgroups, |_| true),
         }
     }
 

@@ -33,10 +33,21 @@ pub trait InterestOracle {
     fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool;
 
     /// A cheap equivalence key over audiences: two events mapped to the same
-    /// key are guaranteed to have **identical** audiences under this oracle,
-    /// so audience caches (hashconsing directories) can reuse one computed
-    /// set without rescanning the group.  `None` means "no such key is
-    /// known" and every event must be resolved individually.
+    /// key are guaranteed to have **identical** audiences under this oracle
+    /// — [`is_interested`](Self::is_interested) and
+    /// [`subtree_interested`](Self::subtree_interested) answer the same for
+    /// both, about every address and prefix — **for as long as the oracle
+    /// is in use**: a key never comes to name another audience.  `None`
+    /// means "no such key is known" and every event must be resolved
+    /// individually.
+    ///
+    /// Three caches lean on it, none of which is ever invalidated: the
+    /// genuine baseline's audience directory reuses one computed set per
+    /// key, pmcast keeps `GETRATE` and the round budget per `(key, depth
+    /// view)` for the life of a group, and the multicast report classifies
+    /// the group once per key.  The summary veto does **not**: what an
+    /// attached summary reads of an event is its content, which one key may
+    /// cover many of.
     ///
     /// [`AssignmentOracle`] answers `Some(0)` (its assignment ignores the
     /// event), and the topic oracle answers the event's topic index; exact

@@ -68,12 +68,15 @@
 //!   whole candidate list at a time:
 //!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth) once per
 //!   depth per round, and — under summary routing —
-//!   [`fill_summary_allowed`](MembershipView::fill_summary_allowed) once per
-//!   buffered event per [`summary_epoch`](MembershipView::summary_epoch).
-//!   Both default to asking the single probe
+//!   [`summary_verdict`](MembershipView::summary_verdict) once per
+//!   buffered event per [`summary_epoch`](MembershipView::summary_epoch),
+//!   for the whole depth view, named by its dense id
+//!   ([`fill_summary_allowed`](MembershipView::fill_summary_allowed), over
+//!   the round's candidates, only for a view wider than a verdict).
+//!   All default to asking the single probe
 //!   ([`knows_at_depth`](MembershipView::knows_at_depth),
 //!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
-//!   correct without overriding either; an override exists to take a lock
+//!   correct without overriding any; an override exists to take a lock
 //!   or find shared state once, and must answer exactly as the default.
 //!   Whatever an override remembers between calls is derived state: it may
 //!   be dropped at any time and must be dropped when what it was computed
@@ -199,23 +202,29 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// [`summary_allows`](Self::summary_allows) may have changed: two reads
     /// returning the same value bracket a span in which every `(subgroup,
     /// event)` pair kept its verdict.  pmcast records, per buffered event,
-    /// which view positions the summaries allow together with the epoch it
-    /// asked under, and asks again only once the epoch has moved — so a
+    /// which view positions the summaries allow
+    /// ([`summary_verdict`](Self::summary_verdict)) together with the epoch
+    /// it asked under, and asks again only once the epoch has moved — so a
     /// provider whose verdicts can change **must** move the epoch with
     /// every such change (after making it), and the default, a constant, is
     /// right exactly for a provider whose verdicts never do (the default
-    /// `summary_allows` among them).
+    /// `summary_allows` among them).  Every `u64` is a valid epoch,
+    /// `u64::MAX` and a wrap to 0 included: readers compare for equality
+    /// and keep "never asked" apart from all of them.  What a provider
+    /// memoises of its own verdicts is dropped in the same places that move
+    /// the epoch.
     fn summary_epoch(&self) -> u64 {
         0
     }
 
-    /// The batched form of [`summary_allows`](Self::summary_allows), and
-    /// the probe the pmcast fanout draw makes under summary routing — once
-    /// per buffered event per [`summary_epoch`](Self::summary_epoch) over
-    /// the whole depth view (once per entry-round only for a view too wide
-    /// for the recorded verdict): appends to `out`, in order, the position
-    /// of every `(position, subgroup)` pair whose subgroup `summary_allows`
-    /// for the event.
+    /// The batched form of [`summary_allows`](Self::summary_allows):
+    /// appends to `out`, in order, the position of every `(position,
+    /// subgroup)` pair whose subgroup `summary_allows` for the event.  The
+    /// pmcast fanout draw under summary routing asks it per entry-round,
+    /// over the round's candidates, only for a depth view too wide for a
+    /// recorded verdict; every other view is asked about whole and once,
+    /// through [`summary_verdict`](Self::summary_verdict), whose answers
+    /// this per-round ask is the reference for.
     ///
     /// The default judges each run of equal consecutive subgroups once (a
     /// view lists one subgroup's delegates side by side).  Providers that
@@ -233,6 +242,38 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         out.extend(crate::allowed_runs(subgroups, |subgroup| {
             self.summary_allows(subgroup, event)
         }));
+    }
+
+    /// [`fill_summary_allowed`](Self::fill_summary_allowed) over a whole
+    /// depth view of at most 128 entries, as a mask: bit `p` is set when
+    /// `summary_allows` the `p`-th of `subgroups` for the event.  This is
+    /// what pmcast records per buffered entry, and the one call it makes
+    /// for an entry that holds no verdict under the current
+    /// [`summary_epoch`](Self::summary_epoch).
+    ///
+    /// `view` is the caller's dense identifier of the list it passes (a
+    /// group's `SharedViews` numbers its depth views).  The caller vouches
+    /// that, for as long as it uses this provider, one identifier always
+    /// comes with the same subgroups in the same order — so callers that
+    /// share a provider share the numbering — and that is all a provider
+    /// may assume of it.  The verdict is a function of *(what the summaries
+    /// read of the event, view)*, the same for every process holding the
+    /// view, so a provider that memoises its verdicts
+    /// ([`DelegateView`](crate::DelegateView)) keeps the mask per (event
+    /// content, `view`) beside them and drops it with them: a repeat costs a
+    /// lock and two lookups, no work per subgroup.  Keyed by content, never
+    /// by an interest oracle's audience key: an explicit assignment gives
+    /// every event one key while the summaries still tell contents apart.
+    ///
+    /// The default folds the single probe over runs of equal consecutive
+    /// subgroups and ignores `view`; an override must return exactly that.
+    fn summary_verdict(
+        &self,
+        event: &Event,
+        _view: u32,
+        subgroups: &mut dyn Iterator<Item = &Prefix>,
+    ) -> u128 {
+        crate::summaries::allowed_mask(subgroups, |subgroup| self.summary_allows(subgroup, event))
     }
 }
 

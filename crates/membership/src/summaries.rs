@@ -15,7 +15,7 @@
 //! gossip).  Property tests in `tests/protocol_contract.rs` check the
 //! end-to-end version of this invariant.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_interest::{AttributeValue, Event, Filter, Interest, InterestSummary};
@@ -169,6 +169,17 @@ impl SubtreeSummaries {
 /// [`MembershipView::fill_summary_allowed`]: crate::MembershipView::fill_summary_allowed
 pub const SUMMARY_MEMO_ROWS: usize = 64;
 
+/// How many whole-view verdicts (see [`MembershipView::summary_verdict`])
+/// the memo keeps beside its rows, one `u128` per (content, view) asked
+/// about; one more and it forgets them all and starts over, as every filter
+/// change and a row overflow make it do anyway.  Like the row bound this
+/// only caps memory — a long-lived provider asked about ever more views
+/// must not grow — and is not a tuning knob: 50 topics over the 21 views of
+/// a 4³ group are 1 050 verdicts.
+///
+/// [`MembershipView::summary_verdict`]: crate::MembershipView::summary_verdict
+const SUMMARY_MEMO_VERDICTS: usize = 1 << 14;
+
 /// A memo cell: the subtree's verdict on a content, once judged.
 const UNJUDGED: u8 = 0;
 const VETOED: u8 = 1;
@@ -195,6 +206,11 @@ struct VetoMemo {
     fingerprints: Vec<u64>,
     contents: Vec<Option<AttributeValue>>,
     verdicts: Vec<u8>,
+    /// The whole-view verdicts already folded from the cells: `(row, view
+    /// id)` to the mask of allowed view positions.  A view never asked
+    /// about is absent — every mask, zero included, is a verdict.  Rows are
+    /// reused after a [`clear`](Self::clear), so these go whenever rows do.
+    view_verdicts: HashMap<(usize, u32), u128>,
 }
 
 impl VetoMemo {
@@ -215,6 +231,7 @@ impl VetoMemo {
             fingerprints: Vec::new(),
             contents: Vec::new(),
             verdicts: Vec::new(),
+            view_verdicts: HashMap::new(),
         }
     }
 
@@ -222,6 +239,7 @@ impl VetoMemo {
         self.fingerprints.clear();
         self.contents.clear();
         self.verdicts.clear();
+        self.view_verdicts.clear();
     }
 
     /// The row of the event's content, started unjudged if the memo does
@@ -310,6 +328,16 @@ where
     })
 }
 
+/// [`allowed_runs`] over a whole view, as a mask: bit `p` is set when
+/// `judge` admits the `p`-th of `subgroups` (at most 128 of them).
+pub(crate) fn allowed_mask<'a>(
+    subgroups: impl Iterator<Item = &'a Prefix>,
+    judge: impl FnMut(&Prefix) -> bool,
+) -> u128 {
+    allowed_runs(subgroups.enumerate(), judge)
+        .fold(0, |allowed, position| allowed | 1 << position)
+}
+
 /// The interest side of a membership provider: the attached summary table
 /// plus the pristine per-process filters, so a leave can clear a process's
 /// contribution and a rejoin can restore it (the collapsed equivalent of
@@ -349,6 +377,34 @@ impl InterestAnnex {
     ) {
         let row = self.memo.row_of(event);
         out.extend(allowed_runs(subgroups, |subgroup| self.verdict(row, subgroup, event)));
+    }
+
+    /// [`fill_allowed`](Self::fill_allowed) over a whole view, as the mask
+    /// of the positions it would append, folded once per (content, view id):
+    /// a repeat is the row lookup and one probe, whatever the view's width.
+    /// The caller vouches that `view` names `subgroups` (see
+    /// [`MembershipView::summary_verdict`](crate::MembershipView::summary_verdict));
+    /// debug builds check every repeat against the fold it stands for.
+    pub(crate) fn view_verdict(
+        &mut self,
+        event: &Event,
+        view: u32,
+        subgroups: &mut dyn Iterator<Item = &Prefix>,
+    ) -> u128 {
+        let row = self.memo.row_of(event);
+        let mut fold = |annex: &mut Self| {
+            allowed_mask(&mut *subgroups, |subgroup| annex.verdict(row, subgroup, event))
+        };
+        if let Some(&allowed) = self.memo.view_verdicts.get(&(row, view)) {
+            debug_assert_eq!(allowed, fold(self), "view id {view} named other subgroups before");
+            return allowed;
+        }
+        let allowed = fold(self);
+        if self.memo.view_verdicts.len() == SUMMARY_MEMO_VERDICTS {
+            self.memo.view_verdicts.clear();
+        }
+        self.memo.view_verdicts.insert((row, view), allowed);
+        allowed
     }
 
     /// The verdict on `prefix` of the content in memo row `row`, which is
@@ -485,6 +541,56 @@ mod tests {
         annex.on_join(2);
         assert!(annex.memo.fingerprints.is_empty());
         assert!(annex.allows(&subtree, &topic_event(3)));
+    }
+
+    #[test]
+    fn view_verdicts_are_kept_per_content_and_view_bounded_and_dropped_with_the_rows() {
+        let filters = vec![Some(topic_filter(&[0])), None, Some(topic_filter(&[3])), None];
+        let mut annex = InterestAnnex::new(table_2x2(filters));
+        let subtrees = [Prefix::from_components(vec![0]), Prefix::from_components(vec![1])];
+        // A view lists each subtree's two delegates; view 1 lists them the
+        // other way round.
+        let forwards = [&subtrees[0], &subtrees[0], &subtrees[1], &subtrees[1]];
+        let backwards = [&subtrees[1], &subtrees[1], &subtrees[0], &subtrees[0]];
+        let ask = |annex: &mut InterestAnnex, topic: i64, view: u32| {
+            let listed = if view.is_multiple_of(2) { forwards } else { backwards };
+            annex.view_verdict(&topic_event(topic), view, &mut listed.into_iter())
+        };
+        for _ in 0..2 {
+            assert_eq!(ask(&mut annex, 0, 0), 0b0011);
+            assert_eq!(ask(&mut annex, 0, 1), 0b1100);
+            assert_eq!(ask(&mut annex, 3, 0), 0b1100);
+            assert_eq!(ask(&mut annex, 9, 0), 0, "everything vetoed is a verdict, and kept");
+        }
+        assert_eq!(annex.memo.view_verdicts.len(), 4);
+        // More (content, view) pairs than verdicts are kept: the memo
+        // forgets them all instead of growing, and answers the same.
+        let views = (SUMMARY_MEMO_VERDICTS / SUMMARY_MEMO_ROWS + 2) as u32;
+        for view in 0..views {
+            let (subtree_0, subtree_1) =
+                if view.is_multiple_of(2) { (0b0011, 0b1100) } else { (0b1100, 0b0011) };
+            for topic in 0..SUMMARY_MEMO_ROWS as i64 {
+                let expected = match topic {
+                    0 => subtree_0,
+                    3 => subtree_1,
+                    _ => 0,
+                };
+                assert_eq!(ask(&mut annex, topic, view), expected);
+            }
+            assert!(annex.memo.view_verdicts.len() <= SUMMARY_MEMO_VERDICTS);
+        }
+        assert!(annex.memo.view_verdicts.len() < 3 * SUMMARY_MEMO_ROWS);
+        // One content more than the memo has rows: the rows start over and
+        // take the masks with them — a row index means another content now.
+        ask(&mut annex, SUMMARY_MEMO_ROWS as i64, 0);
+        assert_eq!(annex.memo.view_verdicts.len(), 1);
+        // A filter change drops them like every other verdict.
+        assert_eq!(ask(&mut annex, 3, 0), 0b1100);
+        annex.on_departure(2);
+        assert!(annex.memo.view_verdicts.is_empty());
+        assert_eq!(ask(&mut annex, 3, 0), 0);
+        annex.on_join(2);
+        assert_eq!(ask(&mut annex, 3, 0), 0b1100);
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, Counts) {
 fn a_trial_allocates_per_infected_process_not_per_process() {
     // The `paper_global` and `paper_delegate` traffic shapes of `pmbench`
     // at 8^3.  The figures quoted below are the global row's (the delegate
-    // row reads 239 and 1 227); that row is the structural guard that a
+    // row reads 239 and 1 235); that row is the structural guard that a
     // static trial never stores the slot tables, whose two `Vec`s per
     // process alone would put (c) over budget.
     for spec in [MembershipSpec::Global, MembershipSpec::delegate(3)] {
@@ -114,8 +114,11 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// reached by hundreds of events, so what is counted here is what a trial
 /// allocates per *event* — the schedule, the `EventId → index` table, one
 /// latency histogram and one report per event — on top of the per-process
-/// buffers growing to their working size.  Achieved: 4 604 (3 296 fresh +
-/// 1 308 regrowths); with a delivery log per process and the topic
+/// buffers growing to their working size.  Achieved: 4 632 (3 324 fresh +
+/// 1 308 regrowths; 28 of them the group's judgement table and the
+/// provider's view verdicts growing to their few hundred rows, and the
+/// report's twelve audience vectors); before those three: 4 604; with a
+/// delivery log per process and the topic
 /// audiences kept as address vectors beside their bitmaps: 5 104 (3 482 +
 /// 1 622); before the id sets became bitmap windows — each of a
 /// process's two sets a sorted vector regrown a dozen times on the way to
@@ -184,9 +187,11 @@ fn budget_holds_over(spec: MembershipSpec) {
 
     // (c) A whole trial — workload, membership, group, simulation, report,
     // teardown — stays within 2.6 allocations per process.  Achieved:
-    // 1 218 (1 182 fresh + 36 regrowths, 2.4 per process; 353 of the 512
+    // 1 226 (1 190 fresh + 36 regrowths, 2.4 per process; 353 of the 512
     // processes receive the event, and each of those allocates its
-    // per-depth buffers — its two id sets hold a single event inline);
+    // per-depth buffers — its two id sets hold a single event inline; 8
+    // are the judgement table growing to its 73 rows and the report's one
+    // audience vector);
     // with a delivery log per infected process and the assignment kept as
     // an address vector beside its bitmap: 1 505 (1 469 + 36, 2.9 per
     // process, budget 3.2); with the id sets as sorted vectors: 2 122
