@@ -245,6 +245,7 @@ fn bench(c: &mut Criterion) {
                 view.fill_known_at_depth(
                     own,
                     2,
+                    None,
                     &mut view_targets.iter().copied(),
                     &mut delegate_candidates,
                 );
@@ -260,6 +261,44 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // What naming the view saves, at paper scale (22^3, slots = 3) and on
+    // the two widths a process asks about most: the depth-2 view of process
+    // 37's prefix (66 listed delegates) and its leaf view (22 neighbours).
+    // `known_row_miss_*` is the anonymous ask — every listed peer judged on
+    // the spot through the `dyn Iterator`, what every ask cost before the
+    // provider kept a row per view id and what the first named ask of a
+    // view still pays before listing it.  `known_row_hit_*` is every later
+    // named ask while the group is static: one read lock, a binary search
+    // for the asker's own subgroup, at most `slots` seat tests and the
+    // row's mask expanded by runs; the peers iterator is never advanced.
+    let paper_view = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 8);
+    let depth2_targets: Vec<usize> = (0..22usize)
+        .flat_map(|g| (0..3usize).map(move |r| g * 22 + r))
+        .collect();
+    let leaf_targets: Vec<usize> = (22..44).collect();
+    let mut known: Vec<usize> = Vec::with_capacity(depth2_targets.len());
+    for (name, view_id, depth, targets) in [
+        ("known_row_miss_depth2", None, 2, &depth2_targets),
+        ("known_row_hit_depth2", Some(1), 2, &depth2_targets),
+        ("known_row_miss_leaf", None, 3, &leaf_targets),
+        ("known_row_hit_leaf", Some(24), 3, &leaf_targets),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                known.clear();
+                paper_view.fill_known_at_depth(
+                    37,
+                    depth,
+                    view_id,
+                    &mut targets.iter().copied(),
+                    &mut known,
+                );
+                known.len()
+            })
+        });
+    }
+    assert!(!paper_view.has_tables(), "a named ask stores no table");
 
     // Aggregated interest routing's addition to the fanout draw: before
     // drawing, the depth's candidates are narrowed to the subgroups whose
@@ -303,6 +342,7 @@ fn bench(c: &mut Criterion) {
                 delegate_view.fill_known_at_depth(
                     own,
                     2,
+                    None,
                     &mut view_targets.iter().copied(),
                     &mut delegate_candidates,
                 );
@@ -354,6 +394,7 @@ fn bench(c: &mut Criterion) {
             delegate_view.fill_known_at_depth(
                 own,
                 2,
+                None,
                 &mut view_targets.iter().copied(),
                 &mut delegate_candidates,
             );

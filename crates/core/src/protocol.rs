@@ -378,7 +378,9 @@ impl PmcastProcess {
         // the membership provider currently knows *at this depth*.  Under a
         // global view that is the whole view (asked once via `is_global`
         // instead of per entry); otherwise the provider fills the list for
-        // the whole view in one call: a flat partial view answers with the
+        // the whole view, named by its id, in one call (what it tells every
+        // holder of the view alike it may keep per id and never read the
+        // targets again): a flat partial view answers with the
         // discovered subset (`knows_at_depth` falls back to `knows`), the
         // hierarchical `DelegateView` straight from the depth-`depth`
         // delegate slots, so pmcast's tree delegates are exactly the
@@ -391,6 +393,7 @@ impl PmcastProcess {
             group.membership.fill_known_at_depth(
                 self.id.0,
                 depth,
+                Some(view.id()),
                 &mut view.iter().map(|target| target.id.0),
                 &mut scratch.candidates,
             );

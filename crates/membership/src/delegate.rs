@@ -98,11 +98,13 @@
 //! over the bootstrap occupancy, which is immutable — so nothing is stored
 //! but the liveness flags and a prefix count of them, and the seat test
 //! behind [`knows_at_depth`](MembershipView::knows_at_depth) /
-//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) is `O(1)`:
-//! `peer` is seated iff it is alive and fewer than `capacity` alive members
-//! of its subgroup other than the asking process precede it.  A static
-//! trial therefore costs `O(n)` bytes, not `O(n·a·d·slots)`, and its rounds
-//! are the all-settled seek.  The first call that needs a stored row — a
+//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) is `O(1)`
+//! per peer (and the latter, for a named view, `O(slots)` per *view*: see
+//! below): `peer` is seated iff it is alive and fewer than `capacity`
+//! alive members of its subgroup other than the asking process precede it.
+//! A static trial therefore costs `O(n)` bytes (plus one short row per
+//! depth view asked about by name), not `O(n·a·d·slots)`, and its rounds are
+//! the all-settled seek.  The first call that needs a stored row — a
 //! lifecycle observation that actually flips somebody, or the flat
 //! enumeration ([`peer_count`](MembershipView::peer_count) /
 //! [`peer_at`](MembershipView::peer_at) / [`knows`](MembershipView::knows),
@@ -117,6 +119,24 @@
 //! and asserts tables, flat views, contacts and stream position equal
 //! after every step.
 //!
+//! ## One answer per depth view
+//!
+//! While no row is stored, the seat rule reads the asking process only to
+//! discount it from its *own* sibling subgroup: every other position of a
+//! depth view has one answer for everybody holding the view, a function of
+//! the same immutable flags and prefix count.  So when pmcast names the
+//! view ([`fill_known_at_depth`](MembershipView::fill_known_at_depth) with
+//! `Some(id)`), the first ask lists its peers and the mask of those a
+//! holder outside the peer's subgroup seats — one view row per id, the
+//! lists end to end in one vector, behind the state lock — and every later
+//! ask is a read lock, a binary search for the asker's own subgroup, at
+//! most `slots` seat tests and the mask expanded by runs of ones; `peers`
+//! is not read.  The rows are dropped with the prefix count they derive
+//! from: once tables exist a named ask is the table scan.  A view wider
+//! than 128, out of ascending order or anonymous is judged peer by peer by
+//! the one seat rule, and debug and test builds hold every row-served
+//! answer against that judgement.
+//!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
 //! [`peer_at`](MembershipView::peer_at) enumeration (used by the flooding
@@ -127,7 +147,8 @@
 //! group of the queried depth (`O(1)` from the seat rule while no row is
 //! stored), and
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
-//! for a whole view under one lock.
+//! for a whole view under one lock — per view, not per peer, when the view
+//! is named and the group static.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -314,6 +335,20 @@ enum Certificate {
     Flipped,
 }
 
+/// What is kept of one *named* depth view while no row is stored (the
+/// module docs' *one answer per depth view*).
+#[derive(Debug, Clone, Copy)]
+enum ViewRow {
+    /// Nobody alive has asked about the view by name yet.
+    Unasked,
+    /// Wider than a mask, or not in ascending order: judged on the spot at
+    /// every ask.
+    Unlisted,
+    /// `view_peers[offset..][..len]` is the view; bit `p` of `seated` is set
+    /// when a holder outside the `p`-th peer's subgroup seats it.
+    Listed { offset: u32, len: u32, seated: u128 },
+}
+
 /// Mutable provider state behind one lock: the per-process slot tables, the
 /// flat (deduplicated) peer enumerations, pinned contacts, liveness, the
 /// fixed-point certificates and the provider-private PRNG stream.  The
@@ -328,6 +363,12 @@ struct DelegateState {
     /// so it never needs updating; [`build_rows`](Self::build_rows) drops
     /// it.
     below: Vec<u32>,
+    /// While no row is stored: one [`ViewRow`] per depth-view id asked
+    /// about so far.  A function of `alive` and `below`, so like `below` it
+    /// never needs updating and [`build_rows`](Self::build_rows) drops it.
+    view_rows: Vec<ViewRow>,
+    /// The peer lists of the [`ViewRow::Listed`] rows, end to end.
+    view_peers: Vec<u32>,
     /// `tables[q]` is the fixed-layout slot table of `q` (see
     /// [`TreeShape::group_range`]); inner groups are sorted ascending with
     /// [`EMPTY`] sentinels at the end.
@@ -428,6 +469,101 @@ impl DelegateState {
         self.tables = tables;
         self.flat = flat;
         self.below = Vec::new();
+        self.view_rows = Vec::new();
+        self.view_peers = Vec::new();
+    }
+
+    /// [`MembershipView::fill_known_at_depth`] judged on the spot, one
+    /// division per peer: the peer's sibling component picks the slot
+    /// group, the group is scanned — or, while no row is stored, the seat
+    /// rule answers from the prefix count.  Each known position goes to
+    /// `known`, ascending.
+    fn fill_known(
+        &self,
+        of: usize,
+        depth: usize,
+        peers: &mut dyn Iterator<Item = usize>,
+        mut known: impl FnMut(usize),
+    ) {
+        let shape = &self.shape;
+        let table = self.tables.get(of);
+        if table.is_none() && !self.alive[of] {
+            return; // an absent process seats nobody
+        }
+        let size = shape.subgroup_size(depth);
+        let (block, span) = shape.view_block(of, depth);
+        for (position, peer) in peers.enumerate() {
+            if peer == of || peer.wrapping_sub(block) >= span {
+                continue; // itself, or not under the shared prefix of this view depth
+            }
+            let g = (peer - block) / size;
+            let seated = match table {
+                Some(table) => table[shape.group_range(depth, g)].contains(&(peer as u32)),
+                None => self.seats(of, depth, block + g * size, peer),
+            };
+            if seated {
+                known(position);
+            }
+        }
+    }
+
+    /// `mask` over the ascending `listed`, with the bits of `of`'s own
+    /// depth-`depth` subgroup judged again: as `of` itself seats them
+    /// (`outsider` unset — the only positions where its answer is not
+    /// everybody's), or as a holder of the view outside that subgroup does.
+    fn rejudged(&self, of: usize, depth: usize, outsider: bool, listed: &[u32], mut mask: u128) -> u128 {
+        let size = self.shape.subgroup_size(depth);
+        let base = of / size * size;
+        let own = listed.partition_point(|&peer| (peer as usize) < base);
+        for (position, &peer) in listed.iter().enumerate().skip(own) {
+            let peer = peer as usize;
+            if peer >= base + size {
+                break;
+            }
+            let seated = if outsider {
+                // Asking as `peer` discounts nobody: nobody precedes itself.
+                self.seats(peer, depth, base, peer)
+            } else {
+                peer != of && self.seats(of, depth, base, peer)
+            };
+            mask = mask & !(1 << position) | u128::from(seated) << position;
+        }
+        mask
+    }
+
+    /// The first named ask about `view`, by a live `of`: answered on the
+    /// spot, and the view listed for the next — unless somebody flipped
+    /// between the caller's read lock and its write lock.
+    fn list_view(
+        &mut self,
+        of: usize,
+        depth: usize,
+        view: usize,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) {
+        if self.has_rows() {
+            return self.fill_known(of, depth, peers, |position| out.push(position));
+        }
+        let (offset, before) = (self.view_peers.len(), out.len());
+        // `EMPTY` is nobody's index: a peer past `u32` stays a stranger.
+        self.view_peers.extend(peers.map(|peer| u32::try_from(peer).unwrap_or(EMPTY)));
+        let listed = &self.view_peers[offset..];
+        self.fill_known(of, depth, &mut listed.iter().map(|&peer| peer as usize), |position| out.push(position));
+        if self.view_rows.len() <= view {
+            self.view_rows.resize(view + 1, ViewRow::Unasked);
+        }
+        self.view_rows[view] = match u32::try_from(offset) {
+            Ok(offset) if listed.len() <= 128 && listed.is_sorted() => {
+                let known = out[before..].iter().fold(0, |mask, &position| mask | 1u128 << position);
+                let seated = self.rejudged(of, depth, true, listed, known);
+                ViewRow::Listed { offset, len: listed.len() as u32, seated }
+            }
+            _ => {
+                self.view_peers.truncate(offset);
+                ViewRow::Unlisted
+            }
+        };
     }
 
     /// Withdraws `q`'s certificate until the next
@@ -671,6 +807,20 @@ impl DelegateState {
     }
 }
 
+/// Appends the positions of `mask`'s set bits, ascending, a run of ones at
+/// a time and a `u64` half at a time — a view seats most of what it lists,
+/// and `u128::trailing_zeros` per bit costs what the row saves.
+fn push_set_bits(mask: u128, out: &mut Vec<usize>) {
+    for (half, mut rest) in [(0, mask as u64), (64, (mask >> 64) as u64)] {
+        while rest != 0 {
+            let start = rest.trailing_zeros();
+            let end = start + (rest >> start).trailing_ones();
+            out.extend((half + start) as usize..(half + end) as usize);
+            rest &= u64::MAX.checked_shl(end).unwrap_or(0);
+        }
+    }
+}
+
 /// The Section 2 hierarchical membership provider: per-depth delegate slot
 /// tables over a regular tree, maintained by gossip (see the
 /// [module docs](self) for the full design).
@@ -777,6 +927,8 @@ impl DelegateView {
             state: RwLock::new(DelegateState {
                 shape,
                 below,
+                view_rows: Vec::new(),
+                view_peers: Vec::new(),
                 tables: Vec::new(),
                 flat: Vec::new(),
                 contact: Vec::new(),
@@ -937,38 +1089,49 @@ impl MembershipView for DelegateView {
         }
     }
 
-    /// The whole depth under one lock, one division per peer: the peer's
-    /// sibling component picks the slot group, the group is scanned — or,
-    /// while no row is stored, the seat rule answers from the prefix count.
+    /// The whole depth under one read lock: a named view's row while no
+    /// table is stored (its first ask lists it under a brief write lock),
+    /// the judgement on the spot, peer by peer, for everything else.
     fn fill_known_at_depth(
         &self,
         of: usize,
         depth: usize,
+        view: Option<u32>,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) {
         let state = self.state.read().expect("delegate view lock poisoned");
-        let shape = &state.shape;
-        if depth > shape.depth || depth == 0 {
+        if depth > state.shape.depth || depth == 0 {
             return;
         }
-        let table = state.tables.get(of);
-        if table.is_none() && !state.alive[of] {
-            return; // an absent process seats nobody
-        }
-        let size = shape.subgroup_size(depth);
-        let (block, span) = shape.view_block(of, depth);
-        for (position, peer) in peers.enumerate() {
-            if peer == of || peer.wrapping_sub(block) >= span {
-                continue; // itself, or not under the shared prefix of this view depth
+        // Rows exist while no table does, for a live asker, and for an id
+        // that can name a view: a tree has fewer depth views than members.
+        let named = view
+            .map(|view| view as usize)
+            .filter(|&view| !state.has_rows() && state.alive[of] && view < state.alive.len());
+        let Some(view) = named else {
+            return state.fill_known(of, depth, peers, |position| out.push(position));
+        };
+        match state.view_rows.get(view).copied().unwrap_or(ViewRow::Unasked) {
+            ViewRow::Listed { offset, len, seated } => {
+                let listed = &state.view_peers[offset as usize..][..len as usize];
+                let before = out.len();
+                push_set_bits(state.rejudged(of, depth, false, listed, seated), out);
+                // Debug and test builds hold every row-served answer
+                // against the one judged on the spot, allocating nothing.
+                if cfg!(any(test, debug_assertions)) {
+                    let mut served = out[before..].iter();
+                    state.fill_known(of, depth, peers, |position| {
+                        assert_eq!(served.next(), Some(&position), "view {view} as {of} holds it");
+                    });
+                    assert_eq!(served.next(), None, "view {view} as {of} holds it");
+                }
             }
-            let g = (peer - block) / size;
-            let known = match table {
-                Some(table) => table[shape.group_range(depth, g)].contains(&(peer as u32)),
-                None => state.seats(of, depth, block + g * size, peer),
-            };
-            if known {
-                out.push(position);
+            ViewRow::Unlisted => state.fill_known(of, depth, peers, |position| out.push(position)),
+            ViewRow::Unasked => {
+                drop(state);
+                let state = &mut *self.state.write().expect("delegate view lock poisoned");
+                state.list_view(of, depth, view, peers, out);
             }
         }
     }
@@ -1544,7 +1707,7 @@ mod tests {
         for of in 0..n {
             for l in 0..=depth + 1 {
                 let mut batched = Vec::new();
-                view.fill_known_at_depth(of, l, &mut (0..n), &mut batched);
+                view.fill_known_at_depth(of, l, None, &mut (0..n), &mut batched);
                 for peer in 0..n {
                     let knows = view.knows_at_depth(of, l, peer);
                     assert_eq!(knows, batched.contains(&peer), "probes of ({of}, {l}, {peer})");
@@ -1585,6 +1748,147 @@ mod tests {
         lone[5] = true;
         assert_seat_rule_matches_the_built_tables(2, 3, 1, &lone);
         assert_seat_rule_matches_the_built_tables(2, 3, 1, &[false; 8]);
+    }
+
+    /// The named ask of `(of, depth)` about `peers` — in a test build every
+    /// row-served answer is also held against the on-the-spot one inside
+    /// `fill_known_at_depth` — after checking it against the anonymous ask
+    /// and the single probe.
+    fn named_ask(view: &DelegateView, of: usize, depth: usize, id: u32, peers: &[usize]) -> Vec<usize> {
+        let mut named = Vec::new();
+        view.fill_known_at_depth(of, depth, Some(id), &mut peers.iter().copied(), &mut named);
+        let mut anonymous = Vec::new();
+        view.fill_known_at_depth(of, depth, None, &mut peers.iter().copied(), &mut anonymous);
+        assert_eq!(named, anonymous, "view {id} as {of} holds it");
+        // The single probe takes members only; a stranger is known to nobody.
+        let n = view.state.read().unwrap().alive.len();
+        let single: Vec<usize> = (0..peers.len())
+            .filter(|&position| peers[position] < n && view.knows_at_depth(of, depth, peers[position]))
+            .collect();
+        assert_eq!(named, single, "view {id} as {of} holds it");
+        named
+    }
+
+    /// Number of depth views the provider currently keeps a row of.
+    fn listed_views(view: &DelegateView) -> usize {
+        let state = view.state.read().unwrap();
+        let listed = |row: &&ViewRow| matches!(row, ViewRow::Listed { .. });
+        state.view_rows.iter().filter(listed).count()
+    }
+
+    #[test]
+    fn a_view_row_answers_for_listed_and_unlisted_members_of_the_own_subgroup() {
+        // 4^3, two slots.  The depth-2 view under prefix 0 lists three
+        // members of each subgroup 0.g — one more than anybody seats, so
+        // whom a process seats of its own subgroup depends on where it sits.
+        let view = DelegateView::bootstrap(4, 3, DelegateViewConfig::default().with_slots(2), 1);
+        let peers: Vec<usize> = (0..4).flat_map(|g| [4 * g, 4 * g + 1, 4 * g + 2]).collect();
+        let outside = |own: [usize; 2]| -> Vec<usize> {
+            let mut seated: Vec<usize> = (0..12).filter(|p| p % 3 != 2 && p / 3 != own[0] / 3).collect();
+            seated.extend(own);
+            seated.sort_unstable();
+            seated
+        };
+        // Process 3 is not listed: the first ask, and the row's author.
+        assert_eq!(named_ask(&view, 3, 2, 1, &peers), outside([0, 1]));
+        assert_eq!(listed_views(&view), 1);
+        // 0 and 1 are listed delegates and do not count themselves: each
+        // seats the third member instead.  2 is listed and seated by nobody
+        // else; 6 sits in another subgroup.
+        assert_eq!(named_ask(&view, 0, 2, 1, &peers), outside([1, 2]));
+        assert_eq!(named_ask(&view, 1, 2, 1, &peers), outside([0, 2]));
+        assert_eq!(named_ask(&view, 2, 2, 1, &peers), outside([0, 1]));
+        assert_eq!(named_ask(&view, 6, 2, 1, &peers), outside([3, 4]));
+        // The leaf view of 0.1 (processes 4..8): everybody but the asker.
+        let leaf: Vec<usize> = (4..8).collect();
+        assert_eq!(named_ask(&view, 5, 3, 6, &leaf), vec![0, 2, 3]);
+        assert_eq!(named_ask(&view, 7, 3, 6, &leaf), vec![0, 1, 2]);
+        // A row written by a listed delegate — who seats 18 in its own
+        // place — serves the others what *they* seat.
+        assert_eq!(named_ask(&view, 16, 2, 2, &[16, 17, 18, 20, 21]), vec![1, 2, 3, 4]);
+        assert_eq!(named_ask(&view, 19, 2, 2, &[16, 17, 18, 20, 21]), vec![0, 1, 3, 4]);
+        assert_eq!(named_ask(&view, 23, 2, 2, &[16, 17, 18, 20, 21]), vec![0, 1, 3, 4]);
+        assert_eq!(listed_views(&view), 3);
+        assert!(!view.has_tables());
+    }
+
+    #[test]
+    fn sparse_occupancy_and_strangers_are_judged_into_the_row() {
+        // 3^2 with 0 and 4 absent; the root view lists every address and
+        // one past the tree.  An absent asker seats nobody and lists nothing.
+        let occupied = [false, true, true, true, false, true, true, true, true];
+        let view = DelegateView::bootstrap_sparse(3, 2, DelegateViewConfig::default().with_slots(2), 1, &occupied);
+        let peers: Vec<usize> = (0..10).chain([usize::MAX]).collect();
+        assert!(named_ask(&view, 4, 1, 0, &peers).is_empty());
+        assert_eq!(listed_views(&view), 0);
+        for (of, seated) in [(1, vec![2, 3, 5, 6, 7]), (2, vec![1, 3, 5, 6, 7]), (8, vec![1, 2, 3, 5, 6, 7])] {
+            assert_eq!(named_ask(&view, of, 1, 0, &peers), seated);
+        }
+        assert_eq!(listed_views(&view), 1);
+    }
+
+    #[test]
+    fn only_an_ascending_view_of_at_most_128_peers_is_listed() {
+        let config = DelegateViewConfig::default();
+        for (arity, listed) in [(128u32, 1), (129, 0)] {
+            let view = DelegateView::bootstrap(arity, 1, config, 1);
+            let peers: Vec<usize> = (0..arity as usize).collect();
+            for of in [0, 63, 64, arity as usize - 1] {
+                assert_eq!(named_ask(&view, of, 1, 0, &peers).len(), arity as usize - 1);
+                assert_eq!(listed_views(&view), listed, "{arity} wide");
+            }
+        }
+        let view = DelegateView::bootstrap(4, 2, config, 1);
+        assert_eq!(named_ask(&view, 5, 2, 2, &[7, 6, 5, 4]), vec![0, 1, 3]);
+        assert_eq!(named_ask(&view, 6, 2, 2, &[7, 6, 5, 4]), vec![0, 2, 3]);
+        // An id past the member count names no view of this tree.
+        assert_eq!(named_ask(&view, 5, 2, 16, &[4, 5, 6, 7]), vec![0, 2, 3]);
+        assert_eq!(listed_views(&view), 0);
+    }
+
+    #[test]
+    fn the_first_stored_table_drops_every_view_row() {
+        for what in ["crash", "leave", "join", "flat enumeration"] {
+            let mut occupied = [true; 16];
+            occupied[2] = false;
+            let view = DelegateView::bootstrap_sparse(4, 2, DelegateViewConfig::default().with_slots(2), 3, &occupied);
+            let root: Vec<usize> = (0..4).flat_map(|g| [4 * g, 4 * g + 1, 4 * g + 2]).collect();
+            let leaf: Vec<usize> = (0..4).collect();
+            let before = (named_ask(&view, 0, 1, 0, &root), named_ask(&view, 0, 2, 1, &leaf));
+            assert_eq!(before, (vec![1, 3, 4, 6, 7, 9, 10], vec![1, 3]));
+            assert_eq!(listed_views(&view), 2);
+            match what {
+                "crash" => view.observe_crash(1),
+                "leave" => view.observe_leave(1),
+                "join" => view.observe_join(2),
+                _ => assert_eq!(view.peer_at(0, 0), 1),
+            }
+            assert!(view.has_tables(), "{what}");
+            let state = view.state.read().unwrap();
+            assert!(state.view_rows.is_empty() && state.view_peers.is_empty(), "{what}");
+            drop(state);
+            // The tables answer from here on (`named_ask` holds the named
+            // ask against them), through the sweep and the gossip after it.
+            for _ in 0..3 {
+                for of in 0..16 {
+                    named_ask(&view, of, 1, 0, &root);
+                    named_ask(&view, of, 2, 1 + of as u32 / 4, &leaf);
+                }
+                view.round_elapsed();
+            }
+            assert_eq!(listed_views(&view), 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn push_set_bits_lists_every_bit_once_in_order() {
+        let masks = [0, 1, 1 << 63, 1 << 64, 0b1011 << 62, u128::MAX, u128::MAX << 1, u128::MAX >> 1, 0x5555 << 60];
+        for mask in masks {
+            let mut positions = vec![usize::MAX];
+            push_set_bits(mask, &mut positions);
+            let expected: Vec<usize> = (0..128).filter(|&bit| mask >> bit & 1 == 1).collect();
+            assert_eq!(positions[1..], expected, "{mask:#x}");
+        }
     }
 
     #[test]

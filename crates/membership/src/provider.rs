@@ -67,10 +67,11 @@
 //! * **Batched probes.**  pmcast asks its two per-candidate questions for a
 //!   whole candidate list at a time:
 //!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth) once per
-//!   depth per round, and — under summary routing —
+//!   depth per round, naming the depth view by its dense id, and — under
+//!   summary routing —
 //!   [`summary_verdict`](MembershipView::summary_verdict) once per
 //!   buffered event per [`summary_epoch`](MembershipView::summary_epoch),
-//!   for the whole depth view, named by its dense id
+//!   for the whole depth view, named by the same id
 //!   ([`fill_summary_allowed`](MembershipView::fill_summary_allowed), over
 //!   the round's candidates, only for a view wider than a verdict).
 //!   All default to asking the single probe
@@ -130,15 +131,28 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// to `out`, ascending, the position within `peers` of every peer other
     /// than `of` itself that `of` knows as a depth-`depth` gossip candidate.
     ///
-    /// The default asks `knows_at_depth` per peer.  Providers that answer
-    /// from shared state override it to take their lock once and reuse
-    /// what consecutive peers have in common (one slot-table row, one
-    /// subgroup's seats); an override must produce exactly the default's
-    /// output.
+    /// `view` names the list: `Some(id)` is the caller's dense identifier
+    /// of the depth view it passes (a group's `SharedViews` numbers them),
+    /// `None` an anonymous list.  As for
+    /// [`summary_verdict`](Self::summary_verdict), the caller vouches that
+    /// one identifier always comes with the same `depth` and the same peers
+    /// in the same order, and only from processes holding that view (they
+    /// share their first `depth − 1` address components) — all a provider
+    /// may assume of it.  The name never changes the answer; it lets a
+    /// provider keep what every holder of the view is told alike
+    /// ([`DelegateView`](crate::DelegateView), while its group is static)
+    /// and not read `peers` again.
+    ///
+    /// The default asks `knows_at_depth` per peer and ignores `view`.
+    /// Providers that answer from shared state override it to take their
+    /// lock once and reuse what consecutive peers have in common (one
+    /// slot-table row, one subgroup's seats); an override must produce
+    /// exactly the default's output.
     fn fill_known_at_depth(
         &self,
         of: usize,
         depth: usize,
+        _view: Option<u32>,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) {

@@ -14,7 +14,10 @@
 //!   settled tables and it stores no table until somebody flips or a flat
 //!   view is asked for; its certificate only ever covers tables equal to
 //!   the seat rule (the first `capacity` live members of each subgroup),
-//!   and comes back for everybody once the churn stops.
+//!   and comes back for everybody once the churn stops;
+//! * a depth view asked about *by name* answers exactly as the same list
+//!   asked about anonymously and as the single probe, for every process
+//!   holding it, before and after the tables exist.
 
 mod reference;
 
@@ -237,7 +240,7 @@ impl Lockstep {
                     .collect();
                 for view in [&self.view, &self.probed] {
                     let mut batched = Vec::new();
-                    view.fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
+                    view.fill_known_at_depth(of, depth, None, &mut everybody.iter().copied(), &mut batched);
                     prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
                     for peer in 0..self.n {
                         prop_assert_eq!(
@@ -270,6 +273,63 @@ impl Lockstep {
         }
         prop_assert_eq!(self.view.unsettled(), unsettled);
         prop_assert_eq!(self.probed.unsettled(), unsettled);
+    }
+}
+
+/// One depth view as a group's `SharedViews` would list and number it: the
+/// first `listed` bootstrap members of every sibling subgroup under the
+/// prefix `of` shares with the view's other holders.
+#[derive(Debug)]
+struct NamedView {
+    id: u32,
+    depth: usize,
+    holders: std::ops::Range<usize>,
+    peers: Vec<usize>,
+}
+
+impl NamedView {
+    fn of(history: &History, of: usize, depth: usize, listed: usize) -> Self {
+        let arity = history.arity as usize;
+        let size = arity.pow((history.depth - depth) as u32);
+        let block = of / (size * arity);
+        let first = block * size * arity;
+        Self {
+            // Breadth-first rank: every view of a shallower depth, then the
+            // blocks of this one in address order.
+            id: ((0..depth - 1).map(|k| arity.pow(k as u32)).sum::<usize>() + block) as u32,
+            depth,
+            holders: first..first + size * arity,
+            peers: (0..arity)
+                .flat_map(|g| {
+                    let base = first + g * size;
+                    (base..base + size).filter(|&member| history.occupied[member]).take(listed)
+                })
+                .collect(),
+        }
+    }
+
+    /// Every holder asks by name and anonymously, in turn; both answers are
+    /// the single probe's.
+    fn check(&self, view: &DelegateView, named_first: bool, after: &str) {
+        for of in self.holders.clone() {
+            let single: Vec<usize> = (0..self.peers.len())
+                .filter(|&position| view.knows_at_depth(of, self.depth, self.peers[position]))
+                .collect();
+            for name in [named_first, !named_first] {
+                let mut batched = Vec::new();
+                view.fill_known_at_depth(
+                    of,
+                    self.depth,
+                    name.then_some(self.id),
+                    &mut self.peers.iter().copied(),
+                    &mut batched,
+                );
+                prop_assert_eq!(
+                    &batched, &single,
+                    "view {} (named: {}) as {} holds it, after {}", self.id, name, of, after
+                );
+            }
+        }
     }
 }
 
@@ -311,6 +371,51 @@ proptest! {
         lockstep.check("three settled rounds");
         prop_assert_eq!(lockstep.view.unsettled(), 0, "a settled group stays settled");
         prop_assert_eq!(lockstep.reference.stale_contacts, 0);
+    }
+
+    /// Naming a depth view never changes the answer: over a random sparse
+    /// occupancy, two views' ids asked about alternately — by every process
+    /// holding them, named and anonymous asks interleaved — agree with the
+    /// single probe while no table is stored (where the named ask is served
+    /// from the provider's per-view row) and after every step of a random
+    /// lifecycle history (where the first flip drops the rows).
+    #[test]
+    fn named_depth_views_answer_as_anonymous_ones(
+        mut history in arb_history(),
+        thinned in prop::collection::vec(0u8..4, 27),
+        asks in prop::collection::vec((0usize..27, 0usize..4, any::<bool>()), 2),
+        listed in 1usize..5,
+    ) {
+        for (occupied, &thin) in history.occupied.iter_mut().zip(&thinned) {
+            *occupied &= thin != 0;
+        }
+        let History { arity, depth, config, seed, ref occupied, ref steps } = history;
+        let view = DelegateView::bootstrap_sparse(arity, depth, config, seed, occupied);
+        let views: Vec<(NamedView, bool)> = asks
+            .iter()
+            .map(|&(of, level, named_first)| {
+                (NamedView::of(&history, of % occupied.len(), 1 + level % depth, listed), named_first)
+            })
+            .collect();
+        let check = |after: &str| {
+            // Twice: the first pass lists a view, the second is served by it.
+            for _ in 0..2 {
+                for (named, named_first) in &views {
+                    named.check(&view, *named_first, after);
+                }
+            }
+        };
+        check("bootstrap");
+        prop_assert!(!view.has_tables(), "a named ask stores no table");
+        for (index, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Join(process) => view.observe_join(process),
+                Step::Leave(process) => view.observe_leave(process),
+                Step::Crash(process) => view.observe_crash(process),
+                Step::Round => view.round_elapsed(),
+            }
+            check(&format!("step {index} ({step:?})"));
+        }
     }
 
     /// Subtree sizes and populated children always match a brute-force

@@ -99,10 +99,14 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, Counts) {
 #[test]
 fn a_trial_allocates_per_infected_process_not_per_process() {
     // The `paper_global` and `paper_delegate` traffic shapes of `pmbench`
-    // at 8^3.  The figures quoted below are the global row's (the delegate
-    // row reads 239 and 1 235); that row is the structural guard that a
-    // static trial never stores the slot tables, whose two `Vec`s per
-    // process alone would put (c) over budget.
+    // at 8^3.  The figures quoted below are the global row's.  The
+    // `delegate(3)` row reads 239 for (a) and 1 247 for (c) (1 198 fresh +
+    // 49 regrowths): 1 235 before the provider kept a row per depth view
+    // asked about by name, and 12 for the rows — two vectors, the row table
+    // and one flat peer list, growing to the group's 73 views, never a
+    // block per view.  That row is the structural guard that a static trial
+    // never stores the slot tables, whose two `Vec`s per process alone
+    // would put (c) over budget.
     for spec in [MembershipSpec::Global, MembershipSpec::delegate(3)] {
         budget_holds_over(spec);
     }
@@ -114,10 +118,11 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// reached by hundreds of events, so what is counted here is what a trial
 /// allocates per *event* — the schedule, the `EventId → index` table, one
 /// latency histogram and one report per event — on top of the per-process
-/// buffers growing to their working size.  Achieved: 4 632 (3 324 fresh +
-/// 1 308 regrowths; 28 of them the group's judgement table and the
+/// buffers growing to their working size.  Achieved: 4 641 (3 326 fresh +
+/// 1 315 regrowths; 28 of them the group's judgement table and the
 /// provider's view verdicts growing to their few hundred rows, and the
-/// report's twelve audience vectors); before those three: 4 604; with a
+/// report's twelve audience vectors; 9 the provider's membership rows of
+/// the group's 21 depth views); before those four: 4 604; with a
 /// delivery log per process and the topic
 /// audiences kept as address vectors beside their bitmaps: 5 104 (3 482 +
 /// 1 622); before the id sets became bitmap windows — each of a
