@@ -307,12 +307,10 @@ fn bench(c: &mut Criterion) {
     // above, so the gap to it is the whole cost of the veto.  pmcast asks
     // the provider once per buffered entry (per summary epoch) and records
     // the verdict in the entry, so the three benches are the three things
-    // an entry-round can cost.  `summary_skip_draw` times the **per-subgroup
-    // judgement** on a memo hit — what the first entry of a (content, view)
-    // pair folds into the provider's mask for every later entry of the pair
-    // (`summary_verdict`), and what a view wider than a verdict pays per
-    // entry-round: one `fill_summary_allowed` call, i.e. one lock, one row
-    // lookup, a byte read per distinct subgroup, a second dyn-iterator pass.
+    // an entry-round can cost.  `summary_skip_draw` times the ask of an
+    // entry whose (content, view) pair the provider has met before: one
+    // `summary_verdict` call — one lock, one row lookup, one mask lookup —
+    // and the candidates filtered through the mask.
     // `summary_skip_draw_miss` rotates through more distinct contents than
     // the memo holds, so every call starts a fresh row and judges each
     // subgroup against its summary's disjuncts — the first entry of a
@@ -327,6 +325,9 @@ fn bench(c: &mut Criterion) {
     delegate_view.attach_interest_summaries(clustered_topics.subtree_summaries());
     let summary_prefixes: Vec<Prefix> =
         (0..8u32).map(|g| Prefix::from_components(vec![0, g])).collect();
+    // The subgroups of the view's 24 positions, as pmcast names them: one
+    // view id for the whole list.
+    let summary_view = || summary_prefixes.iter().flat_map(|subgroup| [subgroup; 3]);
     // Topic 4 first — subgroup 0.4's — then one content more than the memo
     // holds, so a rotation through all of them never finds a row.
     let topic_events: Vec<Event> = (4..=4 + SUMMARY_MEMO_ROWS as i64)
@@ -347,13 +348,13 @@ fn bench(c: &mut Criterion) {
                     &mut delegate_candidates,
                 );
                 asked += 1;
+                let allowed =
+                    delegate_view.summary_verdict(&topic_events[asked % rotation], 1, &mut summary_view());
                 summary_candidates.clear();
-                delegate_view.fill_summary_allowed(
-                    &topic_events[asked % rotation],
-                    &mut delegate_candidates
+                summary_candidates.extend(
+                    delegate_candidates
                         .iter()
-                        .map(|&position| (position, &summary_prefixes[position / 3])),
-                    &mut summary_candidates,
+                        .filter(|&&position| allowed >> position & 1 == 1),
                 );
                 let mut acc = 0usize;
                 let picks = 4.min(summary_candidates.len());
@@ -375,18 +376,7 @@ fn bench(c: &mut Criterion) {
     // `delegate_draw_batched` — the veto's steady-state cost is a filtered
     // copy of at most a view's worth of indices.
     let recorded_epoch = delegate_view.summary_epoch();
-    summary_candidates.clear();
-    delegate_view.fill_summary_allowed(
-        &topic_events[0],
-        &mut summary_prefixes
-            .iter()
-            .flat_map(|subgroup| [subgroup; 3])
-            .enumerate(),
-        &mut summary_candidates,
-    );
-    let recorded_verdict = summary_candidates
-        .iter()
-        .fold(0u128, |allowed, &position| allowed | 1 << position);
+    let recorded_verdict = delegate_view.summary_verdict(&topic_events[0], 1, &mut summary_view());
     c.bench_function("summary_entry_round", |b| {
         b.iter(|| {
             let own = 37usize;

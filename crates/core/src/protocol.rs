@@ -194,7 +194,8 @@ impl GroupContext {
     /// view by its id, so a provider that has judged the event's content in
     /// this view for another process answers without walking it.  A view
     /// wider than [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and
-    /// is asked about per entry-round, candidates only.
+    /// is asked about per entry-round, candidates only, one single probe
+    /// per run of equal subgroups.
     fn fill_summary_pool(
         &self,
         view: &DepthView,
@@ -204,14 +205,10 @@ impl GroupContext {
     ) {
         scratch.event_candidates.clear();
         if view.len() > BufferedGossip::VERDICT_WIDTH {
-            self.membership.fill_summary_allowed(
-                &entry.event,
-                &mut scratch
-                    .candidates
-                    .iter()
-                    .map(|&position| (position, &view[position].subgroup)),
-                &mut scratch.event_candidates,
-            );
+            scratch.event_candidates.extend(allowed_runs(
+                scratch.candidates.iter().map(|&position| (position, &view[position].subgroup)),
+                |subgroup| self.membership.summary_allows(subgroup, &entry.event),
+            ));
             return;
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
@@ -570,15 +567,11 @@ mod tests {
         entry: &BufferedGossip,
         candidates: &[usize],
     ) -> Vec<usize> {
-        let mut pool = Vec::new();
-        group.membership.fill_summary_allowed(
-            &entry.event,
-            &mut candidates
-                .iter()
-                .map(|&position| (position, &view[position].subgroup)),
-            &mut pool,
-        );
-        pool
+        allowed_runs(
+            candidates.iter().map(|&position| (position, &view[position].subgroup)),
+            |subgroup| group.membership.summary_allows(subgroup, &entry.event),
+        )
+        .collect()
     }
 
     /// Called by `gossip_depth` in test builds on every summary-routed

@@ -158,6 +158,7 @@ use pmcast_interest::Event;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::population::{ring_predecessor, ring_successor};
 use crate::provider::MembershipView;
 use crate::summaries::{allowed_mask, InterestAnnex};
 use crate::SubtreeSummaries;
@@ -422,7 +423,8 @@ impl DelegateState {
         }
         let (shape, occupied) = (&self.shape, &self.alive);
         let n = occupied.len();
-        let next_occupied = |q: usize| crate::population::next_occupied_after(occupied, q);
+        // With nobody else occupied, the contact is the plain successor.
+        let next_occupied = |q: usize| ring_successor(occupied, q).unwrap_or((q + 1) % n) as u32;
         let mut tables = Vec::with_capacity(n);
         let mut flat = Vec::with_capacity(n);
         let mut seen = vec![false; n];
@@ -655,12 +657,6 @@ impl DelegateState {
         }
     }
 
-    /// The next live index strictly after `of`, cyclically.
-    fn next_live(&self, of: usize) -> Option<usize> {
-        let n = self.alive.len();
-        (1..n).map(|offset| (of + offset) % n).find(|&i| self.alive[i])
-    }
-
     /// Returns `true` if `peer` occupies any slot of `q`'s table.
     fn table_contains(&self, q: usize, peer: usize) -> bool {
         let cp = self.shape.common_prefix(q, peer);
@@ -801,7 +797,7 @@ impl DelegateState {
 
     /// Re-pins `q`'s contact to its current live ring successor.
     fn pin_contact(&mut self, q: usize) {
-        if let Some(successor) = self.next_live(q) {
+        if let Some(successor) = ring_successor(&self.alive, q) {
             self.pin_to(q, successor);
         }
     }
@@ -851,7 +847,7 @@ pub struct DelegateView {
     /// below it, maintained through the same (collapsed) gossip that
     /// carries view digests — a leave retracts the departed filter along
     /// its root path, a rejoin re-announces it.  A mutex, not a
-    /// reader-writer lock: a veto query fills the annex's verdict memo.
+    /// reader-writer lock: a whole-view veto fills the annex's verdict memo.
     interest: Mutex<Option<InterestAnnex>>,
     /// [`MembershipView::summary_epoch`]: moved, under the `interest` lock
     /// and after the change, by everything that attaches a table or changes
@@ -1068,25 +1064,15 @@ impl MembershipView for DelegateView {
         self.rows().flat[of].contains(&(peer as u32))
     }
 
+    /// The batched judgement asked about one peer: one seat rule for both
+    /// representations.
     fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
-        if of == peer {
-            return false;
-        }
         let state = self.state.read().expect("delegate view lock poisoned");
-        if depth > state.shape.depth || depth == 0 {
-            return false;
+        let mut known = false;
+        if (1..=state.shape.depth).contains(&depth) {
+            state.fill_known(of, depth, &mut std::iter::once(peer), |_| known = true);
         }
-        if state.shape.common_prefix(of, peer) + 1 < depth {
-            return false; // not under the shared prefix of this view depth
-        }
-        let g = state.shape.digit(peer, depth - 1);
-        match state.tables.get(of) {
-            Some(table) => table[state.shape.group_range(depth, g)].contains(&(peer as u32)),
-            None => {
-                state.alive[of]
-                    && state.seats(of, depth, state.shape.subgroup_base(of, depth, g), peer)
-            }
-        }
+        known
     }
 
     /// The whole depth under one read lock: a named view's row while no
@@ -1145,45 +1131,28 @@ impl MembershipView for DelegateView {
     /// Panics if the summary table does not cover exactly this group's
     /// member capacity.
     fn attach_interest_summaries(&self, summaries: SubtreeSummaries) {
-        let annex = InterestAnnex::new(summaries);
         let members = {
             let state = self.state.read().expect("delegate view lock poisoned");
             state.shape.member_count()
         };
         assert_eq!(
-            annex.member_capacity(),
+            summaries.space().capacity(),
             members as u128,
             "summary table must cover the delegate group's member capacity"
         );
-        let mut interest = self.interest();
-        *interest = Some(annex);
+        *self.interest() = Some(InterestAnnex::new(summaries));
         self.summary_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     fn summary_allows(&self, subgroup: &Prefix, event: &Event) -> bool {
-        match self.interest().as_mut() {
-            Some(annex) => annex.allows(subgroup, event),
+        match self.interest().as_ref() {
+            Some(annex) => annex.summaries.allows(subgroup, event),
             None => true,
         }
     }
 
     fn summary_epoch(&self) -> u64 {
         self.summary_epoch.load(Ordering::SeqCst)
-    }
-
-    /// The whole view under one lock and one lookup of the event's memo
-    /// row; each verdict the attached table has already given for the
-    /// event's content is then a byte read.
-    fn fill_summary_allowed(
-        &self,
-        event: &Event,
-        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
-        out: &mut Vec<usize>,
-    ) {
-        match self.interest().as_mut() {
-            Some(annex) => annex.fill_allowed(event, subgroups, out),
-            None => out.extend(subgroups.map(|(position, _)| position)),
-        }
     }
 
     /// One lock, the event's memo row and the mask kept for `(row, view)`;
@@ -1294,12 +1263,8 @@ impl MembershipView for DelegateView {
         // ring predecessor re-pins onto it.  Slot tables refill by gossip
         // (the join handoff, replayed incrementally).
         state.pin_contact(process);
-        let n = state.alive.len();
-        if let Some(offset) = (1..n).find(|offset| state.alive[(process + n - offset) % n]) {
-            let predecessor = (process + n - offset) % n;
-            if predecessor != process {
-                state.pin_to(predecessor, process);
-            }
+        if let Some(predecessor) = ring_predecessor(&state.alive, process) {
+            state.pin_to(predecessor, process);
         }
     }
 
@@ -1701,16 +1666,20 @@ mod tests {
         }
     }
 
-    /// Every `(of, depth, peer)` answer of the single and the batched probe.
+    /// Every `(of, depth, peer)` answer of the single and the batched probe,
+    /// depths outside the tree and two strangers past the last member
+    /// included — a stranger can share the asker's leading digits, so only
+    /// the view block keeps it out of the liveness flags.
     fn seat_answers(view: &DelegateView, n: usize, depth: usize) -> Vec<bool> {
+        let peers: Vec<usize> = (0..n).chain([n, n + 3]).collect();
         let mut answers = Vec::new();
         for of in 0..n {
             for l in 0..=depth + 1 {
                 let mut batched = Vec::new();
-                view.fill_known_at_depth(of, l, None, &mut (0..n), &mut batched);
-                for peer in 0..n {
+                view.fill_known_at_depth(of, l, None, &mut peers.iter().copied(), &mut batched);
+                for (position, &peer) in peers.iter().enumerate() {
                     let knows = view.knows_at_depth(of, l, peer);
-                    assert_eq!(knows, batched.contains(&peer), "probes of ({of}, {l}, {peer})");
+                    assert_eq!(knows, batched.contains(&position), "probes of ({of}, {l}, {peer})");
                     answers.push(knows);
                 }
             }
@@ -1760,10 +1729,8 @@ mod tests {
         let mut anonymous = Vec::new();
         view.fill_known_at_depth(of, depth, None, &mut peers.iter().copied(), &mut anonymous);
         assert_eq!(named, anonymous, "view {id} as {of} holds it");
-        // The single probe takes members only; a stranger is known to nobody.
-        let n = view.state.read().unwrap().alive.len();
         let single: Vec<usize> = (0..peers.len())
-            .filter(|&position| peers[position] < n && view.knows_at_depth(of, depth, peers[position]))
+            .filter(|&position| view.knows_at_depth(of, depth, peers[position]))
             .collect();
         assert_eq!(named, single, "view {id} as {of} holds it");
         named

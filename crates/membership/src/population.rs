@@ -223,16 +223,20 @@ impl Population {
 
 }
 
-/// The nearest occupied index strictly after `q`, cyclically; falls back to
-/// the plain ring successor when nothing (else) is occupied.  Shared by the
-/// sparse provider bootstraps (`PartialView` / `DelegateView`), which pin
-/// their ring contacts with exactly this rule.
-pub(crate) fn next_occupied_after(occupied: &[bool], q: usize) -> u32 {
-    let n = occupied.len();
-    (1..n)
-        .map(|offset| (q + offset) % n)
-        .find(|&j| occupied[j])
-        .unwrap_or((q + 1) % n.max(1)) as u32
+/// The nearest index strictly after `q`, cyclically, that `alive` marks
+/// (`None` if no other is).  The gossip providers' ring: a process pins its
+/// contact to this successor, at bootstrap over the occupancy and later
+/// over the liveness flags.
+pub(crate) fn ring_successor(alive: &[bool], q: usize) -> Option<usize> {
+    let n = alive.len();
+    (1..n).map(|offset| (q + offset) % n).find(|&j| alive[j])
+}
+
+/// The nearest index strictly before `q`, cyclically, that `alive` marks
+/// (`None` if no other is): whose [`ring_successor`] a joining `q` becomes.
+pub(crate) fn ring_predecessor(alive: &[bool], q: usize) -> Option<usize> {
+    let n = alive.len();
+    (1..n).map(|offset| (q + n - offset) % n).find(|&j| alive[j])
 }
 
 #[cfg(test)]
@@ -321,11 +325,15 @@ mod tests {
     #[test]
     fn next_occupied_wraps_over_gaps() {
         let occupied = [true, false, false, true, false];
-        assert_eq!(next_occupied_after(&occupied, 0), 3);
-        assert_eq!(next_occupied_after(&occupied, 3), 0);
-        assert_eq!(next_occupied_after(&occupied, 4), 0);
-        // Nothing else occupied: fall back to the plain ring successor.
-        assert_eq!(next_occupied_after(&[false, false], 0), 1);
-        assert_eq!(next_occupied_after(&[true], 0), 0, "lone process wraps to itself");
+        assert_eq!(ring_successor(&occupied, 0), Some(3));
+        assert_eq!(ring_successor(&occupied, 3), Some(0));
+        assert_eq!(ring_successor(&occupied, 4), Some(0));
+        assert_eq!(ring_predecessor(&occupied, 0), Some(3));
+        assert_eq!(ring_predecessor(&occupied, 3), Some(0));
+        assert_eq!(ring_predecessor(&occupied, 1), Some(0));
+        // Nobody else occupied, a lone process included: no neighbour.
+        assert_eq!(ring_successor(&[false, false], 0), None);
+        assert_eq!(ring_predecessor(&[true, false], 0), None);
+        assert_eq!(ring_successor(&[true], 0), None);
     }
 }

@@ -71,13 +71,12 @@
 //!   summary routing —
 //!   [`summary_verdict`](MembershipView::summary_verdict) once per
 //!   buffered event per [`summary_epoch`](MembershipView::summary_epoch),
-//!   for the whole depth view, named by the same id
-//!   ([`fill_summary_allowed`](MembershipView::fill_summary_allowed), over
-//!   the round's candidates, only for a view wider than a verdict).
-//!   All default to asking the single probe
+//!   for the whole depth view, named by the same id (a view wider than a
+//!   verdict is asked about through the single probe, per round, over its
+//!   candidates).  Both default to asking the single probe
 //!   ([`knows_at_depth`](MembershipView::knows_at_depth),
 //!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
-//!   correct without overriding any; an override exists to take a lock
+//!   correct without overriding either; an override exists to take a lock
 //!   or find shared state once, and must answer exactly as the default.
 //!   Whatever an override remembers between calls is derived state: it may
 //!   be dropped at any time and must be dropped when what it was computed
@@ -90,6 +89,7 @@ use pmcast_interest::Event;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::population::{ring_predecessor, ring_successor};
 use crate::SubtreeSummaries;
 
 /// A process's source of membership knowledge, keyed by dense process
@@ -231,37 +231,10 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         0
     }
 
-    /// The batched form of [`summary_allows`](Self::summary_allows):
-    /// appends to `out`, in order, the position of every `(position,
-    /// subgroup)` pair whose subgroup `summary_allows` for the event.  The
-    /// pmcast fanout draw under summary routing asks it per entry-round,
-    /// over the round's candidates, only for a depth view too wide for a
-    /// recorded verdict; every other view is asked about whole and once,
-    /// through [`summary_verdict`](Self::summary_verdict), whose answers
-    /// this per-round ask is the reference for.
-    ///
-    /// The default judges each run of equal consecutive subgroups once (a
-    /// view lists one subgroup's delegates side by side).  Providers that
-    /// answer from shared state override it to take their lock and find
-    /// what they know of the event once
-    /// ([`DelegateView`](crate::DelegateView) memoises verdicts per event
-    /// content, [`SUMMARY_MEMO_ROWS`](crate::SUMMARY_MEMO_ROWS) of them);
-    /// an override must produce exactly the default's output.
-    fn fill_summary_allowed(
-        &self,
-        event: &Event,
-        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
-        out: &mut Vec<usize>,
-    ) {
-        out.extend(crate::allowed_runs(subgroups, |subgroup| {
-            self.summary_allows(subgroup, event)
-        }));
-    }
-
-    /// [`fill_summary_allowed`](Self::fill_summary_allowed) over a whole
-    /// depth view of at most 128 entries, as a mask: bit `p` is set when
-    /// `summary_allows` the `p`-th of `subgroups` for the event.  This is
-    /// what pmcast records per buffered entry, and the one call it makes
+    /// The batched form of [`summary_allows`](Self::summary_allows), over a
+    /// whole depth view of at most 128 entries, as a mask: bit `p` is set
+    /// when `summary_allows` the `p`-th of `subgroups` for the event.  This
+    /// is what pmcast records per buffered entry, and the one call it makes
     /// for an entry that holds no verdict under the current
     /// [`summary_epoch`](Self::summary_epoch).
     ///
@@ -272,12 +245,14 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// share a provider share the numbering — and that is all a provider
     /// may assume of it.  The verdict is a function of *(what the summaries
     /// read of the event, view)*, the same for every process holding the
-    /// view, so a provider that memoises its verdicts
-    /// ([`DelegateView`](crate::DelegateView)) keeps the mask per (event
-    /// content, `view`) beside them and drops it with them: a repeat costs a
-    /// lock and two lookups, no work per subgroup.  Keyed by content, never
-    /// by an interest oracle's audience key: an explicit assignment gives
-    /// every event one key while the summaries still tell contents apart.
+    /// view, so a provider may memoise it
+    /// ([`DelegateView`](crate::DelegateView) keeps the mask per (event
+    /// content, `view`), [`SUMMARY_MEMO_ROWS`](crate::SUMMARY_MEMO_ROWS)
+    /// contents of them, and drops them with every filter change): a repeat
+    /// costs a lock and two lookups, no work per subgroup.  Keyed by
+    /// content, never by an interest oracle's audience key: an explicit
+    /// assignment gives every event one key while the summaries still tell
+    /// contents apart.
     ///
     /// The default folds the single probe over runs of equal consecutive
     /// subgroups and ignores `view`; an override must return exactly that.
@@ -387,13 +362,6 @@ struct PartialViewState {
 }
 
 impl PartialViewState {
-    /// The next live index strictly after `of`, cyclically (`None` if `of`
-    /// is the only live process).
-    fn next_live(&self, of: usize) -> Option<usize> {
-        let n = self.alive.len();
-        (1..n).map(|offset| (of + offset) % n).find(|&i| self.alive[i])
-    }
-
     /// Inserts `peer` into `of`'s view, evicting a uniformly random
     /// non-pinned entry if the view overflows its bound.
     fn admit(&mut self, of: usize, peer: u32, bound: usize) {
@@ -418,7 +386,7 @@ impl PartialViewState {
     /// Re-pins `of`'s contact to its current live ring successor and makes
     /// sure that successor is in `of`'s view.
     fn pin_contact(&mut self, of: usize, bound: usize) {
-        if let Some(successor) = self.next_live(of) {
+        if let Some(successor) = ring_successor(&self.alive, of) {
             self.contact[of] = successor as u32;
             self.admit(of, successor as u32, bound);
         }
@@ -483,8 +451,9 @@ impl PartialView {
                     .collect()
             })
             .collect();
+        // With nobody else occupied, the contact is the plain successor.
         let contact = (0..member_count)
-            .map(|i| crate::population::next_occupied_after(occupied, i))
+            .map(|i| ring_successor(occupied, i).unwrap_or((i + 1) % member_count) as u32)
             .collect();
         Self {
             config,
@@ -583,16 +552,9 @@ impl MembershipView for PartialView {
         // The joiner subscribes through its ring successor; its live ring
         // predecessor re-pins onto it, restoring the exact live ring.
         state.pin_contact(process, bound);
-        if let Some(offset) = {
-            let n = state.alive.len();
-            (1..n).find(|offset| state.alive[(process + n - offset) % n])
-        } {
-            let n = state.alive.len();
-            let predecessor = (process + n - offset) % n;
-            if predecessor != process {
-                state.contact[predecessor] = process as u32;
-                state.admit(predecessor, process as u32, bound);
-            }
+        if let Some(predecessor) = ring_predecessor(&state.alive, process) {
+            state.contact[predecessor] = process as u32;
+            state.admit(predecessor, process as u32, bound);
         }
     }
 
@@ -700,14 +662,11 @@ mod tests {
             .iter()
             .map(|&component| Prefix::from_components(vec![component]))
             .collect();
-        let mut out = vec![99];
-        view.fill_summary_allowed(&event, &mut subgroups.iter().enumerate(), &mut out);
-        assert_eq!(out, vec![99, 0, 1, 5, 6], "appended, in order, minus the vetoed run");
+        let allowed = view.summary_verdict(&event, 0, &mut subgroups.iter());
+        assert_eq!(allowed, 0b110_0011, "every position but the vetoed run");
         assert_eq!(view.1.into_inner(), 4, "one probe per run");
         // A provider without summaries admits everything.
-        let mut all = Vec::new();
-        view.0.fill_summary_allowed(&event, &mut subgroups.iter().enumerate(), &mut all);
-        assert_eq!(all, (0..7).collect::<Vec<_>>());
+        assert_eq!(view.0.summary_verdict(&event, 0, &mut subgroups.iter()), 0b111_1111);
     }
 
     #[test]

@@ -94,16 +94,9 @@ impl SubtreeSummaries {
     }
 
     /// The summary of the subtree below `prefix`, if the prefix is valid
-    /// for the space.
+    /// for the space: at its length in `levels`, at its lexicographic rank
+    /// among the prefixes of that length.
     pub fn summary_at(&self, prefix: &Prefix) -> Option<&InterestSummary> {
-        let (level, index) = self.position(prefix)?;
-        Some(&self.levels[level][index])
-    }
-
-    /// Where the summary of `prefix` sits in `levels` — its length and its
-    /// lexicographic rank among the prefixes of that length — if the prefix
-    /// is valid for the space.
-    fn position(&self, prefix: &Prefix) -> Option<(usize, usize)> {
         let components = prefix.components();
         let arities = self.space.arities();
         if components.len() > arities.len() {
@@ -116,7 +109,7 @@ impl SubtreeSummaries {
             }
             index = index * arity as usize + component as usize;
         }
-        Some((components.len(), index))
+        Some(&self.levels[components.len()][index])
     }
 
     /// Replaces (or clears, with `None`) the subscription of the process at
@@ -160,36 +153,31 @@ impl SubtreeSummaries {
 }
 
 /// How many distinct event contents the veto memo of an attached summary
-/// table remembers (see [`MembershipView::fill_summary_allowed`]); one more
-/// and it forgets everything and starts over.  A memo may forget at any
-/// time, so this only bounds memory — one byte per prefix of the space per
-/// remembered content, a sliver of the table it annotates — and is not a
-/// tuning knob: a topic workload has one content per topic.
-///
-/// [`MembershipView::fill_summary_allowed`]: crate::MembershipView::fill_summary_allowed
-pub const SUMMARY_MEMO_ROWS: usize = 64;
-
-/// How many whole-view verdicts (see [`MembershipView::summary_verdict`])
-/// the memo keeps beside its rows, one `u128` per (content, view) asked
-/// about; one more and it forgets them all and starts over, as every filter
-/// change and a row overflow make it do anyway.  Like the row bound this
-/// only caps memory — a long-lived provider asked about ever more views
-/// must not grow — and is not a tuning knob: 50 topics over the 21 views of
-/// a 4³ group are 1 050 verdicts.
+/// table remembers (see [`MembershipView::summary_verdict`]); one more and
+/// it forgets everything and starts over.  A memo may forget at any time,
+/// so this only bounds memory — one value per filtered attribute per
+/// remembered content — and is not a tuning knob: a topic workload has one
+/// content per topic.
 ///
 /// [`MembershipView::summary_verdict`]: crate::MembershipView::summary_verdict
+pub const SUMMARY_MEMO_ROWS: usize = 64;
+
+/// How many whole-view verdicts the memo keeps beside its rows, one `u128`
+/// per (content, view) asked about; one more and it forgets them all and
+/// starts over, as every filter change and a row overflow make it do
+/// anyway.  Like the row bound this only caps memory — a long-lived
+/// provider asked about ever more views must not grow — and is not a
+/// tuning knob: 50 topics over the 21 views of a 4³ group are 1 050
+/// verdicts.
 const SUMMARY_MEMO_VERDICTS: usize = 1 << 14;
 
-/// A memo cell: the subtree's verdict on a content, once judged.
-const UNJUDGED: u8 = 0;
-const VETOED: u8 = 1;
-const ALLOWED: u8 = 2;
-
-/// Verdicts already judged against the attached table, by what a verdict
-/// reads: the event's values on the attributes the table's filters mention
-/// (its *content*; everything else about the event — its id included — is
-/// invisible to a filter) and the subtree.  Derived state: any entry may be
-/// dropped at any time, and every filter change drops them all.
+/// Whole-view verdicts already judged against the attached table, by what
+/// a verdict reads: the event's values on the attributes the table's
+/// filters mention (its *content*; everything else about the event — its
+/// id included — is invisible to a filter) and the depth view.  A depth
+/// view lists each subtree it covers in no other view, so one verdict per
+/// (content, view) is all there is to remember.  Derived state: any entry
+/// may be dropped at any time, and every filter change drops them all.
 #[derive(Debug)]
 struct VetoMemo {
     /// Every attribute some filter constrained when the table was attached,
@@ -197,19 +185,15 @@ struct VetoMemo {
     /// a filter, a rejoin restores it, and merging or widening filters only
     /// drops attributes.
     attributes: Vec<String>,
-    /// `level_base[l]` is the cell of the first prefix of length `l` within
-    /// a row; the last entry is the row length (one cell per prefix).
-    level_base: Vec<usize>,
     /// Row `r` is `contents[r·k..][..k]` (`k = attributes.len()`, the value
-    /// per attribute) and `verdicts[r·cells..][..cells]`, found through
-    /// `fingerprints[r]`.  Flat, so clearing keeps the allocations.
+    /// per attribute), found through `fingerprints[r]`.  Flat, so clearing
+    /// keeps the allocations.
     fingerprints: Vec<u64>,
     contents: Vec<Option<AttributeValue>>,
-    verdicts: Vec<u8>,
-    /// The whole-view verdicts already folded from the cells: `(row, view
-    /// id)` to the mask of allowed view positions.  A view never asked
-    /// about is absent — every mask, zero included, is a verdict.  Rows are
-    /// reused after a [`clear`](Self::clear), so these go whenever rows do.
+    /// `(row, view id)` to the mask of allowed view positions.  A view
+    /// never asked about is absent — every mask, zero included, is a
+    /// verdict.  Rows are reused after a [`clear`](Self::clear), so these go
+    /// whenever rows do.
     view_verdicts: HashMap<(usize, u32), u128>,
 }
 
@@ -221,16 +205,10 @@ impl VetoMemo {
             .flatten()
             .flat_map(Filter::attributes)
             .collect();
-        let mut level_base = vec![0];
-        for level in &summaries.levels {
-            level_base.push(level_base[level_base.len() - 1] + level.len());
-        }
         Self {
             attributes: attributes.into_iter().map(str::to_owned).collect(),
-            level_base,
             fingerprints: Vec::new(),
             contents: Vec::new(),
-            verdicts: Vec::new(),
             view_verdicts: HashMap::new(),
         }
     }
@@ -238,13 +216,12 @@ impl VetoMemo {
     fn clear(&mut self) {
         self.fingerprints.clear();
         self.contents.clear();
-        self.verdicts.clear();
         self.view_verdicts.clear();
     }
 
-    /// The row of the event's content, started unjudged if the memo does
-    /// not hold it.  A fingerprint only finds the candidate: a hit is a row
-    /// whose stored content equals the event's.
+    /// The row of the event's content, started if the memo does not hold
+    /// it.  A fingerprint only finds the candidate: a hit is a row whose
+    /// stored content equals the event's.
     fn row_of(&mut self, event: &Event) -> usize {
         let fingerprint = self
             .attributes
@@ -268,19 +245,7 @@ impl VetoMemo {
         self.fingerprints.push(fingerprint);
         self.contents
             .extend(self.attributes.iter().map(|name| event.get(name).cloned()));
-        self.verdicts.resize(self.verdicts.len() + self.cells(), UNJUDGED);
         self.fingerprints.len() - 1
-    }
-
-    /// Cells in a row: one per prefix of the space.
-    fn cells(&self) -> usize {
-        self.level_base[self.level_base.len() - 1]
-    }
-
-    /// The cell of row `row` for the prefix at `(level, index)`.
-    fn cell(&mut self, row: usize, (level, index): (usize, usize)) -> &mut u8 {
-        let cell = row * self.cells() + self.level_base[level] + index;
-        &mut self.verdicts[cell]
     }
 }
 
@@ -306,9 +271,10 @@ fn fingerprint_step(hash: u64, value: Option<&AttributeValue>) -> u64 {
 /// The items of `(item, subgroup)` pairs whose subgroup `judge` admits, in
 /// order.  A view lists one subgroup's delegates side by side, so a run of
 /// equal consecutive subgroups is judged once and the verdict counted for
-/// every item of the run — whatever the question: the summary veto's
-/// batched probe and pmcast's `GETRATE` (the interest oracle's
-/// `subtree_interested`) both ask it per view entry.
+/// every item of the run — whatever the question: the summary veto
+/// ([`MembershipView::summary_allows`](crate::MembershipView::summary_allows))
+/// and pmcast's `GETRATE` (the interest oracle's `subtree_interested`) both
+/// ask it per view entry.
 pub fn allowed_runs<'a, T, I, J>(
     subgroups: I,
     mut judge: J,
@@ -342,10 +308,11 @@ pub(crate) fn allowed_mask<'a>(
 /// plus the pristine per-process filters, so a leave can clear a process's
 /// contribution and a rejoin can restore it (the collapsed equivalent of
 /// re-gossiping the subscription up the delegate tree) — and the memo of
-/// the verdicts the table has already given, dropped whenever it changes.
+/// the whole-view verdicts the table has already given, dropped whenever it
+/// changes.
 #[derive(Debug)]
 pub(crate) struct InterestAnnex {
-    summaries: SubtreeSummaries,
+    pub(crate) summaries: SubtreeSummaries,
     original: Vec<Option<Filter>>,
     memo: VetoMemo,
 }
@@ -361,28 +328,10 @@ impl InterestAnnex {
         }
     }
 
-    /// [`SubtreeSummaries::allows`], judged once per (content, subtree).
-    pub(crate) fn allows(&mut self, prefix: &Prefix, event: &Event) -> bool {
-        let row = self.memo.row_of(event);
-        self.verdict(row, prefix, event)
-    }
-
-    /// Appends the position of every subgroup [`allows`](Self::allows)
-    /// admits for the event, whose row is looked up once.
-    pub(crate) fn fill_allowed(
-        &mut self,
-        event: &Event,
-        subgroups: &mut dyn Iterator<Item = (usize, &Prefix)>,
-        out: &mut Vec<usize>,
-    ) {
-        let row = self.memo.row_of(event);
-        out.extend(allowed_runs(subgroups, |subgroup| self.verdict(row, subgroup, event)));
-    }
-
-    /// [`fill_allowed`](Self::fill_allowed) over a whole view, as the mask
-    /// of the positions it would append, folded once per (content, view id):
-    /// a repeat is the row lookup and one probe, whatever the view's width.
-    /// The caller vouches that `view` names `subgroups` (see
+    /// [`SubtreeSummaries::allows`] over a whole view, as the mask of the
+    /// positions it admits, folded once per (content, view id): a repeat is
+    /// the row lookup and one probe, whatever the view's width.  The caller
+    /// vouches that `view` names `subgroups` (see
     /// [`MembershipView::summary_verdict`](crate::MembershipView::summary_verdict));
     /// debug builds check every repeat against the fold it stands for.
     pub(crate) fn view_verdict(
@@ -392,34 +341,18 @@ impl InterestAnnex {
         subgroups: &mut dyn Iterator<Item = &Prefix>,
     ) -> u128 {
         let row = self.memo.row_of(event);
-        let mut fold = |annex: &mut Self| {
-            allowed_mask(&mut *subgroups, |subgroup| annex.verdict(row, subgroup, event))
-        };
+        let summaries = &self.summaries;
+        let mut fold = || allowed_mask(&mut *subgroups, |subgroup| summaries.allows(subgroup, event));
         if let Some(&allowed) = self.memo.view_verdicts.get(&(row, view)) {
-            debug_assert_eq!(allowed, fold(self), "view id {view} named other subgroups before");
+            debug_assert_eq!(allowed, fold(), "view id {view} named other subgroups before");
             return allowed;
         }
-        let allowed = fold(self);
+        let allowed = fold();
         if self.memo.view_verdicts.len() == SUMMARY_MEMO_VERDICTS {
             self.memo.view_verdicts.clear();
         }
         self.memo.view_verdicts.insert((row, view), allowed);
         allowed
-    }
-
-    /// The verdict on `prefix` of the content in memo row `row`, which is
-    /// `event`'s.
-    fn verdict(&mut self, row: usize, prefix: &Prefix, event: &Event) -> bool {
-        // Never skip on uncertainty, as in `SubtreeSummaries::allows`.
-        let Some((level, index)) = self.summaries.position(prefix) else {
-            return true;
-        };
-        let cell = self.memo.cell(row, (level, index));
-        if *cell == UNJUDGED {
-            let allowed = self.summaries.levels[level][index].matches(event);
-            *cell = if allowed { ALLOWED } else { VETOED };
-        }
-        *cell == ALLOWED
     }
 
     /// A leave (or swept crash) retracts the process's interests along its
@@ -438,10 +371,6 @@ impl InterestAnnex {
     fn set_filter(&mut self, index: usize, filter: Option<Filter>) {
         self.summaries.set_filter(index, filter);
         self.memo.clear();
-    }
-
-    pub(crate) fn member_capacity(&self) -> u128 {
-        self.summaries.space().capacity()
     }
 }
 
@@ -520,27 +449,31 @@ mod tests {
         let filters = vec![Some(topic_filter(&[0])), None, Some(topic_filter(&[3])), None];
         let mut annex = InterestAnnex::new(table_2x2(filters));
         let subtree = Prefix::from_components(vec![1]);
+        let allows = |annex: &mut InterestAnnex, event: &Event| {
+            annex.view_verdict(event, 0, &mut [&subtree].into_iter()) == 1
+        };
         // One row per distinct content, however many ids carry it.
         for id in 0..10 {
             let event = Event::builder(id).int("topic", 3).build();
-            assert!(annex.allows(&subtree, &event));
+            assert!(allows(&mut annex, &event));
         }
         assert_eq!(annex.memo.fingerprints.len(), 1);
         // More contents than rows: the memo starts over instead of growing.
         for topic in 0..3 * SUMMARY_MEMO_ROWS as i64 {
-            assert_eq!(annex.allows(&subtree, &topic_event(topic)), topic == 3);
+            assert_eq!(allows(&mut annex, &topic_event(topic)), topic == 3);
             assert!(annex.memo.fingerprints.len() <= SUMMARY_MEMO_ROWS);
         }
-        assert_eq!(annex.memo.verdicts.len(), annex.memo.fingerprints.len() * 7);
-        assert!(annex.memo.verdicts.capacity() <= 2 * SUMMARY_MEMO_ROWS * 7);
+        // The filters mention one attribute: a row is one stored value.
+        assert_eq!(annex.memo.contents.len(), annex.memo.fingerprints.len());
+        assert!(annex.memo.contents.capacity() <= 2 * SUMMARY_MEMO_ROWS);
         // The subscriber leaves and returns: neither verdict outlives the
         // table it was judged against.
         annex.on_departure(2);
         assert!(annex.memo.fingerprints.is_empty());
-        assert!(!annex.allows(&subtree, &topic_event(3)));
+        assert!(!allows(&mut annex, &topic_event(3)));
         annex.on_join(2);
         assert!(annex.memo.fingerprints.is_empty());
-        assert!(annex.allows(&subtree, &topic_event(3)));
+        assert!(allows(&mut annex, &topic_event(3)));
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! The summary veto's memo is proven, not trusted.
 //!
-//! [`DelegateView`] answers [`MembershipView::summary_allows`], its
-//! batched form [`MembershipView::fill_summary_allowed`] and its whole-view
-//! form [`MembershipView::summary_verdict`] from a memo of verdicts keyed by
-//! what a verdict reads — the event's values on the attributes the attached
-//! filters mention, and the subtree or, for a whole view's mask, the view's
-//! id — and drops the memo whenever a leave, a swept crash or a rejoin
-//! changes the table.  This file steps a provider with attached summaries
-//! through random histories of lifecycle observations, membership rounds
-//! and queries, and after every step holds all three forms equal to an
-//! **uncached** [`SubtreeSummaries::allows`] over a table built fresh from a
-//! hand-maintained filter vector.  The probes are chosen against the ways a
-//! memo goes wrong: events sharing one id but not their content, an event
-//! without the attribute, values of other types under the same name, an
-//! out-of-space and a too-deep prefix (both must answer `true`), sweeps of
-//! more distinct contents than [`SUMMARY_MEMO_ROWS`], and two views asked
-//! about alternately, each a second time once the memo holds its mask.
+//! [`DelegateView`] answers [`MembershipView::summary_allows`] from its
+//! attached table and its whole-view form
+//! [`MembershipView::summary_verdict`] from a memo of masks keyed by what a
+//! verdict reads — the event's values on the attributes the attached
+//! filters mention, and the view's id — and drops the memo whenever a
+//! leave, a swept crash or a rejoin changes the table.  This file steps a
+//! provider with attached summaries through random histories of lifecycle
+//! observations, membership rounds and queries, and after every step holds
+//! both forms equal to an **uncached** [`SubtreeSummaries::allows`] over a
+//! table built fresh from a hand-maintained filter vector.  The probes are
+//! chosen against the ways a memo goes wrong: events sharing one id but not
+//! their content, an event without the attribute, values of other types
+//! under the same name, an out-of-space and a too-deep prefix (both must
+//! answer `true`), sweeps of more distinct contents than
+//! [`SUMMARY_MEMO_ROWS`], and two views asked about alternately, each a
+//! second time once the memo holds its mask.
 
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_interest::{Event, Filter, Predicate};
@@ -214,16 +214,15 @@ impl Lockstep {
         self.check(&probe_events());
     }
 
-    /// All three forms of the query against the uncached table, for every
-    /// probe prefix — twice in a row in the batched form, as a view lists a
-    /// subgroup's delegates; as view 0 that list and as view 1 the prefixes
-    /// backwards in the whole-view form, asked 0, 1, 0, 1 so that the second
-    /// ask of each is answered from the mask kept under its id.
+    /// Both forms of the query against the uncached table, for every probe
+    /// prefix: one at a time, and in the whole-view form as view 0 with
+    /// every prefix twice in a row, as a view lists a subgroup's delegates,
+    /// and as view 1 the prefixes backwards, asked 0, 1, 0, 1 so that the
+    /// second ask of each is answered from the mask kept under its id.
     fn check(&self, events: &[Event]) {
         let uncached = SubtreeSummaries::build(self.space.clone(), self.current.clone());
         let doubled: Vec<&Prefix> = self.prefixes.iter().flat_map(|p| [p, p]).collect();
         let backwards: Vec<&Prefix> = self.prefixes.iter().rev().collect();
-        let mut batched = Vec::new();
         for event in events {
             let expected: Vec<bool> = self
                 .prefixes
@@ -241,16 +240,6 @@ impl Lockstep {
                     event
                 );
             }
-            batched.clear();
-            self.view.fill_summary_allowed(
-                event,
-                &mut doubled.iter().copied().enumerate(),
-                &mut batched,
-            );
-            let allowed_positions: Vec<usize> = (0..doubled.len())
-                .filter(|&position| expected[position / 2])
-                .collect();
-            prop_assert_eq!(&batched, &allowed_positions, "fill_summary_allowed({})", event);
             for (view, subgroups) in [(0, &doubled), (1, &backwards), (0, &doubled), (1, &backwards)] {
                 let folded = subgroups
                     .iter()
@@ -293,10 +282,9 @@ fn a_rejoin_is_seen_through_a_warm_memo() {
     let event = Event::builder(1).int(TOPIC_ATTRIBUTE, 5).build();
     let subtree = Prefix::from_components(vec![1]);
     let ask = || {
-        let mut out = Vec::new();
-        view.fill_summary_allowed(&event, &mut [(0, &subtree)].into_iter(), &mut out);
-        assert_eq!(view.summary_allows(&subtree, &event), !out.is_empty());
-        !out.is_empty()
+        let allowed = view.summary_verdict(&event, 0, &mut [&subtree].into_iter()) == 1;
+        assert_eq!(view.summary_allows(&subtree, &event), allowed);
+        allowed
     };
     assert!(ask());
     view.observe_leave(3);

@@ -409,8 +409,8 @@ pub struct TrialWorkload {
     pub schedule: PublishSchedule,
     /// The trial's (possibly sparse, time-varying) population.
     pub population: Population,
-    /// Initial occupancy, `Some` only when somebody starts absent (the
-    /// sparse-bootstrap path).
+    /// Initial occupancy, `Some` only when somebody starts absent (`None`
+    /// is everybody).
     pub occupied_at_start: Option<Vec<bool>>,
 }
 
@@ -562,10 +562,9 @@ pub fn trial_workload(scenario: &Scenario, trial: usize) -> TrialWorkload {
     // (earliest event is a join), shared between the engine's lifecycle
     // plan and the providers' sparse bootstrap.
     let population = scenario.population();
-    // Sparse bootstrap is only needed when somebody actually starts
+    // The occupancy flags are only built when somebody actually starts
     // absent; a leave/rejoin-only schedule begins fully populated, and the
-    // plain bootstrap path skips the occupancy scans (the two are proven
-    // bit-identical for full occupancy).
+    // providers then bootstrap over everybody.
     let occupied_at_start =
         (!population.initially_absent().is_empty()).then(|| population.occupied_at_start());
 

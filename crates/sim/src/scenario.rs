@@ -29,6 +29,7 @@
 //! assert_eq!(outcomes[0].per_event.len(), 2);
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use pmcast_core::PmcastConfig;
@@ -128,12 +129,13 @@ impl MembershipSpec {
     ///
     /// `occupied` carries the trial's initial population (see
     /// [`Population::occupied_at_start`]): `None` for the fully populated
-    /// static tree, `Some`
-    /// for a sparse start — the gossip providers then bootstrap gap-aware
-    /// (`bootstrap_sparse`, which consumes no randomness beyond the same
-    /// seed), while [`Global`](Self::Global) stays the omniscient static
-    /// directory it has always been (stream-neutral by contract: it knows
-    /// every address and ignores lifecycle notifications).
+    /// static tree, `Some` for a sparse start.  The gossip providers
+    /// bootstrap over it either way (`bootstrap_sparse`, which consumes no
+    /// randomness beyond the same seed; `None` is everybody, and
+    /// `PartialView::bootstrap` is exactly that), while
+    /// [`Global`](Self::Global) stays the omniscient static directory it
+    /// has always been (stream-neutral by contract: it knows every address
+    /// and ignores lifecycle notifications).
     pub fn instantiate(
         &self,
         arity: u32,
@@ -155,19 +157,13 @@ impl MembershipSpec {
                     None => PartialView::bootstrap(n, config, membership_seed),
                 })
             }
-            MembershipSpec::Delegate { slots } => {
-                let config = DelegateViewConfig::default().with_slots(slots);
-                Arc::new(match occupied {
-                    Some(occupied) => DelegateView::bootstrap_sparse(
-                        arity,
-                        depth,
-                        config,
-                        membership_seed,
-                        occupied,
-                    ),
-                    None => DelegateView::bootstrap(arity, depth, config, membership_seed),
-                })
-            }
+            MembershipSpec::Delegate { slots } => Arc::new(DelegateView::bootstrap_sparse(
+                arity,
+                depth,
+                DelegateViewConfig::default().with_slots(slots),
+                membership_seed,
+                &occupied.map_or_else(|| Cow::Owned(vec![true; n]), Cow::Borrowed),
+            )),
         }
     }
 }

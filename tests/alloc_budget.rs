@@ -118,11 +118,13 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// reached by hundreds of events, so what is counted here is what a trial
 /// allocates per *event* — the schedule, the `EventId → index` table, one
 /// latency histogram and one report per event — on top of the per-process
-/// buffers growing to their working size.  Achieved: 4 641 (3 326 fresh +
-/// 1 315 regrowths; 28 of them the group's judgement table and the
-/// provider's view verdicts growing to their few hundred rows, and the
-/// report's twelve audience vectors; 9 the provider's membership rows of
-/// the group's 21 depth views); before those four: 4 604; with a
+/// buffers growing to their working size.  Achieved: 4 632 (3 323 fresh +
+/// 1 309 regrowths); with a verdict byte per (content, subtree) beside the
+/// provider's view verdicts: 4 641 (3 326 + 1 315; 28 of them the group's
+/// judgement table and the provider's view verdicts growing to their few
+/// hundred rows, and the report's twelve audience vectors; 9 the provider's
+/// membership rows of the group's 21 depth views); before those four:
+/// 4 604; with a
 /// delivery log per process and the topic
 /// audiences kept as address vectors beside their bitmaps: 5 104 (3 482 +
 /// 1 622); before the id sets became bitmap windows — each of a
@@ -130,8 +132,9 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// 300 ids — 5 457 (3 355 + 2 102); at the parent of the PR that added this
 /// row: 5 734 (3 647 + 2 087), when every event also owned a `recorded`
 /// bitmap and the report deduplicated ids through a second growing list.
-/// The budget is the achieved figure plus 6 %, below all earlier ones: a
-/// per-event allocation or a regrown id list coming back fails it.
+/// The budget was set at the achieved figure plus 6 % and moves down with
+/// it, below all earlier ones: a per-event allocation or a regrown id list
+/// coming back fails it.
 fn heavy_traffic_budget_holds() {
     let scenario = Scenario::builder()
         .group(4, 3)
@@ -143,7 +146,7 @@ fn heavy_traffic_budget_holds() {
     let (outcome, trial) = counted(|| run_scenario_trial_with(&scenario, Protocol::Pmcast, 0));
     assert_eq!(outcome.per_event.len(), 300);
     assert!(
-        trial.allocations() <= 4_880,
+        trial.allocations() <= 4_871,
         "a 300-event topic trial allocated {} times",
         trial.allocations()
     );

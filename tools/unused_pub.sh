@@ -3,7 +3,8 @@
 # growing back: every `pub fn` / `pub(crate) fn`, every trait method
 # declaration and every `pub const` before the first `#[cfg(test)]` of a
 # tracked source file under crates/*/src, src or vendor/smol/src that no
-# non-test line calls.  Non-test lines are the lines before the first
+# non-test line calls — unless an indented `#[cfg(test)]` right above it
+# makes the item itself test code.  Non-test lines are the lines before the first
 # unindented `#[cfg(test)]` (an indented one guards a statement, not the
 # test module) of the tracked Rust files under crates/, src/, examples/,
 # pmbench/ and vendor/smol/src, leaving out tests/ and benches/ directories
@@ -75,11 +76,15 @@ git ls-files crates src examples pmbench vendor/smol/src | grep '\.rs$' |
             listed = file ~ /^((crates|vendor)\/[^\/]+\/)?src\//
             number = 0
             in_trait = 0
+            test_attribute = 0
             owner = ""
             while ((getline text < file) > 0) {
                 number++
                 if (text ~ /^#\[cfg\(test\)\]/) break
                 if (text ~ /^[[:space:]]*\/\//) continue
+                # An item under an indented `#[cfg(test)]` is test code.
+                counted = listed && !test_attribute
+                test_attribute = text ~ /^[[:space:]]+#\[cfg\(test\)\]/
                 if (text ~ /^(pub(\([a-z]+\))? +)?(unsafe +)?trait /) {
                     in_trait = 1
                     owner = text
@@ -93,11 +98,11 @@ git ls-files crates src examples pmbench vendor/smol/src | grep '\.rs$' |
                 }
                 if (match(text, /(^|[^A-Za-z0-9_])fn +[A-Za-z_][A-Za-z0-9_]*/))
                     fns[matched_name(text)]++
-                if (listed && in_trait && match(text, /^    fn +[A-Za-z_][A-Za-z0-9_]*/))
+                if (counted && in_trait && match(text, /^    fn +[A-Za-z_][A-Za-z0-9_]*/))
                     define("trait fn", matched_name(text))
-                else if (listed && match(text, /pub(\(crate\))? +(const +)?(unsafe +)?fn +[A-Za-z_][A-Za-z0-9_]*/))
+                else if (counted && match(text, /pub(\(crate\))? +(const +)?(unsafe +)?fn +[A-Za-z_][A-Za-z0-9_]*/))
                     define("pub fn", matched_name(text))
-                else if (listed && match(text, /pub(\(crate\))? +const +[A-Z_][A-Z0-9_]*/))
+                else if (counted && match(text, /pub(\(crate\))? +const +[A-Z_][A-Z0-9_]*/))
                     define("pub const", matched_name(text))
                 # Every word of the line, with what stands before and after it.
                 imports = text ~ /^[[:space:]]*(pub(\([a-z]+\))? +)?use /
