@@ -20,7 +20,7 @@ use pmcast_membership::{
     AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
     MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
 };
-use pmcast_net::{ChannelTransport, Frame, Seen};
+use pmcast_net::{ChannelTransport, Frame};
 use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 use pmcast_sim::scenario::{MembershipSpec, Scenario, TopicWorkload};
 use pmcast_simnet::{FaultPlan, LinkDelay, NetworkConfig, ProcessId, Simulation};
@@ -542,13 +542,14 @@ fn bench(c: &mut Criterion) {
 
     // The per-frame unit cost of the async runtime's publish path:
     // transport enqueue (channel push + in-flight accounting) → mailbox
-    // pop → Seen-ring dedup → processed acknowledgement.  The ring is
-    // pre-warmed so every iteration takes the dedup-hit branch, and the
-    // mailbox never grows past one frame — the steady state must stay
-    // allocation-free (ring, index set and channel queue all at fixed
-    // capacity).  This is the pmcast-net analogue of
-    // `gossip_clone_zero_copy`: the per-message floor of the daemon's
-    // sustained publish loop.
+    // pop → dedup probe → processed acknowledgement.  The probe is the
+    // `EventIdSet::contains` behind the protocols' `has_received`, which is
+    // all a broker asks before dropping a duplicate; the set is pre-warmed
+    // so every iteration takes the dedup-hit branch, and the mailbox never
+    // grows past one frame — the steady state must stay allocation-free
+    // (id set and channel queue both at fixed size).  This is the
+    // pmcast-net analogue of `gossip_clone_zero_copy`: the per-message
+    // floor of the daemon's sustained publish loop.
     let (net_transport, net_mailboxes) = ChannelTransport::with_loss(64, 2, 0.0, 0);
     let net_gossip = Gossip::new(
         Event::builder(501).int("b", 1).str("symbol", "NESN").build(),
@@ -556,8 +557,8 @@ fn bench(c: &mut Criterion) {
         0.5,
         0,
     );
-    let mut net_seen = Seen::new(1024);
-    net_seen.push(net_gossip.event.id());
+    let mut net_received = EventIdSet::new();
+    net_received.insert(net_gossip.event.id());
     c.bench_function("net_publish_path", |b| {
         b.iter(|| {
             let sent =
@@ -567,7 +568,7 @@ fn bench(c: &mut Criterion) {
             let mut cx = Context::from_waker(Waker::noop());
             match Pin::new(&mut net_mailboxes[1].recv()).poll(&mut cx) {
                 Poll::Ready(Ok(Frame::Gossip { gossip, .. })) => {
-                    let fresh = net_seen.push(gossip.event.id());
+                    let fresh = !net_received.contains(gossip.event.id());
                     net_transport.mark_processed(1);
                     fresh
                 }

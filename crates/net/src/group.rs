@@ -1,23 +1,22 @@
 //! [`NetGroup`]: spawning a protocol group as long-running broker tasks,
 //! plus the control plane ([`NetGroupHandle`]) — publish with
 //! backpressure, crash injection, quiescence checks and graceful
-//! shutdown.
+//! shutdown.  The handle stores no per-process state of its own: it reads
+//! the transport's per-process table, as the processes do.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pmcast_core::MulticastProtocol;
-use pmcast_interest::Event;
+use pmcast_interest::{Event, EventId};
 use pmcast_membership::MembershipView;
 use pmcast_simnet::FanoutScratch;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use smol::channel::Sender;
 use smol::{LocalExecutor, Task, Timer};
 
 use crate::process::{NetProcess, NetProcessReport};
-use crate::seen::Seen;
 use crate::transport::{ChannelTransport, Frame, TransportStats};
 
 /// Multiplies a period by a tick count without the `Duration * u32` cap.
@@ -41,18 +40,24 @@ pub struct NetConfig {
     /// Mailbox capacity per process: gossip frames beyond it are dropped
     /// with a counter; publishers await free capacity instead.
     pub mailbox_capacity: usize,
-    /// Capacity of the per-process [`Seen`] dedup ring.
+    /// The retire lag, counted in event ids: with
+    /// [`retire_quiescent`](Self::retire_quiescent) on, a process retires
+    /// dedup state below its highest received or published id minus this
+    /// lag.  It allocates nothing and has no effect while retirement is
+    /// off.
     pub seen_capacity: usize,
     /// Bernoulli loss probability applied per gossip frame.
     pub loss_probability: f64,
-    /// Retire protocol dedup state once the [`Seen`] ring has wrapped:
-    /// each tick of a process whose ring is full calls
-    /// `MulticastProtocol::retire_below(ring minimum)`, so a long-running
-    /// daemon's per-process dedup memory stays proportional to the ring
-    /// capacity instead of the lifetime event count.  Off by default —
-    /// retired ids still *count* as seen, but reports over retired
-    /// delivery history are protocol-dependent, so opting in is a daemon
-    /// deployment decision.
+    /// Retire protocol dedup state behind a watermark: a tick at which the
+    /// floor `highest id − seen_capacity` has moved calls
+    /// `MulticastProtocol::retire_below(floor)` (the protocol clamps it to
+    /// its lowest buffered id), so a long-running daemon's dedup memory
+    /// follows the lag, not the lifetime event count.  Off by default,
+    /// because retired ids count as received *and delivered*: with more
+    /// than `seen_capacity` ids in flight at once, a first receipt below
+    /// the floor is dropped as a duplicate and then reads as delivered,
+    /// although it never was.  Pick a lag above what a burst keeps in
+    /// flight.
     pub retire_quiescent: bool,
     /// The seed for the runtime-private streams (see type docs).
     pub seed: u64,
@@ -85,7 +90,7 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the [`Seen`] ring capacity.
+    /// Replaces the retire lag (see the field docs).
     pub fn with_seen_capacity(mut self, capacity: usize) -> Self {
         self.seen_capacity = capacity;
         self
@@ -97,8 +102,8 @@ impl NetConfig {
         self
     }
 
-    /// Enables (or disables) dedup retirement on full [`Seen`] rings —
-    /// the long-running-daemon memory bound (see the field docs).
+    /// Enables (or disables) dedup retirement behind the retire lag — the
+    /// long-running-daemon memory bound (see the field docs).
     pub fn with_retire_quiescent(mut self, enabled: bool) -> Self {
         self.retire_quiescent = enabled;
         self
@@ -143,11 +148,7 @@ impl std::error::Error for PublishError {}
 /// The cloneable control plane of a running [`NetGroup`].
 #[derive(Debug, Clone)]
 pub struct NetGroupHandle {
-    senders: Vec<Sender<Frame>>,
     transport: ChannelTransport,
-    quiescent: Vec<Arc<AtomicBool>>,
-    crash_flags: Vec<Arc<AtomicBool>>,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl NetGroupHandle {
@@ -155,22 +156,19 @@ impl NetGroupHandle {
     /// full — publishers get backpressure, gossip frames get dropped (see
     /// `transport` module docs).
     pub async fn publish(&self, process: usize, event: Arc<Event>) -> Result<(), PublishError> {
-        if self.crash_flags[process].load(Ordering::Relaxed) {
+        if self.transport.is_crashed(process) {
             return Err(PublishError::Crashed);
         }
         // Count the command in-flight *before* awaiting capacity, so a
         // quiescence probe between enqueue attempts cannot miss it.
         self.transport.mark_enqueued(process);
-        match self.senders[process].send(Frame::Publish(event)).await {
-            Ok(()) => {
-                self.quiescent[process].store(false, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => {
-                self.transport.unmark_enqueued(process);
-                Err(PublishError::Crashed)
-            }
+        let mailbox = self.transport.mailbox(process);
+        if mailbox.send(Frame::Publish(event)).await.is_err() {
+            // Count it out again (a no-op if a crash wrote it off).
+            self.transport.mark_processed(process);
+            return Err(PublishError::Crashed);
         }
+        Ok(())
     }
 
     /// Crashes `process` mid-stream — the runtime analogue of the
@@ -178,38 +176,23 @@ impl NetGroupHandle {
     /// flushing, queued frames are written off, and subsequent gossip to
     /// it counts under `frames_to_crashed`.
     pub fn crash(&self, process: usize) {
-        if self.crash_flags[process].swap(true, Ordering::Relaxed) {
-            return;
-        }
         self.transport.mark_crashed(process);
-        // Best-effort wake so an idle task notices immediately; if the
-        // mailbox is full the task has frames to wake on anyway.
-        let _ = self.senders[process].try_send(Frame::Shutdown);
     }
 
     /// Whether `process` has been crashed.
     pub fn is_crashed(&self, process: usize) -> bool {
-        self.crash_flags[process].load(Ordering::Relaxed)
+        self.transport.is_crashed(process)
     }
 
     /// Whether the dissemination has come to rest: every live process's
     /// protocol reports quiescence and no frame is in flight.
     pub fn is_quiescent(&self) -> bool {
-        self.transport.in_flight() == 0
-            && self
-                .quiescent
-                .iter()
-                .zip(self.crash_flags.iter())
-                .all(|(q, c)| q.load(Ordering::Relaxed) || c.load(Ordering::Relaxed))
+        self.transport.is_quiescent()
     }
 
     /// A snapshot of the transport counters.
     pub fn stats(&self) -> TransportStats {
         self.transport.stats()
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
     }
 }
 
@@ -225,6 +208,7 @@ impl NetGroupHandle {
 pub struct NetGroup<P: MulticastProtocol> {
     handle: NetGroupHandle,
     tasks: Vec<Task<NetProcessReport<P>>>,
+    membership_stop: Arc<AtomicBool>,
 }
 
 impl<P: MulticastProtocol + 'static> NetGroup<P> {
@@ -241,40 +225,26 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
         config: &NetConfig,
     ) -> Self {
         let count = processes.len();
-        assert!(count > 0, "a group needs at least one process");
         let (transport, receivers) = ChannelTransport::with_loss(
             config.mailbox_capacity,
             count,
             config.loss_probability,
             config.loss_seed(),
         );
-        let quiescent: Vec<Arc<AtomicBool>> = (0..count)
-            .map(|_| Arc::new(AtomicBool::new(true)))
-            .collect();
-        let crash_flags: Vec<Arc<AtomicBool>> = (0..count)
-            .map(|_| Arc::new(AtomicBool::new(false)))
-            .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = NetGroupHandle {
-            senders: (0..count).map(|i| transport.sender(i)).collect(),
-            transport: transport.clone(),
-            quiescent: quiescent.clone(),
-            crash_flags: crash_flags.clone(),
-            shutdown: Arc::clone(&shutdown),
-        };
 
         // The membership ticker: one provider round per gossip period,
         // just after the period boundary and before any process's tick
         // (process phases start at 20% of the period).
         let period = config.gossip_period;
         let membership_offset = period / 10;
-        let membership_shutdown = Arc::clone(&shutdown);
+        let membership_stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&membership_stop);
         executor
             .spawn(async move {
                 let mut tick = 0u64;
                 loop {
                     Timer::at(period_mul(period, tick) + membership_offset).await;
-                    if membership_shutdown.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::Relaxed) {
                         return;
                     }
                     membership.round_elapsed();
@@ -283,6 +253,7 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
             })
             .detach();
 
+        let retire_lag = config.retire_quiescent.then_some(config.seen_capacity);
         let mut tasks = Vec::with_capacity(count);
         for (index, (protocol, mailbox)) in processes.into_iter().zip(receivers).enumerate() {
             let mut rng = ChaCha8Rng::seed_from_u64(config.process_seed(index));
@@ -290,7 +261,7 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
             // group: each process ticks at its own point within (20%, 90%)
             // of the period, drawn from its private stream.
             let phase = period.mul_f64(rng.gen_range(0.2..0.9));
-            let ticker_sender = transport.sender(index);
+            let ticker_sender = transport.mailbox(index).clone();
             executor
                 .spawn(async move {
                     let mut tick = 0u64;
@@ -312,18 +283,20 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
                 mailbox,
                 transport: transport.clone(),
                 rng,
-                seen: Seen::new(config.seen_capacity),
-                retire_quiescent: config.retire_quiescent,
+                retire_lag,
+                highest: None,
+                floor: EventId(0),
                 outbox: Vec::new(),
                 scratch: FanoutScratch::default(),
-                round: 0,
-                quiescent: Arc::clone(&quiescent[index]),
-                crash_flag: Arc::clone(&crash_flags[index]),
                 stats: Default::default(),
             };
             tasks.push(executor.spawn(process.run()));
         }
-        NetGroup { handle, tasks }
+        NetGroup {
+            handle: NetGroupHandle { transport },
+            tasks,
+            membership_stop,
+        }
     }
 
     /// The group's control plane.
@@ -336,13 +309,14 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
     /// capacity — frames already queued are drained first), and returns
     /// the final per-process reports in identifier order.
     pub async fn shutdown(self) -> Vec<NetProcessReport<P>> {
-        self.handle.begin_shutdown();
-        for (index, sender) in self.handle.senders.iter().enumerate() {
-            if self.handle.is_crashed(index) {
+        self.membership_stop.store(true, Ordering::Relaxed);
+        let transport = &self.handle.transport;
+        for index in 0..self.tasks.len() {
+            if transport.is_crashed(index) {
                 continue;
             }
             // A closed mailbox means the process already exited.
-            let _ = sender.send(Frame::Shutdown).await;
+            let _ = transport.mailbox(index).send(Frame::Shutdown).await;
         }
         let mut reports = Vec::with_capacity(self.tasks.len());
         for task in self.tasks {

@@ -11,15 +11,17 @@
 //!   per-process tasks on a single-threaded executor (the vendored `smol`
 //!   shim).  A ticker task per process fires its gossip period at a
 //!   private phase offset; inbound gossip dispatches through the same
-//!   `MembershipView` providers the simulator uses; a bounded [`Seen`]
-//!   ring shields the protocol from duplicate event ids.
+//!   `MembershipView` providers the simulator uses, and a frame whose
+//!   event the protocol has already received is dropped by the protocol's
+//!   own id set — the runtime keeps no second dedup.
 //! - [`ChannelTransport`] is the in-process backend: bounded per-process
 //!   mailboxes, **backpressure for publishers** (they await capacity) and
 //!   **drop-with-counter for gossip frames** (best-effort, like the
 //!   network).  A UDP backend is a documented follow-up (see ROADMAP.md).
 //! - [`NetGroupHandle`] is the control plane: publish, crash a process
 //!   mid-stream, probe quiescence, then [`NetGroup::shutdown`] for the
-//!   final states.
+//!   final states.  Crash and quiescence flags live once, in the
+//!   transport's per-process table, where the tasks read them too.
 //!
 //! # The simulator stays the oracle
 //!
@@ -97,11 +99,9 @@
 mod conformance;
 mod group;
 mod process;
-mod seen;
 mod transport;
 
 pub use conformance::{assert_supported, run_net_scenario_trial, NetTrialOutcome};
 pub use group::{NetConfig, NetGroup, NetGroupHandle, PublishError};
 pub use process::{NetProcessReport, NetProcessStats};
-pub use seen::Seen;
 pub use transport::{ChannelTransport, Frame, TransportStats};

@@ -7,22 +7,19 @@
 //! fire per-process rather than group-synchronously.  On a tick the
 //! protocol's `on_round` runs inside an external
 //! [`RoundContext`](pmcast_simnet::RoundContext) whose outbox is flushed
-//! through the [`ChannelTransport`]; on an inbound gossip frame the bounded
-//! [`Seen`] ring shields the protocol from duplicate event ids, then
-//! `on_message` runs the same way.  Fanout candidates keep coming from the
-//! protocol's [`MembershipView`](pmcast_membership::MembershipView)
-//! provider — the runtime changes *when* rounds happen, never *what* a
-//! round does.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+//! through the [`ChannelTransport`]; an inbound gossip frame runs
+//! `on_message` the same way unless the protocol's own id set says the
+//! event was already received, which drops and counts it.  Fanout
+//! candidates keep coming from the protocol's
+//! [`MembershipView`](pmcast_membership::MembershipView) provider — the
+//! runtime changes *when* rounds happen, never *what* a round does.
 
 use pmcast_core::{Gossip, MulticastProtocol};
+use pmcast_interest::EventId;
 use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext};
 use rand_chacha::ChaCha8Rng;
 use smol::channel::Receiver;
 
-use crate::seen::Seen;
 use crate::transport::{ChannelTransport, Frame};
 
 /// Counters one `NetProcess` accumulates over its lifetime.
@@ -30,9 +27,11 @@ use crate::transport::{ChannelTransport, Frame};
 pub struct NetProcessStats {
     /// Gossip-period ticks executed (`on_round` invocations).
     pub ticks: u64,
-    /// Inbound gossip frames handed to the protocol.
+    /// Inbound gossip frames carrying an event the protocol had not yet
+    /// received: first receipts, handed to `on_message`.
     pub frames_handled: u64,
-    /// Inbound gossip frames absorbed by the [`Seen`] ring.
+    /// Inbound gossip frames dropped because the protocol had already
+    /// received (or retired) their event.
     pub frames_deduped: u64,
     /// Publish commands executed.
     pub published: u64,
@@ -60,15 +59,17 @@ pub(crate) struct NetProcess<P> {
     pub(crate) mailbox: Receiver<Frame>,
     pub(crate) transport: ChannelTransport,
     pub(crate) rng: ChaCha8Rng,
-    pub(crate) seen: Seen,
-    pub(crate) retire_quiescent: bool,
+    /// `NetConfig::seen_capacity` when retirement is on.
+    pub(crate) retire_lag: Option<usize>,
+    /// The highest event id received or published here.
+    pub(crate) highest: Option<EventId>,
+    /// The floor last handed to `retire_below`.
+    pub(crate) floor: EventId,
     pub(crate) outbox: Vec<(ProcessId, Gossip, usize)>,
     /// The fanout buffers and delivery-report buffer lent to the protocol
     /// on every tick and frame.
     pub(crate) scratch: FanoutScratch,
-    pub(crate) round: u64,
-    pub(crate) quiescent: Arc<AtomicBool>,
-    pub(crate) crash_flag: Arc<AtomicBool>,
+    /// Counts the rounds run, too: `ticks` is the round number.
     pub(crate) stats: NetProcessStats,
 }
 
@@ -81,7 +82,7 @@ impl<P: MulticastProtocol> NetProcess<P> {
                 // Every sender dropped — the group is being torn down.
                 Err(_) => return self.report(false),
             };
-            if self.crash_flag.load(Ordering::Relaxed) {
+            if self.transport.is_crashed(self.index) {
                 // Crash-mid-stream: stop dead, no draining, no flushing.
                 // Frames still queued behind us were written off by
                 // `mark_crashed`; dropping the receiver closes the mailbox.
@@ -94,14 +95,15 @@ impl<P: MulticastProtocol> NetProcess<P> {
                     self.transport.mark_processed(self.index);
                 }
                 Frame::Publish(event) => {
+                    self.highest = self.highest.max(Some(event.id()));
                     self.protocol.publish(event);
                     self.stats.published += 1;
                     self.transport.mark_processed(self.index);
                 }
                 Frame::Shutdown => return self.report(false),
             }
-            self.quiescent
-                .store(self.protocol.is_quiescent(), Ordering::Relaxed);
+            self.transport
+                .set_quiescent(self.index, self.protocol.is_quiescent());
         }
     }
 
@@ -109,36 +111,39 @@ impl<P: MulticastProtocol> NetProcess<P> {
     fn tick(&mut self) {
         let mut ctx = RoundContext::external(
             ProcessId(self.index),
-            self.round,
+            self.stats.ticks,
             &mut self.outbox,
             &mut self.rng,
             &mut self.scratch,
         );
         self.protocol.on_round(&mut ctx);
-        self.round += 1;
         self.stats.ticks += 1;
         self.flush();
-        // Long-running daemons: once the dedup ring has wrapped, compact
-        // the protocol's own dedup state below the ring's minimum (the
-        // protocol clamps the floor to its in-flight buffers), keeping
-        // per-process memory proportional to the ring capacity instead of
-        // the lifetime event count.
-        if self.retire_quiescent && self.seen.is_full() {
-            if let Some(floor) = self.seen.min_id() {
+        // Long-running daemons: compact the protocol's dedup state below
+        // the highest id minus the lag (the protocol clamps the floor to
+        // its in-flight buffers), keeping per-process memory proportional
+        // to the lag instead of the lifetime event count.
+        if let (Some(lag), Some(highest)) = (self.retire_lag, self.highest) {
+            let floor = EventId(highest.0.saturating_sub(lag as u64));
+            if floor > self.floor {
+                self.floor = floor;
                 self.protocol.retire_below(floor);
             }
         }
     }
 
-    /// One inbound gossip frame: dedup through the ring, then dispatch.
+    /// One inbound gossip frame: a first receipt is dispatched, any other
+    /// is exactly a frame `on_message` would ignore, so it is only counted.
     fn on_gossip(&mut self, from: ProcessId, gossip: Gossip) {
-        if !self.seen.push(gossip.event.id()) {
+        let id = gossip.event.id();
+        if self.protocol.has_received(id) {
             self.stats.frames_deduped += 1;
             return;
         }
+        self.highest = self.highest.max(Some(id));
         let mut ctx = RoundContext::external(
             ProcessId(self.index),
-            self.round,
+            self.stats.ticks,
             &mut self.outbox,
             &mut self.rng,
             &mut self.scratch,
@@ -165,5 +170,86 @@ impl<P: MulticastProtocol> NetProcess<P> {
             stats: self.stats,
             crashed,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use pmcast_addr::AddressSpace;
+    use pmcast_core::{FloodFactory, PmcastConfig, ProtocolFactory};
+    use pmcast_interest::Event;
+    use pmcast_membership::{
+        AssignmentOracle, GlobalOracleView, ImplicitRegularTree, TreeTopology,
+    };
+    use rand::SeedableRng;
+
+    use super::*;
+
+    const LAG: u64 = 8;
+    const HIGHEST: u64 = 100;
+
+    /// Process 0 of a two-process flood group, retiring `LAG` ids behind
+    /// its highest, and the mailbox of its one peer (kept open).
+    fn retiring_process() -> (
+        NetProcess<<FloodFactory as ProtocolFactory>::Process>,
+        Receiver<Frame>,
+    ) {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(1, 2).unwrap());
+        let oracle = Arc::new(AssignmentOracle::new(
+            topology.space().clone(),
+            topology.members(),
+        ));
+        let group = FloodFactory::build(
+            &topology,
+            oracle,
+            Arc::new(GlobalOracleView::new(2)),
+            &PmcastConfig::default(),
+        );
+        let (transport, mut mailboxes) = ChannelTransport::with_loss(64, 2, 0.0, 0);
+        let process = NetProcess {
+            index: 0,
+            protocol: group.processes.into_iter().next().unwrap(),
+            mailbox: mailboxes.remove(0),
+            transport,
+            rng: ChaCha8Rng::seed_from_u64(1),
+            retire_lag: Some(LAG as usize),
+            highest: None,
+            floor: EventId(0),
+            outbox: Vec::new(),
+            scratch: FanoutScratch::default(),
+            stats: NetProcessStats::default(),
+        };
+        (process, mailboxes.remove(0))
+    }
+
+    fn receive<P: MulticastProtocol>(process: &mut NetProcess<P>, id: u64) {
+        let gossip = Gossip::new(Event::builder(id).int("b", 1).build(), 1, 1.0, 0);
+        process.on_gossip(ProcessId(1), gossip);
+    }
+
+    #[test]
+    fn a_retiring_tick_suppresses_first_receipts_more_than_the_lag_below_the_highest() {
+        let (mut process, _peer) = retiring_process();
+        receive(&mut process, HIGHEST);
+        process.tick();
+        assert_eq!(process.floor, EventId(HIGHEST - LAG), "the tick retired");
+
+        receive(&mut process, HIGHEST - (LAG - 1));
+        assert_eq!(
+            (process.stats.frames_handled, process.stats.frames_deduped),
+            (2, 0),
+            "an id inside the lag is still a first receipt"
+        );
+        receive(&mut process, HIGHEST - (LAG + 1));
+        assert_eq!(
+            (process.stats.frames_handled, process.stats.frames_deduped),
+            (2, 1),
+            "an id below the floor is dropped as a duplicate"
+        );
+        // ...and reads as delivered, though it never was: the documented
+        // cost of retirement.
+        assert!(process.protocol.has_delivered(EventId(HIGHEST - (LAG + 1))));
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! [`ChannelTransport`] is the one backend: bounded in-process channels,
 //! optional seeded message loss (so lossy scenarios are reproducible), and
-//! in-flight accounting for quiescence detection.  A UDP backend is a
-//! documented follow-up (see ROADMAP.md).
+//! the group's one table of per-process state — mailbox, in-flight count,
+//! crash and quiescence flags.  A UDP backend is a documented follow-up
+//! (see ROADMAP.md).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,6 +73,7 @@ struct LossModel {
     rng: Mutex<ChaCha8Rng>,
 }
 
+/// The group's one table of per-process state, indexed by process.
 #[derive(Debug)]
 struct ChannelShared {
     mailboxes: Vec<Sender<Frame>>,
@@ -79,6 +81,8 @@ struct ChannelShared {
     /// acknowledge with [`ChannelTransport::mark_processed`].
     pending: Vec<AtomicU64>,
     crashed: Vec<AtomicBool>,
+    /// The protocol's `is_quiescent` as of the last frame it handled.
+    quiescent: Vec<AtomicBool>,
     total_pending: AtomicU64,
     frames_sent: AtomicU64,
     frames_dropped: AtomicU64,
@@ -131,6 +135,7 @@ impl ChannelTransport {
                 mailboxes,
                 pending: (0..processes).map(|_| AtomicU64::new(0)).collect(),
                 crashed: (0..processes).map(|_| AtomicBool::new(false)).collect(),
+                quiescent: (0..processes).map(|_| AtomicBool::new(true)).collect(),
                 total_pending: AtomicU64::new(0),
                 frames_sent: AtomicU64::new(0),
                 frames_dropped: AtomicU64::new(0),
@@ -144,18 +149,24 @@ impl ChannelTransport {
         (transport, receivers)
     }
 
-    /// A cloneable sender for `process`'s mailbox — the group handle uses
-    /// these for the waiting publish/shutdown control plane.
-    pub(crate) fn sender(&self, process: usize) -> Sender<Frame> {
-        self.shared.mailboxes[process].clone()
+    /// `process`'s mailbox — the group handle sends its waiting
+    /// publish/shutdown control plane through it, tickers clone it.
+    pub(crate) fn mailbox(&self, process: usize) -> &Sender<Frame> {
+        &self.shared.mailboxes[process]
     }
 
-    /// Records that `process` finished handling one in-flight frame.
+    /// Records that `process` finished handling one in-flight frame (or
+    /// that a publish counted in for it failed to enqueue after all).
     /// Receivers must call this once per [`Frame::Gossip`] /
     /// [`Frame::Publish`] they process, *after* handling it, so
     /// [`in_flight`](Self::in_flight) conservatively covers frames
-    /// that are dequeued but still being worked on.
+    /// that are dequeued but still being worked on.  A no-op once `process`
+    /// crashed: the crash wrote all its frames off (a publish waiting on
+    /// its full mailbox fails *because* of the crash).
     pub fn mark_processed(&self, process: usize) {
+        if self.is_crashed(process) {
+            return;
+        }
         self.shared.pending[process].fetch_sub(1, Ordering::Relaxed);
         self.shared.total_pending.fetch_sub(1, Ordering::Relaxed);
     }
@@ -168,21 +179,36 @@ impl ChannelTransport {
         self.shared.peak_in_flight.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Un-records a frame that failed to enqueue after all.
-    pub(crate) fn unmark_enqueued(&self, process: usize) {
-        self.shared.pending[process].fetch_sub(1, Ordering::Relaxed);
-        self.shared.total_pending.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Marks `process` crashed: its unprocessed frames are written off
-    /// (they will never be acknowledged) and subsequent gossip to it is
-    /// counted under `frames_to_crashed`.
+    /// Marks `process` crashed, once: its unprocessed frames are written
+    /// off (they will never be acknowledged), subsequent gossip to it is
+    /// counted under `frames_to_crashed`, and a best-effort shutdown frame
+    /// wakes an idle task (a full mailbox has frames to wake it anyway).
     pub(crate) fn mark_crashed(&self, process: usize) {
-        self.shared.crashed[process].store(true, Ordering::Relaxed);
+        if self.shared.crashed[process].swap(true, Ordering::Relaxed) {
+            return;
+        }
         let orphaned = self.shared.pending[process].swap(0, Ordering::Relaxed);
         self.shared
             .total_pending
             .fetch_sub(orphaned, Ordering::Relaxed);
+        let _ = self.mailbox(process).try_send(Frame::Shutdown);
+    }
+
+    /// Whether `process` has been crashed.
+    pub(crate) fn is_crashed(&self, process: usize) -> bool {
+        self.shared.crashed[process].load(Ordering::Relaxed)
+    }
+
+    /// Records the protocol's quiescence after `process` handled a frame.
+    pub(crate) fn set_quiescent(&self, process: usize, quiescent: bool) {
+        self.shared.quiescent[process].store(quiescent, Ordering::Relaxed);
+    }
+
+    /// Whether the dissemination has come to rest: no frame is in flight
+    /// and every live process's protocol last reported quiescence.
+    pub(crate) fn is_quiescent(&self) -> bool {
+        let at_rest = |i| self.is_crashed(i) || self.shared.quiescent[i].load(Ordering::Relaxed);
+        self.in_flight() == 0 && (0..self.shared.quiescent.len()).all(at_rest)
     }
 
     /// Sends a gossip frame from `from` to `to`; returns whether the frame
@@ -198,7 +224,7 @@ impl ChannelTransport {
         payload_size: usize,
     ) -> bool {
         let shared = &self.shared;
-        if shared.crashed[to.0].load(Ordering::Relaxed) {
+        if self.is_crashed(to.0) {
             shared.frames_to_crashed.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -213,7 +239,7 @@ impl ChannelTransport {
                 return false;
             }
         }
-        match shared.mailboxes[to.0].try_send(Frame::Gossip { from, gossip }) {
+        match self.mailbox(to.0).try_send(Frame::Gossip { from, gossip }) {
             Ok(()) => {
                 self.mark_enqueued(to.0);
                 shared.frames_sent.fetch_add(1, Ordering::Relaxed);

@@ -2,9 +2,13 @@
 //! deterministic executor: a full mailbox makes publishers *wait* (never
 //! drops a command), gossip frames beyond capacity drop with a counter,
 //! shutdown with events still in flight terminates cleanly, and a
-//! crash-mid-stream stops one process dead without taking the run down.
+//! crash-mid-stream stops one process dead without taking the run down —
+//! also under a publish that is waiting for its mailbox.
 
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
 use pmcast_addr::AddressSpace;
@@ -176,4 +180,50 @@ fn crash_mid_stream_stops_one_process_without_taking_down_the_run() {
             );
         }
     }
+}
+
+#[test]
+fn crash_under_a_waiting_publish_keeps_the_in_flight_count() {
+    // Capacity-1 mailboxes: the first publish fills the victim's mailbox
+    // before its task runs, so the second waits on backpressure.  Crashing
+    // the victim then writes both off; the waiting publish must fail
+    // without un-counting its frame a second time.
+    let (group, membership) = flood_group();
+    let config = NetConfig::default().with_mailbox_capacity(1).with_seed(11);
+    let executor = LocalExecutor::deterministic(11);
+    let net = NetGroup::spawn(&executor, group.processes, Arc::clone(&membership), &config);
+    let handle = net.handle().clone();
+    const VICTIM: usize = 2;
+    let (reports, stats) = executor.run(async move {
+        handle.publish(VICTIM, event(500)).await.unwrap();
+        let mut waiting = pin!(handle.publish(VICTIM, event(501)));
+        poll_fn(|cx| {
+            assert!(
+                waiting.as_mut().poll(cx).is_pending(),
+                "the second publish waits for the full mailbox"
+            );
+            Poll::Ready(())
+        })
+        .await;
+        handle.crash(VICTIM);
+        membership.observe_crash(VICTIM);
+        assert_eq!(waiting.await, Err(PublishError::Crashed));
+        assert_eq!(
+            handle.stats().in_flight,
+            0,
+            "both frames were written off once, by the crash"
+        );
+        for _ in 0..100 {
+            if handle.is_quiescent() {
+                break;
+            }
+            Timer::after(Duration::from_millis(5)).await;
+        }
+        assert!(handle.is_quiescent(), "the group comes to rest");
+        let stats = handle.stats();
+        (net.shutdown().await, stats)
+    });
+    assert_eq!(stats.in_flight, 0);
+    assert!(reports[VICTIM].crashed);
+    assert_eq!(reports[VICTIM].stats.published, 0, "the victim never ran a publish");
 }

@@ -201,8 +201,8 @@ fn run_daemon(max_trades: u64, period_us: u64) -> Result<(), Box<dyn Error>> {
         .with_mailbox_capacity(256)
         .with_seen_capacity(4096)
         // A daemon runs for as long as it is left running and reads no
-        // delivery history after shutdown: dedup state is retired behind
-        // the full `Seen` ring, so its memory follows the ring, not uptime.
+        // delivery history after shutdown: dedup state is retired 4 096 ids
+        // behind the newest, so its memory follows that lag, not uptime.
         .with_retire_quiescent(true)
         .with_seed(11);
 
@@ -250,14 +250,14 @@ fn run_daemon(max_trades: u64, period_us: u64) -> Result<(), Box<dyn Error>> {
     let events_per_sec = published as f64 / elapsed.as_secs_f64();
     println!(
         "served {published} trades in {:.2}s: {events_per_sec:.0} events/sec \
-         ({ticks} gossip ticks, {frames} frames handled, {deduped} deduped by the Seen ring)",
+         ({ticks} gossip ticks, {frames} frames handled, {deduped} duplicates dropped)",
         elapsed.as_secs_f64(),
     );
     println!(
         "transport: {} frames sent, {} dropped at full mailboxes, peak {} in flight",
         transport.frames_sent, transport.frames_dropped, transport.peak_in_flight
     );
-    println!("dedup: at most {dedup_ids} ids held by a broker at shutdown (retirement bounds it once the Seen ring fills)");
+    println!("dedup: at most {dedup_ids} ids held by a broker at shutdown (retirement keeps it proportional to the retire lag)");
     Ok(())
 }
 

@@ -162,7 +162,7 @@ pub use pmcast_membership::{
     Population, PopulationSizes,
     SubtreeSummaries, TopicOracle, TreeTopology, UniformOracle, TOPIC_ATTRIBUTE,
 };
-pub use pmcast_net::{NetConfig, NetGroup, NetGroupHandle, NetTrialOutcome, Seen};
+pub use pmcast_net::{NetConfig, NetGroup, NetGroupHandle, NetTrialOutcome};
 pub use pmcast_simnet::{
     FaultPlan, LifecycleKind, LifecyclePlan, LifecycleTransition, LinkDelay, LossOverride,
     NetworkConfig, PartitionWindow, ProcessId, Simulation, Straggler, TrafficStats,
