@@ -23,7 +23,10 @@ use pmcast_membership::{
 use pmcast_net::{ChannelTransport, Frame};
 use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
 use pmcast_sim::scenario::{MembershipSpec, Scenario, TopicWorkload};
-use pmcast_simnet::{FaultPlan, LinkDelay, NetworkConfig, ProcessId, Simulation};
+use pmcast_simnet::{
+    FanoutScratch, FaultPlan, LinkDelay, NetworkConfig, ProcessId, RoundContext, RoundProcess,
+    Simulation,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -109,10 +112,15 @@ fn bench(c: &mut Criterion) {
         b.iter(|| process.matching_rate(1, &probe))
     });
 
-    // The zero-copy gossip hot path: forwarding a buffered event to one
-    // fanout target means cloning the `Gossip` — an Arc refcount bump, not a
-    // deep copy of the attribute map.  This is the per-message unit cost of
-    // the dissemination loop; track it across PRs to keep the hot path flat.
+    // The two receipts of the gossip hot path.  A gossip names its event by
+    // id, so a *duplicate* — most receipts under heavy traffic — is one
+    // id-set probe: no event is touched and no reference count written.  A
+    // *first* receipt takes the event's share from the group's store (one
+    // lock, one map probe) and files it: round budget, interest check,
+    // delivery, seen bit, buffer entry.  Each first-receipt iteration
+    // receives into a clone of an idle process and drops it, so it also
+    // pays the per-depth buffers an infected process of a single-event
+    // trial allocates.
     let heavy_event = Event::builder(77)
         .int("b", 4)
         .float("c", 25.0)
@@ -120,8 +128,37 @@ fn bench(c: &mut Criterion) {
         .str("symbol", "NESN")
         .int("volume", 10_000)
         .build();
-    let template = Gossip::new(heavy_event, 2, 0.5, 1);
-    c.bench_function("gossip_clone_zero_copy", |b| b.iter(|| template.clone()));
+    let mut receipt_group =
+        PmcastFactory::build(&topology, oracle.clone(), global_view(), &PmcastConfig::default());
+    let idle_receiver = receipt_group.processes.swap_remove(1);
+    receipt_group.processes[0].pmcast(heavy_event.clone());
+    let receipt = Gossip::new(heavy_event.id(), 1, 0.5, 1);
+    let mut receipt_outbox = Vec::new();
+    let mut receipt_rng = ChaCha8Rng::seed_from_u64(5);
+    let mut receipt_scratch = FanoutScratch::default();
+    let mut receive = |receiver: &mut pmcast_core::PmcastProcess| {
+        let mut ctx = RoundContext::external(
+            ProcessId(1),
+            0,
+            &mut receipt_outbox,
+            &mut receipt_rng,
+            &mut receipt_scratch,
+        );
+        receiver.on_message(ProcessId(0), receipt, &mut ctx);
+        receipt_scratch.delivered.clear();
+    };
+    let mut duplicate_receiver = idle_receiver.clone();
+    receive(&mut duplicate_receiver);
+    c.bench_function("gossip_duplicate_receipt", |b| {
+        b.iter(|| receive(&mut duplicate_receiver))
+    });
+    c.bench_function("gossip_first_receipt", |b| {
+        b.iter(|| {
+            let mut receiver = idle_receiver.clone();
+            receive(&mut receiver);
+            receiver
+        })
+    });
 
     // Generic-dispatch guard for the API redesign: publishing through the
     // `MulticastProtocol` trait bound is monomorphized, so it must cost the
@@ -129,8 +166,8 @@ fn bench(c: &mut Criterion) {
     // below (they run the identical dedup-hit path: the event is already
     // seen, so per-iteration state does not grow).  Any gap between them
     // would mean the trait boundary put dynamic dispatch or copies on the
-    // hot path, endangering the per-target cost `gossip_clone_zero_copy`
-    // above measures.
+    // hot path, endangering the per-receipt costs the two `gossip_*_receipt`
+    // cases above measure.
     fn publish_generic<P: MulticastProtocol>(process: &mut P, event: Arc<pmcast_interest::Event>) {
         process.publish(event);
     }
@@ -548,27 +585,22 @@ fn bench(c: &mut Criterion) {
     // so every iteration takes the dedup-hit branch, and the mailbox never
     // grows past one frame — the steady state must stay allocation-free
     // (id set and channel queue both at fixed size).  This is the
-    // pmcast-net analogue of `gossip_clone_zero_copy`: the per-message
-    // floor of the daemon's sustained publish loop.
+    // pmcast-net analogue of `gossip_duplicate_receipt`: the per-message
+    // floor of the daemon's sustained publish loop.  A frame carries the
+    // event's id, never its content.
     let (net_transport, net_mailboxes) = ChannelTransport::with_loss(64, 2, 0.0, 0);
-    let net_gossip = Gossip::new(
-        Event::builder(501).int("b", 1).str("symbol", "NESN").build(),
-        1,
-        0.5,
-        0,
-    );
+    let net_gossip = Gossip::new(EventId(501), 1, 0.5, 0);
     let mut net_received = EventIdSet::new();
-    net_received.insert(net_gossip.event.id());
+    net_received.insert(net_gossip.id);
     c.bench_function("net_publish_path", |b| {
         b.iter(|| {
-            let sent =
-                net_transport.send_gossip(ProcessId(0), ProcessId(1), net_gossip.clone(), 64);
+            let sent = net_transport.send_gossip(ProcessId(0), ProcessId(1), net_gossip, 64);
             debug_assert!(sent);
             // One poll of the mailbox future: the frame is already queued.
             let mut cx = Context::from_waker(Waker::noop());
             match Pin::new(&mut net_mailboxes[1].recv()).poll(&mut cx) {
                 Poll::Ready(Ok(Frame::Gossip { gossip, .. })) => {
-                    let fresh = !net_received.contains(gossip.event.id());
+                    let fresh = !net_received.contains(gossip.id);
                     net_transport.mark_processed(1);
                     fresh
                 }

@@ -40,6 +40,7 @@ use pmcast_simnet::{ProcessId, RoundContext, RoundProcess};
 use rustc_hash::FxHashMap;
 
 use crate::config::MAX_ROUNDS_PER_DEPTH;
+use crate::store::EventStore;
 use crate::{BufferedGossip, Gossip, PmcastConfig, ProtocolGroup};
 
 /// Gossip **broadcast** with filtering on delivery: every process forwards
@@ -86,6 +87,8 @@ pub(crate) struct FlatGroup<P> {
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
     policy: P,
+    /// Every event published in the group, kept once (as pmcast's).
+    store: EventStore,
 }
 
 /// The flooding policy: one round budget for every event, estimated from
@@ -301,8 +304,8 @@ impl Pool {
 }
 
 /// A buffered event: the payload with its round counter and budget (as in
-/// the pmcast hot path, held through an [`Arc`] so forwarding never copies
-/// it) plus the candidate pool cached when the entry was accepted.
+/// the pmcast hot path, this process's one share of the event; forwarding
+/// sends its id) plus the candidate pool cached when the entry was accepted.
 #[derive(Debug, Clone)]
 struct FlatEntry {
     gossip: BufferedGossip,
@@ -362,9 +365,10 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
             gossip.round += 1;
             let len = pool.len(|| *view_len.get_or_insert_with(|| membership.peer_count(own)));
             ctx.choose_indices_into(len, fanout, &mut scratch.candidates);
+            // Every gossip of this entry-round is the same message.
+            let message = Gossip::new(gossip.event.id(), 1, gossip.rate, gossip.round);
+            let size = gossip.event.payload_size() + Gossip::HEADER_SIZE;
             for &pick in &scratch.candidates {
-                let message = Gossip::new(Arc::clone(&gossip.event), 1, gossip.rate, gossip.round);
-                let size = message.wire_size();
                 ctx.send_sized(pool.get(pick, membership, own), message, size);
             }
             true
@@ -373,10 +377,20 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 
     fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
-        // A received event is handled exactly like one published here.
-        let id = gossip.event.id();
-        if accept(self, gossip.event) {
-            ctx.report_delivery(id.0);
+        // `received` doubles as the seen-set: once an event has been
+        // buffered (and possibly garbage collected), later copies are
+        // ignored so gossiping terminates.  A duplicate reads the id alone.
+        if self.received.contains(gossip.id) {
+            return;
+        }
+        self.received.insert(gossip.id);
+        // A first receipt takes its share of the event from the group's
+        // store, and is then handled exactly like one published here;
+        // content the store forgot is filed as seen and delivers nothing.
+        if let Some(event) = self.group.store.get(gossip.id) {
+            if take_in(self, event) {
+                ctx.report_delivery(gossip.id.0);
+            }
         }
     }
 
@@ -388,17 +402,12 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 }
 
-/// Takes an event in at `process`, published there or received: drop a
-/// duplicate, deliver if interested, buffer for forwarding.  Returns whether
-/// the event was delivered there for the first time.
-fn accept<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) -> bool {
+/// Takes in an event `process` has just filed as received, published there
+/// or received for the first time: deliver if interested, buffer for
+/// forwarding.  Returns whether the event was delivered there for the first
+/// time.
+fn take_in<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) -> bool {
     let id = event.id();
-    // `received` doubles as the seen-set: once an event has been buffered
-    // (and possibly garbage collected), later copies are ignored so
-    // gossiping terminates.
-    if !process.received.insert(id) {
-        return false;
-    }
     let group = &process.group;
     let delivered = group.oracle.is_interested(&group.addresses[process.id.0], &event)
         && process.delivered.insert(id);
@@ -408,9 +417,25 @@ fn accept<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) 
     delivered
 }
 
+/// Retires `process`'s dedup state below `floor`, clamped to the lowest id
+/// still buffered there, and returns the clamped floor.
+fn retire<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, floor: EventId) -> EventId {
+    let floor = match process.buffered.keys().min() {
+        Some(&min) => floor.min(min),
+        None => floor,
+    };
+    process.delivered.compact_below(floor);
+    process.received.compact_below(floor);
+    process.group.policy.retire_below(floor);
+    floor
+}
+
 impl<P: FlatPolicy> crate::MulticastProtocol for FlatGossipProcess<P> {
     fn publish(&mut self, event: Arc<Event>) {
-        accept(self, event);
+        if self.received.insert(event.id()) {
+            self.group.store.admit(&event);
+            take_in(self, event);
+        }
     }
     fn has_delivered(&self, event: EventId) -> bool {
         self.delivered.contains(event)
@@ -422,13 +447,11 @@ impl<P: FlatPolicy> crate::MulticastProtocol for FlatGossipProcess<P> {
         &self.group.addresses[self.id.0]
     }
     fn retire_below(&mut self, floor: EventId) {
-        let floor = match self.buffered.keys().min() {
-            Some(&min) => floor.min(min),
-            None => floor,
-        };
-        self.delivered.compact_below(floor);
-        self.received.compact_below(floor);
-        self.group.policy.retire_below(floor);
+        retire(self, floor);
+    }
+    fn retire_and_forget_below(&mut self, floor: EventId) {
+        let floor = retire(self, floor);
+        self.group.store.forget_below(floor);
     }
     fn dedup_len(&self) -> usize {
         self.delivered.len() + self.received.len()
@@ -451,6 +474,7 @@ pub(crate) fn build_flat_group<P: FlatPolicy, T: TreeTopology>(
         config: config.clone(),
         oracle,
         membership,
+        store: EventStore::default(),
     });
     let processes = (0..addresses.len())
         .map(|index| FlatGossipProcess {
@@ -634,7 +658,7 @@ mod tests {
         let mut rng = rand::SeedableRng::seed_from_u64(1);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(1), 0, &mut outbox, &mut rng, &mut scratch);
-        late.on_message(ProcessId(0), Gossip::new(event, 1, 1.0, 1), &mut ctx);
+        late.on_message(ProcessId(0), Gossip::new(event.id(), 1, 1.0, 1), &mut ctx);
         late.on_round(&mut ctx);
         assert!(late.has_delivered(EventId(5)));
         assert_eq!(outbox.len(), PmcastConfig::default().fanout);

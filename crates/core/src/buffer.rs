@@ -9,11 +9,14 @@ use pmcast_interest::{Event, EventId, EventIdSet};
 /// once per round — and, under summary routing, with the provider's verdict
 /// on the event, asked once per entry instead of once per round.
 ///
-/// The event is held through an [`Arc`]: buffering, promoting and forwarding
-/// an event never copies its payload.
+/// The entry holds the event through an [`Arc`], the one share a buffering
+/// process keeps (the group's store keeps the other): buffering and
+/// promoting an event never copies its payload, and forwarding it sends the
+/// id alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferedGossip {
-    /// The buffered event (shared with every other holder).
+    /// The buffered event (shared with the group's store and every other
+    /// buffering process).
     pub event: Arc<Event>,
     /// Matching rate at this depth.
     pub rate: f64,
@@ -160,21 +163,25 @@ impl GossipBuffers {
     /// `∄ depth ∃ (event, …) ∈ gossips[depth]` guard of Figure 3, line 20,
     /// hardened into "never seen before").  Returns `true` if inserted.
     pub fn insert(&mut self, depth: Depth, gossip: BufferedGossip) -> bool {
-        if !self.seen.insert(gossip.event.id()) {
+        if !self.mark_seen(gossip.event.id()) {
             return false;
         }
         self.file(depth, gossip);
         true
     }
 
-    /// Re-files an event into a (deeper) depth without the seen-check; used
-    /// when a process promotes an event from depth `i` to `i + 1`
-    /// (Figure 3, lines 17–18).
-    pub fn promote(&mut self, depth: Depth, gossip: BufferedGossip) {
-        self.file(depth, gossip);
+    /// Files an identifier as seen without buffering anything (a first
+    /// receipt, [filed](Self::file) once its content is at hand, or one
+    /// whose content is gone).  Returns `true` if it was not seen before.
+    pub fn mark_seen(&mut self, event: EventId) -> bool {
+        self.seen.insert(event)
     }
 
-    fn file(&mut self, depth: Depth, gossip: BufferedGossip) {
+    /// Files an entry whose identifier is already seen, without the
+    /// seen-check: a first receipt [marked seen](Self::mark_seen) by the
+    /// caller, or an event promoted from depth `i` to `i + 1` (Figure 3,
+    /// lines 17–18).
+    pub fn file(&mut self, depth: Depth, gossip: BufferedGossip) {
         let entries = self.at_depth_mut(depth);
         if entries.capacity() == 0 {
             // A single-event trial files one entry per depth per infected
@@ -234,7 +241,7 @@ mod tests {
         buffers.insert(1, gossip(1));
         let entry = buffers.at_depth_mut(1).pop().unwrap();
         let payload = Arc::clone(&entry.event);
-        buffers.promote(2, entry);
+        buffers.file(2, entry);
         assert!(buffers.at_depth(1).is_empty());
         assert_eq!(buffers.at_depth(2).len(), 1);
         assert!(!buffers.is_empty());

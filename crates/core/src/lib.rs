@@ -78,6 +78,7 @@ mod message;
 mod multicast;
 mod protocol;
 mod report;
+mod store;
 mod views;
 
 pub use baseline::{FloodBroadcastProcess, GenuineMulticastProcess};

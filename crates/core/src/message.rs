@@ -1,27 +1,23 @@
-use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
-
 use pmcast_addr::Depth;
-use pmcast_interest::Event;
+use pmcast_interest::EventId;
 
-/// A pmcast gossip message (the payload of `SEND` in Figure 3).
+/// A gossip message (the payload of `SEND` in Figure 3).
 ///
-/// Besides the event itself, a gossip carries the depth at which the event
+/// A gossip names its event by id and carries the depth at which the event
 /// is currently being multicast, the matching rate computed for that depth,
 /// and the round counter within that depth — everything a receiver needs to
-/// file the event into the right gossip buffer and keep forwarding it with
+/// drop a duplicate (Figure 3's line-20 guard reads only the id), or to file
+/// a first receipt into the right gossip buffer and keep forwarding it with
 /// a consistent round budget.
 ///
-/// The event rides in an [`Arc`], so the hot path of the simulation —
-/// cloning one gossip per target per round — bumps a reference count
-/// instead of deep-copying the attribute map: a multicast allocates its
-/// payload exactly once, no matter how many processes, rounds and fanout
-/// targets it traverses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The content stays in the group's event store, kept once from its
+/// publication on; a receiver reads it there on a first receipt only.  So a
+/// gossip is plain bytes: sending, queueing, losing or dropping one writes
+/// no reference count.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gossip {
-    /// The multicast event being disseminated (shared, never copied).
-    pub event: Arc<Event>,
+    /// The multicast event being disseminated.
+    pub id: EventId,
     /// The tree depth the event is currently gossiped at.
     pub depth: Depth,
     /// The matching rate (fraction of interested entries) computed for this
@@ -32,25 +28,20 @@ pub struct Gossip {
 }
 
 impl Gossip {
-    /// Creates a gossip message; accepts an owned [`Event`] or an existing
-    /// shared handle.
-    pub fn new(event: impl Into<Arc<Event>>, depth: Depth, rate: f64, round: u32) -> Self {
+    /// Creates a gossip message.
+    pub fn new(id: EventId, depth: Depth, rate: f64, round: u32) -> Self {
         Self {
-            event: event.into(),
+            id,
             depth,
             rate,
             round,
         }
     }
 
-    /// Wire size of the non-payload fields (depth, rate, round counter).
+    /// Wire size of the non-payload fields (depth, rate, round counter): a
+    /// send is accounted as its event's payload plus this.
     pub(crate) const HEADER_SIZE: usize =
         std::mem::size_of::<u32>() + std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
-
-    /// Approximate wire size in bytes, used for traffic accounting.
-    pub fn wire_size(&self) -> usize {
-        self.event.payload_size() + Self::HEADER_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -58,29 +49,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accessors_and_size() {
-        let event = Event::builder(4).int("b", 2).str("e", "Bob").build();
-        let gossip = Gossip::new(event.clone(), 2, 0.5, 3);
-        assert_eq!(gossip.depth, 2);
-        assert_eq!(gossip.round, 3);
-        assert!((gossip.rate - 0.5).abs() < f64::EPSILON);
-        assert_eq!(*gossip.event, event);
-        assert!(gossip.wire_size() > event.payload_size());
-    }
-
-    #[test]
-    fn cloning_shares_the_payload() {
-        let gossip = Gossip::new(Event::builder(1).int("b", 1).build(), 1, 1.0, 0);
-        let copy = gossip.clone();
-        assert!(Arc::ptr_eq(&gossip.event, &copy.event));
-        assert_eq!(Arc::strong_count(&gossip.event), 2);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let gossip = Gossip::new(Event::builder(9).float("c", 1.25).build(), 1, 0.25, 0);
-        let json = serde_json::to_string(&gossip).unwrap();
-        let back: Gossip = serde_json::from_str(&json).unwrap();
-        assert_eq!(gossip, back);
+    fn a_gossip_is_plain_bytes() {
+        let gossip = Gossip::new(EventId(4), 2, 0.5, 3);
+        let copy = gossip;
+        assert_eq!(copy, gossip);
+        assert_eq!((copy.id, copy.depth, copy.round), (EventId(4), 2, 3));
+        assert!((copy.rate - 0.5).abs() < f64::EPSILON);
+        assert!(!std::mem::needs_drop::<Gossip>());
     }
 }

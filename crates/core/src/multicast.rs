@@ -14,12 +14,12 @@
 //! ## Publishing
 //!
 //! [`MulticastProtocol::publish`] takes an [`Arc<Event>`]: the event payload
-//! is allocated once by the caller and then shared — zero-copy — through
-//! buffering, gossiping and delivery, preserving the shared-payload
-//! invariant of the gossip hot path.  A bare `publish` is always sufficient
-//! to start dissemination: whatever a protocol needs to know about an event
-//! (the genuine baseline's audience, say) it resolves when a process first
-//! accepts it.
+//! is allocated once by the caller and then kept once by the group and once
+//! per buffering process, while the messages carry its id — the
+//! shared-payload invariant of the gossip hot path.  A bare `publish` is
+//! always sufficient to start dissemination: whatever a protocol needs to
+//! know about an event (the genuine baseline's audience, say) it resolves
+//! when a process first accepts it.
 //!
 //! ## Membership providers
 //!
@@ -78,9 +78,12 @@ use crate::{Gossip, PmcastConfig};
 pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     /// Publishes an event into the dissemination from this process.
     ///
-    /// The event is shared, never copied: every buffer entry, forwarded
-    /// gossip and delivery handle holds a clone of this [`Arc`].  Publishing
-    /// the same event id twice is idempotent (the duplicate is ignored).
+    /// The event is shared, never copied: the group keeps a clone of this
+    /// [`Arc`] for the processes the event reaches, every buffer entry holds
+    /// one, and a forwarded gossip names the event by id.  Publishing the
+    /// same event id twice is idempotent (the duplicate is ignored);
+    /// redundant publishers must publish one event, not two contents under
+    /// one id (debug builds panic).
     fn publish(&mut self, event: Arc<Event>);
 
     /// Returns `true` if the event was delivered to the application here.
@@ -108,6 +111,18 @@ pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     /// process that meets the event later can rebuild it.  The default does
     /// nothing (a fresh process has nothing worth retiring).
     fn retire_below(&mut self, _floor: EventId) {}
+
+    /// [`retire_below`](Self::retire_below), and then the group lets go of
+    /// content: the process hands its clamped floor to the group's event
+    /// store, which forgets every event below the highest floor any of its
+    /// processes handed it.  This bounds a long-running daemon's content
+    /// memory at the price of what `retire_below` alone never does —
+    /// visibility: a *first* receipt anywhere in the group below the
+    /// store's floor is filed as seen and delivers nothing.  The default
+    /// only retires.
+    fn retire_and_forget_below(&mut self, floor: EventId) {
+        self.retire_below(floor);
+    }
 
     /// Number of event identifiers currently held in dedup state — the
     /// quantity [`retire_below`](Self::retire_below) bounds: the received

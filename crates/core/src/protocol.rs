@@ -9,6 +9,7 @@ use rand::Rng;
 use rustc_hash::FxHashMap;
 
 use crate::config::MAX_ROUNDS_PER_DEPTH;
+use crate::store::EventStore;
 use crate::{
     BufferedGossip, DepthView, Gossip, GossipBuffers, GossipTarget, InterestRouting,
     PmcastConfig, ProtocolGroup, SharedViews,
@@ -39,6 +40,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
         oracle,
         membership,
         judgements: Mutex::default(),
+        store: EventStore::default(),
     });
     let processes = addresses
         .iter()
@@ -54,9 +56,9 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
 }
 
 /// What every process of one group shares: the configuration, the views,
-/// the interest oracle and the membership provider.  Stored once per group
-/// behind one [`Arc`], so a process is a handle plus its own protocol
-/// state.
+/// the interest oracle, the membership provider and the events published.
+/// Stored once per group behind one [`Arc`], so a process is a handle plus
+/// its own protocol state.
 struct GroupContext {
     config: PmcastConfig,
     views: SharedViews,
@@ -66,6 +68,9 @@ struct GroupContext {
     /// that audience starts with in that view — derived state in front of
     /// [`judge`](Self::judge), at most [`JUDGEMENT_TABLE_ROWS`] rows.
     judgements: Mutex<FxHashMap<(u64, u32), (f64, u32)>>,
+    /// Every event published in the group, kept once: gossips name it by
+    /// id, and a first receipt takes its share from here.
+    store: EventStore,
 }
 
 impl GroupContext {
@@ -249,6 +254,9 @@ fn fill_all_but_own(view: &[GossipTarget], own: ProcessId, pool: &mut Vec<usize>
 /// inline, everything the group shares sits behind `group`, the gossip
 /// buffers and both identifier sets allocate on first use, and the fanout
 /// draw borrows the round driver's [`FanoutScratch`].
+///
+/// A clone is a second process in the same state, sharing the group.
+#[derive(Clone)]
 pub struct PmcastProcess {
     address: Address,
     id: ProcessId,
@@ -314,9 +322,9 @@ impl PmcastProcess {
     ///
     /// Convenience wrapper allocating the shared payload and delegating to
     /// [`publish`](Self::publish), which is the single point where a
-    /// multicast's payload enters the process: from there on every buffer
-    /// entry, gossip message and delivery holds an [`Arc`] to one
-    /// allocation.
+    /// multicast's payload enters the group: from there on the group's store
+    /// and every buffer entry hold an [`Arc`] to one allocation, and every
+    /// gossip message carries its id.
     pub fn pmcast(&mut self, event: Event) {
         self.publish(Arc::new(event));
     }
@@ -325,18 +333,33 @@ impl PmcastProcess {
     /// entry point).
     ///
     /// Following the prose of Section 3 the event is injected at the root
-    /// depth.  Publishing an event this process has already seen is
-    /// ignored.
+    /// depth, and kept in the group's store for the processes it reaches.
+    /// Publishing an event this process has already seen is ignored.
     pub fn publish(&mut self, event: Arc<Event>) {
         if self.buffers.has_seen(event.id()) {
             return;
         }
+        self.group.store.admit(&event);
         if self.group.oracle.is_interested(&self.address, &event) {
             // `HPDELIVER`: delivery is the identifier entering this set.
             self.delivered_ids.insert(event.id());
         }
         let entry = self.group.fresh_entry(&self.depth_views[0], event);
         self.buffers.insert(1, entry);
+    }
+
+    /// Retires dedup state below `floor`, clamped so that it never passes
+    /// an event still gossiping here: its dedup bits (and its delivery
+    /// record) must stay individually addressable.  Returns the clamped
+    /// floor.
+    fn retire(&mut self, floor: EventId) -> EventId {
+        let floor = match self.buffers.min_buffered_id() {
+            Some(min) => floor.min(min),
+            None => floor,
+        };
+        self.buffers.retire_seen_below(floor);
+        self.delivered_ids.compact_below(floor);
+        floor
     }
 
     /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
@@ -349,8 +372,8 @@ impl PmcastProcess {
     ///
     /// Allocation-free after warm-up: the per-depth entry vector is filtered
     /// in place, fanout targets are drawn by a partial Fisher–Yates over the
-    /// round driver's index buffer, and each sent gossip shares the event
-    /// payload through its [`Arc`].
+    /// round driver's index buffer, and each sent gossip is the event's id
+    /// and three numbers.
     fn gossip_depth(
         &mut self,
         depth: Depth,
@@ -401,55 +424,51 @@ impl PmcastProcess {
             InterestRouting::Summary => group.membership.summary_epoch(),
             InterestRouting::Oracle | InterestRouting::Blind => 0,
         };
-        entries.retain_mut(|entry| {
-            if entry.has_budget() {
-                entry.round += 1;
-                // Every gossip of this entry has the same wire size; compute
-                // it once per entry-round instead of per target.
-                let size = entry.event.payload_size() + Gossip::HEADER_SIZE;
-                // Summary routing narrows the pool per event *before* the
-                // draw: subtrees whose aggregated summary proves nobody
-                // below is interested never consume a fanout pick.  The
-                // test is a pure function of the membership state — no
-                // randomness is touched — and in the other modes the pool
-                // is the shared per-depth candidate list, so the draw
-                // sequence there is the one the goldens pin.
-                let pool = if routing == InterestRouting::Summary {
-                    group.fill_summary_pool(view, entry, summary_epoch, scratch);
-                    #[cfg(test)]
-                    tests::check_summary_pool(group, view, entry, scratch);
-                    &mut scratch.event_candidates
-                } else {
-                    &mut scratch.candidates
-                };
-                // Choose F distinct destinations uniformly from the pool,
-                // then send only to those that pass the interest test
-                // (Figure 3, lines 10–14).
-                let picks = fanout.min(pool.len());
-                for slot in 0..picks {
-                    let swap = ctx.rng().gen_range(slot..pool.len());
-                    pool.swap(slot, swap);
-                    let position = pool[slot];
-                    let target = &view[position];
-                    if group.target_selected(target, position, &entry.event) {
-                        let gossip =
-                            Gossip::new(Arc::clone(&entry.event), depth, entry.rate, entry.round);
-                        ctx.send_sized(target.id, gossip, size);
-                    }
-                }
-                true
-            } else {
-                if let Some(next_view) = next_view {
-                    // Budget exhausted: promote to the next depth
-                    // (lines 16–18).
-                    let promoted = group.fresh_entry(next_view, Arc::clone(&entry.event));
-                    buffers.promote(depth + 1, promoted);
-                }
-                // At the leaf depth an exhausted entry is simply garbage
-                // collected.
-                false
+        // Budget exhausted: promote to the next depth (lines 16–18), moving
+        // the entry's share of the event; at the leaf depth an exhausted
+        // entry is simply garbage collected.  A promotion draws nothing, so
+        // taking them out before the draws below leaves the draw sequence
+        // and the next depth's order as they were.
+        for exhausted in entries.extract_if(.., |entry| !entry.has_budget()) {
+            if let Some(next_view) = next_view {
+                buffers.file(depth + 1, group.fresh_entry(next_view, exhausted.event));
             }
-        });
+        }
+        for entry in &mut entries {
+            entry.round += 1;
+            // Every gossip of this entry has the same wire size; compute it
+            // once per entry-round instead of per target.
+            let size = entry.event.payload_size() + Gossip::HEADER_SIZE;
+            // Summary routing narrows the pool per event *before* the draw:
+            // subtrees whose aggregated summary proves nobody below is
+            // interested never consume a fanout pick.  The test is a pure
+            // function of the membership state — no randomness is touched —
+            // and in the other modes the pool is the shared per-depth
+            // candidate list, so the draw sequence there is the one the
+            // goldens pin.
+            let pool = if routing == InterestRouting::Summary {
+                group.fill_summary_pool(view, entry, summary_epoch, scratch);
+                #[cfg(test)]
+                tests::check_summary_pool(group, view, entry, scratch);
+                &mut scratch.event_candidates
+            } else {
+                &mut scratch.candidates
+            };
+            // Choose F distinct destinations uniformly from the pool, then
+            // send only to those that pass the interest test (Figure 3,
+            // lines 10–14).
+            let picks = fanout.min(pool.len());
+            for slot in 0..picks {
+                let swap = ctx.rng().gen_range(slot..pool.len());
+                pool.swap(slot, swap);
+                let position = pool[slot];
+                let target = &view[position];
+                if group.target_selected(target, position, &entry.event) {
+                    let gossip = Gossip::new(entry.event.id(), depth, entry.rate, entry.round);
+                    ctx.send_sized(target.id, gossip, size);
+                }
+            }
+        }
 
         *buffers.at_depth_mut(depth) = entries;
     }
@@ -472,22 +491,30 @@ impl RoundProcess for PmcastProcess {
     }
 
     fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
-        if self.buffers.has_seen(gossip.event.id()) {
+        // A duplicate reads the id and nothing else (Figure 3, line 20).
+        if self.buffers.has_seen(gossip.id) {
             return;
         }
+        self.buffers.mark_seen(gossip.id);
+        // A first receipt takes its share of the event from the group's
+        // store; content the store forgot is filed as seen and delivers
+        // nothing, like a retired id.
+        let Some(event) = self.group.store.get(gossip.id) else {
+            return;
+        };
         // File the event into the buffer of the depth it is travelling at
         // (Figure 3, lines 19–23).
         let budget = self
             .group
             .round_budget(self.depth_views[gossip.depth - 1].len(), gossip.rate);
-        if self.group.oracle.is_interested(&self.address, &gossip.event)
-            && self.delivered_ids.insert(gossip.event.id())
+        if self.group.oracle.is_interested(&self.address, &event)
+            && self.delivered_ids.insert(gossip.id)
         {
-            ctx.report_delivery(gossip.event.id().0);
+            ctx.report_delivery(gossip.id.0);
         }
-        self.buffers.insert(
+        self.buffers.file(
             gossip.depth,
-            BufferedGossip::new(gossip.event, gossip.rate, gossip.round, budget),
+            BufferedGossip::new(event, gossip.rate, gossip.round, budget),
         );
     }
 
@@ -515,14 +542,11 @@ impl crate::MulticastProtocol for PmcastProcess {
         PmcastProcess::address(self)
     }
     fn retire_below(&mut self, floor: EventId) {
-        // Never retire past an event still gossiping here: its dedup bits
-        // (and its delivery record) must stay individually addressable.
-        let floor = match self.buffers.min_buffered_id() {
-            Some(min) => floor.min(min),
-            None => floor,
-        };
-        self.buffers.retire_seen_below(floor);
-        self.delivered_ids.compact_below(floor);
+        self.retire(floor);
+    }
+    fn retire_and_forget_below(&mut self, floor: EventId) {
+        let floor = self.retire(floor);
+        self.group.store.forget_below(floor);
     }
     fn dedup_len(&self) -> usize {
         self.buffers.seen_count() + self.delivered_ids.len()
@@ -541,11 +565,14 @@ mod tests {
         AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
         ImplicitRegularTree, SubtreeSummaries, TopicOracle, UniformOracle, TOPIC_ATTRIBUTE,
     };
-    use pmcast_simnet::{CrashPlan, LifecycleKind, LifecyclePlan, NetworkConfig, Simulation};
+    use pmcast_simnet::{
+        CrashPlan, FaultPlan, LifecycleKind, LifecyclePlan, LinkDelay, NetworkConfig, Simulation,
+        Straggler,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    use crate::MulticastReport;
+    use crate::{MulticastProtocol, MulticastReport, ProtocolFactory};
 
     fn small_topology() -> ImplicitRegularTree {
         ImplicitRegularTree::new(AddressSpace::regular(2, 4).unwrap())
@@ -1244,7 +1271,7 @@ mod tests {
             let mut sent: Vec<(u64, usize)> = outbox
                 .iter()
                 .filter(|(_, gossip, _)| gossip.depth == 1)
-                .map(|(to, gossip, _)| (gossip.event.id().0, to.0 / 16))
+                .map(|(to, gossip, _)| (gossip.id.0, to.0 / 16))
                 .collect();
             sent.sort_unstable();
             sent
@@ -1464,6 +1491,83 @@ mod tests {
         assert!(idle.buffers.at_depth(1).is_empty());
         // Every process of the group shares the one context.
         assert_eq!(Arc::strong_count(&idle.group), 16);
+    }
+
+    /// Steps one event through a 4^3 group whose links delay messages by up
+    /// to two extra rounds and whose process 5 straggles (its sends wait for
+    /// every third round), holding after every step that the event has at
+    /// most one share per holder — the test's, the group store's and one
+    /// per process buffering it — whatever sits in the network, the delay
+    /// wheel or the straggler's holdback.
+    fn in_flight_messages_hold_no_share<F: ProtocolFactory>() {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap());
+        let group = F::build(
+            &topology,
+            Arc::new(UniformOracle),
+            Arc::new(GlobalOracleView::new(64)),
+            &PmcastConfig::default(),
+        );
+        let network = NetworkConfig {
+            fault_plan: FaultPlan {
+                link_delay: Some(LinkDelay {
+                    min_extra: 0,
+                    max_extra: 2,
+                }),
+                stragglers: vec![Straggler {
+                    process: 5,
+                    period: 3,
+                }],
+                ..FaultPlan::default()
+            },
+            ..NetworkConfig::reliable(21)
+        };
+        let mut sim = Simulation::new(group.processes, network);
+        let event = Arc::new(Event::builder(8).int("b", 1).build());
+        sim.process_mut(ProcessId(0)).publish(Arc::clone(&event));
+        let mut most_in_flight = 0;
+        while !sim.is_quiescent() {
+            assert!(sim.round() < 300, "the dissemination never went quiet");
+            sim.step();
+            // With one event, a process buffers it exactly while it is not
+            // quiescent.
+            let buffering = sim.processes().filter(|p| !p.is_quiescent()).count();
+            let stats = sim.stats();
+            let in_flight = stats.messages_sent - stats.messages_delivered;
+            most_in_flight = most_in_flight.max(in_flight);
+            assert!(
+                Arc::strong_count(&event) <= 2 + buffering,
+                "round {}: {} shares, {buffering} processes buffering, {in_flight} in flight",
+                sim.round(),
+                Arc::strong_count(&event)
+            );
+        }
+        assert!(sim.stats().messages_delayed > 0 && most_in_flight > 0);
+        assert!(sim.processes().all(|p| p.has_delivered(event.id())));
+        assert_eq!(Arc::strong_count(&event), 2, "the test's and the store's");
+        drop(sim);
+        assert_eq!(Arc::strong_count(&event), 1);
+    }
+
+    #[test]
+    fn an_in_flight_message_holds_no_share_of_its_event() {
+        in_flight_messages_hold_no_share::<crate::PmcastFactory>();
+        in_flight_messages_hold_no_share::<crate::FloodFactory>();
+        in_flight_messages_hold_no_share::<crate::GenuineFactory>();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "published twice with different content")]
+    fn redundant_publishers_must_publish_one_event() {
+        let topology = small_topology();
+        let group =
+            build_pmcast_group(&topology, Arc::new(UniformOracle), global_view(), &PmcastConfig::default());
+        let mut processes = group.processes.into_iter();
+        processes.next().unwrap().pmcast(Event::builder(7).int("b", 1).build());
+        // The same event from a second publisher is a redundant publication…
+        processes.next().unwrap().pmcast(Event::builder(7).int("b", 1).build());
+        // …another content under its id is not.
+        processes.next().unwrap().pmcast(Event::builder(7).int("b", 2).build());
     }
 
     #[test]

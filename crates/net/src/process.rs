@@ -121,13 +121,14 @@ impl<P: MulticastProtocol> NetProcess<P> {
         self.flush();
         // Long-running daemons: compact the protocol's dedup state below
         // the highest id minus the lag (the protocol clamps the floor to
-        // its in-flight buffers), keeping per-process memory proportional
-        // to the lag instead of the lifetime event count.
+        // its in-flight buffers) and let the group's event store forget
+        // the content below it, keeping memory proportional to the lag
+        // instead of the lifetime event count.
         if let (Some(lag), Some(highest)) = (self.retire_lag, self.highest) {
             let floor = EventId(highest.0.saturating_sub(lag as u64));
             if floor > self.floor {
                 self.floor = floor;
-                self.protocol.retire_below(floor);
+                self.protocol.retire_and_forget_below(floor);
             }
         }
     }
@@ -135,7 +136,7 @@ impl<P: MulticastProtocol> NetProcess<P> {
     /// One inbound gossip frame: a first receipt is dispatched, any other
     /// is exactly a frame `on_message` would ignore, so it is only counted.
     fn on_gossip(&mut self, from: ProcessId, gossip: Gossip) {
-        let id = gossip.event.id();
+        let id = gossip.id;
         if self.protocol.has_received(id) {
             self.stats.frames_deduped += 1;
             return;
@@ -183,6 +184,7 @@ mod tests {
     use pmcast_membership::{
         AssignmentOracle, GlobalOracleView, ImplicitRegularTree, TreeTopology,
     };
+    use pmcast_simnet::RoundProcess;
     use rand::SeedableRng;
 
     use super::*;
@@ -190,13 +192,13 @@ mod tests {
     const LAG: u64 = 8;
     const HIGHEST: u64 = 100;
 
-    /// Process 0 of a two-process flood group, retiring `LAG` ids behind
-    /// its highest, and the mailbox of its one peer (kept open).
-    fn retiring_process() -> (
-        NetProcess<<FloodFactory as ProtocolFactory>::Process>,
-        Receiver<Frame>,
-    ) {
-        let topology = ImplicitRegularTree::new(AddressSpace::regular(1, 2).unwrap());
+    type Flood = <FloodFactory as ProtocolFactory>::Process;
+
+    /// Process 0 of a three-process flood group, retiring `LAG` ids behind
+    /// its highest; the protocols of its two peers (driven by hand); and
+    /// their mailboxes (kept open).
+    fn retiring_process() -> (NetProcess<Flood>, Vec<Flood>, Vec<Receiver<Frame>>) {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(1, 3).unwrap());
         let oracle = Arc::new(AssignmentOracle::new(
             topology.space().clone(),
             topology.members(),
@@ -204,13 +206,14 @@ mod tests {
         let group = FloodFactory::build(
             &topology,
             oracle,
-            Arc::new(GlobalOracleView::new(2)),
+            Arc::new(GlobalOracleView::new(3)),
             &PmcastConfig::default(),
         );
-        let (transport, mut mailboxes) = ChannelTransport::with_loss(64, 2, 0.0, 0);
+        let (transport, mut mailboxes) = ChannelTransport::with_loss(64, 3, 0.0, 0);
+        let mut protocols = group.processes.into_iter();
         let process = NetProcess {
             index: 0,
-            protocol: group.processes.into_iter().next().unwrap(),
+            protocol: protocols.next().unwrap(),
             mailbox: mailboxes.remove(0),
             transport,
             rng: ChaCha8Rng::seed_from_u64(1),
@@ -221,35 +224,70 @@ mod tests {
             scratch: FanoutScratch::default(),
             stats: NetProcessStats::default(),
         };
-        (process, mailboxes.remove(0))
+        (process, protocols.collect(), mailboxes)
     }
 
-    fn receive<P: MulticastProtocol>(process: &mut NetProcess<P>, id: u64) {
-        let gossip = Gossip::new(Event::builder(id).int("b", 1).build(), 1, 1.0, 0);
-        process.on_gossip(ProcessId(1), gossip);
+    /// `publisher` publishes event `id`, and a gossip frame naming it
+    /// reaches `process`.
+    fn receive<P: MulticastProtocol>(process: &mut NetProcess<P>, publisher: &mut P, id: u64) {
+        publisher.publish(Arc::new(Event::builder(id).int("b", 1).build()));
+        process.on_gossip(ProcessId(1), Gossip::new(EventId(id), 1, 1.0, 0));
+    }
+
+    fn counted<P>(process: &NetProcess<P>) -> (u64, u64) {
+        (process.stats.frames_handled, process.stats.frames_deduped)
     }
 
     #[test]
     fn a_retiring_tick_suppresses_first_receipts_more_than_the_lag_below_the_highest() {
-        let (mut process, _peer) = retiring_process();
-        receive(&mut process, HIGHEST);
+        let (mut process, mut peers, _mailboxes) = retiring_process();
+        receive(&mut process, &mut peers[0], HIGHEST);
         process.tick();
         assert_eq!(process.floor, EventId(HIGHEST - LAG), "the tick retired");
 
-        receive(&mut process, HIGHEST - (LAG - 1));
+        receive(&mut process, &mut peers[0], HIGHEST - (LAG - 1));
         assert_eq!(
-            (process.stats.frames_handled, process.stats.frames_deduped),
+            counted(&process),
             (2, 0),
             "an id inside the lag is still a first receipt"
         );
-        receive(&mut process, HIGHEST - (LAG + 1));
+        receive(&mut process, &mut peers[0], HIGHEST - (LAG + 1));
         assert_eq!(
-            (process.stats.frames_handled, process.stats.frames_deduped),
+            counted(&process),
             (2, 1),
             "an id below the floor is dropped as a duplicate"
         );
         // ...and reads as delivered, though it never was: the documented
         // cost of retirement.
         assert!(process.protocol.has_delivered(EventId(HIGHEST - (LAG + 1))));
+    }
+
+    #[test]
+    fn a_first_receipt_below_the_group_store_floor_delivers_nothing() {
+        let (mut process, mut peers, _mailboxes) = retiring_process();
+        let (idle, publisher) = match &mut peers[..] {
+            [idle, publisher] => (idle, publisher),
+            _ => unreachable!("two peers"),
+        };
+        // The publisher still buffers its event when a peer that buffers
+        // nothing retires past it: the store's floor is the group's highest,
+        // while this process's own floor has not moved.
+        let below = HIGHEST - 1;
+        publisher.publish(Arc::new(Event::builder(below).int("b", 1).build()));
+        idle.retire_and_forget_below(EventId(HIGHEST));
+        assert_eq!(process.floor, EventId(0));
+
+        process.on_gossip(ProcessId(2), Gossip::new(EventId(below), 1, 1.0, 0));
+        assert_eq!(counted(&process), (1, 0), "a first receipt here");
+        assert!(process.protocol.has_received(EventId(below)), "filed as seen");
+        assert!(!process.protocol.has_delivered(EventId(below)), "delivered nowhere");
+        assert!(process.protocol.is_quiescent(), "nothing to forward");
+        process.on_gossip(ProcessId(2), Gossip::new(EventId(below), 1, 1.0, 0));
+        assert_eq!(counted(&process), (1, 1), "the next frame is a duplicate");
+
+        // At or above every floor, a publish and a receipt still deliver.
+        receive(&mut process, publisher, HIGHEST);
+        assert_eq!(counted(&process), (2, 1));
+        assert!(process.protocol.has_delivered(EventId(HIGHEST)));
     }
 }

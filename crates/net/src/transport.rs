@@ -35,7 +35,8 @@ pub enum Frame {
     Gossip {
         /// The sending process.
         from: ProcessId,
-        /// The gossip payload (shared event handle — never copied).
+        /// The gossip message: the event's id and its depth, rate and round
+        /// — the content stays in the group's event store.
         gossip: Gossip,
     },
     /// A local publish command from the group handle.
@@ -283,8 +284,10 @@ impl ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmcast_interest::EventId;
+
     fn gossip(id: u64) -> Gossip {
-        Gossip::new(Event::builder(id).int("b", 1).build(), 1, 0.5, 0)
+        Gossip::new(EventId(id), 1, 0.5, 0)
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! The soak pushes many lags' worth of events through pmcast and flooding
 //! in bursts that come to rest between them, and reconciles every frame:
 //! each one sent is either a first receipt or a duplicate, and retirement
-//! on or off changes no counter at all — it only frees memory.
+//! on or off changes no counter at all — it only frees memory, the group's
+//! event store included: with retirement on, the store lets go of every
+//! event more than the lag below the last one.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -126,6 +128,10 @@ struct Soak {
     brokers: NetProcessStats,
     /// Each broker's final dedup-state size.
     dedup_lens: Vec<usize>,
+    /// Each published event's `Arc::strong_count` at shutdown, while the
+    /// group is still alive: the soak's own handle plus the store's, if it
+    /// kept the event.
+    shares_at_shutdown: Vec<usize>,
 }
 
 fn soak<F: ProtocolFactory>(retire: bool) -> Soak
@@ -144,10 +150,12 @@ where
     let executor = LocalExecutor::deterministic(43);
     let net = NetGroup::spawn(&executor, group.processes, membership, &config);
     let handle = net.handle().clone();
+    let events: Vec<Arc<Event>> = (0..SOAK_EVENTS).map(|id| event(20_000 + id)).collect();
+    let published = &events;
     let (reports, transport) = executor.run(async move {
         for id in 0..SOAK_EVENTS {
             handle
-                .publish((id % brokers as u64) as usize, event(20_000 + id))
+                .publish((id % brokers as u64) as usize, Arc::clone(&published[id as usize]))
                 .await
                 .expect("live processes accept publishes");
             if id % SOAK_BURST == SOAK_BURST - 1 {
@@ -171,10 +179,18 @@ where
         total.published += report.stats.published;
         total
     });
+    let dedup_lens = reports.iter().map(|report| report.state.dedup_len()).collect();
+    let shares_at_shutdown = events.iter().map(Arc::strong_count).collect();
+    drop(reports);
+    assert!(
+        events.iter().all(|event| Arc::strong_count(event) == 1),
+        "the group dropped, and every share with it"
+    );
     Soak {
         transport,
         brokers: summed,
-        dedup_lens: reports.iter().map(|report| report.state.dedup_len()).collect(),
+        dedup_lens,
+        shares_at_shutdown,
     }
 }
 
@@ -216,6 +232,14 @@ where
             unbounded >= SOAK_EVENTS as usize,
             "process {process}: {unbounded} ids held without retirement"
         );
+    }
+    // (d) Content memory is flat too: without retirement the store keeps
+    // every event until the group drops; with it, the store has let go of
+    // every event more than the lag below the last one.
+    assert!(kept.shares_at_shutdown.iter().all(|&shares| shares == 2));
+    let forgotten = (SOAK_EVENTS - 1 - LAG as u64) as usize;
+    for (id, &shares) in retired.shares_at_shutdown[..forgotten].iter().enumerate() {
+        assert_eq!(shares, 1, "event {id} is held beyond the soak's own handle");
     }
 }
 

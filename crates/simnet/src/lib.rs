@@ -36,9 +36,10 @@
 //! simulation next to the outbox and lent to the process being driven
 //! through [`RoundContext::scratch`], which
 //! [`RoundContext::choose_indices_into`] fills without allocating — a
-//! process keeps no draw buffer of its own (messages themselves should
-//! carry their payloads in `Arc`s, as `pmcast-core` does, so per-target
-//! clones are refcount bumps).  The same lent bundle carries the buffer
+//! process keeps no draw buffer of its own (messages themselves should be
+//! small plain values — `pmcast-core`'s name their event by id and leave
+//! the content in the group's store — so a per-target send copies bytes and
+//! writes no reference count).  The same lent bundle carries the buffer
 //! [`RoundContext::report_delivery`] appends to, so what a step delivered
 //! is read off [`Simulation::last_step_deliveries`] in O(deliveries)
 //! instead of polled out of the processes.
