@@ -216,6 +216,50 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // One entry-round of a global-membership pmcast process, at two view
+    // widths: a flat group (one level, so the one view is the whole group)
+    // of 22 and of 128 processes, one buffered event, everybody interested
+    // under a keyed oracle.  The round draws F = 2 picks from the view but
+    // the process's own position — a pool described, not written out, the
+    // position found without a search — and reads the ⊲ test off the
+    // entry's mask, so the two widths must cost the same: their ratio is
+    // the guard that the draw no longer scales with the view (it wrote the
+    // view out and binary-searched it every entry-round).  A process whose
+    // budget ran out is replaced by a clone of the freshly published one,
+    // once per budget's worth of rounds at either width.
+    for width in [22u32, 128] {
+        let flat = ImplicitRegularTree::new(AddressSpace::regular(1, width).expect("valid"));
+        let everybody = Arc::new(AssignmentOracle::new(flat.space().clone(), flat.members()));
+        let flat_view: Arc<dyn MembershipView> =
+            Arc::new(GlobalOracleView::new(flat.member_count()));
+        let mut flat_group =
+            PmcastFactory::build(&flat, everybody, flat_view, &PmcastConfig::default());
+        let mut published = flat_group.processes.swap_remove(5);
+        published.pmcast(Event::builder(3).build());
+        let mut process = published.clone();
+        let mut entry_outbox = Vec::new();
+        let mut entry_rng = ChaCha8Rng::seed_from_u64(9);
+        let mut entry_scratch = FanoutScratch::default();
+        c.bench_function(&format!("pmcast_entry_round_draw_w{width}"), |b| {
+            b.iter(|| {
+                if process.is_quiescent() {
+                    process = published.clone();
+                }
+                let mut ctx = RoundContext::external(
+                    ProcessId(5),
+                    0,
+                    &mut entry_outbox,
+                    &mut entry_rng,
+                    &mut entry_scratch,
+                );
+                process.on_round(&mut ctx);
+                let sent = entry_outbox.len();
+                entry_outbox.clear();
+                sent
+            })
+        });
+    }
+
     // Depth-structured candidate draws through the hierarchical
     // `DelegateView` (the PR 4 membership provider): rebuild one depth's
     // candidate list through `knows_at_depth` — the O(1) seat rule while the

@@ -6,8 +6,10 @@ use pmcast_interest::{Event, EventId, EventIdSet};
 /// One buffered event at one depth: the `(event, rate, round)` tuples of the
 /// `gossips[depth]` sets in Figure 3, extended with the precomputed round
 /// budget so the Pittel estimate is evaluated once per depth rather than
-/// once per round — and, under summary routing, with the provider's verdict
-/// on the event, asked once per entry instead of once per round.
+/// once per round — and with one mask over the depth view's positions, asked
+/// once per entry instead of once per pick or round: under summary routing
+/// the provider's verdict on the event, under oracle routing the view's `⊲`
+/// test.
 ///
 /// The entry holds the event through an [`Arc`], the one share a buffering
 /// process keeps (the group's store keeps the other): buffering and
@@ -26,14 +28,17 @@ pub struct BufferedGossip {
     /// above the protocol's per-depth cap of 64 rounds — which is what
     /// leaves room for the flag below without growing the entry.
     pub budget: u16,
-    /// Whether a verdict was ever recorded.  Every `u64` is an epoch a
+    /// Whether a mask was ever recorded.  Every `u64` is an epoch a
     /// provider may report, so "not asked" is a field of its own and not one
     /// of `asked_under`'s values.
     asked: bool,
-    /// The recorded summary verdict: bit `p` is set when the membership
-    /// provider's summaries allow the depth view's position `p` for this
-    /// event.  Derived state, valid only under the epoch below, and private
-    /// so that only an answer of the provider ever gets here.
+    /// The recorded mask over the depth view's positions.  Under summary
+    /// routing the provider's verdict: bit `p` is set when its summaries
+    /// allow position `p` for this event, valid only under the epoch below.
+    /// Under oracle routing the `⊲` test: bit `p` is set when the interest
+    /// oracle finds somebody interested below position `p`'s subgroup, valid
+    /// for the life of the group.  Derived state, and private so that only
+    /// an answer of the provider or the oracle ever gets here.
     allowed: u128,
     /// The provider's summary epoch the verdict was asked under.
     asked_under: u64,
@@ -79,6 +84,21 @@ impl BufferedGossip {
         self.asked = true;
         self.allowed = allowed;
         self.asked_under = epoch;
+    }
+
+    /// The view's `⊲` mask recorded for this entry, if one was.
+    pub(crate) fn interest(&self) -> Option<u128> {
+        self.asked.then_some(self.allowed)
+    }
+
+    /// The entry with the view's `⊲` mask recorded, if there is one
+    /// (oracle routing; never beside a verdict).
+    pub(crate) fn with_interest(mut self, interested: Option<u128>) -> Self {
+        if let Some(interested) = interested {
+            self.asked = true;
+            self.allowed = interested;
+        }
+        self
     }
 }
 
@@ -297,6 +317,10 @@ mod tests {
             Some(0),
             "everything vetoed is a verdict too"
         );
+
+        // An interest mask has no epoch, and nobody interested is a mask.
+        assert_eq!(gossip(4).with_interest(None).interest(), None);
+        assert_eq!(gossip(4).with_interest(Some(0)).interest(), Some(0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
 use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopology};
-use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess};
+use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess, VirtualPool};
 use rand::Rng;
 use rustc_hash::FxHashMap;
 
@@ -12,7 +12,7 @@ use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::store::EventStore;
 use crate::{
     BufferedGossip, DepthView, Gossip, GossipBuffers, GossipTarget, InterestRouting,
-    PmcastConfig, ProtocolGroup, SharedViews,
+    PmcastConfig, ProtocolGroup, SharedViews, ViewStack,
 };
 
 /// How many judgements a pmcast group remembers — the `(rate, budget)` a
@@ -42,13 +42,19 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
         judgements: Mutex::default(),
         store: EventStore::default(),
     });
-    let processes = addresses
-        .iter()
-        .enumerate()
-        .map(|(index, address)| {
-            PmcastProcess::in_group(address.clone(), ProcessId(index), Arc::clone(&group))
-        })
-        .collect();
+    // Addresses are sorted and a leaf subgroup's are consecutive, so walking
+    // the leaf stacks in order meets every process in identifier order, its
+    // stack in hand.
+    let mut processes = Vec::with_capacity(addresses.len());
+    for stack in group.views.stacks() {
+        let leaf_view = stack.last().expect("a stack holds a view per depth");
+        for &GossipTarget { id, .. } in leaf_view.iter() {
+            let (address, stack) = (addresses[id.0].clone(), Arc::clone(stack));
+            processes.push(PmcastProcess::in_group(address, id, Arc::clone(&group), stack));
+        }
+    }
+    debug_assert!(processes.iter().enumerate().all(|(index, process)| process.id.0 == index));
+    debug_assert_eq!(processes.len(), addresses.len());
     ProtocolGroup {
         processes,
         addresses,
@@ -64,39 +70,79 @@ struct GroupContext {
     views: SharedViews,
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
-    /// `(audience key, view id)` to the `(rate, budget)` a fresh entry of
-    /// that audience starts with in that view — derived state in front of
+    /// `(audience key, view id)` to what a fresh entry of that audience
+    /// starts with in that view — derived state in front of
     /// [`judge`](Self::judge), at most [`JUDGEMENT_TABLE_ROWS`] rows.
-    judgements: Mutex<FxHashMap<(u64, u32), (f64, u32)>>,
+    judgements: Mutex<JudgementTable>,
     /// Every event published in the group, kept once: gossips name it by
     /// id, and a first receipt takes its share from here.
     store: EventStore,
 }
 
+/// The group's judgements, one row per `(audience key, view id)`.  A row
+/// stays two words: the view's `⊲` mask, kept only under oracle routing and
+/// for a view a mask covers, lives beside the rows and the row holds its
+/// index.
+#[derive(Default)]
+struct JudgementTable {
+    rows: FxHashMap<(u64, u32), Judgement>,
+    /// The rows' `⊲` masks, by [`Judgement::mask`].
+    masks: Vec<u128>,
+}
+
+/// One row of the [`JudgementTable`]: the very `(rate, budget)` that
+/// [`GroupContext::judge`] returned, and where its mask is kept.
+#[derive(Clone, Copy)]
+struct Judgement {
+    rate: f64,
+    budget: u32,
+    /// The index of the view's `⊲` mask in [`JudgementTable::masks`], or
+    /// [`Judgement::NO_MASK`].
+    mask: u32,
+}
+
+impl Judgement {
+    /// The row keeps no mask.
+    const NO_MASK: u32 = u32::MAX;
+}
+
+/// The fraction `hits` of a view of `len` entries are, 0 for no entries.
+fn raw_rate(hits: usize, len: usize) -> f64 {
+    if len == 0 {
+        return 0.0;
+    }
+    hits as f64 / len as f64
+}
+
 impl GroupContext {
+    /// `GETRATE`'s fold over a view, kept whole: the mask of positions whose
+    /// subtree is interested in the event, and how many they are — the
+    /// mask's population count.  A view wider than
+    /// [`BufferedGossip::VERDICT_WIDTH`] is counted, and its mask left 0.
+    fn interest(&self, view: &[GossipTarget], event: &Event) -> (u128, usize) {
+        // One oracle probe per distinct subgroup, one hit per target.
+        let targets = view.iter().enumerate().map(|(at, target)| (at, &target.subgroup));
+        let interested =
+            allowed_runs(targets, |subgroup| self.oracle.subtree_interested(subgroup, event));
+        if view.len() > BufferedGossip::VERDICT_WIDTH {
+            return (0, interested.count());
+        }
+        let mask = interested.fold(0u128, |mask, position| mask | 1 << position);
+        (mask, mask.count_ones() as usize)
+    }
+
     /// `GETRATE`: the fraction of a view's entries (delegates / neighbours)
     /// whose subtree is interested in the event.
     fn matching_rate(&self, view: &[GossipTarget], event: &Event) -> f64 {
-        if view.is_empty() {
-            return 0.0;
-        }
-        // One oracle probe per distinct subgroup, one hit per target.
-        let hits = allowed_runs(view.iter().map(|target| ((), &target.subgroup)), |subgroup| {
-            self.oracle.subtree_interested(subgroup, event)
-        })
-        .count();
-        hits as f64 / view.len() as f64
+        raw_rate(self.interest(view, event).1, view.len())
     }
 
-    /// The rate used for round-budget computation and gossiping, with the
-    /// Section 5.3 audience inflation applied when configured.
-    fn effective_rate(&self, view: &[GossipTarget], event: &Event) -> f64 {
-        let raw = self.matching_rate(view, event);
+    /// The rate used for round-budget computation and gossiping — `raw` in
+    /// a view of `len` entries — with the Section 5.3 audience inflation
+    /// applied when configured.
+    fn effective_rate(&self, len: usize, raw: f64) -> f64 {
         match self.config.tuning {
-            Some(tuning) if !view.is_empty() => {
-                let floor = (tuning.threshold as f64 / view.len() as f64).min(1.0);
-                raw.max(floor)
-            }
+            Some(tuning) if len > 0 => raw.max((tuning.threshold as f64 / len as f64).min(1.0)),
             _ => raw,
         }
     }
@@ -110,35 +156,50 @@ impl GroupContext {
             .min(MAX_ROUNDS_PER_DEPTH)
     }
 
-    /// Whether a drawn gossip destination should be sent the event.
+    /// Whether a drawn gossip destination — `target`, at `position` of the
+    /// view — should be sent the entry's event.
     ///
-    /// Under [`InterestRouting::Oracle`] (the default) the
-    /// target's subtree must be interested per the oracle, or audience
-    /// inflation designates it (it is among the first `h` entries of the
-    /// view).  Under [`InterestRouting::Summary`] the candidate pool was
-    /// already narrowed by the membership provider's subtree summaries
-    /// before the draw, so every drawn target is sent to — as it is under
-    /// [`InterestRouting::Blind`], the unfiltered control arm.
-    fn target_selected(&self, target: &GossipTarget, position: usize, event: &Event) -> bool {
+    /// Under [`InterestRouting::Oracle`] (the default) the target's subtree
+    /// must be interested per the oracle, or audience inflation designates
+    /// it (it is among the first `h` entries of the view).  The first test
+    /// is one bit of the entry's recorded `⊲` mask when it has one (an
+    /// oracle with an audience key, a view a mask covers), and asked of the
+    /// oracle per pick otherwise.  Under [`InterestRouting::Summary`] the
+    /// candidate pool was already narrowed by the membership provider's
+    /// subtree summaries before the draw, so every drawn target is sent to —
+    /// as it is under [`InterestRouting::Blind`], the unfiltered control
+    /// arm.
+    fn target_selected(
+        &self,
+        target: &GossipTarget,
+        position: usize,
+        entry: &BufferedGossip,
+    ) -> bool {
         match self.config.interest_routing {
             InterestRouting::Oracle => {
-                if self.oracle.subtree_interested(&target.subgroup, event) {
-                    return true;
+                let interested = match entry.interest() {
+                    Some(interested) => interested >> position & 1 == 1,
+                    None => self.oracle.subtree_interested(&target.subgroup, &entry.event),
+                };
+                let selected = interested
+                    || self.config.tuning.is_some_and(|tuning| position < tuning.threshold);
+                #[cfg(test)]
+                if entry.interest().is_some() {
+                    tests::check_pick(self, target, position, &entry.event, selected);
                 }
-                match self.config.tuning {
-                    Some(tuning) => position < tuning.threshold,
-                    None => false,
-                }
+                selected
             }
             InterestRouting::Summary | InterestRouting::Blind => true,
         }
     }
 
     /// What a fresh entry for `event` starts with in `view`: the effective
-    /// matching rate there and the round budget that follows from it.
-    fn judge(&self, view: &[GossipTarget], event: &Event) -> (f64, u32) {
-        let rate = self.effective_rate(view, event);
-        (rate, self.round_budget(view.len(), rate))
+    /// matching rate there, the round budget that follows from it, and the
+    /// view's `⊲` mask that `GETRATE`'s fold leaves behind.
+    fn judge(&self, view: &[GossipTarget], event: &Event) -> (f64, u32, u128) {
+        let (interested, hits) = self.interest(view, event);
+        let rate = self.effective_rate(view.len(), raw_rate(hits, view.len()));
+        (rate, self.round_budget(view.len(), rate), interested)
     }
 
     /// A freshly filed entry for `event` at the depth whose view is `view`
@@ -150,42 +211,80 @@ impl GroupContext {
     /// life of the group) it is a function of *(key, view)* — the same for
     /// every process holding the view and every event of the audience — and
     /// is [looked up](Self::judgement): one lock and one probe per fresh
-    /// entry, never per entry-round or per message.  An oracle without a
-    /// key (exact subscriptions, the broadcast case) is judged on the spot.
+    /// entry, never per entry-round or per message; under oracle routing
+    /// the entry keeps the row's `⊲` mask for its picks.  An oracle without
+    /// a key (exact subscriptions, the broadcast case) is judged on the
+    /// spot, and its entries' picks ask it.
     fn fresh_entry(&self, view: &DepthView, event: Arc<Event>) -> BufferedGossip {
-        let (rate, budget) = match self.oracle.audience_key(&event) {
+        let (rate, budget, interest) = match self.oracle.audience_key(&event) {
             Some(key) => self.judgement(key, view, &event),
-            None => self.judge(view, &event),
+            None => {
+                let (rate, budget, _) = self.judge(view, &event);
+                (rate, budget, None)
+            }
         };
-        BufferedGossip::new(event, rate, 0, budget)
+        BufferedGossip::new(event, rate, 0, budget).with_interest(interest)
+    }
+
+    /// The entry a first receipt files in `view`: the gossip's rate and
+    /// round, the round budget that rate gives there, and — under oracle
+    /// routing, like a [fresh entry](Self::fresh_entry)'s — the view's `⊲`
+    /// mask from the judgement table.
+    fn received_entry(
+        &self,
+        view: &DepthView,
+        event: Arc<Event>,
+        rate: f64,
+        round: u32,
+    ) -> BufferedGossip {
+        let interest = match self.config.interest_routing {
+            InterestRouting::Oracle => self
+                .oracle
+                .audience_key(&event)
+                .and_then(|key| self.judgement(key, view, &event).2),
+            InterestRouting::Summary | InterestRouting::Blind => None,
+        };
+        let budget = self.round_budget(view.len(), rate);
+        BufferedGossip::new(event, rate, round, budget).with_interest(interest)
     }
 
     /// [`judge`](Self::judge) for an event of the audience `key`, computed
-    /// once per `(key, view)` and served — the very `(f64, u32)` — from
+    /// once per `(key, view)` and served — the very `(f64, u32)`, and the
+    /// mask when oracle routing reads one — from
     /// [`GroupContext::judgements`] until the table forgets it.
-    fn judgement(&self, key: u64, view: &DepthView, event: &Event) -> (f64, u32) {
+    fn judgement(&self, key: u64, view: &DepthView, event: &Event) -> (f64, u32, Option<u128>) {
         let row = (key, view.id());
-        let mut judgements = self.judgements.lock().expect("judgement table lock poisoned");
-        let judged = match judgements.get(&row) {
+        let mut table = self.judgements.lock().expect("judgement table lock poisoned");
+        let judged = match table.rows.get(&row) {
             Some(&judged) => judged,
             None => {
-                if judgements.len() == JUDGEMENT_TABLE_ROWS {
-                    judgements.clear();
+                if table.rows.len() == JUDGEMENT_TABLE_ROWS {
+                    table.rows.clear();
+                    table.masks.clear();
                 }
-                let judged = self.judge(view, event);
-                judgements.insert(row, judged);
+                let (rate, budget, interested) = self.judge(view, event);
+                let mask = match self.config.interest_routing {
+                    InterestRouting::Oracle if view.len() <= BufferedGossip::VERDICT_WIDTH => {
+                        table.masks.push(interested);
+                        (table.masks.len() - 1) as u32
+                    }
+                    _ => Judgement::NO_MASK,
+                };
+                let judged = Judgement { rate, budget, mask };
+                table.rows.insert(row, judged);
                 judged
             }
         };
+        let served = (judged.rate, judged.budget, table.masks.get(judged.mask as usize).copied());
         #[cfg(test)]
-        tests::check_judgement(self, view, event, judged);
-        judged
+        tests::check_judgement(self, view, event, served);
+        served
     }
 
     /// The pool of one entry-round under [`InterestRouting::Summary`]: the
-    /// round's `scratch.candidates` whose subgroup the membership provider's
+    /// round's `candidates` whose subgroup the membership provider's
     /// summaries allow for the entry's event, in candidate order, left in
-    /// `scratch.event_candidates`.
+    /// `pool`.
     ///
     /// Whether a subgroup is allowed does not depend on who is a candidate
     /// this round, so the provider is asked for its verdict on the whole
@@ -206,12 +305,13 @@ impl GroupContext {
         view: &DepthView,
         entry: &mut BufferedGossip,
         epoch: u64,
-        scratch: &mut FanoutScratch,
+        candidates: impl Iterator<Item = usize>,
+        pool: &mut Vec<usize>,
     ) {
-        scratch.event_candidates.clear();
+        pool.clear();
         if view.len() > BufferedGossip::VERDICT_WIDTH {
-            scratch.event_candidates.extend(allowed_runs(
-                scratch.candidates.iter().map(|&position| (position, &view[position].subgroup)),
+            pool.extend(allowed_runs(
+                candidates.map(|position| (position, &view[position].subgroup)),
                 |subgroup| self.membership.summary_allows(subgroup, &entry.event),
             ));
             return;
@@ -225,26 +325,105 @@ impl GroupContext {
             entry.record_verdict(epoch, allowed);
             allowed
         });
-        scratch.event_candidates.extend(
-            scratch
-                .candidates
-                .iter()
-                .filter(|&&position| allowed >> position & 1 == 1),
-        );
+        pool.extend(candidates.filter(|&position| allowed >> position & 1 == 1));
     }
 }
 
-/// Appends to `pool` every position of `view` except the process's own.
-/// Views list distinct processes in ascending [`ProcessId`] order, so the
-/// own position — if the process is in the view at all — is one binary
-/// search away and the pool is two index ranges.
-fn fill_all_but_own(view: &[GossipTarget], own: ProcessId, pool: &mut Vec<usize>) {
-    match view.binary_search_by_key(&own, |target| target.id) {
-        Ok(position) => {
-            pool.extend(0..position);
-            pool.extend(position + 1..view.len());
+/// One depth's candidate destinations for a round, as view positions.
+#[derive(Clone, Copy)]
+enum Candidates {
+    /// Listed by the membership provider in `scratch.candidates`.
+    Listed,
+    /// The `len` positions of the view but the process's own, if it holds
+    /// one: a global membership's answer, written out nowhere.
+    AllBut { own: Option<usize>, len: usize },
+}
+
+impl Candidates {
+    /// The candidates in view order, in a view of `width` positions whose
+    /// listed candidates, if any, are `listed`.
+    fn iter(self, width: usize, listed: &[usize]) -> impl Iterator<Item = usize> + '_ {
+        let (listed, width, own) = match self {
+            Candidates::Listed => (listed, 0, None),
+            Candidates::AllBut { own, .. } => (&[][..], width, own),
+        };
+        listed.iter().copied().chain((0..width).filter(move |&position| Some(position) != own))
+    }
+}
+
+/// What the fanout draws of one entry-round permute: a pool written out as
+/// a list, or the global membership's [`AllButOwn`].  Either way an entry's
+/// picks are a partial Fisher–Yates from slot 0 that goes on from the
+/// permutation the depth's earlier entries left, and
+/// [`draw`](Self::draw) is the one routine that makes them; each kind of
+/// pool gets a draw loop of its own.
+trait Pool {
+    fn len(&self) -> usize;
+
+    /// Swaps the positions at slots `a` and `b`; returns the one now at `a`.
+    fn swap_out(&mut self, a: usize, b: usize) -> usize;
+
+    /// The pick of draw `slot`: one uniform draw of a slot in `slot..len`,
+    /// swapped into `slot`, and the position that is now there.
+    fn draw(&mut self, slot: usize, rng: &mut impl Rng) -> usize {
+        let swap = rng.gen_range(slot..self.len());
+        self.swap_out(slot, swap)
+    }
+}
+
+impl Pool for [usize] {
+    fn len(&self) -> usize {
+        <[usize]>::len(self)
+    }
+
+    fn swap_out(&mut self, a: usize, b: usize) -> usize {
+        self.swap(a, b);
+        self[a]
+    }
+}
+
+/// The pool of `len` positions that is a global membership's view but the
+/// process's own position, kept as the overrides its draws made.
+struct AllButOwn<'a> {
+    len: usize,
+    overrides: &'a mut VirtualPool,
+}
+
+impl Pool for AllButOwn<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn swap_out(&mut self, a: usize, b: usize) -> usize {
+        self.overrides.swap(a, b)
+    }
+}
+
+/// One entry-round's gossip: `F` picks drawn from `pool`, a gossip sent to
+/// every pick that passes the interest test (Figure 3, lines 10–14).
+///
+/// Always inlined into `gossip_depth`'s three call sites: heavy traffic
+/// makes about as many entry-rounds as sends, and a call per entry-round
+/// shows in `pmbench`'s `topics_blind`.
+#[inline(always)]
+fn gossip_entry(
+    pool: &mut (impl Pool + ?Sized),
+    group: &GroupContext,
+    view: &DepthView,
+    depth: Depth,
+    entry: &BufferedGossip,
+    ctx: &mut RoundContext<'_, Gossip>,
+) {
+    // Every gossip of this entry has the same wire size; compute it once per
+    // entry-round instead of per target.
+    let size = entry.event.payload_size() + Gossip::HEADER_SIZE;
+    for slot in 0..group.config.fanout.min(pool.len()) {
+        let position = pool.draw(slot, ctx.rng());
+        let target = &view[position];
+        if group.target_selected(target, position, entry) {
+            let gossip = Gossip::new(entry.event.id(), depth, entry.rate, entry.round);
+            ctx.send_sized(target.id, gossip, size);
         }
-        Err(_) => pool.extend(0..view.len()),
     }
 }
 
@@ -265,8 +444,9 @@ pub struct PmcastProcess {
     /// `i + 1` view), resolved once at construction: the views are immutable
     /// after [`SharedViews::build`], and caching the handles keeps the
     /// per-round loop free of prefix lookups.  The stack allocation is
-    /// shared with every leaf-subgroup sibling.
-    depth_views: crate::ViewStack,
+    /// shared with every leaf-subgroup sibling, and its views know where the
+    /// siblings sit in them — a process stores no position of its own.
+    depth_views: ViewStack,
     buffers: GossipBuffers,
     // A windowed bitmap (not a hash set): four words with 64 identifiers
     // inline, so neither a million never-contacted processes nor the ones a
@@ -287,15 +467,18 @@ impl std::fmt::Debug for PmcastProcess {
 }
 
 impl PmcastProcess {
-    fn in_group(address: Address, id: ProcessId, group: Arc<GroupContext>) -> Self {
-        let depth = group.views.depth();
-        let depth_views = group.views.view_stack(&address);
+    fn in_group(
+        address: Address,
+        id: ProcessId,
+        group: Arc<GroupContext>,
+        depth_views: ViewStack,
+    ) -> Self {
         Self {
             address,
             id,
             group,
+            buffers: GossipBuffers::new(depth_views.len()),
             depth_views,
-            buffers: GossipBuffers::new(depth),
             delivered_ids: EventIdSet::new(),
         }
     }
@@ -362,6 +545,29 @@ impl PmcastProcess {
         floor
     }
 
+    /// A gossip's first receipt (Figure 3, lines 19–23).  Out of line, so
+    /// that `on_message`'s duplicate path — most receipts under heavy
+    /// traffic — stays one probe and a return.
+    #[inline(never)]
+    fn first_receipt(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
+        self.buffers.mark_seen(gossip.id);
+        // A first receipt takes its share of the event from the group's
+        // store; content the store forgot is filed as seen and delivers
+        // nothing, like a retired id.
+        let Some(event) = self.group.store.get(gossip.id) else {
+            return;
+        };
+        if self.group.oracle.is_interested(&self.address, &event)
+            && self.delivered_ids.insert(gossip.id)
+        {
+            ctx.report_delivery(gossip.id.0);
+        }
+        // File the event into the buffer of the depth it is travelling at.
+        let view = &self.depth_views[gossip.depth - 1];
+        let entry = self.group.received_entry(view, event, gossip.rate, gossip.round);
+        self.buffers.file(gossip.depth, entry);
+    }
+
     /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
     /// neighbours) whose subtree is interested in the event.
     pub fn matching_rate(&self, depth: Depth, event: &Event) -> f64 {
@@ -372,8 +578,11 @@ impl PmcastProcess {
     ///
     /// Allocation-free after warm-up: the per-depth entry vector is filtered
     /// in place, fanout targets are drawn by a partial Fisher–Yates over the
-    /// round driver's index buffer, and each sent gossip is the event's id
-    /// and three numbers.
+    /// round driver's buffers, and each sent gossip is the event's id and
+    /// three numbers.  Under a global membership an entry-round costs O(F):
+    /// the pool is never written out, the process's own position is the
+    /// leaf stack's arithmetic, and a keyed oracle's `⊲` test is a bit of
+    /// the entry's mask.
     fn gossip_depth(
         &mut self,
         depth: Depth,
@@ -392,24 +601,28 @@ impl PmcastProcess {
         let group = &*self.group;
         let view = &self.depth_views[depth - 1];
         let next_view = self.depth_views.get(depth);
-        let fanout = group.config.fanout;
 
         // Candidate destinations: everyone in the view but ourselves that
         // the membership provider currently knows *at this depth*.  Under a
-        // global view that is the whole view (asked once via `is_global`
-        // instead of per entry); otherwise the provider fills the list for
-        // the whole view, named by its id, in one call (what it tells every
-        // holder of the view alike it may keep per id and never read the
-        // targets again): a flat partial view answers with the
-        // discovered subset (`knows_at_depth` falls back to `knows`), the
-        // hierarchical `DelegateView` straight from the depth-`depth`
-        // delegate slots, so pmcast's tree delegates are exactly the
-        // processes the maintained hierarchy seats.  Computed once per
-        // depth and re-shuffled per entry.
-        scratch.candidates.clear();
-        if group.membership.is_global() {
-            fill_all_but_own(view, self.id, &mut scratch.candidates);
+        // global view that is the whole view but the process's own seat, if
+        // it holds one (asked once via `is_global` instead of per entry) —
+        // described, never written out, and the seat found without a
+        // search.  Otherwise the provider fills the list for the whole view,
+        // named by its id, in one call (what it tells every holder of the
+        // view alike it may keep per id and never read the targets again): a
+        // flat partial view answers with the discovered subset
+        // (`knows_at_depth` falls back to `knows`), the hierarchical
+        // `DelegateView` straight from the depth-`depth` delegate slots, so
+        // pmcast's tree delegates are exactly the processes the maintained
+        // hierarchy seats.  Computed once per depth and re-shuffled per
+        // entry: a draw goes on from the permutation the entries before it
+        // left, and the global pool starts the round with no overrides.
+        let candidates = if group.membership.is_global() {
+            let own = view.own_position(self.id);
+            let len = scratch.all_but_one.reset(view.len(), own);
+            Candidates::AllBut { own, len }
         } else {
+            scratch.candidates.clear();
             group.membership.fill_known_at_depth(
                 self.id.0,
                 depth,
@@ -417,7 +630,8 @@ impl PmcastProcess {
                 &mut view.iter().map(|target| target.id.0),
                 &mut scratch.candidates,
             );
-        }
+            Candidates::Listed
+        };
 
         let routing = group.config.interest_routing;
         let summary_epoch = match routing {
@@ -436,9 +650,6 @@ impl PmcastProcess {
         }
         for entry in &mut entries {
             entry.round += 1;
-            // Every gossip of this entry has the same wire size; compute it
-            // once per entry-round instead of per target.
-            let size = entry.event.payload_size() + Gossip::HEADER_SIZE;
             // Summary routing narrows the pool per event *before* the draw:
             // subtrees whose aggregated summary proves nobody below is
             // interested never consume a fanout pick.  The test is a pure
@@ -446,26 +657,22 @@ impl PmcastProcess {
             // and in the other modes the pool is the shared per-depth
             // candidate list, so the draw sequence there is the one the
             // goldens pin.
-            let pool = if routing == InterestRouting::Summary {
-                group.fill_summary_pool(view, entry, summary_epoch, scratch);
-                #[cfg(test)]
-                tests::check_summary_pool(group, view, entry, scratch);
-                &mut scratch.event_candidates
-            } else {
-                &mut scratch.candidates
-            };
-            // Choose F distinct destinations uniformly from the pool, then
-            // send only to those that pass the interest test (Figure 3,
-            // lines 10–14).
-            let picks = fanout.min(pool.len());
-            for slot in 0..picks {
-                let swap = ctx.rng().gen_range(slot..pool.len());
-                pool.swap(slot, swap);
-                let position = pool[slot];
-                let target = &view[position];
-                if group.target_selected(target, position, &entry.event) {
-                    let gossip = Gossip::new(entry.event.id(), depth, entry.rate, entry.round);
-                    ctx.send_sized(target.id, gossip, size);
+            match (routing, candidates) {
+                (InterestRouting::Summary, _) => {
+                    let listed = &scratch.candidates;
+                    let pool = &mut scratch.event_candidates;
+                    let round_candidates = || candidates.iter(view.len(), listed);
+                    group.fill_summary_pool(view, entry, summary_epoch, round_candidates(), pool);
+                    #[cfg(test)]
+                    tests::check_summary_pool(group, view, entry, round_candidates(), pool);
+                    gossip_entry(pool.as_mut_slice(), group, view, depth, entry, ctx);
+                }
+                (_, Candidates::Listed) => {
+                    gossip_entry(scratch.candidates.as_mut_slice(), group, view, depth, entry, ctx);
+                }
+                (_, Candidates::AllBut { len, .. }) => {
+                    let overrides = &mut scratch.all_but_one;
+                    gossip_entry(&mut AllButOwn { len, overrides }, group, view, depth, entry, ctx);
                 }
             }
         }
@@ -495,27 +702,7 @@ impl RoundProcess for PmcastProcess {
         if self.buffers.has_seen(gossip.id) {
             return;
         }
-        self.buffers.mark_seen(gossip.id);
-        // A first receipt takes its share of the event from the group's
-        // store; content the store forgot is filed as seen and delivers
-        // nothing, like a retired id.
-        let Some(event) = self.group.store.get(gossip.id) else {
-            return;
-        };
-        // File the event into the buffer of the depth it is travelling at
-        // (Figure 3, lines 19–23).
-        let budget = self
-            .group
-            .round_budget(self.depth_views[gossip.depth - 1].len(), gossip.rate);
-        if self.group.oracle.is_interested(&self.address, &event)
-            && self.delivered_ids.insert(gossip.id)
-        {
-            ctx.report_delivery(gossip.id.0);
-        }
-        self.buffers.file(
-            gossip.depth,
-            BufferedGossip::new(event, gossip.rate, gossip.round, budget),
-        );
+        self.first_receipt(gossip, ctx);
     }
 
     fn is_quiescent(&self) -> bool {
@@ -602,27 +789,26 @@ mod tests {
     }
 
     /// Called by `gossip_depth` in test builds on every summary-routed
-    /// entry-round, right after the pool is built and before it is drawn
-    /// from: whatever test drives the protocol, a recorded verdict that has
-    /// gone stale — or was never the provider's — fails here.
+    /// entry-round, right after the pool is built from the round's
+    /// `candidates` and before it is drawn from: whatever test drives the
+    /// protocol, a recorded verdict that has gone stale — or was never the
+    /// provider's — fails here.
     pub(super) fn check_summary_pool(
         group: &GroupContext,
         view: &[GossipTarget],
         entry: &BufferedGossip,
-        scratch: &FanoutScratch,
+        candidates: impl Iterator<Item = usize>,
+        pool: &[usize],
     ) {
+        let candidates: Vec<usize> = candidates.collect();
         assert_eq!(
-            scratch.event_candidates,
-            reference_summary_pool(group, view, entry, &scratch.candidates),
+            pool,
+            reference_summary_pool(group, view, entry, &candidates),
             "pool of {} in round {} of its budget",
             entry.event.id(),
             entry.round
         );
-        POOLS_CHECKED.with(|checked| {
-            checked
-                .borrow_mut()
-                .push((entry.event.id().0, scratch.event_candidates.len()))
-        });
+        POOLS_CHECKED.with(|checked| checked.borrow_mut().push((entry.event.id().0, pool.len())));
     }
 
     /// Empties this thread's log of checked pools and returns it.
@@ -634,26 +820,43 @@ mod tests {
         /// How many table-served judgements this thread has held against
         /// the computation.
         static JUDGEMENTS_CHECKED: Cell<usize> = const { Cell::new(0) };
+        /// How many picks this thread has held against the oracle.
+        static PICKS_CHECKED: Cell<usize> = const { Cell::new(0) };
+        /// Set while a hook asks the oracle for its reference answer, so a
+        /// counting oracle can tell the protocol's own asks from the hooks'.
+        static IN_HOOK: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `reference()`, with this thread marked as inside a hook.
+    fn in_hook<T>(reference: impl FnOnce() -> T) -> T {
+        IN_HOOK.with(|flag| flag.set(true));
+        let answer = reference();
+        IN_HOOK.with(|flag| flag.set(false));
+        answer
     }
 
     /// Called by `GroupContext::judgement` in test builds on every `(rate,
-    /// budget)` it returns, found in the table or just stored:
+    /// budget, mask)` it returns, found in the table or just stored:
     /// whatever test drives the protocol, a row that is not bit for bit what
-    /// [`GroupContext::judge`] computes on the spot fails here.
+    /// [`GroupContext::judge`] computes on the spot fails here — and so does
+    /// a mask served where no pick reads one (another routing arm, a view
+    /// wider than a mask) or missing where one does.
     pub(super) fn check_judgement(
         group: &GroupContext,
         view: &DepthView,
         event: &Event,
-        served: (f64, u32),
+        served: (f64, u32, Option<u128>),
     ) {
-        let (rate, budget) = group.judge(view, event);
+        let (rate, budget, interested) = in_hook(|| group.judge(view, event));
+        let masked = group.config.interest_routing == InterestRouting::Oracle
+            && view.len() <= BufferedGossip::VERDICT_WIDTH;
         assert_eq!(
-            (served.0.to_bits(), served.1),
-            (rate.to_bits(), budget),
+            (served.0.to_bits(), served.1, served.2),
+            (rate.to_bits(), budget, masked.then_some(interested)),
             "judgement of {} in view {}: served {served:?}, computed {:?}",
             event.id(),
             view.id(),
-            (rate, budget)
+            (rate, budget, interested)
         );
         JUDGEMENTS_CHECKED.with(|checked| checked.set(checked.get() + 1));
     }
@@ -661,6 +864,28 @@ mod tests {
     /// Resets this thread's count of checked judgements and returns it.
     fn judgements_checked() -> usize {
         JUDGEMENTS_CHECKED.with(|checked| checked.replace(0))
+    }
+
+    /// Called by `GroupContext::target_selected` in test builds on every
+    /// pick read off a recorded `⊲` mask: whatever test drives the protocol,
+    /// a bit that is not the oracle's answer for the target's subgroup —
+    /// plus the tuning threshold `h` — fails here.
+    pub(super) fn check_pick(
+        group: &GroupContext,
+        target: &GossipTarget,
+        position: usize,
+        event: &Event,
+        selected: bool,
+    ) {
+        let interested = in_hook(|| group.oracle.subtree_interested(&target.subgroup, event));
+        let designated = group.config.tuning.is_some_and(|tuning| position < tuning.threshold);
+        assert_eq!(selected, interested || designated, "pick {position} of {}", event.id());
+        PICKS_CHECKED.with(|checked| checked.set(checked.get() + 1));
+    }
+
+    /// Resets this thread's count of checked picks and returns it.
+    fn picks_checked() -> usize {
+        PICKS_CHECKED.with(|checked| checked.replace(0))
     }
 
     fn global_view() -> Arc<dyn MembershipView> {
@@ -782,7 +1007,7 @@ mod tests {
         let process = &group.processes[0];
         let event = Event::builder(1).build();
         let effective_rate = |process: &PmcastProcess| {
-            process.group.effective_rate(&process.depth_views[0], &event)
+            process.group.judge(&process.depth_views[0], &event).0
         };
         let raw = process.matching_rate(1, &event);
         let effective = effective_rate(process);
@@ -893,36 +1118,194 @@ mod tests {
         assert!(process_text.contains("address"));
     }
 
-    #[test]
-    fn global_fill_equals_the_filter_it_replaces() {
-        // 3^3 with R = 2: process 0.0.0 is a delegate (in its own view at
-        // every depth), 0.0.2 is in its own view at the leaf depth only,
-        // and no view holds a process twice.
-        let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 3).unwrap());
-        let views = SharedViews::build(&topology, 2);
+    /// Appends to `pool` every position of `view` except the process's own.
+    /// Views list distinct processes in ascending [`ProcessId`] order, so the
+    /// own position — if the process is in the view at all — is one binary
+    /// search away and the pool is two index ranges.
+    ///
+    /// The global membership's candidate fill as it was while every
+    /// (process, depth, round) wrote its pool out, kept verbatim as the
+    /// reference the draw over a described pool is held to.
+    fn fill_all_but_own(view: &[GossipTarget], own: ProcessId, pool: &mut Vec<usize>) {
+        match view.binary_search_by_key(&own, |target| target.id) {
+            Ok(position) => {
+                pool.extend(0..position);
+                pool.extend(position + 1..view.len());
+            }
+            Err(_) => pool.extend(0..view.len()),
+        }
+    }
+
+    /// One depth's draws as they were made over the written-out pool:
+    /// `entries` entry-rounds of `fanout` picks, each swapped in place and
+    /// going on from the permutation the entry before left.
+    fn reference_draws(
+        view: &[GossipTarget],
+        own: ProcessId,
+        fanout: usize,
+        entries: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<usize> {
         let mut pool = Vec::new();
-        let mut own_view_memberships = Vec::new();
-        for index in [0, 2, 13, 26] {
-            let own = ProcessId(index);
-            let stack = views.view_stack(&views.addresses()[own.0]);
-            for view in stack.iter() {
-                let filtered: Vec<usize> =
-                    (0..view.len()).filter(|&i| view[i].id != own).collect();
-                pool.clear();
-                fill_all_but_own(view, own, &mut pool);
-                assert_eq!(pool, filtered, "process {index}");
-                own_view_memberships.push(filtered.len() < view.len());
+        fill_all_but_own(view, own, &mut pool);
+        let mut drawn = Vec::new();
+        for _ in 0..entries {
+            let picks = fanout.min(pool.len());
+            for slot in 0..picks {
+                let swap = rng.gen_range(slot..pool.len());
+                pool.swap(slot, swap);
+                drawn.push(pool[slot]);
             }
         }
-        assert_eq!(
-            own_view_memberships,
-            [
-                true, true, true, // 0.0.0: root delegate, depth-2 delegate, leaf
-                false, false, true, // 0.0.2: a plain leaf member
-                false, true, true, // 1.1.1: delegate of 1.1 only
-                false, false, true, // 2.2.2
-            ]
-        );
+        drawn
+    }
+
+    proptest::proptest! {
+        /// The O(F) draw is the old draw: over random view widths, with the
+        /// process inside its view or outside it (below, above, in a gap),
+        /// any fanout and up to 40 entries sharing one depth's permutation —
+        /// several depths in a row through one set of overrides — the same
+        /// picks in the same order, and the RNG left at the same word.
+        #[test]
+        fn the_draw_over_a_described_pool_is_the_draw_over_the_written_one(
+            depths in proptest::collection::vec(
+                (1usize..=200, 1usize..4, 0usize..400, 1usize..=5, 1usize..=40),
+                1..6,
+            ),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut written = ChaCha8Rng::seed_from_u64(seed);
+            let mut described = ChaCha8Rng::seed_from_u64(seed);
+            let mut overrides = VirtualPool::default();
+            for (width, stride, own_at, fanout, entries) in depths {
+                let view: Vec<GossipTarget> = (0..width)
+                    .map(|k| GossipTarget {
+                        id: ProcessId(1 + k * stride),
+                        subgroup: Prefix::root(),
+                    })
+                    .collect();
+                let (own, position) = if own_at < width {
+                    (view[own_at].id, Some(own_at))
+                } else {
+                    let outside = [0, 1 + width * stride, if stride > 1 { 2 } else { 0 }];
+                    (ProcessId(outside[own_at % 3]), None)
+                };
+                let expected = reference_draws(&view, own, fanout, entries, &mut written);
+                let len = overrides.reset(width, position);
+                let mut pool = AllButOwn { len, overrides: &mut overrides };
+                let mut drawn = Vec::new();
+                for _ in 0..entries {
+                    for slot in 0..fanout.min(pool.len()) {
+                        drawn.push(pool.draw(slot, &mut described));
+                    }
+                }
+                proptest::prop_assert_eq!(drawn, expected);
+                proptest::prop_assert_eq!(described.get_word_pos(), written.get_word_pos());
+            }
+        }
+    }
+
+    /// Every view of a group, once each, by id.
+    fn all_views(group: &ProtocolGroup<PmcastProcess>) -> Vec<DepthView> {
+        let mut views: Vec<DepthView> = group
+            .processes
+            .iter()
+            .flat_map(|process| process.depth_views.iter().cloned())
+            .collect();
+        views.sort_unstable_by_key(DepthView::id);
+        views.dedup_by_key(|view| view.id());
+        views
+    }
+
+    /// An assignment oracle, with or without its audience key, counting the
+    /// subtree tests the protocol asks of it (a hook's reference asks are
+    /// not counted).
+    struct CountingOracle {
+        assignment: AssignmentOracle,
+        keyed: bool,
+        subtree_tests: AtomicU64,
+    }
+
+    impl InterestOracle for CountingOracle {
+        fn is_interested(&self, address: &Address, event: &Event) -> bool {
+            self.assignment.is_interested(address, event)
+        }
+        fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
+            if !IN_HOOK.with(Cell::get) {
+                self.subtree_tests.fetch_add(1, Ordering::SeqCst);
+            }
+            self.assignment.subtree_interested(prefix, event)
+        }
+        fn audience_key(&self, event: &Event) -> Option<u64> {
+            self.keyed.then(|| self.assignment.audience_key(event)).flatten()
+        }
+    }
+
+    #[test]
+    fn after_an_audience_s_first_entry_in_a_view_no_pick_asks_the_oracle() {
+        // A 4^3 group, half its processes interested, tuned so that the
+        // threshold designates the first two positions of every view too.
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap());
+        let assignment =
+            AssignmentOracle::sample(&topology, 0.5, &mut ChaCha8Rng::seed_from_u64(7));
+        let config = PmcastConfig::default().with_tuning(2);
+        for keyed in [true, false] {
+            let oracle = Arc::new(CountingOracle {
+                assignment: assignment.clone(),
+                keyed,
+                subtree_tests: AtomicU64::new(0),
+            });
+            let membership = Arc::new(GlobalOracleView::new(64));
+            let group = build_pmcast_group(&topology, oracle.clone(), membership, &config);
+            // The audience's first entry in each of the 21 views.
+            let context = Arc::clone(&group.processes[0].group);
+            for view in all_views(&group) {
+                context.fresh_entry(&view, Arc::new(Event::builder(1).build()));
+            }
+            assert!(oracle.subtree_tests.swap(0, Ordering::SeqCst) >= 21);
+            picks_checked();
+            let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(5));
+            sim.process_mut(ProcessId(0)).pmcast(Event::builder(2).build());
+            sim.run_until_quiescent(300);
+            let event = Event::builder(2).build();
+            let delivered = sim.processes().filter(|p| p.has_delivered(event.id())).count();
+            assert_eq!(delivered, assignment.len());
+            let (asked, checked) = (oracle.subtree_tests.load(Ordering::SeqCst), picks_checked());
+            if keyed {
+                // Every pick read a bit `check_pick` held to the oracle.
+                assert_eq!(asked, 0);
+                assert!(checked > 100, "only {checked} picks were checked");
+            } else {
+                // Without the key every pick asks, and no mask is recorded.
+                assert!(asked > 100, "only {asked} picks asked");
+                assert_eq!(checked, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn an_oracle_without_audience_keys_leaves_the_judgement_table_empty() {
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let mut tree = GroupTree::new(space.clone());
+        for (index, address) in space.iter().enumerate() {
+            let kind = if index % 3 == 0 { "alert" } else { "heartbeat" };
+            tree.join(address, Filter::new().with("kind", Predicate::Eq(kind.into()))).unwrap();
+        }
+        let tree = Arc::new(tree);
+        let membership = Arc::new(GlobalOracleView::new(64));
+        let config = PmcastConfig::default();
+        let group = build_pmcast_group(tree.as_ref(), tree.clone(), membership, &config);
+        let context = Arc::clone(&group.processes[0].group);
+        picks_checked();
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(2));
+        let event = Event::builder(11).str("kind", "alert").build();
+        sim.process_mut(ProcessId(0)).pmcast(event.clone());
+        sim.run_until_quiescent(200);
+        let delivered = sim.processes().filter(|p| p.has_delivered(event.id())).count();
+        assert_eq!(delivered, 22);
+        let table = context.judgements.lock().unwrap();
+        assert!(table.rows.is_empty() && table.masks.is_empty());
+        assert_eq!(picks_checked(), 0);
     }
 
     /// A provider that knows everybody and allows exactly one depth-1
@@ -1372,14 +1755,7 @@ mod tests {
             }
             let (group, membership) = judged_group(oracle_kind, &subscriptions, &config);
             let context = Arc::clone(&group.processes[0].group);
-            // The 21 views, by id.
-            let mut views: Vec<DepthView> = group
-                .processes
-                .iter()
-                .flat_map(|process| process.depth_views.iter().cloned())
-                .collect();
-            views.sort_unstable_by_key(DepthView::id);
-            views.dedup_by_key(|view| view.id());
+            let views = all_views(&group);
             proptest::prop_assert_eq!(views.len(), 21);
             // Topics from the top down: the traffic's (0..8) come last.
             let swept: Vec<(i64, &DepthView)> = (0..SWEPT_TOPICS as i64)
@@ -1392,7 +1768,7 @@ mod tests {
                     context.fresh_entry(view, Arc::new(event));
                 }
             };
-            let rows = || context.judgements.lock().unwrap().len();
+            let rows = || context.judgements.lock().unwrap().rows.len();
 
             judgements_checked();
             let (before, after) = swept.split_at(JUDGEMENT_TABLE_ROWS - headroom);

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use pmcast_addr::{Address, Component, Depth, Prefix};
+use pmcast_addr::{Address, Component, Prefix};
 use pmcast_simnet::ProcessId;
 
 use pmcast_membership::TreeTopology;
@@ -18,13 +18,17 @@ pub struct GossipTarget {
     pub subgroup: Prefix,
 }
 
-/// One shared per-depth view: the gossip targets every process under the
-/// corresponding prefix iterates at that depth, distinct processes in
-/// strictly ascending [`ProcessId`] order — it dereferences to that slice —
-/// and the view's dense [`id`](Self::id).
+/// One shared per-depth view as a process holds it: the gossip targets
+/// every process under the corresponding prefix iterates at that depth,
+/// distinct processes in strictly ascending [`ProcessId`] order — it
+/// dereferences to that slice — the view's dense [`id`](Self::id), and
+/// where the holder's leaf subgroup sits in it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepthView {
     id: u32,
+    /// The position of the first target at or after the holder's leaf
+    /// subgroup's first identifier: where its seats begin, if it has any.
+    first_seat: u32,
     targets: Arc<[GossipTarget]>,
 }
 
@@ -37,6 +41,19 @@ impl DepthView {
     pub fn id(&self) -> u32 {
         self.id
     }
+
+    /// The position of `own` — a member of the holder's leaf subgroup — in
+    /// the view, or `None` if it holds no seat there.
+    ///
+    /// No search: a leaf subgroup's seats hold consecutive identifiers (a
+    /// leaf view lists the whole subgroup, an inner view a subgroup's
+    /// smallest members), so `own`'s offset from the first seat's identifier
+    /// is its offset from the first seat.
+    pub(crate) fn own_position(&self, own: ProcessId) -> Option<usize> {
+        let first = self.first_seat as usize;
+        let position = first + own.0.checked_sub(self.get(first)?.id.0)?;
+        (self.get(position)?.id == own).then_some(position)
+    }
 }
 
 impl std::ops::Deref for DepthView {
@@ -48,7 +65,8 @@ impl std::ops::Deref for DepthView {
 }
 
 /// A process's whole view stack — its [`DepthView`]s of depths `1..=d`,
-/// one allocation shared by every process of the same leaf subgroup.
+/// `stack[i]` being the depth `i + 1` view — one allocation shared by every
+/// process of the same leaf subgroup.
 pub type ViewStack = Arc<[DepthView]>;
 
 /// Precomputed, shareable per-depth views for a whole group.
@@ -64,18 +82,14 @@ pub type ViewStack = Arc<[DepthView]>;
 /// is kept per id (`1 + a + … + a^(d−1)` of them, 21 in a 4³ group).
 ///
 /// Building allocates per *prefix*, never per process: one slice per view,
-/// one stack per leaf subgroup, one vector per tree level.
+/// one stack per leaf subgroup, one vector per tree level while it builds.
+/// What it keeps is the stacks: every view is in one.
 #[derive(Debug, Clone)]
 pub struct SharedViews {
-    depth: Depth,
-    // `levels[i]` holds the depth `i + 1` views with the prefix (of `i`
-    // components) they belong to, in prefix order, so a lookup is a binary
-    // search over borrowed component slices.
-    levels: Vec<Vec<(Prefix, DepthView)>>,
-    // One view *stack* per leaf subgroup, parallel to the last level: the
-    // views of depths `1..=d` of every process in that subgroup (siblings
-    // hold identical views at every depth, so one shared allocation serves
-    // the whole leaf group).
+    // One view *stack* per leaf subgroup, in prefix order: the views of
+    // depths `1..=d` of every process in that subgroup (siblings hold
+    // identical views at every depth, so one shared allocation serves the
+    // whole leaf group).
     stacks: Vec<ViewStack>,
     addresses: Arc<Vec<Address>>,
 }
@@ -99,6 +113,9 @@ impl SharedViews {
             )
         };
 
+        // `levels[i]` holds the depth `i + 1` views with the prefix (of `i`
+        // components) they belong to, in prefix order, so a lookup is a
+        // binary search over borrowed component slices.
         let mut levels: Vec<Vec<(Prefix, DepthView)>> = Vec::with_capacity(depth);
         // Enumerate populated prefixes breadth-first from the root.  Each
         // frontier is in lexicographic order, so at the leaf level a single
@@ -139,46 +156,61 @@ impl SharedViews {
                     }
                     targets.as_slice().into()
                 };
-                // The global fanout fill splits a view around the process's
-                // own position with one binary search.
+                // A holder finds its own seat by arithmetic on identifiers.
                 debug_assert!(
                     listed.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "view targets must be in strictly ascending ProcessId order"
                 );
-                level.push((prefix, DepthView { id: next_id, targets: listed }));
+                let view = DepthView {
+                    id: next_id,
+                    first_seat: 0,
+                    targets: listed,
+                };
+                level.push((prefix, view));
                 next_id += 1;
             }
             levels.push(level);
             frontier = next_frontier;
         }
 
-        let mut views = Self {
-            depth,
-            levels,
-            stacks: Vec::new(),
-            addresses: Arc::new(addresses),
+        let view_at = |prefix: &[Component]| -> &DepthView {
+            let level = &levels[prefix.len()];
+            let position = level
+                .binary_search_by(|(candidate, _)| candidate.components().cmp(prefix))
+                .expect("every ancestor of a populated prefix is populated");
+            &level[position].1
         };
         // Share one view stack per leaf subgroup: the views along its
-        // prefix path.
-        views.stacks = views.levels[depth - 1]
+        // prefix path, each told where the subgroup's seats begin in it.
+        let stacks = levels[depth - 1]
             .iter()
-            .map(|(leaf, _)| {
+            .map(|(leaf, leaf_view)| {
+                let (first, last) = (leaf_view[0].id, leaf_view[leaf_view.len() - 1].id);
                 (1..=depth)
                     .map(|view_depth| {
-                        let view = views
-                            .view_at(&leaf.components()[..view_depth - 1])
-                            .expect("every ancestor of a populated prefix is populated");
-                        view.clone()
+                        let view = view_at(&leaf.components()[..view_depth - 1]);
+                        let first_seat = view.partition_point(|target| target.id < first);
+                        debug_assert!(
+                            view[first_seat..]
+                                .iter()
+                                .take_while(|target| target.id <= last)
+                                .enumerate()
+                                .all(|(offset, target)| target.id.0 == first.0 + offset),
+                            "a leaf subgroup's seats hold consecutive identifiers"
+                        );
+                        DepthView {
+                            first_seat: u32::try_from(first_seat)
+                                .expect("a view lists fewer than 2^32 targets"),
+                            ..view.clone()
+                        }
                     })
                     .collect()
             })
             .collect();
-        views
-    }
-
-    /// The tree depth `d`.
-    pub fn depth(&self) -> Depth {
-        self.depth
+        Self {
+            stacks,
+            addresses: Arc::new(addresses),
+        }
     }
 
     /// All member addresses in dense-identifier order.
@@ -186,36 +218,21 @@ impl SharedViews {
         &self.addresses
     }
 
-    /// Position of the given prefix's view within its level.
-    fn position(&self, prefix: &[Component]) -> Option<usize> {
-        self.levels[prefix.len()]
-            .binary_search_by(|(candidate, _)| candidate.components().cmp(prefix))
-            .ok()
-    }
-
-    fn view_at(&self, prefix: &[Component]) -> Option<&DepthView> {
-        self.position(prefix)
-            .map(|position| &self.levels[prefix.len()][position].1)
-    }
-
-    /// The whole view stack of a process — its views of depths `1..=d`,
-    /// `stack[i]` being the depth `i + 1` view.  The stack allocation is
-    /// shared by all processes of the same leaf subgroup, so a
-    /// million-process group holds one stack per leaf group, not per
-    /// process.  Returns an empty stack for an address whose leaf subgroup
-    /// is not populated.
-    pub fn view_stack(&self, address: &Address) -> ViewStack {
-        match self.position(&address.components()[..self.depth - 1]) {
-            Some(position) => Arc::clone(&self.stacks[position]),
-            None => Arc::new([]),
-        }
+    /// One view stack per leaf subgroup, in prefix order — so the stacks'
+    /// leaf views, one after the other, list every process in identifier
+    /// order, and a group hands each process its stack by walking them.
+    /// The stack allocation is shared by all processes of the same leaf
+    /// subgroup, so a million-process group holds one stack per leaf group,
+    /// not per process.
+    pub(crate) fn stacks(&self) -> &[ViewStack] {
+        &self.stacks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcast_addr::AddressSpace;
+    use pmcast_addr::{AddressSpace, Depth};
     use pmcast_membership::ImplicitRegularTree;
 
     fn views() -> SharedViews {
@@ -223,21 +240,41 @@ mod tests {
         SharedViews::build(&topology, 2)
     }
 
+    /// The processes a stack serves: its leaf view's.
+    fn members(stack: &ViewStack) -> impl Iterator<Item = ProcessId> + '_ {
+        stack.last().unwrap().iter().map(|target| target.id)
+    }
+
+    /// The stack of the process at `address`, searched for.
+    fn stack_of<'a>(views: &'a SharedViews, address: &Address) -> &'a ViewStack {
+        views
+            .stacks()
+            .iter()
+            .find(|stack| members(stack).any(|id| views.addresses()[id.0] == *address))
+            .expect("every member has a stack")
+    }
+
     /// The view a process holds at one depth, out of its shared stack.
     fn view_for(views: &SharedViews, address: &str, depth: Depth) -> DepthView {
-        views.view_stack(&address.parse().unwrap())[depth - 1].clone()
+        stack_of(views, &address.parse().unwrap())[depth - 1].clone()
     }
 
     #[test]
     fn build_covers_all_prefixes() {
         let v = views();
-        assert_eq!(v.depth(), 3);
         assert_eq!(v.addresses.len(), 27);
         // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views, numbered
-        // breadth-first.
-        assert_eq!(v.levels.iter().map(Vec::len).sum::<usize>(), 13);
-        let ids: Vec<u32> = v.levels.iter().flatten().map(|(_, view)| view.id()).collect();
-        assert_eq!(ids, (0..13).collect::<Vec<u32>>());
+        // breadth-first — the stacks, in prefix order, meet each depth's
+        // views in ascending id order.
+        assert_eq!(v.stacks().len(), 9);
+        assert!(v.stacks().iter().all(|stack| stack.len() == 3));
+        for depth in 1..=3 {
+            let mut ids: Vec<u32> = v.stacks().iter().map(|stack| stack[depth - 1].id()).collect();
+            assert!(ids.windows(2).all(|pair| pair[0] <= pair[1]));
+            ids.dedup();
+            let first = [0, 1, 4][depth - 1];
+            assert_eq!(ids, (first..first + 3u32.pow(depth as u32 - 1)).collect::<Vec<u32>>());
+        }
     }
 
     #[test]
@@ -266,35 +303,85 @@ mod tests {
         assert!(leaf.iter().any(|t| v.addresses()[t.id.0] == address));
     }
 
-    /// Every view of every depth lists distinct processes in strictly
-    /// ascending `ProcessId` order — what the global fanout fill's binary
-    /// search for the process's own position relies on.
-    fn assert_views_ascend<T: TreeTopology>(topology: &T, redundancy: usize) {
+    /// Walking the stacks' leaf views visits every process once, in
+    /// identifier order, and hands it the views below its own prefix path —
+    /// one allocation per view id; every view lists distinct processes in
+    /// strictly ascending `ProcessId` order; and a process's own position in
+    /// each is where a search for its identifier finds it — what the draws
+    /// under a global membership take instead of that search.
+    fn assert_stacks_hold_every_process<T: TreeTopology>(topology: &T, redundancy: usize) {
         let v = SharedViews::build(topology, redundancy);
         assert!(!v.addresses.is_empty());
-        for address in v.addresses().iter() {
-            let stack = v.view_stack(address);
-            assert_eq!(stack.len(), v.depth());
-            for (index, view) in stack.iter().enumerate() {
-                let prefix = &address.components()[..index];
-                assert_eq!(view.id(), v.view_at(prefix).unwrap().id());
-                assert!(Arc::ptr_eq(&view.targets, &v.view_at(prefix).unwrap().targets));
+        let walked: Vec<(ProcessId, &ViewStack)> = v
+            .stacks()
+            .iter()
+            .flat_map(|stack| members(stack).map(move |id| (id, stack)))
+            .collect();
+        assert_eq!(walked.len(), v.addresses().len());
+        let mut by_id: Vec<Option<Arc<[GossipTarget]>>> = Vec::new();
+        for (index, (own, stack)) in walked.into_iter().enumerate() {
+            assert_eq!(own, ProcessId(index));
+            let address = &v.addresses()[index];
+            assert_eq!(stack.len(), topology.depth());
+            for (at, view) in stack.iter().enumerate() {
+                let prefix = &address.components()[..at];
+                assert!(view.iter().all(|target| target.subgroup.components()[..at] == *prefix));
+                let id = view.id() as usize;
+                by_id.resize(by_id.len().max(id + 1), None);
+                let shared = by_id[id].get_or_insert_with(|| Arc::clone(&view.targets));
+                assert!(Arc::ptr_eq(shared, &view.targets), "view {id} is allocated twice");
                 assert!(
                     view.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "depth {} view of {address} is not strictly ascending",
-                    index + 1
+                    at + 1
+                );
+                assert_eq!(
+                    view.own_position(own),
+                    view.iter().position(|target| target.id == own),
+                    "depth {} view of {address}",
+                    at + 1
                 );
             }
         }
+        assert!(by_id.iter().all(Option::is_some), "view ids are dense");
     }
 
     #[test]
-    fn view_targets_ascend_on_regular_sparse_and_subscribed_trees() {
+    fn own_positions_follow_the_delegate_election() {
+        // 3^3 with R = 2: process 0.0.0 is a delegate (in its own view at
+        // every depth), 0.0.2 is in its own view at the leaf depth only, and
+        // no view holds a process twice.
+        let v = views();
+        let seated: Vec<bool> = [0, 2, 13, 26]
+            .into_iter()
+            .flat_map(|index| {
+                let stack = stack_of(&v, &v.addresses()[index]);
+                stack.iter().map(move |view| view.own_position(ProcessId(index)).is_some())
+            })
+            .collect();
+        assert_eq!(
+            seated,
+            [
+                true, true, true, // 0.0.0: root delegate, depth-2 delegate, leaf
+                false, false, true, // 0.0.2: a plain leaf member
+                false, true, true, // 1.1.1: delegate of 1.1 only
+                false, false, true, // 2.2.2
+            ]
+        );
+    }
+
+    #[test]
+    fn stacks_hold_every_process_on_regular_sparse_and_subscribed_trees() {
         use pmcast_interest::{Filter, Predicate};
         use pmcast_membership::GroupTree;
 
-        assert_views_ascend(
+        assert_stacks_hold_every_process(
             &ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap()),
+            3,
+        );
+        // One level: the leaf view is the whole group.
+        assert_stacks_hold_every_process(
+            &ImplicitRegularTree::new(AddressSpace::regular(1, 7).unwrap()),
             3,
         );
 
@@ -308,7 +395,7 @@ mod tests {
             sparse.join(space.address_of_index(index), Filter::match_all()).unwrap();
         }
         assert_eq!(sparse.member_count(), 64 - absent.len());
-        assert_views_ascend(&sparse, 2);
+        assert_stacks_hold_every_process(&sparse, 2);
 
         // A group tree joined out of address order with real subscriptions.
         let mut tree = GroupTree::new(space.clone());
@@ -316,7 +403,7 @@ mod tests {
             let filter = Filter::new().with("price", Predicate::gt(index as f64));
             tree.join(space.address_of_index(index), filter).unwrap();
         }
-        assert_views_ascend(&tree, 3);
+        assert_stacks_hold_every_process(&tree, 3);
     }
 
     #[test]

@@ -64,16 +64,82 @@ pub trait RoundProcess {
 #[derive(Debug, Default)]
 pub struct FanoutScratch {
     /// Candidate positions for the round's draws (pmcast: one depth's view
-    /// minus the process itself; the baselines: the picked indices).
+    /// as the membership provider lists it; the baselines: the picked
+    /// indices).
     pub candidates: Vec<usize>,
     /// A per-event narrowing of `candidates` (pmcast's summary routing).
     pub event_candidates: Vec<usize>,
+    /// A pool that is a whole range but one position, drawn from without
+    /// being written out (pmcast under a global membership: one depth's
+    /// view minus the process itself).
+    pub all_but_one: VirtualPool,
     /// The `(process, tag)` pairs reported through
     /// [`RoundContext::report_delivery`] since the driver last emptied the
     /// buffer.  It is the driver's to read and to empty — a driver that
     /// never does lets it grow with every delivery — and a protocol only
     /// ever appends to it.
     pub delivered: Vec<(ProcessId, u64)>,
+}
+
+/// The candidate pool `0..width` without one position, permuted in place by
+/// a partial Fisher–Yates without ever being written out.
+///
+/// A slot the draws have swapped holds an override stamped with the current
+/// generation; every other slot holds its value in the ascending sequence.
+/// Starting a new pool moves to the next generation, so a reset is O(1) and
+/// a swap reads and writes two slots, whatever the pool's length: a draw of
+/// `F` picks costs O(F) plus the overrides it touches.
+#[derive(Debug, Default)]
+pub struct VirtualPool {
+    /// Values from this one on are one past their slot.
+    skip: usize,
+    /// The stamp of the current pool's overrides; never 0 once reset.
+    generation: u32,
+    /// `(stamp, value)` per slot, at least as many as the pool holds.
+    slots: Vec<(u32, u32)>,
+}
+
+impl VirtualPool {
+    /// Starts the pool `0..width` without `skip` (when it lies inside), in
+    /// ascending order, and returns how many values it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds `u32::MAX`.
+    pub fn reset(&mut self, width: usize, skip: Option<usize>) -> usize {
+        assert!(u32::try_from(width).is_ok(), "a pool of {width} positions");
+        let skip = skip.filter(|&skip| skip < width);
+        let len = width - usize::from(skip.is_some());
+        self.skip = skip.unwrap_or(usize::MAX);
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, 0));
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Every stamp the wrapped counter will reach again is stale.
+            self.slots.fill((0, 0));
+            self.generation = 1;
+        }
+        len
+    }
+
+    /// The value at `slot` of the current pool.
+    fn get(&self, slot: usize) -> usize {
+        match self.slots[slot] {
+            (stamp, value) if stamp == self.generation => value as usize,
+            _ => slot + usize::from(slot >= self.skip),
+        }
+    }
+
+    /// Swaps the values at slots `a` and `b` of the current pool and
+    /// returns the one now at `a`.
+    pub fn swap(&mut self, a: usize, b: usize) -> usize {
+        let (at_a, at_b) = (self.get(a), self.get(b));
+        // Both fit: no value reaches the width `reset` checked.
+        self.slots[b] = (self.generation, at_a as u32);
+        self.slots[a] = (self.generation, at_b as u32);
+        at_b
+    }
 }
 
 /// The per-process, per-round execution context handed to [`RoundProcess`]
@@ -1205,6 +1271,33 @@ mod tests {
         assert!(!format!("{ctx:?}").is_empty());
         // The driver gets its buffers back warm.
         assert!(scratch.candidates.capacity() >= 5);
+    }
+
+    #[test]
+    fn a_virtual_pool_permutes_like_its_written_out_sequence_across_resets() {
+        let mut pool = VirtualPool::default();
+        for (width, skip) in [(6, Some(2)), (4, None), (6, Some(9)), (3, Some(0)), (1, Some(0))] {
+            let mut listed: Vec<usize> = (0..width).filter(|&p| Some(p) != skip).collect();
+            assert_eq!(pool.reset(width, skip), listed.len());
+            for (a, b) in [(0, 3), (1, 1), (2, 0), (0, 4), (3, 2)] {
+                if a.max(b) < listed.len() {
+                    listed.swap(a, b);
+                    assert_eq!(pool.swap(a, b), listed[a], "width {width} skip {skip:?}");
+                }
+            }
+            let whole: Vec<usize> = (0..listed.len()).map(|slot| pool.get(slot)).collect();
+            assert_eq!(whole, listed);
+        }
+        // Past the last generation the counter starts over, and an override
+        // stamped in an earlier cycle with the generation it starts at must
+        // not come back.
+        pool.reset(5, None);
+        pool.swap(0, 4);
+        pool.slots[2] = (1, 4);
+        pool.generation = u32::MAX;
+        pool.reset(5, None);
+        assert_eq!(pool.generation, 1);
+        assert_eq!((0..5).map(|slot| pool.get(slot)).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
     }
 
     #[test]

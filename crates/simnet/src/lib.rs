@@ -88,7 +88,7 @@ mod stats;
 pub use config::{CrashPlan, NetworkConfig};
 pub use engine::{
     FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext, RoundProcess,
-    Simulation,
+    Simulation, VirtualPool,
 };
 pub use fault::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, Straggler};
 pub use network::{Envelope, ProcessId, RoundNetwork};
