@@ -227,11 +227,23 @@ fn bench(c: &mut Criterion) {
     // view out and binary-searched it every entry-round).  A process whose
     // budget ran out is replaced by a clone of the freshly published one,
     // once per budget's worth of rounds at either width.
-    for width in [22u32, 128] {
+    // `pmcast_entry_round_draw_delegate_w22` is the 22-wide round over a
+    // static `DelegateView`, which seats the flat view whole: from the
+    // view's second ask on the provider says "everyone but you" from two
+    // bits and no lock, so it must read within noise of the global `_w22`
+    // (it listed the view into the pool under a read lock every round).
+    let entry_rounds: [(&str, u32, Arc<dyn MembershipView>); 3] = [
+        ("pmcast_entry_round_draw_w22", 22, Arc::new(GlobalOracleView::new(22))),
+        ("pmcast_entry_round_draw_w128", 128, Arc::new(GlobalOracleView::new(128))),
+        (
+            "pmcast_entry_round_draw_delegate_w22",
+            22,
+            Arc::new(DelegateView::bootstrap(22, 1, DelegateViewConfig::default(), 9)),
+        ),
+    ];
+    for (name, width, flat_view) in entry_rounds {
         let flat = ImplicitRegularTree::new(AddressSpace::regular(1, width).expect("valid"));
         let everybody = Arc::new(AssignmentOracle::new(flat.space().clone(), flat.members()));
-        let flat_view: Arc<dyn MembershipView> =
-            Arc::new(GlobalOracleView::new(flat.member_count()));
         let mut flat_group =
             PmcastFactory::build(&flat, everybody, flat_view, &PmcastConfig::default());
         let mut published = flat_group.processes.swap_remove(5);
@@ -240,7 +252,7 @@ fn bench(c: &mut Criterion) {
         let mut entry_outbox = Vec::new();
         let mut entry_rng = ChaCha8Rng::seed_from_u64(9);
         let mut entry_scratch = FanoutScratch::default();
-        c.bench_function(&format!("pmcast_entry_round_draw_w{width}"), |b| {
+        c.bench_function(name, |b| {
             b.iter(|| {
                 if process.is_quiescent() {
                     process = published.clone();
@@ -350,9 +362,13 @@ fn bench(c: &mut Criterion) {
     // the spot through the `dyn Iterator`, what every ask cost before the
     // provider kept a row per view id and what the first named ask of a
     // view still pays before listing it.  `known_row_hit_*` is every later
-    // named ask while the group is static: one read lock, a binary search
-    // for the asker's own subgroup, at most `slots` seat tests and the
-    // row's mask expanded by runs; the peers iterator is never advanced.
+    // named listing while the group is static: one read lock, a binary
+    // search for the asker's own subgroup, at most `slots` seat tests and
+    // the row's mask expanded by runs; the peers iterator is never
+    // advanced.  Both views here seat every peer they list (slots = R), so
+    // the question pmcast asks, `fill_known_or_whole`, answers them whole:
+    // `known_row_whole_*` is that answer, two bit tests and no lock, with
+    // nothing written.
     let paper_view = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 8);
     let depth2_targets: Vec<usize> = (0..22usize)
         .flat_map(|g| (0..3usize).map(move |r| g * 22 + r))
@@ -375,6 +391,25 @@ fn bench(c: &mut Criterion) {
                     &mut targets.iter().copied(),
                     &mut known,
                 );
+                known.len()
+            })
+        });
+    }
+    for (name, view_id, depth, targets) in [
+        ("known_row_whole_depth2", 1, 2, &depth2_targets),
+        ("known_row_whole_leaf", 24, 3, &leaf_targets),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                known.clear();
+                let whole = paper_view.fill_known_or_whole(
+                    37,
+                    depth,
+                    view_id,
+                    &mut targets.iter().copied(),
+                    &mut known,
+                );
+                assert!(whole, "a static view seated whole");
                 known.len()
             })
         });

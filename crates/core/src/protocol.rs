@@ -327,6 +327,54 @@ impl GroupContext {
         });
         pool.extend(candidates.filter(|&position| allowed >> position & 1 == 1));
     }
+
+    /// One depth's candidate destinations for a round in which `entries`
+    /// entries of process `own` draw from `view`: everyone in the view but
+    /// `own` that the membership provider currently knows *at this depth*,
+    /// asked once for the whole view, named by its id (what the provider
+    /// tells every holder of the view alike it may keep per id and never
+    /// read the targets again).  A flat partial view answers with the
+    /// discovered subset (`knows_at_depth` falls back to `knows`), the
+    /// hierarchical `DelegateView` straight from the depth-`depth` delegate
+    /// slots, so pmcast's tree delegates are exactly the processes the
+    /// maintained hierarchy seats.
+    ///
+    /// A global membership — or a `DelegateView` whose seats hold the whole
+    /// view — answers "the whole view but you", and the own seat is found
+    /// without a search.  A lone entry draws from that pool described, never
+    /// written out; several write it out once, as two ranges, because every
+    /// entry's draw goes on from the permutation the entries before it left
+    /// and a written pool is cheaper to permute than overrides.  The draws
+    /// are the same `gen_range` calls either way.
+    fn round_candidates(
+        &self,
+        own: ProcessId,
+        view: &DepthView,
+        depth: Depth,
+        entries: usize,
+        scratch: &mut FanoutScratch,
+    ) -> Candidates {
+        scratch.candidates.clear();
+        let whole = self.membership.fill_known_or_whole(
+            own.0,
+            depth,
+            view.id(),
+            &mut view.iter().map(|target| target.id.0),
+            &mut scratch.candidates,
+        );
+        if !whole {
+            return Candidates::Listed;
+        }
+        let own = view.own_position(own);
+        if entries == 1 {
+            let len = scratch.all_but_one.reset(view.len(), own);
+            return Candidates::AllBut { own, len };
+        }
+        let own = own.unwrap_or(view.len());
+        scratch.candidates.extend(0..own);
+        scratch.candidates.extend(own + 1..view.len());
+        Candidates::Listed
+    }
 }
 
 /// One depth's candidate destinations for a round, as view positions.
@@ -335,7 +383,7 @@ enum Candidates {
     /// Listed by the membership provider in `scratch.candidates`.
     Listed,
     /// The `len` positions of the view but the process's own, if it holds
-    /// one: a global membership's answer, written out nowhere.
+    /// one: a view known whole, written out nowhere.
     AllBut { own: Option<usize>, len: usize },
 }
 
@@ -352,7 +400,7 @@ impl Candidates {
 }
 
 /// What the fanout draws of one entry-round permute: a pool written out as
-/// a list, or the global membership's [`AllButOwn`].  Either way an entry's
+/// a list, or a whole view's [`AllButOwn`].  Either way an entry's
 /// picks are a partial Fisher–Yates from slot 0 that goes on from the
 /// permutation the depth's earlier entries left, and
 /// [`draw`](Self::draw) is the one routine that makes them; each kind of
@@ -382,8 +430,8 @@ impl Pool for [usize] {
     }
 }
 
-/// The pool of `len` positions that is a global membership's view but the
-/// process's own position, kept as the overrides its draws made.
+/// The pool of `len` positions that is a view known whole but the process's
+/// own position, kept as the overrides its draws made.
 struct AllButOwn<'a> {
     len: usize,
     overrides: &'a mut VirtualPool,
@@ -579,10 +627,10 @@ impl PmcastProcess {
     /// Allocation-free after warm-up: the per-depth entry vector is filtered
     /// in place, fanout targets are drawn by a partial Fisher–Yates over the
     /// round driver's buffers, and each sent gossip is the event's id and
-    /// three numbers.  Under a global membership an entry-round costs O(F):
-    /// the pool is never written out, the process's own position is the
-    /// leaf stack's arithmetic, and a keyed oracle's `⊲` test is a bit of
-    /// the entry's mask.
+    /// three numbers.  When the membership provider knows the view whole a
+    /// lone entry-round costs O(F): the pool is never written out, the
+    /// process's own position is the leaf stack's arithmetic, and a keyed
+    /// oracle's `⊲` test is a bit of the entry's mask.
     fn gossip_depth(
         &mut self,
         depth: Depth,
@@ -602,42 +650,6 @@ impl PmcastProcess {
         let view = &self.depth_views[depth - 1];
         let next_view = self.depth_views.get(depth);
 
-        // Candidate destinations: everyone in the view but ourselves that
-        // the membership provider currently knows *at this depth*.  Under a
-        // global view that is the whole view but the process's own seat, if
-        // it holds one (asked once via `is_global` instead of per entry) —
-        // described, never written out, and the seat found without a
-        // search.  Otherwise the provider fills the list for the whole view,
-        // named by its id, in one call (what it tells every holder of the
-        // view alike it may keep per id and never read the targets again): a
-        // flat partial view answers with the discovered subset
-        // (`knows_at_depth` falls back to `knows`), the hierarchical
-        // `DelegateView` straight from the depth-`depth` delegate slots, so
-        // pmcast's tree delegates are exactly the processes the maintained
-        // hierarchy seats.  Computed once per depth and re-shuffled per
-        // entry: a draw goes on from the permutation the entries before it
-        // left, and the global pool starts the round with no overrides.
-        let candidates = if group.membership.is_global() {
-            let own = view.own_position(self.id);
-            let len = scratch.all_but_one.reset(view.len(), own);
-            Candidates::AllBut { own, len }
-        } else {
-            scratch.candidates.clear();
-            group.membership.fill_known_at_depth(
-                self.id.0,
-                depth,
-                Some(view.id()),
-                &mut view.iter().map(|target| target.id.0),
-                &mut scratch.candidates,
-            );
-            Candidates::Listed
-        };
-
-        let routing = group.config.interest_routing;
-        let summary_epoch = match routing {
-            InterestRouting::Summary => group.membership.summary_epoch(),
-            InterestRouting::Oracle | InterestRouting::Blind => 0,
-        };
         // Budget exhausted: promote to the next depth (lines 16–18), moving
         // the entry's share of the event; at the leaf depth an exhausted
         // entry is simply garbage collected.  A promotion draws nothing, so
@@ -648,6 +660,16 @@ impl PmcastProcess {
                 buffers.file(depth + 1, group.fresh_entry(next_view, exhausted.event));
             }
         }
+        if entries.is_empty() {
+            *buffers.at_depth_mut(depth) = entries;
+            return;
+        }
+        let candidates = group.round_candidates(self.id, view, depth, entries.len(), scratch);
+        let routing = group.config.interest_routing;
+        let summary_epoch = match routing {
+            InterestRouting::Summary => group.membership.summary_epoch(),
+            InterestRouting::Oracle | InterestRouting::Blind => 0,
+        };
         for entry in &mut entries {
             entry.round += 1;
             // Summary routing narrows the pool per event *before* the draw:

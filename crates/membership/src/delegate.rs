@@ -133,9 +133,23 @@
 //! most `slots` seat tests and the mask expanded by runs of ones; `peers`
 //! is not read.  The rows are dropped with the prefix count they derive
 //! from: once tables exist a named ask is the table scan.  A view wider
-//! than 128, out of ascending order or anonymous is judged peer by peer by
+//! than 128, not strictly ascending or anonymous is judged peer by peer by
 //! the one seat rule, and debug and test builds hold every row-served
 //! answer against that judgement.
+//!
+//! A row that seats every peer it lists — each alive and among the first
+//! `capacity` alive members of its subgroup, which is how pmcast elects
+//! its delegates whenever `slots ≥ R` — is one answer for every live
+//! holder: the whole view but the asker (discounting yourself only ever
+//! seats more).  Listing such a row also sets the view id's bit in a
+//! bitset outside the lock, beside the bootstrap occupancy (an absent
+//! process seats nobody), and every later
+//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) by a live
+//! holder answers "whole" from the two bits: no lock, no search, nothing
+//! written.  Every bit is cleared under the write lock before the rows are
+//! dropped, so a set bit means nobody has flipped since bootstrap and the
+//! bootstrap occupancy is the liveness.  Debug and test builds hold every
+//! whole answer against the judgement on the spot as well.
 //!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
@@ -148,7 +162,9 @@
 //! stored), and
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
 //! for a whole view under one lock — per view, not per peer, when the view
-//! is named and the group static.
+//! is named and the group static — and
+//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) with no
+//! lock at all when the view is seated whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -342,12 +358,64 @@ enum Certificate {
 enum ViewRow {
     /// Nobody alive has asked about the view by name yet.
     Unasked,
-    /// Wider than a mask, or not in ascending order: judged on the spot at
+    /// Wider than a mask, or not strictly ascending: judged on the spot at
     /// every ask.
     Unlisted,
     /// `view_peers[offset..][..len]` is the view; bit `p` of `seated` is set
     /// when a holder outside the `p`-th peer's subgroup seats it.
     Listed { offset: u32, len: u32, seated: u128 },
+}
+
+/// The depth views every live holder knows whole, read without the state
+/// lock (the module docs' *one answer per depth view*): bit `id` of `views`
+/// is set once the view's [`ViewRow::Listed`] row seats every peer it
+/// lists, and every bit is cleared before the rows are dropped.  A set bit
+/// therefore means nobody has flipped since bootstrap, so `occupied` — the
+/// bootstrap occupancy — is who is alive.
+#[derive(Debug)]
+struct WholeViews {
+    depth: usize,
+    /// One bit per view id below the member count.  Set and cleared with
+    /// `Release` under the state's write lock and read with `Acquire`
+    /// without it: a reader that sees a bit set also sees the listing that
+    /// set it.
+    views: Box<[AtomicU64]>,
+    /// One bit per process.
+    occupied: Box<[u64]>,
+}
+
+impl WholeViews {
+    fn new(depth: usize, occupied: &[bool]) -> Self {
+        let word = |members: &[bool]| members.iter().rev().fold(0, |word, &member| word << 1 | u64::from(member));
+        Self {
+            depth,
+            views: occupied.chunks(64).map(|_| AtomicU64::new(0)).collect(),
+            occupied: occupied.chunks(64).map(word).collect(),
+        }
+    }
+
+    /// Whether `of` knows the depth-`depth` view `view` whole.
+    fn hold(&self, of: usize, depth: usize, view: u32) -> bool {
+        let view = view as usize;
+        let bit = |word: u64, index: usize| word >> (index % 64) & 1 == 1;
+        let listed = self.views.get(view / 64).map(|word| word.load(Ordering::Acquire));
+        listed.is_some_and(|word| bit(word, view))
+            && self.occupied.get(of / 64).is_some_and(|&word| bit(word, of))
+            && (1..=self.depth).contains(&depth)
+    }
+
+    /// Marks `view` whole; under the state's write lock.
+    fn set(&self, view: usize) {
+        self.views[view / 64].fetch_or(1 << (view % 64), Ordering::Release);
+    }
+
+    /// Forgets every whole view; under the state's write lock, before the
+    /// rows they were read off are dropped.
+    fn clear(&self) {
+        for word in &self.views {
+            word.store(0, Ordering::Release);
+        }
+    }
 }
 
 /// Mutable provider state behind one lock: the per-process slot tables, the
@@ -415,12 +483,14 @@ impl DelegateState {
 
     /// Stores every process's rows, once: the join handoff over the
     /// still-unflipped liveness flags, so each slot group starts out
-    /// holding exactly what [`seats`](Self::seats) answered for it.
-    /// Consumes no randomness.
-    fn build_rows(&mut self) {
+    /// holding exactly what [`seats`](Self::seats) answered for it.  The
+    /// `whole` views, read off the view rows this drops, are forgotten
+    /// first.  Consumes no randomness.
+    fn build_rows(&mut self, whole: &WholeViews) {
         if self.has_rows() {
             return;
         }
+        whole.clear();
         let (shape, occupied) = (&self.shape, &self.alive);
         let n = occupied.len();
         // With nobody else occupied, the contact is the plain successor.
@@ -535,7 +605,8 @@ impl DelegateState {
 
     /// The first named ask about `view`, by a live `of`: answered on the
     /// spot, and the view listed for the next — unless somebody flipped
-    /// between the caller's read lock and its write lock.
+    /// between the caller's read lock and its write lock.  Returns whether
+    /// the row it listed seats every peer.
     fn list_view(
         &mut self,
         of: usize,
@@ -543,9 +614,10 @@ impl DelegateState {
         view: usize,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
-    ) {
+    ) -> bool {
         if self.has_rows() {
-            return self.fill_known(of, depth, peers, |position| out.push(position));
+            self.fill_known(of, depth, peers, |position| out.push(position));
+            return false;
         }
         let (offset, before) = (self.view_peers.len(), out.len());
         // `EMPTY` is nobody's index: a peer past `u32` stays a stranger.
@@ -555,17 +627,21 @@ impl DelegateState {
         if self.view_rows.len() <= view {
             self.view_rows.resize(view + 1, ViewRow::Unasked);
         }
-        self.view_rows[view] = match u32::try_from(offset) {
-            Ok(offset) if listed.len() <= 128 && listed.is_sorted() => {
+        let (row, whole) = match u32::try_from(offset) {
+            Ok(offset) if listed.len() <= 128 && listed.is_sorted_by(|a, b| a < b) => {
                 let known = out[before..].iter().fold(0, |mask, &position| mask | 1u128 << position);
                 let seated = self.rejudged(of, depth, true, listed, known);
-                ViewRow::Listed { offset, len: listed.len() as u32, seated }
+                let len = listed.len() as u32;
+                let whole = seated.count_ones() == len;
+                (ViewRow::Listed { offset, len, seated }, whole)
             }
             _ => {
                 self.view_peers.truncate(offset);
-                ViewRow::Unlisted
+                (ViewRow::Unlisted, false)
             }
         };
+        self.view_rows[view] = row;
+        whole
     }
 
     /// Withdraws `q`'s certificate until the next
@@ -841,6 +917,8 @@ fn push_set_bits(mask: u128, out: &mut Vec<usize>) {
 pub struct DelegateView {
     config: DelegateViewConfig,
     state: RwLock<DelegateState>,
+    /// The views a live holder knows whole, beside the lock.
+    whole: WholeViews,
     /// Aggregated-interest tables attached via
     /// [`MembershipView::attach_interest_summaries`]: each slot group's
     /// subtree carries the over-approximating summary of the interests
@@ -940,6 +1018,7 @@ impl DelegateView {
                 uncertified: Vec::new(),
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
+            whole: WholeViews::new(depth, occupied),
             interest: Mutex::new(None),
             summary_epoch: AtomicU64::new(0),
         }
@@ -978,8 +1057,32 @@ impl DelegateView {
             return state;
         }
         drop(state);
-        self.state.write().expect("delegate view lock poisoned").build_rows();
+        self.state.write().expect("delegate view lock poisoned").build_rows(&self.whole);
         self.state.read().expect("delegate view lock poisoned")
+    }
+
+    /// Debug and test builds hold a whole answer against the judgement on
+    /// the spot, allocating nothing: `of` is alive and knows every peer but
+    /// itself.
+    fn check_whole(
+        &self,
+        of: usize,
+        depth: usize,
+        view: u32,
+        peers: &mut dyn Iterator<Item = usize>,
+    ) {
+        let state = self.state.read().expect("delegate view lock poisoned");
+        if state.has_rows() {
+            return; // somebody flipped since the answer was read
+        }
+        assert!(state.alive[of], "view {view} is whole for absent {of}");
+        let (mut listed, mut own, mut known) = (0, 0, 0);
+        let mut counted = peers.inspect(|&peer| {
+            listed += 1;
+            own += usize::from(peer == of);
+        });
+        state.fill_known(of, depth, &mut counted, |_| known += 1);
+        assert_eq!(known + own, listed, "view {view} is not whole for {of}");
     }
 
     /// Returns `true` if the process is currently believed alive.
@@ -1117,9 +1220,31 @@ impl MembershipView for DelegateView {
             ViewRow::Unasked => {
                 drop(state);
                 let state = &mut *self.state.write().expect("delegate view lock poisoned");
-                state.list_view(of, depth, view, peers, out);
+                if state.list_view(of, depth, view, peers, out) {
+                    self.whole.set(view);
+                }
             }
         }
+    }
+
+    /// No lock for a view a live holder knows whole (the module docs' *one
+    /// answer per depth view*); the named ask otherwise.
+    fn fill_known_or_whole(
+        &self,
+        of: usize,
+        depth: usize,
+        view: u32,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        if self.whole.hold(of, depth, view) {
+            if cfg!(any(test, debug_assertions)) {
+                self.check_whole(of, depth, view, peers);
+            }
+            return true;
+        }
+        self.fill_known_at_depth(of, depth, Some(view), peers, out);
+        false
     }
 
     /// Attaches the aggregated-interest tables the slot groups carry:
@@ -1250,7 +1375,7 @@ impl MembershipView for DelegateView {
         if state.alive[process] {
             return;
         }
-        state.build_rows();
+        state.build_rows(&self.whole);
         state.alive[process] = true;
         state.live += 1;
         state.uncertify(process, Certificate::Flipped);
@@ -1273,7 +1398,7 @@ impl MembershipView for DelegateView {
         if !state.alive[process] {
             return;
         }
-        state.build_rows();
+        state.build_rows(&self.whole);
         state.alive[process] = false;
         state.live -= 1;
         state.uncertify(process, Certificate::Flipped);
@@ -1293,7 +1418,7 @@ impl MembershipView for DelegateView {
         if !state.alive[process] {
             return;
         }
-        state.build_rows();
+        state.build_rows(&self.whole);
         state.alive[process] = false;
         state.live -= 1;
         state.uncertify(process, Certificate::Flipped);

@@ -66,9 +66,11 @@
 //!   estimation (Pittel's bound needs `n`, or an estimate of it).
 //! * **Batched probes.**  pmcast asks its two per-candidate questions for a
 //!   whole candidate list at a time:
-//!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth) once per
-//!   depth per round, naming the depth view by its dense id, and — under
-//!   summary routing —
+//!   [`fill_known_or_whole`](MembershipView::fill_known_or_whole) once per
+//!   depth per round, naming the depth view by its dense id — the answer is
+//!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth)'s list, or
+//!   "the whole view but you", written nowhere — and — under summary
+//!   routing —
 //!   [`summary_verdict`](MembershipView::summary_verdict) once per
 //!   buffered event per [`summary_epoch`](MembershipView::summary_epoch),
 //!   for the whole depth view, named by the same id (a view wider than a
@@ -126,9 +128,11 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         self.knows(of, peer)
     }
 
-    /// The batched form of [`knows_at_depth`](Self::knows_at_depth), and the
-    /// probe the pmcast fanout draw makes once per depth per round: appends
-    /// to `out`, ascending, the position within `peers` of every peer other
+    /// The batched form of [`knows_at_depth`](Self::knows_at_depth), and what
+    /// the pmcast fanout draw is told once per depth per round unless the
+    /// view is known whole
+    /// ([`fill_known_or_whole`](Self::fill_known_or_whole)): appends to
+    /// `out`, ascending, the position within `peers` of every peer other
     /// than `of` itself that `of` knows as a depth-`depth` gossip candidate.
     ///
     /// `view` names the list: `Some(id)` is the caller's dense identifier
@@ -162,6 +166,33 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
                 .filter(|&(_, peer)| peer != of && self.knows_at_depth(of, depth, peer))
                 .map(|(position, _)| position),
         );
+    }
+
+    /// The question the pmcast fanout draw asks once per depth per round:
+    /// [`fill_known_at_depth`](Self::fill_known_at_depth) about the view
+    /// named `view`, unless the provider knows the view **whole** for `of` —
+    /// every position but the asker's own (the one whose peer is `of`, if
+    /// any).  Returns whether it does.  A whole answer appends nothing to
+    /// `out` and need not read `peers`; any other answer appends exactly
+    /// what `fill_known_at_depth` with `Some(view)` appends.
+    ///
+    /// `view` is vouched for as in `fill_known_at_depth`, and so is that the
+    /// view's peers are processes of the group.  A whole answer must be the
+    /// listing, so a provider gives it only where it knows, without reading
+    /// the list, that `of` knows every peer but itself.  The default never
+    /// does; [`GlobalOracleView`] always does, and
+    /// [`DelegateView`](crate::DelegateView) does for a view its static
+    /// group seats whole, without taking its lock.
+    fn fill_known_or_whole(
+        &self,
+        of: usize,
+        depth: usize,
+        view: u32,
+        peers: &mut dyn Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        self.fill_known_at_depth(of, depth, Some(view), peers, out);
+        false
     }
 
     /// Returns `true` if every process knows the whole group.  Protocols
@@ -305,6 +336,18 @@ impl MembershipView for GlobalOracleView {
 
     fn knows(&self, of: usize, peer: usize) -> bool {
         peer != of && peer < self.member_count
+    }
+
+    /// Everybody knows everybody: every view is known whole.
+    fn fill_known_or_whole(
+        &self,
+        _of: usize,
+        _depth: usize,
+        _view: u32,
+        _peers: &mut dyn Iterator<Item = usize>,
+        _out: &mut Vec<usize>,
+    ) -> bool {
+        true
     }
 
     fn is_global(&self) -> bool {

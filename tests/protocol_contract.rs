@@ -636,6 +636,52 @@ fn neutral_fault_plans_reproduce_the_faultless_engine_bit_for_bit() {
 }
 
 #[test]
+fn a_static_delegate_trial_is_the_global_trial() {
+    // Section 2's join handoff seats each subgroup's smallest members, and
+    // pmcast elects its R = 3 delegates the same way: with `slots ≥ R` a
+    // static `DelegateView` knows every depth view whole, as the global view
+    // does, so a pmcast trial over it is the global trial — every message,
+    // every round, every delivery and receipt.  With `slots < R` it seats
+    // fewer than a view lists, and the trials part.
+    type Trial = (u64, u64, Vec<(bool, bool)>);
+    fn trial(arity: u32, depth: usize, seed: u64, membership: Arc<dyn MembershipView>) -> Trial {
+        let topology =
+            ImplicitRegularTree::new(AddressSpace::regular(depth, arity).expect("valid"));
+        let n = topology.member_count();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let oracle = Arc::new(AssignmentOracle::sample(&topology, 0.5, &mut rng));
+        let group = PmcastFactory::build(&topology, oracle, membership, &PmcastConfig::default());
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(seed));
+        let event = Event::builder(seed + 1).int("b", 1).build();
+        sim.process_mut(ProcessId(seed as usize * 37 % n))
+            .publish(Arc::new(event.clone()));
+        let rounds = sim.run_until_quiescent(1_000);
+        let id = event.id();
+        let outcome = sim
+            .processes()
+            .map(|process| (process.has_delivered(id), process.has_received(id)))
+            .collect();
+        (sim.stats().messages_sent, rounds, outcome)
+    }
+    for (arity, depth) in [(8u32, 3usize), (4, 3), (5, 2)] {
+        let n = (arity as usize).pow(depth as u32);
+        for seed in 0..6 {
+            let global = trial(arity, depth, seed, Arc::new(GlobalOracleView::new(n)));
+            let delegate = |slots: usize| {
+                let config = DelegateViewConfig::default().with_slots(slots);
+                let view = DelegateView::bootstrap(arity, depth, config, seed);
+                trial(arity, depth, seed, Arc::new(view))
+            };
+            let shape = format!("{arity}^{depth}, seed {seed}");
+            for slots in [3, 4] {
+                assert_eq!(delegate(slots), global, "{shape}, delegate({slots})");
+            }
+            assert_ne!(delegate(2), global, "{shape}, delegate(2)");
+        }
+    }
+}
+
+#[test]
 fn multi_topic_traffic_keeps_the_contract_with_hundreds_in_flight() {
     // The heavy-traffic conformance row: 64 processes, 24 overlapping
     // topics, 300 events spread over 30 publish rounds — hundreds of
