@@ -335,13 +335,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let own = 37usize;
                 delegate_candidates.clear();
-                view.fill_known_at_depth(
-                    own,
-                    2,
-                    None,
-                    &mut view_targets.iter().copied(),
-                    &mut delegate_candidates,
-                );
+                view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
                 let mut acc = 0usize;
                 let picks = 4.min(delegate_candidates.len());
                 for slot in 0..picks {
@@ -359,38 +353,26 @@ fn bench(c: &mut Criterion) {
     // the two widths a process asks about most: the depth-2 view of process
     // 37's prefix (66 listed delegates) and its leaf view (22 neighbours).
     // `known_row_miss_*` is the anonymous ask — every listed peer judged on
-    // the spot through the `dyn Iterator`, what every ask cost before the
-    // provider kept a row per view id and what the first named ask of a
-    // view still pays before listing it.  `known_row_hit_*` is every later
-    // named listing while the group is static: one read lock, a binary
-    // search for the asker's own subgroup, at most `slots` seat tests and
-    // the row's mask expanded by runs; the peers iterator is never
-    // advanced.  Both views here seat every peer they list (slots = R), so
-    // the question pmcast asks, `fill_known_or_whole`, answers them whole:
-    // `known_row_whole_*` is that answer, two bit tests and no lock, with
-    // nothing written.
+    // the spot through the `dyn Iterator` — and what a named ask pays while
+    // it is not answered whole.  Both views here seat every peer they list
+    // (slots = R), so the question pmcast asks, `fill_known_or_whole`,
+    // judges them whole at the first ask and answers them whole from then
+    // on: `known_row_whole_*` is that answer, two bit tests and no lock,
+    // with nothing written.
     let paper_view = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 8);
     let depth2_targets: Vec<usize> = (0..22usize)
         .flat_map(|g| (0..3usize).map(move |r| g * 22 + r))
         .collect();
     let leaf_targets: Vec<usize> = (22..44).collect();
     let mut known: Vec<usize> = Vec::with_capacity(depth2_targets.len());
-    for (name, view_id, depth, targets) in [
-        ("known_row_miss_depth2", None, 2, &depth2_targets),
-        ("known_row_hit_depth2", Some(1), 2, &depth2_targets),
-        ("known_row_miss_leaf", None, 3, &leaf_targets),
-        ("known_row_hit_leaf", Some(24), 3, &leaf_targets),
+    for (name, depth, targets) in [
+        ("known_row_miss_depth2", 2, &depth2_targets),
+        ("known_row_miss_leaf", 3, &leaf_targets),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {
                 known.clear();
-                paper_view.fill_known_at_depth(
-                    37,
-                    depth,
-                    view_id,
-                    &mut targets.iter().copied(),
-                    &mut known,
-                );
+                paper_view.fill_known_at_depth(37, depth, &mut targets.iter().copied(), &mut known);
                 known.len()
             })
         });
@@ -456,13 +438,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let own = 37usize;
                 delegate_candidates.clear();
-                delegate_view.fill_known_at_depth(
-                    own,
-                    2,
-                    None,
-                    &mut view_targets.iter().copied(),
-                    &mut delegate_candidates,
-                );
+                delegate_view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
                 asked += 1;
                 let allowed =
                     delegate_view.summary_verdict(&topic_events[asked % rotation], 1, &mut summary_view());
@@ -497,13 +473,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let own = 37usize;
             delegate_candidates.clear();
-            delegate_view.fill_known_at_depth(
-                own,
-                2,
-                None,
-                &mut view_targets.iter().copied(),
-                &mut delegate_candidates,
-            );
+            delegate_view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
             assert_eq!(delegate_view.summary_epoch(), recorded_epoch);
             summary_candidates.clear();
             summary_candidates.extend(

@@ -33,7 +33,7 @@
 //! hierarchical per-depth delegate tables — candidates a process does not
 //! currently know are simply not contacted.  pmcast asks the view
 //! per depth, once per round for its whole view
-//! ([`MembershipView::fill_known_at_depth`](pmcast_membership::MembershipView::fill_known_at_depth)),
+//! ([`MembershipView::fill_known_or_whole`](pmcast_membership::MembershipView::fill_known_or_whole)),
 //! so under the hierarchical provider its tree delegates come from the
 //! maintained hierarchy itself.  Interest evaluation (the oracle) is
 //! orthogonal and unaffected.

@@ -331,9 +331,9 @@ impl GroupContext {
     /// One depth's candidate destinations for a round in which `entries`
     /// entries of process `own` draw from `view`: everyone in the view but
     /// `own` that the membership provider currently knows *at this depth*,
-    /// asked once for the whole view, named by its id (what the provider
-    /// tells every holder of the view alike it may keep per id and never
-    /// read the targets again).  A flat partial view answers with the
+    /// asked once for the whole view, named by its id (so the provider may
+    /// remember per id a view every holder knows whole, and then not read
+    /// the targets again).  A flat partial view answers with the
     /// discovered subset (`knows_at_depth` falls back to `knows`), the
     /// hierarchical `DelegateView` straight from the depth-`depth` delegate
     /// slots, so pmcast's tree delegates are exactly the processes the

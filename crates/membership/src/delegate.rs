@@ -99,12 +99,11 @@
 //! but the liveness flags and a prefix count of them, and the seat test
 //! behind [`knows_at_depth`](MembershipView::knows_at_depth) /
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) is `O(1)`
-//! per peer (and the latter, for a named view, `O(slots)` per *view*: see
-//! below): `peer` is seated iff it is alive and fewer than `capacity`
+//! per peer: `peer` is seated iff it is alive and fewer than `capacity`
 //! alive members of its subgroup other than the asking process precede it.
-//! A static trial therefore costs `O(n)` bytes (plus one short row per
-//! depth view asked about by name), not `O(n·a·d·slots)`, and its rounds are
-//! the all-settled seek.  The first call that needs a stored row — a
+//! A static trial therefore costs `O(n)` bytes (plus one bit per depth view
+//! id: see below), not `O(n·a·d·slots)`, and its rounds are the all-settled
+//! seek.  The first call that needs a stored row — a
 //! lifecycle observation that actually flips somebody, or the flat
 //! enumeration ([`peer_count`](MembershipView::peer_count) /
 //! [`peer_at`](MembershipView::peer_at) / [`knows`](MembershipView::knows),
@@ -122,34 +121,24 @@
 //! ## One answer per depth view
 //!
 //! While no row is stored, the seat rule reads the asking process only to
-//! discount it from its *own* sibling subgroup: every other position of a
-//! depth view has one answer for everybody holding the view, a function of
-//! the same immutable flags and prefix count.  So when pmcast names the
-//! view ([`fill_known_at_depth`](MembershipView::fill_known_at_depth) with
-//! `Some(id)`), the first ask lists its peers and the mask of those a
-//! holder outside the peer's subgroup seats — one view row per id, the
-//! lists end to end in one vector, behind the state lock — and every later
-//! ask is a read lock, a binary search for the asker's own subgroup, at
-//! most `slots` seat tests and the mask expanded by runs of ones; `peers`
-//! is not read.  The rows are dropped with the prefix count they derive
-//! from: once tables exist a named ask is the table scan.  A view wider
-//! than 128, not strictly ascending or anonymous is judged peer by peer by
-//! the one seat rule, and debug and test builds hold every row-served
-//! answer against that judgement.
-//!
-//! A row that seats every peer it lists — each alive and among the first
-//! `capacity` alive members of its subgroup, which is how pmcast elects
-//! its delegates whenever `slots ≥ R` — is one answer for every live
-//! holder: the whole view but the asker (discounting yourself only ever
-//! seats more).  Listing such a row also sets the view id's bit in a
-//! bitset outside the lock, beside the bootstrap occupancy (an absent
-//! process seats nobody), and every later
-//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) by a live
-//! holder answers "whole" from the two bits: no lock, no search, nothing
-//! written.  Every bit is cleared under the write lock before the rows are
-//! dropped, so a set bit means nobody has flipped since bootstrap and the
-//! bootstrap occupancy is the liveness.  Debug and test builds hold every
-//! whole answer against the judgement on the spot as well.
+//! discount it from its *own* sibling subgroup, and discounting yourself
+//! only ever seats more.  So a depth view whose every peer a holder outside
+//! the peer's subgroup seats — each alive and among the first `capacity`
+//! alive members of its subgroup, which is how pmcast elects its delegates
+//! whenever `slots ≥ R` — is one answer for every live holder: the whole
+//! view but the asker.  When pmcast names the view
+//! ([`fill_known_or_whole`](MembershipView::fill_known_or_whole)), the
+//! provider lists it on the spot under the read lock, as an anonymous ask
+//! does, and judges in the same pass whether every peer lies under the
+//! asker's view prefix and is seated by such an outsider.  If so, it
+//! answers "whole", writes nothing and sets the view id's bit in a bitset
+//! outside the lock, beside the bootstrap occupancy (an absent process
+//! seats nobody), and every later ask by a live holder is answered from
+//! the two bits: no lock, no search, nothing written.  Every bit is cleared
+//! under the write lock before the first row is stored, so a set bit means
+//! nobody has flipped since bootstrap and the bootstrap occupancy is the
+//! liveness.  Debug and test builds hold every whole answer read off a bit
+//! against the judgement on the spot.
 //!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
@@ -161,10 +150,9 @@
 //! group of the queried depth (`O(1)` from the seat rule while no row is
 //! stored), and
 //! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
-//! for a whole view under one lock — per view, not per peer, when the view
-//! is named and the group static — and
+//! for a whole view under one lock, and
 //! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) with no
-//! lock at all when the view is seated whole.
+//! lock at all once the view is judged seated whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -352,33 +340,19 @@ enum Certificate {
     Flipped,
 }
 
-/// What is kept of one *named* depth view while no row is stored (the
-/// module docs' *one answer per depth view*).
-#[derive(Debug, Clone, Copy)]
-enum ViewRow {
-    /// Nobody alive has asked about the view by name yet.
-    Unasked,
-    /// Wider than a mask, or not strictly ascending: judged on the spot at
-    /// every ask.
-    Unlisted,
-    /// `view_peers[offset..][..len]` is the view; bit `p` of `seated` is set
-    /// when a holder outside the `p`-th peer's subgroup seats it.
-    Listed { offset: u32, len: u32, seated: u128 },
-}
-
 /// The depth views every live holder knows whole, read without the state
 /// lock (the module docs' *one answer per depth view*): bit `id` of `views`
-/// is set once the view's [`ViewRow::Listed`] row seats every peer it
-/// lists, and every bit is cleared before the rows are dropped.  A set bit
-/// therefore means nobody has flipped since bootstrap, so `occupied` — the
-/// bootstrap occupancy — is who is alive.
+/// is set once a named ask judges every peer of the view seated by a holder
+/// outside the peer's subgroup, and every bit is cleared before the first
+/// row is stored.  A set bit therefore means nobody has flipped since
+/// bootstrap, so `occupied` — the bootstrap occupancy — is who is alive.
 #[derive(Debug)]
 struct WholeViews {
     depth: usize,
-    /// One bit per view id below the member count.  Set and cleared with
-    /// `Release` under the state's write lock and read with `Acquire`
-    /// without it: a reader that sees a bit set also sees the listing that
-    /// set it.
+    /// One bit per view id below the member count.  Set under the state's
+    /// read lock and cleared under its write lock, both with `Release`, and
+    /// read with `Acquire` without the lock; a bit publishes nothing else
+    /// (`occupied` never changes).
     views: Box<[AtomicU64]>,
     /// One bit per process.
     occupied: Box<[u64]>,
@@ -404,13 +378,14 @@ impl WholeViews {
             && (1..=self.depth).contains(&depth)
     }
 
-    /// Marks `view` whole; under the state's write lock.
+    /// Marks `view` whole; under the state's read lock, while no row is
+    /// stored.
     fn set(&self, view: usize) {
         self.views[view / 64].fetch_or(1 << (view % 64), Ordering::Release);
     }
 
     /// Forgets every whole view; under the state's write lock, before the
-    /// rows they were read off are dropped.
+    /// first row is stored.
     fn clear(&self) {
         for word in &self.views {
             word.store(0, Ordering::Release);
@@ -432,12 +407,6 @@ struct DelegateState {
     /// so it never needs updating; [`build_rows`](Self::build_rows) drops
     /// it.
     below: Vec<u32>,
-    /// While no row is stored: one [`ViewRow`] per depth-view id asked
-    /// about so far.  A function of `alive` and `below`, so like `below` it
-    /// never needs updating and [`build_rows`](Self::build_rows) drops it.
-    view_rows: Vec<ViewRow>,
-    /// The peer lists of the [`ViewRow::Listed`] rows, end to end.
-    view_peers: Vec<u32>,
     /// `tables[q]` is the fixed-layout slot table of `q` (see
     /// [`TreeShape::group_range`]); inner groups are sorted ascending with
     /// [`EMPTY`] sentinels at the end.
@@ -484,8 +453,8 @@ impl DelegateState {
     /// Stores every process's rows, once: the join handoff over the
     /// still-unflipped liveness flags, so each slot group starts out
     /// holding exactly what [`seats`](Self::seats) answered for it.  The
-    /// `whole` views, read off the view rows this drops, are forgotten
-    /// first.  Consumes no randomness.
+    /// `whole` views, judged from the prefix count this drops, are
+    /// forgotten first.  Consumes no randomness.
     fn build_rows(&mut self, whole: &WholeViews) {
         if self.has_rows() {
             return;
@@ -541,8 +510,6 @@ impl DelegateState {
         self.tables = tables;
         self.flat = flat;
         self.below = Vec::new();
-        self.view_rows = Vec::new();
-        self.view_peers = Vec::new();
     }
 
     /// [`MembershipView::fill_known_at_depth`] judged on the spot, one
@@ -577,71 +544,6 @@ impl DelegateState {
                 known(position);
             }
         }
-    }
-
-    /// `mask` over the ascending `listed`, with the bits of `of`'s own
-    /// depth-`depth` subgroup judged again: as `of` itself seats them
-    /// (`outsider` unset — the only positions where its answer is not
-    /// everybody's), or as a holder of the view outside that subgroup does.
-    fn rejudged(&self, of: usize, depth: usize, outsider: bool, listed: &[u32], mut mask: u128) -> u128 {
-        let size = self.shape.subgroup_size(depth);
-        let base = of / size * size;
-        let own = listed.partition_point(|&peer| (peer as usize) < base);
-        for (position, &peer) in listed.iter().enumerate().skip(own) {
-            let peer = peer as usize;
-            if peer >= base + size {
-                break;
-            }
-            let seated = if outsider {
-                // Asking as `peer` discounts nobody: nobody precedes itself.
-                self.seats(peer, depth, base, peer)
-            } else {
-                peer != of && self.seats(of, depth, base, peer)
-            };
-            mask = mask & !(1 << position) | u128::from(seated) << position;
-        }
-        mask
-    }
-
-    /// The first named ask about `view`, by a live `of`: answered on the
-    /// spot, and the view listed for the next — unless somebody flipped
-    /// between the caller's read lock and its write lock.  Returns whether
-    /// the row it listed seats every peer.
-    fn list_view(
-        &mut self,
-        of: usize,
-        depth: usize,
-        view: usize,
-        peers: &mut dyn Iterator<Item = usize>,
-        out: &mut Vec<usize>,
-    ) -> bool {
-        if self.has_rows() {
-            self.fill_known(of, depth, peers, |position| out.push(position));
-            return false;
-        }
-        let (offset, before) = (self.view_peers.len(), out.len());
-        // `EMPTY` is nobody's index: a peer past `u32` stays a stranger.
-        self.view_peers.extend(peers.map(|peer| u32::try_from(peer).unwrap_or(EMPTY)));
-        let listed = &self.view_peers[offset..];
-        self.fill_known(of, depth, &mut listed.iter().map(|&peer| peer as usize), |position| out.push(position));
-        if self.view_rows.len() <= view {
-            self.view_rows.resize(view + 1, ViewRow::Unasked);
-        }
-        let (row, whole) = match u32::try_from(offset) {
-            Ok(offset) if listed.len() <= 128 && listed.is_sorted_by(|a, b| a < b) => {
-                let known = out[before..].iter().fold(0, |mask, &position| mask | 1u128 << position);
-                let seated = self.rejudged(of, depth, true, listed, known);
-                let len = listed.len() as u32;
-                let whole = seated.count_ones() == len;
-                (ViewRow::Listed { offset, len, seated }, whole)
-            }
-            _ => {
-                self.view_peers.truncate(offset);
-                (ViewRow::Unlisted, false)
-            }
-        };
-        self.view_rows[view] = row;
-        whole
     }
 
     /// Withdraws `q`'s certificate until the next
@@ -879,20 +781,6 @@ impl DelegateState {
     }
 }
 
-/// Appends the positions of `mask`'s set bits, ascending, a run of ones at
-/// a time and a `u64` half at a time — a view seats most of what it lists,
-/// and `u128::trailing_zeros` per bit costs what the row saves.
-fn push_set_bits(mask: u128, out: &mut Vec<usize>) {
-    for (half, mut rest) in [(0, mask as u64), (64, (mask >> 64) as u64)] {
-        while rest != 0 {
-            let start = rest.trailing_zeros();
-            let end = start + (rest >> start).trailing_ones();
-            out.extend((half + start) as usize..(half + end) as usize);
-            rest &= u64::MAX.checked_shl(end).unwrap_or(0);
-        }
-    }
-}
-
 /// The Section 2 hierarchical membership provider: per-depth delegate slot
 /// tables over a regular tree, maintained by gossip (see the
 /// [module docs](self) for the full design).
@@ -1001,8 +889,6 @@ impl DelegateView {
             state: RwLock::new(DelegateState {
                 shape,
                 below,
-                view_rows: Vec::new(),
-                view_peers: Vec::new(),
                 tables: Vec::new(),
                 flat: Vec::new(),
                 contact: Vec::new(),
@@ -1164,7 +1050,8 @@ impl MembershipView for DelegateView {
     }
 
     fn knows(&self, of: usize, peer: usize) -> bool {
-        self.rows().flat[of].contains(&(peer as u32))
+        let state = self.rows();
+        u32::try_from(peer).is_ok_and(|peer| state.flat[of].contains(&peer))
     }
 
     /// The batched judgement asked about one peer: one seat rule for both
@@ -1178,57 +1065,23 @@ impl MembershipView for DelegateView {
         known
     }
 
-    /// The whole depth under one read lock: a named view's row while no
-    /// table is stored (its first ask lists it under a brief write lock),
-    /// the judgement on the spot, peer by peer, for everything else.
+    /// The whole depth under one read lock, judged peer by peer.
     fn fill_known_at_depth(
         &self,
         of: usize,
         depth: usize,
-        view: Option<u32>,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) {
         let state = self.state.read().expect("delegate view lock poisoned");
-        if depth > state.shape.depth || depth == 0 {
-            return;
-        }
-        // Rows exist while no table does, for a live asker, and for an id
-        // that can name a view: a tree has fewer depth views than members.
-        let named = view
-            .map(|view| view as usize)
-            .filter(|&view| !state.has_rows() && state.alive[of] && view < state.alive.len());
-        let Some(view) = named else {
-            return state.fill_known(of, depth, peers, |position| out.push(position));
-        };
-        match state.view_rows.get(view).copied().unwrap_or(ViewRow::Unasked) {
-            ViewRow::Listed { offset, len, seated } => {
-                let listed = &state.view_peers[offset as usize..][..len as usize];
-                let before = out.len();
-                push_set_bits(state.rejudged(of, depth, false, listed, seated), out);
-                // Debug and test builds hold every row-served answer
-                // against the one judged on the spot, allocating nothing.
-                if cfg!(any(test, debug_assertions)) {
-                    let mut served = out[before..].iter();
-                    state.fill_known(of, depth, peers, |position| {
-                        assert_eq!(served.next(), Some(&position), "view {view} as {of} holds it");
-                    });
-                    assert_eq!(served.next(), None, "view {view} as {of} holds it");
-                }
-            }
-            ViewRow::Unlisted => state.fill_known(of, depth, peers, |position| out.push(position)),
-            ViewRow::Unasked => {
-                drop(state);
-                let state = &mut *self.state.write().expect("delegate view lock poisoned");
-                if state.list_view(of, depth, view, peers, out) {
-                    self.whole.set(view);
-                }
-            }
+        if (1..=state.shape.depth).contains(&depth) {
+            state.fill_known(of, depth, peers, |position| out.push(position));
         }
     }
 
     /// No lock for a view a live holder knows whole (the module docs' *one
-    /// answer per depth view*); the named ask otherwise.
+    /// answer per depth view*).  Otherwise the view is listed on the spot
+    /// and, while no row is stored, judged whole in the same pass.
     fn fill_known_or_whole(
         &self,
         of: usize,
@@ -1243,8 +1096,28 @@ impl MembershipView for DelegateView {
             }
             return true;
         }
-        self.fill_known_at_depth(of, depth, Some(view), peers, out);
-        false
+        let state = self.state.read().expect("delegate view lock poisoned");
+        if !(1..=state.shape.depth).contains(&depth) {
+            return false;
+        }
+        // A bit exists for an id that can name a view (a tree has fewer
+        // depth views than members), and only a live asker knows its view.
+        let mut whole = !state.has_rows() && state.alive[of] && (view as usize) < state.alive.len();
+        let (block, span) = state.shape.view_block(of, depth);
+        let size = state.shape.subgroup_size(depth);
+        // A holder outside `peer`'s subgroup seats it as `peer` itself
+        // does: nobody precedes itself.  The prefix test keeps a stranger
+        // out of the prefix count.
+        let mut judged = peers.inspect(|&peer| {
+            whole = whole && peer.wrapping_sub(block) < span && state.seats(peer, depth, peer / size * size, peer);
+        });
+        let before = out.len();
+        state.fill_known(of, depth, &mut judged, |position| out.push(position));
+        if whole {
+            out.truncate(before);
+            self.whole.set(view as usize);
+        }
+        whole
     }
 
     /// Attaches the aggregated-interest tables the slot groups carry:
@@ -1801,7 +1674,7 @@ mod tests {
         for of in 0..n {
             for l in 0..=depth + 1 {
                 let mut batched = Vec::new();
-                view.fill_known_at_depth(of, l, None, &mut peers.iter().copied(), &mut batched);
+                view.fill_known_at_depth(of, l, &mut peers.iter().copied(), &mut batched);
                 for (position, &peer) in peers.iter().enumerate() {
                     let knows = view.knows_at_depth(of, l, peer);
                     assert_eq!(knows, batched.contains(&position), "probes of ({of}, {l}, {peer})");
@@ -1844,15 +1717,19 @@ mod tests {
         assert_seat_rule_matches_the_built_tables(2, 3, 1, &[false; 8]);
     }
 
-    /// The named ask of `(of, depth)` about `peers` — in a test build every
-    /// row-served answer is also held against the on-the-spot one inside
-    /// `fill_known_at_depth` — after checking it against the anonymous ask
-    /// and the single probe.
+    /// The named ask of `(of, depth)` about `peers`, a whole answer expanded
+    /// to every position but the asker's — in a test build every whole
+    /// answer read off a bit is also held against the judgement on the spot
+    /// inside `fill_known_or_whole` — after checking it against the
+    /// anonymous ask and the single probe.
     fn named_ask(view: &DelegateView, of: usize, depth: usize, id: u32, peers: &[usize]) -> Vec<usize> {
         let mut named = Vec::new();
-        view.fill_known_at_depth(of, depth, Some(id), &mut peers.iter().copied(), &mut named);
+        if view.fill_known_or_whole(of, depth, id, &mut peers.iter().copied(), &mut named) {
+            assert!(named.is_empty(), "a whole answer writes nothing");
+            named.extend((0..peers.len()).filter(|&position| peers[position] != of));
+        }
         let mut anonymous = Vec::new();
-        view.fill_known_at_depth(of, depth, None, &mut peers.iter().copied(), &mut anonymous);
+        view.fill_known_at_depth(of, depth, &mut peers.iter().copied(), &mut anonymous);
         assert_eq!(named, anonymous, "view {id} as {of} holds it");
         let single: Vec<usize> = (0..peers.len())
             .filter(|&position| view.knows_at_depth(of, depth, peers[position]))
@@ -1861,18 +1738,17 @@ mod tests {
         named
     }
 
-    /// Number of depth views the provider currently keeps a row of.
-    fn listed_views(view: &DelegateView) -> usize {
-        let state = view.state.read().unwrap();
-        let listed = |row: &&ViewRow| matches!(row, ViewRow::Listed { .. });
-        state.view_rows.iter().filter(listed).count()
+    /// Number of depth views the provider currently knows whole.
+    fn whole_views(view: &DelegateView) -> u32 {
+        view.whole.views.iter().map(|word| word.load(Ordering::Acquire).count_ones()).sum()
     }
 
     #[test]
-    fn a_view_row_answers_for_listed_and_unlisted_members_of_the_own_subgroup() {
+    fn a_named_view_answers_for_listed_and_unlisted_members_of_the_own_subgroup() {
         // 4^3, two slots.  The depth-2 view under prefix 0 lists three
         // members of each subgroup 0.g — one more than anybody seats, so
-        // whom a process seats of its own subgroup depends on where it sits.
+        // whom a process seats of its own subgroup depends on where it sits,
+        // and the view is never whole.
         let view = DelegateView::bootstrap(4, 3, DelegateViewConfig::default().with_slots(2), 1);
         let peers: Vec<usize> = (0..4).flat_map(|g| [4 * g, 4 * g + 1, 4 * g + 2]).collect();
         let outside = |own: [usize; 2]| -> Vec<usize> {
@@ -1881,74 +1757,88 @@ mod tests {
             seated.sort_unstable();
             seated
         };
-        // Process 3 is not listed: the first ask, and the row's author.
+        // Process 3 is not listed.  0 and 1 are listed delegates and do not
+        // count themselves: each seats the third member instead.  2 is
+        // listed and seated by nobody else; 6 sits in another subgroup.
         assert_eq!(named_ask(&view, 3, 2, 1, &peers), outside([0, 1]));
-        assert_eq!(listed_views(&view), 1);
-        // 0 and 1 are listed delegates and do not count themselves: each
-        // seats the third member instead.  2 is listed and seated by nobody
-        // else; 6 sits in another subgroup.
         assert_eq!(named_ask(&view, 0, 2, 1, &peers), outside([1, 2]));
         assert_eq!(named_ask(&view, 1, 2, 1, &peers), outside([0, 2]));
         assert_eq!(named_ask(&view, 2, 2, 1, &peers), outside([0, 1]));
         assert_eq!(named_ask(&view, 6, 2, 1, &peers), outside([3, 4]));
-        // The leaf view of 0.1 (processes 4..8): everybody but the asker.
+        assert_eq!(whole_views(&view), 0);
+        // The leaf view of 0.1 (processes 4..8) is seated whole: everybody
+        // but the asker, from the first ask on.
         let leaf: Vec<usize> = (4..8).collect();
         assert_eq!(named_ask(&view, 5, 3, 6, &leaf), vec![0, 2, 3]);
+        assert_eq!(whole_views(&view), 1);
         assert_eq!(named_ask(&view, 7, 3, 6, &leaf), vec![0, 1, 2]);
-        // A row written by a listed delegate — who seats 18 in its own
-        // place — serves the others what *they* seat.
+        // A listed delegate seats 18 in its own place; the others do not.
         assert_eq!(named_ask(&view, 16, 2, 2, &[16, 17, 18, 20, 21]), vec![1, 2, 3, 4]);
         assert_eq!(named_ask(&view, 19, 2, 2, &[16, 17, 18, 20, 21]), vec![0, 1, 3, 4]);
         assert_eq!(named_ask(&view, 23, 2, 2, &[16, 17, 18, 20, 21]), vec![0, 1, 3, 4]);
-        assert_eq!(listed_views(&view), 3);
+        assert_eq!(whole_views(&view), 1);
         assert!(!view.has_tables());
     }
 
     #[test]
-    fn sparse_occupancy_and_strangers_are_judged_into_the_row() {
+    fn sparse_occupancy_and_strangers_are_never_whole() {
         // 3^2 with 0 and 4 absent; the root view lists every address and
-        // one past the tree.  An absent asker seats nobody and lists nothing.
+        // one past the tree.  An absent asker seats nobody.
         let occupied = [false, true, true, true, false, true, true, true, true];
         let view = DelegateView::bootstrap_sparse(3, 2, DelegateViewConfig::default().with_slots(2), 1, &occupied);
         let peers: Vec<usize> = (0..10).chain([usize::MAX]).collect();
         assert!(named_ask(&view, 4, 1, 0, &peers).is_empty());
-        assert_eq!(listed_views(&view), 0);
         for (of, seated) in [(1, vec![2, 3, 5, 6, 7]), (2, vec![1, 3, 5, 6, 7]), (8, vec![1, 2, 3, 5, 6, 7])] {
             assert_eq!(named_ask(&view, of, 1, 0, &peers), seated);
         }
-        assert_eq!(listed_views(&view), 1);
+        // Every peer but the last is seated by an outsider, so the stranger
+        // at the end is judged too — by the view prefix, before the prefix
+        // count is read.
+        let seated = [1, 2, 3, 5, 6, 7];
+        for (id, stranger) in [(1, 9), (2, usize::MAX)] {
+            let peers: Vec<usize> = seated.iter().copied().chain([stranger]).collect();
+            assert_eq!(named_ask(&view, 1, 1, id, &peers), vec![1, 2, 3, 4, 5]);
+        }
+        assert_eq!(whole_views(&view), 0);
+        // Without it the view is whole — for a live holder only.
+        assert_eq!(named_ask(&view, 8, 1, 3, &seated), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(whole_views(&view), 1);
+        assert!(named_ask(&view, 4, 1, 3, &seated).is_empty());
     }
 
     #[test]
-    fn only_an_ascending_view_of_at_most_128_peers_is_listed() {
+    fn wide_and_unsorted_views_are_whole_where_every_peer_is_seated() {
         let config = DelegateViewConfig::default();
-        for (arity, listed) in [(128u32, 1), (129, 0)] {
+        for arity in [128u32, 129, 131] {
             let view = DelegateView::bootstrap(arity, 1, config, 1);
             let peers: Vec<usize> = (0..arity as usize).collect();
-            for of in [0, 63, 64, arity as usize - 1] {
+            for of in [0, 63, 64, 127, arity as usize - 1] {
                 assert_eq!(named_ask(&view, of, 1, 0, &peers).len(), arity as usize - 1);
-                assert_eq!(listed_views(&view), listed, "{arity} wide");
+                assert_eq!(whole_views(&view), 1, "{arity} wide");
             }
         }
         let view = DelegateView::bootstrap(4, 2, config, 1);
         assert_eq!(named_ask(&view, 5, 2, 2, &[7, 6, 5, 4]), vec![0, 1, 3]);
         assert_eq!(named_ask(&view, 6, 2, 2, &[7, 6, 5, 4]), vec![0, 2, 3]);
+        assert_eq!(whole_views(&view), 1);
+        // Three slots seat 12, 13 and 14 of subgroup 3, not 15.
+        assert_eq!(named_ask(&view, 5, 1, 0, &[15, 14, 13, 12, 2, 1, 0]), vec![1, 2, 3, 4, 5, 6]);
         // An id past the member count names no view of this tree.
         assert_eq!(named_ask(&view, 5, 2, 16, &[4, 5, 6, 7]), vec![0, 2, 3]);
-        assert_eq!(listed_views(&view), 0);
+        assert_eq!(whole_views(&view), 1);
     }
 
     #[test]
-    fn the_first_stored_table_drops_every_view_row() {
+    fn the_first_stored_table_forgets_every_whole_view() {
         for what in ["crash", "leave", "join", "flat enumeration"] {
             let mut occupied = [true; 16];
             occupied[2] = false;
             let view = DelegateView::bootstrap_sparse(4, 2, DelegateViewConfig::default().with_slots(2), 3, &occupied);
-            let root: Vec<usize> = (0..4).flat_map(|g| [4 * g, 4 * g + 1, 4 * g + 2]).collect();
-            let leaf: Vec<usize> = (0..4).collect();
+            let root: Vec<usize> = (0..4).flat_map(|g| [4 * g, 4 * g + 1]).collect();
+            let leaf = [0, 1, 3];
             let before = (named_ask(&view, 0, 1, 0, &root), named_ask(&view, 0, 2, 1, &leaf));
-            assert_eq!(before, (vec![1, 3, 4, 6, 7, 9, 10], vec![1, 3]));
-            assert_eq!(listed_views(&view), 2);
+            assert_eq!(before, ((1..8).collect(), vec![1, 2]));
+            assert_eq!(whole_views(&view), 2);
             match what {
                 "crash" => view.observe_crash(1),
                 "leave" => view.observe_leave(1),
@@ -1956,9 +1846,7 @@ mod tests {
                 _ => assert_eq!(view.peer_at(0, 0), 1),
             }
             assert!(view.has_tables(), "{what}");
-            let state = view.state.read().unwrap();
-            assert!(state.view_rows.is_empty() && state.view_peers.is_empty(), "{what}");
-            drop(state);
+            assert_eq!(whole_views(&view), 0, "{what}");
             // The tables answer from here on (`named_ask` holds the named
             // ask against them), through the sweep and the gossip after it.
             for _ in 0..3 {
@@ -1968,18 +1856,7 @@ mod tests {
                 }
                 view.round_elapsed();
             }
-            assert_eq!(listed_views(&view), 0, "{what}");
-        }
-    }
-
-    #[test]
-    fn push_set_bits_lists_every_bit_once_in_order() {
-        let masks = [0, 1, 1 << 63, 1 << 64, 0b1011 << 62, u128::MAX, u128::MAX << 1, u128::MAX >> 1, 0x5555 << 60];
-        for mask in masks {
-            let mut positions = vec![usize::MAX];
-            push_set_bits(mask, &mut positions);
-            let expected: Vec<usize> = (0..128).filter(|&bit| mask >> bit & 1 == 1).collect();
-            assert_eq!(positions[1..], expected, "{mask:#x}");
+            assert_eq!(whole_views(&view), 0, "{what}");
         }
     }
 

@@ -80,9 +80,10 @@
 //!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
 //!   correct without overriding either; an override exists to take a lock
 //!   or find shared state once, and must answer exactly as the default.
-//!   Whatever an override remembers between calls is derived state: it may
-//!   be dropped at any time and must be dropped when what it was computed
-//!   from changes.
+//!   The id is what lets an override remember something per view (a whole
+//!   view, a verdict); whatever it remembers between calls is derived
+//!   state: it may be dropped at any time and must be dropped when what it
+//!   was computed from changes.
 
 use std::sync::RwLock;
 
@@ -135,28 +136,14 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// `out`, ascending, the position within `peers` of every peer other
     /// than `of` itself that `of` knows as a depth-`depth` gossip candidate.
     ///
-    /// `view` names the list: `Some(id)` is the caller's dense identifier
-    /// of the depth view it passes (a group's `SharedViews` numbers them),
-    /// `None` an anonymous list.  As for
-    /// [`summary_verdict`](Self::summary_verdict), the caller vouches that
-    /// one identifier always comes with the same `depth` and the same peers
-    /// in the same order, and only from processes holding that view (they
-    /// share their first `depth − 1` address components) — all a provider
-    /// may assume of it.  The name never changes the answer; it lets a
-    /// provider keep what every holder of the view is told alike
-    /// ([`DelegateView`](crate::DelegateView), while its group is static)
-    /// and not read `peers` again.
-    ///
-    /// The default asks `knows_at_depth` per peer and ignores `view`.
-    /// Providers that answer from shared state override it to take their
-    /// lock once and reuse what consecutive peers have in common (one
-    /// slot-table row, one subgroup's seats); an override must produce
-    /// exactly the default's output.
+    /// The default asks `knows_at_depth` per peer.  Providers that answer
+    /// from shared state override it to take their lock once and reuse what
+    /// consecutive peers have in common (one slot-table row, one subgroup's
+    /// seats); an override must produce exactly the default's output.
     fn fill_known_at_depth(
         &self,
         of: usize,
         depth: usize,
-        _view: Option<u32>,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) {
@@ -174,24 +161,31 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// every position but the asker's own (the one whose peer is `of`, if
     /// any).  Returns whether it does.  A whole answer appends nothing to
     /// `out` and need not read `peers`; any other answer appends exactly
-    /// what `fill_known_at_depth` with `Some(view)` appends.
+    /// what `fill_known_at_depth` appends.
     ///
-    /// `view` is vouched for as in `fill_known_at_depth`, and so is that the
-    /// view's peers are processes of the group.  A whole answer must be the
-    /// listing, so a provider gives it only where it knows, without reading
-    /// the list, that `of` knows every peer but itself.  The default never
-    /// does; [`GlobalOracleView`] always does, and
-    /// [`DelegateView`](crate::DelegateView) does for a view its static
-    /// group seats whole, without taking its lock.
+    /// `view` is the caller's dense identifier of the depth view it passes
+    /// (a group's `SharedViews` numbers them).  As for
+    /// [`summary_verdict`](Self::summary_verdict), the caller vouches that
+    /// one identifier always comes with the same `depth` and the same peers
+    /// in the same order, only from processes holding that view (they share
+    /// their first `depth − 1` address components), and that the peers are
+    /// processes of the group — all a provider may assume of it.  The name
+    /// never changes whom `of` knows; it lets a provider remember a view
+    /// every holder knows whole and not read `peers` again.  A whole answer
+    /// must be the listing, so a provider gives it only where `of` knows
+    /// every peer but itself.  The default never does; [`GlobalOracleView`]
+    /// always does, and [`DelegateView`](crate::DelegateView) does for a
+    /// view its static group seats whole — judged on the spot, and from
+    /// then on without taking its lock.
     fn fill_known_or_whole(
         &self,
         of: usize,
         depth: usize,
-        view: u32,
+        _view: u32,
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) -> bool {
-        self.fill_known_at_depth(of, depth, Some(view), peers, out);
+        self.fill_known_at_depth(of, depth, peers, out);
         false
     }
 
@@ -531,8 +525,8 @@ impl MembershipView for PartialView {
     }
 
     fn knows(&self, of: usize, peer: usize) -> bool {
-        self.state.read().expect("partial view lock poisoned").views[of]
-            .contains(&(peer as u32))
+        let state = self.state.read().expect("partial view lock poisoned");
+        u32::try_from(peer).is_ok_and(|peer| state.views[of].contains(&peer))
     }
 
     /// One membership gossip round: every live process first checks its
@@ -674,6 +668,33 @@ mod tests {
         view.observe_leave(3);
         view.round_elapsed();
         assert_eq!(view.peer_count(2), 4);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_peer_past_the_group_is_nobody_s_peer() {
+        // Process 0 knows peer 1 under every provider: the global view knows
+        // everybody, the partial view starts with its ring successors and
+        // the 2³ delegate tables seat a leaf neighbour at every depth.  A
+        // peer past `u32` must not pass for the peer it wraps to.
+        let (n, known) = (8, 1);
+        let providers: [(&str, &dyn MembershipView); 3] = [
+            ("global", &GlobalOracleView::new(n)),
+            ("partial", &PartialView::bootstrap(n, PartialViewConfig::default(), 1)),
+            ("delegate", &crate::DelegateView::bootstrap(2, 3, Default::default(), 1)),
+        ];
+        for (name, view) in providers {
+            assert!(view.knows(0, known), "{name}");
+            for stranger in [n, n + 3, (1 << 32) + known] {
+                assert!(!view.knows(0, stranger), "{name} knows {stranger}");
+                for depth in 1..=3 {
+                    assert!(!view.knows_at_depth(0, depth, stranger), "{name} knows {stranger} at {depth}");
+                    let mut known_at_depth = Vec::new();
+                    view.fill_known_at_depth(0, depth, &mut [known, stranger].into_iter(), &mut known_at_depth);
+                    assert_eq!(known_at_depth, vec![0], "{name} lists {stranger} at {depth}");
+                }
+            }
+        }
     }
 
     #[test]

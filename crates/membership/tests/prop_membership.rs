@@ -240,7 +240,7 @@ impl Lockstep {
                     .collect();
                 for view in [&self.view, &self.probed] {
                     let mut batched = Vec::new();
-                    view.fill_known_at_depth(of, depth, None, &mut everybody.iter().copied(), &mut batched);
+                    view.fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
                     prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
                     for peer in 0..self.n {
                         prop_assert_eq!(
@@ -308,8 +308,9 @@ impl NamedView {
         }
     }
 
-    /// Every holder asks by name and anonymously, in turn; both answers are
-    /// the single probe's.
+    /// Every holder asks by name — a whole answer expanded to every position
+    /// but the asker's — and anonymously, in turn; both answers are the
+    /// single probe's.
     fn check(&self, view: &DelegateView, named_first: bool, after: &str) {
         for of in self.holders.clone() {
             let single: Vec<usize> = (0..self.peers.len())
@@ -317,13 +318,13 @@ impl NamedView {
                 .collect();
             for name in [named_first, !named_first] {
                 let mut batched = Vec::new();
-                view.fill_known_at_depth(
-                    of,
-                    self.depth,
-                    name.then_some(self.id),
-                    &mut self.peers.iter().copied(),
-                    &mut batched,
-                );
+                let mut peers = self.peers.iter().copied();
+                if !name {
+                    view.fill_known_at_depth(of, self.depth, &mut peers, &mut batched);
+                } else if view.fill_known_or_whole(of, self.depth, self.id, &mut peers, &mut batched) {
+                    prop_assert!(batched.is_empty(), "a whole answer writes nothing");
+                    batched.extend((0..self.peers.len()).filter(|&position| self.peers[position] != of));
+                }
                 prop_assert_eq!(
                     &batched, &single,
                     "view {} (named: {}) as {} holds it, after {}", self.id, name, of, after
@@ -376,9 +377,9 @@ proptest! {
     /// Naming a depth view never changes the answer: over a random sparse
     /// occupancy, two views' ids asked about alternately — by every process
     /// holding them, named and anonymous asks interleaved — agree with the
-    /// single probe while no table is stored (where the named ask is served
-    /// from the provider's per-view row) and after every step of a random
-    /// lifecycle history (where the first flip drops the rows).
+    /// single probe while no table is stored (where a view seated whole is
+    /// answered whole) and after every step of a random lifecycle history
+    /// (where the first flip forgets every whole view).
     #[test]
     fn named_depth_views_answer_as_anonymous_ones(
         mut history in arb_history(),
@@ -398,7 +399,7 @@ proptest! {
             })
             .collect();
         let check = |after: &str| {
-            // Twice: the first pass lists a view, the second is served by it.
+            // Twice: the first pass judges a view, the second may read its bit.
             for _ in 0..2 {
                 for (named, named_first) in &views {
                     named.check(&view, *named_first, after);
