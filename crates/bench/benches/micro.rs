@@ -30,6 +30,21 @@ use pmcast_simnet::{
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// A view's listed candidate positions, all below 128, as a mask.
+fn fold_mask(listed: &[usize]) -> u128 {
+    listed.iter().fold(0, |mask, &position| mask | 1 << position)
+}
+
+/// Writes the set bits of `bits` into `pool`, lowest first — how pmcast
+/// reads a summary-routed entry-round's pool off its recorded verdict.
+fn fill_by_scan(mut bits: u128, pool: &mut Vec<usize>) {
+    pool.clear();
+    while bits != 0 {
+        pool.push(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
 fn bench(c: &mut Criterion) {
     // Predicate / filter matching throughput.
     let filter = Filter::new()
@@ -144,7 +159,7 @@ fn bench(c: &mut Criterion) {
             &mut receipt_rng,
             &mut receipt_scratch,
         );
-        receiver.on_message(ProcessId(0), receipt, &mut ctx);
+        receiver.on_message(receipt, &mut ctx);
         receipt_scratch.delivered.clear();
     };
     let mut duplicate_receiver = idle_receiver.clone();
@@ -408,15 +423,18 @@ fn bench(c: &mut Criterion) {
     // an entry-round can cost.  `summary_skip_draw` times the ask of an
     // entry whose (content, view) pair the provider has met before: one
     // `summary_verdict` call — one lock, one row lookup, one mask lookup —
-    // and the candidates filtered through the mask.
+    // and the pool read off `verdict & candidates` by a bit scan.
     // `summary_skip_draw_miss` rotates through more distinct contents than
     // the memo holds, so every call starts a fresh row and judges each
     // subgroup against its summary's disjuncts — the first entry of a
     // content.  `summary_entry_round` (below) is every *later* round of an
-    // entry: the candidates filtered through the recorded verdict, no call
-    // into the membership layer.  Interest is clustered one topic per
-    // depth-2 subgroup — the sparse-interest regime the skip is built for,
-    // where 7 of 8 subtrees are provably uninterested.
+    // entry: the pool read off the recorded verdict, no call into the
+    // membership layer.  Each iteration also lists the candidates and folds
+    // them into a mask, which pmcast does once per depth-round, not per
+    // entry-round — so the guards are stricter than the protocol.  Interest
+    // is clustered one topic per depth-2 subgroup — the sparse-interest
+    // regime the skip is built for, where 7 of 8 subtrees are provably
+    // uninterested.
     let clustered: Vec<Vec<u32>> = (0..512).map(|i| vec![(i / 8) % 12]).collect();
     let clustered_topics =
         TopicOracle::new(AddressSpace::regular(3, 8).expect("valid"), clustered, 12);
@@ -442,12 +460,8 @@ fn bench(c: &mut Criterion) {
                 asked += 1;
                 let allowed =
                     delegate_view.summary_verdict(&topic_events[asked % rotation], 1, &mut summary_view());
-                summary_candidates.clear();
-                summary_candidates.extend(
-                    delegate_candidates
-                        .iter()
-                        .filter(|&&position| allowed >> position & 1 == 1),
-                );
+                let candidates = fold_mask(&delegate_candidates);
+                fill_by_scan(allowed & candidates, &mut summary_candidates);
                 let mut acc = 0usize;
                 let picks = 4.min(summary_candidates.len());
                 for slot in 0..picks {
@@ -463,10 +477,10 @@ fn bench(c: &mut Criterion) {
     // An entry-round on a recorded verdict, as `GroupContext::
     // fill_summary_pool` makes it: read the provider's summary epoch (once
     // per depth in the protocol; once per draw here, which only makes the
-    // guard stricter), find it unchanged, and keep the candidates whose bit
-    // the verdict has.  This is the bench that must land within noise of
-    // `delegate_draw_batched` — the veto's steady-state cost is a filtered
-    // copy of at most a view's worth of indices.
+    // guard stricter), find it unchanged, and read the pool off the set
+    // bits of `verdict & candidates`.  This is the bench that must land
+    // within noise of `delegate_draw_batched` — the veto's steady-state cost
+    // is one bit scan writing at most a view's worth of indices.
     let recorded_epoch = delegate_view.summary_epoch();
     let recorded_verdict = delegate_view.summary_verdict(&topic_events[0], 1, &mut summary_view());
     c.bench_function("summary_entry_round", |b| {
@@ -475,12 +489,8 @@ fn bench(c: &mut Criterion) {
             delegate_candidates.clear();
             delegate_view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
             assert_eq!(delegate_view.summary_epoch(), recorded_epoch);
-            summary_candidates.clear();
-            summary_candidates.extend(
-                delegate_candidates
-                    .iter()
-                    .filter(|&&position| recorded_verdict >> position & 1 == 1),
-            );
+            let candidates = fold_mask(&delegate_candidates);
+            fill_by_scan(recorded_verdict & candidates, &mut summary_candidates);
             let mut acc = 0usize;
             let picks = 4.min(summary_candidates.len());
             for slot in 0..picks {
@@ -643,7 +653,7 @@ fn bench(c: &mut Criterion) {
     net_received.insert(net_gossip.id);
     c.bench_function("net_publish_path", |b| {
         b.iter(|| {
-            let sent = net_transport.send_gossip(ProcessId(0), ProcessId(1), net_gossip, 64);
+            let sent = net_transport.send_gossip(ProcessId(1), net_gossip, 64);
             debug_assert!(sent);
             // One poll of the mailbox future: the frame is already queued.
             let mut cx = Context::from_waker(Waker::noop());

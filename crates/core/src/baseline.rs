@@ -376,7 +376,7 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
         *ctx.scratch() = scratch;
     }
 
-    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
+    fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
         // `received` doubles as the seen-set: once an event has been
         // buffered (and possibly garbage collected), later copies are
         // ignored so gossiping terminates.  A duplicate reads the id alone.
@@ -658,7 +658,7 @@ mod tests {
         let mut rng = rand::SeedableRng::seed_from_u64(1);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(1), 0, &mut outbox, &mut rng, &mut scratch);
-        late.on_message(ProcessId(0), Gossip::new(event.id(), 1, 1.0, 1), &mut ctx);
+        late.on_message(Gossip::new(event.id(), 1, 1.0, 1), &mut ctx);
         late.on_round(&mut ctx);
         assert!(late.has_delivered(EventId(5)));
         assert_eq!(outbox.len(), PmcastConfig::default().fanout);

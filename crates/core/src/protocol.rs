@@ -292,19 +292,22 @@ impl GroupContext {
     /// is recorded in the entry with the `epoch` (the provider's
     /// [`summary_epoch`](MembershipView::summary_epoch), read once per
     /// depth per round) it was given under.  Every later entry-round is
-    /// `candidates ∩ verdict` with no call into the membership layer, until
-    /// the epoch moves — a filter changed — and the verdict is asked again:
-    /// it is derived state, never a source of truth.  The ask names the
-    /// view by its id, so a provider that has judged the event's content in
-    /// this view for another process answers without walking it.  A view
-    /// wider than [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and
-    /// is asked about per entry-round, candidates only, one single probe
-    /// per run of equal subgroups.
+    /// the set bits of `verdict & candidate_mask` — the round's candidates
+    /// folded into a mask once per depth-round — in ascending order, with
+    /// no call into the membership layer, until the epoch moves — a filter
+    /// changed — and the verdict is asked again: it is derived state, never
+    /// a source of truth.  The ask names the view by its id, so a provider
+    /// that has judged the event's content in this view for another process
+    /// answers without walking it.  A view wider than
+    /// [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and is asked
+    /// about per entry-round, `candidates` only, one single probe per run of
+    /// equal subgroups; a narrower one never reads `candidates`.
     fn fill_summary_pool(
         &self,
         view: &DepthView,
         entry: &mut BufferedGossip,
         epoch: u64,
+        candidate_mask: u128,
         candidates: impl Iterator<Item = usize>,
         pool: &mut Vec<usize>,
     ) {
@@ -325,7 +328,12 @@ impl GroupContext {
             entry.record_verdict(epoch, allowed);
             allowed
         });
-        pool.extend(candidates.filter(|&position| allowed >> position & 1 == 1));
+        // The lowest set bit first: the candidates' own (ascending) order.
+        let mut bits = allowed & candidate_mask;
+        while bits != 0 {
+            pool.push(bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 
     /// One depth's candidate destinations for a round in which `entries`
@@ -396,6 +404,26 @@ impl Candidates {
             Candidates::AllBut { own, .. } => (&[][..], width, own),
         };
         listed.iter().copied().chain((0..width).filter(move |&position| Some(position) != own))
+    }
+
+    /// The candidates as a mask over a view of `width` positions, at most
+    /// [`BufferedGossip::VERDICT_WIDTH`]: bit `p` set when position `p` is
+    /// one.  Its set bits read in ascending order are [`iter`](Self::iter)'s
+    /// order, because a provider lists a view's known positions ascending.
+    fn mask(self, width: usize, listed: &[usize]) -> u128 {
+        match self {
+            Candidates::AllBut { own, .. } => {
+                let whole = u128::MAX.checked_shr((u128::BITS as usize - width) as u32).unwrap_or(0);
+                own.map_or(whole, |own| whole & !(1 << own))
+            }
+            Candidates::Listed => {
+                debug_assert!(
+                    listed.windows(2).all(|pair| pair[0] < pair[1]),
+                    "candidates listed out of view order: {listed:?}"
+                );
+                listed.iter().fold(0, |mask, &position| mask | 1 << position)
+            }
+        }
     }
 }
 
@@ -611,9 +639,10 @@ impl PmcastProcess {
             ctx.report_delivery(gossip.id.0);
         }
         // File the event into the buffer of the depth it is travelling at.
-        let view = &self.depth_views[gossip.depth - 1];
+        let depth = gossip.depth as Depth;
+        let view = &self.depth_views[depth - 1];
         let entry = self.group.received_entry(view, event, gossip.rate, gossip.round);
-        self.buffers.file(gossip.depth, entry);
+        self.buffers.file(depth, entry);
     }
 
     /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
@@ -666,9 +695,13 @@ impl PmcastProcess {
         }
         let candidates = group.round_candidates(self.id, view, depth, entries.len(), scratch);
         let routing = group.config.interest_routing;
-        let summary_epoch = match routing {
-            InterestRouting::Summary => group.membership.summary_epoch(),
-            InterestRouting::Oracle | InterestRouting::Blind => 0,
+        let (summary_epoch, candidate_mask) = match routing {
+            InterestRouting::Summary if view.len() <= BufferedGossip::VERDICT_WIDTH => (
+                group.membership.summary_epoch(),
+                candidates.mask(view.len(), &scratch.candidates),
+            ),
+            InterestRouting::Summary => (group.membership.summary_epoch(), 0),
+            InterestRouting::Oracle | InterestRouting::Blind => (0, 0),
         };
         for entry in &mut entries {
             entry.round += 1;
@@ -684,7 +717,14 @@ impl PmcastProcess {
                     let listed = &scratch.candidates;
                     let pool = &mut scratch.event_candidates;
                     let round_candidates = || candidates.iter(view.len(), listed);
-                    group.fill_summary_pool(view, entry, summary_epoch, round_candidates(), pool);
+                    group.fill_summary_pool(
+                        view,
+                        entry,
+                        summary_epoch,
+                        candidate_mask,
+                        round_candidates(),
+                        pool,
+                    );
                     #[cfg(test)]
                     tests::check_summary_pool(group, view, entry, round_candidates(), pool);
                     gossip_entry(pool.as_mut_slice(), group, view, depth, entry, ctx);
@@ -719,7 +759,7 @@ impl RoundProcess for PmcastProcess {
         *ctx.scratch() = scratch;
     }
 
-    fn on_message(&mut self, _from: ProcessId, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
+    fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
         // A duplicate reads the id and nothing else (Figure 3, line 20).
         if self.buffers.has_seen(gossip.id) {
             return;
@@ -1880,6 +1920,9 @@ mod tests {
             "PmcastProcess grew to {} bytes",
             std::mem::size_of::<PmcastProcess>()
         );
+        // Was 48 with a sender in the envelope and a `usize` depth in the
+        // gossip: the in-flight buffers now hold two messages a cache line.
+        assert_eq!(std::mem::size_of::<pmcast_simnet::Envelope<Gossip>>(), 32);
         let topology = small_topology();
         let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());

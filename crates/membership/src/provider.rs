@@ -139,7 +139,11 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// The default asks `knows_at_depth` per peer.  Providers that answer
     /// from shared state override it to take their lock once and reuse what
     /// consecutive peers have in common (one slot-table row, one subgroup's
-    /// seats); an override must produce exactly the default's output.
+    /// seats); an override must produce exactly the default's output —
+    /// strictly ascending positions included.  pmcast relies on the order:
+    /// under summary routing it folds the listing into a mask and reads the
+    /// pool back off its set bits, lowest first, and that is the listing's
+    /// order only because the listing ascends (a debug build asserts it).
     fn fill_known_at_depth(
         &self,
         of: usize,
@@ -161,7 +165,8 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// every position but the asker's own (the one whose peer is `of`, if
     /// any).  Returns whether it does.  A whole answer appends nothing to
     /// `out` and need not read `peers`; any other answer appends exactly
-    /// what `fill_known_at_depth` appends.
+    /// what `fill_known_at_depth` appends, in the same strictly ascending
+    /// order.
     ///
     /// `view` is the caller's dense identifier of the depth view it passes
     /// (a group's `SharedViews` numbers them).  As for

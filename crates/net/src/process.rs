@@ -90,8 +90,8 @@ impl<P: MulticastProtocol> NetProcess<P> {
             }
             match frame {
                 Frame::Tick => self.tick(),
-                Frame::Gossip { from, gossip } => {
-                    self.on_gossip(from, gossip);
+                Frame::Gossip { gossip } => {
+                    self.on_gossip(gossip);
                     self.transport.mark_processed(self.index);
                 }
                 Frame::Publish(event) => {
@@ -135,7 +135,7 @@ impl<P: MulticastProtocol> NetProcess<P> {
 
     /// One inbound gossip frame: a first receipt is dispatched, any other
     /// is exactly a frame `on_message` would ignore, so it is only counted.
-    fn on_gossip(&mut self, from: ProcessId, gossip: Gossip) {
+    fn on_gossip(&mut self, gossip: Gossip) {
         let id = gossip.id;
         if self.protocol.has_received(id) {
             self.stats.frames_deduped += 1;
@@ -149,15 +149,14 @@ impl<P: MulticastProtocol> NetProcess<P> {
             &mut self.rng,
             &mut self.scratch,
         );
-        self.protocol.on_message(from, gossip, &mut ctx);
+        self.protocol.on_message(gossip, &mut ctx);
         self.stats.frames_handled += 1;
         self.flush();
     }
 
     fn flush(&mut self) {
-        let own = ProcessId(self.index);
         for (to, gossip, payload_size) in self.outbox.drain(..) {
-            self.transport.send_gossip(own, to, gossip, payload_size);
+            self.transport.send_gossip(to, gossip, payload_size);
         }
         // The lent bundle also collects the protocol's delivery reports,
         // which only a round-synchronous observer reads; a daemon empties
@@ -231,7 +230,7 @@ mod tests {
     /// reaches `process`.
     fn receive<P: MulticastProtocol>(process: &mut NetProcess<P>, publisher: &mut P, id: u64) {
         publisher.publish(Arc::new(Event::builder(id).int("b", 1).build()));
-        process.on_gossip(ProcessId(1), Gossip::new(EventId(id), 1, 1.0, 0));
+        process.on_gossip(Gossip::new(EventId(id), 1, 1.0, 0));
     }
 
     fn counted<P>(process: &NetProcess<P>) -> (u64, u64) {
@@ -277,12 +276,12 @@ mod tests {
         idle.retire_and_forget_below(EventId(HIGHEST));
         assert_eq!(process.floor, EventId(0));
 
-        process.on_gossip(ProcessId(2), Gossip::new(EventId(below), 1, 1.0, 0));
+        process.on_gossip(Gossip::new(EventId(below), 1, 1.0, 0));
         assert_eq!(counted(&process), (1, 0), "a first receipt here");
         assert!(process.protocol.has_received(EventId(below)), "filed as seen");
         assert!(!process.protocol.has_delivered(EventId(below)), "delivered nowhere");
         assert!(process.protocol.is_quiescent(), "nothing to forward");
-        process.on_gossip(ProcessId(2), Gossip::new(EventId(below), 1, 1.0, 0));
+        process.on_gossip(Gossip::new(EventId(below), 1, 1.0, 0));
         assert_eq!(counted(&process), (1, 1), "the next frame is a duplicate");
 
         // At or above every floor, a publish and a receipt still deliver.

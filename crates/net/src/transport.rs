@@ -33,8 +33,6 @@ pub enum Frame {
     Tick,
     /// An inbound gossip frame from a peer.
     Gossip {
-        /// The sending process.
-        from: ProcessId,
         /// The gossip message: the event's id and its depth, rate and round
         /// — the content stays in the group's event store.
         gossip: Gossip,
@@ -212,18 +210,14 @@ impl ChannelTransport {
         self.in_flight() == 0 && (0..self.shared.quiescent.len()).all(at_rest)
     }
 
-    /// Sends a gossip frame from `from` to `to`; returns whether the frame
-    /// was enqueued (`false` = dropped, lost or destination crashed).
+    /// Sends a gossip frame to `to`; returns whether the frame was enqueued
+    /// (`false` = dropped, lost or destination crashed).  The frame names no
+    /// sender: a crashed process sends nothing, because its task has
+    /// stopped, and a receiver reads only the gossip.
     /// Never blocks: a send that cannot complete immediately is *dropped
     /// and counted*, never awaited (see the module docs for why the publish
     /// path is different).
-    pub fn send_gossip(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        gossip: Gossip,
-        payload_size: usize,
-    ) -> bool {
+    pub fn send_gossip(&self, to: ProcessId, gossip: Gossip, payload_size: usize) -> bool {
         let shared = &self.shared;
         if self.is_crashed(to.0) {
             shared.frames_to_crashed.fetch_add(1, Ordering::Relaxed);
@@ -240,7 +234,7 @@ impl ChannelTransport {
                 return false;
             }
         }
-        match self.mailbox(to.0).try_send(Frame::Gossip { from, gossip }) {
+        match self.mailbox(to.0).try_send(Frame::Gossip { gossip }) {
             Ok(()) => {
                 self.mark_enqueued(to.0);
                 shared.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -293,9 +287,9 @@ mod tests {
     #[test]
     fn full_mailbox_drops_with_counter() {
         let (transport, _receivers) = ChannelTransport::with_loss(2, 2, 0.0, 0);
-        assert!(transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 10));
-        assert!(transport.send_gossip(ProcessId(0), ProcessId(1), gossip(2), 10));
-        assert!(!transport.send_gossip(ProcessId(0), ProcessId(1), gossip(3), 10));
+        assert!(transport.send_gossip(ProcessId(1), gossip(1), 10));
+        assert!(transport.send_gossip(ProcessId(1), gossip(2), 10));
+        assert!(!transport.send_gossip(ProcessId(1), gossip(3), 10));
         let stats = transport.stats();
         assert_eq!((stats.frames_sent, stats.frames_dropped), (2, 1));
         assert_eq!(stats.in_flight, 2);
@@ -305,7 +299,7 @@ mod tests {
     #[test]
     fn processing_acknowledges_in_flight() {
         let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
-        transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 0);
+        transport.send_gossip(ProcessId(1), gossip(1), 0);
         assert_eq!(transport.in_flight(), 1);
         smol::LocalExecutor::deterministic(1)
             .run(receivers[1].recv())
@@ -318,13 +312,13 @@ mod tests {
     #[test]
     fn crashed_destination_is_written_off() {
         let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
-        transport.send_gossip(ProcessId(0), ProcessId(1), gossip(1), 0);
+        transport.send_gossip(ProcessId(1), gossip(1), 0);
         transport.mark_crashed(1);
         assert_eq!(transport.in_flight(), 0, "orphaned frames written off");
-        assert!(!transport.send_gossip(ProcessId(0), ProcessId(1), gossip(2), 0));
+        assert!(!transport.send_gossip(ProcessId(1), gossip(2), 0));
         assert_eq!(transport.stats().frames_to_crashed, 1);
         drop(receivers);
-        assert!(!transport.send_gossip(ProcessId(0), ProcessId(0), gossip(3), 0));
+        assert!(!transport.send_gossip(ProcessId(0), gossip(3), 0));
         assert_eq!(transport.stats().frames_to_crashed, 2);
     }
 
@@ -334,7 +328,7 @@ mod tests {
             let (transport, receivers) = ChannelTransport::with_loss(64, 2, 0.5, seed);
             let mut delivered = Vec::new();
             for n in 0..32 {
-                delivered.push(transport.send_gossip(ProcessId(0), ProcessId(1), gossip(n), 0));
+                delivered.push(transport.send_gossip(ProcessId(1), gossip(n), 0));
             }
             drop(receivers);
             delivered

@@ -23,12 +23,14 @@ pub trait RoundProcess {
 
     /// Called for every message delivered to this process at the beginning
     /// of a round.
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        message: Self::Message,
-        ctx: &mut RoundContext<'_, Self::Message>,
-    );
+    ///
+    /// The message comes without its sender.  The network has already
+    /// applied every check that involves one — a crashed sender, a
+    /// partition, the link's loss and delay — when the message was sent,
+    /// so a receiver has no use for it; leaving it out keeps the envelopes
+    /// that pass through every round small.  A protocol that needs a
+    /// reply address carries it in its own message type.
+    fn on_message(&mut self, message: Self::Message, ctx: &mut RoundContext<'_, Self::Message>);
 
     /// Returns `true` if the process has nothing left to do; a simulation
     /// may stop early once every process is quiescent and no messages are in
@@ -778,7 +780,7 @@ impl<P: RoundProcess> Simulation<P> {
 
         self.receivers.clear();
         scratch.delivered.clear();
-        for Envelope { from, to, message } in inbox.drain(..) {
+        for Envelope { to, message } in inbox.drain(..) {
             // Nothing can crash between the handover and this loop, and the
             // handover already dropped what was addressed to a down process.
             debug_assert!(
@@ -794,7 +796,7 @@ impl<P: RoundProcess> Simulation<P> {
             self.mark_active(to.0);
             // Messages emitted while handling are sent from the receiver.
             self.drive(to, &mut outbox, &mut scratch, |process, ctx| {
-                process.on_message(from, message, ctx)
+                process.on_message(message, ctx)
             });
         }
 
@@ -942,7 +944,7 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, _from: ProcessId, message: u64, ctx: &mut RoundContext<'_, u64>) {
+        fn on_message(&mut self, message: u64, ctx: &mut RoundContext<'_, u64>) {
             assert_eq!(message, 99);
             self.deliveries += 1;
             if !self.has_token {
@@ -1460,7 +1462,7 @@ mod tests {
             *ctx.scratch() = scratch;
         }
 
-        fn on_message(&mut self, _from: ProcessId, message: u8, _ctx: &mut RoundContext<'_, u8>) {
+        fn on_message(&mut self, message: u8, _ctx: &mut RoundContext<'_, u8>) {
             assert_eq!(message, 7);
             self.deliveries += 1;
             if !self.has_rumor {
@@ -1586,8 +1588,8 @@ mod tests {
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(3), 0, &mut outbox, &mut rng, &mut scratch);
         let mut late = Flood::new(Vec::new(), false);
-        late.on_message(ProcessId(0), 99, &mut ctx);
-        late.on_message(ProcessId(1), 99, &mut ctx);
+        late.on_message(99, &mut ctx);
+        late.on_message(99, &mut ctx);
         assert_eq!(scratch.delivered, vec![(ProcessId(3), 99)]);
     }
 

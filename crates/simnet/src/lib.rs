@@ -8,7 +8,9 @@
 //! as a deterministic, seedable discrete-round simulator:
 //!
 //! * [`RoundNetwork`] — a message switch with per-message loss, crashed
-//!   destinations and full traffic accounting;
+//!   destinations and full traffic accounting; an [`Envelope`] in flight
+//!   is its destination and payload only, since every check that reads
+//!   the sender is made at the send;
 //! * [`Simulation`] + [`RoundProcess`] — a driver that owns one protocol
 //!   state machine per process and advances them in lockstep rounds;
 //! * [`CrashPlan`] — failure injection: crash chosen processes at chosen
@@ -60,7 +62,7 @@
 //!             self.has_token = false;
 //!         }
 //!     }
-//!     fn on_message(&mut self, _from: ProcessId, _message: (), _ctx: &mut RoundContext<'_, ()>) {
+//!     fn on_message(&mut self, _message: (), _ctx: &mut RoundContext<'_, ()>) {
 //!         self.has_token = true;
 //!     }
 //! }

@@ -28,11 +28,16 @@ impl From<usize> for ProcessId {
     }
 }
 
-/// A message in flight: sender, destination and payload.
+/// A message in flight: destination and payload.
+///
+/// No sender: every check that reads one (crashed sender, partition, the
+/// link's loss and delay) is made at [`RoundNetwork::send`], and a receiver
+/// reads only the payload (see [`RoundProcess::on_message`]).  A pmcast
+/// gossip's envelope is 32 bytes, two to a cache line.
+///
+/// [`RoundProcess::on_message`]: crate::RoundProcess::on_message
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<M> {
-    /// Sending process.
-    pub from: ProcessId,
     /// Destination process.
     pub to: ProcessId,
     /// Protocol payload.
@@ -226,10 +231,10 @@ impl<M> RoundNetwork<M> {
         }
         let extra = self.link_extra_delay(from, to);
         if extra == 0 {
-            self.in_flight.push(Envelope { from, to, message });
+            self.in_flight.push(Envelope { to, message });
         } else {
             self.stats.messages_delayed += 1;
-            self.schedule_delayed(extra, Envelope { from, to, message });
+            self.schedule_delayed(extra, Envelope { to, message });
         }
     }
 
@@ -348,7 +353,7 @@ mod tests {
     }
 
     /// Closes the round into a fresh vector.
-    fn deliver_round(net: &mut RoundNetwork<u32>) -> Vec<Envelope<u32>> {
+    fn deliver_round<M>(net: &mut RoundNetwork<M>) -> Vec<Envelope<M>> {
         let mut delivered = Vec::new();
         net.deliver_round_into(&mut delivered);
         delivered
@@ -356,16 +361,16 @@ mod tests {
 
     #[test]
     fn messages_are_delivered_next_round() {
-        let mut net = network(3, 0.0);
-        net.send(ProcessId(0), ProcessId(1), 42, 8);
+        // An envelope names no sender; a message that needs one carries it.
+        let mut net = RoundNetwork::new(3, 0.0, ChaCha8Rng::seed_from_u64(1));
+        net.send(ProcessId(0), ProcessId(1), (ProcessId(0), 42), 8);
         assert!(!net.is_idle());
         assert_eq!(net.round, 0);
         let delivered = deliver_round(&mut net);
         assert_eq!(net.round, 1);
         assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].from, ProcessId(0));
         assert_eq!(delivered[0].to, ProcessId(1));
-        assert_eq!(delivered[0].message, 42);
+        assert_eq!(delivered[0].message, (ProcessId(0), 42));
         assert!(net.is_idle());
         assert_eq!(net.stats().messages_sent, 1);
         assert_eq!(net.stats().messages_delivered, 1);
@@ -428,7 +433,6 @@ mod tests {
         let mut net = network(3, 0.0);
         // What the caller left in its buffer is not traffic.
         let mut buffer = vec![Envelope {
-            from: ProcessId(2),
             to: ProcessId(2),
             message: 99,
         }];
@@ -437,7 +441,6 @@ mod tests {
         assert_eq!(
             buffer,
             vec![Envelope {
-                from: ProcessId(0),
                 to: ProcessId(1),
                 message: 7,
             }]
@@ -672,17 +675,20 @@ mod tests {
     fn neutral_fault_plan_is_bit_identical_to_no_plan() {
         let run = |plan: Option<&FaultPlan>| {
             let rng = ChaCha8Rng::seed_from_u64(33);
-            let mut net: RoundNetwork<u32> = match plan {
+            // Each message carries its sender, so the log still names the
+            // link every delivery came over.
+            let mut net: RoundNetwork<(ProcessId, u32)> = match plan {
                 Some(plan) => RoundNetwork::with_faults(6, 0.4, rng, plan),
                 None => RoundNetwork::new(6, 0.4, rng),
             };
             let mut log = Vec::new();
             for round in 0..6u64 {
                 for from in 0..6 {
-                    net.send(ProcessId(from), ProcessId((from + 1) % 6), round as u32, 0);
+                    let message = (ProcessId(from), round as u32);
+                    net.send(ProcessId(from), ProcessId((from + 1) % 6), message, 0);
                 }
-                for envelope in deliver_round(&mut net) {
-                    log.push((envelope.from, envelope.to, envelope.message));
+                for Envelope { to, message: (from, round) } in deliver_round(&mut net) {
+                    log.push((from, to, round));
                 }
             }
             (log, *net.stats())

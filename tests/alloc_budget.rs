@@ -100,8 +100,8 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, Counts) {
 fn a_trial_allocates_per_infected_process_not_per_process() {
     // The `paper_global` and `paper_delegate` traffic shapes of `pmbench`
     // at 8^3.  The figures quoted below are the global row's.  The
-    // `delegate(3)` row reads 239 for (a) and 1 248 for (c) (1 199 fresh +
-    // 49 regrowths): 1 235 before the provider kept a row per depth view
+    // `delegate(3)` row reads 239 for (a) and 1 245 for (c) (1 201 fresh +
+    // 44 regrowths): 1 235 before the provider kept a row per depth view
     // asked about by name, and 12 for the rows — two vectors, the row table
     // and one flat peer list, growing to the group's 73 views, never a
     // block per view.  That row is the structural guard that a static trial
@@ -118,8 +118,8 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// reached by hundreds of events, so what is counted here is what a trial
 /// allocates per *event* — the schedule, the `EventId → index` table, one
 /// latency histogram and one report per event — on top of the per-process
-/// buffers growing to their working size.  Achieved: 4 648 (3 332 fresh +
-/// 1 316 regrowths; 16 of them the group's event store, its map and its
+/// buffers growing to their working size.  Achieved: 4 643 (3 333 fresh +
+/// 1 310 regrowths; 16 of them the group's event store, its map and its
 /// heap of ids growing to the 300 events); before the store: 4 632 (3 323
 /// fresh + 1 309 regrowths); with a verdict byte per (content, subtree) beside the
 /// provider's view verdicts: 4 641 (3 326 + 1 315; 28 of them the group's
@@ -197,7 +197,7 @@ fn budget_holds_over(spec: MembershipSpec) {
 
     // (c) A whole trial — workload, membership, group, simulation, report,
     // teardown — stays within 2.6 allocations per process.  Achieved:
-    // 1 228 (1 192 fresh + 36 regrowths, 2.4 per process; 353 of the 512
+    // 1 234 (1 193 fresh + 41 regrowths, 2.4 per process; 353 of the 512
     // processes receive the event, and each of those allocates its
     // per-depth buffers — its two id sets hold a single event inline; 8
     // are the judgement table growing to its 73 rows and the report's one

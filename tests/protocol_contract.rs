@@ -283,7 +283,7 @@ fn retirement_at_one_process_is_invisible_to_every_other() {
         }
         let mut receivers = Vec::new();
         for (ProcessId(b), gossip, _) in in_flight {
-            drive(b, 7, |ctx| processes[b].on_message(ProcessId(0), gossip, ctx));
+            drive(b, 7, |ctx| processes[b].on_message(gossip, ctx));
             if !receivers.contains(&b) {
                 receivers.push(b);
             }
