@@ -1939,7 +1939,7 @@ mod tests {
     /// every third round), holding after every step that the event has at
     /// most one share per holder — the test's, the group store's and one
     /// per process buffering it — whatever sits in the network, the delay
-    /// wheel or the straggler's holdback.
+    /// wheel or the straggler's backlog.
     fn in_flight_messages_hold_no_share<F: ProtocolFactory>() {
         let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 4).unwrap());
         let group = F::build(

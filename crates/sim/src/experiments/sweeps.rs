@@ -152,7 +152,7 @@ pub fn adversarial(sweep: &mut Sweep) {
     let arity = provider_arity(sweep.profile);
     let (n, entries) = ((arity as usize).pow(3), delegate_entries(arity, 3));
     // ~1% of the group straggles, spread evenly over the index space, each
-    // flushing its outbox only every 3rd round.  Deterministic — fault
+    // sending only every 3rd round.  Deterministic — fault
     // schedules never consume randomness.
     let straggle = |builder: ScenarioBuilder| {
         let count = (n / 100).max(1);
@@ -201,8 +201,8 @@ pub fn adversarial(sweep: &mut Sweep) {
     }
     sweep.footer =
         "(lat = mean rounds from publish to delivery, p99 = its 99th percentile; partition rows \
-         split the group in two cells for rounds 0-6; partition-heal and combined publish at \
-         round 8, after the heal, so they measure provider recovery)"
+         split the group in two cells for rounds 0-5, healed at round 6; partition-heal and \
+         combined publish at round 8, after the heal, so they measure provider recovery)"
             .to_string();
 }
 

@@ -92,9 +92,13 @@
 //!   is then a pure hash of `(salt, from, to)`, so no further draws happen
 //!   during the run.
 //! * **Partitions** and **stragglers** are fully deterministic round
-//!   schedules and consume no randomness at all; a partition drop is
-//!   checked *before* the loss draw, so a partitioned message does not
-//!   consume the `gen_bool` a delivered one would.
+//!   schedules, both read by the network on the engine's round, and
+//!   consume no randomness at all: a window `[from, until)` drops the
+//!   cross-cell sends of exactly those rounds, *before* the loss draw, so a
+//!   partitioned message does not consume the `gen_bool` a delivered one
+//!   would; a straggler's send outside its flush round waits in its
+//!   backlog, uncounted and undrawn, and takes its draw when the boundary
+//!   that opens the flush round sends it.
 //! * **Subtree loss overrides** replace the message's single
 //!   `gen_bool(ε)` with a single `gen_bool` at the composed probability —
 //!   same one draw, so the loss stream stays aligned for messages outside

@@ -598,8 +598,8 @@ impl ScenarioBuilder {
     }
 
     /// Splits the group into `cells` equal contiguous cells for rounds
-    /// `from_round..until_round`: cross-cell messages are dropped while the
-    /// window is active, and the partition **heals** at `until_round`.
+    /// `from_round..until_round`: cross-cell messages sent in those rounds
+    /// are dropped, and the partition **heals** at `until_round`.
     /// Cells are contiguous in dense-index order, so they are subtree
     /// aligned whenever `cells` divides a level's subgroup count.  May be
     /// called repeatedly for repeated outages.
@@ -625,8 +625,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Makes one process a straggler: its outbox is held back and flushed
-    /// to the network only every `period`-th round (rounds `period`,
+    /// Makes one process a straggler: its sends are held back and reach
+    /// the network only every `period`-th round (rounds `period`,
     /// `2·period`, …), modelling a slow or overloaded node that batches
     /// its gossip.  `period` 1 is exactly a no-op.
     pub fn straggler(mut self, process: usize, period: u64) -> Self {

@@ -52,11 +52,11 @@ pub trait RoundProcess {
     }
 }
 
-/// What a round driver lends the process it drives besides the outbox:
-/// reusable index buffers for the protocol's fanout draw and the buffer its
-/// delivery reports land in.  Owned by whoever owns the outbox (the
-/// [`Simulation`], or an external driver) and reached through
-/// [`RoundContext::scratch`] and [`RoundContext::report_delivery`].
+/// What a round driver lends the process it drives besides a place for its
+/// sends: reusable index buffers for the protocol's fanout draw and the
+/// buffer its delivery reports land in.  Owned by the driver (the
+/// [`Simulation`], or an external driver next to its outbox) and reached
+/// through [`RoundContext::scratch`] and [`RoundContext::report_delivery`].
 ///
 /// A draw's candidate pool lives for one `on_round` call, so it is state of
 /// the round, not of the process: one warm pair of buffers serves every
@@ -157,14 +157,12 @@ pub struct RoundContext<'a, M> {
 
 /// Where a context's sends go.  A message is written once between the
 /// protocol's pick and the receiver's `on_message`: a [`Simulation`] hands
-/// the context its network, so a send *is* [`RoundNetwork::send`] — the
-/// loss draw, the traffic accounting and the envelope's one write into the
-/// in-flight buffer (or the delay wheel) happen there and then.  An outbox
-/// remains for the two drivers that must look at a send before it is one:
-/// an external driver with a transport of its own
-/// ([`RoundContext::external`]), and the simulation itself while it drives a
-/// process the [`crate::FaultPlan`] declares a straggler, whose sends wait
-/// for its flush round.
+/// the context its network, so a send *is* [`RoundNetwork::send`] — every
+/// fault decision, the loss draw, the traffic accounting and the envelope's
+/// one write into the in-flight buffer (or the delay wheel, or a
+/// straggler's backlog) happen there and then.  An outbox remains for the
+/// one driver that must look at a send before it is one: an external driver
+/// with a transport of its own ([`RoundContext::external`]).
 enum Sink<'a, M> {
     Network(&'a mut RoundNetwork<M>),
     Outbox(&'a mut Vec<(ProcessId, M, usize)>),
@@ -321,23 +319,11 @@ pub struct LifecyclePlan {
     pub leaves: Vec<(u64, usize)>,
 }
 
-/// Holdback state of one straggling process (the engine-level half of the
-/// [`crate::FaultPlan`]): messages its outbox emitted on non-flush rounds,
-/// waiting for the next flush round.
-struct StragglerState<M> {
-    process: usize,
-    period: u64,
-    holdback: Vec<(ProcessId, M, usize)>,
-}
-
-/// A straggler with period `k` flushes its outbox only on rounds `k`, `2k`,
-/// `3k`, … — round 0 is never a flush round, so even traffic emitted at the
-/// very start of a run is slowed down.
-fn is_flush_round(round: u64, period: u64) -> bool {
-    round != 0 && round.is_multiple_of(period)
-}
-
 /// Drives a set of [`RoundProcess`] state machines over a [`RoundNetwork`].
+///
+/// The loop only drives processes: every fault the [`crate::FaultPlan`]
+/// declares is the network's to apply, on the network's round, which is
+/// the simulation's during every [`step`](Self::step).
 ///
 /// The round loop is allocation-free after warm-up: the inbox is the buffer
 /// the network filled during the previous round, handed over whole and
@@ -348,12 +334,6 @@ pub struct Simulation<P: RoundProcess> {
     processes: Vec<P>,
     network: RoundNetwork<P::Message>,
     protocol_rng: ChaCha8Rng,
-    /// Active stragglers from the [`crate::FaultPlan`] (neutral declarations
-    /// are dropped at construction, so an empty vector is the no-fault hot
-    /// path).  Flushed holdbacks send during the flush round in emission
-    /// order, before the round's fresh traffic; a crash or leave discards
-    /// the process's held messages.
-    stragglers: Vec<StragglerState<P::Message>>,
     /// The merged lifecycle schedule (scheduled crashes from the
     /// [`CrashPlan`] plus the [`LifecyclePlan`] joins/leaves), sorted by
     /// `(round, kind, process)` and drained through a deque cursor.
@@ -381,9 +361,6 @@ pub struct Simulation<P: RoundProcess> {
     receiver_stamp: Vec<u64>,
     /// Reused across rounds: messages delivered at the current boundary.
     inbox: Vec<Envelope<P::Message>>,
-    /// Reused across rounds: messages emitted by a straggler being driven
-    /// (everybody else sends into the network directly).
-    outbox: Vec<(ProcessId, P::Message, usize)>,
     /// Reused across processes and rounds: the fanout buffers lent to the
     /// process being driven.
     scratch: FanoutScratch,
@@ -439,7 +416,6 @@ impl<P: RoundProcess> Simulation<P> {
         mut lifecycle_observer: Option<Box<dyn FnMut(LifecycleTransition)>>,
     ) -> Self {
         config.validate();
-        config.fault_plan.validate_for(processes.len());
         let mut seed_rng = ChaCha8Rng::seed_from_u64(config.seed);
         let network_rng = ChaCha8Rng::seed_from_u64(seed_rng.gen());
         let protocol_rng = ChaCha8Rng::seed_from_u64(seed_rng.gen());
@@ -449,20 +425,6 @@ impl<P: RoundProcess> Simulation<P> {
             network_rng,
             &config.fault_plan,
         );
-        // The engine-level fault axis: only non-neutral stragglers become
-        // state, so a declared-but-inactive straggler (period <= 1) leaves
-        // the round loop on its straggler-free path.
-        let stragglers: Vec<StragglerState<P::Message>> = config
-            .fault_plan
-            .stragglers
-            .iter()
-            .filter(|s| !s.is_neutral())
-            .map(|s| StragglerState {
-                process: s.process,
-                period: s.period,
-                holdback: Vec::new(),
-            })
-            .collect();
         let mut schedule: Vec<(u64, LifecycleKind, usize)> = Vec::new();
         let crash_fraction = |network: &mut RoundNetwork<P::Message>,
                                   seed_rng: &mut ChaCha8Rng,
@@ -507,7 +469,6 @@ impl<P: RoundProcess> Simulation<P> {
             processes,
             network,
             protocol_rng,
-            stragglers,
             scheduled_lifecycle: schedule.into(),
             round: 0,
             dense: false,
@@ -522,7 +483,6 @@ impl<P: RoundProcess> Simulation<P> {
             receivers: Vec::new(),
             receiver_stamp: vec![0; count],
             inbox: Vec::new(),
-            outbox: Vec::new(),
             scratch: FanoutScratch::default(),
             lifecycle_observer,
         }
@@ -556,70 +516,22 @@ impl<P: RoundProcess> Simulation<P> {
         self.active_pending.clear();
     }
 
-    /// Discards a departing process's held-back messages (its unsent queue
-    /// dies with it) so a crashed straggler can never block quiescence.
-    fn drop_holdback(&mut self, id: ProcessId) {
-        if !self.stragglers.is_empty() {
-            for state in &mut self.stragglers {
-                if state.process == id.0 {
-                    state.holdback.clear();
-                }
-            }
-        }
-    }
-
     /// Runs one callback of process `id` inside a context whose sends go
-    /// where its driver kind requires: straight into the network — or, for
-    /// a straggler, through the outbox into its holdback buffer (or, on its
-    /// flush round, on to the network in emission order).
-    fn drive<R>(
+    /// straight into the network.
+    fn drive(
         &mut self,
         id: ProcessId,
-        outbox: &mut Vec<(ProcessId, P::Message, usize)>,
         scratch: &mut FanoutScratch,
-        callback: impl FnOnce(&mut P, &mut RoundContext<'_, P::Message>) -> R,
-    ) -> R {
-        let straggler = self.stragglers.iter().position(|s| s.process == id.0);
+        callback: impl FnOnce(&mut P, &mut RoundContext<'_, P::Message>),
+    ) {
         let mut ctx = RoundContext {
             process: id,
             round: self.round,
-            sink: match straggler {
-                None => Sink::Network(&mut self.network),
-                Some(_) => Sink::Outbox(outbox),
-            },
+            sink: Sink::Network(&mut self.network),
             rng: &mut self.protocol_rng,
             scratch,
         };
-        let result = callback(&mut self.processes[id.0], &mut ctx);
-        if let Some(straggler) = straggler {
-            let state = &mut self.stragglers[straggler];
-            if is_flush_round(self.round, state.period) {
-                for (to, message, size) in outbox.drain(..) {
-                    self.network.send(id, to, message, size);
-                }
-            } else {
-                state.holdback.append(outbox);
-            }
-        }
-        result
-    }
-
-    /// Sends every straggler's held-back messages whose flush round has
-    /// arrived, in emission order, before the round's fresh traffic.
-    fn flush_stragglers(&mut self) {
-        if self.stragglers.is_empty() {
-            return;
-        }
-        let mut stragglers = std::mem::take(&mut self.stragglers);
-        for state in &mut stragglers {
-            if is_flush_round(self.round, state.period) && !state.holdback.is_empty() {
-                let from = ProcessId(state.process);
-                for (to, message, size) in state.holdback.drain(..) {
-                    self.network.send(from, to, message, size);
-                }
-            }
-        }
-        self.stragglers = stragglers;
+        callback(&mut self.processes[id.0], &mut ctx);
     }
 
     fn notify(&mut self, id: ProcessId, kind: LifecycleKind) {
@@ -635,7 +547,6 @@ impl<P: RoundProcess> Simulation<P> {
             return;
         }
         self.network.crash(id);
-        self.drop_holdback(id);
         self.notify(id, LifecycleKind::Crash);
     }
 
@@ -646,7 +557,6 @@ impl<P: RoundProcess> Simulation<P> {
             return;
         }
         self.network.crash(id);
-        self.drop_holdback(id);
         self.notify(id, LifecycleKind::Leave);
     }
 
@@ -771,12 +681,12 @@ impl<P: RoundProcess> Simulation<P> {
         }
 
         let mut inbox = std::mem::take(&mut self.inbox);
-        let mut outbox = std::mem::take(&mut self.outbox);
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.network.deliver_round_into(&mut inbox);
-        // Stragglers whose flush round has arrived send their backlog
-        // before the round's fresh traffic (a no-op without stragglers).
-        self.flush_stragglers();
+        // Round 0 opens without a handover: nothing can be in flight before
+        // it, so the network's round is the engine's during every step.
+        if self.round > 0 {
+            self.network.deliver_round_into(&mut inbox);
+        }
 
         self.receivers.clear();
         scratch.delivered.clear();
@@ -795,9 +705,7 @@ impl<P: RoundProcess> Simulation<P> {
             }
             self.mark_active(to.0);
             // Messages emitted while handling are sent from the receiver.
-            self.drive(to, &mut outbox, &mut scratch, |process, ctx| {
-                process.on_message(message, ctx)
-            });
+            self.drive(to, &mut scratch, |process, ctx| process.on_message(message, ctx));
         }
 
         if self.dense {
@@ -806,7 +714,7 @@ impl<P: RoundProcess> Simulation<P> {
                 if self.network.is_crashed(id) {
                     continue;
                 }
-                self.drive(id, &mut outbox, &mut scratch, P::on_round);
+                self.drive(id, &mut scratch, P::on_round);
             }
         } else {
             // The active-set sweep: visit exactly the scheduled processes,
@@ -825,7 +733,7 @@ impl<P: RoundProcess> Simulation<P> {
                 if self.network.is_crashed(id) {
                     continue;
                 }
-                self.drive(id, &mut outbox, &mut scratch, P::on_round);
+                self.drive(id, &mut scratch, P::on_round);
                 // Still busy?  Reschedule for the next round (stamp
                 // encoding `scheduled_round + 1` = `(round + 1) + 1`).
                 if !self.processes[index].is_quiescent()
@@ -838,7 +746,6 @@ impl<P: RoundProcess> Simulation<P> {
             self.active_scratch = current;
         }
         self.inbox = inbox;
-        self.outbox = outbox;
         self.scratch = scratch;
         self.round += 1;
     }
@@ -865,12 +772,7 @@ impl<P: RoundProcess> Simulation<P> {
                 .iter()
                 .all(|&index| self.network.is_crashed(ProcessId(index)) || self.processes[index].is_quiescent())
         };
-        protocol_quiet
-            && self.network.is_idle()
-            // A straggler's held-back backlog is in-flight traffic the
-            // network cannot see yet; the run keeps stepping until the
-            // flush round sends it (or the straggler departs).
-            && self.stragglers.iter().all(|s| s.holdback.is_empty())
+        protocol_quiet && self.network.is_idle()
     }
 
     /// Runs until every process is quiescent, no messages are in flight
@@ -903,7 +805,7 @@ impl<P: RoundProcess> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::tests::{delayed, straggling};
+    use crate::fault::tests::{delayed, partitioned, straggling};
     use crate::FaultPlan;
 
     /// Number of down processes (crashed, departed or not yet joined).
@@ -1366,7 +1268,7 @@ mod tests {
         // first round; nobody echoes.  Process 1 crashes and process 2
         // leaves at the start of the round whose boundary delivers them —
         // over the plain network, the delay wheel, and a straggling sender
-        // (whose sends take the outbox and its holdback first).
+        // (whose sends wait in its backlog first).
         for (faults, arrival) in [
             (FaultPlan::default(), 1),
             (delayed(2, 2), 3),
@@ -1414,6 +1316,52 @@ mod tests {
             without.run_until_quiescent(50)
         );
         assert_eq!(with_plan.stats(), without.stats());
+    }
+
+    /// Sends `to`, if any, one message a round carrying the round it was
+    /// sent in, and keeps the rounds of the messages it receives.
+    struct Pinger {
+        to: Option<ProcessId>,
+        arrived: Vec<u64>,
+    }
+
+    impl RoundProcess for Pinger {
+        type Message = u64;
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
+            if let Some(to) = self.to {
+                ctx.send_sized(to, ctx.round, 0);
+            }
+        }
+
+        fn on_message(&mut self, sent_in: u64, _ctx: &mut RoundContext<'_, u64>) {
+            self.arrived.push(sent_in);
+        }
+    }
+
+    #[test]
+    fn a_partition_window_cuts_the_sends_of_the_rounds_it_names() {
+        // Process 0 pings process 3 across the cells {0, 1} | {2, 3} every
+        // round; the window `[from, until)` loses exactly the pings sent in
+        // the rounds it names, counted by the engine's own round.
+        for (from, until) in [(0, 1), (2, 4)] {
+            let processes: Vec<Pinger> = (0..4)
+                .map(|index| Pinger {
+                    to: (index == 0).then_some(ProcessId(3)),
+                    arrived: Vec::new(),
+                })
+                .collect();
+            let config = NetworkConfig {
+                fault_plan: partitioned(from, until, 2),
+                ..NetworkConfig::reliable(3)
+            };
+            let mut sim = Simulation::new(processes, config);
+            step_rounds(&mut sim, 7);
+            let arrived = &sim.process(ProcessId(3)).arrived;
+            let cut: Vec<u64> = (0..6).filter(|round| !arrived.contains(round)).collect();
+            assert_eq!(cut, (from..until).collect::<Vec<u64>>(), "window [{from}, {until})");
+            assert_eq!(sim.stats().messages_partitioned, until - from);
+        }
     }
 
     /// A rumor-mongering process that *draws from the shared protocol RNG*

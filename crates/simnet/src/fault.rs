@@ -6,19 +6,21 @@
 //! the processes crashed — both *uniform and i.i.d.*  Real networks fail
 //! in structured ways, which is where hierarchical gossip is argued to
 //! degrade gracefully.  A [`FaultPlan`] layers four structured axes on top
-//! of the uniform model, each independently declarable:
+//! of the uniform model, each independently declarable, and all four are
+//! applied by [`crate::RoundNetwork`] on its round — the round a message is
+//! sent in, which a [`crate::Simulation`] keeps equal to its own:
 //!
 //! * [`LinkDelay`] — per-link extra latency: a message on link
 //!   `(from, to)` takes `1 + extra` rounds instead of 1, with `extra`
 //!   fixed per ordered link (drawn deterministically from one salt).
-//! * [`PartitionWindow`] — a transient partition that heals: during
-//!   `[from_round, until_round)` the address space splits into `cells`
-//!   contiguous cells and every cross-cell send is dropped.
+//! * [`PartitionWindow`] — a transient partition that heals: the address
+//!   space splits into `cells` contiguous cells and every cross-cell send
+//!   of a round in `[from_round, until_round)` is dropped.
 //! * [`LossOverride`] — asymmetric/correlated loss: an extra loss
 //!   probability for every message touching a contiguous index range
 //!   (e.g. one subtree), composed multiplicatively with the global `ε`.
-//! * [`Straggler`] — a slow node: its outbox only flushes on rounds
-//!   divisible by `period`, batching everything in between.
+//! * [`Straggler`] — a slow node: its sends only reach the network on
+//!   rounds divisible by `period`, batching everything in between.
 //!
 //! ## Stream neutrality
 //!
@@ -127,17 +129,19 @@ impl LossOverride {
     }
 }
 
-/// A slow node: the process's outbox only reaches the network on rounds
-/// divisible by `period`; messages emitted in between are held back and
-/// flushed in emission order on the next flush round.  Held messages are
-/// discarded if the process crashes or leaves before flushing (a slow
-/// node's unsent queue dies with it).  `period <= 1` declares the axis
-/// inactive (every round is a flush round).
+/// A slow node: the process's sends only reach the network on rounds
+/// divisible by `period` (its *flush rounds*; round 0 is none).  A send in
+/// between waits in the network's backlog for the process — not counted,
+/// no loss draw — and the boundary that opens the next flush round sends
+/// the backlog, in emission order, ahead of that round's fresh traffic.
+/// The backlog is discarded if the process crashes or leaves before its
+/// flush (a slow node's unsent queue dies with it).  `period <= 1`
+/// declares the axis inactive (every round is a flush round).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Straggler {
     /// The straggling process index.
     pub process: usize,
-    /// Its outbox flushes on rounds where `round % period == 0`.
+    /// Its sends reach the network on rounds where `round % period == 0`.
     pub period: u64,
 }
 
@@ -161,7 +165,7 @@ pub struct FaultPlan {
     pub partitions: Vec<PartitionWindow>,
     /// Correlated per-range loss overrides layered on the global `ε`.
     pub loss_overrides: Vec<LossOverride>,
-    /// Slow nodes whose outboxes flush every `period`-th round.
+    /// Slow nodes whose sends reach the network every `period`-th round.
     pub stragglers: Vec<Straggler>,
 }
 
@@ -234,7 +238,8 @@ impl FaultPlan {
     }
 
     /// [`validate`](Self::validate) plus the process-count–dependent index
-    /// checks ([`crate::Simulation`] calls this at construction).
+    /// checks ([`crate::RoundNetwork::with_faults`] calls this at
+    /// construction).
     ///
     /// # Panics
     ///

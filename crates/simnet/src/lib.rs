@@ -8,11 +8,12 @@
 //! as a deterministic, seedable discrete-round simulator:
 //!
 //! * [`RoundNetwork`] — a message switch with per-message loss, crashed
-//!   destinations and full traffic accounting; an [`Envelope`] in flight
-//!   is its destination and payload only, since every check that reads
-//!   the sender is made at the send;
+//!   destinations, the whole [`FaultPlan`] and full traffic accounting; an
+//!   [`Envelope`] in flight is its destination and payload only, since
+//!   every check that reads the sender is made at the send;
 //! * [`Simulation`] + [`RoundProcess`] — a driver that owns one protocol
-//!   state machine per process and advances them in lockstep rounds;
+//!   state machine per process and advances them in lockstep rounds, its
+//!   round the network's (round 0 opens without a handover);
 //! * [`CrashPlan`] — failure injection: crash chosen processes at chosen
 //!   rounds, or a random fraction of the group;
 //! * [`LifecyclePlan`] — the membership lifecycle: processes that start
@@ -22,7 +23,8 @@
 //! * [`FaultPlan`] — adversarial structured faults layered on the paper's
 //!   uniform `ε`/`τ` model: per-link extra latency ([`LinkDelay`]), healing
 //!   partitions ([`PartitionWindow`]), correlated per-range loss
-//!   ([`LossOverride`]) and slow-node stragglers ([`Straggler`]);
+//!   ([`LossOverride`]) and slow-node stragglers ([`Straggler`]), every
+//!   axis decided inside [`RoundNetwork::send`] and at the round boundary;
 //! * [`TrafficStats`] — messages sent / delivered / lost / suppressed /
 //!   partitioned / delayed, used by the evaluation to compare pmcast against
 //!   flooding baselines.
@@ -31,11 +33,12 @@
 //! seeded by the caller, so any run can be replayed bit-for-bit.
 //!
 //! Performance: the round loop is allocation-free at steady state.
-//! [`Simulation::step`] reuses simulation-owned inbox/outbox buffers,
-//! [`RoundNetwork::deliver_round_into`] recycles the in-flight queue's
-//! capacity, scheduled crashes drain through a `VecDeque` cursor, and the
-//! fanout draw's index buffers ([`FanoutScratch`]) are owned by the
-//! simulation next to the outbox and lent to the process being driven
+//! [`Simulation::step`] reuses a simulation-owned inbox and sends straight
+//! into the network, [`RoundNetwork::deliver_round_into`] recycles the
+//! in-flight queue's capacity (and a straggler backlog keeps its own),
+//! scheduled crashes drain through a `VecDeque` cursor, and the fanout
+//! draw's index buffers ([`FanoutScratch`]) are owned by the simulation
+//! next to the inbox and lent to the process being driven
 //! through [`RoundContext::scratch`], which
 //! [`RoundContext::choose_indices_into`] fills without allocating — a
 //! process keeps no draw buffer of its own (messages themselves should be

@@ -50,15 +50,19 @@ pub struct Envelope<M> {
 /// `t + 1` (the paper assumes the network latency is bounded by the gossip
 /// period).  Each message is lost independently with probability `ε`;
 /// messages to or from crashed processes are dropped and accounted
-/// separately.
+/// separately.  The network's round is the one its sends belong to: it
+/// starts at 0, and every [`deliver_round_into`](Self::deliver_round_into)
+/// closes it and opens the next.
 ///
 /// A [`FaultPlan`] (see [`with_faults`](Self::with_faults)) layers the
-/// adversarial axes on top: per-link extra latency routes messages through
-/// a timing wheel instead of the next-round buffer, active
-/// [`PartitionWindow`]s drop cross-cell sends (before the loss draw, so
-/// partition drops consume no randomness), and [`LossOverride`]s compose
-/// extra correlated loss onto `ε`.  A neutral plan leaves every code path
-/// and every random draw bit-identical to a plan-free network.
+/// adversarial axes on top, each decided here, on the network's round:
+/// per-link extra latency routes messages through a timing wheel instead of
+/// the next-round buffer, active [`PartitionWindow`]s drop cross-cell sends
+/// (before the loss draw, so partition drops consume no randomness),
+/// [`LossOverride`]s compose extra correlated loss onto `ε`, and a
+/// [`Straggler`](crate::Straggler)'s sends wait in its backlog until its
+/// flush round.  A neutral plan leaves every code path and every random
+/// draw bit-identical to a plan-free network.
 pub struct RoundNetwork<M> {
     loss_probability: f64,
     crashed: Vec<bool>,
@@ -82,9 +86,29 @@ pub struct RoundNetwork<M> {
     delay_salt: u64,
     partitions: Vec<PartitionWindow>,
     loss_overrides: Vec<LossOverride>,
+    /// The plan's non-neutral stragglers, in declaration order, each with
+    /// the sends it made since its last flush round.  Empty on the
+    /// straggler-free path, which [`send`](Self::send) takes without a
+    /// lookup.
+    stragglers: Vec<Backlog<M>>,
     stats: TrafficStats,
     round: u64,
     rng: ChaCha8Rng,
+}
+
+/// A straggler's unsent queue: the `(to, message, payload_size)` of every
+/// send it made since its last flush round, in emission order.
+struct Backlog<M> {
+    process: usize,
+    period: u64,
+    parked: Vec<(ProcessId, M, usize)>,
+}
+
+/// A straggler with period `k` flushes on rounds `k`, `2k`, `3k`, … — round
+/// 0 is never a flush round, so even traffic sent at the very start of a
+/// run is slowed down.
+fn is_flush_round(round: u64, period: u64) -> bool {
+    round != 0 && round.is_multiple_of(period)
 }
 
 impl<M> fmt::Debug for RoundNetwork<M> {
@@ -109,10 +133,8 @@ impl<M> RoundNetwork<M> {
     }
 
     /// Creates a network with an adversarial [`FaultPlan`] applied: link
-    /// delays, healing partitions and correlated loss overrides (the plan's
-    /// stragglers are an engine-level axis and are ignored here — the
-    /// [`crate::Simulation`] holds back their outboxes before messages ever
-    /// reach the network).
+    /// delays, healing partitions, correlated loss overrides and stragglers,
+    /// all four decided on the network's round.
     ///
     /// Draws exactly one `u64` salt from `rng` iff the delay span has
     /// jitter (`min_extra < max_extra`); every other axis consumes no
@@ -158,6 +180,12 @@ impl<M> RoundNetwork<M> {
                 .copied()
                 .filter(|o| !o.is_neutral())
                 .collect(),
+            stragglers: faults
+                .stragglers
+                .iter()
+                .filter(|s| !s.is_neutral())
+                .map(|s| Backlog { process: s.process, period: s.period, parked: Vec::new() })
+                .collect(),
             stats: TrafficStats::new(),
             round: 0,
             rng,
@@ -169,10 +197,11 @@ impl<M> RoundNetwork<M> {
         &self.stats
     }
 
-    /// Marks a process as down; it no longer sends or receives anything.
-    /// The flag covers every way of being off the network — a crash, a
-    /// graceful leave, or not having joined yet; the [`crate::Simulation`]
-    /// layer distinguishes the transitions.
+    /// Marks a process as down; it no longer sends or receives anything,
+    /// and a straggler's backlog dies with it.  The flag covers every way
+    /// of being off the network — a crash, a graceful leave, or not having
+    /// joined yet; the [`crate::Simulation`] layer distinguishes the
+    /// transitions.
     pub fn crash(&mut self, process: ProcessId) {
         if let Some(flag) = self.crashed.get_mut(process.0) {
             // Adjust the counter only on an actual flip: re-crashing a
@@ -180,6 +209,11 @@ impl<M> RoundNetwork<M> {
             if !*flag {
                 *flag = true;
                 self.crashed_count += 1;
+            }
+        }
+        for straggler in &mut self.stragglers {
+            if straggler.process == process.0 {
+                straggler.parked.clear();
             }
         }
     }
@@ -205,11 +239,20 @@ impl<M> RoundNetwork<M> {
     /// `extra` boundaries later under an active [`LinkDelay`]).
     /// `payload_size` feeds the byte accounting (pass 0 when irrelevant).
     ///
-    /// The fault checks run in a fixed order — crashed sender, crashed
-    /// receiver, active partition, loss draw, delay routing — and only the
-    /// loss draw consumes randomness, so inactive fault axes cannot shift
-    /// the network stream.
+    /// A live [`Straggler`](crate::Straggler)'s send outside its flush
+    /// round is parked in its backlog instead: not counted, no draw, sent by
+    /// the boundary that opens the flush round.  Every other send runs the
+    /// fault checks in a fixed order — crashed sender, crashed receiver,
+    /// active partition, loss draw, delay routing — and only the loss draw
+    /// consumes randomness, so inactive fault axes cannot shift the network
+    /// stream.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, message: M, payload_size: usize) {
+        if !self.stragglers.is_empty() {
+            if let Some(backlog) = self.holding_backlog(from) {
+                self.stragglers[backlog].parked.push((to, message, payload_size));
+                return;
+            }
+        }
         self.stats.messages_sent += 1;
         self.stats.payload_bytes += payload_size as u64;
         if self.is_crashed(from) {
@@ -236,6 +279,16 @@ impl<M> RoundNetwork<M> {
             self.stats.messages_delayed += 1;
             self.schedule_delayed(extra, Envelope { to, message });
         }
+    }
+
+    /// The backlog a send from `from` waits in: its own, if `from` is a live
+    /// straggler and this round is not its flush round.
+    #[cold]
+    #[inline(never)]
+    fn holding_backlog(&self, from: ProcessId) -> Option<usize> {
+        let backlog = self.stragglers.iter().position(|s| s.process == from.0)?;
+        let period = self.stragglers[backlog].period;
+        (!is_flush_round(self.round, period) && !self.is_crashed(from)).then_some(backlog)
     }
 
     /// Returns `true` if any currently active partition window separates
@@ -298,13 +351,15 @@ impl<M> RoundNetwork<M> {
         self.delayed_count += 1;
     }
 
-    /// Closes the current round and advances the round counter: clears
-    /// `delivered` and **hands it this round's buffer** — the two vectors
-    /// trade places, so no envelope is copied, the emptied buffer the
-    /// caller brought collects the next round's sends, and both keep their
-    /// capacity across rounds.  What was addressed to a process that went
-    /// down after the send is dropped from the buffer in place, a pass made
-    /// only while somebody is down.
+    /// Closes the current round and opens the next: clears `delivered` and
+    /// **hands it this round's buffer** — the two vectors trade places, so
+    /// no envelope is copied, the emptied buffer the caller brought
+    /// collects the next round's sends, and both keep their capacity across
+    /// rounds.  What was addressed to a process that went down after the
+    /// send is dropped from the buffer in place, a pass made only while
+    /// somebody is down.  Then every straggler whose flush round this opens
+    /// sends its backlog, in declaration order and each in emission order,
+    /// ahead of the new round's fresh sends.
     pub fn deliver_round_into(&mut self, delivered: &mut Vec<Envelope<M>>) {
         self.round += 1;
         delivered.clear();
@@ -318,6 +373,19 @@ impl<M> RoundNetwork<M> {
             self.book_arrivals(&mut due);
             delivered.append(&mut due);
             self.spare_slots.push(due);
+        }
+        for index in 0..self.stragglers.len() {
+            let straggler = &mut self.stragglers[index];
+            if straggler.parked.is_empty() || !is_flush_round(self.round, straggler.period) {
+                continue;
+            }
+            let from = ProcessId(straggler.process);
+            let mut parked = std::mem::take(&mut straggler.parked);
+            for (to, message, size) in parked.drain(..) {
+                self.send(from, to, message, size);
+            }
+            // The emptied backlog keeps its capacity for the next batch.
+            self.stragglers[index].parked = parked;
         }
     }
 
@@ -335,9 +403,11 @@ impl<M> RoundNetwork<M> {
     }
 
     /// Returns `true` if no messages are currently in flight (including
-    /// messages parked in the link-delay timing wheel).
+    /// messages in the link-delay timing wheel and in straggler backlogs).
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.delayed_count == 0
+        self.in_flight.is_empty()
+            && self.delayed_count == 0
+            && self.stragglers.iter().all(|s| s.parked.is_empty())
     }
 }
 
@@ -643,6 +713,79 @@ mod tests {
             survived
         };
         assert_eq!(run(&FaultPlan::default()), run(&partitioned(0, 1, 2)));
+    }
+
+    /// The payloads of a round's deliveries, in delivery order.
+    fn payloads(delivered: Vec<Envelope<u32>>) -> Vec<u32> {
+        delivered.into_iter().map(|envelope| envelope.message).collect()
+    }
+
+    #[test]
+    fn a_parked_straggler_send_is_not_counted_and_draws_nothing() {
+        // Process 0 flushes every 3rd round.  Its round-0 sends wait in the
+        // backlog: the traffic and the loss draws of process 1's sends are
+        // those of a network that never saw them.
+        let mut net = faulty_network(3, 0.5, &straggling(0, 3));
+        let mut plain = network(3, 0.5);
+        for i in 0..50 {
+            net.send(ProcessId(0), ProcessId(2), 100 + i, 0);
+            net.send(ProcessId(1), ProcessId(2), i, 0);
+            plain.send(ProcessId(1), ProcessId(2), i, 0);
+        }
+        assert_eq!(net.stats(), plain.stats());
+        assert_eq!(payloads(deliver_round(&mut net)), payloads(deliver_round(&mut plain)));
+        assert!(!net.is_idle(), "the backlog is in flight");
+        assert!(deliver_round(&mut net).is_empty(), "round 2 is no flush round");
+        assert!(!net.is_idle());
+        assert!(deliver_round(&mut net).is_empty(), "round 3 opens with the flush");
+        assert_eq!(net.stats().messages_sent, 100);
+        assert!(!deliver_round(&mut net).is_empty());
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn a_flush_goes_into_the_new_round_ahead_of_its_fresh_sends() {
+        let mut net = faulty_network(3, 0.0, &straggling(0, 2));
+        net.send(ProcessId(0), ProcessId(1), 1, 0); // round 0: parked
+        net.send(ProcessId(0), ProcessId(2), 2, 0);
+        assert!(deliver_round(&mut net).is_empty());
+        net.send(ProcessId(0), ProcessId(1), 3, 0); // round 1: parked
+        net.send(ProcessId(1), ProcessId(2), 4, 0);
+        assert_eq!(payloads(deliver_round(&mut net)), [4]);
+        // Opening round 2, process 0's flush round, sent the backlog.
+        assert_eq!(net.stats().messages_sent, 4);
+        net.send(ProcessId(1), ProcessId(0), 5, 0);
+        net.send(ProcessId(0), ProcessId(2), 6, 0); // its flush round: not parked
+        assert_eq!(payloads(deliver_round(&mut net)), [1, 2, 3, 5, 6]);
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn crashing_a_straggler_discards_its_backlog() {
+        // A leave reaches the network as the same `crash`.
+        let mut net = faulty_network(2, 0.0, &straggling(0, 4));
+        net.send(ProcessId(0), ProcessId(1), 7, 0);
+        assert!(!net.is_idle());
+        net.crash(ProcessId(0));
+        assert!(net.is_idle(), "the backlog died with its process");
+        // A down straggler parks nothing: its send is one from a crashed process.
+        net.send(ProcessId(0), ProcessId(1), 8, 0);
+        assert!(net.is_idle());
+        assert_eq!(net.stats().messages_from_crashed, 1);
+        net.activate(ProcessId(0));
+        for _ in 0..5 {
+            assert!(deliver_round(&mut net).is_empty());
+        }
+        assert_eq!(net.stats().messages_sent, 1);
+    }
+
+    #[test]
+    fn a_period_one_straggler_takes_the_plain_path() {
+        let mut net = faulty_network(2, 0.0, &straggling(0, 1));
+        assert!(net.stragglers.is_empty());
+        net.send(ProcessId(0), ProcessId(1), 7, 0); // round 0 is no flush round
+        assert_eq!(net.stats().messages_sent, 1);
+        assert_eq!(payloads(deliver_round(&mut net)), [7]);
     }
 
     #[test]

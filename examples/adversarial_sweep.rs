@@ -9,15 +9,15 @@
 //!
 //! * **baseline** — the paper's `ε`/`τ` model only;
 //! * **delay** — jittered per-link extra latency (0–2 rounds per link);
-//! * **partition** — the group splits in two cells at round 0 and heals at
-//!   round 6, with the event published *into* the partition (round 0);
+//! * **partition** — the group splits in two cells for rounds 0–5 and heals
+//!   at round 6, with the event published *into* the partition (round 0);
 //! * **partition-heal** — same outage, but the event is published at round
 //!   8, *after* the heal: measures whether the membership providers
 //!   recovered from the outage;
 //! * **subtree-loss** — one top-level subtree suffers heavy extra
 //!   correlated loss (composing with the global `ε`);
-//! * **straggler** — ~1% of the processes flush their outbox only every
-//!   3rd round;
+//! * **straggler** — the sends of ~1% of the processes reach the network
+//!   only every 3rd round;
 //! * **combined** — delay + healing partition + stragglers at once.
 //!
 //! Every row reports, per provider (global oracle, hierarchical delegate

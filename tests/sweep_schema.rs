@@ -139,6 +139,31 @@ fn adversarial_sweep_rows_keep_their_schema() {
     assert_schema("adversarial_sweep", &expected);
 }
 
+/// What each fault axis does, pinned: the `global`, `delegate` and `flat`
+/// delivery ratios of every quick `adversarial_sweep` row.  No CI digest
+/// declares a fault axis, so this is the check that sees a fault decision
+/// move; a change that means to move a row updates it here and says why.
+#[test]
+fn adversarial_sweep_ratios_are_pinned() {
+    let pinned: [(&str, [f64; 3]); 7] = [
+        ("baseline", [0.9748, 0.9778, 0.9435]),
+        ("delay", [0.9778, 0.9778, 0.9404]),
+        ("partition", [0.5079, 0.5079, 0.4926]),
+        ("partition-heal", [0.9748, 0.9778, 0.9214]),
+        ("subtree-loss", [0.9778, 0.9778, 0.9372]),
+        ("straggler", [0.9778, 0.9778, 0.9402]),
+        ("combined", [0.9745, 0.9745, 0.9247]),
+    ];
+    let rows = emitted("adversarial_sweep");
+    assert_eq!(rows.len(), pinned.len(), "one row per fault workload");
+    for (row, (workload, ratios)) in rows.iter().zip(pinned) {
+        let context = format!("emitted adversarial_sweep {workload}");
+        assert_eq!(field(row, "workload", &context).as_str(), Some(workload));
+        let emitted = ["global", "delegate", "flat"].map(|provider| float(row, provider, &context));
+        assert_eq!(emitted, ratios, "{context}: global, delegate, flat");
+    }
+}
+
 #[test]
 fn scale_sweep_rows_keep_their_schema() {
     let expected: Vec<&str> = ["n", "arity", "depth", "provider", "seconds_per_trial",
