@@ -653,7 +653,7 @@ fn bench(c: &mut Criterion) {
     net_received.insert(net_gossip.id);
     c.bench_function("net_publish_path", |b| {
         b.iter(|| {
-            let sent = net_transport.send_gossip(ProcessId(1), net_gossip, 64);
+            let sent = net_transport.send_gossip(ProcessId(1), net_gossip);
             debug_assert!(sent);
             // One poll of the mailbox future: the frame is already queued.
             let mut cx = Context::from_waker(Waker::noop());

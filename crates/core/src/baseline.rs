@@ -367,9 +367,8 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
             ctx.choose_indices_into(len, fanout, &mut scratch.candidates);
             // Every gossip of this entry-round is the same message.
             let message = Gossip::new(gossip.event.id(), 1, gossip.rate, gossip.round);
-            let size = gossip.event.payload_size() + Gossip::HEADER_SIZE;
             for &pick in &scratch.candidates {
-                ctx.send_sized(pool.get(pick, membership, own), message, size);
+                ctx.send(pool.get(pick, membership, own), message);
             }
             true
         });

@@ -43,11 +43,6 @@ impl Gossip {
             round,
         }
     }
-
-    /// Wire size of the non-payload fields (depth, rate, round counter): a
-    /// send is accounted as its event's payload plus this.
-    pub(crate) const HEADER_SIZE: usize =
-        std::mem::size_of::<u32>() + std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
 }
 
 #[cfg(test)]

@@ -296,9 +296,9 @@ impl GroupContext {
     /// folded into a mask once per depth-round — in ascending order, with
     /// no call into the membership layer, until the epoch moves — a filter
     /// changed — and the verdict is asked again: it is derived state, never
-    /// a source of truth.  The ask names the view by its id, so a provider
-    /// that has judged the event's content in this view for another process
-    /// answers without walking it.  A view wider than
+    /// a source of truth.  The group's store asks the provider once per
+    /// (event content, view id, epoch), naming the view — content being
+    /// what the provider's verdicts read of an event.  A view wider than
     /// [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and is asked
     /// about per entry-round, `candidates` only, one single probe per run of
     /// equal subgroups; a narrower one never reads `candidates`.
@@ -320,11 +320,13 @@ impl GroupContext {
             return;
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
-            let allowed = self.membership.summary_verdict(
-                &entry.event,
-                view.id(),
-                &mut view.iter().map(|target| &target.subgroup),
-            );
+            let reads = || self.membership.summary_attributes();
+            let allowed = self.store.summary_verdict(entry.event.id(), view.id(), epoch, reads, || {
+                #[cfg(test)]
+                tests::count_provider_verdict();
+                let subgroups = &mut view.iter().map(|target| &target.subgroup);
+                self.membership.summary_verdict(&entry.event, view.id(), subgroups)
+            });
             entry.record_verdict(epoch, allowed);
             allowed
         });
@@ -490,15 +492,12 @@ fn gossip_entry(
     entry: &BufferedGossip,
     ctx: &mut RoundContext<'_, Gossip>,
 ) {
-    // Every gossip of this entry has the same wire size; compute it once per
-    // entry-round instead of per target.
-    let size = entry.event.payload_size() + Gossip::HEADER_SIZE;
     for slot in 0..group.config.fanout.min(pool.len()) {
         let position = pool.draw(slot, ctx.rng());
         let target = &view[position];
         if group.target_selected(target, position, entry) {
             let gossip = Gossip::new(entry.event.id(), depth, entry.rate, entry.round);
-            ctx.send_sized(target.id, gossip, size);
+            ctx.send(target.id, gossip);
         }
     }
 }
@@ -876,6 +875,23 @@ mod tests {
     /// Empties this thread's log of checked pools and returns it.
     fn pools_checked() -> Vec<(u64, usize)> {
         POOLS_CHECKED.with(|checked| std::mem::take(&mut *checked.borrow_mut()))
+    }
+
+    thread_local! {
+        /// How many summary verdicts this thread's groups asked their
+        /// membership provider for: the store's misses.
+        static PROVIDER_VERDICTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called by `GroupContext::fill_summary_pool` in test builds on every
+    /// verdict ask that gets past the group's store to the provider.
+    pub(super) fn count_provider_verdict() {
+        PROVIDER_VERDICTS.with(|asked| asked.set(asked.get() + 1));
+    }
+
+    /// Resets this thread's count of provider verdicts and returns it.
+    fn provider_verdicts() -> usize {
+        PROVIDER_VERDICTS.with(|asked| asked.replace(0))
     }
 
     thread_local! {
@@ -1715,8 +1731,8 @@ mod tests {
             process.on_round(&mut ctx);
             let mut sent: Vec<(u64, usize)> = outbox
                 .iter()
-                .filter(|(_, gossip, _)| gossip.depth == 1)
-                .map(|(to, gossip, _)| (gossip.id.0, to.0 / 16))
+                .filter(|(_, gossip)| gossip.depth == 1)
+                .map(|(to, gossip)| (gossip.id.0, to.0 / 16))
                 .collect();
             sent.sort_unstable();
             sent
@@ -1873,6 +1889,70 @@ mod tests {
                 _ => proptest::prop_assert_eq!((checked, rows()), (0, 0)),
             }
         }
+    }
+
+    /// `alloc_budget`'s 300-event topic shape, stepped to quiescence: a 4^3
+    /// group of three subscriptions a process over 12 topics, 300 events
+    /// published ten a round, summary routing over `delegate(4)`, seed 42.
+    /// The group's store asks the provider once per (content, view) and
+    /// epoch: 116 asks reach it, of the 19 654 entry-rounds that hold no
+    /// verdict, and all 19 654 do when the store's table is bypassed.  The
+    /// ceiling is the achieved figure plus about 10 %.  Content is what the
+    /// summaries read: events that also carry a price and a body nobody
+    /// filters on, unique to each, reach the provider exactly as often.
+    #[test]
+    fn a_summary_verdict_reaches_the_provider_once_per_content_and_view() {
+        let (entry_rounds, asked) = provider_asks_on_topic_trial(false);
+        assert!(entry_rounds > 50_000, "only {entry_rounds} entry-rounds were routed");
+        assert!(asked <= 128, "{asked} summary verdicts reached the provider");
+        assert_eq!(provider_asks_on_topic_trial(true), (entry_rounds, asked));
+    }
+
+    /// The trial above: its routed entry-rounds and the provider asks among
+    /// them, with or without unfiltered attributes on every event.
+    fn provider_asks_on_topic_trial(unfiltered: bool) -> (usize, usize) {
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let subscriptions = (0..64)
+            .map(|_| {
+                let mut topics = Vec::new();
+                while topics.len() < 3 {
+                    let topic = rng.gen_range(0..12u32);
+                    if !topics.contains(&topic) {
+                        topics.push(topic);
+                    }
+                }
+                topics
+            })
+            .collect();
+        let topics = Arc::new(TopicOracle::new(space.clone(), subscriptions, 12));
+        let membership = delegate_4_tables();
+        membership.attach_interest_summaries(topics.subtree_summaries());
+        let config = PmcastConfig::default().with_interest_routing(InterestRouting::Summary);
+        let tree = ImplicitRegularTree::new(space);
+        let group = build_pmcast_group(&tree, topics, membership.clone(), &config);
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(42));
+        provider_verdicts();
+        pools_checked();
+        for round in 0..30u64 {
+            for e in 0..10 {
+                let topic = rng.gen_range(0..12);
+                let id = 10_000 + round * 10 + e;
+                let mut event = Event::builder(id).int(TOPIC_ATTRIBUTE, topic).build();
+                if unfiltered {
+                    event.insert("price", id as f64 / 8.0);
+                    event.insert("body", format!("trade {id}"));
+                }
+                sim.process_mut(ProcessId(rng.gen_range(0..64))).pmcast(event);
+            }
+            membership.round_elapsed();
+            sim.step();
+        }
+        while !sim.is_quiescent() {
+            membership.round_elapsed();
+            sim.step();
+        }
+        (pools_checked().len(), provider_verdicts())
     }
 
     #[test]

@@ -91,20 +91,20 @@ impl Event {
         self.attributes.insert(name.into(), value.into())
     }
 
-    /// Rough size of the event in bytes when serialized, used by the traffic
-    /// accounting of the simulated network.
-    pub fn payload_size(&self) -> usize {
-        let mut size = std::mem::size_of::<EventId>();
-        for (name, value) in &self.attributes {
-            size += name.len();
-            size += match value {
-                AttributeValue::Int(_) => 8,
-                AttributeValue::Float(_) => 8,
-                AttributeValue::Str(s) => s.len(),
-                AttributeValue::Bool(_) => 1,
-            };
-        }
-        size
+    /// A hash of the event's values on `attributes` (its *content* there),
+    /// not its id: equal values hash equally, a missing one included, and a
+    /// float hashes by its bits (`0.0` and `-0.0` apart).
+    pub fn content_hash(&self, attributes: &[String]) -> u64 {
+        let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+        attributes.iter().fold(0, |hash, name| match self.get(name) {
+            None => mix(hash, 0),
+            Some(AttributeValue::Int(v)) => mix(mix(hash, 1), *v as u64),
+            Some(AttributeValue::Float(v)) => mix(mix(hash, 2), v.to_bits()),
+            Some(AttributeValue::Bool(v)) => mix(mix(hash, 3), u64::from(*v)),
+            Some(AttributeValue::Str(v)) => v
+                .bytes()
+                .fold(mix(hash, 4), |hash, byte| mix(hash, u64::from(byte))),
+        })
     }
 }
 
@@ -209,13 +209,19 @@ mod tests {
     }
 
     #[test]
-    fn payload_size_grows_with_content() {
-        let small = Event::builder(1).int("b", 2).build();
-        let large = Event::builder(1)
-            .int("b", 2)
-            .str("description", "a somewhat longer text attribute")
-            .build();
-        assert!(large.payload_size() > small.payload_size());
+    fn content_hash_reads_the_named_attributes_not_the_id() {
+        let event = |id: u64, b: i64| Event::builder(id).int("b", b).str("e", "Tom").build();
+        let (b, be) = (["b".to_owned()], ["b".to_owned(), "e".to_owned()]);
+        assert_eq!(event(1, 2).content_hash(&be), event(7, 2).content_hash(&be));
+        assert_ne!(event(1, 2).content_hash(&b), event(1, 3).content_hash(&b));
+        // An attribute not named is not content; a missing one is.
+        let other_e = Event::builder(1).int("b", 2).str("e", "Bob").build();
+        assert_eq!(event(1, 2).content_hash(&b), other_e.content_hash(&b));
+        let no_e = Event::builder(1).int("b", 2).build();
+        assert_ne!(event(1, 2).content_hash(&be), no_e.content_hash(&be));
+        // An integer and a float of one value are different content.
+        let float = Event::builder(1).float("b", 2.0).str("e", "Tom").build();
+        assert_ne!(event(1, 2).content_hash(&b), float.content_hash(&b));
     }
 
     #[test]

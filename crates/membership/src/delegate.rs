@@ -155,7 +155,7 @@
 //! lock at all once the view is judged seated whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use pmcast_addr::Prefix;
 use pmcast_interest::Event;
@@ -911,7 +911,7 @@ impl DelegateView {
     }
 
     // Kept only because `pmbench/src/kernels.rs` calls
-    // `LazyDelegateView::new`; goes with ROADMAP item 1(b).
+    // `LazyDelegateView::new`: pinned by `pmbench`.
     #[doc(hidden)]
     pub fn new(arity: u32, depth: usize, slots: usize, occupied: Option<&[bool]>) -> Self {
         let config = DelegateViewConfig::default().with_slots(slots);
@@ -1166,6 +1166,11 @@ impl MembershipView for DelegateView {
             Some(annex) => annex.view_verdict(event, view, subgroups),
             None => allowed_mask(subgroups, |_| true),
         }
+    }
+
+    /// What the attached table's filters mention (none named without one).
+    fn summary_attributes(&self) -> Option<Arc<[String]>> {
+        self.interest().as_ref().map(InterestAnnex::attributes)
     }
 
     /// One membership round: first the monitored-delegate sweep (crashes

@@ -88,8 +88,7 @@ pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewCon
 pub use topology::{ImplicitRegularTree, TreeTopology};
 pub use tree::GroupTree;
 
-// Kept only because `pmbench/src/kernels.rs` names it; goes with ROADMAP
-// item 1(b).
+// Kept only because `pmbench/src/kernels.rs` names it: pinned by `pmbench`.
 #[doc(hidden)]
 pub type LazyDelegateView = DelegateView;
 

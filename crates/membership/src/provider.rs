@@ -85,7 +85,7 @@
 //!   state: it may be dropped at any time and must be dropped when what it
 //!   was computed from changes.
 
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use pmcast_addr::Prefix;
 use pmcast_interest::Event;
@@ -293,6 +293,14 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         subgroups: &mut dyn Iterator<Item = &Prefix>,
     ) -> u128 {
         crate::summaries::allowed_mask(subgroups, |subgroup| self.summary_allows(subgroup, event))
+    }
+
+    /// The attributes [`summary_verdict`](Self::summary_verdict) reads of an
+    /// event, or `None` (the default) if the provider does not name them: a
+    /// caller may keep one verdict per (values on these, view), as pmcast's
+    /// event store does.  They change only with the [`summary_epoch`](Self::summary_epoch).
+    fn summary_attributes(&self) -> Option<Arc<[String]>> {
+        None
     }
 }
 

@@ -16,6 +16,7 @@
 //! end-to-end version of this invariant.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_interest::{AttributeValue, Event, Filter, Interest, InterestSummary};
@@ -184,7 +185,7 @@ struct VetoMemo {
     /// ascending.  The table never comes to mention another: a leave clears
     /// a filter, a rejoin restores it, and merging or widening filters only
     /// drops attributes.
-    attributes: Vec<String>,
+    attributes: Arc<[String]>,
     /// Row `r` is `contents[r·k..][..k]` (`k = attributes.len()`, the value
     /// per attribute), found through `fingerprints[r]`.  Flat, so clearing
     /// keeps the allocations.
@@ -223,10 +224,7 @@ impl VetoMemo {
     /// it.  A fingerprint only finds the candidate: a hit is a row whose
     /// stored content equals the event's.
     fn row_of(&mut self, event: &Event) -> usize {
-        let fingerprint = self
-            .attributes
-            .iter()
-            .fold(0, |hash, name| fingerprint_step(hash, event.get(name)));
+        let fingerprint = event.content_hash(&self.attributes);
         let k = self.attributes.len();
         let hit = (0..self.fingerprints.len()).find(|&row| {
             self.fingerprints[row] == fingerprint
@@ -246,25 +244,6 @@ impl VetoMemo {
         self.contents
             .extend(self.attributes.iter().map(|name| event.get(name).cloned()));
         self.fingerprints.len() - 1
-    }
-}
-
-/// Folds one attribute value into a content fingerprint.  Equal values
-/// fold equally; that is all [`VetoMemo::row_of`] needs of it.
-fn fingerprint_step(hash: u64, value: Option<&AttributeValue>) -> u64 {
-    let mix = |hash: u64, word: u64| {
-        (hash ^ word)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(29)
-    };
-    match value {
-        None => mix(hash, 0),
-        Some(AttributeValue::Int(v)) => mix(mix(hash, 1), *v as u64),
-        Some(AttributeValue::Float(v)) => mix(mix(hash, 2), v.to_bits()),
-        Some(AttributeValue::Bool(v)) => mix(mix(hash, 3), u64::from(*v)),
-        Some(AttributeValue::Str(v)) => v
-            .bytes()
-            .fold(mix(hash, 4), |hash, byte| mix(hash, u64::from(byte))),
     }
 }
 
@@ -326,6 +305,11 @@ impl InterestAnnex {
             original,
             memo,
         }
+    }
+
+    /// The attributes the table's filters mention: all a verdict reads.
+    pub(crate) fn attributes(&self) -> Arc<[String]> {
+        Arc::clone(&self.memo.attributes)
     }
 
     /// [`SubtreeSummaries::allows`] over a whole view, as the mask of the

@@ -65,7 +65,7 @@ pub(crate) struct NetProcess<P> {
     pub(crate) highest: Option<EventId>,
     /// The floor last handed to `retire_below`.
     pub(crate) floor: EventId,
-    pub(crate) outbox: Vec<(ProcessId, Gossip, usize)>,
+    pub(crate) outbox: Vec<(ProcessId, Gossip)>,
     /// The fanout buffers and delivery-report buffer lent to the protocol
     /// on every tick and frame.
     pub(crate) scratch: FanoutScratch,
@@ -155,8 +155,8 @@ impl<P: MulticastProtocol> NetProcess<P> {
     }
 
     fn flush(&mut self) {
-        for (to, gossip, payload_size) in self.outbox.drain(..) {
-            self.transport.send_gossip(to, gossip, payload_size);
+        for (to, gossip) in self.outbox.drain(..) {
+            self.transport.send_gossip(to, gossip);
         }
         // The lent bundle also collects the protocol's delivery reports,
         // which only a round-synchronous observer reads; a daemon empties

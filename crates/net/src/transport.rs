@@ -56,8 +56,6 @@ pub struct TransportStats {
     pub frames_lost: u64,
     /// Gossip frames addressed to a crashed process.
     pub frames_to_crashed: u64,
-    /// Total payload bytes of successfully enqueued gossip frames.
-    pub payload_bytes: u64,
     /// The highest number of simultaneously in-flight frames observed —
     /// the memory high-water mark of the mailboxes.
     pub peak_in_flight: u64,
@@ -87,7 +85,6 @@ struct ChannelShared {
     frames_dropped: AtomicU64,
     frames_lost: AtomicU64,
     frames_to_crashed: AtomicU64,
-    payload_bytes: AtomicU64,
     peak_in_flight: AtomicU64,
     loss: Option<LossModel>,
 }
@@ -140,7 +137,6 @@ impl ChannelTransport {
                 frames_dropped: AtomicU64::new(0),
                 frames_lost: AtomicU64::new(0),
                 frames_to_crashed: AtomicU64::new(0),
-                payload_bytes: AtomicU64::new(0),
                 peak_in_flight: AtomicU64::new(0),
                 loss,
             }),
@@ -217,7 +213,7 @@ impl ChannelTransport {
     /// Never blocks: a send that cannot complete immediately is *dropped
     /// and counted*, never awaited (see the module docs for why the publish
     /// path is different).
-    pub fn send_gossip(&self, to: ProcessId, gossip: Gossip, payload_size: usize) -> bool {
+    pub fn send_gossip(&self, to: ProcessId, gossip: Gossip) -> bool {
         let shared = &self.shared;
         if self.is_crashed(to.0) {
             shared.frames_to_crashed.fetch_add(1, Ordering::Relaxed);
@@ -238,9 +234,6 @@ impl ChannelTransport {
             Ok(()) => {
                 self.mark_enqueued(to.0);
                 shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .payload_bytes
-                    .fetch_add(payload_size as u64, Ordering::Relaxed);
                 true
             }
             Err(TrySendError::Full(_)) => {
@@ -262,7 +255,6 @@ impl ChannelTransport {
             frames_dropped: shared.frames_dropped.load(Ordering::Relaxed),
             frames_lost: shared.frames_lost.load(Ordering::Relaxed),
             frames_to_crashed: shared.frames_to_crashed.load(Ordering::Relaxed),
-            payload_bytes: shared.payload_bytes.load(Ordering::Relaxed),
             peak_in_flight: shared.peak_in_flight.load(Ordering::Relaxed),
             in_flight: shared.total_pending.load(Ordering::Relaxed),
         }
@@ -287,19 +279,18 @@ mod tests {
     #[test]
     fn full_mailbox_drops_with_counter() {
         let (transport, _receivers) = ChannelTransport::with_loss(2, 2, 0.0, 0);
-        assert!(transport.send_gossip(ProcessId(1), gossip(1), 10));
-        assert!(transport.send_gossip(ProcessId(1), gossip(2), 10));
-        assert!(!transport.send_gossip(ProcessId(1), gossip(3), 10));
+        assert!(transport.send_gossip(ProcessId(1), gossip(1)));
+        assert!(transport.send_gossip(ProcessId(1), gossip(2)));
+        assert!(!transport.send_gossip(ProcessId(1), gossip(3)));
         let stats = transport.stats();
         assert_eq!((stats.frames_sent, stats.frames_dropped), (2, 1));
         assert_eq!(stats.in_flight, 2);
-        assert_eq!(stats.payload_bytes, 20);
     }
 
     #[test]
     fn processing_acknowledges_in_flight() {
         let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
-        transport.send_gossip(ProcessId(1), gossip(1), 0);
+        transport.send_gossip(ProcessId(1), gossip(1));
         assert_eq!(transport.in_flight(), 1);
         smol::LocalExecutor::deterministic(1)
             .run(receivers[1].recv())
@@ -312,13 +303,13 @@ mod tests {
     #[test]
     fn crashed_destination_is_written_off() {
         let (transport, receivers) = ChannelTransport::with_loss(4, 2, 0.0, 0);
-        transport.send_gossip(ProcessId(1), gossip(1), 0);
+        transport.send_gossip(ProcessId(1), gossip(1));
         transport.mark_crashed(1);
         assert_eq!(transport.in_flight(), 0, "orphaned frames written off");
-        assert!(!transport.send_gossip(ProcessId(1), gossip(2), 0));
+        assert!(!transport.send_gossip(ProcessId(1), gossip(2)));
         assert_eq!(transport.stats().frames_to_crashed, 1);
         drop(receivers);
-        assert!(!transport.send_gossip(ProcessId(0), gossip(3), 0));
+        assert!(!transport.send_gossip(ProcessId(0), gossip(3)));
         assert_eq!(transport.stats().frames_to_crashed, 2);
     }
 
@@ -328,7 +319,7 @@ mod tests {
             let (transport, receivers) = ChannelTransport::with_loss(64, 2, 0.5, seed);
             let mut delivered = Vec::new();
             for n in 0..32 {
-                delivered.push(transport.send_gossip(ProcessId(1), gossip(n), 0));
+                delivered.push(transport.send_gossip(ProcessId(1), gossip(n)));
             }
             drop(receivers);
             delivered

@@ -113,8 +113,8 @@ impl MembershipSpec {
         Self::Delegate { slots }
     }
 
-    // Kept only because `pmbench/src/workloads.rs` calls it; goes with
-    // ROADMAP item 1(b).
+    // Kept only because `pmbench/src/workloads.rs` calls it: pinned by
+    // `pmbench`.
     #[doc(hidden)]
     pub fn delegate_lazy(slots: usize) -> Self {
         Self::delegate(slots)

@@ -165,7 +165,7 @@ pub struct RoundContext<'a, M> {
 /// with a transport of its own ([`RoundContext::external`]).
 enum Sink<'a, M> {
     Network(&'a mut RoundNetwork<M>),
-    Outbox(&'a mut Vec<(ProcessId, M, usize)>),
+    Outbox(&'a mut Vec<(ProcessId, M)>),
 }
 
 impl<M> std::fmt::Debug for RoundContext<'_, M> {
@@ -190,7 +190,7 @@ impl<'a, M> RoundContext<'a, M> {
     pub fn external(
         process: ProcessId,
         round: u64,
-        outbox: &'a mut Vec<(ProcessId, M, usize)>,
+        outbox: &'a mut Vec<(ProcessId, M)>,
         rng: &'a mut ChaCha8Rng,
         scratch: &'a mut FanoutScratch,
     ) -> Self {
@@ -205,11 +205,11 @@ impl<'a, M> RoundContext<'a, M> {
 }
 
 impl<M> RoundContext<'_, M> {
-    /// Sends a message, recording its payload size for traffic accounting.
-    pub fn send_sized(&mut self, to: ProcessId, message: M, payload_size: usize) {
+    /// Sends a message to `to`.
+    pub fn send(&mut self, to: ProcessId, message: M) {
         match &mut self.sink {
-            Sink::Network(network) => network.send(self.process, to, message, payload_size),
-            Sink::Outbox(outbox) => outbox.push((to, message, payload_size)),
+            Sink::Network(network) => network.send(self.process, to, message, 0),
+            Sink::Outbox(outbox) => outbox.push((to, message)),
         }
     }
 
@@ -233,7 +233,7 @@ impl<M> RoundContext<'_, M> {
     /// let mut scratch = std::mem::take(ctx.scratch());
     /// ctx.choose_indices_into(10, 3, &mut scratch.candidates);
     /// for &pick in &scratch.candidates {
-    ///     ctx.send_sized(ProcessId(pick), "gossip", 0);
+    ///     ctx.send(ProcessId(pick), "gossip");
     /// }
     /// *ctx.scratch() = scratch;
     /// # assert_eq!(outbox.len(), 3);
@@ -839,7 +839,7 @@ mod tests {
             if self.has_token && !self.announced {
                 for &peer in &self.everyone {
                     if peer != ctx.process {
-                        ctx.send_sized(peer, 99, 8);
+                        ctx.send(peer, 99);
                     }
                 }
                 self.announced = true;
@@ -887,7 +887,6 @@ mod tests {
         // 9 messages from the seed + 9·8 from the others echoing once.
         assert_eq!(sim.stats().messages_sent, 9 + 9 * 9);
         assert_eq!(sim.stats().messages_lost, 0);
-        assert!(sim.stats().payload_bytes > 0);
     }
 
     #[test]
@@ -1159,7 +1158,7 @@ mod tests {
 
     #[test]
     fn choose_indices_into_respects_bounds_and_fills_the_lent_scratch() {
-        let mut outbox: Vec<(ProcessId, u64, usize)> = Vec::new();
+        let mut outbox: Vec<(ProcessId, u64)> = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
@@ -1330,7 +1329,7 @@ mod tests {
 
         fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
             if let Some(to) = self.to {
-                ctx.send_sized(to, ctx.round, 0);
+                ctx.send(to, ctx.round);
             }
         }
 
@@ -1405,7 +1404,7 @@ mod tests {
             ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
             for &pick in &scratch.candidates {
                 let target = if pick >= own { pick + 1 } else { pick };
-                ctx.send_sized(ProcessId(target), 7, 1);
+                ctx.send(ProcessId(target), 7);
             }
             *ctx.scratch() = scratch;
         }
@@ -1531,7 +1530,7 @@ mod tests {
         assert!(sim.last_step_deliveries().is_empty(), "a step starts from an empty buffer");
 
         // An external driver finds the reports in the scratch it lent.
-        let mut outbox: Vec<(ProcessId, u64, usize)> = Vec::new();
+        let mut outbox: Vec<(ProcessId, u64)> = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(3), 0, &mut outbox, &mut rng, &mut scratch);

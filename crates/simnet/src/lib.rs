@@ -61,7 +61,7 @@
 //!     type Message = ();
 //!     fn on_round(&mut self, ctx: &mut RoundContext<'_, ()>) {
 //!         if self.has_token {
-//!             ctx.send_sized(self.next, (), 0);
+//!             ctx.send(self.next, ());
 //!             self.has_token = false;
 //!         }
 //!     }

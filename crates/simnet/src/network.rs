@@ -96,12 +96,12 @@ pub struct RoundNetwork<M> {
     rng: ChaCha8Rng,
 }
 
-/// A straggler's unsent queue: the `(to, message, payload_size)` of every
+/// A straggler's unsent queue: the `(to, message)` of every
 /// send it made since its last flush round, in emission order.
 struct Backlog<M> {
     process: usize,
     period: u64,
-    parked: Vec<(ProcessId, M, usize)>,
+    parked: Vec<(ProcessId, M)>,
 }
 
 /// A straggler with period `k` flushes on rounds `k`, `2k`, `3k`, … — round
@@ -186,7 +186,7 @@ impl<M> RoundNetwork<M> {
                 .filter(|s| !s.is_neutral())
                 .map(|s| Backlog { process: s.process, period: s.period, parked: Vec::new() })
                 .collect(),
-            stats: TrafficStats::new(),
+            stats: TrafficStats::default(),
             round: 0,
             rng,
         }
@@ -237,7 +237,7 @@ impl<M> RoundNetwork<M> {
 
     /// Sends a message, to be delivered at the next round boundary (or
     /// `extra` boundaries later under an active [`LinkDelay`]).
-    /// `payload_size` feeds the byte accounting (pass 0 when irrelevant).
+    /// The fourth argument is ignored: a message's size is not accounted.
     ///
     /// A live [`Straggler`](crate::Straggler)'s send outside its flush
     /// round is parked in its backlog instead: not counted, no draw, sent by
@@ -246,15 +246,14 @@ impl<M> RoundNetwork<M> {
     /// active partition, loss draw, delay routing — and only the loss draw
     /// consumes randomness, so inactive fault axes cannot shift the network
     /// stream.
-    pub fn send(&mut self, from: ProcessId, to: ProcessId, message: M, payload_size: usize) {
+    pub fn send(&mut self, from: ProcessId, to: ProcessId, message: M, _size: usize) {
         if !self.stragglers.is_empty() {
             if let Some(backlog) = self.holding_backlog(from) {
-                self.stragglers[backlog].parked.push((to, message, payload_size));
+                self.stragglers[backlog].parked.push((to, message));
                 return;
             }
         }
         self.stats.messages_sent += 1;
-        self.stats.payload_bytes += payload_size as u64;
         if self.is_crashed(from) {
             self.stats.messages_from_crashed += 1;
             return;
@@ -381,8 +380,8 @@ impl<M> RoundNetwork<M> {
             }
             let from = ProcessId(straggler.process);
             let mut parked = std::mem::take(&mut straggler.parked);
-            for (to, message, size) in parked.drain(..) {
-                self.send(from, to, message, size);
+            for (to, message) in parked.drain(..) {
+                self.send(from, to, message, 0);
             }
             // The emptied backlog keeps its capacity for the next batch.
             self.stragglers[index].parked = parked;
@@ -444,7 +443,6 @@ mod tests {
         assert!(net.is_idle());
         assert_eq!(net.stats().messages_sent, 1);
         assert_eq!(net.stats().messages_delivered, 1);
-        assert_eq!(net.stats().payload_bytes, 8);
     }
 
     #[test]

@@ -4,8 +4,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The evaluation uses these counters to compare the network cost of pmcast
 /// against flooding-style broadcast baselines (every gossip message is one
-/// unit; payload bytes are tracked separately so that digest-only
-/// optimisations can be quantified).
+/// unit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
     /// Messages handed to the network by senders.
@@ -25,16 +24,6 @@ pub struct TrafficStats {
     /// took more than one round to deliver; still counted in
     /// `messages_delivered` when they arrive).
     pub messages_delayed: u64,
-    /// Cumulative payload bytes of sent messages (when reported by the
-    /// protocol).
-    pub payload_bytes: u64,
-}
-
-impl TrafficStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 #[cfg(test)]

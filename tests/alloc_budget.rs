@@ -118,9 +118,12 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// reached by hundreds of events, so what is counted here is what a trial
 /// allocates per *event* — the schedule, the `EventId → index` table, one
 /// latency histogram and one report per event — on top of the per-process
-/// buffers growing to their working size.  Achieved: 4 643 (3 333 fresh +
-/// 1 310 regrowths; 16 of them the group's event store, its map and its
-/// heap of ids growing to the 300 events); before the store: 4 632 (3 323
+/// buffers growing to their working size.  Achieved: 4 652, since the
+/// group's event store also keeps content ids and summary verdicts (its
+/// witness and verdict tables growing to their hundred-odd rows); before
+/// that: 4 643 (3 333 fresh + 1 310 regrowths; 16 of them the group's
+/// event store, its map and its heap of ids growing to the 300 events);
+/// before the store: 4 632 (3 323
 /// fresh + 1 309 regrowths); with a verdict byte per (content, subtree) beside the
 /// provider's view verdicts: 4 641 (3 326 + 1 315; 28 of them the group's
 /// judgement table and the provider's view verdicts growing to their few

@@ -245,7 +245,7 @@ fn retirement_at_one_process_is_invisible_to_every_other() {
     // retirement (invariant 10: retirement may suppress duplicates, never
     // dissemination).  The processes are driven by hand so that A can go
     // quiescent — and retire — before anybody else has seen the event.
-    type Sends = Vec<(ProcessId, Gossip, usize)>;
+    type Sends = Vec<(ProcessId, Gossip)>;
 
     /// Runs one callback of process `id` outside a simulation and returns
     /// what it sent.
@@ -282,7 +282,7 @@ fn retirement_at_one_process_is_invisible_to_every_other() {
             assert!(processes[0].dedup_len() < before, "the retirement must be real");
         }
         let mut receivers = Vec::new();
-        for (ProcessId(b), gossip, _) in in_flight {
+        for (ProcessId(b), gossip) in in_flight {
             drive(b, 7, |ctx| processes[b].on_message(gossip, ctx));
             if !receivers.contains(&b) {
                 receivers.push(b);
