@@ -17,8 +17,8 @@ use pmcast_interest::{
     Event, EventId, EventIdSet, Filter, Interest, InterestSummary, Predicate,
 };
 use pmcast_membership::{
-    AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, ImplicitRegularTree,
-    MembershipView, TopicOracle, TreeTopology, SUMMARY_MEMO_ROWS, TOPIC_ATTRIBUTE,
+    allowed_runs, AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView,
+    ImplicitRegularTree, MembershipView, TopicOracle, TreeTopology, TOPIC_ATTRIBUTE,
 };
 use pmcast_net::{ChannelTransport, Frame};
 use pmcast_sim::runner::{run_scenario_trial_with, Protocol};
@@ -417,62 +417,55 @@ fn bench(c: &mut Criterion) {
     // drawing, the depth's candidates are narrowed to the subgroups whose
     // subtree summary admits the event, and vetoed subtrees never consume a
     // pick.  Same view, RNG and Fisher–Yates as `delegate_draw_batched`
-    // above, so the gap to it is the whole cost of the veto.  pmcast asks
-    // the provider once per buffered entry (per summary epoch) and records
-    // the verdict in the entry, so the three benches are the three things
-    // an entry-round can cost.  `summary_skip_draw` times the ask of an
-    // entry whose (content, view) pair the provider has met before: one
-    // `summary_verdict` call — one lock, one row lookup, one mask lookup —
-    // and the pool read off `verdict & candidates` by a bit scan.
-    // `summary_skip_draw_miss` rotates through more distinct contents than
-    // the memo holds, so every call starts a fresh row and judges each
-    // subgroup against its summary's disjuncts — the first entry of a
-    // content.  `summary_entry_round` (below) is every *later* round of an
-    // entry: the pool read off the recorded verdict, no call into the
-    // membership layer.  Each iteration also lists the candidates and folds
-    // them into a mask, which pmcast does once per depth-round, not per
-    // entry-round — so the guards are stricter than the protocol.  Interest
-    // is clustered one topic per depth-2 subgroup — the sparse-interest
-    // regime the skip is built for, where 7 of 8 subtrees are provably
-    // uninterested.
+    // above, so the gap to it is the whole cost of the veto.  pmcast records
+    // the verdict in the buffered entry (per summary epoch), and the group's
+    // event store keeps it per (content, view), so the two benches are the
+    // two things an entry-round can cost.  `summary_skip_draw` is a store
+    // miss — the first entry of a content in a view: `summary_allows` folded
+    // over the view's runs of equal subgroups, as `GroupContext` folds it,
+    // each probe judging a subgroup against its summary's disjuncts, and the
+    // pool read off `verdict & candidates` by a bit scan.
+    // `summary_entry_round` (below) is every *later* round of an entry: the
+    // pool read off the recorded verdict, no call into the membership layer.
+    // Each iteration also lists the candidates and folds them into a mask,
+    // which pmcast does once per depth-round, not per entry-round — so the
+    // guards are stricter than the protocol.  Interest is clustered one
+    // topic per depth-2 subgroup — the sparse-interest regime the skip is
+    // built for, where 7 of 8 subtrees are provably uninterested.
     let clustered: Vec<Vec<u32>> = (0..512).map(|i| vec![(i / 8) % 12]).collect();
     let clustered_topics =
         TopicOracle::new(AddressSpace::regular(3, 8).expect("valid"), clustered, 12);
     delegate_view.attach_interest_summaries(clustered_topics.subtree_summaries());
     let summary_prefixes: Vec<Prefix> =
         (0..8u32).map(|g| Prefix::from_components(vec![0, g])).collect();
-    // The subgroups of the view's 24 positions, as pmcast names them: one
-    // view id for the whole list.
+    // The subgroups of the view's 24 positions, in view order.
     let summary_view = || summary_prefixes.iter().flat_map(|subgroup| [subgroup; 3]);
-    // Topic 4 first — subgroup 0.4's — then one content more than the memo
-    // holds, so a rotation through all of them never finds a row.
-    let topic_events: Vec<Event> = (4..=4 + SUMMARY_MEMO_ROWS as i64)
-        .map(|topic| Event::builder(901).int(TOPIC_ATTRIBUTE, topic).build())
-        .collect();
+    // Topic 4: subgroup 0.4's.
+    let topic_event = Event::builder(901).int(TOPIC_ATTRIBUTE, 4).build();
+    let summary_fold = || {
+        let judge = |subgroup: &Prefix| delegate_view.summary_allows(subgroup, &topic_event);
+        allowed_runs(summary_view().enumerate(), judge)
+            .fold(0u128, |allowed, position| allowed | 1 << position)
+    };
     let mut summary_candidates: Vec<usize> = Vec::with_capacity(view_targets.len());
-    let mut asked = 0usize;
-    for (name, rotation) in [("summary_skip_draw", 1), ("summary_skip_draw_miss", topic_events.len())] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let own = 37usize;
-                delegate_candidates.clear();
-                delegate_view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
-                asked += 1;
-                let allowed =
-                    delegate_view.summary_verdict(&topic_events[asked % rotation], 1, &mut summary_view());
-                let candidates = fold_mask(&delegate_candidates);
-                fill_by_scan(allowed & candidates, &mut summary_candidates);
-                let mut acc = 0usize;
-                let picks = 4.min(summary_candidates.len());
-                for slot in 0..picks {
-                    let swap = draw_rng.gen_range(slot..summary_candidates.len());
-                    summary_candidates.swap(slot, swap);
-                    acc += view_targets[summary_candidates[slot]];
-                }
-                acc
-            })
-        });
-    }
+    c.bench_function("summary_skip_draw", |b| {
+        b.iter(|| {
+            let own = 37usize;
+            delegate_candidates.clear();
+            delegate_view.fill_known_at_depth(own, 2, &mut view_targets.iter().copied(), &mut delegate_candidates);
+            let allowed = summary_fold();
+            let candidates = fold_mask(&delegate_candidates);
+            fill_by_scan(allowed & candidates, &mut summary_candidates);
+            let mut acc = 0usize;
+            let picks = 4.min(summary_candidates.len());
+            for slot in 0..picks {
+                let swap = draw_rng.gen_range(slot..summary_candidates.len());
+                summary_candidates.swap(slot, swap);
+                acc += view_targets[summary_candidates[slot]];
+            }
+            acc
+        })
+    });
 
     // An entry-round on a recorded verdict, as `GroupContext::
     // fill_summary_pool` makes it: read the provider's summary epoch (once
@@ -482,7 +475,7 @@ fn bench(c: &mut Criterion) {
     // within noise of `delegate_draw_batched` — the veto's steady-state cost
     // is one bit scan writing at most a view's worth of indices.
     let recorded_epoch = delegate_view.summary_epoch();
-    let recorded_verdict = delegate_view.summary_verdict(&topic_events[0], 1, &mut summary_view());
+    let recorded_verdict = summary_fold();
     c.bench_function("summary_entry_round", |b| {
         b.iter(|| {
             let own = 37usize;
@@ -731,7 +724,7 @@ fn bench(c: &mut Criterion) {
     // `topics_summary` smoke shape (4³, 12 topics, 300 events, summary
     // routing over `delegate(4)`) through the entry point users call —
     // workload, group, every round's veto and delivery recording, report.
-    // The veto memo and the push-driven recording have no hook of their own
+    // The verdict table and the push-driven recording have no hook of their own
     // to time; a trial that starts costing per (event, receiver, round)
     // again shows here.
     let topic_trial = Scenario::builder()

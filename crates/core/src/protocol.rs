@@ -296,9 +296,10 @@ impl GroupContext {
     /// folded into a mask once per depth-round — in ascending order, with
     /// no call into the membership layer, until the epoch moves — a filter
     /// changed — and the verdict is asked again: it is derived state, never
-    /// a source of truth.  The group's store asks the provider once per
-    /// (event content, view id, epoch), naming the view — content being
-    /// what the provider's verdicts read of an event.  A view wider than
+    /// a source of truth.  The group's store, the only verdict cache, folds
+    /// the provider's `summary_allows` over the view once per (event
+    /// content, view id, epoch) — content being what the provider's
+    /// verdicts read of an event.  A view wider than
     /// [`BufferedGossip::VERDICT_WIDTH`] cannot be recorded and is asked
     /// about per entry-round, `candidates` only, one single probe per run of
     /// equal subgroups; a narrower one never reads `candidates`.
@@ -321,12 +322,8 @@ impl GroupContext {
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
             let reads = || self.membership.summary_attributes();
-            let allowed = self.store.summary_verdict(entry.event.id(), view.id(), epoch, reads, || {
-                #[cfg(test)]
-                tests::count_provider_verdict();
-                let subgroups = &mut view.iter().map(|target| &target.subgroup);
-                self.membership.summary_verdict(&entry.event, view.id(), subgroups)
-            });
+            let fold = || self.fold_summary_verdict(view, &entry.event);
+            let allowed = self.store.summary_verdict(entry.event.id(), view.id(), epoch, reads, fold);
             entry.record_verdict(epoch, allowed);
             allowed
         });
@@ -336,6 +333,19 @@ impl GroupContext {
             pool.push(bits.trailing_zeros() as usize);
             bits &= bits - 1;
         }
+    }
+
+    /// A store miss: the mask of the positions of `view` whose subgroup
+    /// [`MembershipView::summary_allows`] admits for `event`, one probe per
+    /// run of equal subgroups.
+    #[cold]
+    #[inline(never)]
+    fn fold_summary_verdict(&self, view: &DepthView, event: &Event) -> u128 {
+        #[cfg(test)]
+        tests::count_provider_verdict();
+        let subgroups = view.iter().map(|target| &target.subgroup).enumerate();
+        allowed_runs(subgroups, |subgroup| self.membership.summary_allows(subgroup, event))
+            .fold(0, |allowed, position| allowed | 1 << position)
     }
 
     /// One depth's candidate destinations for a round in which `entries`

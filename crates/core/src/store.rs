@@ -20,7 +20,8 @@ const VERDICT_ROWS: usize = 1 << 14;
 /// verdicts read ([`MembershipView::summary_attributes`](pmcast_membership::MembershipView::summary_attributes)):
 /// at its first verdict ask, a kept event takes the id of a kept witness of
 /// equal content or becomes one itself, and verdicts are kept per content
-/// and view.  Every witness is a kept event, so the store bounds them too.
+/// and view: the group's only summary-verdict cache.  Every witness is a
+/// kept event, so the store bounds them too.
 ///
 /// The store lives as long as the group, so a simulated trial never loses
 /// content.  A long-running daemon bounds it instead: every process hands
@@ -100,7 +101,8 @@ impl EventStore {
     }
 
     /// Event `id`'s summary verdict in view `view` under `epoch`: the one its
-    /// content holds there, or else `ask()`, kept if `id` is.  A new epoch
+    /// content holds there, or else `ask()`, kept if `id` is (a full table
+    /// forgets on a miss).  A new epoch
     /// forgets every verdict and calls `reads()`, what content is; a change
     /// there forgets every content id too.
     pub(crate) fn summary_verdict(
@@ -125,7 +127,7 @@ impl EventStore {
         let Some(content) = state.content_of(id) else {
             return ask();
         };
-        if state.verdicts.len() == VERDICT_ROWS {
+        if state.verdicts.len() == VERDICT_ROWS && !state.verdicts.contains_key(&(content, view)) {
             state.verdicts.clear();
         }
         *state.verdicts.entry((content, view)).or_insert_with(ask)
@@ -357,10 +359,328 @@ mod tests {
     }
 
     #[test]
+    fn a_full_verdict_table_forgets_on_a_miss_not_on_a_hit() {
+        let store = store_of(&[(1, 7)]);
+        for view in 0..VERDICT_ROWS as u32 {
+            store.summary_verdict(EventId(1), view, 0, reads_b, || 1);
+        }
+        assert_eq!(store.state().verdicts.len(), VERDICT_ROWS);
+        let mut asked = false;
+        let kept = store.summary_verdict(EventId(1), 7, 0, reads_b, || {
+            asked = true;
+            0
+        });
+        assert_eq!((kept, asked), (1, false), "a hit on a full table is served");
+        assert_eq!(store.state().verdicts.len(), VERDICT_ROWS);
+        // A miss forgets them all, and keeps its own.
+        store.summary_verdict(EventId(1), VERDICT_ROWS as u32, 0, reads_b, || 2);
+        assert_eq!(store.state().verdicts.len(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "which no process of this group published")]
     fn a_miss_above_the_floor_is_a_bug() {
         let store = EventStore::default();
         store.forget_below(EventId(3));
         store.get(EventId(3));
+    }
+
+    /// The store's verdict table is proven against the summaries it stands
+    /// for, not trusted: a [`DelegateView`] with attached summaries is
+    /// stepped through random histories of lifecycle observations and
+    /// membership rounds, beside a hand-maintained filter vector, and after
+    /// every step every verdict the store serves — asked as pmcast's group
+    /// asks it, under the provider's epoch and attributes, the fold over
+    /// `summary_allows` on a miss — equals the fold of an **uncached**
+    /// [`SubtreeSummaries::allows`] over a table built fresh from that
+    /// vector.  Once per history, more distinct contents than the table
+    /// holds are asked about, so it overflows mid-history.
+    mod lockstep {
+        use super::*;
+        use pmcast_addr::{AddressSpace, Prefix};
+        use pmcast_interest::{Filter, Predicate};
+        use pmcast_membership::{
+            allowed_runs, DelegateView, DelegateViewConfig, MembershipView, SubtreeSummaries,
+            TOPIC_ATTRIBUTE,
+        };
+        use proptest::prelude::*;
+
+        /// Topics somebody may subscribe to; probes range a little beyond.
+        const TOPICS: i64 = 6;
+
+        /// One step of a history.
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Join(usize),
+            Leave(usize),
+            Crash(usize),
+            Round,
+        }
+
+        #[derive(Debug, Clone)]
+        struct History {
+            arity: u32,
+            depth: usize,
+            seed: u64,
+            occupied: Vec<bool>,
+            filters: Vec<Option<Filter>>,
+            steps: Vec<Step>,
+            /// The overflow runs before this step (after the last if past it),
+            /// asking about contents from this topic on.
+            overflow: (usize, i64),
+        }
+
+        /// A subscription: none, a topic set, another attribute altogether,
+        /// or a conjunction over two attributes (so a content is more than
+        /// one value).
+        fn filter_of(kind: u8, first: i64, second: i64) -> Option<Filter> {
+            match kind {
+                0 => None,
+                1..=3 => Some(Filter::new().with(TOPIC_ATTRIBUTE, Predicate::one_of([first, second]))),
+                4 => Some(Filter::new().with("urgent", Predicate::Eq(true.into()))),
+                _ => Some(
+                    Filter::new()
+                        .with(TOPIC_ATTRIBUTE, Predicate::one_of([first]))
+                        .with("b", Predicate::gt(second as f64)),
+                ),
+            }
+        }
+
+        fn arb_history() -> impl Strategy<Value = History> {
+            (0usize..2, 0u64..1_000, 0u8..2).prop_flat_map(|(shape, seed, sparse)| {
+                let (arity, depth) = [(2u32, 3usize), (3, 2)][shape];
+                let n = (arity as usize).pow(depth as u32);
+                let step = (0u8..8, 0..n).prop_map(|(kind, process)| match kind {
+                    0 | 1 => Step::Join(process),
+                    2 | 3 => Step::Leave(process),
+                    4 | 5 => Step::Crash(process),
+                    _ => Step::Round,
+                });
+                (
+                    prop::collection::vec(0u8..4, n),
+                    prop::collection::vec((0u8..6, 0..TOPICS, 0..TOPICS), n),
+                    prop::collection::vec(step, 0..40),
+                    (0usize..41, 0..TOPICS),
+                )
+                    .prop_map(move |(occupancy, subscriptions, steps, overflow)| History {
+                        arity,
+                        depth,
+                        seed,
+                        occupied: occupancy.iter().map(|&o| sparse == 0 || o != 0).collect(),
+                        filters: subscriptions
+                            .iter()
+                            .map(|&(kind, first, second)| filter_of(kind, first, second))
+                            .collect(),
+                        steps,
+                        overflow,
+                    })
+            })
+        }
+
+        /// Every prefix of the space, then one with a component out of range
+        /// and one longer than an address.
+        fn probe_prefixes(space: &AddressSpace) -> Vec<Prefix> {
+            let mut prefixes = vec![Prefix::root()];
+            let mut level = vec![Prefix::root()];
+            for depth in 1..=space.depth() {
+                level = level
+                    .iter()
+                    .flat_map(|parent| (0..space.arity(depth)).map(|c| parent.child(c)))
+                    .collect();
+                prefixes.extend(level.iter().cloned());
+            }
+            prefixes.push(Prefix::from_components(vec![space.arity(1)]));
+            prefixes.push(Prefix::from_components(vec![0; space.depth() + 1]));
+            prefixes
+        }
+
+        /// The standing probes, each under an id of its own: every topic and
+        /// two nobody subscribes to, no topic at all, attributes alone or
+        /// beside the topic (one nobody filters on among them), both sides
+        /// of the two-attribute filter, and other types under the topic's
+        /// name — `2.0` matches what `2` matches, a string and a NaN match
+        /// nothing, and none of them is the content `2`.
+        fn probe_events() -> Vec<Arc<Event>> {
+            let mut id = 0;
+            let mut next = || {
+                id += 1;
+                Event::builder(id)
+            };
+            let mut builders: Vec<_> =
+                (0..TOPICS + 2).map(|topic| next().int(TOPIC_ATTRIBUTE, topic)).collect();
+            builders.extend([
+                next(),
+                next().int("b", 3),
+                next().attribute("urgent", true),
+                next().attribute("urgent", false).int(TOPIC_ATTRIBUTE, 2),
+                next().int(TOPIC_ATTRIBUTE, 2).int("b", 3),
+                next().int(TOPIC_ATTRIBUTE, 2).float("b", 0.5),
+                next().float(TOPIC_ATTRIBUTE, 2.0),
+                next().float(TOPIC_ATTRIBUTE, f64::NAN),
+                next().str(TOPIC_ATTRIBUTE, "2"),
+                next().int(TOPIC_ATTRIBUTE, 0).int("unmentioned", 9),
+            ]);
+            builders.into_iter().map(|event| Arc::new(event.build())).collect()
+        }
+
+        /// The provider and the store beside the filter vector its table
+        /// must amount to.
+        struct Lockstep {
+            space: AddressSpace,
+            view: DelegateView,
+            store: EventStore,
+            probes: Vec<Arc<Event>>,
+            original: Vec<Option<Filter>>,
+            /// What each process contributes to the table right now.
+            current: Vec<Option<Filter>>,
+            alive: Vec<bool>,
+            /// Crashed, not yet swept by a round: still contributing.
+            unswept: Vec<usize>,
+            prefixes: Vec<Prefix>,
+        }
+
+        impl Lockstep {
+            fn new(history: &History) -> Self {
+                let space = AddressSpace::regular(history.depth, history.arity).expect("valid shape");
+                let view = DelegateView::bootstrap_sparse(
+                    history.arity,
+                    history.depth,
+                    DelegateViewConfig::default(),
+                    history.seed,
+                    &history.occupied,
+                );
+                // As the trial runner does: the table covers every address,
+                // absent or not.
+                view.attach_interest_summaries(SubtreeSummaries::build(
+                    space.clone(),
+                    history.filters.clone(),
+                ));
+                let store = EventStore::default();
+                let probes = probe_events();
+                probes.iter().for_each(|probe| store.admit(probe));
+                Self {
+                    prefixes: probe_prefixes(&space),
+                    space,
+                    view,
+                    store,
+                    probes,
+                    original: history.filters.clone(),
+                    current: history.filters.clone(),
+                    alive: history.occupied.clone(),
+                    unswept: Vec::new(),
+                }
+            }
+
+            fn apply(&mut self, step: Step) {
+                match step {
+                    Step::Join(process) => {
+                        self.view.observe_join(process);
+                        if !self.alive[process] {
+                            self.alive[process] = true;
+                            self.current[process] = self.original[process].clone();
+                            self.unswept.retain(|&crashed| crashed != process);
+                        }
+                    }
+                    Step::Leave(process) => {
+                        self.view.observe_leave(process);
+                        if self.alive[process] {
+                            self.alive[process] = false;
+                            self.current[process] = None;
+                        }
+                    }
+                    Step::Crash(process) => {
+                        self.view.observe_crash(process);
+                        if self.alive[process] {
+                            self.alive[process] = false;
+                            self.unswept.push(process);
+                        }
+                    }
+                    Step::Round => {
+                        self.view.round_elapsed();
+                        for crashed in self.unswept.drain(..) {
+                            self.current[crashed] = None;
+                        }
+                    }
+                }
+                self.check_probes();
+            }
+
+            /// The store's verdict on `event` in view `view`, which lists
+            /// `subgroups`, against the uncached fold.
+            fn check(
+                &self,
+                uncached: &SubtreeSummaries,
+                event: &Event,
+                view: u32,
+                subgroups: &[&Prefix],
+            ) {
+                let listed = || subgroups.iter().copied().enumerate();
+                let expected = listed()
+                    .filter(|(_, prefix)| uncached.allows(prefix, event))
+                    .fold(0u128, |allowed, (position, _)| allowed | 1 << position);
+                let fold = || {
+                    allowed_runs(listed(), |subgroup| self.view.summary_allows(subgroup, event))
+                        .fold(0u128, |allowed, position| allowed | 1 << position)
+                };
+                let epoch = self.view.summary_epoch();
+                let reads = || self.view.summary_attributes();
+                let served = self.store.summary_verdict(event.id(), view, epoch, reads, fold);
+                prop_assert_eq!(served, expected, "{} in view {}", event, view);
+            }
+
+            /// Every standing probe in view 0 — every prefix twice in a row,
+            /// as a view lists a subgroup's delegates — and view 1 — the
+            /// prefixes backwards — asked 0, 1, 0, 1, so that the second ask
+            /// of each is served from the row the first one kept.
+            fn check_probes(&self) {
+                let uncached = SubtreeSummaries::build(self.space.clone(), self.current.clone());
+                let doubled: Vec<&Prefix> = self.prefixes.iter().flat_map(|p| [p, p]).collect();
+                let backwards: Vec<&Prefix> = self.prefixes.iter().rev().collect();
+                for event in &self.probes {
+                    for (view, subgroups) in [(0, &doubled), (1, &backwards), (0, &doubled), (1, &backwards)] {
+                        self.check(&uncached, event, view, subgroups);
+                    }
+                }
+            }
+
+            /// More distinct contents than the store keeps rows for, each
+            /// under a fresh id (it runs once per history), asked about in views 2 and 3 (the root,
+            /// and the first subtree) alternately, each twice: the table
+            /// forgets on the way, and the probes are asked again after.
+            fn overflow(&mut self, from: i64) {
+                let uncached = SubtreeSummaries::build(self.space.clone(), self.current.clone());
+                let (root, first) = (Prefix::root(), Prefix::from_components(vec![0]));
+                let contents = (VERDICT_ROWS / 2 + 3) as i64;
+                for (id, topic) in (1_000u64..).zip(from..from + contents) {
+                    let event = Arc::new(Event::builder(id).int(TOPIC_ATTRIBUTE, topic).build());
+                    self.store.admit(&event);
+                    for (view, subgroup) in [(2, &root), (3, &first), (2, &root), (3, &first)] {
+                        self.check(&uncached, &event, view, &[subgroup]);
+                    }
+                }
+                let kept = self.store.state().verdicts.len();
+                prop_assert!(kept < 2 * contents as usize, "the table forgot on the way: {kept}");
+                self.check_probes();
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn store_verdicts_equal_the_uncached_table(history in arb_history()) {
+                let mut lockstep = Lockstep::new(&history);
+                lockstep.check_probes();
+                let (at, from) = history.overflow;
+                let at = at % (history.steps.len() + 1);
+                for (index, &step) in history.steps.iter().enumerate() {
+                    if index == at {
+                        lockstep.overflow(from);
+                    }
+                    lockstep.apply(step);
+                }
+                if at == history.steps.len() {
+                    lockstep.overflow(from);
+                }
+            }
+        }
     }
 }

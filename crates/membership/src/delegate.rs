@@ -155,7 +155,7 @@
 //! lock at all once the view is judged seated whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use pmcast_addr::Prefix;
 use pmcast_interest::Event;
@@ -164,7 +164,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::population::{ring_predecessor, ring_successor};
 use crate::provider::MembershipView;
-use crate::summaries::{allowed_mask, InterestAnnex};
+use crate::summaries::InterestAnnex;
 use crate::SubtreeSummaries;
 
 /// Sentinel marking an unoccupied delegate slot.  `u32::MAX` sorts after
@@ -812,12 +812,13 @@ pub struct DelegateView {
     /// subtree carries the over-approximating summary of the interests
     /// below it, maintained through the same (collapsed) gossip that
     /// carries view digests — a leave retracts the departed filter along
-    /// its root path, a rejoin re-announces it.  A mutex, not a
-    /// reader-writer lock: a whole-view veto fills the annex's verdict memo.
-    interest: Mutex<Option<InterestAnnex>>,
+    /// its root path, a rejoin re-announces it.  Read-locked by every
+    /// probe; the provider keeps no verdict of its own (a caller keeps
+    /// them under the summary epoch).
+    interest: RwLock<Option<InterestAnnex>>,
     /// [`MembershipView::summary_epoch`]: moved, under the `interest` lock
     /// and after the change, by everything that attaches a table or changes
-    /// a filter in it — the same places that drop the annex's verdict memo.
+    /// a filter in it.
     /// `SeqCst` both ways: a reader that sees the new value also finds the
     /// changed table behind the lock.
     summary_epoch: AtomicU64,
@@ -905,7 +906,7 @@ impl DelegateView {
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
             whole: WholeViews::new(depth, occupied),
-            interest: Mutex::new(None),
+            interest: RwLock::new(None),
             summary_epoch: AtomicU64::new(0),
         }
     }
@@ -921,15 +922,15 @@ impl DelegateView {
         }
     }
 
-    fn interest(&self) -> MutexGuard<'_, Option<InterestAnnex>> {
-        self.interest.lock().expect("interest annex lock poisoned")
+    fn interest(&self) -> RwLockReadGuard<'_, Option<InterestAnnex>> {
+        self.interest.read().expect("interest annex lock poisoned")
     }
 
     /// Applies a filter change to the attached summary table, if there is
     /// one, and moves the summary epoch: every verdict a caller recorded
     /// was judged against the table as it was.
     fn change_interest(&self, change: impl FnOnce(&mut InterestAnnex)) {
-        if let Some(annex) = self.interest().as_mut() {
+        if let Some(annex) = self.interest.write().expect("interest annex lock poisoned").as_mut() {
             change(annex);
             self.summary_epoch.fetch_add(1, Ordering::SeqCst);
         }
@@ -1138,7 +1139,8 @@ impl MembershipView for DelegateView {
             members as u128,
             "summary table must cover the delegate group's member capacity"
         );
-        *self.interest() = Some(InterestAnnex::new(summaries));
+        let annex = Some(InterestAnnex::new(summaries));
+        *self.interest.write().expect("interest annex lock poisoned") = annex;
         self.summary_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -1151,21 +1153,6 @@ impl MembershipView for DelegateView {
 
     fn summary_epoch(&self) -> u64 {
         self.summary_epoch.load(Ordering::SeqCst)
-    }
-
-    /// One lock, the event's memo row and the mask kept for `(row, view)`;
-    /// the fold over the subgroups runs the first time a content meets a
-    /// view after the table last changed.
-    fn summary_verdict(
-        &self,
-        event: &Event,
-        view: u32,
-        subgroups: &mut dyn Iterator<Item = &Prefix>,
-    ) -> u128 {
-        match self.interest().as_mut() {
-            Some(annex) => annex.view_verdict(event, view, subgroups),
-            None => allowed_mask(subgroups, |_| true),
-        }
     }
 
     /// What the attached table's filters mention (none named without one).

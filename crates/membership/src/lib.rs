@@ -81,7 +81,7 @@ mod tree;
 pub use delegate::{DelegateView, DelegateViewConfig};
 pub use error::MembershipError;
 pub use oracle::{AssignmentOracle, InterestOracle, UniformOracle};
-pub use summaries::{allowed_runs, SubtreeSummaries, SUMMARY_MEMO_ROWS};
+pub use summaries::{allowed_runs, SubtreeSummaries};
 pub use topic::{TopicOracle, TOPIC_ATTRIBUTE};
 pub use population::{Population, PopulationSizes};
 pub use provider::{GlobalOracleView, MembershipView, PartialView, PartialViewConfig};

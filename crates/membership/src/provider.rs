@@ -64,26 +64,27 @@
 //! * [`estimated_size`](MembershipView::estimated_size) is the provider's
 //!   belief about the number of live processes, used for round-budget
 //!   estimation (Pittel's bound needs `n`, or an estimate of it).
-//! * **Batched probes.**  pmcast asks its two per-candidate questions for a
-//!   whole candidate list at a time:
+//! * **Batched probes.**  pmcast asks the membership question for a whole
+//!   candidate list at a time:
 //!   [`fill_known_or_whole`](MembershipView::fill_known_or_whole) once per
 //!   depth per round, naming the depth view by its dense id — the answer is
 //!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth)'s list, or
-//!   "the whole view but you", written nowhere — and — under summary
-//!   routing —
-//!   [`summary_verdict`](MembershipView::summary_verdict) once per
-//!   buffered event per [`summary_epoch`](MembershipView::summary_epoch),
-//!   for the whole depth view, named by the same id (a view wider than a
-//!   verdict is asked about through the single probe, per round, over its
-//!   candidates).  Both default to asking the single probe
-//!   ([`knows_at_depth`](MembershipView::knows_at_depth),
-//!   [`summary_allows`](MembershipView::summary_allows)), so a provider is
-//!   correct without overriding either; an override exists to take a lock
-//!   or find shared state once, and must answer exactly as the default.
-//!   The id is what lets an override remember something per view (a whole
-//!   view, a verdict); whatever it remembers between calls is derived
-//!   state: it may be dropped at any time and must be dropped when what it
-//!   was computed from changes.
+//!   "the whole view but you", written nowhere.  It defaults to asking the
+//!   single probe ([`knows_at_depth`](MembershipView::knows_at_depth)), so
+//!   a provider is correct without overriding it; an override exists to
+//!   take a lock or find shared state once, and must answer exactly as the
+//!   default.  The id is what lets an override remember a whole view;
+//!   whatever it remembers between calls is derived state: it may be
+//!   dropped at any time and must be dropped when what it was computed
+//!   from changes.
+//! * **Summary verdicts** are the caller's to keep.  Under summary routing
+//!   pmcast asks [`summary_allows`](MembershipView::summary_allows) once
+//!   per run of equal subgroups of a depth view, and its group's event
+//!   store keeps the resulting mask per (event content, view) until
+//!   [`summary_epoch`](MembershipView::summary_epoch) moves, content being
+//!   the event's values on the
+//!   [`summary_attributes`](MembershipView::summary_attributes).  A
+//!   provider caches no verdict; it moves the epoch.
 
 use std::sync::{Arc, RwLock};
 
@@ -169,8 +170,7 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// order.
     ///
     /// `view` is the caller's dense identifier of the depth view it passes
-    /// (a group's `SharedViews` numbers them).  As for
-    /// [`summary_verdict`](Self::summary_verdict), the caller vouches that
+    /// (a group's `SharedViews` numbers them).  The caller vouches that
     /// one identifier always comes with the same `depth` and the same peers
     /// in the same order, only from processes holding that view (they share
     /// their first `depth − 1` address components), and that the peers are
@@ -245,60 +245,24 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// A counter that has moved whenever an answer of
     /// [`summary_allows`](Self::summary_allows) may have changed: two reads
     /// returning the same value bracket a span in which every `(subgroup,
-    /// event)` pair kept its verdict.  pmcast records, per buffered event,
-    /// which view positions the summaries allow
-    /// ([`summary_verdict`](Self::summary_verdict)) together with the epoch
-    /// it asked under, and asks again only once the epoch has moved — so a
-    /// provider whose verdicts can change **must** move the epoch with
-    /// every such change (after making it), and the default, a constant, is
-    /// right exactly for a provider whose verdicts never do (the default
-    /// `summary_allows` among them).  Every `u64` is a valid epoch,
-    /// `u64::MAX` and a wrap to 0 included: readers compare for equality
-    /// and keep "never asked" apart from all of them.  What a provider
-    /// memoises of its own verdicts is dropped in the same places that move
-    /// the epoch.
+    /// event)` pair kept its verdict.  pmcast keeps, per buffered event and
+    /// per event content, which view positions the summaries allow
+    /// together with the epoch it asked under, and asks again only once
+    /// the epoch has moved — so a provider whose verdicts can change
+    /// **must** move the epoch with every such change (after making it),
+    /// and the default, a constant, is right exactly for a provider whose
+    /// verdicts never do (the default `summary_allows` among them).  Every
+    /// `u64` is a valid epoch, `u64::MAX` and a wrap to 0 included: readers
+    /// compare for equality and keep "never asked" apart from all of them.
     fn summary_epoch(&self) -> u64 {
         0
     }
 
-    /// The batched form of [`summary_allows`](Self::summary_allows), over a
-    /// whole depth view of at most 128 entries, as a mask: bit `p` is set
-    /// when `summary_allows` the `p`-th of `subgroups` for the event.  This
-    /// is what pmcast records per buffered entry, and the one call it makes
-    /// for an entry that holds no verdict under the current
-    /// [`summary_epoch`](Self::summary_epoch).
-    ///
-    /// `view` is the caller's dense identifier of the list it passes (a
-    /// group's `SharedViews` numbers its depth views).  The caller vouches
-    /// that, for as long as it uses this provider, one identifier always
-    /// comes with the same subgroups in the same order — so callers that
-    /// share a provider share the numbering — and that is all a provider
-    /// may assume of it.  The verdict is a function of *(what the summaries
-    /// read of the event, view)*, the same for every process holding the
-    /// view, so a provider may memoise it
-    /// ([`DelegateView`](crate::DelegateView) keeps the mask per (event
-    /// content, `view`), [`SUMMARY_MEMO_ROWS`](crate::SUMMARY_MEMO_ROWS)
-    /// contents of them, and drops them with every filter change): a repeat
-    /// costs a lock and two lookups, no work per subgroup.  Keyed by
-    /// content, never by an interest oracle's audience key: an explicit
-    /// assignment gives every event one key while the summaries still tell
-    /// contents apart.
-    ///
-    /// The default folds the single probe over runs of equal consecutive
-    /// subgroups and ignores `view`; an override must return exactly that.
-    fn summary_verdict(
-        &self,
-        event: &Event,
-        _view: u32,
-        subgroups: &mut dyn Iterator<Item = &Prefix>,
-    ) -> u128 {
-        crate::summaries::allowed_mask(subgroups, |subgroup| self.summary_allows(subgroup, event))
-    }
-
-    /// The attributes [`summary_verdict`](Self::summary_verdict) reads of an
+    /// The attributes [`summary_allows`](Self::summary_allows) reads of an
     /// event, or `None` (the default) if the provider does not name them: a
-    /// caller may keep one verdict per (values on these, view), as pmcast's
-    /// event store does.  They change only with the [`summary_epoch`](Self::summary_epoch).
+    /// caller may keep one verdict per (values on these, subgroups asked
+    /// about), as pmcast's event store does per depth view.  They change
+    /// only with the [`summary_epoch`](Self::summary_epoch).
     fn summary_attributes(&self) -> Option<Arc<[String]>> {
         None
     }
@@ -739,11 +703,14 @@ mod tests {
             .iter()
             .map(|&component| Prefix::from_components(vec![component]))
             .collect();
-        let allowed = view.summary_verdict(&event, 0, &mut subgroups.iter());
-        assert_eq!(allowed, 0b110_0011, "every position but the vetoed run");
+        let allowed = |view: &dyn MembershipView| -> Vec<usize> {
+            let listed = subgroups.iter().enumerate();
+            crate::allowed_runs(listed, |subgroup| view.summary_allows(subgroup, &event)).collect()
+        };
+        assert_eq!(allowed(&view), [0, 1, 5, 6], "every position but the vetoed run");
         assert_eq!(view.1.into_inner(), 4, "one probe per run");
         // A provider without summaries admits everything.
-        assert_eq!(view.0.summary_verdict(&event, 0, &mut subgroups.iter()), 0b111_1111);
+        assert_eq!(allowed(&view.0), [0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

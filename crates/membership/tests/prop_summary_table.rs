@@ -1,27 +1,28 @@
-//! The summary veto's memo is proven, not trusted.
+//! The summary table a provider answers from is proven, not trusted, and
+//! so is the epoch every caller's verdict cache relies on.
 //!
 //! [`DelegateView`] answers [`MembershipView::summary_allows`] from its
-//! attached table and its whole-view form
-//! [`MembershipView::summary_verdict`] from a memo of masks keyed by what a
-//! verdict reads — the event's values on the attributes the attached
-//! filters mention, and the view's id — and drops the memo whenever a
-//! leave, a swept crash or a rejoin changes the table.  This file steps a
-//! provider with attached summaries through random histories of lifecycle
-//! observations, membership rounds and queries, and after every step holds
-//! both forms equal to an **uncached** [`SubtreeSummaries::allows`] over a
-//! table built fresh from a hand-maintained filter vector.  The probes are
-//! chosen against the ways a memo goes wrong: events sharing one id but not
-//! their content, an event without the attribute, values of other types
-//! under the same name, an out-of-space and a too-deep prefix (both must
-//! answer `true`), sweeps of more distinct contents than
-//! [`SUMMARY_MEMO_ROWS`], and two views asked about alternately, each a
-//! second time once the memo holds its mask.
+//! attached table, changed by every leave, swept crash and rejoin, and
+//! keeps no verdict of its own: pmcast's event store keeps them, under
+//! [`MembershipView::summary_epoch`].  This file steps a provider with
+//! attached summaries through random histories of lifecycle observations
+//! and membership rounds, and after every step holds `summary_allows`
+//! equal to an **uncached** [`SubtreeSummaries::allows`] over a table
+//! built fresh from a hand-maintained filter vector, for events sharing
+//! one id but not their content, an event without the attribute, values
+//! of other types under the same name, and an out-of-space and a too-deep
+//! prefix (both must answer `true`).  It also holds the epoch contract: if
+//! any of those answers differs from the previous step's, the epoch has
+//! moved, and so has it whenever the attributes a verdict reads
+//! ([`MembershipView::summary_attributes`]) changed.  The store's own
+//! proof is `store_verdicts_equal_the_uncached_table` in `pmcast-core`.
 
 use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_interest::{Event, Filter, Predicate};
+use std::sync::Arc;
+
 use pmcast_membership::{
-    DelegateView, DelegateViewConfig, MembershipView, SubtreeSummaries, SUMMARY_MEMO_ROWS,
-    TOPIC_ATTRIBUTE,
+    DelegateView, DelegateViewConfig, MembershipView, SubtreeSummaries, TOPIC_ATTRIBUTE,
 };
 use proptest::prelude::*;
 
@@ -35,9 +36,6 @@ enum Step {
     Leave(usize),
     Crash(usize),
     Round,
-    /// Ask about `SUMMARY_MEMO_ROWS + 3` distinct contents, starting at this
-    /// topic: the memo has to forget on the way.
-    Sweep(i64),
 }
 
 #[derive(Debug, Clone)]
@@ -69,12 +67,11 @@ fn arb_history() -> impl Strategy<Value = History> {
     (0usize..2, 0u64..1_000, 0u8..2).prop_flat_map(|(shape, seed, sparse)| {
         let (arity, depth) = [(2u32, 3usize), (3, 2)][shape];
         let n = (arity as usize).pow(depth as u32);
-        let step = (0u8..9, 0..n, 0..TOPICS).prop_map(|(kind, process, topic)| match kind {
+        let step = (0u8..8, 0..n).prop_map(|(kind, process)| match kind {
             0 | 1 => Step::Join(process),
             2 | 3 => Step::Leave(process),
             4 | 5 => Step::Crash(process),
-            6 | 7 => Step::Round,
-            _ => Step::Sweep(topic),
+            _ => Step::Round,
         });
         (
             prop::collection::vec(0u8..4, n),
@@ -112,7 +109,7 @@ fn probe_prefixes(space: &AddressSpace) -> Vec<Prefix> {
     prefixes
 }
 
-/// The standing probes.  All but the last carry the same id: a memo keyed
+/// The standing probes.  All but the last carry the same id: a cache keyed
 /// by id alone would serve one's verdicts to the next.
 fn probe_events() -> Vec<Event> {
     let mut events: Vec<Event> = (0..TOPICS + 2)
@@ -133,7 +130,12 @@ fn probe_events() -> Vec<Event> {
     events
 }
 
-/// The provider beside the filter vector its table must amount to.
+/// What a check saw: the uncached answers for every probe and prefix, the
+/// epoch and the attributes a verdict reads.
+type Seen = (Vec<bool>, u64, Option<Arc<[String]>>);
+
+/// The provider beside the filter vector its table must amount to, and
+/// what the previous check saw.
 struct Lockstep {
     space: AddressSpace,
     view: DelegateView,
@@ -144,6 +146,7 @@ struct Lockstep {
     /// Crashed, not yet swept by a round: still contributing.
     unswept: Vec<usize>,
     prefixes: Vec<Prefix>,
+    seen: Option<Seen>,
 }
 
 impl Lockstep {
@@ -170,6 +173,7 @@ impl Lockstep {
             current: history.filters.clone(),
             alive: history.occupied.clone(),
             unswept: Vec::new(),
+            seen: None,
         }
     }
 
@@ -203,66 +207,47 @@ impl Lockstep {
                     self.current[crashed] = None;
                 }
             }
-            Step::Sweep(start) => {
-                let contents = SUMMARY_MEMO_ROWS as i64 + 3;
-                let sweep: Vec<Event> = (start..start + contents)
-                    .map(|topic| Event::builder(7).int(TOPIC_ATTRIBUTE, topic).build())
-                    .collect();
-                self.check(&sweep);
-            }
         }
-        self.check(&probe_events());
+        self.check();
     }
 
-    /// Both forms of the query against the uncached table, for every probe
-    /// prefix: one at a time, and in the whole-view form as view 0 with
-    /// every prefix twice in a row, as a view lists a subgroup's delegates,
-    /// and as view 1 the prefixes backwards, asked 0, 1, 0, 1 so that the
-    /// second ask of each is answered from the mask kept under its id.
-    fn check(&self, events: &[Event]) {
+    /// `summary_allows` against the uncached table for every probe event
+    /// and prefix, and the epoch against the previous check: unmoved only
+    /// if no answer and no attribute changed.
+    fn check(&mut self) {
         let uncached = SubtreeSummaries::build(self.space.clone(), self.current.clone());
-        let doubled: Vec<&Prefix> = self.prefixes.iter().flat_map(|p| [p, p]).collect();
-        let backwards: Vec<&Prefix> = self.prefixes.iter().rev().collect();
-        for event in events {
-            let expected: Vec<bool> = self
-                .prefixes
-                .iter()
-                .map(|prefix| uncached.allows(prefix, event))
-                .collect();
-            // The last two probe prefixes are outside the space.
-            prop_assert!(expected[expected.len() - 2] && expected[expected.len() - 1]);
-            for (prefix, &allowed) in self.prefixes.iter().zip(&expected) {
+        let mut answers = Vec::new();
+        for event in probe_events() {
+            for prefix in &self.prefixes {
+                let allowed = uncached.allows(prefix, &event);
                 prop_assert_eq!(
-                    self.view.summary_allows(prefix, event),
+                    self.view.summary_allows(prefix, &event),
                     allowed,
                     "summary_allows({:?}, {})",
                     prefix,
                     event
                 );
+                answers.push(allowed);
             }
-            for (view, subgroups) in [(0, &doubled), (1, &backwards), (0, &doubled), (1, &backwards)] {
-                let folded = subgroups
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, prefix)| uncached.allows(prefix, event))
-                    .fold(0u128, |allowed, (position, _)| allowed | 1 << position);
-                prop_assert_eq!(
-                    self.view.summary_verdict(event, view, &mut subgroups.iter().copied()),
-                    folded,
-                    "summary_verdict({}, view {})",
-                    event,
-                    view
-                );
+            // The last two probe prefixes are outside the space.
+            prop_assert!(answers[answers.len() - 2] && answers[answers.len() - 1]);
+        }
+        let (epoch, attributes) = (self.view.summary_epoch(), self.view.summary_attributes());
+        if let Some((seen_answers, seen_epoch, seen_attributes)) = &self.seen {
+            if *seen_epoch == epoch {
+                prop_assert!(*seen_answers == answers, "a verdict changed under epoch {}", epoch);
+                prop_assert_eq!(seen_attributes, &attributes, "attributes changed under epoch {}", epoch);
             }
         }
+        self.seen = Some((answers, epoch, attributes));
     }
 }
 
 proptest! {
     #[test]
-    fn memoised_verdicts_equal_the_uncached_table(history in arb_history()) {
+    fn summary_answers_equal_the_uncached_table_and_move_the_epoch(history in arb_history()) {
         let mut lockstep = Lockstep::new(&history);
-        lockstep.check(&probe_events());
+        lockstep.check();
         for &step in &history.steps {
             lockstep.apply(step);
         }
@@ -271,9 +256,9 @@ proptest! {
 
 #[test]
 fn a_rejoin_is_seen_through_a_warm_memo() {
-    // The sequence a skipped invalidation in `on_join` gets wrong, spelled
-    // out: the veto is memoised while the only subscriber is away, and must
-    // not outlive its return.
+    // The sequence a skipped table change in `on_join` gets wrong, spelled
+    // out: the veto is asked while the only subscriber is away, and must
+    // not outlive its return — nor may the epoch stand still across it.
     let space = AddressSpace::regular(2, 2).expect("valid shape");
     let view = DelegateView::bootstrap(2, 2, DelegateViewConfig::default(), 3);
     let mut filters = vec![None; 4];
@@ -281,15 +266,15 @@ fn a_rejoin_is_seen_through_a_warm_memo() {
     view.attach_interest_summaries(SubtreeSummaries::build(space, filters));
     let event = Event::builder(1).int(TOPIC_ATTRIBUTE, 5).build();
     let subtree = Prefix::from_components(vec![1]);
-    let ask = || {
-        let allowed = view.summary_verdict(&event, 0, &mut [&subtree].into_iter()) == 1;
-        assert_eq!(view.summary_allows(&subtree, &event), allowed);
-        allowed
-    };
+    let ask = || view.summary_allows(&subtree, &event);
     assert!(ask());
+    let attached = view.summary_epoch();
     view.observe_leave(3);
     assert!(!ask());
-    assert!(!ask(), "answered from the memo");
+    assert!(!ask(), "asking again changes nothing");
+    let left = view.summary_epoch();
+    assert_ne!(left, attached);
     view.observe_join(3);
     assert!(ask(), "the rejoin re-announced the subscription");
+    assert_ne!(view.summary_epoch(), left);
 }
