@@ -134,8 +134,8 @@ fn bench(c: &mut Criterion) {
     // lock, one map probe) and files it: round budget, interest check,
     // delivery, seen bit, buffer entry.  Each first-receipt iteration
     // receives into a clone of an idle process and drops it, so it also
-    // pays the per-depth buffers an infected process of a single-event
-    // trial allocates.
+    // pays the one buffer block an infected process of a single-event trial
+    // allocates.
     let heavy_event = Event::builder(77)
         .int("b", 4)
         .float("c", 25.0)

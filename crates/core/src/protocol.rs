@@ -216,14 +216,20 @@ impl GroupContext {
     /// a key (exact subscriptions, the broadcast case) is judged on the
     /// spot, and its entries' picks ask it.
     fn fresh_entry(&self, view: &DepthView, event: Arc<Event>) -> BufferedGossip {
-        let (rate, budget, interest) = match self.oracle.audience_key(&event) {
-            Some(key) => self.judgement(key, view, &event),
+        let (rate, budget, interest) = self.fresh_judgement(view, &event);
+        BufferedGossip::new(event, rate, 0, budget).with_interest(interest)
+    }
+
+    /// What a [fresh entry](Self::fresh_entry) for `event` starts with in
+    /// `view`, and what an entry promoted into `view` is judged to in place.
+    fn fresh_judgement(&self, view: &DepthView, event: &Event) -> (f64, u32, Option<u128>) {
+        match self.oracle.audience_key(event) {
+            Some(key) => self.judgement(key, view, event),
             None => {
-                let (rate, budget, _) = self.judge(view, &event);
+                let (rate, budget, _) = self.judge(view, event);
                 (rate, budget, None)
             }
-        };
-        BufferedGossip::new(event, rate, 0, budget).with_interest(interest)
+        }
     }
 
     /// The entry a first receipt files in `view`: the gossip's rate and
@@ -660,9 +666,10 @@ impl PmcastProcess {
         self.group.matching_rate(&self.depth_views[depth - 1], event)
     }
 
-    /// One iteration of the `GOSSIP` task of Figure 3 for a single depth.
+    /// One iteration of the `GOSSIP` task of Figure 3 for the depth whose
+    /// run of the buffers ends at `end`; returns where the next one's ends.
     ///
-    /// Allocation-free after warm-up: the per-depth entry vector is filtered
+    /// Allocation-free after warm-up: spent entries are promoted or dropped
     /// in place, fanout targets are drawn by a partial Fisher–Yates over the
     /// round driver's buffers, and each sent gossip is the event's id and
     /// three numbers.  When the membership provider knows the view whole a
@@ -672,37 +679,23 @@ impl PmcastProcess {
     fn gossip_depth(
         &mut self,
         depth: Depth,
+        end: usize,
         ctx: &mut RoundContext<'_, Gossip>,
         scratch: &mut FanoutScratch,
-    ) {
-        // Check emptiness before taking the buffer: a `mem::take` on the
-        // empty-but-warm vec would discard its capacity.
-        if self.buffers.at_depth(depth).is_empty() {
-            return;
-        }
-        // Move the entries out of `self` so the loop below can promote into
-        // the next depth's buffer while it walks this one.
-        let mut entries = std::mem::take(self.buffers.at_depth_mut(depth));
-        let buffers = &mut self.buffers;
+    ) -> usize {
         let group = &*self.group;
         let view = &self.depth_views[depth - 1];
+        // Budget exhausted: promote to the next depth in place (lines
+        // 16–18), judged as a fresh entry there, or collect at the leaf
+        // depth.  A promotion draws nothing, so the draws below and the next
+        // depth's order are what they were.
         let next_view = self.depth_views.get(depth);
-
-        // Budget exhausted: promote to the next depth (lines 16–18), moving
-        // the entry's share of the event; at the leaf depth an exhausted
-        // entry is simply garbage collected.  A promotion draws nothing, so
-        // taking them out before the draws below leaves the draw sequence
-        // and the next depth's order as they were.
-        for exhausted in entries.extract_if(.., |entry| !entry.has_budget()) {
-            if let Some(next_view) = next_view {
-                buffers.file(depth + 1, group.fresh_entry(next_view, exhausted.event));
-            }
+        let judge = next_view.map(|next| |event: &Event| group.fresh_judgement(next, event));
+        let (next_end, live) = self.buffers.spend(depth, end, judge);
+        if live.is_empty() {
+            return next_end;
         }
-        if entries.is_empty() {
-            *buffers.at_depth_mut(depth) = entries;
-            return;
-        }
-        let candidates = group.round_candidates(self.id, view, depth, entries.len(), scratch);
+        let candidates = group.round_candidates(self.id, view, depth, live.len(), scratch);
         let routing = group.config.interest_routing;
         let (summary_epoch, candidate_mask) = match routing {
             InterestRouting::Summary if view.len() <= BufferedGossip::VERDICT_WIDTH => (
@@ -712,7 +705,7 @@ impl PmcastProcess {
             InterestRouting::Summary => (group.membership.summary_epoch(), 0),
             InterestRouting::Oracle | InterestRouting::Blind => (0, 0),
         };
-        for entry in &mut entries {
+        for entry in live {
             entry.round += 1;
             // Summary routing narrows the pool per event *before* the draw:
             // subtrees whose aggregated summary proves nobody below is
@@ -747,8 +740,7 @@ impl PmcastProcess {
                 }
             }
         }
-
-        *buffers.at_depth_mut(depth) = entries;
+        next_end
     }
 }
 
@@ -762,8 +754,13 @@ impl RoundProcess for PmcastProcess {
         // The candidate pools live in the round driver's buffers, moved out
         // for the duration of the call so the draws can borrow `ctx`.
         let mut scratch = std::mem::take(ctx.scratch());
+        // Depth 1's run ends the buffers; none is deeper than one at 0.
+        let mut end = self.buffers.len();
         for depth in 1..=self.depth_views.len() {
-            self.gossip_depth(depth, ctx, &mut scratch);
+            end = self.gossip_depth(depth, end, ctx, &mut scratch);
+            if end == 0 {
+                break;
+            }
         }
         *ctx.scratch() = scratch;
     }
@@ -2022,6 +2019,41 @@ mod tests {
         assert!(idle.buffers.at_depth(1).is_empty());
         // Every process of the group shares the one context.
         assert_eq!(Arc::strong_count(&idle.group), 16);
+    }
+
+    /// A single-event trial's buffers, counted: over a seed-42 8^3 trial
+    /// every process the event reaches is given one block of one entry, and
+    /// keeps that very block through its first receipt, every promotion and
+    /// the leaf depth's collection — a first block of four (`Vec`'s first
+    /// growth) or a promotion that files a fresh entry beside the spent one
+    /// fails here.
+    #[test]
+    fn an_infected_process_owns_one_buffer_block_of_one_entry() {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 8).unwrap());
+        let oracle =
+            Arc::new(AssignmentOracle::sample(&topology, 0.5, &mut ChaCha8Rng::seed_from_u64(42)));
+        let membership = Arc::new(GlobalOracleView::new(512));
+        let group = build_pmcast_group(&topology, oracle, membership, &PmcastConfig::default());
+        let network = NetworkConfig::reliable(42).with_loss(0.01);
+        let mut sim = Simulation::new(group.processes, network);
+        sim.process_mut(ProcessId(0)).pmcast(Event::builder(1).int("b", 1).build());
+        let mut blocks = vec![None; 512];
+        while !sim.is_quiescent() {
+            assert!(sim.round() < 300, "the dissemination never went quiet");
+            sim.step();
+            for (first, process) in blocks.iter_mut().zip(sim.processes()) {
+                let (block, entries) = process.buffers.block();
+                if entries > 0 {
+                    assert_eq!(entries, 1, "{:?} in round {}", process, sim.round());
+                    assert_eq!(*first.get_or_insert(block), block, "{process:?} moved its block");
+                }
+            }
+        }
+        let buffered = blocks.iter().filter(|block| block.is_some()).count();
+        let reached = sim.processes().filter(|p| p.has_received(EventId(1))).count();
+        assert_eq!(buffered, reached, "every process the event reached buffered it");
+        assert!(reached > 256, "only {reached} of 512 processes were reached");
+        assert!(sim.processes().all(|p| p.buffers.is_empty() && p.buffers.block().1 <= 1));
     }
 
     /// Steps one event through a 4^3 group whose links delay messages by up
