@@ -141,7 +141,8 @@ pub struct ProtocolGroup<P> {
     /// One protocol instance per process, indexed by
     /// [`pmcast_simnet::ProcessId`].
     pub processes: Vec<P>,
-    /// Member addresses in dense-identifier order.
+    /// Member addresses in dense-identifier order; under pmcast, the group's
+    /// views' own, shared by every group of a full tree's shape on a thread.
     pub addresses: Arc<Vec<Address>>,
 }
 

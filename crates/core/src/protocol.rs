@@ -12,7 +12,7 @@ use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::store::EventStore;
 use crate::{
     BufferedGossip, DepthView, Gossip, GossipBuffers, GossipTarget, InterestRouting,
-    PmcastConfig, ProtocolGroup, SharedViews, ViewStack,
+    PmcastConfig, ProtocolGroup, SharedViews,
 };
 
 /// How many judgements a pmcast group remembers — the `(rate, budget)` a
@@ -32,7 +32,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     config: &PmcastConfig,
 ) -> ProtocolGroup<PmcastProcess> {
     config.validate();
-    let views = SharedViews::build(topology, config.redundancy);
+    let views = SharedViews::shared(topology, config.redundancy);
     let addresses = Arc::clone(views.addresses());
     let group = Arc::new(GroupContext {
         config: config.clone(),
@@ -44,16 +44,22 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     });
     // Addresses are sorted and a leaf subgroup's are consecutive, so walking
     // the leaf stacks in order meets every process in identifier order, its
-    // stack in hand.
+    // stack's index in hand.
+    let index = |at: usize| u32::try_from(at).expect("a group holds fewer than 2^32 processes");
     let mut processes = Vec::with_capacity(addresses.len());
-    for stack in group.views.stacks() {
-        let leaf_view = stack.last().expect("a stack holds a view per depth");
+    for (stack, views) in group.views.stacks().iter().enumerate() {
+        let leaf_view = views.last().expect("a stack holds a view per depth");
         for &GossipTarget { id, .. } in leaf_view.iter() {
-            let (address, stack) = (addresses[id.0].clone(), Arc::clone(stack));
-            processes.push(PmcastProcess::in_group(address, id, Arc::clone(&group), stack));
+            processes.push(PmcastProcess {
+                id: index(id.0),
+                stack: index(stack),
+                group: Arc::clone(&group),
+                buffers: GossipBuffers::new(views.len()),
+                delivered_ids: EventIdSet::new(),
+            });
         }
     }
-    debug_assert!(processes.iter().enumerate().all(|(index, process)| process.id.0 == index));
+    debug_assert!(processes.iter().enumerate().all(|(at, process)| process.id as usize == at));
     debug_assert_eq!(processes.len(), addresses.len());
     ProtocolGroup {
         processes,
@@ -67,7 +73,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
 /// its own protocol state.
 struct GroupContext {
     config: PmcastConfig,
-    views: SharedViews,
+    views: Arc<SharedViews>,
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
     /// `(audience key, view id)` to what a fresh entry of that audience
@@ -115,6 +121,11 @@ fn raw_rate(hits: usize, len: usize) -> f64 {
 }
 
 impl GroupContext {
+    /// The view stack at `index` in the group's [`SharedViews::stacks`].
+    fn stack(&self, index: u32) -> &[DepthView] {
+        &self.views.stacks()[index as usize]
+    }
+
     /// `GETRATE`'s fold over a view, kept whole: the mask of positions whose
     /// subtree is interested in the event, and how many they are — the
     /// mask's population count.  A view wider than
@@ -520,24 +531,21 @@ fn gossip_entry(
 
 /// One process running the pmcast algorithm of Figure 3.
 ///
-/// A process that no event has reached owns no heap memory: its address is
-/// inline, everything the group shares sits behind `group`, the gossip
+/// A process that no event has reached owns no heap memory and holds
+/// nothing the group holds: everything shared sits behind `group` — its
+/// address and its view stack included, named by two indices — the gossip
 /// buffers and both identifier sets allocate on first use, and the fanout
 /// draw borrows the round driver's [`FanoutScratch`].
 ///
 /// A clone is a second process in the same state, sharing the group.
 #[derive(Clone)]
 pub struct PmcastProcess {
-    address: Address,
-    id: ProcessId,
+    /// The process's [`ProcessId`], which indexes its address.
+    id: u32,
+    /// Where its view stack — shared with its leaf-subgroup siblings, each
+    /// view knowing where they sit in it — is in [`SharedViews::stacks`].
+    stack: u32,
     group: Arc<GroupContext>,
-    /// This process's own view per depth (`depth_views[i]` is the depth
-    /// `i + 1` view), resolved once at construction: the views are immutable
-    /// after [`SharedViews::build`], and caching the handles keeps the
-    /// per-round loop free of prefix lookups.  The stack allocation is
-    /// shared with every leaf-subgroup sibling, and its views know where the
-    /// siblings sit in them — a process stores no position of its own.
-    depth_views: ViewStack,
     buffers: GossipBuffers,
     // A windowed bitmap (not a hash set): four words with 64 identifiers
     // inline, so neither a million never-contacted processes nor the ones a
@@ -549,7 +557,7 @@ pub struct PmcastProcess {
 impl std::fmt::Debug for PmcastProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmcastProcess")
-            .field("address", &self.address)
+            .field("address", self.address())
             .field("id", &self.id)
             .field("buffered", &self.buffers.len())
             .field("delivered", &self.delivered_ids.len())
@@ -558,25 +566,9 @@ impl std::fmt::Debug for PmcastProcess {
 }
 
 impl PmcastProcess {
-    fn in_group(
-        address: Address,
-        id: ProcessId,
-        group: Arc<GroupContext>,
-        depth_views: ViewStack,
-    ) -> Self {
-        Self {
-            address,
-            id,
-            group,
-            buffers: GossipBuffers::new(depth_views.len()),
-            depth_views,
-            delivered_ids: EventIdSet::new(),
-        }
-    }
-
     /// The process's address.
     pub fn address(&self) -> &Address {
-        &self.address
+        &self.group.views.addresses()[self.id as usize]
     }
 
     /// Returns `true` if the given event was delivered to the application
@@ -614,11 +606,11 @@ impl PmcastProcess {
             return;
         }
         self.group.store.admit(&event);
-        if self.group.oracle.is_interested(&self.address, &event) {
+        if self.group.oracle.is_interested(self.address(), &event) {
             // `HPDELIVER`: delivery is the identifier entering this set.
             self.delivered_ids.insert(event.id());
         }
-        let entry = self.group.fresh_entry(&self.depth_views[0], event);
+        let entry = self.group.fresh_entry(&self.group.stack(self.stack)[0], event);
         self.buffers.insert(1, entry);
     }
 
@@ -648,14 +640,14 @@ impl PmcastProcess {
         let Some(event) = self.group.store.get(gossip.id) else {
             return;
         };
-        if self.group.oracle.is_interested(&self.address, &event)
+        if self.group.oracle.is_interested(self.address(), &event)
             && self.delivered_ids.insert(gossip.id)
         {
             ctx.report_delivery(gossip.id.0);
         }
         // File the event into the buffer of the depth it is travelling at.
         let depth = gossip.depth as Depth;
-        let view = &self.depth_views[depth - 1];
+        let view = &self.group.stack(self.stack)[depth - 1];
         let entry = self.group.received_entry(view, event, gossip.rate, gossip.round);
         self.buffers.file(depth, entry);
     }
@@ -663,7 +655,7 @@ impl PmcastProcess {
     /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
     /// neighbours) whose subtree is interested in the event.
     pub fn matching_rate(&self, depth: Depth, event: &Event) -> f64 {
-        self.group.matching_rate(&self.depth_views[depth - 1], event)
+        self.group.matching_rate(&self.group.stack(self.stack)[depth - 1], event)
     }
 
     /// One iteration of the `GOSSIP` task of Figure 3 for the depth whose
@@ -684,18 +676,20 @@ impl PmcastProcess {
         scratch: &mut FanoutScratch,
     ) -> usize {
         let group = &*self.group;
-        let view = &self.depth_views[depth - 1];
+        let stack = group.stack(self.stack);
+        let view = &stack[depth - 1];
         // Budget exhausted: promote to the next depth in place (lines
         // 16–18), judged as a fresh entry there, or collect at the leaf
         // depth.  A promotion draws nothing, so the draws below and the next
         // depth's order are what they were.
-        let next_view = self.depth_views.get(depth);
+        let next_view = stack.get(depth);
         let judge = next_view.map(|next| |event: &Event| group.fresh_judgement(next, event));
         let (next_end, live) = self.buffers.spend(depth, end, judge);
         if live.is_empty() {
             return next_end;
         }
-        let candidates = group.round_candidates(self.id, view, depth, live.len(), scratch);
+        let own = ProcessId(self.id as usize);
+        let candidates = group.round_candidates(own, view, depth, live.len(), scratch);
         let routing = group.config.interest_routing;
         let (summary_epoch, candidate_mask) = match routing {
             InterestRouting::Summary if view.len() <= BufferedGossip::VERDICT_WIDTH => (
@@ -756,7 +750,7 @@ impl RoundProcess for PmcastProcess {
         let mut scratch = std::mem::take(ctx.scratch());
         // Depth 1's run ends the buffers; none is deeper than one at 0.
         let mut end = self.buffers.len();
-        for depth in 1..=self.depth_views.len() {
+        for depth in 1..=self.group.stack(self.stack).len() {
             end = self.gossip_depth(depth, end, ctx, &mut scratch);
             if end == 0 {
                 break;
@@ -1092,7 +1086,7 @@ mod tests {
         let process = &group.processes[0];
         let event = Event::builder(1).build();
         let effective_rate = |process: &PmcastProcess| {
-            process.group.judge(&process.depth_views[0], &event).0
+            process.group.judge(&process.group.stack(process.stack)[0], &event).0
         };
         let raw = process.matching_rate(1, &event);
         let effective = effective_rate(process);
@@ -1295,7 +1289,7 @@ mod tests {
         let mut views: Vec<DepthView> = group
             .processes
             .iter()
-            .flat_map(|process| process.depth_views.iter().cloned())
+            .flat_map(|process| process.group.stack(process.stack).iter().cloned())
             .collect();
         views.sort_unstable_by_key(DepthView::id);
         views.dedup_by_key(|view| view.id());
@@ -1733,8 +1727,8 @@ mod tests {
         // one round went to.
         let mut round = |process: &mut PmcastProcess| -> Vec<(u64, usize)> {
             let mut outbox = Vec::new();
-            let mut ctx =
-                RoundContext::external(process.id, 0, &mut outbox, &mut rng, &mut scratch);
+            let id = ProcessId(process.id as usize);
+            let mut ctx = RoundContext::external(id, 0, &mut outbox, &mut rng, &mut scratch);
             process.on_round(&mut ctx);
             let mut sent: Vec<(u64, usize)> = outbox
                 .iter()
@@ -1975,8 +1969,9 @@ mod tests {
         let config = PmcastConfig::default().with_interest_routing(InterestRouting::Summary);
         let group =
             build_pmcast_group(&ImplicitRegularTree::new(space), topics, membership, &config);
-        assert_eq!(group.processes[0].depth_views[0].len(), 150);
-        assert!(group.processes[0].depth_views[0].len() > BufferedGossip::VERDICT_WIDTH);
+        let root_view = &group.processes[0].group.stack(0)[0];
+        assert_eq!(root_view.len(), 150);
+        assert!(root_view.len() > BufferedGossip::VERDICT_WIDTH);
         let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(9));
         for (id, publisher) in [(1u64, 0usize), (2, 1_234), (3, 2_499)] {
             let event = Event::builder(id).int(TOPIC_ATTRIBUTE, id as i64).build();
@@ -1999,11 +1994,29 @@ mod tests {
     }
 
     #[test]
+    fn groups_of_one_shape_share_one_view_set() {
+        let build = || {
+            let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
+            build_pmcast_group(&small_topology(), oracle, global_view(), &PmcastConfig::default())
+        };
+        let (a, b) = (build(), build());
+        assert!(Arc::ptr_eq(&a.processes[0].group.views, &b.processes[0].group.views));
+        assert!(Arc::ptr_eq(&a.addresses, &b.addresses));
+        // A process reads its address and its stack out of the shared set.
+        for (index, process) in a.processes.iter().enumerate() {
+            assert_eq!(*process.address(), a.addresses[index]);
+            let leaf = process.group.stack(process.stack).last().unwrap();
+            assert!(leaf.iter().any(|target| target.id == ProcessId(index)));
+        }
+    }
+
+    #[test]
     fn an_idle_process_is_small_and_owns_no_heap() {
-        // Was ≈ 340 bytes with a config clone, four `Arc`s, a `Vec<u32>`
-        // address and a scratch per process.
+        // Was 160 bytes with an inline address and an `Arc` of the view
+        // stack, ≈ 340 with a config clone, four `Arc`s, a `Vec<u32>` address
+        // and a scratch per process.
         assert!(
-            std::mem::size_of::<PmcastProcess>() <= 160,
+            std::mem::size_of::<PmcastProcess>() <= 112,
             "PmcastProcess grew to {} bytes",
             std::mem::size_of::<PmcastProcess>()
         );

@@ -1,6 +1,7 @@
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use pmcast_addr::{Address, Component, Prefix};
+use pmcast_addr::{Address, AddressSpace, Component, Prefix};
 use pmcast_simnet::ProcessId;
 
 use pmcast_membership::TreeTopology;
@@ -83,7 +84,8 @@ pub type ViewStack = Arc<[DepthView]>;
 ///
 /// Building allocates per *prefix*, never per process: one slice per view,
 /// one stack per leaf subgroup, one vector per tree level while it builds.
-/// What it keeps is the stacks: every view is in one.
+/// What it keeps is the stacks: every view is in one.  A pmcast group whose
+/// tree fills its space shares one set per shape per thread.
 #[derive(Debug, Clone)]
 pub struct SharedViews {
     // One view *stack* per leaf subgroup, in prefix order: the views of
@@ -213,6 +215,28 @@ impl SharedViews {
         }
     }
 
+    /// The views of `topology`, shared with every group of its shape built
+    /// on this thread.  A topology that fills its space has the views of
+    /// `(space, redundancy)` alone — every child populated, a subgroup's `r`
+    /// smallest addresses its delegates — so the thread keeps its last one.
+    pub(crate) fn shared<T: TreeTopology>(topology: &T, redundancy: usize) -> Arc<Self> {
+        thread_local! {
+            static LAST: RefCell<Option<(AddressSpace, usize, Arc<SharedViews>)>> =
+                const { RefCell::new(None) };
+        }
+        if topology.member_count() as u128 != topology.space().capacity() {
+            return Arc::new(Self::build(topology, redundancy));
+        }
+        LAST.with_borrow_mut(|last| {
+            if !matches!(last, Some((space, r, _)) if space == topology.space() && *r == redundancy) {
+                *last = None; // the old set goes before the new one is built
+                let views = Arc::new(Self::build(topology, redundancy));
+                *last = Some((topology.space().clone(), redundancy, views));
+            }
+            Arc::clone(&last.as_ref().expect("the slot was just filled").2)
+        })
+    }
+
     /// All member addresses in dense-identifier order.
     pub fn addresses(&self) -> &Arc<Vec<Address>> {
         &self.addresses
@@ -220,10 +244,9 @@ impl SharedViews {
 
     /// One view stack per leaf subgroup, in prefix order — so the stacks'
     /// leaf views, one after the other, list every process in identifier
-    /// order, and a group hands each process its stack by walking them.
-    /// The stack allocation is shared by all processes of the same leaf
-    /// subgroup, so a million-process group holds one stack per leaf group,
-    /// not per process.
+    /// order, and a group hands each process its stack's index by walking
+    /// them.  A million-process group holds one stack per leaf group, not
+    /// per process.
     pub(crate) fn stacks(&self) -> &[ViewStack] {
         &self.stacks
     }
@@ -390,10 +413,7 @@ mod tests {
         // not the regular tree's).
         let space = AddressSpace::regular(3, 4).unwrap();
         let absent: Vec<u128> = (16..32).chain([0, 1, 5, 33, 34, 35, 36, 50, 63]).collect();
-        let mut sparse = GroupTree::new(space.clone());
-        for index in (0..64).filter(|index| !absent.contains(index)) {
-            sparse.join(space.address_of_index(index), Filter::match_all()).unwrap();
-        }
+        let sparse = joined_but(&space, &absent);
         assert_eq!(sparse.member_count(), 64 - absent.len());
         assert_stacks_hold_every_process(&sparse, 2);
 
@@ -404,6 +424,72 @@ mod tests {
             tree.join(space.address_of_index(index), filter).unwrap();
         }
         assert_stacks_hold_every_process(&tree, 3);
+    }
+
+    /// Every address of `space` joined to a group tree, in address order,
+    /// but those at the listed indices.
+    fn joined_but(space: &AddressSpace, absent: &[u128]) -> pmcast_membership::GroupTree {
+        let mut tree = pmcast_membership::GroupTree::new(space.clone());
+        for index in (0..space.capacity()).filter(|index| !absent.contains(index)) {
+            let filter = pmcast_interest::Filter::match_all();
+            tree.join(space.address_of_index(index), filter).unwrap();
+        }
+        tree
+    }
+
+    /// `served` holds what a fresh build of `topology` holds: the addresses,
+    /// and every stack's view ids, targets and first seats.
+    fn assert_serves_a_fresh_build<T: TreeTopology>(served: &SharedViews, topology: &T, r: usize) {
+        let fresh = SharedViews::build(topology, r);
+        assert_eq!(served.addresses(), fresh.addresses());
+        assert_eq!(served.stacks(), fresh.stacks());
+    }
+
+    #[test]
+    fn a_served_view_set_is_the_one_a_fresh_build_makes() {
+        // 2^3, 3^2 and 8^3, each built by the implicit tree and served to a
+        // fully joined group tree of the same space, at redundancy 1 and 3.
+        for space in [(3, 2), (2, 3), (3, 8)].map(|(d, a)| AddressSpace::regular(d, a).unwrap()) {
+            let implicit = ImplicitRegularTree::new(space.clone());
+            let joined = joined_but(&space, &[]);
+            for redundancy in [1, 3] {
+                let served = SharedViews::shared(&implicit, redundancy);
+                let again = SharedViews::shared(&joined, redundancy);
+                assert!(Arc::ptr_eq(&served, &again), "{space:?}, R = {redundancy}: built twice");
+                assert_serves_a_fresh_build(&served, &implicit, redundancy);
+                assert_serves_a_fresh_build(&again, &joined, redundancy);
+            }
+        }
+    }
+
+    #[test]
+    fn another_shape_or_redundancy_replaces_the_cached_views() {
+        let small = ImplicitRegularTree::new(AddressSpace::regular(3, 2).unwrap());
+        let large = ImplicitRegularTree::new(AddressSpace::regular(2, 3).unwrap());
+        let first = SharedViews::shared(&small, 3);
+        let other = SharedViews::shared(&large, 3);
+        assert_eq!(Arc::strong_count(&first), 1, "the slot let go of the first shape");
+        let rebuilt = SharedViews::shared(&small, 3);
+        assert!(!Arc::ptr_eq(&first, &rebuilt) && !Arc::ptr_eq(&other, &rebuilt));
+        let thinner = SharedViews::shared(&small, 1);
+        assert!(!Arc::ptr_eq(&rebuilt, &thinner), "redundancy 1 is served redundancy 3's views");
+        assert_eq!(Arc::strong_count(&rebuilt), 1);
+        assert!(Arc::ptr_eq(&thinner, &SharedViews::shared(&small, 1)));
+        assert_serves_a_fresh_build(&thinner, &small, 1);
+    }
+
+    #[test]
+    fn a_tree_short_of_its_space_is_built_fresh_and_never_kept() {
+        let space = AddressSpace::regular(3, 2).unwrap();
+        let full = SharedViews::shared(&ImplicitRegularTree::new(space.clone()), 2);
+        let sparse = joined_but(&space, &[0]);
+        let built = SharedViews::shared(&sparse, 2);
+        assert_eq!(Arc::strong_count(&built), 1, "a partial tree's views were kept");
+        assert!(!Arc::ptr_eq(&built, &SharedViews::shared(&sparse, 2)));
+        assert_serves_a_fresh_build(&built, &sparse, 2);
+        assert_eq!(built.addresses().len(), 7);
+        let served = SharedViews::shared(&joined_but(&space, &[]), 2);
+        assert!(Arc::ptr_eq(&full, &served), "the full shape's views stayed in the slot");
     }
 
     #[test]

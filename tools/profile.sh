@@ -8,11 +8,16 @@
 # `pmbench --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0` (seed
 # 42 by default) with tools/sampler.c preloaded — every 4 ms of CPU it
 # records the instruction pointer and the rbp chain — and symbolises the
-# samples with addr2line.  Prints three tables of 25 rows: self samples per
+# samples with addr2line.  Prints four tables of 25 rows: self samples per
 # function (the innermost inlined one; a library's named after the binary's
-# frame above it), self samples per source line, and inclusive samples per
-# function (counted once per sample whose stack holds it).  Exit status 2 on
-# bad usage.  x86-64 Linux with gcc, binutils and python3.
+# frame above it), self samples per source line, inclusive samples per
+# function (counted once per sample whose stack holds it), and inclusive
+# samples per caller -> callee edge of the stack, inlined frames included
+# (counted once per sample whose stack holds it): what splits a function's
+# time between its callees, and which caller a hot callee is reached from.
+# An edge that carries every sample of its caller splits nothing and is
+# left out (the spine from `main` down), as is a function calling itself.
+# Exit status 2 on bad usage.  x86-64 Linux with gcc, binutils and python3.
 set -euo pipefail
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
     echo "usage: $0 WORKLOAD SECONDS [SEED]" >&2
@@ -84,7 +89,7 @@ def frames(addr):
         return [(library, library)]
     return chains.get(elf) or [("??", "??")]
 
-self_fn, self_line, inclusive = (collections.Counter() for _ in range(3))
+self_fn, self_line, inclusive, edges = (collections.Counter() for _ in range(4))
 for sample in samples:
     leaf = frames(sample[0])[0]
     if leaf[0].startswith("["):
@@ -94,12 +99,18 @@ for sample in samples:
         leaf = (f"{leaf[0]} under {caller}", leaf[1])
     self_fn[leaf[0]] += 1
     self_line[leaf[1].split("/src/")[-1] + "  " + leaf[0][:60]] += 1
-    inclusive.update({name for addr in sample for name, _ in frames(addr)})
+    stack = [name for addr in sample for name, _ in frames(addr)]  # innermost first
+    inclusive.update(set(stack))
+    edges.update({(caller, callee) for callee, caller in zip(stack, stack[1:]) if caller != callee})
 
+edges = collections.Counter({f"{caller[:68]} -> {callee[:68]}": count
+                             for (caller, callee), count in edges.items()
+                             if count < inclusive[caller]})
 total = len(samples)
 print(f"{total} samples of {sys.argv[1]}")
 for title, table in (("self, by function", self_fn), ("self, by line", self_line),
-                     ("inclusive, by function", inclusive)):
+                     ("inclusive, by function", inclusive),
+                     ("inclusive, by caller -> callee edge", edges)):
     print(f"\n{title}")
     for name, count in table.most_common(25):
         print(f"{100 * count / max(total, 1):6.2f}%  {count:7d}  {name[:140]}")
