@@ -45,8 +45,9 @@ pub trait RoundProcess {
     /// so the engine schedules a quiescent process only when something
     /// could have woken it: a delivered message, a lifecycle join, or
     /// direct mutation through [`Simulation::process_mut`].  That is what
-    /// makes million-process groups simulable — a round costs O(active)
-    /// instead of O(n), and a fully quiescent round costs O(1).
+    /// makes million-process groups simulable — a round costs
+    /// O(active + n/64) instead of O(n): the schedule is a bitmap, one bit
+    /// per process, so a fully quiescent round reads n/64 zero words.
     fn is_quiescent(&self) -> bool {
         false
     }
@@ -343,16 +344,15 @@ pub struct Simulation<P: RoundProcess> {
     /// called: the engine then runs the reference dense 0..n sweep instead
     /// of sweeping the active set.
     dense: bool,
-    /// Dense indices scheduled for the next `on_round` phase, unsorted;
-    /// deduplicated through `active_stamp` and sorted ascending right
-    /// before the sweep, so active-set rounds visit processes in the same
-    /// index order as the dense sweep.
-    active_pending: Vec<usize>,
-    /// Per-process stamp of the round the process was last scheduled for
-    /// (`u64::MAX` = never); makes `mark_active` idempotent per round.
-    active_stamp: Vec<u64>,
-    /// Reused sweep buffer (the sorted snapshot of `active_pending`).
-    active_scratch: Vec<usize>,
+    /// The processes scheduled for the next `on_round` phase, one bit each
+    /// (process `i` is bit `i % 64` of word `i / 64`).  The sweep reads the
+    /// words in ascending order, so active-set rounds visit processes in
+    /// the dense sweep's index order without sorting anything.
+    scheduled: Vec<u64>,
+    /// The round after's schedule: the sweep sets the bit of every process
+    /// still busy after its call, then swaps the two bitmaps.  All zero
+    /// outside the sweep, which zeroes `scheduled` word by word as it reads.
+    rescheduled: Vec<u64>,
     /// Dense indices handed at least one message during the most recent
     /// [`step`](Self::step), deduplicated via `receiver_stamp` — the
     /// receipt delta observers use instead of re-scanning all n processes.
@@ -465,6 +465,7 @@ impl<P: RoundProcess> Simulation<P> {
             network.crash(ProcessId(absent));
         }
         let count = processes.len();
+        let words = count.div_ceil(64);
         Self {
             processes,
             network,
@@ -475,11 +476,9 @@ impl<P: RoundProcess> Simulation<P> {
             // Round 0 schedules everybody: initial state (buffered
             // publications, seeded tokens) predates the simulation, so no
             // delivery could have marked it.  Crashed processes are
-            // dropped by the first sweep.  The stamp encodes
-            // `scheduled_round + 1` (0 = never), hence 1 here.
-            active_pending: (0..count).collect(),
-            active_stamp: vec![1; count],
-            active_scratch: Vec::new(),
+            // dropped by the first sweep.
+            scheduled: (0..words).map(|word| u64::MAX >> (64 - (count - 64 * word).min(64))).collect(),
+            rescheduled: vec![0; words],
             receivers: Vec::new(),
             receiver_stamp: vec![0; count],
             inbox: Vec::new(),
@@ -495,15 +494,11 @@ impl<P: RoundProcess> Simulation<P> {
         if self.dense {
             return;
         }
-        // The stamp encodes `scheduled_round + 1`.  `self.round` is the
-        // round of the next `on_round` phase at every call site of this
-        // method: between steps and during the delivery phase it is the
-        // round about to sweep (sweep-time rescheduling, which targets
-        // `round + 1`, stamps inline in `step`).
-        if self.active_stamp[index] != self.round + 1 {
-            self.active_stamp[index] = self.round + 1;
-            self.active_pending.push(index);
-        }
+        // Every call site runs between steps or during the delivery phase,
+        // so the next sweep is the one this round's bitmap feeds
+        // (sweep-time rescheduling, which targets the round after, sets
+        // bits of `rescheduled` inline in `step`).
+        self.scheduled[index / 64] |= 1 << (index % 64);
     }
 
     /// Forces the dense 0..n sweep — a validation hook for asserting that
@@ -513,7 +508,7 @@ impl<P: RoundProcess> Simulation<P> {
     /// under test).
     pub fn force_dense_stepping(&mut self) {
         self.dense = true;
-        self.active_pending.clear();
+        self.scheduled.fill(0);
     }
 
     /// Runs one callback of process `id` inside a context whose sends go
@@ -724,26 +719,20 @@ impl<P: RoundProcess> Simulation<P> {
             // have been a no-op drawing nothing from the shared RNG: the RNG
             // stream, the traffic and every process state are bit-identical
             // to the dense sweep's.
-            let mut current = std::mem::take(&mut self.active_scratch);
-            current.clear();
-            current.append(&mut self.active_pending);
-            current.sort_unstable();
-            for &index in &current {
-                let id = ProcessId(index);
-                if self.network.is_crashed(id) {
-                    continue;
-                }
-                self.drive(id, &mut scratch, P::on_round);
-                // Still busy?  Reschedule for the next round (stamp
-                // encoding `scheduled_round + 1` = `(round + 1) + 1`).
-                if !self.processes[index].is_quiescent()
-                    && self.active_stamp[index] != self.round + 2
-                {
-                    self.active_stamp[index] = self.round + 2;
-                    self.active_pending.push(index);
+            for word in 0..self.scheduled.len() {
+                for index in set_bits(word, std::mem::take(&mut self.scheduled[word])) {
+                    let id = ProcessId(index);
+                    if self.network.is_crashed(id) {
+                        continue;
+                    }
+                    self.drive(id, &mut scratch, P::on_round);
+                    // Still busy?  Reschedule for the next round.
+                    if !self.processes[index].is_quiescent() {
+                        self.rescheduled[word] |= 1 << (index % 64);
+                    }
                 }
             }
-            self.active_scratch = current;
+            std::mem::swap(&mut self.scheduled, &mut self.rescheduled);
         }
         self.inbox = inbox;
         self.scratch = scratch;
@@ -763,14 +752,16 @@ impl<P: RoundProcess> Simulation<P> {
                 .all(|(index, p)| self.network.is_crashed(ProcessId(index)) || p.is_quiescent())
         } else {
             // Invariant of active-set scheduling: every live non-quiescent
-            // process is in `active_pending` (it was scheduled by the wake
-            // that made it non-quiescent — a delivery, a join, or a
-            // `process_mut` touch — or rescheduled by its own sweep).  So
-            // scanning the pending set is enough, and a fully-quiescent
-            // simulation answers in O(1) because the set is empty.
-            self.active_pending
+            // process is in `scheduled` (it was scheduled by the wake that
+            // made it non-quiescent — a delivery, a join, or a `process_mut`
+            // touch — or rescheduled by its own sweep).  So walking the set
+            // bits is enough: O(scheduled + n/64), and a fully-quiescent
+            // simulation reads n/64 zero words.
+            self.scheduled
                 .iter()
-                .all(|&index| self.network.is_crashed(ProcessId(index)) || self.processes[index].is_quiescent())
+                .enumerate()
+                .flat_map(|(word, &bits)| set_bits(word, bits))
+                .all(|index| self.network.is_crashed(ProcessId(index)) || self.processes[index].is_quiescent())
         };
         protocol_quiet && self.network.is_idle()
     }
@@ -800,6 +791,15 @@ impl<P: RoundProcess> Simulation<P> {
     pub fn into_processes(self) -> Vec<P> {
         self.processes
     }
+}
+
+/// The indices of the set bits of word `word` of a bitmap, ascending.
+fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits.wrapping_sub(1);
+        (bit < 64).then_some(64 * word + bit)
+    })
 }
 
 #[cfg(test)]
@@ -1473,6 +1473,61 @@ mod tests {
     }
 
     #[test]
+    fn active_set_crosses_bitmap_words_like_the_dense_sweep() {
+        // 130 processes fill two bitmap words and start a third.  Every
+        // crash, join, leave and direct touch lands on a word's first or
+        // last bit, and the two runs are compared after every step.
+        let build = || {
+            let config = NetworkConfig {
+                loss_probability: 0.1,
+                crash_plan: CrashPlan::Scheduled(vec![(3, 63), (5, 128)]),
+                ..NetworkConfig::reliable(29)
+            };
+            let lifecycle = LifecyclePlan {
+                initially_absent: vec![127],
+                joins: vec![(4, 127), (7, 63)],
+                leaves: vec![(2, 64)],
+            };
+            rumor_simulation(130, config, lifecycle)
+        };
+        // Hands the rumor, with a fresh budget, to a process between steps.
+        let touch = |sim: &mut Simulation<Rumor>, index: usize| {
+            let process = sim.process_mut(ProcessId(index));
+            process.has_rumor = true;
+            process.budget = 3;
+        };
+        let mut sparse = build();
+        let mut dense = build();
+        dense.force_dense_stepping();
+        let mut sent_while_quiet = 0;
+        for round in 0..60 {
+            if round == 30 {
+                assert!(sparse.is_quiescent(), "the last touch wakes a quiet group");
+                sent_while_quiet = sparse.stats().messages_sent;
+            }
+            for sim in [&mut sparse, &mut dense] {
+                match round {
+                    0 => touch(sim, 128),
+                    1 => touch(sim, 63),
+                    3 => touch(sim, 64),
+                    10 => touch(sim, 127),
+                    30 => touch(sim, 63),
+                    _ => {}
+                }
+                sim.step();
+            }
+            assert_eq!(sparse.stats(), dense.stats(), "after round {round}");
+            assert_eq!(sparse.is_quiescent(), dense.is_quiescent(), "after round {round}");
+        }
+        assert!(sparse.is_quiescent());
+        let sparse_states: Vec<_> = sparse.processes().map(Rumor::fingerprint).collect();
+        let dense_states: Vec<_> = dense.processes().map(Rumor::fingerprint).collect();
+        assert_eq!(sparse_states, dense_states);
+        assert!(sparse_states.iter().filter(|(has, ..)| *has).count() > 100, "the rumor spread");
+        assert!(sparse.stats().messages_sent > sent_while_quiet, "the last touch sent");
+    }
+
+    #[test]
     fn run_until_quiescent_waits_for_the_lifecycle_schedule() {
         // The flood is over by round ~2, but the schedule extends to round
         // 50: the run must keep stepping until the join has applied
@@ -1583,7 +1638,7 @@ mod tests {
             #[test]
             fn skipped_processes_never_change_observable_state(
                 seed in 0u64..300,
-                count in 6usize..32,
+                count in 6usize..200,
                 loss in 0u32..25,
                 crash_round in 1u64..6,
                 churn_target in 1usize..6,
