@@ -113,12 +113,12 @@ impl BufferedGossip {
     }
 }
 
-/// The per-process gossip buffers: every depth's entries in one vector,
+/// The per-process gossip buffers: every depth's entries in one run,
 /// deepest depth first and each depth in filing order, and the identifiers
-/// ever seen.  Depth `d + 1`'s run ends where depth `d`'s begins, so an entry
-/// promoted out of the front of its run is the next depth's last once its
-/// depth byte moves: a process that buffers one event at a time owns one
-/// block of one entry for its whole life, and one no event reached owns none.
+/// ever seen.  Depth `d + 1`'s run ends where depth `d`'s begins, so an
+/// entry promoted out of the front of its run is the next depth's last once
+/// its depth byte moves: a process that buffers one event at a time keeps
+/// it in its own slot for its whole life and owns no buffer heap.
 ///
 /// The *bound gossiping* of Section 3.3 is passive garbage collection: an
 /// event lives in a depth's run for at most its round budget, then moves on
@@ -127,14 +127,67 @@ impl BufferedGossip {
 /// from resurrecting a collected event.
 #[derive(Debug, Clone)]
 pub struct GossipBuffers {
-    entries: Vec<BufferedGossip>,
-    depth: u8,
+    entries: Entries,
     seen: EventIdSet,
+}
+
+/// The buffered entries, one slice in either form: none or one in place,
+/// or a heap block kept once grown, so no process allocates past warm-up.
+/// 48 bytes: `None` and the block are values the entry's `asked` never takes.
+#[derive(Debug, Clone)]
+enum Entries {
+    Inline(Option<BufferedGossip>),
+    Heap(Vec<BufferedGossip>),
+}
+
+impl Entries {
+    /// Inserts `entry` at `at`, moving an inline entry into a block of four
+    /// (`Vec`'s own first growth) when a second one comes.
+    fn insert(&mut self, at: usize, entry: BufferedGossip) {
+        match self {
+            Self::Inline(slot @ None) => *slot = Some(entry),
+            Self::Inline(first) => {
+                let mut block = Vec::with_capacity(4);
+                block.extend(first.take());
+                block.insert(at, entry);
+                *self = Self::Heap(block);
+            }
+            Self::Heap(block) => block.insert(at, entry),
+        }
+    }
+
+    /// Drops the first `count` entries.
+    fn drop_front(&mut self, count: usize) {
+        match self {
+            Self::Inline(slot) => drop(slot.take_if(|_| count > 0)),
+            Self::Heap(block) => drop(block.drain(..count)),
+        }
+    }
+}
+
+impl std::ops::Deref for Entries {
+    type Target = [BufferedGossip];
+
+    fn deref(&self) -> &[BufferedGossip] {
+        match self {
+            Self::Inline(slot) => slot.as_slice(),
+            Self::Heap(block) => block,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Entries {
+    fn deref_mut(&mut self) -> &mut [BufferedGossip] {
+        match self {
+            Self::Inline(slot) => slot.as_mut_slice(),
+            Self::Heap(block) => block,
+        }
+    }
 }
 
 impl GossipBuffers {
     /// Creates empty buffers for a tree of the given depth.  Allocates
-    /// nothing.
+    /// nothing, and keeps nothing of the depth.
     ///
     /// # Panics
     ///
@@ -142,9 +195,9 @@ impl GossipBuffers {
     /// byte.
     pub fn new(depth: Depth) -> Self {
         assert!(depth >= 1, "a tree has at least one depth");
+        assert!(depth <= 255, "a tree has at most 255 depths");
         Self {
-            entries: Vec::new(),
-            depth: u8::try_from(depth).expect("a tree has at most 255 depths"),
+            entries: Entries::Inline(None),
             seen: EventIdSet::new(),
         }
     }
@@ -157,6 +210,11 @@ impl GossipBuffers {
     /// Returns `true` if no depth buffers anything.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The shallowest depth buffering anything (the last entry's), if any.
+    pub(crate) fn shallowest(&self) -> Option<Depth> {
+        self.entries.last().map(|entry| Depth::from(entry.depth))
     }
 
     /// Total number of buffered entries across all depths.
@@ -188,16 +246,12 @@ impl GossipBuffers {
     ///
     /// # Panics
     ///
-    /// Panics if the depth is out of range.
+    /// Panics if the depth is zero or above 255; one past the tree is the
+    /// caller's to refuse.
     pub fn file(&mut self, depth: Depth, mut gossip: BufferedGossip) {
-        assert!(depth >= 1 && depth <= usize::from(self.depth));
-        let depth = depth as u8;
+        assert!(depth >= 1, "depths start at 1");
+        let depth = u8::try_from(depth).expect("a tree has at most 255 depths");
         gossip.depth = depth;
-        if self.entries.capacity() == 0 {
-            // A single-event trial files one entry per infected process;
-            // `Vec`'s first growth would reserve four.
-            self.entries.reserve_exact(1);
-        }
         let deeper = self.entries.iter().rposition(|entry| entry.depth >= depth);
         let at = deeper.map_or(0, |last| last + 1);
         self.entries.insert(at, gossip);
@@ -218,26 +272,25 @@ impl GossipBuffers {
         // One pass from the back finds the run and gathers its spent entries
         // into a block sliding frontwards past the others, each of which
         // moves once at most — and none when the spent ones are the oldest.
+        let entries = &mut *self.entries;
         let (mut start, mut block, mut spent) = (end, end, 0);
-        while start > 0 && usize::from(self.entries[start - 1].depth) == depth {
+        while start > 0 && usize::from(entries[start - 1].depth) == depth {
             start -= 1;
-            if self.entries[start].has_budget() {
+            if entries[start].has_budget() {
                 continue;
             }
             if spent > 0 && block > start + 1 {
                 // Past the entries between this one and the block.
-                self.entries[start + 1..block + spent].rotate_left(block - start - 1);
+                entries[start + 1..block + spent].rotate_left(block - start - 1);
             }
             (block, spent) = (start, spent + 1);
         }
         if spent > 0 && block > start {
-            self.entries[start..block + spent].rotate_left(block - start);
+            entries[start..block + spent].rotate_left(block - start);
         }
         let Some(mut judge) = judge else {
             debug_assert_eq!(start, 0, "the leaf depth's run comes first");
-            if spent > 0 {
-                self.entries.drain(..spent);
-            }
+            self.entries.drop_front(spent);
             return (0, &mut self.entries[..end - spent]);
         };
         for entry in &mut self.entries[start..start + spent] {
@@ -278,9 +331,9 @@ mod tests {
         ///
         /// # Panics
         ///
-        /// Panics if the depth is out of range.
+        /// Panics if the depth is zero.
         pub(crate) fn at_depth(&self, depth: Depth) -> &[BufferedGossip] {
-            assert!(depth >= 1 && depth <= usize::from(self.depth));
+            assert!(depth >= 1, "depths start at 1");
             let start = self
                 .entries
                 .partition_point(|entry| usize::from(entry.depth) > depth);
@@ -289,9 +342,13 @@ mod tests {
             &self.entries[start..start + len]
         }
 
-        /// Where the buffers' one block lives, and how many entries it holds.
-        pub(crate) fn block(&self) -> (*const BufferedGossip, usize) {
-            (self.entries.as_ptr(), self.entries.capacity())
+        /// Where the buffers' heap block lives and how many entries it
+        /// holds, or `None` while they keep their entry inline.
+        pub(crate) fn block(&self) -> Option<(*const BufferedGossip, usize)> {
+            match &self.entries {
+                Entries::Inline(_) => None,
+                Entries::Heap(block) => Some((block.as_ptr(), block.capacity())),
+            }
         }
     }
 
@@ -502,19 +559,20 @@ mod tests {
     }
 
     /// One round of `PmcastProcess::on_round`'s bookkeeping over the flat
-    /// buffers: each depth's [`GossipBuffers::spend`], then its entries with
-    /// budget left visited.
+    /// buffers: from the shallowest depth that buffers anything on, each
+    /// depth's [`GossipBuffers::spend`], then its entries with budget left
+    /// visited.
     fn flat_round(
         buffers: &mut GossipBuffers,
         depths: Depth,
         visits: &mut Vec<(Depth, BufferedGossip)>,
         judged: &mut Vec<(u64, Depth)>,
     ) {
-        if buffers.is_empty() {
+        let Some(shallowest) = buffers.shallowest() else {
             return;
-        }
+        };
         let mut end = buffers.len();
-        for depth in 1..=depths {
+        for depth in shallowest..=depths {
             let judge = (depth < depths).then_some(|event: &Event| {
                 judged.push((event.id().0, depth + 1));
                 judgement(event, depth + 1)
@@ -570,6 +628,78 @@ mod tests {
         )
     }
 
+    /// Replays one history on the flat buffers and the nested reference,
+    /// holding them equal after every step (see
+    /// `flat_buffers_visit_like_the_nested_reference`), and the flat ones to
+    /// their layout: the entry inline until a second one comes, one block
+    /// from then on.  Returns how many entries were buffered after each step.
+    fn replay(depths: Depth, steps: &[Step]) -> Vec<usize> {
+        let mut flat = GossipBuffers::new(depths);
+        let mut nested = reference::GossipBuffers::new(depths);
+        let (mut next, mut most, mut lens) = (0u64, 0, Vec::new());
+        for step in steps {
+            match *step {
+                Step::File {
+                    depth,
+                    round,
+                    budget,
+                    again,
+                    id,
+                } => {
+                    let depth = depth.min(depths);
+                    let id = if again && next > 0 { id % next } else { next };
+                    next = next.max(id + 1);
+                    if flat.len() == 64 {
+                        continue;
+                    }
+                    let event = Arc::new(Event::builder(id).int("b", 1).build());
+                    let (rate, _, interest) = judgement(&event, depth);
+                    let entry =
+                        BufferedGossip::new(event, rate, round, budget).with_interest(interest);
+                    prop_assert_eq!(
+                        flat.insert(depth, entry.clone()),
+                        nested.insert(depth, entry)
+                    );
+                }
+                Step::Round => {
+                    let (mut flat_visits, mut nested_visits) = (Vec::new(), Vec::new());
+                    let (mut flat_judged, mut nested_judged) = (Vec::new(), Vec::new());
+                    flat_round(&mut flat, depths, &mut flat_visits, &mut flat_judged);
+                    reference_round(&mut nested, depths, &mut nested_visits, &mut nested_judged);
+                    prop_assert_eq!(flat_visits, nested_visits);
+                    prop_assert_eq!(flat_judged, nested_judged);
+                }
+                Step::Retire { id } => {
+                    let floor = EventId(id % (next + 1));
+                    let clamp = |min: Option<EventId>| min.map_or(floor, |min| floor.min(min));
+                    prop_assert_eq!(
+                        flat.retire_seen_below(clamp(flat.min_buffered_id())),
+                        nested.retire_seen_below(clamp(nested.min_buffered_id()))
+                    );
+                }
+            }
+            for depth in 1..=depths {
+                let filed: Vec<BufferedGossip> = flat.at_depth(depth).iter().map(unfiled).collect();
+                prop_assert_eq!(&filed[..], nested.at_depth(depth), "depth {}", depth);
+            }
+            prop_assert_eq!(flat.len(), nested.len());
+            prop_assert_eq!(flat.is_empty(), nested.is_empty());
+            prop_assert_eq!(flat.min_buffered_id(), nested.min_buffered_id());
+            prop_assert_eq!(flat.seen_count(), nested.seen_count());
+            for id in 0..next + 1 {
+                prop_assert_eq!(flat.has_seen(EventId(id)), nested.has_seen(EventId(id)));
+            }
+            most = most.max(flat.len());
+            prop_assert_eq!(
+                flat.block().is_some(),
+                most >= 2,
+                "a block exactly from the second entry on"
+            );
+            lens.push(flat.len());
+        }
+        lens
+    }
+
     proptest! {
         /// The flat buffers are the nested ones in one vector: over random
         /// histories of receipts (fresh and repeated ids, any depth, any
@@ -584,53 +714,39 @@ mod tests {
             depths in 1usize..=5,
             steps in proptest::collection::vec(step(), 1..160),
         ) {
-            let mut flat = GossipBuffers::new(depths);
-            let mut nested = reference::GossipBuffers::new(depths);
-            let mut next = 0u64;
-            for step in steps {
-                match step {
-                    Step::File { depth, round, budget, again, id } => {
-                        let depth = depth.min(depths);
-                        let id = if again && next > 0 { id % next } else { next };
-                        next = next.max(id + 1);
-                        if flat.len() == 64 {
-                            continue;
-                        }
-                        let event = Arc::new(Event::builder(id).int("b", 1).build());
-                        let (rate, _, interest) = judgement(&event, depth);
-                        let entry = BufferedGossip::new(event, rate, round, budget).with_interest(interest);
-                        prop_assert_eq!(flat.insert(depth, entry.clone()), nested.insert(depth, entry));
-                    }
-                    Step::Round => {
-                        let (mut flat_visits, mut nested_visits) = (Vec::new(), Vec::new());
-                        let (mut flat_judged, mut nested_judged) = (Vec::new(), Vec::new());
-                        flat_round(&mut flat, depths, &mut flat_visits, &mut flat_judged);
-                        reference_round(&mut nested, depths, &mut nested_visits, &mut nested_judged);
-                        prop_assert_eq!(flat_visits, nested_visits);
-                        prop_assert_eq!(flat_judged, nested_judged);
-                    }
-                    Step::Retire { id } => {
-                        let floor = EventId(id % (next + 1));
-                        let clamp = |min: Option<EventId>| min.map_or(floor, |min| floor.min(min));
-                        prop_assert_eq!(
-                            flat.retire_seen_below(clamp(flat.min_buffered_id())),
-                            nested.retire_seen_below(clamp(nested.min_buffered_id()))
-                        );
-                    }
-                }
-                for depth in 1..=depths {
-                    let filed: Vec<BufferedGossip> = flat.at_depth(depth).iter().map(unfiled).collect();
-                    prop_assert_eq!(&filed[..], nested.at_depth(depth), "depth {}", depth);
-                }
-                prop_assert_eq!(flat.len(), nested.len());
-                prop_assert_eq!(flat.is_empty(), nested.is_empty());
-                prop_assert_eq!(flat.min_buffered_id(), nested.min_buffered_id());
-                prop_assert_eq!(flat.seen_count(), nested.seen_count());
-                for id in 0..next + 1 {
-                    prop_assert_eq!(flat.has_seen(EventId(id)), nested.has_seen(EventId(id)));
-                }
-            }
+            replay(depths, &steps);
         }
+    }
+
+    /// The history every random one may miss, held to the reference the
+    /// same way: one entry inline, promoted there, a second one that moves
+    /// both into a block, then the leaf depth draining that block to empty
+    /// one entry at a time — 0 → 1 → 2 → 1 → 0 entries — and a third entry
+    /// filed into the emptied block.
+    #[test]
+    fn a_history_through_the_inline_entry_and_the_block_visits_like_the_reference() {
+        let file = |depth, budget| Step::File {
+            depth,
+            round: 0,
+            budget,
+            again: false,
+            id: 0,
+        };
+        // Event 0 is promoted with a depth-2 budget of 2 (`judgement`);
+        // event 1 is filed at the leaf depth with 3.
+        let steps = [
+            file(1, 1),
+            Step::Round,
+            Step::Round,
+            file(2, 3),
+            Step::Round,
+            Step::Round,
+            Step::Round,
+            Step::Round,
+            file(1, 1),
+        ];
+        let lens = replay(2, &steps);
+        assert_eq!(lens, [1, 1, 1, 2, 2, 1, 1, 0, 1]);
     }
 
     #[test]
@@ -653,7 +769,7 @@ mod tests {
         buffers.entries[0].round = 5;
         let event = Arc::clone(&buffers.at_depth(1)[0].event);
         let shares = Arc::strong_count(&event);
-        let block = buffers.block();
+        assert_eq!(buffers.block(), None, "one entry is kept inline");
         let (next_end, live) = buffers.spend(1, 1, Some(|_: &Event| (0.25, 3, Some(0b10))));
         assert_eq!(
             (next_end, live.len()),
@@ -674,14 +790,14 @@ mod tests {
         // no copy, no clone, no move.
         assert!(Arc::ptr_eq(&event, &promoted.event));
         assert_eq!(Arc::strong_count(&event), shares);
-        assert_eq!(buffers.block(), block);
+        assert_eq!(buffers.block(), None);
         // At the leaf depth a spent entry is dropped, and its share with it.
         buffers.entries[0].round = 3;
         let (_, leaf) = buffers.spend(2, 1, None::<fn(&Event) -> (f64, u32, Option<u128>)>);
         assert!(leaf.is_empty());
         assert!(buffers.is_empty());
         assert_eq!(Arc::strong_count(&event), shares - 1);
-        assert_eq!(buffers.block(), block, "the block outlives its entries");
+        assert_eq!(buffers.block(), None);
     }
 
     #[test]
@@ -689,12 +805,13 @@ mod tests {
         let mut buffers = GossipBuffers::new(4);
         assert!(buffers.is_empty());
         assert_eq!(buffers.len(), 0);
-        assert_eq!(buffers.depth, 4);
+        assert_eq!(buffers.shallowest(), None);
         assert!(buffers.at_depth(4).is_empty());
         assert_eq!(buffers.min_buffered_id(), None);
         // Nothing was inserted yet: no block exists.
-        assert_eq!(buffers.block().1, 0);
+        assert_eq!(buffers.block(), None);
         assert!(buffers.insert(4, gossip(3)));
+        assert_eq!(buffers.shallowest(), Some(4));
         assert!(buffers.insert(1, gossip(1)));
         assert!(buffers.insert(2, gossip(2)));
         assert!(buffers.insert(4, gossip(4)));
@@ -705,21 +822,36 @@ mod tests {
             .map(|entry| (entry.depth, entry.event.id().0))
             .collect();
         assert_eq!(filed, [(4, 3), (4, 4), (2, 2), (1, 1)]);
+        assert_eq!(buffers.shallowest(), Some(1));
         assert!(buffers.at_depth(3).is_empty());
         assert_eq!(buffers.at_depth(4).len(), 2);
         assert_eq!(buffers.min_buffered_id(), Some(EventId(1)));
     }
 
     #[test]
-    fn the_block_starts_at_one_entry_and_a_verdict_lives_under_its_epoch() {
+    fn one_entry_is_inline_two_make_a_block_and_a_verdict_lives_under_its_epoch() {
         let mut buffers = GossipBuffers::new(2);
         buffers.insert(1, gossip(1));
-        assert_eq!(buffers.block().1, 1);
+        assert_eq!(buffers.block(), None, "the first entry is kept in place");
         buffers.insert(2, gossip(2));
-        assert!(buffers.block().1 >= 2);
+        let (block, capacity) = buffers.block().expect("a second entry makes a block");
+        assert_eq!(capacity, 4, "`Vec`'s own first growth");
+        // The block outlives its entries: both spent, one promoted with no
+        // budget, the leaf depth drains it, and the next entry is filed into
+        // it, not back in place.
+        for entry in buffers.entries.iter_mut() {
+            entry.round = 5;
+        }
+        let (end, live) = buffers.spend(1, 2, Some(|_: &Event| (0.5, 0, None)));
+        assert_eq!((end, live.len()), (2, 0));
+        let (end, live) = buffers.spend(2, end, None::<fn(&Event) -> (f64, u32, Option<u128>)>);
+        assert!(end == 0 && live.is_empty() && buffers.is_empty());
+        buffers.insert(1, gossip(3));
+        assert_eq!(buffers.block(), Some((block, capacity)));
         // Entries are three words fatter than the four fields a caller sets,
-        // the depth byte included.
+        // the depth byte included, and either form of the buffers is one.
         assert_eq!(std::mem::size_of::<BufferedGossip>(), 48);
+        assert_eq!(std::mem::size_of::<Entries>(), 48);
 
         let mut entry = gossip(3);
         // No epoch a provider can report reads as a verdict before one is
@@ -755,12 +887,5 @@ mod tests {
     #[should_panic(expected = "at most 255 depths")]
     fn a_depth_that_does_not_fit_a_byte_panics() {
         let _ = GossipBuffers::new(256);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_depth_panics() {
-        let buffers = GossipBuffers::new(2);
-        let _ = buffers.at_depth(3);
     }
 }

@@ -533,9 +533,10 @@ fn gossip_entry(
 ///
 /// A process that no event has reached owns no heap memory and holds
 /// nothing the group holds: everything shared sits behind `group` — its
-/// address and its view stack included, named by two indices — the gossip
-/// buffers and both identifier sets allocate on first use, and the fanout
-/// draw borrows the round driver's [`FanoutScratch`].
+/// address and its view stack included, named by two indices — and the
+/// fanout draw borrows the round driver's [`FanoutScratch`].  One reached
+/// by a single event owns none either: the gossip buffers keep their first
+/// entry in the slot (two cache lines) and allocate from the second.
 ///
 /// A clone is a second process in the same state, sharing the group.
 #[derive(Clone)]
@@ -684,6 +685,8 @@ impl PmcastProcess {
         // depth's order are what they were.
         let next_view = stack.get(depth);
         let judge = next_view.map(|next| |event: &Event| group.fresh_judgement(next, event));
+        #[cfg(test)]
+        tests::count_spend();
         let (next_end, live) = self.buffers.spend(depth, end, judge);
         if live.is_empty() {
             return next_end;
@@ -742,15 +745,17 @@ impl RoundProcess for PmcastProcess {
     type Message = Gossip;
 
     fn on_round(&mut self, ctx: &mut RoundContext<'_, Gossip>) {
-        if self.buffers.is_empty() {
+        // A depth holding no entry draws nothing, and no promotion files
+        // into a shallower one: the walk starts at the shallowest buffered depth.
+        let Some(shallowest) = self.buffers.shallowest() else {
             return;
-        }
+        };
         // The candidate pools live in the round driver's buffers, moved out
         // for the duration of the call so the draws can borrow `ctx`.
         let mut scratch = std::mem::take(ctx.scratch());
-        // Depth 1's run ends the buffers; none is deeper than one at 0.
+        // The shallowest run ends the buffers; none is deeper than one at 0.
         let mut end = self.buffers.len();
-        for depth in 1..=self.group.stack(self.stack).len() {
+        for depth in shallowest..=self.group.stack(self.stack).len() {
             end = self.gossip_depth(depth, end, ctx, &mut scratch);
             if end == 0 {
                 break;
@@ -876,6 +881,22 @@ mod tests {
     /// Empties this thread's log of checked pools and returns it.
     fn pools_checked() -> Vec<(u64, usize)> {
         POOLS_CHECKED.with(|checked| std::mem::take(&mut *checked.borrow_mut()))
+    }
+
+    thread_local! {
+        /// How many depths this thread's processes spent their buffers at.
+        static SPENDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called by `PmcastProcess::gossip_depth` in test builds on every
+    /// [`GossipBuffers::spend`] it makes.
+    pub(super) fn count_spend() {
+        SPENDS.with(|spends| spends.set(spends.get() + 1));
+    }
+
+    /// Resets this thread's count of spends and returns it.
+    fn spends() -> usize {
+        SPENDS.with(|spends| spends.replace(0))
     }
 
     thread_local! {
@@ -2012,11 +2033,12 @@ mod tests {
 
     #[test]
     fn an_idle_process_is_small_and_owns_no_heap() {
-        // Was 160 bytes with an inline address and an `Arc` of the view
-        // stack, ≈ 340 with a config clone, four `Arc`s, a `Vec<u32>` address
-        // and a scratch per process.
+        // Two cache lines since the first buffer entry lives in the slot;
+        // was 112 with a heap block for it, 160 with an inline address and
+        // an `Arc` of the view stack, ≈ 340 with a config clone, four
+        // `Arc`s, a `Vec<u32>` address and a scratch per process.
         assert!(
-            std::mem::size_of::<PmcastProcess>() <= 112,
+            std::mem::size_of::<PmcastProcess>() <= 128,
             "PmcastProcess grew to {} bytes",
             std::mem::size_of::<PmcastProcess>()
         );
@@ -2030,18 +2052,19 @@ mod tests {
         assert!(idle.is_quiescent());
         assert!(idle.delivered_ids.is_empty());
         assert!(idle.buffers.at_depth(1).is_empty());
+        assert_eq!(idle.buffers.block(), None);
         // Every process of the group shares the one context.
         assert_eq!(Arc::strong_count(&idle.group), 16);
     }
 
-    /// A single-event trial's buffers, counted: over a seed-42 8^3 trial
-    /// every process the event reaches is given one block of one entry, and
-    /// keeps that very block through its first receipt, every promotion and
-    /// the leaf depth's collection — a first block of four (`Vec`'s first
-    /// growth) or a promotion that files a fresh entry beside the spent one
-    /// fails here.
+    /// A single-event trial's buffers, watched: over a seed-42 8^3 trial
+    /// every process the event reaches keeps its one entry in its own slot
+    /// through its first receipt, every promotion and the leaf depth's
+    /// collection, and owns no buffer heap — a block per first receipt, or
+    /// a promotion that files a fresh entry beside the spent one, fails
+    /// here.
     #[test]
-    fn an_infected_process_owns_one_buffer_block_of_one_entry() {
+    fn an_infected_process_of_a_single_event_trial_owns_no_buffer_heap() {
         let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 8).unwrap());
         let oracle =
             Arc::new(AssignmentOracle::sample(&topology, 0.5, &mut ChaCha8Rng::seed_from_u64(42)));
@@ -2050,23 +2073,71 @@ mod tests {
         let network = NetworkConfig::reliable(42).with_loss(0.01);
         let mut sim = Simulation::new(group.processes, network);
         sim.process_mut(ProcessId(0)).pmcast(Event::builder(1).int("b", 1).build());
-        let mut blocks = vec![None; 512];
+        let mut buffered = vec![false; 512];
         while !sim.is_quiescent() {
             assert!(sim.round() < 300, "the dissemination never went quiet");
             sim.step();
-            for (first, process) in blocks.iter_mut().zip(sim.processes()) {
-                let (block, entries) = process.buffers.block();
-                if entries > 0 {
-                    assert_eq!(entries, 1, "{:?} in round {}", process, sim.round());
-                    assert_eq!(*first.get_or_insert(block), block, "{process:?} moved its block");
-                }
+            for (ever, process) in buffered.iter_mut().zip(sim.processes()) {
+                assert!(process.buffers.len() <= 1, "{:?} in round {}", process, sim.round());
+                assert_eq!(process.buffers.block(), None, "{process:?} grew a block");
+                *ever |= !process.buffers.is_empty();
             }
         }
-        let buffered = blocks.iter().filter(|block| block.is_some()).count();
+        // A receipt whose budget is spent at the leaf depth is collected in
+        // the round it arrives, so a few reached processes are never seen
+        // buffering at a round's end.
+        let buffered = buffered.iter().filter(|&&ever| ever).count();
         let reached = sim.processes().filter(|p| p.has_received(EventId(1))).count();
-        assert_eq!(buffered, reached, "every process the event reached buffered it");
-        assert!(reached > 256, "only {reached} of 512 processes were reached");
-        assert!(sim.processes().all(|p| p.buffers.is_empty() && p.buffers.block().1 <= 1));
+        assert!(buffered <= reached && buffered > 256, "{buffered} of {reached} buffered");
+        assert!(sim.processes().all(|p| p.buffers.is_empty() && p.buffers.block().is_none()));
+    }
+
+    /// A round walks only the depths a process buffers at: a process of a
+    /// 4-deep tree that buffers one event at the leaf depth spends its
+    /// buffers once per round, not once per depth, until the event is
+    /// collected.
+    #[test]
+    fn a_process_buffering_only_at_the_leaf_spends_once_per_round() {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(4, 3).unwrap());
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
+        let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
+        let mut processes = group.processes;
+        let event = Arc::new(Event::builder(3).int("b", 1).build());
+        processes[0].publish(Arc::clone(&event));
+        let (mut outbox, mut scratch) = (Vec::new(), FanoutScratch::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let leaf = &mut processes[80];
+        let mut ctx = RoundContext::external(ProcessId(80), 0, &mut outbox, &mut rng, &mut scratch);
+        leaf.on_message(Gossip::new(event.id(), 4, 1.0, 0), &mut ctx);
+        assert_eq!(leaf.buffers.shallowest(), Some(4));
+        spends();
+        let mut rounds = 0;
+        while !leaf.is_quiescent() {
+            leaf.on_round(&mut ctx);
+            rounds += 1;
+            assert_eq!(spends(), 1, "round {rounds} walked an empty depth");
+        }
+        assert!(rounds > 1, "the entry was spent in {rounds} round");
+        assert!(!outbox.is_empty());
+    }
+
+    /// A gossip naming a depth past its tree is refused where the tree's
+    /// depth is known: by the process's view stack, before anything is
+    /// buffered.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_of_range_depth_panics() {
+        let topology = small_topology();
+        let oracle: Arc<dyn InterestOracle + Send + Sync> = Arc::new(UniformOracle);
+        let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
+        let depths = group.processes[0].group.stack(0).len();
+        let mut processes = group.processes;
+        let event = Arc::new(Event::builder(4).int("b", 1).build());
+        processes[0].publish(Arc::clone(&event));
+        let (mut outbox, mut scratch) = (Vec::new(), FanoutScratch::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut ctx = RoundContext::external(ProcessId(1), 0, &mut outbox, &mut rng, &mut scratch);
+        processes[1].on_message(Gossip::new(event.id(), depths + 1, 1.0, 0), &mut ctx);
     }
 
     /// Steps one event through a 4^3 group whose links delay messages by up

@@ -104,8 +104,9 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
     // The `paper_global` and `paper_delegate` traffic shapes of `pmbench`
     // at 8^3, each on a thread of its own so that both find the view cache
     // cold.  The figures quoted below are the global row's.  The
-    // `delegate(3)` row reads 241 for (a), 2 for (a′) and 440 for (c) (404
-    // fresh + 36 regrowths; 441 while the simulation's active set was a
+    // `delegate(3)` row reads 241 for (a), 2 for (a′) and 87 for (c) (51
+    // fresh + 36 regrowths; 440 while every infected process allocated a
+    // buffer block of one entry, 441 while the simulation's active set was a
     // list, 678 while every trial built its views, 1 245
     // while the gossip buffers kept a vector per depth): 1 235 before the
     // provider kept a row per depth view asked about by name, and 12 for
@@ -126,10 +127,12 @@ fn a_trial_allocates_per_infected_process_not_per_process() {
 /// latency histogram and one report per event — on top of the per-process
 /// buffers growing to their working size.  It is counted as a Monte-Carlo
 /// run repeats it, after one trial of the same shape on the same thread, so
-/// the group takes its views from the cache.  Achieved: 4 093 (3 070 fresh
-/// blocks and 1 023 regrowths), since the simulation schedules its active
-/// set in two bitmaps instead of a list, a stamp vector and a sort buffer;
-/// before that: 4 094 (3 071 + 1 023; 4 173 cold), since a trial's views are built
+/// the group takes its views from the cache.  Achieved: 4 029 (3 070 fresh
+/// blocks and 959 regrowths), since a process keeps its first buffer entry
+/// in its slot and its block starts at four entries, not one regrown to
+/// four; before that: 4 093 (3 070 + 1 023), since the simulation schedules
+/// its active set in two bitmaps instead of a list, a stamp vector and a
+/// sort buffer; before that: 4 094 (3 071 + 1 023; 4 173 cold), since a trial's views are built
 /// once per shape per thread; before that: 4 171 (3 144 fresh + 1 027 regrowths),
 /// since a process's gossip buffers are one vector growing to its working
 /// size instead of one per depth; before that:
@@ -166,7 +169,7 @@ fn heavy_traffic_budget_holds() {
     let (outcome, trial) = counted(|| run_scenario_trial_with(&scenario, Protocol::Pmcast, 0));
     assert_eq!(outcome.per_event.len(), 300);
     assert!(
-        trial.allocations() <= 4_339,
+        trial.allocations() <= 4_271,
         "a 300-event topic trial allocated {} times",
         trial.allocations()
     );
@@ -243,14 +246,16 @@ fn budget_holds_over(spec: MembershipSpec) {
     );
 
     // (c) A whole trial — workload, membership, group, simulation, report,
-    // teardown — stays within 0.92 allocations per process; the trial
+    // teardown — stays within 0.185 allocations per process; the trial
     // finds its views cached, as every trial but a thread's first does.
-    // Achieved: 429 (396 fresh + 33 regrowths, 0.84 per process; 353 of the
-    // 512 processes receive the event, and each of those allocates one
-    // buffer block of one entry — its two id sets hold a single event
-    // inline; 8 are the judgement table growing to its 73 rows and the
-    // report's one audience vector, 2 the group's event store holding the
-    // event, 2 the simulation's two schedule bitmaps); while the active set
+    // Achieved: 76 (43 fresh + 33 regrowths, 0.15 per process; 353 of the
+    // 512 processes receive the event, and none of those allocates — it
+    // keeps its one buffer entry in its slot, and its two id sets hold a
+    // single event inline; 8 are the judgement table growing to its 73 rows
+    // and the report's one audience vector, 2 the group's event store
+    // holding the event, 2 the simulation's two schedule bitmaps); while
+    // each of them allocated one buffer block of one entry: 429 (396 + 33,
+    // 0.84 per process, budget 0.92); while the active set
     // was a list, a stamp vector and a sort buffer: 430 (397 + 33); while
     // every trial built its views: 667 (626 + 41, 1.3 per
     // process, budget 1.42); with a vector per depth and one holding them:
@@ -260,11 +265,12 @@ fn budget_holds_over(spec: MembershipSpec) {
     // process, budget 3.2); with the id sets as sorted vectors: 2 122
     // (2 084 + 38, 4.1 per process, budget 5); at the parent of the PR that
     // added this test: 7 050 (6 127 + 923, 13.8 per process — 12.0 counting
-    // fresh blocks only).  The budget is the achieved figure plus 9 %.
+    // fresh blocks only).  The budget is the achieved figure plus 9 %, the
+    // `delegate(3)` row's (87) since it is the larger.
     let (outcome, trial) = counted(|| run_scenario_trial_with(&scenario, Protocol::Pmcast, 0));
     assert!(outcome.report.delivered_interested > 0);
     assert!(
-        100 * trial.allocations() <= 92 * n,
+        1000 * trial.allocations() <= 185 * n,
         "a trial allocated {} times for {n} processes over {spec:?}",
         trial.allocations()
     );

@@ -13,6 +13,8 @@
 # end-to-end metric of BENCHMARK.json, in the direction it declares better,
 # prints every pair, both medians and quartiles, the win count and whether
 # the claim rule holds; then the operations that failed on either side.
+# Each pair's peak_rss_mb line also names both runs' trial counts
+# (`attempted`), since memory is compared at equal trial counts.
 # Exit status 2 on bad usage.
 set -euo pipefail
 if [ "$#" -ne 6 ]; then
@@ -62,8 +64,12 @@ for metric in metrics:
     sign = 1 if better == "higher" else -1
     pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in runs]
     print(f"{name} ({better} is better)")
-    for k, (p, c) in enumerate(pairs, 1):
-        print(f"  pair {k:2d}  parent {p:<14.6g} change {c:.6g}")
+    for k, ((p, c), (pr, cr)) in enumerate(zip(pairs, runs), 1):
+        # Memory steps with the trial count (a bimodal heap on topics_*), so
+        # each run's trials stand beside it: compare at equal counts.
+        trials = (f"  trials {pr['attempted']} / {cr['attempted']}"
+                  if name == "peak_rss_mb" else "")
+        print(f"  pair {k:2d}  parent {p:<14.6g} change {c:<14.6g}{trials}".rstrip())
     qp, qc = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
     iqr, gap = qp[2] - qp[0], sign * (qc[1] - qp[1]) + 0.0
