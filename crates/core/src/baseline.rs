@@ -30,7 +30,9 @@
 //! strategy itself: the simulation harness drives all protocols through one
 //! generic code path.
 
-use std::sync::{Arc, Mutex};
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use pmcast_addr::Address;
 use pmcast_analysis::pittel;
@@ -79,7 +81,8 @@ fn round_budget(config: &PmcastConfig, size: usize) -> u32 {
         .min(MAX_ROUNDS_PER_DEPTH)
 }
 
-/// What every process of one group shares, stored once behind one [`Arc`].
+/// What every process of one group shares, stored once behind one [`Rc`]
+/// (a group runs on one thread, so its tables take no lock).
 pub(crate) struct FlatGroup<P> {
     /// Member addresses in dense-identifier order.
     addresses: Arc<Vec<Address>>,
@@ -169,7 +172,7 @@ impl FlatPolicy for Genuine {
 /// This models the global interest knowledge the paper deems unrealistic —
 /// which is the point of the comparison.  An audience is resolved by the
 /// first process to accept the event (the publisher) and then shared behind
-/// an [`Arc`]; the round loop never touches the lock.
+/// an [`Arc`]; the round loop never touches the directory.
 ///
 /// Audiences are additionally **hashconsed** by the oracle's
 /// [`audience_key`](InterestOracle::audience_key): two events with the same
@@ -178,7 +181,7 @@ impl FlatPolicy for Genuine {
 /// multi-topic workload (10k events over 50 topics) the directory therefore
 /// builds ~50 audience vectors instead of 10k.
 #[derive(Debug, Default)]
-struct EventDirectory(Mutex<DirectoryState>);
+struct EventDirectory(RefCell<DirectoryState>);
 
 #[derive(Debug, Default)]
 struct DirectoryState {
@@ -192,8 +195,8 @@ struct DirectoryState {
 }
 
 impl EventDirectory {
-    fn state(&self) -> std::sync::MutexGuard<'_, DirectoryState> {
-        self.0.lock().expect("event directory lock poisoned")
+    fn state(&self) -> RefMut<'_, DirectoryState> {
+        self.0.borrow_mut()
     }
 
     /// The audience of an event: looked up, or computed by `scan` and
@@ -316,7 +319,7 @@ struct FlatEntry {
 /// named through [`FloodBroadcastProcess`] and [`GenuineMulticastProcess`].
 pub struct FlatGossipProcess<P> {
     id: ProcessId,
-    group: Arc<FlatGroup<P>>,
+    group: Rc<FlatGroup<P>>,
     buffered: FxHashMap<EventId, FlatEntry>,
     delivered: EventIdSet,
     received: EventIdSet,
@@ -393,6 +396,12 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
         }
     }
 
+    fn receipt_key(gossip: &Gossip) -> Option<u64> {
+        // The first receipt files the id in `received`, which retiring only
+        // grows: every later gossip of the id returns above.
+        Some(gossip.id.0)
+    }
+
     fn is_quiescent(&self) -> bool {
         // `on_round` early-returns on an empty buffer — this very
         // condition — without drawing randomness, so the engine skipping
@@ -467,7 +476,7 @@ pub(crate) fn build_flat_group<P: FlatPolicy, T: TreeTopology>(
 ) -> ProtocolGroup<FlatGossipProcess<P>> {
     config.validate();
     let addresses = Arc::new(topology.members());
-    let group = Arc::new(FlatGroup {
+    let group = Rc::new(FlatGroup {
         addresses: Arc::clone(&addresses),
         policy: P::for_group(config, &*membership),
         config: config.clone(),
@@ -478,7 +487,7 @@ pub(crate) fn build_flat_group<P: FlatPolicy, T: TreeTopology>(
     let processes = (0..addresses.len())
         .map(|index| FlatGossipProcess {
             id: ProcessId(index),
-            group: Arc::clone(&group),
+            group: Rc::clone(&group),
             buffered: FxHashMap::default(),
             delivered: EventIdSet::new(),
             received: EventIdSet::new(),

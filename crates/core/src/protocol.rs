@@ -1,4 +1,6 @@
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
@@ -34,12 +36,12 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     config.validate();
     let views = SharedViews::shared(topology, config.redundancy);
     let addresses = Arc::clone(views.addresses());
-    let group = Arc::new(GroupContext {
+    let group = Rc::new(GroupContext {
         config: config.clone(),
         views,
         oracle,
         membership,
-        judgements: Mutex::default(),
+        judgements: RefCell::default(),
         store: EventStore::default(),
     });
     // Addresses are sorted and a leaf subgroup's are consecutive, so walking
@@ -53,7 +55,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
             processes.push(PmcastProcess {
                 id: index(id.0),
                 stack: index(stack),
-                group: Arc::clone(&group),
+                group: Rc::clone(&group),
                 buffers: GossipBuffers::new(views.len()),
                 delivered_ids: EventIdSet::new(),
             });
@@ -69,8 +71,9 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
 
 /// What every process of one group shares: the configuration, the views,
 /// the interest oracle, the membership provider and the events published.
-/// Stored once per group behind one [`Arc`], so a process is a handle plus
-/// its own protocol state.
+/// Stored once per group behind one [`Rc`], so a process is a handle plus
+/// its own protocol state.  A group runs on one thread (a trial, or the
+/// daemon's executor), so its tables take no lock.
 struct GroupContext {
     config: PmcastConfig,
     views: Arc<SharedViews>,
@@ -79,7 +82,7 @@ struct GroupContext {
     /// `(audience key, view id)` to what a fresh entry of that audience
     /// starts with in that view — derived state in front of
     /// [`judge`](Self::judge), at most [`JUDGEMENT_TABLE_ROWS`] rows.
-    judgements: Mutex<JudgementTable>,
+    judgements: RefCell<JudgementTable>,
     /// Every event published in the group, kept once: gossips name it by
     /// id, and a first receipt takes its share from here.
     store: EventStore,
@@ -94,6 +97,10 @@ struct JudgementTable {
     rows: FxHashMap<(u64, u32), Judgement>,
     /// The rows' `⊲` masks, by [`Judgement::mask`].
     masks: Vec<u128>,
+    /// `(view length, rate bits)` → the [round budget](GroupContext::round_budget)
+    /// of those very inputs, which a first receipt's entry starts with;
+    /// forgotten whole past [`JUDGEMENT_TABLE_ROWS`] rows.
+    budgets: FxHashMap<(usize, u64), u32>,
 }
 
 /// One row of the [`JudgementTable`]: the very `(rate, budget)` that
@@ -221,7 +228,7 @@ impl GroupContext {
     /// ([`InterestOracle::audience_key`]: same key, same answers, for the
     /// life of the group) it is a function of *(key, view)* — the same for
     /// every process holding the view and every event of the audience — and
-    /// is [looked up](Self::judgement): one lock and one probe per fresh
+    /// is [looked up](Self::judgement): one probe per fresh
     /// entry, never per entry-round or per message; under oracle routing
     /// the entry keeps the row's `⊲` mask for its picks.  An oracle without
     /// a key (exact subscriptions, the broadcast case) is judged on the
@@ -261,8 +268,20 @@ impl GroupContext {
                 .and_then(|key| self.judgement(key, view, &event).2),
             InterestRouting::Summary | InterestRouting::Blind => None,
         };
-        let budget = self.round_budget(view.len(), rate);
+        let budget = self.received_budget(view.len(), rate);
         BufferedGossip::new(event, rate, round, budget).with_interest(interest)
+    }
+
+    /// [`round_budget`](Self::round_budget), served from the group's table:
+    /// a gossip's rate is one its sender's entry was judged to, so a group
+    /// meets few distinct inputs, and equal bits give an equal budget.
+    fn received_budget(&self, view_len: usize, rate: f64) -> u32 {
+        let budgets = &mut self.judgements.borrow_mut().budgets;
+        let row = (view_len, rate.to_bits());
+        if budgets.len() == JUDGEMENT_TABLE_ROWS && !budgets.contains_key(&row) {
+            budgets.clear();
+        }
+        *budgets.entry(row).or_insert_with(|| self.round_budget(view_len, rate))
     }
 
     /// [`judge`](Self::judge) for an event of the audience `key`, computed
@@ -271,7 +290,7 @@ impl GroupContext {
     /// [`GroupContext::judgements`] until the table forgets it.
     fn judgement(&self, key: u64, view: &DepthView, event: &Event) -> (f64, u32, Option<u128>) {
         let row = (key, view.id());
-        let mut table = self.judgements.lock().expect("judgement table lock poisoned");
+        let mut table = self.judgements.borrow_mut();
         let judged = match table.rows.get(&row) {
             Some(&judged) => judged,
             None => {
@@ -546,7 +565,7 @@ pub struct PmcastProcess {
     /// Where its view stack — shared with its leaf-subgroup siblings, each
     /// view knowing where they sit in it — is in [`SharedViews::stacks`].
     stack: u32,
-    group: Arc<GroupContext>,
+    group: Rc<GroupContext>,
     buffers: GossipBuffers,
     // A windowed bitmap (not a hash set): four words with 64 identifiers
     // inline, so neither a million never-contacted processes nor the ones a
@@ -770,6 +789,13 @@ impl RoundProcess for PmcastProcess {
             return;
         }
         self.first_receipt(gossip, ctx);
+    }
+
+    fn receipt_key(gossip: &Gossip) -> Option<u64> {
+        // A first receipt files the id as seen, and nothing unsees one
+        // (retiring only makes more ids read as seen): every later gossip of
+        // the id returns above.
+        Some(gossip.id.0)
     }
 
     fn is_quiescent(&self) -> bool {
@@ -1358,7 +1384,7 @@ mod tests {
             let membership = Arc::new(GlobalOracleView::new(64));
             let group = build_pmcast_group(&topology, oracle.clone(), membership, &config);
             // The audience's first entry in each of the 21 views.
-            let context = Arc::clone(&group.processes[0].group);
+            let context = Rc::clone(&group.processes[0].group);
             for view in all_views(&group) {
                 context.fresh_entry(&view, Arc::new(Event::builder(1).build()));
             }
@@ -1395,7 +1421,7 @@ mod tests {
         let membership = Arc::new(GlobalOracleView::new(64));
         let config = PmcastConfig::default();
         let group = build_pmcast_group(tree.as_ref(), tree.clone(), membership, &config);
-        let context = Arc::clone(&group.processes[0].group);
+        let context = Rc::clone(&group.processes[0].group);
         picks_checked();
         let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(2));
         let event = Event::builder(11).str("kind", "alert").build();
@@ -1403,7 +1429,7 @@ mod tests {
         sim.run_until_quiescent(200);
         let delivered = sim.processes().filter(|p| p.has_delivered(event.id())).count();
         assert_eq!(delivered, 22);
-        let table = context.judgements.lock().unwrap();
+        let table = context.judgements.borrow();
         assert!(table.rows.is_empty() && table.masks.is_empty());
         assert_eq!(picks_checked(), 0);
     }
@@ -1854,7 +1880,7 @@ mod tests {
                 config = config.with_tuning(4 * tuning);
             }
             let (group, membership) = judged_group(oracle_kind, &subscriptions, &config);
-            let context = Arc::clone(&group.processes[0].group);
+            let context = Rc::clone(&group.processes[0].group);
             let views = all_views(&group);
             proptest::prop_assert_eq!(views.len(), 21);
             // Topics from the top down: the traffic's (0..8) come last.
@@ -1868,7 +1894,7 @@ mod tests {
                     context.fresh_entry(view, Arc::new(event));
                 }
             };
-            let rows = || context.judgements.lock().unwrap().rows.len();
+            let rows = || context.judgements.borrow().rows.len();
 
             judgements_checked();
             let (before, after) = swept.split_at(JUDGEMENT_TABLE_ROWS - headroom);
@@ -1910,6 +1936,42 @@ mod tests {
                 // No key: the table is never touched.
                 _ => proptest::prop_assert_eq!((checked, rows()), (0, 0)),
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The budget a first receipt's entry starts with, served from the
+        /// group's table, is bit for bit the Pittel budget of the same view
+        /// length and rate computed on the spot, over random lengths and
+        /// rates, each asked twice (a miss, then a hit), and across an
+        /// overflow: the table is first filled to `headroom` rows below its
+        /// bound with lengths the sample does not use.
+        #[test]
+        fn table_served_budgets_equal_the_pittel_budget(
+            lengths in proptest::collection::vec(0usize..300, 1..60),
+            rates in proptest::collection::vec(0.0f64..1.0, 1..8),
+            headroom in 0usize..40,
+        ) {
+            let (topology, oracle) = (small_topology(), Arc::new(UniformOracle));
+            let group =
+                build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
+            let context = &group.processes[0].group;
+            for filler in 0..JUDGEMENT_TABLE_ROWS - headroom {
+                context.received_budget(1_000 + filler, 0.5);
+            }
+            let (fanout, env) = (context.config.fanout as f64, &context.config.env);
+            for (at, &len) in lengths.iter().enumerate() {
+                let rate = rates[at % rates.len()];
+                let on_the_spot = pittel::round_budget(len as f64 * rate, fanout * rate, env);
+                for _ in 0..2 {
+                    proptest::prop_assert_eq!(
+                        context.received_budget(len, rate),
+                        on_the_spot.min(MAX_ROUNDS_PER_DEPTH)
+                    );
+                }
+            }
+            let rows = context.judgements.borrow().budgets.len();
+            proptest::prop_assert!(rows <= JUDGEMENT_TABLE_ROWS);
         }
     }
 
@@ -2054,7 +2116,7 @@ mod tests {
         assert!(idle.buffers.at_depth(1).is_empty());
         assert_eq!(idle.buffers.block(), None);
         // Every process of the group shares the one context.
-        assert_eq!(Arc::strong_count(&idle.group), 16);
+        assert_eq!(Rc::strong_count(&idle.group), 16);
     }
 
     /// A single-event trial's buffers, watched: over a seed-42 8^3 trial
@@ -2193,6 +2255,102 @@ mod tests {
         assert_eq!(Arc::strong_count(&event), 2, "the test's and the store's");
         drop(sim);
         assert_eq!(Arc::strong_count(&event), 1);
+    }
+
+    /// A pmcast process with its receipt keys withheld: the engine hands it
+    /// every gossip, duplicates included, as it did before it screened any.
+    struct Unscreened(PmcastProcess);
+
+    impl RoundProcess for Unscreened {
+        type Message = Gossip;
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_, Gossip>) {
+            self.0.on_round(ctx);
+        }
+
+        fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
+            self.0.on_message(gossip, ctx);
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.0.is_quiescent()
+        }
+    }
+
+    /// What a process holds, as its `Debug` output spells it in full.
+    fn full_state(process: &PmcastProcess) -> String {
+        format!("{:?} {:?}", process.buffers, process.delivered_ids)
+    }
+
+    /// Runs one trial twice in lockstep, through the engine's receipt screen
+    /// and through [`Unscreened`], each on a group of its own from `build`
+    /// (and its delegate tables, stepped a membership round before every
+    /// step), publishing `events[r]` from process `r * 37 % n` in round `r`;
+    /// after every step the two hold equal process states, traffic and
+    /// receipt and delivery deltas.  Returns how many handed-over messages
+    /// were not first deliveries, so a caller can see the screen had work.
+    fn screened_like_unscreened(
+        build: impl Fn() -> (ProtocolGroup<PmcastProcess>, Option<Arc<DelegateView>>),
+        network: NetworkConfig,
+        events: &[Event],
+    ) -> u64 {
+        let ((group, tables), (reference, reference_tables)) = (build(), build());
+        let count = group.processes.len();
+        let mut screened = Simulation::new(group.processes, network.clone());
+        let reference = reference.processes.into_iter().map(Unscreened).collect();
+        let mut unscreened = Simulation::new(reference, network);
+        let mut deliveries = 0;
+        for round in 0..300 {
+            if let Some(event) = events.get(round) {
+                let publisher = ProcessId(round * 37 % count);
+                screened.process_mut(publisher).pmcast(event.clone());
+                unscreened.process_mut(publisher).0.pmcast(event.clone());
+            }
+            for tables in tables.iter().chain(&reference_tables) {
+                tables.round_elapsed();
+            }
+            screened.step();
+            unscreened.step();
+            let states: Vec<String> = screened.processes().map(full_state).collect();
+            let reference: Vec<String> = unscreened.processes().map(|p| full_state(&p.0)).collect();
+            assert!(states == reference, "process states differ after round {round}");
+            assert_eq!(screened.stats(), unscreened.stats(), "after round {round}");
+            assert_eq!(screened.last_step_receivers(), unscreened.last_step_receivers());
+            assert_eq!(screened.last_step_deliveries(), unscreened.last_step_deliveries());
+            deliveries += screened.last_step_deliveries().len() as u64;
+            if round >= events.len() && screened.is_quiescent() {
+                assert!(unscreened.is_quiescent());
+                return screened.stats().messages_delivered - deliveries;
+            }
+        }
+        panic!("the dissemination never went quiet");
+    }
+
+    #[test]
+    fn a_screened_8_cubed_trial_runs_like_the_unscreened_one() {
+        let build = || {
+            let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 8).unwrap());
+            let mut rng = ChaCha8Rng::seed_from_u64(42);
+            let oracle = Arc::new(AssignmentOracle::sample(&topology, 0.5, &mut rng));
+            let membership = Arc::new(GlobalOracleView::new(512));
+            (build_pmcast_group(&topology, oracle, membership, &PmcastConfig::default()), None)
+        };
+        let events: Vec<Event> = (1..5).map(|id| Event::builder(id).int("b", 1).build()).collect();
+        let network = NetworkConfig::reliable(42).with_loss(0.05);
+        let repeats = screened_like_unscreened(build, network, &events);
+        assert!(repeats > 1_000, "only {repeats} repeats");
+    }
+
+    #[test]
+    fn a_screened_lossy_topic_trial_runs_like_the_unscreened_one() {
+        let build = || {
+            let (group, tables) = summary_routed_topic_group();
+            (group, Some(tables))
+        };
+        let events = topic_events(&[0, 5, 1, 5, 2, 3, 4, 0, 5, 1]);
+        let network = NetworkConfig::reliable(7).with_loss(0.2);
+        let repeats = screened_like_unscreened(build, network, &events);
+        assert!(repeats > 100, "only {repeats} repeats");
     }
 
     #[test]

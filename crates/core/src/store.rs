@@ -1,7 +1,8 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
+use std::sync::Arc;
 
 use pmcast_interest::{Event, EventId};
 use rustc_hash::FxHashMap;
@@ -30,7 +31,7 @@ const VERDICT_ROWS: usize = 1 << 14;
 /// per forgotten id off a min-heap of the admitted ids — never a scan of
 /// the store.  A receipt whose content was forgotten delivers nothing.
 #[derive(Debug, Default)]
-pub(crate) struct EventStore(Mutex<StoreState>);
+pub(crate) struct EventStore(RefCell<StoreState>);
 
 #[derive(Debug, Default)]
 struct StoreState {
@@ -51,8 +52,8 @@ struct StoreState {
 }
 
 impl EventStore {
-    fn state(&self) -> MutexGuard<'_, StoreState> {
-        self.0.lock().expect("event store lock poisoned")
+    fn state(&self) -> RefMut<'_, StoreState> {
+        self.0.borrow_mut()
     }
 
     /// Keeps a published event, unless its id is below the floor.

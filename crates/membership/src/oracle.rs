@@ -158,18 +158,18 @@ impl AssignmentOracle {
     /// # Panics
     ///
     /// Panics if the topology's space holds more than 2²⁶ addresses.
-    pub fn sample<T: TreeTopology, R: Rng>(
+    pub fn sample<T: TreeTopology + ?Sized, R: Rng>(
         topology: &T,
         matching_rate: f64,
         rng: &mut R,
     ) -> Self {
         let mut oracle = Self::empty(topology.space().clone());
         let rate = matching_rate.clamp(0.0, 1.0);
-        for address in topology.members() {
+        topology.for_each_member_index(&mut |index| {
             if rng.gen_bool(rate) {
-                oracle.insert_address(&address);
+                oracle.insert(index);
             }
-        }
+        });
         oracle
     }
 
@@ -369,6 +369,38 @@ mod tests {
         let n = topology.member_count() as f64;
         // A Bernoulli(0.5) sample over 512 processes stays well within 4 σ.
         assert!((oracle.len() as f64 - 0.5 * n).abs() < 4.0 * (0.25f64 * n).sqrt());
+    }
+
+    #[test]
+    fn sampling_by_index_draws_like_the_address_walk() {
+        // The walk `sample` made before topologies listed indices: one
+        // `gen_bool` per member address, in address order.
+        let by_address = |topology: &dyn TreeTopology, rate: f64, rng: &mut ChaCha8Rng| {
+            let mut oracle = AssignmentOracle::empty(topology.space().clone());
+            for address in topology.members() {
+                if rng.gen_bool(rate) {
+                    oracle.insert_address(&address);
+                }
+            }
+            oracle
+        };
+        let full = ImplicitRegularTree::new(AddressSpace::regular(3, 6).unwrap());
+        let mut sparse = crate::GroupTree::new(full.space().clone());
+        for (at, address) in full.space().iter().enumerate() {
+            if at % 7 != 3 && at % 5 != 0 {
+                sparse.join(address, Filter::match_all()).unwrap();
+            }
+        }
+        let topologies: [&dyn TreeTopology; 2] = [&full, &sparse];
+        for (topology, seed) in topologies.into_iter().flat_map(|t| (0..6).map(move |s| (t, s))) {
+            let rate = 0.1 + 0.15 * seed as f64;
+            let (mut by_index_rng, mut by_address_rng) =
+                (ChaCha8Rng::seed_from_u64(seed), ChaCha8Rng::seed_from_u64(seed));
+            let by_index = AssignmentOracle::sample(topology, rate, &mut by_index_rng);
+            assert_eq!(by_index, by_address(topology, rate, &mut by_address_rng));
+            assert_eq!(by_index_rng.get_word_pos(), by_address_rng.get_word_pos());
+            assert!(!by_index.is_empty(), "seed {seed} sampled somebody");
+        }
     }
 
     #[test]

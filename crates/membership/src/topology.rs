@@ -28,6 +28,16 @@ pub trait TreeTopology {
     /// iterate indices instead.
     fn members(&self) -> Vec<Address>;
 
+    /// Calls `visit` with the index in [`space`](Self::space) of every
+    /// member, in address order: [`members`](Self::members) without
+    /// writing the addresses out.
+    fn for_each_member_index(&self, visit: &mut dyn FnMut(usize)) {
+        for address in self.members() {
+            let index = self.space().index_of_address(&address);
+            visit(index.expect("a member's address is valid for its space") as usize);
+        }
+    }
+
     /// The populated child components directly below the given prefix, in
     /// increasing order.
     fn populated_children(&self, prefix: &Prefix) -> Vec<Component>;
@@ -187,6 +197,10 @@ impl TreeTopology for ImplicitRegularTree {
 
     fn members(&self) -> Vec<Address> {
         self.space.iter().collect()
+    }
+
+    fn for_each_member_index(&self, visit: &mut dyn FnMut(usize)) {
+        (0..self.member_count()).for_each(visit);
     }
 
     fn populated_children(&self, prefix: &Prefix) -> Vec<Component> {

@@ -51,6 +51,20 @@ pub trait RoundProcess {
     fn is_quiescent(&self) -> bool {
         false
     }
+
+    /// The key under which the engine may screen `message` as a repeat;
+    /// `None` (the default) has every message handed over.
+    ///
+    /// `Some(k)` carries a proof obligation like
+    /// [`is_quiescent`](RoundProcess::is_quiescent)'s: once the engine has
+    /// handed this process a message of key `k`, every later one of key `k`
+    /// is a no-op for the rest of the simulation — it sends, draws and
+    /// reports nothing and changes no observable state.  So the engine skips
+    /// the call and does not wake the receiver for it: a repeat costs a bit
+    /// test, though [`Simulation::last_step_receivers`] still lists it.
+    fn receipt_key(_message: &Self::Message) -> Option<u64> {
+        None
+    }
 }
 
 /// What a round driver lends the process it drives besides a place for its
@@ -331,6 +345,9 @@ pub struct LifecyclePlan {
 /// handed back empty at the next boundary, a process's sends go straight
 /// into the network's buffer, and the crash schedule drains through a
 /// [`VecDeque`] cursor instead of repeatedly shifting a vector.
+///
+/// A repeat of a [`RoundProcess::receipt_key`] its receiver was handed
+/// before costs one bit of an n-bit row per key: it calls and wakes nothing.
 pub struct Simulation<P: RoundProcess> {
     processes: Vec<P>,
     network: RoundNetwork<P::Message>,
@@ -354,11 +371,13 @@ pub struct Simulation<P: RoundProcess> {
     /// outside the sweep, which zeroes `scheduled` word by word as it reads.
     rescheduled: Vec<u64>,
     /// Dense indices handed at least one message during the most recent
-    /// [`step`](Self::step), deduplicated via `receiver_stamp` — the
-    /// receipt delta observers use instead of re-scanning all n processes.
+    /// [`step`](Self::step), deduplicated via `received` — the receipt
+    /// delta observers use instead of re-scanning all n processes.
     receivers: Vec<usize>,
-    /// Per-process stamp (`round + 1`) deduplicating `receivers`.
-    receiver_stamp: Vec<u64>,
+    /// One bit per process in `receivers`, cleared by walking it.
+    received: Vec<u64>,
+    /// Who was handed a message of which receipt key, ever.
+    screen: ReceiptScreen,
     /// Reused across rounds: messages delivered at the current boundary.
     inbox: Vec<Envelope<P::Message>>,
     /// Reused across processes and rounds: the fanout buffers lent to the
@@ -480,7 +499,8 @@ impl<P: RoundProcess> Simulation<P> {
             scheduled: (0..words).map(|word| u64::MAX >> (64 - (count - 64 * word).min(64))).collect(),
             rescheduled: vec![0; words],
             receivers: Vec::new(),
-            receiver_stamp: vec![0; count],
+            received: vec![0; words],
+            screen: ReceiptScreen::new(words),
             inbox: Vec::new(),
             scratch: FanoutScratch::default(),
             lifecycle_observer,
@@ -683,7 +703,7 @@ impl<P: RoundProcess> Simulation<P> {
             self.network.deliver_round_into(&mut inbox);
         }
 
-        self.receivers.clear();
+        self.receivers.drain(..).for_each(|index| self.received[index / 64] = 0);
         scratch.delivered.clear();
         for Envelope { to, message } in inbox.drain(..) {
             // Nothing can crash between the handover and this loop, and the
@@ -692,12 +712,18 @@ impl<P: RoundProcess> Simulation<P> {
                 !self.network.is_crashed(to),
                 "the network handed over a message for {to}, which is down"
             );
-            // Record the receipt delta (deduplicated) and schedule the
-            // receiver: a message may have woken it.
-            if self.receiver_stamp[to.0] != self.round + 1 {
-                self.receiver_stamp[to.0] = self.round + 1;
+            // Record the receipt delta (deduplicated).
+            let bit = 1 << (to.0 % 64);
+            if self.received[to.0 / 64] & bit == 0 {
+                self.received[to.0 / 64] |= bit;
                 self.receivers.push(to.0);
             }
+            // A repeat of a key the receiver was handed is a no-op
+            // (`RoundProcess::receipt_key`): neither driven nor woken.
+            if P::receipt_key(&message).is_some_and(|key| self.screen.handed_before(key, to.0)) {
+                continue;
+            }
+            // Schedule the receiver: a message may have woken it.
             self.mark_active(to.0);
             // Messages emitted while handling are sent from the receiver.
             self.drive(to, &mut scratch, |process, ctx| process.on_message(message, ctx));
@@ -802,11 +828,56 @@ fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Who was handed a message of each [`RoundProcess::receipt_key`]: a row of
+/// n bits per key, over a window of keys from the first seen, grown as keys
+/// arrive.  A key outside it is not screened: that costs speed, not truth.
+struct ReceiptScreen {
+    /// Words per row: one bit per process.
+    row_words: usize,
+    /// How many rows fit in [`ReceiptScreen::WORDS`].
+    max_rows: u64,
+    /// The key of row 0: the first key seen.
+    base: Option<u64>,
+    rows: Vec<u64>,
+}
+
+impl ReceiptScreen {
+    /// The bound on the rows' memory, 8 MiB: keys are event ids in
+    /// practice, consecutive from a trial's first, so this holds a thousand
+    /// events of a 2¹⁶-process group and every event of a topic trial,
+    /// while a key far past the first cannot make the engine allocate.
+    const WORDS: usize = 1 << 20;
+
+    fn new(row_words: usize) -> Self {
+        let max_rows = Self::WORDS.checked_div(row_words).unwrap_or(0) as u64;
+        ReceiptScreen { row_words, max_rows, base: None, rows: Vec::new() }
+    }
+
+    /// Records that process `index` was handed a message of `key`, and
+    /// returns whether it had been before.
+    fn handed_before(&mut self, key: u64, index: usize) -> bool {
+        let row = key.wrapping_sub(*self.base.get_or_insert(key));
+        if row >= self.max_rows {
+            return false;
+        }
+        let start = row as usize * self.row_words;
+        if self.rows.len() <= start {
+            self.rows.resize(start + self.row_words, 0);
+        }
+        let (word, bit) = (&mut self.rows[start + index / 64], 1 << (index % 64));
+        let handed = *word & bit != 0;
+        *word |= bit;
+        handed
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::fault::tests::{delayed, partitioned, straggling};
-    use crate::FaultPlan;
+    use crate::{FaultPlan, LinkDelay, PartitionWindow, Straggler};
 
     /// Number of down processes (crashed, departed or not yet joined).
     fn crashed_count<P: RoundProcess>(sim: &Simulation<P>) -> usize {
@@ -1610,6 +1681,142 @@ mod tests {
         assert!(sim.stats().messages_sent > before, "the woken process re-announced");
     }
 
+    /// A gossip of several rumors, each a key: a first receipt of a key files
+    /// it with a budget of three rounds and reports it, a repeat is a no-op,
+    /// and every round each buffered key goes to two random peers.  Keys
+    /// divisible by 5 are sent unkeyed, so the screen meets both kinds.
+    struct Keyed {
+        count: usize,
+        seen: BTreeSet<u64>,
+        buffered: Vec<(u64, u32)>,
+        /// `on_round` calls: bookkeeping of the tests, not compared state.
+        rounds: u32,
+    }
+
+    impl Keyed {
+        fn new(count: usize) -> Self {
+            Self { count, seen: BTreeSet::new(), buffered: Vec::new(), rounds: 0 }
+        }
+
+        /// Files `key` unless it was seen; returns whether it was new.
+        fn take(&mut self, key: u64) -> bool {
+            let new = self.seen.insert(key);
+            if new {
+                self.buffered.push((key, 3));
+            }
+            new
+        }
+
+        fn state(&self) -> (Vec<u64>, Vec<(u64, u32)>) {
+            (self.seen.iter().copied().collect(), self.buffered.clone())
+        }
+    }
+
+    impl RoundProcess for Keyed {
+        type Message = u64;
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
+            self.rounds += 1;
+            let own = ctx.process.0;
+            let mut scratch = std::mem::take(ctx.scratch());
+            for (key, budget) in &mut self.buffered {
+                *budget -= 1;
+                ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
+                for &pick in &scratch.candidates {
+                    ctx.send(ProcessId(if pick >= own { pick + 1 } else { pick }), *key);
+                }
+            }
+            self.buffered.retain(|&(_, budget)| budget > 0);
+            *ctx.scratch() = scratch;
+        }
+
+        fn on_message(&mut self, key: u64, ctx: &mut RoundContext<'_, u64>) {
+            if self.take(key) {
+                ctx.report_delivery(key);
+            }
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.buffered.is_empty()
+        }
+
+        fn receipt_key(key: &u64) -> Option<u64> {
+            (!key.is_multiple_of(5)).then_some(*key)
+        }
+    }
+
+    /// `P` with its receipt keys withheld: the engine hands it every
+    /// message, as it did before it screened any.
+    struct Unscreened<P>(P);
+
+    impl<P: RoundProcess> RoundProcess for Unscreened<P> {
+        type Message = P::Message;
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_, P::Message>) {
+            self.0.on_round(ctx);
+        }
+
+        fn on_message(&mut self, message: P::Message, ctx: &mut RoundContext<'_, P::Message>) {
+            self.0.on_message(message, ctx);
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.0.is_quiescent()
+        }
+    }
+
+    #[test]
+    fn a_quiescent_process_handed_only_repeats_is_never_woken() {
+        // Everybody holds key 9 from the start, so every message is a repeat:
+        // each process gossips in rounds 0–2, and round 3 hands over the last
+        // of them to processes that are quiet by then.
+        let build = || {
+            let processes = (0..8).map(|_| {
+                let mut process = Keyed::new(8);
+                process.take(9);
+                process
+            });
+            processes.collect::<Vec<_>>()
+        };
+        let mut screened = Simulation::new(build(), NetworkConfig::reliable(4));
+        let unscreened = build().into_iter().map(Unscreened).collect();
+        let mut unscreened = Simulation::new(unscreened, NetworkConfig::reliable(4));
+        for _ in 0..4 {
+            screened.step();
+            unscreened.step();
+        }
+        assert_eq!(screened.last_step_receivers(), unscreened.last_step_receivers());
+        let woken = screened.last_step_receivers().len();
+        assert!(woken > 0, "round 3 hands over repeats");
+        assert!(screened.processes().all(|process| process.rounds == 3));
+        let rounds = unscreened.processes().map(|process| process.0.rounds);
+        assert_eq!(rounds.filter(|&rounds| rounds == 4).count(), woken, "each receiver woken once");
+        assert_eq!(screened.stats(), unscreened.stats());
+        assert!(screened.is_quiescent() && unscreened.is_quiescent());
+    }
+
+    #[test]
+    fn the_screen_keeps_a_window_of_keys_from_the_first() {
+        let mut screen = ReceiptScreen::new(2);
+        assert!(!screen.handed_before(10, 127));
+        assert!(screen.handed_before(10, 127));
+        assert!(!screen.handed_before(10, 0));
+        assert!(!screen.handed_before(12, 64));
+        assert!(screen.handed_before(12, 64));
+        assert_eq!(screen.rows.len(), 6, "rows up to the highest key, whole");
+        // The last row the bound holds is screened, and no key below the
+        // first or past the bound is.
+        let past = 10 + (ReceiptScreen::WORDS / 2) as u64;
+        assert!(!screen.handed_before(past - 1, 5));
+        assert!(screen.handed_before(past - 1, 5));
+        assert_eq!(screen.rows.len(), ReceiptScreen::WORDS);
+        for key in [9, 0, past, u64::MAX] {
+            assert!(!screen.handed_before(key, 5));
+            assert!(!screen.handed_before(key, 5), "key {key} is never screened");
+        }
+        assert_eq!(screen.rows.len(), ReceiptScreen::WORDS);
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn build_rejects_fault_plans_referencing_missing_processes() {
@@ -1628,6 +1835,104 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            /// The receipt screen against the engine that screens nothing:
+            /// the same keyed gossip, with its keys withheld by
+            /// `Unscreened`, over random loss, link delays, a partition, a
+            /// straggler, crashes, leaves and rejoins, initially absent
+            /// joiners, publications mid-run and either sweep.  After every
+            /// step the two agree on every process's state, the traffic
+            /// statistics, the receipt and delivery deltas and the protocol
+            /// stream's position.  The keys include ones below any first key
+            /// and past the screen's bound, which must go unscreened.
+            #[test]
+            fn screened_repeats_change_nothing_observable(
+                seed in 0u64..1000,
+                count in 2usize..150,
+                loss in 0u32..30,
+                delay in (any::<bool>(), 0u64..2, 0u64..3),
+                partition in (any::<bool>(), 1u64..6, 0u64..6, 1usize..4),
+                straggler in (any::<bool>(), 0usize..150, 1u64..4),
+                churn in proptest::collection::vec((0u8..3, 0usize..150, 1u64..20), 0..6),
+                publications in
+                    proptest::collection::vec((0u64..25, 0usize..150, 0usize..11), 1..8),
+                dense in any::<bool>(),
+            ) {
+                const KEYS: [u64; 11] = [7, 8, 9, 10, 11, 12, 3, 0, 300_000, 1 << 40, u64::MAX];
+                let mut crashes = Vec::new();
+                let mut lifecycle = LifecyclePlan::default();
+                for &(kind, process, round) in &churn {
+                    let process = process % count;
+                    match kind {
+                        0 => crashes.push((round, process)),
+                        1 => {
+                            lifecycle.leaves.push((round, process));
+                            lifecycle.joins.push((round + 2, process));
+                        }
+                        _ if !lifecycle.initially_absent.contains(&process) => {
+                            lifecycle.initially_absent.push(process);
+                            lifecycle.joins.push((round, process));
+                        }
+                        _ => {}
+                    }
+                }
+                let fault_plan = FaultPlan {
+                    link_delay: delay.0.then_some(LinkDelay {
+                        min_extra: delay.1,
+                        max_extra: delay.1 + delay.2,
+                    }),
+                    partitions: Vec::from_iter(partition.0.then_some(PartitionWindow {
+                        from_round: partition.1,
+                        until_round: partition.1 + partition.2,
+                        cells: partition.3,
+                    })),
+                    stragglers: Vec::from_iter(straggler.0.then_some(Straggler {
+                        process: straggler.1 % count,
+                        period: straggler.2,
+                    })),
+                    ..FaultPlan::default()
+                };
+                let config = NetworkConfig {
+                    loss_probability: f64::from(loss) / 100.0,
+                    crash_plan: CrashPlan::Scheduled(crashes),
+                    fault_plan,
+                    seed,
+                };
+                let keyed = || (0..count).map(|_| Keyed::new(count)).collect::<Vec<_>>();
+                let plan = lifecycle.clone();
+                let mut screened =
+                    Simulation::with_lifecycle_observer(keyed(), config.clone(), plan, |_| {});
+                let unscreened = keyed().into_iter().map(Unscreened).collect();
+                let mut unscreened =
+                    Simulation::with_lifecycle_observer(unscreened, config, lifecycle, |_| {});
+                if dense {
+                    screened.force_dense_stepping();
+                    unscreened.force_dense_stepping();
+                }
+                for round in 0..60 {
+                    for &(at, process, key) in &publications {
+                        if at == round {
+                            screened.process_mut(ProcessId(process % count)).take(KEYS[key]);
+                            unscreened.process_mut(ProcessId(process % count)).0.take(KEYS[key]);
+                        }
+                    }
+                    screened.step();
+                    unscreened.step();
+                    let states: Vec<_> = screened.processes().map(Keyed::state).collect();
+                    let reference: Vec<_> = unscreened.processes().map(|p| p.0.state()).collect();
+                    prop_assert_eq!(states, reference, "after round {}", round);
+                    prop_assert_eq!(screened.stats(), unscreened.stats());
+                    let receivers = unscreened.last_step_receivers();
+                    prop_assert_eq!(screened.last_step_receivers(), receivers);
+                    let deliveries = unscreened.last_step_deliveries();
+                    prop_assert_eq!(screened.last_step_deliveries(), deliveries);
+                    prop_assert_eq!(
+                        screened.protocol_rng.get_word_pos(),
+                        unscreened.protocol_rng.get_word_pos()
+                    );
+                    prop_assert_eq!(screened.is_quiescent(), unscreened.is_quiescent());
+                }
+            }
+
             /// The active-set optimisation's core safety property, checked
             /// over random group sizes, seeds, loss rates and churn: a
             /// process skipped by the active set never changes observable
