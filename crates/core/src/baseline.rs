@@ -255,7 +255,7 @@ impl EventDirectory {
 
 /// The fanout-candidate pool of a buffered entry, resolved **once** when
 /// the entry is accepted, so a gossip round never rebuilds an O(audience)
-/// candidate list (guarded by the `genuine_rounds_n512` micro-bench case).
+/// candidate list.
 #[derive(Debug, Clone)]
 pub(crate) enum Pool {
     /// Flooding: the membership view's peer enumeration (the whole group

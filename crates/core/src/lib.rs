@@ -88,6 +88,6 @@ pub use message::Gossip;
 pub use multicast::{
     FloodFactory, GenuineFactory, MulticastProtocol, PmcastFactory, ProtocolFactory, ProtocolGroup,
 };
-pub use protocol::{PmcastProcess, JUDGEMENT_TABLE_ROWS};
+pub use protocol::PmcastProcess;
 pub use report::{DeliveryOutcome, MulticastReport};
 pub use views::{DepthView, GossipTarget, SharedViews, ViewStack};

@@ -9,7 +9,7 @@
 //! traits and work for any protocol.  Dispatch is fully monomorphized —
 //! there is no trait object on the publish or gossip hot path, so the
 //! generic code costs exactly the same as calling the concrete types
-//! directly (the `generic_dispatch_publish` micro-bench tracks this).
+//! directly.
 //!
 //! ## Publishing
 //!
@@ -162,9 +162,7 @@ impl<P> std::fmt::Debug for ProtocolGroup<P> {
 /// `PmcastFactory::build(…)` monomorphizes the simulation harness per
 /// protocol, keeping the publish and gossip hot paths free of virtual
 /// calls.  The membership provider is shared as a trait object — its
-/// per-draw cost is a candidate lookup, guarded by the
-/// `fanout_draw_direct` vs `fanout_draw_through_view` and `delegate_draw`
-/// cases of `crates/bench/benches/micro.rs`.
+/// per-draw cost is a candidate lookup.
 ///
 /// # Examples
 ///

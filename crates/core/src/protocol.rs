@@ -24,7 +24,7 @@ use crate::{
 /// memory — a custom oracle's keys or a long-lived daemon must not grow it —
 /// and is not a tuning knob: 50 topics over the 21 views of a 4³ group are
 /// 1 050 rows, one audience over the 4 369 views of a 16⁴ group 4 369.
-pub const JUDGEMENT_TABLE_ROWS: usize = 1 << 14;
+const JUDGEMENT_TABLE_ROWS: usize = 1 << 14;
 
 /// Crate-internal group construction backing [`crate::PmcastFactory`].
 pub(crate) fn build_pmcast_group<T: TreeTopology>(
@@ -294,6 +294,8 @@ impl GroupContext {
         let judged = match table.rows.get(&row) {
             Some(&judged) => judged,
             None => {
+                #[cfg(test)]
+                tests::count_judgement_miss();
                 if table.rows.len() == JUDGEMENT_TABLE_ROWS {
                     table.rows.clear();
                     table.masks.clear();
@@ -426,6 +428,8 @@ impl GroupContext {
             let len = scratch.all_but_one.reset(view.len(), own);
             return Candidates::AllBut { own, len };
         }
+        #[cfg(test)]
+        tests::count_written_pool();
         let own = own.unwrap_or(view.len());
         scratch.candidates.extend(0..own);
         scratch.candidates.extend(own + 1..view.len());
@@ -926,6 +930,24 @@ mod tests {
     }
 
     thread_local! {
+        /// How many whole views this thread's entry-rounds wrote out as a pool.
+        static WRITTEN_POOLS: Cell<usize> = const { Cell::new(0) };
+        /// How many judgements this thread's groups missed their table for.
+        static JUDGEMENT_MISSES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called by `GroupContext::round_candidates` in test builds on every
+    /// pool it writes out for a view known whole.
+    pub(super) fn count_written_pool() {
+        WRITTEN_POOLS.with(|written| written.set(written.get() + 1));
+    }
+
+    /// Called by `GroupContext::judgement` in test builds on every miss.
+    pub(super) fn count_judgement_miss() {
+        JUDGEMENT_MISSES.with(|missed| missed.set(missed.get() + 1));
+    }
+
+    thread_local! {
         /// How many summary verdicts this thread's groups asked their
         /// membership provider for: the store's misses.
         static PROVIDER_VERDICTS: Cell<usize> = const { Cell::new(0) };
@@ -1367,6 +1389,9 @@ mod tests {
         }
     }
 
+    /// A single-event trial over the global view, whose every entry-round
+    /// is a lone entry's: its draw writes no pool out, and — keyed — reads
+    /// every pick off the entry's `⊲` mask, whatever the view's width.
     #[test]
     fn after_an_audience_s_first_entry_in_a_view_no_pick_asks_the_oracle() {
         // A 4^3 group, half its processes interested, tuned so that the
@@ -1390,9 +1415,11 @@ mod tests {
             }
             assert!(oracle.subtree_tests.swap(0, Ordering::SeqCst) >= 21);
             picks_checked();
+            WRITTEN_POOLS.with(|written| written.set(0));
             let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(5));
             sim.process_mut(ProcessId(0)).pmcast(Event::builder(2).build());
             sim.run_until_quiescent(300);
+            assert_eq!(WRITTEN_POOLS.with(Cell::get), 0, "a lone entry's pool was written out");
             let event = Event::builder(2).build();
             let delivered = sim.processes().filter(|p| p.has_delivered(event.id())).count();
             assert_eq!(delivered, assignment.len());
@@ -1407,6 +1434,75 @@ mod tests {
                 assert_eq!(checked, 0);
             }
         }
+    }
+
+    /// `DelegateView`, recording per ask whether it listed the view: a
+    /// listing writes the view's positions into the `out` it is handed
+    /// (truncated when it judges the view whole), the whole bit writes
+    /// nothing.
+    #[derive(Debug)]
+    struct ListingWatch {
+        view: DelegateView,
+        /// `(view id, listed, whole)` of every `fill_known_or_whole` ask.
+        asks: std::sync::Mutex<Vec<(u32, bool, bool)>>,
+    }
+
+    impl MembershipView for ListingWatch {
+        fn estimated_size(&self) -> usize {
+            self.view.estimated_size()
+        }
+        fn peer_count(&self, of: usize) -> usize {
+            self.view.peer_count(of)
+        }
+        fn peer_at(&self, of: usize, k: usize) -> usize {
+            self.view.peer_at(of, k)
+        }
+        fn knows(&self, of: usize, peer: usize) -> bool {
+            self.view.knows(of, peer)
+        }
+        fn fill_known_or_whole(
+            &self,
+            of: usize,
+            depth: usize,
+            view: u32,
+            peers: &mut dyn Iterator<Item = usize>,
+            out: &mut Vec<usize>,
+        ) -> bool {
+            let mut listed = Vec::new();
+            let whole = self.view.fill_known_or_whole(of, depth, view, peers, &mut listed);
+            out.extend_from_slice(&listed);
+            self.asks.lock().unwrap().push((view, listed.capacity() > 0, whole));
+            whole
+        }
+    }
+
+    /// A static `delegate(3)` trial at 22^3 (the `paper_delegate` shape)
+    /// draws as under the global view: every ask is answered whole, each
+    /// view is listed once — at its first ask — and read off the provider's
+    /// whole bit from then on, and no slot table is ever built.
+    #[test]
+    fn a_static_delegate_trial_lists_each_view_once_and_builds_no_table() {
+        let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 22).unwrap());
+        let oracle =
+            Arc::new(AssignmentOracle::sample(&topology, 0.5, &mut ChaCha8Rng::seed_from_u64(42)));
+        let view = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 42);
+        let watch = Arc::new(ListingWatch { view, asks: Default::default() });
+        let group = build_pmcast_group(&topology, oracle, watch.clone(), &PmcastConfig::default());
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(42));
+        sim.process_mut(ProcessId(0)).pmcast(Event::builder(1).build());
+        while !sim.is_quiescent() {
+            watch.view.round_elapsed();
+            sim.step();
+        }
+        let asks = watch.asks.lock().unwrap();
+        let mut listings = FxHashMap::<u32, usize>::default();
+        for &(view, listed, _) in asks.iter() {
+            *listings.entry(view).or_default() += usize::from(listed);
+        }
+        assert!(asks.len() > 10_000, "only {} asks", asks.len());
+        assert!(asks.iter().all(|&(_, _, whole)| whole), "a static view was not whole");
+        assert!(listings.values().all(|&listed| listed == 1), "a view listed at other asks");
+        assert!(!watch.view.has_tables(), "a static trial built the slot tables");
     }
 
     #[test]
@@ -2037,6 +2133,19 @@ mod tests {
             sim.step();
         }
         (pools_checked().len(), provider_verdicts())
+    }
+
+    /// The topic trial above judges its fresh entries once per (topic, view):
+    /// 243 of the 15 090 judgements it serves miss the group's table, every
+    /// one when the table is bypassed.  The ceiling is the 12 topics times
+    /// the group's 21 views.
+    #[test]
+    fn the_topic_trial_judges_each_audience_once_per_view() {
+        JUDGEMENT_MISSES.with(|missed| missed.set(0));
+        judgements_checked();
+        provider_asks_on_topic_trial(false);
+        let (missed, served) = (JUDGEMENT_MISSES.with(Cell::get), judgements_checked());
+        assert!(missed <= 12 * 21, "{missed} of {served} judgements missed the table");
     }
 
     #[test]

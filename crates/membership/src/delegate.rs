@@ -1467,6 +1467,26 @@ mod tests {
         }
     }
 
+    /// A static 8^3 `delegate(3)` group stores no table through its rounds;
+    /// the crash of process 0, a delegate of depth 1 that every table
+    /// outside its subgroup seats, builds them, and gossip refills the seat
+    /// everywhere within 215 rounds (seed 17).  The ceiling is that plus
+    /// about 10 %.
+    #[test]
+    fn a_crashed_root_delegate_is_replaced_within_a_bounded_number_of_rounds() {
+        let view = DelegateView::bootstrap(8, 3, DelegateViewConfig::default(), 17);
+        view.round_elapsed();
+        assert!(!view.has_tables(), "a static round stored the tables");
+        view.observe_crash(0);
+        assert!(view.has_tables());
+        let mut rounds = 0;
+        while view.unsettled() > 0 {
+            view.round_elapsed();
+            rounds += 1;
+            assert!(rounds <= 236, "{} tables still unsettled", view.unsettled());
+        }
+    }
+
     #[test]
     fn crash_triggers_sweep_and_re_election_within_one_round() {
         // n = 16, a = 4, d = 2, 2 slots: process 15's depth-1 delegates of

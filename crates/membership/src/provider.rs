@@ -124,8 +124,7 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// ([`GlobalOracleView`], [`PartialView`]) have no per-depth structure
     /// and fall back to [`knows`](Self::knows); the hierarchical
     /// [`DelegateView`](crate::DelegateView) answers straight from the slot
-    /// group of that depth in `O(slots)` — the `delegate_draw` micro-bench
-    /// guards that the depth-structured draw stays allocation-free.
+    /// group of that depth in `O(slots)`.
     fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
         self.knows(of, peer)
     }

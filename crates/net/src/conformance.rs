@@ -136,11 +136,15 @@ where
         let mut crashed = 0;
         let mut rounds = 0;
         // The controller wakes at every period boundary (offset 0 — before
-        // the membership ticker at 10% and every process phase at 20%+),
-        // so crash and publish injections for round `r` land before any of
-        // round `r`'s gossip, exactly like the simulator's loop.
+        // the membership ticker at 10% and every process phase at 20%+), so
+        // round `r`'s publications and crashes land before any of its
+        // gossip, in the simulator's order: publications first, then, once
+        // the executor has handled their frames (at 5%), the crashes.  A
+        // publisher crashing in its own publish round thus delivers its
+        // event and never gossips it, on both engines.
         for round in 0..=max_rounds {
-            Timer::at(period_mul(period, round)).await;
+            let boundary = period_mul(period, round);
+            Timer::at(boundary).await;
             rounds = round;
             // All frames enqueued before this boundary have been fully
             // processed: the virtual clock only advances when every task
@@ -155,21 +159,25 @@ where
             if round == max_rounds {
                 break;
             }
-            while crashed < crash_schedule.len() && crash_schedule[crashed].0 <= round {
-                let (_, process) = crash_schedule[crashed];
-                controller.crash(process);
-                membership.observe_crash(process);
-                crashed += 1;
-            }
             while injected < injection_order.len() {
                 let (publish_round, sender, event) = &schedule[injection_order[injected]];
                 if *publish_round > round {
                     break;
                 }
-                // A publish to a crashed process is simply lost, like the
-                // simulator's publish into a crashed process.
+                // A publish to a process that crashed in an earlier round
+                // is lost; the simulator still delivers it at the down
+                // process (ROADMAP item 3(a)).
                 let _ = controller.publish(*sender, Arc::clone(event)).await;
                 injected += 1;
+            }
+            if crashed < crash_schedule.len() && crash_schedule[crashed].0 <= round {
+                Timer::at(boundary + period / 20).await;
+            }
+            while crashed < crash_schedule.len() && crash_schedule[crashed].0 <= round {
+                let (_, process) = crash_schedule[crashed];
+                controller.crash(process);
+                membership.observe_crash(process);
+                crashed += 1;
             }
         }
         (net.shutdown().await, rounds, injected)

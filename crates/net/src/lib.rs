@@ -14,10 +14,11 @@
 //!   `MembershipView` providers the simulator uses, and a frame whose
 //!   event the protocol has already received is dropped by the protocol's
 //!   own id set — the runtime keeps no second dedup.
-//! - [`ChannelTransport`] is the in-process backend: bounded per-process
+//! - An in-process channel transport is the backend: bounded per-process
 //!   mailboxes, **backpressure for publishers** (they await capacity) and
 //!   **drop-with-counter for gossip frames** (best-effort, like the
-//!   network).  A UDP backend is a documented follow-up (see ROADMAP.md).
+//!   network); [`TransportStats`] counts what it did.  A UDP backend is a
+//!   documented follow-up (see ROADMAP.md).
 //! - [`NetGroupHandle`] is the control plane: publish, crash a process
 //!   mid-stream, probe quiescence, then [`NetGroup::shutdown`] for the
 //!   final states.  Crash and quiescence flags live once, in the
@@ -104,4 +105,4 @@ mod transport;
 pub use conformance::{assert_supported, run_net_scenario_trial, NetTrialOutcome};
 pub use group::{NetConfig, NetGroup, NetGroupHandle, PublishError};
 pub use process::{NetProcessReport, NetProcessStats};
-pub use transport::{ChannelTransport, Frame, TransportStats};
+pub use transport::TransportStats;

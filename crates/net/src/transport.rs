@@ -26,8 +26,8 @@ use rand_chacha::ChaCha8Rng;
 use smol::channel::{self, Receiver, Sender, TrySendError};
 
 /// A message in a process mailbox.
-#[derive(Debug, Clone)]
-pub enum Frame {
+#[derive(Debug)]
+pub(crate) enum Frame {
     /// A gossip-period tick from the process's ticker task (not counted as
     /// in-flight work — it carries no dissemination state).
     Tick,
@@ -95,7 +95,7 @@ struct ChannelShared {
 /// Construction hands back the mailbox [`Receiver`]s — exactly one
 /// consumer per process.
 #[derive(Debug, Clone)]
-pub struct ChannelTransport {
+pub(crate) struct ChannelTransport {
     shared: Arc<ChannelShared>,
 }
 
@@ -104,7 +104,7 @@ impl ChannelTransport {
     /// `mailbox_capacity` frames, with seeded Bernoulli loss: each gossip
     /// frame is dropped with probability `loss_probability`, drawn from a
     /// ChaCha8 stream seeded with `loss_seed` — same seed, same losses.
-    pub fn with_loss(
+    pub(crate) fn with_loss(
         mailbox_capacity: usize,
         processes: usize,
         loss_probability: f64,
@@ -158,7 +158,7 @@ impl ChannelTransport {
     /// that are dequeued but still being worked on.  A no-op once `process`
     /// crashed: the crash wrote all its frames off (a publish waiting on
     /// its full mailbox fails *because* of the crash).
-    pub fn mark_processed(&self, process: usize) {
+    pub(crate) fn mark_processed(&self, process: usize) {
         if self.is_crashed(process) {
             return;
         }
@@ -213,7 +213,7 @@ impl ChannelTransport {
     /// Never blocks: a send that cannot complete immediately is *dropped
     /// and counted*, never awaited (see the module docs for why the publish
     /// path is different).
-    pub fn send_gossip(&self, to: ProcessId, gossip: Gossip) -> bool {
+    pub(crate) fn send_gossip(&self, to: ProcessId, gossip: Gossip) -> bool {
         let shared = &self.shared;
         if self.is_crashed(to.0) {
             shared.frames_to_crashed.fetch_add(1, Ordering::Relaxed);
@@ -248,7 +248,7 @@ impl ChannelTransport {
     }
 
     /// A snapshot of the transport's counters.
-    pub fn stats(&self) -> TransportStats {
+    pub(crate) fn stats(&self) -> TransportStats {
         let shared = &self.shared;
         TransportStats {
             frames_sent: shared.frames_sent.load(Ordering::Relaxed),
@@ -262,7 +262,7 @@ impl ChannelTransport {
 
     /// Frames currently enqueued but not yet processed — zero is the
     /// transport's contribution to group quiescence.
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.shared.total_pending.load(Ordering::Relaxed)
     }
 }

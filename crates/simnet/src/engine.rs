@@ -627,9 +627,9 @@ impl<P: RoundProcess> Simulation<P> {
     /// An observer of *deliveries* does not have to poll even these —
     /// [`last_step_deliveries`](Self::last_step_deliveries) names the pairs
     /// — which is what the trial runner reads; this accessor stays for
-    /// observers of receipt (the `first_contact_round_n10648` bench) and
-    /// for `pmbench`'s composed trial loop, which still polls the receivers
-    /// and is held equal to the runner's outcome trial by trial.
+    /// observers of receipt and for `pmbench`'s composed trial loop, which
+    /// still polls the receivers and is held equal to the runner's outcome
+    /// trial by trial.
     pub fn last_step_receivers(&self) -> &[usize] {
         &self.receivers
     }

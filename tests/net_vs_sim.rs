@@ -22,9 +22,9 @@
 use pmcast::net::run_net_scenario_trial;
 use pmcast::sim::runner::run_scenario_trial_states;
 use pmcast::{
-    Event, FloodFactory, GenuineFactory, InterestRouting, MembershipSpec, MulticastProtocol,
-    PmcastConfig, PmcastFactory, ProtocolFactory, Publisher, Scenario, ScenarioBuilder,
-    TopicWorkload,
+    Event, EventId, FloodFactory, GenuineFactory, InterestRouting, MembershipSpec,
+    MulticastProtocol, PmcastConfig, PmcastFactory, ProtocolFactory, Publisher, Scenario,
+    ScenarioBuilder, TopicWorkload,
 };
 
 /// Mean-delivery-rate tolerance between the engines under loss.
@@ -209,4 +209,46 @@ fn net_runtime_crashes_processes_mid_stream_like_the_simulator() {
             );
         }
     }
+}
+
+#[test]
+fn a_publisher_crashing_in_its_publish_round_delivers_alike_on_both_engines() {
+    // Both engines take a round's publications before its crashes: the
+    // publisher delivers its own event and then goes down without a gossip
+    // round, so loss-free the delivered sets are exactly {3}.
+    for round in [0, 2] {
+        for membership in [MembershipSpec::Global, MembershipSpec::delegate(4)] {
+            let scenario = Scenario::builder()
+                .group(4, 2)
+                .matching_rate(1.0)
+                .membership(membership)
+                .publish_at(round, Publisher::Process(3), Event::builder(5).int("b", 1).build())
+                .crash_at(round, 3)
+                .seed(13)
+                .build();
+            let id = scenario.publications[0].event.id();
+            let flood = delivered_sets::<FloodFactory>(&scenario, id);
+            let pmcast = delivered_sets::<PmcastFactory>(&scenario, id);
+            for (name, (sim, net)) in [("flood", flood), ("pmcast", pmcast)] {
+                assert_eq!(net, sim, "{name}/{membership:?}, round {round}");
+                assert_eq!(sim, [3], "{name}/{membership:?}, round {round}");
+            }
+        }
+    }
+}
+
+/// The processes that delivered `id`, on the simulator and on the runtime.
+fn delivered_sets<F: ProtocolFactory>(scenario: &Scenario, id: EventId) -> (Vec<usize>, Vec<usize>)
+where
+    F::Process: 'static,
+{
+    let (_, sim) = run_scenario_trial_states::<F>(scenario, 0);
+    let net = run_net_scenario_trial::<F>(scenario, 0).reports;
+    let sim = sim.iter().map(|state| state.has_delivered(id));
+    let net = net.iter().map(|report| report.state.has_delivered(id));
+    (delivered_at(sim), delivered_at(net))
+}
+
+fn delivered_at(delivered: impl Iterator<Item = bool>) -> Vec<usize> {
+    delivered.enumerate().filter_map(|(at, delivered)| delivered.then_some(at)).collect()
 }
