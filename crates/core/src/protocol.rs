@@ -5,7 +5,7 @@ use std::sync::Arc;
 use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
-use pmcast_membership::{allowed_runs, InterestOracle, MembershipView, TreeTopology};
+use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess, VirtualPool};
 use rand::Rng;
 use rustc_hash::FxHashMap;
@@ -13,8 +13,8 @@ use rustc_hash::FxHashMap;
 use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::store::EventStore;
 use crate::{
-    BufferedGossip, DepthView, Gossip, GossipBuffers, GossipTarget, InterestRouting,
-    PmcastConfig, ProtocolGroup, SharedViews,
+    BufferedGossip, DepthView, Gossip, GossipBuffers, InterestRouting, PmcastConfig,
+    ProtocolGroup, SharedViews,
 };
 
 /// How many judgements a pmcast group remembers — the `(rate, budget)` a
@@ -51,9 +51,9 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     let mut processes = Vec::with_capacity(addresses.len());
     for (stack, views) in group.views.stacks().iter().enumerate() {
         let leaf_view = views.last().expect("a stack holds a view per depth");
-        for &GossipTarget { id, .. } in leaf_view.iter() {
+        for at in 0..leaf_view.len() {
             processes.push(PmcastProcess {
-                id: index(id.0),
+                id: index(leaf_view.target(at).0),
                 stack: index(stack),
                 group: Rc::clone(&group),
                 buffers: GossipBuffers::new(views.len()),
@@ -137,11 +137,11 @@ impl GroupContext {
     /// subtree is interested in the event, and how many they are — the
     /// mask's population count.  A view wider than
     /// [`BufferedGossip::VERDICT_WIDTH`] is counted, and its mask left 0.
-    fn interest(&self, view: &[GossipTarget], event: &Event) -> (u128, usize) {
+    fn interest(&self, view: &DepthView, event: &Event) -> (u128, usize) {
         // One oracle probe per distinct subgroup, one hit per target.
-        let targets = view.iter().enumerate().map(|(at, target)| (at, &target.subgroup));
-        let interested =
-            allowed_runs(targets, |subgroup| self.oracle.subtree_interested(subgroup, event));
+        let interested = view.allowed(self.views.addresses(), 0..view.len(), |subgroup| {
+            self.oracle.subtree_interested(subgroup, event)
+        });
         if view.len() > BufferedGossip::VERDICT_WIDTH {
             return (0, interested.count());
         }
@@ -151,7 +151,7 @@ impl GroupContext {
 
     /// `GETRATE`: the fraction of a view's entries (delegates / neighbours)
     /// whose subtree is interested in the event.
-    fn matching_rate(&self, view: &[GossipTarget], event: &Event) -> f64 {
+    fn matching_rate(&self, view: &DepthView, event: &Event) -> f64 {
         raw_rate(self.interest(view, event).1, view.len())
     }
 
@@ -174,8 +174,8 @@ impl GroupContext {
             .min(MAX_ROUNDS_PER_DEPTH)
     }
 
-    /// Whether a drawn gossip destination — `target`, at `position` of the
-    /// view — should be sent the entry's event.
+    /// Whether a drawn gossip destination — at `position` of `view` — should
+    /// be sent the entry's event.
     ///
     /// Under [`InterestRouting::Oracle`] (the default) the target's subtree
     /// must be interested per the oracle, or audience inflation designates
@@ -187,23 +187,21 @@ impl GroupContext {
     /// subtree summaries before the draw, so every drawn target is sent to —
     /// as it is under [`InterestRouting::Blind`], the unfiltered control
     /// arm.
-    fn target_selected(
-        &self,
-        target: &GossipTarget,
-        position: usize,
-        entry: &BufferedGossip,
-    ) -> bool {
+    fn target_selected(&self, view: &DepthView, position: usize, entry: &BufferedGossip) -> bool {
         match self.config.interest_routing {
             InterestRouting::Oracle => {
                 let interested = match entry.interest() {
                     Some(interested) => interested >> position & 1 == 1,
-                    None => self.oracle.subtree_interested(&target.subgroup, &entry.event),
+                    None => self.oracle.subtree_interested(
+                        &view.subgroup(position, self.views.addresses()),
+                        &entry.event,
+                    ),
                 };
                 let selected = interested
                     || self.config.tuning.is_some_and(|tuning| position < tuning.threshold);
                 #[cfg(test)]
                 if entry.interest().is_some() {
-                    tests::check_pick(self, target, position, &entry.event, selected);
+                    tests::check_pick(self, view, position, &entry.event, selected);
                 }
                 selected
             }
@@ -214,7 +212,7 @@ impl GroupContext {
     /// What a fresh entry for `event` starts with in `view`: the effective
     /// matching rate there, the round budget that follows from it, and the
     /// view's `⊲` mask that `GETRATE`'s fold leaves behind.
-    fn judge(&self, view: &[GossipTarget], event: &Event) -> (f64, u32, u128) {
+    fn judge(&self, view: &DepthView, event: &Event) -> (f64, u32, u128) {
         let (interested, hits) = self.interest(view, event);
         let rate = self.effective_rate(view.len(), raw_rate(hits, view.len()));
         (rate, self.round_budget(view.len(), rate), interested)
@@ -352,10 +350,9 @@ impl GroupContext {
     ) {
         pool.clear();
         if view.len() > BufferedGossip::VERDICT_WIDTH {
-            pool.extend(allowed_runs(
-                candidates.map(|position| (position, &view[position].subgroup)),
-                |subgroup| self.membership.summary_allows(subgroup, &entry.event),
-            ));
+            pool.extend(view.allowed(self.views.addresses(), candidates, |subgroup| {
+                self.membership.summary_allows(subgroup, &entry.event)
+            }));
             return;
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
@@ -381,9 +378,10 @@ impl GroupContext {
     fn fold_summary_verdict(&self, view: &DepthView, event: &Event) -> u128 {
         #[cfg(test)]
         tests::count_provider_verdict();
-        let subgroups = view.iter().map(|target| &target.subgroup).enumerate();
-        allowed_runs(subgroups, |subgroup| self.membership.summary_allows(subgroup, event))
-            .fold(0, |allowed, position| allowed | 1 << position)
+        view.allowed(self.views.addresses(), 0..view.len(), |subgroup| {
+            self.membership.summary_allows(subgroup, event)
+        })
+        .fold(0, |allowed, position| allowed | 1 << position)
     }
 
     /// One depth's candidate destinations for a round in which `entries`
@@ -417,7 +415,7 @@ impl GroupContext {
             own.0,
             depth,
             view.id(),
-            &mut view.iter().map(|target| target.id.0),
+            &mut (0..view.len()).map(|at| view.target(at).0),
             &mut scratch.candidates,
         );
         if !whole {
@@ -544,10 +542,9 @@ fn gossip_entry(
 ) {
     for slot in 0..group.config.fanout.min(pool.len()) {
         let position = pool.draw(slot, ctx.rng());
-        let target = &view[position];
-        if group.target_selected(target, position, entry) {
+        if group.target_selected(view, position, entry) {
             let gossip = Gossip::new(entry.event.id(), depth, entry.rate, entry.round);
-            ctx.send(target.id, gossip);
+            ctx.send(view.target(position), gossip);
         }
     }
 }
@@ -846,8 +843,9 @@ mod tests {
     use pmcast_addr::{AddressSpace, Prefix};
     use pmcast_interest::{Filter, Predicate};
     use pmcast_membership::{
-        AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView, GroupTree,
-        ImplicitRegularTree, SubtreeSummaries, TopicOracle, UniformOracle, TOPIC_ATTRIBUTE,
+        allowed_runs, AssignmentOracle, DelegateView, DelegateViewConfig, GlobalOracleView,
+        GroupTree, ImplicitRegularTree, SubtreeSummaries, TopicOracle, UniformOracle,
+        TOPIC_ATTRIBUTE,
     };
     use pmcast_simnet::{
         CrashPlan, FaultPlan, LifecycleKind, LifecyclePlan, LinkDelay, NetworkConfig, Simulation,
@@ -856,7 +854,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    use crate::{MulticastProtocol, MulticastReport, ProtocolFactory};
+    use crate::views::tests::listing;
+    use crate::{GossipTarget, MulticastProtocol, MulticastReport, ProtocolFactory};
 
     fn small_topology() -> ImplicitRegularTree {
         ImplicitRegularTree::new(AddressSpace::regular(2, 4).unwrap())
@@ -892,15 +891,16 @@ mod tests {
     /// provider's — fails here.
     pub(super) fn check_summary_pool(
         group: &GroupContext,
-        view: &[GossipTarget],
+        view: &DepthView,
         entry: &BufferedGossip,
         candidates: impl Iterator<Item = usize>,
         pool: &[usize],
     ) {
         let candidates: Vec<usize> = candidates.collect();
+        let view = listing(view, group.views.addresses());
         assert_eq!(
             pool,
-            reference_summary_pool(group, view, entry, &candidates),
+            reference_summary_pool(group, &view, entry, &candidates),
             "pool of {} in round {} of its budget",
             entry.event.id(),
             entry.round
@@ -1020,12 +1020,13 @@ mod tests {
     /// plus the tuning threshold `h` — fails here.
     pub(super) fn check_pick(
         group: &GroupContext,
-        target: &GossipTarget,
+        view: &DepthView,
         position: usize,
         event: &Event,
         selected: bool,
     ) {
-        let interested = in_hook(|| group.oracle.subtree_interested(&target.subgroup, event));
+        let subgroup = &listing(view, group.views.addresses())[position].subgroup;
+        let interested = in_hook(|| group.oracle.subtree_interested(subgroup, event));
         let designated = group.config.tuning.is_some_and(|tuning| position < tuning.threshold);
         assert_eq!(selected, interested || designated, "pick {position} of {}", event.id());
         PICKS_CHECKED.with(|checked| checked.set(checked.get() + 1));
@@ -2198,7 +2199,7 @@ mod tests {
         for (index, process) in a.processes.iter().enumerate() {
             assert_eq!(*process.address(), a.addresses[index]);
             let leaf = process.group.stack(process.stack).last().unwrap();
-            assert!(leaf.iter().any(|target| target.id == ProcessId(index)));
+            assert!((0..leaf.len()).any(|at| leaf.target(at) == ProcessId(index)));
         }
     }
 

@@ -98,8 +98,8 @@ impl MulticastReport {
     /// scenario runs with several publications.
     ///
     /// Returns the reports in the order of `events`.  The process states
-    /// are walked once per event; merge the results with
-    /// [`merge`](Self::merge) for whole-scenario totals.
+    /// are walked once per event, by a clone of `processes`' iterator; merge
+    /// the results with [`merge`](Self::merge) for whole-scenario totals.
     ///
     /// Who is interested is asked of the oracle once per *audience*: the
     /// first event of an [`audience_key`](InterestOracle::audience_key)
@@ -114,23 +114,23 @@ impl MulticastReport {
     ) -> Vec<MulticastReport>
     where
         P: DeliveryOutcome + 'a,
-        I: IntoIterator<Item = &'a P>,
+        I: IntoIterator<Item = &'a P, IntoIter: Clone>,
         E: IntoIterator<Item = &'e Event>,
     {
-        let processes: Vec<&P> = processes.into_iter().collect();
+        let processes = processes.into_iter();
         let mut audiences: FxHashMap<u64, Vec<bool>> = FxHashMap::default();
         events
             .into_iter()
             .map(|event| {
                 let Some(key) = oracle.audience_key(event) else {
-                    return Self::collect(event, processes.iter().copied(), oracle);
+                    return Self::collect(event, processes.clone(), oracle);
                 };
                 let audience = audiences.entry(key).or_insert_with(|| {
                     let interested =
-                        |process: &&P| oracle.is_interested(process.outcome_address(), event);
-                    processes.iter().map(interested).collect()
+                        |process: &P| oracle.is_interested(process.outcome_address(), event);
+                    processes.clone().map(interested).collect()
                 });
-                Self::tally(event.id(), processes.iter().copied(), |position, _| audience[position])
+                Self::tally(event.id(), processes.clone(), |position, _| audience[position])
             })
             .collect()
     }

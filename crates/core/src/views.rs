@@ -1,16 +1,15 @@
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use pmcast_addr::{Address, AddressSpace, Component, Prefix};
 use pmcast_simnet::ProcessId;
 
-use pmcast_membership::TreeTopology;
+use pmcast_membership::{allowed_runs, TreeTopology};
 
-/// One gossip destination in a per-depth view: the process's dense
-/// simulation identifier and the subgroup it represents at that depth (its
-/// own address at the leaf depth).  The destination's address is
-/// [`SharedViews::addresses`] at its identifier; no path of the protocol
-/// reads it, so a target does not carry a copy.
+/// One gossip destination of an inner view: the process's dense simulation
+/// identifier and the child subgroup it is a delegate of.  Its address is
+/// [`SharedViews::addresses`] at its identifier; a target carries no copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipTarget {
     /// The destination's simulation identifier.
@@ -21,16 +20,23 @@ pub struct GossipTarget {
 
 /// One shared per-depth view as a process holds it: the gossip targets
 /// every process under the corresponding prefix iterates at that depth,
-/// distinct processes in strictly ascending [`ProcessId`] order — it
-/// dereferences to that slice — the view's dense [`id`](Self::id), and
-/// where the holder's leaf subgroup sits in it.
+/// distinct processes in strictly ascending [`ProcessId`] order — listed in
+/// an inner view, a leaf view being its leaf subgroup's consecutive ones —
+/// the view's dense [`id`](Self::id), and where the holder's seats are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepthView {
     id: u32,
     /// The position of the first target at or after the holder's leaf
     /// subgroup's first identifier: where its seats begin, if it has any.
     first_seat: u32,
-    targets: Arc<[GossipTarget]>,
+    targets: Targets,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Targets {
+    Listed(Arc<[GossipTarget]>),
+    /// A leaf view: the `len` identifiers from `first`.
+    Leaf { first: u32, len: u32 },
 }
 
 impl DepthView {
@@ -43,25 +49,70 @@ impl DepthView {
         self.id
     }
 
+    pub(crate) fn len(&self) -> usize {
+        match &self.targets {
+            Targets::Listed(targets) => targets.len(),
+            Targets::Leaf { len, .. } => *len as usize,
+        }
+    }
+
+    /// The identifier of the target at `position`, which must be in the view.
+    pub(crate) fn target(&self, position: usize) -> ProcessId {
+        match &self.targets {
+            Targets::Listed(targets) => targets[position].id,
+            Targets::Leaf { first, len } => {
+                assert!(position < *len as usize, "no position {position} in a leaf view of {len}");
+                ProcessId(*first as usize + position)
+            }
+        }
+    }
+
+    /// The subgroup the target at `position` represents; at the leaf, its
+    /// address out of `addresses`, the group's [`SharedViews::addresses`].
+    pub(crate) fn subgroup(&self, position: usize, addresses: &[Address]) -> Cow<'_, Prefix> {
+        match &self.targets {
+            Targets::Listed(targets) => Cow::Borrowed(&targets[position].subgroup),
+            Targets::Leaf { .. } => Cow::Owned(addresses[self.target(position).0].as_prefix()),
+        }
+    }
+
+    /// The positions among `positions` whose [`subgroup`](Self::subgroup)
+    /// `allows`, in order: asked once per run of equal listed subgroups,
+    /// and once per leaf target, each a subgroup of its own.
+    pub(crate) fn allowed<'a>(
+        &'a self,
+        addresses: &'a [Address],
+        positions: impl Iterator<Item = usize> + 'a,
+        mut allows: impl FnMut(&Prefix) -> bool + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let (listed, leaf) = match &self.targets {
+            Targets::Listed(targets) => {
+                let subgroups = positions.map(|position| (position, &targets[position].subgroup));
+                (Some(allowed_runs(subgroups, allows)), None)
+            }
+            Targets::Leaf { first, .. } => {
+                let subgroup = |position: usize| addresses[*first as usize + position].as_prefix();
+                (None, Some(positions.filter(move |&position| allows(&subgroup(position)))))
+            }
+        };
+        // One concrete iterator for either kind of view; the other half is empty.
+        listed.into_iter().flatten().chain(leaf.into_iter().flatten())
+    }
+
     /// The position of `own` — a member of the holder's leaf subgroup — in
     /// the view, or `None` if it holds no seat there.
     ///
     /// No search: a leaf subgroup's seats hold consecutive identifiers (a
-    /// leaf view lists the whole subgroup, an inner view a subgroup's
+    /// leaf view is the whole subgroup, an inner view lists a subgroup's
     /// smallest members), so `own`'s offset from the first seat's identifier
     /// is its offset from the first seat.
     pub(crate) fn own_position(&self, own: ProcessId) -> Option<usize> {
+        let Targets::Listed(targets) = &self.targets else {
+            return own.0.checked_sub(self.target(0).0).filter(|&at| at < self.len());
+        };
         let first = self.first_seat as usize;
-        let position = first + own.0.checked_sub(self.get(first)?.id.0)?;
-        (self.get(position)?.id == own).then_some(position)
-    }
-}
-
-impl std::ops::Deref for DepthView {
-    type Target = [GossipTarget];
-
-    fn deref(&self) -> &[GossipTarget] {
-        &self.targets
+        let position = first + own.0.checked_sub(targets.get(first)?.id.0)?;
+        (targets.get(position)?.id == own).then_some(position)
     }
 }
 
@@ -75,17 +126,18 @@ pub type ViewStack = Arc<[DepthView]>;
 /// A process's view at depth `i` only depends on its own prefix of depth `i`
 /// (Section 2.2), so instead of materialising `n` view tables the simulation
 /// shares one table per `(depth, prefix)` pair — a few hundred entries even
-/// for the 10 000-process evaluation group.  Every target carries the
+/// for the 10 000-process evaluation group.  Every target is named by its
 /// dense [`ProcessId`] so protocol code never needs to search for addresses
 /// at gossip time, and every view carries a dense [`DepthView::id`]: what
 /// the protocol computes from *(event, view)* — `GETRATE`, the round budget,
 /// the summary verdict — is the same for every process holding the view, and
 /// is kept per id (`1 + a + … + a^(d−1)` of them, 21 in a 4³ group).
 ///
-/// Building allocates per *prefix*, never per process: one slice per view,
-/// one stack per leaf subgroup, one vector per tree level while it builds.
-/// What it keeps is the stacks: every view is in one.  A pmcast group whose
-/// tree fills its space shares one set per shape per thread.
+/// Building allocates per *prefix*, never per process: one slice per inner
+/// view, one stack per leaf subgroup (its leaf view inline), one vector per
+/// tree level while it builds.  What it keeps is the stacks: every view is
+/// in one.  A pmcast group whose tree fills its space shares one set per
+/// shape per thread.
 #[derive(Debug, Clone)]
 pub struct SharedViews {
     // One view *stack* per leaf subgroup, in prefix order: the views of
@@ -125,49 +177,41 @@ impl SharedViews {
         // dense identifiers) without re-materializing them per prefix.
         let mut frontier = vec![Prefix::root()];
         let mut cursor = 0usize;
-        let mut targets = Vec::new();
+        let mut listed = Vec::new();
         let mut next_id = 0u32;
         for view_depth in 1..=depth {
             let mut level = Vec::with_capacity(frontier.len());
             let mut next_frontier = Vec::new();
             for prefix in frontier {
-                let listed: Arc<[GossipTarget]> = if view_depth == depth {
-                    // Leaf views: one target per neighbour process.
+                let targets = if view_depth == depth {
+                    // Leaf views: the subgroup's consecutive identifiers.
                     let start = cursor;
                     while cursor < addresses.len() && addresses[cursor].has_prefix(&prefix) {
                         cursor += 1;
                     }
-                    (start..cursor)
-                        .map(|index| GossipTarget {
-                            id: ProcessId(index),
-                            subgroup: addresses[index].as_prefix(),
-                        })
-                        .collect()
+                    let id = |index| u32::try_from(index).expect("fewer than 2^32 processes");
+                    Targets::Leaf { first: id(start), len: id(cursor - start) }
                 } else {
                     // Inner views: R delegates per populated child subgroup.
-                    targets.clear();
+                    listed.clear();
                     for component in topology.populated_children(&prefix) {
                         let child = prefix.child(component);
                         for address in topology.delegates(&child, redundancy) {
-                            targets.push(GossipTarget {
+                            listed.push(GossipTarget {
                                 id: id_of(&address),
                                 subgroup: child.clone(),
                             });
                         }
                         next_frontier.push(child);
                     }
-                    targets.as_slice().into()
+                    // A holder finds its own seat by arithmetic on identifiers.
+                    debug_assert!(
+                        listed.windows(2).all(|pair| pair[0].id < pair[1].id),
+                        "view targets must be in strictly ascending ProcessId order"
+                    );
+                    Targets::Listed(listed.as_slice().into())
                 };
-                // A holder finds its own seat by arithmetic on identifiers.
-                debug_assert!(
-                    listed.windows(2).all(|pair| pair[0].id < pair[1].id),
-                    "view targets must be in strictly ascending ProcessId order"
-                );
-                let view = DepthView {
-                    id: next_id,
-                    first_seat: 0,
-                    targets: listed,
-                };
+                let view = DepthView { id: next_id, first_seat: 0, targets };
                 level.push((prefix, view));
                 next_id += 1;
             }
@@ -187,15 +231,19 @@ impl SharedViews {
         let stacks = levels[depth - 1]
             .iter()
             .map(|(leaf, leaf_view)| {
-                let (first, last) = (leaf_view[0].id, leaf_view[leaf_view.len() - 1].id);
+                let first = leaf_view.target(0);
+                let end = first.0 + leaf_view.len();
                 (1..=depth)
                     .map(|view_depth| {
                         let view = view_at(&leaf.components()[..view_depth - 1]);
-                        let first_seat = view.partition_point(|target| target.id < first);
+                        let Targets::Listed(targets) = &view.targets else {
+                            return view.clone();
+                        };
+                        let first_seat = targets.partition_point(|target| target.id < first);
                         debug_assert!(
-                            view[first_seat..]
+                            targets[first_seat..]
                                 .iter()
-                                .take_while(|target| target.id <= last)
+                                .take_while(|target| target.id.0 < end)
                                 .enumerate()
                                 .all(|(offset, target)| target.id.0 == first.0 + offset),
                             "a leaf subgroup's seats hold consecutive identifiers"
@@ -243,7 +291,7 @@ impl SharedViews {
     }
 
     /// One view stack per leaf subgroup, in prefix order — so the stacks'
-    /// leaf views, one after the other, list every process in identifier
+    /// leaf views, one after the other, cover every process in identifier
     /// order, and a group hands each process its stack's index by walking
     /// them.  A million-process group holds one stack per leaf group, not
     /// per process.
@@ -253,10 +301,21 @@ impl SharedViews {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pmcast_addr::{AddressSpace, Depth};
     use pmcast_membership::ImplicitRegularTree;
+
+    /// `view` as a list of targets, each with the subgroup it represents —
+    /// the listing every view was before a leaf view became an id range.
+    pub(crate) fn listing(view: &DepthView, addresses: &[Address]) -> Vec<GossipTarget> {
+        match &view.targets {
+            Targets::Listed(targets) => targets.to_vec(),
+            Targets::Leaf { first, len } => (*first as usize..(first + len) as usize)
+                .map(|id| GossipTarget { id: ProcessId(id), subgroup: addresses[id].as_prefix() })
+                .collect(),
+        }
+    }
 
     fn views() -> SharedViews {
         let topology = ImplicitRegularTree::new(AddressSpace::regular(3, 3).unwrap());
@@ -265,7 +324,8 @@ mod tests {
 
     /// The processes a stack serves: its leaf view's.
     fn members(stack: &ViewStack) -> impl Iterator<Item = ProcessId> + '_ {
-        stack.last().unwrap().iter().map(|target| target.id)
+        let leaf = stack.last().unwrap();
+        (0..leaf.len()).map(|at| leaf.target(at))
     }
 
     /// The stack of the process at `address`, searched for.
@@ -303,7 +363,7 @@ mod tests {
     #[test]
     fn inner_views_have_r_delegates_per_subgroup() {
         let v = views();
-        let root_view = view_for(&v, "1.2.0", 1);
+        let root_view = listing(&view_for(&v, "1.2.0", 1), v.addresses());
         assert_eq!(root_view.len(), 3 * 2);
         // Every target's subgroup is a depth-2 prefix.
         assert!(root_view.iter().all(|t| t.subgroup.len() == 1));
@@ -311,7 +371,7 @@ mod tests {
         assert!(root_view
             .iter()
             .any(|t| v.addresses()[t.id.0].to_string() == "0.0.0" && t.subgroup.components() == [0]));
-        let depth2 = view_for(&v, "1.2.0", 2);
+        let depth2 = listing(&view_for(&v, "1.2.0", 2), v.addresses());
         assert_eq!(depth2.len(), 3 * 2);
         assert!(depth2.iter().all(|t| t.subgroup.components()[0] == 1));
     }
@@ -320,7 +380,7 @@ mod tests {
     fn leaf_views_list_neighbours() {
         let v = views();
         let address: Address = "2.1.2".parse().unwrap();
-        let leaf = view_for(&v, "2.1.2", 3);
+        let leaf = listing(&view_for(&v, "2.1.2", 3), v.addresses());
         assert_eq!(leaf.len(), 3);
         assert!(leaf.iter().all(|t| t.subgroup.len() == 3));
         assert!(leaf.iter().any(|t| v.addresses()[t.id.0] == address));
@@ -341,29 +401,51 @@ mod tests {
             .flat_map(|stack| members(stack).map(move |id| (id, stack)))
             .collect();
         assert_eq!(walked.len(), v.addresses().len());
-        let mut by_id: Vec<Option<Arc<[GossipTarget]>>> = Vec::new();
+        let mut by_id: Vec<Option<Targets>> = Vec::new();
         for (index, (own, stack)) in walked.into_iter().enumerate() {
             assert_eq!(own, ProcessId(index));
             let address = &v.addresses()[index];
             assert_eq!(stack.len(), topology.depth());
             for (at, view) in stack.iter().enumerate() {
                 let prefix = &address.components()[..at];
-                assert!(view.iter().all(|target| target.subgroup.components()[..at] == *prefix));
+                let listed = listing(view, v.addresses());
+                assert!(listed.iter().all(|target| target.subgroup.components()[..at] == *prefix));
                 let id = view.id() as usize;
                 by_id.resize(by_id.len().max(id + 1), None);
-                let shared = by_id[id].get_or_insert_with(|| Arc::clone(&view.targets));
-                assert!(Arc::ptr_eq(shared, &view.targets), "view {id} is allocated twice");
+                match (by_id[id].get_or_insert_with(|| view.targets.clone()), &view.targets) {
+                    (Targets::Listed(shared), Targets::Listed(targets)) => {
+                        assert!(Arc::ptr_eq(shared, targets), "view {id} is allocated twice");
+                    }
+                    (shared, targets) => assert_eq!(shared, targets, "view {id}"),
+                }
                 assert!(
-                    view.windows(2).all(|pair| pair[0].id < pair[1].id),
+                    listed.windows(2).all(|pair| pair[0].id < pair[1].id),
                     "depth {} view of {address} is not strictly ascending",
                     at + 1
                 );
                 assert_eq!(
                     view.own_position(own),
-                    view.iter().position(|target| target.id == own),
+                    listed.iter().position(|target| target.id == own),
                     "depth {} view of {address}",
                     at + 1
                 );
+                // `allowed` asks what the run fold over the listing asks, in
+                // the same order, and keeps the same positions — over every
+                // position and over every other one.
+                for step in [1, 2] {
+                    let (mut asked, mut expected) = (Vec::new(), Vec::new());
+                    let allows = |asks: &mut Vec<Prefix>, subgroup: &Prefix| {
+                        asks.push(subgroup.clone());
+                        subgroup.components().iter().sum::<u32>() % 3 != 1
+                    };
+                    let positions = || (0..view.len()).step_by(step);
+                    let ask = |subgroup: &Prefix| allows(&mut asked, subgroup);
+                    let kept: Vec<usize> = view.allowed(v.addresses(), positions(), ask).collect();
+                    let subgroups = positions().map(|at| (at, &listed[at].subgroup));
+                    let ask = |subgroup: &Prefix| allows(&mut expected, subgroup);
+                    let reference: Vec<usize> = allowed_runs(subgroups, ask).collect();
+                    assert_eq!((kept, asked), (reference, expected), "view {id}, step {step}");
+                }
             }
         }
         assert!(by_id.iter().all(Option::is_some), "view ids are dense");
@@ -497,7 +579,61 @@ mod tests {
         let v = views();
         let a = view_for(&v, "0.1.2", 2);
         let b = view_for(&v, "0.2.0", 2);
-        assert!(Arc::ptr_eq(&a.targets, &b.targets), "siblings share the same view allocation");
+        let (Targets::Listed(a_targets), Targets::Listed(b_targets)) = (&a.targets, &b.targets)
+        else {
+            panic!("an inner view lists its targets");
+        };
+        assert!(Arc::ptr_eq(a_targets, b_targets), "siblings share the same view allocation");
         assert_eq!(a.id(), b.id());
+    }
+
+    /// Every leaf view of `topology`'s views holds what the listing that
+    /// leaf views were before they became id ranges held: the leaf
+    /// subgroup's members in address order, each its own address as its
+    /// subgroup, numbered after every inner view — and a member's own
+    /// position is where it sits in that listing.
+    fn assert_leaf_views_are_the_old_listing<T: TreeTopology>(topology: &T) {
+        let views = SharedViews::build(topology, 2);
+        let members = topology.members();
+        let leaf_of = |address: &Address| address.components()[..topology.depth() - 1].to_vec();
+        let inner_views: usize = (0..topology.depth() - 1)
+            .map(|len| {
+                let mut prefixes: Vec<&[u32]> =
+                    members.iter().map(|address| &address.components()[..len]).collect();
+                prefixes.dedup();
+                prefixes.len()
+            })
+            .sum();
+        let mut old: Vec<Vec<GossipTarget>> = Vec::new();
+        for (index, address) in members.iter().enumerate() {
+            if index == 0 || leaf_of(address) != leaf_of(&members[index - 1]) {
+                old.push(Vec::new());
+            }
+            let target = GossipTarget { id: ProcessId(index), subgroup: address.as_prefix() };
+            old.last_mut().unwrap().push(target);
+        }
+        assert_eq!(views.stacks().len(), old.len());
+        for (k, (stack, listed)) in views.stacks().iter().zip(&old).enumerate() {
+            let leaf = stack.last().unwrap();
+            assert_eq!(leaf.id() as usize, inner_views + k, "leaf view {k}");
+            assert_eq!(listing(leaf, views.addresses()), *listed, "leaf view {k}");
+            for target in listed {
+                let position = listed.iter().position(|other| other.id == target.id);
+                assert_eq!(leaf.own_position(target.id), position);
+            }
+            let (first, end) = (listed[0].id.0, listed[0].id.0 + listed.len());
+            let outside = [first.wrapping_sub(1), end].map(ProcessId);
+            assert!(outside.iter().all(|&id| leaf.own_position(id).is_none()));
+        }
+    }
+
+    #[test]
+    fn a_leaf_view_is_its_subgroup_s_id_range_and_reads_like_the_old_listing() {
+        assert_leaf_views_are_the_old_listing(&ImplicitRegularTree::new(
+            AddressSpace::regular(3, 4).unwrap(),
+        ));
+        let space = AddressSpace::regular(3, 4).unwrap();
+        let absent: Vec<u128> = (16..32).chain([0, 1, 5, 33, 34, 35, 36, 50, 63]).collect();
+        assert_leaf_views_are_the_old_listing(&joined_but(&space, &absent));
     }
 }

@@ -476,7 +476,7 @@ impl TrialWorkload {
     /// totals honest.
     pub fn report<'a, P: DeliveryOutcome + 'a>(
         &self,
-        processes: impl IntoIterator<Item = &'a P>,
+        processes: impl IntoIterator<Item = &'a P, IntoIter: Clone>,
     ) -> (MulticastReport, Vec<MulticastReport>) {
         self.report_distinct(&EventIndex::of(&self.schedule), processes)
     }
@@ -485,7 +485,7 @@ impl TrialWorkload {
     fn report_distinct<'a, P: DeliveryOutcome + 'a>(
         &self,
         events: &EventIndex,
-        processes: impl IntoIterator<Item = &'a P>,
+        processes: impl IntoIterator<Item = &'a P, IntoIter: Clone>,
     ) -> (MulticastReport, Vec<MulticastReport>) {
         let distinct = events
             .first

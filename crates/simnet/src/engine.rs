@@ -340,9 +340,9 @@ pub struct LifecyclePlan {
 /// declares is the network's to apply, on the network's round, which is
 /// the simulation's during every [`step`](Self::step).
 ///
-/// The round loop is allocation-free after warm-up: the inbox is the buffer
-/// the network filled during the previous round, handed over whole and
-/// handed back empty at the next boundary, a process's sends go straight
+/// The round loop is allocation-free after warm-up, and a round's messages
+/// live in one buffer: the inbox, handed over whole at the boundary, goes
+/// back drained as the round's send buffer.  A process's sends go straight
 /// into the network's buffer, and the crash schedule drains through a
 /// [`VecDeque`] cursor instead of repeatedly shifting a vector.
 ///
@@ -378,7 +378,7 @@ pub struct Simulation<P: RoundProcess> {
     received: Vec<u64>,
     /// Who was handed a message of which receipt key, ever.
     screen: ReceiptScreen,
-    /// Reused across rounds: messages delivered at the current boundary.
+    /// Messages delivered at the current boundary (between steps, a spare).
     inbox: Vec<Envelope<P::Message>>,
     /// Reused across processes and rounds: the fanout buffers lent to the
     /// process being driven.
@@ -611,7 +611,7 @@ impl<P: RoundProcess> Simulation<P> {
     }
 
     /// Iterates over all protocol states.
-    pub fn processes(&self) -> impl Iterator<Item = &P> {
+    pub fn processes(&self) -> impl Iterator<Item = &P> + Clone {
         self.processes.iter()
     }
 
@@ -728,6 +728,7 @@ impl<P: RoundProcess> Simulation<P> {
             // Messages emitted while handling are sent from the receiver.
             self.drive(to, &mut scratch, |process, ctx| process.on_message(message, ctx));
         }
+        self.network.collect_sends_into(&mut inbox);
 
         if self.dense {
             for index in 0..self.processes.len() {
@@ -1386,6 +1387,96 @@ mod tests {
             without.run_until_quiescent(50)
         );
         assert_eq!(with_plan.stats(), without.stats());
+    }
+
+    #[test]
+    fn a_round_s_messages_live_in_one_buffer() {
+        // Round 1 is the peak: 99 processes announce to 99 peers each.  A
+        // flood sends from `on_round` only, so the buffer the delivery loop
+        // sends into never grows, and the one that carried the peak is the
+        // only one holding memory.
+        let mut sim = flood_simulation(100, NetworkConfig::reliable(3));
+        sim.run_until_quiescent(10);
+        assert_eq!(sim.stats().messages_sent, 99 + 99 * 99);
+        assert_eq!(sim.inbox.capacity(), 0, "the delivery loop's send buffer grew");
+        let held = sim.inbox.capacity() + sim.network.in_flight_capacity();
+        assert!(held <= (99usize * 99).next_power_of_two(), "{held} envelopes held");
+    }
+
+    /// Sends one message a round to each of `on_round`, from `on_round`, and
+    /// one to `on_message`, if any, per message it receives; a message is
+    /// `1000 × sender + the round it was sent in`.  Keeps what it receives.
+    struct Relay {
+        on_round: Vec<ProcessId>,
+        on_message: Option<ProcessId>,
+        received: Vec<u64>,
+    }
+
+    impl RoundProcess for Relay {
+        type Message = u64;
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
+            for &to in &self.on_round {
+                ctx.send(to, 1000 * ctx.process.0 as u64 + ctx.round);
+            }
+        }
+
+        fn on_message(&mut self, message: u64, ctx: &mut RoundContext<'_, u64>) {
+            self.received.push(message);
+            if let Some(to) = self.on_message {
+                ctx.send(to, 1000 * ctx.process.0 as u64 + ctx.round);
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_s_sends_arrive_in_emission_order_across_the_handover() {
+        // Process 0 hears from 1, a straggler flushing on even rounds; from
+        // 2, which answers every message 3 sends it from `on_message`; from
+        // 3's `on_round`; and from 4 over the one link that takes an extra
+        // round.  A seed gives the jittered delay that layout.
+        let relays = || {
+            let relay = |on_round: &[usize], on_message: Option<usize>| Relay {
+                on_round: on_round.iter().copied().map(ProcessId).collect(),
+                on_message: on_message.map(ProcessId),
+                received: Vec::new(),
+            };
+            vec![
+                relay(&[], None),
+                relay(&[0], None),
+                relay(&[], Some(0)),
+                relay(&[2, 0], None),
+                relay(&[0], None),
+            ]
+        };
+        let fault_plan = FaultPlan {
+            link_delay: Some(LinkDelay { min_extra: 0, max_extra: 1 }),
+            stragglers: vec![Straggler { process: 1, period: 2 }],
+            ..FaultPlan::default()
+        };
+        let mut sim = (0..)
+            .map(|seed| {
+                let fault_plan = fault_plan.clone();
+                let config = NetworkConfig { fault_plan, ..NetworkConfig::reliable(seed) };
+                Simulation::new(relays(), config)
+            })
+            .find(|sim| {
+                let extra = |from, to| sim.network.link_extra_delay(ProcessId(from), ProcessId(to));
+                let prompt = [(1, 0), (2, 0), (3, 0), (3, 2)];
+                extra(4, 0) == 1 && prompt.iter().all(|&(from, to)| extra(from, to) == 0)
+            })
+            .unwrap();
+        step_rounds(&mut sim, 6);
+        // Each boundary's arrivals: the straggler's flush, the `on_message`
+        // sends, the `on_round` sends in sweep order, then the delayed link.
+        let arrivals: [&[u64]; 5] = [
+            &[3000],
+            &[2001, 3001, 4000],
+            &[1000, 1001, 2002, 1002, 3002, 4001],
+            &[2003, 3003, 4002],
+            &[1003, 2004, 1004, 3004, 4003],
+        ];
+        assert_eq!(sim.process(ProcessId(0)).received, arrivals.concat());
     }
 
     /// Sends `to`, if any, one message a round carrying the round it was

@@ -33,9 +33,9 @@
 //! seeded by the caller, so any run can be replayed bit-for-bit.
 //!
 //! Performance: the round loop is allocation-free at steady state.
-//! [`Simulation::step`] reuses a simulation-owned inbox and sends straight
-//! into the network, [`RoundNetwork::deliver_round_into`] recycles the
-//! in-flight queue's capacity (and a straggler backlog keeps its own),
+//! [`Simulation::step`] sends straight into the network, whose buffer
+//! [`RoundNetwork::deliver_round_into`] hands over as the inbox and takes
+//! back drained (a straggler backlog keeps its own capacity),
 //! scheduled crashes drain through a `VecDeque` cursor, and the fanout
 //! draw's index buffers ([`FanoutScratch`]) are owned by the simulation
 //! next to the inbox and lent to the process being driven

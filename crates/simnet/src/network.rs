@@ -325,7 +325,7 @@ impl<M> RoundNetwork<M> {
     /// span, otherwise `min + mix(salt, from, to) % (span + 1)` — stable
     /// per link for the whole run (links stay FIFO) and reproducible from
     /// the seed via the one salt drawn at construction.
-    fn link_extra_delay(&self, from: ProcessId, to: ProcessId) -> u64 {
+    pub(crate) fn link_extra_delay(&self, from: ProcessId, to: ProcessId) -> u64 {
         let Some(delay) = self.link_delay else {
             return 0;
         };
@@ -352,13 +352,13 @@ impl<M> RoundNetwork<M> {
 
     /// Closes the current round and opens the next: clears `delivered` and
     /// **hands it this round's buffer** — the two vectors trade places, so
-    /// no envelope is copied, the emptied buffer the caller brought
-    /// collects the next round's sends, and both keep their capacity across
-    /// rounds.  What was addressed to a process that went down after the
-    /// send is dropped from the buffer in place, a pass made only while
-    /// somebody is down.  Then every straggler whose flush round this opens
-    /// sends its backlog, in declaration order and each in emission order,
-    /// ahead of the new round's fresh sends.
+    /// no envelope is copied; the caller's emptied buffer collects the sends
+    /// until the drained one comes back ([`collect_sends_into`](Self::collect_sends_into)).
+    /// What was addressed to a process that went down after the send is
+    /// dropped from the buffer in place, a pass made only while somebody is
+    /// down.  Then every straggler whose flush round this opens sends its
+    /// backlog, in declaration order and each in emission order, ahead of the
+    /// new round's fresh sends.
     pub fn deliver_round_into(&mut self, delivered: &mut Vec<Envelope<M>>) {
         self.round += 1;
         delivered.clear();
@@ -386,6 +386,19 @@ impl<M> RoundNetwork<M> {
             // The emptied backlog keeps its capacity for the next batch.
             self.stragglers[index].parked = parked;
         }
+    }
+
+    /// Makes `drained` — the buffer [`deliver_round_into`](Self::deliver_round_into)
+    /// handed over, now empty — the round's send buffer: what was sent so far
+    /// moves to its front, and `drained` gets the buffer that held it, empty.
+    pub(crate) fn collect_sends_into(&mut self, drained: &mut Vec<Envelope<M>>) {
+        drained.append(&mut self.in_flight);
+        std::mem::swap(&mut self.in_flight, drained);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn in_flight_capacity(&self) -> usize {
+        self.in_flight.capacity()
     }
 
     /// Books `arriving` — messages reaching this boundary — as delivered,
