@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::components::Components;
 use crate::{AddrError, Component, Depth, Prefix};
 
@@ -33,7 +31,7 @@ use crate::{AddrError, Component, Depth, Prefix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Address {
     components: Components,
 }
@@ -245,22 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let a = addr("128.178.73.3");
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Address = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
-    }
-
-    #[test]
-    fn serde_shape_is_an_object_with_a_components_array() {
-        let json = serde_json::to_string(&addr("128.178.73.3")).unwrap();
-        assert_eq!(json, r#"{"components":[128,178,73,3]}"#);
-        let prefix = serde_json::to_string(&addr("1.2.3").prefix_of_depth(3)).unwrap();
-        assert_eq!(prefix, r#"{"components":[1,2]}"#);
-    }
-
-    #[test]
     fn addresses_deeper_than_the_inline_capacity_behave_alike() {
         let deep = addr("1.2.3.4.5.6.7.8.9.10");
         assert_eq!(deep.depth(), 10);
@@ -269,8 +251,6 @@ mod tests {
         assert_eq!(deep.prefix_of_depth(10).child(10), deep.as_prefix());
         assert!(deep.has_prefix(&deep.prefix_of_depth(9)));
         assert!(addr("1.2.3.4.5.6.7.8.9.9") < deep && deep < addr("1.2.3.4.5.6.7.9"));
-        let json = serde_json::to_string(&deep).unwrap();
-        assert_eq!(serde_json::from_str::<Address>(&json).unwrap(), deep);
         assert_eq!(deep.clone(), Address::new(deep.components().to_vec()));
     }
 

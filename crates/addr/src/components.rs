@@ -2,8 +2,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize, Value};
-
 use crate::Component;
 
 /// Number of components stored inline; deeper sequences spill to the heap,
@@ -19,9 +17,9 @@ pub(crate) const INLINE_LEVELS: usize = 7;
 ///
 /// The representation is canonical — at most [`INLINE_LEVELS`] components
 /// are always inline with the unused tail zeroed, more are always on the
-/// heap — so two equal sequences are also structurally equal.  Ordering,
-/// hashing and the serde shape are those of the component slice, exactly as
-/// when the sequence was a `Vec<Component>`.
+/// heap — so two equal sequences are also structurally equal.  Ordering
+/// and hashing are those of the component slice, exactly as when the
+/// sequence was a `Vec<Component>`.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) enum Components {
     Inline {
@@ -143,18 +141,6 @@ impl fmt::Display for Components {
     }
 }
 
-impl Serialize for Components {
-    fn to_value(&self) -> Value {
-        Value::Array(self.as_slice().iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for Components {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Vec::<Component>::from_value(value).map(Self::from_vec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,16 +194,5 @@ mod tests {
             }
             assert_eq!(hash_of(&Components::from_slice(a)), hash_of(a));
         }
-    }
-
-    #[test]
-    fn serde_shape_is_a_plain_array() {
-        let inline = Components::from_slice(&[4, 5, 6]);
-        assert_eq!(
-            inline.to_value(),
-            Value::Array(vec![Value::UInt(4), Value::UInt(5), Value::UInt(6)])
-        );
-        let deep = Components::from_slice(&(0..12).collect::<Vec<_>>());
-        assert_eq!(Components::from_value(&deep.to_value()).unwrap(), deep);
     }
 }

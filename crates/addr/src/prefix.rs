@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::components::Components;
 use crate::{AddrError, Address, Component};
 
@@ -29,7 +27,7 @@ use crate::{AddrError, Address, Component};
 /// assert!(host.has_prefix(&subnet));
 /// assert_eq!(subnet.child(73), Prefix::from_components(vec![128, 178, 73]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     components: Components,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{AddrError, Address, Component, Depth, Prefix};
 
 /// The shape of the address space: depth `d` and per-level arities `aᵢ`.
@@ -30,7 +28,7 @@ use crate::{AddrError, Address, Component, Depth, Prefix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AddressSpace {
     arities: Vec<Component>,
 }

@@ -17,8 +17,6 @@
 //! the simulator's deterministic schedules spread departures evenly over the
 //! index space, so the identity-free expectation is the right abstraction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::markov::pair_infection_probability;
 use crate::EnvParams;
 
@@ -29,7 +27,7 @@ use crate::EnvParams;
 /// [`ChurnProfile::none`] is the static environment; every model consuming a
 /// profile must reduce **bit-for-bit** to its static counterpart in that
 /// case (asserted by `crates/analysis/tests/prop_analysis.rs`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChurnProfile {
     /// `(round offset after publish, fraction of the initial population
     /// departing at that offset)`.  Offsets at or before the publish are

@@ -29,8 +29,6 @@
 //! floating-point adjustment, so `predict` with `ChurnProfile::none()`
 //! returns exactly what the underlying static model returns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::churn::{delivery_cdf, ChurnProfile};
 use crate::tree::{infected_fraction, DepthPhase, TreeModel};
 use crate::{views, EnvParams, GroupParams};
@@ -39,7 +37,7 @@ use crate::{views, EnvParams, GroupParams};
 ///
 /// Mirrors the simulator's `MembershipSpec` (global tables, bounded partial
 /// views, capped delegate tables) at the level of detail the analysis needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProviderShape {
     /// Full per-branch delegate tables: the paper's baseline assumption.
     Global,
@@ -57,7 +55,7 @@ pub enum ProviderShape {
 }
 
 /// A [`TreeModel`] generalized over provider shape and churn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecentralizedModel {
     /// Tree geometry and protocol fanout/redundancy.
     pub group: GroupParams,
@@ -73,7 +71,7 @@ pub struct DecentralizedModel {
 }
 
 /// Prediction produced by [`DecentralizedModel::predict`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecentralizedReport {
     /// Predicted reliability degree over the *initial* interested
     /// population (departed processes count as undelivered, matching the

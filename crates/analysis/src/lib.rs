@@ -58,7 +58,7 @@ use serde::{Deserialize, Serialize};
 
 /// The shape of a regular pmcast group: `n = a^d` processes, `R` delegates
 /// per subgroup, fanout `F`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupParams {
     /// Number of subgroups per level (`a`).
     pub arity: u32,

@@ -32,14 +32,12 @@
 //!   discretization cliffs that would otherwise break monotonicity in the
 //!   matching rate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::markov::InfectionChain;
 use crate::pittel;
 use crate::{EnvParams, GroupParams};
 
 /// The analytical model of event propagation in a regular pmcast tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeModel {
     group: GroupParams,
     env: EnvParams,
@@ -47,7 +45,7 @@ pub struct TreeModel {
 
 /// The outcome of the analytical reliability computation for one matching
 /// rate (one point of the paper's Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityReport {
     /// The matching rate `p_d` the report was computed for.
     pub matching_rate: f64,
@@ -446,18 +444,5 @@ mod tests {
                 report.reliability_degree
             );
         }
-    }
-
-    #[test]
-    fn report_serialisation_round_trips() {
-        let report = figure4_model().reliability(0.4);
-        let json = serde_json::to_string(&report).unwrap();
-        let back: ReliabilityReport = serde_json::from_str(&json).unwrap();
-        // JSON may round the least significant float bits; compare with a
-        // tolerance rather than bit-for-bit.
-        assert_eq!(report.rounds_per_depth, back.rounds_per_depth);
-        assert_eq!(report.total_rounds, back.total_rounds);
-        assert!((report.reliability_degree - back.reliability_degree).abs() < 1e-9);
-        assert!((report.expected_infected_processes - back.expected_infected_processes).abs() < 1e-6);
     }
 }

@@ -6,10 +6,8 @@
 //! entries a flat membership (as used by classic gossip broadcast
 //! algorithms) requires.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-process view-size figures for one tree configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewSizeReport {
     /// Subgroups per level (`a`).
     pub arity: u32,
@@ -90,13 +88,5 @@ mod tests {
         assert_eq!(deep.group_size, 10_000);
         assert!(shallow.tree_view_size < flat.tree_view_size);
         assert!(deep.tree_view_size < shallow.tree_view_size);
-    }
-
-    #[test]
-    fn report_serde_round_trip() {
-        let report = view_size_report(22, 3, 4);
-        let json = serde_json::to_string(&report).unwrap();
-        let back: ViewSizeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
     }
 }

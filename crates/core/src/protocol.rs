@@ -390,7 +390,7 @@ impl GroupContext {
     /// asked once for the whole view, named by its id (so the provider may
     /// remember per id a view every holder knows whole, and then not read
     /// the targets again).  A flat partial view answers with the
-    /// discovered subset (`knows_at_depth` falls back to `knows`), the
+    /// discovered subset (its flat view, at every depth), the
     /// hierarchical `DelegateView` straight from the depth-`depth` delegate
     /// slots, so pmcast's tree delegates are exactly the processes the
     /// maintained hierarchy seats.
@@ -1458,8 +1458,8 @@ mod tests {
         fn peer_at(&self, of: usize, k: usize) -> usize {
             self.view.peer_at(of, k)
         }
-        fn knows(&self, of: usize, peer: usize) -> bool {
-            self.view.knows(of, peer)
+        fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
+            self.view.knows_at_depth(of, depth, peer)
         }
         fn fill_known_or_whole(
             &self,
@@ -1549,7 +1549,7 @@ mod tests {
         fn peer_at(&self, of: usize, k: usize) -> usize {
             k + usize::from(k >= of)
         }
-        fn knows(&self, of: usize, peer: usize) -> bool {
+        fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
             of != peer
         }
         fn summary_allows(&self, subgroup: &Prefix, _event: &Event) -> bool {

@@ -1,5 +1,4 @@
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use pmcast_addr::Address;
 use pmcast_interest::{Event, EventId};
@@ -34,7 +33,7 @@ impl<P: MulticastProtocol> DeliveryOutcome for P {
 
 /// Aggregated outcome of one multicast over a whole group: the quantities of
 /// the paper's Figures 4 and 5 plus the raw counts they derive from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MulticastReport {
     /// Processes interested in the event.
     pub interested: usize,
@@ -252,19 +251,5 @@ mod tests {
         assert_eq!(a.delivered_interested, 19);
         assert!((a.delivery_ratio() - 0.95).abs() < 1e-12);
         assert!((a.spurious_ratio() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let report = MulticastReport {
-            interested: 3,
-            delivered_interested: 2,
-            uninterested: 1,
-            received_uninterested: 0,
-            received_total: 2,
-        };
-        let json = serde_json::to_string(&report).unwrap();
-        let back: MulticastReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
     }
 }

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Event, Interest, Predicate};
 
 /// A conjunctive subscription: one [`Predicate`] per constrained attribute.
@@ -30,7 +28,7 @@ use crate::{Event, Interest, Predicate};
 /// assert!(filter.matches(&matching));
 /// assert!(!filter.matches(&too_cold));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Filter {
     criteria: BTreeMap<String, Predicate>,
 }
@@ -271,13 +269,5 @@ mod tests {
         let filter = Filter::new().with("urgent", Predicate::Eq(AttributeValue::Bool(true)));
         assert!(filter.matches(&Event::builder(1).attribute("urgent", true).build()));
         assert!(!filter.matches(&Event::builder(2).attribute("urgent", false).build()));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let filter = figure2_filter();
-        let json = serde_json::to_string(&filter).unwrap();
-        let back: Filter = serde_json::from_str(&json).unwrap();
-        assert_eq!(filter, back);
     }
 }

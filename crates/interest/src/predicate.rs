@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::AttributeValue;
 
 /// A half-open, closed or unbounded numeric interval used by comparison
 /// predicates such as `c > 40.0` or `10.0 < c < 220.0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumericRange {
     min: Option<f64>,
     min_inclusive: bool,
@@ -154,7 +152,7 @@ impl fmt::Display for NumericRange {
 /// assert!(names.evaluate(&AttributeValue::Str("Tom".into())));
 /// assert!(!names.evaluate(&AttributeValue::Str("Eve".into())));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum Predicate {
@@ -479,13 +477,5 @@ mod tests {
         assert!(Predicate::gt(0.0).to_string().contains("(0"));
         assert!(Predicate::one_of(["Bob", "Tom"]).to_string().contains("Bob"));
         assert!(Predicate::Ne(int(3)).to_string().contains('3'));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = Predicate::open_range(10.0, 220.0);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Predicate = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

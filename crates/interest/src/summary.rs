@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Event, Filter, Interest};
 
 /// Default bound on the number of disjuncts kept by a summary before
@@ -43,7 +41,7 @@ const DEFAULT_MAX_DISJUNCTS: usize = 8;
 ///     assert!(summary.matches(&Event::builder(1).int("b", b).build()));
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterestSummary {
     disjuncts: Vec<Filter>,
     max_disjuncts: usize,
@@ -341,16 +339,5 @@ mod tests {
         ]);
         let text = summary.to_string();
         assert!(text.contains('∨'));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let summary = InterestSummary::from_filters(vec![
-            Filter::new().with("b", Predicate::eq_int(2)),
-            Filter::new().with("e", Predicate::one_of(["Bob", "Tom"])),
-        ]);
-        let json = serde_json::to_string(&summary).unwrap();
-        let back: InterestSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(summary, back);
     }
 }

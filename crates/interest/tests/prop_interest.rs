@@ -161,12 +161,4 @@ proptest! {
         prop_assert!(InterestSummary::from_filter(Filter::match_all()).matches(&event));
         prop_assert!(!InterestSummary::empty().matches(&event));
     }
-
-    /// Serialization round-trips preserve matching behaviour.
-    #[test]
-    fn filter_serde_preserves_semantics(filter in arb_filter(), event in arb_event()) {
-        let json = serde_json::to_string(&filter).unwrap();
-        let back: Filter = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(filter.matches(&event), back.matches(&event));
-    }
 }

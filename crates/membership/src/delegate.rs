@@ -98,7 +98,7 @@
 //! over the bootstrap occupancy, which is immutable — so nothing is stored
 //! but the liveness flags and a prefix count of them, and the seat test
 //! behind [`knows_at_depth`](MembershipView::knows_at_depth) /
-//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) is `O(1)`
+//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) is `O(1)`
 //! per peer: `peer` is seated iff it is alive and fewer than `capacity`
 //! alive members of its subgroup other than the asking process precede it.
 //! A static trial therefore costs `O(n)` bytes (plus one bit per depth view
@@ -106,8 +106,8 @@
 //! seek.  The first call that needs a stored row — a
 //! lifecycle observation that actually flips somebody, or the flat
 //! enumeration ([`peer_count`](MembershipView::peer_count) /
-//! [`peer_at`](MembershipView::peer_at) / [`knows`](MembershipView::knows),
-//! the contact and delegate inspection hooks) — builds **all** tables from
+//! [`peer_at`](MembershipView::peer_at), the contact and delegate
+//! inspection hooks) — builds **all** tables from
 //! the still-unflipped flags (the first unsettled round indexes every live
 //! sender's flat view, so there is nothing to gain from building fewer),
 //! and from then on the provider is the stored state machine described
@@ -128,17 +128,17 @@
 //! whenever `slots ≥ R` — is one answer for every live holder: the whole
 //! view but the asker.  When pmcast names the view
 //! ([`fill_known_or_whole`](MembershipView::fill_known_or_whole)), the
-//! provider lists it on the spot under the read lock, as an anonymous ask
-//! does, and judges in the same pass whether every peer lies under the
-//! asker's view prefix and is seated by such an outsider.  If so, it
-//! answers "whole", writes nothing and sets the view id's bit in a bitset
-//! outside the lock, beside the bootstrap occupancy (an absent process
-//! seats nobody), and every later ask by a live holder is answered from
-//! the two bits: no lock, no search, nothing written.  Every bit is cleared
-//! under the write lock before the first row is stored, so a set bit means
-//! nobody has flipped since bootstrap and the bootstrap occupancy is the
-//! liveness.  Debug and test builds hold every whole answer read off a bit
-//! against the judgement on the spot.
+//! provider lists it on the spot under the read lock, peer by peer as the
+//! single probe answers, and judges in the same pass whether every peer
+//! lies under the asker's view prefix and is seated by such an outsider.  If
+//! so, it answers "whole", writes nothing and sets the view id's bit in a
+//! bitset outside the lock, beside the bootstrap occupancy (an absent
+//! process seats nobody), and every later ask by a live holder is answered
+//! from the two bits: no lock, no search, nothing written.  Every bit is
+//! cleared under the write lock before the first row is stored, so a set
+//! bit means nobody has flipped since bootstrap and the bootstrap occupancy
+//! is the liveness.  Debug and test builds hold every whole answer read off
+//! a bit against the judgement on the spot.
 //!
 //! `DelegateView` implements the whole [`MembershipView`] contract: the
 //! flat [`peer_count`](MembershipView::peer_count) /
@@ -149,10 +149,9 @@
 //! pmcast fanout draw asks — resolves in `O(slots)` straight from the slot
 //! group of the queried depth (`O(1)` from the seat rule while no row is
 //! stored), and
-//! [`fill_known_at_depth`](MembershipView::fill_known_at_depth) answers it
-//! for a whole view under one lock, and
-//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) with no
-//! lock at all once the view is judged seated whole.
+//! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) answers it
+//! for a whole view under one lock, or with no lock at all once the view
+//! is judged seated whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -512,8 +511,8 @@ impl DelegateState {
         self.below = Vec::new();
     }
 
-    /// [`MembershipView::fill_known_at_depth`] judged on the spot, one
-    /// division per peer: the peer's sibling component picks the slot
+    /// [`MembershipView::knows_at_depth`] asked of every peer, one division
+    /// per peer: the peer's sibling component picks the slot
     /// group, the group is scanned — or, while no row is stored, the seat
     /// rule answers from the prefix count.  Each known position goes to
     /// `known`, ascending.
@@ -1050,11 +1049,6 @@ impl MembershipView for DelegateView {
         self.rows().flat[of][k] as usize
     }
 
-    fn knows(&self, of: usize, peer: usize) -> bool {
-        let state = self.rows();
-        u32::try_from(peer).is_ok_and(|peer| state.flat[of].contains(&peer))
-    }
-
     /// The batched judgement asked about one peer: one seat rule for both
     /// representations.
     fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
@@ -1066,23 +1060,10 @@ impl MembershipView for DelegateView {
         known
     }
 
-    /// The whole depth under one read lock, judged peer by peer.
-    fn fill_known_at_depth(
-        &self,
-        of: usize,
-        depth: usize,
-        peers: &mut dyn Iterator<Item = usize>,
-        out: &mut Vec<usize>,
-    ) {
-        let state = self.state.read().expect("delegate view lock poisoned");
-        if (1..=state.shape.depth).contains(&depth) {
-            state.fill_known(of, depth, peers, |position| out.push(position));
-        }
-    }
-
     /// No lock for a view a live holder knows whole (the module docs' *one
-    /// answer per depth view*).  Otherwise the view is listed on the spot
-    /// and, while no row is stored, judged whole in the same pass.
+    /// answer per depth view*).  Otherwise the view is listed on the spot,
+    /// under one read lock and peer by peer, and, while no row is stored,
+    /// judged whole in the same pass.
     fn fill_known_or_whole(
         &self,
         of: usize,
@@ -1295,6 +1276,7 @@ impl MembershipView for DelegateView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::tests::lists;
     use std::collections::VecDeque;
 
     /// Number of live processes reachable from `start` over live-to-live
@@ -1341,7 +1323,7 @@ mod tests {
         // Flat view is bounded by (d−1)·a·slots + a (+1 for the contact),
         // far below n would be for larger trees; never includes self.
         assert!(view.peer_count(13) <= config.table_entries(3, 3) + 1);
-        assert!(!view.knows(13, 13));
+        assert!(!lists(&view, 13, 13));
         assert_eq!(view.estimated_size(), 27);
     }
 
@@ -1372,7 +1354,7 @@ mod tests {
     }
 
     #[test]
-    fn knows_at_depth_defaults_to_flat_knows_for_other_providers() {
+    fn flat_providers_answer_their_flat_view_at_every_depth() {
         use crate::provider::{GlobalOracleView, PartialView, PartialViewConfig};
         let global = GlobalOracleView::new(8);
         assert!(global.knows_at_depth(0, 1, 5));
@@ -1382,7 +1364,7 @@ mod tests {
             for depth in 1..=3 {
                 assert_eq!(
                     partial.knows_at_depth(2, depth, peer),
-                    partial.knows(2, peer),
+                    lists(&partial, 2, peer),
                     "flat providers ignore the depth"
                 );
             }
@@ -1496,9 +1478,9 @@ mod tests {
         assert_eq!(view.live_delegates_of(15, 1, 0), vec![0, 1]);
         view.observe_crash(0);
         // Crash detection is monitored: swept at the next membership round.
-        assert!(view.knows(15, 0), "crash is not evicted before the sweep");
+        assert!(lists(&view, 15, 0), "crash is not evicted before the sweep");
         view.round_elapsed();
-        assert!(!view.knows(15, 0), "sweep evicts the crashed delegate everywhere");
+        assert!(!lists(&view, 15, 0), "sweep evicts the crashed delegate everywhere");
         // Re-election promoted an already-known live member of subgroup 0
         // (1 kept its seat; 2 or 3 may join as gossip spreads candidates).
         let seated = view.live_delegates_of(15, 1, 0);
@@ -1536,13 +1518,13 @@ mod tests {
         view.observe_leave(4);
         assert_eq!(view.estimated_size(), 8);
         for p in 0..9 {
-            assert!(!view.knows(p, 4), "unsub evicts everywhere");
+            assert!(!lists(&view, p, 4), "unsub evicts everywhere");
         }
-        assert!(view.knows(3, 5), "ring predecessor re-pins past the leaver");
+        assert!(lists(&view, 3, 5), "ring predecessor re-pins past the leaver");
         view.observe_join(4);
         assert_eq!(view.estimated_size(), 9);
-        assert!(view.knows(4, 5), "joiner knows its ring contact");
-        assert!(view.knows(3, 4), "predecessor re-pins onto the joiner");
+        assert!(lists(&view, 4, 5), "joiner knows its ring contact");
+        assert!(lists(&view, 3, 4), "predecessor re-pins onto the joiner");
         for _ in 0..15 {
             view.round_elapsed();
         }
@@ -1564,8 +1546,8 @@ mod tests {
         view.round_elapsed();
         assert!(view.is_live(4));
         assert_eq!(view.estimated_size(), 9);
-        assert!(view.knows(3, 4), "ring predecessor still pins the rejoined process");
-        assert!(view.knows(4, 5), "joiner still knows its ring contact");
+        assert!(lists(&view, 3, 4), "ring predecessor still pins the rejoined process");
+        assert!(lists(&view, 4, 5), "joiner still knows its ring contact");
     }
 
     #[test]
@@ -1611,7 +1593,7 @@ mod tests {
         // The empty subgroup has no delegates anywhere.
         assert!(view.live_delegates_of(0, 1, 3).is_empty());
         // The ring contact skips the trailing gap: 11's successor wraps to 0.
-        assert!(view.knows(11, 0));
+        assert!(lists(&view, 11, 0));
         // Absent processes hold no knowledge yet.
         assert_eq!(view.peer_count(12), 0);
         // The live overlay is connected from the start.
@@ -1628,8 +1610,8 @@ mod tests {
         assert!(view.live_delegates_of(0, 1, 3).is_empty());
         view.observe_join(12);
         assert_eq!(view.estimated_size(), 13);
-        assert!(view.knows(12, 0), "joiner pins its occupied ring successor");
-        assert!(view.knows(11, 12), "ring predecessor re-pins onto the joiner");
+        assert!(lists(&view, 12, 0), "joiner pins its occupied ring successor");
+        assert!(lists(&view, 11, 12), "ring predecessor re-pins onto the joiner");
         // Gossip seats the newcomer in the (previously empty) slot groups.
         for _ in 0..25 {
             view.round_elapsed();
@@ -1676,7 +1658,7 @@ mod tests {
         }
     }
 
-    /// Every `(of, depth, peer)` answer of the single and the batched probe,
+    /// Every `(of, depth, peer)` answer of the single and the named probe,
     /// depths outside the tree and two strangers past the last member
     /// included — a stranger can share the asker's leading digits, so only
     /// the view block keeps it out of the liveness flags.
@@ -1685,8 +1667,9 @@ mod tests {
         let mut answers = Vec::new();
         for of in 0..n {
             for l in 0..=depth + 1 {
+                // `u32::MAX` names no view, so the answer is the listing.
                 let mut batched = Vec::new();
-                view.fill_known_at_depth(of, l, &mut peers.iter().copied(), &mut batched);
+                view.fill_known_or_whole(of, l, u32::MAX, &mut peers.iter().copied(), &mut batched);
                 for (position, &peer) in peers.iter().enumerate() {
                     let knows = view.knows_at_depth(of, l, peer);
                     assert_eq!(knows, batched.contains(&position), "probes of ({of}, {l}, {peer})");
@@ -1732,17 +1715,14 @@ mod tests {
     /// The named ask of `(of, depth)` about `peers`, a whole answer expanded
     /// to every position but the asker's — in a test build every whole
     /// answer read off a bit is also held against the judgement on the spot
-    /// inside `fill_known_or_whole` — after checking it against the
-    /// anonymous ask and the single probe.
+    /// inside `fill_known_or_whole` — after checking it against the single
+    /// probe.
     fn named_ask(view: &DelegateView, of: usize, depth: usize, id: u32, peers: &[usize]) -> Vec<usize> {
         let mut named = Vec::new();
         if view.fill_known_or_whole(of, depth, id, &mut peers.iter().copied(), &mut named) {
             assert!(named.is_empty(), "a whole answer writes nothing");
             named.extend((0..peers.len()).filter(|&position| peers[position] != of));
         }
-        let mut anonymous = Vec::new();
-        view.fill_known_at_depth(of, depth, &mut peers.iter().copied(), &mut anonymous);
-        assert_eq!(named, anonymous, "view {id} as {of} holds it");
         let single: Vec<usize> = (0..peers.len())
             .filter(|&position| view.knows_at_depth(of, depth, peers[position]))
             .collect();

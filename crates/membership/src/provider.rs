@@ -39,8 +39,10 @@
 //!   k)` must be a pure function of the view state (no interior RNG), so a
 //!   fanout draw of `k` distinct indices in `0..peer_count(of)` maps to `k`
 //!   distinct peers.
-//! * [`knows`](MembershipView::knows) is consistent with the enumeration:
-//!   `knows(of, p)` ⇔ `p == peer_at(of, k)` for some `k`.
+//! * [`knows_at_depth`](MembershipView::knows_at_depth) is the one
+//!   single-peer question: may `of` gossip to `p` in its depth-`depth`
+//!   view?  A flat provider has no per-depth structure and answers the
+//!   enumeration at every depth: `p == peer_at(of, k)` for some `k`.
 //! * **Sampling determinism.** All randomness a provider consumes (view
 //!   exchanges, evictions) flows from the seed it was constructed with —
 //!   for simulation trials, a stream derived from the per-trial seed (see
@@ -64,19 +66,15 @@
 //! * [`estimated_size`](MembershipView::estimated_size) is the provider's
 //!   belief about the number of live processes, used for round-budget
 //!   estimation (Pittel's bound needs `n`, or an estimate of it).
-//! * **Batched probes.**  pmcast asks the membership question for a whole
-//!   candidate list at a time:
+//! * **One ask per depth view.**  pmcast asks
 //!   [`fill_known_or_whole`](MembershipView::fill_known_or_whole) once per
-//!   depth per round, naming the depth view by its dense id — the answer is
-//!   [`fill_known_at_depth`](MembershipView::fill_known_at_depth)'s list, or
-//!   "the whole view but you", written nowhere.  It defaults to asking the
-//!   single probe ([`knows_at_depth`](MembershipView::knows_at_depth)), so
-//!   a provider is correct without overriding it; an override exists to
-//!   take a lock or find shared state once, and must answer exactly as the
-//!   default.  The id is what lets an override remember a whole view;
-//!   whatever it remembers between calls is derived state: it may be
-//!   dropped at any time and must be dropped when what it was computed
-//!   from changes.
+//!   depth per round, naming the view by its dense id: the answer is the
+//!   positions [`knows_at_depth`](MembershipView::knows_at_depth) admits,
+//!   or "the whole view but you", written nowhere.  The default asks the
+//!   single probe per position, so a provider is correct without
+//!   overriding it.  Whatever an override remembers between calls is
+//!   derived state: it may be dropped at any time and must be dropped when
+//!   what it was computed from changes.
 //! * **Summary verdicts** are the caller's to keep.  Under summary routing
 //!   pmcast asks [`summary_allows`](MembershipView::summary_allows) once
 //!   per run of equal subgroups of a depth view, and its group's event
@@ -112,75 +110,39 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
     /// May panic if `k` is out of range.
     fn peer_at(&self, of: usize, k: usize) -> usize;
 
-    /// Returns `true` if `of` currently knows `peer`.
-    fn knows(&self, of: usize, peer: usize) -> bool;
-
     /// Returns `true` if `of` currently knows `peer` as a gossip candidate
-    /// **at tree depth `depth`** (1-based, the paper's per-depth views).
-    ///
-    /// This is the question the pmcast fanout draw asks of every view entry
-    /// — "may I contact this depth-`depth` view entry?" — through
-    /// [`fill_known_at_depth`](Self::fill_known_at_depth).  Flat providers
-    /// ([`GlobalOracleView`], [`PartialView`]) have no per-depth structure
-    /// and fall back to [`knows`](Self::knows); the hierarchical
-    /// [`DelegateView`](crate::DelegateView) answers straight from the slot
-    /// group of that depth in `O(slots)`.
-    fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
-        self.knows(of, peer)
-    }
-
-    /// The batched form of [`knows_at_depth`](Self::knows_at_depth), and what
-    /// the pmcast fanout draw is told once per depth per round unless the
-    /// view is known whole
-    /// ([`fill_known_or_whole`](Self::fill_known_or_whole)): appends to
-    /// `out`, ascending, the position within `peers` of every peer other
-    /// than `of` itself that `of` knows as a depth-`depth` gossip candidate.
-    ///
-    /// The default asks `knows_at_depth` per peer.  Providers that answer
-    /// from shared state override it to take their lock once and reuse what
-    /// consecutive peers have in common (one slot-table row, one subgroup's
-    /// seats); an override must produce exactly the default's output —
-    /// strictly ascending positions included.  pmcast relies on the order:
-    /// under summary routing it folds the listing into a mask and reads the
-    /// pool back off its set bits, lowest first, and that is the listing's
-    /// order only because the listing ascends (a debug build asserts it).
-    fn fill_known_at_depth(
-        &self,
-        of: usize,
-        depth: usize,
-        peers: &mut dyn Iterator<Item = usize>,
-        out: &mut Vec<usize>,
-    ) {
-        out.extend(
-            peers
-                .enumerate()
-                .filter(|&(_, peer)| peer != of && self.knows_at_depth(of, depth, peer))
-                .map(|(position, _)| position),
-        );
-    }
+    /// **at tree depth `depth`** (1-based, the paper's per-depth views): the
+    /// one single-peer question.  Flat providers ([`GlobalOracleView`],
+    /// [`PartialView`]) answer their flat view at every depth; the
+    /// hierarchical [`DelegateView`](crate::DelegateView) answers from the
+    /// slot group of that depth in `O(slots)`.  A peer past the group is
+    /// nobody's peer.
+    fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool;
 
     /// The question the pmcast fanout draw asks once per depth per round:
-    /// [`fill_known_at_depth`](Self::fill_known_at_depth) about the view
-    /// named `view`, unless the provider knows the view **whole** for `of` —
-    /// every position but the asker's own (the one whose peer is `of`, if
-    /// any).  Returns whether it does.  A whole answer appends nothing to
-    /// `out` and need not read `peers`; any other answer appends exactly
-    /// what `fill_known_at_depth` appends, in the same strictly ascending
-    /// order.
+    /// appends to `out`, strictly ascending, the position within `peers` of
+    /// every peer but `of` that [`knows_at_depth`](Self::knows_at_depth)
+    /// admits — unless the provider knows the view named `view` **whole**
+    /// for `of`: every position but the asker's own.  Returns whether it
+    /// does; a whole answer appends nothing and need not read `peers`.
     ///
-    /// `view` is the caller's dense identifier of the depth view it passes
-    /// (a group's `SharedViews` numbers them).  The caller vouches that
-    /// one identifier always comes with the same `depth` and the same peers
-    /// in the same order, only from processes holding that view (they share
-    /// their first `depth − 1` address components), and that the peers are
-    /// processes of the group — all a provider may assume of it.  The name
-    /// never changes whom `of` knows; it lets a provider remember a view
-    /// every holder knows whole and not read `peers` again.  A whole answer
-    /// must be the listing, so a provider gives it only where `of` knows
-    /// every peer but itself.  The default never does; [`GlobalOracleView`]
-    /// always does, and [`DelegateView`](crate::DelegateView) does for a
-    /// view its static group seats whole — judged on the spot, and from
-    /// then on without taking its lock.
+    /// The default asks `knows_at_depth` per peer and never answers whole.
+    /// An override takes its lock once and reuses what consecutive peers
+    /// share (one slot-table row, one subgroup's seats), and must list
+    /// exactly what the default lists.  pmcast relies on the ascending
+    /// order: under summary routing it folds the listing into a mask and
+    /// reads the pool back off its set bits (a debug build asserts it).
+    ///
+    /// `view` is the caller's dense identifier of the depth view (a group's
+    /// `SharedViews` numbers them).  The caller vouches that one identifier
+    /// always comes with the same `depth` and peers in the same order, only
+    /// from processes holding that view (they share their first `depth − 1`
+    /// address components), and that the peers are processes of the group.
+    /// The name never changes whom `of` knows; it lets a provider remember
+    /// a view every holder knows whole, where `of` knows every peer but
+    /// itself.  [`GlobalOracleView`] always answers whole, and
+    /// [`DelegateView`](crate::DelegateView) does for a view its static
+    /// group seats whole — judged on the spot, then read without its lock.
     fn fill_known_or_whole(
         &self,
         of: usize,
@@ -189,7 +151,12 @@ pub trait MembershipView: Send + Sync + std::fmt::Debug {
         peers: &mut dyn Iterator<Item = usize>,
         out: &mut Vec<usize>,
     ) -> bool {
-        self.fill_known_at_depth(of, depth, peers, out);
+        out.extend(
+            peers
+                .enumerate()
+                .filter(|&(_, peer)| peer != of && self.knows_at_depth(of, depth, peer))
+                .map(|(position, _)| position),
+        );
         false
     }
 
@@ -304,7 +271,7 @@ impl MembershipView for GlobalOracleView {
         }
     }
 
-    fn knows(&self, of: usize, peer: usize) -> bool {
+    fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
         peer != of && peer < self.member_count
     }
 
@@ -500,7 +467,7 @@ impl MembershipView for PartialView {
         self.state.read().expect("partial view lock poisoned").views[of][k] as usize
     }
 
-    fn knows(&self, of: usize, peer: usize) -> bool {
+    fn knows_at_depth(&self, of: usize, _depth: usize, peer: usize) -> bool {
         let state = self.state.read().expect("partial view lock poisoned");
         u32::try_from(peer).is_ok_and(|peer| state.views[of].contains(&peer))
     }
@@ -605,9 +572,14 @@ impl MembershipView for PartialView {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::VecDeque;
+
+    /// Whether `of`'s flat view lists `peer`, asked of the enumeration.
+    pub(crate) fn lists(view: &dyn MembershipView, of: usize, peer: usize) -> bool {
+        (0..view.peer_count(of)).any(|k| view.peer_at(of, k) == peer)
+    }
 
     /// Number of *live* processes reachable from `start` over live-to-live
     /// view edges.
@@ -636,9 +608,9 @@ mod tests {
         assert_eq!(view.peer_count(2), 4);
         let peers: Vec<usize> = (0..view.peer_count(2)).map(|k| view.peer_at(2, k)).collect();
         assert_eq!(peers, vec![0, 1, 3, 4]);
-        assert!(view.knows(2, 4));
-        assert!(!view.knows(2, 2));
-        assert!(!view.knows(2, 5));
+        assert!(view.knows_at_depth(2, 1, 4));
+        assert!(!view.knows_at_depth(2, 1, 2));
+        assert!(!view.knows_at_depth(2, 1, 5));
         // Churn notifications and rounds are no-ops.
         view.observe_crash(1);
         view.observe_leave(3);
@@ -660,14 +632,10 @@ mod tests {
             ("delegate", &crate::DelegateView::bootstrap(2, 3, Default::default(), 1)),
         ];
         for (name, view) in providers {
-            assert!(view.knows(0, known), "{name}");
-            for stranger in [n, n + 3, (1 << 32) + known] {
-                assert!(!view.knows(0, stranger), "{name} knows {stranger}");
-                for depth in 1..=3 {
+            for depth in 1..=3 {
+                assert!(view.knows_at_depth(0, depth, known), "{name} at {depth}");
+                for stranger in [n, n + 3, (1 << 32) + known] {
                     assert!(!view.knows_at_depth(0, depth, stranger), "{name} knows {stranger} at {depth}");
-                    let mut known_at_depth = Vec::new();
-                    view.fill_known_at_depth(0, depth, &mut [known, stranger].into_iter(), &mut known_at_depth);
-                    assert_eq!(known_at_depth, vec![0], "{name} lists {stranger} at {depth}");
                 }
             }
         }
@@ -688,8 +656,8 @@ mod tests {
             fn peer_at(&self, of: usize, k: usize) -> usize {
                 self.0.peer_at(of, k)
             }
-            fn knows(&self, of: usize, peer: usize) -> bool {
-                self.0.knows(of, peer)
+            fn knows_at_depth(&self, of: usize, depth: usize, peer: usize) -> bool {
+                self.0.knows_at_depth(of, depth, peer)
             }
             fn summary_allows(&self, subgroup: &Prefix, _event: &Event) -> bool {
                 self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -721,8 +689,8 @@ mod tests {
             for k in 0..view.peer_count(process) {
                 assert_ne!(view.peer_at(process, k), process);
             }
-            assert!(!view.knows(process, process));
-            assert!(view.knows(process, (process + 1) % 40), "ring contact present");
+            assert!(!lists(&view, process, process));
+            assert!(lists(&view, process, (process + 1) % 40), "ring contact present");
         }
         assert_eq!(view.estimated_size(), 40);
     }
@@ -731,7 +699,7 @@ mod tests {
     fn tiny_group_views_hold_everyone_else() {
         let view = PartialView::bootstrap(3, PartialViewConfig::default(), 2);
         assert_eq!(view.peer_count(0), 2);
-        assert!(view.knows(0, 1) && view.knows(0, 2));
+        assert!(lists(&view, 0, 1) && lists(&view, 0, 2));
     }
 
     #[test]
@@ -751,7 +719,7 @@ mod tests {
                 assert_ne!(view.peer_at(process, k), process);
             }
             // The pinned ring contact survives any amount of mixing.
-            assert!(view.knows(process, (process + 1) % 30));
+            assert!(lists(&view, process, (process + 1) % 30));
         }
         assert_eq!(reachable_live(&view, 30, 0), 30, "overlay stays connected");
     }
@@ -779,18 +747,18 @@ mod tests {
         assert_eq!(view.estimated_size(), 19);
         assert!(!view.is_live(4));
         for process in 0..20 {
-            assert!(!view.knows(process, 4), "unsub evicts everywhere");
+            assert!(!lists(&view, process, 4), "unsub evicts everywhere");
         }
-        assert!(view.knows(3, 5), "predecessor re-pins past the leaver");
+        assert!(lists(&view, 3, 5), "predecessor re-pins past the leaver");
 
         view.observe_crash(5);
         assert_eq!(view.estimated_size(), 18);
-        let still_known = (0..20).filter(|&p| view.knows(p, 5)).count();
+        let still_known = (0..20).filter(|&p| lists(&view, p, 5)).count();
         assert!(still_known > 0, "crashed process lingers until detected");
         for _ in 0..60 {
             view.round_elapsed();
         }
-        let after = (0..20).filter(|&p| view.knows(p, 5)).count();
+        let after = (0..20).filter(|&p| lists(&view, p, 5)).count();
         assert_eq!(after, 0, "failure detection eventually evicts the crashed process");
         // The live overlay is whole again after the churn.
         assert_eq!(reachable_live(&view, 20, 0), 18);
@@ -806,8 +774,8 @@ mod tests {
         view.observe_leave(3);
         view.observe_join(3);
         assert_eq!(view.estimated_size(), 10);
-        assert!(view.knows(3, 4), "joiner knows its contact");
-        assert!(view.knows(2, 3), "ring predecessor re-pins onto the joiner");
+        assert!(lists(&view, 3, 4), "joiner knows its contact");
+        assert!(lists(&view, 2, 3), "ring predecessor re-pins onto the joiner");
         // Already-live joins are idempotent.
         view.observe_join(3);
         assert_eq!(view.estimated_size(), 10);
@@ -866,14 +834,14 @@ mod tests {
             }
         }
         // The pinned contact skips the occupancy gap: 2's ring successor is 6.
-        assert!(view.knows(2, 6));
+        assert!(lists(&view, 2, 6));
         // The live overlay is connected from the start.
         assert_eq!(reachable_live(&view, 20, 0), 15);
         // A gap process joining mid-run re-enters through the ring.
         view.observe_join(4);
         assert_eq!(view.estimated_size(), 16);
-        assert!(view.knows(4, 6), "joiner pins its occupied ring successor");
-        assert!(view.knows(2, 4), "ring predecessor re-pins onto the joiner");
+        assert!(lists(&view, 4, 6), "joiner pins its occupied ring successor");
+        assert!(lists(&view, 2, 4), "ring predecessor re-pins onto the joiner");
         // Sparse bootstrap over a fully occupied group is the plain
         // bootstrap, state for state.
         let full = PartialView::bootstrap(9, PartialViewConfig::default(), 3);

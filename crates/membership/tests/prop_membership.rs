@@ -15,9 +15,9 @@
 //!   view is asked for; its certificate only ever covers tables equal to
 //!   the seat rule (the first `capacity` live members of each subgroup),
 //!   and comes back for everybody once the churn stops;
-//! * a depth view asked about *by name* answers exactly as the same list
-//!   asked about anonymously and as the single probe, for every process
-//!   holding it, before and after the tables exist.
+//! * a depth view asked about *by name* answers exactly as the single
+//!   probe, for every process holding it, before and after the tables
+//!   exist.
 
 mod reference;
 
@@ -225,6 +225,7 @@ impl Lockstep {
             );
             prop_assert_eq!(view.estimated_size(), self.reference.estimated_size());
         }
+        // `u32::MAX` names no view, so the named ask lists the whole group.
         let everybody: Vec<usize> = (0..self.n).collect();
         let mut unsettled = 0;
         for of in 0..self.n {
@@ -240,7 +241,9 @@ impl Lockstep {
                     .collect();
                 for view in [&self.view, &self.probed] {
                     let mut batched = Vec::new();
-                    view.fill_known_at_depth(of, depth, &mut everybody.iter().copied(), &mut batched);
+                    let whole =
+                        view.fill_known_or_whole(of, depth, u32::MAX, &mut everybody.iter().copied(), &mut batched);
+                    prop_assert!(!whole, "{} knows an unnamed view whole at depth {}", of, depth);
                     prop_assert_eq!(&batched, &seated, "batched probe of {} at depth {}", of, depth);
                     for peer in 0..self.n {
                         prop_assert_eq!(
@@ -309,27 +312,19 @@ impl NamedView {
     }
 
     /// Every holder asks by name — a whole answer expanded to every position
-    /// but the asker's — and anonymously, in turn; both answers are the
-    /// single probe's.
-    fn check(&self, view: &DelegateView, named_first: bool, after: &str) {
+    /// but the asker's — and the answer is the single probe's.
+    fn check(&self, view: &DelegateView, after: &str) {
         for of in self.holders.clone() {
             let single: Vec<usize> = (0..self.peers.len())
                 .filter(|&position| view.knows_at_depth(of, self.depth, self.peers[position]))
                 .collect();
-            for name in [named_first, !named_first] {
-                let mut batched = Vec::new();
-                let mut peers = self.peers.iter().copied();
-                if !name {
-                    view.fill_known_at_depth(of, self.depth, &mut peers, &mut batched);
-                } else if view.fill_known_or_whole(of, self.depth, self.id, &mut peers, &mut batched) {
-                    prop_assert!(batched.is_empty(), "a whole answer writes nothing");
-                    batched.extend((0..self.peers.len()).filter(|&position| self.peers[position] != of));
-                }
-                prop_assert_eq!(
-                    &batched, &single,
-                    "view {} (named: {}) as {} holds it, after {}", self.id, name, of, after
-                );
+            let mut batched = Vec::new();
+            let mut peers = self.peers.iter().copied();
+            if view.fill_known_or_whole(of, self.depth, self.id, &mut peers, &mut batched) {
+                prop_assert!(batched.is_empty(), "a whole answer writes nothing");
+                batched.extend((0..self.peers.len()).filter(|&position| self.peers[position] != of));
             }
+            prop_assert_eq!(&batched, &single, "view {} as {} holds it, after {}", self.id, of, after);
         }
     }
 }
@@ -376,15 +371,15 @@ proptest! {
 
     /// Naming a depth view never changes the answer: over a random sparse
     /// occupancy, two views' ids asked about alternately — by every process
-    /// holding them, named and anonymous asks interleaved — agree with the
-    /// single probe while no table is stored (where a view seated whole is
-    /// answered whole) and after every step of a random lifecycle history
-    /// (where the first flip forgets every whole view).
+    /// holding them — agree with the single probe while no table is stored
+    /// (where a view seated whole is answered whole) and after every step of
+    /// a random lifecycle history (where the first flip forgets every whole
+    /// view).
     #[test]
-    fn named_depth_views_answer_as_anonymous_ones(
+    fn named_depth_views_answer_as_the_single_probe(
         mut history in arb_history(),
         thinned in prop::collection::vec(0u8..4, 27),
-        asks in prop::collection::vec((0usize..27, 0usize..4, any::<bool>()), 2),
+        asks in prop::collection::vec((0usize..27, 0usize..4), 2),
         listed in 1usize..5,
     ) {
         for (occupied, &thin) in history.occupied.iter_mut().zip(&thinned) {
@@ -392,17 +387,15 @@ proptest! {
         }
         let History { arity, depth, config, seed, ref occupied, ref steps } = history;
         let view = DelegateView::bootstrap_sparse(arity, depth, config, seed, occupied);
-        let views: Vec<(NamedView, bool)> = asks
+        let views: Vec<NamedView> = asks
             .iter()
-            .map(|&(of, level, named_first)| {
-                (NamedView::of(&history, of % occupied.len(), 1 + level % depth, listed), named_first)
-            })
+            .map(|&(of, level)| NamedView::of(&history, of % occupied.len(), 1 + level % depth, listed))
             .collect();
         let check = |after: &str| {
             // Twice: the first pass judges a view, the second may read its bit.
             for _ in 0..2 {
-                for (named, named_first) in &views {
-                    named.check(&view, *named_first, after);
+                for named in &views {
+                    named.check(&view, after);
                 }
             }
         };

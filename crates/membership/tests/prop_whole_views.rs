@@ -7,9 +7,9 @@
 //!   depth views (one shape's root view is 131 wide), every holder of every
 //!   view asks; a [`DelegateView`] answers a live holder whole exactly when
 //!   a holder outside each peer's subgroup seats it — whether or not the
-//!   view was asked about before — and then the anonymous ask, the
-//!   judgement on the spot, lists every peer but the asker.  Any other
-//!   answer is the anonymous ask's list.
+//!   view was asked about before — and then the single probe, the
+//!   judgement on the spot, admits every peer but the asker.  Any other
+//!   answer is the single probe's list.
 //! * After a random join/leave/crash/round history no answer is whole
 //!   unless it still is on the spot: the first flip forgets every whole
 //!   view.
@@ -157,11 +157,11 @@ fn all_but(of: usize, peers: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// The anonymous ask: the judgement on the spot.
+/// The single probe asked of every position: the judgement on the spot.
 fn on_the_spot(view: &dyn MembershipView, of: usize, named: &NamedView) -> Vec<usize> {
-    let mut listed = Vec::new();
-    view.fill_known_at_depth(of, named.depth, &mut named.peers.iter().copied(), &mut listed);
-    listed
+    (0..named.peers.len())
+        .filter(|&position| view.knows_at_depth(of, named.depth, named.peers[position]))
+        .collect()
 }
 
 /// `of`'s answer about `named`, and what it wrote.

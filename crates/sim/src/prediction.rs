@@ -34,7 +34,6 @@
 use pmcast_analysis::churn::ChurnProfile;
 use pmcast_analysis::decentralized::{DecentralizedModel, DecentralizedReport, ProviderShape};
 use pmcast_analysis::{EnvParams, GroupParams};
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::{MembershipSpec, Scenario};
 
@@ -43,7 +42,7 @@ use crate::scenario::{MembershipSpec, Scenario};
 pub const PARTIAL_VIEW_DOMAIN_FLOOR: usize = 10_000;
 
 /// The analytical prediction for one scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelPrediction {
     /// Predicted reliability degree (delivered fraction of the initially
     /// interested population).

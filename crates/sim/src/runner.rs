@@ -177,7 +177,7 @@ pub enum Protocol {
 /// every protocol from the deliveries the engine reports each round (see
 /// *Delivery recording* in the [module docs](self)) — tracking changes no
 /// random stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryLatency {
     /// The event this histogram describes.
     pub event: EventId,
@@ -250,7 +250,7 @@ impl DeliveryLatency {
 }
 
 /// Outcome of one multicast trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutcome {
     /// Delivery/reception classification over all published events (the
     /// per-event reports merged; identical to the single report for the
@@ -270,7 +270,7 @@ pub struct TrialOutcome {
 }
 
 /// Aggregated outcome of several trials of the same scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateOutcome {
     /// Number of trials aggregated.
     pub trials: usize,
@@ -835,6 +835,20 @@ fn run_workload<F: ProtocolFactory>(
         "{} publication(s) scheduled at or beyond max_rounds = {} were never injected",
         injection_order.len() - injected,
         scenario.max_rounds
+    );
+
+    // Every message sent was delivered, dropped for a counted cause, or is
+    // still in flight (`max_rounds` may cut a trial short).
+    let stats = sim.stats();
+    debug_assert_eq!(
+        stats.messages_sent,
+        stats.messages_delivered
+            + stats.messages_lost
+            + stats.messages_to_crashed
+            + stats.messages_from_crashed
+            + stats.messages_partitioned
+            + sim.messages_in_flight(),
+        "a message went unaccounted for: {stats:?}"
     );
 
     // The histograms and the per-event reports follow the same index, so

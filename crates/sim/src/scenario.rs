@@ -1091,10 +1091,27 @@ mod tests {
             .build();
     }
 
+    /// Every type a scenario holds round-trips: the protocol's tuning and
+    /// routing, a delegate membership, each publisher arm, every attribute
+    /// kind, the crash, join and leave schedules, the four fault axes and,
+    /// in a scenario of its own, a topic workload; then each protocol arm.
     #[test]
     fn serde_round_trip() {
+        let event = Event::builder(4)
+            .int("b", 2)
+            .float("price", 9.5)
+            .str("kind", "alert")
+            .attribute("urgent", true)
+            .build();
+        let routing = pmcast_core::InterestRouting::Summary;
+        let protocol = PmcastConfig::default().with_tuning(7).with_interest_routing(routing);
         let scenario = Scenario::builder()
-            .publish(Publisher::Interested, Event::builder(4).int("b", 2).build())
+            .protocol(protocol)
+            .membership(MembershipSpec::delegate(3))
+            .publish(Publisher::Interested, event)
+            .publish_at(1, Publisher::Uniform, Event::builder(5).build())
+            .publish_at(2, Publisher::Process(3), Event::builder(6).build())
+            .crash_at(4, 5)
             .join_at(3, 7)
             .leave_at(5, 2)
             .link_delay(1, 2)
@@ -1102,8 +1119,18 @@ mod tests {
             .subtree_loss(&[1], 0.2)
             .straggler(3, 2)
             .build();
-        let json = serde_json::to_string(&scenario).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(scenario, back);
+        let topics = Scenario::builder()
+            .membership(MembershipSpec::partial(6))
+            .topics(TopicWorkload::new(4, 1, 10).with_publish_rounds(3))
+            .build();
+        for scenario in [scenario, topics] {
+            let json = serde_json::to_string(&scenario).unwrap();
+            let back: Scenario = serde_json::from_str(&json).unwrap();
+            assert_eq!(scenario, back);
+        }
+        for protocol in [Protocol::Pmcast, Protocol::FloodBroadcast, Protocol::GenuineMulticast] {
+            let json = serde_json::to_string(&protocol).unwrap();
+            assert_eq!(serde_json::from_str::<Protocol>(&json).unwrap(), protocol);
+        }
     }
 }

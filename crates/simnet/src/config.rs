@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::FaultPlan;
 
 /// Failure injection plan: which processes crash, and when.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum CrashPlan {
@@ -30,7 +28,7 @@ pub enum CrashPlan {
 
 
 /// Configuration of the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Probability `ε` that any message is lost in transit.
     pub loss_probability: f64,
@@ -133,14 +131,6 @@ mod tests {
         assert_eq!(chained.seed, 9);
         assert_eq!(chained.crash_plan, CrashPlan::None);
         assert_eq!(CrashPlan::default(), CrashPlan::None);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let config = faulty(0.1, 0.02, 11);
-        let json = serde_json::to_string(&config).unwrap();
-        let back: NetworkConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
     }
 
     #[test]

@@ -656,6 +656,15 @@ impl<P: RoundProcess> Simulation<P> {
         self.network.stats()
     }
 
+    /// Messages sent but not yet delivered or dropped: those the next
+    /// [`step`](Self::step) hands over and those still in the link-delay
+    /// wheel.  A straggler's parked send is not counted as sent yet.  So
+    /// between steps, [`TrafficStats::messages_sent`] is this plus the
+    /// delivered, lost, to-crashed, from-crashed and partitioned counts.
+    pub fn messages_in_flight(&self) -> u64 {
+        self.network.messages_in_flight()
+    }
+
     /// Returns `true` if the given process is down — crashed, gracefully
     /// departed, or not yet joined.
     pub fn is_crashed(&self, id: ProcessId) -> bool {

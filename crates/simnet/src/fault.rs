@@ -107,7 +107,7 @@ impl PartitionWindow {
 /// `ε`: a message keeps flowing with probability
 /// `(1 − ε) · Π (1 − override_i)` over the matching overrides.
 /// A probability of `0` declares the override inactive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LossOverride {
     /// First process index covered (inclusive).
     pub start: usize,
@@ -156,7 +156,7 @@ impl Straggler {
 /// each independently declarable (see the module docs for the model and
 /// the stream-neutrality rule).  [`Default`] is the empty plan — no axis
 /// declared — which is exactly the paper's uniform `ε`/`τ` model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Per-link extra latency, if declared.
     pub link_delay: Option<LinkDelay>,
@@ -420,18 +420,5 @@ pub(crate) mod tests {
         let b = splitmix64(salt ^ splitmix64(2 ^ splitmix64(1)));
         assert_ne!(a, b, "link delay must be directional");
         assert_eq!(a, splitmix64(salt ^ splitmix64(1 ^ splitmix64(2))));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let plan = FaultPlan {
-            link_delay: Some(LinkDelay { min_extra: 1, max_extra: 3 }),
-            partitions: vec![PartitionWindow { from_round: 2, until_round: 6, cells: 4 }],
-            loss_overrides: vec![LossOverride { start: 0, end: 16, loss_probability: 0.25 }],
-            stragglers: vec![Straggler { process: 7, period: 4 }],
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 }

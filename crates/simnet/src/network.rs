@@ -3,7 +3,6 @@ use std::fmt;
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::splitmix64;
 use crate::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, TrafficStats};
@@ -11,9 +10,7 @@ use crate::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, TrafficStats};
 /// Dense identifier of a simulated process (an index into the simulation's
 /// process table).  The mapping to a pmcast `Address` is kept
 /// by the layer above.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub usize);
 
 impl fmt::Display for ProcessId {
@@ -353,7 +350,7 @@ impl<M> RoundNetwork<M> {
     /// Closes the current round and opens the next: clears `delivered` and
     /// **hands it this round's buffer** — the two vectors trade places, so
     /// no envelope is copied; the caller's emptied buffer collects the sends
-    /// until the drained one comes back ([`collect_sends_into`](Self::collect_sends_into)).
+    /// until the drained one comes back (`collect_sends_into`).
     /// What was addressed to a process that went down after the send is
     /// dropped from the buffer in place, a pass made only while somebody is
     /// down.  Then every straggler whose flush round this opens sends its
@@ -412,6 +409,13 @@ impl<M> RoundNetwork<M> {
             self.stats.messages_to_crashed += (before - arriving.len()) as u64;
         }
         self.stats.messages_delivered += arriving.len() as u64;
+    }
+
+    /// Messages sent but not yet delivered or dropped: the round buffer
+    /// plus the link-delay wheel.  A straggler's parked send is not counted
+    /// as sent yet, so it is not in flight either.
+    pub(crate) fn messages_in_flight(&self) -> u64 {
+        (self.in_flight.len() + self.delayed_count) as u64
     }
 
     /// Returns `true` if no messages are currently in flight (including

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Traffic accounting of a simulated run.
 ///
 /// The evaluation uses these counters to compare the network cost of pmcast
 /// against flooding-style broadcast baselines (every gossip message is one
 /// unit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Messages handed to the network by senders.
     pub messages_sent: u64,
@@ -24,20 +22,4 @@ pub struct TrafficStats {
     /// took more than one round to deliver; still counted in
     /// `messages_delivered` when they arrive).
     pub messages_delayed: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serde_round_trip() {
-        let stats = TrafficStats {
-            messages_sent: 2,
-            ..TrafficStats::default()
-        };
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: TrafficStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(stats, back);
-    }
 }

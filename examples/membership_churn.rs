@@ -81,16 +81,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 3. A crash is silent: the victim stays in the tables until the next
     //    round's monitored-delegate sweep evicts it and re-elects.
     let victim = 0;
+    // The live processes whose flat view lists the victim.
+    let listing = |view: &DelegateView| {
+        let lists = |q: usize| (0..view.peer_count(q)).any(|k| view.peer_at(q, k) == victim);
+        (0..n).filter(|&q| view.is_live(q) && lists(q)).count()
+    };
     view.observe_crash(victim);
     println!("\nprocess {} crashes", name(victim));
-    println!(
-        "  before the sweep {} processes still list it",
-        (0..n).filter(|&q| view.is_live(q) && view.knows(q, victim)).count()
-    );
+    println!("  before the sweep {} processes still list it", listing(&view));
     view.round_elapsed();
     println!(
         "  after one round {} do; subgroup 0 delegates at {}: {}",
-        (0..n).filter(|&q| view.is_live(q) && view.knows(q, victim)).count(),
+        listing(&view),
         name(4),
         delegates(&view)
     );

@@ -38,7 +38,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pmcast::simnet::{FanoutScratch, RoundContext, RoundProcess};
+use pmcast::simnet::{CrashPlan, FanoutScratch, RoundContext, RoundProcess};
 use pmcast::{
     Address, AddressSpace, AssignmentOracle, DelegateView, DelegateViewConfig, Event, EventId,
     FloodFactory, GenuineFactory, GlobalOracleView, Gossip, ImplicitRegularTree, InterestOracle,
@@ -235,6 +235,82 @@ fn flood_broadcast_satisfies_the_multicast_contract() {
 fn genuine_multicast_satisfies_the_multicast_contract() {
     // Genuine multicast never even contacts uninterested processes.
     assert_contract::<GenuineFactory>("genuine-multicast", true);
+}
+
+/// The network half of the message identity after every step of the
+/// contract's publish-from-process-0 trial:
+/// `sent = delivered + lost + to_crashed + from_crashed + partitioned + in
+/// flight`.  Returns the messages in flight when `max_rounds` ends the run.
+fn assert_every_message_is_accounted_for<F: ProtocolFactory>(
+    row: &str,
+    provider: Provider,
+    network: NetworkConfig,
+    max_rounds: u64,
+) -> u64 {
+    let group = F::build(
+        &topology(),
+        half_interested_oracle(),
+        provider.view(GROUP),
+        &PmcastConfig::default(),
+    );
+    let mut sim = Simulation::new(group.processes, network);
+    let event = Arc::new(Event::builder(40).int("b", 2).build());
+    sim.process_mut(ProcessId(0)).publish(event);
+    for round in 0..max_rounds {
+        sim.step();
+        let stats = sim.stats();
+        let settled = stats.messages_delivered
+            + stats.messages_lost
+            + stats.messages_to_crashed
+            + stats.messages_from_crashed
+            + stats.messages_partitioned;
+        assert_eq!(
+            stats.messages_sent,
+            settled + sim.messages_in_flight(),
+            "{row}/{provider:?} after round {round}: {stats:?}"
+        );
+        if sim.is_quiescent() {
+            break;
+        }
+    }
+    sim.messages_in_flight()
+}
+
+#[test]
+fn every_sent_message_is_delivered_dropped_or_in_flight() {
+    fn rows<F: ProtocolFactory>(name: &str) {
+        // A lossy row with every cause: ε, a lossy subtree, a crash, a
+        // partition, jittered link delays and a straggler, cut short while
+        // messages sit in the wheel.
+        let faults = Scenario::builder()
+            .group(4, 2)
+            .link_delay(1, 3)
+            .partition(0, 3, 2)
+            .subtree_loss(&[1], 0.3)
+            .straggler(3, 2)
+            .build()
+            .fault_plan();
+        let lossy = NetworkConfig {
+            loss_probability: 0.1,
+            crash_plan: CrashPlan::Scheduled(vec![(2, 5)]),
+            fault_plan: faults,
+            seed: 71,
+        };
+        for provider in PROVIDERS {
+            let settled = assert_every_message_is_accounted_for::<F>(
+                name,
+                provider,
+                NetworkConfig::reliable(71),
+                300,
+            );
+            assert_eq!(settled, 0, "{name}/{provider:?}: quiescent with messages in flight");
+            let cut = assert_every_message_is_accounted_for::<F>(name, provider, lossy.clone(), 3);
+            assert!(cut > 0, "{name}/{provider:?}: the cut row left nothing in flight");
+        }
+    }
+    rows::<PmcastFactory>("pmcast");
+    rows::<FloodFactory>("flood-broadcast");
+    rows::<GenuineFactory>("genuine-multicast");
 }
 
 #[test]
