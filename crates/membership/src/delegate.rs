@@ -65,24 +65,30 @@
 //! admission and eviction are fully deterministic (smallest-address order)
 //! and consume no randomness at all.
 //!
-//! ## Rounds cost what changed: the fixed-point certificate
+//! ## Rounds cost what changed: a table is stored only while it may differ
 //!
 //! The tables are *maintained*: once a slot group holds the smallest live
-//! members of its subgroup, nothing gossip can bring displaces them.
-//! The provider therefore keeps, per process, a **certificate** that its
-//! whole table equals that converged answer — the first `capacity` live
-//! members of each subgroup other than the process itself (the *seat
-//! rule*).  Filing a live candidate into a certified (*settled*) table is
-//! provably a no-op (a seated candidate is found; any other is larger than
-//! a full group's last entry), so a round skips it.
+//! members of its subgroup, nothing gossip can bring displaces them.  That
+//! converged answer — the first `capacity` live members of each subgroup
+//! other than the process itself, and nobody for an absent process — is the
+//! *seat rule*, and the provider stores a process's table only while it may
+//! differ from it.  A table that is not stored *is* the seat rule over the
+//! current liveness.  Filing a live candidate into it is provably a no-op (a
+//! seated candidate is found; any other is larger than a full group's last
+//! entry), so a round skips it, and debug builds assert that a table that is
+//! not stored is never written.
 //!
-//! * A table change withdraws the certificate; so does a join, leave or
-//!   crash of `x`, for `x` and for every process whose converged table
-//!   seats `x` — nobody else's answer moves.  Withdrawal is `O(1)` at the
-//!   observation; the next round (or inspection hook) works out who seats
-//!   `x` and re-compares each withdrawn table once, so after a churn burst
-//!   the group returns to all-settled as gossip refills the seats, instead
-//!   of paying the full round forever.
+//! * A table is stored, as the seat rule answers it, just before anything
+//!   can change it: a change to the table itself, to the process's own
+//!   liveness, or to the liveness of a peer it seats.  So a join, leave or
+//!   crash of `x` stores `x`'s table and those of the live processes seating
+//!   `x`, whom the prefix count of the liveness names in `O(1)` per depth.
+//!   Nobody else's answer moves.
+//! * Every round (and inspection hook) compares the stored tables of the
+//!   live processes — the *unsettled* ones — with the seat rule and drops
+//!   each one that equals it again.  After a churn burst the group returns
+//!   to storing only the tables of the crashed as gossip refills the seats,
+//!   instead of paying the full round forever.
 //! * The picks are still drawn while anybody is unsettled — whom a sender
 //!   targets decides which unsettled table learns what.  When every live
 //!   process is settled the draws are the round's only effect: `live ·
@@ -94,33 +100,34 @@
 //!
 //! ## Rows are built on first need
 //!
-//! Until somebody joins, leaves or crashes, every table *is* the seat rule
-//! over the bootstrap occupancy, which is immutable — so nothing is stored
-//! but the liveness flags and a prefix count of them, and the seat test
-//! behind [`knows_at_depth`](MembershipView::knows_at_depth) /
+//! Until somebody joins, leaves or crashes, nothing is stored but the
+//! liveness flags and a prefix count of them, and the seat test behind
+//! [`knows_at_depth`](MembershipView::knows_at_depth) /
 //! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) is `O(1)`
 //! per peer: `peer` is seated iff it is alive and fewer than `capacity`
 //! alive members of its subgroup other than the asking process precede it.
-//! A static trial therefore costs `O(n)` bytes (plus one bit per depth view
+//! Every flip keeps the prefix count current, so the same test answers
+//! every table that is not stored, before and after the first flip.  A
+//! static trial therefore costs `O(n)` bytes (plus one bit per depth view
 //! id: see below), not `O(n·a·d·slots)`, and its rounds are the all-settled
-//! seek.  The first call that needs a stored row — a
-//! lifecycle observation that actually flips somebody, or the flat
-//! enumeration ([`peer_count`](MembershipView::peer_count) /
-//! [`peer_at`](MembershipView::peer_at), the contact and delegate
-//! inspection hooks) — builds **all** tables from
-//! the still-unflipped flags (the first unsettled round indexes every live
-//! sender's flat view, so there is nothing to gain from building fewer),
-//! and from then on the provider is the stored state machine described
-//! above.  [`DelegateView::has_tables`] tells the two apart.
+//! seek.  The first call that needs the flat rows — a lifecycle observation
+//! that actually flips somebody, or the flat enumeration
+//! ([`peer_count`](MembershipView::peer_count) /
+//! [`peer_at`](MembershipView::peer_at), the contact inspection hook) —
+//! builds every process's flat view and pinned contact from the
+//! still-unflipped flags (the first unsettled round indexes every live
+//! sender's flat view in pick order, so there is nothing to gain from
+//! building fewer).  It stores no table.  [`DelegateView::has_tables`]
+//! tells the two apart.
 //!
-//! `crates/membership/tests/prop_membership.rs` steps a table-backed and a
-//! table-less instance beside the full round loop the certificate replaced
-//! and asserts tables, flat views, contacts and stream position equal
-//! after every step.
+//! `crates/membership/tests/prop_membership.rs` steps an instance with its
+//! flat rows built at bootstrap and one without beside the full round loop
+//! with every table stored, and asserts tables, flat views, contacts and
+//! stream position equal after every step.
 //!
 //! ## One answer per depth view
 //!
-//! While no row is stored, the seat rule reads the asking process only to
+//! While nobody has flipped, the seat rule reads the asking process only to
 //! discount it from its *own* sibling subgroup, and discounting yourself
 //! only ever seats more.  So a depth view whose every peer a holder outside
 //! the peer's subgroup seats — each alive and among the first `capacity`
@@ -135,7 +142,7 @@
 //! bitset outside the lock, beside the bootstrap occupancy (an absent
 //! process seats nobody), and every later ask by a live holder is answered
 //! from the two bits: no lock, no search, nothing written.  Every bit is
-//! cleared under the write lock before the first row is stored, so a set
+//! cleared under the write lock before the flat rows are built, so a set
 //! bit means nobody has flipped since bootstrap and the bootstrap occupancy
 //! is the liveness.  Debug and test builds hold every whole answer read off
 //! a bit against the judgement on the spot.
@@ -147,12 +154,13 @@
 //! plus the pinned contact, while
 //! [`knows_at_depth`](MembershipView::knows_at_depth) — the question the
 //! pmcast fanout draw asks — resolves in `O(slots)` straight from the slot
-//! group of the queried depth (`O(1)` from the seat rule while no row is
-//! stored), and
+//! group of the queried depth (`O(1)` from the seat rule for a table that
+//! is not stored), and
 //! [`fill_known_or_whole`](MembershipView::fill_known_or_whole) answers it
 //! for a whole view under one lock, or with no lock at all once the view
 //! is judged seated whole.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
@@ -278,7 +286,7 @@ impl TreeShape {
 
     /// Slot range of the depth-`l` group for sibling component `g`
     /// (`l ∈ 1..=depth`; the leaf depth has one slot per component).
-    fn group_range(&self, l: usize, g: usize) -> std::ops::Range<usize> {
+    fn group_range(&self, l: usize, g: usize) -> Range<usize> {
         if l == self.depth {
             let start = (self.depth - 1) * self.arity * self.slots + g;
             start..start + 1
@@ -309,6 +317,14 @@ impl TreeShape {
         }
     }
 
+    /// Every slot group of `q`'s table as `(l, slots, subgroup base)`, in
+    /// table order.
+    fn groups(&self, q: usize) -> impl Iterator<Item = (usize, Range<usize>, usize)> + '_ {
+        (1..=self.depth).flat_map(move |l| {
+            (0..self.arity).map(move |g| (l, self.group_range(l, g), self.subgroup_base(q, l, g)))
+        })
+    }
+
     /// First dense index and size of the block of processes sharing `q`'s
     /// depth-`(l−1)` prefix: the processes whose depth-`l` view covers the
     /// same `arity` sibling subgroups as `q`'s.
@@ -318,32 +334,11 @@ impl TreeShape {
     }
 }
 
-/// What the provider knows about one process's table relative to the
-/// converged answer: the first `capacity` live members of each slot group's
-/// subgroup other than the process itself (the module docs' *fixed-point
-/// certificate*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Certificate {
-    /// The table equals the converged answer, so admitting any live peer
-    /// into it changes nothing.  Only live processes are settled.
-    Settled,
-    /// Compared unequal (or the process is dead), and neither the table nor
-    /// its converged answer has changed since.
-    Open,
-    /// The table changed since the last comparison; queued in
-    /// [`DelegateState::uncertified`] for the next one.
-    Stale,
-    /// The process joined, left or crashed since the last comparison, which
-    /// changes the converged answer of everybody seating it; queued like
-    /// [`Stale`](Self::Stale).
-    Flipped,
-}
-
 /// The depth views every live holder knows whole, read without the state
 /// lock (the module docs' *one answer per depth view*): bit `id` of `views`
 /// is set once a named ask judges every peer of the view seated by a holder
-/// outside the peer's subgroup, and every bit is cleared before the first
-/// row is stored.  A set bit therefore means nobody has flipped since
+/// outside the peer's subgroup, and every bit is cleared before the flat
+/// rows are built.  A set bit therefore means nobody has flipped since
 /// bootstrap, so `occupied` — the bootstrap occupancy — is who is alive.
 #[derive(Debug)]
 struct WholeViews {
@@ -377,14 +372,14 @@ impl WholeViews {
             && (1..=self.depth).contains(&depth)
     }
 
-    /// Marks `view` whole; under the state's read lock, while no row is
-    /// stored.
+    /// Marks `view` whole; under the state's read lock, while the flat rows
+    /// are not built.
     fn set(&self, view: usize) {
         self.views[view / 64].fetch_or(1 << (view % 64), Ordering::Release);
     }
 
     /// Forgets every whole view; under the state's write lock, before the
-    /// first row is stored.
+    /// flat rows are built.
     fn clear(&self) {
         for word in &self.views {
             word.store(0, Ordering::Release);
@@ -392,24 +387,23 @@ impl WholeViews {
     }
 }
 
-/// Mutable provider state behind one lock: the per-process slot tables, the
-/// flat (deduplicated) peer enumerations, pinned contacts, liveness, the
-/// fixed-point certificates and the provider-private PRNG stream.  The
-/// three per-process rows (`tables`, `flat`, `contact`) are empty until
-/// [`build_rows`](Self::build_rows) (the module docs' *rows are built on
-/// first need*); `below` stands in for them until then.
+/// Mutable provider state behind one lock: liveness and its prefix count,
+/// the per-process slot tables that may differ from the seat rule, the flat
+/// (deduplicated) peer enumerations, pinned contacts and the
+/// provider-private PRNG stream.  `tables`, `flat` and `contact` are empty
+/// until [`build_rows`](Self::build_rows) (the module docs' *rows are built
+/// on first need*).
 #[derive(Debug)]
 struct DelegateState {
     shape: TreeShape,
-    /// While no row is stored: `below[i]` is the number of alive members
-    /// with an index below `i` (`n + 1` entries).  Nobody has flipped yet,
-    /// so it never needs updating; [`build_rows`](Self::build_rows) drops
-    /// it.
+    /// `below[i]` is the number of alive members with an index below `i`
+    /// (`n + 1` entries), kept current by every [`flip`](Self::flip).
     below: Vec<u32>,
     /// `tables[q]` is the fixed-layout slot table of `q` (see
-    /// [`TreeShape::group_range`]); inner groups are sorted ascending with
-    /// [`EMPTY`] sentinels at the end.
-    tables: Vec<Vec<u32>>,
+    /// [`TreeShape::group_range`]) while it may differ from the seat rule;
+    /// inner groups are sorted ascending with [`EMPTY`] sentinels at the
+    /// end.  `None` is the seat rule itself (see [`seated`](Self::seated)).
+    tables: Vec<Option<Box<[u32]>>>,
     /// `flat[q]` is the dense peer enumeration backing `peer_count` /
     /// `peer_at`: the deduplicated union of `q`'s slot entries plus its
     /// pinned contact.  After the crash sweep it names live processes only
@@ -423,74 +417,68 @@ struct DelegateState {
     /// Crashes observed since the last membership round, awaiting the
     /// monitored-delegate sweep.
     pending_dead: Vec<u32>,
-    certificates: Vec<Certificate>,
-    /// Number of [`Certificate::Settled`] processes.
-    settled: usize,
-    /// The [`Certificate::Stale`] and [`Certificate::Flipped`] processes,
-    /// each once.
-    uncertified: Vec<u32>,
+    /// The live processes that hold a stored table, each once: what a
+    /// membership round still gossips for.
+    unsettled: Vec<u32>,
     rng: ChaCha8Rng,
 }
 
 impl DelegateState {
-    /// Whether the per-process rows are stored (see
+    /// Whether the flat rows are stored (see
     /// [`build_rows`](Self::build_rows)).
     fn has_rows(&self) -> bool {
-        !self.tables.is_empty()
+        !self.flat.is_empty()
     }
 
-    /// The seat rule while no row is stored: whether live `of` seats `peer`
-    /// in its depth-`l` slot group for the subgroup starting at `base` —
-    /// `peer` is alive and fewer than the group's capacity of alive
-    /// subgroup members other than `of` precede it.
+    /// `q`'s stored table, if it may differ from the seat rule.
+    fn stored(&self, q: usize) -> Option<&[u32]> {
+        self.tables.get(q).and_then(Option::as_deref)
+    }
+
+    /// The seat rule for a table that is not stored: whether live `of`
+    /// seats `peer` in its depth-`l` slot group for the subgroup starting
+    /// at `base` — `peer` is alive and fewer than the group's capacity of
+    /// alive subgroup members other than `of` precede it.
     fn seats(&self, of: usize, l: usize, base: usize, peer: usize) -> bool {
         let preceding = (self.below[peer] - self.below[base]) as usize;
         self.alive[peer]
             && preceding - usize::from(base <= of && of < peer) < self.shape.group_capacity(l)
     }
 
-    /// Stores every process's rows, once: the join handoff over the
-    /// still-unflipped liveness flags, so each slot group starts out
-    /// holding exactly what [`seats`](Self::seats) answered for it.  The
-    /// `whole` views, judged from the prefix count this drops, are
-    /// forgotten first.  Consumes no randomness.
+    /// The seat rule listed: whom `of` seats in its depth-`l` slot group
+    /// for the subgroup starting at `base`, ascending — the first
+    /// `capacity` alive members other than `of`, and nobody for an absent
+    /// `of`.
+    fn seated(&self, of: usize, l: usize, base: usize) -> impl Iterator<Item = u32> + '_ {
+        let size = if self.alive[of] { self.shape.subgroup_size(l) } else { 0 };
+        (base..base + size)
+            .filter(move |&member| member != of && self.alive[member])
+            .take(self.shape.group_capacity(l))
+            .map(|member| member as u32)
+    }
+
+    /// Builds every process's flat view and pinned contact, once: the join
+    /// handoff over the still-unflipped liveness flags.  Every table stays
+    /// the seat rule, so none is stored.  The `whole` views, which hold
+    /// only while nobody has flipped, are forgotten first.  Consumes no
+    /// randomness.
     fn build_rows(&mut self, whole: &WholeViews) {
         if self.has_rows() {
             return;
         }
         whole.clear();
-        let (shape, occupied) = (&self.shape, &self.alive);
-        let n = occupied.len();
+        let n = self.alive.len();
         // With nobody else occupied, the contact is the plain successor.
-        let next_occupied = |q: usize| ring_successor(occupied, q).unwrap_or((q + 1) % n) as u32;
-        let mut tables = Vec::with_capacity(n);
+        let next_occupied = |q: usize| ring_successor(&self.alive, q).unwrap_or((q + 1) % n) as u32;
         let mut flat = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         for q in 0..n {
-            let mut table = vec![EMPTY; shape.table_len()];
             let mut known: Vec<u32> = Vec::new();
-            if occupied[q] {
-                for l in 1..=shape.depth {
-                    for g in 0..shape.arity {
-                        let base = shape.subgroup_base(q, l, g);
-                        let size = shape.subgroup_size(l);
-                        let range = shape.group_range(l, g);
-                        let mut slot = range.start;
-                        for (member, discovered) in
-                            seen.iter_mut().enumerate().skip(base).take(size)
-                        {
-                            if member == q || !occupied[member] {
-                                continue;
-                            }
-                            if slot == range.end {
-                                break;
-                            }
-                            table[slot] = member as u32;
-                            slot += 1;
-                            if !*discovered {
-                                *discovered = true;
-                                known.push(member as u32);
-                            }
+            if self.alive[q] {
+                for (l, _, base) in self.shape.groups(q) {
+                    for member in self.seated(q, l, base) {
+                        if !std::mem::replace(&mut seen[member as usize], true) {
+                            known.push(member);
                         }
                     }
                 }
@@ -502,20 +490,17 @@ impl DelegateState {
                     seen[member as usize] = false;
                 }
             }
-            tables.push(table);
             flat.push(known);
         }
         self.contact = (0..n).map(next_occupied).collect();
-        self.tables = tables;
         self.flat = flat;
-        self.below = Vec::new();
+        self.tables = vec![None; n];
     }
 
     /// [`MembershipView::knows_at_depth`] asked of every peer, one division
-    /// per peer: the peer's sibling component picks the slot
-    /// group, the group is scanned — or, while no row is stored, the seat
-    /// rule answers from the prefix count.  Each known position goes to
-    /// `known`, ascending.
+    /// per peer: the peer's sibling component picks the slot group, the
+    /// stored group is scanned — or the seat rule answers from the prefix
+    /// count.  Each known position goes to `known`, ascending.
     fn fill_known(
         &self,
         of: usize,
@@ -524,7 +509,7 @@ impl DelegateState {
         mut known: impl FnMut(usize),
     ) {
         let shape = &self.shape;
-        let table = self.tables.get(of);
+        let table = self.stored(of);
         if table.is_none() && !self.alive[of] {
             return; // an absent process seats nobody
         }
@@ -545,109 +530,120 @@ impl DelegateState {
         }
     }
 
-    /// Withdraws `q`'s certificate until the next
-    /// [`certify`](Self::certify): its table just changed (`Stale`) or its
-    /// liveness did (`Flipped`).
-    fn uncertify(&mut self, q: usize, why: Certificate) {
-        debug_assert!(matches!(why, Certificate::Stale | Certificate::Flipped));
-        match self.certificates[q] {
-            Certificate::Settled => {
-                self.settled -= 1;
-                self.uncertified.push(q as u32);
-            }
-            Certificate::Open => self.uncertified.push(q as u32),
-            Certificate::Flipped => return,
-            Certificate::Stale => {}
+    /// Stores `q`'s table as the seat rule answers it, unless it is stored
+    /// already: just before something can change it.
+    fn store(&mut self, q: usize) {
+        if self.tables[q].is_some() {
+            return;
         }
-        self.certificates[q] = why;
+        let mut table = vec![EMPTY; self.shape.table_len()].into_boxed_slice();
+        for (l, range, base) in self.shape.groups(q) {
+            for (slot, member) in table[range].iter_mut().zip(self.seated(q, l, base)) {
+                *slot = member;
+            }
+        }
+        self.tables[q] = Some(table);
+        if self.alive[q] {
+            self.unsettled.push(q as u32);
+        }
     }
 
-    /// Withdraws the certificate of every live process whose converged
-    /// table seats `x`, given the current liveness — with `x` itself,
-    /// exactly the processes whose converged answer can have changed when
-    /// `x` joined, left or crashed.  Everybody else's first-`capacity`
-    /// members are the same with and without `x`, so a settled table
-    /// elsewhere stays settled.
-    fn uncertify_seats_of(&mut self, x: usize) {
+    /// Stores the table of every live process but `x` whose seat rule seats
+    /// `x` as if it were alive — exactly the seat rules a join, leave or
+    /// crash of `x` changes.  Everybody else's first-`capacity` members are
+    /// the same with and without `x`.
+    fn store_seats_of(&mut self, x: usize) {
         for l in 1..=self.shape.depth {
             let capacity = self.shape.group_capacity(l);
             let base = self.shape.subgroup_base(x, l, self.shape.digit(x, l - 1));
             // `q` seats `x` iff fewer than `capacity` live members of the
             // subgroup other than `q` precede `x`.
-            let preceding = (base..x).filter(|&m| self.alive[m]).take(capacity + 1).count();
-            let (start, end) = match preceding.cmp(&capacity) {
+            let preceding = (self.below[x] - self.below[base]) as usize;
+            let seating = match preceding.cmp(&capacity) {
                 // Everybody whose depth-`l` view covers the subgroup.
                 std::cmp::Ordering::Less => {
                     let (block, span) = self.shape.view_block(x, l);
-                    (block, block + span)
+                    block..block + span
                 }
                 // Only the preceding members themselves, who do not count
                 // in their own view.
-                std::cmp::Ordering::Equal => (base, x),
+                std::cmp::Ordering::Equal => base..x,
                 std::cmp::Ordering::Greater => continue,
             };
-            for q in start..end {
-                if self.alive[q] {
-                    self.uncertify(q, Certificate::Stale);
+            for q in seating {
+                if q != x && self.alive[q] {
+                    self.store(q);
                 }
             }
         }
     }
 
-    /// Whether every slot group of `q` holds exactly the converged answer.
+    /// Joins a dead `x` or removes a live one, storing first every table
+    /// the flip can change: `x`'s own and those seating `x`.
+    fn flip(&mut self, x: usize) {
+        self.store(x);
+        self.store_seats_of(x);
+        let alive = !self.alive[x];
+        self.alive[x] = alive;
+        let step = |count: &mut u32| *count = if alive { *count + 1 } else { *count - 1 };
+        self.below[x + 1..].iter_mut().for_each(step);
+        if alive {
+            self.live += 1;
+            self.unsettled.push(x as u32);
+        } else {
+            self.live -= 1;
+            self.unsettled.retain(|&q| q as usize != x);
+        }
+    }
+
+    /// Whether `q`'s table equals the seat rule.
     fn is_converged(&self, q: usize) -> bool {
-        (1..=self.shape.depth).all(|l| {
-            let size = self.shape.subgroup_size(l);
-            (0..self.shape.arity).all(|g| {
-                let base = self.shape.subgroup_base(q, l, g);
-                let mut seats = (base..base + size).filter(|&m| m != q && self.alive[m]);
-                self.tables[q][self.shape.group_range(l, g)]
-                    .iter()
-                    .all(|&seated| seated == seats.next().map_or(EMPTY, |m| m as u32))
-            })
+        let Some(table) = self.stored(q) else {
+            return true;
+        };
+        self.shape.groups(q).all(|(l, range, base)| {
+            let mut seats = self.seated(q, l, base);
+            table[range].iter().all(|&seated| seated == seats.next().unwrap_or(EMPTY))
         })
     }
 
-    /// Brings every certificate up to date: the liveness changes since the
-    /// last call reach the tables that seat the changed, then every queued
-    /// table is compared against the converged answer.  Consumes no
-    /// randomness and decides nothing a round could observe — a settled
-    /// table's pushes are no-ops whether or not they are skipped — so
-    /// *when* this runs is immaterial.
+    /// Drops every stored table of a live process that equals the seat rule
+    /// again.  Consumes no randomness and decides nothing a round could
+    /// observe — a settled table's pushes are no-ops whether or not they
+    /// are skipped — so *when* this runs is immaterial.
     fn certify(&mut self) {
-        // Uncertifying the observers appends them behind the cursor.
-        let mut cursor = 0;
-        while let Some(&x) = self.uncertified.get(cursor) {
-            if self.certificates[x as usize] == Certificate::Flipped {
-                self.uncertify_seats_of(x as usize);
+        let mut unsettled = std::mem::take(&mut self.unsettled);
+        unsettled.retain(|&q| {
+            let converged = self.is_converged(q as usize);
+            if converged {
+                self.tables[q as usize] = None;
             }
-            cursor += 1;
-        }
-        while let Some(q) = self.uncertified.pop() {
-            let q = q as usize;
-            self.certificates[q] = if self.alive[q] && self.is_converged(q) {
-                self.settled += 1;
-                Certificate::Settled
-            } else {
-                Certificate::Open
-            };
-        }
+            !converged
+        });
+        self.unsettled = unsettled;
     }
 
-    /// Returns `true` if `peer` occupies any slot of `q`'s table.
-    fn table_contains(&self, q: usize, peer: usize) -> bool {
-        let cp = self.shape.common_prefix(q, peer);
-        let deepest = (cp + 1).min(self.shape.depth);
-        (1..=deepest).any(|l| {
-            let g = self.shape.digit(peer, l - 1);
-            self.tables[q][self.shape.group_range(l, g)].contains(&(peer as u32))
-        })
+    /// Whether filing `peer` into `q`'s depth-`l` group, as the seat rule
+    /// answers it, changes nothing: the peer is seated already, or the
+    /// group is full of smaller members.
+    fn files_nothing(&self, q: usize, l: usize, peer: usize) -> bool {
+        let base = self.shape.subgroup_base(q, l, self.shape.digit(peer, l - 1));
+        let (seated, last, found) = self.seated(q, l, base).fold((0, 0, false), |(seated, _, found), member| {
+            (seated + 1, member as usize, found || member as usize == peer)
+        });
+        found || (seated == self.shape.group_capacity(l) && last < peer)
     }
 
-    /// Drops `peer` from `q`'s flat enumeration unless a slot or the pinned
-    /// contact still references it.
+    /// Drops `peer` from `q`'s flat enumeration unless a slot of `q`'s
+    /// stored table or its pinned contact still references it.
     fn maybe_drop_from_flat(&mut self, q: usize, peer: usize) {
-        if self.contact[q] as usize == peer || self.table_contains(q, peer) {
+        let table = self.stored(q).expect("an eviction writes a stored table");
+        let deepest = (self.shape.common_prefix(q, peer) + 1).min(self.shape.depth);
+        let seated = (1..=deepest).any(|l| {
+            let g = self.shape.digit(peer, l - 1);
+            table[self.shape.group_range(l, g)].contains(&(peer as u32))
+        });
+        if seated || self.contact[q] as usize == peer {
             return;
         }
         if let Some(pos) = self.flat[q].iter().position(|&e| e as usize == peer) {
@@ -659,12 +655,16 @@ impl DelegateState {
     /// table.  The group holds the `slots` smallest known-live members of
     /// the subgroup: a smaller candidate evicts the largest entry (the
     /// deterministic smallest-address re-election of Section 2).  Returns
-    /// `true` if the table changed.
+    /// `true` if the table changed; a table that is not stored is the seat
+    /// rule, which no live candidate changes.
     fn admit_at_level(&mut self, q: usize, l: usize, peer: usize) -> bool {
-        let g = self.shape.digit(peer, l - 1);
-        let range = self.shape.group_range(l, g);
+        let range = self.shape.group_range(l, self.shape.digit(peer, l - 1));
+        let Some(table) = self.tables[q].as_deref_mut() else {
+            debug_assert!(self.files_nothing(q, l, peer), "a table that is not stored is never written");
+            return false;
+        };
+        let group = &mut table[range];
         let peer = peer as u32;
-        let group = &mut self.tables[q][range];
         if group.contains(&peer) {
             return false;
         }
@@ -677,7 +677,6 @@ impl DelegateState {
         let pos = group.partition_point(|&e| e < peer);
         group[pos..].rotate_right(1);
         group[pos] = peer;
-        self.uncertify(q, Certificate::Stale);
         if evicted != EMPTY {
             self.maybe_drop_from_flat(q, evicted as usize);
         }
@@ -701,24 +700,26 @@ impl DelegateState {
         }
     }
 
-    /// Removes `x` from every slot group of `q`'s table, re-electing
-    /// replacements from the candidates already gossiped into `q`'s flat
-    /// view so every occupied subtree keeps a live delegate if one is
-    /// known.
+    /// Removes the dead `x` from every slot group of `q`'s table,
+    /// re-electing replacements from the candidates already gossiped into
+    /// `q`'s flat view so every occupied subtree keeps a live delegate if
+    /// one is known.  A table that is not stored is the seat rule, which
+    /// seats no dead process.
     fn evict_from_table(&mut self, q: usize, x: usize) {
         let cp = self.shape.common_prefix(q, x);
         let deepest = (cp + 1).min(self.shape.depth);
         for l in 1..=deepest {
             let g = self.shape.digit(x, l - 1);
             let range = self.shape.group_range(l, g);
-            let group = &mut self.tables[q][range.clone()];
+            let Some(group) = self.tables[q].as_deref_mut().map(|table| &mut table[range]) else {
+                return;
+            };
             let Some(pos) = group.iter().position(|&e| e as usize == x) else {
                 continue;
             };
             group[pos..].rotate_left(1);
             let last = group.len() - 1;
             group[last] = EMPTY;
-            self.uncertify(q, Certificate::Stale);
             if l == self.shape.depth {
                 continue; // leaf slots name one fixed process; nothing to re-elect
             }
@@ -726,19 +727,14 @@ impl DelegateState {
             // of the subgroup that is not yet seated.
             let base = self.shape.subgroup_base(q, l, g);
             let size = self.shape.subgroup_size(l);
-            let mut candidate: Option<usize> = None;
-            for &e in &self.flat[q] {
-                let e = e as usize;
-                if e != q
-                    && e >= base
-                    && e < base + size
-                    && self.alive[e]
-                    && candidate.is_none_or(|best| e < best)
-                    && !self.tables[q][range.clone()].contains(&(e as u32))
-                {
-                    candidate = Some(e);
-                }
-            }
+            let group = &*group;
+            let candidate = self.flat[q]
+                .iter()
+                .map(|&e| e as usize)
+                .filter(|&e| {
+                    e != q && (base..base + size).contains(&e) && self.alive[e] && !group.contains(&(e as u32))
+                })
+                .min();
             if let Some(winner) = candidate {
                 self.admit_at_level(q, l, winner);
             }
@@ -855,9 +851,9 @@ impl DelegateView {
     /// With every address occupied this is exactly
     /// [`bootstrap`](Self::bootstrap) — same tables, same untouched RNG
     /// stream — so static scenarios are unaffected.  Sparse bootstrap
-    /// itself consumes **no** randomness — and stores no table: the rows
-    /// described here are built on first need (see the [module docs](self)),
-    /// the seat rule answering for them until then.
+    /// itself consumes **no** randomness — and stores no table: a table is
+    /// stored only while it may differ from the seat rule, which answers for
+    /// it otherwise (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -895,13 +891,8 @@ impl DelegateView {
                 alive: occupied.to_vec(),
                 live,
                 pending_dead: Vec::new(),
-                // The handoff seats exactly the converged answer.
-                certificates: occupied
-                    .iter()
-                    .map(|&o| if o { Certificate::Settled } else { Certificate::Open })
-                    .collect(),
-                settled: live,
-                uncertified: Vec::new(),
+                // The handoff seats exactly the seat rule.
+                unsettled: Vec::new(),
                 rng: ChaCha8Rng::seed_from_u64(seed),
             }),
             whole: WholeViews::new(depth, occupied),
@@ -935,7 +926,7 @@ impl DelegateView {
         }
     }
 
-    /// Read access for the calls that need the stored rows, which the first
+    /// Read access for the calls that need the flat rows, which the first
     /// of them builds.
     fn rows(&self) -> RwLockReadGuard<'_, DelegateState> {
         let state = self.state.read().expect("delegate view lock poisoned");
@@ -981,12 +972,18 @@ impl DelegateView {
     /// diagnostics (the re-election invariant is asserted over exactly this
     /// set).
     pub fn live_delegates_of(&self, of: usize, depth: usize, g: usize) -> Vec<usize> {
-        let state = self.rows();
-        state.tables[of][state.shape.group_range(depth, g)]
-            .iter()
-            .filter(|&&e| e != EMPTY && state.alive[e as usize])
-            .map(|&e| e as usize)
-            .collect()
+        let state = self.state.read().expect("delegate view lock poisoned");
+        match state.stored(of) {
+            Some(table) => table[state.shape.group_range(depth, g)]
+                .iter()
+                .filter(|&&e| e != EMPTY && state.alive[e as usize])
+                .map(|&e| e as usize)
+                .collect(),
+            None => {
+                let base = state.shape.subgroup_base(of, depth, g);
+                state.seated(of, depth, base).map(|member| member as usize).collect()
+            }
+        }
     }
 
     /// The pinned ring contact of `process` — an inspection hook like
@@ -995,30 +992,31 @@ impl DelegateView {
         self.rows().contact[process] as usize
     }
 
-    /// Returns `true` if `process` is live and holds the fixed-point
-    /// certificate: its table equals the converged answer (the seat rule
-    /// over the current liveness), so a membership round skips it.  An
-    /// inspection hook; like the round, it first brings the certificates up
-    /// to date with the lifecycle observations made since.
+    /// Returns `true` if `process` is live and settled: its table equals
+    /// the seat rule over the current liveness, so none is stored and a
+    /// membership round skips it.  An inspection hook; like the round, it
+    /// first drops the stored tables that equal the seat rule again.
     pub fn is_settled(&self, process: usize) -> bool {
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
         state.certify();
-        state.certificates[process] == Certificate::Settled
+        state.alive[process] && state.stored(process).is_none()
     }
 
-    /// Number of live processes without the certificate — what the next
+    /// Number of live processes holding a stored table — what the next
     /// membership round still has to gossip for; at zero the round only
     /// moves the stream.  An inspection hook like
     /// [`is_settled`](Self::is_settled).
     pub fn unsettled(&self) -> usize {
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
         state.certify();
-        state.live - state.settled
+        state.unsettled.len()
     }
 
-    /// Returns `true` once the per-process rows are stored — after the
-    /// first lifecycle observation that flipped somebody or the first flat
-    /// enumeration (the module docs' *rows are built on first need*).  An
+    /// Returns `true` once the flat rows (every process's flat view and
+    /// pinned contact) are stored — after the first lifecycle observation
+    /// that flipped somebody or the first flat enumeration (the module
+    /// docs' *rows are built on first need*).  Slot tables are stored apart
+    /// from them, only while they may differ from the seat rule.  An
     /// inspection hook like [`is_settled`](Self::is_settled); it builds
     /// nothing.
     pub fn has_tables(&self) -> bool {
@@ -1062,8 +1060,8 @@ impl MembershipView for DelegateView {
 
     /// No lock for a view a live holder knows whole (the module docs' *one
     /// answer per depth view*).  Otherwise the view is listed on the spot,
-    /// under one read lock and peer by peer, and, while no row is stored,
-    /// judged whole in the same pass.
+    /// under one read lock and peer by peer, and, while the flat rows are
+    /// not built, judged whole in the same pass.
     fn fill_known_or_whole(
         &self,
         of: usize,
@@ -1147,10 +1145,11 @@ impl MembershipView for DelegateView {
     /// process pushes its subscription plus a random view digest to
     /// `gossip_fanout` known peers.
     ///
-    /// A push into a settled table changes nothing (the module docs'
-    /// fixed-point certificate), so it is not made; when every live table
-    /// is settled the pushes' only effect is the stream words their picks
-    /// draw, and the stream is moved past them instead.
+    /// A push into a settled table — one that is not stored — changes
+    /// nothing (the module docs' *rounds cost what changed*), so it is not
+    /// made; when no live process holds a stored table the pushes' only
+    /// effect is the stream words their picks draw, and the stream is moved
+    /// past them instead.
     fn round_elapsed(&self) {
         let mut swept: Vec<u32> = Vec::new();
         let state = &mut *self.state.write().expect("delegate view lock poisoned");
@@ -1161,7 +1160,7 @@ impl MembershipView for DelegateView {
             swept.push(x);
         }
         state.certify();
-        if state.settled == state.live {
+        if state.unsettled.is_empty() {
             // Every live sender makes `gossip_fanout` target picks, each
             // followed by `digest_size` candidate picks (a lone process has
             // nobody to pick from); an integer `gen_range` is one
@@ -1187,7 +1186,7 @@ impl MembershipView for DelegateView {
                     }
                     let pick = state.rng.gen_range(0..state.flat[sender].len());
                     let target = state.flat[sender][pick] as usize;
-                    let settled = state.certificates[target] == Certificate::Settled;
+                    let settled = state.stored(target).is_none();
                     // Piggyback the sender's subscription plus a view digest;
                     // the receiver files every candidate into the slot groups
                     // of each depth it qualifies for.
@@ -1222,9 +1221,7 @@ impl MembershipView for DelegateView {
             return;
         }
         state.build_rows(&self.whole);
-        state.alive[process] = true;
-        state.live += 1;
-        state.uncertify(process, Certificate::Flipped);
+        state.flip(process);
         // Re-announce the rejoiner's subscription to the summary tables.
         self.change_interest(|annex| annex.on_join(process));
         // A crash-then-rejoin must not leave the process queued for the
@@ -1245,15 +1242,12 @@ impl MembershipView for DelegateView {
             return;
         }
         state.build_rows(&self.whole);
-        state.alive[process] = false;
-        state.live -= 1;
-        state.uncertify(process, Certificate::Flipped);
+        state.flip(process);
         // An unsub propagates eagerly: evict the leaver everywhere (with
-        // re-election) and drop the leaver's own knowledge.
+        // re-election) and drop the leaver's own knowledge — an absent
+        // process's table is the seat rule, which seats nobody.
         state.evict_everywhere(process);
-        for slot in state.tables[process].iter_mut() {
-            *slot = EMPTY;
-        }
+        state.tables[process] = None;
         state.flat[process].clear();
         // The eager unsub also retracts the leaver's interests.
         self.change_interest(|annex| annex.on_departure(process));
@@ -1265,9 +1259,7 @@ impl MembershipView for DelegateView {
             return;
         }
         state.build_rows(&self.whole);
-        state.alive[process] = false;
-        state.live -= 1;
-        state.uncertify(process, Certificate::Flipped);
+        state.flip(process);
         // Swept by the monitored-delegate pass of the next membership round.
         state.pending_dead.push(process as u32);
     }
@@ -1297,6 +1289,12 @@ mod tests {
             }
         }
         count
+    }
+
+    /// The processes whose table is stored, ascending.
+    fn stored_tables(view: &DelegateView) -> Vec<usize> {
+        let state = view.state.read().expect("delegate view lock poisoned");
+        (0..state.alive.len()).filter(|&q| state.stored(q).is_some()).collect()
     }
 
     #[test]
@@ -1428,14 +1426,22 @@ mod tests {
         for p in 0..16 {
             assert_eq!(view.is_settled(p), !(4..8).contains(&p), "process {p}");
         }
+        // The tables the crash unsettled are stored, and so is the victim's.
+        assert_eq!(stored_tables(&view), [4, 5, 6, 7]);
         // The sweep empties its leaf slots, which is the converged answer.
         view.round_elapsed();
         assert_eq!(view.unsettled(), 0);
+        assert_eq!(stored_tables(&view), [7], "a crashed process keeps its table");
         // Process 0 is seated by everybody; after the sweep every table
         // outside subgroup 0 misses the delegate that should succeed it
         // until gossip delivers it.
         view.observe_crash(0);
         assert_eq!(view.unsettled(), 14);
+        let unsettled: Vec<usize> = (0..16).filter(|&p| view.is_live(p) && !view.is_settled(p)).collect();
+        assert_eq!(unsettled.len(), 14);
+        let mut expected = [unsettled, vec![0, 7]].concat();
+        expected.sort_unstable();
+        assert_eq!(stored_tables(&view), expected);
         view.round_elapsed();
         assert!(view.unsettled() > 0, "re-election only promotes known candidates");
         let mut rounds = 1;
@@ -1447,6 +1453,7 @@ mod tests {
         for p in (4..16).filter(|&p| p != 7) {
             assert_eq!(view.live_delegates_of(p, 1, 0), vec![1, 2]);
         }
+        assert_eq!(stored_tables(&view), [0, 7], "only the crashed keep a table");
     }
 
     /// A static 8^3 `delegate(3)` group stores no table through its rounds;
@@ -1467,6 +1474,85 @@ mod tests {
             rounds += 1;
             assert!(rounds <= 236, "{} tables still unsettled", view.unsettled());
         }
+    }
+
+    /// A 22^3 `delegate(3)` group through a fixed-seed schedule of 30
+    /// crashes, leaves and rejoins, one a round, then rounds until settled
+    /// (741 rounds in all).  After every round a stored table belongs to an
+    /// unsettled live process — one whose table differs from the seat rule —
+    /// or to a crashed one; once settled, only the crashed that have not
+    /// rejoined keep theirs.  The schedule stores at most 578 tables and 145
+    /// a round on average, of 10 648; the ceilings are that plus about 13 %.
+    #[test]
+    fn a_churned_group_stores_only_the_tables_that_differ_from_the_seat_rule() {
+        let view = DelegateView::bootstrap(22, 3, DelegateViewConfig::default(), 47);
+        let n = 22usize.pow(3);
+        let mut schedule = ChaCha8Rng::seed_from_u64(47);
+        let (mut crashed, mut left) = (Vec::new(), Vec::new());
+        let mut stored = Vec::new();
+        // One round, then the stored tables held to the rule; returns their
+        // number.
+        let step = |view: &DelegateView, crashed: &[usize]| {
+            view.round_elapsed();
+            view.unsettled(); // drops the tables that equal the seat rule again
+            let state = view.state.read().expect("delegate view lock poisoned");
+            let mut unsettled = vec![false; n];
+            for &q in &state.unsettled {
+                unsettled[q as usize] = true;
+            }
+            let (mut live, mut dead) = (0, 0);
+            for q in (0..n).filter(|&q| state.stored(q).is_some()) {
+                if state.alive[q] {
+                    assert!(unsettled[q], "{q} is stored but not unsettled");
+                    assert!(!state.is_converged(q), "{q} is settled but stored");
+                    live += 1;
+                } else {
+                    assert!(crashed.contains(&q), "{q} is stored, dead and not crashed");
+                    dead += 1;
+                }
+            }
+            assert_eq!((live, dead), (state.unsettled.len(), crashed.len()));
+            live + dead
+        };
+        for _ in 0..30 {
+            match schedule.gen_range(0..3) {
+                2 if !crashed.is_empty() || !left.is_empty() => {
+                    let from = if left.is_empty() || (!crashed.is_empty() && schedule.gen_bool(0.5)) {
+                        &mut crashed
+                    } else {
+                        &mut left
+                    };
+                    let process = from.swap_remove(schedule.gen_range(0..from.len()));
+                    view.observe_join(process);
+                }
+                kind => {
+                    let process = loop {
+                        let process = schedule.gen_range(0..n);
+                        if view.is_live(process) {
+                            break process;
+                        }
+                    };
+                    if kind == 1 {
+                        view.observe_leave(process);
+                        left.push(process);
+                    } else {
+                        view.observe_crash(process);
+                        crashed.push(process);
+                    }
+                }
+            }
+            stored.push(step(&view, &crashed));
+        }
+        while view.unsettled() > 0 {
+            assert!(stored.len() < 2_000, "{} tables still unsettled", view.unsettled());
+            stored.push(step(&view, &crashed));
+        }
+        crashed.sort_unstable();
+        assert_eq!(stored_tables(&view), crashed, "the settled group keeps only the crashed tables");
+        let peak = stored.iter().copied().max().unwrap_or(0);
+        let mean = stored.iter().sum::<usize>() / stored.len();
+        assert!(peak <= 650, "{peak} tables stored at the peak");
+        assert!(mean <= 165, "{mean} tables stored a round on average");
     }
 
     #[test]
