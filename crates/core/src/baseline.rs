@@ -37,7 +37,7 @@ use std::sync::Arc;
 use pmcast_addr::Address;
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet, InternStats};
-use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
+use pmcast_membership::{Addresses, InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::{ProcessId, RoundContext, RoundProcess};
 use rustc_hash::FxHashMap;
 
@@ -84,8 +84,8 @@ fn round_budget(config: &PmcastConfig, size: usize) -> u32 {
 /// What every process of one group shares, stored once behind one [`Rc`]
 /// (a group runs on one thread, so its tables take no lock).
 pub(crate) struct FlatGroup<P> {
-    /// Member addresses in dense-identifier order.
-    addresses: Arc<Vec<Address>>,
+    /// Member addresses by dense identifier.
+    addresses: Addresses,
     config: PmcastConfig,
     oracle: Arc<dyn InterestOracle + Send + Sync>,
     membership: Arc<dyn MembershipView>,
@@ -135,10 +135,10 @@ impl FlatPolicy for Genuine {
         // audience allocation and skip the group scan.
         let key = oracle.audience_key(event);
         let audience = group.policy.directory.audience(event.id(), key, || {
-            let members = group.addresses.iter().enumerate();
-            members
-                .filter(|(_, address)| oracle.is_interested(address, event))
-                .map(|(index, _)| ProcessId(index))
+            let addresses = &group.addresses;
+            (0..addresses.member_count())
+                .filter(|&id| oracle.is_interested(addresses.index(id), event))
+                .map(ProcessId)
                 .collect()
         });
         let budget = round_budget(&group.config, audience.len());
@@ -321,14 +321,14 @@ pub struct FlatGossipProcess<P> {
     id: ProcessId,
     group: Rc<FlatGroup<P>>,
     buffered: FxHashMap<EventId, FlatEntry>,
-    delivered: EventIdSet,
-    received: EventIdSet,
+    /// The received identifiers, the delivered ones marked among them.
+    ids: EventIdSet,
 }
 
 impl<P: FlatPolicy> std::fmt::Debug for FlatGossipProcess<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct(P::NAME)
-            .field("address", crate::MulticastProtocol::address(self))
+            .field("id", &self.id)
             .field("buffered", &self.buffered.len())
             .finish_non_exhaustive()
     }
@@ -379,13 +379,12 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 
     fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
-        // `received` doubles as the seen-set: once an event has been
+        // The received set doubles as the seen-set: once an event has been
         // buffered (and possibly garbage collected), later copies are
         // ignored so gossiping terminates.  A duplicate reads the id alone.
-        if self.received.contains(gossip.id) {
+        if !self.ids.insert(gossip.id) {
             return;
         }
-        self.received.insert(gossip.id);
         // A first receipt takes its share of the event from the group's
         // store, and is then handled exactly like one published here;
         // content the store forgot is filed as seen and delivers nothing.
@@ -397,7 +396,7 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
     }
 
     fn receipt_key(gossip: &Gossip) -> Option<u64> {
-        // The first receipt files the id in `received`, which retiring only
+        // The first receipt files the id as received, which retiring only
         // grows: every later gossip of the id returns above.
         Some(gossip.id.0)
     }
@@ -417,8 +416,8 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
 fn take_in<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, event: Arc<Event>) -> bool {
     let id = event.id();
     let group = &process.group;
-    let delivered = group.oracle.is_interested(&group.addresses[process.id.0], &event)
-        && process.delivered.insert(id);
+    let delivered = group.oracle.is_interested(group.addresses.index(process.id.0), &event)
+        && process.ids.deliver(id);
     let (budget, pool) = P::admit(group, process.id, &event);
     let gossip = BufferedGossip::new(event, 1.0, 0, budget);
     process.buffered.insert(id, FlatEntry { gossip, pool });
@@ -432,27 +431,29 @@ fn retire<P: FlatPolicy>(process: &mut FlatGossipProcess<P>, floor: EventId) -> 
         Some(&min) => floor.min(min),
         None => floor,
     };
-    process.delivered.compact_below(floor);
-    process.received.compact_below(floor);
+    process.ids.compact_below(floor);
     process.group.policy.retire_below(floor);
     floor
 }
 
 impl<P: FlatPolicy> crate::MulticastProtocol for FlatGossipProcess<P> {
     fn publish(&mut self, event: Arc<Event>) {
-        if self.received.insert(event.id()) {
+        if self.ids.insert(event.id()) {
             self.group.store.admit(&event);
             take_in(self, event);
         }
     }
     fn has_delivered(&self, event: EventId) -> bool {
-        self.delivered.contains(event)
+        self.ids.is_delivered(event)
     }
     fn has_received(&self, event: EventId) -> bool {
-        self.received.contains(event)
+        self.ids.contains(event)
     }
     fn address(&self) -> &Address {
-        &self.group.addresses[self.id.0]
+        self.group.addresses.get(self.id.0)
+    }
+    fn space_index(&self) -> u128 {
+        self.group.addresses.index(self.id.0)
     }
     fn retire_below(&mut self, floor: EventId) {
         retire(self, floor);
@@ -462,7 +463,7 @@ impl<P: FlatPolicy> crate::MulticastProtocol for FlatGossipProcess<P> {
         self.group.store.forget_below(floor);
     }
     fn dedup_len(&self) -> usize {
-        self.delivered.len() + self.received.len()
+        self.ids.len() + self.ids.delivered_len()
     }
 }
 
@@ -475,22 +476,21 @@ pub(crate) fn build_flat_group<P: FlatPolicy, T: TreeTopology>(
     config: &PmcastConfig,
 ) -> ProtocolGroup<FlatGossipProcess<P>> {
     config.validate();
-    let addresses = Arc::new(topology.members());
+    let addresses = Addresses::of(topology);
     let group = Rc::new(FlatGroup {
-        addresses: Arc::clone(&addresses),
+        addresses: addresses.clone(),
         policy: P::for_group(config, &*membership),
         config: config.clone(),
         oracle,
         membership,
         store: EventStore::default(),
     });
-    let processes = (0..addresses.len())
+    let processes = (0..addresses.member_count())
         .map(|index| FlatGossipProcess {
             id: ProcessId(index),
             group: Rc::clone(&group),
             buffered: FxHashMap::default(),
-            delivered: EventIdSet::new(),
-            received: EventIdSet::new(),
+            ids: EventIdSet::new(),
         })
         .collect();
     ProtocolGroup {
@@ -549,6 +549,29 @@ mod tests {
     }
 
     #[test]
+    fn a_flat_process_is_small_and_keeps_one_id_window() {
+        // 88 bytes since the received and the delivered identifiers share
+        // one window (112 with two sets of four words): an id, the group's
+        // `Rc`, the buffered map and the five-word window.
+        assert!(
+            std::mem::size_of::<FloodBroadcastProcess>() <= 88,
+            "FlatGossipProcess grew to {} bytes",
+            std::mem::size_of::<FloodBroadcastProcess>()
+        );
+        let group = flood_group(half_interested_oracle(), &PmcastConfig::default());
+        let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(4));
+        sim.process_mut(ProcessId(0)).publish(Arc::new(event_with_id(3)));
+        sim.run_until_quiescent(200);
+        // Processes 0.0 to 1.3 are interested: they received and delivered,
+        // the others only received, and each id counts once per plane.
+        for (id, process) in sim.processes().enumerate() {
+            assert!(process.has_received(EventId(3)));
+            assert_eq!(process.has_delivered(EventId(3)), id < 8);
+            assert_eq!(process.dedup_len(), 1 + usize::from(id < 8));
+        }
+    }
+
+    #[test]
     fn flood_broadcast_reaches_uninterested_processes_too() {
         let oracle = half_interested_oracle();
         let event = Event::builder(1).build();
@@ -583,7 +606,7 @@ mod tests {
         sim.run_until_quiescent(200);
 
         for p in sim.processes() {
-            let interested = oracle.is_interested(p.address(), &event);
+            let interested = oracle.is_interested(p.space_index(), &event);
             if interested {
                 assert!(p.has_delivered(event.id()), "{} should deliver", p.address());
             } else {
@@ -719,7 +742,7 @@ mod tests {
         for p in sim.processes() {
             assert_eq!(
                 p.has_delivered(event.id()),
-                oracle.is_interested(p.address(), &event),
+                oracle.is_interested(p.space_index(), &event),
                 "{}",
                 p.address()
             );

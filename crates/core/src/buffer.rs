@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use pmcast_addr::Depth;
-use pmcast_interest::{Event, EventId, EventIdSet};
+use pmcast_interest::{Event, EventId};
 
 /// One buffered event at one depth: the `(event, rate, round)` tuples of the
 /// `gossips[depth]` sets in Figure 3, extended with the precomputed round
@@ -15,7 +15,8 @@ use pmcast_interest::{Event, EventId, EventIdSet};
 /// process keeps (the group's store keeps the other): buffering and
 /// promoting an event never copies its payload or touches its count, and
 /// forwarding it sends the id alone.  The depth it is filed at fills the
-/// entry's last spare byte, so it stays 48 bytes.
+/// entry's last spare byte, and its mask is two words, so it stays 48 bytes
+/// and word-aligned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferedGossip {
     /// The buffered event (shared with the group's store and every other
@@ -35,14 +36,14 @@ pub struct BufferedGossip {
     asked: bool,
     /// The depth [`GossipBuffers`] filed the entry at, 0 before.
     depth: u8,
-    /// The recorded mask over the depth view's positions.  Under summary
-    /// routing the provider's verdict: bit `p` is set when its summaries
-    /// allow position `p` for this event, valid only under the epoch below.
-    /// Under oracle routing the `⊲` test: bit `p` is set when the interest
-    /// oracle finds somebody interested below position `p`'s subgroup, valid
-    /// for the life of the group.  Derived state, and private so that only
-    /// an answer of the provider or the oracle ever gets here.
-    allowed: u128,
+    /// The recorded mask over the depth view's positions, low word first.
+    /// Under summary routing the provider's verdict: bit `p` is set when its
+    /// summaries allow position `p`, valid only under the epoch below.
+    /// Under oracle routing the `⊲` test: bit `p` is set when the oracle
+    /// finds somebody interested below position `p`'s subgroup, valid for
+    /// the life of the group.  Derived state, and private so that only an
+    /// answer of the provider or the oracle ever gets here.
+    allowed: [u64; 2],
     /// The provider's summary epoch the verdict was asked under.
     asked_under: u64,
 }
@@ -67,7 +68,7 @@ impl BufferedGossip {
             budget: 0,
             asked: false,
             depth: 0,
-            allowed: 0,
+            allowed: [0; 2],
             asked_under: 0,
         };
         entry.rejudge(rate, budget, None);
@@ -80,7 +81,16 @@ impl BufferedGossip {
     pub(crate) fn rejudge(&mut self, rate: f64, budget: u32, interested: Option<u128>) {
         (self.rate, self.asked, self.asked_under) = (rate, interested.is_some(), 0);
         self.budget = u16::try_from(budget).expect("round budgets are capped per depth");
-        self.allowed = interested.unwrap_or(0);
+        self.set_mask(interested.unwrap_or(0));
+    }
+
+    /// The recorded mask, whole.
+    fn mask(&self) -> u128 {
+        u128::from(self.allowed[0]) | u128::from(self.allowed[1]) << 64
+    }
+
+    fn set_mask(&mut self, mask: u128) {
+        self.allowed = [mask as u64, (mask >> 64) as u64];
     }
 
     /// Returns `true` while the entry has rounds of its budget left.
@@ -91,19 +101,19 @@ impl BufferedGossip {
     /// The verdict recorded for this entry, if one was and the provider's
     /// summary epoch is still the one it was asked under.
     pub(crate) fn verdict_under(&self, epoch: u64) -> Option<u128> {
-        (self.asked && self.asked_under == epoch).then_some(self.allowed)
+        (self.asked && self.asked_under == epoch).then(|| self.mask())
     }
 
     /// Records the provider's verdict, asked under `epoch`.
     pub(crate) fn record_verdict(&mut self, epoch: u64, allowed: u128) {
         self.asked = true;
-        self.allowed = allowed;
+        self.set_mask(allowed);
         self.asked_under = epoch;
     }
 
     /// The view's `⊲` mask recorded for this entry, if one was.
     pub(crate) fn interest(&self) -> Option<u128> {
-        self.asked.then_some(self.allowed)
+        self.asked.then(|| self.mask())
     }
 
     /// The entry with the view's `⊲` mask recorded, if there is one.
@@ -114,21 +124,20 @@ impl BufferedGossip {
 }
 
 /// The per-process gossip buffers: every depth's entries in one run,
-/// deepest depth first and each depth in filing order, and the identifiers
-/// ever seen.  Depth `d + 1`'s run ends where depth `d`'s begins, so an
-/// entry promoted out of the front of its run is the next depth's last once
-/// its depth byte moves: a process that buffers one event at a time keeps
-/// it in its own slot for its whole life and owns no buffer heap.
+/// deepest depth first and each depth in filing order.  Depth `d + 1`'s run
+/// ends where depth `d`'s begins, so an entry promoted out of the front of
+/// its run is the next depth's last once its depth byte moves: a process
+/// that buffers one event at a time keeps it in its own slot for its whole
+/// life and owns no buffer heap.
 ///
 /// The *bound gossiping* of Section 3.3 is passive garbage collection: an
 /// event lives in a depth's run for at most its round budget, then moves on
-/// to the next depth or is dropped for good.  The `seen` set (an
-/// [`EventIdSet`], no heap while its ids fit 64 in a row) keeps a late gossip
-/// from resurrecting a collected event.
+/// to the next depth or is dropped for good.  The process's received set
+/// (an [`pmcast_interest::EventIdSet`]) keeps a late gossip from
+/// resurrecting a collected event.
 #[derive(Debug, Clone)]
 pub struct GossipBuffers {
     entries: Entries,
-    seen: EventIdSet,
 }
 
 /// The buffered entries, one slice in either form: none or one in place,
@@ -185,28 +194,16 @@ impl std::ops::DerefMut for Entries {
     }
 }
 
-impl GossipBuffers {
-    /// Creates empty buffers for a tree of the given depth.  Allocates
-    /// nothing, and keeps nothing of the depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or above 255: an entry keeps its depth in a
-    /// byte.
-    pub fn new(depth: Depth) -> Self {
-        assert!(depth >= 1, "a tree has at least one depth");
-        assert!(depth <= 255, "a tree has at most 255 depths");
+impl Default for GossipBuffers {
+    /// Empty buffers; they allocate nothing.
+    fn default() -> Self {
         Self {
             entries: Entries::Inline(None),
-            seen: EventIdSet::new(),
         }
     }
+}
 
-    /// Returns `true` if the event was ever inserted at any depth.
-    pub fn has_seen(&self, event: EventId) -> bool {
-        self.seen.contains(event)
-    }
-
+impl GossipBuffers {
     /// Returns `true` if no depth buffers anything.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -222,27 +219,11 @@ impl GossipBuffers {
         self.entries.len()
     }
 
-    /// Inserts an event at a depth unless it was already seen (the
-    /// `∄ depth ∃ (event, …) ∈ gossips[depth]` guard of Figure 3, line 20,
-    /// hardened into "never seen before").  Returns `true` if inserted.
-    pub fn insert(&mut self, depth: Depth, gossip: BufferedGossip) -> bool {
-        if !self.mark_seen(gossip.event.id()) {
-            return false;
-        }
-        self.file(depth, gossip);
-        true
-    }
-
-    /// Files an identifier as seen without buffering anything (a first
-    /// receipt, [filed](Self::file) once its content is at hand, or one
-    /// whose content is gone).  Returns `true` if it was not seen before.
-    pub fn mark_seen(&mut self, event: EventId) -> bool {
-        self.seen.insert(event)
-    }
-
-    /// Files an entry whose identifier is already seen, without the
-    /// seen-check, last in its depth: a publication, or a first receipt
-    /// [marked seen](Self::mark_seen) by the caller.
+    /// Files an entry last in its depth: a publication, or a first receipt.
+    /// The caller has filed its identifier as received, which is what keeps
+    /// an event from being buffered twice (the `∄ depth ∃ (event, …) ∈
+    /// gossips[depth]` guard of Figure 3, line 20, hardened into "never
+    /// received before").
     ///
     /// # Panics
     ///
@@ -301,22 +282,10 @@ impl GossipBuffers {
         (start + spent, &mut self.entries[start + spent..end])
     }
 
-    /// Number of distinct events ever seen.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
-    }
-
     /// The smallest identifier currently buffered at any depth, if any —
     /// the in-flight low watermark a retire must not cross.
     pub fn min_buffered_id(&self) -> Option<EventId> {
         self.entries.iter().map(|gossip| gossip.event.id()).min()
-    }
-
-    /// Compacts the seen-set below `floor` (see
-    /// [`EventIdSet::compact_below`]); identifiers below the floor still
-    /// count as seen.  Returns the number of retired identifiers.
-    pub fn retire_seen_below(&mut self, floor: EventId) -> usize {
-        self.seen.compact_below(floor)
     }
 }
 
@@ -324,6 +293,7 @@ impl GossipBuffers {
 mod tests {
     use super::*;
 
+    use pmcast_interest::EventIdSet;
     use proptest::prelude::*;
 
     impl GossipBuffers {
@@ -628,13 +598,35 @@ mod tests {
         )
     }
 
+    /// The flat buffers as `PmcastProcess` keeps them: beside the received
+    /// set, which guards what is filed and retires what the nested
+    /// reference's own seen-set retired.
+    struct Flat {
+        buffers: GossipBuffers,
+        seen: EventIdSet,
+    }
+
+    impl Flat {
+        /// `PmcastProcess::publish`'s filing: once per identifier.
+        fn insert(&mut self, depth: Depth, gossip: BufferedGossip) -> bool {
+            let fresh = self.seen.insert(gossip.event.id());
+            if fresh {
+                self.buffers.file(depth, gossip);
+            }
+            fresh
+        }
+    }
+
     /// Replays one history on the flat buffers and the nested reference,
     /// holding them equal after every step (see
     /// `flat_buffers_visit_like_the_nested_reference`), and the flat ones to
     /// their layout: the entry inline until a second one comes, one block
     /// from then on.  Returns how many entries were buffered after each step.
     fn replay(depths: Depth, steps: &[Step]) -> Vec<usize> {
-        let mut flat = GossipBuffers::new(depths);
+        let mut flat = Flat {
+            buffers: GossipBuffers::default(),
+            seen: EventIdSet::new(),
+        };
         let mut nested = reference::GossipBuffers::new(depths);
         let (mut next, mut most, mut lens) = (0u64, 0, Vec::new());
         for step in steps {
@@ -649,7 +641,7 @@ mod tests {
                     let depth = depth.min(depths);
                     let id = if again && next > 0 { id % next } else { next };
                     next = next.max(id + 1);
-                    if flat.len() == 64 {
+                    if flat.buffers.len() == 64 {
                         continue;
                     }
                     let event = Arc::new(Event::builder(id).int("b", 1).build());
@@ -664,7 +656,12 @@ mod tests {
                 Step::Round => {
                     let (mut flat_visits, mut nested_visits) = (Vec::new(), Vec::new());
                     let (mut flat_judged, mut nested_judged) = (Vec::new(), Vec::new());
-                    flat_round(&mut flat, depths, &mut flat_visits, &mut flat_judged);
+                    flat_round(
+                        &mut flat.buffers,
+                        depths,
+                        &mut flat_visits,
+                        &mut flat_judged,
+                    );
                     reference_round(&mut nested, depths, &mut nested_visits, &mut nested_judged);
                     prop_assert_eq!(flat_visits, nested_visits);
                     prop_assert_eq!(flat_judged, nested_judged);
@@ -673,29 +670,35 @@ mod tests {
                     let floor = EventId(id % (next + 1));
                     let clamp = |min: Option<EventId>| min.map_or(floor, |min| floor.min(min));
                     prop_assert_eq!(
-                        flat.retire_seen_below(clamp(flat.min_buffered_id())),
+                        flat.seen
+                            .compact_below(clamp(flat.buffers.min_buffered_id())),
                         nested.retire_seen_below(clamp(nested.min_buffered_id()))
                     );
                 }
             }
+            let buffers = &flat.buffers;
             for depth in 1..=depths {
-                let filed: Vec<BufferedGossip> = flat.at_depth(depth).iter().map(unfiled).collect();
+                let filed: Vec<BufferedGossip> =
+                    buffers.at_depth(depth).iter().map(unfiled).collect();
                 prop_assert_eq!(&filed[..], nested.at_depth(depth), "depth {}", depth);
             }
-            prop_assert_eq!(flat.len(), nested.len());
-            prop_assert_eq!(flat.is_empty(), nested.is_empty());
-            prop_assert_eq!(flat.min_buffered_id(), nested.min_buffered_id());
-            prop_assert_eq!(flat.seen_count(), nested.seen_count());
+            prop_assert_eq!(buffers.len(), nested.len());
+            prop_assert_eq!(buffers.is_empty(), nested.is_empty());
+            prop_assert_eq!(buffers.min_buffered_id(), nested.min_buffered_id());
+            prop_assert_eq!(flat.seen.len(), nested.seen_count());
             for id in 0..next + 1 {
-                prop_assert_eq!(flat.has_seen(EventId(id)), nested.has_seen(EventId(id)));
+                prop_assert_eq!(
+                    flat.seen.contains(EventId(id)),
+                    nested.has_seen(EventId(id))
+                );
             }
-            most = most.max(flat.len());
+            most = most.max(buffers.len());
             prop_assert_eq!(
-                flat.block().is_some(),
+                buffers.block().is_some(),
                 most >= 2,
                 "a block exactly from the second entry on"
             );
-            lens.push(flat.len());
+            lens.push(buffers.len());
         }
         lens
     }
@@ -750,22 +753,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_rejects_duplicates_across_depths() {
-        let mut buffers = GossipBuffers::new(3);
-        assert!(buffers.insert(1, gossip(7)));
-        assert!(!buffers.insert(1, gossip(7)));
-        assert!(!buffers.insert(2, gossip(7)));
-        assert!(buffers.insert(3, gossip(8)));
-        assert_eq!(buffers.len(), 2);
-        assert_eq!(buffers.seen_count(), 2);
-        assert!(buffers.has_seen(EventId(7)));
-        assert!(!buffers.has_seen(EventId(9)));
-    }
-
-    #[test]
     fn a_promoted_entry_keeps_its_share_and_its_place() {
-        let mut buffers = GossipBuffers::new(2);
-        buffers.insert(1, gossip(1));
+        let mut buffers = GossipBuffers::default();
+        buffers.file(1, gossip(1));
         buffers.entries[0].round = 5;
         let event = Arc::clone(&buffers.at_depth(1)[0].event);
         let shares = Arc::strong_count(&event);
@@ -784,9 +774,7 @@ mod tests {
         );
         assert_eq!(promoted.interest(), Some(0b10));
         assert_eq!(promoted.depth, 2);
-        // Promotion does not change the seen set …
-        assert_eq!(buffers.seen_count(), 1);
-        // … and keeps the entry's own share of the payload where it was:
+        // Promotion keeps the entry's own share of the payload where it was:
         // no copy, no clone, no move.
         assert!(Arc::ptr_eq(&event, &promoted.event));
         assert_eq!(Arc::strong_count(&event), shares);
@@ -802,7 +790,7 @@ mod tests {
 
     #[test]
     fn emptiness_and_depth() {
-        let mut buffers = GossipBuffers::new(4);
+        let mut buffers = GossipBuffers::default();
         assert!(buffers.is_empty());
         assert_eq!(buffers.len(), 0);
         assert_eq!(buffers.shallowest(), None);
@@ -810,11 +798,11 @@ mod tests {
         assert_eq!(buffers.min_buffered_id(), None);
         // Nothing was inserted yet: no block exists.
         assert_eq!(buffers.block(), None);
-        assert!(buffers.insert(4, gossip(3)));
+        buffers.file(4, gossip(3));
         assert_eq!(buffers.shallowest(), Some(4));
-        assert!(buffers.insert(1, gossip(1)));
-        assert!(buffers.insert(2, gossip(2)));
-        assert!(buffers.insert(4, gossip(4)));
+        buffers.file(1, gossip(1));
+        buffers.file(2, gossip(2));
+        buffers.file(4, gossip(4));
         // Deepest depth first, each depth in filing order.
         let filed: Vec<(u8, u64)> = buffers
             .entries
@@ -830,10 +818,10 @@ mod tests {
 
     #[test]
     fn one_entry_is_inline_two_make_a_block_and_a_verdict_lives_under_its_epoch() {
-        let mut buffers = GossipBuffers::new(2);
-        buffers.insert(1, gossip(1));
+        let mut buffers = GossipBuffers::default();
+        buffers.file(1, gossip(1));
         assert_eq!(buffers.block(), None, "the first entry is kept in place");
-        buffers.insert(2, gossip(2));
+        buffers.file(2, gossip(2));
         let (block, capacity) = buffers.block().expect("a second entry makes a block");
         assert_eq!(capacity, 4, "`Vec`'s own first growth");
         // The block outlives its entries: both spent, one promoted with no
@@ -846,12 +834,15 @@ mod tests {
         assert_eq!((end, live.len()), (2, 0));
         let (end, live) = buffers.spend(2, end, None::<fn(&Event) -> (f64, u32, Option<u128>)>);
         assert!(end == 0 && live.is_empty() && buffers.is_empty());
-        buffers.insert(1, gossip(3));
+        buffers.file(1, gossip(3));
         assert_eq!(buffers.block(), Some((block, capacity)));
         // Entries are three words fatter than the four fields a caller sets,
-        // the depth byte included, and either form of the buffers is one.
+        // the depth byte included, and word-aligned: the mask is two words.
+        // Either form of the buffers is one entry.
         assert_eq!(std::mem::size_of::<BufferedGossip>(), 48);
+        assert_eq!(std::mem::align_of::<BufferedGossip>(), 8);
         assert_eq!(std::mem::size_of::<Entries>(), 48);
+        assert_eq!(std::mem::size_of::<GossipBuffers>(), 48);
 
         let mut entry = gossip(3);
         // No epoch a provider can report reads as a verdict before one is
@@ -878,14 +869,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one depth")]
+    #[should_panic(expected = "depths start at 1")]
     fn zero_depth_panics() {
-        let _ = GossipBuffers::new(0);
+        GossipBuffers::default().file(0, gossip(1));
     }
 
     #[test]
     #[should_panic(expected = "at most 255 depths")]
     fn a_depth_that_does_not_fit_a_byte_panics() {
-        let _ = GossipBuffers::new(256);
+        GossipBuffers::default().file(256, gossip(1));
     }
 }

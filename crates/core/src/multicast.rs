@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use pmcast_addr::Address;
 use pmcast_interest::{Event, EventId};
-use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
+use pmcast_membership::{Addresses, InterestOracle, MembershipView, TreeTopology};
 use pmcast_simnet::RoundProcess;
 
 use crate::{Gossip, PmcastConfig};
@@ -97,6 +97,10 @@ pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     /// The process's address in the membership tree.
     fn address(&self) -> &Address;
 
+    /// The process's index in its group's address space: what an
+    /// [`InterestOracle`] is asked about.
+    fn space_index(&self) -> u128;
+
     /// Retires dedup state for events with identifiers below `floor`.
     ///
     /// Long-running processes accumulate seen/delivered identifier sets
@@ -125,10 +129,10 @@ pub trait MulticastProtocol: RoundProcess<Message = Gossip> {
     }
 
     /// Number of event identifiers currently held in dedup state — the
-    /// quantity [`retire_below`](Self::retire_below) bounds: the received
-    /// (seen) set plus the delivered set, each stored identifier counted
-    /// once.  Diagnostic; defaults to zero for protocols without explicit
-    /// dedup storage.
+    /// quantity [`retire_below`](Self::retire_below) bounds: the identifiers
+    /// stored in the received plane plus those in the delivered plane of the
+    /// process's id window (a delivered one counts twice, a retired one not
+    /// at all).  Diagnostic; defaults to zero without explicit dedup storage.
     fn dedup_len(&self) -> usize {
         0
     }
@@ -141,9 +145,10 @@ pub struct ProtocolGroup<P> {
     /// One protocol instance per process, indexed by
     /// [`pmcast_simnet::ProcessId`].
     pub processes: Vec<P>,
-    /// Member addresses in dense-identifier order; under pmcast, the group's
-    /// views' own, shared by every group of a full tree's shape on a thread.
-    pub addresses: Arc<Vec<Address>>,
+    /// Member addresses by dense identifier, a full tree's computed, not
+    /// stored; under pmcast, the group's views' own, shared by every group
+    /// of a full tree's shape on a thread.
+    pub addresses: Addresses,
 }
 
 impl<P> std::fmt::Debug for ProtocolGroup<P> {
@@ -293,7 +298,7 @@ mod tests {
         let oracle = Arc::new(UniformOracle);
         let group = F::build(&topology, oracle, global_view(), &PmcastConfig::default());
         assert_eq!(group.processes.len(), 16);
-        assert_eq!(group.addresses.len(), 16);
+        assert_eq!(group.addresses.member_count(), 16);
         let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(9));
         let event = Arc::new(Event::builder(31).int("b", 5).build());
         sim.process_mut(ProcessId(0)).publish(event);
@@ -321,8 +326,10 @@ mod tests {
             vec!["0.0".parse().unwrap(), "1.2".parse().unwrap()],
         ));
         let group = GenuineFactory::build(&topology, oracle, global_view(), &PmcastConfig::default());
-        for (process, address) in group.processes.iter().zip(group.addresses.iter()) {
-            assert_eq!(MulticastProtocol::address(process), address);
+        assert_eq!(group.addresses, topology.members());
+        for (id, process) in group.processes.iter().enumerate() {
+            assert_eq!(MulticastProtocol::address(process), group.addresses.get(id));
+            assert_eq!(MulticastProtocol::space_index(process), id as u128);
         }
         assert!(format!("{group:?}").contains("ProtocolGroup"));
     }

@@ -12,6 +12,7 @@ use rustc_hash::FxHashMap;
 
 use crate::config::MAX_ROUNDS_PER_DEPTH;
 use crate::store::EventStore;
+use crate::views::Subgroup;
 use crate::{
     BufferedGossip, DepthView, Gossip, GossipBuffers, InterestRouting, PmcastConfig,
     ProtocolGroup, SharedViews,
@@ -35,7 +36,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
 ) -> ProtocolGroup<PmcastProcess> {
     config.validate();
     let views = SharedViews::shared(topology, config.redundancy);
-    let addresses = Arc::clone(views.addresses());
+    let addresses = views.addresses().clone();
     let group = Rc::new(GroupContext {
         config: config.clone(),
         views,
@@ -48,7 +49,7 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
     // the leaf stacks in order meets every process in identifier order, its
     // stack's index in hand.
     let index = |at: usize| u32::try_from(at).expect("a group holds fewer than 2^32 processes");
-    let mut processes = Vec::with_capacity(addresses.len());
+    let mut processes = Vec::with_capacity(addresses.member_count());
     for (stack, views) in group.views.stacks().iter().enumerate() {
         let leaf_view = views.last().expect("a stack holds a view per depth");
         for at in 0..leaf_view.len() {
@@ -56,13 +57,13 @@ pub(crate) fn build_pmcast_group<T: TreeTopology>(
                 id: index(leaf_view.target(at).0),
                 stack: index(stack),
                 group: Rc::clone(&group),
-                buffers: GossipBuffers::new(views.len()),
-                delivered_ids: EventIdSet::new(),
+                buffers: GossipBuffers::default(),
+                ids: EventIdSet::new(),
             });
         }
     }
     debug_assert!(processes.iter().enumerate().all(|(at, process)| process.id as usize == at));
-    debug_assert_eq!(processes.len(), addresses.len());
+    debug_assert_eq!(processes.len(), addresses.member_count());
     ProtocolGroup {
         processes,
         addresses,
@@ -139,9 +140,7 @@ impl GroupContext {
     /// [`BufferedGossip::VERDICT_WIDTH`] is counted, and its mask left 0.
     fn interest(&self, view: &DepthView, event: &Event) -> (u128, usize) {
         // One oracle probe per distinct subgroup, one hit per target.
-        let interested = view.allowed(self.views.addresses(), 0..view.len(), |subgroup| {
-            self.oracle.subtree_interested(subgroup, event)
-        });
+        let interested = view.allowed(0..view.len(), |at| self.subtree_interested(at, event));
         if view.len() > BufferedGossip::VERDICT_WIDTH {
             return (0, interested.count());
         }
@@ -149,10 +148,27 @@ impl GroupContext {
         (mask, mask.count_ones() as usize)
     }
 
-    /// `GETRATE`: the fraction of a view's entries (delegates / neighbours)
-    /// whose subtree is interested in the event.
-    fn matching_rate(&self, view: &DepthView, event: &Event) -> f64 {
-        raw_rate(self.interest(view, event).1, view.len())
+    /// The oracle's `⊲` test of a view target's subtree: a listed subgroup's
+    /// prefix, or a leaf target's one process, asked by its index.
+    fn subtree_interested(&self, subgroup: Subgroup<'_>, event: &Event) -> bool {
+        match subgroup {
+            Subgroup::Listed(prefix) => self.oracle.subtree_interested(prefix, event),
+            Subgroup::Leaf(id) => self
+                .oracle
+                .is_interested(self.views.addresses().index(id.0), event),
+        }
+    }
+
+    /// The provider's summary veto on a view target's subtree; a leaf
+    /// target's prefix is its address, built by arithmetic in a full tree.
+    fn summary_allows(&self, subgroup: Subgroup<'_>, event: &Event) -> bool {
+        match subgroup {
+            Subgroup::Listed(prefix) => self.membership.summary_allows(prefix, event),
+            Subgroup::Leaf(id) => {
+                let prefix = self.views.addresses().address(id.0).as_prefix();
+                self.membership.summary_allows(&prefix, event)
+            }
+        }
     }
 
     /// The rate used for round-budget computation and gossiping — `raw` in
@@ -192,10 +208,7 @@ impl GroupContext {
             InterestRouting::Oracle => {
                 let interested = match entry.interest() {
                     Some(interested) => interested >> position & 1 == 1,
-                    None => self.oracle.subtree_interested(
-                        &view.subgroup(position, self.views.addresses()),
-                        &entry.event,
-                    ),
+                    None => self.subtree_interested(view.subgroup(position), &entry.event),
                 };
                 let selected = interested
                     || self.config.tuning.is_some_and(|tuning| position < tuning.threshold);
@@ -350,9 +363,7 @@ impl GroupContext {
     ) {
         pool.clear();
         if view.len() > BufferedGossip::VERDICT_WIDTH {
-            pool.extend(view.allowed(self.views.addresses(), candidates, |subgroup| {
-                self.membership.summary_allows(subgroup, &entry.event)
-            }));
+            pool.extend(view.allowed(candidates, |at| self.summary_allows(at, &entry.event)));
             return;
         }
         let allowed = entry.verdict_under(epoch).unwrap_or_else(|| {
@@ -378,10 +389,8 @@ impl GroupContext {
     fn fold_summary_verdict(&self, view: &DepthView, event: &Event) -> u128 {
         #[cfg(test)]
         tests::count_provider_verdict();
-        view.allowed(self.views.addresses(), 0..view.len(), |subgroup| {
-            self.membership.summary_allows(subgroup, event)
-        })
-        .fold(0, |allowed, position| allowed | 1 << position)
+        view.allowed(0..view.len(), |at| self.summary_allows(at, event))
+            .fold(0, |allowed, position| allowed | 1 << position)
     }
 
     /// One depth's candidate destinations for a round in which `entries`
@@ -553,56 +562,61 @@ fn gossip_entry(
 ///
 /// A process that no event has reached owns no heap memory and holds
 /// nothing the group holds: everything shared sits behind `group` — its
-/// address and its view stack included, named by two indices — and the
+/// view stack and its address included, named by two indices — and the
 /// fanout draw borrows the round driver's [`FanoutScratch`].  One reached
 /// by a single event owns none either: the gossip buffers keep their first
-/// entry in the slot (two cache lines) and allocate from the second.
+/// entry in the slot and the id set 64 identifiers inline.
 ///
 /// A clone is a second process in the same state, sharing the group.
 #[derive(Clone)]
 pub struct PmcastProcess {
-    /// The process's [`ProcessId`], which indexes its address.
+    /// The process's [`ProcessId`], which names its address.
     id: u32,
     /// Where its view stack — shared with its leaf-subgroup siblings, each
     /// view knowing where they sit in it — is in [`SharedViews::stacks`].
     stack: u32,
     group: Rc<GroupContext>,
     buffers: GossipBuffers,
-    // A windowed bitmap (not a hash set): four words with 64 identifiers
+    // A windowed bitmap (not a hash set): five words with 64 identifiers
     // inline, so neither a million never-contacted processes nor the ones a
-    // single event infects hold any dedup heap.  The received set is
-    // `buffers`' seen-set: every received id is filed there.
-    delivered_ids: EventIdSet,
+    // single event infects hold dedup heap.  Received ids, delivered marked.
+    ids: EventIdSet,
 }
 
 impl std::fmt::Debug for PmcastProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmcastProcess")
-            .field("address", self.address())
             .field("id", &self.id)
             .field("buffered", &self.buffers.len())
-            .field("delivered", &self.delivered_ids.len())
+            .field("delivered", &self.ids.delivered_len())
             .finish_non_exhaustive()
     }
 }
 
 impl PmcastProcess {
-    /// The process's address.
+    /// The process's address.  A full tree keeps none: the first call
+    /// writes every member's out, once per group shape, for the borrow.
     pub fn address(&self) -> &Address {
-        &self.group.views.addresses()[self.id as usize]
+        self.group.views.addresses().get(self.id as usize)
+    }
+
+    /// The process's index in its group's address space, which the
+    /// interest oracle is asked about: its identifier, in a full tree.
+    pub fn space_index(&self) -> u128 {
+        self.group.views.addresses().index(self.id as usize)
     }
 
     /// Returns `true` if the given event was delivered to the application
     /// (`HPDELIVER` in Figure 3).
     pub fn has_delivered(&self, event: EventId) -> bool {
-        self.delivered_ids.contains(event)
+        self.ids.is_delivered(event)
     }
 
     /// Returns `true` if the given event was *received* by this process at
     /// all (delivered or merely buffered/forwarded); the paper's Figure 5
     /// measures exactly this for uninterested processes.
     pub fn has_received(&self, event: EventId) -> bool {
-        self.buffers.has_seen(event)
+        self.ids.contains(event)
     }
 
     /// Multicasts an event (`PMCAST` in Figure 3).
@@ -623,16 +637,16 @@ impl PmcastProcess {
     /// depth, and kept in the group's store for the processes it reaches.
     /// Publishing an event this process has already seen is ignored.
     pub fn publish(&mut self, event: Arc<Event>) {
-        if self.buffers.has_seen(event.id()) {
+        if !self.ids.insert(event.id()) {
             return;
         }
         self.group.store.admit(&event);
-        if self.group.oracle.is_interested(self.address(), &event) {
-            // `HPDELIVER`: delivery is the identifier entering this set.
-            self.delivered_ids.insert(event.id());
+        if self.group.oracle.is_interested(self.space_index(), &event) {
+            // `HPDELIVER`: delivery is the identifier's delivered bit.
+            self.ids.deliver(event.id());
         }
         let entry = self.group.fresh_entry(&self.group.stack(self.stack)[0], event);
-        self.buffers.insert(1, entry);
+        self.buffers.file(1, entry);
     }
 
     /// Retires dedup state below `floor`, clamped so that it never passes
@@ -644,8 +658,7 @@ impl PmcastProcess {
             Some(min) => floor.min(min),
             None => floor,
         };
-        self.buffers.retire_seen_below(floor);
-        self.delivered_ids.compact_below(floor);
+        self.ids.compact_below(floor);
         floor
     }
 
@@ -654,15 +667,15 @@ impl PmcastProcess {
     /// traffic — stays one probe and a return.
     #[inline(never)]
     fn first_receipt(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
-        self.buffers.mark_seen(gossip.id);
+        self.ids.insert(gossip.id);
         // A first receipt takes its share of the event from the group's
         // store; content the store forgot is filed as seen and delivers
         // nothing, like a retired id.
         let Some(event) = self.group.store.get(gossip.id) else {
             return;
         };
-        if self.group.oracle.is_interested(self.address(), &event)
-            && self.delivered_ids.insert(gossip.id)
+        if self.group.oracle.is_interested(self.space_index(), &event)
+            && self.ids.deliver(gossip.id)
         {
             ctx.report_delivery(gossip.id.0);
         }
@@ -671,12 +684,6 @@ impl PmcastProcess {
         let view = &self.group.stack(self.stack)[depth - 1];
         let entry = self.group.received_entry(view, event, gossip.rate, gossip.round);
         self.buffers.file(depth, entry);
-    }
-
-    /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
-    /// neighbours) whose subtree is interested in the event.
-    pub fn matching_rate(&self, depth: Depth, event: &Event) -> f64 {
-        self.group.matching_rate(&self.group.stack(self.stack)[depth - 1], event)
     }
 
     /// One iteration of the `GOSSIP` task of Figure 3 for the depth whose
@@ -786,7 +793,7 @@ impl RoundProcess for PmcastProcess {
 
     fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {
         // A duplicate reads the id and nothing else (Figure 3, line 20).
-        if self.buffers.has_seen(gossip.id) {
+        if self.ids.contains(gossip.id) {
             return;
         }
         self.first_receipt(gossip, ctx);
@@ -822,6 +829,9 @@ impl crate::MulticastProtocol for PmcastProcess {
     fn address(&self) -> &Address {
         PmcastProcess::address(self)
     }
+    fn space_index(&self) -> u128 {
+        PmcastProcess::space_index(self)
+    }
     fn retire_below(&mut self, floor: EventId) {
         self.retire(floor);
     }
@@ -830,7 +840,7 @@ impl crate::MulticastProtocol for PmcastProcess {
         self.group.store.forget_below(floor);
     }
     fn dedup_len(&self) -> usize {
-        self.buffers.seen_count() + self.delivered_ids.len()
+        self.ids.len() + self.ids.delivered_len()
     }
 }
 
@@ -1093,7 +1103,7 @@ mod tests {
             0, // sender 0.0 is itself interested
         );
         for p in &processes {
-            let interested = oracle.is_interested(p.address(), &event);
+            let interested = oracle.is_interested(p.space_index(), &event);
             if interested {
                 assert!(p.has_delivered(event.id()), "{} must deliver", p.address());
             } else {
@@ -1104,7 +1114,9 @@ mod tests {
         // (and possibly nobody in this tiny tree).
         let spurious = processes
             .iter()
-            .filter(|p| !oracle.is_interested(p.address(), &event) && p.has_received(event.id()))
+            .filter(|p| {
+                !oracle.is_interested(p.space_index(), &event) && p.has_received(event.id())
+            })
             .count();
         assert!(spurious <= 4, "at most a few uninterested receivers, got {spurious}");
     }
@@ -1126,6 +1138,15 @@ mod tests {
             .collect();
         assert_eq!(deliverers.len(), 1);
         assert_eq!(deliverers[0].address().to_string(), "1.1");
+    }
+
+    impl PmcastProcess {
+        /// `GETRATE(depth, event)`: the fraction of view entries (delegates /
+        /// neighbours) whose subtree is interested in the event.
+        fn matching_rate(&self, depth: Depth, event: &Event) -> f64 {
+            let view = &self.group.stack(self.stack)[depth - 1];
+            raw_rate(self.group.interest(view, event).1, view.len())
+        }
     }
 
     #[test]
@@ -1232,7 +1253,7 @@ mod tests {
             assert!(p.has_delivered(event_a.id()));
             assert!(p.has_delivered(event_b.id()));
             // The delivered set holds each event exactly once.
-            assert_eq!(p.delivered_ids.len(), 2);
+            assert_eq!(p.ids.delivered_len(), 2);
         }
     }
 
@@ -1264,7 +1285,10 @@ mod tests {
         assert!(text.contains("ProtocolGroup"));
         let process_text = format!("{:?}", group.processes[0]);
         assert!(process_text.contains("PmcastProcess"));
-        assert!(process_text.contains("address"));
+        assert!(process_text.contains("id: 0"));
+        // Printing a process or a group writes no address out.
+        assert!(format!("{:?}", group.addresses).contains("written: false"));
+        assert_eq!(group.addresses.listed(), None);
     }
 
     /// Appends to `pool` every position of `view` except the process's own.
@@ -1367,17 +1391,29 @@ mod tests {
     }
 
     /// An assignment oracle, with or without its audience key, counting the
-    /// subtree tests the protocol asks of it (a hook's reference asks are
-    /// not counted).
+    /// subtree tests and the single-process tests the protocol asks of it
+    /// (a hook's reference asks are not counted).
     struct CountingOracle {
         assignment: AssignmentOracle,
         keyed: bool,
         subtree_tests: AtomicU64,
+        point_tests: AtomicU64,
+    }
+
+    impl CountingOracle {
+        /// Both counts, reset.
+        fn asked(&self) -> (u64, u64) {
+            let take = |count: &AtomicU64| count.swap(0, Ordering::SeqCst);
+            (take(&self.subtree_tests), take(&self.point_tests))
+        }
     }
 
     impl InterestOracle for CountingOracle {
-        fn is_interested(&self, address: &Address, event: &Event) -> bool {
-            self.assignment.is_interested(address, event)
+        fn is_interested(&self, index: u128, event: &Event) -> bool {
+            if !IN_HOOK.with(Cell::get) {
+                self.point_tests.fetch_add(1, Ordering::SeqCst);
+            }
+            self.assignment.is_interested(index, event)
         }
         fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
             if !IN_HOOK.with(Cell::get) {
@@ -1406,6 +1442,7 @@ mod tests {
                 assignment: assignment.clone(),
                 keyed,
                 subtree_tests: AtomicU64::new(0),
+                point_tests: AtomicU64::new(0),
             });
             let membership = Arc::new(GlobalOracleView::new(64));
             let group = build_pmcast_group(&topology, oracle.clone(), membership, &config);
@@ -1414,7 +1451,13 @@ mod tests {
             for view in all_views(&group) {
                 context.fresh_entry(&view, Arc::new(Event::builder(1).build()));
             }
-            assert!(oracle.subtree_tests.swap(0, Ordering::SeqCst) >= 21);
+            // The 5 inner views ask per subgroup, the 16 leaf views per
+            // process, by index.
+            let (subtree, point) = oracle.asked();
+            assert!(
+                subtree >= 5 && point >= 16 * 4,
+                "{subtree} and {point} asks"
+            );
             picks_checked();
             WRITTEN_POOLS.with(|written| written.set(0));
             let mut sim = Simulation::new(group.processes, NetworkConfig::reliable(5));
@@ -1424,7 +1467,13 @@ mod tests {
             let event = Event::builder(2).build();
             let delivered = sim.processes().filter(|p| p.has_delivered(event.id())).count();
             assert_eq!(delivered, assignment.len());
-            let (asked, checked) = (oracle.subtree_tests.load(Ordering::SeqCst), picks_checked());
+            // A process asks about itself once, when the event reaches it.
+            let received = sim
+                .processes()
+                .filter(|p| p.has_received(event.id()))
+                .count();
+            let ((subtree, point), checked) = (oracle.asked(), picks_checked());
+            let asked = subtree + point - received as u64;
             if keyed {
                 // Every pick read a bit `check_pick` held to the oracle.
                 assert_eq!(asked, 0);
@@ -1771,8 +1820,8 @@ mod tests {
     struct Unkeyed<'a>(&'a dyn InterestOracle);
 
     impl InterestOracle for Unkeyed<'_> {
-        fn is_interested(&self, address: &Address, event: &Event) -> bool {
-            self.0.is_interested(address, event)
+        fn is_interested(&self, index: u128, event: &Event) -> bool {
+            self.0.is_interested(index, event)
         }
         fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
             self.0.subtree_interested(prefix, event)
@@ -2194,10 +2243,16 @@ mod tests {
         };
         let (a, b) = (build(), build());
         assert!(Arc::ptr_eq(&a.processes[0].group.views, &b.processes[0].group.views));
-        assert!(Arc::ptr_eq(&a.addresses, &b.addresses));
+        // A full tree's addresses are written out by the first borrow of
+        // one, for every group sharing the set.
+        assert_eq!(b.addresses.listed(), None);
+        let first = a.processes[0].address();
+        assert_eq!(b.addresses.listed().map(|listed| &listed[0]), Some(first));
+        assert_eq!(a.addresses, small_topology().members());
         // A process reads its address and its stack out of the shared set.
         for (index, process) in a.processes.iter().enumerate() {
-            assert_eq!(*process.address(), a.addresses[index]);
+            assert_eq!(*process.address(), small_topology().members()[index]);
+            assert_eq!(process.space_index(), index as u128);
             let leaf = process.group.stack(process.stack).last().unwrap();
             assert!((0..leaf.len()).any(|at| leaf.target(at) == ProcessId(index)));
         }
@@ -2205,12 +2260,15 @@ mod tests {
 
     #[test]
     fn an_idle_process_is_small_and_owns_no_heap() {
-        // Two cache lines since the first buffer entry lives in the slot;
-        // was 112 with a heap block for it, 160 with an inline address and
-        // an `Arc` of the view stack, ≈ 340 with a config clone, four
-        // `Arc`s, a `Vec<u32>` address and a scratch per process.
+        // 104 bytes since the received and the delivered identifiers share
+        // one window (two sets of four words before) and the buffer entry's
+        // mask is two words, so nothing in the slot is 16-aligned; 128 with
+        // the two sets, 112 with a heap block for the first buffer entry, 160
+        // with an inline address and an `Arc` of the view stack, ≈ 340 with a
+        // config clone, four `Arc`s, a `Vec<u32>` address and a scratch per
+        // process.
         assert!(
-            std::mem::size_of::<PmcastProcess>() <= 128,
+            std::mem::size_of::<PmcastProcess>() <= 104,
             "PmcastProcess grew to {} bytes",
             std::mem::size_of::<PmcastProcess>()
         );
@@ -2222,7 +2280,7 @@ mod tests {
         let group = build_pmcast_group(&topology, oracle, global_view(), &PmcastConfig::default());
         let idle = &group.processes[5];
         assert!(idle.is_quiescent());
-        assert!(idle.delivered_ids.is_empty());
+        assert!(idle.ids.is_empty() && idle.ids.delivered_len() == 0);
         assert!(idle.buffers.at_depth(1).is_empty());
         assert_eq!(idle.buffers.block(), None);
         // Every process of the group shares the one context.
@@ -2389,7 +2447,7 @@ mod tests {
 
     /// What a process holds, as its `Debug` output spells it in full.
     fn full_state(process: &PmcastProcess) -> String {
-        format!("{:?} {:?}", process.buffers, process.delivered_ids)
+        format!("{:?} {:?}", process.buffers, process.ids)
     }
 
     /// Runs one trial twice in lockstep, through the engine's receipt screen
@@ -2498,7 +2556,7 @@ mod tests {
         process.publish(event);
         assert_eq!(process.buffers.len(), buffered);
         assert!(process.has_delivered(event_id));
-        assert_eq!(process.delivered_ids.len(), 1);
+        assert_eq!(process.ids.delivered_len(), 1);
     }
 
     #[test]
@@ -2549,12 +2607,12 @@ mod tests {
         for p in &processes {
             assert_eq!(
                 p.has_delivered(event.id()),
-                oracle.is_interested(p.address(), &event)
+                oracle.is_interested(p.space_index(), &event)
             );
         }
         // … and a delivering process recorded exactly this one delivery.
         for p in processes.iter().filter(|p| p.has_delivered(event.id())) {
-            assert_eq!(p.delivered_ids.len(), 1);
+            assert_eq!(p.ids.delivered_len(), 1);
         }
         // Spurious reception stays bounded to delegates of interested
         // subtrees, exactly as the pre-Arc protocol behaved.

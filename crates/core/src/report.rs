@@ -1,6 +1,5 @@
 use rustc_hash::FxHashMap;
 
-use pmcast_addr::Address;
 use pmcast_interest::{Event, EventId};
 use pmcast_membership::InterestOracle;
 
@@ -10,8 +9,8 @@ use crate::MulticastProtocol;
 /// [`MulticastReport`] classifies.  Every [`MulticastProtocol`] is one
 /// through the blanket impl below; an implementor writes nothing.
 pub trait DeliveryOutcome {
-    /// The process's address.
-    fn outcome_address(&self) -> &Address;
+    /// Returns `true` if `oracle` finds the process interested in `event`.
+    fn outcome_interested(&self, oracle: &dyn InterestOracle, event: &Event) -> bool;
     /// Returns `true` if the event was delivered to the application.
     fn outcome_delivered(&self, event: EventId) -> bool;
     /// Returns `true` if the event was received at all (delivered or merely
@@ -20,8 +19,8 @@ pub trait DeliveryOutcome {
 }
 
 impl<P: MulticastProtocol> DeliveryOutcome for P {
-    fn outcome_address(&self) -> &Address {
-        self.address()
+    fn outcome_interested(&self, oracle: &dyn InterestOracle, event: &Event) -> bool {
+        oracle.is_interested(self.space_index(), event)
     }
     fn outcome_delivered(&self, event: EventId) -> bool {
         self.has_delivered(event)
@@ -56,7 +55,7 @@ impl MulticastReport {
         I: IntoIterator<Item = &'a P>,
     {
         Self::tally(event.id(), processes, |_, process| {
-            oracle.is_interested(process.outcome_address(), event)
+            process.outcome_interested(oracle, event)
         })
     }
 
@@ -125,8 +124,7 @@ impl MulticastReport {
                     return Self::collect(event, processes.clone(), oracle);
                 };
                 let audience = audiences.entry(key).or_insert_with(|| {
-                    let interested =
-                        |process: &P| oracle.is_interested(process.outcome_address(), event);
+                    let interested = |process: &P| process.outcome_interested(oracle, event);
                     processes.clone().map(interested).collect()
                 });
                 Self::tally(event.id(), processes.clone(), |position, _| audience[position])
@@ -167,15 +165,16 @@ impl MulticastReport {
 mod tests {
     use super::*;
 
+    /// A process of a 2^2 space, at an index of it.
     struct FakeProcess {
-        address: Address,
+        index: u128,
         delivered: bool,
         received: bool,
     }
 
     impl DeliveryOutcome for FakeProcess {
-        fn outcome_address(&self) -> &Address {
-            &self.address
+        fn outcome_interested(&self, oracle: &dyn InterestOracle, event: &Event) -> bool {
+            oracle.is_interested(self.index, event)
         }
         fn outcome_delivered(&self, _event: EventId) -> bool {
             self.delivered
@@ -187,9 +186,9 @@ mod tests {
 
     struct FakeOracle;
     impl InterestOracle for FakeOracle {
-        fn is_interested(&self, address: &Address, _event: &Event) -> bool {
-            // Processes with first component 0 are interested.
-            address.components()[0] == 0
+        fn is_interested(&self, index: u128, _event: &Event) -> bool {
+            // Processes with first component 0 are interested: 0.0 and 0.1.
+            index < 2
         }
         fn subtree_interested(&self, prefix: &pmcast_addr::Prefix, _event: &Event) -> bool {
             prefix.components().first().is_none_or(|&first| first == 0)
@@ -197,8 +196,9 @@ mod tests {
     }
 
     fn fake(addr: &str, delivered: bool, received: bool) -> FakeProcess {
+        let space = pmcast_addr::AddressSpace::regular(2, 2).unwrap();
         FakeProcess {
-            address: addr.parse().unwrap(),
+            index: space.index_of_address(&addr.parse().unwrap()).unwrap(),
             delivered,
             received,
         }

@@ -1,21 +1,30 @@
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use pmcast_addr::{Address, AddressSpace, Component, Prefix};
+use pmcast_addr::{Component, Prefix};
 use pmcast_simnet::ProcessId;
 
-use pmcast_membership::{allowed_runs, TreeTopology};
+use pmcast_membership::{allowed_runs, Addresses, TreeTopology};
 
 /// One gossip destination of an inner view: the process's dense simulation
-/// identifier and the child subgroup it is a delegate of.  Its address is
-/// [`SharedViews::addresses`] at its identifier; a target carries no copy.
+/// identifier and the child subgroup it is a delegate of.  Its identifier
+/// names its address in [`SharedViews::addresses`]; a target carries none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipTarget {
     /// The destination's simulation identifier.
     pub id: ProcessId,
     /// The subgroup the destination represents at this depth.
     pub subgroup: Prefix,
+}
+
+/// What the target at one position of a view stands for when its subtree
+/// is asked about.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Subgroup<'a> {
+    /// An inner view's target: the child subgroup it is a delegate of.
+    Listed(&'a Prefix),
+    /// A leaf view's target: one process, named by its identifier.
+    Leaf(ProcessId),
 }
 
 /// One shared per-depth view as a process holds it: the gossip targets
@@ -67,12 +76,11 @@ impl DepthView {
         }
     }
 
-    /// The subgroup the target at `position` represents; at the leaf, its
-    /// address out of `addresses`, the group's [`SharedViews::addresses`].
-    pub(crate) fn subgroup(&self, position: usize, addresses: &[Address]) -> Cow<'_, Prefix> {
+    /// What the target at `position` stands for.
+    pub(crate) fn subgroup(&self, position: usize) -> Subgroup<'_> {
         match &self.targets {
-            Targets::Listed(targets) => Cow::Borrowed(&targets[position].subgroup),
-            Targets::Leaf { .. } => Cow::Owned(addresses[self.target(position).0].as_prefix()),
+            Targets::Listed(targets) => Subgroup::Listed(&targets[position].subgroup),
+            Targets::Leaf { .. } => Subgroup::Leaf(self.target(position)),
         }
     }
 
@@ -81,18 +89,19 @@ impl DepthView {
     /// and once per leaf target, each a subgroup of its own.
     pub(crate) fn allowed<'a>(
         &'a self,
-        addresses: &'a [Address],
         positions: impl Iterator<Item = usize> + 'a,
-        mut allows: impl FnMut(&Prefix) -> bool + 'a,
+        mut allows: impl FnMut(Subgroup<'_>) -> bool + 'a,
     ) -> impl Iterator<Item = usize> + 'a {
         let (listed, leaf) = match &self.targets {
             Targets::Listed(targets) => {
                 let subgroups = positions.map(|position| (position, &targets[position].subgroup));
-                (Some(allowed_runs(subgroups, allows)), None)
+                let judge = move |prefix: &Prefix| allows(Subgroup::Listed(prefix));
+                (Some(allowed_runs(subgroups, judge)), None)
             }
             Targets::Leaf { first, .. } => {
-                let subgroup = |position: usize| addresses[*first as usize + position].as_prefix();
-                (None, Some(positions.filter(move |&position| allows(&subgroup(position)))))
+                let id = |position: usize| ProcessId(*first as usize + position);
+                let leaf = positions.filter(move |&position| allows(Subgroup::Leaf(id(position))));
+                (None, Some(leaf))
             }
         };
         // One concrete iterator for either kind of view; the other half is empty.
@@ -135,9 +144,10 @@ pub type ViewStack = Arc<[DepthView]>;
 ///
 /// Building allocates per *prefix*, never per process: one slice per inner
 /// view, one stack per leaf subgroup (its leaf view inline), one vector per
-/// tree level while it builds.  What it keeps is the stacks: every view is
-/// in one.  A pmcast group whose tree fills its space shares one set per
-/// shape per thread.
+/// tree level while it builds.  What it keeps is the stacks — every view is
+/// in one — and the members' [`Addresses`], which a tree that fills its
+/// space does not write out.  A pmcast group whose tree fills its space
+/// shares one set per shape per thread.
 #[derive(Debug, Clone)]
 pub struct SharedViews {
     // One view *stack* per leaf subgroup, in prefix order: the views of
@@ -145,7 +155,8 @@ pub struct SharedViews {
     // identical views at every depth, so one shared allocation serves the
     // whole leaf group).
     stacks: Vec<ViewStack>,
-    addresses: Arc<Vec<Address>>,
+    addresses: Addresses,
+    redundancy: usize,
 }
 
 impl SharedViews {
@@ -153,30 +164,17 @@ impl SharedViews {
     /// `redundancy` delegates per subgroup.
     pub fn build<T: TreeTopology>(topology: &T, redundancy: usize) -> Self {
         let depth = topology.depth();
-        // `members()` returns addresses in (lexicographic) address order, so
-        // the dense identifier of an address is its position here and every
-        // subtree occupies a contiguous index range — both facts the builder
-        // below relies on instead of a million-entry id map.
-        let addresses: Vec<Address> = topology.members();
-        debug_assert!(addresses.windows(2).all(|pair| pair[0] < pair[1]));
-        let id_of = |address: &Address| -> ProcessId {
-            ProcessId(
-                addresses
-                    .binary_search(address)
-                    .expect("view targets are group members"),
-            )
-        };
+        // Members are numbered in (lexicographic) address order, so every
+        // subtree occupies a contiguous identifier range — the fact the
+        // builder below relies on instead of a million-entry id map.
+        let addresses = Addresses::of(topology);
 
         // `levels[i]` holds the depth `i + 1` views with the prefix (of `i`
         // components) they belong to, in prefix order, so a lookup is a
         // binary search over borrowed component slices.
         let mut levels: Vec<Vec<(Prefix, DepthView)>> = Vec::with_capacity(depth);
-        // Enumerate populated prefixes breadth-first from the root.  Each
-        // frontier is in lexicographic order, so at the leaf level a single
-        // cursor over `addresses` yields every subgroup's members (and their
-        // dense identifiers) without re-materializing them per prefix.
+        // Enumerate populated prefixes breadth-first from the root.
         let mut frontier = vec![Prefix::root()];
-        let mut cursor = 0usize;
         let mut listed = Vec::new();
         let mut next_id = 0u32;
         for view_depth in 1..=depth {
@@ -185,12 +183,9 @@ impl SharedViews {
             for prefix in frontier {
                 let targets = if view_depth == depth {
                     // Leaf views: the subgroup's consecutive identifiers.
-                    let start = cursor;
-                    while cursor < addresses.len() && addresses[cursor].has_prefix(&prefix) {
-                        cursor += 1;
-                    }
+                    let ids = addresses.ids_under(&prefix);
                     let id = |index| u32::try_from(index).expect("fewer than 2^32 processes");
-                    Targets::Leaf { first: id(start), len: id(cursor - start) }
+                    Targets::Leaf { first: id(ids.start), len: id(ids.len()) }
                 } else {
                     // Inner views: R delegates per populated child subgroup.
                     listed.clear();
@@ -198,7 +193,7 @@ impl SharedViews {
                         let child = prefix.child(component);
                         for address in topology.delegates(&child, redundancy) {
                             listed.push(GossipTarget {
-                                id: id_of(&address),
+                                id: ProcessId(addresses.id_of(&address)),
                                 subgroup: child.clone(),
                             });
                         }
@@ -259,7 +254,8 @@ impl SharedViews {
             .collect();
         Self {
             stacks,
-            addresses: Arc::new(addresses),
+            addresses,
+            redundancy,
         }
     }
 
@@ -269,24 +265,23 @@ impl SharedViews {
     /// smallest addresses its delegates — so the thread keeps its last one.
     pub(crate) fn shared<T: TreeTopology>(topology: &T, redundancy: usize) -> Arc<Self> {
         thread_local! {
-            static LAST: RefCell<Option<(AddressSpace, usize, Arc<SharedViews>)>> =
-                const { RefCell::new(None) };
+            static LAST: RefCell<Option<Arc<SharedViews>>> = const { RefCell::new(None) };
         }
         if topology.member_count() as u128 != topology.space().capacity() {
             return Arc::new(Self::build(topology, redundancy));
         }
         LAST.with_borrow_mut(|last| {
-            if !matches!(last, Some((space, r, _)) if space == topology.space() && *r == redundancy) {
+            let kept = last.as_deref().filter(|views| views.redundancy == redundancy);
+            if !kept.is_some_and(|views| views.addresses.space() == topology.space()) {
                 *last = None; // the old set goes before the new one is built
-                let views = Arc::new(Self::build(topology, redundancy));
-                *last = Some((topology.space().clone(), redundancy, views));
+                *last = Some(Arc::new(Self::build(topology, redundancy)));
             }
-            Arc::clone(&last.as_ref().expect("the slot was just filled").2)
+            Arc::clone(last.as_ref().expect("the slot was just filled"))
         })
     }
 
-    /// All member addresses in dense-identifier order.
-    pub fn addresses(&self) -> &Arc<Vec<Address>> {
+    /// The members' addresses by dense identifier.
+    pub fn addresses(&self) -> &Addresses {
         &self.addresses
     }
 
@@ -303,17 +298,28 @@ impl SharedViews {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use pmcast_addr::{AddressSpace, Depth};
+    use pmcast_addr::{Address, AddressSpace, Depth};
     use pmcast_membership::ImplicitRegularTree;
 
     /// `view` as a list of targets, each with the subgroup it represents —
     /// the listing every view was before a leaf view became an id range.
-    pub(crate) fn listing(view: &DepthView, addresses: &[Address]) -> Vec<GossipTarget> {
+    pub(crate) fn listing(view: &DepthView, addresses: &Addresses) -> Vec<GossipTarget> {
         match &view.targets {
             Targets::Listed(targets) => targets.to_vec(),
             Targets::Leaf { first, len } => (*first as usize..(first + len) as usize)
-                .map(|id| GossipTarget { id: ProcessId(id), subgroup: addresses[id].as_prefix() })
+                .map(|id| GossipTarget {
+                    id: ProcessId(id),
+                    subgroup: addresses.address(id).as_prefix(),
+                })
                 .collect(),
+        }
+    }
+
+    /// The prefix a view target's subtree is: a leaf target's, its address.
+    pub(crate) fn prefix_of(subgroup: Subgroup<'_>, addresses: &Addresses) -> Prefix {
+        match subgroup {
+            Subgroup::Listed(prefix) => prefix.clone(),
+            Subgroup::Leaf(id) => addresses.address(id.0).as_prefix(),
         }
     }
 
@@ -333,7 +339,7 @@ pub(crate) mod tests {
         views
             .stacks()
             .iter()
-            .find(|stack| members(stack).any(|id| views.addresses()[id.0] == *address))
+            .find(|stack| members(stack).any(|id| *views.addresses().address(id.0) == *address))
             .expect("every member has a stack")
     }
 
@@ -345,7 +351,11 @@ pub(crate) mod tests {
     #[test]
     fn build_covers_all_prefixes() {
         let v = views();
-        assert_eq!(v.addresses.len(), 27);
+        assert_eq!(v.addresses.member_count(), 27);
+        assert!(
+            v.addresses.listed().is_none(),
+            "a full tree writes no address out"
+        );
         // Prefix counts: 1 root + 3 depth-2 + 9 depth-3 = 13 views, numbered
         // breadth-first — the stacks, in prefix order, meet each depth's
         // views in ascending id order.
@@ -370,7 +380,8 @@ pub(crate) mod tests {
         // Delegates are the smallest addresses of their subgroup.
         assert!(root_view
             .iter()
-            .any(|t| v.addresses()[t.id.0].to_string() == "0.0.0" && t.subgroup.components() == [0]));
+            .any(|t| v.addresses().address(t.id.0).to_string() == "0.0.0"
+                && t.subgroup.components() == [0]));
         let depth2 = listing(&view_for(&v, "1.2.0", 2), v.addresses());
         assert_eq!(depth2.len(), 3 * 2);
         assert!(depth2.iter().all(|t| t.subgroup.components()[0] == 1));
@@ -383,7 +394,9 @@ pub(crate) mod tests {
         let leaf = listing(&view_for(&v, "2.1.2", 3), v.addresses());
         assert_eq!(leaf.len(), 3);
         assert!(leaf.iter().all(|t| t.subgroup.len() == 3));
-        assert!(leaf.iter().any(|t| v.addresses()[t.id.0] == address));
+        assert!(leaf
+            .iter()
+            .any(|t| *v.addresses().address(t.id.0) == address));
     }
 
     /// Walking the stacks' leaf views visits every process once, in
@@ -394,17 +407,22 @@ pub(crate) mod tests {
     /// under a global membership take instead of that search.
     fn assert_stacks_hold_every_process<T: TreeTopology>(topology: &T, redundancy: usize) {
         let v = SharedViews::build(topology, redundancy);
-        assert!(!v.addresses.is_empty());
+        assert!(v.addresses.member_count() > 0);
+        assert_eq!(
+            v.addresses,
+            topology.members(),
+            "identifiers are in address order"
+        );
         let walked: Vec<(ProcessId, &ViewStack)> = v
             .stacks()
             .iter()
             .flat_map(|stack| members(stack).map(move |id| (id, stack)))
             .collect();
-        assert_eq!(walked.len(), v.addresses().len());
+        assert_eq!(walked.len(), v.addresses().member_count());
         let mut by_id: Vec<Option<Targets>> = Vec::new();
         for (index, (own, stack)) in walked.into_iter().enumerate() {
             assert_eq!(own, ProcessId(index));
-            let address = &v.addresses()[index];
+            let address = &*v.addresses().address(index);
             assert_eq!(stack.len(), topology.depth());
             for (at, view) in stack.iter().enumerate() {
                 let prefix = &address.components()[..at];
@@ -431,7 +449,8 @@ pub(crate) mod tests {
                 );
                 // `allowed` asks what the run fold over the listing asks, in
                 // the same order, and keeps the same positions — over every
-                // position and over every other one.
+                // position and over every other one — naming a leaf target
+                // by its identifier, and every target as `subgroup` does.
                 for step in [1, 2] {
                     let (mut asked, mut expected) = (Vec::new(), Vec::new());
                     let allows = |asks: &mut Vec<Prefix>, subgroup: &Prefix| {
@@ -439,8 +458,16 @@ pub(crate) mod tests {
                         subgroup.components().iter().sum::<u32>() % 3 != 1
                     };
                     let positions = || (0..view.len()).step_by(step);
-                    let ask = |subgroup: &Prefix| allows(&mut asked, subgroup);
-                    let kept: Vec<usize> = view.allowed(v.addresses(), positions(), ask).collect();
+                    let ask = |subgroup: Subgroup<'_>| {
+                        let leaf = matches!(subgroup, Subgroup::Leaf(_));
+                        assert_eq!(leaf, at + 1 == topology.depth(), "depth {}", at + 1);
+                        allows(&mut asked, &prefix_of(subgroup, v.addresses()))
+                    };
+                    let kept: Vec<usize> = view.allowed(positions(), ask).collect();
+                    for position in positions() {
+                        let prefix = prefix_of(view.subgroup(position), v.addresses());
+                        assert_eq!(prefix, listed[position].subgroup);
+                    }
                     let subgroups = positions().map(|at| (at, &listed[at].subgroup));
                     let ask = |subgroup: &Prefix| allows(&mut expected, subgroup);
                     let reference: Vec<usize> = allowed_runs(subgroups, ask).collect();
@@ -460,7 +487,7 @@ pub(crate) mod tests {
         let seated: Vec<bool> = [0, 2, 13, 26]
             .into_iter()
             .flat_map(|index| {
-                let stack = stack_of(&v, &v.addresses()[index]);
+                let stack = stack_of(&v, &v.addresses().address(index));
                 stack.iter().map(move |view| view.own_position(ProcessId(index)).is_some())
             })
             .collect();
@@ -523,7 +550,8 @@ pub(crate) mod tests {
     /// and every stack's view ids, targets and first seats.
     fn assert_serves_a_fresh_build<T: TreeTopology>(served: &SharedViews, topology: &T, r: usize) {
         let fresh = SharedViews::build(topology, r);
-        assert_eq!(served.addresses(), fresh.addresses());
+        assert_eq!(served.addresses(), &topology.members());
+        assert_eq!(fresh.addresses(), &topology.members());
         assert_eq!(served.stacks(), fresh.stacks());
     }
 
@@ -569,7 +597,8 @@ pub(crate) mod tests {
         assert_eq!(Arc::strong_count(&built), 1, "a partial tree's views were kept");
         assert!(!Arc::ptr_eq(&built, &SharedViews::shared(&sparse, 2)));
         assert_serves_a_fresh_build(&built, &sparse, 2);
-        assert_eq!(built.addresses().len(), 7);
+        assert_eq!(built.addresses().member_count(), 7);
+        assert_eq!(built.addresses().listed(), Some(&sparse.members()[..]));
         let served = SharedViews::shared(&joined_but(&space, &[]), 2);
         assert!(Arc::ptr_eq(&full, &served), "the full shape's views stayed in the slot");
     }

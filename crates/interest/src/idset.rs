@@ -6,10 +6,9 @@
 //! cost one probe into that interval.  The set therefore has exactly three
 //! shapes, picked by what the identifiers look like, never by a knob:
 //!
-//! 1. **Inline window.**  One 64-bit word covering the 64 identifiers from
-//!    `base` (a multiple of 64) on.  No heap at all: a process a
-//!    single-event trial infects keeps its seen-set and its delivered-set
-//!    inside its own struct, and a probe reads no second cache line.
+//! 1. **Inline window.**  One word per plane covering the 64 identifiers
+//!    from `base` (a multiple of 64) on.  No heap at all: a process a
+//!    single-event trial infects keeps its ids in its own struct.
 //! 2. **Spilled window.**  The same bitmap continued in a boxed word
 //!    vector, while it stays *dense*: the whole window may span at most
 //!    [`WORDS_PER_ID`] words per stored identifier (and at least
@@ -18,15 +17,16 @@
 //!    window re-bases downward when an identifier below it arrives and
 //!    slides upward when [`EventIdSet::compact_below`] retires its front.
 //! 3. **Sorted vector.**  Identifiers too spread out for a dense window —
-//!    two clusters 2⁴⁰ apart, `{0, u64::MAX}` — live in a sorted vector,
-//!    binary-searched.  It is the only shape that can
-//!    serve them: the bitmap's size follows the *span* of the ids, the
-//!    vector's their *count*, so the heap owned is O(len) words whatever an
-//!    identifier's magnitude.  The vector takes the spill's place (one boxed
-//!    spill, two forms), and a set stays sorted until compaction empties it.
+//!    two clusters 2⁴⁰ apart, `{0, u64::MAX}` — live in a sorted vector per
+//!    plane, binary-searched: the bitmap's size follows the *span* of the
+//!    ids, the vector's their *count*, so the heap owned is O(len) words
+//!    whatever an identifier's magnitude.  The vectors take the spill's
+//!    place, and a set stays sorted until compaction empties it.
 //!
-//! Which shape a set is in depends on its history; what it *contains* does
-//! not, and equality and iteration are by content.
+//! Every shape holds two **planes** under one floor: the received
+//! identifiers, and the delivered ones among them.  Which shape a set is in
+//! depends on its history; what it *contains* does not, and equality and
+//! iteration are by content.
 
 use crate::EventId;
 
@@ -34,11 +34,9 @@ use crate::EventId;
 const WORD_BITS: u64 = u64::BITS as u64;
 
 /// The density rule, first half: a window may span at most this many words
-/// per identifier it stores.  A sorted vector costs one word per id, so a
-/// bitmap within this bound is never more than twice the vector it replaces
-/// (and at one id per bit it is a sixty-fourth of it).  A constant of the
-/// representation, not a tuning knob: it bounds memory, and any value keeps
-/// the set correct.
+/// per identifier it stores, so a bitmap is never more than twice the
+/// sorted vector it replaces.  It bounds memory, and any value keeps the set
+/// correct.
 const WORDS_PER_ID: u64 = 2;
 
 /// The density rule, second half: a window may always span this many words
@@ -46,53 +44,44 @@ const WORDS_PER_ID: u64 = 2;
 /// window, not a spread.
 const MIN_WINDOW_WORDS: u64 = 4;
 
-/// A compact set of [`EventId`]s with a retirement floor: a bitmap window
-/// over the identifiers in use — 64 of them inline, more in a boxed spill
-/// while the window stays dense (at most two words per stored identifier,
-/// never fewer than four) — and a sorted vector for identifiers too spread
-/// out for a window.  Which shape a set is in follows from its identifiers,
-/// never from a knob; equality and iteration are by content.
-///
-/// Every simulated process keeps two of these (seen, delivered), so at a
-/// million processes the per-set constant factors dominate the whole
-/// group's memory footprint, and every receipt probes one, so under heavy
-/// traffic the probe is a measurable share of a round.  The set is four
-/// words; it owns **no heap at all** until an identifier falls outside the
-/// 64 it can hold inline, a dense set of `n` identifiers then costs about
-/// `n / 64` words and a probe is a subtraction, a shift and a mask; the
-/// heap owned is O(len) words whatever an identifier's magnitude.
-///
-/// ## Long-run compaction
-///
-/// Under sustained publishing (the daemon workloads) even a bitmap grows
-/// without bound.  [`EventIdSet::compact_below`] installs a **low
-/// watermark**: identifiers below the floor are dropped from storage and
-/// from then on treated as already present (`contains` → `true`, `insert` →
-/// `false`).  With the monotonically increasing identifiers the publishing
-/// layers hand out, retiring quiescent events this way bounds the dedup
-/// state to the in-flight window while never re-admitting (and hence never
-/// re-delivering) a retired event.
+/// The planes: the received identifiers, and the delivered ones among them.
+const RECEIVED: usize = 0;
+const DELIVERED: usize = 1;
+
+/// A compact set of received [`EventId`]s with the delivered ones marked
+/// among them and one retirement floor, in one of the three shapes of the
+/// [module docs](self): five words, no heap until an identifier falls
+/// outside the 64 it holds inline, O(len) words from then on.  Every
+/// simulated process keeps one and every receipt probes one.  Under
+/// sustained publishing (the daemon) [`compact_below`](Self::compact_below)
+/// bounds it to the in-flight window, never re-delivering a retired event.
 #[derive(Debug, Clone, Default)]
 pub struct EventIdSet {
-    /// Identifiers strictly below this are retired: assumed seen, not stored.
+    /// Identifiers strictly below this are retired: assumed received and
+    /// delivered, not stored.
     floor: EventId,
     /// The identifier of bit 0 of `head`, a multiple of [`WORD_BITS`].
     /// Unused (zero) while the set is empty or sorted.
     base: u64,
-    /// The window's first word: bit `i` is identifier `base + i`.  Zero
-    /// while the set is sorted.
-    head: u64,
+    /// The window's first word, per plane: bit `i` is identifier
+    /// `base + i`.  Zero while the set is sorted.
+    head: [u64; 2],
     /// What does not fit in `head`; `None` until something does not.
     spill: Option<Box<Spill>>,
 }
 
 #[derive(Debug, Clone)]
 enum Spill {
-    /// The window's words after `head`: bit `j` of `tail[i]` is identifier
-    /// `base + 64 · (i + 1) + j`, and `ones` of those bits are set.
-    Window { tail: Vec<u64>, ones: usize },
-    /// Every identifier of a set too spread out for a window, ascending.
-    Sorted(Vec<EventId>),
+    /// The window's words after `head`, per plane: bit `j` of
+    /// `tail[i][plane]` is identifier `base + 64 · (i + 1) + j`, and
+    /// `ones[plane]` of those bits are set.
+    Window {
+        tail: Vec<[u64; 2]>,
+        ones: [usize; 2],
+    },
+    /// Every identifier of a set too spread out for a window, ascending,
+    /// per plane.
+    Sorted([Vec<EventId>; 2]),
 }
 
 /// The word an identifier falls in, counted from identifier zero.
@@ -124,58 +113,65 @@ impl EventIdSet {
         Self::default()
     }
 
-    /// Returns `true` if the identifier is in the set.  Identifiers retired
-    /// by [`EventIdSet::compact_below`] count as present.
+    /// Returns `true` if the identifier was received (or retired).
     pub fn contains(&self, id: EventId) -> bool {
-        if id < self.floor {
-            return true;
-        }
-        if let Some(Spill::Sorted(ids)) = self.spill.as_deref() {
-            return ids.binary_search(&id).is_ok();
-        }
-        // An identifier below the window wraps to an index past any tail.
-        let index = word_of(id.0).wrapping_sub(word_of(self.base));
-        self.window_word(index) & bit_of(id.0) != 0
+        self.has(RECEIVED, id)
     }
 
-    /// The window's word `index` words after `head` (`head` itself at
-    /// zero); all zeroes outside the window.
-    fn window_word(&self, index: u64) -> u64 {
-        match (index, self.spill.as_deref()) {
-            (0, _) => self.head,
+    /// Returns `true` if the identifier was delivered (or retired).
+    pub fn is_delivered(&self, id: EventId) -> bool {
+        self.has(DELIVERED, id)
+    }
+
+    fn has(&self, plane: usize, id: EventId) -> bool {
+        // An identifier below the window wraps to an index past any tail.
+        let index = word_of(id.0).wrapping_sub(word_of(self.base));
+        let word = match (index, self.spill.as_deref()) {
+            _ if id < self.floor => return true,
+            (_, Some(Spill::Sorted(ids))) => return ids[plane].binary_search(&id).is_ok(),
+            (0, _) => self.head[plane],
             (_, Some(Spill::Window { tail, .. })) => usize::try_from(index - 1)
                 .ok()
                 .and_then(|index| tail.get(index))
-                .map_or(0, |&word| word),
-            _ => 0,
-        }
+                .map_or(0, |words| words[plane]),
+            (_, None) => 0,
+        };
+        word & bit_of(id.0) != 0
     }
 
-    /// Inserts the identifier; returns `true` if it was not already present
-    /// (the same contract as `HashSet::insert`).  Identifiers below the
-    /// retirement floor are refused: they count as already seen.
+    /// Inserts the identifier as received; returns `true` if it was not
+    /// already present (`HashSet::insert`'s contract).  A retired
+    /// identifier is refused: it counts as received.
     pub fn insert(&mut self, id: EventId) -> bool {
         if id < self.floor {
             return false;
         }
-        if let Some(Spill::Sorted(ids)) = self.spill.as_deref_mut() {
-            return match ids.binary_search(&id) {
-                Ok(_) => false,
-                Err(position) => {
-                    ids.insert(position, id);
-                    true
-                }
-            };
-        }
-        if self.head == 0 && self.spill.is_none() {
-            // Empty: the window starts at the identifier's own word.
-            self.base = id.0 - id.0 % WORD_BITS;
-        }
-        let (word, base_word) = (word_of(id.0), word_of(self.base));
+        self.make_room(id);
+        self.mark(RECEIVED, id)
+    }
+
+    /// Marks the identifier delivered, and received if it was not; returns
+    /// `true` if it was not delivered before.  A retired identifier is
+    /// refused: it counts as delivered.
+    pub fn deliver(&mut self, id: EventId) -> bool {
+        self.insert(id);
+        id >= self.floor && self.mark(DELIVERED, id)
+    }
+
+    /// Makes room for `id`, at or above the floor, in the window: widens it
+    /// while it stays dense, and leaves it for the sorted vectors otherwise.
+    fn make_room(&mut self, id: EventId) {
         let tail_len = match self.spill.as_deref() {
+            Some(Spill::Sorted(_)) => return,
             Some(Spill::Window { tail, .. }) => tail.len() as u64,
-            _ => 0,
+            None if self.head[RECEIVED] == 0 => {
+                // Empty: the window starts at the identifier's own word.
+                self.base = id.0 - id.0 % WORD_BITS;
+                return;
+            }
+            None => 0,
         };
+        let (word, base_word) = (word_of(id.0), word_of(self.base));
         // The window this insert needs, in words, and where the identifier's
         // word sits in it once it is that wide.
         let (needed, prepend) = if word >= base_word {
@@ -186,64 +182,66 @@ impl EventIdSet {
         if needed > tail_len + 1 {
             let allowed = MIN_WINDOW_WORDS.max(WORDS_PER_ID.saturating_mul(self.len() as u64 + 1));
             if needed > allowed {
-                self.spread_with(id);
+                self.spread();
+            } else {
+                self.widen(needed, prepend);
+            }
+        }
+    }
+
+    /// Sets `id`'s bit in `plane`, its word in the window or the set
+    /// sorted; returns `true` if it was clear.
+    fn mark(&mut self, plane: usize, id: EventId) -> bool {
+        let (bit, index) = (bit_of(id.0), word_of(id.0) - word_of(self.base));
+        let word = match (index, self.spill.as_deref_mut()) {
+            (_, Some(Spill::Sorted(ids))) => {
+                let Err(position) = ids[plane].binary_search(&id) else { return false };
+                ids[plane].insert(position, id);
                 return true;
             }
-            self.widen(needed, prepend);
-        }
-        let bit = bit_of(id.0);
-        match word - word_of(self.base) {
-            0 => {
-                let fresh = self.head & bit == 0;
-                self.head |= bit;
-                fresh
+            (0, _) => &mut self.head[plane],
+            (index, Some(Spill::Window { tail, ones })) => {
+                let word = &mut tail[(index - 1) as usize][plane];
+                ones[plane] += usize::from(*word & bit == 0);
+                word
             }
-            index => {
-                let Some(Spill::Window { tail, ones }) = self.spill.as_deref_mut() else {
-                    unreachable!("the window was widened to hold the identifier's word")
-                };
-                let slot = &mut tail[(index - 1) as usize];
-                let fresh = *slot & bit == 0;
-                *slot |= bit;
-                *ones += usize::from(fresh);
-                fresh
-            }
-        }
+            (_, None) => unreachable!("the window was widened to hold the identifier's word"),
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
     /// Widens the window to `needed` words, `prepend` of them in front of
     /// `head` (the downward re-base: `base` moves down, every stored bit
     /// keeps its identifier).
     fn widen(&mut self, needed: u64, prepend: u64) {
-        let spill = self.spill.get_or_insert_with(|| {
-            Box::new(Spill::Window {
-                tail: Vec::new(),
-                ones: 0,
-            })
-        });
-        let Spill::Window { tail, ones } = &mut **spill else {
+        let empty = || Box::new(Spill::Window { tail: Vec::new(), ones: [0; 2] });
+        let Spill::Window { tail, ones } = &mut **self.spill.get_or_insert_with(empty) else {
             unreachable!("a sorted set has no window to widen")
         };
         if prepend > 0 {
             // The old head becomes the last of the prepended words; the new
             // head and the words between are empty.
-            let front = (0..prepend - 1).map(|_| 0).chain([self.head]);
+            let front = (0..prepend - 1).map(|_| [0; 2]).chain([self.head]);
             tail.splice(0..0, front);
-            *ones += self.head.count_ones() as usize;
-            self.head = 0;
+            for (ones, word) in ones.iter_mut().zip(self.head) {
+                *ones += word.count_ones() as usize;
+            }
+            self.head = [0; 2];
             self.base -= prepend * WORD_BITS;
         }
-        tail.resize((needed - 1) as usize, 0);
+        tail.resize((needed - 1) as usize, [0; 2]);
     }
 
-    /// Leaves the window for the sorted vector, taking `id` (which the
-    /// window could not admit densely, so it is new) along.
-    fn spread_with(&mut self, id: EventId) {
-        let mut ids = Vec::with_capacity(self.len() + 1);
-        ids.extend(self.iter());
-        let position = ids.partition_point(|&stored| stored < id);
-        ids.insert(position, id);
-        self.head = 0;
+    /// Leaves the window for the sorted vectors.
+    fn spread(&mut self) {
+        let ids = [RECEIVED, DELIVERED].map(|plane| {
+            let mut ids = Vec::with_capacity(self.plane_len(plane) + 1);
+            ids.extend(self.ids(plane));
+            ids
+        });
+        self.head = [0; 2];
         self.base = 0;
         self.spill = Some(Box::new(Spill::Sorted(ids)));
     }
@@ -259,22 +257,24 @@ impl EventIdSet {
             Some(Spill::Window { tail, ones }) if count <= tail.len() as u64 => {
                 self.head = tail[(count - 1) as usize];
                 tail.drain(..count as usize);
-                *ones = tail.iter().map(|word| word.count_ones() as usize).sum();
+                let set = |p: usize| tail.iter().map(|w| w[p].count_ones() as usize).sum();
+                *ones = [RECEIVED, DELIVERED].map(set);
                 self.base += count * WORD_BITS;
             }
             Some(Spill::Window { tail, ones }) => {
-                self.head = 0;
+                self.head = [0; 2];
                 tail.clear();
-                *ones = 0;
+                *ones = [0; 2];
             }
-            _ => self.head = 0,
+            _ => self.head = [0; 2],
         }
     }
 
-    /// Retires every identifier strictly below `floor`: they are removed
-    /// from storage and treated as present forever after.  The floor only
-    /// moves forward; calls with a lower floor are no-ops.  Returns the
-    /// number of identifiers dropped.
+    /// Retires every identifier strictly below `floor` — the low watermark
+    /// of long runs: they are removed from storage and treated as received
+    /// and delivered forever after.  The floor only moves forward; calls
+    /// with a lower floor are no-ops.  Returns the number of received
+    /// identifiers dropped.
     pub fn compact_below(&mut self, floor: EventId) -> usize {
         if floor <= self.floor {
             return 0;
@@ -282,17 +282,21 @@ impl EventIdSet {
         self.floor = floor;
         let before = self.len();
         if let Some(Spill::Sorted(ids)) = self.spill.as_deref_mut() {
-            let cut = ids.partition_point(|&id| id < floor);
-            ids.drain(..cut);
+            for ids in ids {
+                let cut = ids.partition_point(|&id| id < floor);
+                ids.drain(..cut);
+            }
         } else if floor.0 > self.base {
             // Whole words below the floor's go, the floor's own word loses
             // its low bits, and the window slides up to the first word that
-            // still stores something.
+            // still stores something (a delivered bit is a received one).
             self.drop_front(word_of(floor.0) - word_of(self.base));
-            self.head &= !(bit_of(floor.0) - 1);
-            let leading = match (self.head, self.spill.as_deref()) {
+            for word in &mut self.head {
+                *word &= !(bit_of(floor.0) - 1);
+            }
+            let leading = match (self.head[RECEIVED], self.spill.as_deref()) {
                 (0, Some(Spill::Window { tail, .. })) => {
-                    1 + tail.iter().take_while(|&&word| word == 0).count() as u64
+                    1 + tail.iter().take_while(|words| words[RECEIVED] == 0).count() as u64
                 }
                 _ => 0,
             };
@@ -308,50 +312,69 @@ impl EventIdSet {
         before - self.len()
     }
 
-    /// The current retirement floor: identifiers below it are assumed seen.
-    /// Starts at zero (nothing retired).
+    /// The current retirement floor: identifiers below it are assumed
+    /// received and delivered.  Starts at zero (nothing retired).
     pub fn floor(&self) -> EventId {
         self.floor
     }
 
-    /// Number of identifiers in the set.
+    /// Number of received identifiers in the set.
     pub fn len(&self) -> usize {
-        self.head.count_ones() as usize
+        self.plane_len(RECEIVED)
+    }
+
+    /// Number of delivered identifiers in the set.
+    pub fn delivered_len(&self) -> usize {
+        self.plane_len(DELIVERED)
+    }
+
+    fn plane_len(&self, plane: usize) -> usize {
+        self.head[plane].count_ones() as usize
             + match self.spill.as_deref() {
                 None => 0,
-                Some(Spill::Window { ones, .. }) => *ones,
-                Some(Spill::Sorted(ids)) => ids.len(),
+                Some(Spill::Window { ones, .. }) => ones[plane],
+                Some(Spill::Sorted(ids)) => ids[plane].len(),
             }
     }
 
-    /// Returns `true` if the set is empty.
+    /// Returns `true` if nothing was received (above the floor).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Iterates over the identifiers in ascending order.
+    /// Iterates over the received identifiers in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
+        self.ids(RECEIVED)
+    }
+
+    /// The identifiers of one plane, ascending.
+    fn ids(&self, plane: usize) -> impl Iterator<Item = EventId> + '_ {
         // One of the two sources is always empty: a sorted set has no
         // window bits, a window no sorted ids.
-        let (tail, sorted): (&[u64], &[EventId]) = match self.spill.as_deref() {
+        let (tail, sorted): (&[[u64; 2]], &[EventId]) = match self.spill.as_deref() {
             None => (&[], &[]),
             Some(Spill::Window { tail, .. }) => (tail, &[]),
-            Some(Spill::Sorted(ids)) => (&[], ids),
+            Some(Spill::Sorted(ids)) => (&[], &ids[plane]),
         };
         let base = self.base;
-        std::iter::once(self.head)
-            .chain(tail.iter().copied())
+        std::iter::once(self.head[plane])
+            .chain(tail.iter().map(move |words| words[plane]))
             .zip((0u64..).map(move |index| base + index * WORD_BITS))
             .flat_map(|(word, first)| bits(word).map(move |bit| EventId(first + bit)))
             .chain(sorted.iter().copied())
     }
 }
 
-/// By content: two sets are equal when they retire and store the same
-/// identifiers, whichever shape their histories left them in.
+/// By content: two sets are equal when they retire the same identifiers and
+/// store the same received and delivered ones, whichever shape their
+/// histories left them in.
 impl PartialEq for EventIdSet {
     fn eq(&self, other: &Self) -> bool {
-        self.floor == other.floor && self.len() == other.len() && self.iter().eq(other.iter())
+        self.floor == other.floor
+            && [RECEIVED, DELIVERED].into_iter().all(|plane| {
+                self.plane_len(plane) == other.plane_len(plane)
+                    && self.ids(plane).eq(other.ids(plane))
+            })
     }
 }
 
@@ -437,8 +460,8 @@ mod tests {
     }
 
     #[test]
-    fn the_set_is_four_words_and_one_window_of_ids_owns_no_heap() {
-        assert_eq!(std::mem::size_of::<EventIdSet>(), 32);
+    fn the_set_is_five_words_and_one_window_of_ids_owns_no_heap() {
+        assert_eq!(std::mem::size_of::<EventIdSet>(), 40);
         // Wherever the 64 identifiers sit, and in whatever order they come.
         for first in [0u64, 64, 10_048, u64::MAX - 63] {
             let mut set = EventIdSet::new();
@@ -473,11 +496,11 @@ mod tests {
     fn spread_out_identifiers_fall_back_to_the_sorted_vector() {
         let mut set = set_of(&[0, 3]);
         assert!(set.insert(EventId(u64::MAX)));
-        let Some(Spill::Sorted(ids)) = set.spill.as_deref() else {
+        let Some(Spill::Sorted([ids, delivered])) = set.spill.as_deref() else {
             panic!("a 2^64 span is no window");
         };
-        assert_eq!(ids.len(), 3);
-        assert_eq!((set.head, set.base), (0, 0));
+        assert_eq!((ids.len(), delivered.len()), (3, 0));
+        assert_eq!((set.head, set.base), ([0; 2], 0));
         // Everything keeps working on the vector, small ids included.
         assert!(set.contains(EventId(3)) && set.contains(EventId(u64::MAX)));
         assert!(!set.contains(EventId(1)));
@@ -529,5 +552,34 @@ mod tests {
         window.compact_below(EventId(1));
         assert_eq!(sorted, window);
         assert_ne!(sorted, set_of(&[1 << 40]));
+    }
+
+    #[test]
+    fn the_delivered_plane_is_a_subset_under_one_floor_in_every_shape() {
+        // Inline, spilled and sorted: a delivered id is a received one, a
+        // received one is delivered only when told, and one floor retires
+        // both planes.
+        for ids in [vec![3u64, 9], vec![3, 300, 9], vec![3, 1 << 40, 9]] {
+            let mut set = set_of(&ids);
+            assert!(set.deliver(EventId(9)));
+            assert!(!set.deliver(EventId(9)));
+            assert!(set.deliver(EventId(20)), "delivering receives too");
+            assert!(set.contains(EventId(20)) && !set.insert(EventId(20)));
+            assert!(set.is_delivered(EventId(9)) && !set.is_delivered(EventId(3)));
+            assert_eq!((set.len(), set.delivered_len()), (ids.len() + 1, 2));
+            let mut same = set_of(&[20, 9]);
+            for &id in &ids {
+                same.insert(EventId(id));
+            }
+            assert_ne!(set, same, "{ids:?}: the delivered planes differ");
+            same.deliver(EventId(20));
+            same.deliver(EventId(9));
+            assert_eq!(set, same, "{ids:?}");
+            assert_eq!(set.compact_below(EventId(10)), 2);
+            assert!(set.is_delivered(EventId(3)) && !set.deliver(EventId(3)));
+            assert_eq!((set.len(), set.delivered_len()), (ids.len() - 1, 1));
+            assert_eq!(set.compact_below(EventId(u64::MAX)), ids.len() - 1);
+            assert!(set.spill.is_none() && set.delivered_len() == 0);
+        }
     }
 }

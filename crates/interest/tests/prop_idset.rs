@@ -6,8 +6,10 @@
 //! moves between them on the way (a window re-bases downward, slides upward
 //! under compaction, and gives up for the vector when an insert would make
 //! it sparse).  This file steps it beside the obvious model, a
-//! [`BTreeSet`] and a floor, through random `insert` / `contains` /
-//! `compact_below` / `len` / `iter` histories over the identifier shapes
+//! [`BTreeSet`] of received identifiers, a second one of delivered
+//! identifiers kept inside it, and one floor for both, through random
+//! `insert` / `deliver` / `contains` / `is_delivered` / `compact_below` /
+//! `len` / `delivered_len` / `iter` histories over the identifier shapes
 //! that exercise every one of those moves, including the ones no benchmark
 //! has:
 //!
@@ -86,14 +88,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The set under test with the books kept beside it: the model, the bytes
-/// of heap the set's own calls have left allocated, and the most
+/// The set under test with the books kept beside it: the model (the
+/// received identifiers, the delivered ones among them, one floor), the
+/// bytes of heap the set's own calls have left allocated, and the most
 /// identifiers it ever stored (compaction frees no capacity, as it never
 /// did, so the heap is held against the peak).
 #[derive(Debug, Default)]
 struct Stepped {
     set: EventIdSet,
     model: BTreeSet<u64>,
+    delivered: BTreeSet<u64>,
     floor: u64,
     owned: isize,
     peak: usize,
@@ -116,9 +120,22 @@ impl Stepped {
         self.check_around(id);
     }
 
+    /// Delivering an identifier receives it too, unless it is retired.
+    fn deliver(&mut self, id: u64) {
+        let expected = id >= self.floor && self.delivered.insert(id);
+        if id >= self.floor {
+            self.model.insert(id);
+        }
+        let fresh = self.charged(|set| set.deliver(EventId(id)));
+        assert_eq!(fresh, expected, "deliver({id}) over floor {}", self.floor);
+        self.peak = self.peak.max(self.model.len());
+        self.check_around(id);
+    }
+
     fn compact_below(&mut self, floor: u64) {
         let expected = if floor > self.floor {
             self.floor = floor;
+            self.delivered = self.delivered.split_off(&floor);
             let kept = self.model.split_off(&floor);
             std::mem::replace(&mut self.model, kept).len()
         } else {
@@ -138,6 +155,12 @@ impl Stepped {
             "contains({id}) over floor {}",
             self.floor
         );
+        assert_eq!(
+            self.set.is_delivered(EventId(id)),
+            id < self.floor || self.delivered.contains(&id),
+            "is_delivered({id}) over floor {}",
+            self.floor
+        );
     }
 
     /// Probes where an off-by-one of the window arithmetic would show: the
@@ -154,11 +177,13 @@ impl Stepped {
             self.contains(probe);
         }
         assert_eq!(self.set.len(), self.model.len());
+        assert_eq!(self.set.delivered_len(), self.delivered.len());
         assert_eq!(self.set.is_empty(), self.model.is_empty());
         // O(len) words: a window spans at most two words per identifier (at
-        // least four), a vector holds one, growth at most doubles either,
-        // and the box in front of them is five words at most.
-        let words = 4 * self.peak.max(4) + 16;
+        // least four), each a pair, one per plane; the vectors hold one word
+        // per received and per delivered identifier; growth at most doubles
+        // any of them, and the box in front of them is seven words at most.
+        let words = 8 * self.peak.max(4) + 16;
         assert!(
             (0..=8 * words as isize).contains(&self.owned),
             "{} bytes of heap for a peak of {} identifiers",
@@ -171,11 +196,27 @@ impl Stepped {
         let stored: Vec<u64> = self.set.iter().map(|id| id.0).collect();
         let expected: Vec<u64> = self.model.iter().copied().collect();
         assert_eq!(stored, expected);
+        assert!(self.delivered.is_subset(&self.model));
+        for &id in &self.model {
+            assert_eq!(
+                self.set.is_delivered(EventId(id)),
+                self.delivered.contains(&id)
+            );
+        }
+        assert_eq!(self.set.delivered_len(), self.delivered.len());
     }
 
-    /// A set holding what this one holds, built by plain inserts.
+    /// A set holding what this one holds, built by plain inserts and
+    /// deliveries.
     fn rebuilt(&self, ids: impl Iterator<Item = u64>) -> EventIdSet {
-        let mut set: EventIdSet = ids.map(EventId).collect();
+        let mut set = EventIdSet::new();
+        for id in ids {
+            if self.delivered.contains(&id) {
+                set.deliver(EventId(id));
+            } else {
+                set.insert(EventId(id));
+            }
+        }
         set.compact_below(EventId(self.floor));
         set
     }
@@ -274,9 +315,11 @@ fn arb_history() -> impl Strategy<Value = History> {
 
 proptest! {
     /// Every answer of the set equals the model's, after every step of a
-    /// random history over every shape; its heap stays O(len); and what it
-    /// ends up holding equals the same identifiers inserted ascending and
-    /// descending — content, not history, is what a set is.
+    /// random history over every shape — both planes, the delivered one
+    /// inside the received one, under one floor; its heap stays O(len); and
+    /// what it ends up holding equals the same identifiers inserted and
+    /// delivered ascending and descending — content, not history, is what a
+    /// set is.
     #[test]
     fn the_set_equals_the_model_over_every_shape(history in arb_history()) {
         let mut stepped = Stepped::default();
@@ -293,6 +336,10 @@ proptest! {
                     let floor = floor_for(&stepped, pick, pick >> 8);
                     stepped.compact_below(floor);
                 }
+                // A delivery of something offered (received or not yet),
+                // or of an identifier from nowhere near.
+                6..=8 => stepped.deliver(id_at(history.shape, history.anchor, count, pick % count)),
+                9 => stepped.deliver(pick),
                 _ => {}
             }
         }

@@ -70,6 +70,7 @@
 
 pub mod delegate;
 mod error;
+mod members;
 mod oracle;
 pub mod population;
 pub mod provider;
@@ -80,6 +81,7 @@ mod tree;
 
 pub use delegate::{DelegateView, DelegateViewConfig};
 pub use error::MembershipError;
+pub use members::Addresses;
 pub use oracle::{AssignmentOracle, InterestOracle, UniformOracle};
 pub use summaries::{allowed_runs, SubtreeSummaries};
 pub use topic::{TopicOracle, TOPIC_ATTRIBUTE};

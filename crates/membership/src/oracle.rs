@@ -25,8 +25,13 @@ use crate::{GroupTree, TreeTopology};
 /// * [`UniformOracle`] — everybody is interested (the broadcast special
 ///   case, useful for baselines and sanity checks).
 pub trait InterestOracle {
-    /// Returns `true` if the given process is interested in the event.
-    fn is_interested(&self, address: &Address, event: &Event) -> bool;
+    /// Returns `true` if the process at `index` — its dense index in the
+    /// oracle's address space, the lexicographic rank of its address — is
+    /// interested in the event.  An index outside the space is never
+    /// interested.  In a group whose members fill the space, a process's
+    /// index is its simulation identifier, so nobody computes an address to
+    /// ask.
+    fn is_interested(&self, index: u128, event: &Event) -> bool;
 
     /// Returns `true` if at least one process below the prefix is
     /// interested.
@@ -36,7 +41,7 @@ pub trait InterestOracle {
     /// key are guaranteed to have **identical** audiences under this oracle
     /// — [`is_interested`](Self::is_interested) and
     /// [`subtree_interested`](Self::subtree_interested) answer the same for
-    /// both, about every address and prefix — **for as long as the oracle
+    /// both, about every index and prefix — **for as long as the oracle
     /// is in use**: a key never comes to name another audience.  `None`
     /// means "no such key is known" and every event must be resolved
     /// individually.
@@ -58,8 +63,8 @@ pub trait InterestOracle {
 }
 
 impl<T: InterestOracle + ?Sized> InterestOracle for &T {
-    fn is_interested(&self, address: &Address, event: &Event) -> bool {
-        (**self).is_interested(address, event)
+    fn is_interested(&self, index: u128, event: &Event) -> bool {
+        (**self).is_interested(index, event)
     }
     fn subtree_interested(&self, prefix: &Prefix, event: &Event) -> bool {
         (**self).subtree_interested(prefix, event)
@@ -72,10 +77,12 @@ impl<T: InterestOracle + ?Sized> InterestOracle for &T {
 /// Exact interest answers derived from the subscriptions stored in the
 /// [`GroupTree`].
 impl InterestOracle for GroupTree {
-    fn is_interested(&self, address: &Address, event: &Event) -> bool {
-        self.subscription(address)
-            .map(|filter| filter.matches(event))
-            .unwrap_or(false)
+    /// The subscription is looked up by the address the index names.
+    fn is_interested(&self, index: u128, event: &Event) -> bool {
+        index < self.space().capacity()
+            && self
+                .subscription(&self.space().address_of_index(index))
+                .is_some_and(|filter| filter.matches(event))
     }
 
     /// Counts the whole subtree where the first match would do: a probe
@@ -95,8 +102,9 @@ impl InterestOracle for GroupTree {
 /// query scans the words of the subtree's contiguous index range and stops
 /// at the first non-zero one — a 32⁴-process space is a 128 KiB bitmap.
 /// Million-process trials spend a large share of their time in these two
-/// queries (one `is_interested` per received gossip, one
-/// `subtree_interested` per fanout pick).
+/// queries (one `is_interested` per first receipt and per leaf position a
+/// view's interest is folded over, one `subtree_interested` per inner
+/// subgroup).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssignmentOracle {
     space: AddressSpace,
@@ -237,12 +245,12 @@ impl AssignmentOracle {
 }
 
 impl InterestOracle for AssignmentOracle {
-    /// An address outside the space is never interested.
-    fn is_interested(&self, address: &Address, _event: &Event) -> bool {
-        self.space.index_of_address(address).is_ok_and(|index| {
-            let index = index as usize;
-            self.bitmap[index / 64] >> (index % 64) & 1 == 1
-        })
+    /// One bit; the bits past the space's last index are never set.
+    fn is_interested(&self, index: u128, _event: &Event) -> bool {
+        usize::try_from(index / 64)
+            .ok()
+            .and_then(|word| self.bitmap.get(word))
+            .is_some_and(|word| word >> (index % 64) & 1 == 1)
     }
 
     /// Nobody is interested below a prefix outside the space.
@@ -263,7 +271,7 @@ impl InterestOracle for AssignmentOracle {
 pub struct UniformOracle;
 
 impl InterestOracle for UniformOracle {
-    fn is_interested(&self, _address: &Address, _event: &Event) -> bool {
+    fn is_interested(&self, _index: u128, _event: &Event) -> bool {
         true
     }
 
@@ -296,9 +304,11 @@ mod tests {
         tree.join("2.2".parse().unwrap(), Filter::new().with("b", Predicate::gt(5.0)))
             .unwrap();
         let e = event();
-        assert!(tree.is_interested(&"0.0".parse().unwrap(), &e));
-        assert!(!tree.is_interested(&"0.1".parse().unwrap(), &e));
-        assert!(!tree.is_interested(&"1.1".parse().unwrap(), &e));
+        // 0.0, 0.1 and 1.1 of a 3^2 space, and one index past it.
+        assert!(tree.is_interested(0, &e));
+        assert!(!tree.is_interested(1, &e));
+        assert!(!tree.is_interested(4, &e));
+        assert!(tree.is_interested(8, &e) && !tree.is_interested(9, &e));
         assert_eq!(tree.interested_count_under(&Prefix::root(), &e), 2);
         assert_eq!(
             tree.interested_count_under(&Prefix::from_components(vec![0]), &e),
@@ -326,8 +336,10 @@ mod tests {
         assert_eq!(oracle.len(), 4);
         assert!(!oracle.is_empty());
         assert_eq!(oracle.iter().collect::<Vec<_>>(), interested);
-        assert!(oracle.is_interested(&"0.0.1".parse().unwrap(), &e));
-        assert!(!oracle.is_interested(&"0.0.0".parse().unwrap(), &e));
+        let index = |address: &str| oracle.space.index_of_address(&address.parse().unwrap());
+        assert!(oracle.is_interested(index("0.0.1").unwrap(), &e));
+        assert!(!oracle.is_interested(index("0.0.0").unwrap(), &e));
+        assert!(oracle.is_interested(index("1.0.1").unwrap(), &e));
         for (components, expected) in [
             (vec![], true),
             (vec![0], true),
@@ -341,7 +353,7 @@ mod tests {
             assert_eq!(any_under(&oracle, &prefix), expected);
         }
         // Outside the space nobody is interested.
-        assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &e));
+        assert!(!oracle.is_interested(27, &e) && !oracle.is_interested(1 << 100, &e));
         assert!(!oracle.subtree_interested(&Prefix::from_components(vec![3]), &e));
     }
 
@@ -414,14 +426,14 @@ mod tests {
     #[test]
     fn uniform_oracle_is_always_interested() {
         let e = event();
-        assert!(UniformOracle.is_interested(&"1.2".parse().unwrap(), &e));
+        assert!(UniformOracle.is_interested(5, &e));
         assert!(UniformOracle.subtree_interested(&Prefix::from_components(vec![5]), &e));
     }
 
     #[test]
     fn oracle_references_delegate() {
         let by_ref: &dyn InterestOracle = &UniformOracle;
-        assert!(by_ref.is_interested(&"0.0".parse().unwrap(), &event()));
+        assert!(by_ref.is_interested(0, &event()));
         assert!((&by_ref).subtree_interested(&Prefix::root(), &event()));
         assert_eq!((&by_ref).audience_key(&event()), None);
     }

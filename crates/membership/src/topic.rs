@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use pmcast_addr::{Address, AddressSpace, Prefix};
+use pmcast_addr::{AddressSpace, Prefix};
 use pmcast_interest::{AttributeValue, Event, Filter, InternStats, Predicate};
 
 use crate::{AssignmentOracle, InterestOracle, SubtreeSummaries};
@@ -155,9 +155,9 @@ impl TopicOracle {
 }
 
 impl InterestOracle for TopicOracle {
-    fn is_interested(&self, address: &Address, event: &Event) -> bool {
+    fn is_interested(&self, index: u128, event: &Event) -> bool {
         match self.topic_of(event) {
-            Some(topic) => self.audiences[topic].is_interested(address, event),
+            Some(topic) => self.audiences[topic].is_interested(index, event),
             None => false,
         }
     }
@@ -196,10 +196,11 @@ mod tests {
         let oracle = oracle_2x2([&[0], &[0, 1], &[1], &[]], 2);
         let e0 = topic_event(0);
         let e1 = topic_event(1);
-        assert!(oracle.is_interested(&"0.0".parse().unwrap(), &e0));
-        assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &e1));
-        assert!(oracle.is_interested(&"1.0".parse().unwrap(), &e1));
-        assert!(!oracle.is_interested(&"1.1".parse().unwrap(), &e0));
+        // 0.0, 0.1, 1.0 and 1.1 are the indices 0 to 3.
+        assert!(oracle.is_interested(0, &e0));
+        assert!(!oracle.is_interested(0, &e1));
+        assert!(oracle.is_interested(2, &e1));
+        assert!(!oracle.is_interested(3, &e0));
         assert_eq!(oracle.audience(0).len(), 2);
         assert_eq!(oracle.audience(1).len(), 2);
         assert!(oracle.subtree_interested(&Prefix::from_components(vec![0]), &e0));
@@ -212,7 +213,7 @@ mod tests {
     fn events_without_a_topic_interest_nobody() {
         let oracle = oracle_2x2([&[0], &[0], &[0], &[0]], 1);
         let untopical = Event::builder(9).int("b", 1).build();
-        assert!(!oracle.is_interested(&"0.0".parse().unwrap(), &untopical));
+        assert!(!oracle.is_interested(0, &untopical));
         assert!(!oracle.subtree_interested(&Prefix::root(), &untopical));
         assert_eq!(oracle.audience_key(&untopical), None);
         // Out-of-range topics too.

@@ -884,6 +884,47 @@ mod tests {
     use super::*;
     use pmcast_simnet::FaultPlan;
 
+    /// A trial over a tree that fills its space writes no member address
+    /// out: the interest oracle is asked by index (it has no address form),
+    /// the report asks each process for its interest, not its address, and
+    /// a leaf subgroup's summary prefix is built by arithmetic.  Over the 8^3
+    /// global trial and `alloc_budget`'s 300-event topic trial (summary
+    /// routing over `delegate(4)`), each run through
+    /// `run_scenario_trial_with`, the thread's shared views of the shape —
+    /// which a group built beside the trial shares — keep no address list,
+    /// until a process's address is borrowed.
+    #[test]
+    fn a_full_tree_trial_writes_no_address_list() {
+        use crate::scenario::{MembershipSpec, TopicWorkload};
+        use pmcast_core::{InterestRouting, PmcastConfig};
+
+        let global = Scenario::builder().group(8, 3).matching_rate(0.5).loss(0.01).seed(42).build();
+        let topics = Scenario::builder()
+            .group(4, 3)
+            .topics(TopicWorkload::new(12, 3, 300).with_publish_rounds(30))
+            .membership(MembershipSpec::delegate(4))
+            .protocol(PmcastConfig::default().with_interest_routing(InterestRouting::Summary))
+            .seed(42)
+            .build();
+        for scenario in [global, topics] {
+            let workload = trial_workload(&scenario, 0);
+            let build = || {
+                let (oracle, membership) =
+                    (Arc::clone(&workload.oracle), workload.membership(&scenario));
+                PmcastFactory::build(&workload.topology, oracle, membership, &scenario.protocol)
+            };
+            let beside = build();
+            let outcome = run_scenario_trial_with(&scenario, Protocol::Pmcast, 0);
+            assert!(outcome.report.delivered_interested > 0);
+            assert_eq!(beside.addresses.listed(), None, "{}", scenario.group_size());
+            // The trial's group shared these views: one borrowed address
+            // writes the list for every group of the shape.
+            let again = build();
+            let first = again.processes[0].address().clone();
+            assert_eq!(beside.addresses.listed().map(|listed| &listed[0]), Some(&first));
+        }
+    }
+
     #[test]
     fn quick_profile_shape() {
         let config = Scenario::quick().build();
@@ -1808,7 +1849,7 @@ mod tests {
             // has subscribers here: 16 processes × 2 picks over 6 topics).
             let topic = oracle.topic_of(event).expect("topical event");
             assert!(
-                oracle.is_interested(&workload.topology.address_of(*sender), event),
+                oracle.is_interested(*sender as u128, event),
                 "publisher {sender} does not subscribe to topic {topic}"
             );
         }

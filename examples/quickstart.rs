@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!(
             "  {}  interested={}  delivered={}",
             process.address(),
-            oracle.is_interested(process.address(), &event),
+            oracle.is_interested(process.space_index(), &event),
             process.has_delivered(event.id()),
         );
     }

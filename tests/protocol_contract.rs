@@ -134,7 +134,7 @@ fn assert_delivers_to_every_interested_process<F: ProtocolFactory>(
     let oracle = half_interested_oracle();
     let (processes, event, _) = publish_and_run::<F>(provider, 1);
     for process in &processes {
-        if oracle.is_interested(process.address(), &event) {
+        if oracle.is_interested(process.space_index(), &event) {
             assert!(
                 process.has_delivered(event.id()),
                 "{name}/{provider:?}: {} is interested but did not deliver",
@@ -173,7 +173,7 @@ fn assert_no_delivery_without_interest<F: ProtocolFactory>(
     let oracle = half_interested_oracle();
     let (processes, event, _) = publish_and_run::<F>(provider, 1);
     for process in &processes {
-        if !oracle.is_interested(process.address(), &event) {
+        if !oracle.is_interested(process.space_index(), &event) {
             assert!(
                 !process.has_delivered(event.id()),
                 "{name}/{provider:?}: {} delivered without interest",
@@ -200,7 +200,7 @@ fn assert_group_order_matches_topology<F: ProtocolFactory>(name: &str, provider:
         &PmcastConfig::default(),
     );
     let members = topology.members();
-    assert_eq!(*group.addresses, members, "{name}/{provider:?}");
+    assert_eq!(group.addresses, members, "{name}/{provider:?}");
     for (process, address) in group.processes.iter().zip(members.iter()) {
         assert_eq!(process.address(), address, "{name}/{provider:?}");
     }
@@ -384,7 +384,7 @@ fn retirement_at_one_process_is_invisible_to_every_other() {
             let address = &topology().members()[*b];
             assert_eq!(
                 *delivered,
-                oracle.is_interested(address, &event),
+                oracle.is_interested(topology().space().index_of_address(address).unwrap(), &event),
                 "{name}/{provider:?}: {address}"
             );
             assert!(!sends.is_empty(), "{name}/{provider:?}: {address} must forward");
@@ -1017,7 +1017,8 @@ proptest! {
         let membership = workload.membership(&scenario);
         for (_, _, event) in &workload.schedule {
             for address in workload.topology.members() {
-                if !workload.oracle.is_interested(&address, event) {
+                let index = workload.topology.space().index_of_address(&address).unwrap();
+                if !workload.oracle.is_interested(index, event) {
                     continue;
                 }
                 for level in 1..=DEPTH {
