@@ -55,7 +55,7 @@ impl Addresses {
 
     /// The addresses written out so far, in identifier order: a sparse
     /// topology's always, a full tree's once [`get`](Self::get) wrote them.
-    pub fn listed(&self) -> Option<&[Address]> {
+    fn listed(&self) -> Option<&[Address]> {
         self.0.listed.get().map(Vec::as_slice)
     }
 

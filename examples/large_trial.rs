@@ -2,15 +2,14 @@
 //! process's peak resident set (`VmHWM` from `/proc/self/status`; 0 where
 //! unavailable).
 //!
-//! The default is the ten-million-process row: one global trial of the 56⁴
+//! The ten-million-process row: one global trial of the 56⁴
 //! (9 834 496-process) tree at matching rate 0.5, seed 42, on one thread,
-//! from group construction to the report.  A process's state is its slot
-//! and its share of the round buffer — a full tree keeps no address per
-//! process and no list of them — so the peak follows the slot size.
+//! from group construction to the report.  A process's state is its slot and its share
+//! of the round buffer — a full tree keeps no address per process and no
+//! list of them — so the peak follows the slot size.
 //!
 //! ```text
-//! cargo run --release --example large_trial            # 56^4: ≈ 1.3 GiB, ≈ 15 s
-//! cargo run --release --example large_trial -- 32 4    # ARITY DEPTH: 32^4 ≈ 1.05 million
+//! cargo run --release --example large_trial    # ≈ 1.3 GiB, ≈ 15 s
 //! ```
 
 use std::time::Instant;
@@ -27,19 +26,8 @@ fn peak_rss_mib() -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let shape = match args.as_slice() {
-        [] => Some((56, 4)),
-        [arity, depth] => arity.parse().ok().zip(depth.parse().ok()),
-        _ => None,
-    };
-    let Some((arity, depth)) = shape.filter(|&(arity, depth): &(u32, usize)| arity > 0 && depth > 0)
-    else {
-        eprintln!("usage: large_trial [ARITY DEPTH]   (default: 56 4)");
-        std::process::exit(2);
-    };
     let scenario = Scenario::builder()
-        .group(arity, depth)
+        .group(56, 4)
         .matching_rate(0.5)
         .trials(1)
         .seed(42)
@@ -48,7 +36,7 @@ fn main() {
     let outcome = run_scenario_trial_with(&scenario, Protocol::Pmcast, 0);
     let seconds = started.elapsed().as_secs_f64();
     println!(
-        "{arity}^{depth} = {} processes: {seconds:.1} s/trial, VmHWM {:.1} MiB, {} messages, \
+        "56^4 = {} processes: {seconds:.1} s/trial, VmHWM {:.1} MiB, {} messages, \
          delivery {:.4}",
         scenario.group_size(),
         peak_rss_mib(),

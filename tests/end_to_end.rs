@@ -47,7 +47,8 @@ fn multicast_reaches_interested_processes_across_subtrees() {
     // No uninterested process ever *delivers*.
     for process in sim.processes() {
         if process.has_delivered(event.id()) {
-            assert!(oracle.is_interested(process.space_index(), &event));
+            let index = topology.space().index_of_address(process.address()).unwrap();
+            assert!(oracle.is_interested(index, &event));
         }
     }
 }

@@ -105,6 +105,12 @@ fn half_interested_oracle() -> Arc<AssignmentOracle> {
     Arc::new(AssignmentOracle::new(topology().space().clone(), interested))
 }
 
+/// A process's index in the oracle's space, read off the address the
+/// topology gave it: what the interest checks ask about.
+fn topology_index<P: MulticastProtocol>(process: &P) -> u128 {
+    topology().space().index_of_address(process.address()).expect("a member's address")
+}
+
 /// Builds a group, publishes `copies` clones of one shared event from
 /// process 0, runs to quiescence and returns the final states plus the
 /// message count.
@@ -134,7 +140,7 @@ fn assert_delivers_to_every_interested_process<F: ProtocolFactory>(
     let oracle = half_interested_oracle();
     let (processes, event, _) = publish_and_run::<F>(provider, 1);
     for process in &processes {
-        if oracle.is_interested(process.space_index(), &event) {
+        if oracle.is_interested(topology_index(process), &event) {
             assert!(
                 process.has_delivered(event.id()),
                 "{name}/{provider:?}: {} is interested but did not deliver",
@@ -173,7 +179,7 @@ fn assert_no_delivery_without_interest<F: ProtocolFactory>(
     let oracle = half_interested_oracle();
     let (processes, event, _) = publish_and_run::<F>(provider, 1);
     for process in &processes {
-        if !oracle.is_interested(process.space_index(), &event) {
+        if !oracle.is_interested(topology_index(process), &event) {
             assert!(
                 !process.has_delivered(event.id()),
                 "{name}/{provider:?}: {} delivered without interest",
@@ -203,6 +209,8 @@ fn assert_group_order_matches_topology<F: ProtocolFactory>(name: &str, provider:
     assert_eq!(group.addresses, members, "{name}/{provider:?}");
     for (process, address) in group.processes.iter().zip(members.iter()) {
         assert_eq!(process.address(), address, "{name}/{provider:?}");
+        let index = topology.space().index_of_address(address).unwrap();
+        assert_eq!(process.space_index(), index, "{name}/{provider:?}: {address}");
     }
 }
 
