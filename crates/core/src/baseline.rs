@@ -358,9 +358,9 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
         // The view cannot change mid-round: its peer count is queried once
         // per round, not per buffered entry.
         let mut view_len = None;
-        // The picks live in the round driver's buffer, moved out so the
-        // sends below can borrow `ctx`.
-        let mut scratch = std::mem::take(ctx.scratch());
+        // The picks live in the round driver's buffer, lent beside the rest
+        // of the context so the sends below can borrow both.
+        let (scratch, ctx) = ctx.scratch();
         self.buffered.retain(|_, FlatEntry { gossip, pool }| {
             if !gossip.has_budget() {
                 return false;
@@ -375,7 +375,6 @@ impl<P: FlatPolicy> RoundProcess for FlatGossipProcess<P> {
             }
             true
         });
-        *ctx.scratch() = scratch;
     }
 
     fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {

@@ -69,7 +69,7 @@ use crate::{Gossip, PmcastConfig};
 /// a publication is injected into it or while it handles a message, never
 /// inside `on_round` — and **reported**: an implementor whose `on_message`
 /// delivers an event for the first time says so through
-/// [`RoundContext::report_delivery`](pmcast_simnet::RoundContext::report_delivery)
+/// [`RoundIo::report_delivery`](pmcast_simnet::RoundIo::report_delivery)
 /// with the event id's integer as the tag, once per (process, event).  That
 /// is what lets a trial record delivery latencies in O(deliveries) instead
 /// of polling [`has_delivered`](Self::has_delivered); a delivery made by

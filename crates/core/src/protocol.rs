@@ -6,7 +6,7 @@ use pmcast_addr::{Address, Depth};
 use pmcast_analysis::pittel;
 use pmcast_interest::{Event, EventId, EventIdSet};
 use pmcast_membership::{InterestOracle, MembershipView, TreeTopology};
-use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundProcess, VirtualPool};
+use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext, RoundIo, RoundProcess, VirtualPool};
 use rand::Rng;
 use rustc_hash::FxHashMap;
 
@@ -547,7 +547,7 @@ fn gossip_entry(
     view: &DepthView,
     depth: Depth,
     entry: &BufferedGossip,
-    ctx: &mut RoundContext<'_, Gossip>,
+    ctx: &mut RoundIo<'_, Gossip>,
 ) {
     for slot in 0..group.config.fanout.min(pool.len()) {
         let position = pool.draw(slot, ctx.rng());
@@ -700,7 +700,7 @@ impl PmcastProcess {
         &mut self,
         depth: Depth,
         end: usize,
-        ctx: &mut RoundContext<'_, Gossip>,
+        ctx: &mut RoundIo<'_, Gossip>,
         scratch: &mut FanoutScratch,
     ) -> usize {
         let group = &*self.group;
@@ -777,18 +777,17 @@ impl RoundProcess for PmcastProcess {
         let Some(shallowest) = self.buffers.shallowest() else {
             return;
         };
-        // The candidate pools live in the round driver's buffers, moved out
-        // for the duration of the call so the draws can borrow `ctx`.
-        let mut scratch = std::mem::take(ctx.scratch());
+        // The candidate pools are the round driver's, lent beside the rest
+        // of the context so the draws can borrow both.
+        let (scratch, ctx) = ctx.scratch();
         // The shallowest run ends the buffers; none is deeper than one at 0.
         let mut end = self.buffers.len();
         for depth in shallowest..=self.group.stack(self.stack).len() {
-            end = self.gossip_depth(depth, end, ctx, &mut scratch);
+            end = self.gossip_depth(depth, end, ctx, scratch);
             if end == 0 {
                 break;
             }
         }
-        *ctx.scratch() = scratch;
     }
 
     fn on_message(&mut self, gossip: Gossip, ctx: &mut RoundContext<'_, Gossip>) {

@@ -66,8 +66,7 @@ pub(crate) struct NetProcess<P> {
     /// The floor last handed to `retire_below`.
     pub(crate) floor: EventId,
     pub(crate) outbox: Vec<(ProcessId, Gossip)>,
-    /// The fanout buffers and delivery-report buffer lent to the protocol
-    /// on every tick and frame.
+    /// The fanout buffers lent to the protocol on every tick and frame.
     pub(crate) scratch: FanoutScratch,
     /// Counts the rounds run, too: `ticks` is the round number.
     pub(crate) stats: NetProcessStats,
@@ -158,10 +157,6 @@ impl<P: MulticastProtocol> NetProcess<P> {
         for (to, gossip) in self.outbox.drain(..) {
             self.transport.send_gossip(to, gossip);
         }
-        // The lent bundle also collects the protocol's delivery reports,
-        // which only a round-synchronous observer reads; a daemon empties
-        // them with the outbox so the buffer never outgrows one frame's.
-        self.scratch.delivered.clear();
     }
 
     fn report(self, crashed: bool) -> NetProcessReport<P> {

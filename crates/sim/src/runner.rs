@@ -119,7 +119,7 @@
 //! A trial's [`DeliveryLatency`] histograms are kept push-driven, the same
 //! way for every protocol: a delivery is recorded in the round the engine
 //! reports it ([`Simulation::last_step_deliveries`], fed by the protocols'
-//! [`report_delivery`](pmcast_simnet::RoundContext::report_delivery) calls)
+//! [`report_delivery`](pmcast_simnet::RoundIo::report_delivery) calls)
 //! or the runner causes it (a publisher delivering its own publication,
 //! seen by asking `has_delivered` before and after the `publish` call).
 //! Each `(process, event)` pair arrives exactly once — the protocols'
@@ -850,6 +850,9 @@ fn run_workload<F: ProtocolFactory>(
             + sim.messages_in_flight(),
         "a message went unaccounted for: {stats:?}"
     );
+    // A repeat the engine's receipt screen keeps from its receiver is
+    // still a delivered message.
+    debug_assert!(sim.screened_repeats() <= stats.messages_delivered);
 
     // The histograms and the per-event reports follow the same index, so
     // `latency` lines up with `per_event` position by position.

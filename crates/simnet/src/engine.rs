@@ -67,14 +67,14 @@ pub trait RoundProcess {
     }
 }
 
-/// What a round driver lends the process it drives besides a place for its
-/// sends: reusable index buffers for the protocol's fanout draw and the
-/// buffer its delivery reports land in.  Owned by the driver (the
-/// [`Simulation`], or an external driver next to its outbox) and reached
-/// through [`RoundContext::scratch`] and [`RoundContext::report_delivery`].
+/// The reusable index buffers a round driver lends the process it drives
+/// for its fanout draw.  Owned by the driver (the [`Simulation`], or an
+/// external driver next to its outbox) and reached through
+/// [`RoundContext::scratch`], which lends them beside the rest of the
+/// context, so a protocol draws and sends while it holds them.
 ///
 /// A draw's candidate pool lives for one `on_round` call, so it is state of
-/// the round, not of the process: one warm pair of buffers serves every
+/// the round, not of the process: one warm set of buffers serves every
 /// process a driver steps, where a buffer per process would be grown — and
 /// found cold — once per infected process.  The pools' contents are
 /// unspecified between callbacks; a protocol clears what it uses.
@@ -90,12 +90,6 @@ pub struct FanoutScratch {
     /// being written out (pmcast under a global membership: one depth's
     /// view minus the process itself).
     pub all_but_one: VirtualPool,
-    /// The `(process, tag)` pairs reported through
-    /// [`RoundContext::report_delivery`] since the driver last emptied the
-    /// buffer.  It is the driver's to read and to empty — a driver that
-    /// never does lets it grow with every delivery — and a protocol only
-    /// ever appends to it.
-    pub delivered: Vec<(ProcessId, u64)>,
 }
 
 /// The candidate pool `0..width` without one position, permuted in place by
@@ -160,35 +154,50 @@ impl VirtualPool {
 }
 
 /// The per-process, per-round execution context handed to [`RoundProcess`]
-/// callbacks: the process's identity, the current round, a deterministic
-/// PRNG, where its sends go and the driver's [`FanoutScratch`].
+/// callbacks: the driver's [`FanoutScratch`] and a [`RoundIo`] — the
+/// process's identity, the current round, a deterministic PRNG and where
+/// its sends and delivery reports go — which the context derefs to.
 pub struct RoundContext<'a, M> {
+    scratch: &'a mut FanoutScratch,
+    io: RoundIo<'a, M>,
+}
+
+/// Everything a [`RoundContext`] holds but the fanout buffers: what a
+/// protocol draws, sends and reports through while it holds the buffers
+/// [`RoundContext::scratch`] lends.
+pub struct RoundIo<'a, M> {
     process: ProcessId,
     round: u64,
     sink: Sink<'a, M>,
     rng: &'a mut ChaCha8Rng,
-    scratch: &'a mut FanoutScratch,
 }
 
-/// Where a context's sends go.  A message is written once between the
-/// protocol's pick and the receiver's `on_message`: a [`Simulation`] hands
-/// the context its network, so a send *is* [`RoundNetwork::send`] — every
-/// fault decision, the loss draw, the traffic accounting and the envelope's
-/// one write into the in-flight buffer (or the delay wheel, or a
-/// straggler's backlog) happen there and then.  An outbox remains for the
-/// one driver that must look at a send before it is one: an external driver
-/// with a transport of its own ([`RoundContext::external`]).
+/// Where a context's sends and delivery reports go.  A message is written
+/// once between the protocol's pick and the receiver's `on_message`: a
+/// [`Simulation`] hands the context its network and its step's report
+/// buffer, so a send *is* [`RoundNetwork::send`] — every fault decision,
+/// the loss draw, the traffic accounting and the envelope's one write into
+/// the in-flight buffer (or the delay wheel, or a straggler's backlog)
+/// happen there and then.  An outbox remains for the one driver that must
+/// look at a send before it is one: an external driver with a transport of
+/// its own ([`RoundContext::external`]).
 enum Sink<'a, M> {
-    Network(&'a mut RoundNetwork<M>),
+    Network(&'a mut RoundNetwork<M>, &'a mut Vec<(ProcessId, u64)>),
     Outbox(&'a mut Vec<(ProcessId, M)>),
 }
 
-impl<M> std::fmt::Debug for RoundContext<'_, M> {
+impl<M> std::fmt::Debug for RoundIo<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundContext")
             .field("process", &self.process)
             .field("round", &self.round)
             .finish_non_exhaustive()
+    }
+}
+
+impl<M> std::fmt::Debug for RoundContext<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.io.fmt(f)
     }
 }
 
@@ -201,7 +210,8 @@ impl<'a, M> RoundContext<'a, M> {
     /// transport, `rng` is whatever stream the external driver's
     /// determinism story prescribes (the simulator's own seed contract is
     /// untouched), and `scratch` is kept next to the outbox and handed back
-    /// on every call so its buffers stay warm.
+    /// on every call so its buffers stay warm.  Delivery reports go
+    /// nowhere: only a round-synchronous observer reads them.
     pub fn external(
         process: ProcessId,
         round: u64,
@@ -210,20 +220,53 @@ impl<'a, M> RoundContext<'a, M> {
         scratch: &'a mut FanoutScratch,
     ) -> Self {
         RoundContext {
-            process,
-            round,
-            sink: Sink::Outbox(outbox),
-            rng,
             scratch,
+            io: RoundIo { process, round, sink: Sink::Outbox(outbox), rng },
         }
+    }
+
+    /// Lends the driver's fanout buffers beside the rest of the context, so
+    /// a protocol fills them, draws from the RNG and sends at once; the
+    /// warm capacity stays with the driver for the next process:
+    ///
+    /// ```rust
+    /// # use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext};
+    /// # use rand::SeedableRng;
+    /// # let mut outbox = Vec::new();
+    /// # let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+    /// # let mut lent = FanoutScratch::default();
+    /// # let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut lent);
+    /// let (scratch, io) = ctx.scratch();
+    /// io.choose_indices_into(10, 3, &mut scratch.candidates);
+    /// for &pick in &scratch.candidates {
+    ///     io.send(ProcessId(pick), "gossip");
+    /// }
+    /// # assert_eq!(outbox.len(), 3);
+    /// ```
+    pub fn scratch(&mut self) -> (&mut FanoutScratch, &mut RoundIo<'a, M>) {
+        (self.scratch, &mut self.io)
     }
 }
 
-impl<M> RoundContext<'_, M> {
+impl<'a, M> std::ops::Deref for RoundContext<'a, M> {
+    type Target = RoundIo<'a, M>;
+    fn deref(&self) -> &RoundIo<'a, M> {
+        &self.io
+    }
+}
+
+impl<M> std::ops::DerefMut for RoundContext<'_, M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.io
+    }
+}
+
+impl<M> RoundIo<'_, M> {
     /// Sends a message to `to`.
+    #[inline]
     pub fn send(&mut self, to: ProcessId, message: M) {
         match &mut self.sink {
-            Sink::Network(network) => network.send(self.process, to, message, 0),
+            Sink::Network(network, _) => network.send(self.process, to, message, 0),
             Sink::Outbox(outbox) => outbox.push((to, message)),
         }
     }
@@ -233,47 +276,23 @@ impl<M> RoundContext<'_, M> {
         self.rng
     }
 
-    /// The driver's reusable fanout buffers.  A protocol that needs them
-    /// while it also sends or draws moves them out for the duration of the
-    /// callback and puts them back before returning, so the warm capacity
-    /// reaches the next process:
-    ///
-    /// ```rust
-    /// # use pmcast_simnet::{FanoutScratch, ProcessId, RoundContext};
-    /// # use rand::SeedableRng;
-    /// # let mut outbox = Vec::new();
-    /// # let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-    /// # let mut lent = FanoutScratch::default();
-    /// # let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut lent);
-    /// let mut scratch = std::mem::take(ctx.scratch());
-    /// ctx.choose_indices_into(10, 3, &mut scratch.candidates);
-    /// for &pick in &scratch.candidates {
-    ///     ctx.send(ProcessId(pick), "gossip");
-    /// }
-    /// *ctx.scratch() = scratch;
-    /// # assert_eq!(outbox.len(), 3);
-    /// ```
-    pub fn scratch(&mut self) -> &mut FanoutScratch {
-        self.scratch
-    }
-
     /// Tells the round driver that this process just delivered, for the
     /// first time, the application-level item `tag` identifies (a protocol's
-    /// event id): the pair lands in [`FanoutScratch::delivered`].  What a
-    /// driver does with the reports is its own business — [`Simulation`]
-    /// keeps a step's worth for
-    /// [`last_step_deliveries`](Simulation::last_step_deliveries) — so a
-    /// protocol reports every first delivery it makes inside a callback and
-    /// nothing else, each pair exactly once.  Not for use between moving the
-    /// [`scratch`](Self::scratch) out and putting it back.
+    /// event id).  A [`Simulation`] keeps a step's worth for
+    /// [`last_step_deliveries`](Simulation::last_step_deliveries); an
+    /// external driver keeps none.  So a protocol reports every first
+    /// delivery it makes inside a callback and nothing else, each pair
+    /// exactly once.
     pub fn report_delivery(&mut self, tag: u64) {
-        self.scratch.delivered.push((self.process, tag));
+        if let Sink::Network(_, reports) = &mut self.sink {
+            reports.push((self.process, tag));
+        }
     }
 
     /// Allocation-free target selection: clears `out` and fills it with up
     /// to `count` distinct indices into `0..pool`, drawn uniformly.  With
-    /// the [`scratch`](Self::scratch) buffers as `out` the steady-state
-    /// cost is O(count) time and zero allocation.
+    /// the [`scratch`](RoundContext::scratch) buffers as `out` the
+    /// steady-state cost is O(count) time and zero allocation.
     pub fn choose_indices_into(&mut self, pool: usize, count: usize, out: &mut Vec<usize>) {
         out.clear();
         let count = count.min(pool);
@@ -378,11 +397,15 @@ pub struct Simulation<P: RoundProcess> {
     received: Vec<u64>,
     /// Who was handed a message of which receipt key, ever.
     screen: ReceiptScreen,
+    /// Repeats the screen kept from their receivers, ever.
+    screened: u64,
     /// Messages delivered at the current boundary (between steps, a spare).
     inbox: Vec<Envelope<P::Message>>,
     /// Reused across processes and rounds: the fanout buffers lent to the
     /// process being driven.
     scratch: FanoutScratch,
+    /// The `(process, tag)` pairs reported during the current step.
+    reports: Vec<(ProcessId, u64)>,
     /// Invoked exactly once per lifecycle transition, at the moment it
     /// happens (initial [`CrashPlan`] fraction, scheduled joins/leaves/
     /// crashes and manual [`crash`](Self::crash) calls alike).  Lets layers
@@ -444,37 +467,24 @@ impl<P: RoundProcess> Simulation<P> {
             network_rng,
             &config.fault_plan,
         );
-        let mut schedule: Vec<(u64, LifecycleKind, usize)> = Vec::new();
-        let crash_fraction = |network: &mut RoundNetwork<P::Message>,
-                                  seed_rng: &mut ChaCha8Rng,
-                                  observer: &mut Option<Box<dyn FnMut(LifecycleTransition)>>,
-                                  fraction: f64| {
+        let (fraction, crashes): (_, &[_]) = match &config.crash_plan {
+            CrashPlan::None => (None, &[]),
+            CrashPlan::InitialFraction(fraction) => (Some(*fraction), &[]),
+            CrashPlan::Scheduled(crashes) => (None, crashes),
+            CrashPlan::Mixed { fraction, schedule } => (Some(*fraction), schedule),
+        };
+        if let Some(fraction) = fraction {
             let mut crash_rng = ChaCha8Rng::seed_from_u64(seed_rng.gen());
-            for index in 0..processes.len() {
+            for process in (0..processes.len()).map(ProcessId) {
                 if crash_rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    network.crash(ProcessId(index));
-                    if let Some(observer) = observer {
-                        observer(LifecycleTransition {
-                            process: ProcessId(index),
-                            kind: LifecycleKind::Crash,
-                        });
+                    network.crash(process);
+                    if let Some(observer) = &mut lifecycle_observer {
+                        observer(LifecycleTransition { process, kind: LifecycleKind::Crash });
                     }
                 }
             }
-        };
-        match &config.crash_plan {
-            CrashPlan::None => {}
-            CrashPlan::InitialFraction(fraction) => {
-                crash_fraction(&mut network, &mut seed_rng, &mut lifecycle_observer, *fraction);
-            }
-            CrashPlan::Scheduled(crashes) => {
-                schedule.extend(crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)));
-            }
-            CrashPlan::Mixed { fraction, schedule: crashes } => {
-                crash_fraction(&mut network, &mut seed_rng, &mut lifecycle_observer, *fraction);
-                schedule.extend(crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)));
-            }
         }
+        let mut schedule: Vec<_> = crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)).collect();
         schedule.extend(lifecycle.joins.iter().map(|&(r, p)| (r, LifecycleKind::Join, p)));
         schedule.extend(lifecycle.leaves.iter().map(|&(r, p)| (r, LifecycleKind::Leave, p)));
         schedule.sort();
@@ -501,8 +511,10 @@ impl<P: RoundProcess> Simulation<P> {
             receivers: Vec::new(),
             received: vec![0; words],
             screen: ReceiptScreen::new(words),
+            screened: 0,
             inbox: Vec::new(),
             scratch: FanoutScratch::default(),
+            reports: Vec::new(),
             lifecycle_observer,
         }
     }
@@ -532,21 +544,16 @@ impl<P: RoundProcess> Simulation<P> {
     }
 
     /// Runs one callback of process `id` inside a context whose sends go
-    /// straight into the network.
+    /// straight into the network, lending it the simulation's fanout
+    /// buffers in place.
     fn drive(
         &mut self,
         id: ProcessId,
-        scratch: &mut FanoutScratch,
         callback: impl FnOnce(&mut P, &mut RoundContext<'_, P::Message>),
     ) {
-        let mut ctx = RoundContext {
-            process: id,
-            round: self.round,
-            sink: Sink::Network(&mut self.network),
-            rng: &mut self.protocol_rng,
-            scratch,
-        };
-        callback(&mut self.processes[id.0], &mut ctx);
+        let sink = Sink::Network(&mut self.network, &mut self.reports);
+        let io = RoundIo { process: id, round: self.round, sink, rng: &mut self.protocol_rng };
+        callback(&mut self.processes[id.0], &mut RoundContext { scratch: &mut self.scratch, io });
     }
 
     fn notify(&mut self, id: ProcessId, kind: LifecycleKind) {
@@ -555,24 +562,14 @@ impl<P: RoundProcess> Simulation<P> {
         }
     }
 
-    /// Crashes a process (if it is not already down) and notifies the
-    /// lifecycle observer on the transition.
-    fn crash_and_notify(&mut self, id: ProcessId) {
+    /// Takes a process down (if it is up) by a crash or a graceful leave,
+    /// and notifies the lifecycle observer of the transition.
+    fn take_down_and_notify(&mut self, id: ProcessId, kind: LifecycleKind) {
         if self.network.is_crashed(id) {
             return;
         }
         self.network.crash(id);
-        self.notify(id, LifecycleKind::Crash);
-    }
-
-    /// Deactivates a process gracefully (if it is up) and notifies the
-    /// lifecycle observer of the leave.
-    fn leave_and_notify(&mut self, id: ProcessId) {
-        if self.network.is_crashed(id) {
-            return;
-        }
-        self.network.crash(id);
-        self.notify(id, LifecycleKind::Leave);
+        self.notify(id, kind);
     }
 
     /// Activates a process (if it is down) and notifies the lifecycle
@@ -635,7 +632,7 @@ impl<P: RoundProcess> Simulation<P> {
     }
 
     /// The `(process, tag)` pairs the processes reported through
-    /// [`RoundContext::report_delivery`] during the most recent
+    /// [`RoundIo::report_delivery`] during the most recent
     /// [`step`](Self::step), in delivery order.  Empty before the first
     /// step.
     ///
@@ -648,12 +645,19 @@ impl<P: RoundProcess> Simulation<P> {
     /// through [`process_mut`](Self::process_mut) happens outside any step
     /// and is the caller's to note.
     pub fn last_step_deliveries(&self) -> &[(ProcessId, u64)] {
-        &self.scratch.delivered
+        &self.reports
     }
 
     /// The network traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
         self.network.stats()
+    }
+
+    /// How many delivered messages the receipt screen kept from their
+    /// receivers: repeats of a [`RoundProcess::receipt_key`] each was handed
+    /// before, so never more than [`TrafficStats::messages_delivered`].
+    pub fn screened_repeats(&self) -> u64 {
+        self.screened
     }
 
     /// Messages sent but not yet delivered or dropped: those the next
@@ -673,7 +677,7 @@ impl<P: RoundProcess> Simulation<P> {
 
     /// Crashes a process immediately.
     pub fn crash(&mut self, id: ProcessId) {
-        self.crash_and_notify(id);
+        self.take_down_and_notify(id, LifecycleKind::Crash);
     }
 
     /// Number of scheduled lifecycle transitions (joins, leaves, scheduled
@@ -698,14 +702,12 @@ impl<P: RoundProcess> Simulation<P> {
             }
             match kind {
                 LifecycleKind::Join => self.join_and_notify(ProcessId(index)),
-                LifecycleKind::Leave => self.leave_and_notify(ProcessId(index)),
-                LifecycleKind::Crash => self.crash_and_notify(ProcessId(index)),
+                down => self.take_down_and_notify(ProcessId(index), down),
             }
             self.scheduled_lifecycle.pop_front();
         }
 
         let mut inbox = std::mem::take(&mut self.inbox);
-        let mut scratch = std::mem::take(&mut self.scratch);
         // Round 0 opens without a handover: nothing can be in flight before
         // it, so the network's round is the engine's during every step.
         if self.round > 0 {
@@ -713,7 +715,7 @@ impl<P: RoundProcess> Simulation<P> {
         }
 
         self.receivers.drain(..).for_each(|index| self.received[index / 64] = 0);
-        scratch.delivered.clear();
+        self.reports.clear();
         for Envelope { to, message } in inbox.drain(..) {
             // Nothing can crash between the handover and this loop, and the
             // handover already dropped what was addressed to a down process.
@@ -730,12 +732,13 @@ impl<P: RoundProcess> Simulation<P> {
             // A repeat of a key the receiver was handed is a no-op
             // (`RoundProcess::receipt_key`): neither driven nor woken.
             if P::receipt_key(&message).is_some_and(|key| self.screen.handed_before(key, to.0)) {
+                self.screened += 1;
                 continue;
             }
             // Schedule the receiver: a message may have woken it.
             self.mark_active(to.0);
             // Messages emitted while handling are sent from the receiver.
-            self.drive(to, &mut scratch, |process, ctx| process.on_message(message, ctx));
+            self.drive(to, |process, ctx| process.on_message(message, ctx));
         }
         self.network.collect_sends_into(&mut inbox);
 
@@ -745,7 +748,7 @@ impl<P: RoundProcess> Simulation<P> {
                 if self.network.is_crashed(id) {
                     continue;
                 }
-                self.drive(id, &mut scratch, P::on_round);
+                self.drive(id, P::on_round);
             }
         } else {
             // The active-set sweep: visit exactly the scheduled processes,
@@ -761,7 +764,7 @@ impl<P: RoundProcess> Simulation<P> {
                     if self.network.is_crashed(id) {
                         continue;
                     }
-                    self.drive(id, &mut scratch, P::on_round);
+                    self.drive(id, P::on_round);
                     // Still busy?  Reschedule for the next round.
                     if !self.processes[index].is_quiescent() {
                         self.rescheduled[word] |= 1 << (index % 64);
@@ -771,7 +774,6 @@ impl<P: RoundProcess> Simulation<P> {
             std::mem::swap(&mut self.scheduled, &mut self.rescheduled);
         }
         self.inbox = inbox;
-        self.scratch = scratch;
         self.round += 1;
     }
 
@@ -1243,17 +1245,16 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(0), 0, &mut outbox, &mut rng, &mut scratch);
-        let mut picks = std::mem::take(ctx.scratch());
-        ctx.choose_indices_into(5, 3, &mut picks.candidates);
+        let (picks, io) = ctx.scratch();
+        io.choose_indices_into(5, 3, &mut picks.candidates);
         assert_eq!(picks.candidates.len(), 3);
-        ctx.choose_indices_into(5, 10, &mut picks.candidates);
+        io.choose_indices_into(5, 10, &mut picks.candidates);
         picks.candidates.sort_unstable();
         assert_eq!(picks.candidates, vec![0, 1, 2, 3, 4]);
-        ctx.choose_indices_into(0, 3, &mut picks.candidates);
+        io.choose_indices_into(0, 3, &mut picks.candidates);
         assert!(picks.candidates.is_empty());
-        *ctx.scratch() = picks;
         assert!(!format!("{ctx:?}").is_empty());
-        // The driver gets its buffers back warm.
+        // The driver's buffers were filled in place and stay warm.
         assert!(scratch.candidates.capacity() >= 5);
     }
 
@@ -1425,15 +1426,17 @@ mod tests {
         type Message = u64;
 
         fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
+            let message = 1000 * ctx.process.0 as u64 + ctx.round;
             for &to in &self.on_round {
-                ctx.send(to, 1000 * ctx.process.0 as u64 + ctx.round);
+                ctx.send(to, message);
             }
         }
 
         fn on_message(&mut self, message: u64, ctx: &mut RoundContext<'_, u64>) {
             self.received.push(message);
             if let Some(to) = self.on_message {
-                ctx.send(to, 1000 * ctx.process.0 as u64 + ctx.round);
+                let message = 1000 * ctx.process.0 as u64 + ctx.round;
+                ctx.send(to, message);
             }
         }
     }
@@ -1500,7 +1503,8 @@ mod tests {
 
         fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
             if let Some(to) = self.to {
-                ctx.send(to, ctx.round);
+                let round = ctx.round;
+                ctx.send(to, round);
             }
         }
 
@@ -1571,13 +1575,12 @@ mod tests {
             }
             self.budget -= 1;
             let own = ctx.process.0;
-            let mut scratch = std::mem::take(ctx.scratch());
-            ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
+            let (scratch, io) = ctx.scratch();
+            io.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
             for &pick in &scratch.candidates {
                 let target = if pick >= own { pick + 1 } else { pick };
-                ctx.send(ProcessId(target), 7);
+                io.send(ProcessId(target), 7);
             }
-            *ctx.scratch() = scratch;
         }
 
         fn on_message(&mut self, message: u8, _ctx: &mut RoundContext<'_, u8>) {
@@ -1755,15 +1758,15 @@ mod tests {
         assert_eq!(sim.last_step_receivers().len(), 5);
         assert!(sim.last_step_deliveries().is_empty(), "a step starts from an empty buffer");
 
-        // An external driver finds the reports in the scratch it lent.
+        // An external driver keeps no reports: a first delivery under it
+        // is the protocol's state alone.
         let mut outbox: Vec<(ProcessId, u64)> = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut scratch = FanoutScratch::default();
         let mut ctx = RoundContext::external(ProcessId(3), 0, &mut outbox, &mut rng, &mut scratch);
         let mut late = Flood::new(Vec::new(), false);
         late.on_message(99, &mut ctx);
-        late.on_message(99, &mut ctx);
-        assert_eq!(scratch.delivered, vec![(ProcessId(3), 99)]);
+        assert!(late.has_token);
     }
 
     #[test]
@@ -1818,16 +1821,15 @@ mod tests {
         fn on_round(&mut self, ctx: &mut RoundContext<'_, u64>) {
             self.rounds += 1;
             let own = ctx.process.0;
-            let mut scratch = std::mem::take(ctx.scratch());
+            let (scratch, io) = ctx.scratch();
             for (key, budget) in &mut self.buffered {
                 *budget -= 1;
-                ctx.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
+                io.choose_indices_into(self.count - 1, 2, &mut scratch.candidates);
                 for &pick in &scratch.candidates {
-                    ctx.send(ProcessId(if pick >= own { pick + 1 } else { pick }), *key);
+                    io.send(ProcessId(if pick >= own { pick + 1 } else { pick }), *key);
                 }
             }
             self.buffered.retain(|&(_, budget)| budget > 0);
-            *ctx.scratch() = scratch;
         }
 
         fn on_message(&mut self, key: u64, ctx: &mut RoundContext<'_, u64>) {

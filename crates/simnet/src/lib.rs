@@ -38,14 +38,15 @@
 //! back drained (a straggler backlog keeps its own capacity),
 //! scheduled crashes drain through a `VecDeque` cursor, and the fanout
 //! draw's index buffers ([`FanoutScratch`]) are owned by the simulation
-//! next to the inbox and lent to the process being driven
-//! through [`RoundContext::scratch`], which
-//! [`RoundContext::choose_indices_into`] fills without allocating — a
-//! process keeps no draw buffer of its own (messages themselves should be
+//! next to the inbox and lent in place to the process being driven
+//! through [`RoundContext::scratch`], beside the [`RoundIo`] whose
+//! [`choose_indices_into`](RoundIo::choose_indices_into) fills them without
+//! allocating — a process keeps no draw buffer of its own and moves none
+//! (messages themselves should be
 //! small plain values — `pmcast-core`'s name their event by id and leave
 //! the content in the group's store — so a per-target send copies bytes and
-//! writes no reference count).  The same lent bundle carries the buffer
-//! [`RoundContext::report_delivery`] appends to, so what a step delivered
+//! writes no reference count).  The context also carries the buffer
+//! [`RoundIo::report_delivery`] appends to, so what a step delivered
 //! is read off [`Simulation::last_step_deliveries`] in O(deliveries)
 //! instead of polled out of the processes.
 //!
@@ -92,8 +93,8 @@ mod stats;
 
 pub use config::{CrashPlan, NetworkConfig};
 pub use engine::{
-    FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext, RoundProcess,
-    Simulation, VirtualPool,
+    FanoutScratch, LifecycleKind, LifecyclePlan, LifecycleTransition, RoundContext, RoundIo,
+    RoundProcess, Simulation, VirtualPool,
 };
 pub use fault::{FaultPlan, LinkDelay, LossOverride, PartitionWindow, Straggler};
 pub use network::{Envelope, ProcessId, RoundNetwork};

@@ -66,6 +66,9 @@ pub struct RoundNetwork<M> {
     /// Count of `true` flags in `crashed`, kept in lockstep so a round
     /// boundary knows in O(1) whether anybody is down.
     crashed_count: usize,
+    /// No fault axis is declared non-neutral: while nobody is down either,
+    /// a send between processes in range needs no decision.
+    fault_free: bool,
     in_flight: Vec<Envelope<M>>,
     /// Timing wheel for per-link extra latency: a message with `extra` more
     /// rounds to wait sits at `delayed[extra]`; every round boundary pops
@@ -84,13 +87,23 @@ pub struct RoundNetwork<M> {
     partitions: Vec<PartitionWindow>,
     loss_overrides: Vec<LossOverride>,
     /// The plan's non-neutral stragglers, in declaration order, each with
-    /// the sends it made since its last flush round.  Empty on the
-    /// straggler-free path, which [`send`](Self::send) takes without a
-    /// lookup.
+    /// the sends it made since its last flush round.
     stragglers: Vec<Backlog<M>>,
     stats: TrafficStats,
     round: u64,
     rng: ChaCha8Rng,
+}
+
+/// What [`RoundNetwork::decide`] makes of a send: wait in the straggler
+/// backlog at this index (not counted yet); count it as sent and dropped for
+/// one of three causes; or count it as sent, lose it with probability
+/// `loss`, else deliver it `extra` boundaries after the next.
+enum Verdict {
+    Park(usize),
+    FromCrashed,
+    ToCrashed,
+    Partitioned,
+    Send { loss: f64, extra: u64 },
 }
 
 /// A straggler's unsent queue: the `(to, message)` of every
@@ -164,6 +177,7 @@ impl<M> RoundNetwork<M> {
             loss_probability,
             crashed: vec![false; process_count],
             crashed_count: 0,
+            fault_free: faults.is_neutral(),
             in_flight: Vec::new(),
             delayed: VecDeque::new(),
             delayed_count: 0,
@@ -236,40 +250,38 @@ impl<M> RoundNetwork<M> {
     /// `extra` boundaries later under an active [`LinkDelay`]).
     /// The fourth argument is ignored: a message's size is not accounted.
     ///
-    /// A live [`Straggler`](crate::Straggler)'s send outside its flush
-    /// round is parked in its backlog instead: not counted, no draw, sent by
-    /// the boundary that opens the flush round.  Every other send runs the
-    /// fault checks in a fixed order — crashed sender, crashed receiver,
-    /// active partition, loss draw, delay routing — and only the loss draw
-    /// consumes randomness, so inactive fault axes cannot shift the network
-    /// stream.
+    /// On a quiet network — no fault axis declared non-neutral, nobody
+    /// down — a send between processes in range is counted, drawn against
+    /// `ε` and pushed.  Any other send is decided first, in a fixed order: a
+    /// live [`Straggler`](crate::Straggler) outside its flush round parks it
+    /// (not counted, no draw, sent by the boundary that opens the flush
+    /// round); a crashed sender, a crashed receiver or an active partition
+    /// drops it; else the loss overrides compose its loss and the delay axis
+    /// sets its extra latency.  Only the loss draw consumes randomness, so
+    /// inactive fault axes cannot shift the network stream.
+    #[inline(always)]
     pub fn send(&mut self, from: ProcessId, to: ProcessId, message: M, _size: usize) {
-        if !self.stragglers.is_empty() {
-            if let Some(backlog) = self.holding_backlog(from) {
-                self.stragglers[backlog].parked.push((to, message));
-                return;
+        let (loss, extra) = if self.is_quiet() && from.0.max(to.0) < self.crashed.len() {
+            (self.loss_probability, 0)
+        } else {
+            match self.decide(from, to) {
+                Verdict::Park(at) => return self.stragglers[at].parked.push((to, message)),
+                Verdict::Send { loss, extra } => (loss, extra),
+                dropped => {
+                    self.stats.messages_sent += 1;
+                    *match dropped {
+                        Verdict::FromCrashed => &mut self.stats.messages_from_crashed,
+                        Verdict::ToCrashed => &mut self.stats.messages_to_crashed,
+                        _ => &mut self.stats.messages_partitioned,
+                    } += 1;
+                    return;
+                }
             }
-        }
+        };
         self.stats.messages_sent += 1;
-        if self.is_crashed(from) {
-            self.stats.messages_from_crashed += 1;
-            return;
-        }
-        if self.is_crashed(to) {
-            self.stats.messages_to_crashed += 1;
-            return;
-        }
-        if !self.partitions.is_empty() && self.is_partitioned(from, to) {
-            self.stats.messages_partitioned += 1;
-            return;
-        }
-        let loss = self.effective_loss(from, to);
         if loss > 0.0 && self.rng.gen_bool(loss) {
             self.stats.messages_lost += 1;
-            return;
-        }
-        let extra = self.link_extra_delay(from, to);
-        if extra == 0 {
+        } else if extra == 0 {
             self.in_flight.push(Envelope { to, message });
         } else {
             self.stats.messages_delayed += 1;
@@ -277,10 +289,36 @@ impl<M> RoundNetwork<M> {
         }
     }
 
-    /// The backlog a send from `from` waits in: its own, if `from` is a live
-    /// straggler and this round is not its flush round.
+    /// No fault axis is declared non-neutral and nobody is down.
+    fn is_quiet(&self) -> bool {
+        self.fault_free && self.crashed_count == 0
+    }
+
+    /// The fault axes' verdict on a send, their checks made in the order
+    /// [`send`](Self::send) gives.
     #[cold]
     #[inline(never)]
+    fn decide(&self, from: ProcessId, to: ProcessId) -> Verdict {
+        if let Some(backlog) = self.holding_backlog(from) {
+            return Verdict::Park(backlog);
+        }
+        if self.is_crashed(from) {
+            return Verdict::FromCrashed;
+        }
+        if self.is_crashed(to) {
+            return Verdict::ToCrashed;
+        }
+        if self.is_partitioned(from, to) {
+            return Verdict::Partitioned;
+        }
+        Verdict::Send {
+            loss: self.effective_loss(from, to),
+            extra: self.link_extra_delay(from, to),
+        }
+    }
+
+    /// The backlog a send from `from` waits in: its own, if `from` is a live
+    /// straggler and this round is not its flush round.
     fn holding_backlog(&self, from: ProcessId) -> Option<usize> {
         let backlog = self.stragglers.iter().position(|s| s.process == from.0)?;
         let period = self.stragglers[backlog].period;
@@ -433,6 +471,14 @@ mod tests {
     use crate::fault::tests::{delayed, lossy_range, partitioned, straggling};
     use crate::Straggler;
     use rand::SeedableRng;
+
+    impl<M> RoundNetwork<M> {
+        /// Makes every later send take the decision, as on a network that
+        /// is never quiet.
+        fn decide_every_send(&mut self) {
+            self.fault_free = false;
+        }
+    }
 
     fn network(count: usize, loss: f64) -> RoundNetwork<u32> {
         RoundNetwork::new(count, loss, ChaCha8Rng::seed_from_u64(1))
@@ -869,5 +915,124 @@ mod tests {
     fn network_rejects_out_of_range_fault_plan() {
         let plan = straggling(5, 3);
         let _ = faulty_network(2, 0.0, &plan);
+    }
+
+    #[test]
+    fn a_network_turns_quiet_again_exactly_when_its_last_down_process_rejoins() {
+        let mut net = network(4, 0.2);
+        assert!(net.is_quiet());
+        net.crash(ProcessId(1));
+        net.crash(ProcessId(2));
+        net.crash(ProcessId(2));
+        assert!(!net.is_quiet());
+        net.activate(ProcessId(1));
+        net.activate(ProcessId(1));
+        assert!(!net.is_quiet(), "process 2 is still down");
+        net.activate(ProcessId(2));
+        assert!(net.is_quiet());
+        // Out of range, nobody goes down or comes up.
+        net.crash(ProcessId(9));
+        assert!(net.is_quiet());
+        net.activate(ProcessId(9));
+        assert!(net.is_quiet());
+        // A network with a fault axis declared is never quiet; neutral
+        // declarations are none.
+        let mut faulty = faulty_network(4, 0.0, &straggling(0, 2));
+        faulty.crash(ProcessId(3));
+        faulty.activate(ProcessId(3));
+        assert!(!faulty.is_quiet());
+        assert!(faulty_network(4, 0.0, &straggling(0, 1)).is_quiet());
+        assert!(!faulty_network(4, 0.0, &delayed(1, 1)).is_quiet());
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The quiet path against the decision it skips: each random
+            /// history runs on a network as built and on one that decides
+            /// every send, over crashes, leaves and rejoins, out-of-range
+            /// endpoints, partition windows before, inside and after the
+            /// history's rounds, loss overrides, constant and jittered
+            /// delays and stragglers, neutral declarations included.  After
+            /// every send and boundary the two agree on the traffic, the
+            /// envelopes delivered in order, what is in flight, idleness and
+            /// the network stream's position.
+            #[test]
+            fn a_quiet_send_is_the_decided_send(
+                seed in 0u64..1000,
+                count in 1usize..10,
+                loss in prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
+                delay in (0u8..3, 0u64..3, 0u64..3),
+                partitions in proptest::collection::vec((0u64..8, 0u64..4, 1usize..4), 0..3),
+                overrides in proptest::collection::vec((0usize..10, 0usize..10, 0u8..3), 0..3),
+                stragglers in proptest::collection::vec((0usize..10, 1u64..4), 0..3),
+                history in proptest::collection::vec((0u8..6, 0usize..12, 0usize..12), 0..120),
+            ) {
+                let mut plan = FaultPlan {
+                    link_delay: match delay {
+                        (0, ..) => None,
+                        (1, ..) => Some(LinkDelay { min_extra: 0, max_extra: 0 }),
+                        (_, min, span) => Some(LinkDelay { min_extra: min, max_extra: min + span }),
+                    },
+                    partitions: partitions
+                        .iter()
+                        .map(|&(from_round, len, cells)| PartitionWindow {
+                            from_round,
+                            until_round: from_round + len,
+                            cells,
+                        })
+                        .collect(),
+                    loss_overrides: overrides
+                        .iter()
+                        .map(|&(start, len, rate)| LossOverride {
+                            start: start.min(count),
+                            end: (start + len).min(count),
+                            loss_probability: [0.0, 0.5, 1.0][usize::from(rate)],
+                        })
+                        .collect(),
+                    stragglers: Vec::new(),
+                };
+                for &(process, period) in &stragglers {
+                    if plan.stragglers.iter().all(|s| s.process != process % count) {
+                        plan.stragglers.push(Straggler { process: process % count, period });
+                    }
+                }
+                let build = || -> RoundNetwork<u32> {
+                    RoundNetwork::with_faults(count, loss, ChaCha8Rng::seed_from_u64(seed), &plan)
+                };
+                let (mut quiet, mut decided) = (build(), build());
+                decided.decide_every_send();
+                prop_assert!(!decided.is_quiet());
+                for (step, &(kind, a, b)) in history.iter().enumerate() {
+                    let (a, b) = (ProcessId(a % (count + 2)), ProcessId(b % (count + 2)));
+                    match kind {
+                        0..=2 => {
+                            quiet.send(a, b, step as u32, 0);
+                            decided.send(a, b, step as u32, 0);
+                        }
+                        3 => prop_assert_eq!(deliver_round(&mut quiet), deliver_round(&mut decided)),
+                        4 => {
+                            quiet.crash(a);
+                            decided.crash(a);
+                        }
+                        _ => {
+                            quiet.activate(a);
+                            decided.activate(a);
+                        }
+                    }
+                    prop_assert_eq!(quiet.stats(), decided.stats(), "after step {}", step);
+                    prop_assert_eq!(quiet.messages_in_flight(), decided.messages_in_flight());
+                    prop_assert_eq!(quiet.is_idle(), decided.is_idle());
+                    prop_assert_eq!(quiet.rng.get_word_pos(), decided.rng.get_word_pos());
+                }
+                // Whatever is still in flight arrives alike.
+                for _ in 0..6 {
+                    prop_assert_eq!(deliver_round(&mut quiet), deliver_round(&mut decided));
+                }
+                prop_assert_eq!(quiet.stats(), decided.stats());
+            }
+        }
     }
 }

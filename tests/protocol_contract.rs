@@ -254,7 +254,7 @@ fn assert_every_message_is_accounted_for<F: ProtocolFactory>(
     provider: Provider,
     network: NetworkConfig,
     max_rounds: u64,
-) -> u64 {
+) -> (u64, u64) {
     let group = F::build(
         &topology(),
         half_interested_oracle(),
@@ -277,11 +277,18 @@ fn assert_every_message_is_accounted_for<F: ProtocolFactory>(
             settled + sim.messages_in_flight(),
             "{row}/{provider:?} after round {round}: {stats:?}"
         );
+        // A repeat the engine's receipt screen keeps from its receiver was
+        // delivered all the same.
+        assert!(
+            sim.screened_repeats() <= stats.messages_delivered,
+            "{row}/{provider:?} after round {round}: {} screened, {stats:?}",
+            sim.screened_repeats()
+        );
         if sim.is_quiescent() {
             break;
         }
     }
-    sim.messages_in_flight()
+    (sim.messages_in_flight(), sim.screened_repeats())
 }
 
 #[test]
@@ -305,14 +312,16 @@ fn every_sent_message_is_delivered_dropped_or_in_flight() {
             seed: 71,
         };
         for provider in PROVIDERS {
-            let settled = assert_every_message_is_accounted_for::<F>(
+            let (settled, screened) = assert_every_message_is_accounted_for::<F>(
                 name,
                 provider,
                 NetworkConfig::reliable(71),
                 300,
             );
             assert_eq!(settled, 0, "{name}/{provider:?}: quiescent with messages in flight");
-            let cut = assert_every_message_is_accounted_for::<F>(name, provider, lossy.clone(), 3);
+            assert!(screened > 0, "{name}/{provider:?}: no repeat reached the receipt screen");
+            let (cut, _) =
+                assert_every_message_is_accounted_for::<F>(name, provider, lossy.clone(), 3);
             assert!(cut > 0, "{name}/{provider:?}: the cut row left nothing in flight");
         }
     }

@@ -14,8 +14,12 @@
 # prints every pair, both medians and quartiles, the win count and whether
 # the claim rule holds; then the operations that failed on either side.
 # Each pair's peak_rss_mb line also names both runs' trial counts
-# (`attempted`), since memory is compared at equal trial counts.
-# Exit status 2 on bad usage.
+# (`attempted`), since memory is compared at equal trial counts.  Last, each
+# pair's `outcome_digest`s, read from the `records.jsonl` in both runs' --out
+# directories, and whether they are the same: a simulator workload's digest
+# is a fixed set of trials, so a change that draws, sends or delivers
+# nothing differently keeps it (the daemon workloads have none).
+# Exit status 2 on bad usage, 1 when a pair's digests differ.
 set -euo pipefail
 if [ "$#" -ne 6 ]; then
     echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS SEED" >&2
@@ -82,4 +86,17 @@ for metric in metrics:
 failed = [sum(side["failed"] for side in sides) for sides in zip(*runs)]
 attempted = [sum(side["attempted"] for side in sides) for sides in zip(*runs)]
 print(f"failed operations: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]}")
+
+def digest(side, k):
+    with open(f"{out}/{side}-{k}/records.jsonl") as f:
+        return [json.loads(line) for line in f if line.strip()][-1]["outcome_digest"]
+
+print("outcome_digest")
+differ = 0
+for k in range(1, n + 1):
+    p, c = digest("parent", k), digest("change", k)
+    differ += p != c
+    print(f"  pair {k:2d}  parent {p or '-':<16} change {c or '-':<16} "
+          f"{'same' if p == c else 'different'}")
+sys.exit(1 if differ else 0)
 EOF

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Where a pmbench workload spends its CPU, without perf: a sampling profile.
 #
-#   tools/profile.sh WORKLOAD SECONDS [SEED]
+#   tools/profile.sh WORKLOAD SECONDS [SEED [FUNCTION]]
 #
 # Builds pmbench with frame pointers and line tables in a target directory of
 # its own (target/profile, so the benchmark's own build is untouched), runs
@@ -17,13 +17,17 @@
 # time between its callees, and which caller a hot callee is reached from.
 # An edge that carries every sample of its caller splits nothing and is
 # left out (the spine from `main` down), as is a function calling itself.
+# Given a FUNCTION, a fifth table follows: the self samples of every
+# function whose name contains it, per source line in line order — where
+# inside one function the time goes, which the per-line table above only
+# shows for its 25 hottest lines overall.
 # Exit status 2 on bad usage.  x86-64 Linux with gcc, binutils and python3.
 set -euo pipefail
-if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: $0 WORKLOAD SECONDS [SEED]" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+    echo "usage: $0 WORKLOAD SECONDS [SEED [FUNCTION]]" >&2
     exit 2
 fi
-workload=$1 seconds=$2 seed=${3:-42}
+workload=$1 seconds=$2 seed=${3:-42} function=${4:-}
 root=$(cd "$(dirname "$0")/.." && pwd)
 target=$root/target/profile
 mkdir -p "$target/out"
@@ -36,9 +40,9 @@ raw=$target/profile.raw
 PROFILE_OUT=$raw LD_PRELOAD=$target/sampler.so "$bin" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 --out "$target/out" >/dev/null
 
-python3 - "$bin" "$raw" <<'PY'
+python3 - "$bin" "$raw" "$function" <<'PY'
 import collections, os, re, subprocess, sys
-binary, raw = os.path.realpath(sys.argv[1]), sys.argv[2]
+binary, raw, function = os.path.realpath(sys.argv[1]), sys.argv[2], sys.argv[3]
 samples, maps = [], []
 with open(raw) as f:
     lines = iter(f)
@@ -89,9 +93,11 @@ def frames(addr):
         return [(library, library)]
     return chains.get(elf) or [("??", "??")]
 
-self_fn, self_line, inclusive, edges = (collections.Counter() for _ in range(4))
+self_fn, self_line, inclusive, edges, within = (collections.Counter() for _ in range(5))
 for sample in samples:
     leaf = frames(sample[0])[0]
+    if function and function in leaf[0] and not leaf[0].startswith("["):
+        within[leaf[1].split("/src/")[-1]] += 1
     if leaf[0].startswith("["):
         # A library's time is named after the binary's function that called it.
         callers = (frames(addr)[0][0] for addr in sample[1:])
@@ -114,4 +120,11 @@ for title, table in (("self, by function", self_fn), ("self, by line", self_line
     print(f"\n{title}")
     for name, count in table.most_common(25):
         print(f"{100 * count / max(total, 1):6.2f}%  {count:7d}  {name[:140]}")
+if function:
+    def line_order(where):
+        path, _, line = where.rpartition(":")
+        return (path, int(line) if line.isdigit() else 0)
+    print(f"\nself, by line, in functions named *{function}* ({sum(within.values())} samples)")
+    for where in sorted(within, key=line_order):
+        print(f"{100 * within[where] / max(total, 1):6.2f}%  {within[where]:7d}  {where}")
 PY
