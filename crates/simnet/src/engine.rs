@@ -467,24 +467,37 @@ impl<P: RoundProcess> Simulation<P> {
             network_rng,
             &config.fault_plan,
         );
-        let (fraction, crashes): (_, &[_]) = match &config.crash_plan {
-            CrashPlan::None => (None, &[]),
-            CrashPlan::InitialFraction(fraction) => (Some(*fraction), &[]),
-            CrashPlan::Scheduled(crashes) => (None, crashes),
-            CrashPlan::Mixed { fraction, schedule } => (Some(*fraction), schedule),
-        };
-        if let Some(fraction) = fraction {
+        let mut schedule: Vec<(u64, LifecycleKind, usize)> = Vec::new();
+        let crash_fraction = |network: &mut RoundNetwork<P::Message>,
+                                  seed_rng: &mut ChaCha8Rng,
+                                  observer: &mut Option<Box<dyn FnMut(LifecycleTransition)>>,
+                                  fraction: f64| {
             let mut crash_rng = ChaCha8Rng::seed_from_u64(seed_rng.gen());
-            for process in (0..processes.len()).map(ProcessId) {
+            for index in 0..processes.len() {
                 if crash_rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    network.crash(process);
-                    if let Some(observer) = &mut lifecycle_observer {
-                        observer(LifecycleTransition { process, kind: LifecycleKind::Crash });
+                    network.crash(ProcessId(index));
+                    if let Some(observer) = observer {
+                        observer(LifecycleTransition {
+                            process: ProcessId(index),
+                            kind: LifecycleKind::Crash,
+                        });
                     }
                 }
             }
+        };
+        match &config.crash_plan {
+            CrashPlan::None => {}
+            CrashPlan::InitialFraction(fraction) => {
+                crash_fraction(&mut network, &mut seed_rng, &mut lifecycle_observer, *fraction);
+            }
+            CrashPlan::Scheduled(crashes) => {
+                schedule.extend(crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)));
+            }
+            CrashPlan::Mixed { fraction, schedule: crashes } => {
+                crash_fraction(&mut network, &mut seed_rng, &mut lifecycle_observer, *fraction);
+                schedule.extend(crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)));
+            }
         }
-        let mut schedule: Vec<_> = crashes.iter().map(|&(r, p)| (r, LifecycleKind::Crash, p)).collect();
         schedule.extend(lifecycle.joins.iter().map(|&(r, p)| (r, LifecycleKind::Join, p)));
         schedule.extend(lifecycle.leaves.iter().map(|&(r, p)| (r, LifecycleKind::Leave, p)));
         schedule.sort();
@@ -562,14 +575,24 @@ impl<P: RoundProcess> Simulation<P> {
         }
     }
 
-    /// Takes a process down (if it is up) by a crash or a graceful leave,
-    /// and notifies the lifecycle observer of the transition.
-    fn take_down_and_notify(&mut self, id: ProcessId, kind: LifecycleKind) {
+    /// Crashes a process (if it is not already down) and notifies the
+    /// lifecycle observer on the transition.
+    fn crash_and_notify(&mut self, id: ProcessId) {
         if self.network.is_crashed(id) {
             return;
         }
         self.network.crash(id);
-        self.notify(id, kind);
+        self.notify(id, LifecycleKind::Crash);
+    }
+
+    /// Deactivates a process gracefully (if it is up) and notifies the
+    /// lifecycle observer of the leave.
+    fn leave_and_notify(&mut self, id: ProcessId) {
+        if self.network.is_crashed(id) {
+            return;
+        }
+        self.network.crash(id);
+        self.notify(id, LifecycleKind::Leave);
     }
 
     /// Activates a process (if it is down) and notifies the lifecycle
@@ -677,7 +700,7 @@ impl<P: RoundProcess> Simulation<P> {
 
     /// Crashes a process immediately.
     pub fn crash(&mut self, id: ProcessId) {
-        self.take_down_and_notify(id, LifecycleKind::Crash);
+        self.crash_and_notify(id);
     }
 
     /// Number of scheduled lifecycle transitions (joins, leaves, scheduled
@@ -702,7 +725,8 @@ impl<P: RoundProcess> Simulation<P> {
             }
             match kind {
                 LifecycleKind::Join => self.join_and_notify(ProcessId(index)),
-                down => self.take_down_and_notify(ProcessId(index), down),
+                LifecycleKind::Leave => self.leave_and_notify(ProcessId(index)),
+                LifecycleKind::Crash => self.crash_and_notify(ProcessId(index)),
             }
             self.scheduled_lifecycle.pop_front();
         }
@@ -1758,15 +1782,18 @@ mod tests {
         assert_eq!(sim.last_step_receivers().len(), 5);
         assert!(sim.last_step_deliveries().is_empty(), "a step starts from an empty buffer");
 
-        // An external driver keeps no reports: a first delivery under it
-        // is the protocol's state alone.
-        let mut outbox: Vec<(ProcessId, u64)> = Vec::new();
+        // An external driver keeps no reports: a report under it leaves the
+        // outbox, the lent scratch and the stream as they were.
+        let mut outbox: Vec<(ProcessId, u64)> = vec![(ProcessId(1), 5)];
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut scratch = FanoutScratch::default();
+        let mut scratch = FanoutScratch { candidates: vec![2, 7], ..FanoutScratch::default() };
+        let before = format!("{scratch:?}");
         let mut ctx = RoundContext::external(ProcessId(3), 0, &mut outbox, &mut rng, &mut scratch);
-        let mut late = Flood::new(Vec::new(), false);
-        late.on_message(99, &mut ctx);
-        assert!(late.has_token);
+        Flood::new(Vec::new(), false).on_message(99, &mut ctx);
+        ctx.report_delivery(100);
+        assert_eq!(outbox, vec![(ProcessId(1), 5)]);
+        assert_eq!(format!("{scratch:?}"), before);
+        assert_eq!(rng.get_word_pos(), ChaCha8Rng::seed_from_u64(4).get_word_pos());
     }
 
     #[test]

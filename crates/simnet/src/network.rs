@@ -66,8 +66,8 @@ pub struct RoundNetwork<M> {
     /// Count of `true` flags in `crashed`, kept in lockstep so a round
     /// boundary knows in O(1) whether anybody is down.
     crashed_count: usize,
-    /// No fault axis is declared non-neutral: while nobody is down either,
-    /// a send between processes in range needs no decision.
+    /// No fault axis is declared non-neutral: a send between two processes
+    /// that are up needs no decision.
     fault_free: bool,
     in_flight: Vec<Envelope<M>>,
     /// Timing wheel for per-link extra latency: a message with `extra` more
@@ -250,9 +250,10 @@ impl<M> RoundNetwork<M> {
     /// `extra` boundaries later under an active [`LinkDelay`]).
     /// The fourth argument is ignored: a message's size is not accounted.
     ///
-    /// On a quiet network — no fault axis declared non-neutral, nobody
-    /// down — a send between processes in range is counted, drawn against
-    /// `ε` and pushed.  Any other send is decided first, in a fixed order: a
+    /// On a network with no fault axis declared non-neutral, a send between
+    /// two processes in range and up is counted, drawn against `ε` and
+    /// pushed, whoever else is down.  Any other send is decided first, in a
+    /// fixed order: a
     /// live [`Straggler`](crate::Straggler) outside its flush round parks it
     /// (not counted, no draw, sent by the boundary that opens the flush
     /// round); a crashed sender, a crashed receiver or an active partition
@@ -261,7 +262,7 @@ impl<M> RoundNetwork<M> {
     /// inactive fault axes cannot shift the network stream.
     #[inline(always)]
     pub fn send(&mut self, from: ProcessId, to: ProcessId, message: M, _size: usize) {
-        let (loss, extra) = if self.is_quiet() && from.0.max(to.0) < self.crashed.len() {
+        let (loss, extra) = if self.fault_free && !self.is_crashed(from) && !self.is_crashed(to) {
             (self.loss_probability, 0)
         } else {
             match self.decide(from, to) {
@@ -287,11 +288,6 @@ impl<M> RoundNetwork<M> {
             self.stats.messages_delayed += 1;
             self.schedule_delayed(extra, Envelope { to, message });
         }
-    }
-
-    /// No fault axis is declared non-neutral and nobody is down.
-    fn is_quiet(&self) -> bool {
-        self.fault_free && self.crashed_count == 0
     }
 
     /// The fault axes' verdict on a send, their checks made in the order
@@ -473,8 +469,8 @@ mod tests {
     use rand::SeedableRng;
 
     impl<M> RoundNetwork<M> {
-        /// Makes every later send take the decision, as on a network that
-        /// is never quiet.
+        /// Makes every later send take the decision, as on a network with a
+        /// fault axis declared.
         fn decide_every_send(&mut self) {
             self.fault_free = false;
         }
@@ -917,40 +913,12 @@ mod tests {
         let _ = faulty_network(2, 0.0, &plan);
     }
 
-    #[test]
-    fn a_network_turns_quiet_again_exactly_when_its_last_down_process_rejoins() {
-        let mut net = network(4, 0.2);
-        assert!(net.is_quiet());
-        net.crash(ProcessId(1));
-        net.crash(ProcessId(2));
-        net.crash(ProcessId(2));
-        assert!(!net.is_quiet());
-        net.activate(ProcessId(1));
-        net.activate(ProcessId(1));
-        assert!(!net.is_quiet(), "process 2 is still down");
-        net.activate(ProcessId(2));
-        assert!(net.is_quiet());
-        // Out of range, nobody goes down or comes up.
-        net.crash(ProcessId(9));
-        assert!(net.is_quiet());
-        net.activate(ProcessId(9));
-        assert!(net.is_quiet());
-        // A network with a fault axis declared is never quiet; neutral
-        // declarations are none.
-        let mut faulty = faulty_network(4, 0.0, &straggling(0, 2));
-        faulty.crash(ProcessId(3));
-        faulty.activate(ProcessId(3));
-        assert!(!faulty.is_quiet());
-        assert!(faulty_network(4, 0.0, &straggling(0, 1)).is_quiet());
-        assert!(!faulty_network(4, 0.0, &delayed(1, 1)).is_quiet());
-    }
-
     mod prop {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// The quiet path against the decision it skips: each random
+            /// The fast path against the decision it skips: each random
             /// history runs on a network as built and on one that decides
             /// every send, over crashes, leaves and rejoins, out-of-range
             /// endpoints, partition windows before, inside and after the
@@ -1004,7 +972,6 @@ mod tests {
                 };
                 let (mut quiet, mut decided) = (build(), build());
                 decided.decide_every_send();
-                prop_assert!(!decided.is_quiet());
                 for (step, &(kind, a, b)) in history.iter().enumerate() {
                     let (a, b) = (ProcessId(a % (count + 2)), ProcessId(b % (count + 2)));
                     match kind {
@@ -1012,7 +979,9 @@ mod tests {
                             quiet.send(a, b, step as u32, 0);
                             decided.send(a, b, step as u32, 0);
                         }
-                        3 => prop_assert_eq!(deliver_round(&mut quiet), deliver_round(&mut decided)),
+                        3 => {
+                            prop_assert_eq!(deliver_round(&mut quiet), deliver_round(&mut decided));
+                        }
                         4 => {
                             quiet.crash(a);
                             decided.crash(a);
