@@ -49,9 +49,10 @@ const RECEIVED: usize = 0;
 const DELIVERED: usize = 1;
 
 /// A compact set of received [`EventId`]s with the delivered ones marked
-/// among them and one retirement floor, in one of the three shapes of the
-/// [module docs](self): five words, no heap until an identifier falls
-/// outside the 64 it holds inline, O(len) words from then on.  Every
+/// among them and one retirement floor, in one of three shapes picked by
+/// the identifiers it holds (an inline window, a spilled window, a sorted
+/// vector): five words, no heap until an identifier falls outside the 64
+/// it holds inline, O(len) words from then on.  Every
 /// simulated process keeps one and every receipt probes one.  Under
 /// sustained publishing (the daemon) [`compact_below`](Self::compact_below)
 /// bounds it to the in-flight window, never re-delivering a retired event.

@@ -277,7 +277,7 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
                     }
                 })
                 .detach();
-            let process = NetProcess {
+            let process = Box::new(NetProcess {
                 index,
                 protocol,
                 mailbox,
@@ -289,7 +289,7 @@ impl<P: MulticastProtocol + 'static> NetGroup<P> {
                 outbox: Vec::new(),
                 scratch: FanoutScratch::default(),
                 stats: Default::default(),
-            };
+            });
             tasks.push(executor.spawn(process.run()));
         }
         NetGroup {

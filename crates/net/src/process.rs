@@ -74,7 +74,11 @@ pub(crate) struct NetProcess<P> {
 
 impl<P: MulticastProtocol> NetProcess<P> {
     /// The task body: consume the mailbox until shutdown or crash.
-    pub(crate) async fn run(mut self) -> NetProcessReport<P> {
+    ///
+    /// The process comes boxed: an `async fn`'s future keeps both its
+    /// argument and the local it moves that into, so a process taken by
+    /// value would sit in the spawned task twice, and a box is a pointer.
+    pub(crate) async fn run(mut self: Box<Self>) -> NetProcessReport<P> {
         loop {
             let frame = match self.mailbox.recv().await {
                 Ok(frame) => frame,
@@ -230,6 +234,20 @@ mod tests {
 
     fn counted<P>(process: &NetProcess<P>) -> (u64, u64) {
         (process.stats.frames_handled, process.stats.frames_deduped)
+    }
+
+    #[test]
+    fn a_spawned_task_holds_its_process_once() {
+        let (process, _peers, _mailboxes) = retiring_process();
+        let task = Box::new(process).run();
+        // Two copies of the box pointer, the mailbox's one-pointer receive
+        // future and the state tag.  Taken by value, this 624-byte process
+        // (with a 64-word generator buffer) sat behind a 1 264-byte future.
+        assert!(
+            std::mem::size_of_val(&task) <= 32,
+            "a {}-byte task future",
+            std::mem::size_of_val(&task)
+        );
     }
 
     #[test]
